@@ -6,7 +6,7 @@
 //! compact binary framing used both by the FlexPath transport and by
 //! [`BpFile`] on disk.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut};
 use datamodel::ScalarType;
 use std::io::{Read, Write};
 use std::path::Path;
@@ -204,56 +204,39 @@ impl BpStep {
         n
     }
 
-    /// Serialize to the BP-lite framing. This is the marshaling copy the
-    /// FlexPath transport pays (not zero-copy, per §4.1.4).
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(self.encoded_len());
-        self.encode_to(&mut b);
-        b.freeze()
-    }
-
-    /// Serialize into a caller-owned arena buffer: the buffer is cleared
-    /// and refilled, so a writer that keeps one scratch `Vec<u8>` across
-    /// steps pays **zero allocations** once its capacity has warmed up
-    /// to the steady-state step size. The bytes produced are identical
-    /// to [`BpStep::encode`].
+    /// Serialize to the BP-lite framing — the marshaling copy the
+    /// FlexPath transport pays (not zero-copy, per §4.1.4). `out` is
+    /// cleared and refilled with exactly [`BpStep::encoded_len`] bytes;
+    /// a caller that keeps one buffer across steps pays no allocation
+    /// once its capacity has warmed up to the steady-state step size.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.clear();
-        let need = self.encoded_len();
-        if out.capacity() < need {
-            out.reserve_exact(need - out.len());
-        }
-        self.encode_to(out);
-    }
-
-    /// One framing writer shared by both entry points, so the arena path
-    /// cannot drift from the allocating one.
-    fn encode_to<B: BufMut>(&self, b: &mut B) {
-        b.put_slice(MAGIC);
-        b.put_u64_le(self.step);
-        b.put_f64_le(self.time);
-        b.put_u32_le(self.attributes.len() as u32);
+        out.reserve_exact(self.encoded_len());
+        out.put_slice(MAGIC);
+        out.put_u64_le(self.step);
+        out.put_f64_le(self.time);
+        out.put_u32_le(self.attributes.len() as u32);
         for (name, value) in &self.attributes {
-            put_string(b, name);
-            b.put_f64_le(*value);
+            put_string(out, name);
+            out.put_f64_le(*value);
         }
-        b.put_u32_le(self.vars.len() as u32);
+        out.put_u32_le(self.vars.len() as u32);
         for v in &self.vars {
-            put_string(b, &v.name);
-            b.put_u8(dtype_code(v.dtype));
-            b.put_u32_le(v.leaf);
+            put_string(out, &v.name);
+            out.put_u8(dtype_code(v.dtype));
+            out.put_u32_le(v.leaf);
             for d in v.global_dims {
-                b.put_u64_le(d);
+                out.put_u64_le(d);
             }
             for d in v.offset {
-                b.put_u64_le(d);
+                out.put_u64_le(d);
             }
             for d in v.local_dims {
-                b.put_u64_le(d);
+                out.put_u64_le(d);
             }
-            b.put_u64_le(v.data.len() as u64);
+            out.put_u64_le(v.data.len() as u64);
             for &x in &v.data {
-                b.put_f64_le(x);
+                out.put_f64_le(x);
             }
         }
     }
@@ -331,7 +314,7 @@ impl BpStep {
     }
 }
 
-fn put_string<B: BufMut>(b: &mut B, s: &str) {
+fn put_string(b: &mut Vec<u8>, s: &str) {
     b.put_u32_le(s.len() as u32);
     b.put_slice(s.as_bytes());
 }
@@ -355,7 +338,8 @@ pub struct BpFile;
 impl BpFile {
     /// Append one step.
     pub fn append(path: &Path, step: &BpStep) -> Result<(), BpError> {
-        let bytes = step.encode();
+        let mut bytes = Vec::new();
+        step.encode_into(&mut bytes);
         let mut f = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -395,6 +379,12 @@ impl BpFile {
 mod tests {
     use super::*;
 
+    fn encoded(s: &BpStep) -> Vec<u8> {
+        let mut out = Vec::new();
+        s.encode_into(&mut out);
+        out
+    }
+
     fn sample() -> BpStep {
         let mut s = BpStep::new(7, 0.35);
         s.set_attr("spacing_x", 0.25);
@@ -419,31 +409,28 @@ mod tests {
     #[test]
     fn encode_decode_roundtrip() {
         let s = sample();
-        let bytes = s.encode();
-        let back = BpStep::decode(&bytes).expect("decode");
+        let back = BpStep::decode(&encoded(&s)).expect("decode");
         assert_eq!(back, s);
     }
 
     #[test]
-    fn arena_encode_is_byte_identical_and_reuses_capacity() {
+    fn encode_is_exactly_sized_and_reuses_capacity() {
         let s = sample();
-        let reference = s.encode();
-        assert_eq!(s.encoded_len(), reference.len(), "exact size accounting");
         let mut arena = Vec::new();
         s.encode_into(&mut arena);
-        assert_eq!(arena.as_slice(), reference.as_ref(), "identical framing");
-        // Warm arena: re-encoding must reuse the allocation, not grow or
-        // replace it (the zero-alloc contract the bench asserts with the
-        // tracking allocator).
+        assert_eq!(s.encoded_len(), arena.len(), "exact size accounting");
+        let reference = arena.clone();
+        // Warm buffer: re-encoding must reuse the allocation, not grow
+        // or replace it.
         let ptr = arena.as_ptr();
         let cap = arena.capacity();
         for _ in 0..3 {
             s.encode_into(&mut arena);
-            assert_eq!(arena.as_ptr(), ptr, "warm arena must not reallocate");
+            assert_eq!(arena.as_ptr(), ptr, "warm buffer must not reallocate");
             assert_eq!(arena.capacity(), cap);
-            assert_eq!(arena.as_slice(), reference.as_ref());
+            assert_eq!(arena, reference, "encoding is byte-stable");
         }
-        let back = BpStep::decode(&arena).expect("decode from arena");
+        let back = BpStep::decode(&arena).expect("decode from warm buffer");
         assert_eq!(back, s);
     }
 
@@ -471,7 +458,7 @@ mod tests {
             .with_dtype(ScalarType::U8)
             .with_leaf(3),
         );
-        let back = BpStep::decode(&s.encode()).expect("decode");
+        let back = BpStep::decode(&encoded(&s)).expect("decode");
         assert_eq!(back.vars[0].dtype, ScalarType::U8);
         assert_eq!(back.vars[0].leaf, 3);
         assert_eq!(back, s);
@@ -489,13 +476,13 @@ mod tests {
     #[test]
     fn corrupt_data_rejected() {
         let s = sample();
-        let bytes = s.encode();
+        let bytes = encoded(&s);
         assert!(matches!(
             BpStep::decode(&bytes[..10]),
             Err(BpError::Corrupt(_))
         ));
         assert!(matches!(BpStep::decode(b"NOPE"), Err(BpError::Corrupt(_))));
-        let mut bad = bytes.to_vec();
+        let mut bad = bytes.clone();
         bad.truncate(bad.len() - 4);
         assert!(BpStep::decode(&bad).is_err());
     }

@@ -286,6 +286,98 @@ struct Inner<T> {
     probe: probe::Probe,
 }
 
+impl<T> Topic<T> {
+    /// Deliver `msg` to every live subscription, waiting (up to the
+    /// eviction deadline) on full queues. Returns the delivery count
+    /// and the consumers evicted by this tick.
+    fn dispatch(
+        &mut self,
+        config: &BrokerConfig,
+        msg: TopicMsg<T>,
+    ) -> (usize, Vec<EvictionRecord>) {
+        // Dispatch pass: deliver where there is room, collect the
+        // stalled.
+        let mut stalled: Vec<usize> = Vec::new();
+        let mut delivered = 0usize;
+        for (i, sub) in self.subs.iter().enumerate() {
+            let (lock, cond) = &*sub.state;
+            let mut st = lock.lock();
+            // Closed entries were pruned by the caller; anything
+            // non-Live (raced disconnect) just gets skipped and pruned
+            // on the next tick.
+            if st.phase == SubPhase::Live {
+                if st.queue.len() < config.queue_depth {
+                    push_msg(&mut st, msg.clone());
+                    cond.notify_all();
+                    delivered += 1;
+                } else {
+                    stalled.push(i);
+                }
+            }
+        }
+
+        // Backpressure: wait — bounded — for stalled consumers. Time
+        // flows through probe::time, so this loop is deterministic
+        // under the virtual clock (each poll advances it one tick) and
+        // wall-bounded otherwise.
+        let mut evicted_now: Vec<EvictionRecord> = Vec::new();
+        if !stalled.is_empty() {
+            let start = probe::time::now_seconds();
+            let deadline = config.eviction_deadline.as_secs_f64();
+            loop {
+                stalled.retain(|&i| {
+                    let (lock, cond) = &*self.subs[i].state;
+                    let mut st = lock.lock();
+                    match st.phase {
+                        SubPhase::Live if st.queue.len() < config.queue_depth => {
+                            push_msg(&mut st, msg.clone());
+                            cond.notify_all();
+                            delivered += 1;
+                            false
+                        }
+                        SubPhase::Live => true,
+                        // Consumer went away while we waited for it.
+                        _ => false,
+                    }
+                });
+                if stalled.is_empty() {
+                    break;
+                }
+                let waited = (probe::time::now_seconds() - start).max(0.0);
+                if waited >= deadline {
+                    for &i in &stalled {
+                        let sub = &self.subs[i];
+                        let (lock, cond) = &*sub.state;
+                        let mut st = lock.lock();
+                        st.phase = SubPhase::Evicted;
+                        cond.notify_all();
+                        evicted_now.push(EvictionRecord {
+                            client: sub.id,
+                            label: sub.label.clone(),
+                            topic: self.key.clone(),
+                            delivered: st.delivered,
+                            consumed: st.consumed,
+                            dropped_seq: msg.seq,
+                            waited: Duration::from_secs_f64(waited),
+                        });
+                    }
+                    break;
+                }
+                // Under a scheduled world each poll is a spin at a
+                // yield point, so the liveness checker can flag a
+                // publisher stuck behind a consumer that never drains.
+                minimpi::sched::yield_point();
+                if !probe::time::is_virtual() {
+                    std::thread::sleep(Duration::from_micros(50));
+                }
+            }
+            self.subs
+                .retain(|s| s.state.0.lock().phase == SubPhase::Live);
+        }
+        (delivered, evicted_now)
+    }
+}
+
 impl<T> Inner<T> {
     fn topic_mut(&mut self, key: &TopicKey) -> &mut Topic<T> {
         if let Some(i) = self.topics.iter().position(|t| &t.key == key) {
@@ -415,6 +507,18 @@ impl<T: Send + Sync + 'static> Broker<T> {
     /// Panics if the topic has already been [`Broker::finish`]ed —
     /// publishing past end-of-stream is a program bug.
     pub fn publish(&self, topic: &TopicKey, payload: T) -> PublishReport {
+        self.publish_with(topic, || payload)
+    }
+
+    /// [`Broker::publish`] with the payload built on demand: a tick on
+    /// a topic nobody subscribes to advances the sequence number and
+    /// the probe counters but never runs `payload`, so teeing a stream
+    /// through an unwatched broker copies nothing.
+    pub(crate) fn publish_with(
+        &self,
+        topic: &TopicKey,
+        payload: impl FnOnce() -> T,
+    ) -> PublishReport {
         let mut inner = self.inner.lock();
         let config = inner.config.clone();
         let probe = inner.probe.clone();
@@ -422,92 +526,19 @@ impl<T: Send + Sync + 'static> Broker<T> {
         assert!(!t.finished, "broker: publish to finished topic {topic}");
         let seq = t.next_seq;
         t.next_seq += 1;
-        let msg = TopicMsg {
-            seq,
-            payload: Arc::new(payload),
-        };
-
-        // Dispatch pass: deliver where there is room, collect the
-        // stalled. Disconnected/evicted subscriptions are pruned —
-        // this publish tick is the event loop's housekeeping point.
-        let mut stalled: Vec<usize> = Vec::new();
-        let mut delivered = 0usize;
+        // Disconnected subscriptions are pruned here — this publish
+        // tick is the event loop's housekeeping point.
         t.subs
             .retain(|s| s.state.0.lock().phase != SubPhase::Closed);
-        for (i, sub) in t.subs.iter().enumerate() {
-            let (lock, cond) = &*sub.state;
-            let mut st = lock.lock();
-            // Closed entries were pruned above; anything non-Live
-            // (raced disconnect) just gets skipped and pruned on the
-            // next tick.
-            if st.phase == SubPhase::Live {
-                if st.queue.len() < config.queue_depth {
-                    push_msg(&mut st, msg.clone());
-                    cond.notify_all();
-                    delivered += 1;
-                } else {
-                    stalled.push(i);
-                }
-            }
-        }
-
-        // Backpressure: wait — bounded — for stalled consumers. Time
-        // flows through probe::time, so this loop is deterministic
-        // under the virtual clock (each poll advances it one tick) and
-        // wall-bounded otherwise.
-        let mut evicted_now: Vec<EvictionRecord> = Vec::new();
-        if !stalled.is_empty() {
-            let start = probe::time::now_seconds();
-            let deadline = config.eviction_deadline.as_secs_f64();
-            loop {
-                stalled.retain(|&i| {
-                    let (lock, cond) = &*t.subs[i].state;
-                    let mut st = lock.lock();
-                    match st.phase {
-                        SubPhase::Live if st.queue.len() < config.queue_depth => {
-                            push_msg(&mut st, msg.clone());
-                            cond.notify_all();
-                            delivered += 1;
-                            false
-                        }
-                        SubPhase::Live => true,
-                        // Consumer went away while we waited for it.
-                        _ => false,
-                    }
-                });
-                if stalled.is_empty() {
-                    break;
-                }
-                let waited = (probe::time::now_seconds() - start).max(0.0);
-                if waited >= deadline {
-                    for &i in &stalled {
-                        let sub = &t.subs[i];
-                        let (lock, cond) = &*sub.state;
-                        let mut st = lock.lock();
-                        st.phase = SubPhase::Evicted;
-                        cond.notify_all();
-                        evicted_now.push(EvictionRecord {
-                            client: sub.id,
-                            label: sub.label.clone(),
-                            topic: topic.clone(),
-                            delivered: st.delivered,
-                            consumed: st.consumed,
-                            dropped_seq: seq,
-                            waited: Duration::from_secs_f64(waited),
-                        });
-                    }
-                    break;
-                }
-                // Under a scheduled world each poll is a spin at a
-                // yield point, so the liveness checker can flag a
-                // publisher stuck behind a consumer that never drains.
-                minimpi::sched::yield_point();
-                if !probe::time::is_virtual() {
-                    std::thread::sleep(Duration::from_micros(50));
-                }
-            }
-            t.subs.retain(|s| s.state.0.lock().phase == SubPhase::Live);
-        }
+        let (delivered, evicted_now) = if t.subs.is_empty() {
+            (0, Vec::new())
+        } else {
+            let msg = TopicMsg {
+                seq,
+                payload: Arc::new(payload()),
+            };
+            t.dispatch(&config, msg)
+        };
 
         if probe.is_enabled() {
             let name = probe::key::scoped("broker", topic, "fanout");
@@ -627,11 +658,12 @@ impl<T: Send + Sync + 'static> Broker<T> {
 impl StagingBroker {
     /// Route one decoded BP-lite step onto the broker: each variable
     /// block publishes to its `(field, leaf)` topic. One payload clone
-    /// per variable, shared from there across all subscribers.
+    /// per variable with at least one subscriber, shared from there
+    /// across all of them; an unwatched variable is not copied.
     pub fn publish_step(&self, step: &BpStep) -> Vec<PublishReport> {
         step.vars
             .iter()
-            .map(|v| self.publish(&TopicKey::new(v.name.clone(), v.leaf), v.clone()))
+            .map(|v| self.publish_with(&TopicKey::new(v.name.clone(), v.leaf), || v.clone()))
             .collect()
     }
 }
@@ -888,6 +920,31 @@ mod tests {
         assert!(late.try_next().is_none());
         let seqs: Vec<u64> = std::iter::from_fn(|| early.try_next().map(|m| m.seq)).collect();
         assert_eq!(seqs, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn unwatched_topic_never_builds_its_payload() {
+        let broker: Broker<u64> = Broker::new(cfg(8, 8, 50));
+        let key = TopicKey::new("data", 0);
+        let built = std::cell::Cell::new(0u32);
+        let publish = |v: u64| {
+            broker.publish_with(&key, || {
+                built.set(built.get() + 1);
+                v
+            })
+        };
+        for v in 0..3 {
+            assert_eq!((publish(v).seq, built.get()), (v, 0));
+        }
+        let late = broker.subscribe(key.clone()).unwrap();
+        assert_eq!(publish(3).delivered, 1);
+        assert_eq!(
+            late.try_next().unwrap().seq,
+            3,
+            "sequence advanced unwatched"
+        );
+        assert_eq!(broker.published(&key), 4);
+        assert_eq!(built.get(), 1);
     }
 
     #[test]

@@ -135,32 +135,16 @@ impl FlexpathWriter {
         (probe::time::now_seconds() - t0).max(0.0)
     }
 
-    /// Ship one step (serializes = the marshaling copy). Returns the
-    /// bytes shipped.
+    /// Ship one step: serializes it (the one marshaling copy of
+    /// §4.1.4) into an exactly-sized frame and moves that frame into
+    /// the channel, which needs to own it. Returns the bytes shipped.
     pub fn write(&mut self, world: &Comm, step: &BpStep) -> usize {
-        let mut scratch = Vec::new();
-        self.write_with_scratch(world, step, &mut scratch)
-    }
-
-    /// Ship one step, encoding through a caller-owned arena buffer.
-    ///
-    /// The step is serialized with [`BpStep::encode_into`], so a writer
-    /// that keeps `scratch` across steps pays zero allocations for the
-    /// marshaling once the buffer's capacity has warmed up; the only
-    /// remaining per-step allocation is the transport's owned copy of
-    /// the frame (the channel consumes it at the endpoint). Returns the
-    /// bytes shipped.
-    pub fn write_with_scratch(
-        &mut self,
-        world: &Comm,
-        step: &BpStep,
-        scratch: &mut Vec<u8>,
-    ) -> usize {
         assert!(!self.closed, "write after close");
         assert!(!self.outstanding, "write without advance");
-        step.encode_into(scratch);
-        let n = scratch.len();
-        world.send(self.peer, TAG_DATA, (false, scratch.clone()));
+        let mut frame = Vec::new();
+        step.encode_into(&mut frame);
+        let n = frame.len();
+        world.send(self.peer, TAG_DATA, (false, frame));
         self.outstanding = true;
         n
     }
@@ -368,6 +352,25 @@ mod tests {
                     seen += 1;
                 }
                 assert_eq!(seen, 5);
+            }
+        });
+    }
+
+    #[test]
+    fn write_ships_exactly_encoded_len_bytes_that_decode_round_trips() {
+        World::run(2, |world| match pair(world, 1) {
+            Role::Writer { mut writer, .. } => {
+                let step = step_with(3, 1.5);
+                writer.advance(world);
+                assert_eq!(writer.write(world, &step), step.encoded_len());
+                writer.close(world);
+            }
+            Role::Endpoint { mut reader, .. } => {
+                let steps = reader.begin_step(world).expect("one step");
+                assert_eq!(steps[0].1, step_with(3, 1.5), "decode round-trips");
+                assert_eq!(reader.links[0].bytes, steps[0].1.encoded_len());
+                reader.end_step(world, &steps);
+                assert!(reader.begin_step(world).is_none());
             }
         });
     }

@@ -18,9 +18,10 @@
 //! * [`staging`] — the two-executable pattern: a SENSEI
 //!   [`sensei::AnalysisAdaptor`] for the writer side
 //!   ([`staging::AdiosWriterAnalysis`]) that ships each step's data,
-//!   and an endpoint loop ([`staging::run_endpoint`]) that reconstructs
-//!   datasets and drives any SENSEI analyses — so a Catalyst slice or a
-//!   histogram runs *in transit* without the simulation knowing.
+//!   and an endpoint loop ([`staging::run_endpoint_with_broker`]) that
+//!   reconstructs datasets and drives any SENSEI analyses — so a
+//!   Catalyst slice or a histogram runs *in transit* without the
+//!   simulation knowing — while teeing the stream onto the [`broker`].
 //!
 //! The transport deliberately serializes (one marshaling copy): FlexPath
 //! "does not yet use zero-copy" in the paper, and that copy is part of

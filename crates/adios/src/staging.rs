@@ -21,18 +21,12 @@ use crate::flexpath::{FlexpathReader, FlexpathWriter};
 /// are likewise keyed per leaf (`leaf{i}_spacing_{a}`), and each
 /// variable's scalar type travels with it — notably keeping the
 /// `vtkGhostType` u8 array recognizable as ghosts at the endpoint.
-pub fn adaptor_to_step(data: &dyn DataAdaptor) -> BpStep {
-    match try_adaptor_to_step(data) {
-        Ok(step) => step,
-        Err(err) => panic!("adaptor_to_step: {err}; use try_adaptor_to_step to marshal data that may live off-host"),
-    }
-}
-
-/// Space-checked twin of [`adaptor_to_step`]: marshaling reads every
-/// array through [`datamodel::DataArray::values_in`] from the calling
-/// thread's memory space, so a device-resident array handed to a
-/// host-side writer surfaces as [`AdaptorError::WrongSpace`] instead
-/// of an unchecked read.
+///
+/// Marshaling reads every array through
+/// [`datamodel::DataArray::values_in`] from the calling thread's memory
+/// space, so a device-resident array handed to a host-side writer
+/// surfaces as [`AdaptorError::WrongSpace`] instead of an unchecked
+/// read.
 pub fn try_adaptor_to_step(data: &dyn DataAdaptor) -> Result<BpStep, AdaptorError> {
     let mesh = data.full_mesh();
     // Sanitizer: marshaling a BP step reads every array zero-copy;
@@ -302,10 +296,6 @@ impl DataAdaptor for BpAdaptor {
 /// communicator, since the transport addresses endpoint ranks globally.
 pub struct AdiosWriterAnalysis {
     writer: FlexpathWriter,
-    /// Arena buffer the per-step BP framing is encoded into; kept across
-    /// steps so the marshaling pays zero allocations once its capacity
-    /// reaches the steady-state step size.
-    scratch: Vec<u8>,
     /// Cumulative seconds spent in `advance` (metadata + blocking).
     pub advance_seconds: f64,
     /// Cumulative seconds spent marshaling + sending.
@@ -322,7 +312,6 @@ impl AdiosWriterAnalysis {
     pub fn new(writer: FlexpathWriter) -> Self {
         AdiosWriterAnalysis {
             writer,
-            scratch: Vec::new(),
             advance_seconds: 0.0,
             write_seconds: 0.0,
             bytes_shipped: 0,
@@ -351,9 +340,7 @@ impl AnalysisAdaptor for AdiosWriterAnalysis {
                 BpStep::new(data.step(), data.time())
             }
         };
-        let shipped = self
-            .writer
-            .write_with_scratch(comm, &step, &mut self.scratch);
+        let shipped = self.writer.write(comm, &step);
         self.bytes_shipped += shipped;
         let write = (probe::time::now_seconds() - t0).max(0.0);
         self.write_seconds += write;
@@ -377,33 +364,21 @@ impl AnalysisAdaptor for AdiosWriterAnalysis {
 /// Run the endpoint loop: receive steps until every served writer
 /// closes or dies, driving `analyses` through a SENSEI bridge whose
 /// collective communicator is the endpoint subgroup. Returns the bridge
-/// (timings and any analysis result handles stay valid).
+/// (analysis result handles stay valid) and the run report.
+///
+/// Every received step is also routed onto `broker`
+/// ([`StagingBroker::publish_step`] — one topic per `(field, leaf)`),
+/// so any number of subscribers — live monitors, secondary analyses,
+/// soak clients — consume the stream without the writers knowing. A
+/// topic nobody subscribes to copies no payload, so a
+/// `StagingBroker::new(BrokerConfig::default())` with no subscribers
+/// is the plain endpoint.
 ///
 /// A writer lost mid-stream degrades gracefully: its stream ends (the
 /// reader's per-writer deadline fires), the loop keeps serving the
 /// surviving writers in lock-step with the other endpoints, and the
-/// bytes/steps lost are surfaced through
-/// [`Bridge::failure_reports`].
-#[deprecated(
-    note = "use run_endpoint_with_broker — the broker tee is the staging spine, and a \
-            default-config broker with no subscribers costs nothing"
-)]
-pub fn run_endpoint(
-    world: &Comm,
-    sub: &Comm,
-    reader: &mut FlexpathReader,
-    analyses: Vec<Box<dyn AnalysisAdaptor>>,
-) -> (Bridge, RunReport) {
-    endpoint_loop(world, sub, reader, analyses, None)
-}
-
-/// [`run_endpoint`] with a staging broker tee: every received step is
-/// also routed onto `broker` ([`StagingBroker::publish_step`] — one
-/// topic per `(field, leaf)`), so any number of subscribers — live
-/// monitors, secondary analyses, soak clients — consume the stream
-/// without the writers knowing. When the stream ends the broker's
-/// topics are finished and every slow-consumer eviction is surfaced
-/// through [`Bridge::failure_reports`], next to dead-writer reports.
+/// bytes/steps lost are surfaced through [`Bridge::failure_reports`],
+/// next to every slow-consumer eviction the broker recorded.
 pub fn run_endpoint_with_broker(
     world: &Comm,
     sub: &Comm,
@@ -411,23 +386,11 @@ pub fn run_endpoint_with_broker(
     analyses: Vec<Box<dyn AnalysisAdaptor>>,
     broker: &StagingBroker,
 ) -> (Bridge, RunReport) {
-    endpoint_loop(world, sub, reader, analyses, Some(broker))
-}
-
-fn endpoint_loop(
-    world: &Comm,
-    sub: &Comm,
-    reader: &mut FlexpathReader,
-    analyses: Vec<Box<dyn AnalysisAdaptor>>,
-    broker: Option<&StagingBroker>,
-) -> (Bridge, RunReport) {
     // Inherit whatever probe the caller attached to the endpoint
     // subgroup, so in-transit analyses land in the same report.
     let mut bridge = Bridge::with_probe(sub.probe());
     let probe = sub.probe();
-    if let Some(broker) = broker {
-        broker.attach_probe(probe.clone());
-    }
+    broker.attach_probe(probe.clone());
     for a in analyses {
         bridge.register(a);
     }
@@ -450,21 +413,17 @@ fn endpoint_loop(
                 probe.message(&probe::key::of("staging", "off_wire"), bytes as u64);
             }
         }
-        if let Some(broker) = broker {
-            for (_src, bp) in &steps {
-                broker.publish_step(bp);
-            }
+        for (_src, bp) in &steps {
+            broker.publish_step(bp);
         }
         let mut adaptor = BpAdaptor::new(&steps);
         adaptor.reconcile_step_time(sub);
         bridge.execute(&adaptor, sub);
         reader.end_step(world, &steps);
     }
-    if let Some(broker) = broker {
-        broker.finish_all();
-        for evicted in broker.take_evictions() {
-            bridge.record_failure(evicted);
-        }
+    broker.finish_all();
+    for evicted in broker.take_evictions() {
+        bridge.record_failure(evicted);
     }
     for dead in reader.dead_writers() {
         bridge.record_failure(dead);
@@ -476,10 +435,32 @@ fn endpoint_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::broker::BrokerConfig;
     use crate::flexpath::{pair, Role};
     use minimpi::World;
     use sensei::analysis::histogram::HistogramAnalysis;
     use sensei::InMemoryAdaptor;
+
+    fn marshal(data: &dyn DataAdaptor) -> BpStep {
+        try_adaptor_to_step(data).expect("host-resident test data marshals")
+    }
+
+    fn encoded(step: &BpStep) -> Vec<u8> {
+        let mut out = Vec::new();
+        step.encode_into(&mut out);
+        out
+    }
+
+    /// An endpoint nobody subscribes to.
+    fn unwatched_endpoint(
+        world: &Comm,
+        sub: &Comm,
+        reader: &mut FlexpathReader,
+        analyses: Vec<Box<dyn AnalysisAdaptor>>,
+    ) -> (Bridge, RunReport) {
+        let broker = StagingBroker::new(BrokerConfig::default());
+        run_endpoint_with_broker(world, sub, reader, analyses, &broker)
+    }
 
     fn sim_adaptor(rank: usize, n_writers: usize, step: u64) -> InMemoryAdaptor {
         let global = Extent::whole([2 * n_writers + 1, 3, 3]);
@@ -494,7 +475,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the minimal non-broker endpoint stays covered until removal
     fn histogram_runs_in_transit() {
         // 2 writers + 2 endpoints: the histogram executes at the
         // endpoints over the reconstructed blocks.
@@ -502,7 +482,7 @@ mod tests {
             Role::Writer { mut writer, .. } => {
                 for s in 0..4u64 {
                     writer.advance(world);
-                    let step = adaptor_to_step(&sim_adaptor(world.rank(), 2, s));
+                    let step = marshal(&sim_adaptor(world.rank(), 2, s));
                     writer.write(world, &step);
                 }
                 writer.close(world);
@@ -511,7 +491,8 @@ mod tests {
             Role::Endpoint { sub, mut reader } => {
                 let hist = HistogramAnalysis::new("data", 8);
                 let handle = hist.results_handle();
-                let (bridge, _) = run_endpoint(world, &sub, &mut reader, vec![Box::new(hist)]);
+                let (bridge, _) =
+                    unwatched_endpoint(world, &sub, &mut reader, vec![Box::new(hist)]);
                 assert_eq!(bridge.steps(), 4);
                 if sub.rank() == 0 {
                     let r = handle.lock().clone().expect("endpoint histogram");
@@ -528,9 +509,8 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the minimal non-broker endpoint stays covered until removal
     fn endpoint_broker_tee_feeds_subscribers() {
-        use crate::broker::{BrokerConfig, StagingBroker, TopicKey};
+        use crate::broker::TopicKey;
         use std::time::Duration;
         // 1 writer + 1 endpoint; the endpoint tees every step onto the
         // broker, where an out-of-band subscriber consumes one leaf's
@@ -540,7 +520,7 @@ mod tests {
             Role::Writer { mut writer, .. } => {
                 for s in 0..4u64 {
                     writer.advance(world);
-                    let step = adaptor_to_step(&sim_adaptor(world.rank(), 1, s));
+                    let step = marshal(&sim_adaptor(world.rank(), 1, s));
                     writer.write(world, &step);
                 }
                 writer.close(world);
@@ -570,7 +550,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the minimal non-broker endpoint stays covered until removal
     fn writer_analysis_reports_fig8_components() {
         World::run(2, |world| match pair(world, 1) {
             Role::Writer { .. } if false => unreachable!(),
@@ -593,7 +572,7 @@ mod tests {
                 bridge.finalize(&sub);
             }
             Role::Endpoint { sub, mut reader } => {
-                let (bridge, _) = run_endpoint(world, &sub, &mut reader, Vec::new());
+                let (bridge, _) = unwatched_endpoint(world, &sub, &mut reader, Vec::new());
                 assert_eq!(bridge.steps(), 3);
             }
         });
@@ -602,7 +581,7 @@ mod tests {
     #[test]
     fn adaptor_step_roundtrip_preserves_geometry() {
         let a = sim_adaptor(1, 2, 5);
-        let step = adaptor_to_step(&a);
+        let step = marshal(&a);
         assert_eq!(step.step, 5);
         let blocks = step_to_blocks(&step);
         assert_eq!(blocks.len(), 1);
@@ -639,11 +618,11 @@ mod tests {
 
     #[test]
     fn multi_leaf_rank_ships_one_block_per_leaf() {
-        let step = adaptor_to_step(&two_leaf_adaptor(2));
+        let step = marshal(&two_leaf_adaptor(2));
         assert_eq!(step.vars.len(), 2, "one var per leaf");
         // Full wire round-trip: leaf identity and geometry must survive
         // serialization, not just the in-memory step.
-        let wire = crate::bp::BpStep::decode(&step.encode()).unwrap();
+        let wire = BpStep::decode(&encoded(&step)).unwrap();
         let blocks = step_to_blocks(&wire);
         assert_eq!(blocks.len(), 2, "one block per leaf");
         assert_eq!(blocks[0].origin, [0.0, 0.0, 0.0]);
@@ -664,7 +643,7 @@ mod tests {
         g.add_point_array(DataArray::owned("data", 1, vec![1.0f64, 2.0, 3.0]));
         g.add_point_array(DataArray::owned("vtkGhostType", 1, vec![0u8, 0, 1]));
         let a = InMemoryAdaptor::new(DataSet::Image(g), 0.0, 0);
-        let wire = crate::bp::BpStep::decode(&adaptor_to_step(&a).encode()).unwrap();
+        let wire = BpStep::decode(&encoded(&marshal(&a))).unwrap();
         let blocks = step_to_blocks(&wire);
         let ghost = blocks[0].point_data.get("vtkGhostType").unwrap();
         assert_eq!(
@@ -681,7 +660,7 @@ mod tests {
     fn reconcile_adopts_peer_step_for_empty_round() {
         World::run(2, |world| {
             let steps = if world.rank() == 0 {
-                vec![(0usize, adaptor_to_step(&sim_adaptor(0, 1, 7)))]
+                vec![(0usize, marshal(&sim_adaptor(0, 1, 7)))]
             } else {
                 Vec::new()
             };
@@ -693,7 +672,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the minimal non-broker endpoint stays covered until removal
     fn dead_writer_degrades_to_end_of_stream() {
         use std::time::Duration;
         // Writer 0 ships 2 steps, then its third frame is lost in
@@ -709,23 +687,23 @@ mod tests {
                 Role::Writer { mut writer, .. } if world.rank() == 0 => {
                     for s in 0..2u64 {
                         writer.advance(world);
-                        writer.write(world, &adaptor_to_step(&sim_adaptor(0, 2, s)));
+                        writer.write(world, &marshal(&sim_adaptor(0, 2, s)));
                     }
                     writer.advance(world);
                     hook.drop_link(0, writer.peer());
-                    writer.write(world, &adaptor_to_step(&sim_adaptor(0, 2, 2)));
+                    writer.write(world, &marshal(&sim_adaptor(0, 2, 2)));
                     // Dies here: no close frame ever reaches the endpoint.
                 }
                 Role::Writer { mut writer, .. } => {
                     for s in 0..4u64 {
                         writer.advance(world);
-                        writer.write(world, &adaptor_to_step(&sim_adaptor(1, 2, s)));
+                        writer.write(world, &marshal(&sim_adaptor(1, 2, s)));
                     }
                     writer.close(world);
                 }
                 Role::Endpoint { sub, mut reader } => {
                     reader.set_deadline(Duration::from_millis(150));
-                    let (bridge, _) = run_endpoint(world, &sub, &mut reader, Vec::new());
+                    let (bridge, _) = unwatched_endpoint(world, &sub, &mut reader, Vec::new());
                     assert_eq!(bridge.steps(), 4, "endpoints stay in lock-step");
                     if world.rank() == 2 {
                         let reports = bridge.failure_reports();
@@ -748,8 +726,8 @@ mod tests {
 
     #[test]
     fn bp_adaptor_presents_multiblock() {
-        let s0 = adaptor_to_step(&sim_adaptor(0, 2, 1));
-        let s1 = adaptor_to_step(&sim_adaptor(1, 2, 1));
+        let s0 = marshal(&sim_adaptor(0, 2, 1));
+        let s1 = marshal(&sim_adaptor(1, 2, 1));
         let adaptor = BpAdaptor::new(&[(0, s0), (1, s1)]);
         let mesh = adaptor.full_mesh();
         assert_eq!(mesh.leaves().count(), 2);

@@ -6,10 +6,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use minimpi::World;
 
 use adios::bp::{BpStep, BpVar};
-#[allow(deprecated)] // legacy non-broker endpoint keeps the perf baselines comparable
-use adios::staging::run_endpoint;
-use adios::staging::AdiosWriterAnalysis;
-use adios::{pair, Role};
+use adios::staging::{run_endpoint_with_broker, AdiosWriterAnalysis};
+use adios::{pair, BrokerConfig, Role, StagingBroker};
 use oscillator::{demo_oscillators, osc::format_deck, OscillatorAdaptor, SimConfig, Simulation};
 use sensei::analysis::histogram::HistogramAnalysis;
 use sensei::analysis::AnalysisAdaptor as _;
@@ -34,17 +32,20 @@ fn bp_marshaling(c: &mut Criterion) {
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(1));
     let step = sample_step(32 * 32 * 32);
+    let mut bytes = Vec::new();
+    step.encode_into(&mut bytes);
     group.bench_function("encode_32cubed", |b| {
-        b.iter(|| std::hint::black_box(step.encode().len()))
+        b.iter(|| {
+            step.encode_into(&mut bytes);
+            std::hint::black_box(bytes.len())
+        })
     });
-    let bytes = step.encode();
     group.bench_function("decode_32cubed", |b| {
         b.iter(|| std::hint::black_box(BpStep::decode(&bytes).unwrap().payload_bytes()))
     });
     group.finish();
 }
 
-#[allow(deprecated)] // legacy non-broker endpoint keeps the perf baselines comparable
 fn in_transit_histogram(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig09_staging");
     group
@@ -77,8 +78,14 @@ fn in_transit_histogram(c: &mut Criterion) {
                 }
                 Role::Endpoint { sub, mut reader } => {
                     let hist = HistogramAnalysis::new("data", 32);
-                    let (bridge, _report) =
-                        run_endpoint(world, &sub, &mut reader, vec![Box::new(hist)]);
+                    let broker = StagingBroker::new(BrokerConfig::default());
+                    let (bridge, _report) = run_endpoint_with_broker(
+                        world,
+                        &sub,
+                        &mut reader,
+                        vec![Box::new(hist)],
+                        &broker,
+                    );
                     bridge.steps()
                 }
             })

@@ -3,9 +3,9 @@
 //! Usage: `cargo run --release -p bench --bin hotpath [-- --out PATH]`
 //!
 //! Runs the sparse-deck step loop (naive vs support-culled vs
-//! culled+threads), the streaming histogram (serial vs chunk-parallel),
-//! and the vector allreduce (binomial tree vs reduce-scatter/allgather),
-//! then writes the timings and speedups as JSON. On a single-core host
+//! culled+threads), the streaming histogram (reference vs blocked
+//! kernel), and a sanitizer-off vs sanitizer-on bridge run, then writes
+//! the timings and speedups as JSON. On a single-core host
 //! the step-loop win comes from support culling alone; with more cores
 //! the threaded kernel stacks on top.
 

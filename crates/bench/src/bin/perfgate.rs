@@ -4,9 +4,8 @@
 //!   cargo run --release -p bench --features track-alloc --bin perfgate \
 //!     [-- --baseline PATH] [--out PATH] [--tolerance PCT]
 //!
-//! Loads the dimensionless metrics (speedups, auto-vs-best ratio,
-//! sanitizer overhead, arena allocation delta) from the baseline JSON,
-//! measures them fresh with the same warmup + median-of-N methodology,
+//! Loads the dimensionless metrics (speedups, sanitizer overhead) from
+//! the baseline JSON, measures them fresh with the same warmup + median-of-N methodology,
 //! and exits non-zero if any metric regressed past the tolerance. The
 //! fresh report is always written to `--out` so CI can upload it as an
 //! artifact when the gate fails.

@@ -1,8 +1,9 @@
 //! The per-step in situ hot path, measured end to end on real code:
 //! simulation step (naive all-pairs vs support-culled vs culled+threads),
-//! streaming histogram (reference kernel vs cache-blocked kernel), the
-//! bin/lag vector allreduce (tree vs reduce-scatter/allgather vs the
-//! size-adaptive auto path), and the BPL2 encode (allocating vs arena).
+//! streaming histogram (reference kernel vs cache-blocked kernel), and
+//! the happens-before sanitizer's overhead on a whole bridge run. Each
+//! section races the shipped path against the reference implementation
+//! the tests also compare it with.
 //!
 //! Every recorded number is a **median of N timed rounds after warmup
 //! rounds** ([`median_of`]); the seed report's single-shot methodology
@@ -13,14 +14,12 @@
 //! The `hotpath` binary runs these on a sparse oscillator deck — many
 //! small-radius oscillators whose supports cover a small fraction of the
 //! domain, the regime support culling exists for — and writes
-//! `BENCH_hotpath.json` with wall times, speedups, and the measured
-//! collective crossover table.
+//! `BENCH_hotpath.json` with wall times and speedups.
 
 use std::sync::Arc;
 
 use probe::time::Wall;
 
-use adios::bp::{BpStep, BpVar};
 use minimpi::{SchedPolicy, World, WorldBuilder};
 use oscillator::{
     format_deck, Oscillator, OscillatorAdaptor, OscillatorKind, SimConfig, Simulation,
@@ -85,34 +84,6 @@ impl Section {
     }
 }
 
-/// One (ranks, elements) cell of the collective crossover measurement.
-#[derive(Clone, Copy, Debug)]
-pub struct AllreducePoint {
-    pub ranks: usize,
-    pub elements: usize,
-    pub tree_s: f64,
-    pub rsag_s: f64,
-    pub auto_s: f64,
-}
-
-impl AllreducePoint {
-    /// Message size in bytes (f64 elements).
-    pub fn bytes(&self) -> usize {
-        self.elements * 8
-    }
-
-    /// The faster of the two underlying algorithms.
-    pub fn best_s(&self) -> f64 {
-        self.tree_s.min(self.rsag_s)
-    }
-
-    /// How the adaptive path compares to the better algorithm
-    /// (1.0 = exactly as fast; < 1.0 = auto is slower).
-    pub fn auto_vs_best(&self) -> f64 {
-        self.best_s() / self.auto_s
-    }
-}
-
 /// The full hot-path report.
 #[derive(Clone, Debug)]
 pub struct HotpathReport {
@@ -130,25 +101,6 @@ pub struct HotpathReport {
     /// cache-blocked kernel (both at the configured thread count).
     pub histogram: Section,
     pub histogram_bins: usize,
-    /// Headline vector allreduce at the largest measured point:
-    /// binomial tree (baseline) vs the size-adaptive auto path.
-    pub allreduce: Section,
-    pub allreduce_rsag_s: f64,
-    pub allreduce_ranks: usize,
-    pub allreduce_elements: usize,
-    pub allreduce_rounds: usize,
-    /// The full (ranks × elements) matrix behind the crossover table.
-    pub allreduce_points: Vec<AllreducePoint>,
-    /// BPL2 encode: allocating `encode()` vs the warm arena
-    /// `encode_into` path.
-    pub bp_encode: Section,
-    pub bp_payload_bytes: usize,
-    pub bp_encode_rounds: usize,
-    /// Heap growth observed across the warm arena encode loop (bytes);
-    /// must be 0 when the tracking allocator is installed.
-    pub bp_arena_alloc_delta: usize,
-    /// Whether the probe tracking allocator was active for the run.
-    pub bp_alloc_tracked: bool,
     /// Sanitizer overhead: the same seeded oscillator + histogram
     /// bridge run on 8 ranks with the happens-before sanitizer off
     /// (baseline) vs on (optimized field holds the sanitized time, so
@@ -165,36 +117,6 @@ pub struct HotpathReport {
 }
 
 impl HotpathReport {
-    /// Per-rank-count crossover: the smallest measured message size (in
-    /// bytes) where reduce-scatter/allgather beat the tree, or `None`
-    /// if the tree won at every measured size.
-    pub fn crossover(&self) -> Vec<(usize, Option<usize>)> {
-        let mut ranks: Vec<usize> = self.allreduce_points.iter().map(|p| p.ranks).collect();
-        ranks.sort_unstable();
-        ranks.dedup();
-        ranks
-            .into_iter()
-            .map(|r| {
-                let bytes = self
-                    .allreduce_points
-                    .iter()
-                    .filter(|p| p.ranks == r && p.rsag_s < p.tree_s)
-                    .map(AllreducePoint::bytes)
-                    .min();
-                (r, bytes)
-            })
-            .collect()
-    }
-
-    /// The worst `auto_vs_best` across the matrix (the number the
-    /// "auto within 5% of the better algorithm" criterion bounds).
-    pub fn auto_vs_best_min(&self) -> f64 {
-        self.allreduce_points
-            .iter()
-            .map(AllreducePoint::auto_vs_best)
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// Serialize as pretty-printed JSON (no external dependencies).
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n");
@@ -216,58 +138,6 @@ impl HotpathReport {
             self.histogram.baseline_s,
             self.histogram.optimized_s,
             self.histogram.speedup()
-        ));
-        s.push_str(&format!(
-            "  \"allreduce\": {{\"ranks\": {}, \"elements\": {}, \"rounds\": {}, \"tree_s\": {:.6}, \"rsag_s\": {:.6}, \"auto_s\": {:.6}, \"speedup\": {:.2}}},\n",
-            self.allreduce_ranks,
-            self.allreduce_elements,
-            self.allreduce_rounds,
-            self.allreduce.baseline_s,
-            self.allreduce_rsag_s,
-            self.allreduce.optimized_s,
-            self.allreduce.speedup()
-        ));
-        s.push_str("  \"allreduce_points\": [\n");
-        for (i, p) in self.allreduce_points.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"ranks\": {}, \"elements\": {}, \"bytes\": {}, \"tree_s\": {:.6}, \"rsag_s\": {:.6}, \"auto_s\": {:.6}, \"auto_vs_best\": {:.3}}}{}\n",
-                p.ranks,
-                p.elements,
-                p.bytes(),
-                p.tree_s,
-                p.rsag_s,
-                p.auto_s,
-                p.auto_vs_best(),
-                if i + 1 < self.allreduce_points.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n");
-        let crossover = self.crossover();
-        s.push_str("  \"crossover\": [\n");
-        for (i, (ranks, bytes)) in crossover.iter().enumerate() {
-            let from = match bytes {
-                Some(b) => b.to_string(),
-                None => "null".to_string(),
-            };
-            s.push_str(&format!(
-                "    {{\"ranks\": {ranks}, \"rsag_from_bytes\": {from}}}{}\n",
-                if i + 1 < crossover.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str(&format!(
-            "  \"auto_vs_best_min\": {:.3},\n",
-            self.auto_vs_best_min()
-        ));
-        s.push_str(&format!(
-            "  \"bp_encode\": {{\"payload_bytes\": {}, \"rounds\": {}, \"alloc_s\": {:.6}, \"arena_s\": {:.6}, \"speedup\": {:.2}, \"arena_alloc_delta_bytes\": {}, \"alloc_tracked\": {}}},\n",
-            self.bp_payload_bytes,
-            self.bp_encode_rounds,
-            self.bp_encode.baseline_s,
-            self.bp_encode.optimized_s,
-            self.bp_encode.speedup(),
-            self.bp_arena_alloc_delta,
-            self.bp_alloc_tracked
         ));
         s.push_str(&format!(
             "  \"sanitizer\": {{\"ranks\": {}, \"off_s\": {:.6}, \"on_s\": {:.6}, \"overhead_pct\": {:.2}, \"bitwise_identical\": {}}},\n",
@@ -371,128 +241,6 @@ fn time_histogram(
     .remove(0)
 }
 
-/// Which allreduce path to time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum AllreduceAlgo {
-    Tree,
-    Rsag,
-    Auto,
-}
-
-/// Time `rounds` vector allreduces of `elements` f64 on `ranks` ranks.
-fn time_allreduce(ranks: usize, elements: usize, rounds: usize, algo: AllreduceAlgo) -> f64 {
-    World::run(ranks, move |comm| {
-        let v: Vec<f64> = (0..elements)
-            .map(|i| (i * (comm.rank() + 1)) as f64)
-            .collect();
-        let t0 = Wall::now();
-        for _ in 0..rounds {
-            let out = match algo {
-                AllreduceAlgo::Tree => comm.allreduce_vec(v.clone(), |a, b| a + b),
-                AllreduceAlgo::Rsag => comm.allreduce_vec_rsag(v.clone(), |a, b| a + b),
-                AllreduceAlgo::Auto => comm.allreduce_vec_auto(v.clone(), |a, b| a + b),
-            };
-            assert_eq!(out.len(), elements);
-        }
-        t0.elapsed().as_secs_f64()
-    })
-    .remove(0)
-}
-
-/// Measure the full (ranks × elements) allreduce matrix — the data the
-/// crossover table in `minimpi::collectives` is calibrated from.
-///
-/// Small messages finish in microseconds, where scheduler noise swamps
-/// a `rounds`-op sample; each point therefore runs `rounds` scaled up
-/// by how much smaller its message is than the largest in the matrix
-/// (capped at 64×), and the time is normalized back so every recorded
-/// number is *seconds per `rounds` operations* regardless of scaling.
-pub fn allreduce_matrix(
-    rank_counts: &[usize],
-    element_counts: &[usize],
-    rounds: usize,
-) -> Vec<AllreducePoint> {
-    let max_elements = element_counts.iter().copied().max().unwrap_or(1);
-    let mut points = Vec::with_capacity(rank_counts.len() * element_counts.len());
-    for &ranks in rank_counts {
-        for &elements in element_counts {
-            let scale = (max_elements / elements.max(1)).clamp(1, 64);
-            let sample = |algo: AllreduceAlgo| {
-                median_of(WARMUP_ROUNDS, TIMED_ROUNDS, || {
-                    time_allreduce(ranks, elements, rounds * scale, algo)
-                }) / scale as f64
-            };
-            let tree_s = sample(AllreduceAlgo::Tree);
-            let rsag_s = sample(AllreduceAlgo::Rsag);
-            let auto_s = sample(AllreduceAlgo::Auto);
-            points.push(AllreducePoint {
-                ranks,
-                elements,
-                tree_s,
-                rsag_s,
-                auto_s,
-            });
-        }
-    }
-    points
-}
-
-/// Is the probe tracking allocator actually installed? (The counters
-/// exist either way; without the `track-alloc` feature they stay 0, so
-/// a zero "allocation delta" would be vacuous — record which.)
-fn alloc_tracking_active() -> bool {
-    let before = probe::alloc::current_bytes();
-    let v = std::hint::black_box(vec![0u8; 64 * 1024]);
-    let active = probe::alloc::current_bytes() >= before + 64 * 1024;
-    drop(v);
-    active
-}
-
-/// Time the BPL2 encode paths over a representative step: `rounds`
-/// allocating `encode()` calls vs `rounds` warm-arena `encode_into`
-/// calls, plus the heap growth across the warm arena loop.
-fn time_bp_encode(grid: [usize; 3], rounds: usize) -> (f64, f64, usize, usize) {
-    let n: usize = grid.iter().product();
-    let mut step = BpStep::new(3, 0.25);
-    for a in 0..3 {
-        step.set_attr(format!("leaf0_spacing_{a}"), 0.015_625);
-        step.set_attr(format!("leaf0_origin_{a}"), 0.0);
-    }
-    let dims = [grid[0] as u64, grid[1] as u64, grid[2] as u64];
-    step.vars.push(BpVar::new(
-        "data",
-        dims,
-        [0, 0, 0],
-        dims,
-        (0..n).map(|i| i as f64 * 0.5).collect(),
-    ));
-    let payload = step.encoded_len();
-
-    let alloc_s = median_of(WARMUP_ROUNDS, TIMED_ROUNDS, || {
-        let t0 = Wall::now();
-        for _ in 0..rounds {
-            std::hint::black_box(step.encode());
-        }
-        t0.elapsed().as_secs_f64()
-    });
-
-    let mut arena = Vec::new();
-    step.encode_into(&mut arena); // warm the arena outside the timing
-    let mut alloc_delta = 0usize;
-    let arena_s = median_of(WARMUP_ROUNDS, TIMED_ROUNDS, || {
-        let heap0 = probe::alloc::current_bytes();
-        let t0 = Wall::now();
-        for _ in 0..rounds {
-            step.encode_into(&mut arena);
-            std::hint::black_box(arena.as_slice());
-        }
-        let dt = t0.elapsed().as_secs_f64();
-        alloc_delta = alloc_delta.max(probe::alloc::current_bytes().saturating_sub(heap0));
-        dt
-    });
-    (alloc_s, arena_s, payload, alloc_delta)
-}
-
 /// One seeded oscillator + histogram bridge run on `ranks` ranks,
 /// optionally with a happens-before sanitizer session installed
 /// (`Mode::Collect`, asserted clean). Returns the wall time and rank
@@ -581,18 +329,6 @@ pub fn run(grid: [usize; 3], oscillators: usize, steps: usize, threads: usize) -
         time_histogram(&deck, grid, bins, threads, executes, false)
     });
 
-    let rounds = 16;
-    let points = allreduce_matrix(&[2, 4, 8], &[1 << 8, 1 << 12, 1 << 15], rounds);
-    let (ranks, elements) = (8, 1 << 15);
-    let headline = points
-        .iter()
-        .find(|p| p.ranks == ranks && p.elements == elements)
-        .copied()
-        .expect("headline point measured");
-
-    let bp_rounds = 32;
-    let (bp_alloc_s, bp_arena_s, bp_payload, bp_delta) = time_bp_encode(grid, bp_rounds);
-
     let san_ranks = 8;
     let (san_off, hist_off) = {
         let mut hist = None;
@@ -632,23 +368,6 @@ pub fn run(grid: [usize; 3], oscillators: usize, steps: usize, threads: usize) -
             optimized_s: hist_blocked,
         },
         histogram_bins: bins,
-        allreduce: Section {
-            baseline_s: headline.tree_s,
-            optimized_s: headline.auto_s,
-        },
-        allreduce_rsag_s: headline.rsag_s,
-        allreduce_ranks: ranks,
-        allreduce_elements: elements,
-        allreduce_rounds: rounds,
-        allreduce_points: points,
-        bp_encode: Section {
-            baseline_s: bp_alloc_s,
-            optimized_s: bp_arena_s,
-        },
-        bp_payload_bytes: bp_payload,
-        bp_encode_rounds: bp_rounds,
-        bp_arena_alloc_delta: bp_delta,
-        bp_alloc_tracked: alloc_tracking_active(),
         sanitizer: Section {
             baseline_s: san_off,
             optimized_s: san_on,

@@ -3,13 +3,10 @@
 //! CI reruns the hot-path suite and compares the fresh numbers against
 //! the checked-in baseline. Absolute seconds do not transfer between
 //! machines, so the gate compares the **dimensionless** metrics — the
-//! speedups of each optimized path over its in-tree baseline, the
-//! adaptive collective's distance from the better underlying algorithm,
+//! speedups of each optimized path over its in-tree reference kernel
 //! and the sanitizer overhead percentage — which only regress when the
 //! code gets slower relative to itself. A fresh speedup more than the
-//! tolerance below the recorded one fails the gate; so does any heap
-//! growth on the warm BPL2 arena path while the tracking allocator is
-//! installed.
+//! tolerance below the recorded one fails the gate.
 
 use crate::hotpath::HotpathReport;
 
@@ -24,17 +21,6 @@ pub struct Metrics {
     pub step_speedup: f64,
     /// Reference histogram kernel over the blocked kernel.
     pub histogram_speedup: f64,
-    /// Tree allreduce over the adaptive path at the headline point.
-    pub allreduce_speedup: f64,
-    /// Worst-case `best/auto` across the (ranks × size) matrix.
-    pub auto_vs_best_min: f64,
-    /// Allocating BPL2 encode over the warm arena path.
-    pub bp_encode_speedup: f64,
-    /// Heap growth across the warm arena encode loop, bytes.
-    pub bp_arena_alloc_delta: f64,
-    /// Whether the tracking allocator was installed for the run (a zero
-    /// delta is vacuous without it).
-    pub bp_alloc_tracked: bool,
     /// Sanitizer-on time over sanitizer-off, as a percentage.
     pub sanitizer_overhead_pct: f64,
 }
@@ -45,11 +31,6 @@ impl Metrics {
         Metrics {
             step_speedup: r.step.speedup(),
             histogram_speedup: r.histogram.speedup(),
-            allreduce_speedup: r.allreduce.speedup(),
-            auto_vs_best_min: r.auto_vs_best_min(),
-            bp_encode_speedup: r.bp_encode.speedup(),
-            bp_arena_alloc_delta: r.bp_arena_alloc_delta as f64,
-            bp_alloc_tracked: r.bp_alloc_tracked,
             sanitizer_overhead_pct: (r.sanitizer.optimized_s / r.sanitizer.baseline_s - 1.0)
                 * 100.0,
         }
@@ -67,13 +48,6 @@ impl Metrics {
         Ok(Metrics {
             step_speedup: sect("step", "speedup")?,
             histogram_speedup: sect("histogram", "speedup")?,
-            allreduce_speedup: sect("allreduce", "speedup")?,
-            auto_vs_best_min: top_field(doc, "auto_vs_best_min")
-                .ok_or("baseline is missing \"auto_vs_best_min\"")?,
-            bp_encode_speedup: sect("bp_encode", "speedup")?,
-            bp_arena_alloc_delta: sect("bp_encode", "arena_alloc_delta_bytes")?,
-            bp_alloc_tracked: section(doc, "bp_encode")
-                .is_some_and(|b| b.contains("\"alloc_tracked\": true")),
             sanitizer_overhead_pct: sect("sanitizer", "overhead_pct")?,
         })
     }
@@ -373,12 +347,6 @@ fn field(body: &str, key: &str) -> Option<f64> {
     parse_number(&body[start..])
 }
 
-/// A top-level numeric field (whose key appears nowhere inside earlier
-/// sections).
-fn top_field(doc: &str, key: &str) -> Option<f64> {
-    field(doc, key)
-}
-
 fn parse_number(rest: &str) -> Option<f64> {
     let rest = rest.trim_start();
     let end = rest
@@ -426,21 +394,6 @@ pub fn gate(baseline: &Metrics, fresh: &Metrics, tolerance: f64) -> GateReport {
         baseline.histogram_speedup,
         fresh.histogram_speedup,
     );
-    ratio(
-        "allreduce auto speedup",
-        baseline.allreduce_speedup,
-        fresh.allreduce_speedup,
-    );
-    ratio(
-        "allreduce auto-vs-best (worst point)",
-        baseline.auto_vs_best_min,
-        fresh.auto_vs_best_min,
-    );
-    ratio(
-        "bp encode arena speedup",
-        baseline.bp_encode_speedup,
-        fresh.bp_encode_speedup,
-    );
 
     // Sanitizer overhead is additive, not a speedup: allow the baseline
     // overhead (clamped at 0 — a negative record was the old
@@ -456,19 +409,6 @@ pub fn gate(baseline: &Metrics, fresh: &Metrics, tolerance: f64) -> GateReport {
             fresh.sanitizer_overhead_pct
         ));
     }
-
-    // The arena path's zero-allocation contract (only enforceable when
-    // the tracking allocator is installed).
-    report.checked.push(format!(
-        "bp arena alloc delta: {} bytes (tracked: {})",
-        fresh.bp_arena_alloc_delta, fresh.bp_alloc_tracked
-    ));
-    if fresh.bp_alloc_tracked && fresh.bp_arena_alloc_delta > 0.0 {
-        report.failures.push(format!(
-            "BPL2 arena encode allocated {} bytes per warm loop; the arena path must be zero-alloc",
-            fresh.bp_arena_alloc_delta
-        ));
-    }
     report
 }
 
@@ -480,11 +420,6 @@ mod tests {
         Metrics {
             step_speedup: 21.0,
             histogram_speedup: 1.4,
-            allreduce_speedup: 1.05,
-            auto_vs_best_min: 0.98,
-            bp_encode_speedup: 1.5,
-            bp_arena_alloc_delta: 0.0,
-            bp_alloc_tracked: true,
             sanitizer_overhead_pct: 4.0,
         }
     }
@@ -494,7 +429,7 @@ mod tests {
         let m = sample();
         let r = gate(&m, &m, DEFAULT_TOLERANCE);
         assert!(r.passed(), "{:?}", r.failures);
-        assert_eq!(r.checked.len(), 7);
+        assert_eq!(r.checked.len(), 3);
     }
 
     #[test]
@@ -512,14 +447,11 @@ mod tests {
         // The acceptance check: a 20% regression must demonstrably trip
         // the default 15% gate — on every ratio metric independently.
         let base = sample();
-        for plant in 0..5 {
+        for plant in 0..2 {
             let mut fresh = base;
             let slot: &mut f64 = match plant {
                 0 => &mut fresh.step_speedup,
-                1 => &mut fresh.histogram_speedup,
-                2 => &mut fresh.allreduce_speedup,
-                3 => &mut fresh.auto_vs_best_min,
-                _ => &mut fresh.bp_encode_speedup,
+                _ => &mut fresh.histogram_speedup,
             };
             *slot *= 0.80; // a 20% slowdown of the optimized path
             let r = gate(&base, &fresh, DEFAULT_TOLERANCE);
@@ -535,19 +467,6 @@ mod tests {
         let r = gate(&base, &fresh, DEFAULT_TOLERANCE);
         assert_eq!(r.failures.len(), 1, "{:?}", r.failures);
         assert!(r.failures[0].contains("sanitizer"));
-    }
-
-    #[test]
-    fn arena_allocation_fails_when_tracked() {
-        let base = sample();
-        let mut fresh = base;
-        fresh.bp_arena_alloc_delta = 4096.0;
-        let r = gate(&base, &fresh, DEFAULT_TOLERANCE);
-        assert_eq!(r.failures.len(), 1);
-        assert!(r.failures[0].contains("zero-alloc"));
-        // Without the tracking allocator the delta is meaningless noise.
-        fresh.bp_alloc_tracked = false;
-        assert!(gate(&base, &fresh, DEFAULT_TOLERANCE).passed());
     }
 
     fn broker_sample() -> BrokerMetrics {
@@ -715,26 +634,12 @@ mod tests {
   "config": {"grid": [64, 64, 64], "oscillators": 48, "steps": 8, "threads": 0, "warmup_rounds": 1, "timed_rounds": 5},
   "step": {"naive_s": 1.500000, "culled_serial_s": 0.070000, "culled_threaded_s": 0.070000, "speedup": 21.43},
   "histogram": {"bins": 64, "reference_s": 0.022000, "blocked_s": 0.015000, "speedup": 1.47},
-  "allreduce": {"ranks": 8, "elements": 32768, "rounds": 16, "tree_s": 0.011900, "rsag_s": 0.018100, "auto_s": 0.011500, "speedup": 1.03},
-  "allreduce_points": [
-    {"ranks": 2, "elements": 256, "bytes": 2048, "tree_s": 0.000100, "rsag_s": 0.000200, "auto_s": 0.000101, "auto_vs_best": 0.990}
-  ],
-  "crossover": [
-    {"ranks": 2, "rsag_from_bytes": null}
-  ],
-  "auto_vs_best_min": 0.990,
-  "bp_encode": {"payload_bytes": 2097454, "rounds": 32, "alloc_s": 0.050000, "arena_s": 0.030000, "speedup": 1.67, "arena_alloc_delta_bytes": 0, "alloc_tracked": true},
   "sanitizer": {"ranks": 8, "off_s": 0.120000, "on_s": 0.126000, "overhead_pct": 5.00, "bitwise_identical": true}
 }
 "#;
         let m = Metrics::from_json(doc).expect("parse");
         assert_eq!(m.step_speedup, 21.43);
         assert_eq!(m.histogram_speedup, 1.47);
-        assert_eq!(m.allreduce_speedup, 1.03);
-        assert_eq!(m.auto_vs_best_min, 0.990);
-        assert_eq!(m.bp_encode_speedup, 1.67);
-        assert_eq!(m.bp_arena_alloc_delta, 0.0);
-        assert!(m.bp_alloc_tracked);
         assert_eq!(m.sanitizer_overhead_pct, 5.00);
         // A document in the old (pre-methodology-fix) format fails with
         // a diagnostic rather than gating against garbage.

@@ -135,10 +135,9 @@ pub fn pseudocolor_like_image(width: usize, height: usize) -> Vec<u8> {
 /// §4.1.4 in real mode: per-step wall time of an inline histogram vs the
 /// same histogram at a FlexPath endpoint (writers + endpoints on this
 /// machine). Returns `(inline_seconds, staged_seconds)` per step.
-#[allow(deprecated)] // legacy non-broker endpoint keeps the perf baselines comparable
 pub fn measure_staging_penalty(writers: usize, grid: usize, steps: usize) -> (f64, f64) {
-    use adios::staging::{run_endpoint, AdiosWriterAnalysis};
-    use adios::{pair, Role};
+    use adios::staging::{run_endpoint_with_broker, AdiosWriterAnalysis};
+    use adios::{pair, BrokerConfig, Role, StagingBroker};
     use sensei::analysis::histogram::HistogramAnalysis;
 
     let deck = format_deck(&demo_oscillators());
@@ -193,7 +192,8 @@ pub fn measure_staging_penalty(writers: usize, grid: usize, steps: usize) -> (f6
         }
         Role::Endpoint { sub, mut reader } => {
             let hist = HistogramAnalysis::new("data", 32);
-            run_endpoint(world, &sub, &mut reader, vec![Box::new(hist)]);
+            let broker = StagingBroker::new(BrokerConfig::default());
+            run_endpoint_with_broker(world, &sub, &mut reader, vec![Box::new(hist)], &broker);
             None
         }
     })

@@ -164,177 +164,6 @@ impl Comm {
         })
     }
 
-    /// Element-wise all-reduce that picks the wire algorithm from the
-    /// measured crossover table: binomial tree ([`Comm::allreduce_vec`])
-    /// below [`rsag_crossover_bytes`], reduce-scatter/allgather
-    /// ([`Comm::allreduce_vec_rsag`]) at or above it.
-    ///
-    /// This is the default entry point for per-step vector reductions
-    /// (histogram bins, autocorrelation lags, bridge aggregates): the
-    /// caller states *what* to reduce and the crossover table — filled
-    /// in by `bench --bin perfgate -- --calibrate`, never guessed —
-    /// decides *how*. Every rank computes the same decision from the
-    /// communicator size and `len × size_of::<T>()`, so the choice is
-    /// collectively consistent whenever the length contract holds
-    /// (which [`Comm::allreduce_vec_rsag`] now validates up front).
-    ///
-    /// Results are element-wise identical to both underlying paths for
-    /// exact ops (integer sums, min/max); floating-point sums follow
-    /// the combination order of whichever path was selected.
-    pub fn allreduce_vec_auto<T, F>(&self, value: Vec<T>, op: F) -> Vec<T>
-    where
-        T: Clone + Send + 'static,
-        F: Fn(&T, &T) -> T,
-    {
-        let bytes = std::mem::size_of_val(value.as_slice());
-        if bytes >= rsag_crossover_bytes(self.size()) {
-            self.allreduce_vec_rsag(value, op)
-        } else {
-            self.allreduce_vec(value, op)
-        }
-    }
-
-    /// Large-message element-wise all-reduce: recursive-halving
-    /// reduce-scatter followed by recursive-doubling allgather
-    /// (Rabenseifner's algorithm, the MPICH large-message path).
-    ///
-    /// [`Comm::allreduce_vec`] moves the *entire* vector up a binomial
-    /// tree and back down — every level transfers `n` elements, for
-    /// `O(n log p)` total traffic through the root. Here each rank
-    /// instead reduces one `n/p`-sized segment (halving the exchanged
-    /// volume every round) and then the segments are allgathered, for
-    /// `O(n)` volume per rank — the right trade for the bin- and
-    /// lag-vector reductions the in situ analyses perform every step.
-    ///
-    /// Non-power-of-two sizes are handled with the standard fold-in:
-    /// the ranks above the largest power of two send their vectors to a
-    /// partner first and receive the finished result last.
-    ///
-    /// `op` must be associative and commutative (the MPI built-in-op
-    /// contract); the combination *order* differs from
-    /// [`Comm::allreduce_vec`], so floating-point sums may differ by
-    /// rounding between the two — exact ops (integer sums, min/max)
-    /// agree bitwise.
-    ///
-    /// # Panics
-    /// Panics — on every rank, with the full per-rank length table —
-    /// if ranks contribute vectors of different lengths. The check runs
-    /// *before* any segment exchange: a mismatch first noticed deep in
-    /// the recursive halving would leave partners waiting on segments
-    /// that can never arrive, turning a length bug into a deadlock.
-    pub fn allreduce_vec_rsag<T, F>(&self, value: Vec<T>, op: F) -> Vec<T>
-    where
-        T: Clone + Send + 'static,
-        F: Fn(&T, &T) -> T,
-    {
-        let p = self.size();
-        let n = value.len();
-        // Two tag kinds so a fast partner's allgather traffic can never
-        // be mistaken for reduce-scatter traffic from the same pair.
-        // Both phases count as entered before the single-rank fast
-        // path, keeping invocation counters size-invariant.
-        let rs_tag = self.collective_tag(CollectiveKind::ReduceScatter);
-        let ag_tag = self.collective_tag(CollectiveKind::Allgather);
-        if p == 1 {
-            return value;
-        }
-        let me = self.rank();
-
-        // Fail fast on unequal contributions before any buffer splits:
-        // one cheap usize ring gives every rank the full length table
-        // for the diagnostic. It reuses `rs_tag`, so per-pair FIFO
-        // ordering keeps these envelopes strictly ahead of the data
-        // exchange that follows.
-        let lens = allgather_tagged(self, rs_tag, n);
-        if lens.iter().any(|&l| l != n) {
-            let table: Vec<String> = lens
-                .iter()
-                .enumerate()
-                .map(|(r, l)| format!("rank {r}: {l}"))
-                .collect();
-            panic!(
-                "minimpi: allreduce_vec_rsag length mismatch on communicator of size {p}: \
-                 every rank must contribute the same number of elements — {}",
-                table.join(", ")
-            );
-        }
-
-        let p2 = 1usize << (usize::BITS - 1 - p.leading_zeros());
-        let extra = p - p2;
-
-        // Fold-in: ranks beyond the power-of-two boundary contribute to
-        // a partner, then sit out until the result is folded back out.
-        if me >= p2 {
-            self.send_tagged(me - p2, rs_tag, value);
-            let (_, out): (_, Vec<T>) = self.recv_tagged(me - p2, ag_tag);
-            return out;
-        }
-        let mut buf = value;
-        if me < extra {
-            let theirs: Vec<T> = self.recv_tagged(me + p2, rs_tag).1;
-            debug_assert_eq!(theirs.len(), n, "lengths validated up front");
-            for (a, b) in buf.iter_mut().zip(theirs.iter()) {
-                *a = op(a, b);
-            }
-        }
-
-        // Recursive halving: each round trades away half of the range
-        // still owned and combines the retained half. Splits nest, so
-        // after log₂ p₂ rounds rank order equals segment order.
-        let mut lo = 0usize;
-        let mut hi = n;
-        let mut mask = p2 >> 1;
-        while mask > 0 {
-            let partner = me ^ mask;
-            let mid = lo + (hi - lo) / 2;
-            if me & mask == 0 {
-                let upper = buf.split_off(mid - lo);
-                self.send_tagged(partner, rs_tag, upper);
-                hi = mid;
-            } else {
-                let upper = buf.split_off(mid - lo);
-                self.send_tagged(partner, rs_tag, buf);
-                buf = upper;
-                lo = mid;
-            }
-            let theirs: Vec<T> = self.recv_tagged(partner, rs_tag).1;
-            debug_assert_eq!(theirs.len(), buf.len(), "lengths validated up front");
-            for (a, b) in buf.iter_mut().zip(theirs.iter()) {
-                *a = op(a, b);
-            }
-            mask >>= 1;
-        }
-
-        // Recursive doubling: partners hold adjacent (nested-split)
-        // ranges, so every merge is a contiguous concatenation.
-        let mut mask = 1usize;
-        while mask < p2 {
-            let partner = me ^ mask;
-            self.send_tagged(partner, ag_tag, (lo, buf.clone()));
-            let (their_lo, theirs): (usize, Vec<T>) = self.recv_tagged(partner, ag_tag).1;
-            if their_lo < lo {
-                let mut merged = theirs;
-                merged.append(&mut buf);
-                buf = merged;
-                lo = their_lo;
-            } else {
-                buf.extend(theirs);
-            }
-            mask <<= 1;
-        }
-        debug_assert_eq!(
-            (lo, buf.len()),
-            (0, n),
-            "allreduce_vec_rsag: lost a segment"
-        );
-
-        // Fold-out: deliver the finished vector to the sidelined ranks.
-        if me < extra {
-            self.send_tagged(me + p2, ag_tag, buf.clone());
-        }
-        buf
-    }
-
     /// Gather one value from every rank to `root`, ordered by rank.
     /// Returns `Some(values)` on the root, `None` elsewhere.
     pub fn gather<T: Send + 'static>(&self, root: usize, value: T) -> Option<Vec<T>> {
@@ -463,39 +292,6 @@ impl Comm {
     }
 }
 
-/// Measured tree → reduce-scatter/allgather crossover, in payload
-/// bytes, keyed by communicator-size bracket: the first entry whose
-/// bound is ≥ the communicator size applies. `usize::MAX` records that
-/// the binomial tree won at every calibrated size for that bracket.
-///
-/// On the in-process transport a tree hop *moves* the whole vector
-/// (one pointer through a channel) while reduce-scatter/allgather pays
-/// real segment splits, clones, and reassembly — so the crossover sits
-/// far higher than on a network fabric, and on small hosts the tree
-/// wins outright. These numbers are measured, never guessed: the
-/// hotpath suite (`cargo run --release -p bench --bin hotpath`) sweeps
-/// ranks × payload sizes and records the per-point timings and the
-/// implied crossover in `BENCH_hotpath.json` — update this table from
-/// that sweep's `"crossover"` entries whenever the transport changes.
-pub const RSAG_CROSSOVER: &[(usize, usize)] = &[
-    (2, usize::MAX),
-    (4, usize::MAX),
-    (8, usize::MAX),
-    (usize::MAX, usize::MAX),
-];
-
-/// Minimum payload size in bytes at which [`Comm::allreduce_vec_rsag`]
-/// beats [`Comm::allreduce_vec`] on a communicator of `ranks` ranks,
-/// per the calibrated [`RSAG_CROSSOVER`] table.
-pub fn rsag_crossover_bytes(ranks: usize) -> usize {
-    for &(max_ranks, bytes) in RSAG_CROSSOVER {
-        if ranks <= max_ranks {
-            return bytes;
-        }
-    }
-    usize::MAX
-}
-
 /// Ring allgather with an explicit tag; shared with `Comm::split`, which
 /// must allgather before the new communicator exists.
 pub(crate) fn allgather_tagged<T: Clone + Send + 'static>(
@@ -617,99 +413,6 @@ mod tests {
     }
 
     #[test]
-    fn rsag_matches_tree_allreduce_on_exact_ops() {
-        for p in sizes() {
-            World::run(p, move |comm| {
-                // Length not divisible by p, and both odd/even lengths.
-                for n in [0usize, 1, 5, 17, 64] {
-                    let v: Vec<u64> = (0..n as u64).map(|i| i * 7 + comm.rank() as u64).collect();
-                    let tree = comm.allreduce_vec(v.clone(), |a, b| a + b);
-                    let rsag = comm.allreduce_vec_rsag(v, |a, b| a + b);
-                    assert_eq!(tree, rsag, "p={p} n={n}");
-                }
-            });
-        }
-    }
-
-    #[test]
-    fn rsag_min_max() {
-        for p in sizes() {
-            World::run(p, move |comm| {
-                let v: Vec<i64> = (0..13).map(|i| (comm.rank() as i64 + 3) * i).collect();
-                let lo = comm.allreduce_vec_rsag(v.clone(), |a, b| *a.min(b));
-                let hi = comm.allreduce_vec_rsag(v, |a, b| *a.max(b));
-                for i in 0..13i64 {
-                    assert_eq!(lo[i as usize], 3 * i);
-                    assert_eq!(hi[i as usize], (p as i64 + 2) * i);
-                }
-            });
-        }
-    }
-
-    #[test]
-    fn auto_matches_tree_and_rsag_on_exact_ops() {
-        for p in sizes() {
-            World::run(p, move |comm| {
-                for n in [0usize, 1, 5, 17, 64, 257] {
-                    let v: Vec<u64> = (0..n as u64).map(|i| i * 3 + comm.rank() as u64).collect();
-                    let tree = comm.allreduce_vec(v.clone(), |a, b| a + b);
-                    let rsag = comm.allreduce_vec_rsag(v.clone(), |a, b| a + b);
-                    let auto = comm.allreduce_vec_auto(v, |a, b| a + b);
-                    assert_eq!(auto, tree, "p={p} n={n}");
-                    assert_eq!(auto, rsag, "p={p} n={n}");
-                }
-            });
-        }
-    }
-
-    #[test]
-    fn crossover_lookup_uses_first_covering_bracket() {
-        use super::{rsag_crossover_bytes, RSAG_CROSSOVER};
-        // Brackets must be sorted so the first-match lookup is total.
-        for w in RSAG_CROSSOVER.windows(2) {
-            assert!(w[0].0 < w[1].0, "brackets must be strictly increasing");
-        }
-        assert_eq!(
-            rsag_crossover_bytes(1),
-            RSAG_CROSSOVER[0].1,
-            "smallest bracket covers 1 rank"
-        );
-        // The sentinel bracket covers any communicator size.
-        let huge = rsag_crossover_bytes(1 << 20);
-        assert_eq!(huge, RSAG_CROSSOVER.last().unwrap().1);
-    }
-
-    #[test]
-    #[should_panic(expected = "allreduce_vec_rsag length mismatch")]
-    fn rsag_unequal_lengths_fail_fast_with_table() {
-        World::run(4, |comm| {
-            // Rank 2 contributes one element short: every rank must
-            // panic with the per-rank length table instead of
-            // deadlocking in the segment exchange.
-            let n = if comm.rank() == 2 { 15 } else { 16 };
-            let v: Vec<u64> = vec![1; n];
-            let _ = comm.allreduce_vec_rsag(v, |a, b| a + b);
-        });
-    }
-
-    #[test]
-    fn rsag_mismatch_diagnostic_names_the_ranks() {
-        let err = std::panic::catch_unwind(|| {
-            World::run(2, |comm| {
-                let n = if comm.rank() == 0 { 8 } else { 9 };
-                let _ = comm.allreduce_vec_rsag(vec![0u8; n], |a, b| a + b);
-            });
-        })
-        .expect_err("mismatched lengths must panic");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| err.downcast_ref::<&str>().unwrap_or(&"").to_string());
-        assert!(msg.contains("rank 0: 8"), "{msg}");
-        assert!(msg.contains("rank 1: 9"), "{msg}");
-    }
-
-    #[test]
     fn gather_ordered_by_rank() {
         for p in sizes() {
             World::run(p, move |comm| {
@@ -787,41 +490,34 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(10))]
 
-        /// The adaptive entry point agrees element-wise with both
-        /// underlying algorithms for arbitrary lengths and exact ops,
-        /// across 1/4/8 ranks (the deck sizes the conformance suite
-        /// pins). Exact ops make "agree" mean bitwise.
+        /// The vector all-reduce agrees element-wise with a serial
+        /// rank-order fold for arbitrary lengths and exact ops, across
+        /// 1/4/8 ranks (the deck sizes the conformance suite pins).
+        /// Exact ops make "agree" mean bitwise.
         #[test]
-        fn prop_auto_tree_rsag_agree(n in 0usize..257, seed in proptest::prelude::any::<u32>(), which_op in 0usize..3) {
+        fn prop_allreduce_vec_matches_serial_fold(n in 0usize..257, seed in proptest::prelude::any::<u32>(), which_op in 0usize..3) {
+            let op = move |a: &u64, b: &u64| match which_op {
+                0 => a.wrapping_add(*b),
+                1 => *a.min(b),
+                _ => *a.max(b),
+            };
+            // Deterministic per-rank values from the case seed.
+            let contribution = move |rank: usize| -> Vec<u64> {
+                (0..n as u64)
+                    .map(|i| {
+                        (seed as u64)
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(i * 31 + rank as u64 * 7919)
+                    })
+                    .collect()
+            };
             for p in [1usize, 4, 8] {
+                let expect = (1..p).fold(contribution(0), |acc, r| {
+                    acc.iter().zip(&contribution(r)).map(|(a, b)| op(a, b)).collect()
+                });
                 World::run(p, move |comm| {
-                    // Deterministic per-rank values from the case seed.
-                    let v: Vec<u64> = (0..n as u64)
-                        .map(|i| {
-                            (seed as u64)
-                                .wrapping_mul(6364136223846793005)
-                                .wrapping_add(i * 31 + comm.rank() as u64 * 7919)
-                        })
-                        .collect();
-                    let (tree, rsag, auto) = match which_op {
-                        0 => (
-                            comm.allreduce_vec(v.clone(), |a, b| a.wrapping_add(*b)),
-                            comm.allreduce_vec_rsag(v.clone(), |a, b| a.wrapping_add(*b)),
-                            comm.allreduce_vec_auto(v, |a, b| a.wrapping_add(*b)),
-                        ),
-                        1 => (
-                            comm.allreduce_vec(v.clone(), |a, b| *a.min(b)),
-                            comm.allreduce_vec_rsag(v.clone(), |a, b| *a.min(b)),
-                            comm.allreduce_vec_auto(v, |a, b| *a.min(b)),
-                        ),
-                        _ => (
-                            comm.allreduce_vec(v.clone(), |a, b| *a.max(b)),
-                            comm.allreduce_vec_rsag(v.clone(), |a, b| *a.max(b)),
-                            comm.allreduce_vec_auto(v, |a, b| *a.max(b)),
-                        ),
-                    };
-                    assert_eq!(auto, tree, "p={p} n={n} op={which_op}");
-                    assert_eq!(auto, rsag, "p={p} n={n} op={which_op}");
+                    let got = comm.allreduce_vec(contribution(comm.rank()), op);
+                    assert_eq!(got, expect, "p={p} n={n} op={which_op}");
                 });
             }
         }

@@ -830,9 +830,9 @@ struct SplitInfo {
 
 /// Estimated deep size of a payload about to ship. The transport is
 /// type-erased, so deep sizing probes the concrete buffer types the
-/// workspace actually moves (element vectors, rsag segments, strings);
-/// anything else falls back to its shallow `size_of`. Only evaluated
-/// when a probe is attached.
+/// workspace actually moves (element vectors, strings); anything else
+/// falls back to its shallow `size_of`. Only evaluated when a probe is
+/// attached.
 fn payload_bytes<T: Send + 'static>(value: &T) -> usize {
     fn vec_bytes<E>(v: &[E]) -> usize {
         std::mem::size_of::<Vec<E>>() + std::mem::size_of_val(v)
@@ -843,9 +843,6 @@ fn payload_bytes<T: Send + 'static>(value: &T) -> usize {
             $(
                 if let Some(v) = any.downcast_ref::<Vec<$elem>>() {
                     return vec_bytes(v);
-                }
-                if let Some((_, v)) = any.downcast_ref::<(usize, Vec<$elem>)>() {
-                    return std::mem::size_of::<usize>() + vec_bytes(v);
                 }
             )*
         };
@@ -1007,7 +1004,7 @@ mod tests {
             let p = probe::enabled();
             comm.attach_probe(p.clone());
             comm.barrier();
-            let _ = comm.allreduce_vec_rsag(vec![comm.rank() as u64; 8], |a, b| a + b);
+            let _ = comm.allreduce_vec(vec![comm.rank() as u64; 8], |a, b| a + b);
             if comm.rank() == 0 {
                 comm.send(1, 5, vec![1.0f64; 16]);
             } else if comm.rank() == 1 {
@@ -1016,8 +1013,8 @@ mod tests {
             let snap = p.snapshot();
             let get = |n: &str| snap.counters.iter().find(|c| c.name == n);
             assert_eq!(get("minimpi/barrier").unwrap().calls, 1);
-            assert_eq!(get("minimpi/reduce_scatter").unwrap().calls, 1);
-            assert_eq!(get("minimpi/allgather").unwrap().calls, 1);
+            assert_eq!(get("minimpi/reduce").unwrap().calls, 1);
+            assert_eq!(get("minimpi/bcast").unwrap().calls, 1);
             assert!(get("minimpi/barrier").unwrap().messages > 0);
             if comm.rank() == 0 {
                 let c = get("minimpi/p2p").unwrap();

@@ -74,7 +74,6 @@ pub enum CollectiveKind {
     Alltoall = 8,
     Scan = 9,
     Split = 10,
-    ReduceScatter = 11,
 }
 
 impl CollectiveKind {
@@ -93,7 +92,6 @@ impl CollectiveKind {
             CollectiveKind::Alltoall => "minimpi/alltoall",
             CollectiveKind::Scan => "minimpi/scan",
             CollectiveKind::Split => "minimpi/split",
-            CollectiveKind::ReduceScatter => "minimpi/reduce_scatter",
         }
     }
 
@@ -110,7 +108,6 @@ impl CollectiveKind {
             8 => CollectiveKind::Alltoall,
             9 => CollectiveKind::Scan,
             10 => CollectiveKind::Split,
-            11 => CollectiveKind::ReduceScatter,
             _ => return None,
         })
     }

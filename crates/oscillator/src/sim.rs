@@ -112,17 +112,10 @@ impl Simulation {
         self.step_with_threads(comm, 1);
     }
 
-    /// Advance one timestep with **hybrid MPI+thread execution**: one
-    /// intra-rank thread per available core, while ranks still exchange
-    /// via the communicator (the execution model the paper's Nyx
-    /// discussion calls for, §4.2.3). Results are bitwise identical to
-    /// [`Simulation::step`] at any thread count.
-    pub fn step_hybrid(&mut self, comm: &Comm) {
-        self.step_with_threads(comm, 0);
-    }
-
     /// Advance one timestep on `threads` intra-rank threads (`0` = use
-    /// every available core).
+    /// every available core) — **hybrid MPI+thread execution**: ranks
+    /// still exchange via the communicator (the execution model the
+    /// paper's Nyx discussion calls for, §4.2.3).
     ///
     /// The local block is split into contiguous k-plane slabs, one per
     /// thread; each slab runs the support-culled kernel independently.
@@ -625,7 +618,7 @@ mod tests {
             let mut hybrid = Simulation::new(comm, cfg, root_deck2);
             for _ in 0..3 {
                 serial.step(comm);
-                hybrid.step_hybrid(comm);
+                hybrid.step_with_threads(comm, 0);
             }
             assert_eq!(serial.field().as_ref(), hybrid.field().as_ref());
             assert_eq!(serial.current_time(), hybrid.current_time());

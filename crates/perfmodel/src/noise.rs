@@ -44,10 +44,9 @@ impl SeededNoise {
     }
 
     /// Multiplicative factor whose relative spread matches a *measured*
-    /// coefficient of variation (`stddev / mean`, e.g. from a
-    /// `TimingSummary` or a run report's per-phase `stddev_s /
-    /// mean_s`), so modeled reruns carry the jitter an instrumented run
-    /// actually observed.
+    /// coefficient of variation (`stddev / mean`, e.g. a run report's
+    /// per-phase `PhaseAgg::stddev_s / mean_s`), so modeled reruns
+    /// carry the jitter an instrumented run actually observed.
     pub fn lognormal_factor_from_cv(&mut self, cv: f64) -> f64 {
         self.lognormal_factor(sigma_from_cv(cv))
     }

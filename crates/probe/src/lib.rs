@@ -354,26 +354,6 @@ pub struct SpanStat {
     pub stddev: f64,
 }
 
-impl SpanStat {
-    /// Build a stat from raw samples (Welford pass), e.g. when merging
-    /// an external timing table into a snapshot.
-    pub fn from_samples(label: impl Into<String>, samples: &[f64]) -> Self {
-        let mut w = Welford::default();
-        for &s in samples {
-            w.push(s);
-        }
-        SpanStat {
-            label: label.into(),
-            count: w.count,
-            total: w.total,
-            min: if w.count == 0 { 0.0 } else { w.min },
-            max: if w.count == 0 { 0.0 } else { w.max },
-            mean: w.mean,
-            stddev: w.stddev(),
-        }
-    }
-}
-
 /// Per-label counter totals of one rank.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CounterStat {
@@ -409,15 +389,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Merge a span stat in, keeping label order. An existing label is
-    /// replaced (the caller owns dedup semantics).
-    pub fn upsert_span(&mut self, stat: SpanStat) {
-        match self.spans.binary_search_by(|s| s.label.cmp(&stat.label)) {
-            Ok(i) => self.spans[i] = stat,
-            Err(i) => self.spans.insert(i, stat),
-        }
-    }
-
     /// Gauge value by name, if present.
     pub fn gauge(&self, name: &str) -> Option<u64> {
         self.gauges.iter().find(|g| g.name == name).map(|g| g.max)
@@ -509,28 +480,5 @@ mod tests {
         let s = p.snapshot();
         assert_eq!(s.spans[0].label, "per-step/sleep");
         assert!(s.spans[0].total >= 0.004);
-    }
-
-    #[test]
-    fn from_samples_matches_welford() {
-        let s = SpanStat::from_samples("x", &[2.0, 4.0, 6.0]);
-        assert_eq!(s.count, 3);
-        assert_eq!(s.mean, 4.0);
-        assert_eq!(s.min, 2.0);
-        assert_eq!(s.max, 6.0);
-        assert!((s.stddev - (8.0f64 / 3.0).sqrt()).abs() < 1e-12);
-        let e = SpanStat::from_samples("e", &[]);
-        assert_eq!((e.count, e.min, e.max), (0, 0.0, 0.0));
-    }
-
-    #[test]
-    fn upsert_span_keeps_order() {
-        let mut s = Snapshot::default();
-        s.upsert_span(SpanStat::from_samples("b", &[1.0]));
-        s.upsert_span(SpanStat::from_samples("a", &[2.0]));
-        s.upsert_span(SpanStat::from_samples("b", &[9.0]));
-        let labels: Vec<&str> = s.spans.iter().map(|x| x.label.as_str()).collect();
-        assert_eq!(labels, vec!["a", "b"]);
-        assert_eq!(s.spans[1].total, 9.0);
     }
 }

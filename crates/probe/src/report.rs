@@ -482,14 +482,13 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CounterStat, GaugeStat, SpanStat};
+    use crate::{CounterStat, GaugeStat};
 
     fn rank_snapshot(seed: f64) -> Snapshot {
-        let mut s = Snapshot::default();
-        s.upsert_span(SpanStat::from_samples(
-            "per-step/histogram",
-            &[seed, seed * 2.0],
-        ));
+        let p = crate::enabled();
+        p.record_span("per-step/histogram", seed);
+        p.record_span("per-step/histogram", seed * 2.0);
+        let mut s = p.snapshot();
         s.counters.push(CounterStat {
             name: "minimpi/bcast".into(),
             calls: 2,

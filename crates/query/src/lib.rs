@@ -933,7 +933,6 @@ impl AnalysisAdaptor for QueryServer {
 
     fn execute(&mut self, data: &dyn DataAdaptor, comm: &Comm) -> Steering {
         let probe = comm.probe();
-        let _span = probe.span("per-step/query-server");
         if self.serving.is_none() {
             // Rank 0 of the bridge's communicator hosts the fan-out.
             self.serving = Some(comm.rank() == 0);

@@ -22,11 +22,9 @@
 //! property tests pin blocked == reference on arbitrary decks, and the
 //! hotpath bench reports the blocked kernel's speedup over it.
 //!
-//! The collectives are sized by measurement, not habit: the two range
-//! reductions of §3.3 are fused into one `(min, max)` pair reduce, and
-//! the bin reduction goes through [`Comm::allreduce_vec_auto`], which
-//! picks tree vs reduce-scatter/allgather from the calibrated
-//! crossover table.
+//! The two range reductions of §3.3 are fused into one `(min, max)`
+//! pair reduce, and the bin reduction is one binomial-tree
+//! [`Comm::allreduce_vec`].
 
 use minimpi::Comm;
 use parking_lot::Mutex;
@@ -463,11 +461,11 @@ impl AnalysisAdaptor for HistogramAnalysis {
             }
         }
 
-        // Bin reduction through the size-adaptive collective; every
-        // rank pays O(bins) traffic, and only root retains the result.
+        // Every rank pays O(bins) traffic, and only root retains the
+        // result.
         let counts = {
             let _reduce = probe.span("per-step/histogram/reduce");
-            comm.allreduce_vec_auto(counts, |a, b| a + b)
+            comm.allreduce_vec(counts, |a, b| a + b)
         };
         if comm.rank() == 0 {
             *self.results.lock() = Some(HistogramResult {

@@ -3,9 +3,10 @@
 //! A typical instrumentation (§3.2): build a bridge and [`register`]
 //! analysis adaptors during simulation initialization; call
 //! [`Bridge::execute`] once per timestep with the data adaptor; call
-//! [`Bridge::finalize`] at shutdown. The bridge times every phase and —
-//! when given a live [`probe::Probe`] — feeds the cross-rank
-//! observability layer, producing the one-time vs. per-step
+//! [`Bridge::finalize`] at shutdown. The bridge times every analysis
+//! phase as an `initialize/…`, `per-step/…` or `finalize/…` probe span
+//! and — when given a live [`probe::Probe`] — feeds the rest of the
+//! cross-rank observability layer, producing the one-time vs. per-step
 //! decomposition and the per-rank min/mean/max/stddev breakdowns the
 //! paper's figures report.
 //!
@@ -18,12 +19,11 @@ use std::sync::Arc;
 use datamodel::MemorySpace;
 use minimpi::Comm;
 use probe::time::Wall;
-use probe::{GaugeStat, Probe, RunReport, Snapshot, SpanStat};
+use probe::{GaugeStat, Probe, RunReport, Snapshot};
 
 use crate::adaptor::DataAdaptor;
 use crate::analysis::{AnalysisAdaptor, Steering};
 use crate::failure::FailureReport;
-use crate::timing::{Category, TimingDb};
 use probe::FailureEntry;
 
 /// Gauge name for the offload executor's measured overlap efficiency,
@@ -52,12 +52,18 @@ pub struct StopInfo {
 /// worker; every slot is resident again after each sync point.
 pub struct Bridge {
     analyses: Vec<Option<Box<dyn AnalysisAdaptor>>>,
-    timings: TimingDb,
     steps: u64,
     finalized: bool,
     failures: Vec<FailureReport>,
     seen_failures: BTreeSet<String>,
+    /// The caller's probe (off by default): lent to the communicator
+    /// and to offload workers.
     probe: Probe,
+    /// Where analysis phases are timed: `probe` when it is enabled,
+    /// otherwise a private recorder nobody else sees, so an un-probed
+    /// bridge still reports its phases while collectives stay
+    /// uninstrumented.
+    phases: Probe,
     stopped: Option<StopInfo>,
     offload: Option<OffloadExec>,
     /// `(busy, hidden)` seconds recorded when the executor shut down.
@@ -189,10 +195,8 @@ impl Registration<'_> {
 impl Drop for Registration<'_> {
     fn drop(&mut self) {
         if let Some(analysis) = self.analysis.take() {
-            let label = analysis.name().to_string();
-            self.bridge
-                .timings
-                .record(Category::Initialize(label), self.init_seconds);
+            let label = format!("initialize/{}", analysis.name());
+            self.bridge.phases.record_span(&label, self.init_seconds);
             self.bridge.analyses.push(Some(analysis));
         }
     }
@@ -204,31 +208,29 @@ impl Bridge {
     /// "Baseline" configuration). Probing starts disabled; every
     /// instrumentation point is a no-op branch.
     pub fn new() -> Self {
-        Bridge {
-            analyses: Vec::new(),
-            timings: TimingDb::new(),
-            steps: 0,
-            finalized: false,
-            failures: Vec::new(),
-            seen_failures: BTreeSet::new(),
-            probe: Probe::off(),
-            stopped: None,
-            offload: None,
-            overlap: None,
-        }
+        Self::with_probe(Probe::off())
     }
 
     /// A bridge recording through the given probe (pass
     /// [`probe::enabled()`] to collect spans, counters, and gauges).
     pub fn with_probe(probe: Probe) -> Self {
-        let mut b = Self::new();
-        b.probe = probe;
-        b
-    }
-
-    /// Swap the observability probe (typically `probe::enabled()`).
-    pub fn set_probe(&mut self, probe: Probe) {
-        self.probe = probe;
+        let phases = if probe.is_enabled() {
+            probe.clone()
+        } else {
+            probe::enabled()
+        };
+        Bridge {
+            analyses: Vec::new(),
+            steps: 0,
+            finalized: false,
+            failures: Vec::new(),
+            seen_failures: BTreeSet::new(),
+            probe,
+            phases,
+            stopped: None,
+            offload: None,
+            overlap: None,
+        }
     }
 
     /// The bridge's probe handle (off by default).
@@ -248,22 +250,6 @@ impl Bridge {
             bridge: self,
             analysis: Some(analysis),
             init_seconds: 0.0,
-        }
-    }
-
-    /// Bulk registration: enable N consumers in one call. Kept as a
-    /// thin shim over the builder path; each element goes through
-    /// [`Bridge::register`] with zero init cost.
-    ///
-    /// # Panics
-    /// Panics if called after [`Bridge::finalize`].
-    #[deprecated(
-        note = "register each analysis through Bridge::register — the builder is the \
-                single registration path (chain init_cost where needed)"
-    )]
-    pub fn register_many(&mut self, analyses: impl IntoIterator<Item = Box<dyn AnalysisAdaptor>>) {
-        for analysis in analyses {
-            self.register(analysis);
         }
     }
 
@@ -312,24 +298,13 @@ impl Bridge {
             if offloading && analysis.supports_offload() {
                 continue; // dispatched below, after the sync analyses ran
             }
-            let label = Category::PerStep(analysis.name().to_string());
-            let verdict = self.timings.timed(label, || analysis.execute(data, comm));
-            for failure in analysis.take_failures() {
-                let report = FailureReport::Analysis {
-                    analysis: analysis.name().to_string(),
-                    detail: failure,
-                };
-                let key = report.to_string();
-                if self.seen_failures.insert(key) {
-                    self.failures.push(report);
-                }
-            }
-            for report in analysis.take_failure_reports() {
-                let key = report.to_string();
-                if self.seen_failures.insert(key) {
-                    self.failures.push(report);
-                }
-            }
+            let label = format!("per-step/{}", analysis.name());
+            let verdict = timed(&self.phases, &label, || analysis.execute(data, comm));
+            drain_failures(
+                &mut self.failures,
+                &mut self.seen_failures,
+                analysis.as_mut(),
+            );
             if let Steering::Stop { reason } = verdict {
                 stop.get_or_insert_with(|| StopInfo {
                     analysis: analysis.name().to_string(),
@@ -394,24 +369,13 @@ impl Bridge {
             let Some(analysis) = slot.as_mut() else {
                 continue;
             };
-            let label = Category::Finalize(analysis.name().to_string());
-            self.timings.timed(label, || analysis.finalize(comm));
-            for failure in analysis.take_failures() {
-                let report = FailureReport::Analysis {
-                    analysis: analysis.name().to_string(),
-                    detail: failure,
-                };
-                let key = report.to_string();
-                if self.seen_failures.insert(key) {
-                    self.failures.push(report);
-                }
-            }
-            for report in analysis.take_failure_reports() {
-                let key = report.to_string();
-                if self.seen_failures.insert(key) {
-                    self.failures.push(report);
-                }
-            }
+            let label = format!("finalize/{}", analysis.name());
+            timed(&self.phases, &label, || analysis.finalize(comm));
+            drain_failures(
+                &mut self.failures,
+                &mut self.seen_failures,
+                analysis.as_mut(),
+            );
         }
         // Analyses had their chance to discharge protocol obligations
         // (query servers close client registrations in their finalize);
@@ -441,20 +405,11 @@ impl Bridge {
         }
     }
 
-    /// This rank's observability snapshot: the timing table rendered as
-    /// `initialize/…`, `per-step/…`, `finalize/…` spans, merged with
-    /// whatever the probe recorded, plus the allocation high-water
-    /// gauge.
+    /// This rank's observability snapshot: the `initialize/…`,
+    /// `per-step/…`, `finalize/…` phase spans next to whatever else the
+    /// probe recorded, plus the allocation high-water gauge.
     fn local_snapshot(&self) -> Snapshot {
-        let mut snap = self.probe.snapshot();
-        for cat in self.timings.categories() {
-            let label = match cat {
-                Category::Initialize(l) => format!("initialize/{l}"),
-                Category::PerStep(l) => format!("per-step/{l}"),
-                Category::Finalize(l) => format!("finalize/{l}"),
-            };
-            snap.upsert_span(SpanStat::from_samples(label, self.timings.samples(cat)));
-        }
+        let mut snap = self.phases.snapshot();
         // The allocation high-water mark is a process-global gauge;
         // other concurrently running worlds bleed into it. Skip it on
         // virtual-time (deterministically scheduled) ranks, where
@@ -466,11 +421,6 @@ impl Bridge {
             }
         }
         snap
-    }
-
-    /// Timing database (valid any time; complete after finalize).
-    pub fn timings(&self) -> &TimingDb {
-        &self.timings
     }
 
     /// Steps executed so far.
@@ -595,27 +545,14 @@ impl Bridge {
             // Completion still reads device-resident pending state.
             let verdict = {
                 let _device = datamodel::enter_space(MemorySpace::DeviceSim(device));
-                self.timings
-                    .timed(Category::PerStep(flight.name.clone()), || {
-                        analysis.complete(comm)
-                    })
+                let label = format!("per-step/{}", flight.name);
+                timed(&self.phases, &label, || analysis.complete(comm))
             };
-            for failure in analysis.take_failures() {
-                let report = FailureReport::Analysis {
-                    analysis: flight.name.clone(),
-                    detail: failure,
-                };
-                let key = report.to_string();
-                if self.seen_failures.insert(key) {
-                    self.failures.push(report);
-                }
-            }
-            for report in analysis.take_failure_reports() {
-                let key = report.to_string();
-                if self.seen_failures.insert(key) {
-                    self.failures.push(report);
-                }
-            }
+            drain_failures(
+                &mut self.failures,
+                &mut self.seen_failures,
+                analysis.as_mut(),
+            );
             if let Steering::Stop { reason } = verdict {
                 stop.get_or_insert_with(|| StopInfo {
                     analysis: flight.name.clone(),
@@ -721,6 +658,37 @@ impl Bridge {
     }
 }
 
+/// Run `f` as one `label` span of `recorder`. Reads [`probe::time`],
+/// so scheduled (virtual-time) ranks record deterministic durations.
+fn timed<T>(recorder: &Probe, label: &str, f: impl FnOnce() -> T) -> T {
+    let _span = recorder.span(label);
+    f()
+}
+
+/// Move whatever `analysis` reported since the last drain into
+/// `failures`: plain strings first (wrapped as
+/// [`FailureReport::Analysis`]), then typed reports. `seen` collapses
+/// repeats of the same rendered report to one.
+fn drain_failures(
+    failures: &mut Vec<FailureReport>,
+    seen: &mut BTreeSet<String>,
+    analysis: &mut dyn AnalysisAdaptor,
+) {
+    let plain: Vec<FailureReport> = analysis
+        .take_failures()
+        .into_iter()
+        .map(|detail| FailureReport::Analysis {
+            analysis: analysis.name().to_string(),
+            detail,
+        })
+        .collect();
+    for report in plain.into_iter().chain(analysis.take_failure_reports()) {
+        if seen.insert(report.to_string()) {
+            failures.push(report);
+        }
+    }
+}
+
 /// Raise (or insert) a gauge in a snapshot, keeping name order.
 fn set_gauge(snap: &mut Snapshot, name: &str, value: u64) {
     match snap.gauges.binary_search_by(|g| g.name.as_str().cmp(name)) {
@@ -775,38 +743,16 @@ mod tests {
                 assert!(hist_res.lock().is_some());
             }
             assert!(stats_res.lock().is_some());
-            // Timing database captured 3 per-step samples per analysis,
-            // and the report carries them as per-step phases.
-            let t = bridge.timings();
-            assert_eq!(t.per_step("histogram").unwrap().count, 3);
-            assert_eq!(t.per_step("descriptive-stats").unwrap().count, 3);
-            assert!(t.finalize("histogram").is_some());
-            let phase = report.phase("per-step/histogram").expect("phase present");
-            let expected = if comm.rank() == 0 {
-                3 * comm.size() as u64
-            } else {
-                3 // non-root aggregates its own snapshot only
-            };
-            assert_eq!(phase.samples, expected);
-            assert!(phase.max_s >= phase.min_s);
-        });
-    }
-
-    #[test]
-    #[allow(deprecated)] // coverage for the legacy bulk-registration shim
-    fn register_many_registers_a_batch_of_consumers() {
-        World::run(1, |comm| {
-            let mut bridge = Bridge::new();
-            let batch: Vec<Box<dyn AnalysisAdaptor>> = (0..8)
-                .map(|i| {
-                    Box::new(HistogramAnalysis::new("data", 4 + i)) as Box<dyn AnalysisAdaptor>
-                })
-                .collect();
-            bridge.register_many(batch);
-            assert_eq!(bridge.num_analyses(), 8);
-            assert!(bridge.execute(&adaptor(0), comm).should_continue());
-            let report = bridge.finalize(comm);
-            assert_eq!(report.steps, 1);
+            // The report carries 3 per-step samples per analysis and
+            // rank; non-root aggregates its own snapshot only.
+            let seen_ranks = if comm.rank() == 0 { comm.size() } else { 1 } as u64;
+            for label in ["per-step/histogram", "per-step/descriptive-stats"] {
+                let phase = report.phase(label).expect("phase present");
+                assert_eq!(phase.samples, 3 * seen_ranks, "{label}");
+                assert!(phase.max_s >= phase.min_s);
+            }
+            let fin = report.phase("finalize/histogram").expect("finalize timed");
+            assert_eq!(fin.samples, seen_ranks);
         });
     }
 
@@ -1048,7 +994,7 @@ mod tests {
 
     #[test]
     fn init_cost_recording() {
-        World::run(1, |_comm| {
+        World::run(1, |comm| {
             let mut bridge = Bridge::new();
             bridge
                 .register(Box::new(DescriptiveStats::with_association(
@@ -1056,8 +1002,9 @@ mod tests {
                     Association::Point,
                 )))
                 .init_cost(1.25);
-            let s = bridge.timings().initialize("descriptive-stats").unwrap();
-            assert_eq!(s.total, 1.25);
+            let report = bridge.finalize(comm);
+            let init = report.phase("initialize/descriptive-stats").unwrap();
+            assert_eq!((init.samples, init.max_s), (1, 1.25));
         });
     }
 
@@ -1100,7 +1047,8 @@ mod tests {
             assert!(report.phase("per-step/descriptive-stats").is_some());
             assert!(report.phase("initialize/descriptive-stats").is_some());
             // No probe → no collective counters, but timings survive.
-            assert!(report.counter("minimpi/allreduce").is_none());
+            assert!(report.counter("minimpi/reduce").is_none());
+            assert!(!comm.probe().is_enabled(), "private recorder is never lent");
         });
     }
 }

@@ -12,8 +12,9 @@
 //!   Catalyst, Libsim, ADIOS, or GLEAN — behind one `execute` call;
 //! * the **bridge** ([`Bridge`]) is the thin mechanism a simulation calls
 //!   once per timestep to pass data and control to the enabled analyses,
-//!   and which instruments one-time (initialize/finalize) and per-step
-//!   costs — the measurements behind Figs. 3–9.
+//!   and which records one-time (`initialize/…`, `finalize/…`) and
+//!   `per-step/…` costs as [`probe`] spans — the measurements behind
+//!   Figs. 3–9, read back from the [`RunReport`] of [`Bridge::finalize`].
 //!
 //! *Write once, use everywhere*: a simulation instrumented with a
 //! [`DataAdaptor`] can drive any analysis; an analysis written against
@@ -61,13 +62,11 @@ pub mod bridge;
 pub mod config;
 pub mod exec;
 pub mod failure;
-pub mod timing;
 
 pub use adaptor::{AdaptorError, Association, DataAdaptor, InMemoryAdaptor};
 pub use analysis::{AnalysisAdaptor, Steering};
 pub use bridge::{Bridge, OffloadConfig, Registration, StopInfo};
 pub use failure::FailureReport;
-pub use timing::{TimingDb, TimingSummary};
 
 // Re-exported so downstream crates can consume run reports without
 // depending on `probe` directly.

@@ -59,9 +59,9 @@ fn collectives_scenario(comm: &Comm) {
     let sum = comm.allreduce_scalar(r as u64 + 1, |a, b| a + b);
     assert_eq!(sum, (p * (p + 1) / 2) as u64, "allreduce sum");
 
-    let v = comm.allreduce_vec_rsag(vec![r as u64; 7], |a, b| a + b);
+    let v = comm.allreduce_vec(vec![r as u64; 7], |a, b| a + b);
     let expect = (p * (p - 1) / 2) as u64;
-    assert!(v.iter().all(|&x| x == expect), "rsag element sums");
+    assert!(v.iter().all(|&x| x == expect), "vector element sums");
 
     // Fan-in on ANY_SOURCE: arrival order is the fuzzed dimension; the
     // accumulated total must not depend on it.

@@ -4,6 +4,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> no parked predecessors"
+# A replacement deletes what it replaces in the same change.
+if grep -rnE '#\[deprecated|allow\(deprecated\)' crates tests examples src; then
+    echo "tier1: #[deprecated] / allow(deprecated) found" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

@@ -421,10 +421,9 @@ fn phase_labels(report_json: &str) -> Vec<String> {
 /// writer/endpoint partition, under every seed — and a staged run's
 /// schedule replays identically.
 #[test]
-#[allow(deprecated)] // the minimal non-broker endpoint stays covered until removal
 fn adios_flexpath_staging_matches_insitu() {
-    use adios::staging::{adaptor_to_step, run_endpoint};
-    use adios::{pair, Role};
+    use adios::staging::{run_endpoint_with_broker, try_adaptor_to_step};
+    use adios::{pair, BrokerConfig, Role, StagingBroker};
 
     let (base, _) = insitu_run(1, 1);
 
@@ -450,7 +449,11 @@ fn adios_flexpath_staging_matches_insitu() {
                     for _ in 0..STEPS {
                         sim.step(&sub);
                         writer.advance(world);
-                        writer.write(world, &adaptor_to_step(&OscillatorAdaptor::new(&sim)));
+                        writer.write(
+                            world,
+                            &try_adaptor_to_step(&OscillatorAdaptor::new(&sim))
+                                .expect("host-resident data marshals"),
+                        );
                     }
                     writer.close(world);
                     None
@@ -458,7 +461,13 @@ fn adios_flexpath_staging_matches_insitu() {
                 Role::Endpoint { sub, mut reader } => {
                     let h = HistogramAnalysis::new("data", BINS);
                     let res = h.results_handle();
-                    run_endpoint(world, &sub, &mut reader, vec![Box::new(h)]);
+                    run_endpoint_with_broker(
+                        world,
+                        &sub,
+                        &mut reader,
+                        vec![Box::new(h)],
+                        &StagingBroker::new(BrokerConfig::default()),
+                    );
                     if sub.rank() == 0 {
                         res.lock().clone()
                     } else {

@@ -165,10 +165,9 @@ fn config_driven_analysis_selection() {
 /// The in situ / in transit / post hoc triple point: the histogram of
 /// the same field computed three ways is identical.
 #[test]
-#[allow(deprecated)] // the minimal non-broker endpoint stays covered until removal
 fn three_paths_one_histogram() {
-    use adios::staging::{adaptor_to_step, run_endpoint};
-    use adios::{pair, Role};
+    use adios::staging::{run_endpoint_with_broker, try_adaptor_to_step};
+    use adios::{pair, BrokerConfig, Role, StagingBroker};
 
     let grid = 13usize;
     let make_field = move |comm: &minimpi::Comm, ranks: usize| {
@@ -209,14 +208,23 @@ fn three_paths_one_histogram() {
             let (_, _, g) = make_field(&sub, 2);
             let adaptor = sensei::InMemoryAdaptor::new(datamodel::DataSet::Image(g), 0.0, 0);
             writer.advance(world);
-            writer.write(world, &adaptor_to_step(&adaptor));
+            writer.write(
+                world,
+                &try_adaptor_to_step(&adaptor).expect("host-resident data marshals"),
+            );
             writer.close(world);
             None
         }
         Role::Endpoint { sub, mut reader } => {
             let h = HistogramAnalysis::new("data", 8);
             let res = h.results_handle();
-            run_endpoint(world, &sub, &mut reader, vec![Box::new(h)]);
+            run_endpoint_with_broker(
+                world,
+                &sub,
+                &mut reader,
+                vec![Box::new(h)],
+                &StagingBroker::new(BrokerConfig::default()),
+            );
             let out = res.lock().clone();
             out
         }

@@ -8,9 +8,8 @@
 //! 2 writers feeding 2 endpoints), so the collective reduction trees
 //! match shape and the comparison is exact, not approximate.
 
-#[allow(deprecated)] // the minimal non-broker endpoint stays covered until removal
-use adios::staging::{adaptor_to_step, run_endpoint};
-use adios::{pair, Role};
+use adios::staging::{run_endpoint_with_broker, try_adaptor_to_step};
+use adios::{pair, BrokerConfig, Role, StagingBroker};
 use datamodel::{DataArray, DataSet, Extent, ImageData, MultiBlock, GHOST_ARRAY_NAME};
 use minimpi::World;
 use science::{Leslie, LeslieAdaptor, LeslieConfig};
@@ -29,7 +28,6 @@ fn leslie_config() -> LeslieConfig {
 /// AVF-LESLIE's ghosted vorticity field, analyzed in situ on 2 ranks
 /// and in transit through 2 writers + 2 endpoints: bitwise equal.
 #[test]
-#[allow(deprecated)] // the minimal non-broker endpoint stays covered until removal
 fn leslie_histogram_matches_in_situ_bitwise() {
     const STEPS: u64 = 3;
 
@@ -57,7 +55,11 @@ fn leslie_histogram_matches_in_situ_bitwise() {
             for _ in 0..STEPS {
                 sim.step(&sub);
                 writer.advance(world);
-                writer.write(world, &adaptor_to_step(&LeslieAdaptor::new(&sim)));
+                writer.write(
+                    world,
+                    &try_adaptor_to_step(&LeslieAdaptor::new(&sim))
+                        .expect("host-resident data marshals"),
+                );
             }
             writer.close(world);
             None
@@ -65,7 +67,13 @@ fn leslie_histogram_matches_in_situ_bitwise() {
         Role::Endpoint { sub, mut reader } => {
             let h = HistogramAnalysis::new("vorticity", BINS);
             let res = h.results_handle();
-            let (bridge, _report) = run_endpoint(world, &sub, &mut reader, vec![Box::new(h)]);
+            let (bridge, _report) = run_endpoint_with_broker(
+                world,
+                &sub,
+                &mut reader,
+                vec![Box::new(h)],
+                &StagingBroker::new(BrokerConfig::default()),
+            );
             assert_eq!(bridge.steps(), STEPS);
             assert!(bridge.failure_reports().is_empty(), "healthy run");
             let out = res.lock().clone();
@@ -86,7 +94,6 @@ fn leslie_histogram_matches_in_situ_bitwise() {
 /// (u8) across the wire and the per-leaf blocks must not collapse, or
 /// the endpoint histogram diverges from in situ.
 #[test]
-#[allow(deprecated)] // the minimal non-broker endpoint stays covered until removal
 fn multi_leaf_ghosted_deck_matches_in_situ_bitwise() {
     // Rank r carries leaves 2r and 2r+1; leaf L is the x-slab
     // [2L, 2L+1] of a global 8x3x3 grid. The upper x-plane of each leaf
@@ -132,7 +139,11 @@ fn multi_leaf_ghosted_deck_matches_in_situ_bitwise() {
         Role::Writer { mut writer, .. } => {
             for s in 0..2u64 {
                 writer.advance(world);
-                writer.write(world, &adaptor_to_step(&deck(world.rank(), s)));
+                writer.write(
+                    world,
+                    &try_adaptor_to_step(&deck(world.rank(), s))
+                        .expect("host-resident data marshals"),
+                );
             }
             writer.close(world);
             None
@@ -140,7 +151,13 @@ fn multi_leaf_ghosted_deck_matches_in_situ_bitwise() {
         Role::Endpoint { sub, mut reader } => {
             let h = HistogramAnalysis::new("data", BINS);
             let res = h.results_handle();
-            run_endpoint(world, &sub, &mut reader, vec![Box::new(h)]);
+            run_endpoint_with_broker(
+                world,
+                &sub,
+                &mut reader,
+                vec![Box::new(h)],
+                &StagingBroker::new(BrokerConfig::default()),
+            );
             let out = res.lock().clone();
             out
         }

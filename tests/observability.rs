@@ -4,9 +4,11 @@
 
 use minimpi::World;
 use oscillator::{demo_oscillators, osc::format_deck, OscillatorAdaptor, SimConfig, Simulation};
+use query::{QueryConfig, QueryServer, SessionScript};
 use sensei::analysis::autocorrelation::{Autocorrelation, AutocorrelationResult};
 use sensei::analysis::histogram::{HistogramAnalysis, HistogramResult};
 use sensei::{Bridge, Probe, RunReport};
+use std::sync::Arc;
 
 const STEPS: usize = 4;
 const GRID: usize = 9;
@@ -136,6 +138,78 @@ fn probes_do_not_perturb_results_bitwise() {
             assert_eq!(pa.cell, pb.cell, "peak cell");
             assert_eq!(pa.value.to_bits(), pb.value.to_bits(), "peak value bitwise");
         }
+    }
+}
+
+/// Every analysis phase is timed once, by the bridge, whether or not
+/// the caller handed it a probe: the same `initialize/`, `per-step/`,
+/// `finalize/` labels, one sample per rank per call. The query server
+/// is in the mix as the analysis with the most instrumentation of its
+/// own: a span opened inside it under the bridge's
+/// `per-step/query-server` label would double that count.
+#[test]
+fn probed_and_unprobed_bridges_report_the_same_phases() {
+    const RANKS: usize = 2;
+    fn run(probed: bool) -> Vec<(String, u64)> {
+        let deck = format_deck(&demo_oscillators());
+        let report = World::run(RANKS, move |comm| {
+            let cfg = SimConfig {
+                grid: [GRID, GRID, GRID],
+                steps: STEPS,
+                ..SimConfig::default()
+            };
+            let mut sim = Simulation::new(comm, cfg, (comm.rank() == 0).then_some(deck.as_str()));
+            let mut bridge = if probed {
+                Bridge::with_probe(Probe::enabled())
+            } else {
+                Bridge::new()
+            };
+            bridge
+                .register(Box::new(HistogramAnalysis::new("data", 16)))
+                .init_cost(0.25);
+            bridge.register(Box::new(Autocorrelation::new("data", 3, 4)));
+            bridge.register(Box::new(QueryServer::new(
+                Arc::new(SessionScript::new()),
+                QueryConfig::default(),
+            )));
+            for _ in 0..STEPS {
+                sim.step(comm);
+                bridge.execute(&OscillatorAdaptor::new(&sim), comm);
+            }
+            assert_eq!(
+                comm.probe().is_enabled(),
+                probed,
+                "only a caller's probe is lent"
+            );
+            bridge.finalize(comm)
+        })
+        .remove(0);
+        let top_level = |label: &str| label.matches('/').count() == 1 && label != "per-step/bridge";
+        report
+            .phases
+            .iter()
+            .filter(|p| top_level(&p.label))
+            .map(|p| (p.label.clone(), p.samples))
+            .collect()
+    }
+
+    let unprobed = run(false);
+    assert_eq!(unprobed, run(true));
+    let labels: Vec<&str> = unprobed.iter().map(|(l, _)| l.as_str()).collect();
+    let expect: Vec<String> = ["finalize", "initialize", "per-step"]
+        .iter()
+        .flat_map(|phase| {
+            ["autocorrelation", "histogram", "query-server"].map(|name| format!("{phase}/{name}"))
+        })
+        .collect();
+    assert_eq!(labels, expect);
+    for (label, samples) in &unprobed {
+        let calls = if label.starts_with("per-step/") {
+            STEPS
+        } else {
+            1
+        };
+        assert_eq!(*samples, (calls * RANKS) as u64, "{label}");
     }
 }
 

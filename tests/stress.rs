@@ -160,7 +160,7 @@ fn hybrid_execution_matches_serial_through_bridge() {
             let res = h.results_handle();
             for _ in 0..3 {
                 if hybrid {
-                    sim.step_hybrid(comm);
+                    sim.step_with_threads(comm, 0);
                 } else {
                     sim.step(comm);
                 }
