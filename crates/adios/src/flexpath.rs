@@ -101,7 +101,7 @@ pub fn pair(world: &Comm, n_writers: usize) -> Role {
             sub,
             reader: FlexpathReader {
                 links,
-                deadline: Some(DEFAULT_WRITER_DEADLINE),
+                deadline: DEFAULT_WRITER_DEADLINE,
                 dead: Vec::new(),
             },
         }
@@ -198,7 +198,7 @@ impl From<&DeadWriter> for sensei::FailureReport {
 /// Reader-side transport handle.
 pub struct FlexpathReader {
     links: Vec<WriterLink>,
-    deadline: Option<Duration>,
+    deadline: Duration,
     dead: Vec<DeadWriter>,
 }
 
@@ -210,12 +210,7 @@ impl FlexpathReader {
 
     /// Override the per-writer receive deadline (tests use short ones).
     pub fn set_deadline(&mut self, deadline: Duration) {
-        self.deadline = Some(deadline);
-    }
-
-    /// Wait forever for each writer, as the pre-fail-fast transport did.
-    pub fn without_deadline(&mut self) {
-        self.deadline = None;
+        self.deadline = deadline;
     }
 
     /// Writers lost mid-stream so far (missed their receive deadline).
@@ -246,28 +241,23 @@ impl FlexpathReader {
         // arrive.
         let mut awaiting: Vec<usize> = self.links.iter().map(|l| l.rank).collect();
         while !awaiting.is_empty() {
-            let (w, frame): (usize, (bool, Vec<u8>)) = match self.deadline {
-                None => world.recv_any_of(&awaiting, TAG_DATA),
-                Some(limit) => match world.recv_any_of_deadline(&awaiting, TAG_DATA, limit) {
-                    Ok(got) => got,
-                    Err(_) => {
-                        // Every writer still awaited was silent for the
-                        // whole window: declare them all dead in one
-                        // decision.
-                        for &rank in &awaiting {
-                            if let Some(i) = self.links.iter().position(|l| l.rank == rank) {
-                                let link = self.links.remove(i);
-                                self.dead.push(DeadWriter {
-                                    rank,
-                                    steps_received: link.steps,
-                                    bytes_received: link.bytes,
-                                    waited: limit,
-                                });
-                            }
-                        }
-                        break;
+            let got =
+                world.recv_any_of_deadline::<(bool, Vec<u8>)>(&awaiting, TAG_DATA, self.deadline);
+            let Ok((w, frame)) = got else {
+                // Every writer still awaited was silent for the whole
+                // window: declare them all dead in one decision.
+                for &rank in &awaiting {
+                    if let Some(i) = self.links.iter().position(|l| l.rank == rank) {
+                        let link = self.links.remove(i);
+                        self.dead.push(DeadWriter {
+                            rank,
+                            steps_received: link.steps,
+                            bytes_received: link.bytes,
+                            waited: self.deadline,
+                        });
                     }
-                },
+                }
+                break;
             };
             awaiting.retain(|&r| r != w);
             match decode_frame(frame) {

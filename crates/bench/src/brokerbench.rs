@@ -64,7 +64,7 @@ impl BrokerReport {
     }
 
     /// Serialize in the flat one-line-per-section layout the perf gate
-    /// scrapes (same conventions as `BENCH_hotpath.json`).
+    /// parses (same conventions as `BENCH_hotpath.json`).
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n");
         s.push_str(&format!(
@@ -189,6 +189,7 @@ pub fn run() -> BrokerReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::perfgate::{gate, TOLERANCE};
 
     #[test]
     fn report_measures_and_serializes() {
@@ -201,8 +202,8 @@ mod tests {
         );
         assert!(r.eviction_works);
         assert!(r.queue_bounded);
-        let json = r.to_json();
-        assert!(json.contains("\"fanout\""));
-        assert!(json.contains("\"eviction_works\": true"));
+        let doc = probe::Json::parse(&r.to_json()).expect("well-formed JSON");
+        let gated = gate("broker", &doc, &doc, TOLERANCE);
+        assert!(gated.passed(), "{:?}", gated.failures);
     }
 }

@@ -11,10 +11,10 @@
 //! leg paid the process warmup) and a sub-1.0 "speedup" on a
 //! single-core host that was pure run-to-run noise.
 //!
-//! The `hotpath` binary runs these on a sparse oscillator deck — many
+//! `perfgate` runs these on a sparse oscillator deck — many
 //! small-radius oscillators whose supports cover a small fraction of the
 //! domain, the regime support culling exists for — and writes
-//! `BENCH_hotpath.json` with wall times and speedups.
+//! `BENCH_hotpath.fresh.json` with wall times and speedups.
 
 use std::sync::Arc;
 
@@ -375,5 +375,19 @@ pub fn run(grid: [usize; 3], oscillators: usize, steps: usize, threads: usize) -
         sanitizer_ranks: san_ranks,
         sanitizer_bitwise_identical: hist_off == hist_on,
         run_report,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::perfgate::{gate, TOLERANCE};
+
+    #[test]
+    fn report_measures_and_serializes() {
+        let r = run([8, 8, 8], 4, 2, 1);
+        let doc = probe::Json::parse(&r.to_json()).expect("well-formed JSON");
+        let gated = gate("hotpath", &doc, &doc, TOLERANCE);
+        assert!(gated.passed(), "{:?}", gated.failures);
     }
 }

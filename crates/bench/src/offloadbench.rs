@@ -144,7 +144,7 @@ impl OffloadReport {
     }
 
     /// Serialize in the flat one-line-per-section layout the perf gate
-    /// scrapes (same conventions as `BENCH_hotpath.json`).
+    /// parses (same conventions as `BENCH_hotpath.json`).
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n");
         s.push_str(&format!(
@@ -215,6 +215,7 @@ pub fn run() -> OffloadReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::perfgate::{gate, TOLERANCE};
 
     #[test]
     fn report_measures_and_serializes() {
@@ -230,8 +231,8 @@ mod tests {
         // measured bytes match the ideal exactly (same code computes
         // both sides, so this is a double-copy tripwire, not a timing).
         assert_eq!(r.h2d_bytes, r.ideal_bytes);
-        let json = r.to_json();
-        assert!(json.contains("\"overlap\""));
-        assert!(json.contains("\"bitwise_identical\": true"));
+        let doc = probe::Json::parse(&r.to_json()).expect("well-formed JSON");
+        let gated = gate("offload", &doc, &doc, TOLERANCE);
+        assert!(gated.passed(), "{:?}", gated.failures);
     }
 }

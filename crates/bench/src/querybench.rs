@@ -89,7 +89,7 @@ impl QueryReport {
     }
 
     /// Serialize in the flat one-line-per-section layout the perf gate
-    /// scrapes (same conventions as `BENCH_broker.json`).
+    /// parses (same conventions as `BENCH_broker.json`).
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n");
         s.push_str(&format!(
@@ -217,6 +217,7 @@ pub fn run() -> QueryReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::perfgate::{gate, TOLERANCE};
 
     #[test]
     fn report_measures_and_serializes() {
@@ -229,8 +230,8 @@ mod tests {
         );
         assert!(r.eviction_works);
         assert!(r.queue_bounded);
-        let json = r.to_json();
-        assert!(json.contains("\"serve\""));
-        assert!(json.contains("\"eviction_works\": true"));
+        let doc = probe::Json::parse(&r.to_json()).expect("well-formed JSON");
+        let gated = gate("query", &doc, &doc, TOLERANCE);
+        assert!(gated.passed(), "{:?}", gated.failures);
     }
 }

@@ -318,11 +318,6 @@ impl DataArray {
         &self.name
     }
 
-    /// Rename the array.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     /// The sanitizer's shadow ledger, when one is attached (zero-copy
     /// arrays created under an active sanitizer context).
     pub fn shadow(&self) -> Option<&Arc<sanitizer::Shadow>> {
@@ -350,8 +345,8 @@ impl DataArray {
     }
 
     /// Legacy-accessor space check: the untyped accessors (`get`,
-    /// `set`, `typed_slice`, `component_slice`) still hand out data —
-    /// simulated devices are host RAM — but an access from the wrong
+    /// `set`) still hand out data — simulated devices are host RAM —
+    /// but an access from the wrong
     /// execution space is a missing transfer on a real machine, so it
     /// is reported to the sanitizer as a `wrong-space-access` finding.
     fn check_exec_space(&self) {
@@ -407,9 +402,9 @@ impl DataArray {
     }
 
     /// Space-checked typed view of a single-buffer array, for code
-    /// executing in `exec` (normally [`space::current_space`]). The
-    /// typed-error twin of [`DataArray::typed_slice`]: wrong-space
-    /// access is an [`AccessError::WrongSpace`], not a silent copy.
+    /// executing in `exec` (normally [`space::current_space`]).
+    /// Wrong-space access is an [`AccessError::WrongSpace`], not a
+    /// silent copy.
     pub fn as_slice_in<T: Scalar>(&self, exec: MemorySpace) -> Result<&[T], AccessError> {
         if !self.space.accessible_from(exec) {
             return Err(AccessError::WrongSpace {
@@ -439,8 +434,7 @@ impl DataArray {
     }
 
     /// Space-checked typed view of one component buffer, for code
-    /// executing in `exec`. Typed-error twin of
-    /// [`DataArray::component_slice`].
+    /// executing in `exec`.
     pub fn component_slice_in<T: Scalar>(
         &self,
         comp: usize,
@@ -554,36 +548,6 @@ impl DataArray {
         }
     }
 
-    /// Direct typed view of a single-buffer array (AoS, any component
-    /// count; or single-component SoA). Returns `None` on type mismatch.
-    pub fn typed_slice<T: Scalar>(&self) -> Option<&[T]> {
-        self.check_exec_space();
-        let c = self.components_ref::<T>()?;
-        if c.buffers.len() == 1 {
-            if let Some(shadow) = &self.shadow {
-                shadow.on_read();
-            }
-            Some(c.buffers[0].as_slice())
-        } else {
-            None
-        }
-    }
-
-    /// Typed view of one SoA component buffer (or the sole AoS buffer of a
-    /// 1-component array).
-    pub fn component_slice<T: Scalar>(&self, comp: usize) -> Option<&[T]> {
-        self.check_exec_space();
-        let c = self.components_ref::<T>()?;
-        if let Some(shadow) = &self.shadow {
-            shadow.on_read();
-        }
-        match c.layout {
-            Layout::SoA => c.buffers.get(comp).map(|b| b.as_slice()),
-            Layout::AoS if c.num_components == 1 && comp == 0 => Some(c.buffers[0].as_slice()),
-            Layout::AoS => None,
-        }
-    }
-
     fn components_ref<T: Scalar>(&self) -> Option<&Components<T>> {
         // Safety-free downcast via the type tag.
         macro_rules! try_cast {
@@ -629,24 +593,6 @@ impl DataArray {
         } else {
             Some((lo, hi))
         }
-    }
-
-    /// Euclidean norm of a tuple across all components (e.g. velocity
-    /// magnitude for a 3-vector field).
-    pub fn tuple_magnitude(&self, tuple: usize) -> f64 {
-        let nc = self.num_components();
-        (0..nc)
-            .map(|c| {
-                let v = self.get(tuple, c);
-                v * v
-            })
-            .sum::<f64>()
-            .sqrt()
-    }
-
-    /// Iterate one component as `f64`.
-    pub fn iter_component(&self, comp: usize) -> impl Iterator<Item = f64> + '_ {
-        (0..self.num_tuples()).map(move |t| self.get(t, comp))
     }
 
     /// Materialize a deep (owned, AoS) copy of this array, resident in
@@ -728,7 +674,10 @@ mod tests {
         assert_eq!(a.num_components(), 2);
         assert_eq!(a.get(1, 0), 2.0);
         assert_eq!(a.get(0, 1), 10.0);
-        assert_eq!(a.component_slice::<f32>(1), Some(&[10.0f32, 20.0][..]));
+        assert_eq!(
+            a.component_slice_in::<f32>(1, MemorySpace::Host),
+            Ok(&[10.0f32, 20.0][..])
+        );
     }
 
     #[test]
@@ -758,13 +707,6 @@ mod tests {
     }
 
     #[test]
-    fn typed_slice_requires_matching_type() {
-        let a = DataArray::owned("i", 1, vec![1i32, 2, 3]);
-        assert!(a.typed_slice::<i32>().is_some());
-        assert!(a.typed_slice::<f64>().is_none());
-    }
-
-    #[test]
     fn range_ignores_nan() {
         let a = DataArray::owned("r", 1, vec![3.0f64, f64::NAN, -1.0, 2.0]);
         assert_eq!(a.range(0), Some((-1.0, 3.0)));
@@ -775,12 +717,6 @@ mod tests {
         let a = DataArray::owned("e", 1, Vec::<f64>::new());
         assert_eq!(a.range(0), None);
         assert_eq!(a.num_tuples(), 0);
-    }
-
-    #[test]
-    fn tuple_magnitude_is_euclidean() {
-        let a = DataArray::owned("v", 3, vec![3.0f64, 4.0, 0.0]);
-        assert!((a.tuple_magnitude(0) - 5.0).abs() < 1e-12);
     }
 
     #[test]

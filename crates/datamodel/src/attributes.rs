@@ -48,7 +48,7 @@ impl Attributes {
     fn rearm_ghost_shadows(&self) {
         let Some(flags) = self
             .get(GHOST_ARRAY_NAME)
-            .and_then(|g| g.typed_slice::<u8>())
+            .and_then(|g| g.as_slice_in::<u8>(g.space()).ok())
             .map(|s| Arc::new(s.to_vec()))
         else {
             return;

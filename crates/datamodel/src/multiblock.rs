@@ -60,11 +60,6 @@ impl MultiBlock {
         self.children.iter().filter_map(|c| c.as_ref())
     }
 
-    /// Iterate present blocks mutably.
-    pub fn blocks_mut(&mut self) -> impl Iterator<Item = &mut DataSet> {
-        self.children.iter_mut().filter_map(|c| c.as_mut())
-    }
-
     /// Number of present blocks.
     pub fn num_present(&self) -> usize {
         self.children.iter().filter(|c| c.is_some()).count()

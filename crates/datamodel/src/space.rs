@@ -160,15 +160,6 @@ pub fn record_transfer(bytes: usize) {
     TRANSFER_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
 }
 
-/// Process-wide `(transfer count, payload bytes)` since start (or the
-/// last [`reset_transfer_totals`]).
-pub fn transfer_totals() -> (u64, u64) {
-    (
-        TRANSFER_COUNT.load(Ordering::Relaxed),
-        TRANSFER_BYTES.load(Ordering::Relaxed),
-    )
-}
-
 /// Zero the process-wide transfer ledger (bench setup).
 pub fn reset_transfer_totals() {
     TRANSFER_COUNT.store(0, Ordering::Relaxed);

@@ -28,13 +28,6 @@
 //!   `glean`, and `query`: the substrate and the staging/aggregation
 //!   data paths must surface failures as typed errors or structured
 //!   panics (the monitor/scheduler reports), never ad-hoc unwraps.
-//! * **R5 space-checked-access** — no raw `.typed_slice`/
-//!   `.component_slice(` on arrays outside `datamodel`: those
-//!   accessors bypass the memory-space check, so a device-resident
-//!   array read through them silently aliases host bytes. Endpoints
-//!   use `as_slice_in`/`component_slice_in`/`values_in`, which return
-//!   a typed wrong-space error instead. Skips shims, tests, and
-//!   benches.
 //! * **R6 obligation** — protocol acquire/release calls must pair
 //!   inside one function, matching what the sanitizer's obligation
 //!   registry checks at `Bridge::finalize`: a `publish_dataset(` call
@@ -47,7 +40,7 @@
 //!   benches; `datamodel` (which defines the guard) is exempt from
 //!   the publish leg.
 //!
-//! Test code is exempt from R2/R4/R5: `tests/`/`benches/` directories,
+//! Test code is exempt from R2/R4: `tests/`/`benches/` directories,
 //! `fixtures/`, and `#[cfg(test)]` regions (tracked by brace depth).
 //! Comments and string literals are stripped before matching, so a
 //! doc mention of `Instant` does not trip the pass.
@@ -210,29 +203,6 @@ fn check_file(path: &Path, source: &str, out: &mut Vec<Violation>) {
                         message: format!(
                             "`{needle}` in non-test core-crate code — return an error or \
                              panic with a structured report"
-                        ),
-                    });
-                }
-            }
-        }
-
-        // R5: raw array accessors that skip the memory-space check.
-        // Only `datamodel` itself may touch the bytes directly; every
-        // other crate goes through the `_in(space)` accessors so a
-        // device-resident array cannot be read as host memory.
-        if !under_dir(path, "datamodel") && !in_shims && !file_is_test && !test_exempt {
-            // `.component_slice` needs both spellings (turbofish and
-            // plain call) so the bare name cannot also catch the
-            // space-checked `component_slice_in`.
-            for needle in [".typed_slice", ".component_slice(", ".component_slice::<"] {
-                if line.contains(needle) {
-                    out.push(Violation {
-                        rule: "space-checked-access",
-                        path: path.to_path_buf(),
-                        line: lineno,
-                        message: format!(
-                            "`{needle}` outside datamodel bypasses the memory-space check — \
-                             use as_slice_in/component_slice_in/values_in"
                         ),
                     });
                 }

@@ -114,41 +114,6 @@ fn violating_fixture_trips_r6_obligation_pairing() {
 }
 
 #[test]
-fn violating_fixture_trips_r5_outside_datamodel() {
-    let out = Command::new(lint_bin())
-        .current_dir(repo_root())
-        .arg("crates/lint/fixtures/sensei/raw_slice.rs")
-        .output()
-        .expect("lint binary runs");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(!out.status.success(), "raw-slice fixture must fail lint");
-    // Two findings (typed_slice + turbofish component_slice); the
-    // cfg(test) uses are exempt.
-    assert_eq!(
-        stdout.matches("[space-checked-access]").count(),
-        2,
-        "exactly the two non-test sites fire: {stdout}"
-    );
-}
-
-#[test]
-fn datamodel_keeps_its_raw_accessors_under_r5() {
-    // The raw accessors are implemented (and self-tested) inside
-    // `datamodel`; the rule must not fire on the defining crate.
-    let out = Command::new(lint_bin())
-        .current_dir(repo_root())
-        .arg("crates/datamodel/src/array.rs")
-        .arg("crates/datamodel/src/attributes.rs")
-        .output()
-        .expect("lint binary runs");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        !stdout.contains("[space-checked-access]"),
-        "R5 must exempt datamodel: {stdout}"
-    );
-}
-
-#[test]
 fn default_run_skips_fixtures_and_passes_workspace() {
     let out = Command::new(lint_bin())
         .current_dir(repo_root())

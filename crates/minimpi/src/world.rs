@@ -49,7 +49,7 @@ pub struct WorldBuilder {
     size: usize,
     stack_size: usize,
     name_prefix: String,
-    watchdog: Option<Duration>,
+    watchdog: Duration,
     faults: Option<FaultHandle>,
     sched_policy: SchedPolicy,
     trace_cell: Option<TraceCell>,
@@ -65,7 +65,7 @@ impl WorldBuilder {
             size,
             stack_size: 8 << 20,
             name_prefix: "rank".to_string(),
-            watchdog: Some(DEFAULT_WATCHDOG_GRACE),
+            watchdog: DEFAULT_WATCHDOG_GRACE,
             faults: None,
             sched_policy: SchedPolicy::Os,
             trace_cell: None,
@@ -92,14 +92,7 @@ impl WorldBuilder {
     /// queue and aborts the world (each blocked rank panics with the
     /// report). Sends are eager, so this condition is a true deadlock.
     pub fn watchdog(mut self, grace: Duration) -> Self {
-        self.watchdog = Some(grace);
-        self
-    }
-
-    /// Disable deadlock detection (a deadlocked world then hangs, as a
-    /// real MPI job would).
-    pub fn without_watchdog(mut self) -> Self {
-        self.watchdog = None;
+        self.watchdog = grace;
         self
     }
 
@@ -188,8 +181,8 @@ impl WorldBuilder {
         // Under the deterministic scheduler deadlocks are detected
         // exactly (empty ready set), so the wall-clock watchdog — which
         // would misread serialized execution as stalling — stays off.
-        if let (Some(grace), None) = (self.watchdog, &sched) {
-            let monitor = Arc::clone(&monitor);
+        if sched.is_none() {
+            let (monitor, grace) = (Arc::clone(&monitor), self.watchdog);
             // Detached: exits on its own shortly after the last rank
             // finishes (or after triggering an abort).
             thread::Builder::new()

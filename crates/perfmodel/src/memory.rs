@@ -73,11 +73,6 @@ pub fn slice_render_heap_avg(p: usize, width: usize, height: usize) -> f64 {
     per_participant * participants / p as f64
 }
 
-/// Per-rank staging buffer of the (non-zero-copy) FlexPath transport.
-pub fn flexpath_heap(bytes_per_rank: f64) -> f64 {
-    2.0 * bytes_per_rank // pinned send buffer + marshaling copy
-}
-
 /// Total memory high-water mark summed over `p` ranks, the quantity the
 /// miniapp study charts.
 pub fn total_high_water(p: usize, exe: Executable, per_rank_heap: f64) -> f64 {
@@ -90,18 +85,6 @@ pub fn nyx_executable(with_sensei: bool) -> f64 {
         109.0 * MB
     } else {
         68.0 * MB
-    }
-}
-
-/// Nyx per-rank analysis memory overhead: the ghost-flag byte array
-/// (~2 MB/rank, §4.2.3) plus, for the slice, 200–300 MB of pipeline
-/// buffers spread over participating ranks.
-pub fn nyx_analysis_heap(slice: bool) -> f64 {
-    let ghosts = 2.0 * MB;
-    if slice {
-        ghosts + 250.0 * MB
-    } else {
-        ghosts
     }
 }
 

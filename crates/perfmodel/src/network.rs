@@ -44,12 +44,6 @@ pub fn gather(m: &MachineSpec, p: usize, bytes_per_rank: f64) -> f64 {
     m.net_alpha * stages(p) + (p as f64 - 1.0) * bytes_per_rank / m.net_bw
 }
 
-/// Halo (ghost) exchange with `neighbors` faces of `bytes` each; the
-/// exchanges overlap pairwise so cost is one round per neighbor pair.
-pub fn halo_exchange(m: &MachineSpec, neighbors: usize, bytes: f64) -> f64 {
-    neighbors as f64 * p2p(m, bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

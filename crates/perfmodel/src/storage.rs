@@ -39,12 +39,6 @@ pub fn posthoc_read(
     (total_bytes / agg) * noise.lognormal_factor(m.io_noise_sigma)
 }
 
-/// Write time of a science-app plot file (Nyx writes ~8 variables per
-/// checkpoint as one collective dump).
-pub fn plotfile_write(m: &MachineSpec, total_bytes: f64) -> f64 {
-    collective_write(m, total_bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,7 +12,7 @@
 use crate::compositing::{self, Algorithm};
 use crate::machine::{CalibTable, MachineSpec};
 use crate::network;
-use crate::{Breakdown, MB};
+use crate::Breakdown;
 
 /// Oscillator-miniapp cell-update throughput of one Cori Haswell core,
 /// in oscillator·cell evaluations per second. Calibrated so a 64³
@@ -384,16 +384,6 @@ pub fn miniapp_step_breakdown(
 /// constant floor. This is the paper's central "negligible" result.
 pub fn sensei_adaptor_overhead() -> f64 {
     2.0e-6
-}
-
-/// Catalyst image bytes helper (1920×1080 RGB for PNG).
-pub fn catalyst_png_bytes() -> f64 {
-    compositing::rgb_bytes(1920, 1080)
-}
-
-/// Convenience: MB of one image.
-pub fn image_mb(w: usize, h: usize) -> f64 {
-    compositing::rgba_bytes(w, h) / MB
 }
 
 #[cfg(test)]

@@ -164,7 +164,7 @@ impl Shadow {
         self.check_write(&session, slot, &clock);
     }
 
-    /// A read borrow (`typed_slice` / `component_slice` / leaf view).
+    /// A read borrow (`as_slice_in` / `component_slice_in` / leaf view).
     /// Reads are always safe against open windows (both sides read);
     /// the event is recorded as the last-reader epoch for evidence.
     pub fn on_read(&self) {

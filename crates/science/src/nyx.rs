@@ -292,11 +292,6 @@ impl Nyx {
         self.step
     }
 
-    /// This rank's cell extent.
-    pub fn cell_extent(&self) -> Extent {
-        self.cells
-    }
-
     /// Access to the particles (diagnostics).
     pub fn particles(&self) -> &[Particle] {
         &self.particles

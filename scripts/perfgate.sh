@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
-# Hot-path performance gate: rerun the measured hot paths and compare
-# the dimensionless metrics (step and histogram speedups, sanitizer
-# overhead, broker fan-out, offload overlap efficiency and transfer
-# ratio, query serve fan-out) against the checked-in
-# BENCH_hotpath.json, BENCH_broker.json, BENCH_offload.json, and
-# BENCH_query.json. Only ratios are gated, so the baseline recorded on
-# one machine still gates runs on another.
-# Usage: scripts/perfgate.sh [extra perfgate args...]
+# Performance gate: rerun the four measured suites (hotpath, broker,
+# offload, query) and hold every row of `GATED` in
+# crates/bench/src/perfgate.rs — the table is the list of what is gated
+# and by which rule — against the checked-in BENCH_<suite>.json. Only
+# dimensionless entries and invariants are gated, so a baseline
+# recorded on one machine still gates runs on another. Always writes
+# BENCH_<suite>.fresh.json; to regenerate a baseline, copy it over
+# BENCH_<suite>.json.
+# Usage: scripts/perfgate.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> perf gate (baseline BENCH_hotpath.json)"
-cargo run --release -p bench --features track-alloc --bin perfgate -- "$@"
+echo "==> perf gate (baselines BENCH_*.json)"
+cargo run --release -p bench --features track-alloc --bin perfgate
