@@ -90,7 +90,7 @@ fn validate() {
     let (fixed, stored, nf, ns) = bench::realruns::measure_png_ablation(2900, 725);
     println!(
         "png 2900x725: zlib(fixed) {fixed:.3}s → {nf} B; stored {stored:.3}s → {ns} B \
-         (compression is the dominant serial cost, cf. Table 2)"
+         (Table 2's compression ablation, with this encoder)"
     );
 
     let (inline, staged) = bench::realruns::measure_staging_penalty(2, 24, 6);

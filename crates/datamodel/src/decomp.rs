@@ -99,18 +99,6 @@ pub fn duplicate_point_ghosts(local: &Extent, global: &Extent) -> Vec<u8> {
         .collect()
 }
 
-/// The ready-to-insert [`crate::GHOST_ARRAY_NAME`] array for `local`
-/// within `global` (see [`duplicate_point_ghosts`]). Inserting it into
-/// a dataset's attributes is also what arms the sanitizer's
-/// ghost-write checks on the sibling zero-copy arrays.
-pub fn ghost_array(local: &Extent, global: &Extent) -> crate::array::DataArray {
-    crate::array::DataArray::owned(
-        crate::GHOST_ARRAY_NAME,
-        1,
-        duplicate_point_ghosts(local, global),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,7 +11,9 @@ use render::color::{Color, Colormap};
 use render::composite::Compositor;
 use render::deflate::Mode;
 use render::framebuffer::Framebuffer;
-use render::pipeline::{pseudocolor_slice, shaded_isosurface, IsosurfaceRender, SliceRender};
+use render::pipeline::{
+    global_range, pseudocolor_slice, shaded_isosurface, IsosurfaceRender, SliceRender,
+};
 use render::png::encode_framebuffer;
 use sensei::{AnalysisAdaptor, Association, DataAdaptor, Steering};
 
@@ -162,13 +164,7 @@ impl LibsimAnalysis {
                 let (local, global, values, spacing, origin) =
                     self.structured_field(data, array)?;
                 // Levels are fractions of the global range.
-                let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-                for &v in &values {
-                    lo = lo.min(v);
-                    hi = hi.max(v);
-                }
-                let glo = comm.allreduce_scalar(lo, f64::min);
-                let ghi = comm.allreduce_scalar(hi, f64::max);
+                let (glo, ghi) = global_range(comm, &values);
                 let isovalues: Vec<f64> = levels.iter().map(|f| glo + f * (ghi - glo)).collect();
                 // Camera looks at the domain center from outside.
                 let gd = global.point_dims();

@@ -1,9 +1,9 @@
 //! SENSEI data adaptor for the oscillator miniapp: a zero-copy,
 //! lazily-constructed view of the simulation's structured field.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use datamodel::{ghost_array, DataArray, DataSet, Extent, ImageData, GHOST_ARRAY_NAME};
+use datamodel::{duplicate_point_ghosts, DataArray, DataSet, Extent, ImageData, GHOST_ARRAY_NAME};
 use sensei::{AdaptorError, Association, DataAdaptor};
 
 use crate::sim::Simulation;
@@ -12,9 +12,11 @@ use crate::sim::Simulation;
 ///
 /// Construction costs two `Arc` clones and a handful of scalars — this is
 /// the overhead the paper measures as "almost nonexistent" (§3.2). The
-/// field array is attached lazily and shares the simulation's buffer.
+/// field array is attached lazily and shares the simulation's buffer;
+/// the ghost flags are built once per simulation and copied out.
 pub struct OscillatorAdaptor {
     field: Arc<Vec<f64>>,
+    ghosts: Arc<OnceLock<Vec<u8>>>,
     local: Extent,
     global: Extent,
     spacing: [f64; 3],
@@ -27,6 +29,7 @@ impl OscillatorAdaptor {
     pub fn new(sim: &Simulation) -> Self {
         OscillatorAdaptor {
             field: sim.field(),
+            ghosts: sim.ghost_cell(),
             local: sim.local_extent(),
             global: sim.global_extent(),
             spacing: sim.spacing(),
@@ -88,8 +91,16 @@ impl DataAdaptor for OscillatorAdaptor {
         if name == GHOST_ARRAY_NAME {
             // Neighbouring blocks share a point plane (partition_extent
             // splits cells); mark the duplicated planes so point
-            // analyses stay decomposition-invariant.
-            g.add_point_array(ghost_array(&self.local, &self.global));
+            // analyses stay decomposition-invariant. The extents never
+            // change, so the flags are computed once per simulation.
+            // Owned copy on purpose, not a view of the cached vector:
+            // see CHANGES.md, PR 16 and ROADMAP 1(b). Inserting them is
+            // also what arms the sanitizer's ghost-write checks on the
+            // sibling zero-copy arrays.
+            let flags = self
+                .ghosts
+                .get_or_init(|| duplicate_point_ghosts(&self.local, &self.global));
+            g.add_point_array(DataArray::owned(GHOST_ARRAY_NAME, 1, flags.clone()));
         } else {
             // The simulation's field lives in host RAM; declare the
             // residency so space-checked consumers (and the offload
@@ -134,6 +145,36 @@ mod tests {
             let arr = mesh.point_data().unwrap().get("data").unwrap();
             assert!(arr.is_zero_copy(), "field attached without copying");
             assert_eq!(arr.num_tuples(), sim.local_extent().num_points());
+        });
+    }
+
+    #[test]
+    fn ghost_array_is_built_once_and_only_on_demand() {
+        World::run(2, |comm| {
+            let mut sim = run_sim(comm, 8);
+            // Field-only requests never build the flags.
+            let adaptor = OscillatorAdaptor::new(&sim);
+            let mut mesh = adaptor.mesh();
+            adaptor
+                .add_array(&mut mesh, Association::Point, "data")
+                .unwrap();
+            assert!(sim.ghost_cell().get().is_none(), "nobody asked yet");
+
+            let flags_of = |sim: &Simulation| {
+                let mesh = OscillatorAdaptor::new(sim).full_mesh();
+                let ghosts = mesh.point_data().unwrap().ghosts().unwrap();
+                ghosts.as_slice_in::<u8>(ghosts.space()).unwrap().to_vec()
+            };
+            let first = flags_of(&sim);
+            let built = sim.ghost_cell().get().expect("built on demand").as_ptr();
+            assert_eq!(
+                first,
+                duplicate_point_ghosts(&sim.local_extent(), &sim.global_extent())
+            );
+            // A later step's adaptor copies from the same cached flags.
+            sim.step(comm);
+            assert_eq!(flags_of(&sim), first);
+            assert_eq!(built, sim.ghost_cell().get().unwrap().as_ptr());
         });
     }
 

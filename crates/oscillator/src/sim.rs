@@ -13,7 +13,7 @@
 //! naive all-pairs kernel ([`Simulation::step_naive`], kept as the
 //! property-test and benchmark reference).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use datamodel::{dims_create, partition_extent, Extent};
 use minimpi::Comm;
@@ -62,6 +62,10 @@ pub struct Simulation {
     spacing: [f64; 3],
     /// The field, shared so the data adaptor can view it zero-copy.
     field: Arc<Vec<f64>>,
+    /// The `vtkGhostType` flags of `local` within `global`, which never
+    /// change: computed by the first adaptor an analysis asks for them,
+    /// read by every adaptor after it, never computed if none asks.
+    ghosts: Arc<OnceLock<Vec<u8>>>,
     step: u64,
     time: f64,
 }
@@ -102,6 +106,7 @@ impl Simulation {
             global,
             spacing,
             field,
+            ghosts: Arc::default(),
             step: 0,
             time: 0.0,
         }
@@ -205,6 +210,11 @@ impl Simulation {
     /// Zero-copy handle to the current field.
     pub fn field(&self) -> Arc<Vec<f64>> {
         Arc::clone(&self.field)
+    }
+
+    /// The cell the adaptors share the ghost flags through.
+    pub(crate) fn ghost_cell(&self) -> Arc<OnceLock<Vec<u8>>> {
+        Arc::clone(&self.ghosts)
     }
 
     /// Local block extent.

@@ -22,12 +22,6 @@ const TAG_SWAP: u32 = 0x434F_0002;
 const TAG_GATHER: u32 = 0x434F_0003;
 const TAG_TREE: u32 = 0x434F_0004;
 
-/// Row band `[lo, hi)` owned by `rank` among `pot` binary-swap
-/// participants for an image of `height` rows.
-fn band(rank: usize, pot: usize, height: usize) -> (usize, usize) {
-    (rank * height / pot, (rank + 1) * height / pot)
-}
-
 /// Binary-swap compositing. Works for any rank count: ranks beyond the
 /// largest power of two fold their image into a partner first.
 ///
@@ -75,26 +69,25 @@ pub fn binary_swap(comm: &Comm, mut fb: Framebuffer) -> Option<Framebuffer> {
         comm.send(partner, TAG_SWAP, (give.0, outgoing));
         let (their_lo, their_band): (usize, Framebuffer) = comm.recv(partner, TAG_SWAP);
         debug_assert_eq!(their_lo, keep.0);
-        let mut mine = fb.extract_rows(keep.0, keep.1);
-        mine.composite_from(&their_band);
-        fb.paste_rows(keep.0, &mine);
-        lo = keep.0;
-        hi = keep.1;
+        assert_eq!(
+            their_band.height(),
+            keep.1 - keep.0,
+            "swap: band height mismatch"
+        );
+        fb.composite_rows_from(keep.0, &their_band);
+        (lo, hi) = keep;
         bit >>= 1;
     }
-    debug_assert_eq!((lo, hi), band(me, pot, height));
 
-    // Gather bands to root.
+    // Gather bands to root, which pastes them around its own finished
+    // band: the rows it gave away hold stale pixels until then, and the
+    // bands tile the image, so every one of them is overwritten.
     if me == 0 {
-        let mut result = fb.extract_rows(lo, hi);
-        let mut full = Framebuffer::new(fb.width(), height);
-        full.paste_rows(0, &result);
         for _ in 1..pot {
             let (src_lo, their): (usize, Framebuffer) = comm.recv_any(TAG_GATHER).1;
-            full.paste_rows(src_lo, &their);
+            fb.paste_rows(src_lo, &their);
         }
-        result = full;
-        Some(result)
+        Some(fb)
     } else {
         comm.send(0, TAG_GATHER, (lo, fb.extract_rows(lo, hi)));
         None
@@ -246,6 +239,49 @@ mod tests {
             direct_send_tree(comm, rank_columns(comm.rank(), 6, 12, 8), 3)
         });
         assert_eq!(bs[0], ds[0]);
+    }
+
+    /// Every rank paints every pixel, at a depth that makes a
+    /// different rank the closest from pixel to pixel: each pixel of
+    /// the result is decided by the merge order-independently, and a
+    /// row merged into the wrong place or left stale shows.
+    fn overlapping(rank: usize, p: usize, w: usize, h: usize) -> Framebuffer {
+        let mut fb = Framebuffer::new(w, h);
+        for y in 0..h {
+            for x in 0..w {
+                let front = (3 * x + 5 * y) % p;
+                let z = ((rank + p - front) % p) as f32 + 0.25;
+                // A few holes, so transparency takes part too.
+                if !(x + 2 * y + rank).is_multiple_of(7) {
+                    fb.set_pixel(x, y, z, Color::rgb(rank as u8 + 1, x as u8, y as u8));
+                }
+            }
+        }
+        fb
+    }
+
+    #[test]
+    fn in_place_swap_equals_tree_and_one_rank_image() {
+        // Odd heights where the halving rounds, a height equal to the
+        // band count, and the benchmark's even split.
+        for (w, h) in [(21usize, 13usize), (5, 8), (16, 11), (12, 64)] {
+            for p in 1usize..=8 {
+                // The one-rank image: all p layers merged serially.
+                let mut want = overlapping(0, p, w, h);
+                for r in 1..p {
+                    want.composite_from(&overlapping(r, p, w, h));
+                }
+                let swap = World::run(p, move |comm| {
+                    binary_swap(comm, overlapping(comm.rank(), p, w, h))
+                });
+                let tree = World::run(p, move |comm| {
+                    direct_send_tree(comm, overlapping(comm.rank(), p, w, h), 2)
+                });
+                assert_eq!(swap[0].as_ref(), Some(&want), "swap {w}x{h} p={p}");
+                assert_eq!(tree[0].as_ref(), Some(&want), "tree {w}x{h} p={p}");
+                assert!(swap[1..].iter().all(Option::is_none));
+            }
+        }
     }
 
     #[test]

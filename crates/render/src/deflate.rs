@@ -4,8 +4,8 @@
 //! The encoder supports two modes:
 //!
 //! * **Stored** — uncompressed blocks (fast, ratio 1.0);
-//! * **Fixed** — LZ77 (greedy, 3-byte hash chains, 32 KiB window) with
-//!   the fixed Huffman code of RFC 1951 §3.2.6.
+//! * **Fixed** — LZ77 (greedy, 3-byte hash chains, 32 KiB window) coded
+//!   in the same pass with the fixed Huffman code of RFC 1951 §3.2.6.
 //!
 //! The PHASTA study (Table 2) traced its per-step in situ cost to this
 //! exact computation — serial zlib compression of the rendered PNG on
@@ -39,33 +39,27 @@ impl BitWriter {
         }
     }
 
-    /// Write `n` bits, LSB-first.
+    /// Write `n` bits, LSB-first. Huffman codes go through here too:
+    /// the encoder's tables hold them already reversed.
+    #[inline]
     fn bits(&mut self, value: u32, n: u32) {
-        debug_assert!(n <= 32);
+        debug_assert!(n <= 32 && self.nbits < 32);
         self.bitbuf |= (value as u64) << self.nbits;
         self.nbits += n;
-        while self.nbits >= 8 {
-            self.out.push((self.bitbuf & 0xFF) as u8);
-            self.bitbuf >>= 8;
-            self.nbits -= 8;
+        if self.nbits >= 32 {
+            self.out
+                .extend_from_slice(&(self.bitbuf as u32).to_le_bytes());
+            self.bitbuf >>= 32;
+            self.nbits -= 32;
         }
-    }
-
-    /// Write a Huffman code: codes are emitted MSB-first.
-    fn code(&mut self, code: u32, len: u32) {
-        let mut rev = 0u32;
-        for i in 0..len {
-            rev |= ((code >> i) & 1) << (len - 1 - i);
-        }
-        self.bits(rev, len);
     }
 
     /// Pad to a byte boundary.
     fn align(&mut self) {
-        if self.nbits > 0 {
-            self.out.push((self.bitbuf & 0xFF) as u8);
-            self.bitbuf = 0;
-            self.nbits = 0;
+        while self.nbits > 0 {
+            self.out.push(self.bitbuf as u8);
+            self.bitbuf >>= 8;
+            self.nbits = self.nbits.saturating_sub(8);
         }
     }
 
@@ -127,13 +121,13 @@ impl<'a> BitReader<'a> {
 // --------------------------------------------------------------------
 
 /// `(code, length)` for literal/length symbol `s` under the fixed code.
-fn fixed_litlen_code(s: usize) -> (u32, u32) {
+const fn fixed_litlen_code(s: usize) -> (u32, u32) {
     match s {
         0..=143 => (0x30 + s as u32, 8),
         144..=255 => (0x190 + (s - 144) as u32, 9),
         256..=279 => ((s - 256) as u32, 7),
         280..=287 => (0xC0 + (s - 280) as u32, 8),
-        _ => unreachable!("symbol out of range"),
+        _ => panic!("symbol out of range"),
     }
 }
 
@@ -204,30 +198,8 @@ const DIST_TABLE: [(u32, u32, u32); 30] = [
     (29, 13, 24577),
 ];
 
-fn length_symbol(len: u32) -> (u32, u32, u32) {
-    debug_assert!((3..=258).contains(&len));
-    for i in (0..LENGTH_TABLE.len()).rev() {
-        let (sym, extra, base) = LENGTH_TABLE[i];
-        if len >= base && (len - base) < (1 << extra) || (sym == 285 && len == 258) {
-            return (sym, extra, len - base);
-        }
-    }
-    unreachable!("length {len} not in table")
-}
-
-fn dist_symbol(dist: u32) -> (u32, u32, u32) {
-    debug_assert!((1..=32768).contains(&dist));
-    for i in (0..DIST_TABLE.len()).rev() {
-        let (sym, extra, base) = DIST_TABLE[i];
-        if dist >= base {
-            return (sym, extra, dist - base);
-        }
-    }
-    unreachable!("distance {dist} not in table")
-}
-
 // --------------------------------------------------------------------
-// LZ77
+// LZ77 + fixed Huffman, one pass
 // --------------------------------------------------------------------
 
 const WINDOW: usize = 32 * 1024;
@@ -235,74 +207,162 @@ const MIN_MATCH: usize = 3;
 const MAX_MATCH: usize = 258;
 const HASH_BITS: u32 = 15;
 const MAX_CHAIN: usize = 32;
+/// "No position" in the head table and the chain ring.
+const NIL: u32 = u32::MAX;
 
+/// Literal/length symbol → `(bits, nbits)`: its MSB-first code, reversed
+/// once here so [`BitWriter::bits`] takes it as is.
+const LITLEN_BITS: [(u16, u8); 288] = {
+    let mut t = [(0, 0); 288];
+    let mut s = 0;
+    while s < t.len() {
+        let (code, len) = fixed_litlen_code(s);
+        t[s] = ((code as u16).reverse_bits() >> (16 - len), len as u8);
+        s += 1;
+    }
+    t
+};
+
+/// Match length − [`MIN_MATCH`] → the length symbol's code with its
+/// extra bits appended (13 bits at most).
+const LENGTH_BITS: [(u16, u8); MAX_MATCH - MIN_MATCH + 1] = {
+    let mut t = [(0, 0); MAX_MATCH - MIN_MATCH + 1];
+    let mut k = 0;
+    // In table order: symbol 285, the last, takes length 258 over from
+    // symbol 284's thirty-second slot.
+    while k < LENGTH_TABLE.len() {
+        let (sym, extra, base) = LENGTH_TABLE[k];
+        let (code, code_len) = LITLEN_BITS[sym as usize];
+        let mut rest = 0;
+        while rest < (1 << extra) && (base + rest) as usize <= MAX_MATCH {
+            t[(base + rest) as usize - MIN_MATCH] =
+                (code | (rest as u16) << code_len, code_len + extra as u8);
+            rest += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// `(bits, nbits)` of a match distance: its symbol's 5-bit code with the
+/// extra bits appended (18 bits at most). The symbol is the closed form
+/// of [`DIST_TABLE`]: past the first four, every power of two holds two
+/// symbols that split it in halves.
 #[inline]
-fn hash3(data: &[u8], i: usize) -> usize {
-    let v = (data[i] as u32) | ((data[i + 1] as u32) << 8) | ((data[i + 2] as u32) << 16);
+fn dist_bits(dist: usize) -> (u32, u32) {
+    debug_assert!((1..=WINDOW).contains(&dist));
+    let x = (dist - 1) as u32;
+    let (sym, extra) = if x < 4 {
+        (x, 0)
+    } else {
+        let extra = 30 - x.leading_zeros();
+        (2 * (extra + 1) + ((x >> extra) & 1), extra)
+    };
+    let code = ((sym as u8).reverse_bits() >> 3) as u32;
+    (code | (x & ((1 << extra) - 1)) << 5, 5 + extra)
+}
+
+/// Hash of the three bytes at the head of `b`.
+#[inline]
+fn hash3(b: &[u8]) -> usize {
+    let v = (b[0] as u32) | ((b[1] as u32) << 8) | ((b[2] as u32) << 16);
     (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
 }
 
-/// One LZ77 token.
-enum Token {
-    Literal(u8),
-    Match { len: u32, dist: u32 },
+/// Length of the common prefix of `data[a..]` and `data[b..]`, capped at
+/// `max_len`, eight bytes per comparison. Needs `a < b` and
+/// `b + max_len <= data.len()`.
+#[inline]
+fn match_len(data: &[u8], a: usize, b: usize, max_len: usize) -> usize {
+    let (x, y) = (&data[a..a + max_len], &data[b..b + max_len]);
+    let mut l = 0;
+    for (wx, wy) in x.chunks_exact(8).zip(y.chunks_exact(8)) {
+        let diff = u64::from_le_bytes(wx.try_into().expect("chunk of 8"))
+            ^ u64::from_le_bytes(wy.try_into().expect("chunk of 8"));
+        if diff != 0 {
+            return l + (diff.trailing_zeros() / 8) as usize;
+        }
+        l += 8;
+    }
+    while l < max_len && x[l] == y[l] {
+        l += 1;
+    }
+    l
 }
 
-fn lz77(data: &[u8]) -> Vec<Token> {
-    let mut tokens = Vec::new();
-    let mut head = vec![usize::MAX; 1 << HASH_BITS];
-    let mut prev = vec![usize::MAX; data.len()];
+/// Greedy LZ77 (3-byte hash chains of at most [`MAX_CHAIN`] links, the
+/// first longest match wins) coded with the fixed Huffman code as the
+/// parse goes. The parse — and so the output, byte for byte — is that of
+/// the token-list encoder this replaced, which the tests keep as their
+/// oracle (`deflate/reference.rs`).
+///
+/// `head[h]` is the latest position whose three bytes hash to `h`,
+/// `prev[p % WINDOW]` the one before `p` on the same chain. That ring
+/// has exactly `WINDOW` slots because that is exactly how long a link
+/// is needed: `p`'s slot is next written by `p + WINDOW`, and the search
+/// at `i` runs before `i` is inserted, so every candidate with
+/// `i - cand <= WINDOW` — distance 32 768 included — still owns its
+/// slot, and the first candidate beyond that ends the walk before its
+/// reused slot is read.
+fn deflate_fixed(data: &[u8]) -> Vec<u8> {
+    let n = data.len();
+    assert!(n < NIL as usize, "deflate input of {n} bytes exceeds u32");
+    let mut w = BitWriter::new();
+    w.bits(1, 1); // BFINAL
+    w.bits(0b01, 2); // BTYPE = fixed Huffman
+    let mut head = vec![NIL; 1 << HASH_BITS];
+    let mut prev = vec![NIL; WINDOW];
     let mut i = 0;
-    while i < data.len() {
-        let mut best_len = 0usize;
-        let mut best_dist = 0usize;
-        if i + MIN_MATCH <= data.len() {
-            let h = hash3(data, i);
+    while i < n {
+        let (mut best_len, mut best_dist) = (0, 0);
+        if i + MIN_MATCH <= n {
+            let max_len = (n - i).min(MAX_MATCH);
+            let h = hash3(&data[i..]);
             let mut cand = head[h];
             let mut chain = 0;
-            while cand != usize::MAX && chain < MAX_CHAIN {
-                if i - cand <= WINDOW {
-                    let max_len = (data.len() - i).min(MAX_MATCH);
-                    let mut l = 0;
-                    while l < max_len && data[cand + l] == data[i + l] {
-                        l += 1;
-                    }
-                    if l > best_len {
-                        best_len = l;
-                        best_dist = i - cand;
-                        if l >= MAX_MATCH {
-                            break;
-                        }
-                    }
-                } else {
+            // `best_len == max_len` cannot be beaten; stopping there also
+            // keeps the reject byte below in bounds.
+            while cand != NIL && chain < MAX_CHAIN && best_len < max_len {
+                let c = cand as usize;
+                if i - c > WINDOW {
                     break;
                 }
-                cand = prev[cand];
+                // A longer match must agree at `best_len`: one byte
+                // rejects most candidates before the full comparison.
+                if data[c + best_len] == data[i + best_len] {
+                    let l = match_len(data, c, i, max_len);
+                    if l > best_len {
+                        (best_len, best_dist) = (l, i - c);
+                    }
+                }
+                cand = prev[c % WINDOW];
                 chain += 1;
             }
-            // Insert current position into the chain.
-            prev[i] = head[h];
-            head[h] = i;
+            prev[i % WINDOW] = head[h];
+            head[h] = i as u32;
         }
         if best_len >= MIN_MATCH {
-            tokens.push(Token::Match {
-                len: best_len as u32,
-                dist: best_dist as u32,
-            });
+            let (len_bits, len_n) = LENGTH_BITS[best_len - MIN_MATCH];
+            let (dist_bits, dist_n) = dist_bits(best_dist);
+            // 13 + 18 bits at most: one write.
+            w.bits(len_bits as u32 | dist_bits << len_n, len_n as u32 + dist_n);
             // Insert the skipped positions so later matches can find them.
-            let stop = (i + best_len).min(data.len().saturating_sub(MIN_MATCH - 1));
-            for (j, p) in prev.iter_mut().enumerate().take(stop).skip(i + 1) {
-                let h = hash3(data, j);
-                *p = head[h];
-                head[h] = j;
+            let stop = (i + best_len).min(n.saturating_sub(MIN_MATCH - 1));
+            for (j, tri) in (i + 1..stop).zip(data[i + 1..stop + 2].windows(3)) {
+                let h = hash3(tri);
+                prev[j % WINDOW] = head[h];
+                head[h] = j as u32;
             }
             i += best_len;
         } else {
-            tokens.push(Token::Literal(data[i]));
+            let (bits, nbits) = LITLEN_BITS[data[i] as usize];
+            w.bits(bits as u32, nbits as u32);
             i += 1;
         }
     }
-    tokens
+    let (eob, eob_n) = LITLEN_BITS[256];
+    w.bits(eob as u32, eob_n as u32);
+    w.finish()
 }
 
 // --------------------------------------------------------------------
@@ -334,36 +394,6 @@ fn deflate_stored(data: &[u8]) -> Vec<u8> {
         w.out.extend_from_slice(&(!len).to_le_bytes());
         w.out.extend_from_slice(chunk);
     }
-    w.finish()
-}
-
-fn deflate_fixed(data: &[u8]) -> Vec<u8> {
-    let mut w = BitWriter::new();
-    w.bits(1, 1); // BFINAL
-    w.bits(0b01, 2); // BTYPE = fixed Huffman
-    for token in lz77(data) {
-        match token {
-            Token::Literal(b) => {
-                let (code, len) = fixed_litlen_code(b as usize);
-                w.code(code, len);
-            }
-            Token::Match { len, dist } => {
-                let (sym, extra, rest) = length_symbol(len);
-                let (code, clen) = fixed_litlen_code(sym as usize);
-                w.code(code, clen);
-                if extra > 0 {
-                    w.bits(rest, extra);
-                }
-                let (dsym, dextra, drest) = dist_symbol(dist);
-                w.code(dsym, 5); // fixed distance codes are 5 bits
-                if dextra > 0 {
-                    w.bits(drest, dextra);
-                }
-            }
-        }
-    }
-    let (eob, eob_len) = fixed_litlen_code(256);
-    w.code(eob, eob_len);
     w.finish()
 }
 
@@ -516,6 +546,9 @@ pub fn zlib_decompress(data: &[u8]) -> Result<Vec<u8>, InflateError> {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -629,12 +662,68 @@ mod tests {
     }
 
     #[test]
-    fn length_and_distance_symbols_cover_bounds() {
-        assert_eq!(length_symbol(3), (257, 0, 0));
-        assert_eq!(length_symbol(258), (285, 0, 0));
-        assert_eq!(length_symbol(10), (264, 0, 0));
-        assert_eq!(dist_symbol(1), (0, 0, 0));
-        assert_eq!(dist_symbol(32768), (29, 13, 32768 - 24577));
+    fn distance_closed_form_agrees_with_the_table() {
+        for dist in 1..=WINDOW {
+            let (bits, nbits) = dist_bits(dist);
+            let sym = ((bits & 31) as u8).reverse_bits() >> 3;
+            let (_, extra, base) = DIST_TABLE[sym as usize];
+            assert_eq!(nbits, 5 + extra, "distance {dist}");
+            assert_eq!((base + (bits >> 5)) as usize, dist);
+        }
+    }
+
+    #[test]
+    fn length_table_covers_every_length_once() {
+        // Decode each entry back through LENGTH_TABLE, as inflate would.
+        for len in MIN_MATCH..=MAX_MATCH {
+            let (bits, nbits) = LENGTH_BITS[len - MIN_MATCH];
+            let hit = LENGTH_TABLE.iter().find(|&&(sym, extra, _)| {
+                let (code, code_len) = LITLEN_BITS[sym as usize];
+                nbits == code_len + extra as u8 && bits & ((1 << code_len) - 1) == code
+            });
+            let &(sym, _, base) = hit.unwrap_or_else(|| panic!("length {len} has no symbol"));
+            let code_len = LITLEN_BITS[sym as usize].1;
+            assert_eq!((base + (bits >> code_len) as u32) as usize, len);
+        }
+        assert_eq!(LENGTH_BITS[0], LITLEN_BITS[257]);
+        assert_eq!(LENGTH_BITS[MAX_MATCH - MIN_MATCH], LITLEN_BITS[285]);
+    }
+
+    fn assert_identical(data: &[u8], what: &str) {
+        let new = deflate(data, Mode::Fixed);
+        assert!(
+            new == reference::deflate_fixed(data),
+            "{what} ({} bytes): bytes differ from the reference encoder",
+            data.len()
+        );
+        assert_eq!(inflate(&new).expect("inflate"), data, "{what}");
+    }
+
+    #[test]
+    fn byte_identical_to_reference_on_short_inputs() {
+        for len in 0..=4 {
+            assert_identical(&vec![7; len], "constant");
+            assert_identical(&(0..len as u8).collect::<Vec<_>>(), "distinct");
+        }
+        assert_identical(b"abcabcab", "match running into the end");
+        assert_identical(b"aaaaaaaaaaaaaaaaaaab", "literal after a run");
+    }
+
+    #[test]
+    fn byte_identical_to_reference_at_the_window_edge() {
+        // A triple whose only earlier copy lies at exactly `gap`, over a
+        // periodic background that keeps every chain full while the ring
+        // wraps: 32 768 is the last distance a match may use, 32 769 the
+        // first it may not. (`tests/properties.rs` holds the randomised
+        // shapes; this is the hand-built one.)
+        for gap in [WINDOW - 1, WINDOW, WINDOW + 1] {
+            let mut data: Vec<u8> = (0..2 * WINDOW + 4096)
+                .map(|k| ((k / 7) % 5) as u8)
+                .collect();
+            data[77..80].copy_from_slice(&[250, 251, 252]);
+            data[77 + gap..80 + gap].copy_from_slice(&[250, 251, 252]);
+            assert_identical(&data, "planted triple");
+        }
     }
 
     #[test]

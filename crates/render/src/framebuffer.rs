@@ -72,32 +72,30 @@ impl Framebuffer {
     /// commutative for opaque geometry and associative, as binary swap
     /// requires.
     pub fn composite_from(&mut self, other: &Framebuffer) {
-        assert_eq!(self.width, other.width, "composite: width mismatch");
         assert_eq!(self.height, other.height, "composite: height mismatch");
-        for i in 0..self.color.len() {
-            let take_other = match (other.color[i][3], self.color[i][3]) {
-                (0, _) => false,
-                (_, 0) => true,
-                _ => other.depth[i] < self.depth[i],
-            };
-            if take_other {
-                self.color[i] = other.color[i];
-                self.depth[i] = other.depth[i];
-            }
-        }
+        self.composite_rows_from(0, other);
     }
 
-    /// Flatten to opaque RGB8 over a background color (PNG input).
-    pub fn to_rgb(&self, background: Color) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.width * self.height * 3);
-        for px in &self.color {
-            if px[3] == 0 {
-                out.extend_from_slice(&[background.r, background.g, background.b]);
-            } else {
-                out.extend_from_slice(&px[..3]);
+    /// Depth-composite `band` into the rows starting at `y0`, in place
+    /// (binary swap merges the half it receives into the half it keeps).
+    pub fn composite_rows_from(&mut self, y0: usize, band: &Framebuffer) {
+        assert_eq!(self.width, band.width, "composite: width mismatch");
+        assert!(y0 + band.height <= self.height, "composite: band overflows");
+        let rows = y0 * self.width..(y0 + band.height) * self.width;
+        let mine = self.color[rows.clone()]
+            .iter_mut()
+            .zip(&mut self.depth[rows]);
+        for ((color, depth), (&c, &d)) in mine.zip(band.color.iter().zip(&band.depth)) {
+            let take_other = match (c[3], color[3]) {
+                (0, _) => false,
+                (_, 0) => true,
+                _ => d < *depth,
+            };
+            if take_other {
+                *color = c;
+                *depth = d;
             }
         }
-        out
     }
 
     /// Count of non-transparent pixels (diagnostics and tests).
@@ -203,18 +201,56 @@ mod tests {
     }
 
     #[test]
-    fn to_rgb_fills_background() {
-        let mut fb = Framebuffer::new(2, 1);
-        fb.set_pixel(0, 0, 0.0, Color::rgb(9, 8, 7));
-        let rgb = fb.to_rgb(Color::rgb(100, 100, 100));
-        assert_eq!(rgb, vec![9, 8, 7, 100, 100, 100]);
-    }
-
-    #[test]
     #[should_panic(expected = "width mismatch")]
     fn composite_size_mismatch_panics() {
         let mut a = Framebuffer::new(2, 2);
         let b = Framebuffer::new(3, 2);
         a.composite_from(&b);
+    }
+
+    #[test]
+    #[should_panic(expected = "width mismatch")]
+    fn composite_rows_width_mismatch_panics() {
+        let mut a = Framebuffer::new(2, 4);
+        a.composite_rows_from(1, &Framebuffer::new(3, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "band overflows")]
+    fn composite_rows_overflowing_band_panics() {
+        let mut a = Framebuffer::new(2, 4);
+        a.composite_rows_from(3, &Framebuffer::new(2, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "height mismatch")]
+    fn composite_height_mismatch_panics() {
+        let mut a = Framebuffer::new(2, 4);
+        a.composite_from(&Framebuffer::new(2, 3));
+    }
+
+    #[test]
+    fn composite_rows_touches_only_its_band() {
+        let mut full = Framebuffer::new(3, 5);
+        for y in 0..5 {
+            full.set_pixel(1, y, 0.5, Color::rgb(y as u8 + 1, 0, 0));
+        }
+        let mut band = Framebuffer::new(3, 2);
+        band.set_pixel(1, 0, 0.2, Color::rgb(50, 0, 0)); // closer: wins row 2
+        band.set_pixel(1, 1, 0.9, Color::rgb(60, 0, 0)); // farther: loses row 3
+        band.set_pixel(0, 1, 0.9, Color::rgb(70, 0, 0)); // over empty: wins
+        let mut merged = full.clone();
+        merged.composite_rows_from(2, &band);
+        // The same merge through a copy of the band's rows.
+        let mut rows = full.extract_rows(2, 4);
+        rows.composite_from(&band);
+        let mut want = full.clone();
+        want.paste_rows(2, &rows);
+        assert_eq!(merged, want);
+        assert_eq!(merged.pixel(1, 2), Color::rgb(50, 0, 0));
+        assert_eq!(merged.pixel(1, 3), Color::rgb(4, 0, 0));
+        assert_eq!(merged.pixel(0, 3), Color::rgb(70, 0, 0));
+        assert_eq!(merged.pixel(1, 1), full.pixel(1, 1));
+        assert_eq!(merged.pixel(1, 4), full.pixel(1, 4));
     }
 }

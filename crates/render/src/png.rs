@@ -42,18 +42,14 @@ fn chunk(out: &mut Vec<u8>, kind: &[u8; 4], payload: &[u8]) {
     out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
     out.extend_from_slice(kind);
     out.extend_from_slice(payload);
-    let mut crc_input = Vec::with_capacity(4 + payload.len());
-    crc_input.extend_from_slice(kind);
-    crc_input.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(&crc_input).to_be_bytes());
+    let crc = crc32_update(crc32_update(0xFFFF_FFFF, kind), payload) ^ 0xFFFF_FFFF;
+    out.extend_from_slice(&crc.to_be_bytes());
 }
 
-/// Encode 8-bit RGB pixels (`width*height*3` bytes, top row first) to a
-/// PNG file image. `mode` selects the zlib strategy — the knob the
-/// PHASTA discussion turns when it "skips the compression portion".
-pub fn encode_rgb(width: usize, height: usize, rgb: &[u8], mode: Mode) -> Vec<u8> {
-    assert_eq!(rgb.len(), width * height * 3, "pixel buffer size mismatch");
-    assert!(width > 0 && height > 0, "degenerate image");
+/// Wrap a filtered scanline stream (`height` rows of one filter byte +
+/// `width` RGB pixels) into a PNG file image.
+fn encode_scanlines(width: usize, height: usize, raw: &[u8], mode: Mode) -> Vec<u8> {
+    debug_assert_eq!(raw.len(), height * (1 + width * 3));
     let mut out = Vec::new();
     out.extend_from_slice(&[0x89, b'P', b'N', b'G', 0x0D, 0x0A, 0x1A, 0x0A]);
 
@@ -62,21 +58,43 @@ pub fn encode_rgb(width: usize, height: usize, rgb: &[u8], mode: Mode) -> Vec<u8
     ihdr.extend_from_slice(&(height as u32).to_be_bytes());
     ihdr.extend_from_slice(&[8, 2, 0, 0, 0]); // 8-bit, RGB, deflate, adaptive, no interlace
     chunk(&mut out, b"IHDR", &ihdr);
+    chunk(&mut out, b"IDAT", &deflate::zlib_compress(raw, mode));
+    chunk(&mut out, b"IEND", &[]);
+    out
+}
 
+/// Encode 8-bit RGB pixels (`width*height*3` bytes, top row first) to a
+/// PNG file image. `mode` selects the zlib strategy — the knob the
+/// PHASTA discussion turns when it "skips the compression portion".
+pub fn encode_rgb(width: usize, height: usize, rgb: &[u8], mode: Mode) -> Vec<u8> {
+    assert_eq!(rgb.len(), width * height * 3, "pixel buffer size mismatch");
+    assert!(width > 0 && height > 0, "degenerate image");
     // Raw image stream: one filter byte (0 = None) per scanline.
     let mut raw = Vec::with_capacity(height * (1 + width * 3));
     for row in rgb.chunks(width * 3) {
         raw.push(0);
         raw.extend_from_slice(row);
     }
-    chunk(&mut out, b"IDAT", &deflate::zlib_compress(&raw, mode));
-    chunk(&mut out, b"IEND", &[]);
-    out
+    encode_scanlines(width, height, &raw, mode)
 }
 
-/// Encode a framebuffer flattened over `background`.
+/// Encode a framebuffer flattened over `background`: the scanline stream
+/// is written straight from the RGBA pixels, transparent ones taking the
+/// background colour.
 pub fn encode_framebuffer(fb: &Framebuffer, background: Color, mode: Mode) -> Vec<u8> {
-    encode_rgb(fb.width(), fb.height(), &fb.to_rgb(background), mode)
+    let (width, height) = (fb.width(), fb.height());
+    let background = [background.r, background.g, background.b];
+    let stride = 1 + width * 3;
+    let mut raw = vec![0; height * stride]; // filter byte 0 = None
+    for (line, row) in raw
+        .chunks_exact_mut(stride)
+        .zip(fb.color.chunks_exact(width))
+    {
+        for (rgb, px) in line[1..].chunks_exact_mut(3).zip(row) {
+            rgb.copy_from_slice(if px[3] == 0 { &background } else { &px[..3] });
+        }
+    }
+    encode_scanlines(width, height, &raw, mode)
 }
 
 /// PNG decode errors.
@@ -167,6 +185,9 @@ mod tests {
         // The canonical test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        // A chunk's CRC is streamed over kind, then payload.
+        let streamed = crc32_update(crc32_update(0xFFFF_FFFF, b"1234"), b"56789");
+        assert_eq!(streamed ^ 0xFFFF_FFFF, 0xCBF4_3926);
     }
 
     #[test]

@@ -1,10 +1,15 @@
 //! Golden-image regression test for the distributed render pipeline:
 //! a seeded oscillator run renders one pseudocolor slice and one shaded
-//! isosurface, and the framebuffer digests must match the checked-in
-//! goldens in `tests/golden/render_digests.json`.
+//! isosurface, and the digests of the framebuffers and of their PNG
+//! files (flattened as Catalyst and Libsim do, over white and over
+//! black) must match the checked-in goldens in
+//! `tests/golden/render_digests.json`.
 //!
-//! A digest mismatch means a rendering change — rasterization,
-//! colormap, compositing, or the simulation field itself. When the
+//! A framebuffer mismatch means a rendering change — rasterization,
+//! colormap, compositing, or the simulation field itself; a PNG
+//! mismatch alone means the encoder's *bytes* moved (scanline stream,
+//! DEFLATE parse, chunk framing), which a round-trip test cannot see.
+//! When the
 //! change is intentional, regenerate the goldens with
 //! `scripts/regen_golden_render.sh` (equivalently
 //! `GOLDEN_REGEN=1 cargo test --test golden_render`) and commit the
@@ -13,10 +18,12 @@
 use minimpi::{SchedPolicy, WorldBuilder};
 use oscillator::{demo_oscillators, osc::format_deck, SimConfig, Simulation};
 use render::camera::Camera;
-use render::color::Colormap;
+use render::color::{Color, Colormap};
 use render::composite::Compositor;
+use render::deflate::Mode;
 use render::framebuffer::Framebuffer;
 use render::pipeline::{pseudocolor_slice, shaded_isosurface, IsosurfaceRender, SliceRender};
+use render::png::encode_framebuffer;
 
 const GRID: [usize; 3] = [17, 17, 17];
 
@@ -47,9 +54,12 @@ fn framebuffer_digest(fb: &Framebuffer) -> u64 {
     fnv1a(&bytes)
 }
 
+/// The golden file's keys, in the order [`render_goldens`] returns them.
+const KEYS: [&str; 4] = ["slice", "isosurface", "slice_png", "isosurface_png"];
+
 /// Render the golden oscillator deck at 4 ranks under a fixed schedule
-/// seed; return rank 0's (slice digest, isosurface digest).
-fn render_goldens() -> (u64, u64) {
+/// seed; return rank 0's digests, one per entry of [`KEYS`].
+fn render_goldens() -> [u64; 4] {
     let d = format_deck(&demo_oscillators());
     let out = WorldBuilder::new(4)
         .sched(SchedPolicy::Seeded(11))
@@ -117,7 +127,12 @@ fn render_goldens() -> (u64, u64) {
                 (Some(s), Some(i)) => {
                     assert_eq!(s.covered_pixels(), 96 * 72, "slice plane fully painted");
                     assert!(i.covered_pixels() > 0, "isosurface rendered something");
-                    Some((framebuffer_digest(&s), framebuffer_digest(&i)))
+                    Some([
+                        framebuffer_digest(&s),
+                        framebuffer_digest(&i),
+                        fnv1a(&encode_framebuffer(&s, Color::WHITE, Mode::Fixed)),
+                        fnv1a(&encode_framebuffer(&i, Color::BLACK, Mode::Fixed)),
+                    ])
                 }
                 _ => None,
             }
@@ -141,15 +156,16 @@ fn parse_digest(json: &str, key: &str) -> u64 {
 
 #[test]
 fn rendered_images_match_checked_in_digests() {
-    let (slice, iso) = render_goldens();
+    let digests = render_goldens();
     let path = digest_path();
     if std::env::var("GOLDEN_REGEN").is_ok_and(|v| v == "1") {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(
-            &path,
-            format!("{{\n  \"slice\": \"{slice:016x}\",\n  \"isosurface\": \"{iso:016x}\"\n}}\n"),
-        )
-        .unwrap();
+        let entries: Vec<String> = KEYS
+            .iter()
+            .zip(digests)
+            .map(|(key, digest)| format!("  \"{key}\": \"{digest:016x}\""))
+            .collect();
+        std::fs::write(&path, format!("{{\n{}\n}}\n", entries.join(",\n"))).unwrap();
         eprintln!("regenerated {}", path.display());
         return;
     }
@@ -159,16 +175,13 @@ fn rendered_images_match_checked_in_digests() {
             path.display()
         )
     });
-    assert_eq!(
-        slice,
-        parse_digest(&json, "slice"),
-        "slice render changed; if intentional, run scripts/regen_golden_render.sh"
-    );
-    assert_eq!(
-        iso,
-        parse_digest(&json, "isosurface"),
-        "isosurface render changed; if intentional, run scripts/regen_golden_render.sh"
-    );
+    for (key, digest) in KEYS.iter().zip(digests) {
+        assert_eq!(
+            digest,
+            parse_digest(&json, key),
+            "{key} changed; if intentional, run scripts/regen_golden_render.sh"
+        );
+    }
 }
 
 /// The golden render itself is reproducible: two seeded runs digest

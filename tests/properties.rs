@@ -6,16 +6,109 @@ use proptest::prelude::*;
 use datamodel::{dims_create, partition_extent, DataArray, Extent};
 use render::deflate::{deflate, inflate, zlib_compress, zlib_decompress, Mode};
 
+/// The greedy token-list encoder `deflate(.., Mode::Fixed)` replaced,
+/// kept beside it as the byte-identity oracle.
+#[path = "../crates/render/src/deflate/reference.rs"]
+mod deflate_reference;
+
+/// Inputs shaped like what the encoder meets, `len` bytes from `seed`:
+/// noise over `alphabet` symbols, long runs, flat RGB regions (period
+/// 3), or filtered scanlines of a banded image.
+fn deflate_input(kind: usize, len: usize, alphabet: u32, seed: u64) -> Vec<u8> {
+    let mut x = seed | 1;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x >> 16) as u32
+    };
+    let mut data = Vec::with_capacity(len + 1024);
+    while data.len() < len {
+        match kind {
+            0 => data.push((next() % alphabet) as u8),
+            1 => {
+                let byte = next() as u8;
+                data.extend(std::iter::repeat_n(byte, 1 + (next() % 700) as usize));
+            }
+            2 => {
+                let rgb = [next() as u8, next() as u8, next() as u8];
+                for _ in 0..1 + next() % 400 {
+                    data.extend_from_slice(&rgb);
+                }
+            }
+            _ => {
+                let y = data.len() / 1921;
+                data.push(0);
+                for x in 0..640 {
+                    let band = ((x / 37 + y / 5) % 11) as u8;
+                    data.extend_from_slice(&[band * 23, 255 - band * 9, (x / 3) as u8]);
+                }
+            }
+        }
+    }
+    data.truncate(len);
+    data
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// DEFLATE round-trips arbitrary byte strings in both modes.
+    /// DEFLATE round-trips arbitrary byte strings in both modes, and the
+    /// fixed mode's bytes are the reference encoder's.
     #[test]
     fn deflate_roundtrip_any_bytes(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
         for mode in [Mode::Stored, Mode::Fixed] {
             let back = inflate(&deflate(&data, mode)).expect("inflate");
             prop_assert_eq!(&back, &data);
         }
+        prop_assert!(deflate(&data, Mode::Fixed) == deflate_reference::deflate_fixed(&data));
+    }
+
+    /// The single-pass encoder makes the reference's greedy parse, byte
+    /// for byte: on every input shape, on inputs long enough for the
+    /// chain ring to wrap several times (> 3 × 64 KiB), and on the
+    /// shortest ones.
+    #[test]
+    fn deflate_fixed_is_byte_identical_to_the_reference(
+        kind in 0usize..4,
+        len in 0usize..(4 * 65536),
+        alphabet in 1u32..257,
+        seed in any::<u64>(),
+    ) {
+        let data = deflate_input(kind, len, alphabet, seed);
+        prop_assert!(
+            deflate(&data, Mode::Fixed) == deflate_reference::deflate_fixed(&data),
+            "kind {} len {} alphabet {} seed {}", kind, len, alphabet, seed
+        );
+        for short in 0..=4.min(len) {
+            prop_assert!(
+                deflate(&data[..short], Mode::Fixed)
+                    == deflate_reference::deflate_fixed(&data[..short])
+            );
+        }
+    }
+
+    /// A phrase whose only earlier copy lies at distance exactly 32 768
+    /// is matched, at 32 769 it is not — in both encoders alike,
+    /// wherever the pair sits relative to the ring.
+    #[test]
+    fn deflate_fixed_window_edge_is_the_reference_s(
+        at in 0usize..70_000,
+        over in 0usize..3,
+        phrase_len in 3usize..300,
+        seed in any::<u64>(),
+    ) {
+        let gap = 32_767 + over;
+        let mut data = deflate_input(0, at + gap + phrase_len + 500, 256, seed);
+        let phrase = deflate_input(0, phrase_len, 256, !seed);
+        data[at..at + phrase_len].copy_from_slice(&phrase);
+        data[at + gap..at + gap + phrase_len].copy_from_slice(&phrase);
+        let new = deflate(&data, Mode::Fixed);
+        prop_assert!(
+            new == deflate_reference::deflate_fixed(&data),
+            "at {} gap {} phrase {} seed {}", at, gap, phrase_len, seed
+        );
+        prop_assert_eq!(inflate(&new).expect("inflate"), data);
     }
 
     /// zlib wrapper round-trips and validates its checksum.
