@@ -34,40 +34,22 @@ pub fn try_adaptor_to_step(data: &dyn DataAdaptor) -> Result<BpStep, AdaptorErro
     let _publish = datamodel::publish_dataset(&mesh, "adios");
     let mut step = BpStep::new(data.step(), data.time());
     for (leaf_id, leaf) in mesh.leaves().enumerate() {
-        let (local, global, attrs, spacing, origin) = match leaf {
-            DataSet::Image(g) => (
-                g.extent,
-                g.global_extent,
-                &g.point_data,
-                g.spacing,
-                g.origin,
-            ),
-            DataSet::Rectilinear(g) => {
-                let spacing = [
-                    if g.x.len() > 1 { g.x[1] - g.x[0] } else { 1.0 },
-                    if g.y.len() > 1 { g.y[1] - g.y[0] } else { 1.0 },
-                    if g.z.len() > 1 { g.z[1] - g.z[0] } else { 1.0 },
-                ];
-                (
-                    g.extent,
-                    g.global_extent,
-                    &g.point_data,
-                    spacing,
-                    [g.x[0], g.y[0], g.z[0]],
-                )
-            }
-            _ => continue,
+        let Some(grid) = leaf.structured() else {
+            continue;
         };
+        let (local, global) = (grid.extent, grid.global_extent);
         for a in 0..3 {
-            step.set_attr(format!("leaf{leaf_id}_spacing_{a}"), spacing[a]);
-            step.set_attr(format!("leaf{leaf_id}_origin_{a}"), origin[a]);
+            step.set_attr(format!("leaf{leaf_id}_spacing_{a}"), grid.spacing[a]);
+            step.set_attr(format!("leaf{leaf_id}_origin_{a}"), grid.origin[a]);
         }
-        for arr in attrs.iter() {
+        for arr in grid.point_data.iter() {
             if arr.num_components() != 1 {
                 continue;
             }
             let d = local.point_dims();
-            let values = arr.values_in(0, datamodel::current_space())?;
+            // The step owns its payload (it outlives the publish window
+            // on the wire): the one copy the in transit path pays.
+            let values = arr.values_in(0, datamodel::current_space())?.into_owned();
             let gd = global.point_dims();
             step.vars.push(
                 BpVar::new(
@@ -270,9 +252,9 @@ impl DataAdaptor for BpAdaptor {
         };
         let mut any = false;
         for (i, b) in self.blocks.iter().enumerate() {
-            if let (Some(DataSet::Image(g)), Some(arr)) = (mb.block_mut(i), b.point_data.get(name))
-            {
-                g.point_data.insert(arr.clone());
+            let target = mb.block_mut(i).and_then(DataSet::point_data_mut);
+            if let (Some(point_data), Some(arr)) = (target, b.point_data.get(name)) {
+                point_data.insert(arr.clone());
                 any = true;
             }
         }
@@ -634,6 +616,29 @@ mod tests {
         let d1 = blocks[1].point_data.get("data").unwrap();
         assert_eq!(d1.num_tuples(), 2);
         assert_eq!(d1.get(0, 0), 4.0, "x=2 plus step 2");
+    }
+
+    // Regression: the marshal shipped a rectilinear leaf's *local*
+    // corner as the origin, and the endpoint's image grid (whose origin
+    // is global point 0's) then placed every block with `lo != 0` a
+    // whole `lo * spacing` away from where it was.
+    #[test]
+    fn rectilinear_leaf_keeps_its_coordinates_in_transit() {
+        let global = Extent::whole([8, 4, 3]);
+        let local = Extent::new([3, 1, 1], [6, 3, 2]);
+        // Exactly representable, so the comparison below is exact.
+        let (origin, spacing) = ([10.0, -2.0, 0.5], [0.5, 0.25, 2.0]);
+        let mut g = datamodel::RectilinearGrid::uniform(local, global, origin, spacing);
+        g.add_point_array(DataArray::owned("data", 1, vec![0.0f64; g.num_points()]));
+        let source = [g.x.clone(), g.y.clone(), g.z.clone()];
+        let a = InMemoryAdaptor::new(DataSet::Rectilinear(g), 0.0, 0);
+        let endpoint = BpAdaptor::new(&[(0, marshal(&a))]);
+        let block = &endpoint.blocks[0];
+        assert_eq!(block.extent, local);
+        for p in local.iter_points() {
+            let at = |a: usize| source[a][(p[a] - local.lo[a]) as usize];
+            assert_eq!(block.point_coords(p), [at(0), at(1), at(2)], "point {p:?}");
+        }
     }
 
     #[test]

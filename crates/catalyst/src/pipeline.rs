@@ -4,7 +4,7 @@ use parking_lot::Mutex;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use datamodel::DataSet;
+use datamodel::Extent;
 use minimpi::Comm;
 use render::color::{Color, Colormap};
 use render::composite::Compositor;
@@ -95,47 +95,6 @@ impl CatalystSliceAnalysis {
     pub fn images_written(&self) -> u64 {
         self.images_written
     }
-
-    /// Pull `(local extent, global extent, values)` for a structured
-    /// leaf dataset carrying the configured array.
-    fn structured_field(
-        &mut self,
-        data: &dyn DataAdaptor,
-    ) -> Option<(datamodel::Extent, datamodel::Extent, Vec<f64>)> {
-        let mut mesh = data.mesh();
-        if let Err(err) = data.add_array(&mut mesh, Association::Point, &self.pipeline.array) {
-            if !self.reported_missing {
-                self.reported_missing = true;
-                self.failures.push(err.to_string());
-            }
-            return None;
-        }
-        // Sanitizer: the views staged below are zero-copy borrows of
-        // the simulation's arrays; hold a publish window for the
-        // duration of the marshal.
-        let _publish = datamodel::publish_dataset(&mesh, "catalyst");
-        for leaf in mesh.leaves() {
-            let (local, global, attrs) = match leaf {
-                DataSet::Image(g) => (g.extent, g.global_extent, &g.point_data),
-                DataSet::Rectilinear(g) => (g.extent, g.global_extent, &g.point_data),
-                _ => continue,
-            };
-            let Some(arr) = attrs.get(&self.pipeline.array) else {
-                continue;
-            };
-            // Space-checked read: a device-resident array reaching a
-            // host-side render surfaces as a failure, not a quiet copy.
-            let values = match arr.values_in(0, datamodel::current_space()) {
-                Ok(v) => v,
-                Err(err) => {
-                    self.failures.push(format!("catalyst-slice: {err}"));
-                    return None;
-                }
-            };
-            return Some((local, global, values));
-        }
-        None
-    }
 }
 
 impl AnalysisAdaptor for CatalystSliceAnalysis {
@@ -147,16 +106,39 @@ impl AnalysisAdaptor for CatalystSliceAnalysis {
         if !data.step().is_multiple_of(self.pipeline.frequency) {
             return Steering::Continue;
         }
-        let Some((local, global, values)) = self.structured_field(data) else {
+        let cfg = self.render_config();
+        let array = &self.pipeline.array;
+        let mut mesh = data.mesh();
+        if let Err(err) = data.add_array(&mut mesh, Association::Point, array) {
+            if !self.reported_missing {
+                self.reported_missing = true;
+                self.failures.push(err.to_string());
+            }
+        }
+        // Sanitizer: the render reads the simulation's arrays in place;
+        // hold a publish window while it does.
+        let _publish = datamodel::publish_dataset(&mesh, "catalyst");
+        // Space-checked read: a device-resident array reaching a
+        // host-side render surfaces as a failure, not a quiet copy.
+        let views =
+            sensei::analysis::leaf_views(&mesh, Association::Point, array).unwrap_or_else(|err| {
+                self.failures.push(format!("catalyst-slice: {err}"));
+                Vec::new()
+            });
+        let field = views.iter().find_map(|v| Some((v.geometry?, &v.values)));
+        let Some((grid, values)) = field else {
             // Still participate in the collective render with an empty
-            // block so other ranks don't hang.
-            let cfg = self.render_config();
-            let empty = datamodel::Extent::new([0, 0, 0], [0, 0, 0]);
-            let _ = pseudocolor_slice(comm, &empty, &global_of(data), &[0.0], &cfg);
+            // block so other ranks don't hang (kept tiny; the values are
+            // never sampled because the local extent is degenerate).
+            let empty = Extent::new([0, 0, 0], [0, 0, 0]);
+            let global = mesh
+                .leaves()
+                .find_map(|l| l.structured())
+                .map_or(Extent::new([0, 0, 0], [1, 1, 1]), |g| g.global_extent);
+            let _ = pseudocolor_slice(comm, &empty, &global, &[0.0], &cfg);
             return Steering::Continue;
         };
-        let cfg = self.render_config();
-        if let Some(fb) = pseudocolor_slice(comm, &local, &global, &values, &cfg) {
+        if let Some(fb) = pseudocolor_slice(comm, &grid.extent, &grid.global_extent, values, &cfg) {
             // Rank 0: PNG-encode (the serial zlib stage) and emit.
             let png = encode_framebuffer(&fb, Color::WHITE, self.pipeline.png_mode);
             if let SliceOutput::Directory(dir) = &self.pipeline.output {
@@ -189,20 +171,10 @@ impl CatalystSliceAnalysis {
     }
 }
 
-/// Fallback global extent when a rank has no matching leaf (kept tiny;
-/// the values are never sampled because the local extent is degenerate).
-fn global_of(data: &dyn DataAdaptor) -> datamodel::Extent {
-    match data.mesh() {
-        DataSet::Image(g) => g.global_extent,
-        DataSet::Rectilinear(g) => g.global_extent,
-        _ => datamodel::Extent::new([0, 0, 0], [1, 1, 1]),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datamodel::{partition_extent, DataArray, Extent, ImageData};
+    use datamodel::{partition_extent, DataArray, DataSet, ImageData};
     use minimpi::World;
     use render::png::decode_rgb;
     use sensei::{Bridge, InMemoryAdaptor};

@@ -2,6 +2,7 @@
 //! AoS/SoA layout support — the heart of the paper's "enhanced VTK data
 //! model" (§3.2).
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use crate::space::{self, AccessError, MemorySpace};
@@ -162,6 +163,18 @@ impl<T: Scalar> Components<T> {
         match self.layout {
             Layout::AoS => self.buffers[0].len() / self.num_components,
             Layout::SoA => self.buffers[0].len(),
+        }
+    }
+
+    /// Component `comp` as one contiguous slice, when the layout has
+    /// one: an SoA component buffer, or a single-component AoS buffer.
+    fn contiguous(&self, comp: usize) -> Option<&[T]> {
+        match self.layout {
+            Layout::SoA => self.buffers.get(comp).map(|b| b.as_slice()),
+            Layout::AoS if self.num_components == 1 && comp == 0 => {
+                Some(self.buffers[0].as_slice())
+            }
+            Layout::AoS => None,
         }
     }
 
@@ -366,7 +379,6 @@ impl DataArray {
             return 0;
         }
         let bytes = self.payload_bytes();
-        space::record_transfer(bytes);
         if let Some(shadow) = &self.shadow {
             shadow.on_transfer(&self.space.label(), &space.label());
         }
@@ -378,9 +390,9 @@ impl DataArray {
     /// layout-preserving copy placed in `space`, with every buffer
     /// `Shared` so re-cloning the snapshot (double-buffered payloads,
     /// worker fan-out) costs a reference count. The explicit transfer
-    /// is recorded in the process ledger and on the shadow (the
-    /// transfer clock is the happens-before edge proving the device
-    /// copy cannot race later host writes).
+    /// is recorded on the shadow (the transfer clock is the
+    /// happens-before edge proving the device copy cannot race later
+    /// host writes).
     pub fn snapshot_in(&self, space: MemorySpace) -> DataArray {
         let storage = match &self.storage {
             Storage::F32(c) => Storage::F32(c.snapshot()),
@@ -389,7 +401,6 @@ impl DataArray {
             Storage::I64(c) => Storage::I64(c.snapshot()),
             Storage::U8(c) => Storage::U8(c.snapshot()),
         };
-        space::record_transfer(self.payload_bytes());
         if let Some(shadow) = &self.shadow {
             shadow.on_transfer(&self.space.label(), &space.label());
         }
@@ -456,25 +467,23 @@ impl DataArray {
         if let Some(shadow) = &self.shadow {
             shadow.on_read();
         }
-        let slice = match c.layout {
-            Layout::SoA => c.buffers.get(comp).map(|b| b.as_slice()),
-            Layout::AoS if c.num_components == 1 && comp == 0 => Some(c.buffers[0].as_slice()),
-            Layout::AoS => None,
-        };
-        slice.ok_or_else(|| AccessError::LayoutUnsupported {
-            array: self.name.clone(),
-            detail: format!(
-                "component {comp} of a {}-component AoS array has no contiguous slice",
-                c.num_components
-            ),
-        })
+        c.contiguous(comp)
+            .ok_or_else(|| AccessError::LayoutUnsupported {
+                array: self.name.clone(),
+                detail: format!(
+                    "component {comp} of a {}-component AoS array has no contiguous slice",
+                    c.num_components
+                ),
+            })
     }
 
-    /// Space-checked widening read of one whole component, for code
-    /// executing in `exec`: the migration surface for endpoints that
-    /// marshal values out of arbitrary-typed arrays (the old pattern
-    /// was an unchecked `get` loop).
-    pub fn values_in(&self, comp: usize, exec: MemorySpace) -> Result<Vec<f64>, AccessError> {
+    /// Space-checked read of one whole component as `f64`, for code
+    /// executing in `exec` — the one way consumers read a field. The
+    /// result borrows the array's own buffer when the component already
+    /// is one contiguous `f64` buffer (single-component AoS, or an SoA
+    /// component) and is a widened temporary otherwise, so simulation
+    /// data is read in place and everything else is converted once.
+    pub fn values_in(&self, comp: usize, exec: MemorySpace) -> Result<Cow<'_, [f64]>, AccessError> {
         if !self.space.accessible_from(exec) {
             return Err(AccessError::WrongSpace {
                 array: self.name.clone(),
@@ -484,6 +493,11 @@ impl DataArray {
         }
         if let Some(shadow) = &self.shadow {
             shadow.on_read();
+        }
+        if let Storage::F64(c) = &self.storage {
+            if let Some(slice) = c.contiguous(comp) {
+                return Ok(Cow::Borrowed(slice));
+            }
         }
         Ok((0..self.num_tuples())
             .map(|t| dispatch!(&self.storage, c => c.get(t, comp).to_f64()))
@@ -594,26 +608,6 @@ impl DataArray {
             Some((lo, hi))
         }
     }
-
-    /// Materialize a deep (owned, AoS) copy of this array, resident in
-    /// the same space. Reads the storage directly (not via `get`), so
-    /// it carries no per-element space check of its own.
-    pub fn deep_copy(&self) -> DataArray {
-        let n = self.num_tuples();
-        let nc = self.num_components();
-        let mut out = Vec::with_capacity(n * nc);
-        for t in 0..n {
-            for c in 0..nc {
-                out.push(dispatch!(&self.storage, s => s.get(t, c).to_f64()));
-            }
-        }
-        let mut copy = DataArray::owned(self.name.clone(), nc, out);
-        // Preserve the original element type tag where it matters for size
-        // accounting; analyses operate in f64 regardless.
-        copy.name = self.name.clone();
-        copy.space = self.space;
-        copy
-    }
 }
 
 /// Reinterpret `Components<T>` as `Components<U>` when `T == U` (checked
@@ -720,15 +714,6 @@ mod tests {
     }
 
     #[test]
-    fn deep_copy_detaches() {
-        let sim = Arc::new(vec![1.0f64, 2.0]);
-        let a = DataArray::shared("d", 1, sim);
-        let b = a.deep_copy();
-        assert!(!b.is_zero_copy());
-        assert_eq!(b.get(1, 0), 2.0);
-    }
-
-    #[test]
     fn u8_ghost_style_array() {
         let a = DataArray::owned("vtkGhostType", 1, vec![0u8, 1, 0]);
         assert_eq!(a.scalar_type(), ScalarType::U8);
@@ -818,7 +803,9 @@ mod tests {
     #[test]
     fn values_in_widens_one_component() {
         let a = DataArray::owned("v", 2, vec![1i64, 10, 2, 20]);
-        assert_eq!(a.values_in(1, MemorySpace::Host), Ok(vec![10.0, 20.0]));
+        let widened = a.values_in(1, MemorySpace::Host).unwrap();
+        assert!(matches!(widened, Cow::Owned(_)));
+        assert_eq!(&widened[..], [10.0, 20.0]);
     }
 
     #[test]

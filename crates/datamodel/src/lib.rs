@@ -37,7 +37,7 @@ pub mod unstructured;
 
 pub use array::{Buffer, DataArray, Layout, Scalar, ScalarType};
 pub use attributes::{Attributes, GHOST_ARRAY_NAME, GHOST_DUPLICATE};
-pub use dataset::DataSet;
+pub use dataset::{DataSet, Structured};
 pub use decomp::{dims_create, duplicate_point_ghosts, partition_extent};
 pub use extent::Extent;
 pub use grids::{ImageData, RectilinearGrid};

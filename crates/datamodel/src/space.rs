@@ -23,7 +23,6 @@
 
 use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Where an array's bytes (or a thread's execution) live.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -145,25 +144,6 @@ impl Drop for SpaceGuard {
     fn drop(&mut self) {
         EXEC_SPACE.with(|c| c.set(self.prev));
     }
-}
-
-// Process-wide transfer ledger. The offload bench and tests read it to
-// assert that every byte crossing spaces was paid for explicitly; the
-// per-run probe counters (`space/h2d_bytes` etc.) carry the same
-// information into the RunReport.
-static TRANSFER_COUNT: AtomicU64 = AtomicU64::new(0);
-static TRANSFER_BYTES: AtomicU64 = AtomicU64::new(0);
-
-/// Record one explicit cross-space transfer of `bytes` payload bytes.
-pub fn record_transfer(bytes: usize) {
-    TRANSFER_COUNT.fetch_add(1, Ordering::Relaxed);
-    TRANSFER_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-}
-
-/// Zero the process-wide transfer ledger (bench setup).
-pub fn reset_transfer_totals() {
-    TRANSFER_COUNT.store(0, Ordering::Relaxed);
-    TRANSFER_BYTES.store(0, Ordering::Relaxed);
 }
 
 #[cfg(test)]

@@ -16,7 +16,6 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use adios::broker::{Broker, BrokerConfig, TopicKey};
-use datamodel::DataSet;
 use minimpi::Comm;
 use probe::time::Wall;
 use sensei::{AnalysisAdaptor, Association, DataAdaptor, Steering};
@@ -209,37 +208,33 @@ impl GleanWriter {
         // Sanitizer: hold a publish window while GLEAN drains the
         // rank's block out of the zero-copy arrays.
         let _publish = datamodel::publish_dataset(&mesh, "glean");
-        for leaf in mesh.leaves() {
-            let (extent, attrs) = match leaf {
-                DataSet::Image(g) => (g.extent, &g.point_data),
-                DataSet::Rectilinear(g) => (g.extent, &g.point_data),
-                _ => continue,
-            };
-            let arr = attrs.get(&self.array)?;
-            // Space-checked drain: GLEAN runs host-side; device-resident
-            // blocks must be transferred explicitly before aggregation.
-            let data = match arr.values_in(0, datamodel::current_space()) {
-                Ok(v) => v,
-                Err(err) => {
-                    self.failures.push(format!("glean: {err}"));
-                    return None;
-                }
-            };
-            return Some(BlockRecord {
-                rank,
-                name: self.array.clone(),
-                extent: [
-                    extent.lo[0],
-                    extent.lo[1],
-                    extent.lo[2],
-                    extent.hi[0],
-                    extent.hi[1],
-                    extent.hi[2],
-                ],
-                data,
-            });
-        }
-        None
+        // Space-checked drain: GLEAN runs host-side; device-resident
+        // blocks must be transferred explicitly before aggregation.
+        let views = match sensei::analysis::leaf_views(&mesh, Association::Point, &self.array) {
+            Ok(views) => views,
+            Err(err) => {
+                self.failures.push(format!("glean: {err}"));
+                return None;
+            }
+        };
+        // The first structured leaf carrying the array; the record owns
+        // its payload (it outlives the step on the drain thread).
+        let (extent, values) = views
+            .into_iter()
+            .find_map(|v| Some((v.geometry?.extent, v.values)))?;
+        Some(BlockRecord {
+            rank,
+            name: self.array.clone(),
+            extent: [
+                extent.lo[0],
+                extent.lo[1],
+                extent.lo[2],
+                extent.hi[0],
+                extent.hi[1],
+                extent.hi[2],
+            ],
+            data: values.into_owned(),
+        })
     }
 
     /// Start the drain subscriber on first use: it subscribes to this
@@ -417,7 +412,7 @@ impl AnalysisAdaptor for GleanWriter {
 mod tests {
     use super::*;
     use crate::blobs::read_blob_file;
-    use datamodel::{partition_extent, DataArray, Extent, ImageData};
+    use datamodel::{partition_extent, DataArray, DataSet, Extent, ImageData};
     use minimpi::World;
     use sensei::{Bridge, InMemoryAdaptor};
 

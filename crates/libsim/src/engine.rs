@@ -4,7 +4,6 @@ use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use datamodel::{DataSet, Extent};
 use minimpi::Comm;
 use render::camera::Camera;
 use render::color::{Color, Colormap};
@@ -79,14 +78,14 @@ impl LibsimAnalysis {
         self.startup_seconds
     }
 
-    /// Gather `(local, global, values, spacing, origin)` of the named
-    /// point array on a structured leaf.
-    #[allow(clippy::type_complexity)]
-    fn structured_field(
+    fn render_plot(
         &mut self,
+        plot: &Plot,
         data: &dyn DataAdaptor,
-        array: &str,
-    ) -> Option<(Extent, Extent, Vec<f64>, [f64; 3], [f64; 3])> {
+        comm: &Comm,
+    ) -> Option<Framebuffer> {
+        let (w, h) = self.session.image;
+        let (Plot::Pseudocolor { array, .. } | Plot::Isosurface { array, .. }) = plot;
         let mut mesh = data.mesh();
         if let Err(err) = data.add_array(&mut mesh, Association::Point, array) {
             if !self.reported_missing {
@@ -95,59 +94,21 @@ impl LibsimAnalysis {
             }
             return None;
         }
-        // Sanitizer: hold a publish window while Libsim reads the
-        // simulation's zero-copy arrays.
+        // Sanitizer: hold a publish window while Libsim renders from
+        // the simulation's zero-copy arrays.
         let _publish = datamodel::publish_dataset(&mesh, "libsim");
-        for leaf in mesh.leaves() {
-            match leaf {
-                DataSet::Image(g) => {
-                    let arr = g.point_data.get(array)?;
-                    let values = match arr.values_in(0, datamodel::current_space()) {
-                        Ok(v) => v,
-                        Err(err) => {
-                            self.failures.push(format!("libsim: {err}"));
-                            return None;
-                        }
-                    };
-                    return Some((g.extent, g.global_extent, values, g.spacing, g.origin));
-                }
-                DataSet::Rectilinear(g) => {
-                    let arr = g.point_data.get(array)?;
-                    let values = match arr.values_in(0, datamodel::current_space()) {
-                        Ok(v) => v,
-                        Err(err) => {
-                            self.failures.push(format!("libsim: {err}"));
-                            return None;
-                        }
-                    };
-                    let spacing = [
-                        if g.x.len() > 1 { g.x[1] - g.x[0] } else { 1.0 },
-                        if g.y.len() > 1 { g.y[1] - g.y[0] } else { 1.0 },
-                        if g.z.len() > 1 { g.z[1] - g.z[0] } else { 1.0 },
-                    ];
-                    let origin = [
-                        g.x[0] - g.extent.lo[0] as f64 * spacing[0],
-                        g.y[0] - g.extent.lo[1] as f64 * spacing[1],
-                        g.z[0] - g.extent.lo[2] as f64 * spacing[2],
-                    ];
-                    return Some((g.extent, g.global_extent, values, spacing, origin));
-                }
-                _ => continue,
+        let views = match sensei::analysis::leaf_views(&mesh, Association::Point, array) {
+            Ok(views) => views,
+            Err(err) => {
+                self.failures.push(format!("libsim: {err}"));
+                return None;
             }
-        }
-        None
-    }
-
-    fn render_plot(
-        &mut self,
-        plot: &Plot,
-        data: &dyn DataAdaptor,
-        comm: &Comm,
-    ) -> Option<Framebuffer> {
-        let (w, h) = self.session.image;
+        };
+        // The first structured leaf carrying the array.
+        let (grid, values) = views.iter().find_map(|v| Some((v.geometry?, &v.values)))?;
+        let (local, global) = (grid.extent, grid.global_extent);
         match plot {
-            Plot::Pseudocolor { array, axis, index } => {
-                let (local, global, values, _, _) = self.structured_field(data, array)?;
+            Plot::Pseudocolor { axis, index, .. } => {
                 // Clamp the requested plane into the domain.
                 let idx = (*index).clamp(global.lo[*axis], global.hi[*axis]);
                 let cfg = SliceRender {
@@ -158,13 +119,12 @@ impl LibsimAnalysis {
                     compositor: COMPOSITOR,
                     cmap: Colormap::viridis(),
                 };
-                pseudocolor_slice(comm, &local, &global, &values, &cfg)
+                pseudocolor_slice(comm, &local, &global, values, &cfg)
             }
-            Plot::Isosurface { array, levels } => {
-                let (local, global, values, spacing, origin) =
-                    self.structured_field(data, array)?;
+            Plot::Isosurface { levels, .. } => {
+                let (spacing, origin) = (grid.spacing, grid.origin);
                 // Levels are fractions of the global range.
-                let (glo, ghi) = global_range(comm, &values);
+                let (glo, ghi) = global_range(comm, values);
                 let isovalues: Vec<f64> = levels.iter().map(|f| glo + f * (ghi - glo)).collect();
                 // Camera looks at the domain center from outside.
                 let gd = global.point_dims();
@@ -191,7 +151,7 @@ impl LibsimAnalysis {
                     origin,
                     spacing,
                 };
-                shaded_isosurface(comm, &local, &values, &cfg)
+                shaded_isosurface(comm, &local, values, &cfg)
             }
         }
     }
@@ -242,7 +202,7 @@ impl AnalysisAdaptor for LibsimAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use datamodel::{partition_extent, DataArray, ImageData};
+    use datamodel::{partition_extent, DataArray, DataSet, Extent, ImageData};
     use minimpi::World;
     use render::png::decode_rgb;
 

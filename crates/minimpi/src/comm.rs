@@ -301,25 +301,15 @@ impl Comm {
     /// This is the event-loop primitive a single dispatcher needs to
     /// serve N peers without dedicating a thread (or a fixed-order
     /// blocking receive) to each link: whichever peer is ready first is
-    /// served first.
+    /// served first. It gives up after `timeout` and returns
+    /// [`crate::Error::DeadlineExceeded`]: a timeout means *every* rank
+    /// in the set was silent for the whole window, which is exactly the
+    /// evidence a caller needs to declare the stragglers dead in one
+    /// decision instead of one full deadline per peer.
     ///
     /// # Panics
     /// Panics if `sources` is empty — a select over nothing can never
     /// complete and is a program bug, not a runtime failure.
-    pub fn recv_any_of<T: Send + 'static>(&self, sources: &[usize], tag: u32) -> (usize, T) {
-        let tag = Tag::user(tag);
-        let env = self
-            .match_any_of_deadline(sources, tag, None)
-            .unwrap_or_else(|_| unreachable!("select without a deadline cannot time out"));
-        let from = env.src;
-        (from, downcast_payload(env.payload, from, tag))
-    }
-
-    /// [`Comm::recv_any_of`] with a deadline: gives up after `timeout`
-    /// and returns [`crate::Error::DeadlineExceeded`]. A timeout means
-    /// *every* rank in the set was silent for the whole window, which is
-    /// exactly the evidence a caller needs to declare the stragglers
-    /// dead in one decision instead of one full deadline per peer.
     pub fn recv_any_of_deadline<T: Send + 'static>(
         &self,
         sources: &[usize],
@@ -483,7 +473,7 @@ impl Comm {
     ) -> crate::Result<Envelope> {
         assert!(
             !sources.is_empty(),
-            "recv_any_of: empty source set on rank {}",
+            "recv_any_of_deadline: empty source set on rank {}",
             self.rank
         );
         if let [only] = sources {
@@ -492,7 +482,7 @@ impl Comm {
         for src in sources {
             assert!(
                 *src < self.size(),
-                "recv_any_of: rank {src} out of range (size {})",
+                "recv_any_of_deadline: rank {src} out of range (size {})",
                 self.size()
             );
         }
@@ -530,7 +520,7 @@ impl Comm {
                 Err(RecvTimeoutError::Timeout) => self.check_abort(),
                 Err(RecvTimeoutError::Disconnected) => {
                     panic!(
-                        "recv_any_of: all peer ranks disconnected while rank {} waited for tag {tag}",
+                        "recv_any_of_deadline: all peer ranks disconnected while rank {} waited for tag {tag}",
                         self.rank
                     );
                 }
@@ -1076,20 +1066,22 @@ mod tests {
     }
 
     #[test]
-    fn recv_any_of_matches_only_listed_sources() {
-        World::run(4, |comm| {
+    fn recv_any_of_deadline_matches_only_listed_sources() {
+        let patient = std::time::Duration::from_secs(30);
+        World::run(4, move |comm| {
             if comm.rank() == 0 {
                 // Rank 3 also sends on the same tag; the select over
                 // {1, 2} must leave that message queued untouched.
                 let mut seen = vec![];
                 for _ in 0..2 {
-                    let (src, v): (usize, u32) = comm.recv_any_of(&[1, 2], 21);
+                    let (src, v): (usize, u32) =
+                        comm.recv_any_of_deadline(&[1, 2], 21, patient).unwrap();
                     assert_eq!(v as usize, src * 100);
                     seen.push(src);
                 }
                 seen.sort_unstable();
                 assert_eq!(seen, vec![1, 2]);
-                let (src, v): (usize, u32) = comm.recv_any_of(&[3], 21);
+                let (src, v): (usize, u32) = comm.recv_any_of_deadline(&[3], 21, patient).unwrap();
                 assert_eq!((src, v), (3, 300));
             } else {
                 comm.send(0, 21, (comm.rank() * 100) as u32);
@@ -1116,8 +1108,9 @@ mod tests {
     }
 
     #[test]
-    fn recv_any_of_is_deterministic_under_replay() {
+    fn recv_any_of_deadline_is_deterministic_under_replay() {
         use crate::{SchedPolicy, TraceCell, WorldBuilder};
+        let patient = std::time::Duration::from_secs(30);
         let run = |policy: SchedPolicy, cell: &TraceCell| -> Vec<usize> {
             let order = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
             let sink = order.clone();
@@ -1127,7 +1120,8 @@ mod tests {
                 .run(move |comm| {
                     if comm.rank() == 0 {
                         for _ in 0..6 {
-                            let (src, _v): (usize, u64) = comm.recv_any_of(&[1, 2, 3], 44);
+                            let (src, _v): (usize, u64) =
+                                comm.recv_any_of_deadline(&[1, 2, 3], 44, patient).unwrap();
                             sink.lock().push(src);
                         }
                     } else {

@@ -48,7 +48,7 @@ use parking_lot::Mutex;
 
 use adios::{AdmissionError, Broker, BrokerConfig, EvictionRecord, Subscription, TopicKey};
 use minimpi::{Comm, FaultHandle};
-use sensei::analysis::for_each_value;
+use sensei::analysis::{for_each_value, leaf_views};
 use sensei::{AnalysisAdaptor, Association, DataAdaptor, FailureReport, Steering};
 
 /// Interactive client identity. Stable across record and replay: the
@@ -886,13 +886,13 @@ impl QueryServer {
 }
 
 /// Stream a field's non-ghost values, trying point association first
-/// and falling back to cell.
+/// and falling back to cell. An unreadable field counts as absent.
 fn each_value(data: &dyn DataAdaptor, field: &str, mut f: impl FnMut(f64)) -> usize {
-    let n = for_each_value(data, Association::Point, field, &mut f);
+    let n = for_each_value(data, Association::Point, field, &mut f).unwrap_or(0);
     if n > 0 {
         return n;
     }
-    for_each_value(data, Association::Cell, field, &mut f)
+    for_each_value(data, Association::Cell, field, &mut f).unwrap_or(0)
 }
 
 /// Read the leading values of leaf `leaf`'s field from a snapshot.
@@ -903,26 +903,14 @@ fn slice_leaf(
     cap: usize,
 ) -> Option<ResponsePayload> {
     let leaf_ds = snap.leaves().nth(leaf as usize)?;
-    let attrs = [leaf_ds.point_data(), leaf_ds.cell_data()]
+    let view = [Association::Point, Association::Cell]
         .into_iter()
-        .flatten()
-        .find(|a| a.get(field).is_some())?;
-    let arr = attrs.get(field)?;
-    let len = arr.num_tuples();
-    let take = len.min(cap);
-    let mut values = Vec::with_capacity(take);
-    match arr.as_slice_in::<f64>(datamodel::current_space()) {
-        Ok(slice) => values.extend_from_slice(&slice[..take]),
-        Err(_) => {
-            for t in 0..take {
-                values.push(arr.get(t, 0));
-            }
-        }
-    }
+        .find_map(|assoc| leaf_views(leaf_ds, assoc, field).ok()?.pop())?;
+    let values = &view.values;
     Some(ResponsePayload::Slice {
         leaf,
-        len: len as u64,
-        values,
+        len: values.len() as u64,
+        values: values[..values.len().min(cap)].to_vec(),
     })
 }
 

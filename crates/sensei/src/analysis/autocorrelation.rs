@@ -11,17 +11,18 @@
 //! Per-step updates *stream*: each leaf's values are read in place
 //! through zero-copy borrowed slices (no temporary vector), and cells —
 //! whose history/correlation state is disjoint — are chunked across
-//! intra-rank threads. Leaves that carry ghost flags, or whose arrays
-//! need type widening, fall back to serial streaming.
+//! intra-rank threads. Leaves that carry ghost flags fall back to
+//! serial streaming.
 
 use minimpi::Comm;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
 use crate::adaptor::{Association, DataAdaptor};
-use crate::analysis::{ghost_at, leaf_views, AnalysisAdaptor, LeafView, Steering};
+use crate::analysis::{
+    leaf_views, populated_mesh, AnalysisAdaptor, LeafView, ReportOnce, Steering,
+};
 use crate::exec;
-use datamodel::DataSet;
 
 /// Gauge name for the autocorrelation history/correlation buffers
 /// (the `O(t·N³)` storage the paper's Fig. 4 studies).
@@ -58,6 +59,7 @@ pub struct Autocorrelation {
     /// Global id per local cell, captured on first execute.
     ids: Vec<u64>,
     results: ResultsHandle,
+    failures: ReportOnce,
 }
 
 impl Autocorrelation {
@@ -77,6 +79,7 @@ impl Autocorrelation {
             steps_seen: 0,
             ids: Vec::new(),
             results: Arc::new(Mutex::new(None)),
+            failures: ReportOnce::default(),
         }
     }
 
@@ -101,22 +104,16 @@ impl Autocorrelation {
     }
 
     /// First-step setup: count the non-ghost cells, capture their global
-    /// ids, and size the two circular buffers.
-    fn capture_layout(&mut self, mesh: &DataSet) {
+    /// ids — the global structured linear index on structured leaves (so
+    /// peaks name true grid cells), the local index otherwise — and size
+    /// the two circular buffers.
+    fn capture_layout(&mut self, views: &[LeafView]) {
         let mut ids = Vec::new();
-        for leaf in mesh.leaves() {
-            let Some(attrs) = leaf.point_data() else {
-                continue;
-            };
-            let Some(arr) = attrs.get(&self.array) else {
-                continue;
-            };
-            for t in 0..arr.num_tuples() {
-                if attrs.is_ghost(t) {
-                    continue;
-                }
-                ids.push(global_point_id(leaf, t));
-            }
+        for view in views {
+            ids.extend(view.kept().map(|(t, _)| match &view.geometry {
+                Some(g) => g.global_extent.linear_index(g.extent.point_at(t)) as u64,
+                None => t as u64,
+            }));
         }
         self.cells = ids.len();
         self.ids = ids;
@@ -135,23 +132,6 @@ impl Autocorrelation {
             self.corr[base + (lag - 1) as usize] += v * past;
         }
         self.history[base + (s % w) as usize] = v;
-    }
-}
-
-/// Global id of a leaf's local point `t`: the global structured linear
-/// index for image grids (so peaks name true grid cells), or a
-/// local-index fallback for other mesh types.
-fn global_point_id(leaf: &DataSet, t: usize) -> u64 {
-    match leaf {
-        DataSet::Image(g) => {
-            let p = g.extent.point_at(t);
-            g.global_extent.linear_index(p) as u64
-        }
-        DataSet::Rectilinear(g) => {
-            let p = g.extent.point_at(t);
-            g.global_extent.linear_index(p) as u64
-        }
-        _ => t as u64,
     }
 }
 
@@ -174,33 +154,28 @@ impl AnalysisAdaptor for Autocorrelation {
 
     fn execute_local(&mut self, data: &dyn DataAdaptor, probe: &probe::Probe) {
         let _update = probe.span("per-step/autocorrelation/update");
-        let mut mesh = data.mesh();
-        if data
-            .add_array(&mut mesh, Association::Point, &self.array)
-            .is_err()
-        {
-            return;
-        }
-        let _ = data.add_array(&mut mesh, Association::Point, datamodel::GHOST_ARRAY_NAME);
-
-        let views = leaf_views(&mesh, Association::Point, &self.array);
+        // An unreadable field (missing array, wrong memory space) skips
+        // the step; the typed cause is reported once.
+        let mesh = match populated_mesh(data, Association::Point, &self.array) {
+            Ok(mesh) => mesh,
+            Err(err) => return self.failures.report(err),
+        };
+        let views = match leaf_views(&mesh, Association::Point, &self.array) {
+            Ok(views) => views,
+            Err(err) => return self.failures.report(err),
+        };
         let incoming: usize = views
             .iter()
-            .map(|view| match view {
-                LeafView::Direct(vals, None) => vals.len(),
-                LeafView::Direct(vals, Some(gh)) => {
-                    (0..vals.len()).filter(|&t| !ghost_at(Some(gh), t)).count()
-                }
-                LeafView::Indirect(attrs, arr) => (0..arr.num_tuples())
-                    .filter(|&t| !attrs.is_ghost(t))
-                    .count(),
+            .map(|view| match &view.ghosts {
+                None => view.values.len(),
+                Some(_) => view.kept().count(),
             })
             .sum();
         if incoming == 0 {
             return;
         }
         if self.cells == 0 {
-            self.capture_layout(&mesh);
+            self.capture_layout(&views);
         }
         assert_eq!(
             incoming, self.cells,
@@ -211,48 +186,34 @@ impl AnalysisAdaptor for Autocorrelation {
         let w = self.window;
         let mut offset = 0usize;
         for view in &views {
-            match view {
-                // Ghost-free zero-copy leaf: cells chunk across threads,
-                // each worker owning a disjoint window of both buffers.
-                LeafView::Direct(vals, None) => {
-                    let m = vals.len();
-                    let hist = &mut self.history[offset * w..(offset + m) * w];
-                    let corr = &mut self.corr[offset * w..(offset + m) * w];
-                    exec::zip_chunks_mut(self.threads, m, hist, corr, |range, h, c| {
-                        for (li, cell) in range.enumerate() {
-                            let v = vals[cell];
-                            let base = li * w;
-                            let max_lag = s.min(w as u64);
-                            for lag in 1..=max_lag {
-                                let past = h[base + ((s - lag) % w as u64) as usize];
-                                c[base + (lag - 1) as usize] += v * past;
-                            }
-                            h[base + (s % w as u64) as usize] = v;
-                        }
-                    });
-                    offset += m;
-                }
+            if view.ghosts.is_some() {
                 // Ghost-bearing leaf: serial streaming (the value→cell
                 // mapping is prefix-dependent), still no temporary.
-                LeafView::Direct(vals, Some(gh)) => {
-                    for (t, &v) in vals.iter().enumerate() {
-                        if ghost_at(Some(gh), t) {
-                            continue;
-                        }
-                        self.update_cell(offset, v, s);
-                        offset += 1;
-                    }
+                for (_, v) in view.kept() {
+                    self.update_cell(offset, v, s);
+                    offset += 1;
                 }
-                LeafView::Indirect(attrs, arr) => {
-                    for t in 0..arr.num_tuples() {
-                        if attrs.is_ghost(t) {
-                            continue;
-                        }
-                        self.update_cell(offset, arr.get(t, 0), s);
-                        offset += 1;
-                    }
-                }
+                continue;
             }
+            // Ghost-free leaf: cells chunk across threads, each worker
+            // owning a disjoint window of both buffers.
+            let vals = &view.values;
+            let m = vals.len();
+            let hist = &mut self.history[offset * w..(offset + m) * w];
+            let corr = &mut self.corr[offset * w..(offset + m) * w];
+            exec::zip_chunks_mut(self.threads, m, hist, corr, |range, h, c| {
+                for (li, cell) in range.enumerate() {
+                    let v = vals[cell];
+                    let base = li * w;
+                    let max_lag = s.min(w as u64);
+                    for lag in 1..=max_lag {
+                        let past = h[base + ((s - lag) % w as u64) as usize];
+                        c[base + (lag - 1) as usize] += v * past;
+                    }
+                    h[base + (s % w as u64) as usize] = v;
+                }
+            });
+            offset += m;
         }
         debug_assert_eq!(offset, self.cells);
         self.steps_seen += 1;
@@ -290,6 +251,10 @@ impl AnalysisAdaptor for Autocorrelation {
         if let Some(global) = merged {
             *self.results.lock() = Some(global);
         }
+    }
+
+    fn take_failures(&mut self) -> Vec<String> {
+        self.failures.take()
     }
 }
 

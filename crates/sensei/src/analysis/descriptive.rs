@@ -8,7 +8,7 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 
 use crate::adaptor::{Association, DataAdaptor};
-use crate::analysis::{for_each_value, AnalysisAdaptor, Steering};
+use crate::analysis::{for_each_value, AnalysisAdaptor, ReportOnce, Steering};
 
 /// Moments and extrema of a field at one step, identical on all ranks.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -39,6 +39,7 @@ pub struct DescriptiveStats {
     /// Local partials `[count, sum, sum_sq, min, max]` plus the step,
     /// carried from the communicator-free phase to the sync point.
     pending: Option<([f64; 5], u64)>,
+    failures: ReportOnce,
 }
 
 impl DescriptiveStats {
@@ -54,6 +55,7 @@ impl DescriptiveStats {
             assoc,
             results: Arc::new(Mutex::new(None)),
             pending: None,
+            failures: ReportOnce::default(),
         }
     }
 
@@ -86,13 +88,18 @@ impl AnalysisAdaptor for DescriptiveStats {
         let mut sum_sq = 0.0;
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
-        for_each_value(data, self.assoc, &self.array, |v| {
+        let read = for_each_value(data, self.assoc, &self.array, |v| {
             count += 1.0;
             sum += v;
             sum_sq += v * v;
             lo = lo.min(v);
             hi = hi.max(v);
         });
+        // An unreadable field contributes nothing, but the partials
+        // still go to the sync point: every rank reaches the allreduce.
+        if let Err(err) = read {
+            self.failures.report(err);
+        }
         self.pending = Some(([count, sum, sum_sq, lo, hi], data.step()));
     }
 
@@ -132,6 +139,10 @@ impl AnalysisAdaptor for DescriptiveStats {
         };
         *self.results.lock() = Some(stats);
         Steering::Continue
+    }
+
+    fn take_failures(&mut self) -> Vec<String> {
+        self.failures.take()
     }
 }
 

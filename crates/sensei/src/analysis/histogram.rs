@@ -31,7 +31,9 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 
 use crate::adaptor::{Association, DataAdaptor};
-use crate::analysis::{ghost_at, leaf_views, AnalysisAdaptor, LeafView, Steering};
+use crate::analysis::{
+    ghost_at, leaf_views, populated_mesh, AnalysisAdaptor, ReportOnce, Steering,
+};
 use crate::exec;
 use datamodel::MemoryFootprint;
 
@@ -67,8 +69,7 @@ pub struct HistogramAnalysis {
     threads: usize,
     reference: bool,
     results: ResultsHandle,
-    failures: Vec<String>,
-    reported_missing: bool,
+    failures: ReportOnce,
     pending: Option<PendingHistogram>,
 }
 
@@ -100,8 +101,7 @@ impl HistogramAnalysis {
             threads: 1,
             reference: false,
             results: Arc::new(Mutex::new(None)),
-            failures: Vec::new(),
-            reported_missing: false,
+            failures: ReportOnce::default(),
             pending: None,
         }
     }
@@ -303,21 +303,11 @@ impl AnalysisAdaptor for HistogramAnalysis {
     }
 
     fn execute_local(&mut self, data: &dyn DataAdaptor, probe: &probe::Probe) {
-        let mut mesh = data.mesh();
-        match data.add_array(&mut mesh, self.assoc, &self.array) {
-            Ok(()) => {
-                // Ghost flags, so ghost tuples can be blanked.
-                let _ = data.add_array(&mut mesh, self.assoc, datamodel::GHOST_ARRAY_NAME);
-            }
-            Err(err) => {
-                // Report the typed cause once; re-reporting every step
-                // would only flood the failure log.
-                if !self.reported_missing {
-                    self.reported_missing = true;
-                    self.failures.push(err.to_string());
-                }
-            }
-        }
+        // The typed cause of a missing array is reported once.
+        let mesh = populated_mesh(data, self.assoc, &self.array).unwrap_or_else(|err| {
+            self.failures.report(err);
+            data.mesh()
+        });
         if probe.is_enabled() {
             // Borrowed vs. owned bytes of this step's analysis mesh: the
             // zero-copy story as numbers.
@@ -326,10 +316,14 @@ impl AnalysisAdaptor for HistogramAnalysis {
             probe.gauge_max(probe::GAUGE_DATASET_OWNED, owned as u64);
             probe.gauge_max(probe::GAUGE_DATASET_SHARED, (total - owned) as u64);
         }
-        // A mesh without the array yields zero views, but the pending
-        // state (and hence the sync-point collectives) still runs:
-        // every rank must reach `complete`'s reductions.
-        let views = leaf_views(&mesh, self.assoc, &self.array);
+        // A mesh without the array — or with one this thread's memory
+        // space cannot reach — yields zero views, but the pending state
+        // (and hence the sync-point collectives) still runs: every rank
+        // must reach `complete`'s reductions.
+        let views = leaf_views(&mesh, self.assoc, &self.array).unwrap_or_else(|err| {
+            self.failures.report(err);
+            Vec::new()
+        });
 
         // Pass 1: streaming local min/max + count. Nothing is
         // materialized: each chunk folds borrowed values into a
@@ -342,32 +336,18 @@ impl AnalysisAdaptor for HistogramAnalysis {
         {
             let _pass1 = probe.span("per-step/histogram/pass1");
             for view in &views {
-                match view {
-                    LeafView::Direct(vals, ghosts) => {
-                        let stats = exec::map_chunks(self.threads, vals, |_, start, chunk| {
-                            if reference {
-                                reference_range(chunk, *ghosts, start)
-                            } else {
-                                blocked_range(chunk, sub_ghosts(*ghosts, start, chunk.len()))
-                            }
-                        });
-                        for (clo, chi, cn) in stats {
-                            lo = lo.min(clo);
-                            hi = hi.max(chi);
-                            local_n += cn;
-                        }
+                let ghosts = view.ghosts.as_deref();
+                let stats = exec::map_chunks(self.threads, &view.values, |_, start, chunk| {
+                    if reference {
+                        reference_range(chunk, ghosts, start)
+                    } else {
+                        blocked_range(chunk, sub_ghosts(ghosts, start, chunk.len()))
                     }
-                    LeafView::Indirect(attrs, arr) => {
-                        for t in 0..arr.num_tuples() {
-                            if attrs.is_ghost(t) {
-                                continue;
-                            }
-                            let v = arr.get(t, 0);
-                            lo = lo.min(v);
-                            hi = hi.max(v);
-                            local_n += 1;
-                        }
-                    }
+                });
+                for (clo, chi, cn) in stats {
+                    lo = lo.min(clo);
+                    hi = hi.max(chi);
+                    local_n += cn;
                 }
             }
         }
@@ -396,7 +376,8 @@ impl AnalysisAdaptor for HistogramAnalysis {
         else {
             return Steering::Continue;
         };
-        let views = leaf_views(&mesh, self.assoc, &self.array);
+        // An unreadable field was reported by the local phase.
+        let views = leaf_views(&mesh, self.assoc, &self.array).unwrap_or_default();
         // The two global reductions of §3.3 fused into one (min, max)
         // pair: identical values, half the collective latency — the
         // range phase was the highest-variance span in the seed
@@ -417,41 +398,21 @@ impl AnalysisAdaptor for HistogramAnalysis {
                 let inv_w = self.bins as f64 / (ghi - glo);
                 let last = self.bins - 1;
                 for view in &views {
-                    match view {
-                        LeafView::Direct(vals, ghosts) => {
-                            let partials =
-                                exec::map_chunks(self.threads, vals, |_, start, chunk| {
-                                    let mut c = vec![0u64; bins];
-                                    if reference {
-                                        reference_bin(
-                                            chunk, *ghosts, start, glo, inv_w, last, &mut c,
-                                        );
-                                    } else {
-                                        blocked_bin(
-                                            chunk,
-                                            sub_ghosts(*ghosts, start, chunk.len()),
-                                            glo,
-                                            inv_w,
-                                            last,
-                                            &mut c,
-                                        );
-                                    }
-                                    c
-                                });
-                            for part in partials {
-                                for (a, b) in counts.iter_mut().zip(part) {
-                                    *a += b;
-                                }
+                    let ghosts = view.ghosts.as_deref();
+                    let partials =
+                        exec::map_chunks(self.threads, &view.values, |_, start, chunk| {
+                            let mut c = vec![0u64; bins];
+                            if reference {
+                                reference_bin(chunk, ghosts, start, glo, inv_w, last, &mut c);
+                            } else {
+                                let ghosts = sub_ghosts(ghosts, start, chunk.len());
+                                blocked_bin(chunk, ghosts, glo, inv_w, last, &mut c);
                             }
-                        }
-                        LeafView::Indirect(attrs, arr) => {
-                            for t in 0..arr.num_tuples() {
-                                if attrs.is_ghost(t) {
-                                    continue;
-                                }
-                                let v = arr.get(t, 0);
-                                counts[(((v - glo) * inv_w) as usize).min(last)] += 1;
-                            }
+                            c
+                        });
+                    for part in partials {
+                        for (a, b) in counts.iter_mut().zip(part) {
+                            *a += b;
                         }
                     }
                 }
@@ -479,7 +440,7 @@ impl AnalysisAdaptor for HistogramAnalysis {
     }
 
     fn take_failures(&mut self) -> Vec<String> {
-        std::mem::take(&mut self.failures)
+        self.failures.take()
     }
 }
 

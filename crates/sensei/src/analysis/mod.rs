@@ -11,7 +11,10 @@ pub mod autocorrelation;
 pub mod descriptive;
 pub mod histogram;
 
-use crate::adaptor::DataAdaptor;
+use std::borrow::Cow;
+
+use crate::adaptor::{AdaptorError, Association, DataAdaptor};
+use datamodel::AccessError;
 use minimpi::Comm;
 
 /// The verdict an analysis returns from [`AnalysisAdaptor::execute`]:
@@ -129,16 +132,29 @@ pub trait AnalysisAdaptor: Send {
     }
 }
 
-/// A per-leaf access path to one scalar field, classified once so the
-/// streaming analyses can run their hot loops over borrowed slices.
-pub(crate) enum LeafView<'a> {
-    /// Zero-copy: the field as a borrowed `f64` slice, plus the leaf's
-    /// ghost flags (when present) as a borrowed byte slice. This is the
-    /// path simulation data takes — no element materializes anywhere.
-    Direct(&'a [f64], Option<&'a [u8]>),
-    /// Type-erased fallback for non-`f64` or multi-component arrays (or
-    /// exotically-typed ghost arrays): per-element widening getters.
-    Indirect(&'a datamodel::Attributes, &'a datamodel::DataArray),
+/// One populated leaf's scalar field as analyses and infrastructures
+/// read it: values in element order, ghost flags when the leaf has
+/// them, and the leaf's structured geometry when it has one. `Borrowed`
+/// is the path simulation data takes — no element materializes
+/// anywhere; a non-`f64` or multi-component field (or an exotically
+/// typed ghost array) is widened once into the `Owned` side and then
+/// runs the same kernels.
+pub struct LeafView<'a> {
+    /// Component 0 of the field, widened to `f64`.
+    pub values: Cow<'a, [f64]>,
+    /// The leaf's ghost flags (nonzero = ghost), one per value.
+    pub ghosts: Option<Cow<'a, [u8]>>,
+    /// [`datamodel::DataSet::structured`] of the leaf.
+    pub geometry: Option<datamodel::Structured<'a>>,
+}
+
+impl LeafView<'_> {
+    /// The non-ghost values with their tuple index, in element order.
+    pub(crate) fn kept(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let ghosts = self.ghosts.as_deref();
+        let values = self.values.iter().copied().enumerate();
+        values.filter(move |&(t, _)| !ghost_at(ghosts, t))
+    }
 }
 
 /// Is tuple `i` a ghost, given a leaf's borrowed ghost flags?
@@ -146,80 +162,204 @@ pub(crate) fn ghost_at(ghosts: Option<&[u8]>, i: usize) -> bool {
     ghosts.is_some_and(|g| g[i] != 0)
 }
 
-/// Classify every leaf of `mesh` carrying the named array. Views borrow
-/// the mesh, so the caller streams the simulation's buffers in place.
-pub(crate) fn leaf_views<'a>(
+/// View every leaf of `mesh` carrying the named array, from the calling
+/// thread's execution space. Leaves without the array are skipped; an
+/// array the thread cannot reach is a typed [`AccessError`], never a
+/// quiet cross-space read. Views borrow the mesh, so the caller streams
+/// the simulation's buffers in place (inside whatever
+/// [`datamodel::publish_dataset`] window it holds over `mesh`).
+pub fn leaf_views<'a>(
     mesh: &'a datamodel::DataSet,
-    assoc: crate::adaptor::Association,
+    assoc: Association,
     array: &str,
-) -> Vec<LeafView<'a>> {
+) -> Result<Vec<LeafView<'a>>, AccessError> {
+    let exec = datamodel::current_space();
     let mut out = Vec::new();
     for leaf in mesh.leaves() {
         let attrs = match assoc {
-            crate::adaptor::Association::Point => leaf.point_data(),
-            crate::adaptor::Association::Cell => leaf.cell_data(),
+            Association::Point => leaf.point_data(),
+            Association::Cell => leaf.cell_data(),
         };
-        let Some(attrs) = attrs else { continue };
-        let Some(arr) = attrs.get(array) else {
+        let Some((attrs, arr)) = attrs.and_then(|a| Some((a, a.get(array)?))) else {
             continue;
         };
-        // Space-checked classification: the zero-copy fast path only
-        // opens for arrays resident in (or shared with) the thread's
-        // execution space; anything else — wrong type, multi-component,
-        // or wrong space — takes the indirect path, whose legacy
-        // getters report stray cross-space reads to the sanitizer.
-        let exec = datamodel::current_space();
-        // Ghost flags: `Some(None)` = no ghosts, `Some(Some(_))` = plain
-        // u8 flags, `None` = ghosts exist but need the indirect path.
         let ghosts = match attrs.ghosts() {
-            None => Some(None),
-            Some(g) if g.num_components() == 1 => g.as_slice_in::<u8>(exec).ok().map(Some),
-            Some(_) => None,
+            None => None,
+            Some(g) => Some(match g.component_slice_in::<u8>(0, exec) {
+                Ok(flags) => Cow::Borrowed(flags),
+                Err(_) => g
+                    .values_in(0, exec)?
+                    .iter()
+                    .map(|&v| u8::from(v != 0.0))
+                    .collect(),
+            }),
         };
-        let direct = (arr.num_components() == 1)
-            .then(|| arr.as_slice_in::<f64>(exec).ok())
-            .flatten()
-            .zip(ghosts);
-        match direct {
-            Some((vals, gh)) => out.push(LeafView::Direct(vals, gh)),
-            None => out.push(LeafView::Indirect(attrs, arr)),
-        }
+        out.push(LeafView {
+            values: arr.values_in(0, exec)?,
+            ghosts,
+            geometry: leaf.structured(),
+        });
     }
-    out
+    Ok(out)
 }
 
-/// Sum a field's values over the non-ghost tuples of every leaf of a
-/// dataset — a helper shared by the built-in analyses.
+/// Why an analysis could not read its field (missing array, wrong
+/// memory space): kept for [`AnalysisAdaptor::take_failures`] the first
+/// time only — the same cause every step would flood the failure log.
+#[derive(Default)]
+pub(crate) struct ReportOnce {
+    pending: Vec<String>,
+    reported: bool,
+}
+
+impl ReportOnce {
+    pub(crate) fn report(&mut self, cause: impl std::fmt::Display) {
+        if !std::mem::replace(&mut self.reported, true) {
+            self.pending.push(cause.to_string());
+        }
+    }
+
+    pub(crate) fn take(&mut self) -> Vec<String> {
+        std::mem::take(&mut self.pending)
+    }
+}
+
+/// The step's analysis mesh with `array` attached, plus the producer's
+/// ghost flags when it has them (so ghost tuples can be blanked).
+pub(crate) fn populated_mesh(
+    data: &dyn DataAdaptor,
+    assoc: Association,
+    array: &str,
+) -> Result<datamodel::DataSet, AdaptorError> {
+    let mut mesh = data.mesh();
+    data.add_array(&mut mesh, assoc, array)?;
+    let _ = data.add_array(&mut mesh, assoc, datamodel::GHOST_ARRAY_NAME);
+    Ok(mesh)
+}
+
+/// Feed a field's non-ghost values, leaf by leaf in element order, to
+/// `f`; returns how many there were.
 pub fn for_each_value(
     data: &dyn DataAdaptor,
-    assoc: crate::adaptor::Association,
+    assoc: Association,
     array: &str,
     mut f: impl FnMut(f64),
-) -> usize {
-    let mut mesh = data.mesh();
-    if data.add_array(&mut mesh, assoc, array).is_err() {
-        return 0;
-    }
-    // Pull the ghost-marking array too (if the producer has one) so ghost
-    // tuples can be blanked.
-    let _ = data.add_array(&mut mesh, assoc, datamodel::GHOST_ARRAY_NAME);
+) -> Result<usize, AdaptorError> {
+    let mesh = populated_mesh(data, assoc, array)?;
     let mut n = 0;
-    for leaf in mesh.leaves() {
-        let attrs = match assoc {
-            crate::adaptor::Association::Point => leaf.point_data(),
-            crate::adaptor::Association::Cell => leaf.cell_data(),
-        };
-        let Some(attrs) = attrs else { continue };
-        let Some(arr) = attrs.get(array) else {
-            continue;
-        };
-        for t in 0..arr.num_tuples() {
-            if attrs.is_ghost(t) {
-                continue;
-            }
-            f(arr.get(t, 0));
+    for view in leaf_views(&mesh, assoc, array)? {
+        for (_, v) in view.kept() {
+            f(v);
             n += 1;
         }
     }
-    n
+    Ok(n)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::autocorrelation::Autocorrelation;
+    use super::descriptive::DescriptiveStats;
+    use super::histogram::HistogramAnalysis;
+    use super::*;
+    use crate::{Bridge, InMemoryAdaptor};
+    use datamodel::{DataArray, DataSet, Extent, ImageData, MemorySpace};
+    use minimpi::World;
+
+    /// One step of a rank-dependent integer signal, stored pre-widened
+    /// to `f64`, as `i32`, or as component 0 of a 3-component AoS array.
+    fn deck(storage: usize, ghosted: bool, rank: usize, step: u64) -> InMemoryAdaptor {
+        let n = 203;
+        let ints = (0..n).map(|i| ((i * 37 + rank * 11 + step as usize * 5) % 101) as i32 - 50);
+        let field = match storage {
+            0 => DataArray::owned("data", 1, ints.map(f64::from).collect()),
+            1 => DataArray::owned("data", 1, ints.collect()),
+            _ => DataArray::owned(
+                "data",
+                3,
+                ints.flat_map(|v| [f64::from(v), -1e9, 1e9]).collect(),
+            ),
+        };
+        let e = Extent::whole([n, 1, 1]);
+        let mut g = ImageData::new(e, e);
+        g.add_point_array(field);
+        if ghosted {
+            let flags: Vec<u8> = (0..n).map(|i| u8::from(i % 7 == 0)).collect();
+            g.add_point_array(DataArray::owned(datamodel::GHOST_ARRAY_NAME, 1, flags));
+        }
+        InMemoryAdaptor::new(DataSet::Image(g), step as f64, step)
+    }
+
+    /// Every built-in analysis over five steps of `deck`; each rank's
+    /// results printed with round-tripping float formatting, so equal
+    /// strings are equal bits.
+    fn results(storage: usize, ghosted: bool, ranks: usize) -> Vec<String> {
+        World::run(ranks, move |comm| {
+            let blocked = HistogramAnalysis::new("data", 16).with_threads(2);
+            let reference = HistogramAnalysis::new("data", 16).with_reference_kernel();
+            let auto = Autocorrelation::new("data", 3, 4).with_threads(2);
+            let stats = DescriptiveStats::new("data");
+            let (hb, hr) = (blocked.results_handle(), reference.results_handle());
+            let (ha, hs) = (auto.results_handle(), stats.results_handle());
+            let mut bridge = Bridge::new();
+            bridge.register(Box::new(blocked));
+            bridge.register(Box::new(reference));
+            bridge.register(Box::new(auto));
+            bridge.register(Box::new(stats));
+            for step in 0..5 {
+                bridge.execute(&deck(storage, ghosted, comm.rank(), step), comm);
+            }
+            bridge.finalize(comm);
+            assert!(bridge.failure_reports().is_empty());
+            format!(
+                "{:?} {:?} {:?} {:?}",
+                hb.lock(),
+                hr.lock(),
+                ha.lock(),
+                hs.lock()
+            )
+        })
+    }
+
+    #[test]
+    fn widened_fields_match_prewidened_f64_bitwise() {
+        for (ranks, ghosted) in [(1, false), (1, true), (2, false), (2, true)] {
+            let expect = results(0, ghosted, ranks);
+            assert!(expect[0].contains("counts"), "{}", expect[0]);
+            for storage in [1, 2] {
+                assert_eq!(
+                    results(storage, ghosted, ranks),
+                    expect,
+                    "storage {storage}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn wrong_space_field_is_one_reported_failure_and_the_run_completes() {
+        World::run(2, |comm| {
+            let e = Extent::whole([8, 1, 1]);
+            let mut g = ImageData::new(e, e);
+            let field = DataArray::owned("data", 1, vec![1.0f64; 8]);
+            g.add_point_array(field.with_space(MemorySpace::DeviceSim(0)));
+            let data = InMemoryAdaptor::new(DataSet::Image(g), 0.0, 0);
+            let mut hist = HistogramAnalysis::new("data", 4);
+            for _ in 0..3 {
+                assert!(hist.execute(&data, comm).should_continue());
+            }
+            let failures = hist.take_failures();
+            assert_eq!(failures.len(), 1, "{failures:?}");
+            let text = &failures[0];
+            assert!(text.contains("device0") && text.contains("host"), "{text}");
+            if comm.rank() == 0 {
+                let r = hist
+                    .results_handle()
+                    .lock()
+                    .clone()
+                    .expect("collectives ran");
+                assert_eq!(r.counts.iter().sum::<u64>(), 0, "nothing was read");
+            }
+        });
+    }
 }

@@ -11,6 +11,16 @@ if grep -rnE '#\[deprecated|allow\(deprecated\)' crates tests examples src; then
     exit 1
 fi
 
+echo "==> one way to read a structured leaf"
+# Consumers read leaves through DataSet::structured / leaf_views; a
+# match on the leaf kind is a private walker growing back. Constructors
+# (no binding and `=>` after the variant) stay legal.
+if grep -rnE 'DataSet::(Rectilinear|Image)\([a-z_][A-Za-z0-9_]*\)[^=]*=>' \
+    crates/{catalyst,libsim,glean,adios,query}/src crates/sensei/src/analysis; then
+    echo "tier1: match on DataSet::{Image,Rectilinear} in a consumer" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

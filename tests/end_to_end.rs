@@ -126,6 +126,99 @@ fn both_infrastructures_render_same_run() {
     });
 }
 
+/// Both renderers read the simulation's field in place: after `execute`
+/// no reference to the simulation buffer lingers, and nothing the size
+/// of the field was ever allocated (the tracking allocator is installed
+/// for this test binary; the images are tiny beside the 64³ field).
+#[test]
+fn renderers_read_the_simulation_field_in_place() {
+    let d = deck();
+    World::run(1, move |comm| {
+        let cfg = SimConfig {
+            grid: [64, 64, 64],
+            steps: 1,
+            ..SimConfig::default()
+        };
+        let mut sim = Simulation::new(comm, cfg, Some(d.as_str()));
+        sim.step(comm);
+        let field = sim.field();
+        let payload = field.len() * 8;
+        let holders = std::sync::Arc::strong_count(&field);
+
+        let mut pipe = catalyst::SlicePipeline::new("data", 2, 32);
+        (pipe.width, pipe.height) = (48, 32);
+        let session = libsim::Session::parse(
+            "image 32 32\nplot pseudocolor data axis=z index=32\nplot isosurface data levels=0.9\n",
+        )
+        .unwrap();
+        let analyses: [Box<dyn sensei::AnalysisAdaptor>; 2] = [
+            Box::new(catalyst::CatalystSliceAnalysis::new(pipe)),
+            Box::new(libsim::LibsimAnalysis::new(
+                session,
+                std::path::Path::new("/nonexistent"),
+            )),
+        ];
+        for mut analysis in analyses {
+            let data = OscillatorAdaptor::new(&sim);
+            let before = std::sync::Arc::strong_count(&field);
+            probe::alloc::reset_peak();
+            let floor = probe::alloc::current_bytes();
+            analysis.execute(&data, comm);
+            let rise = probe::alloc::peak_bytes() - floor;
+            assert!(analysis.take_failures().is_empty());
+            assert_eq!(std::sync::Arc::strong_count(&field), before);
+            assert!(
+                rise < payload / 2,
+                "{}: allocated {rise} B against a {payload} B field",
+                analysis.name()
+            );
+        }
+        assert_eq!(std::sync::Arc::strong_count(&field), holders);
+    });
+}
+
+/// Regression: Libsim and GLEAN used `attrs.get(array)?` *inside* their
+/// leaf loops, so a multiblock whose first leaf lacks the array rendered
+/// and aggregated nothing. The shared leaf view skips such leaves.
+#[test]
+fn first_leaf_without_the_array_is_skipped_not_fatal() {
+    use datamodel::{DataArray, DataSet, ImageData, MultiBlock};
+    let dir = std::env::temp_dir().join(format!("glean_skip_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = dir.clone();
+    World::run(1, move |comm| {
+        let global = Extent::whole([9, 9, 9]);
+        let mut bare = ImageData::new(Extent::new([0, 0, 0], [4, 8, 8]), global);
+        bare.add_point_array(DataArray::owned("other", 1, vec![0.0f64; 5 * 81]));
+        let local = Extent::new([4, 0, 0], [8, 8, 8]);
+        let mut full = ImageData::new(local, global);
+        let vals: Vec<f64> = local.iter_points().map(|p| (p[0] + p[1]) as f64).collect();
+        full.add_point_array(DataArray::owned("data", 1, vals));
+        let mut mb = MultiBlock::new();
+        mb.push(DataSet::Image(bare));
+        mb.push(DataSet::Image(full));
+        let data = sensei::InMemoryAdaptor::new(DataSet::Multi(mb), 0.0, 0);
+
+        let session =
+            libsim::Session::parse("image 32 32\nplot pseudocolor data axis=z index=4\n").unwrap();
+        let mut render = libsim::LibsimAnalysis::new(session, std::path::Path::new("/nonexistent"));
+        render.execute(&data, comm);
+        let png = render.png_handle().lock().clone().expect("png");
+        let (_, _, rgb) = render::png::decode_rgb(&png).unwrap();
+        assert!(rgb.chunks(3).any(|p| p != [0, 0, 0]), "second leaf painted");
+
+        let mut writer = glean::GleanWriter::new(glean::Topology::new(1), "data", out.clone());
+        writer.execute(&data, comm);
+        writer.finalize(comm);
+        assert!(render.take_failures().is_empty() && writer.take_failures().is_empty());
+    });
+    let frames = glean::read_blob_file(&glean::GleanWriter::blob_path(&dir, 0)).unwrap();
+    let blocks = &frames[0].1;
+    assert_eq!(blocks.len(), 1, "the second leaf's block");
+    assert_eq!(blocks[0].extent, [4, 0, 0, 8, 8, 8]);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Write-once-use-everywhere: the same config text selects analyses
 /// that then run against the miniapp adaptor unchanged.
 #[test]

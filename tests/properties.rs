@@ -340,6 +340,103 @@ proptest! {
         }
     }
 
+    /// The one way to read a field: over the five scalar types ×
+    /// {1-component AoS, 3-component AoS, SoA} × {no ghosts, `u8`
+    /// ghosts, `f64`-typed ghosts} × {resident, shared, other space},
+    /// a view's `(values, ghosts)` equal the per-element
+    /// `get`/`is_ghost` oracle, an unreachable array is an error, and
+    /// `values_in` borrows — the source buffer itself — exactly when
+    /// the component is a contiguous `f64` buffer.
+    #[test]
+    fn leaf_views_match_the_per_element_oracle(
+        n in 1usize..120,
+        seed in any::<u64>(),
+    ) {
+        use datamodel::{Buffer, DataSet, ImageData, MemorySpace, Scalar, GHOST_ARRAY_NAME};
+        use std::borrow::Cow;
+        use std::sync::Arc;
+
+        /// Small integers (exact in every type) in `Shared` buffers,
+        /// with the address of each component's source buffer.
+        fn build<T: Scalar>(layout: usize, n: usize, seed: u64) -> (DataArray, Vec<usize>) {
+            let ncomp = [1, 3, 2][layout];
+            let raw = |i: usize| T::from_f64(((seed >> (i % 57)) & 0x7f) as f64 + (i % 5) as f64);
+            if layout == 2 {
+                let bufs: Vec<Arc<Vec<T>>> = (0..ncomp)
+                    .map(|c| Arc::new((0..n).map(|t| raw(t * ncomp + c)).collect()))
+                    .collect();
+                let ptrs = bufs.iter().map(|b| b.as_ptr() as usize).collect();
+                (DataArray::soa("f", bufs.into_iter().map(Buffer::Shared).collect()), ptrs)
+            } else {
+                let buf: Arc<Vec<T>> = Arc::new((0..n * ncomp).map(raw).collect());
+                let ptrs = vec![buf.as_ptr() as usize; ncomp];
+                (DataArray::shared("f", ncomp, buf), ptrs)
+            }
+        }
+        let combos = (0..5 * 3 * 3 * 3).map(|i| (i % 5, i / 5 % 3, i / 15 % 3, i / 45));
+        for (dtype, layout, ghost_kind, place) in combos {
+            let (field, ptrs) = match dtype {
+                0 => build::<f32>(layout, n, seed),
+                1 => build::<f64>(layout, n, seed),
+                2 => build::<i32>(layout, n, seed),
+                3 => build::<i64>(layout, n, seed),
+                _ => build::<u8>(layout, n, seed),
+            };
+            let space = [MemorySpace::Host, MemorySpace::Shared, MemorySpace::DeviceSim(0)][place];
+            let resident = space.accessible_from(MemorySpace::Host);
+            let e = Extent::whole([n, 1, 1]);
+            let mut g = ImageData::new(e, e);
+            g.add_point_array(field.with_space(space));
+            let flag = |t: usize| (seed >> (t % 61)) & 1 != 0;
+            match ghost_kind {
+                0 => {}
+                1 => {
+                    let flags: Vec<u8> = (0..n).map(|t| u8::from(flag(t)) * (1 + t as u8 % 3)).collect();
+                    g.add_point_array(DataArray::owned(GHOST_ARRAY_NAME, 1, flags).with_space(space));
+                }
+                _ => {
+                    let flags: Vec<f64> = (0..n).map(|t| f64::from(u8::from(flag(t)))).collect();
+                    g.add_point_array(DataArray::owned(GHOST_ARRAY_NAME, 1, flags).with_space(space));
+                }
+            }
+            let ds = DataSet::Image(g);
+            let attrs = ds.point_data().unwrap();
+            let arr = attrs.get("f").unwrap();
+
+            for (comp, &source) in ptrs.iter().enumerate() {
+                let Ok(values) = arr.values_in(comp, MemorySpace::Host) else {
+                    prop_assert!(!resident, "a reachable array reads");
+                    continue;
+                };
+                prop_assert!(resident, "an unreachable array is an error, not a read");
+                let in_place = dtype == 1 && layout != 1;
+                match &values {
+                    Cow::Borrowed(view) => {
+                        prop_assert!(in_place);
+                        prop_assert_eq!(view.as_ptr() as usize, source, "the source buffer");
+                    }
+                    Cow::Owned(_) => prop_assert!(!in_place),
+                }
+                for (t, v) in values.iter().enumerate() {
+                    prop_assert_eq!(v.to_bits(), arr.get(t, comp).to_bits());
+                }
+            }
+
+            let views = sensei::analysis::leaf_views(&ds, sensei::Association::Point, "f");
+            prop_assert_eq!(views.as_ref().map(Vec::len).ok(), resident.then_some(1));
+            for view in views.unwrap_or_default() {
+                prop_assert_eq!(view.geometry.map(|g| g.extent), Some(e));
+                prop_assert_eq!(view.values.len(), n);
+                prop_assert_eq!(view.ghosts.is_some(), ghost_kind != 0);
+                for t in 0..n {
+                    prop_assert_eq!(view.values[t].to_bits(), arr.get(t, 0).to_bits());
+                    let ghost = view.ghosts.as_ref().is_some_and(|g| g[t] != 0);
+                    prop_assert_eq!(ghost, attrs.is_ghost(t));
+                }
+            }
+        }
+    }
+
     /// PNG encode/decode round-trips arbitrary small RGB images.
     #[test]
     fn png_roundtrip(
