@@ -1,20 +1,30 @@
 //! BP-lite: a self-describing, block-decomposed binary data format.
 //!
 //! A [`BpStep`] holds one timestep's variables. Each [`BpVar`] is
-//! self-describing: name, element type, global dimensions, this block's
-//! offset and local dimensions, and the payload. Steps serialize to a
-//! compact binary framing used both by the FlexPath transport and by
-//! [`BpFile`] on disk.
+//! self-describing: name, global dimensions, this block's offset and
+//! local dimensions, and a [`Payload`] in the variable's own scalar
+//! type — the payload *is* the element type, so nothing is converted on
+//! either side and a `u8` ghost array costs one byte a point. Steps
+//! serialize to a compact binary framing (`BPL3`, DESIGN "One encoder")
+//! used both by the FlexPath transport and by [`BpFile`] on disk.
+//!
+//! A payload is an `Arc`: the writer's step can share the producer's
+//! buffer while it is encoded, and on the endpoint the decoded buffer is
+//! the one the analysis mesh, the broker and every subscriber read.
 
-use bytes::{Buf, BufMut};
-use datamodel::ScalarType;
+use bytes::BufMut;
+use datamodel::{AccessError, DataArray, MemorySpace, ScalarType};
 use std::io::{Read, Write};
 use std::path::Path;
+use std::sync::Arc;
 
-/// Magic bytes of the framing. `BPL2` added a per-variable scalar type
-/// and leaf index, so multi-leaf ranks and non-f64 arrays (notably the
-/// `vtkGhostType` u8 array) survive a staging round trip intact.
-const MAGIC: &[u8; 4] = b"BPL2";
+/// Magic bytes of the framing. `BPL3` ships each payload in its own
+/// scalar type (`count × size_of(type)` bytes, little-endian).
+const MAGIC: &[u8; 4] = b"BPL3";
+
+/// Bytes of a variable's header after its name: type code, leaf, three
+/// dimension triples, element count.
+const VAR_HEADER: usize = 1 + 4 + 9 * 8 + 8;
 
 /// Errors from decoding or file I/O.
 #[derive(Debug)]
@@ -42,6 +52,101 @@ impl std::fmt::Display for BpError {
 
 impl std::error::Error for BpError {}
 
+/// Everything that depends on a payload's scalar type, from one table
+/// of `(variant, element type, wire code)`.
+macro_rules! payload_types {
+    ($(($variant:ident, $t:ty, $code:literal)),*) => {
+        /// A variable's values, row-major (k slowest), in their own
+        /// scalar type. Cloning bumps a reference count.
+        #[derive(Clone, Debug, PartialEq)]
+        pub enum Payload {
+            $($variant(Arc<Vec<$t>>)),*
+        }
+
+        $(
+            impl From<Vec<$t>> for Payload {
+                fn from(values: Vec<$t>) -> Self {
+                    Payload::$variant(Arc::new(values))
+                }
+            }
+        )*
+
+        impl Payload {
+            /// The element type.
+            pub fn scalar_type(&self) -> ScalarType {
+                match self {
+                    $(Payload::$variant(_) => ScalarType::$variant),*
+                }
+            }
+
+            /// Number of elements.
+            pub(crate) fn len(&self) -> usize {
+                match self {
+                    $(Payload::$variant(v) => v.len()),*
+                }
+            }
+
+            /// A named one-component array sharing this buffer.
+            pub(crate) fn to_array(&self, name: &str) -> DataArray {
+                match self {
+                    $(Payload::$variant(v) => DataArray::shared(name, 1, Arc::clone(v))),*
+                }
+            }
+
+            /// The payload of a single-buffer array read from `exec`:
+            /// shares a zero-copy array's buffer, copies an owned one.
+            pub(crate) fn of_array(arr: &DataArray, exec: MemorySpace) -> Result<Self, AccessError> {
+                Ok(match arr.scalar_type() {
+                    $(ScalarType::$variant => Payload::$variant(arr.share_in::<$t>(exec)?)),*
+                })
+            }
+
+            /// Stop sharing: copy the buffer unless this is its only holder.
+            pub(crate) fn detach(&mut self) {
+                match self {
+                    $(Payload::$variant(v) => {
+                        Arc::make_mut(v);
+                    })*
+                }
+            }
+
+            fn code(&self) -> u8 {
+                match self {
+                    $(Payload::$variant(_) => $code),*
+                }
+            }
+
+            /// Append the elements, little-endian: one bulk move.
+            fn put_le(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(Payload::$variant(v) => out.extend(v.iter().flat_map(|x| x.to_le_bytes()))),*
+                }
+            }
+
+            /// Take `count` little-endian elements of type `code` off the
+            /// front of `buf`: one bulk move into the buffer kept.
+            fn get_le(code: u8, count: u64, buf: &mut &[u8]) -> Result<Self, BpError> {
+                match code {
+                    $($code => {
+                        let raw = take(buf, count, std::mem::size_of::<$t>())?;
+                        let values = raw.as_chunks().0.iter().map(|c| <$t>::from_le_bytes(*c));
+                        Ok(Payload::$variant(Arc::new(values.collect())))
+                    })*
+                    _ => Err(BpError::Corrupt("unknown scalar type")),
+                }
+            }
+        }
+    };
+}
+
+payload_types!(
+    (F32, f32, 0),
+    (F64, f64, 1),
+    (I32, i32, 2),
+    (I64, i64, 3),
+    (U8, u8, 4)
+);
+
 /// One block-decomposed variable.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BpVar {
@@ -53,12 +158,8 @@ pub struct BpVar {
     pub offset: [u64; 3],
     /// This block's local dimensions.
     pub local_dims: [u64; 3],
-    /// Row-major (k slowest) payload, `local_dims` sized. Values travel
-    /// widened to f64 (exact for every supported scalar type); `dtype`
-    /// records the element type to restore on reconstruction.
-    pub data: Vec<f64>,
-    /// Declared element type of the source array.
-    pub dtype: ScalarType,
+    /// The values, `local_dims` sized.
+    pub data: Payload,
     /// Which leaf of the sender's (multiblock) mesh this block belongs
     /// to, so a rank with several leaves reconstructs into several
     /// blocks instead of collapsing into the first leaf's extent.
@@ -66,23 +167,19 @@ pub struct BpVar {
 }
 
 impl BpVar {
-    /// Validate and build. Defaults to an `f64` variable on leaf 0; use
-    /// [`BpVar::with_dtype`] / [`BpVar::with_leaf`] to override.
+    /// Validate and build a variable on leaf 0 (see
+    /// [`BpVar::with_leaf`]); a `Vec` of any supported scalar type
+    /// converts into the payload.
     pub fn new(
         name: impl Into<String>,
         global_dims: [u64; 3],
         offset: [u64; 3],
         local_dims: [u64; 3],
-        data: Vec<f64>,
+        data: impl Into<Payload>,
     ) -> Self {
+        let data = data.into();
         let expect: u64 = local_dims.iter().product();
-        assert_eq!(
-            data.len() as u64,
-            expect,
-            "payload length {} != local dims product {}",
-            data.len(),
-            expect
-        );
+        assert_eq!(data.len() as u64, expect, "payload length != dims product");
         for a in 0..3 {
             assert!(
                 offset[a] + local_dims[a] <= global_dims[a],
@@ -95,15 +192,8 @@ impl BpVar {
             offset,
             local_dims,
             data,
-            dtype: ScalarType::F64,
             leaf: 0,
         }
-    }
-
-    /// Declare the element type of the source array.
-    pub fn with_dtype(mut self, dtype: ScalarType) -> Self {
-        self.dtype = dtype;
-        self
     }
 
     /// Assign the variable to a mesh leaf.
@@ -112,31 +202,10 @@ impl BpVar {
         self
     }
 
-    /// Payload size in bytes.
+    /// Payload size in bytes, as shipped.
     pub fn payload_bytes(&self) -> usize {
-        self.data.len() * 8
+        self.data.len() * self.data.scalar_type().size_of()
     }
-}
-
-fn dtype_code(t: ScalarType) -> u8 {
-    match t {
-        ScalarType::F32 => 0,
-        ScalarType::F64 => 1,
-        ScalarType::I32 => 2,
-        ScalarType::I64 => 3,
-        ScalarType::U8 => 4,
-    }
-}
-
-fn dtype_from_code(code: u8) -> Option<ScalarType> {
-    Some(match code {
-        0 => ScalarType::F32,
-        1 => ScalarType::F64,
-        2 => ScalarType::I32,
-        3 => ScalarType::I64,
-        4 => ScalarType::U8,
-        _ => return None,
-    })
 }
 
 /// One timestep of self-describing data, plus scalar attributes.
@@ -199,16 +268,17 @@ impl BpStep {
         }
         n += 4; // var count
         for v in &self.vars {
-            n += 4 + v.name.len() + 1 + 4 + 9 * 8 + 8 + v.data.len() * 8;
+            n += 4 + v.name.len() + VAR_HEADER + v.payload_bytes();
         }
         n
     }
 
     /// Serialize to the BP-lite framing — the marshaling copy the
-    /// FlexPath transport pays (not zero-copy, per §4.1.4). `out` is
-    /// cleared and refilled with exactly [`BpStep::encoded_len`] bytes;
-    /// a caller that keeps one buffer across steps pays no allocation
-    /// once its capacity has warmed up to the steady-state step size.
+    /// FlexPath transport pays (not zero-copy, per §4.1.4), and the
+    /// only pass the writer makes over a payload. `out` is cleared and
+    /// refilled with exactly [`BpStep::encoded_len`] bytes; a caller
+    /// that keeps one buffer across steps pays no allocation once its
+    /// capacity has warmed up to the steady-state step size.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.clear();
         out.reserve_exact(self.encoded_len());
@@ -223,85 +293,68 @@ impl BpStep {
         out.put_u32_le(self.vars.len() as u32);
         for v in &self.vars {
             put_string(out, &v.name);
-            out.put_u8(dtype_code(v.dtype));
+            out.put_u8(v.data.code());
             out.put_u32_le(v.leaf);
-            for d in v.global_dims {
-                out.put_u64_le(d);
-            }
-            for d in v.offset {
-                out.put_u64_le(d);
-            }
-            for d in v.local_dims {
-                out.put_u64_le(d);
+            for d in v.global_dims.iter().chain(&v.offset).chain(&v.local_dims) {
+                out.put_u64_le(*d);
             }
             out.put_u64_le(v.data.len() as u64);
-            for &x in &v.data {
-                out.put_f64_le(x);
-            }
+            v.data.put_le(out);
         }
     }
 
-    /// Decode from the framing.
+    /// Decode from the framing. The bytes come from outside the
+    /// program: every read and every count is checked against what is
+    /// left of `buf` before anything is allocated for it, and any
+    /// inconsistency is a [`BpError::Corrupt`].
     pub fn decode(mut buf: &[u8]) -> Result<BpStep, BpError> {
-        if buf.len() < 4 || &buf[..4] != MAGIC {
+        let buf = &mut buf;
+        if get(buf).ok() != Some(*MAGIC) {
             return Err(BpError::Corrupt("bad magic"));
         }
-        buf.advance(4);
-        if buf.remaining() < 16 {
-            return Err(BpError::Corrupt("truncated header"));
+        let step = u64::from_le_bytes(get(buf)?);
+        let time = f64::from_le_bytes(get(buf)?);
+        // An entry takes at least its fixed-size fields, which bounds a
+        // count by the bytes that remain.
+        let nattrs = u32::from_le_bytes(get(buf)?) as usize;
+        if nattrs > buf.len() / (4 + 8) {
+            return Err(BpError::Corrupt("attribute count exceeds frame"));
         }
-        let step = buf.get_u64_le();
-        let time = buf.get_f64_le();
-        if buf.remaining() < 4 {
-            return Err(BpError::Corrupt("truncated attr count"));
-        }
-        let nattrs = buf.get_u32_le() as usize;
-        let mut attributes = Vec::with_capacity(nattrs.min(1024));
+        let mut attributes = Vec::with_capacity(nattrs);
         for _ in 0..nattrs {
-            let name = get_string(&mut buf)?;
-            if buf.remaining() < 8 {
-                return Err(BpError::Corrupt("truncated attr value"));
-            }
-            attributes.push((name, buf.get_f64_le()));
+            attributes.push((get_string(buf)?, f64::from_le_bytes(get(buf)?)));
         }
-        if buf.remaining() < 4 {
-            return Err(BpError::Corrupt("truncated var count"));
+        let nvars = u32::from_le_bytes(get(buf)?) as usize;
+        if nvars > buf.len() / (4 + VAR_HEADER) {
+            return Err(BpError::Corrupt("variable count exceeds frame"));
         }
-        let nvars = buf.get_u32_le() as usize;
-        let mut vars = Vec::with_capacity(nvars.min(1024));
+        let mut vars = Vec::with_capacity(nvars);
         for _ in 0..nvars {
-            let name = get_string(&mut buf)?;
-            if buf.remaining() < 1 + 4 + 9 * 8 + 8 {
-                return Err(BpError::Corrupt("truncated var header"));
-            }
-            let dtype =
-                dtype_from_code(buf.get_u8()).ok_or(BpError::Corrupt("unknown scalar type"))?;
-            let leaf = buf.get_u32_le();
+            let name = get_string(buf)?;
+            let [code] = get(buf)?;
+            let leaf = u32::from_le_bytes(get(buf)?);
             let mut dims = [[0u64; 3]; 3];
-            for group in dims.iter_mut() {
-                for d in group.iter_mut() {
-                    *d = buf.get_u64_le();
-                }
+            for d in dims.iter_mut().flatten() {
+                *d = u64::from_le_bytes(get(buf)?);
             }
-            let n = buf.get_u64_le() as usize;
-            if buf.remaining() < n * 8 {
-                return Err(BpError::Corrupt("truncated payload"));
-            }
-            let mut data = Vec::with_capacity(n);
-            for _ in 0..n {
-                data.push(buf.get_f64_le());
-            }
-            let expect: u64 = dims[2].iter().product();
-            if n as u64 != expect {
+            let [global_dims, offset, local_dims] = dims;
+            let count = u64::from_le_bytes(get(buf)?);
+            let points = local_dims.iter().try_fold(1u64, |n, &d| n.checked_mul(d));
+            if points != Some(count) {
                 return Err(BpError::Corrupt("dims/payload mismatch"));
+            }
+            let inside = |a| {
+                u64::checked_add(offset[a], local_dims[a]).is_some_and(|hi| hi <= global_dims[a])
+            };
+            if !(0..3).all(inside) {
+                return Err(BpError::Corrupt("block exceeds global dims"));
             }
             vars.push(BpVar {
                 name,
-                global_dims: dims[0],
-                offset: dims[1],
-                local_dims: dims[2],
-                data,
-                dtype,
+                global_dims,
+                offset,
+                local_dims,
+                data: Payload::get_le(code, count, buf)?,
                 leaf,
             });
         }
@@ -320,16 +373,31 @@ fn put_string(b: &mut Vec<u8>, s: &str) {
 }
 
 fn get_string(buf: &mut &[u8]) -> Result<String, BpError> {
-    if buf.remaining() < 4 {
-        return Err(BpError::Corrupt("truncated string length"));
-    }
-    let n = buf.get_u32_le() as usize;
-    if n > 1 << 20 || buf.remaining() < n {
-        return Err(BpError::Corrupt("truncated string"));
-    }
-    let s = String::from_utf8(buf[..n].to_vec()).map_err(|_| BpError::Corrupt("bad utf8"))?;
-    buf.advance(n);
-    Ok(s)
+    let n = u32::from_le_bytes(get(buf)?);
+    let raw = take(buf, u64::from(n), 1)?;
+    String::from_utf8(raw.to_vec()).map_err(|_| BpError::Corrupt("bad utf8"))
+}
+
+/// The next `N` bytes of `buf`, if they are there.
+fn get<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], BpError> {
+    let (front, rest) = buf
+        .split_first_chunk()
+        .ok_or(BpError::Corrupt("truncated"))?;
+    *buf = rest;
+    Ok(*front)
+}
+
+/// Split `count × size` bytes off the front of `buf`, if the product
+/// exists and that much is there.
+fn take<'a>(buf: &mut &'a [u8], count: u64, size: usize) -> Result<&'a [u8], BpError> {
+    let bytes = usize::try_from(count)
+        .ok()
+        .and_then(|n| n.checked_mul(size))
+        .filter(|&n| n <= buf.len())
+        .ok_or(BpError::Corrupt("length exceeds frame"))?;
+    let (front, rest) = buf.split_at(bytes);
+    *buf = rest;
+    Ok(front)
 }
 
 /// An append-only `.bp` file of framed steps: `[u64 length][payload]…`.
@@ -355,21 +423,10 @@ impl BpFile {
         let mut raw = Vec::new();
         f.read_to_end(&mut raw)?;
         let mut steps = Vec::new();
-        let mut pos = 0usize;
-        while pos < raw.len() {
-            let Some(len8) = raw
-                .get(pos..pos + 8)
-                .and_then(|s| <[u8; 8]>::try_from(s).ok())
-            else {
-                return Err(BpError::Corrupt("truncated frame length"));
-            };
-            let len = u64::from_le_bytes(len8) as usize;
-            pos += 8;
-            if pos + len > raw.len() {
-                return Err(BpError::Corrupt("truncated frame"));
-            }
-            steps.push(BpStep::decode(&raw[pos..pos + len])?);
-            pos += len;
+        let mut rest = &raw[..];
+        while !rest.is_empty() {
+            let len = u64::from_le_bytes(get(&mut rest)?);
+            steps.push(BpStep::decode(take(&mut rest, len, 1)?)?);
         }
         Ok(steps)
     }
@@ -394,7 +451,7 @@ mod tests {
             [8, 8, 8],
             [4, 0, 0],
             [4, 8, 8],
-            (0..256).map(|i| i as f64 * 0.5).collect(),
+            (0..256).map(|i| i as f64 * 0.5).collect::<Vec<_>>(),
         ));
         s.vars.push(BpVar::new(
             "rho",
@@ -439,13 +496,13 @@ mod tests {
         let s = sample();
         assert_eq!(s.attr("spacing_x"), Some(0.25));
         assert_eq!(s.attr("missing"), None);
-        assert_eq!(s.var("rho").unwrap().data, vec![9.0]);
+        assert_eq!(s.var("rho").unwrap().data, vec![9.0].into());
         assert!(s.var("nope").is_none());
         assert_eq!(s.payload_bytes(), 257 * 8);
     }
 
     #[test]
-    fn dtype_and_leaf_survive_roundtrip() {
+    fn type_and_leaf_survive_roundtrip_at_their_own_width() {
         let mut s = BpStep::new(1, 0.1);
         s.vars.push(
             BpVar::new(
@@ -453,15 +510,68 @@ mod tests {
                 [4, 1, 1],
                 [0, 0, 0],
                 [4, 1, 1],
-                vec![0.0, 0.0, 1.0, 1.0],
+                vec![0u8, 0, 1, 1],
             )
-            .with_dtype(ScalarType::U8)
             .with_leaf(3),
         );
+        assert_eq!(s.payload_bytes(), 4, "one byte a flag on the wire");
         let back = BpStep::decode(&encoded(&s)).expect("decode");
-        assert_eq!(back.vars[0].dtype, ScalarType::U8);
+        assert_eq!(back.vars[0].data.scalar_type(), ScalarType::U8);
         assert_eq!(back.vars[0].leaf, 3);
         assert_eq!(back, s);
+    }
+
+    /// One variable of `dims` points per supported type.
+    fn one_of_each(dims: [u64; 3]) -> Vec<BpVar> {
+        let n = dims.iter().product::<u64>() as usize;
+        let payloads: [Payload; 5] = [
+            vec![1.5f32; n].into(),
+            vec![-2.5f64; n].into(),
+            vec![-3i32; n].into(),
+            vec![i64::MIN; n].into(),
+            vec![7u8; n].into(),
+        ];
+        payloads
+            .into_iter()
+            .map(|p| BpVar::new("v", dims, [0, 0, 0], dims, p))
+            .collect()
+    }
+
+    #[test]
+    fn hostile_lengths_are_corrupt_not_fatal() {
+        let corrupt = |bytes: &[u8]| matches!(BpStep::decode(bytes), Err(BpError::Corrupt(_)));
+        for var in one_of_each([3, 2, 1]) {
+            let mut s = BpStep::new(0, 0.0);
+            s.vars.push(var);
+            let good = encoded(&s);
+            assert_eq!(good.len(), s.encoded_len());
+            // A payload cut anywhere short of its last byte.
+            for cut in 1..=s.payload_bytes() {
+                assert!(corrupt(&good[..good.len() - cut]), "{:?}", s.vars[0].data);
+            }
+            // An element count whose byte size wraps: the count field
+            // sits just before the payload, and the dims are patched to
+            // agree with it.
+            let count_at = good.len() - s.payload_bytes() - 8;
+            let mut bad = good.clone();
+            let huge = u64::MAX / 8 + 1;
+            bad[count_at..count_at + 8].copy_from_slice(&huge.to_le_bytes());
+            bad[count_at - 24..count_at - 16].copy_from_slice(&huge.to_le_bytes());
+            bad[count_at - 16..count_at - 8].copy_from_slice(&1u64.to_le_bytes());
+            bad[count_at - 8..count_at].copy_from_slice(&1u64.to_le_bytes());
+            assert!(corrupt(&bad), "{:?}", s.vars[0].data);
+        }
+        // Counts no frame this short could hold.
+        let header = encoded(&BpStep::new(0, 0.0));
+        for at in [header.len() - 8, header.len() - 4] {
+            let mut bad = header.clone();
+            bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(corrupt(&bad));
+        }
+        // The previous framing is not read.
+        let mut old = encoded(&sample());
+        old[..4].copy_from_slice(b"BPL2");
+        assert!(corrupt(&old));
     }
 
     #[test]
@@ -485,6 +595,14 @@ mod tests {
         let mut bad = bytes.clone();
         bad.truncate(bad.len() - 4);
         assert!(BpStep::decode(&bad).is_err());
+        // A block that does not fit its global grid is what `BpVar::new`
+        // refuses to build; the decoder refuses it too. The first
+        // variable's global dims follow its name and five header bytes.
+        let name_at = 4 + 8 + 8 + 4 + 2 * (4 + 9 + 8) + 4;
+        let global_at = name_at + 4 + "data".len() + 1 + 4;
+        let mut outside = bytes.clone();
+        outside[global_at..global_at + 8].copy_from_slice(&7u64.to_le_bytes());
+        assert!(matches!(BpStep::decode(&outside), Err(BpError::Corrupt(_))));
     }
 
     #[test]
@@ -500,18 +618,26 @@ mod tests {
         assert_eq!(steps.len(), 2);
         assert_eq!(steps[0], a);
         assert_eq!(steps[1].step, 8);
+        // A length prefix larger than the file is corrupt, not a wrapped
+        // offset.
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        f.write_all(&u64::MAX.to_le_bytes()).unwrap();
+        assert!(matches!(BpFile::read_all(&path), Err(BpError::Corrupt(_))));
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     #[should_panic(expected = "payload length")]
     fn wrong_payload_size_panics() {
-        let _ = BpVar::new("x", [4, 4, 4], [0, 0, 0], [2, 2, 2], vec![0.0; 9]);
+        let _ = BpVar::new("x", [4, 4, 4], [0, 0, 0], [2, 2, 2], vec![0.0f64; 9]);
     }
 
     #[test]
     #[should_panic(expected = "exceeds global dims")]
     fn block_outside_global_panics() {
-        let _ = BpVar::new("x", [4, 4, 4], [3, 0, 0], [2, 4, 4], vec![0.0; 32]);
+        let _ = BpVar::new("x", [4, 4, 4], [3, 0, 0], [2, 4, 4], vec![0.0f64; 32]);
     }
 }

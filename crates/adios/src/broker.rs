@@ -25,7 +25,7 @@
 //! * **Slow-consumer eviction**: a subscriber that stays full past the
 //!   deadline is evicted and recorded as an [`EvictionRecord`] — the
 //!   same degrade-don't-hang contract as the reader-side
-//!   [`crate::flexpath::DeadWriter`], applied to the consumer side.
+//!   [`sensei::FailureReport::DeadWriter`], applied to the consumer side.
 //! * **Single event loop**: there is no thread per subscriber or per
 //!   link. Every `publish` call *is* one dispatcher tick: it prunes
 //!   disconnected subscriptions, admits queued state changes, delivers
@@ -162,7 +162,7 @@ impl<T> Clone for TopicMsg<T> {
 
 /// A consumer evicted for falling behind: what it had consumed before
 /// the loss, for the bridge's failure report. This is the consumer-side
-/// generalization of [`crate::flexpath::DeadWriter`].
+/// generalization of [`sensei::FailureReport::DeadWriter`].
 #[derive(Clone, Debug)]
 pub struct EvictionRecord {
     /// Broker-wide subscription id.
@@ -657,9 +657,9 @@ impl<T: Send + Sync + 'static> Broker<T> {
 
 impl StagingBroker {
     /// Route one decoded BP-lite step onto the broker: each variable
-    /// block publishes to its `(field, leaf)` topic. One payload clone
-    /// per variable with at least one subscriber, shared from there
-    /// across all of them; an unwatched variable is not copied.
+    /// block publishes to its `(field, leaf)` topic. A watched variable
+    /// shares the decoded payload with all its subscribers (a reference
+    /// count, plus its small header); an unwatched one costs nothing.
     pub fn publish_step(&self, step: &BpStep) -> Vec<PublishReport> {
         step.vars
             .iter()
@@ -986,8 +986,14 @@ mod tests {
             .push(BpVar::new("ghost", [2, 1, 1], [0, 0, 0], [1, 1, 1], vec![0.0]).with_leaf(0));
         let reports = broker.publish_step(&step);
         assert_eq!(reports.len(), 3);
-        assert_eq!(s0.try_next().unwrap().payload.data, vec![1.0]);
-        assert_eq!(s1.try_next().unwrap().payload.data, vec![2.0]);
+        // A watched variable's payload is shared, not copied.
+        let (crate::bp::Payload::F64(sent), crate::bp::Payload::F64(got)) =
+            (&step.vars[0].data, &s0.try_next().unwrap().payload.data)
+        else {
+            panic!("f64 in, f64 out");
+        };
+        assert!(Arc::ptr_eq(sent, got));
+        assert_eq!(s1.try_next().unwrap().payload.data, vec![2.0].into());
         assert_eq!(g0.try_next().unwrap().payload.name, "ghost");
         assert!(s0.try_next().is_none());
     }

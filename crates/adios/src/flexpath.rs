@@ -20,13 +20,15 @@
 //! disconnection); endpoints drain remaining steps and observe EOF.
 //!
 //! Readers also survive writers that *die* rather than close: each
-//! per-writer receive carries a deadline, and a writer that misses it is
-//! recorded as a [`DeadWriter`] (steps and bytes received before the
-//! loss) and dropped from the stream instead of hanging the endpoint.
+//! per-writer receive carries a deadline, and a writer that misses it —
+//! or whose frame does not decode — is recorded as a
+//! [`FailureReport`] (steps and bytes received before the loss) and
+//! dropped from the stream instead of hanging or killing the endpoint.
 
 use std::time::Duration;
 
 use minimpi::Comm;
+use sensei::FailureReport;
 
 use crate::bp::BpStep;
 
@@ -37,12 +39,6 @@ const TAG_ACK: u32 = 0xAD10_0002;
 /// simulation steps, small enough that a dead writer is diagnosed rather
 /// than hanging the endpoint forever.
 const DEFAULT_WRITER_DEADLINE: Duration = Duration::from_secs(30);
-
-/// Message from writer to reader.
-enum Frame {
-    Step(Vec<u8>),
-    Close,
-}
 
 // Frames travel as (bool is_close, Vec<u8>) to keep payload types simple
 // across the Any-based channel.
@@ -139,10 +135,15 @@ impl FlexpathWriter {
     /// §4.1.4) into an exactly-sized frame and moves that frame into
     /// the channel, which needs to own it. Returns the bytes shipped.
     pub fn write(&mut self, world: &Comm, step: &BpStep) -> usize {
-        assert!(!self.closed, "write after close");
-        assert!(!self.outstanding, "write without advance");
         let mut frame = Vec::new();
         step.encode_into(&mut frame);
+        self.send_frame(world, frame)
+    }
+
+    /// Move one frame into the channel.
+    pub(crate) fn send_frame(&mut self, world: &Comm, frame: Vec<u8>) -> usize {
+        assert!(!self.closed, "write after close");
+        assert!(!self.outstanding, "write without advance");
         let n = frame.len();
         world.send(self.peer, TAG_DATA, (false, frame));
         self.outstanding = true;
@@ -167,62 +168,45 @@ impl FlexpathWriter {
 struct WriterLink {
     rank: usize,
     steps: u64,
-    bytes: usize,
-}
-
-/// A writer that stopped talking mid-stream: what was received before the
-/// loss, for the endpoint's failure report.
-#[derive(Clone, Debug)]
-pub struct DeadWriter {
-    /// World rank of the lost writer.
-    pub rank: usize,
-    /// Steps fully received before the writer went silent.
-    pub steps_received: u64,
-    /// Payload bytes received before the writer went silent.
-    pub bytes_received: usize,
-    /// How long the reader waited before declaring it dead.
-    pub waited: Duration,
-}
-
-impl From<&DeadWriter> for sensei::FailureReport {
-    fn from(d: &DeadWriter) -> Self {
-        sensei::FailureReport::DeadWriter {
-            rank: d.rank,
-            steps_received: d.steps_received,
-            bytes_received: d.bytes_received as u64,
-            waited: d.waited,
-        }
-    }
+    bytes: u64,
 }
 
 /// Reader-side transport handle.
 pub struct FlexpathReader {
     links: Vec<WriterLink>,
     deadline: Duration,
-    dead: Vec<DeadWriter>,
+    dead: Vec<FailureReport>,
 }
 
 impl FlexpathReader {
-    /// World ranks of the writers this endpoint still serves.
-    pub fn writers(&self) -> Vec<usize> {
-        self.links.iter().map(|l| l.rank).collect()
-    }
-
     /// Override the per-writer receive deadline (tests use short ones).
     pub fn set_deadline(&mut self, deadline: Duration) {
         self.deadline = deadline;
     }
 
-    /// Writers lost mid-stream so far (missed their receive deadline).
-    pub fn dead_writers(&self) -> &[DeadWriter] {
+    /// Writers lost mid-stream so far, with what was received before
+    /// the loss: [`FailureReport::DeadWriter`] for a missed receive
+    /// deadline, [`FailureReport::CorruptFrame`] for a frame that did
+    /// not decode.
+    pub fn dead_writers(&self) -> &[FailureReport] {
         &self.dead
+    }
+
+    /// Stop serving writer `rank` and record why.
+    fn drop_link(&mut self, rank: usize, why: impl FnOnce(&WriterLink) -> FailureReport) {
+        if let Some(i) = self.links.iter().position(|l| l.rank == rank) {
+            let link = self.links.remove(i);
+            self.dead.push(why(&link));
+        }
     }
 
     /// Receive one step from every still-connected writer. Returns
     /// `None` once all writers have closed or died. Steps arrive with
-    /// their source world rank. A writer that misses the deadline is
-    /// recorded in [`FlexpathReader::dead_writers`] and dropped; the
-    /// stream degrades to end-of-stream instead of hanging.
+    /// their source world rank. A writer that misses the deadline, or
+    /// sends a frame that does not decode, is recorded in
+    /// [`FlexpathReader::dead_writers`] and dropped; the stream degrades
+    /// to end-of-stream instead of hanging, and the other writers are
+    /// served as before.
     ///
     /// Internally this is one event-loop round over a multi-peer
     /// select ([`Comm::recv_any_of_deadline`]): whichever writer is
@@ -243,36 +227,42 @@ impl FlexpathReader {
         while !awaiting.is_empty() {
             let got =
                 world.recv_any_of_deadline::<(bool, Vec<u8>)>(&awaiting, TAG_DATA, self.deadline);
-            let Ok((w, frame)) = got else {
+            let Ok((w, (is_close, bytes))) = got else {
                 // Every writer still awaited was silent for the whole
                 // window: declare them all dead in one decision.
+                let waited = self.deadline;
                 for &rank in &awaiting {
-                    if let Some(i) = self.links.iter().position(|l| l.rank == rank) {
-                        let link = self.links.remove(i);
-                        self.dead.push(DeadWriter {
-                            rank,
-                            steps_received: link.steps,
-                            bytes_received: link.bytes,
-                            waited: self.deadline,
-                        });
-                    }
+                    self.drop_link(rank, |link| FailureReport::DeadWriter {
+                        rank,
+                        steps_received: link.steps,
+                        bytes_received: link.bytes,
+                        waited,
+                    });
                 }
                 break;
             };
             awaiting.retain(|&r| r != w);
-            match decode_frame(frame) {
-                Frame::Close => {
-                    self.links.retain(|l| l.rank != w);
-                }
-                Frame::Step(bytes) => {
-                    let step = BpStep::decode(&bytes)
-                        .unwrap_or_else(|e| panic!("flexpath: bad step from rank {w}: {e}"));
+            if is_close {
+                self.links.retain(|l| l.rank != w);
+                continue;
+            }
+            match BpStep::decode(&bytes) {
+                Ok(step) => {
                     if let Some(link) = self.links.iter_mut().find(|l| l.rank == w) {
                         link.steps += 1;
-                        link.bytes += bytes.len();
+                        link.bytes += bytes.len() as u64;
                     }
                     steps.push((w, step));
                 }
+                // The writer is not acknowledged again, so it blocks in
+                // its next `advance` like any writer whose endpoint
+                // went away.
+                Err(err) => self.drop_link(w, |link| FailureReport::CorruptFrame {
+                    rank: w,
+                    steps_received: link.steps,
+                    bytes_received: link.bytes,
+                    reason: err.to_string(),
+                }),
             }
         }
         // Arrival order is schedule-dependent; block order must not be.
@@ -291,14 +281,6 @@ impl FlexpathReader {
         for (w, step) in sources {
             world.try_send(*w, TAG_ACK, step.step);
         }
-    }
-}
-
-fn decode_frame((is_close, bytes): (bool, Vec<u8>)) -> Frame {
-    if is_close {
-        Frame::Close
-    } else {
-        Frame::Step(bytes)
     }
 }
 
@@ -337,7 +319,10 @@ mod tests {
                 while let Some(steps) = reader.begin_step(world) {
                     assert_eq!(steps.len(), 1);
                     assert_eq!(steps[0].1.step, seen);
-                    assert_eq!(steps[0].1.var("data").unwrap().data[0], seen as f64);
+                    assert_eq!(
+                        steps[0].1.var("data").unwrap().data,
+                        vec![seen as f64; 2].into()
+                    );
                     reader.end_step(world, &steps);
                     seen += 1;
                 }
@@ -358,7 +343,7 @@ mod tests {
             Role::Endpoint { mut reader, .. } => {
                 let steps = reader.begin_step(world).expect("one step");
                 assert_eq!(steps[0].1, step_with(3, 1.5), "decode round-trips");
-                assert_eq!(reader.links[0].bytes, steps[0].1.encoded_len());
+                assert_eq!(reader.links[0].bytes, steps[0].1.encoded_len() as u64);
                 reader.end_step(world, &steps);
                 assert!(reader.begin_step(world).is_none());
             }
@@ -377,7 +362,7 @@ mod tests {
                 writer.close(world);
             }
             Role::Endpoint { mut reader, .. } => {
-                assert_eq!(reader.writers().len(), 2);
+                assert_eq!(reader.links.len(), 2);
                 let mut rounds = 0;
                 while let Some(steps) = reader.begin_step(world) {
                     assert_eq!(steps.len(), 2, "one step per served writer");

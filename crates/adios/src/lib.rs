@@ -7,9 +7,9 @@
 //! reproduces the pieces §4.1.4 exercises:
 //!
 //! * [`bp`] — **BP-lite**, a self-describing binary format: named,
-//!   typed, block-decomposed variables with global/local dimensions and
-//!   offsets, serializable to bytes (staging) or appended to `.bp` files
-//!   (post hoc);
+//!   block-decomposed variables with global/local dimensions and
+//!   offsets, each payload in its own scalar type, serializable to bytes
+//!   (staging) or appended to `.bp` files (post hoc);
 //! * [`flexpath`] — a publish/subscribe staging transport pairing a
 //!   writer group (the simulation) with an endpoint group (the analysis
 //!   reader), with the `advance` metadata handshake, bounded queue
@@ -32,7 +32,7 @@ pub mod broker;
 pub mod flexpath;
 pub mod staging;
 
-pub use bp::{BpError, BpFile, BpStep, BpVar};
+pub use bp::{BpError, BpFile, BpStep, BpVar, Payload};
 pub use broker::{
     AdmissionError, Broker, BrokerConfig, EvictionRecord, PublishReport, StagingBroker,
     Subscription, TopicKey, TopicMsg,

@@ -3,35 +3,34 @@
 //! datasets and runs any SENSEI analyses *in transit* — so Catalyst,
 //! Libsim, histogram, or autocorrelation run at the endpoint without the
 //! simulation knowing which (Fig. 2's composability).
+//!
+//! Each payload byte moves once a side (DESIGN §11): the writer encodes
+//! its frame straight from the producer's buffer — §4.1.4's marshaling
+//! copy — inside a publish window held until the frame is written; the
+//! endpoint's blocks, meshes, broker and subscribers share what `decode` filled.
 
-use datamodel::{DataArray, DataSet, Extent, ImageData, MultiBlock, ScalarType};
+use datamodel::{DataSet, Extent, ImageData, MultiBlock};
 use minimpi::Comm;
 use sensei::{
     AdaptorError, AnalysisAdaptor, Association, Bridge, DataAdaptor, RunReport, Steering,
 };
 
-use crate::bp::{BpStep, BpVar};
+use crate::bp::{BpStep, BpVar, Payload};
 use crate::broker::StagingBroker;
 use crate::flexpath::{FlexpathReader, FlexpathWriter};
 
-/// Convert one timestep of a (structured) data adaptor into a BP step:
-/// every 1-component point array of every image/rectilinear leaf becomes
-/// a self-describing variable, keyed by its leaf index so a rank carrying
-/// several leaves reconstructs into several blocks. Geometry attributes
-/// are likewise keyed per leaf (`leaf{i}_spacing_{a}`), and each
-/// variable's scalar type travels with it — notably keeping the
-/// `vtkGhostType` u8 array recognizable as ghosts at the endpoint.
+/// Marshal a populated mesh into a BP step: every 1-component point
+/// array of every image/rectilinear leaf becomes a self-describing
+/// variable in its own scalar type, keyed by its leaf index so a rank
+/// carrying several leaves reconstructs into several blocks. Geometry
+/// attributes are likewise keyed per leaf (`leaf{i}_spacing_{a}`).
 ///
-/// Marshaling reads every array through
-/// [`datamodel::DataArray::values_in`] from the calling thread's memory
-/// space, so a device-resident array handed to a host-side writer
-/// surfaces as [`AdaptorError::WrongSpace`] instead of an unchecked
-/// read.
-pub fn try_adaptor_to_step(data: &dyn DataAdaptor) -> Result<BpStep, AdaptorError> {
-    let mesh = data.full_mesh();
-    // Sanitizer: marshaling a BP step reads every array zero-copy;
-    // hold a publish window across the walk.
-    let _publish = datamodel::publish_dataset(&mesh, "adios");
+/// A zero-copy array's buffer is *shared*, not copied, so the caller
+/// holds a publish window over `mesh` while the step lives (or detaches
+/// it). Arrays are read from the calling thread's memory space: a
+/// device-resident array handed to a host-side writer surfaces as
+/// [`AdaptorError::WrongSpace`] instead of an unchecked read.
+fn mesh_to_step(mesh: &DataSet, data: &dyn DataAdaptor) -> Result<BpStep, AdaptorError> {
     let mut step = BpStep::new(data.step(), data.time());
     for (leaf_id, leaf) in mesh.leaves().enumerate() {
         let Some(grid) = leaf.structured() else {
@@ -46,24 +45,14 @@ pub fn try_adaptor_to_step(data: &dyn DataAdaptor) -> Result<BpStep, AdaptorErro
             if arr.num_components() != 1 {
                 continue;
             }
-            let d = local.point_dims();
-            // The step owns its payload (it outlives the publish window
-            // on the wire): the one copy the in transit path pays.
-            let values = arr.values_in(0, datamodel::current_space())?.into_owned();
-            let gd = global.point_dims();
             step.vars.push(
                 BpVar::new(
                     arr.name(),
-                    [gd[0] as u64, gd[1] as u64, gd[2] as u64],
-                    [
-                        (local.lo[0] - global.lo[0]) as u64,
-                        (local.lo[1] - global.lo[1]) as u64,
-                        (local.lo[2] - global.lo[2]) as u64,
-                    ],
-                    [d[0] as u64, d[1] as u64, d[2] as u64],
-                    values,
+                    global.point_dims().map(|d| d as u64),
+                    std::array::from_fn(|a| (local.lo[a] - global.lo[a]) as u64),
+                    local.point_dims().map(|d| d as u64),
+                    Payload::of_array(arr, datamodel::current_space())?,
                 )
-                .with_dtype(arr.scalar_type())
                 .with_leaf(leaf_id as u32),
             );
         }
@@ -71,33 +60,19 @@ pub fn try_adaptor_to_step(data: &dyn DataAdaptor) -> Result<BpStep, AdaptorErro
     Ok(step)
 }
 
-/// Restore a variable's payload as an array of its declared scalar type.
-/// Values travel widened to f64, which is exact for every supported type.
-fn reconstruct_array(var: &BpVar) -> DataArray {
-    let name = var.name.clone();
-    match var.dtype {
-        ScalarType::F64 => DataArray::owned(name, 1, var.data.clone()),
-        ScalarType::F32 => DataArray::owned(
-            name,
-            1,
-            var.data.iter().map(|&v| v as f32).collect::<Vec<_>>(),
-        ),
-        ScalarType::I32 => DataArray::owned(
-            name,
-            1,
-            var.data.iter().map(|&v| v as i32).collect::<Vec<_>>(),
-        ),
-        ScalarType::I64 => DataArray::owned(
-            name,
-            1,
-            var.data.iter().map(|&v| v as i64).collect::<Vec<_>>(),
-        ),
-        ScalarType::U8 => DataArray::owned(
-            name,
-            1,
-            var.data.iter().map(|&v| v as u8).collect::<Vec<_>>(),
-        ),
+/// Convert one timestep of a (structured) data adaptor into a BP step
+/// that owns its payloads (see [`mesh_to_step`] for what becomes a variable).
+pub fn try_adaptor_to_step(data: &dyn DataAdaptor) -> Result<BpStep, AdaptorError> {
+    let mesh = data.full_mesh();
+    // Sanitizer: marshaling reads every array zero-copy, in a window.
+    let _publish = datamodel::publish_dataset(&mesh, "adios");
+    let mut step = mesh_to_step(&mesh, data)?;
+    // The step outlives the window, so what it still shares with the
+    // producer is copied out here, once and exactly sized.
+    for var in &mut step.vars {
+        var.data.detach();
     }
+    Ok(step)
 }
 
 /// Reconstruct one image-grid block per mesh leaf from a BP step. Each
@@ -111,42 +86,21 @@ fn step_to_blocks(step: &BpStep) -> Vec<ImageData> {
     for leaf in leaf_ids {
         let vars: Vec<&BpVar> = step.vars.iter().filter(|v| v.leaf == leaf).collect();
         let Some(first) = vars.first() else { continue };
-        let global = Extent::new(
-            [0, 0, 0],
-            [
-                first.global_dims[0] as i64 - 1,
-                first.global_dims[1] as i64 - 1,
-                first.global_dims[2] as i64 - 1,
-            ],
-        );
-        let lo = [
-            first.offset[0] as i64,
-            first.offset[1] as i64,
-            first.offset[2] as i64,
-        ];
-        let hi = [
-            lo[0] + first.local_dims[0] as i64 - 1,
-            lo[1] + first.local_dims[1] as i64 - 1,
-            lo[2] + first.local_dims[2] as i64 - 1,
-        ];
-        let geo = |what: &str, a: usize, default: f64| {
-            step.attr(&format!("leaf{leaf}_{what}_{a}"))
-                .or_else(|| step.attr(&format!("{what}_{a}")))
-                .unwrap_or(default)
+        let global = Extent::new([0; 3], first.global_dims.map(|d| d as i64 - 1));
+        let lo = first.offset.map(|o| o as i64);
+        let hi = std::array::from_fn(|a| lo[a] + first.local_dims[a] as i64 - 1);
+        let geo = |what: &str, default: f64| {
+            [0, 1, 2].map(|a| {
+                step.attr(&format!("leaf{leaf}_{what}_{a}"))
+                    .or_else(|| step.attr(&format!("{what}_{a}")))
+                    .unwrap_or(default)
+            })
         };
-        let spacing = [
-            geo("spacing", 0, 1.0),
-            geo("spacing", 1, 1.0),
-            geo("spacing", 2, 1.0),
-        ];
-        let origin = [
-            geo("origin", 0, 0.0),
-            geo("origin", 1, 0.0),
-            geo("origin", 2, 0.0),
-        ];
-        let mut grid = ImageData::new(Extent::new(lo, hi), global).with_geometry(origin, spacing);
+        let mut grid = ImageData::new(Extent::new(lo, hi), global)
+            .with_geometry(geo("origin", 0.0), geo("spacing", 1.0));
         for var in vars {
-            grid.add_point_array(reconstruct_array(var));
+            // The decoded buffer itself: a reference count, not a copy.
+            grid.add_point_array(var.data.to_array(&var.name));
         }
         blocks.push(grid);
     }
@@ -197,10 +151,9 @@ impl DataAdaptor for BpAdaptor {
     fn mesh(&self) -> DataSet {
         let mut mb = MultiBlock::new();
         for b in &self.blocks {
-            let mut empty = b.clone();
-            empty.point_data = datamodel::Attributes::new();
-            empty.cell_data = datamodel::Attributes::new();
-            mb.push(DataSet::Image(empty));
+            mb.push(DataSet::Image(
+                ImageData::new(b.extent, b.global_extent).with_geometry(b.origin, b.spacing),
+            ));
         }
         DataSet::Multi(mb)
     }
@@ -254,6 +207,7 @@ impl DataAdaptor for BpAdaptor {
         for (i, b) in self.blocks.iter().enumerate() {
             let target = mb.block_mut(i).and_then(DataSet::point_data_mut);
             if let (Some(point_data), Some(arr)) = (target, b.point_data.get(name)) {
+                // Shares the decoded buffer.
                 point_data.insert(arr.clone());
                 any = true;
             }
@@ -312,17 +266,22 @@ impl AnalysisAdaptor for AdiosWriterAnalysis {
         let advance = self.writer.advance(comm);
         self.advance_seconds += advance;
         let t0 = probe::time::now_seconds();
-        // A marshal failure (wrong-space array) degrades to shipping an
-        // empty step: the stream's step count stays aligned with the
-        // endpoint while the failure surfaces through the bridge.
-        let step = match try_adaptor_to_step(data) {
-            Ok(step) => step,
-            Err(err) => {
+        let shipped = {
+            let mesh = data.full_mesh();
+            // The step shares the producer's buffers and the frame is
+            // encoded straight from them (the one copy of §4.1.4), so
+            // the publish window stays open until the frame is written
+            // and the step dropped.
+            let _publish = datamodel::publish_dataset(&mesh, "adios");
+            // A marshal failure (wrong-space array) degrades to shipping
+            // an empty step: the stream's step count stays aligned with
+            // the endpoint while the failure surfaces through the bridge.
+            let step = mesh_to_step(&mesh, data).unwrap_or_else(|err| {
                 self.failures.push(format!("adios-flexpath: {err}"));
                 BpStep::new(data.step(), data.time())
-            }
+            });
+            self.writer.write(comm, &step)
         };
-        let shipped = self.writer.write(comm, &step);
         self.bytes_shipped += shipped;
         let write = (probe::time::now_seconds() - t0).max(0.0);
         self.write_seconds += write;
@@ -391,8 +350,10 @@ pub fn run_endpoint_with_broker(
         if probe.is_enabled() {
             // Payload bytes this endpoint pulled off the staging wire.
             for (_src, bp) in &steps {
-                let bytes: usize = bp.vars.iter().map(|v| v.data.len() * 8).sum();
-                probe.message(&probe::key::of("staging", "off_wire"), bytes as u64);
+                probe.message(
+                    &probe::key::of("staging", "off_wire"),
+                    bp.payload_bytes() as u64,
+                );
             }
         }
         for (_src, bp) in &steps {
@@ -407,8 +368,8 @@ pub fn run_endpoint_with_broker(
     for evicted in broker.take_evictions() {
         bridge.record_failure(evicted);
     }
-    for dead in reader.dead_writers() {
-        bridge.record_failure(dead);
+    for lost in reader.dead_writers() {
+        bridge.record_failure(lost.clone());
     }
     let report = bridge.finalize(sub);
     (bridge, report)
@@ -419,6 +380,7 @@ mod tests {
     use super::*;
     use crate::broker::BrokerConfig;
     use crate::flexpath::{pair, Role};
+    use datamodel::{DataArray, ScalarType};
     use minimpi::World;
     use sensei::analysis::histogram::HistogramAnalysis;
     use sensei::InMemoryAdaptor;
@@ -717,16 +679,91 @@ mod tests {
                         let text = reports[0].to_string();
                         assert!(text.contains("writer rank 0"), "{text}");
                         assert!(text.contains("2 step(s)"), "{text}");
-                        let dead = &reader.dead_writers()[0];
-                        assert_eq!(dead.rank, 0);
-                        assert_eq!(dead.steps_received, 2);
-                        assert!(dead.bytes_received > 0);
+                        let wire = 2 * marshal(&sim_adaptor(0, 2, 0)).encoded_len() as u64;
+                        assert_eq!(
+                            reader.dead_writers(),
+                            [sensei::FailureReport::DeadWriter {
+                                rank: 0,
+                                steps_received: 2,
+                                bytes_received: wire,
+                                waited: Duration::from_millis(150),
+                            }]
+                        );
                     } else {
                         assert!(bridge.failure_reports().is_empty());
                         assert!(reader.dead_writers().is_empty());
                     }
                 }
             });
+    }
+
+    #[test]
+    fn corrupt_frame_drops_its_writer_and_spares_the_rest() {
+        // Writer 0's second frame is garbage. The endpoint drops that
+        // link with one typed report and keeps serving writer 1, whose
+        // block the last histogram then covers alone.
+        const STEPS: u64 = 4;
+        let alone = World::run(1, |comm| {
+            let hist = HistogramAnalysis::new("data", 8);
+            let handle = hist.results_handle();
+            let mut bridge = Bridge::new();
+            bridge.register(Box::new(hist));
+            bridge.execute(&sim_adaptor(1, 2, STEPS - 1), comm);
+            bridge.finalize(comm);
+            let r = handle.lock().clone().expect("in situ histogram");
+            (r.counts, r.min.to_bits(), r.max.to_bits())
+        })
+        .remove(0);
+        World::run(3, move |world| match pair(world, 2) {
+            Role::Writer { mut writer, .. } if world.rank() == 0 => {
+                writer.advance(world);
+                writer.write(world, &marshal(&sim_adaptor(0, 2, 0)));
+                writer.advance(world);
+                writer.send_frame(world, b"BPL3 but not a frame".to_vec());
+                // Never acknowledged again: it stops here, unclosed.
+            }
+            Role::Writer { mut writer, .. } => {
+                for s in 0..STEPS {
+                    writer.advance(world);
+                    writer.write(world, &marshal(&sim_adaptor(1, 2, s)));
+                }
+                writer.close(world);
+            }
+            Role::Endpoint { sub, mut reader } => {
+                let hist = HistogramAnalysis::new("data", 8);
+                let handle = hist.results_handle();
+                let (bridge, _) =
+                    unwatched_endpoint(world, &sub, &mut reader, vec![Box::new(hist)]);
+                assert_eq!(bridge.steps(), STEPS, "writer 1's stream finished");
+                let reports = bridge.failure_reports();
+                assert_eq!(reports.len(), 1, "{reports:?}");
+                assert_eq!(reports[0].kind(), "corrupt-frame");
+                let text = reports[0].to_string();
+                assert!(text.contains("writer rank 0"), "{text}");
+                assert!(text.contains("1 step(s)"), "{text}");
+                assert!(text.contains("corrupt BP data"), "{text}");
+                let r = handle.lock().clone().expect("endpoint histogram");
+                assert_eq!((r.counts, r.min.to_bits(), r.max.to_bits()), alone);
+            }
+        });
+    }
+
+    #[test]
+    fn i64_extremes_survive_transit() {
+        // Integers no f64 holds exactly: they travel as themselves.
+        let extremes = vec![i64::MAX, i64::MIN, (1 << 53) + 1];
+        let e = Extent::whole([3, 1, 1]);
+        let mut g = ImageData::new(e, e);
+        g.add_point_array(DataArray::owned("ids", 1, extremes.clone()));
+        let a = InMemoryAdaptor::new(DataSet::Image(g), 0.0, 0);
+        let wire = BpStep::decode(&encoded(&marshal(&a))).unwrap();
+        let mesh = BpAdaptor::new(&[(0, wire)]).full_mesh();
+        let ids = mesh.leaves().next().and_then(DataSet::point_data).unwrap();
+        let ids = ids.get("ids").expect("the array survives");
+        assert_eq!(
+            ids.as_slice_in::<i64>(datamodel::current_space()).unwrap(),
+            extremes
+        );
     }
 
     #[test]

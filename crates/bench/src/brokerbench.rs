@@ -31,15 +31,17 @@ pub const STEPS: usize = 32;
 /// Payload size per step, in f64 elements (64 KiB).
 pub const PAYLOAD_DOUBLES: usize = 8192;
 
-fn payload() -> BpVar {
+fn values() -> Vec<f64> {
+    (0..PAYLOAD_DOUBLES).map(|i| i as f64).collect()
+}
+
+fn payload_of(values: Vec<f64>) -> BpVar {
     let n = PAYLOAD_DOUBLES as u64;
-    BpVar::new(
-        "data",
-        [n, 1, 1],
-        [0, 0, 0],
-        [n, 1, 1],
-        (0..PAYLOAD_DOUBLES).map(|i| i as f64).collect(),
-    )
+    BpVar::new("data", [n, 1, 1], [0, 0, 0], [n, 1, 1], values)
+}
+
+fn payload() -> BpVar {
+    payload_of(values())
 }
 
 /// The measured broker report; every gated entry is dimensionless.
@@ -93,15 +95,16 @@ impl BrokerReport {
 }
 
 /// Time the replaced model: every publish deep-copies the payload into
-/// each consumer's private queue.
+/// each consumer's private queue (a variable rebuilt around a copy of
+/// the values: cloning a `BpVar` only bumps a reference count).
 fn time_clone_fanout() -> f64 {
     median_of(WARMUP_ROUNDS, TIMED_ROUNDS, || {
-        let step = payload();
+        let step = values();
         let mut queues: Vec<VecDeque<BpVar>> = (0..SUBSCRIBERS).map(|_| VecDeque::new()).collect();
         let t0 = Wall::now();
         for _ in 0..STEPS {
             for q in queues.iter_mut() {
-                q.push_back(step.clone());
+                q.push_back(payload_of(step.clone()));
             }
         }
         let dt = t0.elapsed().as_secs_f64();

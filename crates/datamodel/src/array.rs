@@ -412,11 +412,10 @@ impl DataArray {
         }
     }
 
-    /// Space-checked typed view of a single-buffer array, for code
-    /// executing in `exec` (normally [`space::current_space`]).
-    /// Wrong-space access is an [`AccessError::WrongSpace`], not a
-    /// silent copy.
-    pub fn as_slice_in<T: Scalar>(&self, exec: MemorySpace) -> Result<&[T], AccessError> {
+    /// The array's one buffer, for code executing in `exec`: the space,
+    /// type and layout checks (and the shadow read) shared by
+    /// [`DataArray::as_slice_in`] and [`DataArray::share_in`].
+    fn single_buffer_in<T: Scalar>(&self, exec: MemorySpace) -> Result<&Buffer<T>, AccessError> {
         if !self.space.accessible_from(exec) {
             return Err(AccessError::WrongSpace {
                 array: self.name.clone(),
@@ -441,7 +440,28 @@ impl DataArray {
         if let Some(shadow) = &self.shadow {
             shadow.on_read();
         }
-        Ok(c.buffers[0].as_slice())
+        Ok(&c.buffers[0])
+    }
+
+    /// Space-checked typed view of a single-buffer array, for code
+    /// executing in `exec` (normally [`space::current_space`]).
+    /// Wrong-space access is an [`AccessError::WrongSpace`], not a
+    /// silent copy.
+    pub fn as_slice_in<T: Scalar>(&self, exec: MemorySpace) -> Result<&[T], AccessError> {
+        self.single_buffer_in(exec).map(Buffer::as_slice)
+    }
+
+    /// Space-checked shareable handle on a single-buffer array's
+    /// storage: a reference-count bump when the buffer is already
+    /// `Shared` (a producer's zero-copy field), one exact-size copy
+    /// when the array owns it. Holding the handle keeps a producer that
+    /// advances through `Arc::make_mut` copying instead of writing in
+    /// place, so a consumer drops it inside its publish window.
+    pub fn share_in<T: Scalar>(&self, exec: MemorySpace) -> Result<Arc<Vec<T>>, AccessError> {
+        Ok(match self.single_buffer_in(exec)? {
+            Buffer::Shared(a) => Arc::clone(a),
+            Buffer::Owned(v) => Arc::new(v.clone()),
+        })
     }
 
     /// Space-checked typed view of one component buffer, for code

@@ -1,7 +1,7 @@
 //! Unified non-fatal failure reporting.
 //!
 //! Before this module every degraded-pipeline event had its own shape:
-//! the FlexPath reader's `DeadWriter`, GLEAN's `DeadMember`, the staging
+//! the FlexPath reader's dead-writer record, GLEAN's `DeadMember`, the staging
 //! broker's `EvictionRecord`, and free-form strings from analyses. They
 //! all funnel into one [`FailureReport`] enum behind
 //! [`Bridge::failure_reports`], so every consumer — tests, the
@@ -30,6 +30,19 @@ pub enum FailureReport {
         bytes_received: u64,
         /// How long the reader waited before declaring it dead.
         waited: Duration,
+    },
+    /// A staging writer sent a frame that does not decode (FlexPath
+    /// reader side): its link was dropped like a lost writer's and the
+    /// other writers were served as before.
+    CorruptFrame {
+        /// World rank of the writer.
+        rank: usize,
+        /// Steps fully received before the bad frame.
+        steps_received: u64,
+        /// Payload bytes received before the bad frame.
+        bytes_received: u64,
+        /// Why the frame was rejected.
+        reason: String,
     },
     /// A node member never delivered its block within the aggregation
     /// deadline (GLEAN): the aggregator proceeds without it.
@@ -89,6 +102,7 @@ impl FailureReport {
     pub fn kind(&self) -> &'static str {
         match self {
             FailureReport::DeadWriter { .. } => "dead-writer",
+            FailureReport::CorruptFrame { .. } => "corrupt-frame",
             FailureReport::DeadMember { .. } => "dead-member",
             FailureReport::Eviction { .. } => "eviction",
             FailureReport::DeadSteering { .. } => "dead-steering",
@@ -111,6 +125,17 @@ impl std::fmt::Display for FailureReport {
                 "writer rank {rank} lost in transit after {steps_received} step(s) / \
                  {bytes_received} payload byte(s) received (no frame within {waited:?}); \
                  its stream was drained to end-of-stream"
+            ),
+            FailureReport::CorruptFrame {
+                rank,
+                steps_received,
+                bytes_received,
+                reason,
+            } => write!(
+                f,
+                "writer rank {rank} dropped after {steps_received} step(s) / \
+                 {bytes_received} payload byte(s) received: its next frame did not decode \
+                 ({reason})"
             ),
             FailureReport::DeadMember {
                 rank,
@@ -176,6 +201,12 @@ mod tests {
                 bytes_received: 640,
                 waited: Duration::from_millis(150),
             },
+            FailureReport::CorruptFrame {
+                rank: 0,
+                steps_received: 1,
+                bytes_received: 320,
+                reason: "corrupt BP data: bad magic".into(),
+            },
             FailureReport::DeadMember {
                 rank: 5,
                 steps_received: 1,
@@ -207,6 +238,7 @@ mod tests {
             kinds,
             [
                 "dead-writer",
+                "corrupt-frame",
                 "dead-member",
                 "eviction",
                 "dead-steering",

@@ -21,6 +21,22 @@ if grep -rnE 'DataSet::(Rectilinear|Image)\([a-z_][A-Za-z0-9_]*\)[^=]*=>' \
     exit 1
 fi
 
+echo "==> in transit payloads move in bulk, in their own type"
+# BP payloads are encoded and decoded a slice at a time; outside the
+# tests, the per-scalar f64 puts are the step time and the attribute
+# values (the decoder reads through its checked `get`), and nothing
+# travels widened.
+adios_src=$(for f in crates/adios/src/*.rs; do awk '/#\[cfg\(test\)\]/{exit} {print}' "$f"; done)
+scalar_calls=$(grep -cE '(put|get)_f64_le' <<<"$adios_src" || true)
+if [ "$scalar_calls" -ne 2 ]; then
+    echo "tier1: $scalar_calls put_f64_le/get_f64_le calls in crates/adios/src, expected 2" >&2
+    exit 1
+fi
+if grep -n 'widened to f64' <<<"$adios_src"; then
+    echo "tier1: crates/adios/src ships a payload widened to f64 again" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

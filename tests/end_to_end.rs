@@ -177,6 +177,102 @@ fn renderers_read_the_simulation_field_in_place() {
     });
 }
 
+/// One step of a 64³ run on two ranks, marshalled by each: the ghosted
+/// two-block deck the in transit tests below ship.
+fn two_marshalled_blocks() -> Vec<adios::BpStep> {
+    let d = deck();
+    World::run(2, move |comm| {
+        let cfg = SimConfig {
+            grid: [64, 64, 64],
+            steps: 1,
+            ..SimConfig::default()
+        };
+        let root = (comm.rank() == 0).then_some(d.as_str());
+        let mut sim = Simulation::new(comm, cfg, root);
+        sim.step(comm);
+        adios::staging::try_adaptor_to_step(&OscillatorAdaptor::new(&sim)).expect("marshals")
+    })
+}
+
+/// The wire carries each array at its own width: 8 B of `f64` field and
+/// 1 B of `u8` ghost flag a point, under a header of closed form.
+#[test]
+fn oscillator_step_ships_nine_bytes_a_point() {
+    for step in two_marshalled_blocks() {
+        let points: u64 = step.vars[0].local_dims.iter().product();
+        let names = ["data", datamodel::GHOST_ARRAY_NAME];
+        assert_eq!(step.vars.iter().map(|v| &v.name).collect::<Vec<_>>(), names);
+        // Magic, step, time, attribute count; six geometry attributes
+        // (length, name, value); variable count; per variable a length,
+        // the name, type code, leaf, nine dims and the element count.
+        let attrs = 3 * (4 + "leaf0_spacing_0".len() + 8) + 3 * (4 + "leaf0_origin_0".len() + 8);
+        let vars: usize = names.iter().map(|n| 4 + n.len() + 1 + 4 + 9 * 8 + 8).sum();
+        let header = (4 + 8 + 8 + 4) + attrs + 4 + vars;
+        assert_eq!(header, 381);
+        assert_eq!(step.encoded_len(), 9 * points as usize + header);
+        let mut frame = Vec::new();
+        step.encode_into(&mut frame);
+        assert_eq!(frame.len(), step.encoded_len());
+    }
+}
+
+/// The endpoint stores a decoded payload once: the blocks, the analysis
+/// mesh and its arrays all share the buffer `decode` filled, so handing
+/// a step to an analysis allocates headers, not fields.
+#[test]
+fn endpoint_reads_the_decoded_frame_in_place() {
+    use adios::bp::Payload;
+    use sensei::{Association, DataAdaptor as _};
+    let steps: Vec<(usize, adios::BpStep)> = two_marshalled_blocks()
+        .iter()
+        .map(|step| {
+            let mut frame = Vec::new();
+            step.encode_into(&mut frame);
+            adios::BpStep::decode(&frame).expect("own encoding decodes")
+        })
+        .enumerate()
+        .collect();
+    let payload: usize = steps.iter().map(|(_, s)| s.payload_bytes()).sum();
+    assert!(payload > 9 * 64 * 64 * 64);
+
+    probe::alloc::reset_peak();
+    let floor = probe::alloc::current_bytes();
+    let endpoint = adios::staging::BpAdaptor::new(&steps);
+    let mut mesh = endpoint.mesh();
+    for name in ["data", datamodel::GHOST_ARRAY_NAME] {
+        endpoint
+            .add_array(&mut mesh, Association::Point, name)
+            .expect("shipped array");
+    }
+    let rise = probe::alloc::peak_bytes() - floor;
+    assert!(
+        rise < payload / 8,
+        "allocated {rise} B against {payload} B of payload"
+    );
+
+    let exec = datamodel::current_space();
+    for (leaf, (_, step)) in mesh.leaves().zip(&steps) {
+        let arrays = leaf.point_data().expect("image leaf");
+        let (data, ghosts) = (
+            arrays.get("data").unwrap(),
+            arrays.get(datamodel::GHOST_ARRAY_NAME).unwrap(),
+        );
+        assert!(data.is_zero_copy() && ghosts.is_zero_copy());
+        let (Payload::F64(sent), Payload::U8(flags)) = (&step.vars[0].data, &step.vars[1].data)
+        else {
+            panic!("field travels as f64, ghosts as u8");
+        };
+        assert_eq!(
+            data.as_slice_in::<f64>(exec).unwrap().as_ptr(),
+            sent.as_ptr()
+        );
+        assert_eq!(
+            ghosts.as_slice_in::<u8>(exec).unwrap().as_ptr(),
+            flags.as_ptr()
+        );
+    }
+}
+
 /// Regression: Libsim and GLEAN used `attrs.get(array)?` *inside* their
 /// leaf loops, so a multiblock whose first leaf lacks the array rendered
 /// and aggregated nothing. The shared leaf view skips such leaves.

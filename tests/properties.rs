@@ -50,6 +50,33 @@ fn deflate_input(kind: usize, len: usize, alphabet: u32, seed: u64) -> Vec<u8> {
     data
 }
 
+/// Everything a [`adios::BpStep`] holds, floats as their bit patterns:
+/// `==` would call a NaN payload unequal to itself and -0.0 equal to 0.0.
+#[allow(clippy::type_complexity)]
+fn step_bits(
+    s: &adios::BpStep,
+) -> (
+    u64,
+    u64,
+    Vec<(String, u64)>,
+    Vec<(String, [[u64; 3]; 3], u32, datamodel::ScalarType, Vec<u64>)>,
+) {
+    use adios::bp::Payload;
+    let attrs = s.attributes.iter().map(|(n, v)| (n.clone(), v.to_bits()));
+    let vars = s.vars.iter().map(|v| {
+        let bits = match &v.data {
+            Payload::F32(x) => x.iter().map(|x| u64::from(x.to_bits())).collect(),
+            Payload::F64(x) => x.iter().map(|x| x.to_bits()).collect(),
+            Payload::I32(x) => x.iter().map(|&x| x as u64).collect(),
+            Payload::I64(x) => x.iter().map(|&x| x as u64).collect(),
+            Payload::U8(x) => x.iter().map(|&x| u64::from(x)).collect(),
+        };
+        let dims = [v.global_dims, v.offset, v.local_dims];
+        (v.name.clone(), dims, v.leaf, v.data.scalar_type(), bits)
+    });
+    (s.step, s.time.to_bits(), attrs.collect(), vars.collect())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -194,7 +221,7 @@ proptest! {
             [n, n, n],
             [0, 0, 0],
             [n, n, n],
-            (0..count).map(|i| i as f64 * attr).collect(),
+            (0..count).map(|i| i as f64 * attr).collect::<Vec<_>>(),
         ));
         let mut bytes = Vec::new();
         s.encode_into(&mut bytes);
@@ -202,33 +229,28 @@ proptest! {
         prop_assert_eq!(back, s);
     }
 
-    /// The BPL2 framing round-trips arbitrary multi-leaf steps — any
-    /// supported scalar type, any leaf assignment, ghost arrays riding
-    /// along — and encoding is byte-stable.
+    /// The BPL3 framing round-trips arbitrary multi-leaf steps — every
+    /// supported scalar type over its whole domain (NaN payloads, -0.0,
+    /// all of `i64`), any leaf assignment, ghost arrays riding along —
+    /// at exactly `encoded_len` bytes, and encoding is byte-stable into
+    /// a warm buffer.
     #[test]
-    fn bpl2_roundtrip_any_dtype_and_leaf_count(
+    fn bpl3_roundtrip_full_domain_of_every_type(
         step in any::<u64>(),
-        time in -1e9f64..1e9,
+        time in any::<u64>(),
         leaves in 1u32..5,
         specs in proptest::collection::vec(
             (0u8..5, proptest::array::uniform3(1u64..4), any::<u64>()),
             1..8,
         ),
-        attrs in proptest::collection::vec(-1e3f64..1e3, 0..6),
+        attrs in proptest::collection::vec(any::<u64>(), 0..6),
     ) {
-        use datamodel::ScalarType;
-        let mut s = adios::BpStep::new(step, time);
+        use adios::bp::Payload;
+        let mut s = adios::BpStep::new(step, f64::from_bits(time));
         for (i, &v) in attrs.iter().enumerate() {
-            s.set_attr(format!("attr_{i}"), v);
+            s.set_attr(format!("attr_{i}"), f64::from_bits(v));
         }
         for (i, &(code, dims, seed)) in specs.iter().enumerate() {
-            let dtype = match code {
-                0 => ScalarType::F32,
-                1 => ScalarType::F64,
-                2 => ScalarType::I32,
-                3 => ScalarType::I64,
-                _ => ScalarType::U8,
-            };
             let n = (dims[0] * dims[1] * dims[2]) as usize;
             let mut x = seed | 1;
             let mut next = move || {
@@ -237,39 +259,36 @@ proptest! {
                 x ^= x << 17;
                 x
             };
-            // Values drawn from the declared type's domain, so the
-            // widened-to-f64 payload is exact.
-            let data: Vec<f64> = (0..n)
-                .map(|_| match dtype {
-                    ScalarType::F32 => (next() as i32 % 1000) as f32 as f64,
-                    ScalarType::F64 => f64::from_bits(next() & !(0x7ffu64 << 52)),
-                    ScalarType::I32 => next() as i32 as f64,
-                    ScalarType::I64 => (next() as i64 % (1i64 << 52)) as f64,
-                    ScalarType::U8 => (next() as u8) as f64,
-                })
-                .collect();
+            // Raw bits reinterpreted, so every value of the type can
+            // come up — NaNs with payloads, infinities, subnormals.
+            let data: Payload = match code {
+                0 => (0..n).map(|_| f32::from_bits(next() as u32)).collect::<Vec<_>>().into(),
+                1 => (0..n).map(|_| f64::from_bits(next())).collect::<Vec<_>>().into(),
+                2 => (0..n).map(|_| next() as i32).collect::<Vec<_>>().into(),
+                3 => (0..n).map(|_| next() as i64).collect::<Vec<_>>().into(),
+                _ => (0..n).map(|_| next() as u8).collect::<Vec<_>>().into(),
+            };
             let leaf = i as u32 % leaves;
             s.vars.push(
-                adios::BpVar::new(format!("v{i}"), dims, [0, 0, 0], dims, data)
-                    .with_dtype(dtype)
-                    .with_leaf(leaf),
+                adios::BpVar::new(format!("v{i}"), dims, [0, 0, 0], dims, data).with_leaf(leaf),
             );
             // A ghost deck: every variable travels with u8 duplicate
             // flags on its leaf.
-            let flags: Vec<f64> = (0..n).map(|_| (next() & 1) as f64).collect();
+            let flags: Vec<u8> = (0..n).map(|_| (next() & 1) as u8).collect();
             s.vars.push(
                 adios::BpVar::new(datamodel::GHOST_ARRAY_NAME, dims, [0, 0, 0], dims, flags)
-                    .with_dtype(ScalarType::U8)
                     .with_leaf(leaf),
             );
         }
-        let (mut bytes, mut again) = (Vec::new(), Vec::new());
+        let mut bytes = Vec::new();
         s.encode_into(&mut bytes);
-        s.encode_into(&mut again);
         prop_assert_eq!(bytes.len(), s.encoded_len());
-        prop_assert_eq!(&again, &bytes, "encoding is byte-stable");
+        let (first, ptr, cap) = (bytes.clone(), bytes.as_ptr(), bytes.capacity());
+        s.encode_into(&mut bytes);
+        prop_assert_eq!(&bytes, &first, "encoding is byte-stable");
+        prop_assert_eq!((bytes.as_ptr(), bytes.capacity()), (ptr, cap), "warm buffer reused");
         let back = adios::BpStep::decode(&bytes).expect("decode");
-        prop_assert_eq!(back, s);
+        prop_assert_eq!(step_bits(&back), step_bits(&s), "decode(encode(s)) is s");
     }
 
     /// Staging reconstruction is lossless: an arbitrary multi-leaf

@@ -220,6 +220,87 @@ fn wrong_space_access_is_reported_as_a_missing_transfer() {
     );
 }
 
+/// A simulation that advances its field when the writer asks for the
+/// time — that is, while the step is being marshalled.
+struct AdvancesMidMarshal {
+    inner: sensei::InMemoryAdaptor,
+    field: parking_lot::Mutex<DataArray>,
+}
+
+impl sensei::DataAdaptor for AdvancesMidMarshal {
+    fn time(&self) -> f64 {
+        // BUG: the frame is encoded straight from this buffer.
+        self.field.lock().set(0, 0, 1.0);
+        self.inner.time()
+    }
+    fn step(&self) -> u64 {
+        self.inner.step()
+    }
+    fn mesh(&self) -> DataSet {
+        self.inner.mesh()
+    }
+    fn array_names(&self, assoc: sensei::Association) -> Vec<String> {
+        self.inner.array_names(assoc)
+    }
+    fn add_array(
+        &self,
+        mesh: &mut DataSet,
+        assoc: sensei::Association,
+        name: &str,
+    ) -> Result<(), sensei::AdaptorError> {
+        self.inner.add_array(mesh, assoc, name)
+    }
+}
+
+/// Planted bug on the in transit path: the ADIOS writer shares the
+/// simulation's buffer from marshal until the frame is written, inside
+/// one publish window; a write in between is reported, and the same
+/// write once `execute` has returned is not (the window has closed).
+#[test]
+fn write_during_adios_marshal_is_reported_and_after_execute_is_clean() {
+    use adios::staging::{run_endpoint_with_broker, AdiosWriterAnalysis};
+    use sensei::AnalysisAdaptor as _;
+    let session = Session::new(2, Mode::Collect);
+    let s2 = Arc::clone(&session);
+    WorldBuilder::new(2)
+        .sched(SchedPolicy::Seeded(SEED))
+        .sanitizer(s2)
+        .run(|world| match adios::pair(world, 1) {
+            adios::Role::Writer { writer, .. } => {
+                let data = shared_image([4, 4, 1]);
+                let field = data.point_data().and_then(|a| a.get("u")).unwrap().clone();
+                let planted = AdvancesMidMarshal {
+                    inner: sensei::InMemoryAdaptor::new(data, 0.0, 0),
+                    field: parking_lot::Mutex::new(field),
+                };
+                let mut ship = AdiosWriterAnalysis::new(writer);
+                ship.execute(&planted, world);
+                // The simulation's next step: ordered after the window.
+                planted.field.lock().set(0, 0, 2.0);
+                ship.finalize(world);
+            }
+            adios::Role::Endpoint { sub, mut reader } => {
+                let broker = adios::StagingBroker::new(adios::BrokerConfig::default());
+                run_endpoint_with_broker(world, &sub, &mut reader, Vec::new(), &broker);
+            }
+        });
+    let findings = session.findings();
+    assert_eq!(
+        findings.len(),
+        1,
+        "one planted write, nothing else: {:#?}",
+        findings.iter().map(|f| f.to_string()).collect::<Vec<_>>()
+    );
+    let hit = &findings[0];
+    assert_eq!(hit.kind, FindingKind::UseAfterPublish);
+    assert_eq!(
+        hit.slots,
+        (0, Some(0)),
+        "the writer rank, in its own window"
+    );
+    assert!(hit.subject.contains("u@adios"), "subject: {}", hit.subject);
+}
+
 /// An endpoint that never closes its staged view: `Bridge::finalize`'s
 /// leak check (via `Session::finish_world`) reports the open window.
 #[test]

@@ -83,7 +83,7 @@ fn staging_reconnect_cycles() {
                 Role::Endpoint { mut reader, .. } => {
                     let mut seen = 0;
                     while let Some(steps) = reader.begin_step(world) {
-                        assert_eq!(steps[0].1.var("x").unwrap().data[0], cycle as f64);
+                        assert_eq!(steps[0].1.var("x").unwrap().data, vec![cycle as f64].into());
                         reader.end_step(world, &steps);
                         seen += 1;
                     }
