@@ -75,13 +75,6 @@ fn main() {
 /// the models assert at paper scale.
 fn validate() {
     println!("== real-mode validation (this machine, thread-backed ranks) ==");
-    let (original, sensei) = bench::realruns::measure_sensei_overhead(4, 24, 10);
-    println!(
-        "sensei-vs-subroutine (4 ranks, 24^3, 10 steps): direct {original:.4}s, bridge {sensei:.4}s, \
-         overhead {:+.1}%",
-        100.0 * (sensei - original) / original
-    );
-
     let dir = std::env::temp_dir().join(format!("sensei_validate_{}", std::process::id()));
     let (vtk, coll) = bench::realruns::measure_write_paths(4, 32, &dir);
     println!("write paths (4 ranks, 32^3): file-per-rank {vtk:.4}s, collective {coll:.4}s");
@@ -91,11 +84,5 @@ fn validate() {
     println!(
         "png 2900x725: zlib(fixed) {fixed:.3}s → {nf} B; stored {stored:.3}s → {ns} B \
          (Table 2's compression ablation, with this encoder)"
-    );
-
-    let (inline, staged) = bench::realruns::measure_staging_penalty(2, 24, 6);
-    println!(
-        "staging (2 writers + 2 endpoints, 24^3): inline histogram {inline:.4}s/step, \
-         staged writer {staged:.4}s/step"
     );
 }

@@ -1,5 +1,5 @@
 //! The per-step in situ hot path, measured end to end on real code:
-//! simulation step (naive all-pairs vs support-culled vs culled+threads),
+//! simulation step (naive all-pairs vs support-culled),
 //! streaming histogram (reference kernel vs cache-blocked kernel), and
 //! the happens-before sanitizer's overhead on a whole bridge run. Each
 //! section races the shipped path against the reference implementation
@@ -90,15 +90,12 @@ pub struct HotpathReport {
     pub grid: [usize; 3],
     pub oscillators: usize,
     pub steps: usize,
-    pub threads: usize,
     pub warmup_rounds: usize,
     pub timed_rounds: usize,
-    /// Step loop: naive all-pairs kernel vs culled + threaded kernel.
+    /// Step loop: naive all-pairs kernel vs the support-culled kernel.
     pub step: Section,
-    /// Culled kernel, single thread (isolates the algorithmic win).
-    pub step_culled_serial_s: f64,
     /// Histogram executes: reference streaming kernel vs the shipped
-    /// cache-blocked kernel (both at the configured thread count).
+    /// lane-unrolled kernel.
     pub histogram: Section,
     pub histogram_bins: usize,
     /// Sanitizer overhead: the same seeded oscillator + histogram
@@ -121,14 +118,13 @@ impl HotpathReport {
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n");
         s.push_str(&format!(
-            "  \"config\": {{\"grid\": [{}, {}, {}], \"oscillators\": {}, \"steps\": {}, \"threads\": {}, \"warmup_rounds\": {}, \"timed_rounds\": {}}},\n",
-            self.grid[0], self.grid[1], self.grid[2], self.oscillators, self.steps, self.threads,
+            "  \"config\": {{\"grid\": [{}, {}, {}], \"oscillators\": {}, \"steps\": {}, \"warmup_rounds\": {}, \"timed_rounds\": {}}},\n",
+            self.grid[0], self.grid[1], self.grid[2], self.oscillators, self.steps,
             self.warmup_rounds, self.timed_rounds
         ));
         s.push_str(&format!(
-            "  \"step\": {{\"naive_s\": {:.6}, \"culled_serial_s\": {:.6}, \"culled_threaded_s\": {:.6}, \"speedup\": {:.2}}},\n",
+            "  \"step\": {{\"naive_s\": {:.6}, \"culled_s\": {:.6}, \"speedup\": {:.2}}},\n",
             self.step.baseline_s,
-            self.step_culled_serial_s,
             self.step.optimized_s,
             self.step.speedup()
         ));
@@ -214,7 +210,6 @@ fn time_histogram(
     deck: &str,
     grid: [usize; 3],
     bins: usize,
-    threads: usize,
     executes: usize,
     reference: bool,
 ) -> f64 {
@@ -227,7 +222,7 @@ fn time_histogram(
         };
         let mut sim = Simulation::new(comm, cfg, Some(deck.as_str()));
         sim.step(comm);
-        let mut hist = HistogramAnalysis::new("data", bins).with_threads(threads);
+        let mut hist = HistogramAnalysis::new("data", bins);
         if reference {
             hist = hist.with_reference_kernel();
         }
@@ -300,7 +295,7 @@ fn time_sanitized_run(
 }
 
 /// Run the full hot-path measurement.
-pub fn run(grid: [usize; 3], oscillators: usize, steps: usize, threads: usize) -> HotpathReport {
+pub fn run(grid: [usize; 3], oscillators: usize, steps: usize) -> HotpathReport {
     let deck = sparse_deck(oscillators);
 
     // The naive all-pairs loop is by far the slowest leg; fewer timed
@@ -309,24 +304,17 @@ pub fn run(grid: [usize; 3], oscillators: usize, steps: usize, threads: usize) -
     let naive = median_of(WARMUP_ROUNDS, 3, || {
         time_steps(&deck, grid, steps, |sim, comm| sim.step_naive(comm))
     });
-    let culled_serial = median_of(WARMUP_ROUNDS, TIMED_ROUNDS, || {
-        time_steps(&deck, grid, steps, |sim, comm| {
-            sim.step_with_threads(comm, 1)
-        })
-    });
-    let culled_threaded = median_of(WARMUP_ROUNDS, TIMED_ROUNDS, || {
-        time_steps(&deck, grid, steps, move |sim, comm| {
-            sim.step_with_threads(comm, threads)
-        })
+    let culled = median_of(WARMUP_ROUNDS, TIMED_ROUNDS, || {
+        time_steps(&deck, grid, steps, |sim, comm| sim.step(comm))
     });
 
     let bins = 64;
     let executes = steps.max(4) * 4;
     let hist_reference = median_of(WARMUP_ROUNDS, TIMED_ROUNDS, || {
-        time_histogram(&deck, grid, bins, threads, executes, true)
+        time_histogram(&deck, grid, bins, executes, true)
     });
     let hist_blocked = median_of(WARMUP_ROUNDS, TIMED_ROUNDS, || {
-        time_histogram(&deck, grid, bins, threads, executes, false)
+        time_histogram(&deck, grid, bins, executes, false)
     });
 
     let san_ranks = 8;
@@ -355,14 +343,12 @@ pub fn run(grid: [usize; 3], oscillators: usize, steps: usize, threads: usize) -
         grid,
         oscillators,
         steps,
-        threads,
         warmup_rounds: WARMUP_ROUNDS,
         timed_rounds: TIMED_ROUNDS,
         step: Section {
             baseline_s: naive,
-            optimized_s: culled_threaded,
+            optimized_s: culled,
         },
-        step_culled_serial_s: culled_serial,
         histogram: Section {
             baseline_s: hist_reference,
             optimized_s: hist_blocked,
@@ -385,7 +371,7 @@ mod tests {
 
     #[test]
     fn report_measures_and_serializes() {
-        let r = run([8, 8, 8], 4, 2, 1);
+        let r = run([8, 8, 8], 4, 2);
         let doc = probe::Json::parse(&r.to_json()).expect("well-formed JSON");
         let gated = gate("hotpath", &doc, &doc, TOLERANCE);
         assert!(gated.passed(), "{:?}", gated.failures);

@@ -13,11 +13,10 @@
 use probe::Json;
 
 use crate::{brokerbench, hotpath, offloadbench, querybench};
-use Rule::{AbsFloor, Holds, PointsCeiling, RatioCeiling, RatioFloor};
+use Rule::{AbsFloor, Holds, RatioCeiling, RatioFloor};
 
 /// Allowed regression: relative for the ratio rules, absolute for
-/// [`Rule::AbsFloor`], ×100 percentage points for
-/// [`Rule::PointsCeiling`].
+/// [`Rule::AbsFloor`].
 pub const TOLERANCE: f64 = 0.15;
 
 /// How a fresh value is held against its baseline.
@@ -29,10 +28,6 @@ pub enum Rule {
     RatioCeiling,
     /// A share in [0, 1]: fresh > 0 and fresh ≥ max(base − tol, 0).
     AbsFloor,
-    /// An additive percentage: fresh ≤ max(base, 0) + tol·100 points
-    /// (the clamp keeps a negative record — noise around zero — from
-    /// tightening the ceiling).
-    PointsCeiling,
     /// A correctness fact, not a timing: fresh is `true`.
     Holds,
 }
@@ -59,7 +54,6 @@ const fn row(suite: &'static str, section: &'static str, key: &'static str, rule
 pub const GATED: &[Gated] = &[
     row("hotpath", "step", "speedup", RatioFloor),
     row("hotpath", "histogram", "speedup", RatioFloor),
-    row("hotpath", "sanitizer", "overhead_pct", PointsCeiling),
     row("hotpath", "sanitizer", "bitwise_identical", Holds),
     row("broker", "fanout", "speedup", RatioFloor),
     row("broker", "fairness", "min_over_max_delivered", AbsFloor),
@@ -79,8 +73,8 @@ pub const GATED: &[Gated] = &[
 /// recorded with.
 #[allow(clippy::type_complexity)] // a two-column table; an alias would only rename it
 pub const SUITES: [(&str, fn() -> String); 4] = [
-    // 64³ grid, 48 sparse oscillators, 8 steps, every available core.
-    ("hotpath", || hotpath::run([64, 64, 64], 48, 8, 0).to_json()),
+    // 64³ grid, 48 sparse oscillators, 8 steps.
+    ("hotpath", || hotpath::run([64, 64, 64], 48, 8).to_json()),
     ("broker", || brokerbench::run().to_json()),
     ("offload", || offloadbench::run().to_json()),
     ("query", || querybench::run().to_json()),
@@ -98,7 +92,6 @@ impl Rule {
             Rule::RatioFloor => (true, base * (1.0 - tol)),
             Rule::RatioCeiling => (false, base * (1.0 + tol)),
             Rule::AbsFloor => (true, (base - tol).max(0.0)),
-            Rule::PointsCeiling => (false, base.max(0.0) + tol * 100.0),
             Rule::Holds => return None, // numbers where booleans belong
         };
         let ok = if floor { now >= bound } else { now <= bound };
@@ -163,7 +156,6 @@ mod tests {
         match rule {
             Rule::RatioFloor => Json::Num(20.0),
             Rule::RatioCeiling | Rule::AbsFloor => Json::Num(1.0),
-            Rule::PointsCeiling => Json::Num(4.0),
             Rule::Holds => Json::Bool(true),
         }
     }
@@ -174,7 +166,6 @@ mod tests {
             Rule::RatioFloor => Json::Num(20.0 * 0.80),
             Rule::AbsFloor => Json::Num(0.80),
             Rule::RatioCeiling => Json::Num(1.20),
-            Rule::PointsCeiling => Json::Num(4.0 + 20.0),
             Rule::Holds => Json::Bool(false),
         }
     }

@@ -1,65 +1,19 @@
 //! Real (threaded) measurements at workstation scale. These validate
-//! the shapes the models assert — zero-copy overhead, the zlib ablation,
-//! the VTK-vs-collective ordering, the staging penalty — and are also
-//! the bodies of the criterion benches.
+//! the shapes the models assert that nothing else times — the
+//! VTK-vs-collective ordering of Table 1 and the zlib ablation of
+//! Table 2. (The bridge's overhead and the staging penalty are rows of
+//! `benchmark/`: `sim-baseline` vs `stats-insitu`, `intransit-staging`.)
 
 use probe::time::Wall;
 
 use datamodel::Extent;
 use minimpi::World;
-use oscillator::{demo_oscillators, osc::format_deck, OscillatorAdaptor, SimConfig, Simulation};
-use sensei::analysis::autocorrelation::Autocorrelation;
-use sensei::analysis::AnalysisAdaptor as _;
-use sensei::Bridge;
 
 /// Seconds of wall clock for `f`.
 pub fn time<T>(f: impl FnOnce() -> T) -> (f64, T) {
     let t0 = Wall::now();
     let out = f();
     (t0.elapsed().as_secs_f64(), out)
-}
-
-/// Fig. 3 in real mode: run the miniapp + autocorrelation twice — once
-/// via direct subroutine calls, once through the SENSEI bridge — and
-/// return `(original_seconds, sensei_seconds)`.
-pub fn measure_sensei_overhead(ranks: usize, grid: usize, steps: usize) -> (f64, f64) {
-    let deck = format_deck(&demo_oscillators());
-    let run = |use_bridge: bool| -> f64 {
-        let deck = deck.clone();
-        let times = World::run(ranks, move |comm| {
-            let cfg = SimConfig {
-                grid: [grid, grid, grid],
-                steps,
-                ..SimConfig::default()
-            };
-            let root_deck = if comm.rank() == 0 {
-                Some(deck.as_str())
-            } else {
-                None
-            };
-            let mut sim = Simulation::new(comm, cfg, root_deck);
-            let t0 = Wall::now();
-            if use_bridge {
-                let mut bridge = Bridge::new();
-                bridge.register(Box::new(Autocorrelation::new("data", 4, 4)));
-                for _ in 0..steps {
-                    sim.step(comm);
-                    bridge.execute(&OscillatorAdaptor::new(&sim), comm);
-                }
-                bridge.finalize(comm);
-            } else {
-                let mut ac = Autocorrelation::new("data", 4, 4);
-                for _ in 0..steps {
-                    sim.step(comm);
-                    ac.execute(&OscillatorAdaptor::new(&sim), comm);
-                }
-                ac.finalize(comm);
-            }
-            t0.elapsed().as_secs_f64()
-        });
-        times.into_iter().fold(0.0, f64::max)
-    };
-    (run(false), run(true))
 }
 
 /// Table 1 in real mode: write one step of a block-decomposed field via
@@ -132,94 +86,9 @@ pub fn pseudocolor_like_image(width: usize, height: usize) -> Vec<u8> {
     rgb
 }
 
-/// §4.1.4 in real mode: per-step wall time of an inline histogram vs the
-/// same histogram at a FlexPath endpoint (writers + endpoints on this
-/// machine). Returns `(inline_seconds, staged_seconds)` per step.
-pub fn measure_staging_penalty(writers: usize, grid: usize, steps: usize) -> (f64, f64) {
-    use adios::staging::{run_endpoint_with_broker, AdiosWriterAnalysis};
-    use adios::{pair, BrokerConfig, Role, StagingBroker};
-    use sensei::analysis::histogram::HistogramAnalysis;
-
-    let deck = format_deck(&demo_oscillators());
-
-    // Inline: writers alone run sim + histogram.
-    let deck1 = deck.clone();
-    let inline = World::run(writers, move |comm| {
-        let cfg = SimConfig {
-            grid: [grid, grid, grid],
-            steps,
-            ..SimConfig::default()
-        };
-        let root_deck = if comm.rank() == 0 {
-            Some(deck1.as_str())
-        } else {
-            None
-        };
-        let mut sim = Simulation::new(comm, cfg, root_deck);
-        let mut hist = HistogramAnalysis::new("data", 32);
-        let t0 = Wall::now();
-        for _ in 0..steps {
-            sim.step(comm);
-            hist.execute(&OscillatorAdaptor::new(&sim), comm);
-        }
-        t0.elapsed().as_secs_f64() / steps as f64
-    })
-    .into_iter()
-    .fold(0.0, f64::max);
-
-    // Staged: writers ship to endpoints that run the histogram.
-    let staged = World::run(writers * 2, move |world| match pair(world, writers) {
-        Role::Writer { sub, writer } => {
-            let cfg = SimConfig {
-                grid: [grid, grid, grid],
-                steps,
-                ..SimConfig::default()
-            };
-            let root_deck = if sub.rank() == 0 {
-                Some(deck.as_str())
-            } else {
-                None
-            };
-            let mut sim = Simulation::new(&sub, cfg, root_deck);
-            let mut ship = AdiosWriterAnalysis::new(writer);
-            let t0 = Wall::now();
-            for _ in 0..steps {
-                sim.step(&sub);
-                ship.execute(&OscillatorAdaptor::new(&sim), world);
-            }
-            ship.finalize(world);
-            Some(t0.elapsed().as_secs_f64() / steps as f64)
-        }
-        Role::Endpoint { sub, mut reader } => {
-            let hist = HistogramAnalysis::new("data", 32);
-            let broker = StagingBroker::new(BrokerConfig::default());
-            run_endpoint_with_broker(world, &sub, &mut reader, vec![Box::new(hist)], &broker);
-            None
-        }
-    })
-    .into_iter()
-    .flatten()
-    .fold(0.0, f64::max);
-    (inline, staged)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sensei_overhead_is_small_in_real_mode() {
-        // The headline zero-copy claim, measured for real: the bridge
-        // path costs within noise of the direct path.
-        let (original, sensei) = measure_sensei_overhead(2, 16, 6);
-        assert!(original > 0.0 && sensei > 0.0);
-        // Generous bound: thread-scheduling noise at this tiny scale can
-        // reach tens of percent; catch only gross regressions.
-        assert!(
-            sensei < original * 2.0 + 0.05,
-            "bridge {sensei} vs direct {original}"
-        );
-    }
 
     #[test]
     fn png_ablation_shape_matches_table2_discussion() {
@@ -240,12 +109,5 @@ mod tests {
         assert!(vtk > 0.0 && coll > 0.0);
         assert!(dir.join("shared.bin").exists());
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn staging_runs_to_completion() {
-        let (inline, staged) = measure_staging_penalty(2, 12, 4);
-        assert!(inline > 0.0);
-        assert!(staged > 0.0);
     }
 }

@@ -1,12 +1,10 @@
 //! The time-stepping simulation: fills a block-decomposed structured
 //! grid with convolved oscillator values.
 //!
-//! The per-step fill is the miniapp half of the paper's hot path, and it
-//! runs through **one chunked kernel** ([`Simulation::step_with_threads`])
-//! parameterized by thread count: the rank's subgrid is split into
-//! contiguous k-plane slabs, each slab filled independently with
-//! **per-oscillator AABB support culling**. Culling exploits the fact
-//! that the spatial Gaussian underflows to exactly `+0.0` beyond
+//! The per-step fill is the miniapp half of the paper's hot path. A
+//! rank is one thread, and [`Simulation::step`] fills the rank's block
+//! with **per-oscillator AABB support culling**. Culling exploits the
+//! fact that the spatial Gaussian underflows to exactly `+0.0` beyond
 //! [`Oscillator::support_radius`], so each oscillator only touches cells
 //! inside its influence box — `O(cells + Σ support volumes)` instead of
 //! `O(cells × oscillators)` — while staying **bitwise identical** to the
@@ -17,7 +15,6 @@ use std::sync::{Arc, OnceLock};
 
 use datamodel::{dims_create, partition_extent, Extent};
 use minimpi::Comm;
-use sensei::exec;
 
 use crate::osc::{parse_deck, Oscillator};
 
@@ -112,62 +109,23 @@ impl Simulation {
         }
     }
 
-    /// Advance one timestep on a single thread (the culled kernel).
+    /// Advance one timestep with the support-culled kernel; the field is
+    /// bitwise identical to [`Simulation::step_naive`]'s.
     pub fn step(&mut self, comm: &Comm) {
-        self.step_with_threads(comm, 1);
-    }
-
-    /// Advance one timestep on `threads` intra-rank threads (`0` = use
-    /// every available core) — **hybrid MPI+thread execution**: ranks
-    /// still exchange via the communicator (the execution model the
-    /// paper's Nyx discussion calls for, §4.2.3).
-    ///
-    /// The local block is split into contiguous k-plane slabs, one per
-    /// thread; each slab runs the support-culled kernel independently.
-    /// Per-cell accumulation order is the deck order at every thread
-    /// count, so the field is bitwise identical to
-    /// [`Simulation::step_naive`] regardless of `threads`.
-    ///
-    /// The communicator is only touched from the calling thread
-    /// (`MPI_THREAD_FUNNELED`).
-    pub fn step_with_threads(&mut self, comm: &Comm, threads: usize) {
         let probe = comm.probe();
         let _span = probe.span("per-step/sim/kernel");
         self.time = self.step as f64 * self.config.dt;
-        let t = self.time;
-        let oscillators: &[Oscillator] = &self.oscillators;
-        let spacing = self.spacing;
-        let local = self.local;
-
         // `make_mut` reuses the allocation when no analysis holds a view
         // (the steady state: adaptors release between steps); if a view
         // is still alive this copies rather than corrupting it.
         let field = Arc::make_mut(&mut self.field);
-        let dims = local.point_dims();
-        let plane = dims[0] * dims[1];
-        let slabs = exec::split_even(dims[2], exec::resolve_threads(threads));
-        if slabs.len() <= 1 {
-            fill_culled(local, field, oscillators, spacing, t);
-        } else {
-            std::thread::scope(|scope| {
-                let mut rest: &mut [f64] = field;
-                let mut handles = Vec::with_capacity(slabs.len());
-                for r in &slabs {
-                    let (slab, tail) = rest.split_at_mut(r.len() * plane);
-                    rest = tail;
-                    let chunk = Extent::new(
-                        [local.lo[0], local.lo[1], local.lo[2] + r.start as i64],
-                        [local.hi[0], local.hi[1], local.lo[2] + r.end as i64 - 1],
-                    );
-                    handles.push(
-                        scope.spawn(move || fill_culled(chunk, slab, oscillators, spacing, t)),
-                    );
-                }
-                for h in handles {
-                    h.join().expect("step: slab worker panicked");
-                }
-            });
-        }
+        fill_culled(
+            self.local,
+            field,
+            &self.oscillators,
+            self.spacing,
+            self.time,
+        );
         self.step += 1;
         if self.config.sync_every_step {
             comm.barrier();
@@ -178,8 +136,8 @@ impl Simulation {
     /// evaluates every oscillator, serially.
     ///
     /// Kept as the reference implementation: property tests assert the
-    /// culled/threaded kernel reproduces this bitwise, and the hot-path
-    /// benchmark measures its speedup against it.
+    /// culled kernel reproduces this bitwise, and the hot-path benchmark
+    /// measures its speedup against it.
     pub fn step_naive(&mut self, comm: &Comm) {
         let probe = comm.probe();
         let _span = probe.span("per-step/sim/kernel");
@@ -272,10 +230,10 @@ impl Simulation {
     }
 }
 
-/// Fill one chunk of the field with the support-culled kernel.
+/// Fill one block of the field with the support-culled kernel.
 ///
 /// For each oscillator (in deck order, so per-cell accumulation order
-/// matches the naive kernel) the chunk is clipped to the oscillator's
+/// matches the naive kernel) the block is clipped to the oscillator's
 /// axis-aligned influence box, and inside the box each cell applies the
 /// exact-underflow gate: contributions with `d² >= cutoff_d2` are
 /// skipped because the Gaussian is exactly `+0.0` there. Skipped terms
@@ -297,15 +255,15 @@ impl Simulation {
 /// per-cell index→coordinate conversion and multiply from the loop
 /// that pays for the `exp`.
 fn fill_culled(
-    chunk: Extent,
+    block: Extent,
     out: &mut [f64],
     oscillators: &[Oscillator],
     spacing: [f64; 3],
     t: f64,
 ) {
-    debug_assert_eq!(out.len(), chunk.num_points());
+    debug_assert_eq!(out.len(), block.num_points());
     out.fill(0.0);
-    let d = chunk.point_dims();
+    let d = block.point_dims();
     // One reusable row table per call; `clear` keeps the allocation warm
     // across oscillators.
     let mut dx2 = Vec::with_capacity(d[0]);
@@ -318,31 +276,31 @@ fn fill_culled(
         let cutoff = o.cutoff_d2();
         let cullable = amp.is_finite() && cutoff > 0.0;
         let (ilo, ihi) = axis_range(
-            chunk.lo[0],
-            chunk.hi[0],
+            block.lo[0],
+            block.hi[0],
             o.center[0],
             spacing[0],
             cutoff,
             cullable,
         );
         let (jlo, jhi) = axis_range(
-            chunk.lo[1],
-            chunk.hi[1],
+            block.lo[1],
+            block.hi[1],
             o.center[1],
             spacing[1],
             cutoff,
             cullable,
         );
         let (klo, khi) = axis_range(
-            chunk.lo[2],
-            chunk.hi[2],
+            block.lo[2],
+            block.hi[2],
             o.center[2],
             spacing[2],
             cutoff,
             cullable,
         );
         if ilo > ihi || jlo > jhi || klo > khi {
-            continue; // influence box misses this chunk entirely
+            continue; // influence box misses this block entirely
         }
         dx2.clear();
         dx2.extend((ilo..=ihi).map(|i| {
@@ -352,12 +310,12 @@ fn fill_culled(
         for k in klo..=khi {
             let dz = k as f64 * spacing[2] - o.center[2];
             let dz2 = dz * dz;
-            let krow = (k - chunk.lo[2]) as usize * d[1];
+            let krow = (k - block.lo[2]) as usize * d[1];
             for j in jlo..=jhi {
                 let dy = j as f64 * spacing[1] - o.center[1];
                 let dy2 = dy * dy;
-                let jrow = (krow + (j - chunk.lo[1]) as usize) * d[0];
-                let row = &mut out[jrow + (ilo - chunk.lo[0]) as usize..];
+                let jrow = (krow + (j - block.lo[1]) as usize) * d[0];
+                let row = &mut out[jrow + (ilo - block.lo[0]) as usize..];
                 for (cell, &dxx) in row.iter_mut().zip(&dx2) {
                     let d2 = dxx + dy2 + dz2;
                     if cullable && d2 >= cutoff {
@@ -604,74 +562,34 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_step_is_bitwise_identical() {
-        // The §4.2.3 extension: intra-rank thread parallelism must not
-        // change results.
-        let d = deck();
-        World::run(2, move |comm| {
-            let root_deck = if comm.rank() == 0 {
-                Some(d.as_str())
-            } else {
-                None
-            };
-            let cfg = SimConfig {
-                grid: [12, 12, 12],
-                steps: 3,
-                ..SimConfig::default()
-            };
-            let mut serial = Simulation::new(comm, cfg.clone(), root_deck);
-            let root_deck2 = if comm.rank() == 0 {
-                Some(d.as_str())
-            } else {
-                None
-            };
-            let mut hybrid = Simulation::new(comm, cfg, root_deck2);
-            for _ in 0..3 {
-                serial.step(comm);
-                hybrid.step_with_threads(comm, 0);
-            }
-            assert_eq!(serial.field().as_ref(), hybrid.field().as_ref());
-            assert_eq!(serial.current_time(), hybrid.current_time());
-        });
-    }
-
-    #[test]
     fn culled_kernel_is_bitwise_identical_to_naive() {
-        // The tentpole contract: support culling and slab threading must
-        // reproduce the all-pairs kernel bit for bit — on the dense demo
-        // deck (supports cover the domain) and a sparse deck (most
-        // oscillator/cell pairs culled).
+        // The tentpole contract: support culling must reproduce the
+        // all-pairs kernel bit for bit — on the dense demo deck (supports
+        // cover the domain) and a sparse deck (most oscillator/cell pairs
+        // culled).
         for deck_text in [deck(), sparse_deck(40)] {
-            for threads in [1usize, 2, 5] {
-                let d = deck_text.clone();
-                World::run(2, move |comm| {
-                    let cfg = SimConfig {
-                        grid: [17, 13, 11],
-                        ..SimConfig::default()
-                    };
-                    let root = if comm.rank() == 0 {
-                        Some(d.as_str())
-                    } else {
-                        None
-                    };
-                    let mut naive = Simulation::new(comm, cfg.clone(), root);
-                    let root2 = if comm.rank() == 0 {
-                        Some(d.as_str())
-                    } else {
-                        None
-                    };
-                    let mut culled = Simulation::new(comm, cfg, root2);
-                    for _ in 0..4 {
-                        naive.step_naive(comm);
-                        culled.step_with_threads(comm, threads);
-                        assert_eq!(
-                            naive.field().as_ref(),
-                            culled.field().as_ref(),
-                            "culled/threads={threads} diverged from naive"
-                        );
-                    }
-                });
-            }
+            World::run(2, move |comm| {
+                let cfg = SimConfig {
+                    grid: [17, 13, 11],
+                    ..SimConfig::default()
+                };
+                let root = if comm.rank() == 0 {
+                    Some(deck_text.as_str())
+                } else {
+                    None
+                };
+                let mut naive = Simulation::new(comm, cfg.clone(), root);
+                let mut culled = Simulation::new(comm, cfg, root);
+                for _ in 0..4 {
+                    naive.step_naive(comm);
+                    culled.step(comm);
+                    assert_eq!(
+                        naive.field().as_ref(),
+                        culled.field().as_ref(),
+                        "culled diverged from naive"
+                    );
+                }
+            });
         }
     }
 

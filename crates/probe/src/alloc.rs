@@ -8,10 +8,11 @@
 //!
 //! The accounting is an approximation at the edges: a buffer allocated
 //! on one rank and freed on another (ownership moving through a
-//! channel) debits the freeing thread, and intra-rank worker threads
-//! (`exec::map_chunks`) carry their own counters. Rank-thread
-//! allocations — mesh construction, analysis buffers, payload clones —
-//! dominate, which is what the gauge is for.
+//! channel) debits the freeing thread, and the offload executor's
+//! workers (`Bridge::enable_offload`, the one place a rank launches
+//! threads) carry their own counters. Rank-thread allocations — mesh
+//! construction, analysis buffers, payload clones — dominate, which is
+//! what the gauge is for.
 //!
 //! Enable the `track-alloc` feature (binaries and test harnesses, not
 //! libraries) to install the allocator; without it [`peak_bytes`]

@@ -2,8 +2,9 @@
 //! vector clock and a handle to the world's [`Session`].
 //!
 //! minimpi's worlds are thread-backed (one thread per rank), so a
-//! thread-local is exactly per-rank state. Worker threads an analysis
-//! spawns have no context; every hook degrades to a no-op there, and
+//! thread-local is exactly per-rank state. The offload executor's
+//! workers (`Bridge::enable_offload`, the only threads a rank launches)
+//! have no context; every hook degrades to a no-op there, and
 //! everywhere when no session is installed — the disabled path is one
 //! thread-local read.
 
@@ -128,7 +129,8 @@ pub fn on_recv(stamp: &Stamp) {
 /// touched array `subject` whose bytes live in `array_space`, with no
 /// explicit transfer in between. A local visible event (ticks the
 /// clock so the finding carries evidence); no-op without a context —
-/// worker threads rely on the rank-thread launch sites being checked.
+/// the offload workers rely on their rank-thread launch site
+/// (`Bridge::enable_offload`'s dispatch) being checked.
 pub fn report_wrong_space(subject: &str, array_space: &str, have_exec: &str) {
     let Some((session, slot, clock)) = local_event() else {
         return;

@@ -7,12 +7,10 @@
 //! profile the paper studies. At finalize, a global reduction finds the
 //! top-k correlations per delay; for periodic oscillators those peaks
 //! sit at the oscillator centers.
-
-//! Per-step updates *stream*: each leaf's values are read in place
-//! through zero-copy borrowed slices (no temporary vector), and cells —
-//! whose history/correlation state is disjoint — are chunked across
-//! intra-rank threads. Leaves that carry ghost flags fall back to
-//! serial streaming.
+//!
+//! Per-step updates *stream* on the rank thread: each leaf's values are
+//! read in place through zero-copy borrowed slices (no temporary vector)
+//! and its non-ghost cells, ghost flags or not, run one update loop.
 
 use minimpi::Comm;
 use parking_lot::Mutex;
@@ -22,7 +20,6 @@ use crate::adaptor::{Association, DataAdaptor};
 use crate::analysis::{
     leaf_views, populated_mesh, AnalysisAdaptor, LeafView, ReportOnce, Steering,
 };
-use crate::exec;
 
 /// Gauge name for the autocorrelation history/correlation buffers
 /// (the `O(t·N³)` storage the paper's Fig. 4 studies).
@@ -49,7 +46,6 @@ pub struct Autocorrelation {
     array: String,
     window: usize,
     k: usize,
-    threads: usize,
     /// Circular value history, `cells × window`, lazily sized.
     history: Vec<f64>,
     /// Running correlations, `cells × window`.
@@ -72,7 +68,6 @@ impl Autocorrelation {
             array: array.into(),
             window,
             k,
-            threads: 1,
             history: Vec::new(),
             corr: Vec::new(),
             cells: 0,
@@ -81,15 +76,6 @@ impl Autocorrelation {
             results: Arc::new(Mutex::new(None)),
             failures: ReportOnce::default(),
         }
-    }
-
-    /// Run the per-step update on `threads` intra-rank threads (`0` =
-    /// use every available core). Per-cell state is disjoint and each
-    /// cell's accumulation order is fixed, so results are bitwise
-    /// identical at any thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 
     /// A handle through which rank 0 reads the finalize result.
@@ -121,8 +107,7 @@ impl Autocorrelation {
         self.corr = vec![0.0; self.cells * self.window];
     }
 
-    /// Serial-path update of one cell's circular history and running
-    /// correlations (the same arithmetic the chunked kernel applies).
+    /// Update one cell's circular history and running correlations.
     fn update_cell(&mut self, cell: usize, v: f64, s: u64) {
         let w = self.window as u64;
         let base = cell * self.window;
@@ -182,38 +167,15 @@ impl AnalysisAdaptor for Autocorrelation {
             "autocorrelation: cell count changed mid-run"
         );
 
+        // The value→cell mapping is the running count of kept tuples
+        // across leaves, in element order.
         let s = self.steps_seen;
-        let w = self.window;
         let mut offset = 0usize;
         for view in &views {
-            if view.ghosts.is_some() {
-                // Ghost-bearing leaf: serial streaming (the value→cell
-                // mapping is prefix-dependent), still no temporary.
-                for (_, v) in view.kept() {
-                    self.update_cell(offset, v, s);
-                    offset += 1;
-                }
-                continue;
+            for (_, v) in view.kept() {
+                self.update_cell(offset, v, s);
+                offset += 1;
             }
-            // Ghost-free leaf: cells chunk across threads, each worker
-            // owning a disjoint window of both buffers.
-            let vals = &view.values;
-            let m = vals.len();
-            let hist = &mut self.history[offset * w..(offset + m) * w];
-            let corr = &mut self.corr[offset * w..(offset + m) * w];
-            exec::zip_chunks_mut(self.threads, m, hist, corr, |range, h, c| {
-                for (li, cell) in range.enumerate() {
-                    let v = vals[cell];
-                    let base = li * w;
-                    let max_lag = s.min(w as u64);
-                    for lag in 1..=max_lag {
-                        let past = h[base + ((s - lag) % w as u64) as usize];
-                        c[base + (lag - 1) as usize] += v * past;
-                    }
-                    h[base + (s % w as u64) as usize] = v;
-                }
-            });
-            offset += m;
         }
         debug_assert_eq!(offset, self.cells);
         self.steps_seen += 1;
@@ -346,26 +308,86 @@ mod tests {
         });
     }
 
+    /// Points per leaf of the two-leaf signal below.
+    const LEAVES: [usize; 2] = [23, 14];
+
+    fn signal(leaf: usize, i: usize, s: u64) -> f64 {
+        ((i as f64 * 0.31 + leaf as f64 + s as f64) * 1.7).sin()
+    }
+
+    /// Step `s` of the two-leaf signal; `flag` fills each leaf's ghost
+    /// array, `None` attaches none.
+    fn leaves(s: u64, flag: Option<fn(usize) -> u8>) -> InMemoryAdaptor {
+        let mut blocks = datamodel::MultiBlock::new();
+        for (leaf, n) in LEAVES.into_iter().enumerate() {
+            let e = Extent::whole([n, 1, 1]);
+            let mut g = ImageData::new(e, e);
+            let vals: Vec<f64> = (0..n).map(|i| signal(leaf, i, s)).collect();
+            g.add_point_array(DataArray::owned("data", 1, vals));
+            if let Some(flag) = flag {
+                let flags: Vec<u8> = (0..n).map(flag).collect();
+                g.add_point_array(DataArray::owned(datamodel::GHOST_ARRAY_NAME, 1, flags));
+            }
+            blocks.push(DataSet::Image(g));
+        }
+        InMemoryAdaptor::new(DataSet::Multi(blocks), s as f64, s)
+    }
+
     #[test]
-    fn threaded_update_is_bitwise_identical() {
+    fn ghost_free_and_zero_flag_leaves_agree_bitwise() {
         World::run(1, |comm| {
-            for threads in [2usize, 5, 0] {
-                let mut serial = Autocorrelation::new("data", 4, 3);
-                let mut threaded = Autocorrelation::new("data", 4, 3).with_threads(threads);
-                let rs = serial.results_handle();
-                let rt = threaded.results_handle();
-                for s in 0..20u64 {
-                    let vals: Vec<f64> = (0..37)
-                        .map(|i| ((i as f64 * 0.31 + s as f64) * 1.7).sin())
-                        .collect();
-                    serial.execute(&adaptor(vals.clone(), s), comm);
-                    threaded.execute(&adaptor(vals, s), comm);
+            let (window, steps) = (4usize, 20u64);
+            let mut plain = Autocorrelation::new("data", window, 3);
+            let mut zeroed = Autocorrelation::new("data", window, 3);
+            let mut flagged = Autocorrelation::new("data", window, 3);
+            for s in 0..steps {
+                plain.execute(&leaves(s, None), comm);
+                zeroed.execute(&leaves(s, Some(|_| 0)), comm);
+                flagged.execute(&leaves(s, Some(|i| u8::from(i % 3 == 0))), comm);
+            }
+            assert_eq!(plain.cells, LEAVES.iter().sum::<usize>());
+            assert_eq!(plain.corr, zeroed.corr);
+            assert_eq!(plain.history, zeroed.history);
+
+            // Hand-rolled per-cell reference that skips every third tuple.
+            let kept: Vec<(usize, usize)> = LEAVES
+                .into_iter()
+                .enumerate()
+                .flat_map(|(leaf, n)| (0..n).filter(|i| i % 3 != 0).map(move |i| (leaf, i)))
+                .collect();
+            let mut corr = vec![0.0f64; kept.len() * window];
+            let mut history = vec![0.0f64; kept.len() * window];
+            for s in 0..steps {
+                for (c, &(leaf, i)) in kept.iter().enumerate() {
+                    for lag in 1..=s.min(window as u64) {
+                        corr[c * window + lag as usize - 1] +=
+                            signal(leaf, i, s) * signal(leaf, i, s - lag);
+                    }
+                    history[c * window + s as usize % window] = signal(leaf, i, s);
                 }
-                assert_eq!(serial.corr, threaded.corr, "threads={threads}");
-                assert_eq!(serial.history, threaded.history);
-                serial.finalize(comm);
-                threaded.finalize(comm);
-                assert_eq!(rs.lock().clone(), rt.lock().clone());
+            }
+            assert_eq!(flagged.corr, corr);
+            assert_eq!(flagged.history, history);
+
+            let [plain, zeroed, flagged] = [plain, zeroed, flagged].map(|mut ac| {
+                ac.finalize(comm);
+                let peaks = ac.results_handle().lock().clone();
+                peaks.expect("one rank is the root")
+            });
+            assert_eq!(plain, zeroed);
+            for (lag, peaks) in flagged.iter().enumerate() {
+                // A peak names its tuple's index in its own leaf's extent.
+                let mut expect: Vec<Peak> = kept
+                    .iter()
+                    .enumerate()
+                    .map(|(c, &(_, i))| Peak {
+                        value: corr[c * window + lag],
+                        cell: i as u64,
+                    })
+                    .collect();
+                expect.sort_by(|a, b| b.value.total_cmp(&a.value));
+                expect.truncate(3);
+                assert_eq!(peaks, &expect, "lag {}", lag + 1);
             }
         });
     }

@@ -2,12 +2,11 @@
 //! range, each rank bins its local values, and the bins reduce to root.
 //! The only extra storage is proportional to the bin count.
 //!
-//! Both local passes *stream* over the simulation's buffers: values are
-//! read in place through zero-copy borrowed slices (never gathered into
-//! a temporary), in contiguous chunks that can run on intra-rank threads
-//! with per-thread accumulators. Per-thread state is one `(min, max,
-//! count)` triple for pass 1 and one bin vector for pass 2, so storage
-//! stays proportional to the bin count (× threads), independent of the
+//! Both local passes *stream* over the simulation's buffers on the rank
+//! thread: each leaf's values are read in place through a zero-copy
+//! borrowed slice (never gathered into a temporary). The state is one
+//! `(min, max, count)` triple for pass 1 and one bin vector for pass 2,
+//! so storage stays proportional to the bin count, independent of the
 //! field size.
 //!
 //! The local passes run a **lane-unrolled kernel**: pass 1 folds values
@@ -34,7 +33,6 @@ use crate::adaptor::{Association, DataAdaptor};
 use crate::analysis::{
     ghost_at, leaf_views, populated_mesh, AnalysisAdaptor, ReportOnce, Steering,
 };
-use crate::exec;
 use datamodel::MemoryFootprint;
 
 /// The result available on rank 0 after each execute.
@@ -66,7 +64,6 @@ pub struct HistogramAnalysis {
     array: String,
     assoc: Association,
     bins: usize,
-    threads: usize,
     reference: bool,
     results: ResultsHandle,
     failures: ReportOnce,
@@ -98,7 +95,6 @@ impl HistogramAnalysis {
             array: array.into(),
             assoc,
             bins,
-            threads: 1,
             reference: false,
             results: Arc::new(Mutex::new(None)),
             failures: ReportOnce::default(),
@@ -106,19 +102,11 @@ impl HistogramAnalysis {
         }
     }
 
-    /// Run the local streaming passes on `threads` intra-rank threads
-    /// (`0` = use every available core). Counts are integer, so results
-    /// are identical at any thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Bench/test hook: run the pre-blocking streaming loops instead of
     /// the cache-blocked kernel. This is the reference implementation
     /// the blocked kernel is validated against (property tests) and
-    /// benchmarked over (`BENCH_hotpath.json`'s `serial_s`); results
-    /// are identical either way.
+    /// benchmarked over (`BENCH_hotpath.json`'s `histogram.reference_s`);
+    /// results are identical either way.
     pub fn with_reference_kernel(mut self) -> Self {
         self.reference = true;
         self
@@ -130,21 +118,15 @@ impl HistogramAnalysis {
     }
 }
 
-/// The ghost sub-slice matching a chunk that starts at `start` in the
-/// full view (ghost arrays are always full-length when present).
-fn sub_ghosts(ghosts: Option<&[u8]>, start: usize, len: usize) -> Option<&[u8]> {
-    ghosts.map(|g| &g[start..start + len])
-}
-
 /// Reference pass-1 kernel: one sequential `(min, max, count)` fold with
 /// a branch per ghost flag. Kept as the correctness baseline the blocked
 /// kernel is pinned against.
-fn reference_range(chunk: &[f64], ghosts: Option<&[u8]>, start: usize) -> (f64, f64, u64) {
+fn reference_range(values: &[f64], ghosts: Option<&[u8]>) -> (f64, f64, u64) {
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
     let mut n = 0u64;
-    for (i, &v) in chunk.iter().enumerate() {
-        if ghost_at(ghosts, start + i) {
+    for (i, &v) in values.iter().enumerate() {
+        if ghost_at(ghosts, i) {
             continue;
         }
         lo = lo.min(v);
@@ -161,13 +143,13 @@ fn reference_range(chunk: &[f64], ghosts: Option<&[u8]>, start: usize) -> (f64, 
 /// skipping the value, since `x.min(+∞) == x` and `x.max(-∞) == x` for
 /// every `x` including `NaN`-ignoring folds. The final lane merge is
 /// fixed-order.
-fn blocked_range(chunk: &[f64], ghosts: Option<&[u8]>) -> (f64, f64, u64) {
+fn blocked_range(values: &[f64], ghosts: Option<&[u8]>) -> (f64, f64, u64) {
     let mut mn = [f64::INFINITY; 4];
     let mut mx = [f64::NEG_INFINITY; 4];
     let mut n = 0u64;
     match ghosts {
         None => {
-            let mut lanes = chunk.chunks_exact(4);
+            let mut lanes = values.chunks_exact(4);
             for vs in &mut lanes {
                 for l in 0..4 {
                     mn[l] = mn[l].min(vs[l]);
@@ -178,10 +160,10 @@ fn blocked_range(chunk: &[f64], ghosts: Option<&[u8]>) -> (f64, f64, u64) {
                 mn[0] = mn[0].min(v);
                 mx[0] = mx[0].max(v);
             }
-            n = chunk.len() as u64;
+            n = values.len() as u64;
         }
         Some(g) => {
-            let mut lanes = chunk.chunks_exact(4);
+            let mut lanes = values.chunks_exact(4);
             let mut glanes = g.chunks_exact(4);
             for (vs, gs) in (&mut lanes).zip(&mut glanes) {
                 for l in 0..4 {
@@ -208,18 +190,16 @@ fn blocked_range(chunk: &[f64], ghosts: Option<&[u8]>) -> (f64, f64, u64) {
 
 /// Reference pass-2 kernel: bin each non-ghost value straight into the
 /// count vector, one branch per ghost flag.
-#[allow(clippy::too_many_arguments)]
 fn reference_bin(
-    chunk: &[f64],
+    values: &[f64],
     ghosts: Option<&[u8]>,
-    start: usize,
     glo: f64,
     inv_w: f64,
     last: usize,
     c: &mut [u64],
 ) {
-    for (i, &v) in chunk.iter().enumerate() {
-        if ghost_at(ghosts, start + i) {
+    for (i, &v) in values.iter().enumerate() {
+        if ghost_at(ghosts, i) {
             continue;
         }
         c[(((v - glo) * inv_w) as usize).min(last)] += 1;
@@ -237,7 +217,7 @@ fn reference_bin(
 /// merged into `c` with exact integer adds in fixed order — so the
 /// split changes nothing observable.
 fn blocked_bin(
-    chunk: &[f64],
+    values: &[f64],
     ghosts: Option<&[u8]>,
     glo: f64,
     inv_w: f64,
@@ -252,7 +232,7 @@ fn blocked_bin(
     let (l2, l3) = a23.split_at_mut(bins);
     match ghosts {
         None => {
-            let mut quads = chunk.chunks_exact(4);
+            let mut quads = values.chunks_exact(4);
             for vs in &mut quads {
                 l0[idx(vs[0])] += 1;
                 l1[idx(vs[1])] += 1;
@@ -264,7 +244,7 @@ fn blocked_bin(
             }
         }
         Some(g) => {
-            let mut quads = chunk.chunks_exact(4);
+            let mut quads = values.chunks_exact(4);
             let mut gquads = g.chunks_exact(4);
             for (vs, gs) in (&mut quads).zip(&mut gquads) {
                 l0[idx(vs[0])] += u64::from(gs[0] == 0);
@@ -326,10 +306,9 @@ impl AnalysisAdaptor for HistogramAnalysis {
         });
 
         // Pass 1: streaming local min/max + count. Nothing is
-        // materialized: each chunk folds borrowed values into a
+        // materialized: each leaf folds its borrowed values into a
         // (min, max, count) triple through the blocked (or reference)
         // kernel.
-        let reference = self.reference;
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
         let mut local_n = 0u64;
@@ -337,18 +316,14 @@ impl AnalysisAdaptor for HistogramAnalysis {
             let _pass1 = probe.span("per-step/histogram/pass1");
             for view in &views {
                 let ghosts = view.ghosts.as_deref();
-                let stats = exec::map_chunks(self.threads, &view.values, |_, start, chunk| {
-                    if reference {
-                        reference_range(chunk, ghosts, start)
-                    } else {
-                        blocked_range(chunk, sub_ghosts(ghosts, start, chunk.len()))
-                    }
-                });
-                for (clo, chi, cn) in stats {
-                    lo = lo.min(clo);
-                    hi = hi.max(chi);
-                    local_n += cn;
-                }
+                let (vlo, vhi, vn) = if self.reference {
+                    reference_range(&view.values, ghosts)
+                } else {
+                    blocked_range(&view.values, ghosts)
+                };
+                lo = lo.min(vlo);
+                hi = hi.max(vhi);
+                local_n += vn;
             }
         }
         drop(views);
@@ -387,10 +362,8 @@ impl AnalysisAdaptor for HistogramAnalysis {
             comm.allreduce_scalar((lo, hi), |a: (f64, f64), b| (a.0.min(b.0), a.1.max(b.1)))
         };
 
-        // Pass 2: streaming local binning with per-thread bin vectors,
-        // merged by exact integer addition (thread-count invariant).
-        let reference = self.reference;
-        let bins = self.bins;
+        // Pass 2: streaming local binning, every leaf into the step's
+        // one count vector.
         let mut counts = vec![0u64; self.bins];
         {
             let _pass2 = probe.span("per-step/histogram/pass2");
@@ -399,21 +372,10 @@ impl AnalysisAdaptor for HistogramAnalysis {
                 let last = self.bins - 1;
                 for view in &views {
                     let ghosts = view.ghosts.as_deref();
-                    let partials =
-                        exec::map_chunks(self.threads, &view.values, |_, start, chunk| {
-                            let mut c = vec![0u64; bins];
-                            if reference {
-                                reference_bin(chunk, ghosts, start, glo, inv_w, last, &mut c);
-                            } else {
-                                let ghosts = sub_ghosts(ghosts, start, chunk.len());
-                                blocked_bin(chunk, ghosts, glo, inv_w, last, &mut c);
-                            }
-                            c
-                        });
-                    for part in partials {
-                        for (a, b) in counts.iter_mut().zip(part) {
-                            *a += b;
-                        }
+                    if self.reference {
+                        reference_bin(&view.values, ghosts, glo, inv_w, last, &mut counts);
+                    } else {
+                        blocked_bin(&view.values, ghosts, glo, inv_w, last, &mut counts);
                     }
                 }
             } else if glo.is_finite() {
@@ -558,27 +520,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_histogram_matches_serial() {
-        World::run(2, |comm| {
-            let vals: Vec<f64> = (0..1003)
-                .map(|i| ((i * 37 + comm.rank() * 11) % 101) as f64 - 50.0)
-                .collect();
-            for threads in [2usize, 7, 0] {
-                let mut serial = HistogramAnalysis::new("data", 16);
-                let mut threaded = HistogramAnalysis::new("data", 16).with_threads(threads);
-                let rs = serial.results_handle();
-                let rt = threaded.results_handle();
-                let a = adaptor_with(comm.rank(), vals.clone());
-                serial.execute(&a, comm);
-                threaded.execute(&a, comm);
-                if comm.rank() == 0 {
-                    assert_eq!(rs.lock().clone(), rt.lock().clone(), "threads={threads}");
-                }
-            }
-        });
-    }
-
-    #[test]
     fn shared_field_is_streamed_without_copy() {
         World::run(1, |comm| {
             let field = std::sync::Arc::new((0..256).map(|i| i as f64).collect::<Vec<_>>());
@@ -587,7 +528,7 @@ mod tests {
             g.add_point_array(DataArray::shared("data", 1, std::sync::Arc::clone(&field)));
             let a = InMemoryAdaptor::new(DataSet::Image(g), 0.0, 0);
             let before = std::sync::Arc::strong_count(&field);
-            let mut h = HistogramAnalysis::new("data", 8).with_threads(3);
+            let mut h = HistogramAnalysis::new("data", 8);
             h.execute(&a, comm);
             // The analysis borrowed the simulation buffer in place: no
             // lingering references, no materialized value vector.
@@ -622,14 +563,12 @@ mod tests {
         /// The blocked/fused kernel is indistinguishable from the
         /// reference streaming kernel on arbitrary decks — including
         /// NaN / ±0 / ±∞ specials, ghost masks, lengths that exercise
-        /// both the 4-lane remainder and the `BLOCK` boundary, and any
-        /// thread count.
+        /// the 4-lane remainder.
         #[test]
         fn prop_blocked_matches_reference(
             n in 1usize..1200,
             seed in proptest::prelude::any::<u32>(),
             bins in 1usize..96,
-            threads in 1usize..5,
             ghost_stride in 0usize..5,
         ) {
             World::run(2, move |comm| {
@@ -665,7 +604,7 @@ mod tests {
                     ));
                 }
                 let a = InMemoryAdaptor::new(DataSet::Image(g), comm.rank() as f64, 3);
-                let mut blocked = HistogramAnalysis::new("data", bins).with_threads(threads);
+                let mut blocked = HistogramAnalysis::new("data", bins);
                 let mut reference = HistogramAnalysis::new("data", bins).with_reference_kernel();
                 let rb = blocked.results_handle();
                 let rr = reference.results_handle();
@@ -674,7 +613,7 @@ mod tests {
                 if comm.rank() == 0 {
                     let b = rb.lock().clone().unwrap();
                     let r = rr.lock().clone().unwrap();
-                    assert_eq!(b, r, "bins={bins} threads={threads} stride={ghost_stride}");
+                    assert_eq!(b, r, "bins={bins} stride={ghost_stride}");
                 }
             });
         }

@@ -295,9 +295,9 @@ mod tests {
     /// strings are equal bits.
     fn results(storage: usize, ghosted: bool, ranks: usize) -> Vec<String> {
         World::run(ranks, move |comm| {
-            let blocked = HistogramAnalysis::new("data", 16).with_threads(2);
+            let blocked = HistogramAnalysis::new("data", 16);
             let reference = HistogramAnalysis::new("data", 16).with_reference_kernel();
-            let auto = Autocorrelation::new("data", 3, 4).with_threads(2);
+            let auto = Autocorrelation::new("data", 3, 4);
             let stats = DescriptiveStats::new("data");
             let (hb, hr) = (blocked.results_handle(), reference.results_handle());
             let (ha, hs) = (auto.results_handle(), stats.results_handle());

@@ -60,7 +60,6 @@ pub mod adaptor;
 pub mod analysis;
 pub mod bridge;
 pub mod config;
-pub mod exec;
 pub mod failure;
 
 pub use adaptor::{AdaptorError, Association, DataAdaptor, InMemoryAdaptor};

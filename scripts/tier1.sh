@@ -37,6 +37,21 @@ if grep -n 'widened to f64' <<<"$adios_src"; then
     exit 1
 fi
 
+echo "==> a rank is one thread"
+# Concurrency inside a node comes from ranks and from the offload
+# executor (crates/sensei/src/bridge.rs, outside these paths on
+# purpose); a kernel or analysis that spawns workers, or a thread-count
+# knob, needs a benchmark row it wins first (DESIGN §17).
+if grep -rnE 'thread::scope|thread::spawn|available_parallelism' \
+    crates/oscillator/src crates/sensei/src/analysis; then
+    echo "tier1: a kernel or analysis spawns intra-rank threads" >&2
+    exit 1
+fi
+if grep -rnE 'with_threads|step_with_threads' crates tests examples src; then
+    echo "tier1: a thread-count knob is back" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

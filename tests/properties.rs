@@ -508,9 +508,9 @@ proptest! {
         prop_assert_eq!(out.max, expect_hi);
     }
 
-    /// The support-culled, slab-threaded oscillator kernel reproduces
-    /// the naive all-pairs kernel **bitwise**, for arbitrary decks,
-    /// grids, rank counts, and thread counts.
+    /// The support-culled oscillator kernel reproduces the naive
+    /// all-pairs kernel **bitwise**, for arbitrary decks, grids and rank
+    /// counts.
     #[test]
     fn culled_kernel_matches_naive_bitwise(
         oscs in proptest::collection::vec(
@@ -519,7 +519,6 @@ proptest! {
         ),
         grid in proptest::array::uniform3(3usize..12),
         p in 1usize..5,
-        threads in 1usize..5,
     ) {
         use oscillator::{format_deck, Oscillator, OscillatorKind, SimConfig, Simulation};
         let dims = dims_create(p);
@@ -548,53 +547,12 @@ proptest! {
             let mut culled = Simulation::new(comm, cfg, root);
             for _ in 0..2 {
                 naive.step_naive(comm);
-                culled.step_with_threads(comm, threads);
+                culled.step(comm);
             }
             (naive.field().as_ref().clone(), culled.field().as_ref().clone())
         });
         for (naive, culled) in &fields {
             prop_assert_eq!(naive, culled);
-        }
-    }
-
-    /// The chunk-parallel streaming histogram equals the serial one for
-    /// any field, bin count, thread count, and rank count (counts are
-    /// integer, min/max fold order-independently).
-    #[test]
-    fn histogram_parallel_matches_serial(
-        values in proptest::collection::vec(-1e3f64..1e3, 3..120),
-        bins in 1usize..24,
-        threads in 2usize..6,
-        p in 1usize..4,
-    ) {
-        use sensei::analysis::histogram::HistogramAnalysis;
-        use sensei::analysis::AnalysisAdaptor as _;
-        prop_assume!(values.len() >= p);
-        let results = minimpi::World::run(p, move |comm| {
-            let mine: Vec<f64> = values
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i % p == comm.rank())
-                .map(|(_, &v)| v)
-                .collect();
-            let e = Extent::whole([mine.len(), 1, 1]);
-            let mut g = datamodel::ImageData::new(e, e);
-            g.add_point_array(DataArray::owned("data", 1, mine));
-            let a = sensei::InMemoryAdaptor::new(datamodel::DataSet::Image(g), 0.0, 0);
-            let mut serial = HistogramAnalysis::new("data", bins);
-            let mut parallel = HistogramAnalysis::new("data", bins).with_threads(threads);
-            let rs = serial.results_handle();
-            let rp = parallel.results_handle();
-            serial.execute(&a, comm);
-            parallel.execute(&a, comm);
-            let out = (rs.lock().clone(), rp.lock().clone());
-            out
-        });
-        let (serial, parallel) = &results[0];
-        prop_assert!(serial.is_some());
-        prop_assert_eq!(serial, parallel);
-        for (s, q) in &results[1..] {
-            prop_assert!(s.is_none() && q.is_none(), "non-root ranks hold no result");
         }
     }
 

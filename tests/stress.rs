@@ -129,53 +129,3 @@ fn large_buffer_integrity() {
         }
     });
 }
-
-/// Hybrid MPI+threads (the §4.2.3 extension) composes with the bridge:
-/// a rayon-parallel simulation step feeding a SENSEI analysis produces
-/// the same histogram as the serial path.
-#[test]
-fn hybrid_execution_matches_serial_through_bridge() {
-    use oscillator::{
-        demo_oscillators, osc::format_deck, OscillatorAdaptor, SimConfig, Simulation,
-    };
-    use sensei::analysis::histogram::HistogramAnalysis;
-    use sensei::analysis::AnalysisAdaptor as _;
-
-    let deck = format_deck(&demo_oscillators());
-    let run = |hybrid: bool| {
-        let d = deck.clone();
-        World::run(2, move |comm| {
-            let cfg = SimConfig {
-                grid: [14, 14, 14],
-                steps: 3,
-                ..SimConfig::default()
-            };
-            let root = if comm.rank() == 0 {
-                Some(d.as_str())
-            } else {
-                None
-            };
-            let mut sim = Simulation::new(comm, cfg, root);
-            let mut h = HistogramAnalysis::new("data", 16);
-            let res = h.results_handle();
-            for _ in 0..3 {
-                if hybrid {
-                    sim.step_with_threads(comm, 0);
-                } else {
-                    sim.step(comm);
-                }
-                h.execute(&OscillatorAdaptor::new(&sim), comm);
-            }
-            if comm.rank() == 0 {
-                let out = res.lock().clone();
-                out
-            } else {
-                None
-            }
-        })
-        .remove(0)
-    };
-    let serial = run(false).expect("serial histogram");
-    let hybrid = run(true).expect("hybrid histogram");
-    assert_eq!(serial, hybrid);
-}
