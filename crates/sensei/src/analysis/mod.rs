@@ -155,6 +155,34 @@ impl LeafView<'_> {
         let values = self.values.iter().copied().enumerate();
         values.filter(move |&(t, _)| !ghost_at(ghosts, t))
     }
+
+    /// The maximal runs of non-ghost tuples as `(start, len)`, in
+    /// element order: the whole leaf when it carries no flags.
+    pub(crate) fn kept_runs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let n = self.values.len();
+        let ghosts = self.ghosts.as_deref().map(|g| &g[..n]);
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            let (start, len) = match ghosts {
+                None => (at, n - at),
+                Some(g) => {
+                    let start = at + g[at..].iter().position(|&flag| flag == 0)?;
+                    (start, first_ghost(&g[start..]).unwrap_or(n - start))
+                }
+            };
+            at = start + len;
+            (len > 0).then_some((start, len))
+        })
+    }
+}
+
+/// Index of the first nonzero flag. Runs of kept tuples are long, so
+/// they are skipped 64 flags at a time (an OR the compiler vectorises;
+/// a `position` over bytes is a scalar loop, 0.6 ms a megabyte).
+fn first_ghost(flags: &[u8]) -> Option<usize> {
+    let any = |chunk: &[u8]| chunk.iter().fold(0, |any, &flag| any | flag) != 0;
+    let near = flags.chunks(64).position(any)? * 64;
+    Some(near + flags[near..].iter().position(|&flag| flag != 0)?)
 }
 
 /// Is tuple `i` a ghost, given a leaf's borrowed ghost flags?

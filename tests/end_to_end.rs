@@ -177,6 +177,65 @@ fn renderers_read_the_simulation_field_in_place() {
     });
 }
 
+/// The autocorrelation's memory is the paper's two `O(t·N³)` buffers and
+/// nothing that grows with the field beside them: no id per cell while
+/// it runs, no copy of a `corr` row while it selects the peaks (the
+/// tracking allocator is installed for this test binary).
+#[test]
+fn autocorrelation_holds_two_buffers_and_selects_in_place() {
+    let d = deck();
+    World::run(2, move |comm| {
+        let cfg = SimConfig {
+            grid: [64, 64, 64],
+            steps: 3,
+            ..SimConfig::default()
+        };
+        let root = (comm.rank() == 0).then_some(d.as_str());
+        let mut sim = Simulation::new(comm, cfg, root);
+        sim.step(comm);
+        // A throwaway first reader: the simulation builds its ghost
+        // flags on first demand and keeps them.
+        Autocorrelation::new("data", 1, 1).execute(&OscillatorAdaptor::new(&sim), comm);
+        let flags = datamodel::duplicate_point_ghosts(&sim.local_extent(), &sim.global_extent());
+        let cells = flags.iter().filter(|&&flag| flag == 0).count();
+        let (window, k) = (4, 8);
+        let buffers = 2 * cells * window * 8;
+        drop(flags);
+
+        let floor = probe::alloc::current_bytes();
+        let mut ac = Autocorrelation::new("data", window, k);
+        let peaks = ac.results_handle();
+        ac.execute(&OscillatorAdaptor::new(&sim), comm);
+        let live = probe::alloc::current_bytes() - floor;
+        assert_eq!(ac.buffer_bytes(), buffers);
+        assert!(
+            (buffers..=buffers + 4096).contains(&live),
+            "rank {}: {live} B live against {buffers} B of buffers",
+            comm.rank()
+        );
+        for _ in 1..3 {
+            sim.step(comm);
+            ac.execute(&OscillatorAdaptor::new(&sim), comm);
+        }
+        assert!(ac.take_failures().is_empty());
+
+        probe::alloc::reset_peak();
+        let floor = probe::alloc::current_bytes();
+        ac.finalize(comm);
+        let rise = probe::alloc::peak_bytes() - floor;
+        assert!(
+            rise < 64 << 10,
+            "rank {}: finalize allocated {rise} B over {cells} cells",
+            comm.rank()
+        );
+        if comm.rank() == 0 {
+            let peaks = peaks.lock().clone().expect("root holds the peaks");
+            assert_eq!(peaks.len(), window);
+            assert!(peaks.iter().all(|lag| lag.len() == k));
+        }
+    });
+}
+
 /// One step of a 64³ run on two ranks, marshalled by each: the ghosted
 /// two-block deck the in transit tests below ship.
 fn two_marshalled_blocks() -> Vec<adios::BpStep> {
