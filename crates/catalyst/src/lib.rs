@@ -7,9 +7,11 @@
 //!   shrink the executable footprint (the paper's PHASTA run used a
 //!   rendering-only Edition: 153 MB statically linked, 87 MB dynamic);
 //! * the **slice pipeline** ([`SlicePipeline`]) — extract a 2D slice
-//!   from the 3D volume, pseudocolor it, **binary-swap** composite to a
-//!   1920×1080 image on rank 0, and PNG-encode it there (serial zlib,
-//!   the Table 2 cost center);
+//!   from the 3D volume, pseudocolor it, **binary-swap** composite a
+//!   1920×1080 image, and PNG-encode it — zlib, the Table 2 cost
+//!   center, which the paper runs serially on rank 0 and this adaptor
+//!   runs on every rank over the rows binary swap left it, for the same
+//!   file on rank 0 (`render::png::PngEncoder`);
 //! * a tetrahedral **cutter** ([`cutter`]) for unstructured meshes
 //!   (PHASTA's slice-through-the-wing images);
 //! * a SENSEI [`sensei::AnalysisAdaptor`] wrapper

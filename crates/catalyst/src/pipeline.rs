@@ -9,8 +9,9 @@ use minimpi::Comm;
 use render::color::{Color, Colormap};
 use render::composite::Compositor;
 use render::deflate::Mode;
-use render::pipeline::{pseudocolor_slice, SliceRender};
-use render::png::encode_framebuffer;
+use render::framebuffer::Framebuffer;
+use render::pipeline::{pseudocolor_slice_bands, SliceRender};
+use render::png::PngEncoder;
 use sensei::{AnalysisAdaptor, Association, DataAdaptor, Steering};
 
 /// Where rendered images go.
@@ -71,6 +72,11 @@ pub struct CatalystSliceAnalysis {
     images_written: u64,
     failures: Vec<String>,
     reported_missing: bool,
+    reported_write: bool,
+    /// Last frame's buffer, where this rank still holds it, and the
+    /// encoder's tables: faulted in once, not every step.
+    canvas: Option<Framebuffer>,
+    encoder: PngEncoder,
 }
 
 impl CatalystSliceAnalysis {
@@ -83,6 +89,9 @@ impl CatalystSliceAnalysis {
             images_written: 0,
             failures: Vec::new(),
             reported_missing: false,
+            reported_write: false,
+            canvas: None,
+            encoder: PngEncoder::default(),
         }
     }
 
@@ -125,26 +134,44 @@ impl AnalysisAdaptor for CatalystSliceAnalysis {
                 self.failures.push(format!("catalyst-slice: {err}"));
                 Vec::new()
             });
-        let field = views.iter().find_map(|v| Some((v.geometry?, &v.values)));
-        let Some((grid, values)) = field else {
-            // Still participate in the collective render with an empty
-            // block so other ranks don't hang (kept tiny; the values are
-            // never sampled because the local extent is degenerate).
-            let empty = Extent::new([0, 0, 0], [0, 0, 0]);
-            let global = mesh
-                .leaves()
-                .find_map(|l| l.structured())
-                .map_or(Extent::new([0, 0, 0], [1, 1, 1]), |g| g.global_extent);
-            let _ = pseudocolor_slice(comm, &empty, &global, &[0.0], &cfg);
-            return Steering::Continue;
-        };
-        if let Some(fb) = pseudocolor_slice(comm, &grid.extent, &grid.global_extent, values, &cfg) {
-            // Rank 0: PNG-encode (the serial zlib stage) and emit.
-            let png = encode_framebuffer(&fb, Color::WHITE, self.pipeline.png_mode);
+        let field = views
+            .iter()
+            .find_map(|v| Some((v.geometry?, &v.values[..])));
+        // A rank without the array still renders — an empty block (kept
+        // tiny; the values are never sampled because the local extent
+        // is degenerate) — and encodes: both are collective, and the
+        // other ranks would hang on it.
+        let (local, global, values) = field.map_or_else(
+            || {
+                let global = mesh
+                    .leaves()
+                    .find_map(|l| l.structured())
+                    .map_or(Extent::new([0, 0, 0], [1, 1, 1]), |g| g.global_extent);
+                (Extent::new([0, 0, 0], [0, 0, 0]), global, &[0.0][..])
+            },
+            |(grid, values)| (grid.extent, grid.global_extent, values),
+        );
+        self.canvas =
+            pseudocolor_slice_bands(comm, &local, &global, values, &cfg, self.canvas.take());
+        // Every rank deflates the band of scanlines it holds; rank 0
+        // gets the file.
+        let png = self.encoder.encode(
+            comm,
+            (cfg.width, cfg.height),
+            self.canvas.as_ref(),
+            cfg.compositor,
+            Color::WHITE,
+            self.pipeline.png_mode,
+        );
+        if let Some(png) = png {
             if let SliceOutput::Directory(dir) = &self.pipeline.output {
                 let path = dir.join(format!("slice_{:05}.png", data.step()));
                 if let Err(e) = std::fs::write(&path, &png) {
-                    eprintln!("catalyst: failed to write {}: {e}", path.display());
+                    if !self.reported_write {
+                        self.reported_write = true;
+                        self.failures
+                            .push(format!("failed to write {}: {e}", path.display()));
+                    }
                 }
             }
             *self.last_png.lock() = Some(png);
@@ -254,6 +281,73 @@ mod tests {
                 let _ = std::fs::remove_dir_all(&shared);
             }
             let _ = dir;
+        });
+    }
+
+    #[test]
+    fn rank_without_the_array_still_reaches_render_and_encode() {
+        // Rank 2 names its array differently. Render and encode are
+        // collective: the run finishes (the watchdog would end it
+        // otherwise), rank 0 has its file every step, and the rank says
+        // once what it lacked.
+        let out = minimpi::WorldBuilder::new(4)
+            .watchdog(std::time::Duration::from_secs(5))
+            .run(|comm| {
+                let mut pipe = SlicePipeline::new("data", 2, 4);
+                (pipe.width, pipe.height) = (40, 30);
+                let analysis = CatalystSliceAnalysis::new(pipe);
+                let png = analysis.png_handle();
+                let mut bridge = Bridge::new();
+                bridge.register(Box::new(analysis));
+                for step in 0..3 {
+                    let mut data = adaptor(comm, step);
+                    if comm.rank() == 2 {
+                        let global = Extent::whole([9, 9, 9]);
+                        let dims = datamodel::dims_create(comm.size());
+                        let local = partition_extent(&global, dims, 2);
+                        let mut g = ImageData::new(local, global);
+                        let n = local.iter_points().count();
+                        g.add_point_array(DataArray::owned("other", 1, vec![0.0; n]));
+                        data = InMemoryAdaptor::new(DataSet::Image(g), step as f64, step);
+                    }
+                    *png.lock() = None;
+                    bridge.execute(&data, comm);
+                    if comm.rank() == 0 {
+                        let bytes = png.lock().clone().expect("a file every step");
+                        assert_eq!(decode_rgb(&bytes).map(|d| (d.0, d.1)), Ok((40, 30)));
+                    }
+                }
+                bridge.failure_reports().len()
+            });
+        assert_eq!(
+            out,
+            [0, 0, 1, 0],
+            "one report, on the rank that lacks the array"
+        );
+    }
+
+    #[test]
+    fn failed_write_is_reported_once_and_the_png_kept() {
+        World::run(2, |comm| {
+            let mut pipe = SlicePipeline::new("data", 2, 4);
+            (pipe.width, pipe.height) = (16, 16);
+            pipe.output = SliceOutput::Directory("/nonexistent/catalyst-out".into());
+            let analysis = CatalystSliceAnalysis::new(pipe);
+            let png = analysis.png_handle();
+            let mut bridge = Bridge::new();
+            bridge.register(Box::new(analysis));
+            for step in 0..3 {
+                bridge.execute(&adaptor(comm, step), comm);
+            }
+            let reports = bridge.failure_reports();
+            if comm.rank() == 0 {
+                assert!(decode_rgb(png.lock().as_ref().expect("png in memory")).is_ok());
+                assert_eq!(reports.len(), 1, "{reports:?}");
+                let text = reports[0].to_string();
+                assert!(text.contains("failed to write") && text.contains("slice_00000.png"));
+            } else {
+                assert!(reports.is_empty(), "only the writing rank reports");
+            }
         });
     }
 

@@ -11,9 +11,9 @@ use render::composite::Compositor;
 use render::deflate::Mode;
 use render::framebuffer::Framebuffer;
 use render::pipeline::{
-    global_range, pseudocolor_slice, shaded_isosurface, IsosurfaceRender, SliceRender,
+    global_range, pseudocolor_slice_bands, shaded_isosurface_bands, IsosurfaceRender, SliceRender,
 };
-use render::png::encode_framebuffer;
+use render::png::PngEncoder;
 use sensei::{AnalysisAdaptor, Association, DataAdaptor, Steering};
 
 use crate::session::{Plot, Session};
@@ -35,6 +35,12 @@ pub struct LibsimAnalysis {
     /// Pending failure reports, drained by the bridge.
     failures: Vec<String>,
     reported_missing: bool,
+    reported_write: bool,
+    /// The encoder's tables, faulted in once. The frame itself is not
+    /// kept: Catalyst's stays resident through this render, and a
+    /// second kept image puts the peak a fifth over the two transient
+    /// ones' (CHANGES.md, PR 23).
+    encoder: PngEncoder,
 }
 
 impl LibsimAnalysis {
@@ -47,6 +53,7 @@ impl LibsimAnalysis {
         let _ = std::fs::metadata(config_path);
         let startup_seconds = (probe::time::now_seconds() - t0).max(0.0);
         LibsimAnalysis {
+            encoder: PngEncoder::default(),
             session,
             output_dir: None,
             last_png: Arc::new(Mutex::new(None)),
@@ -54,6 +61,7 @@ impl LibsimAnalysis {
             startup_seconds,
             failures: Vec::new(),
             reported_missing: false,
+            reported_write: false,
         }
     }
 
@@ -78,6 +86,8 @@ impl LibsimAnalysis {
         self.startup_seconds
     }
 
+    /// Draw one plot and composite it up to the gather: the buffer this
+    /// rank still holds, final in the rows [`COMPOSITOR`] leaves it.
     fn render_plot(
         &mut self,
         plot: &Plot,
@@ -119,7 +129,7 @@ impl LibsimAnalysis {
                     compositor: COMPOSITOR,
                     cmap: Colormap::viridis(),
                 };
-                pseudocolor_slice(comm, &local, &global, values, &cfg)
+                pseudocolor_slice_bands(comm, &local, &global, values, &cfg, None)
             }
             Plot::Isosurface { levels, .. } => {
                 let (spacing, origin) = (grid.spacing, grid.origin);
@@ -151,7 +161,7 @@ impl LibsimAnalysis {
                     origin,
                     spacing,
                 };
-                shaded_isosurface(comm, &local, values, &cfg)
+                shaded_isosurface_bands(comm, &local, values, &cfg, None)
             }
         }
     }
@@ -167,26 +177,42 @@ impl AnalysisAdaptor for LibsimAnalysis {
             return Steering::Continue;
         }
         self.renders += 1;
-        // Composite all plots of the session into one image (plots render
-        // back-to-front into the same framebuffer via depth compositing).
-        let (w, h) = self.session.image;
-        let mut final_fb: Option<Framebuffer> = None;
+        // Composite all plots of the session into one image: each plot
+        // is drawn and composited on its own, and the results are
+        // depth-merged where they lie — the same compositor and size
+        // leave every plot's finished rows on the same ranks, and the
+        // rows a buffer holds besides are never encoded.
         let plots = self.session.plots.clone();
-        for plot in &plots {
-            if let Some(fb) = self.render_plot(plot, data, comm) {
-                match &mut final_fb {
-                    None => final_fb = Some(fb),
-                    Some(acc) => acc.composite_from(&fb),
-                }
-            }
+        let mut held = plots
+            .iter()
+            .filter_map(|plot| self.render_plot(plot, data, comm));
+        let mut image = held.next();
+        if let Some(acc) = &mut image {
+            held.for_each(|fb| acc.composite_from(&fb));
         }
-        if comm.rank() == 0 {
-            let fb = final_fb.unwrap_or_else(|| Framebuffer::new(w, h));
-            let png = encode_framebuffer(&fb, Color::BLACK, Mode::Fixed);
+        // No plot drew on rank 0 (none could read its array): it still
+        // owes the encode its rows, as background.
+        let (w, h) = self.session.image;
+        if image.is_none() && comm.rank() == 0 {
+            image = Some(Framebuffer::new(w, h));
+        }
+        let png = self.encoder.encode(
+            comm,
+            (w, h),
+            image.as_ref(),
+            COMPOSITOR,
+            Color::BLACK,
+            Mode::Fixed,
+        );
+        if let Some(png) = png {
             if let Some(dir) = &self.output_dir {
                 let path = dir.join(format!("libsim_{:05}.png", data.step()));
                 if let Err(e) = std::fs::write(&path, &png) {
-                    eprintln!("libsim: failed to write {}: {e}", path.display());
+                    if !self.reported_write {
+                        self.reported_write = true;
+                        self.failures
+                            .push(format!("failed to write {}: {e}", path.display()));
+                    }
                 }
             }
             *self.last_png.lock() = Some(png);
@@ -244,6 +270,50 @@ mod tests {
                 assert_eq!((w, h), (48, 48));
                 // Slice paints the full frame; no pure-background-only image.
                 assert!(rgb.chunks(3).any(|p| p != [0, 0, 0]));
+            }
+        });
+    }
+
+    #[test]
+    fn failed_write_is_reported_once_and_the_png_kept() {
+        World::run(2, |comm| {
+            let analysis = LibsimAnalysis::new(small_session(1), Path::new("/nonexistent"))
+                .with_output_dir("/nonexistent/libsim-out".into());
+            let png = analysis.png_handle();
+            let mut bridge = sensei::Bridge::new();
+            bridge.register(Box::new(analysis));
+            for step in 0..3 {
+                bridge.execute(&adaptor(comm, step), comm);
+            }
+            let reports = bridge.failure_reports();
+            if comm.rank() == 0 {
+                assert!(decode_rgb(png.lock().as_ref().expect("png in memory")).is_ok());
+                assert_eq!(reports.len(), 1, "{reports:?}");
+                let text = reports[0].to_string();
+                assert!(text.contains("failed to write") && text.contains("libsim_00000.png"));
+            } else {
+                assert!(reports.is_empty(), "only the writing rank reports");
+            }
+        });
+    }
+
+    #[test]
+    fn session_nobody_can_draw_still_encodes_a_blank_frame() {
+        // No rank has the array: no plot composites, every rank still
+        // reaches the encode, and rank 0's file is background.
+        World::run(3, |comm| {
+            let session =
+                Session::parse("image 20 12\nplot pseudocolor absent axis=z index=4\n").unwrap();
+            let mut a = LibsimAnalysis::new(session, Path::new("/nonexistent"));
+            let png = a.png_handle();
+            a.execute(&adaptor(comm, 0), comm);
+            assert_eq!(a.take_failures().len(), 1);
+            if comm.rank() == 0 {
+                let (w, h, rgb) = decode_rgb(png.lock().as_ref().expect("png")).unwrap();
+                assert_eq!((w, h), (20, 12));
+                assert!(rgb.iter().all(|&b| b == 0), "black background only");
+            } else {
+                assert!(png.lock().is_none());
             }
         });
     }

@@ -4,13 +4,24 @@
 //! the paper's observation that Catalyst and Libsim use *different*
 //! compositors with different scaling:
 //!
-//! * [`binary_swap`] — log₂p rounds; partners exchange half their
-//!   current span and composite the half they keep; a final gather
-//!   assembles the bands on the root (Catalyst-like);
-//! * [`direct_send_tree`] — a fan-in tree of configurable arity; each
+//! * binary swap — log₂p rounds; partners exchange half their current
+//!   span and composite the half they keep (Catalyst-like);
+//! * direct-send tree — a fan-in tree of configurable arity; each
 //!   parent composites its children's full images (Libsim-like).
 //!
-//! Both return the final image on rank 0 and `None` elsewhere.
+//! Compositing is two steps. `merge` runs the algorithm and stops
+//! where the finished pixels are: binary swap leaves each rank of the
+//! power-of-two group the rows its halvings kept, the tree leaves all
+//! of them on the root, and a rank that shipped its whole image — a
+//! folded rank, a tree child — owns nothing (`Compositor::owned_rows`
+//! is that rule, a function of the rank count and the height alone, so
+//! every rank knows every rank's rows). The gather then moves the owned
+//! rows to rank 0 as framebuffers: [`composite`] is gather ∘ merge and
+//! returns the final image on rank 0 and `None` elsewhere. The
+//! collective PNG encoder (`png::PngEncoder`) takes `merge`'s result as
+//! it lies instead, and moves scanlines.
+
+use std::ops::Range;
 
 use minimpi::Comm;
 
@@ -22,19 +33,28 @@ const TAG_SWAP: u32 = 0x434F_0002;
 const TAG_GATHER: u32 = 0x434F_0003;
 const TAG_TREE: u32 = 0x434F_0004;
 
-/// Binary-swap compositing. Works for any rank count: ranks beyond the
+/// The largest power of two not above `p`: binary swap's group.
+fn swap_group(p: usize) -> usize {
+    1 << (usize::BITS - 1 - p.leading_zeros())
+}
+
+/// One halving of binary swap: of rows `lo..hi`, the half a rank keeps
+/// and the half it gives, by whether its bit of the round is clear.
+fn halve(lo: usize, hi: usize, keep_low: bool) -> (Range<usize>, Range<usize>) {
+    let mid = lo + (hi - lo) / 2;
+    if keep_low {
+        (lo..mid, mid..hi)
+    } else {
+        (mid..hi, lo..mid)
+    }
+}
+
+/// Binary-swap merge. Works for any rank count: ranks beyond the
 /// largest power of two fold their image into a partner first.
-///
-/// # Panics
-/// Panics if the image is shorter than the participating rank count
-/// (bands would be empty) or framebuffer sizes differ across ranks.
-pub fn binary_swap(comm: &Comm, mut fb: Framebuffer) -> Option<Framebuffer> {
+fn binary_swap_merge(comm: &Comm, mut fb: Framebuffer) -> Option<Framebuffer> {
     let p = comm.size();
     let me = comm.rank();
-    if p == 1 {
-        return Some(fb);
-    }
-    let pot = 1usize << (usize::BITS - 1 - p.leading_zeros()); // 2^⌊log2 p⌋
+    let pot = swap_group(p);
     assert!(
         fb.height() >= pot,
         "image height {} shorter than {} binary-swap bands",
@@ -52,54 +72,32 @@ pub fn binary_swap(comm: &Comm, mut fb: Framebuffer) -> Option<Framebuffer> {
         fb.composite_from(&other);
     }
 
-    // Swap phase over the power-of-two group.
-    let height = fb.height();
-    let (mut lo, mut hi) = (0usize, height);
+    // Swap phase over the power-of-two group. The rows given away hold
+    // stale pixels from here on.
+    let (mut lo, mut hi) = (0, fb.height());
     let mut bit = pot >> 1;
     while bit > 0 {
         let partner = me ^ bit;
-        let mid = lo + (hi - lo) / 2;
-        let keep_low = me & bit == 0;
-        let (keep, give) = if keep_low {
-            ((lo, mid), (mid, hi))
-        } else {
-            ((mid, hi), (lo, mid))
-        };
-        let outgoing = fb.extract_rows(give.0, give.1);
-        comm.send(partner, TAG_SWAP, (give.0, outgoing));
+        let (keep, give) = halve(lo, hi, me & bit == 0);
+        let outgoing = fb.extract_rows(give.start, give.end);
+        comm.send(partner, TAG_SWAP, (give.start, outgoing));
         let (their_lo, their_band): (usize, Framebuffer) = comm.recv(partner, TAG_SWAP);
-        debug_assert_eq!(their_lo, keep.0);
+        debug_assert_eq!(their_lo, keep.start);
         assert_eq!(
             their_band.height(),
-            keep.1 - keep.0,
+            keep.len(),
             "swap: band height mismatch"
         );
-        fb.composite_rows_from(keep.0, &their_band);
-        (lo, hi) = keep;
+        fb.composite_rows_from(keep.start, &their_band);
+        (lo, hi) = (keep.start, keep.end);
         bit >>= 1;
     }
-
-    // Gather bands to root, which pastes them around its own finished
-    // band: the rows it gave away hold stale pixels until then, and the
-    // bands tile the image, so every one of them is overwritten.
-    if me == 0 {
-        for _ in 1..pot {
-            let (src_lo, their): (usize, Framebuffer) = comm.recv_any(TAG_GATHER).1;
-            fb.paste_rows(src_lo, &their);
-        }
-        Some(fb)
-    } else {
-        comm.send(0, TAG_GATHER, (lo, fb.extract_rows(lo, hi)));
-        None
-    }
+    Some(fb)
 }
 
-/// Direct-send fan-in tree compositing with arity `fanout`: children of
-/// node `r` are `r*fanout + 1 ..= r*fanout + fanout`.
-///
-/// # Panics
-/// Panics when `fanout < 2` or framebuffer sizes differ across ranks.
-pub fn direct_send_tree(comm: &Comm, mut fb: Framebuffer, fanout: usize) -> Option<Framebuffer> {
+/// Direct-send fan-in tree merge with arity `fanout`: children of node
+/// `r` are `r*fanout + 1 ..= r*fanout + fanout`.
+fn direct_send_tree_merge(comm: &Comm, mut fb: Framebuffer, fanout: usize) -> Option<Framebuffer> {
     assert!(fanout >= 2, "tree fanout must be >= 2");
     let p = comm.size();
     let me = comm.rank();
@@ -130,12 +128,89 @@ pub enum Compositor {
     DirectSendTree(usize),
 }
 
-/// Run the selected compositor.
-pub fn composite(comm: &Comm, fb: Framebuffer, which: Compositor) -> Option<Framebuffer> {
-    match which {
-        Compositor::BinarySwap => binary_swap(comm, fb),
-        Compositor::DirectSendTree(fanout) => direct_send_tree(comm, fb, fanout),
+impl Compositor {
+    /// The rows of a `height`-row image that `merge` over `p` ranks
+    /// leaves finished on `rank`; empty for a rank left with nothing.
+    /// The ranges of all ranks tile `0..height`.
+    pub(crate) fn owned_rows(self, p: usize, rank: usize, height: usize) -> Range<usize> {
+        match self {
+            Compositor::BinarySwap if rank < swap_group(p) => {
+                let mut rows = 0..height;
+                let mut bit = swap_group(p) >> 1;
+                while bit > 0 {
+                    rows = halve(rows.start, rows.end, rank & bit == 0).0;
+                    bit >>= 1;
+                }
+                rows
+            }
+            Compositor::DirectSendTree(_) if rank == 0 => 0..height,
+            _ => 0..0,
+        }
     }
+}
+
+/// Run the selected compositor up to, and not including, the gather:
+/// collective; a rank gets back the buffer it still holds, whose rows
+/// `which.owned_rows(comm.size(), comm.rank(), height)` are the final
+/// image's (the others are stale), or `None` if it shipped its image
+/// whole and owns no row.
+///
+/// # Panics
+/// Panics if framebuffer sizes differ across ranks, a binary-swap image
+/// is shorter than the participating rank count (bands would be empty),
+/// or a tree's fan-in is below 2.
+pub(crate) fn merge(comm: &Comm, fb: Framebuffer, which: Compositor) -> Option<Framebuffer> {
+    match which {
+        Compositor::BinarySwap => binary_swap_merge(comm, fb),
+        Compositor::DirectSendTree(fanout) => direct_send_tree_merge(comm, fb, fanout),
+    }
+}
+
+/// Move the rows [`merge`] left on each rank to rank 0, which pastes
+/// them around its own: the bands tile the image, so every stale row of
+/// its buffer is overwritten.
+pub(crate) fn gather(
+    comm: &Comm,
+    held: Option<Framebuffer>,
+    which: Compositor,
+    height: usize,
+) -> Option<Framebuffer> {
+    let (p, me) = (comm.size(), comm.rank());
+    if me > 0 {
+        let rows = which.owned_rows(p, me, height);
+        if !rows.is_empty() {
+            let fb = held.expect("a rank that owns rows holds their buffer");
+            comm.send(0, TAG_GATHER, fb.extract_rows(rows.start, rows.end));
+        }
+        return None;
+    }
+    let mut fb = held.expect("rank 0 owns rows under either compositor");
+    for r in 1..p {
+        let rows = which.owned_rows(p, r, height);
+        if !rows.is_empty() {
+            let band: Framebuffer = comm.recv(r, TAG_GATHER);
+            fb.paste_rows(rows.start, &band);
+        }
+    }
+    Some(fb)
+}
+
+/// Run the selected compositor; the final image lands on rank 0.
+pub fn composite(comm: &Comm, fb: Framebuffer, which: Compositor) -> Option<Framebuffer> {
+    let height = fb.height();
+    gather(comm, merge(comm, fb, which), which, height)
+}
+
+/// Binary-swap compositing, gathered: [`composite`] with
+/// [`Compositor::BinarySwap`].
+pub fn binary_swap(comm: &Comm, fb: Framebuffer) -> Option<Framebuffer> {
+    composite(comm, fb, Compositor::BinarySwap)
+}
+
+/// Direct-send tree compositing: [`composite`] with
+/// [`Compositor::DirectSendTree`].
+pub fn direct_send_tree(comm: &Comm, fb: Framebuffer, fanout: usize) -> Option<Framebuffer> {
+    composite(comm, fb, Compositor::DirectSendTree(fanout))
 }
 
 #[cfg(test)]
@@ -280,6 +355,40 @@ mod tests {
                 assert_eq!(swap[0].as_ref(), Some(&want), "swap {w}x{h} p={p}");
                 assert_eq!(tree[0].as_ref(), Some(&want), "tree {w}x{h} p={p}");
                 assert!(swap[1..].iter().all(Option::is_none));
+            }
+        }
+    }
+
+    #[test]
+    fn merge_leaves_each_rank_the_rows_it_is_said_to_own() {
+        for which in [Compositor::BinarySwap, Compositor::DirectSendTree(3)] {
+            for (w, h) in [(21usize, 13usize), (5, 8), (12, 64)] {
+                for p in 1usize..=8 {
+                    let mut want = overlapping(0, p, w, h);
+                    for r in 1..p {
+                        want.composite_from(&overlapping(r, p, w, h));
+                    }
+                    let held = World::run(p, move |comm| {
+                        merge(comm, overlapping(comm.rank(), p, w, h), which)
+                    });
+                    // The owned ranges tile the image, in some order.
+                    let mut rows: Vec<_> = (0..p).map(|r| which.owned_rows(p, r, h)).collect();
+                    for (r, (held, rows)) in held.iter().zip(&rows).enumerate() {
+                        assert_eq!(held.is_none(), rows.is_empty(), "{which:?} p={p} rank {r}");
+                        if let Some(fb) = held {
+                            assert_eq!(
+                                fb.extract_rows(rows.start, rows.end),
+                                want.extract_rows(rows.start, rows.end),
+                                "{which:?} {w}x{h} p={p} rank {r} rows {rows:?}"
+                            );
+                        }
+                    }
+                    rows.retain(|r| !r.is_empty());
+                    rows.sort_by_key(|r| r.start);
+                    assert_eq!(rows.first().map(|r| r.start), Some(0));
+                    assert_eq!(rows.last().map(|r| r.end), Some(h));
+                    assert!(rows.windows(2).all(|w| w[0].end == w[1].start));
+                }
             }
         }
     }

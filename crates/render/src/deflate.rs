@@ -10,6 +10,18 @@
 //! The PHASTA study (Table 2) traced its per-step in situ cost to this
 //! exact computation — serial zlib compression of the rendered PNG on
 //! rank 0 — so the reproduction needs a real, measurable compressor.
+//!
+//! The fixed-mode stream can also be produced in **bands**, byte for
+//! byte the serial one (`Fixed`; DESIGN §11 has the argument). Every
+//! position enters the hash chains exactly once and in order, whether
+//! it was a literal, a match start or skipped inside a match, so the
+//! match found at `i` depends on `(data, i)` alone and only *which*
+//! positions start a token depends on what came before. A band is
+//! therefore parsed speculatively from its cut, its chains primed with
+//! the `WINDOW` bytes before it; when the previous band's true landing
+//! position is known, the band is re-parsed from there until it starts
+//! a token where the speculative parse did — from that position on the
+//! two are one parse — and the bit strings are spliced.
 
 /// Compression mode.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -24,16 +36,20 @@ pub enum Mode {
 // Bit I/O (LSB-first, per RFC 1951)
 // --------------------------------------------------------------------
 
-struct BitWriter {
-    out: Vec<u8>,
+/// An LSB-first bit string growing at the end of a byte vector.
+pub(crate) struct BitWriter<'a> {
+    out: &'a mut Vec<u8>,
+    /// `out.len()` when the writer was made: bit 0 of its string.
+    origin: usize,
     bitbuf: u64,
     nbits: u32,
 }
 
-impl BitWriter {
-    fn new() -> Self {
+impl<'a> BitWriter<'a> {
+    pub(crate) fn on(out: &'a mut Vec<u8>) -> Self {
         BitWriter {
-            out: Vec::new(),
+            origin: out.len(),
+            out,
             bitbuf: 0,
             nbits: 0,
         }
@@ -54,18 +70,40 @@ impl BitWriter {
         }
     }
 
-    /// Pad to a byte boundary.
-    fn align(&mut self) {
+    /// Bits written so far.
+    #[inline]
+    fn bit_len(&self) -> u64 {
+        (self.out.len() - self.origin) as u64 * 8 + self.nbits as u64
+    }
+
+    /// Append bits `[from, to)` of the bit string held in `src`,
+    /// wherever this writer stands: the splice of two parses.
+    pub(crate) fn append(&mut self, src: &[u8], from: u64, to: u64) {
+        debug_assert!(from <= to && to <= src.len() as u64 * 8);
+        let mut at = from;
+        while at < to {
+            let take = (to - at).min(32);
+            let byte = (at / 8) as usize;
+            let mut word = [0; 8];
+            let avail = (src.len() - byte).min(8);
+            word[..avail].copy_from_slice(&src[byte..byte + avail]);
+            // 7 bits of offset + 32 taken fit the 64 loaded.
+            let chunk = (u64::from_le_bytes(word) >> (at % 8)) & ((1 << take) - 1);
+            self.bits(chunk as u32, take as u32);
+            at += take;
+        }
+    }
+
+    /// Pad to a byte boundary and return how many bits were written
+    /// before the padding.
+    pub(crate) fn finish(mut self) -> u64 {
+        let len = self.bit_len();
         while self.nbits > 0 {
             self.out.push(self.bitbuf as u8);
             self.bitbuf >>= 8;
             self.nbits = self.nbits.saturating_sub(8);
         }
-    }
-
-    fn finish(mut self) -> Vec<u8> {
-        self.align();
-        self.out
+        len
     }
 }
 
@@ -202,9 +240,9 @@ const DIST_TABLE: [(u32, u32, u32); 30] = [
 // LZ77 + fixed Huffman, one pass
 // --------------------------------------------------------------------
 
-const WINDOW: usize = 32 * 1024;
+pub(crate) const WINDOW: usize = 32 * 1024;
 const MIN_MATCH: usize = 3;
-const MAX_MATCH: usize = 258;
+pub(crate) const MAX_MATCH: usize = 258;
 const HASH_BITS: u32 = 15;
 const MAX_CHAIN: usize = 32;
 /// "No position" in the head table and the chain ring.
@@ -290,11 +328,10 @@ fn match_len(data: &[u8], a: usize, b: usize, max_len: usize) -> usize {
     l
 }
 
-/// Greedy LZ77 (3-byte hash chains of at most [`MAX_CHAIN`] links, the
-/// first longest match wins) coded with the fixed Huffman code as the
-/// parse goes. The parse — and so the output, byte for byte — is that of
-/// the token-list encoder this replaced, which the tests keep as their
-/// oracle (`deflate/reference.rs`).
+/// The fixed-Huffman encoder: the chain tables of the greedy parse and,
+/// for a band that does not start the stream, its speculative parse.
+/// Kept between calls by a caller that encodes a frame a step, so that
+/// neither is allocated again.
 ///
 /// `head[h]` is the latest position whose three bytes hash to `h`,
 /// `prev[p % WINDOW]` the one before `p` on the same chain. That ring
@@ -303,66 +340,209 @@ fn match_len(data: &[u8], a: usize, b: usize, max_len: usize) -> usize {
 /// at `i` runs before `i` is inserted, so every candidate with
 /// `i - cand <= WINDOW` — distance 32 768 included — still owns its
 /// slot, and the first candidate beyond that ends the walk before its
-/// reused slot is read.
-fn deflate_fixed(data: &[u8]) -> Vec<u8> {
-    let n = data.len();
-    assert!(n < NIL as usize, "deflate input of {n} bytes exceeds u32");
-    let mut w = BitWriter::new();
-    w.bits(1, 1); // BFINAL
-    w.bits(0b01, 2); // BTYPE = fixed Huffman
-    let mut head = vec![NIL; 1 << HASH_BITS];
-    let mut prev = vec![NIL; WINDOW];
-    let mut i = 0;
-    while i < n {
-        let (mut best_len, mut best_dist) = (0, 0);
-        if i + MIN_MATCH <= n {
-            let max_len = (n - i).min(MAX_MATCH);
-            let h = hash3(&data[i..]);
-            let mut cand = head[h];
-            let mut chain = 0;
-            // `best_len == max_len` cannot be beaten; stopping there also
-            // keeps the reject byte below in bounds.
-            while cand != NIL && chain < MAX_CHAIN && best_len < max_len {
-                let c = cand as usize;
-                if i - c > WINDOW {
-                    break;
-                }
-                // A longer match must agree at `best_len`: one byte
-                // rejects most candidates before the full comparison.
-                if data[c + best_len] == data[i + best_len] {
-                    let l = match_len(data, c, i, max_len);
-                    if l > best_len {
-                        (best_len, best_dist) = (l, i - c);
-                    }
-                }
-                cand = prev[c % WINDOW];
-                chain += 1;
-            }
-            prev[i % WINDOW] = head[h];
-            head[h] = i as u32;
-        }
-        if best_len >= MIN_MATCH {
-            let (len_bits, len_n) = LENGTH_BITS[best_len - MIN_MATCH];
-            let (dist_bits, dist_n) = dist_bits(best_dist);
-            // 13 + 18 bits at most: one write.
-            w.bits(len_bits as u32 | dist_bits << len_n, len_n as u32 + dist_n);
-            // Insert the skipped positions so later matches can find them.
-            let stop = (i + best_len).min(n.saturating_sub(MIN_MATCH - 1));
-            for (j, tri) in (i + 1..stop).zip(data[i + 1..stop + 2].windows(3)) {
-                let h = hash3(tri);
-                prev[j % WINDOW] = head[h];
-                head[h] = j as u32;
-            }
-            i += best_len;
-        } else {
-            let (bits, nbits) = LITLEN_BITS[data[i] as usize];
-            w.bits(bits as u32, nbits as u32);
-            i += 1;
+/// reused slot is read. Only `head` is reset between parses: a slot of
+/// `prev` is read for a position reached through `head`, and every such
+/// position wrote its slot in this parse.
+pub(crate) struct Fixed {
+    head: Box<[u32; 1 << HASH_BITS]>,
+    prev: Box<[u32; WINDOW]>,
+    /// The speculative parse of the band last given to
+    /// [`Fixed::speculate`]: its bit string, …
+    spec: Vec<u8>,
+    spec_bits: u64,
+    /// … every position it started a token at with the bit offset of
+    /// that token, in order, …
+    starts: Vec<(usize, u64)>,
+    /// … and the first position past the band it did not code.
+    landing: usize,
+}
+
+impl Default for Fixed {
+    fn default() -> Self {
+        // Arrays, so that the parse's indices — a `HASH_BITS`-bit hash,
+        // a position modulo `WINDOW` — are in bounds by their type.
+        let table = |len| vec![NIL; len].into_boxed_slice();
+        Fixed {
+            head: table(1 << HASH_BITS).try_into().expect("length as given"),
+            prev: table(WINDOW).try_into().expect("length as given"),
+            spec: Vec::new(),
+            spec_bits: 0,
+            starts: Vec::new(),
+            landing: 0,
         }
     }
-    let (eob, eob_n) = LITLEN_BITS[256];
-    w.bits(eob as u32, eob_n as u32);
-    w.finish()
+}
+
+/// Enter `pos`, whose three bytes are `tri`, at the head of its chain.
+#[inline]
+fn insert(head: &mut [u32; 1 << HASH_BITS], prev: &mut [u32; WINDOW], pos: usize, tri: &[u8]) {
+    let h = hash3(tri);
+    prev[pos % WINDOW] = head[h];
+    head[h] = pos as u32;
+}
+
+impl Fixed {
+    /// Greedy LZ77 (3-byte hash chains of at most [`MAX_CHAIN`] links,
+    /// the first longest match wins) over `data[from..]`, coded with the
+    /// fixed Huffman code as the parse goes, until a token would start
+    /// at or past `end` or `at_token(position, bit offset)` says stop.
+    /// Returns the position of the token it did not write.
+    ///
+    /// The chains are primed with the `WINDOW` positions before `from`,
+    /// which is all a search at or after `from` can reach, so the tokens
+    /// are those of the parse of all of `data` from any token start of
+    /// its at `from` on: the parse from 0 — byte for byte that of the
+    /// token-list encoder this replaced, which the tests keep as their
+    /// oracle (`deflate/reference.rs`) — is the case `from == 0`. A last
+    /// match may overrun `end`; `data` has to hold what it can reach
+    /// ([`MAX_MATCH`] bytes past `end`, or the end of the stream).
+    fn parse(
+        &mut self,
+        data: &[u8],
+        from: usize,
+        end: usize,
+        w: &mut BitWriter,
+        mut at_token: impl FnMut(usize, u64) -> bool,
+    ) -> usize {
+        let n = data.len();
+        assert!(n < NIL as usize, "deflate input of {n} bytes exceeds u32");
+        debug_assert!(from <= end && end <= n);
+        let (head, prev) = (&mut *self.head, &mut *self.prev);
+        head.fill(NIL);
+        let first = from.saturating_sub(WINDOW);
+        let primed = from.min(n.saturating_sub(MIN_MATCH - 1));
+        for (j, tri) in (first..primed).zip(data[first..].windows(3)) {
+            insert(head, prev, j, tri);
+        }
+        let mut i = from;
+        while i < end && at_token(i, w.bit_len()) {
+            let (mut best_len, mut best_dist) = (0, 0);
+            if i + MIN_MATCH <= n {
+                let max_len = (n - i).min(MAX_MATCH);
+                let h = hash3(&data[i..]);
+                let mut cand = head[h];
+                let mut chain = 0;
+                // `best_len == max_len` cannot be beaten; stopping there also
+                // keeps the reject byte below in bounds.
+                while cand != NIL && chain < MAX_CHAIN && best_len < max_len {
+                    let c = cand as usize;
+                    if i - c > WINDOW {
+                        break;
+                    }
+                    // A longer match must agree at `best_len`: one byte
+                    // rejects most candidates before the full comparison.
+                    if data[c + best_len] == data[i + best_len] {
+                        let l = match_len(data, c, i, max_len);
+                        if l > best_len {
+                            (best_len, best_dist) = (l, i - c);
+                        }
+                    }
+                    cand = prev[c % WINDOW];
+                    chain += 1;
+                }
+                prev[i % WINDOW] = head[h];
+                head[h] = i as u32;
+            }
+            if best_len >= MIN_MATCH {
+                let (len_bits, len_n) = LENGTH_BITS[best_len - MIN_MATCH];
+                let (dist_bits, dist_n) = dist_bits(best_dist);
+                // 13 + 18 bits at most: one write.
+                w.bits(len_bits as u32 | dist_bits << len_n, len_n as u32 + dist_n);
+                // Insert the skipped positions so later matches can find them.
+                let stop = (i + best_len).min(n.saturating_sub(MIN_MATCH - 1));
+                for (j, tri) in (i + 1..stop).zip(data[i + 1..stop + 2].windows(3)) {
+                    insert(head, prev, j, tri);
+                }
+                i += best_len;
+            } else {
+                let (bits, nbits) = LITLEN_BITS[data[i] as usize];
+                w.bits(bits as u32, nbits as u32);
+                i += 1;
+            }
+        }
+        i
+    }
+
+    /// Append the fixed-mode stream of all of `data` to `out`: one band.
+    pub(crate) fn whole(&mut self, out: &mut Vec<u8>, data: &[u8]) {
+        let mut w = BitWriter::on(out);
+        Fixed::begin(&mut w);
+        self.lead(&mut w, data, data.len());
+        Fixed::end(w);
+    }
+
+    /// Open the one fixed-Huffman block of a stream.
+    pub(crate) fn begin(w: &mut BitWriter) {
+        w.bits(1, 1); // BFINAL
+        w.bits(0b01, 2); // BTYPE = fixed Huffman
+    }
+
+    /// Code the band `[0, end)` that starts the stream straight into
+    /// `w`; returns its landing position, the first it did not code.
+    pub(crate) fn lead(&mut self, w: &mut BitWriter, data: &[u8], end: usize) -> usize {
+        self.parse(data, 0, end, w, |_, _| true)
+    }
+
+    /// Parse the band `[cut, end)` as if a token started at `cut`,
+    /// keeping the result for [`Fixed::join`].
+    pub(crate) fn speculate(&mut self, data: &[u8], cut: usize, end: usize) {
+        let (mut spec, mut starts) = (
+            std::mem::take(&mut self.spec),
+            std::mem::take(&mut self.starts),
+        );
+        spec.clear();
+        starts.clear();
+        let mut w = BitWriter::on(&mut spec);
+        self.landing = self.parse(data, cut, end, &mut w, |i, bit| {
+            starts.push((i, bit));
+            true
+        });
+        self.spec_bits = w.finish();
+        (self.spec, self.starts) = (spec, starts);
+    }
+
+    /// Write the true bit string of the speculated band `[cut, end)`
+    /// into `w`, given `landing`, where the parse before it really
+    /// stopped: re-parse from there until a token starts where the
+    /// speculative parse started one, and splice that parse's bits on
+    /// from that token. Returns the band's own landing position and
+    /// whether the two parses met. They need not — equal bytes give
+    /// 258-byte matches from both starts, and `m + 258 k` never equals
+    /// `cut + 258 k'` unless `m - cut` is a multiple of 258 — and then
+    /// the band is the re-parse alone. A `landing` at or past `end`
+    /// (the match before covers the band) passes through.
+    pub(crate) fn join(
+        &mut self,
+        w: &mut BitWriter,
+        data: &[u8],
+        landing: usize,
+        end: usize,
+    ) -> (usize, bool) {
+        if landing >= end {
+            return (landing, false);
+        }
+        let starts = std::mem::take(&mut self.starts);
+        let mut next = 0;
+        let met = self.parse(data, landing, end, w, |i, _| {
+            while next < starts.len() && starts[next].0 < i {
+                next += 1;
+            }
+            next == starts.len() || starts[next].0 != i
+        });
+        let joined = met < end;
+        if joined {
+            w.append(&self.spec, starts[next].1, self.spec_bits);
+        }
+        self.starts = starts;
+        (if joined { self.landing } else { met }, joined)
+    }
+
+    /// Close the block and pad the stream to a byte.
+    pub(crate) fn end(mut w: BitWriter) {
+        let (eob, eob_n) = LITLEN_BITS[256];
+        w.bits(eob as u32, eob_n as u32);
+        w.finish();
+    }
 }
 
 // --------------------------------------------------------------------
@@ -371,35 +551,43 @@ fn deflate_fixed(data: &[u8]) -> Vec<u8> {
 
 /// Raw DEFLATE-compress `data`.
 pub fn deflate(data: &[u8], mode: Mode) -> Vec<u8> {
+    let mut out = Vec::new();
     match mode {
-        Mode::Stored => deflate_stored(data),
-        Mode::Fixed => deflate_fixed(data),
+        Mode::Stored => deflate_stored(&mut out, data.len(), |raw| raw.copy_from_slice(data)),
+        Mode::Fixed => Fixed::default().whole(&mut out, data),
+    }
+    out
+}
+
+/// Append the `n` bytes that `fill` writes as stored blocks. A block
+/// header is three bits padded to a byte plus two lengths, so the
+/// stream stays byte-aligned throughout.
+///
+/// The bytes are written once, in `out`, behind the room the headers
+/// will take; each block then slides down to its header. Block `i` of
+/// `b` moves `5 (b − 1 − i)` bytes towards the front: never onto its
+/// own header, never onto a block that has not moved yet.
+pub(crate) fn deflate_stored(out: &mut Vec<u8>, n: usize, fill: impl FnOnce(&mut [u8])) {
+    const BLOCK: usize = 65535;
+    let blocks = n.div_ceil(BLOCK).max(1);
+    let at = out.len();
+    let body = at + 5 * blocks;
+    out.resize(body + n, 0);
+    fill(&mut out[body..]);
+    for i in 0..blocks {
+        let len = (n - i * BLOCK).min(BLOCK);
+        let (src, header) = (body + i * BLOCK, at + i * (BLOCK + 5));
+        out[header] = u8::from(i + 1 == blocks); // BFINAL, BTYPE = stored
+        out[header + 1..header + 3].copy_from_slice(&(len as u16).to_le_bytes());
+        out[header + 3..header + 5].copy_from_slice(&(!(len as u16)).to_le_bytes());
+        out.copy_within(src..src + len, header + 5);
     }
 }
 
-fn deflate_stored(data: &[u8]) -> Vec<u8> {
-    let mut w = BitWriter::new();
-    let chunks: Vec<&[u8]> = if data.is_empty() {
-        vec![&[]]
-    } else {
-        data.chunks(65535).collect()
-    };
-    let last = chunks.len() - 1;
-    for (i, chunk) in chunks.iter().enumerate() {
-        w.bits(u32::from(i == last), 1); // BFINAL
-        w.bits(0b00, 2); // BTYPE = stored
-        w.align();
-        let len = chunk.len() as u16;
-        w.out.extend_from_slice(&len.to_le_bytes());
-        w.out.extend_from_slice(&(!len).to_le_bytes());
-        w.out.extend_from_slice(chunk);
-    }
-    w.finish()
-}
+const ADLER_MOD: u32 = 65521;
 
 /// Adler-32 checksum (RFC 1950).
 pub fn adler32(data: &[u8]) -> u32 {
-    const MOD: u32 = 65521;
     let mut a: u32 = 1;
     let mut b: u32 = 0;
     for chunk in data.chunks(5552) {
@@ -407,15 +595,31 @@ pub fn adler32(data: &[u8]) -> u32 {
             a += byte as u32;
             b += a;
         }
-        a %= MOD;
-        b %= MOD;
+        a %= ADLER_MOD;
+        b %= ADLER_MOD;
     }
     (b << 16) | a
 }
 
+/// The Adler-32 of `x ‖ y` from `adler32(x)`, `adler32(y)` and `y`'s
+/// length (zlib's `adler32_combine`): `a` sums the bytes, and every one
+/// of `y`'s `len_y` steps adds `x`'s final `a` (less the 1 both start
+/// from) into `b` once more.
+pub(crate) fn adler32_combine(x: u32, y: u32, len_y: usize) -> u32 {
+    let m = ADLER_MOD as u64;
+    let (ax, bx) = ((x & 0xFFFF) as u64, (x >> 16) as u64);
+    let (ay, by) = ((y & 0xFFFF) as u64, (y >> 16) as u64);
+    let a = (ax + ay + m - 1) % m;
+    let b = (bx + by + (len_y as u64 % m) * (ax + m - 1)) % m;
+    ((b as u32) << 16) | a as u32
+}
+
+/// The two bytes that open a zlib stream: 32K window, fastest-compression hint.
+pub(crate) const ZLIB_HEADER: [u8; 2] = [0x78, 0x01];
+
 /// zlib-wrap (RFC 1950): header + DEFLATE stream + Adler-32.
 pub fn zlib_compress(data: &[u8], mode: Mode) -> Vec<u8> {
-    let mut out = vec![0x78, 0x01]; // 32K window, fastest-compression hint
+    let mut out = ZLIB_HEADER.to_vec();
     out.extend_from_slice(&deflate(data, mode));
     out.extend_from_slice(&adler32(data).to_be_bytes());
     out
@@ -551,6 +755,7 @@ mod reference;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn roundtrip(data: &[u8], mode: Mode) {
         let comp = deflate(data, mode);
@@ -595,18 +800,19 @@ mod tests {
 
     #[test]
     fn random_bytes_roundtrip() {
-        // Pseudo-random: xorshift so no rand dependency needed here.
-        let mut x = 0x12345678u32;
-        let data: Vec<u8> = (0..70_000)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 17;
-                x ^= x << 5;
-                x as u8
-            })
-            .collect();
+        let data = xorshift_bytes(70_000, 0x12345678);
         roundtrip(&data, Mode::Stored); // crosses the 65535 block boundary
         roundtrip(&data, Mode::Fixed);
+    }
+
+    #[test]
+    fn stored_blocks_slide_into_place_at_the_block_edges() {
+        for len in [65_534, 65_535, 65_536, 2 * 65_535, 2 * 65_535 + 1] {
+            let data = xorshift_bytes(len, 99);
+            let comp = deflate(&data, Mode::Stored);
+            assert_eq!(comp.len(), len + 5 * len.div_ceil(65_535));
+            assert!(inflate(&comp).expect("inflate") == data, "{len} bytes");
+        }
     }
 
     #[test]
@@ -723,6 +929,265 @@ mod tests {
             data[77..80].copy_from_slice(&[250, 251, 252]);
             data[77 + gap..80 + gap].copy_from_slice(&[250, 251, 252]);
             assert_identical(&data, "planted triple");
+        }
+    }
+
+    /// The fixed-mode stream of `data` made band by band at `cuts`
+    /// (ascending, each in `0..=len`), the way the collective PNG
+    /// encoder makes it — every band sees only its own bytes, `WINDOW`
+    /// before and `MAX_MATCH` after — and how many junctions never met.
+    fn deflate_banded(data: &[u8], cuts: &[usize]) -> (Vec<u8>, usize) {
+        let n = data.len();
+        let mut edges = vec![0];
+        edges.extend_from_slice(cuts);
+        edges.push(n);
+        let horizon = |end: usize| &data[..(end + MAX_MATCH).min(n)];
+        let mut fixed = Fixed::default();
+        let mut out = Vec::new();
+        let mut w = BitWriter::on(&mut out);
+        Fixed::begin(&mut w);
+        let mut landing = fixed.lead(&mut w, horizon(edges[1]), edges[1]);
+        let mut unmet = 0;
+        for band in edges[1..].windows(2) {
+            let (cut, end) = (band[0], band[1]);
+            // Bytes a band may not see are poisoned, not just unread.
+            let mut seen = horizon(end).to_vec();
+            seen[..cut.saturating_sub(WINDOW)].fill(0xA5);
+            fixed.speculate(&seen, cut, end);
+            let crossed = landing < end;
+            let (next, met) = fixed.join(&mut w, &seen, landing, end);
+            unmet += usize::from(crossed && !met);
+            landing = next;
+        }
+        assert_eq!(landing, n, "the last band lands on the end of the stream");
+        Fixed::end(w);
+        (out, unmet)
+    }
+
+    /// Pseudo-random: xorshift, so no rand dependency needed here.
+    fn xorshift_bytes(len: usize, mut x: u32) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                x as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bands_splice_to_the_serial_stream() {
+        let scanlines: Vec<u8> = (0..40)
+            .flat_map(|y: usize| (0..1 + 3 * 700).map(move |x| ((x / 90 + y / 7) % 5) as u8 * 40))
+            .collect();
+        let noise = xorshift_bytes(3 * WINDOW, 0x9E37_79B9);
+        let text: Vec<u8> = b"in situ, in transit, post hoc; "
+            .iter()
+            .cycle()
+            .take(2 * WINDOW + 259)
+            .copied()
+            .collect();
+        for data in [&scanlines, &noise, &text] {
+            let n = data.len();
+            let want = deflate(data, Mode::Fixed);
+            for cuts in [
+                vec![n / 2],
+                vec![n / 3, 2 * n / 3],
+                vec![0, 1, 2, n - 1, n],
+                vec![WINDOW - 1, WINDOW, WINDOW + 1],
+                vec![1000, 1100, 1200, 1210, 1211, 40_000, 40_257, 40_300],
+            ] {
+                let (got, _) = deflate_banded(data, &cuts);
+                assert!(got == want, "{n} bytes cut at {cuts:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn equal_bytes_never_meet_and_still_splice() {
+        // 258-byte matches from both starts: the re-parse starts tokens
+        // at `landing + 258 k`, the speculative parse at `cut + 258 k`.
+        let data = vec![7u8; 3 * WINDOW];
+        let want = deflate(&data, Mode::Fixed);
+        let (got, unmet) = deflate_banded(&data, &[WINDOW + 5, 2 * WINDOW + 11]);
+        assert!(got == want);
+        assert_eq!(unmet, 2, "both junctions take the re-parse-alone path");
+        // A cut a whole number of matches from the start does meet.
+        let (got, unmet) = deflate_banded(&data, &[1 + 258 * 40]);
+        assert!(got == want);
+        assert_eq!(unmet, 0);
+    }
+
+    #[test]
+    fn adler32_combines_across_a_split() {
+        let data = xorshift_bytes(70_000, 77);
+        for at in [0, 1, 5552, 65_521, 69_999, 70_000] {
+            let (x, y) = data.split_at(at);
+            assert_eq!(
+                adler32_combine(adler32(x), adler32(y), y.len()),
+                adler32(&data),
+                "split at {at}"
+            );
+        }
+    }
+
+    /// `raw` cut positions folded into `0..=n`, ascending.
+    fn cuts_in(raw: &[usize], n: usize) -> Vec<usize> {
+        let mut cuts: Vec<usize> = raw.iter().map(|c| c % (n + 1)).collect();
+        cuts.sort_unstable();
+        cuts
+    }
+
+    /// Banded at `cuts` == one band == the reference encoder.
+    fn assert_bands_identical(data: &[u8], cuts: &[usize]) -> usize {
+        let (banded, unmet) = deflate_banded(data, cuts);
+        let serial = deflate(data, Mode::Fixed);
+        assert!(
+            banded == serial,
+            "{} bytes cut at {cuts:?}: bands differ from the one-band stream",
+            data.len()
+        );
+        assert!(
+            serial == reference::deflate_fixed(data),
+            "{} bytes: one band differs from the reference",
+            data.len()
+        );
+        unmet
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Noise and small palettes: cuts land in literals, at match
+        /// starts and inside matches, bands shorter than a match included.
+        #[test]
+        fn banded_noise_and_palettes_are_the_serial_stream(
+            len in 0usize..70_000,
+            alphabet in 1u32..6,
+            seed in any::<u32>(),
+            raw_cuts in proptest::collection::vec(0usize..1_000_000, 1..9),
+        ) {
+            // Five symbols stand for "all 256".
+            let modulus = if alphabet == 5 { 256 } else { alphabet };
+            let data: Vec<u8> = xorshift_bytes(len, seed | 1)
+                .into_iter()
+                .map(|b| ((b as u32 % modulus) as u8).wrapping_mul(17))
+                .collect();
+            assert_bands_identical(&data, &cuts_in(&raw_cuts, len));
+        }
+
+        /// One row repeated, as filtered scanlines repeat: the long
+        /// matches at distance `period` that a cut falls into.
+        #[test]
+        fn banded_repeated_rows_are_the_serial_stream(
+            period in 1usize..6001,
+            rows in 2usize..40,
+            seed in any::<u32>(),
+            raw_cuts in proptest::collection::vec(0usize..1_000_000, 1..9),
+        ) {
+            let row = xorshift_bytes(period, seed | 1);
+            let len = (period * rows).min(90_000);
+            let data: Vec<u8> = row.iter().cycle().take(len).copied().collect();
+            assert_bands_identical(&data, &cuts_in(&raw_cuts, len));
+        }
+
+        /// Equal bytes: a junction whose cut is not a whole number of
+        /// 258-byte matches past position 1 never meets, and the band
+        /// must come out as the re-parse alone.
+        #[test]
+        fn banded_equal_bytes_take_the_never_meeting_path(
+            len in 0usize..100_000,
+            byte in any::<u8>(),
+            raw_cuts in proptest::collection::vec(0usize..1_000_000, 1..9),
+        ) {
+            let data = vec![byte; len];
+            let cuts = cuts_in(&raw_cuts, len);
+            let unmet = assert_bands_identical(&data, &cuts);
+            // Bands of full-length matches only, entered mid-match.
+            let mut edges = cuts.clone();
+            edges.push(len);
+            let surely = edges
+                .windows(2)
+                .filter(|b| {
+                    b[0] >= 1
+                        && (b[0] - 1) % MAX_MATCH != 0
+                        && b[1] - b[0] >= MAX_MATCH
+                        && b[1] + MAX_MATCH <= len
+                })
+                .count();
+            prop_assert!(unmet >= surely, "{unmet} unmet junctions, at least {surely} expected");
+        }
+
+        /// The lengths where a table or the window turns over.
+        #[test]
+        fn banded_edge_lengths_are_the_serial_stream(
+            which in 0usize..6,
+            kind in 0u32..3,
+            seed in any::<u32>(),
+            raw_cuts in proptest::collection::vec(0usize..1_000_000, 1..9),
+        ) {
+            let len = [0, 1, 2, WINDOW - 1, WINDOW + 1, 2 * WINDOW + 259][which];
+            let data: Vec<u8> = xorshift_bytes(len, seed | 1)
+                .into_iter()
+                .map(|b| [b, b % 3, 9][kind as usize])
+                .collect();
+            assert_bands_identical(&data, &cuts_in(&raw_cuts, len));
+        }
+
+        #[test]
+        fn adler32_combine_is_adler32_of_the_concatenation(
+            data in proptest::collection::vec(any::<u8>(), 0..20_000),
+            at in 0usize..1_000_000,
+            ends in 0u32..4,
+        ) {
+            // The empty halves now and then, not once in 20 000.
+            let at = match ends {
+                0 => 0,
+                1 => data.len(),
+                _ => at % (data.len() + 1),
+            };
+            let (x, y) = data.split_at(at);
+            prop_assert_eq!(
+                adler32_combine(adler32(x), adler32(y), y.len()),
+                adler32(&data)
+            );
+        }
+
+        /// Appending a bit string from any bit of its buffer, onto a
+        /// writer standing at any bit, is writing its fields there.
+        #[test]
+        fn appended_bits_are_the_fields_written_through(
+            words in proptest::collection::vec(any::<u32>(), 0..600),
+            split in 0usize..1_000_000,
+            skip in 0usize..40,
+        ) {
+            let fields: Vec<(u32, u32)> = words
+                .iter()
+                .map(|&x| {
+                    let n = 1 + (x >> 27) % 31;
+                    (x & ((1 << n) - 1), n)
+                })
+                .collect();
+            let split = split % (fields.len() + 1);
+            let skip = skip.min(split);
+            let mut want = Vec::new();
+            let mut w = BitWriter::on(&mut want);
+            fields.iter().for_each(|&(v, n)| w.bits(v, n));
+            let want_bits = w.finish();
+            let mut tail = Vec::new();
+            let mut t = BitWriter::on(&mut tail);
+            // `skip` fields of junk first: the tail starts mid-buffer.
+            fields[..skip].iter().for_each(|&(v, n)| t.bits(v, n));
+            let from = t.bit_len();
+            fields[split..].iter().for_each(|&(v, n)| t.bits(v, n));
+            let to = t.finish();
+            let mut got = vec![0xEE]; // a writer need not start an empty vector
+            let mut g = BitWriter::on(&mut got);
+            fields[..split].iter().for_each(|&(v, n)| g.bits(v, n));
+            g.append(&tail, from, to);
+            prop_assert_eq!(g.finish(), want_bits);
+            prop_assert!(got[1..] == want[..]);
         }
     }
 

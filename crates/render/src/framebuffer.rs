@@ -27,6 +27,20 @@ impl Framebuffer {
         }
     }
 
+    /// A cleared `width` × `height` framebuffer in `kept`'s memory when
+    /// that has the size, a new one otherwise: what a renderer that
+    /// draws a frame a step calls instead of [`Framebuffer::new`], so
+    /// that the pages are faulted in once.
+    pub fn recycle(kept: Option<Framebuffer>, width: usize, height: usize) -> Self {
+        match kept {
+            Some(mut fb) if (fb.width, fb.height) == (width, height) => {
+                fb.clear(None);
+                fb
+            }
+            _ => Framebuffer::new(width, height),
+        }
+    }
+
     /// Width in pixels.
     pub fn width(&self) -> usize {
         self.width
@@ -138,6 +152,22 @@ mod tests {
         assert_eq!(fb.pixel(1, 1), Color::rgb(10, 0, 0));
         fb.set_pixel(1, 1, 0.1, Color::rgb(0, 0, 10)); // in front: wins
         assert_eq!(fb.pixel(1, 1), Color::rgb(0, 0, 10));
+    }
+
+    #[test]
+    fn recycled_buffer_is_a_new_one_in_the_same_memory() {
+        let mut used = Framebuffer::new(3, 2);
+        used.set_pixel(1, 1, 0.25, Color::rgb(9, 8, 7));
+        let at = used.color.as_ptr();
+        let again = Framebuffer::recycle(Some(used), 3, 2);
+        assert_eq!(again, Framebuffer::new(3, 2), "colour and depth re-armed");
+        assert_eq!(again.color.as_ptr(), at, "no new allocation");
+        // Another size cannot be reused.
+        assert_eq!(
+            Framebuffer::recycle(Some(again), 2, 3),
+            Framebuffer::new(2, 3)
+        );
+        assert_eq!(Framebuffer::recycle(None, 1, 1), Framebuffer::new(1, 1));
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //!   DEFLATE (stored and fixed-Huffman + LZ77) with CRC-32/Adler-32,
 //!   plus a matching inflater for round-trip verification. The serial
 //!   zlib cost on rank 0 is the effect behind the paper's Table 2
-//!   finding, so it has to be real, measurable code.
+//!   finding, so it has to be real, measurable code; the adaptors
+//!   spend it on every rank instead ([`png::PngEncoder`]: the same
+//!   file, deflated in bands where the composited rows already are).
 
 pub mod camera;
 pub mod color;

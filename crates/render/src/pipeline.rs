@@ -2,13 +2,19 @@
 //! → composite in parallel. These are the building blocks the
 //! infrastructure crates (`catalyst`, `libsim`) configure differently
 //! (image sizes, compositor family), per §4.1.3.
+//!
+//! Each pipeline comes gathered ([`pseudocolor_slice`],
+//! [`shaded_isosurface`]: the image on rank 0) and as bands
+//! ([`pseudocolor_slice_bands`], [`shaded_isosurface_bands`]: every
+//! rank keeps the rows the compositor left it, for
+//! [`crate::png::PngEncoder`], and draws into last frame's buffer).
 
 use datamodel::Extent;
 use minimpi::Comm;
 
 use crate::camera::Camera;
 use crate::color::{Color, Colormap};
-use crate::composite::{composite, Compositor};
+use crate::composite::{gather, merge, Compositor};
 use crate::framebuffer::Framebuffer;
 use crate::isosurface::marching_tetrahedra;
 use crate::raster::{fill_triangle, Vertex};
@@ -68,13 +74,29 @@ pub fn pseudocolor_slice(
     values: &[f64],
     cfg: &SliceRender,
 ) -> Option<Framebuffer> {
+    let held = pseudocolor_slice_bands(comm, local, global, values, cfg, None);
+    gather(comm, held, cfg.compositor, cfg.height)
+}
+
+/// [`pseudocolor_slice`] without the gather: drawn into `kept` (last
+/// frame's buffer, if the caller has one of the size) and composited up
+/// to where `composite::merge` stops. A rank gets back the buffer it still
+/// holds, final in the rows `cfg.compositor` leaves it.
+pub fn pseudocolor_slice_bands(
+    comm: &Comm,
+    local: &Extent,
+    global: &Extent,
+    values: &[f64],
+    cfg: &SliceRender,
+    kept: Option<Framebuffer>,
+) -> Option<Framebuffer> {
     let (glo, ghi) = global_range(comm, values);
 
-    let mut fb = Framebuffer::new(cfg.width, cfg.height);
+    let mut fb = Framebuffer::recycle(kept, cfg.width, cfg.height);
     if let Some(slice) = extract_plane(local, global, values, cfg.axis, cfg.global_index) {
         render_plane(&mut fb, &slice, &cfg.cmap, (glo, ghi));
     }
-    composite(comm, fb, cfg.compositor)
+    merge(comm, fb, cfg.compositor)
 }
 
 /// Configuration of a distributed isosurface render.
@@ -106,9 +128,22 @@ pub fn shaded_isosurface(
     values: &[f64],
     cfg: &IsosurfaceRender,
 ) -> Option<Framebuffer> {
+    let held = shaded_isosurface_bands(comm, local, values, cfg, None);
+    gather(comm, held, cfg.compositor, cfg.height)
+}
+
+/// [`shaded_isosurface`] without the gather, drawn into `kept`: see
+/// [`pseudocolor_slice_bands`].
+pub fn shaded_isosurface_bands(
+    comm: &Comm,
+    local: &Extent,
+    values: &[f64],
+    cfg: &IsosurfaceRender,
+    kept: Option<Framebuffer>,
+) -> Option<Framebuffer> {
     let (glo, ghi) = global_range(comm, values);
 
-    let mut fb = Framebuffer::new(cfg.width, cfg.height);
+    let mut fb = Framebuffer::recycle(kept, cfg.width, cfg.height);
     let light = normalize([0.4, 0.5, -0.8]);
     for &iso in &cfg.isovalues {
         let base = cfg.cmap.map_range(iso, glo, ghi);
@@ -149,7 +184,7 @@ pub fn shaded_isosurface(
             }
         }
     }
-    composite(comm, fb, cfg.compositor)
+    merge(comm, fb, cfg.compositor)
 }
 
 fn triangle_normal(t: &[[f64; 3]; 3]) -> [f64; 3] {
@@ -232,6 +267,41 @@ mod tests {
         let b = multi[0].as_ref().unwrap();
         assert_eq!(a.color, b.color, "decomposition-invariant image");
         assert_eq!(a.covered_pixels(), 24 * 24);
+    }
+
+    #[test]
+    fn drawing_into_last_frames_buffer_equals_drawing_into_a_new_one() {
+        // The kept buffer arrives full of another frame (another plane,
+        // closer depths, stale rows from the swap); colour and depth of
+        // what comes back must be a fresh render's, on every rank.
+        let global = Extent::whole([9, 9, 9]);
+        let cfg = SliceRender {
+            axis: 2,
+            global_index: 4,
+            width: 24,
+            height: 24,
+            compositor: Compositor::BinarySwap,
+            cmap: Colormap::cool_warm(),
+        };
+        let held = World::run(4, move |comm| {
+            let local = partition_extent(&global, [2, 2, 1], comm.rank());
+            let vals: Vec<f64> = local.iter_points().map(|p| (p[0] * p[1]) as f64).collect();
+            let other = SliceRender {
+                global_index: 7,
+                ..cfg.clone()
+            };
+            let mut kept = pseudocolor_slice_bands(comm, &local, &global, &vals, &other, None);
+            if let Some(fb) = &mut kept {
+                fb.depth.fill(-1.0); // in front of anything a slice draws
+            }
+            let again = pseudocolor_slice_bands(comm, &local, &global, &vals, &cfg, kept);
+            let fresh = pseudocolor_slice_bands(comm, &local, &global, &vals, &cfg, None);
+            (again, fresh)
+        });
+        for (again, fresh) in held {
+            assert!(again.is_some());
+            assert_eq!(again, fresh, "colour and depth");
+        }
     }
 
     #[test]

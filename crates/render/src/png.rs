@@ -1,24 +1,55 @@
 //! Minimal PNG encoding (and decoding of our own files) over the
-//! from-scratch zlib. 8-bit RGB, filter type 0 per scanline — the same
-//! "render, compress on rank 0, write" path the paper's slice pipelines
-//! take.
+//! from-scratch zlib. 8-bit RGB, filter type 0 per scanline.
+//!
+//! Two ways in, one set of bytes out. [`encode_framebuffer`] and
+//! [`encode_rgb`] are the paper's path — "render, compress on rank 0,
+//! write" — and what the Table 2 reproduction times. [`PngEncoder`] is
+//! the adaptors' path: a collective over the ranks that hold the
+//! composited rows. The raw stream is cut at scanline boundaries into
+//! bands of at least `MIN_BAND` (256 KiB), one per rank from 0 up; each
+//! owner flattens its rows where they are, straight into the stream of
+//! the rank that deflates them or into a message to it — 3 B/px
+//! scanlines, the rows holding the `WINDOW` bytes before a band and the
+//! `MAX_MATCH` after it included, which is all its parse can reach —
+//! every band is parsed at once and the junctions are settled in rank
+//! order (`deflate::Fixed`); rank 0 splices the bit strings and
+//! combines the per-band Adler-32s. The file is the serial one byte for
+//! byte, at every rank count, because the parse is (DESIGN §11).
+
+use std::ops::Range;
+
+use minimpi::Comm;
 
 use crate::color::Color;
-use crate::deflate::{self, Mode};
+use crate::composite::Compositor;
+use crate::deflate::{self, BitWriter, Fixed, Mode, MAX_MATCH, WINDOW};
 use crate::framebuffer::Framebuffer;
 
+/// Tag space of the collective encoder.
+const TAG_ROWS: u32 = 0x504E_0001;
+const TAG_LANDING: u32 = 0x504E_0002;
+const TAG_BAND: u32 = 0x504E_0003;
+
+/// Fewest bytes of raw stream worth a rank of its own. At least
+/// `WINDOW + MAX_MATCH`, so that what a band's parse reaches beyond
+/// itself lies in the bands next to it and a landing position never
+/// skips a band.
+const MIN_BAND: usize = 256 * 1024;
+const _: () = assert!(MIN_BAND >= WINDOW + MAX_MATCH);
+
 /// CRC-32 (ISO 3309), as required by the PNG chunk format.
-/// Table-driven, like zlib's implementation.
 pub fn crc32(data: &[u8]) -> u32 {
     crc32_update(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
 }
 
-fn crc_table() -> &'static [u32; 256] {
+/// `t[0]` is the bytewise table; `t[k][b]` carries byte `b` over `k`
+/// further zero bytes, so eight table reads advance eight bytes.
+fn crc_tables() -> &'static [[u32; 256]; 8] {
     use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (n, e) in t.iter_mut().enumerate() {
+    static TABLES: OnceLock<[[u32; 256]; 8]> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut t = [[0u32; 256]; 8];
+        for (n, e) in t[0].iter_mut().enumerate() {
             let mut c = n as u32;
             for _ in 0..8 {
                 let mask = (c & 1).wrapping_neg();
@@ -26,41 +57,108 @@ fn crc_table() -> &'static [u32; 256] {
             }
             *e = c;
         }
+        for k in 1..8 {
+            let (bytewise, before) = (t[0], t[k - 1]);
+            for (e, c) in t[k].iter_mut().zip(before) {
+                *e = (c >> 8) ^ bytewise[(c & 0xFF) as usize];
+            }
+        }
         t
     })
 }
 
+/// Slicing-by-8, like zlib's: the four bytes the running CRC is folded
+/// into and the four after them are looked up independently.
 fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
-    let table = crc_table();
-    for &b in data {
-        crc = (crc >> 8) ^ table[((crc ^ b as u32) & 0xFF) as usize];
+    let t = crc_tables();
+    let mut blocks = data.chunks_exact(8);
+    for b in &mut blocks {
+        let head = (crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]])).to_le_bytes();
+        crc = 0;
+        for (k, &byte) in head.iter().chain(&b[4..]).enumerate() {
+            crc ^= t[7 - k][byte as usize];
+        }
+    }
+    for &b in blocks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     crc
 }
 
-fn chunk(out: &mut Vec<u8>, kind: &[u8; 4], payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+/// Append one chunk, its payload written in place by `payload`: the
+/// length is patched in and the CRC run over kind + payload where they
+/// lie, so the payload is written once.
+fn chunk(out: &mut Vec<u8>, kind: &[u8; 4], payload: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
     out.extend_from_slice(kind);
-    out.extend_from_slice(payload);
-    let crc = crc32_update(crc32_update(0xFFFF_FFFF, kind), payload) ^ 0xFFFF_FFFF;
+    payload(out);
+    let len = (out.len() - at - 8) as u32;
+    out[at..at + 4].copy_from_slice(&len.to_be_bytes());
+    let crc = crc32(&out[at + 4..]);
     out.extend_from_slice(&crc.to_be_bytes());
 }
 
-/// Wrap a filtered scanline stream (`height` rows of one filter byte +
-/// `width` RGB pixels) into a PNG file image.
-fn encode_scanlines(width: usize, height: usize, raw: &[u8], mode: Mode) -> Vec<u8> {
-    debug_assert_eq!(raw.len(), height * (1 + width * 3));
-    let mut out = Vec::new();
-    out.extend_from_slice(&[0x89, b'P', b'N', b'G', 0x0D, 0x0A, 0x1A, 0x0A]);
-
-    let mut ihdr = Vec::with_capacity(13);
-    ihdr.extend_from_slice(&(width as u32).to_be_bytes());
-    ihdr.extend_from_slice(&(height as u32).to_be_bytes());
-    ihdr.extend_from_slice(&[8, 2, 0, 0, 0]); // 8-bit, RGB, deflate, adaptive, no interlace
-    chunk(&mut out, b"IHDR", &ihdr);
-    chunk(&mut out, b"IDAT", &deflate::zlib_compress(raw, mode));
-    chunk(&mut out, b"IEND", &[]);
+/// A PNG file image of `width` × `height` 8-bit RGB whose zlib stream
+/// `idat` writes.
+fn file(width: usize, height: usize, idat: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = vec![0x89, b'P', b'N', b'G', 0x0D, 0x0A, 0x1A, 0x0A];
+    chunk(&mut out, b"IHDR", |out| {
+        out.extend_from_slice(&(width as u32).to_be_bytes());
+        out.extend_from_slice(&(height as u32).to_be_bytes());
+        out.extend_from_slice(&[8, 2, 0, 0, 0]); // 8-bit, RGB, deflate, adaptive, no interlace
+    });
+    chunk(&mut out, b"IDAT", idat);
+    chunk(&mut out, b"IEND", |_| {});
     out
+}
+
+/// Bytes of one filtered scanline: the filter byte and `width` RGB pixels.
+fn stride(width: usize) -> usize {
+    1 + width * 3
+}
+
+/// Flatten `rows` of `fb` over `background` into `lines`, their stretch
+/// of the filtered scanline stream: filter byte 0 (None), then the RGB
+/// of each pixel, transparent ones taking the background colour.
+fn fill_scanlines(lines: &mut [u8], fb: &Framebuffer, rows: Range<usize>, background: Color) {
+    let width = fb.width();
+    debug_assert_eq!(lines.len(), rows.len() * stride(width));
+    let background = [background.r, background.g, background.b];
+    let pixels = fb.color[rows.start * width..rows.end * width].chunks_exact(width);
+    for (line, row) in lines.chunks_exact_mut(stride(width)).zip(pixels) {
+        line[0] = 0;
+        for (rgb, px) in line[1..].chunks_exact_mut(3).zip(row) {
+            rgb.copy_from_slice(if px[3] == 0 { &background } else { &px[..3] });
+        }
+    }
+}
+
+/// The zlib stream of the `n` bytes of raw stream that `fill` writes,
+/// made here: one band. Stored mode has them written straight into the
+/// file; fixed mode needs them beside it, as the parse's input.
+fn zlib_serial(
+    out: &mut Vec<u8>,
+    fixed: &mut Fixed,
+    n: usize,
+    fill: impl FnOnce(&mut [u8]),
+    mode: Mode,
+) {
+    out.extend_from_slice(&deflate::ZLIB_HEADER);
+    let mut adler = 0;
+    match mode {
+        Mode::Stored => deflate::deflate_stored(out, n, |raw| {
+            fill(raw);
+            adler = deflate::adler32(raw);
+        }),
+        Mode::Fixed => {
+            let mut raw = vec![0; n];
+            fill(&mut raw);
+            adler = deflate::adler32(&raw);
+            fixed.whole(out, &raw);
+        }
+    }
+    out.extend_from_slice(&adler.to_be_bytes());
 }
 
 /// Encode 8-bit RGB pixels (`width*height*3` bytes, top row first) to a
@@ -70,31 +168,174 @@ pub fn encode_rgb(width: usize, height: usize, rgb: &[u8], mode: Mode) -> Vec<u8
     assert_eq!(rgb.len(), width * height * 3, "pixel buffer size mismatch");
     assert!(width > 0 && height > 0, "degenerate image");
     // Raw image stream: one filter byte (0 = None) per scanline.
-    let mut raw = Vec::with_capacity(height * (1 + width * 3));
-    for row in rgb.chunks(width * 3) {
-        raw.push(0);
-        raw.extend_from_slice(row);
-    }
-    encode_scanlines(width, height, &raw, mode)
+    let fill = |raw: &mut [u8]| {
+        for (line, row) in raw
+            .chunks_exact_mut(stride(width))
+            .zip(rgb.chunks_exact(width * 3))
+        {
+            line[0] = 0;
+            line[1..].copy_from_slice(row);
+        }
+    };
+    serial(width, height, fill, mode)
 }
 
-/// Encode a framebuffer flattened over `background`: the scanline stream
-/// is written straight from the RGBA pixels, transparent ones taking the
-/// background colour.
+/// Encode a framebuffer flattened over `background`, on this rank
+/// alone: the scanline stream is written straight from the RGBA pixels
+/// and deflated as one band.
 pub fn encode_framebuffer(fb: &Framebuffer, background: Color, mode: Mode) -> Vec<u8> {
     let (width, height) = (fb.width(), fb.height());
-    let background = [background.r, background.g, background.b];
-    let stride = 1 + width * 3;
-    let mut raw = vec![0; height * stride]; // filter byte 0 = None
-    for (line, row) in raw
-        .chunks_exact_mut(stride)
-        .zip(fb.color.chunks_exact(width))
-    {
-        for (rgb, px) in line[1..].chunks_exact_mut(3).zip(row) {
-            rgb.copy_from_slice(if px[3] == 0 { &background } else { &px[..3] });
+    let fill = |raw: &mut [u8]| fill_scanlines(raw, fb, 0..height, background);
+    serial(width, height, fill, mode)
+}
+
+/// The file of the scanlines `fill` writes, encoded on this rank alone.
+fn serial(width: usize, height: usize, fill: impl FnOnce(&mut [u8]), mode: Mode) -> Vec<u8> {
+    let n = height * stride(width);
+    file(width, height, |out| {
+        zlib_serial(out, &mut Fixed::default(), n, fill, mode)
+    })
+}
+
+/// The collective encoder, and what it keeps from one frame to the
+/// next: the deflate tables and the speculative parse's buffers.
+#[derive(Default)]
+pub struct PngEncoder {
+    fixed: Fixed,
+}
+
+fn overlap(a: &Range<usize>, b: &Range<usize>) -> Range<usize> {
+    let start = a.start.max(b.start);
+    start..a.end.min(b.end).max(start)
+}
+
+impl PngEncoder {
+    /// Encode the `width` × `height` image that `which` composited,
+    /// flattened over `background`; collective, the file is returned on
+    /// rank 0. `held` is what the compositor left this rank short of
+    /// the gather ([`crate::pipeline::pseudocolor_slice_bands`]): a
+    /// buffer whose rows `which` assigns to the rank are final, or
+    /// nothing. The bytes are those of [`encode_framebuffer`] on the
+    /// gathered image.
+    ///
+    /// `Mode::Fixed` deflates in up to `comm.size()` bands of at least
+    /// `MIN_BAND` (256 KiB); `Mode::Stored` is one band, the scanlines
+    /// gathered to rank 0.
+    ///
+    /// # Panics
+    /// Panics if a rank that owns rows passes no buffer, or one of
+    /// another size.
+    pub fn encode(
+        &mut self,
+        comm: &Comm,
+        (width, height): (usize, usize),
+        held: Option<&Framebuffer>,
+        which: Compositor,
+        background: Color,
+        mode: Mode,
+    ) -> Option<Vec<u8>> {
+        let (p, me) = (comm.size(), comm.rank());
+        let stride = stride(width);
+        let bands = match mode {
+            Mode::Stored => 1,
+            Mode::Fixed => (height / MIN_BAND.div_ceil(stride)).clamp(1, p),
+        };
+        // Band `k`, and the rows whose scanlines its parse reads: its
+        // own, those holding the `WINDOW` bytes before it and those
+        // holding the `MAX_MATCH` after.
+        let band = |k: usize| k * height / bands..(k + 1) * height / bands;
+        let reads = |k: usize| {
+            let band = band(k);
+            (band.start * stride).saturating_sub(WINDOW) / stride
+                ..(band.end * stride + MAX_MATCH).div_ceil(stride).min(height)
+        };
+        let owned = |r: usize| which.owned_rows(p, r, height);
+        let flatten = |lines: &mut [u8], rows: Range<usize>| {
+            let fb = held.expect("a rank that owns rows holds their buffer");
+            assert_eq!(
+                (fb.width(), fb.height()),
+                (width, height),
+                "encode: buffer size mismatch"
+            );
+            fill_scanlines(lines, fb, rows, background);
+        };
+
+        // Scanlines go where they are deflated, flattened straight into
+        // the message. Sends are eager, so all of them first; every
+        // receive names its source.
+        for k in (0..bands).filter(|&k| k != me) {
+            let rows = overlap(&reads(k), &owned(me));
+            if !rows.is_empty() {
+                let mut lines = vec![0; rows.len() * stride];
+                flatten(&mut lines, rows);
+                comm.send(k, TAG_ROWS, lines);
+            }
         }
+        if me >= bands {
+            return None;
+        }
+        // `raw` is the stretch of the stream this rank's parse reads;
+        // positions travel as stream positions and are parsed as offsets
+        // into it: the parse does not care where 0 is.
+        let reads = reads(me);
+        let base = reads.start * stride;
+        let local = |rows: &Range<usize>| rows.start * stride - base..rows.end * stride - base;
+        let assemble = |raw: &mut [u8]| {
+            for r in 0..p {
+                let rows = overlap(&reads, &owned(r));
+                if rows.is_empty() {
+                    continue;
+                }
+                if r == me {
+                    flatten(&mut raw[local(&rows)], rows);
+                } else {
+                    let lines: Vec<u8> = comm.recv(r, TAG_ROWS);
+                    raw[local(&rows)].copy_from_slice(&lines);
+                }
+            }
+        };
+        let n = reads.len() * stride;
+        let my = local(&band(me));
+        let fixed = &mut self.fixed;
+        if me > 0 {
+            // Parse from the cut while the bands before do the same,
+            // then settle the junction and pass the landing on.
+            let mut raw = vec![0; n];
+            assemble(&mut raw);
+            fixed.speculate(&raw, my.start, my.end);
+            let landing: usize = comm.recv(me - 1, TAG_LANDING);
+            let mut bits = Vec::new();
+            let mut w = BitWriter::on(&mut bits);
+            let (landing, _) = fixed.join(&mut w, &raw, landing - base, my.end);
+            let len = w.finish();
+            if me + 1 < bands {
+                comm.send(me + 1, TAG_LANDING, landing + base);
+            }
+            let adler = deflate::adler32(&raw[my]);
+            comm.send(0, TAG_BAND, (bits, len, adler));
+            return None;
+        }
+        Some(file(width, height, |out| {
+            if bands == 1 {
+                return zlib_serial(out, fixed, n, assemble, mode);
+            }
+            let mut raw = vec![0; n];
+            assemble(&mut raw);
+            out.extend_from_slice(&deflate::ZLIB_HEADER);
+            let mut w = BitWriter::on(out);
+            Fixed::begin(&mut w);
+            let landing = fixed.lead(&mut w, &raw, my.end);
+            comm.send(1, TAG_LANDING, landing);
+            let mut adler = deflate::adler32(&raw[my]);
+            for k in 1..bands {
+                let (bits, len, theirs): (Vec<u8>, u64, u32) = comm.recv(k, TAG_BAND);
+                w.append(&bits, 0, len);
+                adler = deflate::adler32_combine(adler, theirs, band(k).len() * stride);
+            }
+            Fixed::end(w);
+            out.extend_from_slice(&adler.to_be_bytes());
+        }))
     }
-    encode_scanlines(width, height, &raw, mode)
 }
 
 /// PNG decode errors.
@@ -167,6 +408,8 @@ pub fn decode_rgb(png: &[u8]) -> Result<(usize, usize, Vec<u8>), PngError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::composite::{composite, merge};
+    use minimpi::World;
 
     fn gradient(w: usize, h: usize) -> Vec<u8> {
         let mut rgb = Vec::with_capacity(w * h * 3);
@@ -188,6 +431,25 @@ mod tests {
         // A chunk's CRC is streamed over kind, then payload.
         let streamed = crc32_update(crc32_update(0xFFFF_FFFF, b"1234"), b"56789");
         assert_eq!(streamed ^ 0xFFFF_FFFF, 0xCBF4_3926);
+    }
+
+    #[test]
+    fn crc32_sliced_equals_bitwise_at_every_tail_length() {
+        let bitwise = |data: &[u8]| {
+            !data.iter().fold(!0u32, |crc, &b| {
+                (0..8).fold(crc ^ b as u32, |c, _| {
+                    (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg())
+                })
+            })
+        };
+        let data: Vec<u8> = (0..100u32).map(|k| (k * 37 + 11) as u8).collect();
+        for len in 0..data.len() {
+            assert_eq!(crc32(&data[..len]), bitwise(&data[..len]), "{len} bytes");
+            // Streamed in two pieces that do not respect the 8-byte blocks.
+            let (a, b) = data[..len].split_at(len / 3);
+            let streamed = crc32_update(crc32_update(0xFFFF_FFFF, a), b) ^ 0xFFFF_FFFF;
+            assert_eq!(streamed, bitwise(&data[..len]));
+        }
     }
 
     #[test]
@@ -236,6 +498,134 @@ mod tests {
         let png = encode_framebuffer(&fb, Color::rgb(9, 9, 9), Mode::Stored);
         let (_, _, rgb) = decode_rgb(&png).unwrap();
         assert_eq!(rgb, vec![1, 2, 3, 9, 9, 9]);
+    }
+
+    /// Every rank paints most pixels, at a depth that makes a different
+    /// rank the closest from pixel to pixel, in flat runs with noisy
+    /// stretches between them: long matches, literals, transparency.
+    fn layer(rank: usize, p: usize, w: usize, h: usize) -> Framebuffer {
+        let mut fb = Framebuffer::new(w, h);
+        for y in 0..h {
+            for x in 0..w {
+                let front = (x / 9 + y / 5) % p;
+                let z = ((rank + p - front) % p) as f32 + 0.25;
+                let noisy = (x / 40 + y / 3) % 4 == 0;
+                let shade = if noisy {
+                    (x * 31 + y * 17) as u8
+                } else {
+                    (y / 7) as u8
+                };
+                if !(x / 3 + 2 * y + rank).is_multiple_of(11) {
+                    fb.set_pixel(
+                        x,
+                        y,
+                        z,
+                        Color::rgb(rank as u8 * 30 + 1, shade, (x / 50) as u8),
+                    );
+                }
+            }
+        }
+        fb
+    }
+
+    /// The collective's file on `p` ranks, twice through one encoder,
+    /// against `encode_framebuffer` of the gathered image.
+    fn assert_collective_is_serial(
+        which: Compositor,
+        p: usize,
+        (w, h): (usize, usize),
+        mode: Mode,
+    ) {
+        let background = Color::rgb(250, 240, 230);
+        let out = World::run(p, move |comm| {
+            let mut encoder = PngEncoder::default();
+            let files: Vec<_> = (0..2)
+                .map(|_| {
+                    let held = merge(comm, layer(comm.rank(), p, w, h), which);
+                    encoder.encode(comm, (w, h), held.as_ref(), which, background, mode)
+                })
+                .collect();
+            let gathered = composite(comm, layer(comm.rank(), p, w, h), which);
+            (
+                files,
+                gathered.map(|fb| encode_framebuffer(&fb, background, mode)),
+            )
+        });
+        let what = format!("{which:?} p={p} {w}x{h} {mode:?}");
+        let mut ranks = out.into_iter();
+        let (files, serial) = ranks.next().expect("rank 0");
+        let serial = serial.expect("rank 0 holds the gathered image");
+        for file in files {
+            assert!(file.expect("rank 0 gets the file") == serial, "{what}");
+        }
+        // Header, Adler-32 and chunk CRCs of the spliced stream verify.
+        let (dw, dh, rgb) = decode_rgb(&serial).unwrap_or_else(|e| panic!("{what}: {e:?}"));
+        assert_eq!((dw, dh, rgb.len()), (w, h, w * h * 3), "{what}");
+        for (files, serial) in ranks {
+            assert!(
+                files.iter().all(Option::is_none) && serial.is_none(),
+                "{what}"
+            );
+        }
+    }
+
+    const COMPOSITORS: [Compositor; 2] = [Compositor::BinarySwap, Compositor::DirectSendTree(2)];
+
+    #[test]
+    fn collective_file_is_the_serial_file_at_every_rank_count() {
+        // One band on the root; two bands that the owners' rows have to
+        // reach (stride 1537: 171 rows to a band).
+        for size in [(64, 64), (512, 512)] {
+            for which in COMPOSITORS {
+                for p in 1..=8 {
+                    assert_collective_is_serial(which, p, size, Mode::Fixed);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn collective_file_is_the_serial_file_where_halving_and_bands_disagree() {
+        // Stride 121: 2 167 rows to a band, eight bands. Binary swap's
+        // eighths of 17 341 rows are not the even split's (rank 4 holds
+        // rows 8670..10837, band 4 is 8670..10838), so a whole row
+        // changes hands on top of the halos; at 3 and 5 ranks the bands
+        // outnumber the owners.
+        let size = (40, 8 * 2167 + 5);
+        for which in COMPOSITORS {
+            for p in [3, 5, 8] {
+                assert_collective_is_serial(which, p, size, Mode::Fixed);
+            }
+        }
+        let swap = |r| Compositor::BinarySwap.owned_rows(8, r, size.1);
+        assert!(
+            (0..8).any(|r| swap(r) != (r * size.1 / 8..(r + 1) * size.1 / 8)),
+            "the case this test is for"
+        );
+    }
+
+    #[test]
+    fn collective_stored_mode_gathers_scanlines_to_the_root() {
+        for which in COMPOSITORS {
+            for p in [1, 2, 3, 6, 8] {
+                assert_collective_is_serial(which, p, (512, 512), Mode::Stored);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "holds their buffer")]
+    fn owner_without_a_buffer_panics() {
+        World::run(1, |comm| {
+            PngEncoder::default().encode(
+                comm,
+                (4, 4),
+                None,
+                Compositor::BinarySwap,
+                Color::WHITE,
+                Mode::Fixed,
+            )
+        });
     }
 
     #[test]

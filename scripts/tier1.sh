@@ -52,6 +52,17 @@ if grep -rnE 'with_threads|step_with_threads' crates tests examples src; then
     exit 1
 fi
 
+echo "==> adaptors encode collectively"
+# Every rank deflates the rows it holds (render::png::PngEncoder); an
+# adaptor that calls the one-rank entry point has gone back to gathering
+# the image and encoding it alone on the root.
+for f in crates/{catalyst,libsim}/src/*.rs; do
+    if awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$f" | grep 'encode_framebuffer('; then
+        echo "tier1: encode_framebuffer( in an adaptor's product code" >&2
+        exit 1
+    fi
+done
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -60,6 +71,12 @@ cargo build --workspace --release
 
 echo "==> cargo test"
 cargo test --workspace -q
+
+echo "==> cargo test --release -p render -p bench"
+# The encoder's byte identities where its arithmetic is optimised, and
+# the one assertion about wall time (Table 2's ablation: compressing
+# costs more than storing), which only means something in this build.
+cargo test --release -q -p render -p bench
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -177,6 +177,121 @@ fn renderers_read_the_simulation_field_in_place() {
     });
 }
 
+/// A 2-rank world stepping a 64³ oscillator field, with Catalyst and
+/// Libsim at the benchmark's image sizes (1920×1080 binary swap,
+/// 1024×1024 direct send), one pseudocolor slice each.
+fn render_pair(
+    comm: &minimpi::Comm,
+    deck: &str,
+) -> (
+    Simulation,
+    catalyst::CatalystSliceAnalysis,
+    libsim::LibsimAnalysis,
+) {
+    let cfg = SimConfig {
+        grid: [64, 64, 64],
+        steps: 4,
+        ..SimConfig::default()
+    };
+    let sim = Simulation::new(comm, cfg, (comm.rank() == 0).then_some(deck));
+    let catalyst =
+        catalyst::CatalystSliceAnalysis::new(catalyst::SlicePipeline::new("data", 2, 32));
+    let session =
+        libsim::Session::parse("image 1024 1024\nplot pseudocolor data axis=z index=32\n").unwrap();
+    let libsim = libsim::LibsimAnalysis::new(session, std::path::Path::new("/nonexistent"));
+    (sim, catalyst, libsim)
+}
+
+/// Catalyst keeps its frame and both encoders their tables: once the
+/// first steps have faulted them in, a render step allocates the
+/// transient pieces only — the half image binary swap gives away, the
+/// tree root's 1024² frame, scanline bands, the files — and rank 0's
+/// high-water mark over a step is 8 406 834 B, Libsim's frame. The
+/// 16.6 MB of a fresh 1920×1080 framebuffer plus the half it gives
+/// away, as before PR 23 (24 884 536 B), does not fit the bound.
+#[test]
+fn steady_state_render_step_allocates_no_catalyst_frame() {
+    const BOUND: usize = 12 << 20;
+    let d = deck();
+    let rises = World::run(2, move |comm| {
+        let (mut sim, catalyst, libsim) = render_pair(comm, &d);
+        let mut bridge = Bridge::new();
+        bridge.register(Box::new(catalyst));
+        bridge.register(Box::new(libsim));
+        let mut rise = 0;
+        for step in 0..4 {
+            sim.step(comm);
+            probe::alloc::reset_peak();
+            let floor = probe::alloc::current_bytes();
+            bridge.execute(&OscillatorAdaptor::new(&sim), comm);
+            if step >= 2 {
+                rise = rise.max(probe::alloc::peak_bytes() - floor);
+            }
+        }
+        assert!(bridge.failure_reports().is_empty());
+        rise
+    });
+    assert!(
+        rises[0] < BOUND,
+        "rank 0 allocated {} B in a steady-state render step",
+        rises[0]
+    );
+}
+
+/// Counts, not clocks: what a render step puts on the wire at 2 ranks.
+/// Framebuffers travel by ownership and count as their header; the
+/// scanlines of the collective encode are byte vectors and count in
+/// full. Catalyst: the two halves of the swap round and nothing
+/// image-sized after it — 6 rows of halo one way, the look-ahead row the
+/// other, a landing position, a band's bits. Libsim: rank 1's frame up
+/// the tree, then exactly one band of scanlines plus its halo rows from
+/// the root, a landing, the bits back.
+#[test]
+fn render_step_ships_scanlines_not_gathered_framebuffers() {
+    use render::framebuffer::Framebuffer;
+    use sensei::AnalysisAdaptor;
+    let d = deck();
+    let sent = World::run(2, move |comm| {
+        comm.attach_probe(probe::enabled());
+        let p2p = |comm: &minimpi::Comm| {
+            let snapshot = comm.probe().snapshot();
+            let c = snapshot.counters.iter().find(|c| c.name == "minimpi/p2p");
+            c.map_or((0, 0), |c| (c.messages, c.bytes))
+        };
+        let (mut sim, mut catalyst, mut libsim) = render_pair(comm, &d);
+        sim.step(comm);
+        let data = OscillatorAdaptor::new(&sim);
+        let t0 = p2p(comm);
+        catalyst.execute(&data, comm);
+        let t1 = p2p(comm);
+        libsim.execute(&data, comm);
+        let t2 = p2p(comm);
+        [(t1.0 - t0.0, t1.1 - t0.1), (t2.0 - t1.0, t2.1 - t1.1)]
+    });
+    let vec = std::mem::size_of::<Vec<u8>>() as u64;
+    let bits = std::mem::size_of::<(Vec<u8>, u64, u32)>() as u64;
+    let half = std::mem::size_of::<(usize, Framebuffer)>() as u64;
+    let landing = std::mem::size_of::<usize>() as u64;
+
+    // Catalyst, 1920×1080: stride 5761, cut at row 540.
+    let (stride, halo_rows) = (1 + 3 * 1920, 6);
+    assert_eq!(halo_rows, 540 - (540 * stride - 32 * 1024) / stride);
+    assert_eq!(sent[0][0], (3, half + vec + halo_rows * stride + landing));
+    assert_eq!(sent[1][0], (3, half + vec + stride + bits));
+    let after_swap = sent[0][0].1 + sent[1][0].1 - 2 * half;
+    assert!(
+        after_swap < 1920 * 1080 * 8 / 2 / 100,
+        "{after_swap} B after the swap round"
+    );
+
+    // Libsim, 1024×1024: stride 3073, cut at row 512.
+    let (stride, halo_rows) = (1 + 3 * 1024, 11);
+    assert_eq!(halo_rows, 512 - (512 * stride - 32 * 1024) / stride);
+    assert_eq!(sent[0][1], (2, vec + (512 + halo_rows) * stride + landing));
+    let frame = std::mem::size_of::<Framebuffer>() as u64;
+    assert_eq!(sent[1][1], (2, frame + bits));
+}
+
 /// The autocorrelation's memory is the paper's two `O(t·N³)` buffers and
 /// nothing that grows with the field beside them: no id per cell while
 /// it runs, no copy of a `corr` row while it selects the peaks (the
