@@ -1,9 +1,8 @@
 //! The per-step in situ hot path, measured end to end on real code:
-//! simulation step (naive all-pairs vs support-culled),
-//! streaming histogram (reference kernel vs cache-blocked kernel), and
-//! the happens-before sanitizer's overhead on a whole bridge run. Each
-//! section races the shipped path against the reference implementation
-//! the tests also compare it with.
+//! simulation step (naive all-pairs vs culled) and the happens-before
+//! sanitizer's overhead on a whole bridge run. The step section races
+//! the shipped kernel against the reference the tests also compare it
+//! with.
 //!
 //! Every recorded number is a **median of N timed rounds after warmup
 //! rounds** ([`median_of`]); the seed report's single-shot methodology
@@ -25,7 +24,6 @@ use oscillator::{
     format_deck, Oscillator, OscillatorAdaptor, OscillatorKind, SimConfig, Simulation,
 };
 use sensei::analysis::histogram::HistogramAnalysis;
-use sensei::analysis::AnalysisAdaptor;
 use sensei::{Bridge, Probe, RunReport};
 
 /// Warmup rounds discarded before timing starts.
@@ -92,12 +90,8 @@ pub struct HotpathReport {
     pub steps: usize,
     pub warmup_rounds: usize,
     pub timed_rounds: usize,
-    /// Step loop: naive all-pairs kernel vs the support-culled kernel.
+    /// Step loop: naive all-pairs kernel vs the culled kernel.
     pub step: Section,
-    /// Histogram executes: reference streaming kernel vs the shipped
-    /// lane-unrolled kernel.
-    pub histogram: Section,
-    pub histogram_bins: usize,
     /// Sanitizer overhead: the same seeded oscillator + histogram
     /// bridge run on 8 ranks with the happens-before sanitizer off
     /// (baseline) vs on (optimized field holds the sanitized time, so
@@ -127,13 +121,6 @@ impl HotpathReport {
             self.step.baseline_s,
             self.step.optimized_s,
             self.step.speedup()
-        ));
-        s.push_str(&format!(
-            "  \"histogram\": {{\"bins\": {}, \"reference_s\": {:.6}, \"blocked_s\": {:.6}, \"speedup\": {:.2}}},\n",
-            self.histogram_bins,
-            self.histogram.baseline_s,
-            self.histogram.optimized_s,
-            self.histogram.speedup()
         ));
         s.push_str(&format!(
             "  \"sanitizer\": {{\"ranks\": {}, \"off_s\": {:.6}, \"on_s\": {:.6}, \"overhead_pct\": {:.2}, \"bitwise_identical\": {}}},\n",
@@ -198,38 +185,6 @@ fn time_steps(
         let t0 = Wall::now();
         for _ in 0..steps {
             step_fn(&mut sim, comm);
-        }
-        t0.elapsed().as_secs_f64()
-    })
-    .remove(0)
-}
-
-/// Time `executes` histogram passes over a stepped field, with either
-/// the blocked kernel (shipped path) or the reference streaming kernel.
-fn time_histogram(
-    deck: &str,
-    grid: [usize; 3],
-    bins: usize,
-    executes: usize,
-    reference: bool,
-) -> f64 {
-    let deck = deck.to_string();
-    World::run(1, move |comm| {
-        let cfg = SimConfig {
-            grid,
-            steps: 1,
-            ..SimConfig::default()
-        };
-        let mut sim = Simulation::new(comm, cfg, Some(deck.as_str()));
-        sim.step(comm);
-        let mut hist = HistogramAnalysis::new("data", bins);
-        if reference {
-            hist = hist.with_reference_kernel();
-        }
-        let adaptor = OscillatorAdaptor::new(&sim);
-        let t0 = Wall::now();
-        for _ in 0..executes {
-            hist.execute(&adaptor, comm);
         }
         t0.elapsed().as_secs_f64()
     })
@@ -308,15 +263,6 @@ pub fn run(grid: [usize; 3], oscillators: usize, steps: usize) -> HotpathReport 
         time_steps(&deck, grid, steps, |sim, comm| sim.step(comm))
     });
 
-    let bins = 64;
-    let executes = steps.max(4) * 4;
-    let hist_reference = median_of(WARMUP_ROUNDS, TIMED_ROUNDS, || {
-        time_histogram(&deck, grid, bins, executes, true)
-    });
-    let hist_blocked = median_of(WARMUP_ROUNDS, TIMED_ROUNDS, || {
-        time_histogram(&deck, grid, bins, executes, false)
-    });
-
     let san_ranks = 8;
     let (san_off, hist_off) = {
         let mut hist = None;
@@ -349,11 +295,6 @@ pub fn run(grid: [usize; 3], oscillators: usize, steps: usize) -> HotpathReport 
             baseline_s: naive,
             optimized_s: culled,
         },
-        histogram: Section {
-            baseline_s: hist_reference,
-            optimized_s: hist_blocked,
-        },
-        histogram_bins: bins,
         sanitizer: Section {
             baseline_s: san_off,
             optimized_s: san_on,

@@ -53,7 +53,6 @@ const fn row(suite: &'static str, section: &'static str, key: &'static str, rule
 /// Every gated entry. A new gated metric is one row here.
 pub const GATED: &[Gated] = &[
     row("hotpath", "step", "speedup", RatioFloor),
-    row("hotpath", "histogram", "speedup", RatioFloor),
     row("hotpath", "sanitizer", "bitwise_identical", Holds),
     row("broker", "fanout", "speedup", RatioFloor),
     row("broker", "fairness", "min_over_max_delivered", AbsFloor),

@@ -15,11 +15,9 @@
 //! with ghost flags applied branchlessly as identity elements; pass 2
 //! scatters into four independent sub-histograms so back-to-back
 //! increments of one hot bin stop serializing on store-to-load
-//! forwarding. Both are result-identical to the
-//! pre-blocking streaming loops, which are kept as the *reference
-//! kernel* ([`HistogramAnalysis::with_reference_kernel`]) — the
-//! property tests pin blocked == reference on arbitrary decks, and the
-//! hotpath bench reports the blocked kernel's speedup over it.
+//! forwarding. Both are result-identical to the pre-blocking streaming
+//! loops, kept as the `cfg(test)` oracle `histogram/reference.rs`; the
+//! property tests pin blocked == reference on arbitrary values.
 //!
 //! The two range reductions of §3.3 are fused into one `(min, max)`
 //! pair reduce, and the bin reduction is one binomial-tree
@@ -30,9 +28,7 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 
 use crate::adaptor::{Association, DataAdaptor};
-use crate::analysis::{
-    ghost_at, leaf_views, populated_mesh, AnalysisAdaptor, ReportOnce, Steering,
-};
+use crate::analysis::{leaf_views, populated_mesh, AnalysisAdaptor, ReportOnce, Steering};
 use datamodel::MemoryFootprint;
 
 /// The result available on rank 0 after each execute.
@@ -64,7 +60,6 @@ pub struct HistogramAnalysis {
     array: String,
     assoc: Association,
     bins: usize,
-    reference: bool,
     results: ResultsHandle,
     failures: ReportOnce,
     pending: Option<PendingHistogram>,
@@ -95,45 +90,16 @@ impl HistogramAnalysis {
             array: array.into(),
             assoc,
             bins,
-            reference: false,
             results: Arc::new(Mutex::new(None)),
             failures: ReportOnce::default(),
             pending: None,
         }
     }
 
-    /// Bench/test hook: run the pre-blocking streaming loops instead of
-    /// the cache-blocked kernel. This is the reference implementation
-    /// the blocked kernel is validated against (property tests) and
-    /// benchmarked over (`BENCH_hotpath.json`'s `histogram.reference_s`);
-    /// results are identical either way.
-    pub fn with_reference_kernel(mut self) -> Self {
-        self.reference = true;
-        self
-    }
-
     /// A handle through which rank 0 can read each step's result.
     pub fn results_handle(&self) -> ResultsHandle {
         Arc::clone(&self.results)
     }
-}
-
-/// Reference pass-1 kernel: one sequential `(min, max, count)` fold with
-/// a branch per ghost flag. Kept as the correctness baseline the blocked
-/// kernel is pinned against.
-fn reference_range(values: &[f64], ghosts: Option<&[u8]>) -> (f64, f64, u64) {
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    let mut n = 0u64;
-    for (i, &v) in values.iter().enumerate() {
-        if ghost_at(ghosts, i) {
-            continue;
-        }
-        lo = lo.min(v);
-        hi = hi.max(v);
-        n += 1;
-    }
-    (lo, hi, n)
 }
 
 /// Blocked pass-1 kernel: four independent accumulator lanes break the
@@ -186,24 +152,6 @@ fn blocked_range(values: &[f64], ghosts: Option<&[u8]>) -> (f64, f64, u64) {
         mx[0].max(mx[1]).max(mx[2]).max(mx[3]),
         n,
     )
-}
-
-/// Reference pass-2 kernel: bin each non-ghost value straight into the
-/// count vector, one branch per ghost flag.
-fn reference_bin(
-    values: &[f64],
-    ghosts: Option<&[u8]>,
-    glo: f64,
-    inv_w: f64,
-    last: usize,
-    c: &mut [u64],
-) {
-    for (i, &v) in values.iter().enumerate() {
-        if ghost_at(ghosts, i) {
-            continue;
-        }
-        c[(((v - glo) * inv_w) as usize).min(last)] += 1;
-    }
 }
 
 /// Blocked pass-2 kernel: four independent sub-histogram lanes break
@@ -307,20 +255,14 @@ impl AnalysisAdaptor for HistogramAnalysis {
 
         // Pass 1: streaming local min/max + count. Nothing is
         // materialized: each leaf folds its borrowed values into a
-        // (min, max, count) triple through the blocked (or reference)
-        // kernel.
+        // (min, max, count) triple through the blocked kernel.
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
         let mut local_n = 0u64;
         {
             let _pass1 = probe.span("per-step/histogram/pass1");
             for view in &views {
-                let ghosts = view.ghosts.as_deref();
-                let (vlo, vhi, vn) = if self.reference {
-                    reference_range(&view.values, ghosts)
-                } else {
-                    blocked_range(&view.values, ghosts)
-                };
+                let (vlo, vhi, vn) = blocked_range(&view.values, view.ghosts.as_deref());
                 lo = lo.min(vlo);
                 hi = hi.max(vhi);
                 local_n += vn;
@@ -372,11 +314,7 @@ impl AnalysisAdaptor for HistogramAnalysis {
                 let last = self.bins - 1;
                 for view in &views {
                     let ghosts = view.ghosts.as_deref();
-                    if self.reference {
-                        reference_bin(&view.values, ghosts, glo, inv_w, last, &mut counts);
-                    } else {
-                        blocked_bin(&view.values, ghosts, glo, inv_w, last, &mut counts);
-                    }
+                    blocked_bin(&view.values, ghosts, glo, inv_w, last, &mut counts);
                 }
             } else if glo.is_finite() {
                 // Degenerate range: everything in bin 0.
@@ -405,6 +343,11 @@ impl AnalysisAdaptor for HistogramAnalysis {
         self.failures.take()
     }
 }
+
+#[cfg(test)]
+mod reference;
+#[cfg(test)]
+pub(super) use reference::local_histogram;
 
 #[cfg(test)]
 mod tests {
@@ -558,10 +501,10 @@ mod tests {
     }
 
     proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
-        /// The blocked/fused kernel is indistinguishable from the
-        /// reference streaming kernel on arbitrary decks — including
+        /// The lane-unrolled kernels are indistinguishable from the
+        /// reference streaming loops on arbitrary values — including
         /// NaN / ±0 / ±∞ specials, ghost masks, lengths that exercise
         /// the 4-lane remainder.
         #[test]
@@ -571,51 +514,36 @@ mod tests {
             bins in 1usize..96,
             ghost_stride in 0usize..5,
         ) {
-            World::run(2, move |comm| {
-                let vals: Vec<f64> = (0..n)
-                    .map(|i| {
-                        let x = (seed as u64)
-                            .wrapping_mul(6364136223846793005)
-                            .wrapping_add(
-                                ((i + comm.rank() * 131) as u64)
-                                    .wrapping_mul(2862933555777941757),
-                            );
-                        // Mostly finite values with specials sprinkled in.
-                        match x % 17 {
-                            0 => f64::NAN,
-                            1 => f64::INFINITY,
-                            2 => f64::NEG_INFINITY,
-                            3 => -0.0,
-                            4 => 0.0,
-                            _ => ((x >> 16) as f64) / 1e13 - 1600.0,
-                        }
-                    })
-                    .collect();
-                let e = Extent::whole([n, 1, 1]);
-                let mut g = ImageData::new(e, e);
-                g.add_point_array(DataArray::owned("data", 1, vals));
-                if ghost_stride > 0 {
-                    let ghosts: Vec<u8> =
-                        (0..n).map(|i| u8::from(i % ghost_stride == 0)).collect();
-                    g.add_point_array(DataArray::owned(
-                        datamodel::GHOST_ARRAY_NAME,
-                        1,
-                        ghosts,
-                    ));
-                }
-                let a = InMemoryAdaptor::new(DataSet::Image(g), comm.rank() as f64, 3);
-                let mut blocked = HistogramAnalysis::new("data", bins);
-                let mut reference = HistogramAnalysis::new("data", bins).with_reference_kernel();
-                let rb = blocked.results_handle();
-                let rr = reference.results_handle();
-                blocked.execute(&a, comm);
-                reference.execute(&a, comm);
-                if comm.rank() == 0 {
-                    let b = rb.lock().clone().unwrap();
-                    let r = rr.lock().clone().unwrap();
-                    assert_eq!(b, r, "bins={bins} stride={ghost_stride}");
-                }
-            });
+            let vals: Vec<f64> = (0..n)
+                .map(|i| {
+                    let x = (seed as u64)
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add((i as u64).wrapping_mul(2862933555777941757));
+                    // Mostly finite values with specials sprinkled in.
+                    match x % 17 {
+                        0 => f64::NAN,
+                        1 => f64::INFINITY,
+                        2 => f64::NEG_INFINITY,
+                        3 => -0.0,
+                        4 => 0.0,
+                        _ => ((x >> 16) as f64) / 1e13 - 1600.0,
+                    }
+                })
+                .collect();
+            let flags: Vec<u8> = (0..n).map(|i| u8::from(i % ghost_stride.max(1) == 0)).collect();
+            let ghosts = (ghost_stride > 0).then_some(&flags[..]);
+            let (lo, hi, kept) = reference::range(&vals, ghosts);
+            proptest::prop_assert_eq!(blocked_range(&vals, ghosts), (lo, hi, kept));
+            // Bin over the finite part of the range, as `complete` would
+            // over a finite global range; out-of-range values clamp.
+            let (glo, ghi) = (lo.max(-1600.0), hi.min(1600.0));
+            if ghi > glo {
+                let inv_w = bins as f64 / (ghi - glo);
+                let (mut want, mut got) = (vec![0u64; bins], vec![0u64; bins]);
+                reference::bin(&vals, ghosts, glo, inv_w, bins - 1, &mut want);
+                blocked_bin(&vals, ghosts, glo, inv_w, bins - 1, &mut got);
+                proptest::prop_assert_eq!(got, want, "bins={} stride={}", bins, ghost_stride);
+            }
         }
     }
 }

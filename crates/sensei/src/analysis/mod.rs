@@ -318,31 +318,38 @@ mod tests {
         InMemoryAdaptor::new(DataSet::Image(g), step as f64, step)
     }
 
-    /// Every built-in analysis over five steps of `deck`; each rank's
-    /// results printed with round-tripping float formatting, so equal
-    /// strings are equal bits.
+    /// Every built-in analysis over five steps of `deck`, and the
+    /// histogram's reference kernels over each step's local views; each
+    /// rank's results printed with round-tripping float formatting, so
+    /// equal strings are equal bits.
     fn results(storage: usize, ghosted: bool, ranks: usize) -> Vec<String> {
         World::run(ranks, move |comm| {
-            let blocked = HistogramAnalysis::new("data", 16);
-            let reference = HistogramAnalysis::new("data", 16).with_reference_kernel();
+            let hist = HistogramAnalysis::new("data", 16);
             let auto = Autocorrelation::new("data", 3, 4);
             let stats = DescriptiveStats::new("data");
-            let (hb, hr) = (blocked.results_handle(), reference.results_handle());
-            let (ha, hs) = (auto.results_handle(), stats.results_handle());
+            let (hh, ha, hs) = (
+                hist.results_handle(),
+                auto.results_handle(),
+                stats.results_handle(),
+            );
             let mut bridge = Bridge::new();
-            bridge.register(Box::new(blocked));
-            bridge.register(Box::new(reference));
+            bridge.register(Box::new(hist));
             bridge.register(Box::new(auto));
             bridge.register(Box::new(stats));
+            let mut reference = Vec::new();
             for step in 0..5 {
-                bridge.execute(&deck(storage, ghosted, comm.rank(), step), comm);
+                let data = deck(storage, ghosted, comm.rank(), step);
+                let mesh = populated_mesh(&data, Association::Point, "data").unwrap();
+                let views = leaf_views(&mesh, Association::Point, "data").unwrap();
+                reference.push(histogram::local_histogram(&views, 16));
+                bridge.execute(&data, comm);
             }
             bridge.finalize(comm);
             assert!(bridge.failure_reports().is_empty());
             format!(
                 "{:?} {:?} {:?} {:?}",
-                hb.lock(),
-                hr.lock(),
+                hh.lock(),
+                reference,
                 ha.lock(),
                 hs.lock()
             )

@@ -78,6 +78,12 @@ echo "==> cargo test --release -p render -p bench"
 # costs more than storing), which only means something in this build.
 cargo test --release -q -p render -p bench
 
+echo "==> cargo test --release -p oscillator, properties culled_kernel"
+# The step kernel's bit identity with step_naive in the build the
+# benchmark runs (debug builds additionally prove every skipped term).
+cargo test --release -q -p oscillator
+cargo test --release -q --test properties culled_kernel
+
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

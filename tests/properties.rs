@@ -508,13 +508,16 @@ proptest! {
         prop_assert_eq!(out.max, expect_hi);
     }
 
-    /// The support-culled oscillator kernel reproduces the naive
-    /// all-pairs kernel **bitwise**, for arbitrary decks, grids and rank
-    /// counts.
+    /// The culled oscillator kernel reproduces the naive all-pairs
+    /// kernel **bitwise** — compared as bits, so `-0.0` and NaN count —
+    /// for arbitrary decks mixing wide and narrow oscillators in any
+    /// order, grids and rank counts, at every step of a run long enough
+    /// (48 steps of 1.5) for decaying amplitudes with `ω ≳ 10` to pass
+    /// through subnormal to exactly zero.
     #[test]
     fn culled_kernel_matches_naive_bitwise(
         oscs in proptest::collection::vec(
-            (0usize..3, proptest::array::uniform3(-0.2f64..1.2), 0.003f64..0.4, 0.5f64..20.0, 0.0f64..0.9),
+            (0usize..3, proptest::array::uniform3(-0.2f64..1.2), any::<bool>(), 0.0f64..1.0, 0.5f64..20.0, 0.0f64..0.9),
             1..10,
         ),
         grid in proptest::array::uniform3(3usize..12),
@@ -526,34 +529,31 @@ proptest! {
         prop_assume!(dims[0] < grid[0] && dims[1] < grid[1] && dims[2] < grid[2]);
         let deck: Vec<Oscillator> = oscs
             .iter()
-            .map(|&(k, center, radius, omega, zeta)| Oscillator {
+            .map(|&(k, center, wide, r, omega, zeta)| Oscillator {
                 kind: match k {
                     0 => OscillatorKind::Periodic,
                     1 => OscillatorKind::Damped,
                     _ => OscillatorKind::Decaying,
                 },
                 center,
-                radius,
+                radius: if wide { 0.1 + 0.3 * r } else { 0.003 + 0.017 * r },
                 omega,
                 zeta,
             })
             .collect();
         let text = format_deck(&deck);
-        let fields = minimpi::World::run(p, move |comm| {
-            let cfg = SimConfig { grid, steps: 2, ..SimConfig::default() };
-            let root = if comm.rank() == 0 { Some(text.as_str()) } else { None };
+        minimpi::World::run(p, move |comm| {
+            let cfg = SimConfig { grid, dt: 1.5, ..SimConfig::default() };
+            let root = (comm.rank() == 0).then_some(text.as_str());
             let mut naive = Simulation::new(comm, cfg.clone(), root);
-            let root = if comm.rank() == 0 { Some(text.as_str()) } else { None };
             let mut culled = Simulation::new(comm, cfg, root);
-            for _ in 0..2 {
+            let bits = |s: &Simulation| s.field().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            for step in 0..48 {
                 naive.step_naive(comm);
                 culled.step(comm);
+                prop_assert!(bits(&naive) == bits(&culled), "step {step}: culled diverged");
             }
-            (naive.field().as_ref().clone(), culled.field().as_ref().clone())
         });
-        for (naive, culled) in &fields {
-            prop_assert_eq!(naive, culled);
-        }
     }
 
     /// Arc broadcast delivers the same value as the by-value broadcast,
