@@ -92,6 +92,27 @@ fn violating_fixture_trips_r4_in_query_paths() {
 }
 
 #[test]
+fn violating_fixture_trips_r4_in_sanitizer_paths() {
+    // `catalyst`, `libsim`, `perfmodel` and `sanitizer` joined the R4
+    // crate list with zero sites; the rule keeps them there.
+    let out = Command::new(lint_bin())
+        .current_dir(repo_root())
+        .arg("crates/lint/fixtures/sanitizer/unwrap.rs")
+        .output()
+        .expect("lint binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        !out.status.success(),
+        "sanitizer-path fixture must fail lint"
+    );
+    assert_eq!(
+        stdout.matches("[no-unwrap-core]").count(),
+        2,
+        "exactly the two non-test sites fire: {stdout}"
+    );
+}
+
+#[test]
 fn violating_fixture_trips_r6_obligation_pairing() {
     let out = Command::new(lint_bin())
         .current_dir(repo_root())

@@ -1,12 +1,11 @@
 //! Systematic model checking: DPOR schedule exploration, liveness
 //! analysis, and delta-debugged failure traces.
 //!
-//! Where [`crate::Explorer`] samples interleavings blindly (independent
-//! seeds), [`Checker`] walks the schedule tree *systematically*. Every
-//! guided run records its decisions ([`crate::sched::DecisionLog`]);
-//! after a clean run the checker mines the recording for *races* —
-//! pairs of dependent events from different ranks whose vector clocks
-//! (recomputed with the sanitizer's [`sanitizer::VectorClock`], the
+//! [`Checker`] is the crate's one interleaving search: it walks the
+//! schedule tree *systematically*. Every guided run records its
+//! decisions ([`crate::sched::DecisionLog`]); after a clean run the
+//! checker mines the recording for *races* — pairs of dependent events
+//! from different ranks whose vector clocks (recomputed with the sanitizer's [`sanitizer::VectorClock`], the
 //! same happens-before engine the race detector uses) are concurrent —
 //! and queues a branch that reorders each race at the run decision
 //! that scheduled it. `ANY_SOURCE` match decisions branch on every
@@ -15,6 +14,13 @@
 //! independent (never-racing) alternatives are simply not queued, and
 //! *sleep sets* inherited along the tree suppress re-exploring a
 //! sibling's schedule until a dependent action wakes it.
+//!
+//! Queued branches are taken first in, first out: breadth-first over
+//! branch points, siblings in the order their sleep sets were built.
+//! A depth-first walk spends a bounded budget on late races (barrier
+//! orderings) and never returns to the early `ANY_SOURCE` alternatives
+//! where most ordering bugs live; the queue costs more memory instead
+//! (thousands of queued prefixes at a few hundred schedules).
 //!
 //! Each run executes under [`SchedPolicy::Guided`]: a forced decision
 //! prefix replays the branch point, then a deterministic fair
@@ -30,9 +36,8 @@
 //! re-executed under [`SchedPolicy::Replay`] to prove it reproduces
 //! the failure with a bitwise-identical event stream.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
-use std::time::Duration;
 
 use sanitizer::VectorClock;
 
@@ -58,7 +63,7 @@ pub struct CheckStats {
     pub divergent_runs: u64,
     /// Extra runs spent minimizing and re-verifying a failure.
     pub shrink_runs: u64,
-    /// The schedule or wall budget ran out before the tree was done.
+    /// The schedule budget ran out before the tree was done.
     pub budget_exhausted: bool,
 }
 
@@ -111,13 +116,14 @@ pub struct CheckReport {
 /// decision points. See the module docs for the algorithm.
 pub struct Checker {
     max_schedules: usize,
-    max_shrink_runs: usize,
     liveness: LivenessSpec,
     sanitize: bool,
     exhaustive: bool,
-    wall_cap: Option<Duration>,
     probe: probe::Probe,
 }
+
+/// Extra runs the ddmin shrinker may spend minimizing one failure.
+const MAX_SHRINK_RUNS: usize = 256;
 
 impl Default for Checker {
     fn default() -> Self {
@@ -151,15 +157,14 @@ enum Action {
 
 impl Checker {
     /// A checker with the default budgets: 256 schedules, 256 shrink
-    /// runs, the default [`LivenessSpec`], DPOR reduction on.
+    /// runs, the default [`LivenessSpec`], DPOR reduction on. A verdict
+    /// depends only on the schedule count, never on wall time.
     pub fn new() -> Self {
         Checker {
             max_schedules: 256,
-            max_shrink_runs: 256,
             liveness: LivenessSpec::default(),
             sanitize: false,
             exhaustive: false,
-            wall_cap: None,
             probe: probe::Probe::default(),
         }
     }
@@ -167,12 +172,6 @@ impl Checker {
     /// Cap the number of schedules executed (deterministic budget).
     pub fn max_schedules(mut self, n: usize) -> Self {
         self.max_schedules = n;
-        self
-    }
-
-    /// Cap the extra runs the ddmin shrinker may spend (default 256).
-    pub fn max_shrink_runs(mut self, n: usize) -> Self {
-        self.max_shrink_runs = n;
         self
     }
 
@@ -184,7 +183,8 @@ impl Checker {
 
     /// Install a fresh `sanitizer::Mode::Collect` session on every run
     /// and promote its findings (races, leaks, unclosed obligations)
-    /// to failures, exactly like [`crate::Explorer::sanitize`].
+    /// to failures: a schedule that passes every program assert but
+    /// trips the sanitizer is minimized and replayed like a panic.
     pub fn sanitize(mut self) -> Self {
         self.sanitize = true;
         self
@@ -195,14 +195,6 @@ impl Checker {
     /// baseline the reduction is measured against.
     pub fn exhaustive(mut self) -> Self {
         self.exhaustive = true;
-        self
-    }
-
-    /// Optional wall-clock cap on the whole exploration (checked
-    /// between runs; the budget that keeps CI bounded even if the
-    /// schedule budget is generous).
-    pub fn wall_cap(mut self, cap: Duration) -> Self {
-        self.wall_cap = Some(cap);
         self
     }
 
@@ -235,22 +227,15 @@ impl Checker {
     {
         let f = Arc::new(f);
         let mut stats = CheckStats::default();
-        let t0 = probe::time::Wall::now();
-        let mut stack = vec![Branch {
+        let mut queue = VecDeque::from([Branch {
             prefix: Vec::new(),
             sleep: BTreeSet::new(),
-        }];
+        }]);
         let mut failure = None;
-        while let Some(branch) = stack.pop() {
+        while let Some(branch) = queue.pop_front() {
             if stats.schedules_explored >= self.max_schedules as u64 {
                 stats.budget_exhausted = true;
                 break;
-            }
-            if let Some(cap) = self.wall_cap {
-                if stats.schedules_explored > 0 && t0.elapsed() >= cap {
-                    stats.budget_exhausted = true;
-                    break;
-                }
             }
             let run = self.run_guided(size, &configure, &f, &branch.prefix);
             stats.schedules_explored += 1;
@@ -263,7 +248,7 @@ impl Checker {
                 stats.divergent_runs += 1;
                 continue;
             }
-            self.expand(size, &branch, &run, &mut stack, &mut stats);
+            self.expand(size, &branch, &run, &mut queue, &mut stats);
         }
         self.export_stats(&stats);
         CheckReport { stats, failure }
@@ -350,7 +335,7 @@ impl Checker {
         size: usize,
         branch: &Branch,
         run: &RunOutcome,
-        stack: &mut Vec<Branch>,
+        queue: &mut VecDeque<Branch>,
         stats: &mut CheckStats,
     ) {
         let records = &run.records;
@@ -472,7 +457,7 @@ impl Checker {
                         let mut child_sleep = sleep.clone();
                         child_sleep.insert(rec.chosen);
                         child_sleep.extend(explored_here.iter().copied());
-                        stack.push(Branch {
+                        queue.push_back(Branch {
                             prefix,
                             sleep: child_sleep,
                         });
@@ -485,7 +470,7 @@ impl Checker {
                         prefix.push(src);
                         stats.max_backtrack_depth =
                             stats.max_backtrack_depth.max(prefix.len() as u64);
-                        stack.push(Branch {
+                        queue.push_back(Branch {
                             prefix,
                             sleep: sleep.clone(),
                         });
@@ -528,7 +513,7 @@ impl Checker {
         let mut best = failing;
         let mut best_message = message;
         let mut current = full;
-        let mut budget = self.max_shrink_runs;
+        let mut budget = MAX_SHRINK_RUNS;
 
         let attempt = |prefix: &[usize],
                        budget: &mut usize,

@@ -48,10 +48,7 @@ pub use dpor::{CheckFailure, CheckReport, CheckStats, Checker};
 pub use envelope::{CollectiveKind, Envelope, Tag, ANY_SOURCE};
 pub use fault::FaultHandle;
 pub use ops::{maxloc, minloc, MaxLoc, MinLoc};
-pub use sched::{
-    Event, ExploreBudget, ExploreFailure, Explorer, Guide, LivenessSpec, SchedPolicy, Trace,
-    TraceCell,
-};
+pub use sched::{Event, Guide, LivenessSpec, SchedPolicy, Trace, TraceCell};
 pub use world::{World, WorldBuilder};
 
 /// Crate-level result alias (operations that can fail on malformed use).

@@ -1,5 +1,5 @@
 //! Deterministic scheduling: seed-driven serialized execution, delivery
-//! traces, replay, and bounded interleaving exploration.
+//! traces, replay, and the guided policy the model checker steers.
 //!
 //! The thread-backed substrate normally runs at the mercy of the OS
 //! scheduler: which rank runs next, and which sender an `ANY_SOURCE`
@@ -28,9 +28,10 @@
 //! with unfinished ranks) — no grace period, no wall-clock watchdog —
 //! and every blocked rank panics with a per-rank dump plus the seed.
 //!
-//! [`Explorer`] drives a bounded interleaving search: many independent
-//! seeded worlds under `catch_unwind`, returning the first failure's
-//! seed, panic message, and replayable trace.
+//! [`SchedPolicy::Guided`] is how [`crate::Checker`] searches
+//! interleavings: a forced decision prefix per run, each run's decisions
+//! logged for the next branch, failures replayed under
+//! [`SchedPolicy::Replay`].
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -387,8 +388,8 @@ impl Trace {
 }
 
 /// Shared slot a world deposits its finished [`Trace`] into (also on
-/// panic), so tests and the [`Explorer`] can retrieve the schedule of
-/// a run that unwound. Clones share the slot.
+/// panic), so tests and the [`crate::Checker`] can retrieve the schedule
+/// of a run that unwound. Clones share the slot.
 #[derive(Clone, Default)]
 pub struct TraceCell {
     inner: Arc<Mutex<Option<Trace>>>,
@@ -1090,162 +1091,6 @@ pub fn yield_point() {
     let entry = THREAD_SCHED.with(|t| t.borrow().clone());
     if let Some((sched, slot)) = entry {
         sched.spin_yield(slot);
-    }
-}
-
-/// One failing interleaving found by an [`Explorer`].
-#[derive(Clone, Debug)]
-pub struct ExploreFailure {
-    /// The seed whose schedule failed.
-    pub seed: u64,
-    /// The recorded schedule; replay it with
-    /// [`SchedPolicy::Replay`] to reproduce the failure exactly.
-    pub trace: Trace,
-    /// The panic message of the failing run.
-    pub message: String,
-}
-
-/// How much schedule space an [`Explorer`] may search.
-#[derive(Clone, Copy, Debug)]
-pub enum ExploreBudget {
-    /// Explore exactly this many schedules — deterministic run to run,
-    /// the right budget for CI.
-    Schedules(usize),
-    /// Stop starting new runs once this much wall time has elapsed
-    /// (checked between runs; a run in flight completes). Inherently
-    /// nondeterministic; combine with [`ExploreBudget::Schedules`] to
-    /// keep a reproducible ceiling.
-    Wall(Duration),
-}
-
-/// Bounded interleaving search: runs the same SPMD closure under many
-/// independent seeds ([`SchedPolicy::Seeded`]), permuting run order,
-/// `ANY_SOURCE` matching, and (through post-send preemption) the
-/// ordering around fault sites — a DPOR-lite random walk over the
-/// interleaving space. Stops at the first failure and returns its seed,
-/// panic message, and replayable trace.
-pub struct Explorer {
-    base_seed: u64,
-    max_runs: usize,
-    time_budget: Option<Duration>,
-    sanitize: bool,
-}
-
-impl Explorer {
-    /// An explorer deriving run seeds `base_seed, base_seed+1, …`.
-    pub fn new(base_seed: u64) -> Self {
-        Explorer {
-            base_seed,
-            max_runs: 64,
-            time_budget: None,
-            sanitize: false,
-        }
-    }
-
-    /// Cap the number of seeded runs (default 64). Equivalent to
-    /// [`Explorer::budget`] with [`ExploreBudget::Schedules`].
-    pub fn max_runs(mut self, runs: usize) -> Self {
-        self.max_runs = runs;
-        self
-    }
-
-    /// Stop starting new runs once this much wall time has elapsed
-    /// (checked between runs; a run in flight completes). Equivalent
-    /// to [`Explorer::budget`] with [`ExploreBudget::Wall`].
-    pub fn time_budget(mut self, budget: Duration) -> Self {
-        self.time_budget = Some(budget);
-        self
-    }
-
-    /// Set an exploration budget. [`ExploreBudget::Schedules`] replaces
-    /// the schedule-count cap (the deterministic budget CI should pin);
-    /// [`ExploreBudget::Wall`] sets the optional wall-clock cap. The
-    /// two compose: call once with each to bound both.
-    pub fn budget(mut self, budget: ExploreBudget) -> Self {
-        match budget {
-            ExploreBudget::Schedules(runs) => self.max_runs = runs,
-            ExploreBudget::Wall(d) => self.time_budget = Some(d),
-        }
-        self
-    }
-
-    /// Race hunting: install a fresh happens-before sanitizer session
-    /// (`sanitizer::Mode::Collect`) on every run. A run whose schedule
-    /// passes all program asserts but trips the sanitizer still counts
-    /// as a failure — its findings become the failure message, with
-    /// the same replayable seed + trace as a panic.
-    pub fn sanitize(mut self) -> Self {
-        self.sanitize = true;
-        self
-    }
-
-    /// Search interleavings of `f` on a world of `size` ranks. Returns
-    /// the first failure, or `None` if every explored schedule passed.
-    pub fn run<F>(&self, size: usize, f: F) -> Option<ExploreFailure>
-    where
-        F: Fn(&crate::Comm) + Send + Sync + 'static,
-    {
-        self.run_with(size, |b| b, f)
-    }
-
-    /// Like [`Explorer::run`], with a hook to configure each world
-    /// (e.g. install a [`crate::FaultHandle`] so fault sites join the
-    /// permuted space).
-    pub fn run_with<C, F>(&self, size: usize, configure: C, f: F) -> Option<ExploreFailure>
-    where
-        C: Fn(crate::WorldBuilder) -> crate::WorldBuilder,
-        F: Fn(&crate::Comm) + Send + Sync + 'static,
-    {
-        let f = Arc::new(f);
-        let t0 = probe::time::Wall::now();
-        for i in 0..self.max_runs {
-            if let Some(budget) = self.time_budget {
-                if t0.elapsed() >= budget && i > 0 {
-                    return None;
-                }
-            }
-            let seed = self.base_seed.wrapping_add(i as u64);
-            let cell = TraceCell::new();
-            let g = Arc::clone(&f);
-            // Collect mode: a data race must not abort the run mid-way
-            // (the program asserts still get their chance); findings
-            // are promoted to a failure after a clean exit.
-            let session = self
-                .sanitize
-                .then(|| sanitizer::Session::new(size, sanitizer::Mode::Collect));
-            let mut builder = configure(crate::WorldBuilder::new(size))
-                .sched(SchedPolicy::Seeded(seed))
-                .trace_cell(&cell);
-            if let Some(session) = &session {
-                builder = builder.sanitizer(Arc::clone(session));
-            }
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                builder.run(move |comm| g(comm));
-            }));
-            if let Err(payload) = outcome {
-                return Some(ExploreFailure {
-                    seed,
-                    trace: cell.take().unwrap_or_default(),
-                    message: panic_text(&*payload),
-                });
-            }
-            if let Some(session) = &session {
-                let findings = session.findings();
-                if !findings.is_empty() {
-                    let message = findings
-                        .iter()
-                        .map(|f| f.to_string())
-                        .collect::<Vec<_>>()
-                        .join("\n");
-                    return Some(ExploreFailure {
-                        seed,
-                        trace: cell.take().unwrap_or_default(),
-                        message,
-                    });
-                }
-            }
-        }
-        None
     }
 }
 

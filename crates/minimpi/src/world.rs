@@ -116,7 +116,7 @@ impl WorldBuilder {
     }
 
     /// Deposit the run's delivery trace — also when a rank panics —
-    /// into `cell` for programmatic retrieval (the [`crate::Explorer`]
+    /// into `cell` for programmatic retrieval (the [`crate::Checker`]
     /// uses this). Only meaningful with a non-`Os` [`Self::sched`]
     /// policy.
     pub fn trace_cell(mut self, cell: &TraceCell) -> Self {

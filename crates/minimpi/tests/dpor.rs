@@ -3,8 +3,6 @@
 //! ddmin shrinker + bitwise replay pipeline. The cross-crate protocol
 //! corpus lives in the workspace-level `tests/modelcheck_planted.rs`.
 
-use std::time::Duration;
-
 use minimpi::sched::yield_point;
 use minimpi::{
     Checker, Comm, Guide, LivenessSpec, SchedPolicy, TraceCell, WorldBuilder, ANY_SOURCE,
@@ -242,13 +240,10 @@ fn deterministic_deadlock_is_found_shrunk_and_replayed() {
 
 #[test]
 fn clean_scenarios_produce_no_findings_and_terminate() {
-    let report = Checker::new()
-        .max_schedules(10_000)
-        .wall_cap(Duration::from_secs(60))
-        .run(3, |comm| {
-            let sum = comm.allreduce_scalar(comm.rank() as u64, |a, b| a + b);
-            assert_eq!(sum, 3);
-        });
+    let report = Checker::new().max_schedules(10_000).run(3, |comm| {
+        let sum = comm.allreduce_scalar(comm.rank() as u64, |a, b| a + b);
+        assert_eq!(sum, 3);
+    });
     assert!(report.failure.is_none());
     assert!(!report.stats.budget_exhausted);
     assert!(report.stats.schedules_explored >= 1);

@@ -1,12 +1,15 @@
 //! Integration tests for the deterministic scheduler: seed
 //! reproducibility, virtual-time deadlines, exact deadlock detection,
-//! interleaving exploration, and trace replay.
+//! systematic interleaving search with [`minimpi::Checker`], and trace
+//! replay.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use minimpi::{Explorer, FaultHandle, SchedPolicy, Trace, TraceCell, World, WorldBuilder};
+use minimpi::{
+    Checker, FaultHandle, LivenessSpec, SchedPolicy, Trace, TraceCell, World, WorldBuilder,
+};
 
 /// Run a small mixed workload (p2p + ANY_SOURCE + collectives) under a
 /// seed and return (per-rank results, delivery trace).
@@ -204,10 +207,10 @@ fn deadlock_is_deterministic_across_runs() {
     assert_eq!(report(13), report(13), "same seed, same deadlock report");
 }
 
-/// The deliberately reintroduced ordering bug the explorer must find: a
+/// The deliberately reintroduced ordering bug the checker must find: a
 /// fan-in that *assumes* `ANY_SOURCE` matches in rank order. Correct
 /// under some interleavings, wrong under others — invisible to a single
-/// happy-path run, found by seed search, reproduced by replay.
+/// happy-path run, found by systematic search, reproduced by replay.
 fn rank_order_assuming_fanin(comm: &minimpi::Comm) {
     if comm.rank() == 0 {
         let mut order = Vec::new();
@@ -223,60 +226,122 @@ fn rank_order_assuming_fanin(comm: &minimpi::Comm) {
     comm.barrier();
 }
 
-#[test]
-fn explorer_finds_the_planted_ordering_bug_and_replay_reproduces_it() {
-    let failure = Explorer::new(1)
-        .max_runs(64)
-        .run(3, rank_order_assuming_fanin)
-        .expect("the ordering assumption must fail under some schedule");
+/// A fan-in that assumes the highest rank is never matched first: only
+/// one of the `p - 1` first-match alternatives fails.
+fn highest_rank_never_first(comm: &minimpi::Comm) {
+    if comm.rank() == 0 {
+        let p = comm.size();
+        let (first, _): (usize, u64) = comm.recv_any(23);
+        assert_ne!(first, p - 1, "highest rank matched first");
+        for _ in 2..p {
+            let _: (usize, u64) = comm.recv_any(23);
+        }
+    } else {
+        comm.send(0, 23, comm.rank() as u64);
+    }
+}
+
+/// The checker finds `bug` on `size` ranks within eight schedules, the
+/// minimized trace replays bitwise, and the trace survives its JSON
+/// wire form and fails the same way under [`SchedPolicy::Replay`] —
+/// deterministically, every time.
+fn found_within_eight_schedules_and_replayed(size: usize, bug: fn(&minimpi::Comm), expect: &str) {
+    let report = Checker::new().max_schedules(8).run(size, bug);
+    let failure = report.failure.unwrap_or_else(|| {
+        panic!(
+            "{size} ranks: `{expect}` not found in {} schedules",
+            report.stats.schedules_explored
+        )
+    });
     assert!(
-        failure.message.contains("out of rank order"),
-        "wrong failure: {}",
+        failure.message.contains(expect),
+        "{size} ranks: wrong failure: {}",
         failure.message
     );
+    assert!(
+        failure.replayed_bitwise,
+        "{size} ranks: the minimized trace must replay bitwise"
+    );
     assert!(!failure.trace.events.is_empty());
-    assert_eq!(failure.trace.seed, Some(failure.seed));
 
-    // The trace round-trips through its JSON wire form and replays the
-    // exact failing interleaving — deterministically, every time.
     let wire = failure.trace.to_json();
     let trace = Trace::from_json(&wire).expect("trace parses");
     for _ in 0..2 {
         let err = std::panic::catch_unwind(|| {
-            WorldBuilder::new(3)
+            WorldBuilder::new(size)
                 .sched(SchedPolicy::Replay(trace.clone()))
-                .run(rank_order_assuming_fanin)
+                .liveness(LivenessSpec::default())
+                .run(bug)
         })
         .expect_err("replaying the failing trace must fail again");
         let msg = minimpi::sched::panic_text(&*err);
-        assert!(msg.contains("out of rank order"), "got: {msg}");
+        assert!(msg.contains(expect), "{size} ranks: got: {msg}");
     }
 }
 
 #[test]
-fn explorer_passes_clean_programs_and_respects_budget() {
-    let runs = Arc::new(AtomicUsize::new(0));
-    let counter = Arc::clone(&runs);
-    let outcome = Explorer::new(100).max_runs(5).run(2, move |comm| {
-        if comm.rank() == 0 {
-            counter.fetch_add(1, Ordering::SeqCst);
-            comm.send(1, 1, 1u8);
-        } else {
-            let _: u8 = comm.recv(0, 1);
-        }
-        comm.barrier();
-    });
-    assert!(outcome.is_none(), "clean program must pass exploration");
-    assert_eq!(runs.load(Ordering::SeqCst), 5, "max_runs bounds the search");
+fn checker_finds_the_planted_ordering_bug_and_replay_reproduces_it() {
+    for size in [3, 6, 8] {
+        found_within_eight_schedules_and_replayed(
+            size,
+            rank_order_assuming_fanin,
+            "out of rank order",
+        );
+    }
 }
 
 #[test]
-fn explorer_permutes_fault_sites() {
+fn checker_finds_the_highest_rank_matched_first() {
+    for size in [3, 6, 8] {
+        found_within_eight_schedules_and_replayed(
+            size,
+            highest_rank_never_first,
+            "highest rank matched first",
+        );
+    }
+}
+
+#[test]
+fn checker_passes_clean_programs_and_respects_budget() {
+    let runs = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&runs);
+    let report = Checker::new().max_schedules(5).run(4, move |comm| {
+        // An order-tolerant fan-in: more schedules than the budget.
+        if comm.rank() == 0 {
+            counter.fetch_add(1, Ordering::SeqCst);
+            let total: u64 = (1..comm.size()).map(|_| comm.recv_any::<u64>(1).1).sum();
+            assert_eq!(total, 6);
+        } else {
+            comm.send(0, 1, comm.rank() as u64);
+        }
+        comm.barrier();
+    });
+    assert!(
+        report.failure.is_none(),
+        "clean program must pass exploration"
+    );
+    assert!(
+        report.stats.budget_exhausted,
+        "the tree outgrows five schedules"
+    );
+    assert!(
+        report.stats.schedules_explored <= 5,
+        "max_schedules bounds the search"
+    );
+    assert_eq!(
+        runs.load(Ordering::SeqCst) as u64,
+        report.stats.schedules_explored,
+        "one world per explored schedule"
+    );
+}
+
+#[test]
+fn checker_permutes_fault_sites() {
     // With a dropped link, whether the victim's deadline error or the
     // peer's progress happens first is schedule-dependent; exploration
     // with a fault handle must still terminate and pass a tolerant
     // program.
-    let outcome = Explorer::new(7).max_runs(8).run_with(
+    let report = Checker::new().max_schedules(8).run_with(
         2,
         |b| {
             let faults = FaultHandle::new();
@@ -293,7 +358,12 @@ fn explorer_permutes_fault_sites() {
             }
         },
     );
-    assert!(outcome.is_none());
+    assert!(
+        report.failure.is_none(),
+        "{:?}",
+        report.failure.map(|f| f.message)
+    );
+    assert!(!report.stats.budget_exhausted, "the tree completes");
 }
 
 #[test]

@@ -31,8 +31,9 @@
 //! allocated. Enable per-world with `WorldBuilder::sanitizer`, or
 //! process-wide with `SENSEI_SANITIZER=1` (checked per world run, not
 //! cached). Under `SchedPolicy::Seeded`/`Replay` every finding
-//! carries the seed that deterministically reproduces it; the
-//! `Explorer`'s race-hunting mode drives this in fuzzing campaigns.
+//! carries the seed that deterministically reproduces it;
+//! `minimpi::Checker::sanitize()` arms a session on every explored
+//! schedule and turns its findings into minimized, replayed failures.
 //!
 //! The crate deliberately never reads `probe::time` — a sanitized run
 //! must stay bitwise-identical in its virtual-clock tick counts.

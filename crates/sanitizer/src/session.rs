@@ -26,7 +26,7 @@ pub enum Mode {
     /// carries a replayable trace.
     Panic,
     /// Accumulate findings for later inspection ([`Session::findings`]).
-    /// Used by the planted-bug tests and the `Explorer` race hunt.
+    /// Used by the planted-bug tests and `minimpi::Checker::sanitize()`.
     Collect,
 }
 
@@ -206,7 +206,7 @@ impl Session {
         self.state.lock().findings.clone()
     }
 
-    /// Drop every accumulated finding (between Explorer runs).
+    /// Drop every accumulated finding (between runs sharing a session).
     pub fn clear_findings(&self) {
         self.state.lock().findings.clear();
     }

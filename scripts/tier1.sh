@@ -63,6 +63,15 @@ for f in crates/{catalyst,libsim}/src/*.rs; do
     fi
 done
 
+echo "==> one exploration engine"
+# minimpi::Checker is the one interleaving search; its verdict depends
+# on the schedule count alone.
+if grep -rnE 'Explorer|ExploreBudget|ExploreFailure|wall_cap|max_shrink_runs' \
+    crates tests examples src; then
+    echo "tier1: a second exploration engine or a Checker wall/shrink knob is back" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
