@@ -3,7 +3,9 @@
 //! isosurface, and the digests of the framebuffers and of their PNG
 //! files (flattened as Catalyst and Libsim do, over white and over
 //! black) must match the checked-in goldens in
-//! `tests/golden/render_digests.json`.
+//! `tests/golden/render_digests.json`. The same run drives the two
+//! adaptors end to end — Catalyst's slice, and a Libsim session of an
+//! isosurface and a slice — and their files are pinned too.
 //!
 //! A framebuffer mismatch means a rendering change — rasterization,
 //! colormap, compositing, or the simulation field itself; a PNG
@@ -16,7 +18,7 @@
 //! diff.
 
 use minimpi::{SchedPolicy, WorldBuilder};
-use oscillator::{demo_oscillators, osc::format_deck, SimConfig, Simulation};
+use oscillator::{demo_oscillators, osc::format_deck, OscillatorAdaptor, SimConfig, Simulation};
 use render::camera::Camera;
 use render::color::{Color, Colormap};
 use render::composite::Compositor;
@@ -24,6 +26,7 @@ use render::deflate::Mode;
 use render::framebuffer::Framebuffer;
 use render::pipeline::{pseudocolor_slice, shaded_isosurface, IsosurfaceRender, SliceRender};
 use render::png::encode_framebuffer;
+use sensei::AnalysisAdaptor;
 
 const GRID: [usize; 3] = [17, 17, 17];
 
@@ -55,11 +58,18 @@ fn framebuffer_digest(fb: &Framebuffer) -> u64 {
 }
 
 /// The golden file's keys, in the order [`render_goldens`] returns them.
-const KEYS: [&str; 4] = ["slice", "isosurface", "slice_png", "isosurface_png"];
+const KEYS: [&str; 6] = [
+    "slice",
+    "isosurface",
+    "slice_png",
+    "isosurface_png",
+    "catalyst_png",
+    "libsim_png",
+];
 
 /// Render the golden oscillator deck at 4 ranks under a fixed schedule
 /// seed; return rank 0's digests, one per entry of [`KEYS`].
-fn render_goldens() -> [u64; 4] {
+fn render_goldens() -> [u64; 6] {
     let d = format_deck(&demo_oscillators());
     let out = WorldBuilder::new(4)
         .sched(SchedPolicy::Seeded(11))
@@ -123,8 +133,25 @@ fn render_goldens() -> [u64; 4] {
                 },
             );
 
-            match (slice, iso) {
-                (Some(s), Some(i)) => {
+            // The adaptors over the same step, each through its own
+            // configuration of the render stack.
+            let mut pipe = catalyst::SlicePipeline::new("data", 2, 8);
+            (pipe.width, pipe.height) = (96, 72);
+            let mut catalyst = catalyst::CatalystSliceAnalysis::new(pipe);
+            let session = libsim::Session::parse(
+                "image 96 96\nplot isosurface data levels=0.35,0.55,0.75\nplot pseudocolor data axis=z index=8\n",
+            )
+            .expect("session");
+            let mut libsim = libsim::LibsimAnalysis::new(session, std::path::Path::new("/nonexistent"));
+            let data = OscillatorAdaptor::new(&sim);
+            catalyst.execute(&data, comm);
+            libsim.execute(&data, comm);
+            assert!(catalyst.take_failures().is_empty() && libsim.take_failures().is_empty());
+            let adaptors = (catalyst.png_handle().lock().clone())
+                .zip(libsim.png_handle().lock().clone());
+
+            match (slice, iso, adaptors) {
+                (Some(s), Some(i), Some((catalyst_png, libsim_png))) => {
                     assert_eq!(s.covered_pixels(), 96 * 72, "slice plane fully painted");
                     assert!(i.covered_pixels() > 0, "isosurface rendered something");
                     Some([
@@ -132,6 +159,8 @@ fn render_goldens() -> [u64; 4] {
                         framebuffer_digest(&i),
                         fnv1a(&encode_framebuffer(&s, Color::WHITE, Mode::Fixed)),
                         fnv1a(&encode_framebuffer(&i, Color::BLACK, Mode::Fixed)),
+                        fnv1a(&catalyst_png),
+                        fnv1a(&libsim_png),
                     ])
                 }
                 _ => None,
