@@ -3,12 +3,13 @@
 
 use std::path::Path;
 
-use catalyst::{CatalystSliceAnalysis, SliceOutput, SlicePipeline};
+use catalyst::{CatalystSliceAnalysis, SlicePipeline};
 use libsim::{LibsimAnalysis, Session};
 use minimpi::World;
 use oscillator::{demo_oscillators, osc::format_deck, OscillatorAdaptor, SimConfig, Simulation};
 use render::camera::Camera;
 use render::color::{Color, Colormap};
+use render::composite::Compositor;
 use render::deflate::Mode;
 use render::framebuffer::Framebuffer;
 use render::png::encode_framebuffer;
@@ -40,7 +41,7 @@ pub fn render_oscillator_slice(dir: &Path) -> std::path::PathBuf {
         let mut pipe = SlicePipeline::new("data", 2, 16);
         pipe.width = 640;
         pipe.height = 480;
-        pipe.output = SliceOutput::Directory(dir2.clone());
+        pipe.output = Some(dir2.clone());
         let mut analysis = CatalystSliceAnalysis::new(pipe);
         for _ in 0..10 {
             sim.step(comm);
@@ -98,7 +99,7 @@ pub fn render_nyx_slices(dir: &Path) -> Vec<std::path::PathBuf> {
         let mut pipe = SlicePipeline::new("density", 2, 12);
         pipe.width = 480;
         pipe.height = 480;
-        pipe.output = SliceOutput::Directory(dir2.clone());
+        pipe.output = Some(dir2.clone());
         let mut analysis = CatalystSliceAnalysis::new(pipe);
         analysis.execute(&NyxAdaptor::new(&sim), comm);
         for _ in 0..8 {
@@ -155,7 +156,7 @@ pub fn render_phasta_cut(dir: &Path) -> std::path::PathBuf {
                 .collect();
             fill_triangle(&mut fb, verts[0], verts[1], verts[2]);
         }
-        let composited = render::composite::binary_swap(comm, fb);
+        let composited = render::composite::composite(comm, fb, Compositor::BinarySwap);
         if let Some(final_fb) = composited {
             let png = encode_framebuffer(&final_fb, Color::WHITE, Mode::Fixed);
             std::fs::write(&out2, png).expect("write phasta cut");

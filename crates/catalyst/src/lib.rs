@@ -3,15 +3,15 @@
 //! Catalyst exposes ParaView's pipeline machinery in situ. This crate
 //! reproduces the pieces the paper exercises:
 //!
-//! * **Editions** ([`Edition`]) — feature-trimmed library builds that
-//!   shrink the executable footprint (the paper's PHASTA run used a
-//!   rendering-only Edition: 153 MB statically linked, 87 MB dynamic);
 //! * the **slice pipeline** ([`SlicePipeline`]) — extract a 2D slice
 //!   from the 3D volume, pseudocolor it, **binary-swap** composite a
 //!   1920×1080 image, and PNG-encode it — zlib, the Table 2 cost
 //!   center, which the paper runs serially on rank 0 and this adaptor
 //!   runs on every rank over the rows binary swap left it, for the same
-//!   file on rank 0 (`render::png::PngEncoder`);
+//!   file on rank 0. All of it is `render::scene::Scene` in Catalyst's
+//!   configuration, the one Libsim configures differently; the
+//!   footprint of a Catalyst Edition (153 MB static, 87 MB dynamic) is
+//!   `perfmodel::memory`'s;
 //! * a tetrahedral **cutter** ([`cutter`]) for unstructured meshes
 //!   (PHASTA's slice-through-the-wing images);
 //! * a SENSEI [`sensei::AnalysisAdaptor`] wrapper
@@ -19,11 +19,9 @@
 //!   the generic interface without Catalyst-specific code.
 
 pub mod cutter;
-pub mod edition;
 pub mod pipeline;
 
-pub use edition::Edition;
-pub use pipeline::{CatalystSliceAnalysis, SliceOutput, SlicePipeline};
+pub use pipeline::{CatalystSliceAnalysis, SlicePipeline};
 
 /// Catalyst's default output resolution in the paper's miniapp study.
 pub const DEFAULT_IMAGE: (usize, usize) = (1920, 1080);

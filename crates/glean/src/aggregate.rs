@@ -18,7 +18,8 @@ use std::time::Duration;
 use adios::broker::{Broker, BrokerConfig, TopicKey};
 use minimpi::Comm;
 use probe::time::Wall;
-use sensei::{AnalysisAdaptor, Association, DataAdaptor, Steering};
+use sensei::analysis::{with_point_field, ReportOnce};
+use sensei::{AnalysisAdaptor, DataAdaptor, Steering};
 
 use crate::blobs::{append_step, BlockRecord};
 
@@ -115,7 +116,8 @@ pub struct GleanWriter {
     /// Bytes forwarded or aggregated by this rank so far.
     pub bytes_handled: u64,
     failures: Vec<String>,
-    reported_missing: bool,
+    /// Why this rank had no block to forward, the first time.
+    missing: ReportOnce,
     member_deadline: Duration,
     finalize_deadline: Duration,
     /// Node members declared dead (skipped in later gathers).
@@ -142,7 +144,7 @@ impl GleanWriter {
             steps: 0,
             bytes_handled: 0,
             failures: Vec::new(),
-            reported_missing: false,
+            missing: ReportOnce::default(),
             member_deadline: DEFAULT_MEMBER_DEADLINE,
             finalize_deadline: DEFAULT_FINALIZE_DEADLINE,
             dead: Vec::new(),
@@ -197,43 +199,19 @@ impl GleanWriter {
     }
 
     fn local_block(&mut self, data: &dyn DataAdaptor, rank: usize) -> Option<BlockRecord> {
-        let mut mesh = data.mesh();
-        if let Err(err) = data.add_array(&mut mesh, Association::Point, &self.array) {
-            if !self.reported_missing {
-                self.reported_missing = true;
-                self.failures.push(err.to_string());
-            }
-            return None;
-        }
-        // Sanitizer: hold a publish window while GLEAN drains the
-        // rank's block out of the zero-copy arrays.
-        let _publish = datamodel::publish_dataset(&mesh, "glean");
-        // Space-checked drain: GLEAN runs host-side; device-resident
-        // blocks must be transferred explicitly before aggregation.
-        let views = match sensei::analysis::leaf_views(&mesh, Association::Point, &self.array) {
-            Ok(views) => views,
-            Err(err) => {
-                self.failures.push(format!("glean: {err}"));
-                return None;
-            }
-        };
-        // The first structured leaf carrying the array; the record owns
-        // its payload (it outlives the step on the drain thread).
-        let (extent, values) = views
-            .into_iter()
-            .find_map(|v| Some((v.geometry?.extent, v.values)))?;
+        // The block is drained out of the zero-copy arrays inside a
+        // publish window, into a record that owns its payload (it
+        // outlives the step on the drain thread).
+        let block = with_point_field(data, &self.array, "glean", &mut self.missing, |field| {
+            field.map(|(grid, values)| (grid.extent, values.to_vec()))
+        });
+        self.failures.extend(self.missing.take());
+        let (datamodel::Extent { lo, hi }, data) = block?;
         Some(BlockRecord {
             rank,
             name: self.array.clone(),
-            extent: [
-                extent.lo[0],
-                extent.lo[1],
-                extent.lo[2],
-                extent.hi[0],
-                extent.hi[1],
-                extent.hi[2],
-            ],
-            data: values.into_owned(),
+            extent: [lo[0], lo[1], lo[2], hi[0], hi[1], hi[2]],
+            data,
         })
     }
 

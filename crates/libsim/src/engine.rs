@@ -1,73 +1,88 @@
-//! The Libsim render engine and its SENSEI analysis adaptor.
+//! The Libsim render engine and its SENSEI analysis adaptor: one
+//! configuration of `render::scene::Scene`.
 
 use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use minimpi::Comm;
-use render::camera::Camera;
 use render::color::{Color, Colormap};
 use render::composite::Compositor;
-use render::deflate::Mode;
-use render::framebuffer::Framebuffer;
-use render::pipeline::{
-    global_range, pseudocolor_slice_bands, shaded_isosurface_bands, IsosurfaceRender, SliceRender,
-};
-use render::png::PngEncoder;
-use sensei::{AnalysisAdaptor, Association, DataAdaptor, Steering};
+use render::scene::{self, Scene};
+use sensei::analysis::{with_point_field, ReportOnce};
+use sensei::{AnalysisAdaptor, DataAdaptor, Steering};
 
 use crate::session::{Plot, Session};
 
 /// Libsim's compositing family: a direct-send fan-in tree.
 pub const COMPOSITOR: Compositor = Compositor::DirectSendTree(8);
 
+/// The frame is not kept: Catalyst's stays resident through this
+/// render, and a second kept image puts the peak a fifth over the two
+/// transient ones' (measured in CHANGES.md).
+const KEEP_FRAME: bool = false;
+
 /// Shared handle to the most recent PNG (rank 0 only).
 pub type PngHandle = Arc<Mutex<Option<Vec<u8>>>>;
 
 /// SENSEI analysis adaptor running a Libsim session.
 pub struct LibsimAnalysis {
-    session: Session,
-    output_dir: Option<PathBuf>,
+    /// The array the session's plots draw.
+    array: String,
+    frequency: u64,
+    scene: Scene,
     last_png: PngHandle,
-    renders: u64,
     /// Measured one-time startup cost (the per-rank config check).
     startup_seconds: f64,
-    /// Pending failure reports, drained by the bridge.
-    failures: Vec<String>,
-    reported_missing: bool,
-    reported_write: bool,
-    /// The encoder's tables, faulted in once. The frame itself is not
-    /// kept: Catalyst's stays resident through this render, and a
-    /// second kept image puts the peak a fifth over the two transient
-    /// ones' (CHANGES.md, PR 23).
-    encoder: PngEncoder,
+    failures: ReportOnce,
 }
 
 impl LibsimAnalysis {
     /// Start Libsim with a session. Performs the per-rank runtime
     /// configuration check — a real filesystem metadata operation, the
     /// behavior whose aggregate cost Fig. 5 reports at 45K ranks.
+    ///
+    /// The session becomes a direct-send scene over black: slices in
+    /// viridis, isosurfaces in cool–warm, of one array, the first
+    /// plot's; a plot of another array is reported and left out.
     pub fn new(session: Session, config_path: &Path) -> Self {
         let t0 = probe::time::now_seconds();
         // VisIt checks for a .visitrc / runtime config per rank.
         let _ = std::fs::metadata(config_path);
         let startup_seconds = (probe::time::now_seconds() - t0).max(0.0);
+        let (mut failures, mut plots) = (ReportOnce::default(), Vec::new());
+        let array = session.plots.first().map_or("", Plot::array).to_owned();
+        for plot in session.plots {
+            plots.push(match plot {
+                _ if plot.array() != array => {
+                    failures.report(format!("libsim: left out a plot of `{}`", plot.array()));
+                    continue;
+                }
+                Plot::Pseudocolor { axis, index, .. } => {
+                    let cmap = Colormap::viridis();
+                    scene::Plot::Slice { axis, index, cmap }
+                }
+                Plot::Isosurface { levels, .. } => {
+                    let cmap = Colormap::cool_warm();
+                    scene::Plot::Isosurface { levels, cmap }
+                }
+            });
+        }
+        let image = session.image;
+        let scene = Scene::new("libsim", image, COMPOSITOR, Color::BLACK, plots, KEEP_FRAME);
         LibsimAnalysis {
-            encoder: PngEncoder::default(),
-            session,
-            output_dir: None,
+            array,
+            frequency: session.frequency,
+            scene,
             last_png: Arc::new(Mutex::new(None)),
-            renders: 0,
             startup_seconds,
-            failures: Vec::new(),
-            reported_missing: false,
-            reported_write: false,
+            failures,
         }
     }
 
     /// Write `libsim_<step>.png` files into `dir` (rank 0).
     pub fn with_output_dir(mut self, dir: PathBuf) -> Self {
-        self.output_dir = Some(dir);
+        self.scene.output = Some(dir);
         self
     }
 
@@ -76,94 +91,9 @@ impl LibsimAnalysis {
         Arc::clone(&self.last_png)
     }
 
-    /// Number of render invocations so far.
-    pub fn renders(&self) -> u64 {
-        self.renders
-    }
-
     /// Measured startup (config check) seconds on this rank.
     pub fn startup_seconds(&self) -> f64 {
         self.startup_seconds
-    }
-
-    /// Draw one plot and composite it up to the gather: the buffer this
-    /// rank still holds, final in the rows [`COMPOSITOR`] leaves it.
-    fn render_plot(
-        &mut self,
-        plot: &Plot,
-        data: &dyn DataAdaptor,
-        comm: &Comm,
-    ) -> Option<Framebuffer> {
-        let (w, h) = self.session.image;
-        let (Plot::Pseudocolor { array, .. } | Plot::Isosurface { array, .. }) = plot;
-        let mut mesh = data.mesh();
-        if let Err(err) = data.add_array(&mut mesh, Association::Point, array) {
-            if !self.reported_missing {
-                self.reported_missing = true;
-                self.failures.push(err.to_string());
-            }
-            return None;
-        }
-        // Sanitizer: hold a publish window while Libsim renders from
-        // the simulation's zero-copy arrays.
-        let _publish = datamodel::publish_dataset(&mesh, "libsim");
-        let views = match sensei::analysis::leaf_views(&mesh, Association::Point, array) {
-            Ok(views) => views,
-            Err(err) => {
-                self.failures.push(format!("libsim: {err}"));
-                return None;
-            }
-        };
-        // The first structured leaf carrying the array.
-        let (grid, values) = views.iter().find_map(|v| Some((v.geometry?, &v.values)))?;
-        let (local, global) = (grid.extent, grid.global_extent);
-        match plot {
-            Plot::Pseudocolor { axis, index, .. } => {
-                // Clamp the requested plane into the domain.
-                let idx = (*index).clamp(global.lo[*axis], global.hi[*axis]);
-                let cfg = SliceRender {
-                    axis: *axis,
-                    global_index: idx,
-                    width: w,
-                    height: h,
-                    compositor: COMPOSITOR,
-                    cmap: Colormap::viridis(),
-                };
-                pseudocolor_slice_bands(comm, &local, &global, values, &cfg, None)
-            }
-            Plot::Isosurface { levels, .. } => {
-                let (spacing, origin) = (grid.spacing, grid.origin);
-                // Levels are fractions of the global range.
-                let (glo, ghi) = global_range(comm, values);
-                let isovalues: Vec<f64> = levels.iter().map(|f| glo + f * (ghi - glo)).collect();
-                // Camera looks at the domain center from outside.
-                let gd = global.point_dims();
-                let center = [
-                    origin[0] + (gd[0] - 1) as f64 * spacing[0] / 2.0,
-                    origin[1] + (gd[1] - 1) as f64 * spacing[1] / 2.0,
-                    origin[2] + (gd[2] - 1) as f64 * spacing[2] / 2.0,
-                ];
-                let size = (gd[0] as f64 * spacing[0])
-                    .max(gd[1] as f64 * spacing[1])
-                    .max(gd[2] as f64 * spacing[2]);
-                let eye = [
-                    center[0] + 1.2 * size,
-                    center[1] + 0.9 * size,
-                    center[2] - 2.0 * size,
-                ];
-                let cfg = IsosurfaceRender {
-                    isovalues,
-                    camera: Camera::look_at(eye, center, [0.0, 1.0, 0.0], 0.8),
-                    width: w,
-                    height: h,
-                    compositor: COMPOSITOR,
-                    cmap: Colormap::cool_warm(),
-                    origin,
-                    spacing,
-                };
-                shaded_isosurface_bands(comm, &local, values, &cfg, None)
-            }
-        }
     }
 }
 
@@ -173,55 +103,22 @@ impl AnalysisAdaptor for LibsimAnalysis {
     }
 
     fn execute(&mut self, data: &dyn DataAdaptor, comm: &Comm) -> Steering {
-        if !data.step().is_multiple_of(self.session.frequency) {
-            return Steering::Continue;
-        }
-        self.renders += 1;
-        // Composite all plots of the session into one image: each plot
-        // is drawn and composited on its own, and the results are
-        // depth-merged where they lie — the same compositor and size
-        // leave every plot's finished rows on the same ranks, and the
-        // rows a buffer holds besides are never encoded.
-        let plots = self.session.plots.clone();
-        let mut held = plots
-            .iter()
-            .filter_map(|plot| self.render_plot(plot, data, comm));
-        let mut image = held.next();
-        if let Some(acc) = &mut image {
-            held.for_each(|fb| acc.composite_from(&fb));
-        }
-        // No plot drew on rank 0 (none could read its array): it still
-        // owes the encode its rows, as background.
-        let (w, h) = self.session.image;
-        if image.is_none() && comm.rank() == 0 {
-            image = Some(Framebuffer::new(w, h));
-        }
-        let png = self.encoder.encode(
-            comm,
-            (w, h),
-            image.as_ref(),
-            COMPOSITOR,
-            Color::BLACK,
-            Mode::Fixed,
-        );
-        if let Some(png) = png {
-            if let Some(dir) = &self.output_dir {
-                let path = dir.join(format!("libsim_{:05}.png", data.step()));
-                if let Err(e) = std::fs::write(&path, &png) {
-                    if !self.reported_write {
-                        self.reported_write = true;
-                        self.failures
-                            .push(format!("failed to write {}: {e}", path.display()));
-                    }
-                }
+        let (step, scene) = (data.step(), &mut self.scene);
+        if step.is_multiple_of(self.frequency) {
+            let frame =
+                with_point_field(data, &self.array, "libsim", &mut self.failures, |field| {
+                    scene.frame(comm, step, field)
+                });
+            if let Some((png, written)) = frame {
+                written.unwrap_or_else(|e| self.failures.report(e));
+                *self.last_png.lock() = Some(png);
             }
-            *self.last_png.lock() = Some(png);
         }
         Steering::Continue
     }
 
     fn take_failures(&mut self) -> Vec<String> {
-        std::mem::take(&mut self.failures)
+        self.failures.take()
     }
 }
 
@@ -232,7 +129,9 @@ mod tests {
     use minimpi::World;
     use render::png::decode_rgb;
 
-    fn adaptor(comm: &Comm, step: u64) -> sensei::InMemoryAdaptor {
+    /// This rank's block of a 9³ grid: the distance from its centre,
+    /// as array `name`.
+    fn block(comm: &Comm, step: u64, name: &str) -> sensei::InMemoryAdaptor {
         let global = Extent::whole([9, 9, 9]);
         let dims = datamodel::dims_create(comm.size());
         let local = partition_extent(&global, dims, comm.rank());
@@ -247,8 +146,12 @@ mod tests {
                 (dx * dx + dy * dy + dz * dz).sqrt()
             })
             .collect();
-        g.add_point_array(DataArray::owned("data", 1, vals));
+        g.add_point_array(DataArray::owned(name, 1, vals));
         sensei::InMemoryAdaptor::new(DataSet::Image(g), step as f64, step)
+    }
+
+    fn adaptor(comm: &Comm, step: u64) -> sensei::InMemoryAdaptor {
+        block(comm, step, "data")
     }
 
     fn small_session(freq: u64) -> Session {
@@ -299,7 +202,7 @@ mod tests {
 
     #[test]
     fn session_nobody_can_draw_still_encodes_a_blank_frame() {
-        // No rank has the array: no plot composites, every rank still
+        // No rank has the array: no plot draws, every rank still
         // reaches the encode, and rank 0's file is background.
         World::run(3, |comm| {
             let session =
@@ -319,13 +222,69 @@ mod tests {
     }
 
     #[test]
+    fn rank_without_the_array_still_reaches_every_collective() {
+        // Rank 2 names its array differently. The range, both plots'
+        // merges and the encode are collective: the run finishes (the
+        // watchdog would end it otherwise), rank 0 has its file every
+        // step, and the rank says once what it lacked.
+        let out = minimpi::WorldBuilder::new(4)
+            .watchdog(std::time::Duration::from_secs(5))
+            .run(|comm| {
+                let analysis = LibsimAnalysis::new(small_session(1), Path::new("/nonexistent"));
+                let png = analysis.png_handle();
+                let mut bridge = sensei::Bridge::new();
+                bridge.register(Box::new(analysis));
+                for step in 0..3 {
+                    let name = if comm.rank() == 2 { "other" } else { "data" };
+                    *png.lock() = None;
+                    bridge.execute(&block(comm, step, name), comm);
+                    if comm.rank() == 0 {
+                        let bytes = png.lock().clone().expect("a file every step");
+                        assert_eq!(decode_rgb(&bytes).map(|d| (d.0, d.1)), Ok((48, 48)));
+                    }
+                }
+                bridge.failure_reports().len()
+            });
+        assert_eq!(
+            out,
+            [0, 0, 1, 0],
+            "one report, on the rank that lacks the array"
+        );
+    }
+
+    #[test]
+    fn a_plot_of_another_array_is_reported_and_left_out() {
+        World::run(2, |comm| {
+            let run = |text: &str| {
+                let session = Session::parse(text).unwrap();
+                let mut a = LibsimAnalysis::new(session, Path::new("/nonexistent"));
+                a.execute(&adaptor(comm, 0), comm);
+                let png = a.png_handle().lock().take();
+                (a.take_failures(), png)
+            };
+            let slice = "image 40 40\nplot pseudocolor data axis=z index=4\n";
+            let (reports, both) = run(&format!("{slice}plot isosurface vort levels=0.5\n"));
+            let (none, alone) = run(slice);
+            assert_eq!(reports.len(), 1, "{reports:?}");
+            assert!(reports[0].contains("`vort`"), "{}", reports[0]);
+            assert!(none.is_empty());
+            assert_eq!(both, alone, "the slice alone");
+        });
+    }
+
+    #[test]
     fn frequency_five_renders_one_in_five() {
         World::run(2, |comm| {
             let mut a = LibsimAnalysis::new(small_session(5), Path::new("/nonexistent/.visitrc"));
+            let png = a.png_handle();
+            let mut frames = 0;
             for s in 0..10 {
                 a.execute(&adaptor(comm, s), comm);
+                frames += usize::from(png.lock().take().is_some());
             }
-            assert_eq!(a.renders(), 2);
+            if comm.rank() == 0 {
+                assert_eq!(frames, 2, "steps 0 and 5 only");
+            }
         });
     }
 

@@ -8,10 +8,11 @@
 //!   describing plots — pseudocolor slices and isosurface levels — plus
 //!   image size and render frequency (AVF-LESLIE rendered every 5th
 //!   step);
-//! * a render engine driving the shared `render` stack with Libsim's
-//!   parameters: 1600×1600 images and **direct-send tree** compositing
-//!   (a different algorithm family than Catalyst, per the Fig. 6
-//!   observation);
+//! * a render engine that is `render::scene::Scene` in Libsim's
+//!   configuration: 1600×1600 images and **direct-send tree**
+//!   compositing (a different algorithm family than Catalyst, per the
+//!   Fig. 6 observation) — the same scene Catalyst configures, so the
+//!   two differ by configuration and startup cost, not by machinery;
 //! * the per-rank configuration-file check at startup whose
 //!   metadata-server serialization produced the ~3.5 s init cost at 45K
 //!   ranks called out in Fig. 5 — performed here as a real filesystem

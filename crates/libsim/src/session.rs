@@ -31,6 +31,14 @@ pub enum Plot {
     },
 }
 
+impl Plot {
+    /// The array the plot draws.
+    pub(crate) fn array(&self) -> &str {
+        let (Plot::Pseudocolor { array, .. } | Plot::Isosurface { array, .. }) = self;
+        array
+    }
+}
+
 /// A parsed session.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Session {
@@ -38,7 +46,7 @@ pub struct Session {
     pub image: (usize, usize),
     /// Render every Nth step.
     pub frequency: u64,
-    /// Plots, in order.
+    /// Plots, in order; `LibsimAnalysis` draws the first plot's array.
     pub plots: Vec<Plot>,
 }
 
@@ -171,36 +179,6 @@ impl Session {
         }
         Ok(s)
     }
-
-    /// The AVF-LESLIE session of §4.2.2: 3 isosurfaces + 3 slice planes
-    /// of vorticity magnitude, rendered every 5th step.
-    pub fn leslie_tml(array: &str) -> Session {
-        Session {
-            image: crate::DEFAULT_IMAGE,
-            frequency: 5,
-            plots: vec![
-                Plot::Isosurface {
-                    array: array.to_string(),
-                    levels: vec![0.25, 0.5, 0.75],
-                },
-                Plot::Pseudocolor {
-                    array: array.to_string(),
-                    axis: 0,
-                    index: 0,
-                },
-                Plot::Pseudocolor {
-                    array: array.to_string(),
-                    axis: 1,
-                    index: 0,
-                },
-                Plot::Pseudocolor {
-                    array: array.to_string(),
-                    axis: 2,
-                    index: 0,
-                },
-            ],
-        }
-    }
 }
 
 #[cfg(test)]
@@ -258,18 +236,5 @@ mod tests {
         assert!(matches!(e, SessionError::BadArguments { .. }));
         let e = Session::parse("frequency 0\n").unwrap_err();
         assert!(matches!(e, SessionError::BadArguments { .. }));
-    }
-
-    #[test]
-    fn leslie_session_shape() {
-        let s = Session::leslie_tml("vorticity");
-        assert_eq!(s.frequency, 5);
-        assert_eq!(s.plots.len(), 4);
-        let iso_count = s
-            .plots
-            .iter()
-            .filter(|p| matches!(p, Plot::Isosurface { levels, .. } if levels.len() == 3))
-            .count();
-        assert_eq!(iso_count, 1);
     }
 }

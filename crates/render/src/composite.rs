@@ -201,18 +201,6 @@ pub fn composite(comm: &Comm, fb: Framebuffer, which: Compositor) -> Option<Fram
     gather(comm, merge(comm, fb, which), which, height)
 }
 
-/// Binary-swap compositing, gathered: [`composite`] with
-/// [`Compositor::BinarySwap`].
-pub fn binary_swap(comm: &Comm, fb: Framebuffer) -> Option<Framebuffer> {
-    composite(comm, fb, Compositor::BinarySwap)
-}
-
-/// Direct-send tree compositing: [`composite`] with
-/// [`Compositor::DirectSendTree`].
-pub fn direct_send_tree(comm: &Comm, fb: Framebuffer, fanout: usize) -> Option<Framebuffer> {
-    composite(comm, fb, Compositor::DirectSendTree(fanout))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,7 +235,11 @@ mod tests {
     fn binary_swap_power_of_two() {
         for p in [2usize, 4, 8] {
             let out = World::run(p, move |comm| {
-                binary_swap(comm, rank_columns(comm.rank(), p, 16, 8))
+                composite(
+                    comm,
+                    rank_columns(comm.rank(), p, 16, 8),
+                    Compositor::BinarySwap,
+                )
             });
             let root = out.into_iter().next().unwrap().expect("root image");
             expect_full(&root, p);
@@ -258,7 +250,11 @@ mod tests {
     fn binary_swap_non_power_of_two() {
         for p in [3usize, 5, 6, 7] {
             let out = World::run(p, move |comm| {
-                binary_swap(comm, rank_columns(comm.rank(), p, 21, 8))
+                composite(
+                    comm,
+                    rank_columns(comm.rank(), p, 21, 8),
+                    Compositor::BinarySwap,
+                )
             });
             let mut images = out.into_iter();
             let root = images.next().unwrap().expect("root image");
@@ -269,7 +265,9 @@ mod tests {
 
     #[test]
     fn binary_swap_single_rank_identity() {
-        let out = World::run(1, |comm| binary_swap(comm, rank_columns(0, 1, 4, 4)));
+        let out = World::run(1, |comm| {
+            composite(comm, rank_columns(0, 1, 4, 4), Compositor::BinarySwap)
+        });
         assert_eq!(out[0].as_ref().unwrap().covered_pixels(), 16);
     }
 
@@ -277,7 +275,11 @@ mod tests {
     fn direct_send_tree_various_fanouts() {
         for (p, fanout) in [(5usize, 2usize), (9, 3), (16, 4), (7, 8)] {
             let out = World::run(p, move |comm| {
-                direct_send_tree(comm, rank_columns(comm.rank(), p, 16, 4), fanout)
+                composite(
+                    comm,
+                    rank_columns(comm.rank(), p, 16, 4),
+                    Compositor::DirectSendTree(fanout),
+                )
             });
             let root = out.into_iter().next().unwrap().expect("root image");
             expect_full(&root, p);
@@ -308,10 +310,18 @@ mod tests {
     #[test]
     fn algorithms_agree_exactly() {
         let bs = World::run(6, |comm| {
-            binary_swap(comm, rank_columns(comm.rank(), 6, 12, 8))
+            composite(
+                comm,
+                rank_columns(comm.rank(), 6, 12, 8),
+                Compositor::BinarySwap,
+            )
         });
         let ds = World::run(6, |comm| {
-            direct_send_tree(comm, rank_columns(comm.rank(), 6, 12, 8), 3)
+            composite(
+                comm,
+                rank_columns(comm.rank(), 6, 12, 8),
+                Compositor::DirectSendTree(3),
+            )
         });
         assert_eq!(bs[0], ds[0]);
     }
@@ -347,10 +357,18 @@ mod tests {
                     want.composite_from(&overlapping(r, p, w, h));
                 }
                 let swap = World::run(p, move |comm| {
-                    binary_swap(comm, overlapping(comm.rank(), p, w, h))
+                    composite(
+                        comm,
+                        overlapping(comm.rank(), p, w, h),
+                        Compositor::BinarySwap,
+                    )
                 });
                 let tree = World::run(p, move |comm| {
-                    direct_send_tree(comm, overlapping(comm.rank(), p, w, h), 2)
+                    composite(
+                        comm,
+                        overlapping(comm.rank(), p, w, h),
+                        Compositor::DirectSendTree(2),
+                    )
                 });
                 assert_eq!(swap[0].as_ref(), Some(&want), "swap {w}x{h} p={p}");
                 assert_eq!(tree[0].as_ref(), Some(&want), "tree {w}x{h} p={p}");
@@ -398,7 +416,11 @@ mod tests {
     fn image_too_short_for_bands_panics() {
         // 8 pot participants need >= 8 rows; give 2.
         World::run(8, |comm| {
-            binary_swap(comm, rank_columns(comm.rank(), 8, 4, 2))
+            composite(
+                comm,
+                rank_columns(comm.rank(), 8, 4, 2),
+                Compositor::BinarySwap,
+            )
         });
     }
 }

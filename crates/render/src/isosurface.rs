@@ -143,24 +143,24 @@ fn march_tet(p: [[f64; 3]; 4], v: [f64; 4], iso: f64, out: &mut Vec<Triangle>) {
     }
 }
 
-/// Surface area of a triangle soup (used to sanity-check extractions).
-pub fn surface_area(triangles: &[Triangle]) -> f64 {
-    triangles
-        .iter()
-        .map(|t| {
-            let u = [t[1][0] - t[0][0], t[1][1] - t[0][1], t[1][2] - t[0][2]];
-            let v = [t[2][0] - t[0][0], t[2][1] - t[0][1], t[2][2] - t[0][2]];
-            let cx = u[1] * v[2] - u[2] * v[1];
-            let cy = u[2] * v[0] - u[0] * v[2];
-            let cz = u[0] * v[1] - u[1] * v[0];
-            0.5 * (cx * cx + cy * cy + cz * cz).sqrt()
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Surface area of a triangle soup.
+    fn surface_area(triangles: &[Triangle]) -> f64 {
+        triangles
+            .iter()
+            .map(|t| {
+                let u = [t[1][0] - t[0][0], t[1][1] - t[0][1], t[1][2] - t[0][2]];
+                let v = [t[2][0] - t[0][0], t[2][1] - t[0][1], t[2][2] - t[0][2]];
+                let cx = u[1] * v[2] - u[2] * v[1];
+                let cy = u[2] * v[0] - u[0] * v[2];
+                let cz = u[0] * v[1] - u[1] * v[0];
+                0.5 * (cx * cx + cy * cy + cz * cz).sqrt()
+            })
+            .sum()
+    }
 
     /// Distance field from the domain center over an n³ point grid.
     fn sphere_field(n: usize) -> (Extent, Vec<f64>) {

@@ -22,7 +22,9 @@
 //!   zlib cost on rank 0 is the effect behind the paper's Table 2
 //!   finding, so it has to be real, measurable code; the adaptors
 //!   spend it on every rank instead ([`png::PngEncoder`]: the same
-//!   file, deflated in bands where the composited rows already are).
+//!   file, deflated in bands where the composited rows already are);
+//! * [`scene`] — one in situ frame from those pieces, which both
+//!   infrastructure crates configure instead of assembling their own.
 
 pub mod camera;
 pub mod color;
@@ -33,6 +35,7 @@ pub mod isosurface;
 pub mod pipeline;
 pub mod png;
 pub mod raster;
+pub mod scene;
 pub mod slice;
 
 pub use camera::Camera;

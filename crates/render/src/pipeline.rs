@@ -1,13 +1,14 @@
 //! End-to-end distributed render pipelines: extract → rasterize locally
 //! → composite in parallel. These are the building blocks the
 //! infrastructure crates (`catalyst`, `libsim`) configure differently
-//! (image sizes, compositor family), per §4.1.3.
+//! (image sizes, compositor family), per §4.1.3, through [`crate::scene::Scene`].
 //!
 //! Each pipeline comes gathered ([`pseudocolor_slice`],
 //! [`shaded_isosurface`]: the image on rank 0) and as bands
-//! ([`pseudocolor_slice_bands`], [`shaded_isosurface_bands`]: every
-//! rank keeps the rows the compositor left it, for
-//! [`crate::png::PngEncoder`], and draws into last frame's buffer).
+//! ([`pseudocolor_slice_bands`], [`shaded_isosurface_bands`]: over a
+//! range taken once per frame, every rank keeps the rows the compositor
+//! left it, for [`crate::png::PngEncoder`], and draws into last frame's
+//! buffer).
 
 use datamodel::Extent;
 use minimpi::Comm;
@@ -74,27 +75,28 @@ pub fn pseudocolor_slice(
     values: &[f64],
     cfg: &SliceRender,
 ) -> Option<Framebuffer> {
-    let held = pseudocolor_slice_bands(comm, local, global, values, cfg, None);
+    let range = global_range(comm, values);
+    let held = pseudocolor_slice_bands(comm, local, global, values, cfg, range, None);
     gather(comm, held, cfg.compositor, cfg.height)
 }
 
-/// [`pseudocolor_slice`] without the gather: drawn into `kept` (last
-/// frame's buffer, if the caller has one of the size) and composited up
-/// to where `composite::merge` stops. A rank gets back the buffer it still
-/// holds, final in the rows `cfg.compositor` leaves it.
+/// [`pseudocolor_slice`] without the gather, coloured over `range`:
+/// drawn into `kept` (last frame's buffer, if the caller has one of the
+/// size) and composited up to where `composite::merge` stops. A rank
+/// gets back the buffer it still holds, final in the rows
+/// `cfg.compositor` leaves it.
 pub fn pseudocolor_slice_bands(
     comm: &Comm,
     local: &Extent,
     global: &Extent,
     values: &[f64],
     cfg: &SliceRender,
+    range: (f64, f64),
     kept: Option<Framebuffer>,
 ) -> Option<Framebuffer> {
-    let (glo, ghi) = global_range(comm, values);
-
     let mut fb = Framebuffer::recycle(kept, cfg.width, cfg.height);
     if let Some(slice) = extract_plane(local, global, values, cfg.axis, cfg.global_index) {
-        render_plane(&mut fb, &slice, &cfg.cmap, (glo, ghi));
+        render_plane(&mut fb, &slice, &cfg.cmap, range);
     }
     merge(comm, fb, cfg.compositor)
 }
@@ -128,21 +130,21 @@ pub fn shaded_isosurface(
     values: &[f64],
     cfg: &IsosurfaceRender,
 ) -> Option<Framebuffer> {
-    let held = shaded_isosurface_bands(comm, local, values, cfg, None);
+    let range = global_range(comm, values);
+    let held = shaded_isosurface_bands(comm, local, values, cfg, range, None);
     gather(comm, held, cfg.compositor, cfg.height)
 }
 
-/// [`shaded_isosurface`] without the gather, drawn into `kept`: see
-/// [`pseudocolor_slice_bands`].
+/// [`shaded_isosurface`] without the gather, coloured over `range` and
+/// drawn into `kept`: see [`pseudocolor_slice_bands`].
 pub fn shaded_isosurface_bands(
     comm: &Comm,
     local: &Extent,
     values: &[f64],
     cfg: &IsosurfaceRender,
+    (glo, ghi): (f64, f64),
     kept: Option<Framebuffer>,
 ) -> Option<Framebuffer> {
-    let (glo, ghi) = global_range(comm, values);
-
     let mut fb = Framebuffer::recycle(kept, cfg.width, cfg.height);
     let light = normalize([0.4, 0.5, -0.8]);
     for &iso in &cfg.isovalues {
@@ -290,12 +292,16 @@ mod tests {
                 global_index: 7,
                 ..cfg.clone()
             };
-            let mut kept = pseudocolor_slice_bands(comm, &local, &global, &vals, &other, None);
+            let range = global_range(comm, &vals);
+            let bands = |cfg: &SliceRender, kept| {
+                pseudocolor_slice_bands(comm, &local, &global, &vals, cfg, range, kept)
+            };
+            let mut kept = bands(&other, None);
             if let Some(fb) = &mut kept {
                 fb.depth.fill(-1.0); // in front of anything a slice draws
             }
-            let again = pseudocolor_slice_bands(comm, &local, &global, &vals, &cfg, kept);
-            let fresh = pseudocolor_slice_bands(comm, &local, &global, &vals, &cfg, None);
+            let again = bands(&cfg, kept);
+            let fresh = bands(&cfg, None);
             (again, fresh)
         });
         for (again, fresh) in held {

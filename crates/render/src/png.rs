@@ -216,11 +216,8 @@ impl PngEncoder {
     /// the gather ([`crate::pipeline::pseudocolor_slice_bands`]): a
     /// buffer whose rows `which` assigns to the rank are final, or
     /// nothing. The bytes are those of [`encode_framebuffer`] on the
-    /// gathered image.
-    ///
-    /// `Mode::Fixed` deflates in up to `comm.size()` bands of at least
-    /// `MIN_BAND` (256 KiB); `Mode::Stored` is one band, the scanlines
-    /// gathered to rank 0.
+    /// gathered image in `Mode::Fixed`, deflated in up to `comm.size()`
+    /// bands of at least `MIN_BAND` (256 KiB).
     ///
     /// # Panics
     /// Panics if a rank that owns rows passes no buffer, or one of
@@ -232,14 +229,10 @@ impl PngEncoder {
         held: Option<&Framebuffer>,
         which: Compositor,
         background: Color,
-        mode: Mode,
     ) -> Option<Vec<u8>> {
         let (p, me) = (comm.size(), comm.rank());
         let stride = stride(width);
-        let bands = match mode {
-            Mode::Stored => 1,
-            Mode::Fixed => (height / MIN_BAND.div_ceil(stride)).clamp(1, p),
-        };
+        let bands = (height / MIN_BAND.div_ceil(stride)).clamp(1, p);
         // Band `k`, and the rows whose scanlines its parse reads: its
         // own, those holding the `WINDOW` bytes before it and those
         // holding the `MAX_MATCH` after.
@@ -317,7 +310,7 @@ impl PngEncoder {
         }
         Some(file(width, height, |out| {
             if bands == 1 {
-                return zlib_serial(out, fixed, n, assemble, mode);
+                return zlib_serial(out, fixed, n, assemble, Mode::Fixed);
             }
             let mut raw = vec![0; n];
             assemble(&mut raw);
@@ -530,28 +523,23 @@ mod tests {
 
     /// The collective's file on `p` ranks, twice through one encoder,
     /// against `encode_framebuffer` of the gathered image.
-    fn assert_collective_is_serial(
-        which: Compositor,
-        p: usize,
-        (w, h): (usize, usize),
-        mode: Mode,
-    ) {
+    fn assert_collective_is_serial(which: Compositor, p: usize, (w, h): (usize, usize)) {
         let background = Color::rgb(250, 240, 230);
         let out = World::run(p, move |comm| {
             let mut encoder = PngEncoder::default();
             let files: Vec<_> = (0..2)
                 .map(|_| {
                     let held = merge(comm, layer(comm.rank(), p, w, h), which);
-                    encoder.encode(comm, (w, h), held.as_ref(), which, background, mode)
+                    encoder.encode(comm, (w, h), held.as_ref(), which, background)
                 })
                 .collect();
             let gathered = composite(comm, layer(comm.rank(), p, w, h), which);
             (
                 files,
-                gathered.map(|fb| encode_framebuffer(&fb, background, mode)),
+                gathered.map(|fb| encode_framebuffer(&fb, background, Mode::Fixed)),
             )
         });
-        let what = format!("{which:?} p={p} {w}x{h} {mode:?}");
+        let what = format!("{which:?} p={p} {w}x{h}");
         let mut ranks = out.into_iter();
         let (files, serial) = ranks.next().expect("rank 0");
         let serial = serial.expect("rank 0 holds the gathered image");
@@ -578,7 +566,7 @@ mod tests {
         for size in [(64, 64), (512, 512)] {
             for which in COMPOSITORS {
                 for p in 1..=8 {
-                    assert_collective_is_serial(which, p, size, Mode::Fixed);
+                    assert_collective_is_serial(which, p, size);
                 }
             }
         }
@@ -594,7 +582,7 @@ mod tests {
         let size = (40, 8 * 2167 + 5);
         for which in COMPOSITORS {
             for p in [3, 5, 8] {
-                assert_collective_is_serial(which, p, size, Mode::Fixed);
+                assert_collective_is_serial(which, p, size);
             }
         }
         let swap = |r| Compositor::BinarySwap.owned_rows(8, r, size.1);
@@ -605,26 +593,10 @@ mod tests {
     }
 
     #[test]
-    fn collective_stored_mode_gathers_scanlines_to_the_root() {
-        for which in COMPOSITORS {
-            for p in [1, 2, 3, 6, 8] {
-                assert_collective_is_serial(which, p, (512, 512), Mode::Stored);
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "holds their buffer")]
     fn owner_without_a_buffer_panics() {
         World::run(1, |comm| {
-            PngEncoder::default().encode(
-                comm,
-                (4, 4),
-                None,
-                Compositor::BinarySwap,
-                Color::WHITE,
-                Mode::Fixed,
-            )
+            PngEncoder::default().encode(comm, (4, 4), None, Compositor::BinarySwap, Color::WHITE)
         });
     }
 

@@ -102,17 +102,6 @@ impl LocalSlice {
     pub fn value(&self, u: usize, v: usize) -> f64 {
         self.values[v * self.nu() + u]
     }
-
-    /// Local min/max (NaN-free slices assumed).
-    pub fn range(&self) -> (f64, f64) {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for &v in &self.values {
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        (lo, hi)
-    }
 }
 
 /// Pseudocolor this rank's slice piece into `fb`, mapping the **global**
@@ -190,9 +179,8 @@ mod tests {
                 assert_eq!(s.value(u, v), (u + 10 * v + 100) as f64);
             }
         }
-        let (lo, hi) = s.range();
-        assert_eq!(lo, 100.0);
-        assert_eq!(hi, 134.0);
+        assert_eq!(s.values.iter().copied().reduce(f64::min), Some(100.0));
+        assert_eq!(s.values.iter().copied().reduce(f64::max), Some(134.0));
     }
 
     #[test]

@@ -231,25 +231,57 @@ pub fn leaf_views<'a>(
     Ok(out)
 }
 
-/// Why an analysis could not read its field (missing array, wrong
-/// memory space): kept for [`AnalysisAdaptor::take_failures`] the first
-/// time only — the same cause every step would flood the failure log.
+/// Why an analysis could not do its work (missing array, wrong memory
+/// space, a file it could not write): kept for
+/// [`AnalysisAdaptor::take_failures`] the first time only — the same
+/// cause every step would flood the failure log.
 #[derive(Default)]
-pub(crate) struct ReportOnce {
+pub struct ReportOnce {
     pending: Vec<String>,
     reported: bool,
 }
 
 impl ReportOnce {
-    pub(crate) fn report(&mut self, cause: impl std::fmt::Display) {
+    /// Keep `cause` if it is the first one.
+    pub fn report(&mut self, cause: impl std::fmt::Display) {
         if !std::mem::replace(&mut self.reported, true) {
             self.pending.push(cause.to_string());
         }
     }
 
-    pub(crate) fn take(&mut self) -> Vec<String> {
+    /// Drain what was kept, for [`AnalysisAdaptor::take_failures`].
+    pub fn take(&mut self) -> Vec<String> {
         std::mem::take(&mut self.pending)
     }
+}
+
+/// Run `f` on this rank's block of point array `array` — the first
+/// structured leaf carrying it, read in place inside a publish window
+/// named `endpoint` — or on `None`, the cause going to `failures`, where
+/// the rank has no such leaf or cannot read it: what an infrastructure
+/// does with a field is collective, so `f` runs either way.
+pub fn with_point_field<R>(
+    data: &dyn DataAdaptor,
+    array: &str,
+    endpoint: &str,
+    failures: &mut ReportOnce,
+    f: impl FnOnce(Option<(datamodel::Structured<'_>, &[f64])>) -> R,
+) -> R {
+    let mut mesh = data.mesh();
+    if let Err(err) = data.add_array(&mut mesh, Association::Point, array) {
+        failures.report(err);
+        return f(None);
+    }
+    let _publish = datamodel::publish_dataset(&mesh, endpoint);
+    // Space-checked: a device-resident array is a failure, not a copy.
+    let views = leaf_views(&mesh, Association::Point, array).unwrap_or_else(|err| {
+        failures.report(format!("{endpoint}: {err}"));
+        Vec::new()
+    });
+    let field = views
+        .iter()
+        .find_map(|v| Some((v.geometry?, &v.values[..])));
+    f(field)
 }
 
 /// The step's analysis mesh with `array` attached, plus the producer's

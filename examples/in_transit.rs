@@ -63,7 +63,7 @@ fn main() {
                 let mut pipe = catalyst::SlicePipeline::new("data", 2, 12);
                 pipe.width = 480;
                 pipe.height = 360;
-                pipe.output = catalyst::SliceOutput::Directory(std::path::PathBuf::from("results"));
+                pipe.output = Some(std::path::PathBuf::from("results"));
                 pipe.frequency = 6;
                 if sub.rank() == 0 {
                     std::fs::create_dir_all("results").expect("results dir");

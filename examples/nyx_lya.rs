@@ -32,7 +32,7 @@ fn main() {
         pipe.width = 480;
         pipe.height = 480;
         pipe.frequency = 4;
-        pipe.output = catalyst::SliceOutput::Directory(std::path::PathBuf::from("results"));
+        pipe.output = Some(std::path::PathBuf::from("results"));
         let mut bridge = Bridge::new();
         bridge.register(Box::new(hist));
         bridge.register(Box::new(catalyst::CatalystSliceAnalysis::new(pipe)));

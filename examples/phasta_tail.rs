@@ -76,7 +76,9 @@ fn main() {
                     .collect();
                 fill_triangle(&mut fb, vs[0], vs[1], vs[2]);
             }
-            if let Some(final_fb) = render::composite::binary_swap(comm, fb) {
+            if let Some(final_fb) =
+                render::composite::composite(comm, fb, render::composite::Compositor::BinarySwap)
+            {
                 let png = encode_framebuffer(&final_fb, Color::WHITE, Mode::Fixed);
                 let path = format!("results/phasta_{step:03}.png");
                 std::fs::write(&path, png).expect("write png");

@@ -36,7 +36,7 @@ fn main() {
         let mut slice = catalyst::SlicePipeline::new("data", 2, 16);
         slice.width = 640;
         slice.height = 480;
-        slice.output = catalyst::SliceOutput::Directory(std::path::PathBuf::from("results"));
+        slice.output = Some(std::path::PathBuf::from("results"));
         slice.frequency = 10;
         let catalyst_analysis = catalyst::CatalystSliceAnalysis::new(slice);
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Regenerate the golden render digests (tests/golden/render_digests.json:
-# the two framebuffers, and the bytes of their Catalyst- and Libsim-style
-# PNG files) after an intentional rendering or PNG-encoder change.
+# the two framebuffers, the bytes of their Catalyst- and Libsim-style
+# PNG files, and the files the two adaptors write) after an intentional
+# rendering or PNG-encoder change.
 # Inspect the diff, then commit the new goldens together with the change
 # that caused them. A change in the *_png entries alone means the
 # encoder's bytes moved, which its byte-identity contract forbids unless

@@ -52,13 +52,14 @@ if grep -rnE 'with_threads|step_with_threads' crates tests examples src; then
     exit 1
 fi
 
-echo "==> adaptors encode collectively"
-# Every rank deflates the rows it holds (render::png::PngEncoder); an
-# adaptor that calls the one-rank entry point has gone back to gathering
-# the image and encoding it alone on the root.
+echo "==> one render driver"
+# Catalyst and Libsim are two configurations of render::scene::Scene,
+# which takes the range, draws, composites and encodes collectively; an
+# adaptor naming one of those pieces is assembling a frame of its own.
 for f in crates/{catalyst,libsim}/src/*.rs; do
-    if awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$f" | grep 'encode_framebuffer('; then
-        echo "tier1: encode_framebuffer( in an adaptor's product code" >&2
+    if awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$f" |
+        grep -E 'PngEncoder|global_range|pseudocolor_slice_bands|shaded_isosurface_bands|encode_framebuffer'; then
+        echo "tier1: an adaptor's product code drives the render stack itself" >&2
         exit 1
     fi
 done
