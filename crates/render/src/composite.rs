@@ -7,7 +7,17 @@
 //! * binary swap — log₂p rounds; partners exchange half their current
 //!   span and composite the half they keep (Catalyst-like);
 //! * direct-send tree — a fan-in tree of configurable arity; each
-//!   parent composites its children's full images (Libsim-like).
+//!   parent composites its children's images (Libsim-like).
+//!
+//! What travels is never an image: a rank sends the part of its drawn
+//! rectangle inside the rows it gives away (a `Patch`; a header alone
+//! when it drew nothing there), and the receiver depth-merges that
+//! patch only. Every pixel outside the rectangle is clear and loses to
+//! anything, so the result is the full-frame merge's, bit for bit. A
+//! swap partner copies its rectangle out; a rank that gives its buffer
+//! up (a folded rank, a tree child) hands the buffer over inside the
+//! patch, and only the rectangle is read. Each patch sent counts on the
+//! comm's probe under `render/composite`: one message, 8 B a pixel.
 //!
 //! Compositing is two steps. `merge` runs the algorithm and stops
 //! where the finished pixels are: binary swap leaves each rank of the
@@ -25,7 +35,7 @@ use std::ops::Range;
 
 use minimpi::Comm;
 
-use crate::framebuffer::Framebuffer;
+use crate::framebuffer::{Framebuffer, Patch};
 
 /// Tag space for compositing traffic.
 const TAG_FOLD: u32 = 0x434F_0001;
@@ -49,47 +59,51 @@ fn halve(lo: usize, hi: usize, keep_low: bool) -> (Range<usize>, Range<usize>) {
     }
 }
 
+/// Send `patch`, counted under `render/composite`.
+fn send_patch(comm: &Comm, dest: usize, tag: u32, patch: Patch) {
+    comm.probe()
+        .message("render/composite", 8 * patch.pixels() as u64);
+    comm.send(dest, tag, patch);
+}
+
+/// Depth-merge the patch `src` sends into `fb`.
+fn merge_patch_from(comm: &Comm, src: usize, tag: u32, fb: &mut Framebuffer) {
+    let patch: Patch = comm.recv(src, tag);
+    fb.merge(&patch);
+}
+
 /// Binary-swap merge. Works for any rank count: ranks beyond the
 /// largest power of two fold their image into a partner first.
 fn binary_swap_merge(comm: &Comm, mut fb: Framebuffer) -> Option<Framebuffer> {
     let p = comm.size();
     let me = comm.rank();
     let pot = swap_group(p);
+    let height = fb.height();
     assert!(
-        fb.height() >= pot,
-        "image height {} shorter than {} binary-swap bands",
-        fb.height(),
-        pot
+        height >= pot,
+        "image height {height} shorter than {pot} binary-swap bands"
     );
 
-    // Fold phase: ranks >= pot ship their full image to rank - pot.
+    // Fold phase: ranks >= pot ship their whole image to rank - pot.
     if me >= pot {
-        comm.send(me - pot, TAG_FOLD, fb);
+        send_patch(comm, me - pot, TAG_FOLD, fb.into_patch(0..height));
         return None;
     }
     if me + pot < p {
-        let other: Framebuffer = comm.recv(me + pot, TAG_FOLD);
-        fb.composite_from(&other);
+        merge_patch_from(comm, me + pot, TAG_FOLD, &mut fb);
     }
 
     // Swap phase over the power-of-two group. The rows given away hold
-    // stale pixels from here on.
-    let (mut lo, mut hi) = (0, fb.height());
+    // stale pixels from here on (inside the drawn rectangle, so the
+    // next clear re-arms them).
+    let mut rows = 0..height;
     let mut bit = pot >> 1;
     while bit > 0 {
         let partner = me ^ bit;
-        let (keep, give) = halve(lo, hi, me & bit == 0);
-        let outgoing = fb.extract_rows(give.start, give.end);
-        comm.send(partner, TAG_SWAP, (give.start, outgoing));
-        let (their_lo, their_band): (usize, Framebuffer) = comm.recv(partner, TAG_SWAP);
-        debug_assert_eq!(their_lo, keep.start);
-        assert_eq!(
-            their_band.height(),
-            keep.len(),
-            "swap: band height mismatch"
-        );
-        fb.composite_rows_from(keep.start, &their_band);
-        (lo, hi) = (keep.start, keep.end);
+        let (keep, give) = halve(rows.start, rows.end, me & bit == 0);
+        send_patch(comm, partner, TAG_SWAP, fb.patch(give));
+        merge_patch_from(comm, partner, TAG_SWAP, &mut fb);
+        rows = keep;
         bit >>= 1;
     }
     Some(fb)
@@ -106,15 +120,14 @@ fn direct_send_tree_merge(comm: &Comm, mut fb: Framebuffer, fanout: usize) -> Op
     for c in 1..=fanout {
         let child = me * fanout + c;
         if child < p {
-            let theirs: Framebuffer = comm.recv(child, TAG_TREE);
-            fb.composite_from(&theirs);
+            merge_patch_from(comm, child, TAG_TREE, &mut fb);
         }
     }
     if me == 0 {
         Some(fb)
     } else {
-        let parent = (me - 1) / fanout;
-        comm.send(parent, TAG_TREE, fb);
+        let height = fb.height();
+        send_patch(comm, (me - 1) / fanout, TAG_TREE, fb.into_patch(0..height));
         None
     }
 }
@@ -204,8 +217,12 @@ pub fn composite(comm: &Comm, fb: Framebuffer, which: Compositor) -> Option<Fram
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::color::Color;
-    use minimpi::World;
+    use crate::color::{Color, Colormap};
+    use crate::pipeline::{pseudocolor_slice, SliceRender};
+    use crate::slice::{extract_plane, plane_axes, render_plane};
+    use datamodel::{dims_create, partition_extent, Extent};
+    use minimpi::{SchedPolicy, World, WorldBuilder};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     /// Each rank paints one column at depth = rank (so rank 0's pixels
     /// are in front where columns collide).
@@ -326,14 +343,16 @@ mod tests {
         assert_eq!(bs[0], ds[0]);
     }
 
-    /// Every rank paints every pixel, at a depth that makes a
-    /// different rank the closest from pixel to pixel: each pixel of
+    type Drawn = (Range<usize>, Range<usize>);
+
+    /// Every rank paints every pixel of `drawn`, at a depth that makes
+    /// a different rank the closest from pixel to pixel: each pixel of
     /// the result is decided by the merge order-independently, and a
     /// row merged into the wrong place or left stale shows.
-    fn overlapping(rank: usize, p: usize, w: usize, h: usize) -> Framebuffer {
+    fn overlapping(rank: usize, p: usize, (w, h): (usize, usize), drawn: &Drawn) -> Framebuffer {
         let mut fb = Framebuffer::new(w, h);
-        for y in 0..h {
-            for x in 0..w {
+        for y in drawn.1.clone() {
+            for x in drawn.0.clone() {
                 let front = (3 * x + 5 * y) % p;
                 let z = ((rank + p - front) % p) as f32 + 0.25;
                 // A few holes, so transparency takes part too.
@@ -345,34 +364,78 @@ mod tests {
         fb
     }
 
+    /// Where each of `p` ranks draws in case `case`: the whole image;
+    /// nothing on every third rank; a strip straddling the first
+    /// halving cut (even ranks) or the second (odd ones); rectangles at
+    /// random, empty ones among them.
+    fn drawn_rects(case: usize, p: usize, (w, h): (usize, usize)) -> Vec<Drawn> {
+        let mut rng = StdRng::seed_from_u64((case * 1000 + p * 100 + w * h) as u64);
+        let mut span = |n: usize| {
+            let (a, b) = (rng.gen_range(0..n + 1), rng.gen_range(0..n + 1));
+            a.min(b)..a.max(b)
+        };
+        (0..p)
+            .map(|r| match case {
+                0 => (0..w, 0..h),
+                1 if r % 3 == 1 => (0..0, 0..0),
+                1 => (0..w, 0..h),
+                2 => {
+                    let cut = if r % 2 == 0 { h / 2 } else { h / 4 };
+                    (r % w..w, cut.saturating_sub(1)..(cut + 1).min(h))
+                }
+                _ => (span(w), span(h)),
+            })
+            .collect()
+    }
+
+    /// The one-rank image by the full-frame rule: every pixel of every
+    /// layer, in rank order, kept where it is closer (depths never tie).
+    fn full_frame(
+        layers: impl Iterator<Item = Framebuffer>,
+        (w, h): (usize, usize),
+    ) -> Framebuffer {
+        let mut want = Framebuffer::new(w, h);
+        for fb in layers {
+            for y in 0..h {
+                for x in 0..w {
+                    if fb.pixel(x, y).a != 0 {
+                        want.set_pixel(x, y, fb.depth()[y * w + x], fb.pixel(x, y));
+                    }
+                }
+            }
+        }
+        want
+    }
+
     #[test]
     fn in_place_swap_equals_tree_and_one_rank_image() {
         // Odd heights where the halving rounds, a height equal to the
         // band count, and the benchmark's even split.
-        for (w, h) in [(21usize, 13usize), (5, 8), (16, 11), (12, 64)] {
+        for size in [(21usize, 13usize), (5, 8), (16, 11), (12, 64)] {
             for p in 1usize..=8 {
-                // The one-rank image: all p layers merged serially.
-                let mut want = overlapping(0, p, w, h);
-                for r in 1..p {
-                    want.composite_from(&overlapping(r, p, w, h));
+                for case in 0..4 {
+                    let drawn = drawn_rects(case, p, size);
+                    let layers = (0..p).map(|r| overlapping(r, p, size, &drawn[r]));
+                    let want = full_frame(layers, size);
+                    let run = |which| {
+                        let drawn = drawn.clone();
+                        World::run(p, move |comm| {
+                            let me = comm.rank();
+                            composite(comm, overlapping(me, p, size, &drawn[me]), which)
+                        })
+                    };
+                    let (swap, tree) = (
+                        run(Compositor::BinarySwap),
+                        run(Compositor::DirectSendTree(2)),
+                    );
+                    let what = format!("{size:?} p={p} drawn {drawn:?}");
+                    assert_eq!(swap[0].as_ref(), Some(&want), "swap {what}");
+                    assert_eq!(tree[0].as_ref(), Some(&want), "tree {what}");
+                    assert!(swap[1..].iter().all(Option::is_none));
+                    for fb in swap.iter().chain(&tree).flatten() {
+                        fb.assert_clear_outside_drawn();
+                    }
                 }
-                let swap = World::run(p, move |comm| {
-                    composite(
-                        comm,
-                        overlapping(comm.rank(), p, w, h),
-                        Compositor::BinarySwap,
-                    )
-                });
-                let tree = World::run(p, move |comm| {
-                    composite(
-                        comm,
-                        overlapping(comm.rank(), p, w, h),
-                        Compositor::DirectSendTree(2),
-                    )
-                });
-                assert_eq!(swap[0].as_ref(), Some(&want), "swap {w}x{h} p={p}");
-                assert_eq!(tree[0].as_ref(), Some(&want), "tree {w}x{h} p={p}");
-                assert!(swap[1..].iter().all(Option::is_none));
             }
         }
     }
@@ -380,34 +443,230 @@ mod tests {
     #[test]
     fn merge_leaves_each_rank_the_rows_it_is_said_to_own() {
         for which in [Compositor::BinarySwap, Compositor::DirectSendTree(3)] {
-            for (w, h) in [(21usize, 13usize), (5, 8), (12, 64)] {
+            for size @ (_, h) in [(21usize, 13usize), (5, 8), (12, 64)] {
                 for p in 1usize..=8 {
-                    let mut want = overlapping(0, p, w, h);
-                    for r in 1..p {
-                        want.composite_from(&overlapping(r, p, w, h));
-                    }
-                    let held = World::run(p, move |comm| {
-                        merge(comm, overlapping(comm.rank(), p, w, h), which)
-                    });
-                    // The owned ranges tile the image, in some order.
-                    let mut rows: Vec<_> = (0..p).map(|r| which.owned_rows(p, r, h)).collect();
-                    for (r, (held, rows)) in held.iter().zip(&rows).enumerate() {
-                        assert_eq!(held.is_none(), rows.is_empty(), "{which:?} p={p} rank {r}");
-                        if let Some(fb) = held {
-                            assert_eq!(
-                                fb.extract_rows(rows.start, rows.end),
-                                want.extract_rows(rows.start, rows.end),
-                                "{which:?} {w}x{h} p={p} rank {r} rows {rows:?}"
-                            );
+                    for case in 0..4 {
+                        let drawn = drawn_rects(case, p, size);
+                        let layers = (0..p).map(|r| overlapping(r, p, size, &drawn[r]));
+                        let want = full_frame(layers, size);
+                        let held = {
+                            let drawn = drawn.clone();
+                            World::run(p, move |comm| {
+                                let me = comm.rank();
+                                merge(comm, overlapping(me, p, size, &drawn[me]), which)
+                            })
+                        };
+                        // The owned ranges tile the image, in some order.
+                        let mut rows: Vec<_> = (0..p).map(|r| which.owned_rows(p, r, h)).collect();
+                        for (r, (held, rows)) in held.iter().zip(&rows).enumerate() {
+                            let what = format!("{which:?} {size:?} p={p} rank {r} rows {rows:?}");
+                            assert_eq!(held.is_none(), rows.is_empty(), "{what}");
+                            if let Some(fb) = held {
+                                fb.assert_clear_outside_drawn();
+                                assert_eq!(
+                                    fb.extract_rows(rows.start, rows.end),
+                                    want.extract_rows(rows.start, rows.end),
+                                    "{what} drawn {drawn:?}"
+                                );
+                            }
                         }
+                        rows.retain(|r| !r.is_empty());
+                        rows.sort_by_key(|r| r.start);
+                        assert_eq!(rows.first().map(|r| r.start), Some(0));
+                        assert_eq!(rows.last().map(|r| r.end), Some(h));
+                        assert!(rows.windows(2).all(|w| w[0].end == w[1].start));
                     }
-                    rows.retain(|r| !r.is_empty());
-                    rows.sort_by_key(|r| r.start);
-                    assert_eq!(rows.first().map(|r| r.start), Some(0));
-                    assert_eq!(rows.last().map(|r| r.end), Some(h));
-                    assert!(rows.windows(2).all(|w| w[0].end == w[1].start));
                 }
             }
+        }
+    }
+
+    /// The pixels `0..n` whose centre lies in `[a, b)`: `fill_rect`'s
+    /// rule, restated.
+    fn centred(a: f64, b: f64, n: usize) -> Range<usize> {
+        let inside = |p: &usize| (a..b).contains(&(*p as f64 + 0.5));
+        let first = (0..n).find(inside);
+        first.map_or(0..0, |start| start..(0..n).rfind(inside).unwrap() + 1)
+    }
+
+    /// The rectangle `local` projects to in a `w`×`h` image of the
+    /// plane `axis = index` (`render_plane` maps the global plane onto
+    /// the whole image, v up), or nothing if the block misses the plane.
+    fn projected(
+        local: &Extent,
+        global: &Extent,
+        axis: usize,
+        index: i64,
+        w: usize,
+        h: usize,
+    ) -> Drawn {
+        if !(local.lo[axis]..=local.hi[axis]).contains(&index) {
+            return (0..0, 0..0);
+        }
+        let (ua, va) = plane_axes(axis);
+        let scale = |a: usize, n: usize| n as f64 / (global.hi[a] - global.lo[a]) as f64;
+        let x = |u: i64| (u - global.lo[ua]) as f64 * scale(ua, w);
+        let y = |v: i64| h as f64 - (v - global.lo[va]) as f64 * scale(va, h);
+        let cols = centred(x(local.lo[ua]), x(local.hi[ua]), w);
+        let rows = centred(y(local.hi[va]), y(local.lo[va]), h);
+        (cols, rows)
+    }
+
+    fn area((cols, rows): &Drawn) -> u64 {
+        (cols.len() * rows.len()) as u64
+    }
+
+    /// The bounding box of two rectangles, either of them empty.
+    fn bbox(a: &Drawn, b: &Drawn) -> Drawn {
+        match (area(a), area(b)) {
+            (_, 0) => a.clone(),
+            (0, _) => b.clone(),
+            _ => (
+                a.0.start.min(b.0.start)..a.0.end.max(b.0.end),
+                a.1.start.min(b.1.start)..a.1.end.max(b.1.end),
+            ),
+        }
+    }
+
+    /// `(messages, bytes)` of `render/composite` each rank sends, from
+    /// the ranks' projected rectangles alone: a patch is what the
+    /// sender has covered so far, cut to the rows it sends, at 8 B/px.
+    fn predicted(which: Compositor, mut covered: Vec<Drawn>, h: usize) -> Vec<(u64, u64)> {
+        let p = covered.len();
+        let mut sent = vec![(0, 0); p];
+        let mut send = |from: usize, patch: &Drawn| {
+            sent[from].0 += 1;
+            sent[from].1 += 8 * area(patch);
+        };
+        match which {
+            Compositor::BinarySwap => {
+                let pot = swap_group(p);
+                for r in pot..p {
+                    send(r, &covered[r]);
+                    covered[r - pot] = bbox(&covered[r - pot], &covered[r]);
+                }
+                let mut spans = vec![0..h; pot];
+                let mut bit = pot >> 1;
+                while bit > 0 {
+                    let patches: Vec<Drawn> = (0..pot)
+                        .map(|r| {
+                            let (keep, give) = halve(spans[r].start, spans[r].end, r & bit == 0);
+                            spans[r] = keep;
+                            let (cols, rows) = &covered[r];
+                            let start = rows.start.max(give.start);
+                            (cols.clone(), start..rows.end.min(give.end).max(start))
+                        })
+                        .collect();
+                    for (r, patch) in patches.iter().enumerate() {
+                        send(r, patch);
+                        covered[r] = bbox(&covered[r], &patches[r ^ bit]);
+                    }
+                    bit >>= 1;
+                }
+            }
+            Compositor::DirectSendTree(fanout) => {
+                for r in (1..p).rev() {
+                    send(r, &covered[r]);
+                    let parent = (r - 1) / fanout;
+                    covered[parent] = bbox(&covered[parent], &covered[r]);
+                }
+            }
+        }
+        sent
+    }
+
+    /// Compositing traffic, counted: the probe's `render/composite`
+    /// messages and bytes on every rank of a seeded run equal what the
+    /// ranks' extents and the image size predict, under both
+    /// compositors, with ranks whose block misses the plane among them.
+    /// Returns the ranks that drew something.
+    fn slice_traffic(
+        p: usize,
+        points: [usize; 3],
+        axis: usize,
+        index: i64,
+        which: Compositor,
+    ) -> usize {
+        let (w, h) = (40, 64);
+        let global = Extent::whole(points);
+        let out = WorldBuilder::new(p)
+            .sched(SchedPolicy::Seeded(p as u64))
+            .run(move |comm| {
+                comm.attach_probe(probe::enabled());
+                let local = partition_extent(&global, dims_create(p), comm.rank());
+                let values: Vec<f64> = local
+                    .iter_points()
+                    .map(|q| (q[0] + 2 * q[1] + 3 * q[2]) as f64)
+                    .collect();
+                let cfg = SliceRender {
+                    axis,
+                    global_index: index,
+                    width: w,
+                    height: h,
+                    compositor: which,
+                    cmap: Colormap::cool_warm(),
+                };
+                pseudocolor_slice(comm, &local, &global, &values, &cfg);
+                let snapshot = comm.probe().snapshot();
+                let counted = snapshot
+                    .counters
+                    .iter()
+                    .find(|c| c.name == "render/composite");
+                // What this rank draws before compositing.
+                let mut fb = Framebuffer::new(w, h);
+                if let Some(piece) = extract_plane(&local, &global, &values, axis, index) {
+                    render_plane(&mut fb, &piece, &cfg.cmap, (0.0, 1.0));
+                }
+                let drawn = fb.drawn().clone();
+                let drawn = (drawn.cols, drawn.rows);
+                (
+                    counted.map_or((0, 0), |c| (c.messages, c.bytes)),
+                    drawn,
+                    local,
+                )
+            });
+        let rects: Vec<Drawn> = out
+            .iter()
+            .map(|(_, _, local)| projected(local, &global, axis, index, w, h))
+            .collect();
+        for (r, ((_, drawn, _), rect)) in out.iter().zip(&rects).enumerate() {
+            assert_eq!(
+                drawn, rect,
+                "p={p} rank {r}: the drawn rectangle is the projection"
+            );
+        }
+        let counted: Vec<(u64, u64)> = out.iter().map(|(c, _, _)| *c).collect();
+        let what = format!("{which:?} p={p} {points:?} axis {axis} index {index}");
+        assert_eq!(counted, predicted(which, rects.clone(), h), "{what}");
+        rects.iter().filter(|r| area(r) > 0).count()
+    }
+
+    #[test]
+    fn composite_bytes_are_the_projected_rectangles_at_1_to_8_ranks() {
+        let points = [17, 13, 11];
+        for p in 1..=8 {
+            for which in [Compositor::BinarySwap, Compositor::DirectSendTree(2)] {
+                let mut drawing = Vec::new();
+                for (axis, index) in [(0, 3), (1, 6), (2, 5), (0, 16)] {
+                    drawing.push(slice_traffic(p, points, axis, index, which));
+                }
+                // A plane across the rank grid's long axis misses ranks.
+                if p >= 2 {
+                    assert!(drawing[0] < p, "{which:?} p={p}: {drawing:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn drawing_ranks_are_one_sheet_of_the_rank_grid() {
+        // 17³ points over 2³ and 4³ blocks; z = 6 lies inside a block
+        // layer, z = 8 on the boundary between two.
+        for (p, on_boundary) in [(8, 8), (64, 32)] {
+            let inside = slice_traffic(p, [17; 3], 2, 6, Compositor::BinarySwap);
+            assert_eq!(inside, perfmodel::workloads::slice_participants(p), "p={p}");
+            let boundary = slice_traffic(p, [17; 3], 2, 8, Compositor::DirectSendTree(8));
+            assert_eq!(boundary, on_boundary, "p={p}");
         }
     }
 

@@ -1,18 +1,117 @@
-//! RGBA + depth framebuffers and the blending/compositing primitives.
+//! RGBA + depth framebuffers, the rectangle drawn since the last clear,
+//! and the depth-merge the parallel compositors apply to patches of it.
+
+use std::ops::Range;
 
 use crate::color::Color;
+
+/// A pixel rectangle `cols` × `rows`, half-open; every empty one is
+/// `Rect::default()`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Rect {
+    pub(crate) cols: Range<usize>,
+    pub(crate) rows: Range<usize>,
+}
+
+impl Rect {
+    fn new(cols: Range<usize>, rows: Range<usize>) -> Rect {
+        if cols.is_empty() || rows.is_empty() {
+            return Rect::default();
+        }
+        Rect { cols, rows }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.cols.is_empty() || self.rows.is_empty()
+    }
+
+    pub(crate) fn pixels(&self) -> usize {
+        self.cols.len() * self.rows.len()
+    }
+
+    /// The smallest rectangle holding both.
+    fn union(&self, other: &Rect) -> Rect {
+        match (self.is_empty(), other.is_empty()) {
+            (_, true) => self.clone(),
+            (true, false) => other.clone(),
+            (false, false) => Rect {
+                cols: self.cols.start.min(other.cols.start)..self.cols.end.max(other.cols.end),
+                rows: self.rows.start.min(other.rows.start)..self.rows.end.max(other.rows.end),
+            },
+        }
+    }
+
+    /// Its part inside `rows`.
+    fn within_rows(&self, rows: Range<usize>) -> Rect {
+        let start = self.rows.start.max(rows.start);
+        Rect::new(
+            self.cols.clone(),
+            start..self.rows.end.min(rows.end).max(start),
+        )
+    }
+}
 
 /// A color+depth image. Depth follows the convention "smaller is
 /// closer"; empty pixels carry `f32::INFINITY` depth and transparent
 /// color, so depth-compositing two partial images is associative.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// The buffer records the rectangle drawn since its last clear: every
+/// pixel outside it is clear. Compositing ships and merges only that
+/// rectangle, and [`Framebuffer::clear`] re-arms only it. Equality
+/// compares pixels, not the record.
+#[derive(Clone, Debug)]
 pub struct Framebuffer {
     width: usize,
     height: usize,
     /// RGBA8, row-major from the top-left.
-    pub color: Vec<[u8; 4]>,
-    /// Per-pixel depth.
-    pub depth: Vec<f32>,
+    color: Vec<[u8; 4]>,
+    depth: Vec<f32>,
+    drawn: Rect,
+}
+
+impl PartialEq for Framebuffer {
+    fn eq(&self, other: &Self) -> bool {
+        (self.width, self.height) == (other.width, other.height)
+            && self.color == other.color
+            && self.depth == other.depth
+    }
+}
+
+/// The pixels of a rectangle of a framebuffer: what compositing sends.
+/// An empty rectangle is a header alone.
+pub(crate) struct Patch {
+    /// Width and height of the image it was cut from.
+    image: (usize, usize),
+    rect: Rect,
+    /// Row `r` of the rectangle starts at `start + r * stride`: a copy
+    /// of the rectangle alone, or the sender's own buffer when it gives
+    /// the buffer up (on threads, handing it over costs nothing; only
+    /// the rectangle is read).
+    color: Vec<[u8; 4]>,
+    depth: Vec<f32>,
+    start: usize,
+    stride: usize,
+}
+
+impl Patch {
+    pub(crate) fn pixels(&self) -> usize {
+        self.rect.pixels()
+    }
+}
+
+/// The depth rule: a transparent fragment loses to anything, else the
+/// closer one wins.
+#[inline]
+fn merge_pixel(color: &mut [u8; 4], depth: &mut f32, c: [u8; 4], d: f32) {
+    let take_other = match (c[3], color[3]) {
+        (0, _) => false,
+        (_, 0) => true,
+        _ => d < *depth,
+    };
+    if take_other {
+        *color = c;
+        *depth = d;
+    }
 }
 
 impl Framebuffer {
@@ -24,6 +123,7 @@ impl Framebuffer {
             height,
             color: vec![[0, 0, 0, 0]; width * height],
             depth: vec![f32::INFINITY; width * height],
+            drawn: Rect::default(),
         }
     }
 
@@ -34,7 +134,7 @@ impl Framebuffer {
     pub fn recycle(kept: Option<Framebuffer>, width: usize, height: usize) -> Self {
         match kept {
             Some(mut fb) if (fb.width, fb.height) == (width, height) => {
-                fb.clear(None);
+                fb.clear();
                 fb
             }
             _ => Framebuffer::new(width, height),
@@ -51,12 +151,34 @@ impl Framebuffer {
         self.height
     }
 
-    /// Clear to transparent/far, optionally with a background color at
-    /// infinite depth.
-    pub fn clear(&mut self, background: Option<Color>) {
-        let c = background.map(|c| [c.r, c.g, c.b, c.a]).unwrap_or([0; 4]);
-        self.color.fill(c);
-        self.depth.fill(f32::INFINITY);
+    /// RGBA8 pixels, row-major from the top-left.
+    pub fn color(&self) -> &[[u8; 4]] {
+        &self.color
+    }
+
+    /// Per-pixel depth, in the order of [`Framebuffer::color`].
+    pub fn depth(&self) -> &[f32] {
+        &self.depth
+    }
+
+    /// Clear to transparent/far: the drawn rectangle, as nothing outside
+    /// it is drawn.
+    pub fn clear(&mut self) {
+        let Rect { cols, rows } = std::mem::take(&mut self.drawn);
+        for y in rows {
+            let at = y * self.width + cols.start..y * self.width + cols.end;
+            self.color[at.clone()].fill([0; 4]);
+            self.depth[at].fill(f32::INFINITY);
+        }
+    }
+
+    /// Widen the drawn rectangle by `cols` × `rows`, clipped to the
+    /// image by the caller: a rasterizer marks its box once and then
+    /// writes inside it with [`Framebuffer::plot`] or
+    /// [`Framebuffer::fill_span`].
+    pub(crate) fn mark(&mut self, cols: Range<usize>, rows: Range<usize>) {
+        debug_assert!(cols.end <= self.width && rows.end <= self.height);
+        self.drawn = self.drawn.union(&Rect::new(cols, rows));
     }
 
     /// Write a pixel if it wins the depth test.
@@ -65,10 +187,31 @@ impl Framebuffer {
         if x >= self.width || y >= self.height {
             return;
         }
+        self.mark(x..x + 1, y..y + 1);
+        self.plot(x, y, z, c);
+    }
+
+    /// [`Framebuffer::set_pixel`] inside the marked rectangle.
+    #[inline]
+    pub(crate) fn plot(&mut self, x: usize, y: usize, z: f32, c: Color) {
+        debug_assert!(self.drawn.cols.contains(&x) && self.drawn.rows.contains(&y));
         let i = y * self.width + x;
         if z < self.depth[i] {
             self.depth[i] = z;
             self.color[i] = [c.r, c.g, c.b, c.a];
+        }
+    }
+
+    /// [`Framebuffer::plot`] along the columns `cols` of row `y`.
+    pub(crate) fn fill_span(&mut self, y: usize, cols: Range<usize>, z: f32, c: Color) {
+        debug_assert!(Rect::new(cols.clone(), y..y + 1).union(&self.drawn) == self.drawn);
+        let at = y * self.width + cols.start..y * self.width + cols.end;
+        let rgba = [c.r, c.g, c.b, c.a];
+        for (color, depth) in self.color[at.clone()].iter_mut().zip(&mut self.depth[at]) {
+            if z < *depth {
+                *depth = z;
+                *color = rgba;
+            }
         }
     }
 
@@ -79,37 +222,94 @@ impl Framebuffer {
         Color { r, g, b, a }
     }
 
+    /// The colour and depth of `rect`'s columns, one row at a time.
+    fn rows_of<'a>(&'a self, rect: &Rect) -> impl Iterator<Item = (&'a [[u8; 4]], &'a [f32])> {
+        let (cols, width) = (rect.cols.clone(), self.width);
+        rect.rows.clone().map(move |y| {
+            let at = y * width + cols.start..y * width + cols.end;
+            (&self.color[at.clone()], &self.depth[at])
+        })
+    }
+
+    /// Depth-merge `rows`, the pixels of `rect` row by row, into `rect`.
+    fn merge_rows<'a>(
+        &mut self,
+        rect: &Rect,
+        rows: impl Iterator<Item = (&'a [[u8; 4]], &'a [f32])>,
+    ) {
+        self.drawn = self.drawn.union(rect);
+        for (y, (colors, depths)) in rect.rows.clone().zip(rows) {
+            let at = y * self.width + rect.cols.start..y * self.width + rect.cols.end;
+            let mine = self.color[at.clone()].iter_mut().zip(&mut self.depth[at]);
+            for ((color, depth), (&c, &d)) in mine.zip(colors.iter().zip(depths)) {
+                merge_pixel(color, depth, c, d);
+            }
+        }
+    }
+
     /// Depth-composite `other` into `self`: per pixel, keep the closer
-    /// opaque fragment; transparent pixels lose to anything.
+    /// opaque fragment; transparent pixels lose to anything. Only
+    /// `other`'s drawn rectangle is visited: nothing else of it can win.
     ///
     /// This is the merge operator of the parallel compositors. It is
     /// commutative for opaque geometry and associative, as binary swap
     /// requires.
     pub fn composite_from(&mut self, other: &Framebuffer) {
+        assert_eq!(self.width, other.width, "composite: width mismatch");
         assert_eq!(self.height, other.height, "composite: height mismatch");
-        self.composite_rows_from(0, other);
+        self.merge_rows(&other.drawn, other.rows_of(&other.drawn));
     }
 
-    /// Depth-composite `band` into the rows starting at `y0`, in place
-    /// (binary swap merges the half it receives into the half it keeps).
-    pub fn composite_rows_from(&mut self, y0: usize, band: &Framebuffer) {
-        assert_eq!(self.width, band.width, "composite: width mismatch");
-        assert!(y0 + band.height <= self.height, "composite: band overflows");
-        let rows = y0 * self.width..(y0 + band.height) * self.width;
-        let mine = self.color[rows.clone()]
-            .iter_mut()
-            .zip(&mut self.depth[rows]);
-        for ((color, depth), (&c, &d)) in mine.zip(band.color.iter().zip(&band.depth)) {
-            let take_other = match (c[3], color[3]) {
-                (0, _) => false,
-                (_, 0) => true,
-                _ => d < *depth,
-            };
-            if take_other {
-                *color = c;
-                *depth = d;
-            }
+    /// The drawn pixels inside `rows`, copied out to send.
+    pub(crate) fn patch(&self, rows: Range<usize>) -> Patch {
+        let rect = self.drawn.within_rows(rows);
+        let mut color = Vec::with_capacity(rect.pixels());
+        let mut depth = Vec::with_capacity(rect.pixels());
+        for (c, d) in self.rows_of(&rect) {
+            color.extend_from_slice(c);
+            depth.extend_from_slice(d);
         }
+        Patch {
+            image: (self.width, self.height),
+            stride: rect.cols.len(),
+            rect,
+            color,
+            depth,
+            start: 0,
+        }
+    }
+
+    /// The drawn pixels inside `rows`, in this buffer, given up to send.
+    pub(crate) fn into_patch(self, rows: Range<usize>) -> Patch {
+        let rect = self.drawn.within_rows(rows);
+        let (color, depth) = if rect.is_empty() {
+            (Vec::new(), Vec::new())
+        } else {
+            (self.color, self.depth)
+        };
+        Patch {
+            image: (self.width, self.height),
+            start: rect.rows.start * self.width + rect.cols.start,
+            stride: self.width,
+            rect,
+            color,
+            depth,
+        }
+    }
+
+    /// Depth-merge a patch of a framebuffer of this size where it lies.
+    pub(crate) fn merge(&mut self, patch: &Patch) {
+        assert_eq!(
+            patch.image,
+            (self.width, self.height),
+            "composite: image size mismatch"
+        );
+        let n = patch.rect.cols.len();
+        let rows = (0..patch.rect.rows.len()).map(|r| {
+            let at = patch.start + r * patch.stride..patch.start + r * patch.stride + n;
+            (&patch.color[at.clone()], &patch.depth[at])
+        });
+        self.merge_rows(&patch.rect, rows);
     }
 
     /// Count of non-transparent pixels (diagnostics and tests).
@@ -117,26 +317,59 @@ impl Framebuffer {
         self.color.iter().filter(|p| p[3] != 0).count()
     }
 
-    /// Extract a horizontal band of rows `[y0, y1)` (binary swap splits
-    /// images into spans).
-    pub fn extract_rows(&self, y0: usize, y1: usize) -> Framebuffer {
+    /// A copy of the rows `[y0, y1)` (the gather moves finished bands).
+    pub(crate) fn extract_rows(&self, y0: usize, y1: usize) -> Framebuffer {
         assert!(y0 < y1 && y1 <= self.height, "bad band [{y0}, {y1})");
+        // Empty is 0..0, which the shift leaves alone.
+        let Rect { cols, rows } = self.drawn.within_rows(y0..y1);
         Framebuffer {
             width: self.width,
             height: y1 - y0,
             color: self.color[y0 * self.width..y1 * self.width].to_vec(),
             depth: self.depth[y0 * self.width..y1 * self.width].to_vec(),
+            drawn: Rect::new(
+                cols,
+                rows.start.saturating_sub(y0)..rows.end.saturating_sub(y0),
+            ),
         }
     }
 
     /// Paste a band previously extracted at row `y0`.
-    pub fn paste_rows(&mut self, y0: usize, band: &Framebuffer) {
+    pub(crate) fn paste_rows(&mut self, y0: usize, band: &Framebuffer) {
         assert_eq!(band.width, self.width, "paste: width mismatch");
         assert!(y0 + band.height <= self.height, "paste: band overflows");
         let start = y0 * self.width;
         let n = band.color.len();
         self.color[start..start + n].copy_from_slice(&band.color);
         self.depth[start..start + n].copy_from_slice(&band.depth);
+        let Rect { cols, rows } = &band.drawn;
+        self.mark(cols.clone(), rows.start + y0..rows.end + y0);
+    }
+}
+
+#[cfg(test)]
+impl Framebuffer {
+    /// The rectangle drawn since the last clear.
+    pub(crate) fn drawn(&self) -> &Rect {
+        &self.drawn
+    }
+
+    /// The record's promise: every pixel outside the drawn rectangle is
+    /// clear.
+    pub(crate) fn assert_clear_outside_drawn(&self) {
+        for y in 0..self.height {
+            for x in 0..self.width {
+                if !(self.drawn.cols.contains(&x) && self.drawn.rows.contains(&y)) {
+                    let i = y * self.width + x;
+                    assert_eq!(
+                        (self.color[i], self.depth[i]),
+                        ([0; 4], f32::INFINITY),
+                        "({x}, {y}) outside {:?}",
+                        self.drawn
+                    );
+                }
+            }
+        }
     }
 }
 
@@ -155,12 +388,25 @@ mod tests {
     }
 
     #[test]
+    fn set_pixel_grows_the_drawn_rectangle() {
+        let mut fb = Framebuffer::new(6, 5);
+        assert!(fb.drawn().is_empty());
+        fb.set_pixel(4, 1, 0.5, Color::WHITE);
+        assert_eq!(fb.drawn, Rect::new(4..5, 1..2));
+        fb.set_pixel(2, 3, 0.5, Color::WHITE);
+        fb.set_pixel(9, 9, 0.5, Color::WHITE); // off the image: no mark
+        assert_eq!(fb.drawn, Rect::new(2..5, 1..4));
+        fb.assert_clear_outside_drawn();
+    }
+
+    #[test]
     fn recycled_buffer_is_a_new_one_in_the_same_memory() {
         let mut used = Framebuffer::new(3, 2);
         used.set_pixel(1, 1, 0.25, Color::rgb(9, 8, 7));
         let at = used.color.as_ptr();
         let again = Framebuffer::recycle(Some(used), 3, 2);
         assert_eq!(again, Framebuffer::new(3, 2), "colour and depth re-armed");
+        assert!(again.drawn().is_empty());
         assert_eq!(again.color.as_ptr(), at, "no new allocation");
         // Another size cannot be reused.
         assert_eq!(
@@ -195,6 +441,7 @@ mod tests {
         assert_eq!(ab.pixel(0, 0), Color::rgb(1, 0, 0));
         assert_eq!(ab.pixel(1, 0), Color::rgb(0, 3, 0));
         assert_eq!(ab.pixel(2, 0), Color::rgb(0, 4, 0));
+        assert_eq!(ab.drawn, Rect::new(0..3, 0..1));
     }
 
     #[test]
@@ -223,11 +470,14 @@ mod tests {
         }
         let band = fb.extract_rows(1, 3);
         assert_eq!(band.height(), 2);
+        assert_eq!(band.drawn, Rect::new(0..1, 0..2));
         let mut fresh = Framebuffer::new(2, 4);
         fresh.paste_rows(1, &band);
         assert_eq!(fresh.pixel(0, 1), Color::rgb(1, 0, 0));
         assert_eq!(fresh.pixel(0, 2), Color::rgb(2, 0, 0));
         assert_eq!(fresh.pixel(0, 0), Color::TRANSPARENT);
+        assert_eq!(fresh.drawn, Rect::new(0..1, 1..3));
+        fresh.assert_clear_outside_drawn();
     }
 
     #[test]
@@ -239,20 +489,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "width mismatch")]
-    fn composite_rows_width_mismatch_panics() {
-        let mut a = Framebuffer::new(2, 4);
-        a.composite_rows_from(1, &Framebuffer::new(3, 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "band overflows")]
-    fn composite_rows_overflowing_band_panics() {
-        let mut a = Framebuffer::new(2, 4);
-        a.composite_rows_from(3, &Framebuffer::new(2, 2));
-    }
-
-    #[test]
     #[should_panic(expected = "height mismatch")]
     fn composite_height_mismatch_panics() {
         let mut a = Framebuffer::new(2, 4);
@@ -260,27 +496,62 @@ mod tests {
     }
 
     #[test]
-    fn composite_rows_touches_only_its_band() {
-        let mut full = Framebuffer::new(3, 5);
-        for y in 0..5 {
+    #[should_panic(expected = "image size mismatch")]
+    fn patch_of_another_size_panics() {
+        Framebuffer::new(2, 4).merge(&Framebuffer::new(3, 4).patch(0..4));
+    }
+
+    #[test]
+    fn a_patch_carries_the_drawn_pixels_of_its_rows_and_merges_as_the_frame() {
+        let mut full = Framebuffer::new(5, 6);
+        for y in 0..6 {
             full.set_pixel(1, y, 0.5, Color::rgb(y as u8 + 1, 0, 0));
         }
-        let mut band = Framebuffer::new(3, 2);
-        band.set_pixel(1, 0, 0.2, Color::rgb(50, 0, 0)); // closer: wins row 2
-        band.set_pixel(1, 1, 0.9, Color::rgb(60, 0, 0)); // farther: loses row 3
-        band.set_pixel(0, 1, 0.9, Color::rgb(70, 0, 0)); // over empty: wins
+        let mut other = Framebuffer::new(5, 6);
+        other.set_pixel(1, 2, 0.2, Color::rgb(50, 0, 0)); // closer: wins row 2
+        other.set_pixel(1, 3, 0.9, Color::rgb(60, 0, 0)); // farther: loses row 3
+        other.set_pixel(3, 3, 0.9, Color::rgb(70, 0, 0)); // over empty: wins
+        other.set_pixel(2, 5, 0.1, Color::rgb(80, 0, 0)); // outside the rows sent
+        let patch = other.patch(1..4);
+        assert_eq!(patch.rect, Rect::new(1..4, 2..4));
+        assert_eq!(patch.pixels(), 6);
         let mut merged = full.clone();
-        merged.composite_rows_from(2, &band);
-        // The same merge through a copy of the band's rows.
-        let mut rows = full.extract_rows(2, 4);
-        rows.composite_from(&band);
-        let mut want = full.clone();
-        want.paste_rows(2, &rows);
-        assert_eq!(merged, want);
+        merged.merge(&patch);
         assert_eq!(merged.pixel(1, 2), Color::rgb(50, 0, 0));
         assert_eq!(merged.pixel(1, 3), Color::rgb(4, 0, 0));
-        assert_eq!(merged.pixel(0, 3), Color::rgb(70, 0, 0));
-        assert_eq!(merged.pixel(1, 1), full.pixel(1, 1));
-        assert_eq!(merged.pixel(1, 4), full.pixel(1, 4));
+        assert_eq!(merged.pixel(3, 3), Color::rgb(70, 0, 0));
+        assert_eq!(merged.pixel(2, 5), Color::TRANSPARENT);
+        merged.assert_clear_outside_drawn();
+        // Rows 1..4 are the frame merge's; the others are untouched.
+        let mut want = full.clone();
+        want.composite_from(&other);
+        for y in 0..6 {
+            for x in 0..5 {
+                let from = if (1..4).contains(&y) { &want } else { &full };
+                assert_eq!(merged.pixel(x, y), from.pixel(x, y), "({x}, {y})");
+            }
+        }
+        // The buffer given up merges the same, reading the same pixels.
+        let mut moved = full.clone();
+        moved.merge(&other.clone().into_patch(1..4));
+        assert_eq!(moved, merged);
+        assert_eq!(moved.drawn, merged.drawn);
+        // Rows with nothing drawn send a header alone.
+        let empty = other.patch(0..2);
+        assert_eq!((&empty.rect, empty.pixels()), (&Rect::default(), 0));
+        let empty = other.into_patch(0..2);
+        assert_eq!((&empty.rect, empty.color.len()), (&Rect::default(), 0));
+    }
+
+    #[test]
+    fn clear_rearms_the_drawn_rectangle_only() {
+        let mut fb = Framebuffer::new(4, 4);
+        fb.mark(1..3, 1..4);
+        fb.fill_span(2, 1..3, 0.5, Color::WHITE);
+        fb.plot(1, 3, 0.5, Color::WHITE);
+        assert_eq!(fb.covered_pixels(), 3);
+        fb.clear();
+        assert_eq!(fb, Framebuffer::new(4, 4));
+        assert!(fb.drawn().is_empty());
     }
 }

@@ -22,7 +22,7 @@ use crate::raster::{fill_triangle, Vertex};
 use crate::slice::{extract_plane, render_plane};
 
 /// Global `(min, max)` of a block-decomposed field: the one colour scale
-/// every rank has to share. Collective (two reductions); NaN-free
+/// every rank has to share. Collective (one pair reduction); NaN-free
 /// fields assumed. Equal as numbers to the serial fold; the sign of a
 /// zero extreme is unspecified, as it is for `f64::min`/`max`.
 pub fn global_range(comm: &Comm, values: &[f64]) -> (f64, f64) {
@@ -40,10 +40,7 @@ pub fn global_range(comm: &Comm, values: &[f64]) -> (f64, f64) {
     }
     let lo = lo.into_iter().fold(f64::INFINITY, f64::min);
     let hi = hi.into_iter().fold(f64::NEG_INFINITY, f64::max);
-    (
-        comm.allreduce_scalar(lo, f64::min),
-        comm.allreduce_scalar(hi, f64::max),
-    )
+    comm.allreduce_scalar((lo, hi), |a: (f64, f64), b| (a.0.min(b.0), a.1.max(b.1)))
 }
 
 /// Configuration of a distributed pseudocolor-slice render.
@@ -267,15 +264,16 @@ mod tests {
         });
         let a = single[0].as_ref().unwrap();
         let b = multi[0].as_ref().unwrap();
-        assert_eq!(a.color, b.color, "decomposition-invariant image");
+        assert_eq!(a.color(), b.color(), "decomposition-invariant image");
         assert_eq!(a.covered_pixels(), 24 * 24);
     }
 
     #[test]
     fn drawing_into_last_frames_buffer_equals_drawing_into_a_new_one() {
         // The kept buffer arrives full of another frame (another plane,
-        // closer depths, stale rows from the swap); colour and depth of
-        // what comes back must be a fresh render's, on every rank.
+        // stale rows from the swap, and pixels in front of anything a
+        // slice draws, off the slice too); colour and depth of what
+        // comes back must be a fresh render's, on every rank.
         let global = Extent::whole([9, 9, 9]);
         let cfg = SliceRender {
             axis: 2,
@@ -298,7 +296,9 @@ mod tests {
             };
             let mut kept = bands(&other, None);
             if let Some(fb) = &mut kept {
-                fb.depth.fill(-1.0); // in front of anything a slice draws
+                for k in 0..8 {
+                    fb.set_pixel(3 * k, 2 * k, -1.0, Color::WHITE);
+                }
             }
             let again = bands(&cfg, kept);
             let fresh = bands(&cfg, None);

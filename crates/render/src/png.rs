@@ -125,7 +125,7 @@ fn fill_scanlines(lines: &mut [u8], fb: &Framebuffer, rows: Range<usize>, backgr
     let width = fb.width();
     debug_assert_eq!(lines.len(), rows.len() * stride(width));
     let background = [background.r, background.g, background.b];
-    let pixels = fb.color[rows.start * width..rows.end * width].chunks_exact(width);
+    let pixels = fb.color()[rows.start * width..rows.end * width].chunks_exact(width);
     for (line, row) in lines.chunks_exact_mut(stride(width)).zip(pixels) {
         line[0] = 0;
         for (rgb, px) in line[1..].chunks_exact_mut(3).zip(row) {

@@ -2,6 +2,8 @@
 //! interpolation (Gouraud) — the software renderer under the slice and
 //! isosurface pipelines.
 
+use std::ops::Range;
+
 use crate::color::Color;
 use crate::framebuffer::Framebuffer;
 
@@ -35,6 +37,10 @@ pub fn fill_triangle(fb: &mut Framebuffer, v0: Vertex, v1: Vertex, v2: Vertex) {
     }
     let inv_area = 1.0 / area;
 
+    fb.mark(
+        min_x as usize..max_x as usize,
+        min_y as usize..max_y as usize,
+    );
     for py in min_y..max_y {
         for px in min_x..max_x {
             // Sample at the pixel center.
@@ -55,7 +61,7 @@ pub fn fill_triangle(fb: &mut Framebuffer, v0: Vertex, v1: Vertex, v2: Vertex) {
                 b: blend(v0.color.b, v1.color.b, v2.color.b),
                 a: blend(v0.color.a, v1.color.a, v2.color.a),
             };
-            fb.set_pixel(px as usize, py as usize, z, color);
+            fb.plot(px as usize, py as usize, z, color);
         }
     }
 }
@@ -66,24 +72,35 @@ fn edge(a: Vertex, b: Vertex, x: f64, y: f64) -> f64 {
 }
 
 /// Rasterize a filled axis-aligned rectangle of constant depth/color
-/// (fast path for structured slice cells).
+/// (fast path for structured slice cells): the pixels whose centre lies
+/// in `[x0, x1) × [y0, y1)`, which keeps adjacent rects seamless, filled
+/// one row span at a time.
 pub fn fill_rect(fb: &mut Framebuffer, x0: f64, y0: f64, x1: f64, y1: f64, z: f32, color: Color) {
     let (x0, x1) = (x0.min(x1), x0.max(x1));
     let (y0, y1) = (y0.min(y1), y0.max(y1));
-    let px0 = x0.floor().max(0.0) as usize;
-    let px1 = (x1.ceil().min(fb.width() as f64) as usize).max(px0);
-    let py0 = y0.floor().max(0.0) as usize;
-    let py1 = (y1.ceil().min(fb.height() as f64) as usize).max(py0);
-    for py in py0..py1 {
-        for px in px0..px1 {
-            // Inclusion test at pixel center keeps adjacent rects seamless.
-            let cx = px as f64 + 0.5;
-            let cy = py as f64 + 0.5;
-            if cx >= x0 && cx < x1 && cy >= y0 && cy < y1 {
-                fb.set_pixel(px, py, z, color);
-            }
-        }
+    let cols = centres_in(x0, x1, fb.width());
+    let rows = centres_in(y0, y1, fb.height());
+    fb.mark(cols.clone(), rows.clone());
+    for py in rows {
+        fb.fill_span(py, cols.clone(), z, color);
     }
+}
+
+/// The pixels `p < n` whose centre `p + 0.5` lies in `[a, b)`: a run,
+/// as the centre grows with `p`, found by testing its ends only.
+fn centres_in(a: f64, b: f64, n: usize) -> Range<usize> {
+    let inside = |p: usize| {
+        let c = p as f64 + 0.5;
+        c >= a && c < b
+    };
+    let lo = (a.floor().max(0.0) as usize).min(n);
+    let hi = (b.ceil().min(n as f64) as usize).max(lo);
+    let start = (lo..hi).find(|&p| inside(p)).unwrap_or(hi);
+    let end = (start..hi)
+        .rev()
+        .find(|&p| inside(p))
+        .map_or(start, |p| p + 1);
+    start..end
 }
 
 #[cfg(test)]
@@ -130,8 +147,8 @@ mod tests {
             v(10.0, 0.0, 1.0, Color::WHITE),
             v(0.0, 3.0, 0.0, Color::WHITE),
         );
-        let d_left = fb.depth[0];
-        let d_right = fb.depth[8];
+        let d_left = fb.depth()[0];
+        let d_right = fb.depth()[8];
         assert!(d_left < d_right, "{d_left} < {d_right}");
     }
 
@@ -163,6 +180,59 @@ mod tests {
         assert_eq!(fb.covered_pixels(), 64, "no gaps, no overdraw misses");
         assert_eq!(fb.pixel(3, 0), Color::rgb(1, 1, 1));
         assert_eq!(fb.pixel(4, 0), Color::rgb(2, 2, 2));
+    }
+
+    #[test]
+    fn rect_spans_are_the_pixel_centre_test() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        // Quarter-pixel corners, so centres land on edges too.
+        let mut coord = |hi: i64| rng.gen_range(-12..4 * hi + 12) as f64 / 4.0;
+        for _ in 0..2000 {
+            let (x0, x1, y0, y1) = (coord(11), coord(11), coord(9), coord(9));
+            let mut fb = Framebuffer::new(11, 9);
+            fill_rect(&mut fb, x0, y0, x1, y1, 0.5, Color::WHITE);
+            let inside = |p: usize, a: f64, b: f64| {
+                let c = p as f64 + 0.5;
+                c >= a.min(b) && c < a.max(b)
+            };
+            let mut covered = Vec::new();
+            for py in 0..9 {
+                for px in 0..11 {
+                    let want = inside(px, x0, x1) && inside(py, y0, y1);
+                    assert_eq!(
+                        fb.pixel(px, py) == Color::WHITE,
+                        want,
+                        "{x0} {x1} {y0} {y1}"
+                    );
+                    if want {
+                        covered.push((px, py));
+                    }
+                }
+            }
+            // The drawn rectangle is exactly their bounding box.
+            let drawn = fb.drawn();
+            assert_eq!(drawn.pixels(), covered.len(), "{x0} {x1} {y0} {y1}");
+            assert!(covered
+                .iter()
+                .all(|(x, y)| drawn.cols.contains(x) && drawn.rows.contains(y)));
+        }
+    }
+
+    #[test]
+    fn triangle_marks_its_clipped_box() {
+        let mut fb = Framebuffer::new(16, 16);
+        fill_triangle(
+            &mut fb,
+            v(-4.0, 2.0, 0.5, Color::WHITE),
+            v(9.5, 2.0, 0.5, Color::WHITE),
+            v(3.0, 30.0, 0.5, Color::WHITE),
+        );
+        assert_eq!(
+            (fb.drawn().cols.clone(), fb.drawn().rows.clone()),
+            (0..10, 2..16)
+        );
+        fb.assert_clear_outside_drawn();
     }
 
     #[test]

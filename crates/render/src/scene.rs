@@ -117,13 +117,15 @@ impl Scene {
                 }
             }
         });
+        // Each later plot is merged in where this rank's rows lie: only
+        // what it drew there is final, and only that can show.
+        let owned = compositor.owned_rows(comm.size(), comm.rank(), height);
         let mut image = held.next();
         if let Some(acc) = &mut image {
-            held.for_each(|fb| acc.composite_from(&fb));
+            held.for_each(|fb| acc.merge(&fb.into_patch(owned.clone())));
         }
         // No plot: a rank that owns rows still owes the encode them.
-        let (p, me) = (comm.size(), comm.rank());
-        if image.is_none() && !compositor.owned_rows(p, me, height).is_empty() {
+        if image.is_none() && !owned.is_empty() {
             image = Some(Framebuffer::recycle(kept, width, height));
         }
         let png = self.encoder.encode(

@@ -64,6 +64,20 @@ for f in crates/{catalyst,libsim}/src/*.rs; do
     fi
 done
 
+echo "==> a frame ships what it draws"
+# Compositing moves patches, the part of a framebuffer's drawn rectangle
+# inside the rows being sent. Outside `gather`, which moves finished
+# bands, a send or receive in composite.rs's product code that is not a
+# Patch ships a whole Framebuffer again.
+if awk '/#\[cfg\(test\)\]/{exit}
+        /^pub\(crate\) fn gather\(/{skip=1}
+        skip && /^}/{skip=0; next}
+        !skip {print FILENAME ":" FNR ": " $0}' crates/render/src/composite.rs |
+    grep -E 'comm\.(send|recv)' | grep -vE '\bpatch\)|: Patch = '; then
+    echo "tier1: composite.rs sends or receives a whole Framebuffer outside gather" >&2
+    exit 1
+fi
+
 echo "==> one exploration engine"
 # minimpi::Checker is the one interleaving search; its verdict depends
 # on the schedule count alone.

@@ -239,57 +239,78 @@ fn steady_state_render_step_allocates_no_catalyst_frame() {
 }
 
 /// Counts, not clocks: what a render step puts on the wire at 2 ranks.
-/// Framebuffers travel by ownership and count as their header; the
+/// Compositing patches travel by ownership: `minimpi/p2p` counts each as
+/// its header, and `render/composite` counts its pixels at 8 B. The
 /// scanlines of the collective encode are byte vectors and count in
-/// full. Catalyst: the two halves of the swap round and nothing
+/// full. Catalyst: one patch each way in the swap round and nothing
 /// image-sized after it — 6 rows of halo one way, the look-ahead row the
-/// other, a landing position, a band's bits. Libsim: rank 1's frame up
+/// other, a landing position, a band's bits. Libsim: rank 1's patch up
 /// the tree, then exactly one band of scanlines plus its halo rows from
 /// the root, a landing, the bits back.
 #[test]
 fn render_step_ships_scanlines_not_gathered_framebuffers() {
-    use render::framebuffer::Framebuffer;
     use sensei::AnalysisAdaptor;
     let d = deck();
     let sent = World::run(2, move |comm| {
         comm.attach_probe(probe::enabled());
-        let p2p = |comm: &minimpi::Comm| {
+        let counted = |comm: &minimpi::Comm| {
             let snapshot = comm.probe().snapshot();
-            let c = snapshot.counters.iter().find(|c| c.name == "minimpi/p2p");
-            c.map_or((0, 0), |c| (c.messages, c.bytes))
+            let count = |name| {
+                let c = snapshot.counters.iter().find(|c| c.name == name);
+                c.map_or((0, 0), |c| (c.messages, c.bytes))
+            };
+            [count("minimpi/p2p"), count("render/composite")]
         };
         let (mut sim, mut catalyst, mut libsim) = render_pair(comm, &d);
         sim.step(comm);
         let data = OscillatorAdaptor::new(&sim);
-        let t0 = p2p(comm);
+        let t0 = counted(comm);
         catalyst.execute(&data, comm);
-        let t1 = p2p(comm);
+        let t1 = counted(comm);
         libsim.execute(&data, comm);
-        let t2 = p2p(comm);
-        [(t1.0 - t0.0, t1.1 - t0.1), (t2.0 - t1.0, t2.1 - t1.1)]
+        let t2 = counted(comm);
+        let delta = |a: [(u64, u64); 2], b: [(u64, u64); 2]| {
+            [0, 1].map(|k| (b[k].0 - a[k].0, b[k].1 - a[k].1))
+        };
+        [delta(t0, t1), delta(t1, t2)]
     });
     let vec = std::mem::size_of::<Vec<u8>>() as u64;
     let bits = std::mem::size_of::<(Vec<u8>, u64, u32)>() as u64;
-    let half = std::mem::size_of::<(usize, Framebuffer)>() as u64;
     let landing = std::mem::size_of::<usize>() as u64;
+    // Libsim's rank 1 sends its patch and its band's bits: the patch
+    // header, whatever its size, is the rest, and every patch has it.
+    let [libsim_p2p, libsim_patches] = sent[1][1];
+    assert_eq!((libsim_p2p.0, libsim_patches.0), (2, 1));
+    let header = libsim_p2p.1 - bits;
+    assert!(header < 256, "a patch travels as a {header} B header");
+
+    // The 64³ field splits along x at point 32 of 63 cells, and the
+    // slice fills every row. Catalyst, 1920×1080: rank 0 draws the
+    // pixel columns whose centre lies left of 32·1920/63 = 975.2 (975
+    // of them), rank 1 the other 945; each sends the half of the rows
+    // it gives away. Libsim, 1024×1024: rank 1 draws from
+    // 32·1024/63 = 520.1, 504 columns, and sends all its rows.
+    assert_eq!(sent[0][0][1], (1, 8 * 975 * 540));
+    assert_eq!(sent[1][0][1], (1, 8 * 945 * 540));
+    assert_eq!(sent[0][1][1], (0, 0));
+    assert_eq!(libsim_patches, (1, 8 * 504 * 1024));
 
     // Catalyst, 1920×1080: stride 5761, cut at row 540.
     let (stride, halo_rows) = (1 + 3 * 1920, 6);
     assert_eq!(halo_rows, 540 - (540 * stride - 32 * 1024) / stride);
-    assert_eq!(sent[0][0], (3, half + vec + halo_rows * stride + landing));
-    assert_eq!(sent[1][0], (3, half + vec + stride + bits));
-    let after_swap = sent[0][0].1 + sent[1][0].1 - 2 * half;
-    assert!(
-        after_swap < 1920 * 1080 * 8 / 2 / 100,
-        "{after_swap} B after the swap round"
+    assert_eq!(
+        sent[0][0][0],
+        (3, header + vec + halo_rows * stride + landing)
     );
+    assert_eq!(sent[1][0][0], (3, header + vec + stride + bits));
 
     // Libsim, 1024×1024: stride 3073, cut at row 512.
     let (stride, halo_rows) = (1 + 3 * 1024, 11);
     assert_eq!(halo_rows, 512 - (512 * stride - 32 * 1024) / stride);
-    assert_eq!(sent[0][1], (2, vec + (512 + halo_rows) * stride + landing));
-    let frame = std::mem::size_of::<Framebuffer>() as u64;
-    assert_eq!(sent[1][1], (2, frame + bits));
+    assert_eq!(
+        sent[0][1][0],
+        (2, vec + (512 + halo_rows) * stride + landing)
+    );
 }
 
 /// The autocorrelation's memory is the paper's two `O(t·N³)` buffers and

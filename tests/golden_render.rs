@@ -47,11 +47,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// Digest of everything a framebuffer holds: RGBA bytes and the exact
 /// bit patterns of the depth buffer.
 fn framebuffer_digest(fb: &Framebuffer) -> u64 {
-    let mut bytes = Vec::with_capacity(fb.color.len() * 8);
-    for px in &fb.color {
+    let mut bytes = Vec::with_capacity(fb.color().len() * 8);
+    for px in fb.color() {
         bytes.extend_from_slice(px);
     }
-    for d in &fb.depth {
+    for d in fb.depth() {
         bytes.extend_from_slice(&d.to_bits().to_le_bytes());
     }
     fnv1a(&bytes)

@@ -604,6 +604,6 @@ proptest! {
         ba.composite_from(&a);
         // Ties broken by depth only when depths differ; identical depths
         // at the same pixel may keep either color, so compare depths.
-        prop_assert_eq!(ab.depth, ba.depth);
+        prop_assert_eq!(ab.depth(), ba.depth());
     }
 }
