@@ -182,13 +182,6 @@ pub struct EvictionRecord {
     pub waited: Duration,
 }
 
-impl EvictionRecord {
-    /// One-line description for [`sensei::Bridge::record_failure`].
-    pub fn describe(&self) -> String {
-        sensei::FailureReport::from(self).to_string()
-    }
-}
-
 impl From<&EvictionRecord> for sensei::FailureReport {
     fn from(e: &EvictionRecord) -> Self {
         sensei::FailureReport::Eviction {
@@ -803,6 +796,8 @@ mod tests {
         for p in &payloads[1..] {
             assert!(Arc::ptr_eq(&payloads[0], p));
         }
+        // …and every subscriber was delivered the same count.
+        assert_eq!(broker.fairness(&key), Some(1.0));
     }
 
     #[test]
@@ -866,7 +861,7 @@ mod tests {
         assert_eq!(e.delivered, 2, "queue bound is 2");
         assert_eq!(e.consumed, 0);
         assert_eq!(e.dropped_seq, 2, "third publish hit the full queue");
-        assert!(e.describe().contains("slow"));
+        assert!(sensei::FailureReport::from(e).to_string().contains("slow"));
         // The fast consumer keeps receiving after the eviction.
         broker.publish(&key, 6);
         assert_eq!(*fast.try_next().unwrap().payload, 6);

@@ -1,7 +1,7 @@
 //! Rerun every gated suite and hold it against its checked-in baseline.
 //!
 //! Usage (from the repo root; takes no arguments):
-//!   cargo run --release -p bench --features track-alloc --bin perfgate
+//!   cargo run --release -p bench --bin perfgate
 //!
 //! For each suite in `perfgate::SUITES`: measure, write the document to
 //! `BENCH_<suite>.fresh.json`, and gate its `perfgate::GATED` rows

@@ -4,19 +4,14 @@
 //! here, composed from the calibrated `perfmodel` cost models (paper
 //! scale) and, where a workload fits on a workstation, real threaded
 //! runs for validation. The `experiments` binary prints the same rows
-//! the paper reports; the `perfgate` binary reruns the four gated
-//! suites against the checked-in `BENCH_*.json`. The criterion files
-//! under `benches/` time what nothing else does (I/O, post hoc, PHASTA,
-//! AVF-LESLIE, Nyx, substrate); the miniapp's per-layer timings live
-//! in the `benchmark/` package.
+//! the paper reports; the `perfgate` binary reruns the offload overlap
+//! suite against the checked-in `BENCH_offload.json`; the miniapp's
+//! per-layer timings live in the `benchmark/` package.
 
-pub mod brokerbench;
 pub mod figures;
-pub mod hotpath;
 pub mod images;
 pub mod offloadbench;
 pub mod perfgate;
-pub mod querybench;
 pub mod realruns;
 pub mod table;
 

@@ -19,7 +19,7 @@ use adios::broker::{Broker, BrokerConfig, TopicKey};
 use minimpi::Comm;
 use probe::time::Wall;
 use sensei::analysis::{with_point_field, ReportOnce};
-use sensei::{AnalysisAdaptor, DataAdaptor, Steering};
+use sensei::{AnalysisAdaptor, DataAdaptor, FailureReport, Steering};
 
 use crate::blobs::{append_step, BlockRecord};
 
@@ -39,28 +39,6 @@ const DRAIN_QUEUE_DEPTH: usize = 8;
 
 /// One assembled node step: what an aggregator publishes to its topic.
 pub type NodeStep = (u64, Vec<BlockRecord>);
-
-/// A node member that never delivered its block within the deadline:
-/// the GLEAN mirror of the FlexPath reader's `DeadWriter` record.
-#[derive(Clone, Debug)]
-pub struct DeadMember {
-    /// World rank of the silent member.
-    pub rank: usize,
-    /// Steps received from it before it went silent.
-    pub steps_received: u64,
-    /// How long the aggregator waited before declaring it dead.
-    pub waited: Duration,
-}
-
-impl From<&DeadMember> for sensei::FailureReport {
-    fn from(d: &DeadMember) -> Self {
-        sensei::FailureReport::DeadMember {
-            rank: d.rank,
-            steps_received: d.steps_received,
-            waited: d.waited,
-        }
-    }
-}
 
 /// The machine topology GLEAN exploits: which ranks share a node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -116,12 +94,13 @@ pub struct GleanWriter {
     /// Bytes forwarded or aggregated by this rank so far.
     pub bytes_handled: u64,
     failures: Vec<String>,
+    /// Typed failures: dead node members and evicted subscribers.
+    reports: Vec<FailureReport>,
     /// Why this rank had no block to forward, the first time.
     missing: ReportOnce,
     member_deadline: Duration,
     finalize_deadline: Duration,
     /// Node members declared dead (skipped in later gathers).
-    dead: Vec<DeadMember>,
     dead_ranks: BTreeSet<usize>,
     /// Test hook: artificial per-step latency in the drain subscriber,
     /// to exercise the finalize deadline path.
@@ -144,10 +123,10 @@ impl GleanWriter {
             steps: 0,
             bytes_handled: 0,
             failures: Vec::new(),
+            reports: Vec::new(),
             missing: ReportOnce::default(),
             member_deadline: DEFAULT_MEMBER_DEADLINE,
             finalize_deadline: DEFAULT_FINALIZE_DEADLINE,
-            dead: Vec::new(),
             dead_ranks: BTreeSet::new(),
             drain_delay: Duration::ZERO,
         }
@@ -174,11 +153,6 @@ impl GleanWriter {
     /// Override the finalize drain-join deadline.
     pub fn set_finalize_deadline(&mut self, deadline: Duration) {
         self.finalize_deadline = deadline;
-    }
-
-    /// Node members declared dead so far (missed the gather deadline).
-    pub fn dead_members(&self) -> &[DeadMember] {
-        &self.dead
     }
 
     /// Test hook: make the drain subscriber sleep this long per step,
@@ -213,6 +187,13 @@ impl GleanWriter {
             extent: [lo[0], lo[1], lo[2], hi[0], hi[1], hi[2]],
             data,
         })
+    }
+
+    /// Move the broker's eviction records into the typed reports.
+    fn take_evictions(&mut self) {
+        let evicted = self.broker.take_evictions();
+        self.reports
+            .extend(evicted.into_iter().map(FailureReport::from));
     }
 
     /// Start the drain subscriber on first use: it subscribes to this
@@ -315,18 +296,11 @@ impl AnalysisAdaptor for GleanWriter {
                     // whole window: declare them all dead at once.
                     for &peer in &awaiting {
                         self.dead_ranks.insert(peer);
-                        self.dead.push(DeadMember {
+                        self.reports.push(FailureReport::DeadMember {
                             rank: peer,
                             steps_received: self.steps.saturating_sub(1),
                             waited: self.member_deadline,
                         });
-                        self.failures.push(format!(
-                            "glean: node member rank {peer} lost after {} step(s) (no block \
-                             within {:?}); aggregating without it from step {} on",
-                            self.steps.saturating_sub(1),
-                            self.member_deadline,
-                            data.step(),
-                        ));
                     }
                     awaiting.clear();
                 }
@@ -337,9 +311,7 @@ impl AnalysisAdaptor for GleanWriter {
         if self.ensure_drain(agg) {
             let topic = self.topic(agg);
             self.broker.publish(&topic, (step, blocks));
-            for evicted in self.broker.take_evictions() {
-                self.failures.push(evicted.describe());
-            }
+            self.take_evictions();
         }
         Steering::Continue
     }
@@ -375,14 +347,16 @@ impl AnalysisAdaptor for GleanWriter {
                 Ok(Err(e)) => self.failures.push(format!("drain thread I/O error: {e}")),
                 Err(_) => self.failures.push("drain thread panicked".to_string()),
             }
-            for evicted in self.broker.take_evictions() {
-                self.failures.push(evicted.describe());
-            }
+            self.take_evictions();
         }
     }
 
     fn take_failures(&mut self) -> Vec<String> {
         std::mem::take(&mut self.failures)
+    }
+
+    fn take_failure_reports(&mut self) -> Vec<FailureReport> {
+        std::mem::take(&mut self.reports)
     }
 }
 
@@ -564,24 +538,39 @@ mod tests {
         let d2 = dir.clone();
         let faults = minimpi::FaultHandle::new();
         faults.drop_link(1, 0); // member 1 -> aggregator 0
-        let handle = faults.clone();
+        let (handle, healer) = (faults.clone(), faults.clone());
         minimpi::WorldBuilder::new(2)
             .fault_handle(handle)
             .run(move |comm| {
                 let mut w = GleanWriter::new(Topology::new(2), "data", d2.clone());
                 w.set_member_deadline(Duration::from_millis(60));
+                let mut bridge = Bridge::new();
+                bridge.register(Box::new(w));
                 for s in 0..3u64 {
-                    w.execute(&adaptor(comm, s), comm);
+                    bridge.execute(&adaptor(comm, s), comm);
                 }
-                w.finalize(comm);
+                if comm.rank() == 1 {
+                    // Every block is sent (and dropped); the link comes
+                    // back so the bridge's report gather reaches rank 0.
+                    healer.heal();
+                }
+                let report = bridge.finalize(comm);
                 if comm.rank() == 0 {
-                    let dead = w.dead_members();
-                    assert_eq!(dead.len(), 1);
-                    assert_eq!(dead[0].rank, 1);
-                    assert_eq!(dead[0].steps_received, 0);
-                    let failures = w.take_failures();
-                    assert_eq!(failures.len(), 1, "recorded once, then skipped");
-                    assert!(failures[0].contains("node member rank 1 lost"));
+                    // Recorded once, typed, then skipped.
+                    let failures = bridge.failure_reports();
+                    assert_eq!(failures.len(), 1, "{failures:?}");
+                    assert_eq!(failures[0].kind(), "dead-member");
+                    assert!(matches!(
+                        failures[0],
+                        FailureReport::DeadMember {
+                            rank: 1,
+                            steps_received: 0,
+                            ..
+                        }
+                    ));
+                    let kinds: Vec<&str> =
+                        report.failures.iter().map(|f| f.kind.as_str()).collect();
+                    assert_eq!(kinds, ["dead-member"]);
                 }
             });
         assert_eq!(faults.dropped(), 3, "every forwarded block was dropped");

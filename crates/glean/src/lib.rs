@@ -26,5 +26,5 @@
 mod aggregate;
 mod blobs;
 
-pub use aggregate::{DeadMember, GleanWriter, NodeStep, Topology};
+pub use aggregate::{GleanWriter, NodeStep, Topology};
 pub use blobs::{read_blob_file, BlockRecord};

@@ -17,9 +17,6 @@
 //!   anchors;
 //! * [`memory`] — executable and heap footprint models for the memory
 //!   studies (Figs. 4, 7 and the PHASTA/Nyx executable-size notes);
-//! * [`offload`] — projection of the measured async-offload overlap
-//!   efficiency to paper-scale concurrencies (the sync-point collective
-//!   erodes overlap logarithmically with rank count);
 //! * [`noise`] — deterministic seeded noise so regenerated charts carry
 //!   realistic run-to-run variability yet reproduce bit-for-bit.
 //!
@@ -29,17 +26,14 @@
 //! the threaded execution mode. EXPERIMENTS.md records the resulting
 //! paper-vs-model comparison for every figure.
 
-pub mod breakdown;
 pub mod compositing;
 pub mod machine;
 pub mod memory;
 pub mod network;
 pub mod noise;
-pub mod offload;
 pub mod storage;
 pub mod workloads;
 
-pub use breakdown::Breakdown;
 pub use machine::MachineSpec;
 pub use noise::SeededNoise;
 

@@ -42,24 +42,6 @@ impl SeededNoise {
     pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
         self.rng.gen_range(lo..hi)
     }
-
-    /// Multiplicative factor whose relative spread matches a *measured*
-    /// coefficient of variation (`stddev / mean`, e.g. a run report's
-    /// per-phase `PhaseAgg::stddev_s / mean_s`), so modeled reruns
-    /// carry the jitter an instrumented run actually observed.
-    pub fn lognormal_factor_from_cv(&mut self, cv: f64) -> f64 {
-        self.lognormal_factor(sigma_from_cv(cv))
-    }
-}
-
-/// Lognormal shape parameter whose distribution has coefficient of
-/// variation `cv`: `sigma² = ln(1 + cv²)`. Zero or negative spread maps
-/// to zero (no noise).
-pub fn sigma_from_cv(cv: f64) -> f64 {
-    if cv <= 0.0 {
-        return 0.0;
-    }
-    (1.0 + cv * cv).ln().sqrt()
 }
 
 #[cfg(test)]
@@ -110,30 +92,6 @@ mod tests {
             samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / samples.len() as f64;
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "var {var}");
-    }
-
-    #[test]
-    fn cv_roundtrips_through_the_lognormal_shape() {
-        // Sampling with sigma_from_cv(cv) reproduces the measured
-        // coefficient of variation.
-        let cv_in = 0.4;
-        let mut n = SeededNoise::new(2024);
-        let samples: Vec<f64> = (0..40000)
-            .map(|_| n.lognormal_factor_from_cv(cv_in))
-            .collect();
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        let var =
-            samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / samples.len() as f64;
-        let cv_out = var.sqrt() / mean;
-        assert!((cv_out - cv_in).abs() < 0.02, "cv {cv_out} vs {cv_in}");
-    }
-
-    #[test]
-    fn degenerate_spread_disables_noise() {
-        assert_eq!(sigma_from_cv(0.0), 0.0);
-        assert_eq!(sigma_from_cv(-1.0), 0.0);
-        let mut n = SeededNoise::new(3);
-        assert_eq!(n.lognormal_factor_from_cv(0.0), 1.0);
     }
 
     #[test]

@@ -12,7 +12,6 @@
 use crate::compositing::{self, Algorithm};
 use crate::machine::{CalibTable, MachineSpec};
 use crate::network;
-use crate::Breakdown;
 
 /// Oscillator-miniapp cell-update throughput of one Cori Haswell core,
 /// in oscillator·cell evaluations per second. Calibrated so a 64³
@@ -365,20 +364,6 @@ pub fn nyx_plotfile_write(grid: usize, cores: usize) -> f64 {
     bytes / bw.eval(cores as f64)
 }
 
-/// Assemble a per-timestep breakdown for a miniapp in situ configuration
-/// (Fig. 6's bars): simulation + analysis.
-pub fn miniapp_step_breakdown(
-    m: &MachineSpec,
-    _p: usize,
-    cells: usize,
-    oscillators: usize,
-    analysis_seconds: f64,
-) -> Breakdown {
-    Breakdown::new()
-        .with("simulation", oscillator_step(m, cells, oscillators))
-        .with("analysis", analysis_seconds)
-}
-
 /// The SENSEI interface's own per-step overhead: constructing the
 /// zero-copy adaptor view. Measured (real mode) at O(µs); modeled as a
 /// constant floor. This is the paper's central "negligible" result.
@@ -579,13 +564,5 @@ mod tests {
     fn slice_participants_is_sheet_of_rank_grid() {
         assert_eq!(slice_participants(64), 16);
         assert!(slice_participants(45440) < 45440 / 10);
-    }
-
-    #[test]
-    fn breakdown_helper_labels() {
-        let m = cori();
-        let b = miniapp_step_breakdown(&m, 812, 64 * 64 * 64, 3, 0.05);
-        assert!(b.get("simulation") > 0.0);
-        assert_eq!(b.get("analysis"), 0.05);
     }
 }

@@ -15,11 +15,6 @@ use crate::{Snapshot, GAUGE_ALLOC_PEAK, GAUGE_DATASET_OWNED, GAUGE_DATASET_SHARE
 /// Format tag written into every report.
 pub const SCHEMA: &str = "sensei-runreport-v2";
 
-/// Format tag of the previous schema revision, still accepted by
-/// [`RunReport::from_json`] (its failure entries were plain strings;
-/// they parse as kind `"other"` on rank 0).
-pub const SCHEMA_V1: &str = "sensei-runreport-v1";
-
 /// One non-fatal failure in the run, as a single machine-readable
 /// shape: which rank reported it, a stable kind tag (`"dead-writer"`,
 /// `"eviction"`, `"analysis"`, …), and the human-readable description.
@@ -391,7 +386,7 @@ impl RunReport {
     pub fn from_json(text: &str) -> Result<RunReport, String> {
         let doc = Json::parse(text)?;
         let schema = doc.get("schema").and_then(Json::as_str);
-        if schema != Some(SCHEMA) && schema != Some(SCHEMA_V1) {
+        if schema != Some(SCHEMA) {
             return Err(format!("not a {SCHEMA} document"));
         }
         let need_u64 = |v: &Json, key: &str| -> Result<u64, String> {
@@ -422,20 +417,11 @@ impl RunReport {
             ..RunReport::default()
         };
         for f in arr("failures")? {
-            // v1 wrote plain strings; v2 writes {rank, kind, detail}.
-            let entry = match f.as_str() {
-                Some(detail) => FailureEntry {
-                    rank: 0,
-                    kind: "other".into(),
-                    detail: detail.into(),
-                },
-                None => FailureEntry {
-                    rank: need_u64(f, "rank")? as usize,
-                    kind: need_str(f, "kind")?,
-                    detail: need_str(f, "detail")?,
-                },
-            };
-            report.failures.push(entry);
+            report.failures.push(FailureEntry {
+                rank: need_u64(f, "rank")? as usize,
+                kind: need_str(f, "kind")?,
+                detail: need_str(f, "detail")?,
+            });
         }
         for p in arr("phases")? {
             report.phases.push(PhaseAgg {
@@ -548,20 +534,6 @@ mod tests {
         let text = report.to_json();
         let back = RunReport::from_json(&text).unwrap();
         assert_eq!(back, report);
-    }
-
-    #[test]
-    fn v1_reports_with_string_failures_still_parse() {
-        let text = format!(
-            "{{\"schema\": \"{SCHEMA_V1}\", \"ranks\": 2, \"steps\": 3, \
-             \"failures\": [\"writer lost\"], \"phases\": [], \"counters\": [], \
-             \"gauges\": [], \"memory\": []}}"
-        );
-        let report = RunReport::from_json(&text).unwrap();
-        assert_eq!(report.failures.len(), 1);
-        assert_eq!(report.failures[0].kind, "other");
-        assert_eq!(report.failures[0].rank, 0);
-        assert_eq!(report.failures[0].detail, "writer lost");
     }
 
     #[test]

@@ -297,8 +297,8 @@ impl AnalysisAdaptor for HistogramAnalysis {
         let views = leaf_views(&mesh, self.assoc, &self.array).unwrap_or_default();
         // The two global reductions of §3.3 fused into one (min, max)
         // pair: identical values, half the collective latency — the
-        // range phase was the highest-variance span in the seed
-        // BENCH_hotpath.json run report.
+        // range phase was the highest-variance span in the seed's
+        // run report.
         let (glo, ghi) = {
             let _range = probe.span("per-step/histogram/range");
             comm.allreduce_scalar((lo, hi), |a: (f64, f64), b| (a.0.min(b.0), a.1.max(b.1)))

@@ -431,8 +431,8 @@ impl Bridge {
     /// Record a non-fatal infrastructure failure (e.g. a writer lost in
     /// transit whose stream degraded to end-of-stream). Accepts anything
     /// convertible to [`FailureReport`] — the endpoint crates provide
-    /// `From` impls for their record types (dead writers, evictions,
-    /// dead members), and plain strings become [`FailureReport::Other`].
+    /// `From` impls for their record types (dead writers, evictions),
+    /// and plain strings become [`FailureReport::Other`].
     /// The run continues; the report is surfaced so a degraded pipeline
     /// is never mistaken for a healthy one. Duplicates collapse to one.
     pub fn record_failure(&mut self, report: impl Into<FailureReport>) {
@@ -788,7 +788,7 @@ mod tests {
             let hoff = hist.results_handle();
             let stats = DescriptiveStats::new("data");
             let soff = stats.results_handle();
-            let mut off = Bridge::new();
+            let mut off = Bridge::with_probe(probe::enabled());
             off.register(Box::new(hist));
             off.register(Box::new(stats));
             off.enable_offload(OffloadConfig::default());
@@ -806,6 +806,15 @@ mod tests {
             // thread: results are bitwise identical, not merely close.
             assert_eq!(*href.lock(), *hoff.lock());
             assert_eq!(*sref.lock(), *soff.lock());
+            // One host→device snapshot per published step, nothing more.
+            let snap = off.probe().snapshot();
+            let h2d = snap
+                .counters
+                .iter()
+                .find(|c| c.name == COUNTER_H2D)
+                .expect("h2d counted");
+            let payload = adaptor(0).full_mesh().payload_bytes() as u64;
+            assert_eq!((h2d.calls, h2d.bytes), (4, 4 * payload));
             let eff = off.overlap_efficiency().expect("device did work");
             assert!((0.0..=1.0).contains(&eff), "efficiency {eff} out of range");
         });

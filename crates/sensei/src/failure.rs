@@ -1,9 +1,9 @@
 //! Unified non-fatal failure reporting.
 //!
 //! Before this module every degraded-pipeline event had its own shape:
-//! the FlexPath reader's dead-writer record, GLEAN's `DeadMember`, the staging
-//! broker's `EvictionRecord`, and free-form strings from analyses. They
-//! all funnel into one [`FailureReport`] enum behind
+//! the FlexPath reader's dead-writer record, GLEAN's dead node members,
+//! the staging broker's `EvictionRecord`, and free-form strings from
+//! analyses. They all funnel into one [`FailureReport`] enum behind
 //! [`Bridge::failure_reports`], so every consumer — tests, the
 //! `RunReport` JSON, live monitors — sees a single machine-readable
 //! shape with a `kind` tag, while `From` impls in the endpoint crates

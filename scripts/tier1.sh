@@ -78,6 +78,16 @@ if awk '/#\[cfg\(test\)\]/{exit}
     exit 1
 fi
 
+echo "==> one real-mode timing path"
+# Real-mode timings come from `experiments validate`, the perf gate and
+# `benchmark/`; a micro-benchmark harness beside them times what no
+# document, test or gate reads.
+if find . \( -name target -o -path './.*' \) -prune -o -name Cargo.toml -print0 |
+    xargs -0 grep -nE 'criterion|^\[\[bench\]\]'; then
+    echo "tier1: a criterion harness or [[bench]] target is back" >&2
+    exit 1
+fi
+
 echo "==> one exploration engine"
 # minimpi::Checker is the one interleaving search; its verdict depends
 # on the schedule count alone.
@@ -99,7 +109,8 @@ cargo test --workspace -q
 echo "==> cargo test --release -p render -p bench"
 # The encoder's byte identities where its arithmetic is optimised, and
 # the one assertion about wall time (Table 2's ablation: compressing
-# costs more than storing), which only means something in this build.
+# costs more than storing), which only means something in this build
+# and is compiled only into it.
 cargo test --release -q -p render -p bench
 
 echo "==> cargo test --release -p oscillator, properties culled_kernel"

@@ -368,20 +368,25 @@ fn replaying_the_recorded_schedule_reproduces_the_finding() {
 /// Clean-pipeline conformance: a full bridge + analysis + endpoint run
 /// under the sanitizer produces zero findings (the suite's "no false
 /// positives" anchor; CI re-runs the whole conformance suite with
-/// `SENSEI_SANITIZER=1` at 1/4/8 ranks on top of this).
+/// `SENSEI_SANITIZER=1` at 1/4/8 ranks on top of this), and the same
+/// seeded run without a session computes bitwise the same results: the
+/// sanitizer observes, it never perturbs.
 #[test]
 fn clean_pipeline_is_sanitizer_silent() {
+    use sensei::analysis::descriptive::{DescriptiveStats, Stats};
     use sensei::{Bridge, InMemoryAdaptor};
-    let session = Session::new(4, Mode::Collect);
-    let s2 = Arc::clone(&session);
-    WorldBuilder::new(4)
-        .sched(SchedPolicy::Seeded(SEED))
-        .sanitizer(s2)
-        .run(|comm| {
+    // Every rank's per-step stats, as bits.
+    let run = |session: Option<Arc<Session>>| -> Vec<Vec<[u64; 6]>> {
+        let mut builder = WorldBuilder::new(4).sched(SchedPolicy::Seeded(SEED));
+        if let Some(session) = session {
+            builder = builder.sanitizer(session);
+        }
+        builder.run(|comm| {
+            let stats = DescriptiveStats::new("u");
+            let results = stats.results_handle();
             let mut bridge = Bridge::new();
-            bridge.register(Box::new(
-                sensei::analysis::descriptive::DescriptiveStats::new("u"),
-            ));
+            bridge.register(Box::new(stats));
+            let mut seen = Vec::new();
             for step in 0..3u64 {
                 // Fresh data each step, mutated only while unpublished.
                 let mut data = shared_image([4, 4, 1]);
@@ -393,13 +398,27 @@ fn clean_pipeline_is_sanitizer_silent() {
                 }
                 let adaptor = InMemoryAdaptor::new(data, step as f64, step);
                 bridge.execute(&adaptor, comm);
+                let s: Stats = results.lock().expect("stats every step");
+                seen.push([
+                    s.count,
+                    s.mean.to_bits(),
+                    s.variance.to_bits(),
+                    s.min.to_bits(),
+                    s.max.to_bits(),
+                    s.step,
+                ]);
             }
             bridge.finalize(comm);
-        });
+            seen
+        })
+    };
+    let session = Session::new(4, Mode::Collect);
+    let sanitized = run(Some(Arc::clone(&session)));
     let findings = session.findings();
     assert!(
         findings.is_empty(),
         "clean pipeline must be silent, got: {:#?}",
         findings.iter().map(|f| f.to_string()).collect::<Vec<_>>()
     );
+    assert_eq!(sanitized, run(None), "the sanitizer changed a result");
 }
