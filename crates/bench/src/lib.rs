@@ -4,14 +4,11 @@
 //! here, composed from the calibrated `perfmodel` cost models (paper
 //! scale) and, where a workload fits on a workstation, real threaded
 //! runs for validation. The `experiments` binary prints the same rows
-//! the paper reports; the `perfgate` binary reruns the offload overlap
-//! suite against the checked-in `BENCH_offload.json`; the miniapp's
-//! per-layer timings live in the `benchmark/` package.
+//! the paper reports; the miniapp's end-to-end and per-layer timings
+//! live in the `benchmark/` package.
 
 pub mod figures;
 pub mod images;
-pub mod offloadbench;
-pub mod perfgate;
 pub mod realruns;
 pub mod table;
 

@@ -108,22 +108,6 @@ impl Attributes {
     pub fn is_ghost(&self, t: usize) -> bool {
         self.ghosts().map(|g| g.get(t, 0) != 0.0).unwrap_or(false)
     }
-
-    /// Rebuild this collection with every array deep-copied into
-    /// `space` via [`DataArray::snapshot_in`] — each array is a
-    /// tracked, shadow-clocked transfer, and the originals are left
-    /// untouched in their own space.
-    pub fn snapshot_in(&self, space: crate::space::MemorySpace) -> Attributes {
-        Attributes {
-            arrays: self.arrays.iter().map(|a| a.snapshot_in(space)).collect(),
-        }
-    }
-
-    /// Total payload bytes across all arrays (what a cross-space copy
-    /// of this collection moves).
-    pub fn payload_bytes(&self) -> usize {
-        self.arrays.iter().map(|a| a.payload_bytes()).sum()
-    }
 }
 
 impl MemoryFootprint for Attributes {

@@ -122,65 +122,12 @@ impl DataSet {
         }
     }
 
-    /// Mutable cell attributes of a leaf dataset (`None` for multiblock).
-    pub fn cell_data_mut(&mut self) -> Option<&mut Attributes> {
-        match self {
-            DataSet::Image(g) => Some(&mut g.cell_data),
-            DataSet::Rectilinear(g) => Some(&mut g.cell_data),
-            DataSet::Unstructured(g) => Some(&mut g.cell_data),
-            DataSet::Multi(_) => None,
-        }
-    }
-
     /// Iterate this dataset's leaves (itself, or each multiblock block).
     pub fn leaves(&self) -> Box<dyn Iterator<Item = &DataSet> + '_> {
         match self {
             DataSet::Multi(m) => Box::new(m.blocks()),
             other => Box::new(std::iter::once(other)),
         }
-    }
-
-    /// Deep-copy every attribute array of every leaf into `space`: the
-    /// explicit whole-window transfer the offload executor uses to
-    /// build a device-side payload of one publish window. Mesh
-    /// structure (extents, geometry, connectivity) is cloned as-is;
-    /// each array goes through [`crate::DataArray::snapshot_in`], so
-    /// the copy is a tracked transfer with a shadow-clock edge per
-    /// array, and the returned dataset aliases nothing in the source.
-    pub fn snapshot_in(&self, space: crate::space::MemorySpace) -> DataSet {
-        let mut out = self.clone();
-        out.retarget(space);
-        out
-    }
-
-    /// Replace every attribute collection with a `space` snapshot of
-    /// the corresponding source collection (recursing into blocks).
-    fn retarget(&mut self, space: crate::space::MemorySpace) {
-        if let DataSet::Multi(m) = self {
-            for i in 0..m.num_slots() {
-                if let Some(b) = m.block_mut(i) {
-                    b.retarget(space);
-                }
-            }
-            return;
-        }
-        if let Some(pd) = self.point_data_mut() {
-            *pd = pd.snapshot_in(space);
-        }
-        if let Some(cd) = self.cell_data_mut() {
-            *cd = cd.snapshot_in(space);
-        }
-    }
-
-    /// Total attribute payload bytes over every leaf (what one
-    /// cross-space snapshot of this dataset moves).
-    pub fn payload_bytes(&self) -> usize {
-        self.leaves()
-            .map(|l| {
-                l.point_data().map(|a| a.payload_bytes()).unwrap_or(0)
-                    + l.cell_data().map(|a| a.payload_bytes()).unwrap_or(0)
-            })
-            .sum()
     }
 
     /// Short kind name for diagnostics.
@@ -236,31 +183,6 @@ mod tests {
             assert_eq!(s.spacing, spacing, "{}", ds.kind());
         }
         assert!(DataSet::Multi(MultiBlock::new()).structured().is_none());
-    }
-
-    #[test]
-    fn snapshot_in_moves_every_leaf_array_to_the_target_space() {
-        use crate::space::MemorySpace;
-        let mut m = MultiBlock::new();
-        for i in 0..2 {
-            let e = Extent::whole([2, 1, 1]);
-            let mut g = ImageData::new(e, e);
-            g.add_point_array(crate::DataArray::owned("f", 1, vec![i as f64; 2]));
-            m.push(DataSet::Image(g));
-        }
-        let ds = DataSet::Multi(m);
-        let dev = ds.snapshot_in(MemorySpace::DeviceSim(3));
-        for (i, leaf) in dev.leaves().enumerate() {
-            let arr = leaf.point_data().unwrap().get("f").unwrap();
-            assert_eq!(arr.space(), MemorySpace::DeviceSim(3));
-            assert_eq!(arr.get(0, 0), i as f64, "values copied, not remapped");
-        }
-        // The source stays put in its own space and the payload
-        // accounting sees the same bytes on both sides.
-        assert_eq!(dev.payload_bytes(), ds.payload_bytes());
-        let src = ds.leaves().next().unwrap();
-        let arr = src.point_data().unwrap().get("f").unwrap();
-        assert_eq!(arr.space(), MemorySpace::Host);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The SC16 cost model treats "where the bytes live" as a first-class
 //! design axis: synchronous in situ work reads simulation memory in
-//! place, while asynchronous offload requires an explicit, paid-for
-//! copy to the analysis processor's memory. The SENSEI heterogeneous
+//! place, while analysis on another processor requires an explicit,
+//! paid-for copy to that processor's memory. The SENSEI heterogeneous
 //! extensions make that placement explicit in the API, and this module
 //! is the workspace's equivalent: every [`crate::DataArray`] carries a
 //! [`MemorySpace`], accessors are checked against the *execution
@@ -12,10 +12,9 @@
 //!
 //! Execution spaces are modeled with a thread-local: the rank thread
 //! runs in [`MemorySpace::Host`] unless a scope [`enter_space`]s a
-//! device (the analogue of launching a kernel), and the offload
-//! executor's workers enter their device space for the duration of an
-//! analysis. Since simulated devices are host RAM, a wrong-space
-//! access still *works* mechanically — the typed error path
+//! device (the analogue of launching a kernel). Since simulated
+//! devices are host RAM, a wrong-space access still *works*
+//! mechanically — the typed error path
 //! ([`crate::DataArray::as_slice_in`]) refuses it, and the legacy
 //! accessors report it to the happens-before sanitizer so a missing
 //! transfer is caught as a finding rather than a silent slowdown on a
@@ -29,9 +28,8 @@ use std::fmt;
 pub enum MemorySpace {
     /// Simulation (CPU) memory — the default for every array.
     Host,
-    /// Memory of simulated analysis device `id` (the offload
-    /// executor's workers; stands in for a GPU or a dedicated
-    /// analysis socket).
+    /// Memory of simulated analysis device `id` (stands in for a GPU
+    /// or a dedicated analysis socket).
     DeviceSim(u32),
     /// Host-pinned / unified memory reachable from every space
     /// without a transfer.
@@ -118,8 +116,8 @@ impl std::error::Error for AccessError {}
 
 thread_local! {
     /// The execution space of the current thread. Rank threads run on
-    /// the host; the offload executor's workers (and host-launched
-    /// device phases) enter their device space via [`enter_space`].
+    /// the host; device phases enter their device space via
+    /// [`enter_space`].
     static EXEC_SPACE: Cell<MemorySpace> = const { Cell::new(MemorySpace::Host) };
 }
 

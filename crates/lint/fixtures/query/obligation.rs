@@ -20,17 +20,6 @@ fn r6_bound_publish(data: &u32, active: bool) {
     };
 }
 
-/// Offload turned on with no drain path in sight.
-fn r6_offload_never_drained(bridge: &mut Bridge) {
-    bridge.enable_offload(OffloadConfig::default()); // R6: obligation
-}
-
-/// Offload paired with finalize in the same function: clean.
-fn r6_offload_finalized(bridge: &mut Bridge, comm: &Comm) {
-    bridge.enable_offload(OffloadConfig::default());
-    let _report = bridge.finalize(comm);
-}
-
 /// A client joined but never released.
 fn r6_join_without_leave(handle: &QueryHandle) {
     handle.join(7, query(), "fixture"); // R6: obligation

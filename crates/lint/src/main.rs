@@ -36,8 +36,7 @@
 //!   registry checks at `Bridge::finalize`: a `publish_dataset(` call
 //!   must bind its RAII guard with a `let` (an unbound guard drops —
 //!   and closes the window — immediately, silently disabling the
-//!   use-after-publish check); a `.enable_offload(` call site must
-//!   also name `finalize` or `shutdown_offload`; a `QueryHandle` join
+//!   use-after-publish check); a `QueryHandle` join
 //!   (`.join(` with arguments, in files that mention `QueryHandle`)
 //!   must pair with `.leave(` or `finalize`. Skips shims, tests, and
 //!   benches; `datamodel` (which defines the guard) is exempt from
@@ -260,19 +259,6 @@ fn check_file(path: &Path, source: &str, out: &mut Vec<Violation>) {
                                 .into(),
                         });
                     }
-                }
-                // Offload pools: whoever turns the executor on must
-                // also reach the drain/teardown path.
-                if line.contains(".enable_offload(") && !has("finalize") && !has("shutdown_offload")
-                {
-                    out.push(Violation {
-                        rule: "obligation",
-                        path: path.to_path_buf(),
-                        line: lineno,
-                        message: "`.enable_offload(` without `finalize`/`shutdown_offload` \
-                                  in the same function — offload workers never drained"
-                            .into(),
-                    });
                 }
                 // Query clients: a join must pair with a leave (or the
                 // server finalize). Gated to files that actually use

@@ -121,16 +121,14 @@ fn violating_fixture_trips_r6_obligation_pairing() {
         .expect("lint binary runs");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(!out.status.success(), "obligation fixture must fail lint");
-    // One finding per leg: unbound publish, offload without a drain
-    // path, join without leave. The paired twins and the cfg(test)
-    // region stay silent.
+    // One finding per leg: unbound publish, join without leave. The
+    // paired twins and the cfg(test) region stay silent.
     assert_eq!(
         stdout.matches("[obligation]").count(),
-        3,
-        "exactly the three unpaired sites fire: {stdout}"
+        2,
+        "exactly the two unpaired sites fire: {stdout}"
     );
     assert!(stdout.contains("publish_dataset"), "{stdout}");
-    assert!(stdout.contains("enable_offload"), "{stdout}");
     assert!(stdout.contains("leave"), "{stdout}");
 }
 

@@ -915,7 +915,7 @@ impl Sched {
         let mut s = self.state.lock();
         if s.current != Some(slot) {
             // Defensive: a yield from a thread that does not hold the
-            // token (e.g. an offload worker) is a no-op.
+            // token (e.g. GLEAN's drain thread) is a no-op.
             return;
         }
         s.spin_counts[slot] = s.spin_counts[slot].saturating_add(1);
@@ -1085,7 +1085,7 @@ impl Drop for ThreadSchedGuard {
 /// waiting for) and counts the spin against the world's
 /// [`LivenessSpec::spin_limit`] — a loop that spins past the limit is
 /// reported as a livelock with a replayable trace. Outside a scheduled
-/// world (OS policy, helper threads such as offload workers) it is a
+/// world (OS policy, helper threads such as GLEAN's drain thread) it is a
 /// no-op, so library code can call it unconditionally.
 pub fn yield_point() {
     let entry = THREAD_SCHED.with(|t| t.borrow().clone());

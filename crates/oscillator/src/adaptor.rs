@@ -103,8 +103,8 @@ impl DataAdaptor for OscillatorAdaptor {
             g.add_point_array(DataArray::owned(GHOST_ARRAY_NAME, 1, flags.clone()));
         } else {
             // The simulation's field lives in host RAM; declare the
-            // residency so space-checked consumers (and the offload
-            // snapshot path) know where the zero-copy borrow is valid.
+            // residency so space-checked consumers know where the
+            // zero-copy borrow is valid.
             g.add_point_array(
                 DataArray::shared("data", 1, Arc::clone(&self.field))
                     .with_space(datamodel::MemorySpace::Host),

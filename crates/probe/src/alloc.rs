@@ -8,9 +8,9 @@
 //!
 //! The accounting is an approximation at the edges: a buffer allocated
 //! on one rank and freed on another (ownership moving through a
-//! channel) debits the freeing thread, and the offload executor's
-//! workers (`Bridge::enable_offload`, the one place a rank launches
-//! threads) carry their own counters. Rank-thread allocations — mesh
+//! channel) debits the freeing thread, and the one thread a rank
+//! launches (GLEAN's drain thread) carries its own counters.
+//! Rank-thread allocations — mesh
 //! construction, analysis buffers, payload clones — dominate, which is
 //! what the gauge is for.
 //!

@@ -12,8 +12,8 @@
 //! records byte-identical timings on every execution.
 //!
 //! The source is thread-local on purpose: rank threads of a
-//! deterministic world run virtual while the harness thread (and the
-//! offload executor's workers, `Bridge::enable_offload`) keep real time.
+//! deterministic world run virtual while the harness thread (and
+//! GLEAN's drain thread) keep real time.
 
 use std::cell::Cell;
 use std::sync::OnceLock;

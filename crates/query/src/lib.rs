@@ -35,9 +35,8 @@
 //!
 //! Summaries and histograms stream the live publish window (covered by
 //! the bridge's sanitizer window). Leaf slices are answered from a
-//! double-buffered snapshot of the *previous* step — read-only windows
-//! over the same double-buffer scheme the offload executor uses, one
-//! step late by design — and the reads are wrapped in their own
+//! double-buffered snapshot of the *previous* step — read-only windows,
+//! one step late by design — and the reads are wrapped in their own
 //! `publish_dataset` window so the happens-before sanitizer covers the
 //! query snapshot path.
 
@@ -83,8 +82,7 @@ pub enum Query {
         bins: u32,
     },
     /// The leading values of one local leaf of the serving rank,
-    /// answered from the previous step's snapshot (one step late, like
-    /// offloaded verdicts).
+    /// answered from the previous step's snapshot (one step late).
     LeafSlice {
         /// Field name.
         field: String,
@@ -586,8 +584,7 @@ pub struct QueryServer {
     /// pinned to).
     step: u64,
     /// Double-buffered snapshots for slice queries: the window being
-    /// read and the window being filled coexist, mirroring the offload
-    /// executor's payload slots.
+    /// read and the window being filled coexist.
     slots: [Option<Arc<datamodel::DataSet>>; 2],
     /// Stop verdict drained this step, if any.
     pending_stop: Option<String>,

@@ -2,11 +2,10 @@
 //! vector clock and a handle to the world's [`Session`].
 //!
 //! minimpi's worlds are thread-backed (one thread per rank), so a
-//! thread-local is exactly per-rank state. The offload executor's
-//! workers (`Bridge::enable_offload`, the only threads a rank launches)
-//! have no context; every hook degrades to a no-op there, and
-//! everywhere when no session is installed — the disabled path is one
-//! thread-local read.
+//! thread-local is exactly per-rank state. A thread a rank launches
+//! (GLEAN's drain thread, which only writes files) has no context;
+//! every hook degrades to a no-op there, and everywhere when no
+//! session is installed — the disabled path is one thread-local read.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -128,9 +127,7 @@ pub fn on_recv(stamp: &Stamp) {
 /// Report a wrong-space access: code executing in space `have_exec`
 /// touched array `subject` whose bytes live in `array_space`, with no
 /// explicit transfer in between. A local visible event (ticks the
-/// clock so the finding carries evidence); no-op without a context —
-/// the offload workers rely on their rank-thread launch site
-/// (`Bridge::enable_offload`'s dispatch) being checked.
+/// clock so the finding carries evidence); no-op without a context.
 pub fn report_wrong_space(subject: &str, array_space: &str, have_exec: &str) {
     let Some((session, slot, clock)) = local_event() else {
         return;
@@ -160,7 +157,7 @@ pub fn check_view_leaks(location: &str) {
 }
 
 /// Open a protocol obligation for this rank: `kind` names the
-/// protocol (`offload-workers`, `query-client`, ...), `subject` the
+/// protocol (`query-client`, ...), `subject` the
 /// concrete resource. Returns the id to pass to [`close_obligation`]
 /// when the matching release runs, or `None` without a context (the
 /// caller keeps the `None` and both calls are no-ops).

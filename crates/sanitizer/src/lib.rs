@@ -15,7 +15,7 @@
 //! * **view leaks** — publish windows still open at
 //!   `Bridge::finalize`;
 //! * **obligation leaks** — protocol acquire/release pairs left open
-//!   (offload worker pools never drained, query clients never leaving)
+//!   (query clients never leaving)
 //!   at `Bridge::finalize` or world teardown.
 //!
 //! Mechanically: each rank thread installs a [`ctx`] holding a

@@ -48,8 +48,7 @@ struct PubMeta {
 
 /// Bookkeeping for one open protocol obligation: a resource whose
 /// acquire must be paired with a release before the world (or the
-/// bridge) finalizes — offload worker pools, live query-client
-/// registrations, and the like.
+/// bridge) finalizes — live query-client registrations, and the like.
 #[derive(Clone, Debug)]
 struct OblMeta {
     slot: usize,
@@ -144,7 +143,7 @@ impl Session {
     }
 
     /// Open a protocol obligation for `slot`: `kind` names the
-    /// protocol (e.g. `offload-workers`, `query-client`), `subject`
+    /// protocol (e.g. `query-client`), `subject`
     /// the concrete resource. Returns the id [`Session::close_obligation`]
     /// must be called with before finalize/teardown.
     pub fn open_obligation(&self, slot: usize, kind: &str, subject: &str) -> u64 {
@@ -344,7 +343,7 @@ mod tests {
     #[test]
     fn undischarged_obligation_is_a_leak() {
         let s = Session::new(4, Mode::Collect);
-        let kept = s.open_obligation(1, "offload-workers", "Bridge::enable_offload(2)");
+        let kept = s.open_obligation(1, "query-client", "client 7 @ query/7");
         let closed = s.open_obligation(3, "query-client", "steer@rank3");
         s.close_obligation(closed);
         // Per-slot check (the finalize path): only slot 1's leak fires.
@@ -355,7 +354,7 @@ mod tests {
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].kind, FindingKind::ObligationLeak);
         assert_eq!(f[0].slots, (1, None));
-        assert!(f[0].subject.contains("offload-workers"), "{}", f[0].subject);
+        assert!(f[0].subject.contains("client 7"), "{}", f[0].subject);
         s.clear_findings();
         // World teardown reports it too, then closing silences it.
         assert_eq!(s.finish_world(), 1);

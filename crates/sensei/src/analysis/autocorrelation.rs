@@ -271,32 +271,27 @@ impl AnalysisAdaptor for Autocorrelation {
     }
 
     fn execute(&mut self, data: &dyn DataAdaptor, comm: &Comm) -> Steering {
-        // The per-step update is already communicator-free (the final
-        // reduction lives in `finalize`), so the synchronous path is
-        // the offload split run back-to-back.
-        self.execute_local(data, &comm.probe());
-        self.complete(comm)
-    }
-
-    fn supports_offload(&self) -> bool {
-        true
-    }
-
-    fn execute_local(&mut self, data: &dyn DataAdaptor, probe: &probe::Probe) {
+        let probe = comm.probe();
         let _update = probe.span("per-step/autocorrelation/update");
         // An unreadable field (missing array, wrong memory space) skips
         // the step; the typed cause is reported once.
         let mesh = match populated_mesh(data, Association::Point, &self.array) {
             Ok(mesh) => mesh,
-            Err(err) => return self.failures.report(err),
+            Err(err) => {
+                self.failures.report(err);
+                return Steering::Continue;
+            }
         };
         let views = match leaf_views(&mesh, Association::Point, &self.array) {
             Ok(views) => views,
-            Err(err) => return self.failures.report(err),
+            Err(err) => {
+                self.failures.report(err);
+                return Steering::Continue;
+            }
         };
         let table = run_table(&views);
         if table.is_empty() {
-            return;
+            return Steering::Continue;
         }
         if self.cells == 0 {
             self.capture_layout(table, &views);
@@ -305,17 +300,19 @@ impl AnalysisAdaptor for Autocorrelation {
             // by the captured table. No collective runs per step, so a
             // rank that skips cannot hang the others.
             let (cells, runs) = table_size(&table);
-            return self.failures.report(format_args!(
+            self.failures.report(format_args!(
                 "autocorrelation: mesh layout changed mid-run (captured {} cells in {} runs, \
                  step {} has {cells} cells in {runs} runs)",
                 self.cells,
                 table_size(&self.runs).1,
                 data.step(),
             ));
+            return Steering::Continue;
         }
         self.update(&views);
         self.steps_seen += 1;
         probe.gauge_max(GAUGE_BUFFER_BYTES, self.buffer_bytes() as u64);
+        Steering::Continue
     }
 
     fn finalize(&mut self, comm: &Comm) {
@@ -786,6 +783,20 @@ mod tests {
         DataSet::Multi(blocks)
     }
 
+    /// An `Autocorrelation::new("data", window, k)` after one step per
+    /// mesh on a one-rank world.
+    fn run_steps(window: usize, k: usize, meshes: Vec<DataSet>) -> Autocorrelation {
+        let mut ranks = World::run(1, move |comm| {
+            let mut ac = Autocorrelation::new("data", window, k);
+            for (s, mesh) in meshes.iter().enumerate() {
+                let s = s as u64;
+                ac.execute(&InMemoryAdaptor::new(mesh.clone(), s as f64, s), comm);
+            }
+            ac
+        });
+        ranks.pop().expect("one rank")
+    }
+
     fn bits(values: &[f64]) -> Vec<u64> {
         values.iter().map(|v| v.to_bits()).collect()
     }
@@ -813,13 +824,13 @@ mod tests {
             seed in proptest::prelude::any::<u32>(),
         ) {
             let steps = (steps_per_window * window + extra_steps).min(3 * window) as u64;
-            let mut ac = Autocorrelation::new("data", window, k);
             let mut oracle = Reference::new(window, k);
-            for s in 0..steps {
-                let mesh = deck(nx, &rows, pattern, seed, palette, s);
-                oracle.step(&leaf_views(&mesh, Association::Point, "data").unwrap());
-                ac.execute_local(&InMemoryAdaptor::new(mesh, s as f64, s), &probe::off());
+            let meshes: Vec<DataSet> =
+                (0..steps).map(|s| deck(nx, &rows, pattern, seed, palette, s)).collect();
+            for mesh in &meshes {
+                oracle.step(&leaf_views(mesh, Association::Point, "data").unwrap());
             }
+            let mut ac = run_steps(window, k, meshes);
             assert!(ac.take_failures().is_empty());
             assert_eq!(ac.cells, oracle.cells);
             assert_eq!(bits(&cell_major(&ac.corr, ac.cells)), bits(&oracle.corr));
@@ -864,10 +875,7 @@ mod tests {
                 .collect();
             let cells = ids.len();
             for k in [1, (cells - 1).max(1), cells, cells + 5] {
-                let mut ac = Autocorrelation::new("data", 2, k);
-                for s in 0..4 {
-                    ac.execute_local(&InMemoryAdaptor::new(mesh(s), s as f64, s), &probe::off());
-                }
+                let mut ac = run_steps(2, k, (0..4).map(mesh).collect());
                 assert!(ac.take_failures().is_empty());
                 for lag in 0..2 {
                     let row = &ac.corr[lag * cells..][..cells];

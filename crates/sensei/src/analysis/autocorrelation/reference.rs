@@ -64,7 +64,7 @@ impl Reference {
     }
 
     /// One step over already-read leaf views (the parent's
-    /// `execute_local` after its `leaf_views` call).
+    /// `execute` after its `leaf_views` call).
     pub(super) fn step(&mut self, views: &[LeafView]) {
         let incoming: usize = views
             .iter()

@@ -36,9 +36,6 @@ pub struct DescriptiveStats {
     array: String,
     assoc: Association,
     results: ResultsHandle,
-    /// Local partials `[count, sum, sum_sq, min, max]` plus the step,
-    /// carried from the communicator-free phase to the sync point.
-    pending: Option<([f64; 5], u64)>,
     failures: ReportOnce,
 }
 
@@ -54,7 +51,6 @@ impl DescriptiveStats {
             array: array.into(),
             assoc,
             results: Arc::new(Mutex::new(None)),
-            pending: None,
             failures: ReportOnce::default(),
         }
     }
@@ -71,17 +67,6 @@ impl AnalysisAdaptor for DescriptiveStats {
     }
 
     fn execute(&mut self, data: &dyn DataAdaptor, comm: &Comm) -> Steering {
-        // The synchronous path is the offload split run back-to-back:
-        // identical arithmetic whichever thread ran the local phase.
-        self.execute_local(data, &comm.probe());
-        self.complete(comm)
-    }
-
-    fn supports_offload(&self) -> bool {
-        true
-    }
-
-    fn execute_local(&mut self, data: &dyn DataAdaptor, _probe: &probe::Probe) {
         // Local partials: [count, sum, sum_sq, min, max].
         let mut count = 0.0f64;
         let mut sum = 0.0;
@@ -96,18 +81,12 @@ impl AnalysisAdaptor for DescriptiveStats {
             hi = hi.max(v);
         });
         // An unreadable field contributes nothing, but the partials
-        // still go to the sync point: every rank reaches the allreduce.
+        // still go to the allreduce: every rank reaches it.
         if let Err(err) = read {
             self.failures.report(err);
         }
-        self.pending = Some(([count, sum, sum_sq, lo, hi], data.step()));
-    }
-
-    fn complete(&mut self, comm: &Comm) -> Steering {
-        let Some((partials, step)) = self.pending.take() else {
-            return Steering::Continue;
-        };
-        let merged = comm.allreduce(partials.to_vec(), |a, b| {
+        let step = data.step();
+        let merged = comm.allreduce(vec![count, sum, sum_sq, lo, hi], |a, b| {
             vec![
                 a[0] + b[0],
                 a[1] + b[1],

@@ -62,19 +62,6 @@ pub struct HistogramAnalysis {
     bins: usize,
     results: ResultsHandle,
     failures: ReportOnce,
-    pending: Option<PendingHistogram>,
-}
-
-/// State carried from the communicator-free local phase to the
-/// sync-point phase. Owns the step's analysis mesh: pass 2 needs the
-/// values again once the global range is known, and in offload mode
-/// the two phases run on different threads at different times.
-struct PendingHistogram {
-    mesh: datamodel::DataSet,
-    lo: f64,
-    hi: f64,
-    local_n: u64,
-    step: u64,
 }
 
 impl HistogramAnalysis {
@@ -92,7 +79,6 @@ impl HistogramAnalysis {
             bins,
             results: Arc::new(Mutex::new(None)),
             failures: ReportOnce::default(),
-            pending: None,
         }
     }
 
@@ -219,18 +205,7 @@ impl AnalysisAdaptor for HistogramAnalysis {
     }
 
     fn execute(&mut self, data: &dyn DataAdaptor, comm: &Comm) -> Steering {
-        // The synchronous path *is* the offload split run back-to-back,
-        // so device-offloaded and host in situ results are bitwise
-        // identical by construction.
-        self.execute_local(data, &comm.probe());
-        self.complete(comm)
-    }
-
-    fn supports_offload(&self) -> bool {
-        true
-    }
-
-    fn execute_local(&mut self, data: &dyn DataAdaptor, probe: &probe::Probe) {
+        let probe = comm.probe();
         // The typed cause of a missing array is reported once.
         let mesh = populated_mesh(data, self.assoc, &self.array).unwrap_or_else(|err| {
             self.failures.report(err);
@@ -244,10 +219,9 @@ impl AnalysisAdaptor for HistogramAnalysis {
             probe.gauge_max(probe::GAUGE_DATASET_OWNED, owned as u64);
             probe.gauge_max(probe::GAUGE_DATASET_SHARED, (total - owned) as u64);
         }
-        // A mesh without the array — or with one this thread's memory
-        // space cannot reach — yields zero views, but the pending state
-        // (and hence the sync-point collectives) still runs: every rank
-        // must reach `complete`'s reductions.
+        // A mesh without the array — or with one this rank's memory
+        // space cannot reach — yields zero views, but the collectives
+        // below still run: every rank must reach the reductions.
         let views = leaf_views(&mesh, self.assoc, &self.array).unwrap_or_else(|err| {
             self.failures.report(err);
             Vec::new()
@@ -268,33 +242,6 @@ impl AnalysisAdaptor for HistogramAnalysis {
                 local_n += vn;
             }
         }
-        drop(views);
-        // Pass 2 needs the values again once the global range is known,
-        // so the mesh (zero-copy views of the step's buffers — or, in
-        // offload mode, of the device payload) rides along.
-        self.pending = Some(PendingHistogram {
-            mesh,
-            lo,
-            hi,
-            local_n,
-            step: data.step(),
-        });
-    }
-
-    fn complete(&mut self, comm: &Comm) -> Steering {
-        let probe = comm.probe();
-        let Some(PendingHistogram {
-            mesh,
-            lo,
-            hi,
-            local_n,
-            step,
-        }) = self.pending.take()
-        else {
-            return Steering::Continue;
-        };
-        // An unreadable field was reported by the local phase.
-        let views = leaf_views(&mesh, self.assoc, &self.array).unwrap_or_default();
         // The two global reductions of §3.3 fused into one (min, max)
         // pair: identical values, half the collective latency — the
         // range phase was the highest-variance span in the seed's
@@ -333,7 +280,7 @@ impl AnalysisAdaptor for HistogramAnalysis {
                 min: glo,
                 max: ghi,
                 counts,
-                step,
+                step: data.step(),
             });
         }
         Steering::Continue
@@ -534,7 +481,7 @@ mod tests {
             let ghosts = (ghost_stride > 0).then_some(&flags[..]);
             let (lo, hi, kept) = reference::range(&vals, ghosts);
             proptest::prop_assert_eq!(blocked_range(&vals, ghosts), (lo, hi, kept));
-            // Bin over the finite part of the range, as `complete` would
+            // Bin over the finite part of the range, as `execute` would
             // over a finite global range; out-of-range values clamp.
             let (glo, ghi) = (lo.max(-1600.0), hi.min(1600.0));
             if ghi > glo {

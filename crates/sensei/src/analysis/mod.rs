@@ -46,25 +46,6 @@ impl Steering {
 }
 
 /// The analysis-side adaptor contract.
-///
-/// # The offload split
-///
-/// An analysis that opts into asynchronous device offload
-/// ([`AnalysisAdaptor::supports_offload`]) divides its per-step work
-/// into two phases:
-///
-/// * [`execute_local`](AnalysisAdaptor::execute_local) — everything
-///   that needs only this rank's data. **No communicator**: the bridge
-///   runs this phase on a device worker thread while the simulation
-///   advances, and minimpi's `MPI_THREAD_FUNNELED` discipline forbids
-///   touching a `Comm` off the rank thread.
-/// * [`complete`](AnalysisAdaptor::complete) — the collectives and the
-///   final verdict, run on the rank thread at the next sync point.
-///
-/// Offloadable analyses implement `execute` as exactly
-/// `execute_local` + `complete`, so the synchronous path and the
-/// offloaded path run the *same code over the same values* and their
-/// results are bitwise identical — the conformance suite pins this.
 pub trait AnalysisAdaptor: Send {
     /// Short identifier used in timing reports ("histogram",
     /// "catalyst-slice", …).
@@ -76,35 +57,6 @@ pub trait AnalysisAdaptor: Send {
     /// Collective: every rank of `comm` calls `execute` each time the
     /// bridge runs.
     fn execute(&mut self, data: &dyn DataAdaptor, comm: &Comm) -> Steering;
-
-    /// Can this analysis run its local phase off the rank thread?
-    /// `true` means [`execute`](AnalysisAdaptor::execute) is the
-    /// composition `execute_local` + `complete` and the bridge's
-    /// offload executor may split it across threads. Default: `false`
-    /// (the analysis only supports the synchronous path).
-    fn supports_offload(&self) -> bool {
-        false
-    }
-
-    /// The communicator-free local phase: read the step's data, do the
-    /// per-rank work, and stash whatever [`complete`]
-    /// (AnalysisAdaptor::complete) needs. Runs on a device worker
-    /// thread in offload mode (inside the payload's memory space), or
-    /// inline on the rank thread in synchronous mode. `probe` is the
-    /// bridge's observability handle (worker threads cannot reach it
-    /// through a `Comm`). Default: nothing — only meaningful when
-    /// [`supports_offload`](AnalysisAdaptor::supports_offload) is true.
-    fn execute_local(&mut self, data: &dyn DataAdaptor, probe: &probe::Probe) {
-        let _ = (data, probe);
-    }
-
-    /// The sync-point phase: run the collectives over the state
-    /// [`execute_local`](AnalysisAdaptor::execute_local) stashed and
-    /// return the step's [`Steering`] verdict. Always called on the
-    /// rank thread. Default: [`Steering::Continue`].
-    fn complete(&mut self, _comm: &Comm) -> Steering {
-        Steering::Continue
-    }
 
     /// One-time teardown; global reductions that produce final results
     /// (e.g. the autocorrelation top-k) happen here.

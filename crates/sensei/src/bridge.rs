@@ -13,29 +13,14 @@
 //! [`register`]: Bridge::register
 
 use std::collections::BTreeSet;
-use std::sync::mpsc;
-use std::sync::Arc;
 
-use datamodel::MemorySpace;
 use minimpi::Comm;
-use probe::time::Wall;
 use probe::{GaugeStat, Probe, RunReport, Snapshot};
 
 use crate::adaptor::DataAdaptor;
 use crate::analysis::{AnalysisAdaptor, Steering};
 use crate::failure::FailureReport;
 use probe::FailureEntry;
-
-/// Gauge name for the offload executor's measured overlap efficiency,
-/// in permille: `1000 ×` (device busy seconds hidden behind the
-/// advancing simulation) / (total device busy seconds). Absent when
-/// offload never ran; skipped on virtual-time ranks, where reports
-/// must stay byte-identical across same-seed runs.
-pub const GAUGE_OVERLAP_PERMILLE: &str = "offload/overlap_permille";
-
-/// Counter name for explicit host→device payload transfers (one call
-/// per published window snapshot; bytes = attribute payload moved).
-pub const COUNTER_H2D: &str = "space/h2d";
 
 /// Which analysis asked the simulation to stop, and why.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -47,17 +32,13 @@ pub struct StopInfo {
 }
 
 /// The bridge between a simulation and its enabled analyses.
-///
-/// Slots are `None` only while an analysis is in flight on an offload
-/// worker; every slot is resident again after each sync point.
 pub struct Bridge {
-    analyses: Vec<Option<Box<dyn AnalysisAdaptor>>>,
+    analyses: Vec<Box<dyn AnalysisAdaptor>>,
     steps: u64,
     finalized: bool,
     failures: Vec<FailureReport>,
     seen_failures: BTreeSet<String>,
-    /// The caller's probe (off by default): lent to the communicator
-    /// and to offload workers.
+    /// The caller's probe (off by default): lent to the communicator.
     probe: Probe,
     /// Where analysis phases are timed: `probe` when it is enabled,
     /// otherwise a private recorder nobody else sees, so an un-probed
@@ -65,96 +46,6 @@ pub struct Bridge {
     /// uninstrumented.
     phases: Probe,
     stopped: Option<StopInfo>,
-    offload: Option<OffloadExec>,
-    /// `(busy, hidden)` seconds recorded when the executor shut down.
-    overlap: Option<(f64, f64)>,
-}
-
-/// Configuration of the asynchronous analysis offload executor
-/// ([`Bridge::enable_offload`]).
-#[derive(Clone, Copy, Debug)]
-pub struct OffloadConfig {
-    /// Simulated device ([`MemorySpace::DeviceSim`]) the per-step
-    /// payload snapshots are transferred to.
-    pub device: u32,
-    /// Device worker threads; offloaded analyses round-robin across
-    /// them. At least 1.
-    pub workers: usize,
-}
-
-impl Default for OffloadConfig {
-    fn default() -> Self {
-        OffloadConfig {
-            device: 0,
-            workers: 2,
-        }
-    }
-}
-
-/// One job handed to a device worker: the analysis box, a device-space
-/// snapshot of the step's publish window, and a dedicated reply lane.
-struct Job {
-    analysis: Box<dyn AnalysisAdaptor>,
-    payload: Arc<datamodel::DataSet>,
-    time: f64,
-    step: u64,
-    probe: Probe,
-    reply: mpsc::Sender<Done>,
-}
-
-/// A worker's reply: the analysis back (with its pending state filled
-/// in) plus how long the local phase kept the device busy.
-struct Done {
-    analysis: Box<dyn AnalysisAdaptor>,
-    busy_seconds: f64,
-}
-
-/// A dispatched-but-not-yet-synced analysis, in dispatch order (which
-/// every rank shares, so `complete`'s collectives stay aligned).
-struct InFlight {
-    index: usize,
-    name: String,
-    reply: mpsc::Receiver<Done>,
-}
-
-/// The executor: worker threads, the double-buffered device payload
-/// slots, and the running overlap tally.
-struct OffloadExec {
-    cfg: OffloadConfig,
-    jobs: Vec<mpsc::Sender<Job>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    next: usize,
-    in_flight: Vec<InFlight>,
-    /// Sanitizer obligation id for the live worker pool: opened at
-    /// `enable_offload`, discharged at `shutdown_offload`. `None` when
-    /// the sanitizer is off.
-    obligation: Option<u64>,
-    /// Double-buffered payload slots: the window being analyzed and
-    /// the window being filled coexist; older ones are dropped.
-    slots: [Option<Arc<datamodel::DataSet>>; 2],
-    busy_seconds: f64,
-    hidden_seconds: f64,
-}
-
-/// Device worker loop: enter the device's memory space, run the
-/// communicator-free local phase against the snapshot payload, and
-/// send the analysis back. Exits when the bridge drops its sender.
-fn worker_loop(rx: mpsc::Receiver<Job>, device: u32) {
-    while let Ok(job) = rx.recv() {
-        let _space = datamodel::enter_space(MemorySpace::DeviceSim(device));
-        let t0 = Wall::now();
-        let mut analysis = job.analysis;
-        let adaptor =
-            crate::adaptor::InMemoryAdaptor::new((*job.payload).clone(), job.time, job.step);
-        analysis.execute_local(&adaptor, &job.probe);
-        let busy_seconds = t0.elapsed().as_secs_f64();
-        job.probe
-            .record_span("per-step/offload/worker", busy_seconds);
-        let _ = job.reply.send(Done {
-            analysis,
-            busy_seconds,
-        });
-    }
 }
 
 impl Default for Bridge {
@@ -197,7 +88,7 @@ impl Drop for Registration<'_> {
         if let Some(analysis) = self.analysis.take() {
             let label = format!("initialize/{}", analysis.name());
             self.bridge.phases.record_span(&label, self.init_seconds);
-            self.bridge.analyses.push(Some(analysis));
+            self.bridge.analyses.push(analysis);
         }
     }
 }
@@ -228,8 +119,6 @@ impl Bridge {
             probe,
             phases,
             stopped: None,
-            offload: None,
-            overlap: None,
         }
     }
 
@@ -287,17 +176,7 @@ impl Bridge {
             None
         };
         let mut stop: Option<StopInfo> = None;
-        // Sync point: collect last step's offloaded verdicts (one step
-        // late by design) before running this step's analyses.
-        self.drain_offload(comm, &mut stop);
-        let offloading = self.offload.is_some();
-        for i in 0..self.analyses.len() {
-            let Some(analysis) = self.analyses[i].as_mut() else {
-                continue;
-            };
-            if offloading && analysis.supports_offload() {
-                continue; // dispatched below, after the sync analyses ran
-            }
+        for analysis in &mut self.analyses {
             let label = format!("per-step/{}", analysis.name());
             let verdict = timed(&self.phases, &label, || analysis.execute(data, comm));
             drain_failures(
@@ -312,7 +191,6 @@ impl Bridge {
                 });
             }
         }
-        self.dispatch_offload(data);
         data.release_data();
         match stop {
             Some(info) => {
@@ -342,33 +220,12 @@ impl Bridge {
     /// Panics if called twice.
     pub fn finalize(&mut self, comm: &Comm) -> RunReport {
         assert!(!self.finalized, "bridge already finalized");
-        // Last sync point: land any still-in-flight offloaded verdicts
-        // before tearing the executor down.
-        let mut stop: Option<StopInfo> = None;
-        self.drain_offload(comm, &mut stop);
-        // Ordering contract (pinned by `last_step_offloaded_verdict_…`
-        // in the test suite): the offload executor's one-step-late
-        // verdict window must be fully drained — steering verdicts
-        // folded into `stopped`, worker failures recorded — *before*
-        // the failure list is tagged and gathered below, or the final
-        // RunReport would silently miss the last step's steering.
-        assert!(
-            self.offload.as_ref().is_none_or(|e| e.in_flight.is_empty()),
-            "offloaded analyses still in flight at finalize"
-        );
-        if self.stopped.is_none() {
-            self.stopped = stop;
-        }
-        self.shutdown_offload();
         self.finalized = true;
         // Sanitizer: by finalize, every zero-copy publish window must
         // have closed — an endpoint still holding a staged view here
         // is a leak (reported per window, with the opening clock).
         sanitizer::check_view_leaks("Bridge::finalize");
-        for slot in &mut self.analyses {
-            let Some(analysis) = slot.as_mut() else {
-                continue;
-            };
+        for analysis in &mut self.analyses {
             let label = format!("finalize/{}", analysis.name());
             timed(&self.phases, &label, || analysis.finalize(comm));
             drain_failures(
@@ -446,215 +303,6 @@ impl Bridge {
     /// Failure reports recorded during the run (empty = healthy).
     pub fn failure_reports(&self) -> &[FailureReport] {
         &self.failures
-    }
-
-    /// Turn on the asynchronous offload executor: analyses that report
-    /// [`AnalysisAdaptor::supports_offload`] run their communicator-free
-    /// local phase on device worker threads against a device-space
-    /// snapshot of the publish window, overlapping with the advancing
-    /// simulation. Their [`AnalysisAdaptor::complete`] verdicts are
-    /// collected at the next sync point (the following
-    /// [`Bridge::execute`] or [`Bridge::finalize`]), so steering
-    /// arrives one step late — the documented offload latency trade.
-    ///
-    /// # Panics
-    /// Panics after [`Bridge::finalize`], or if `workers` is 0.
-    pub fn enable_offload(&mut self, cfg: OffloadConfig) {
-        assert!(!self.finalized, "bridge already finalized");
-        assert!(cfg.workers >= 1, "offload needs at least one worker");
-        if self.offload.is_some() {
-            return;
-        }
-        let mut jobs = Vec::with_capacity(cfg.workers);
-        let mut handles = Vec::with_capacity(cfg.workers);
-        for _ in 0..cfg.workers {
-            let (tx, rx) = mpsc::channel::<Job>();
-            let device = cfg.device;
-            handles.push(std::thread::spawn(move || worker_loop(rx, device)));
-            jobs.push(tx);
-        }
-        let obligation = sanitizer::open_obligation(
-            "offload-workers",
-            &format!("offload pool ({} workers)", cfg.workers),
-        );
-        self.offload = Some(OffloadExec {
-            cfg,
-            jobs,
-            handles,
-            next: 0,
-            in_flight: Vec::new(),
-            obligation,
-            slots: [None, None],
-            busy_seconds: 0.0,
-            hidden_seconds: 0.0,
-        });
-    }
-
-    /// Whether the offload executor is currently running.
-    pub fn offload_enabled(&self) -> bool {
-        self.offload.is_some()
-    }
-
-    /// Measured overlap efficiency so far: the fraction of device busy
-    /// time hidden behind the advancing simulation (1.0 = every device
-    /// second overlapped; 0.0 = fully synchronous). `None` until the
-    /// executor has finished at least one job.
-    pub fn overlap_efficiency(&self) -> Option<f64> {
-        let (busy, hidden) = match &self.offload {
-            Some(exec) => (exec.busy_seconds, exec.hidden_seconds),
-            None => self.overlap?,
-        };
-        (busy > 0.0).then(|| hidden / busy)
-    }
-
-    /// Sync point: block for every in-flight analysis, run its
-    /// `complete` phase on the rank thread (collectives allowed here —
-    /// in-flight order is dispatch order, identical on every rank), and
-    /// put the analysis back in its slot. Time spent blocking is the
-    /// *exposed* portion of that job's device time; the remainder was
-    /// hidden behind the simulation.
-    fn drain_offload(&mut self, comm: &Comm, stop: &mut Option<StopInfo>) {
-        let Some(exec) = self.offload.as_mut() else {
-            return;
-        };
-        let device = exec.cfg.device;
-        let in_flight = std::mem::take(&mut exec.in_flight);
-        if in_flight.is_empty() {
-            return;
-        }
-        let mut busy = 0.0;
-        let mut hidden = 0.0;
-        for flight in in_flight {
-            let wait = Wall::now();
-            let done = match flight.reply.recv() {
-                Ok(done) => done,
-                Err(_) => {
-                    // A worker died mid-job (panicked analysis). The
-                    // slot stays empty; degrade loudly, not silently.
-                    self.record_failure(format!(
-                        "offload: worker lost before returning '{}'",
-                        flight.name
-                    ));
-                    continue;
-                }
-            };
-            let waited = wait.elapsed().as_secs_f64();
-            busy += done.busy_seconds;
-            hidden += (done.busy_seconds - waited).max(0.0);
-            let mut analysis = done.analysis;
-            // Completion still reads device-resident pending state.
-            let verdict = {
-                let _device = datamodel::enter_space(MemorySpace::DeviceSim(device));
-                let label = format!("per-step/{}", flight.name);
-                timed(&self.phases, &label, || analysis.complete(comm))
-            };
-            drain_failures(
-                &mut self.failures,
-                &mut self.seen_failures,
-                analysis.as_mut(),
-            );
-            if let Steering::Stop { reason } = verdict {
-                stop.get_or_insert_with(|| StopInfo {
-                    analysis: flight.name.clone(),
-                    reason,
-                });
-            }
-            self.analyses[flight.index] = Some(analysis);
-        }
-        if let Some(exec) = self.offload.as_mut() {
-            exec.busy_seconds += busy;
-            exec.hidden_seconds += hidden;
-        }
-    }
-
-    /// Dispatch every offload-capable analysis against a device-space
-    /// snapshot of this step's publish window. One snapshot (one
-    /// explicit host→device transfer) is shared by all jobs; the
-    /// double-buffered slot keeps it alive while the next step's fills.
-    fn dispatch_offload(&mut self, data: &dyn DataAdaptor) {
-        let Some(exec) = self.offload.as_ref() else {
-            return;
-        };
-        let todo: Vec<usize> = (0..self.analyses.len())
-            .filter(|&i| {
-                self.analyses[i]
-                    .as_ref()
-                    .is_some_and(|a| a.supports_offload())
-            })
-            .collect();
-        if todo.is_empty() {
-            return;
-        }
-        let device = exec.cfg.device;
-        let lanes = exec.jobs.clone();
-        let mut next = exec.next;
-        let payload = {
-            let _h2d = self.probe.span("per-step/offload/h2d");
-            Arc::new(data.full_mesh().snapshot_in(MemorySpace::DeviceSim(device)))
-        };
-        self.probe
-            .bulk(COUNTER_H2D, 1, 1, payload.payload_bytes() as u64);
-        let mut in_flight = Vec::with_capacity(todo.len());
-        let time = data.time();
-        let step = data.step();
-        for index in todo {
-            let Some(analysis) = self.analyses[index].take() else {
-                continue;
-            };
-            let name = analysis.name().to_string();
-            let (reply_tx, reply_rx) = mpsc::channel();
-            let job = Job {
-                analysis,
-                payload: Arc::clone(&payload),
-                time,
-                step,
-                probe: self.probe.clone(),
-                reply: reply_tx,
-            };
-            let lane = next % lanes.len();
-            next += 1;
-            match lanes[lane].send(job) {
-                Ok(()) => in_flight.push(InFlight {
-                    index,
-                    name,
-                    reply: reply_rx,
-                }),
-                Err(mpsc::SendError(job)) => {
-                    // Worker gone: keep the analysis resident and fall
-                    // back to running it synchronously next step.
-                    self.record_failure(format!(
-                        "offload: worker lane {lane} closed; '{name}' kept on host"
-                    ));
-                    self.analyses[index] = Some(job.analysis);
-                }
-            }
-        }
-        if let Some(exec) = self.offload.as_mut() {
-            exec.next = next;
-            exec.in_flight.extend(in_flight);
-            exec.slots[(self.steps % 2) as usize] = Some(payload);
-        }
-    }
-
-    /// Stop the executor: record the final overlap tallies, close the
-    /// job lanes (workers exit their recv loop), and join the threads.
-    fn shutdown_offload(&mut self) {
-        let Some(exec) = self.offload.take() else {
-            return;
-        };
-        debug_assert!(exec.in_flight.is_empty(), "drain before shutdown");
-        // Skip the gauge on virtual-time ranks: wall-clock overlap is
-        // nondeterministic and reports must stay byte-identical there.
-        if exec.busy_seconds > 0.0 && !probe::time::is_virtual() {
-            let permille = ((exec.hidden_seconds / exec.busy_seconds) * 1000.0).round() as u64;
-            self.probe.gauge_max(GAUGE_OVERLAP_PERMILLE, permille);
-        }
-        self.overlap = Some((exec.busy_seconds, exec.hidden_seconds));
-        drop(exec.jobs);
-        for handle in exec.handles {
-            let _ = handle.join();
-        }
-        sanitizer::close_obligation(exec.obligation);
     }
 }
 
@@ -768,164 +416,6 @@ mod tests {
             // the "almost nonexistent" instrumentation overhead claim,
             // with the probe layer compiled in but switched off.
             assert!(t0.elapsed().as_secs_f64() < 1.0);
-        });
-    }
-
-    #[test]
-    fn offload_matches_synchronous_execution_bitwise() {
-        World::run(4, |comm| {
-            // Synchronous reference pipeline.
-            let hist = HistogramAnalysis::new("data", 8);
-            let href = hist.results_handle();
-            let stats = DescriptiveStats::new("data");
-            let sref = stats.results_handle();
-            let mut sync = Bridge::new();
-            sync.register(Box::new(hist));
-            sync.register(Box::new(stats));
-
-            // The same pipeline, offloaded to simulated-device workers.
-            let hist = HistogramAnalysis::new("data", 8);
-            let hoff = hist.results_handle();
-            let stats = DescriptiveStats::new("data");
-            let soff = stats.results_handle();
-            let mut off = Bridge::with_probe(probe::enabled());
-            off.register(Box::new(hist));
-            off.register(Box::new(stats));
-            off.enable_offload(OffloadConfig::default());
-            assert!(off.offload_enabled());
-
-            for s in 0..4 {
-                assert!(sync.execute(&adaptor(s), comm).should_continue());
-                assert!(off.execute(&adaptor(s), comm).should_continue());
-            }
-            sync.finalize(comm);
-            off.finalize(comm);
-            assert!(!off.offload_enabled());
-
-            // The offload split is the synchronous path run on another
-            // thread: results are bitwise identical, not merely close.
-            assert_eq!(*href.lock(), *hoff.lock());
-            assert_eq!(*sref.lock(), *soff.lock());
-            // One host→device snapshot per published step, nothing more.
-            let snap = off.probe().snapshot();
-            let h2d = snap
-                .counters
-                .iter()
-                .find(|c| c.name == COUNTER_H2D)
-                .expect("h2d counted");
-            let payload = adaptor(0).full_mesh().payload_bytes() as u64;
-            assert_eq!((h2d.calls, h2d.bytes), (4, 4 * payload));
-            let eff = off.overlap_efficiency().expect("device did work");
-            assert!((0.0..=1.0).contains(&eff), "efficiency {eff} out of range");
-        });
-    }
-
-    #[test]
-    fn offloaded_stop_arrives_at_the_next_sync_point() {
-        struct DeferredStop {
-            seen: Option<u64>,
-        }
-        impl AnalysisAdaptor for DeferredStop {
-            fn name(&self) -> &str {
-                "deferred-stopper"
-            }
-            fn execute(&mut self, data: &dyn DataAdaptor, comm: &Comm) -> Steering {
-                self.execute_local(data, &comm.probe());
-                self.complete(comm)
-            }
-            fn supports_offload(&self) -> bool {
-                true
-            }
-            fn execute_local(&mut self, data: &dyn DataAdaptor, _probe: &probe::Probe) {
-                self.seen = Some(data.step());
-            }
-            fn complete(&mut self, _comm: &Comm) -> Steering {
-                match self.seen.take() {
-                    Some(s) if s >= 1 => Steering::stop(format!("step {s} over budget")),
-                    _ => Steering::Continue,
-                }
-            }
-        }
-        World::run(1, |comm| {
-            let mut bridge = Bridge::new();
-            bridge.register(Box::new(DeferredStop { seen: None }));
-            bridge.enable_offload(OffloadConfig {
-                device: 1,
-                workers: 1,
-            });
-            // Step 0 dispatches; no verdict yet.
-            assert!(bridge.execute(&adaptor(0), comm).should_continue());
-            // Step 1 syncs step 0 (Continue) and dispatches step 1.
-            assert!(bridge.execute(&adaptor(1), comm).should_continue());
-            // Step 2 syncs step 1, whose verdict was Stop: delivered here,
-            // one step late — the documented offload latency trade.
-            let verdict = bridge.execute(&adaptor(2), comm);
-            assert_eq!(verdict, Steering::stop("step 1 over budget"));
-            let info = bridge.stop_info().expect("stopper identified");
-            assert_eq!(info.analysis, "deferred-stopper");
-            bridge.finalize(comm);
-        });
-    }
-
-    #[test]
-    fn last_step_offloaded_verdict_drains_before_the_final_gather() {
-        // Regression pin for the finalize ordering contract: a steering
-        // verdict issued by the *last* dispatched step lives in the
-        // offload executor's one-step-late window when finalize runs,
-        // and must be drained into `stopped` / the failure log before
-        // the RunReport gather — not lost in shutdown.
-        struct LastStepStop {
-            seen: Option<u64>,
-            last: u64,
-        }
-        impl AnalysisAdaptor for LastStepStop {
-            fn name(&self) -> &str {
-                "last-step-stopper"
-            }
-            fn execute(&mut self, data: &dyn DataAdaptor, comm: &Comm) -> Steering {
-                self.execute_local(data, &comm.probe());
-                self.complete(comm)
-            }
-            fn supports_offload(&self) -> bool {
-                true
-            }
-            fn execute_local(&mut self, data: &dyn DataAdaptor, _probe: &probe::Probe) {
-                self.seen = Some(data.step());
-            }
-            fn complete(&mut self, _comm: &Comm) -> Steering {
-                match self.seen.take() {
-                    Some(s) if s == self.last => Steering::stop(format!("stop pinned at step {s}")),
-                    _ => Steering::Continue,
-                }
-            }
-            fn take_failure_reports(&mut self) -> Vec<FailureReport> {
-                Vec::new()
-            }
-        }
-        World::run(2, |comm| {
-            let mut bridge = Bridge::new();
-            bridge.register(Box::new(LastStepStop {
-                seen: None,
-                last: 2,
-            }));
-            bridge.enable_offload(OffloadConfig {
-                device: 1,
-                workers: 1,
-            });
-            // Three steps; step 2's verdict is still in flight when the
-            // loop ends, so only finalize's drain can deliver it.
-            for s in 0..3 {
-                assert!(bridge.execute(&adaptor(s), comm).should_continue());
-            }
-            assert!(bridge.stop_info().is_none(), "verdict must not be early");
-            let report = bridge.finalize(comm);
-            let info = bridge.stop_info().expect("last-step verdict drained");
-            assert_eq!(info.analysis, "last-step-stopper");
-            assert_eq!(info.reason, "stop pinned at step 2");
-            // The gather ran *after* the drain: the report reflects all
-            // three steps and the executor is fully shut down.
-            assert!(!bridge.offload_enabled());
-            assert_eq!(report.steps, 3);
         });
     }
 

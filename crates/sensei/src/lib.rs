@@ -64,7 +64,7 @@ pub mod failure;
 
 pub use adaptor::{AdaptorError, Association, DataAdaptor, InMemoryAdaptor};
 pub use analysis::{AnalysisAdaptor, Steering};
-pub use bridge::{Bridge, OffloadConfig, Registration, StopInfo};
+pub use bridge::{Bridge, Registration, StopInfo};
 pub use failure::FailureReport;
 
 // Re-exported so downstream crates can consume run reports without

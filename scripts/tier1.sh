@@ -38,17 +38,23 @@ if grep -n 'widened to f64' <<<"$adios_src"; then
 fi
 
 echo "==> a rank is one thread"
-# Concurrency inside a node comes from ranks and from the offload
-# executor (crates/sensei/src/bridge.rs, outside these paths on
-# purpose); a kernel or analysis that spawns workers, or a thread-count
-# knob, needs a benchmark row it wins first (DESIGN §17).
+# Concurrency inside a node comes from ranks; a kernel, analysis or
+# bridge that spawns workers, or a thread-count knob, needs a benchmark
+# row it wins first (DESIGN §17).
 if grep -rnE 'thread::scope|thread::spawn|available_parallelism' \
-    crates/oscillator/src crates/sensei/src/analysis; then
-    echo "tier1: a kernel or analysis spawns intra-rank threads" >&2
+    crates/oscillator/src crates/sensei/src; then
+    echo "tier1: the kernel, an analysis or the bridge spawns intra-rank threads" >&2
     exit 1
 fi
 if grep -rnE 'with_threads|step_with_threads' crates tests examples src; then
     echo "tier1: a thread-count knob is back" >&2
+    exit 1
+fi
+# Analyses run one way, synchronously inside Bridge::execute; the
+# asynchronous offload executor never beat it on a benchmark row.
+if grep -rnE 'enable_offload|supports_offload|execute_local|OffloadConfig|overlap_efficiency' \
+    crates tests examples src; then
+    echo "tier1: a second analysis execution path is back" >&2
     exit 1
 fi
 
@@ -79,9 +85,9 @@ if awk '/#\[cfg\(test\)\]/{exit}
 fi
 
 echo "==> one real-mode timing path"
-# Real-mode timings come from `experiments validate`, the perf gate and
-# `benchmark/`; a micro-benchmark harness beside them times what no
-# document, test or gate reads.
+# Real-mode timings are `benchmark/` and `experiments validate`; a
+# micro-benchmark harness beside them times what no document, test or
+# gate reads.
 if find . \( -name target -o -path './.*' \) -prune -o -name Cargo.toml -print0 |
     xargs -0 grep -nE 'criterion|^\[\[bench\]\]'; then
     echo "tier1: a criterion harness or [[bench]] target is back" >&2

@@ -45,10 +45,16 @@ struct Artifacts {
 /// the direct analyses under one seed; return rank 0's artifacts and
 /// the delivery trace.
 fn insitu_run(seed: u64, ranks: usize) -> (Artifacts, String) {
+    insitu_run_under(SchedPolicy::Seeded(seed), ranks)
+}
+
+/// [`insitu_run`] under any scheduling policy (a recorded trace
+/// replays under [`SchedPolicy::Replay`]).
+fn insitu_run_under(policy: SchedPolicy, ranks: usize) -> (Artifacts, String) {
     let d = deck();
     let cell = TraceCell::new();
     let out = WorldBuilder::new(ranks)
-        .sched(SchedPolicy::Seeded(seed))
+        .sched(policy)
         .trace_cell(&cell)
         .run(move |comm| {
             let cfg = SimConfig {
@@ -108,23 +114,28 @@ fn insitu_run(seed: u64, ranks: usize) -> (Artifacts, String) {
     (artifacts, trace)
 }
 
-/// Acceptance: the same `Seeded(u64)` run twice produces identical
-/// delivery traces and byte-identical RunReport JSON at 1/4/8 ranks —
-/// and every analysis artifact with them.
+/// Acceptance: the same `Seeded(u64)` run twice, and a replay of the
+/// first run's recorded trace, produce identical delivery traces and
+/// byte-identical RunReport JSON at 1/4/8 ranks — and every analysis
+/// artifact with them.
 #[test]
 fn same_seed_runs_are_bitwise_identical_at_1_4_8_ranks() {
     for ranks in [1, 4, 8] {
         let (a, trace_a) = insitu_run(42, ranks);
         let (b, trace_b) = insitu_run(42, ranks);
+        let recorded = minimpi::Trace::from_json(&trace_a).expect("trace parses");
+        let (r, _) = insitu_run_under(SchedPolicy::Replay(recorded), ranks);
         assert_eq!(trace_a, trace_b, "delivery trace differs at p={ranks}");
-        assert_eq!(
-            a.report_json, b.report_json,
-            "RunReport JSON differs at p={ranks}"
-        );
-        assert_eq!(a.hist, b.hist);
-        assert_eq!(a.ac, b.ac);
-        assert_eq!(a.catalyst_png, b.catalyst_png);
-        assert_eq!(a.libsim_png, b.libsim_png);
+        for (run, what) in [(&b, "same seed"), (&r, "replay")] {
+            assert_eq!(
+                a.report_json, run.report_json,
+                "RunReport JSON differs at p={ranks} ({what})"
+            );
+            assert_eq!(a.hist, run.hist, "{what}");
+            assert_eq!(a.ac, run.ac, "{what}");
+            assert_eq!(a.catalyst_png, run.catalyst_png, "{what}");
+            assert_eq!(a.libsim_png, run.libsim_png, "{what}");
+        }
     }
 }
 
@@ -160,82 +171,6 @@ fn results_survive_interleavings_and_decompositions() {
     let (p4_a, _) = insitu_run(3, 4);
     let (p4_b, _) = insitu_run(4, 4);
     assert_eq!(p4_a.ac, p4_b.ac, "autocorrelation is seed-dependent");
-}
-
-/// Memory-space scenario (ISSUE 8): analyses offloaded to simulated
-/// device workers — snapshotted into device space, executed off the
-/// rank thread, steering folded in at the next sync point — produce
-/// *bitwise* identical results to synchronous host execution at 1/4/8
-/// ranks, and the offloaded schedule replays exactly under
-/// `SchedPolicy::Replay`.
-#[test]
-fn device_offloaded_analyses_match_host_in_situ_bitwise() {
-    let run = |ranks: usize,
-               offload: bool,
-               policy: SchedPolicy,
-               cell: Option<&TraceCell>|
-     -> (HistogramResult, AutocorrelationResult) {
-        let d = deck();
-        let mut b = WorldBuilder::new(ranks).sched(policy);
-        if let Some(cell) = cell {
-            b = b.trace_cell(cell);
-        }
-        let out = b.run(move |comm| {
-            let cfg = SimConfig {
-                grid: GRID,
-                steps: STEPS,
-                ..SimConfig::default()
-            };
-            let root = if comm.rank() == 0 {
-                Some(d.as_str())
-            } else {
-                None
-            };
-            let mut sim = Simulation::new(comm, cfg, root);
-            let hist = HistogramAnalysis::new("data", BINS);
-            let hist_res = hist.results_handle();
-            let ac = Autocorrelation::new("data", 3, 8);
-            let ac_res = ac.results_handle();
-            let mut bridge = Bridge::new();
-            bridge.register(Box::new(hist));
-            bridge.register(Box::new(ac));
-            if offload {
-                bridge.enable_offload(sensei::OffloadConfig::default());
-            }
-            for _ in 0..STEPS {
-                sim.step(comm);
-                assert!(bridge
-                    .execute(&OscillatorAdaptor::new(&sim), comm)
-                    .should_continue());
-            }
-            bridge.finalize(comm);
-            if comm.rank() == 0 {
-                Some((
-                    hist_res.lock().clone().expect("histogram"),
-                    ac_res.lock().clone().expect("autocorrelation"),
-                ))
-            } else {
-                None
-            }
-        });
-        out.into_iter().flatten().next().expect("rank 0 artifacts")
-    };
-
-    for ranks in [1usize, 4, 8] {
-        let host = run(ranks, false, SchedPolicy::Seeded(11), None);
-        let cell = TraceCell::new();
-        let device = run(ranks, true, SchedPolicy::Seeded(11), Some(&cell));
-        assert_eq!(
-            host, device,
-            "device-offloaded results diverged from host in situ at p={ranks}"
-        );
-        let trace = cell.take().expect("offloaded run recorded a trace");
-        let replayed = run(ranks, true, SchedPolicy::Replay(trace), None);
-        assert_eq!(
-            device, replayed,
-            "offloaded schedule did not replay bitwise at p={ranks}"
-        );
-    }
 }
 
 /// Interactive endpoint scenario (ISSUE 9): a scripted 32-client

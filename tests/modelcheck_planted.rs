@@ -1,13 +1,14 @@
 //! Planted-bug corpus for the systematic model checker.
 //!
-//! Each test plants one concurrency or protocol bug in a real
-//! infrastructure path — the broker's eviction/backpressure protocol,
-//! the offload dispatch/drain protocol, the publish-window obligation,
-//! steering command application — and asserts the [`minimpi::Checker`]
-//! finds it within a deterministic schedule budget, minimizes the
-//! failing schedule with the ddmin shrinker, and replays the shrunk
-//! trace bitwise under `SchedPolicy::Replay`. The clean twins of the
-//! same protocols run under the same checker with zero findings.
+//! Each test plants one concurrency or protocol bug — the broker's
+//! eviction/backpressure protocol, a reply-order deadlock over plain
+//! point-to-point messages, the publish-window and query-client
+//! obligations, steering command application — and asserts the
+//! [`minimpi::Checker`] finds it within a deterministic schedule
+//! budget, minimizes the failing schedule with the ddmin shrinker, and
+//! replays the shrunk trace bitwise under `SchedPolicy::Replay`. The
+//! clean twins of the same protocols run under the same checker with
+//! zero findings.
 //!
 //! The last three tests sweep the substrate's riskiest surfaces — mixed
 //! collectives with an `ANY_SOURCE` fan-in, the FlexPath staging
@@ -24,6 +25,7 @@ use adios::{pair, Broker, BrokerConfig, Role, StagingBroker, TopicKey};
 use datamodel::{DataArray, DataSet, Extent, ImageData};
 use minimpi::{Checker, Comm, LivenessSpec};
 use oscillator::{demo_oscillators, osc::format_deck, OscillatorAdaptor, SimConfig, Simulation};
+use query::{Query, QueryConfig, QueryServer, SessionScript};
 use sensei::analysis::histogram::HistogramAnalysis;
 use sensei::analysis::AnalysisAdaptor;
 use sensei::{Bridge, InMemoryAdaptor};
@@ -115,21 +117,21 @@ fn broker_backpressure_with_eviction_is_clean() {
     assert!(!report.stats.budget_exhausted);
 }
 
-// The offload dispatch/drain protocol, modeled over point-to-point
-// messages the way `Bridge::drain_offload` pins it: results must be
-// collected in dispatch order.
+// A request/reply protocol over point-to-point messages: rank 0 sends
+// two jobs, and the worker replies to each and waits for its ack
+// before starting the next. Replies must be collected in send order.
 const JOB: u32 = 31;
 const RES: u32 = 40;
 const ACK: u32 = 50;
 
 #[test]
-fn offload_drain_order_deadlock_is_found_minimized_and_replayed() {
+fn reply_order_deadlock_is_found_minimized_and_replayed() {
     let report = Checker::new().max_schedules(16).run(2, |comm| {
         match comm.rank() {
             0 => {
                 comm.send(1, JOB, 0u64);
                 comm.send(1, JOB, 1u64);
-                // BUG: drains results in reverse dispatch order, but
+                // BUG: collects replies in reverse send order, but
                 // the worker acks each job before starting the next —
                 // rank 0 waits for a result the worker will never
                 // produce while the worker waits for rank 0's ack.
@@ -149,7 +151,7 @@ fn offload_drain_order_deadlock_is_found_minimized_and_replayed() {
     });
     let failure = report
         .failure
-        .expect("the drain-order deadlock must be found");
+        .expect("the reply-order deadlock must be found");
     assert!(
         failure.message.contains("deterministic deadlock detected"),
         "{}",
@@ -163,7 +165,7 @@ fn offload_drain_order_deadlock_is_found_minimized_and_replayed() {
 }
 
 #[test]
-fn offload_drain_in_dispatch_order_is_clean() {
+fn replies_in_send_order_are_clean() {
     let report = Checker::new()
         .max_schedules(64)
         .run(2, |comm| match comm.rank() {
@@ -185,7 +187,7 @@ fn offload_drain_in_dispatch_order_is_clean() {
         });
     assert!(
         report.failure.is_none(),
-        "dispatch-order drain terminates: {:?}",
+        "send-order replies terminate: {:?}",
         report.failure.map(|f| f.message)
     );
     assert!(
@@ -216,23 +218,27 @@ fn unclosed_publish_window_is_found_and_replayed() {
 }
 
 #[test]
-fn undrained_offload_pool_is_an_obligation_leak() {
+fn unclosed_query_client_is_an_obligation_leak() {
     let report = Checker::new().max_schedules(8).sanitize().run(1, |_comm| {
+        let server = QueryServer::new(Arc::new(SessionScript::new()), QueryConfig::default());
+        let handle = server.handle();
         let mut bridge = Bridge::new();
-        bridge.register(Box::new(HistogramAnalysis::new("data", 8)));
-        bridge.enable_offload(sensei::OffloadConfig::default());
-        // BUG: the bridge is dropped without `finalize` — the worker
-        // pool obligation opened by `enable_offload` is never
-        // discharged by `shutdown_offload`.
+        bridge.register(Box::new(server));
+        let summary = Query::Summary {
+            field: "data".into(),
+        };
+        handle.join(7, summary, "planted").expect("admitted");
+        // BUG: the bridge is dropped without `finalize` — the server
+        // never closes the client registration `join` opened.
     });
-    let failure = report.failure.expect("the undrained pool must be found");
+    let failure = report.failure.expect("the open client must be found");
     assert!(
         failure.message.contains("obligation-leak"),
         "{}",
         failure.message
     );
     assert!(
-        failure.message.contains("offload-workers"),
+        failure.message.contains("query-client"),
         "the finding names the protocol: {}",
         failure.message
     );
@@ -291,16 +297,15 @@ fn steering_starvation_is_classified_and_replayed() {
     assert!(failure.replayed_bitwise, "liveness aborts replay bitwise");
 }
 
-/// The clean pipeline — bridge steps with offloaded analyses, publish
-/// windows opened and closed per step, the executor drained and shut
-/// down at finalize, and a broker round with a draining consumer —
-/// produces zero findings across every explored schedule.
+/// The clean pipeline — bridge steps with a histogram, publish windows
+/// opened and closed per step, finalize, and a broker round with a
+/// draining consumer — produces zero findings across every explored
+/// schedule.
 #[test]
 fn clean_pipeline_is_silent_under_systematic_exploration() {
     let report = Checker::new().max_schedules(6).sanitize().run(2, |comm| {
         let mut bridge = Bridge::new();
         bridge.register(Box::new(HistogramAnalysis::new("data", 8)));
-        bridge.enable_offload(sensei::OffloadConfig::default());
         for step in 0..3u64 {
             let whole = Extent::whole([8, 1, 1]);
             let mut img = ImageData::new(whole, whole);

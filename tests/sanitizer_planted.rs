@@ -202,11 +202,11 @@ fn wrong_space_access_is_reported_as_a_missing_transfer() {
         .sanitizer(c2)
         .run(|_comm| {
             let data = shared_image([4, 1, 1]);
-            let staged = data.snapshot_in(datamodel::MemorySpace::DeviceSim(0));
-            let _device = datamodel::enter_space(datamodel::MemorySpace::DeviceSim(0));
-            if let DataSet::Image(img) = &staged {
-                let arr = img.point_data.get("u").unwrap();
-                let _v = arr.get(0, 0);
+            if let DataSet::Image(img) = &data {
+                let device = datamodel::MemorySpace::DeviceSim(0);
+                let staged = img.point_data.get("u").unwrap().snapshot_in(device);
+                let _device = datamodel::enter_space(device);
+                let _v = staged.get(0, 0);
             }
         });
     assert!(
