@@ -124,13 +124,23 @@ macro_rules! payload_types {
             }
 
             /// Take `count` little-endian elements of type `code` off the
-            /// front of `buf`: one bulk move into the buffer kept.
-            fn get_le(code: u8, count: u64, buf: &mut &[u8]) -> Result<Self, BpError> {
+            /// front of `buf`: one bulk move into the buffer kept, which
+            /// is `spare`'s when it has the type (see [`BpStep::refill`]).
+            fn get_le(
+                code: u8,
+                count: u64,
+                buf: &mut &[u8],
+                spare: Option<Self>,
+            ) -> Result<Self, BpError> {
                 match code {
                     $($code => {
                         let raw = take(buf, count, std::mem::size_of::<$t>())?;
                         let values = raw.as_chunks().0.iter().map(|c| <$t>::from_le_bytes(*c));
-                        Ok(Payload::$variant(Arc::new(values.collect())))
+                        let spare = match spare {
+                            Some(Payload::$variant(kept)) => Some(kept),
+                            _ => None,
+                        };
+                        Ok(Payload::$variant(refill_buffer(spare, values)))
                     })*
                     _ => Err(BpError::Corrupt("unknown scalar type")),
                 }
@@ -307,8 +317,19 @@ impl BpStep {
     /// program: every read and every count is checked against what is
     /// left of `buf` before anything is allocated for it, and any
     /// inconsistency is a [`BpError::Corrupt`].
-    pub fn decode(mut buf: &[u8]) -> Result<BpStep, BpError> {
+    pub fn decode(buf: &[u8]) -> Result<BpStep, BpError> {
+        BpStep::refill(buf, BpStep::default())
+    }
+
+    /// [`BpStep::decode`] into `spare`'s payloads: the `i`-th variable
+    /// is read into the `i`-th spare payload's buffer when it has the
+    /// same type and nothing else holds it (`Arc::get_mut`), so a
+    /// stream whose steps keep their shape allocates no payload once
+    /// warm. A payload something still holds — a broker subscriber, an
+    /// analysis — is left alone and the variable gets a fresh buffer.
+    pub(crate) fn refill(mut buf: &[u8], spare: BpStep) -> Result<BpStep, BpError> {
         let buf = &mut buf;
+        let mut spares = spare.vars.into_iter().map(|v| v.data);
         if get(buf).ok() != Some(*MAGIC) {
             return Err(BpError::Corrupt("bad magic"));
         }
@@ -354,7 +375,7 @@ impl BpStep {
                 global_dims,
                 offset,
                 local_dims,
-                data: Payload::get_le(code, count, buf)?,
+                data: Payload::get_le(code, count, buf, spares.next())?,
                 leaf,
             });
         }
@@ -364,6 +385,22 @@ impl BpStep {
             attributes,
             vars,
         })
+    }
+}
+
+/// `values` in `spare`'s buffer if nothing else holds it, else in a
+/// fresh one.
+fn refill_buffer<T>(spare: Option<Arc<Vec<T>>>, values: impl Iterator<Item = T>) -> Arc<Vec<T>> {
+    match spare {
+        Some(mut kept) => match Arc::get_mut(&mut kept) {
+            Some(buffer) => {
+                buffer.clear();
+                buffer.extend(values);
+                kept
+            }
+            None => Arc::new(values.collect()),
+        },
+        None => Arc::new(values.collect()),
     }
 }
 

@@ -9,12 +9,16 @@
 //! Per-step protocol, matching Fig. 8's decomposition:
 //!
 //! * `advance` — the writer's metadata update: blocks until the reader
-//!   has acknowledged the *previous* step (bounded queue of depth 1 —
+//!   has answered the *previous* step (bounded queue of depth 1 —
 //!   back-pressure is where "blocking time if the reader is not yet
-//!   ready" appears);
+//!   ready" appears). The answer carries the frame's own buffer back,
+//!   so the writer encodes every step into the one buffer it keeps;
 //! * `write` — ships the serialized [`BpStep`] (the marshaling copy;
-//!   FlexPath is not yet zero-copy);
-//! * readers `begin_step`/`end_step` around their analysis.
+//!   FlexPath is not yet zero-copy) by moving that buffer;
+//! * readers `begin_step`/`end_step` around their analysis. A reader
+//!   holds each frame until `end_step` returns it, and keeps the round's
+//!   steps as spares that the next round's frames are decoded into, so
+//!   a warm stream allocates no payload on either side.
 //!
 //! Writers may `close` at any time (FlexPath supports dynamic
 //! disconnection); endpoints drain remaining steps and observe EOF.
@@ -24,6 +28,8 @@
 //! or whose frame does not decode — is recorded as a
 //! [`FailureReport`] (steps and bytes received before the loss) and
 //! dropped from the stream instead of hanging or killing the endpoint.
+//! A writer whose frame does not decode is *refused*: its answer says
+//! so, its `advance` returns, and it ships nothing more.
 
 use std::time::Duration;
 
@@ -42,6 +48,11 @@ const DEFAULT_WRITER_DEADLINE: Duration = Duration::from_secs(30);
 
 // Frames travel as (bool is_close, Vec<u8>) to keep payload types simple
 // across the Any-based channel.
+
+/// The reader's answer to one frame, on `TAG_ACK`: the step it read, or
+/// `None` when the frame did not decode and the writer is refused, and
+/// the frame's buffer, which the writer encodes its next step into.
+type Reply = (Option<u64>, Vec<u8>);
 
 /// This rank's role after [`pair`].
 pub enum Role {
@@ -79,7 +90,9 @@ pub fn pair(world: &Comm, n_writers: usize) -> Role {
             sub,
             writer: FlexpathWriter {
                 peer,
-                outstanding: false,
+                frame: Vec::new(),
+                outstanding: None,
+                refused: None,
                 closed: false,
             },
         }
@@ -91,6 +104,8 @@ pub fn pair(world: &Comm, n_writers: usize) -> Role {
                 rank,
                 steps: 0,
                 bytes: 0,
+                frame: Vec::new(),
+                spare: BpStep::default(),
             })
             .collect();
         Role::Endpoint {
@@ -107,7 +122,13 @@ pub fn pair(world: &Comm, n_writers: usize) -> Role {
 /// Writer-side transport handle.
 pub struct FlexpathWriter {
     peer: usize,
-    outstanding: bool,
+    /// The buffer every frame is encoded into; at the endpoint while a
+    /// step is outstanding.
+    frame: Vec<u8>,
+    /// The step shipped and not yet answered.
+    outstanding: Option<u64>,
+    /// The step the endpoint refused; nothing ships after it.
+    refused: Option<u64>,
     closed: bool,
 }
 
@@ -117,58 +138,78 @@ impl FlexpathWriter {
         self.peer
     }
 
-    /// Metadata advance: waits for the reader's acknowledgment of the
-    /// previous step (returns the blocking seconds, the Fig. 8
+    /// The step whose frame the endpoint refused, if it did.
+    pub(crate) fn refused(&self) -> Option<u64> {
+        self.refused
+    }
+
+    /// Metadata advance: waits for the reader's answer to the previous
+    /// step (returns the blocking seconds, the Fig. 8
     /// `adios::advance`+blocking component).
     pub fn advance(&mut self, world: &Comm) -> f64 {
         assert!(!self.closed, "advance after close");
-        if !self.outstanding {
+        if self.outstanding.is_none() {
             return 0.0;
         }
         let t0 = probe::time::now_seconds();
-        let _ack: u64 = world.recv(self.peer, TAG_ACK);
-        self.outstanding = false;
+        self.await_reply(world);
         (probe::time::now_seconds() - t0).max(0.0)
     }
 
-    /// Ship one step: serializes it (the one marshaling copy of
-    /// §4.1.4) into an exactly-sized frame and moves that frame into
-    /// the channel, which needs to own it. Returns the bytes shipped.
-    pub fn write(&mut self, world: &Comm, step: &BpStep) -> usize {
-        let mut frame = Vec::new();
-        step.encode_into(&mut frame);
-        self.send_frame(world, frame)
+    /// Take back the outstanding frame's buffer, and note a refusal.
+    fn await_reply(&mut self, world: &Comm) {
+        if let Some(sent) = self.outstanding.take() {
+            let (read, frame): Reply = world.recv(self.peer, TAG_ACK);
+            self.frame = frame;
+            if read.is_none() {
+                self.refused = Some(sent);
+            }
+        }
     }
 
-    /// Move one frame into the channel.
-    pub(crate) fn send_frame(&mut self, world: &Comm, frame: Vec<u8>) -> usize {
+    /// Ship one step: serializes it (the one marshaling copy of
+    /// §4.1.4) into the kept frame buffer, exactly sized, and moves
+    /// that buffer into the channel, which needs to own it. Returns the
+    /// bytes shipped: 0 once the endpoint has refused this writer.
+    pub fn write(&mut self, world: &Comm, step: &BpStep) -> usize {
         assert!(!self.closed, "write after close");
-        assert!(!self.outstanding, "write without advance");
+        assert!(self.outstanding.is_none(), "write without advance");
+        if self.refused.is_some() {
+            return 0;
+        }
+        step.encode_into(&mut self.frame);
+        let frame = std::mem::take(&mut self.frame);
         let n = frame.len();
         world.send(self.peer, TAG_DATA, (false, frame));
-        self.outstanding = true;
+        self.outstanding = Some(step.step);
         n
     }
 
-    /// Disconnect from the endpoint.
+    /// Disconnect from the endpoint, dropping the frame buffer. A
+    /// refused writer has nobody to tell.
     pub fn close(&mut self, world: &Comm) {
         if !self.closed {
-            if self.outstanding {
-                let _ack: u64 = world.recv(self.peer, TAG_ACK);
-                self.outstanding = false;
+            self.await_reply(world);
+            if self.refused.is_none() {
+                world.send(self.peer, TAG_DATA, (true, Vec::<u8>::new()));
             }
-            world.send(self.peer, TAG_DATA, (true, Vec::<u8>::new()));
+            self.frame = Vec::new();
             self.closed = true;
         }
     }
 }
 
-/// Per-writer stream accounting on the reader side.
+/// Per-writer stream state on the reader side.
 #[derive(Clone, Debug)]
 struct WriterLink {
     rank: usize,
     steps: u64,
     bytes: u64,
+    /// The frame decoded this round, held until `end_step` returns it.
+    frame: Vec<u8>,
+    /// The step read last round, whose payloads the next frame is
+    /// decoded into.
+    spare: BpStep,
 }
 
 /// Reader-side transport handle.
@@ -246,23 +287,27 @@ impl FlexpathReader {
                 self.links.retain(|l| l.rank != w);
                 continue;
             }
-            match BpStep::decode(&bytes) {
+            let Some(link) = self.links.iter_mut().find(|l| l.rank == w) else {
+                continue;
+            };
+            match BpStep::refill(&bytes, std::mem::take(&mut link.spare)) {
                 Ok(step) => {
-                    if let Some(link) = self.links.iter_mut().find(|l| l.rank == w) {
-                        link.steps += 1;
-                        link.bytes += bytes.len() as u64;
-                    }
+                    link.steps += 1;
+                    link.bytes += bytes.len() as u64;
+                    link.frame = bytes;
                     steps.push((w, step));
                 }
-                // The writer is not acknowledged again, so it blocks in
-                // its next `advance` like any writer whose endpoint
-                // went away.
-                Err(err) => self.drop_link(w, |link| FailureReport::CorruptFrame {
-                    rank: w,
-                    steps_received: link.steps,
-                    bytes_received: link.bytes,
-                    reason: err.to_string(),
-                }),
+                // Refused: the frame goes back with no step, so the
+                // writer's `advance` returns and it ships nothing more.
+                Err(err) => {
+                    world.try_send::<Reply>(w, TAG_ACK, (None, bytes));
+                    self.drop_link(w, |link| FailureReport::CorruptFrame {
+                        rank: w,
+                        steps_received: link.steps,
+                        bytes_received: link.bytes,
+                        reason: err.to_string(),
+                    });
+                }
             }
         }
         // Arrival order is schedule-dependent; block order must not be.
@@ -274,12 +319,19 @@ impl FlexpathReader {
         }
     }
 
-    /// Acknowledge the current step to the writers that sent it,
-    /// releasing their back-pressure. Best-effort: a writer that died
-    /// after sending must not take the endpoint down with it.
-    pub fn end_step(&self, world: &Comm, sources: &[(usize, BpStep)]) {
-        for (w, step) in sources {
-            world.try_send(*w, TAG_ACK, step.step);
+    /// Acknowledge the current round to the writers that sent it,
+    /// returning each its frame and releasing its back-pressure, and
+    /// keep the round's steps as the spares the next round is decoded
+    /// into: a payload nothing else holds by then is refilled in place.
+    /// Best-effort: a writer that died after sending must not take the
+    /// endpoint down with it.
+    pub fn end_step(&mut self, world: &Comm, round: Vec<(usize, BpStep)>) {
+        for (w, step) in round {
+            if let Some(link) = self.links.iter_mut().find(|l| l.rank == w) {
+                let frame = std::mem::take(&mut link.frame);
+                world.try_send::<Reply>(w, TAG_ACK, (Some(step.step), frame));
+                link.spare = step;
+            }
         }
     }
 }
@@ -287,7 +339,7 @@ impl FlexpathReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bp::BpVar;
+    use crate::bp::{BpVar, Payload};
     use minimpi::World;
 
     fn step_with(step: u64, v: f64) -> BpStep {
@@ -323,10 +375,48 @@ mod tests {
                         steps[0].1.var("data").unwrap().data,
                         vec![seen as f64; 2].into()
                     );
-                    reader.end_step(world, &steps);
+                    reader.end_step(world, steps);
                     seen += 1;
                 }
                 assert_eq!(seen, 5);
+            }
+        });
+    }
+
+    #[test]
+    fn frames_and_payloads_circulate() {
+        // The writer's frame comes back with each answer, and a payload
+        // nothing else holds is refilled in place the next round.
+        World::run(2, |world| match pair(world, 1) {
+            Role::Writer { mut writer, .. } => {
+                let mut frames = Vec::new();
+                for s in 0..3u64 {
+                    writer.advance(world);
+                    if s > 0 {
+                        frames.push(writer.frame.as_ptr());
+                    }
+                    writer.write(world, &step_with(s, s as f64));
+                }
+                writer.close(world);
+                assert_eq!(frames.len(), 2);
+                assert_eq!(frames[0], frames[1], "one frame buffer, encoded into again");
+            }
+            Role::Endpoint { mut reader, .. } => {
+                let mut payloads = Vec::new();
+                while let Some(steps) = reader.begin_step(world) {
+                    let step = &steps[0].1;
+                    let Payload::F64(data) = &step.var("data").unwrap().data else {
+                        panic!("f64 in, f64 out");
+                    };
+                    assert_eq!(**data, [step.step as f64; 2]);
+                    payloads.push(data.as_ptr());
+                    reader.end_step(world, steps);
+                }
+                assert_eq!(payloads.len(), 3);
+                assert!(
+                    payloads.windows(2).all(|p| p[0] == p[1]),
+                    "refilled in place: {payloads:?}"
+                );
             }
         });
     }
@@ -344,7 +434,7 @@ mod tests {
                 let steps = reader.begin_step(world).expect("one step");
                 assert_eq!(steps[0].1, step_with(3, 1.5), "decode round-trips");
                 assert_eq!(reader.links[0].bytes, steps[0].1.encoded_len() as u64);
-                reader.end_step(world, &steps);
+                reader.end_step(world, steps);
                 assert!(reader.begin_step(world).is_none());
             }
         });
@@ -366,7 +456,7 @@ mod tests {
                 let mut rounds = 0;
                 while let Some(steps) = reader.begin_step(world) {
                     assert_eq!(steps.len(), 2, "one step per served writer");
-                    reader.end_step(world, &steps);
+                    reader.end_step(world, steps);
                     rounds += 1;
                 }
                 assert_eq!(rounds, 3);
@@ -390,9 +480,9 @@ mod tests {
             Role::Endpoint { mut reader, .. } => {
                 let first = reader.begin_step(world).unwrap();
                 std::thread::sleep(std::time::Duration::from_millis(40));
-                reader.end_step(world, &first);
+                reader.end_step(world, first);
                 let second = reader.begin_step(world).unwrap();
-                reader.end_step(world, &second);
+                reader.end_step(world, second);
                 assert!(reader.begin_step(world).is_none());
             }
         });

@@ -7,7 +7,11 @@
 //! Each payload byte moves once a side (DESIGN §11): the writer encodes
 //! its frame straight from the producer's buffer — §4.1.4's marshaling
 //! copy — inside a publish window held until the frame is written; the
-//! endpoint's blocks, meshes, broker and subscribers share what `decode` filled.
+//! endpoint's blocks, meshes, broker and subscribers share what the
+//! decoder filled. The buffers circulate: the frame goes back to its
+//! writer with the ack, and the endpoint loop releases each round's
+//! adaptor before `end_step`, so the next round's frames are decoded
+//! into the payloads nothing holds any more.
 
 use datamodel::{DataSet, Extent, ImageData, MultiBlock};
 use minimpi::Comm;
@@ -254,6 +258,17 @@ impl AdiosWriterAnalysis {
             failures: Vec::new(),
         }
     }
+
+    /// Surface the endpoint's refusal once, from the call that revealed
+    /// it.
+    fn report_refusal(&mut self, was_refused: bool) {
+        if let (false, Some(step)) = (was_refused, self.writer.refused()) {
+            self.failures.push(format!(
+                "adios-flexpath: endpoint rank {} refused step {step}; nothing ships after it",
+                self.writer.peer()
+            ));
+        }
+    }
 }
 
 impl AnalysisAdaptor for AdiosWriterAnalysis {
@@ -263,7 +278,9 @@ impl AnalysisAdaptor for AdiosWriterAnalysis {
 
     fn execute(&mut self, data: &dyn DataAdaptor, comm: &Comm) -> Steering {
         let probe = comm.probe();
+        let was_refused = self.writer.refused().is_some();
         let advance = self.writer.advance(comm);
+        self.report_refusal(was_refused);
         self.advance_seconds += advance;
         let t0 = probe::time::now_seconds();
         let shipped = {
@@ -294,7 +311,9 @@ impl AnalysisAdaptor for AdiosWriterAnalysis {
     }
 
     fn finalize(&mut self, comm: &Comm) {
+        let was_refused = self.writer.refused().is_some();
         self.writer.close(comm);
+        self.report_refusal(was_refused);
     }
 
     fn take_failures(&mut self) -> Vec<String> {
@@ -362,7 +381,11 @@ pub fn run_endpoint_with_broker(
         let mut adaptor = BpAdaptor::new(&steps);
         adaptor.reconcile_step_time(sub);
         bridge.execute(&adaptor, sub);
-        reader.end_step(world, &steps);
+        // The round's payloads become the reader's spares, refilled by
+        // the next round if nothing holds them: release the adaptor's
+        // shares first.
+        drop(adaptor);
+        reader.end_step(world, steps);
     }
     broker.finish_all();
     for evicted in broker.take_evictions() {
@@ -489,6 +512,53 @@ mod tests {
                 assert_eq!(seqs, vec![0, 1, 2, 3], "no step lost, in order");
                 assert!(watcher.is_eos(), "finish propagated at end-of-stream");
                 assert!(bridge.failure_reports().is_empty());
+            }
+        });
+    }
+
+    #[test]
+    fn a_payload_a_subscriber_holds_is_never_refilled() {
+        use crate::bp::Payload;
+        use crate::broker::TopicKey;
+        use std::time::Duration;
+        // The subscriber drains nothing until the stream ends, so every
+        // step's payload is still held when the next frame decodes: each
+        // must get a buffer of its own and keep its values to the bit.
+        const STEPS: u64 = 4;
+        World::run(2, |world| match pair(world, 1) {
+            Role::Writer { mut writer, .. } => {
+                for s in 0..STEPS {
+                    writer.advance(world);
+                    writer.write(world, &marshal(&sim_adaptor(0, 1, s)));
+                }
+                writer.close(world);
+            }
+            Role::Endpoint { sub, mut reader } => {
+                let broker = StagingBroker::new(BrokerConfig {
+                    queue_depth: STEPS as usize,
+                    max_subscribers: 1,
+                    eviction_deadline: Duration::from_millis(200),
+                });
+                let held = broker
+                    .subscribe(TopicKey::new("data", 0))
+                    .expect("admitted");
+                run_endpoint_with_broker(world, &sub, &mut reader, Vec::new(), &broker);
+                let mut buffers = Vec::new();
+                for s in 0..STEPS {
+                    let msg = held.try_next().expect("every step queued");
+                    let sent = marshal(&sim_adaptor(0, 1, s));
+                    let (Payload::F64(got), Payload::F64(sent)) =
+                        (&msg.payload.data, &sent.vars[0].data)
+                    else {
+                        panic!("f64 in, f64 out");
+                    };
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(got), bits(sent), "step {s}");
+                    buffers.push(got.as_ptr());
+                }
+                buffers.sort_unstable();
+                buffers.dedup();
+                assert_eq!(buffers.len(), STEPS as usize, "one buffer per held step");
             }
         });
     }
@@ -697,11 +767,20 @@ mod tests {
             });
     }
 
+    /// Writer 0's step `s` with its block moved outside its global grid:
+    /// it encodes, and the endpoint's decoder refuses it.
+    fn undecodable(s: u64) -> BpStep {
+        let mut step = marshal(&sim_adaptor(0, 2, s));
+        step.vars[0].offset[0] = step.vars[0].global_dims[0];
+        step
+    }
+
     #[test]
     fn corrupt_frame_drops_its_writer_and_spares_the_rest() {
-        // Writer 0's second frame is garbage. The endpoint drops that
-        // link with one typed report and keeps serving writer 1, whose
-        // block the last histogram then covers alone.
+        // Writer 0's second frame does not decode. The endpoint drops
+        // that link with one typed report, refuses the writer — which
+        // runs on to the end, shipping nothing more — and keeps serving
+        // writer 1, whose block the last histogram then covers alone.
         const STEPS: u64 = 4;
         let alone = World::run(1, |comm| {
             let hist = HistogramAnalysis::new("data", 8);
@@ -715,12 +794,22 @@ mod tests {
         })
         .remove(0);
         World::run(3, move |world| match pair(world, 2) {
-            Role::Writer { mut writer, .. } if world.rank() == 0 => {
-                writer.advance(world);
-                writer.write(world, &marshal(&sim_adaptor(0, 2, 0)));
-                writer.advance(world);
-                writer.send_frame(world, b"BPL3 but not a frame".to_vec());
-                // Never acknowledged again: it stops here, unclosed.
+            Role::Writer { writer, .. } if world.rank() == 0 => {
+                let mut ship = AdiosWriterAnalysis::new(writer);
+                ship.execute(&sim_adaptor(0, 2, 0), world);
+                let first = ship.bytes_shipped;
+                ship.writer.advance(world);
+                assert!(ship.writer.write(world, &undecodable(1)) > 0);
+                for s in 2..STEPS {
+                    ship.execute(&sim_adaptor(0, 2, s), world);
+                }
+                ship.finalize(world);
+                assert_eq!(ship.writer.refused(), Some(1));
+                assert_eq!(ship.bytes_shipped, first, "nothing ships after the refusal");
+                assert_eq!(
+                    ship.take_failures(),
+                    ["adios-flexpath: endpoint rank 2 refused step 1; nothing ships after it"]
+                );
             }
             Role::Writer { mut writer, .. } => {
                 for s in 0..STEPS {

@@ -13,10 +13,10 @@ use crate::sim::Simulation;
 /// Construction costs two `Arc` clones and a handful of scalars — this is
 /// the overhead the paper measures as "almost nonexistent" (§3.2). The
 /// field array is attached lazily and shares the simulation's buffer;
-/// the ghost flags are built once per simulation and copied out.
+/// the ghost flags are built once per simulation and shared the same way.
 pub struct OscillatorAdaptor {
     field: Arc<Vec<f64>>,
-    ghosts: Arc<OnceLock<Vec<u8>>>,
+    ghosts: Arc<OnceLock<Arc<Vec<u8>>>>,
     local: Extent,
     global: Extent,
     spacing: [f64; 3],
@@ -92,15 +92,18 @@ impl DataAdaptor for OscillatorAdaptor {
             // Neighbouring blocks share a point plane (partition_extent
             // splits cells); mark the duplicated planes so point
             // analyses stay decomposition-invariant. The extents never
-            // change, so the flags are computed once per simulation.
-            // Owned copy on purpose, not a view of the cached vector:
-            // see CHANGES.md, PR 16 and ROADMAP 1(b). Inserting them is
-            // also what arms the sanitizer's ghost-write checks on the
-            // sibling zero-copy arrays.
+            // change, so the flags are computed once per simulation and
+            // every step's array is a view of them, host-resident like
+            // the field. Inserting them is also what arms the
+            // sanitizer's ghost-write checks on the sibling zero-copy
+            // arrays.
             let flags = self
                 .ghosts
-                .get_or_init(|| duplicate_point_ghosts(&self.local, &self.global));
-            g.add_point_array(DataArray::owned(GHOST_ARRAY_NAME, 1, flags.clone()));
+                .get_or_init(|| Arc::new(duplicate_point_ghosts(&self.local, &self.global)));
+            g.add_point_array(
+                DataArray::shared(GHOST_ARRAY_NAME, 1, Arc::clone(flags))
+                    .with_space(datamodel::MemorySpace::Host),
+            );
         } else {
             // The simulation's field lives in host RAM; declare the
             // residency so space-checked consumers know where the
@@ -160,20 +163,24 @@ mod tests {
                 .unwrap();
             assert!(sim.ghost_cell().get().is_none(), "nobody asked yet");
 
+            // The flags an adaptor hands out, and where they live.
             let flags_of = |sim: &Simulation| {
                 let mesh = OscillatorAdaptor::new(sim).full_mesh();
                 let ghosts = mesh.point_data().unwrap().ghosts().unwrap();
-                ghosts.as_slice_in::<u8>(ghosts.space()).unwrap().to_vec()
+                assert!(ghosts.is_zero_copy(), "a view, not a copy");
+                let flags = ghosts.as_slice_in::<u8>(ghosts.space()).unwrap();
+                (flags.to_vec(), flags.as_ptr())
             };
-            let first = flags_of(&sim);
+            let (first, at) = flags_of(&sim);
             let built = sim.ghost_cell().get().expect("built on demand").as_ptr();
+            assert_eq!(at, built, "the cached flags themselves");
             assert_eq!(
                 first,
                 duplicate_point_ghosts(&sim.local_extent(), &sim.global_extent())
             );
-            // A later step's adaptor copies from the same cached flags.
+            // A later step's adaptor shares the same cached flags.
             sim.step(comm);
-            assert_eq!(flags_of(&sim), first);
+            assert_eq!(flags_of(&sim), (first, built));
             assert_eq!(built, sim.ghost_cell().get().unwrap().as_ptr());
         });
     }

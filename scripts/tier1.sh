@@ -37,6 +37,28 @@ if grep -n 'widened to f64' <<<"$adios_src"; then
     exit 1
 fi
 
+echo "==> in transit buffers are kept"
+# A steady-state staging step allocates no payload: the writer encodes
+# into the frame the last ack handed back, the reader decodes into last
+# round's payloads (BpStep::refill; BpStep::decode allocates fresh
+# ones), and the oscillator's ghost flags are a view of the array its
+# simulation caches, not a copy a step.
+flexpath_src=$(awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' crates/adios/src/flexpath.rs)
+if grep -F 'BpStep::decode(' <<<"$flexpath_src"; then
+    echo "tier1: the staging reader decodes into fresh payloads again" >&2
+    exit 1
+fi
+if awk '/pub fn write\(/{inside=1} inside {print} inside && /:     }$/{exit}' <<<"$flexpath_src" |
+    grep -F 'Vec::new()'; then
+    echo "tier1: FlexpathWriter::write builds a fresh frame again" >&2
+    exit 1
+fi
+oscillator_src=$(for f in crates/oscillator/src/*.rs; do awk '/#\[cfg\(test\)\]/{exit} {print}' "$f"; done)
+if tr '\n' ' ' <<<"$oscillator_src" | grep -oE 'DataArray::owned\(\s*(GHOST_ARRAY_NAME|"vtkGhostType")'; then
+    echo "tier1: crates/oscillator/src copies the ghost flags into an owned array again" >&2
+    exit 1
+fi
+
 echo "==> a rank is one thread"
 # Concurrency inside a node comes from ranks; a kernel, analysis or
 # bridge that spawns workers, or a thread-count knob, needs a benchmark

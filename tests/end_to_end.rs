@@ -468,6 +468,102 @@ fn endpoint_reads_the_decoded_frame_in_place() {
     }
 }
 
+/// Records this thread's allocation high-water rise from one `execute`
+/// to the next: beside an endpoint's analyses, everything one staging
+/// round costs — the ack, the next frame's decode, the analyses.
+struct AllocBetweenExecutes {
+    rises: std::sync::Arc<std::sync::Mutex<Vec<usize>>>,
+    floor: Option<usize>,
+}
+
+impl sensei::AnalysisAdaptor for AllocBetweenExecutes {
+    fn name(&self) -> &str {
+        "alloc-between-executes"
+    }
+
+    fn execute(
+        &mut self,
+        _data: &dyn sensei::DataAdaptor,
+        _comm: &minimpi::Comm,
+    ) -> sensei::Steering {
+        if let Some(floor) = self.floor {
+            let rise = probe::alloc::peak_bytes().saturating_sub(floor);
+            self.rises.lock().unwrap().push(rise);
+        }
+        probe::alloc::reset_peak();
+        self.floor = Some(probe::alloc::current_bytes());
+        sensei::Steering::Continue
+    }
+}
+
+/// The in transit buffers circulate: after two warm-up steps, neither a
+/// writer's `execute` (marshal, encode into the frame the last ack
+/// returned, ship) nor an endpoint round (ack, decode into last round's
+/// payloads, histogram) allocates anything payload-sized. At 64³ over
+/// two writers a frame is 1.2 MB; a fresh frame, a fresh decode or a
+/// copied ghost array each break the bound.
+#[test]
+fn steady_state_staging_step_allocates_no_payload() {
+    use adios::staging::{run_endpoint_with_broker, AdiosWriterAnalysis};
+    use adios::{pair, BrokerConfig, Role, StagingBroker};
+    const BOUND: usize = 64 << 10;
+    const STEPS: usize = 6;
+    const WARM_UP: usize = 2;
+    let d = deck();
+    let rises = World::run(3, move |world| match pair(world, 2) {
+        Role::Writer { sub, writer } => {
+            let cfg = SimConfig {
+                grid: [64, 64, 64],
+                steps: STEPS,
+                ..SimConfig::default()
+            };
+            let mut sim = Simulation::new(&sub, cfg, (sub.rank() == 0).then_some(d.as_str()));
+            let mut ship = AdiosWriterAnalysis::new(writer);
+            let mut rises = Vec::new();
+            for _ in 0..STEPS {
+                sim.step(&sub);
+                probe::alloc::reset_peak();
+                let floor = probe::alloc::current_bytes();
+                ship.execute(&OscillatorAdaptor::new(&sim), world);
+                rises.push(probe::alloc::peak_bytes() - floor);
+            }
+            ship.finalize(world);
+            assert!(ship.take_failures().is_empty());
+            rises.split_off(WARM_UP)
+        }
+        Role::Endpoint { sub, mut reader } => {
+            let rises = std::sync::Arc::default();
+            let recorder = AllocBetweenExecutes {
+                rises: std::sync::Arc::clone(&rises),
+                floor: None,
+            };
+            let (bridge, _) = run_endpoint_with_broker(
+                world,
+                &sub,
+                &mut reader,
+                vec![
+                    Box::new(HistogramAnalysis::new("data", 64)),
+                    Box::new(recorder),
+                ],
+                &StagingBroker::new(BrokerConfig::default()),
+            );
+            assert_eq!(bridge.steps(), STEPS as u64);
+            assert!(bridge.failure_reports().is_empty());
+            // The first interval ends at the second execute.
+            let rises = std::mem::take(&mut *rises.lock().unwrap());
+            assert_eq!(rises.len(), STEPS - 1);
+            rises[WARM_UP - 1..].to_vec()
+        }
+    });
+    for (rank, rises) in rises.iter().enumerate() {
+        let who = if rank < 2 { "writer" } else { "endpoint" };
+        assert!(
+            rises.iter().all(|&rise| rise < BOUND),
+            "{who} rank {rank} allocated {rises:?} B in steady-state staging steps"
+        );
+    }
+}
+
 /// Regression: Libsim and GLEAN used `attrs.get(array)?` *inside* their
 /// leaf loops, so a multiblock whose first leaf lacks the array rendered
 /// and aggregated nothing. The shared leaf view skips such leaves.

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use adios::staging::{run_endpoint_with_broker, AdiosWriterAnalysis};
-use adios::{pair, Broker, BrokerConfig, Role, StagingBroker, TopicKey};
+use adios::{pair, BpStep, BpVar, Broker, BrokerConfig, Role, StagingBroker, TopicKey};
 use datamodel::{DataArray, DataSet, Extent, ImageData};
 use minimpi::{Checker, Comm, LivenessSpec};
 use oscillator::{demo_oscillators, osc::format_deck, OscillatorAdaptor, SimConfig, Simulation};
@@ -295,6 +295,66 @@ fn steering_starvation_is_classified_and_replayed() {
         failure.message
     );
     assert!(failure.replayed_bitwise, "liveness aborts replay bitwise");
+}
+
+/// Writer `w`'s half of a 4-point line at step `s`; a `corrupt` block
+/// sits past the end of its global grid, so it encodes and does not
+/// decode.
+fn half_line(w: u64, s: u64, corrupt: bool) -> BpStep {
+    let mut step = BpStep::new(s, s as f64);
+    let mut var = BpVar::new(
+        "data",
+        [4, 1, 1],
+        [2 * w, 0, 0],
+        [2, 1, 1],
+        vec![s as f64; 2],
+    );
+    if corrupt {
+        var.offset[0] = 4;
+    }
+    step.vars.push(var);
+    step
+}
+
+/// One writer's second frame does not decode and the endpoint refuses
+/// it. The refused writer is released — its `advance` returns, it ships
+/// nothing more and closes without a word — while the healthy writer's
+/// stream finishes. Without the refusal the writer waits in `advance`
+/// for an ack that never comes: a deadlock under every schedule.
+#[test]
+fn refused_writer_is_released_not_stranded() {
+    const STEPS: u64 = 3;
+    let report = Checker::new()
+        .sanitize()
+        .run(3, |comm| match pair(comm, 2) {
+            Role::Writer { mut writer, .. } => {
+                let w = comm.rank() as u64;
+                for s in 0..STEPS {
+                    writer.advance(comm);
+                    let shipped = writer.write(comm, &half_line(w, s, w == 0 && s == 1));
+                    assert_eq!(shipped == 0, w == 0 && s > 1, "writer {w} step {s}");
+                }
+                writer.close(comm);
+            }
+            Role::Endpoint { sub, mut reader } => {
+                let broker = StagingBroker::new(BrokerConfig::default());
+                let (bridge, _) =
+                    run_endpoint_with_broker(comm, &sub, &mut reader, Vec::new(), &broker);
+                assert_eq!(bridge.steps(), STEPS, "the healthy stream finished");
+                let reports = bridge.failure_reports();
+                assert_eq!(reports.len(), 1, "{reports:?}");
+                assert_eq!(reports[0].kind(), "corrupt-frame");
+            }
+        });
+    assert!(
+        report.failure.is_none(),
+        "every schedule terminates: {:?}",
+        report.failure.map(|f| f.message)
+    );
+    assert!(
+        !report.stats.budget_exhausted,
+        "the schedule tree completes"
+    );
 }
 
 /// The clean pipeline — bridge steps with a histogram, publish windows

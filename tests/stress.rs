@@ -84,7 +84,7 @@ fn staging_reconnect_cycles() {
                     let mut seen = 0;
                     while let Some(steps) = reader.begin_step(world) {
                         assert_eq!(steps[0].1.var("x").unwrap().data, vec![cycle as f64].into());
-                        reader.end_step(world, &steps);
+                        reader.end_step(world, steps);
                         seen += 1;
                     }
                     assert_eq!(seen, 2, "cycle {cycle}");
