@@ -6,11 +6,14 @@
 //! type — the payload *is* the element type, so nothing is converted on
 //! either side and a `u8` ghost array costs one byte a point. Steps
 //! serialize to a compact binary framing (`BPL3`, DESIGN "One encoder")
-//! used both by the FlexPath transport and by [`BpFile`] on disk.
+//! that [`BpFile`] appends to disk. The FlexPath transport ships the same
+//! framing without its payload sections, and the payloads beside it as
+//! the buffers the writer marshalled into.
 //!
 //! A payload is an `Arc`: the writer's step can share the producer's
-//! buffer while it is encoded, and on the endpoint the decoded buffer is
-//! the one the analysis mesh, the broker and every subscriber read.
+//! buffer while it is marshalled, and on the endpoint the buffer the
+//! writer filled is the one the analysis mesh, the broker and every
+//! subscriber read.
 
 use bytes::BufMut;
 use datamodel::{AccessError, DataArray, MemorySpace, ScalarType};
@@ -124,25 +127,40 @@ macro_rules! payload_types {
             }
 
             /// Take `count` little-endian elements of type `code` off the
-            /// front of `buf`: one bulk move into the buffer kept, which
-            /// is `spare`'s when it has the type (see [`BpStep::refill`]).
-            fn get_le(
-                code: u8,
-                count: u64,
-                buf: &mut &[u8],
-                spare: Option<Self>,
-            ) -> Result<Self, BpError> {
+            /// front of `buf` into a fresh buffer: one bulk move.
+            fn get_le(code: u8, count: u64, buf: &mut &[u8]) -> Result<Self, BpError> {
                 match code {
                     $($code => {
                         let raw = take(buf, count, std::mem::size_of::<$t>())?;
                         let values = raw.as_chunks().0.iter().map(|c| <$t>::from_le_bytes(*c));
-                        let spare = match spare {
-                            Some(Payload::$variant(kept)) => Some(kept),
-                            _ => None,
-                        };
-                        Ok(Payload::$variant(refill_buffer(spare, values)))
+                        Ok(Payload::$variant(Arc::new(values.collect())))
                     })*
                     _ => Err(BpError::Corrupt("unknown scalar type")),
+                }
+            }
+
+            /// Copy the values into `block` — the staging writer's
+            /// marshaling copy — reusing its buffer when it has this type
+            /// and nothing else holds it (`Arc::get_mut`); otherwise
+            /// `block` becomes a fresh buffer.
+            pub(crate) fn marshal_into(&self, block: &mut Self) {
+                match (self, &mut *block) {
+                    $((Payload::$variant(values), Payload::$variant(kept)) => {
+                        if let Some(buffer) = Arc::get_mut(kept) {
+                            buffer.clear();
+                            buffer.extend_from_slice(values);
+                            return;
+                        }
+                    })*
+                    _ => {}
+                }
+                *block = self.copied();
+            }
+
+            /// The values in a fresh buffer of their own.
+            pub(crate) fn copied(&self) -> Self {
+                match self {
+                    $(Payload::$variant(v) => Payload::$variant(Arc::new(v.to_vec()))),*
                 }
             }
         }
@@ -283,15 +301,28 @@ impl BpStep {
         n
     }
 
-    /// Serialize to the BP-lite framing — the marshaling copy the
-    /// FlexPath transport pays (not zero-copy, per §4.1.4), and the
-    /// only pass the writer makes over a payload. `out` is cleared and
-    /// refilled with exactly [`BpStep::encoded_len`] bytes; a caller
-    /// that keeps one buffer across steps pays no allocation once its
-    /// capacity has warmed up to the steady-state step size.
+    /// Serialize to the BP-lite framing. `out` is cleared and refilled
+    /// with exactly [`BpStep::encoded_len`] bytes; a caller that keeps
+    /// one buffer across steps pays no allocation once its capacity has
+    /// warmed up to the steady-state step size.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
+        self.encode_framing(out, true);
+    }
+
+    /// The framing without its payload sections — every variable's
+    /// header, element count included, and none of its values: what
+    /// travels on the staging wire beside the payload blocks (see
+    /// [`BpStep::adopt`]).
+    pub(crate) fn encode_meta(&self, out: &mut Vec<u8>) {
+        self.encode_framing(out, false);
+    }
+
+    /// The one encoder body; `payloads` says whether each variable's
+    /// values follow its header inline.
+    fn encode_framing(&self, out: &mut Vec<u8>, payloads: bool) {
         out.clear();
-        out.reserve_exact(self.encoded_len());
+        let inline = if payloads { 0 } else { self.payload_bytes() };
+        out.reserve_exact(self.encoded_len() - inline);
         out.put_slice(MAGIC);
         out.put_u64_le(self.step);
         out.put_f64_le(self.time);
@@ -309,7 +340,9 @@ impl BpStep {
                 out.put_u64_le(*d);
             }
             out.put_u64_le(v.data.len() as u64);
-            v.data.put_le(out);
+            if payloads {
+                v.data.put_le(out);
+            }
         }
     }
 
@@ -318,18 +351,40 @@ impl BpStep {
     /// left of `buf` before anything is allocated for it, and any
     /// inconsistency is a [`BpError::Corrupt`].
     pub fn decode(buf: &[u8]) -> Result<BpStep, BpError> {
-        BpStep::refill(buf, BpStep::default())
+        BpStep::parse(buf, Payload::get_le)
     }
 
-    /// [`BpStep::decode`] into `spare`'s payloads: the `i`-th variable
-    /// is read into the `i`-th spare payload's buffer when it has the
-    /// same type and nothing else holds it (`Arc::get_mut`), so a
-    /// stream whose steps keep their shape allocates no payload once
-    /// warm. A payload something still holds — a broker subscriber, an
-    /// analysis — is left alone and the variable gets a fresh buffer.
-    pub(crate) fn refill(mut buf: &[u8], spare: BpStep) -> Result<BpStep, BpError> {
+    /// Decode a framing whose payload sections travel as `blocks` (see
+    /// [`BpStep::encode_meta`]): block `i` becomes variable `i`'s
+    /// payload as it is, with no copy, once its type code and element
+    /// count agree with the variable's header. A block that disagrees,
+    /// or a block count other than the variable count, is
+    /// [`BpError::Corrupt`].
+    pub(crate) fn adopt(meta: &[u8], blocks: Vec<Payload>) -> Result<BpStep, BpError> {
+        let mut blocks = blocks.into_iter();
+        let step = BpStep::parse(meta, |code, count, _| {
+            let block = blocks
+                .next()
+                .ok_or(BpError::Corrupt("fewer payload blocks than variables"))?;
+            if block.code() != code || block.len() as u64 != count {
+                return Err(BpError::Corrupt("payload block disagrees with its header"));
+            }
+            Ok(block)
+        })?;
+        if blocks.next().is_some() {
+            return Err(BpError::Corrupt("more payload blocks than variables"));
+        }
+        Ok(step)
+    }
+
+    /// The one decoder body: `payload(code, count, rest)` yields each
+    /// variable's values once its header has been read and checked —
+    /// inline off the front of `rest`, or from elsewhere.
+    fn parse(
+        mut buf: &[u8],
+        mut payload: impl FnMut(u8, u64, &mut &[u8]) -> Result<Payload, BpError>,
+    ) -> Result<BpStep, BpError> {
         let buf = &mut buf;
-        let mut spares = spare.vars.into_iter().map(|v| v.data);
         if get(buf).ok() != Some(*MAGIC) {
             return Err(BpError::Corrupt("bad magic"));
         }
@@ -375,7 +430,7 @@ impl BpStep {
                 global_dims,
                 offset,
                 local_dims,
-                data: Payload::get_le(code, count, buf, spares.next())?,
+                data: payload(code, count, buf)?,
                 leaf,
             });
         }
@@ -385,22 +440,6 @@ impl BpStep {
             attributes,
             vars,
         })
-    }
-}
-
-/// `values` in `spare`'s buffer if nothing else holds it, else in a
-/// fresh one.
-fn refill_buffer<T>(spare: Option<Arc<Vec<T>>>, values: impl Iterator<Item = T>) -> Arc<Vec<T>> {
-    match spare {
-        Some(mut kept) => match Arc::get_mut(&mut kept) {
-            Some(buffer) => {
-                buffer.clear();
-                buffer.extend(values);
-                kept
-            }
-            None => Arc::new(values.collect()),
-        },
-        None => Arc::new(values.collect()),
     }
 }
 
@@ -526,6 +565,81 @@ mod tests {
         }
         let back = BpStep::decode(&arena).expect("decode from warm buffer");
         assert_eq!(back, s);
+    }
+
+    /// `s`'s framing without payloads, and its payloads as blocks.
+    fn split(s: &BpStep) -> (Vec<u8>, Vec<Payload>) {
+        let mut meta = Vec::new();
+        s.encode_meta(&mut meta);
+        (meta, s.vars.iter().map(|v| v.data.clone()).collect())
+    }
+
+    #[test]
+    fn meta_is_the_framing_with_its_payload_sections_cut_out() {
+        let s = sample();
+        let full = encoded(&s);
+        let (meta, _) = split(&s);
+        assert_eq!(meta.len(), s.encoded_len() - s.payload_bytes());
+        // `data`'s 256 values end where `rho`'s header begins, and
+        // `rho`'s one value ends the framing.
+        let rho_header = 4 + "rho".len() + VAR_HEADER;
+        let data_at = meta.len() - rho_header;
+        let cut = [&full[..data_at], &full[data_at + 256 * 8..full.len() - 8]].concat();
+        assert_eq!(meta, cut);
+    }
+
+    #[test]
+    fn adopt_takes_each_block_as_its_payload() {
+        let s = sample();
+        let (meta, blocks) = split(&s);
+        let back = BpStep::adopt(&meta, blocks).expect("adopt");
+        assert_eq!(back, s);
+        for (got, sent) in back.vars.iter().zip(&s.vars) {
+            let (Payload::F64(got), Payload::F64(values)) = (&got.data, &sent.data) else {
+                panic!("f64 in, f64 out");
+            };
+            assert!(
+                Arc::ptr_eq(got, values),
+                "{}: adopted, not copied",
+                sent.name
+            );
+        }
+    }
+
+    #[test]
+    fn a_block_that_disagrees_with_its_header_is_corrupt_never_adopted() {
+        let s = sample();
+        let corrupt = |tamper: fn(&mut Vec<Payload>)| {
+            let (meta, mut blocks) = split(&s);
+            tamper(&mut blocks);
+            matches!(BpStep::adopt(&meta, blocks), Err(BpError::Corrupt(_)))
+        };
+        assert!(corrupt(|b| b[0] = vec![0.0f32; 256].into()), "wrong type");
+        assert!(
+            corrupt(|b| b[1] = vec![9u8].into()),
+            "wrong type, same count"
+        );
+        assert!(
+            corrupt(|b| b[0] = vec![0.0f64; 255].into()),
+            "one element short"
+        );
+        assert!(
+            corrupt(|b| b[1] = vec![9.0f64; 2].into()),
+            "one element over"
+        );
+        assert!(
+            corrupt(|b| b.push(vec![9.0f64].into())),
+            "one block too many"
+        );
+        assert!(corrupt(|b| drop(b.pop())), "one block too few");
+        assert!(corrupt(Vec::clear), "no blocks");
+        assert!(!corrupt(|_| ()), "the blocks as marshalled");
+        // The framing is checked as `decode` checks it.
+        let (meta, blocks) = split(&s);
+        assert!(matches!(
+            BpStep::adopt(&meta[..meta.len() - 1], blocks),
+            Err(BpError::Corrupt(_))
+        ));
     }
 
     #[test]

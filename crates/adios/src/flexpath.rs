@@ -11,24 +11,27 @@
 //! * `advance` — the writer's metadata update: blocks until the reader
 //!   has answered the *previous* step (bounded queue of depth 1 —
 //!   back-pressure is where "blocking time if the reader is not yet
-//!   ready" appears). The answer carries the frame's own buffer back,
-//!   so the writer encodes every step into the one buffer it keeps;
-//! * `write` — ships the serialized [`BpStep`] (the marshaling copy;
-//!   FlexPath is not yet zero-copy) by moving that buffer;
+//!   ready" appears). The answer carries the step's buffers back, so
+//!   the writer marshals every step into the buffers it keeps;
+//! * `write` — ships one [`BpStep`] split in two, as ADIOS2's SST
+//!   engine splits its control and data planes: the BPL3 framing
+//!   without its payload sections travels as bytes, and each payload
+//!   travels beside it as the block the writer copied it into — the one
+//!   marshaling copy of §4.1.4, and the only copy either side makes;
 //! * readers `begin_step`/`end_step` around their analysis. A reader
-//!   holds each frame until `end_step` returns it, and keeps the round's
-//!   steps as spares that the next round's frames are decoded into, so
-//!   a warm stream allocates no payload on either side.
+//!   checks each block against its header and adopts it as the
+//!   variable's payload, and `end_step` sends the framing and the
+//!   blocks back, so a warm stream allocates no payload on either side.
 //!
 //! Writers may `close` at any time (FlexPath supports dynamic
 //! disconnection); endpoints drain remaining steps and observe EOF.
 //!
 //! Readers also survive writers that *die* rather than close: each
 //! per-writer receive carries a deadline, and a writer that misses it —
-//! or whose frame does not decode — is recorded as a
+//! or whose step does not decode — is recorded as a
 //! [`FailureReport`] (steps and bytes received before the loss) and
 //! dropped from the stream instead of hanging or killing the endpoint.
-//! A writer whose frame does not decode is *refused*: its answer says
+//! A writer whose step does not decode is *refused*: its answer says
 //! so, its `advance` returns, and it ships nothing more.
 
 use std::time::Duration;
@@ -36,7 +39,7 @@ use std::time::Duration;
 use minimpi::Comm;
 use sensei::FailureReport;
 
-use crate::bp::BpStep;
+use crate::bp::{BpStep, Payload};
 
 const TAG_DATA: u32 = 0xAD10_0001;
 const TAG_ACK: u32 = 0xAD10_0002;
@@ -46,13 +49,16 @@ const TAG_ACK: u32 = 0xAD10_0002;
 /// than hanging the endpoint forever.
 const DEFAULT_WRITER_DEADLINE: Duration = Duration::from_secs(30);
 
-// Frames travel as (bool is_close, Vec<u8>) to keep payload types simple
-// across the Any-based channel.
+/// One step on `TAG_DATA`: whether the writer is closing, the step's
+/// framing without payloads ([`BpStep::encode_meta`]), and one payload
+/// block per variable.
+type Frame = (bool, Vec<u8>, Vec<Payload>);
 
-/// The reader's answer to one frame, on `TAG_ACK`: the step it read, or
-/// `None` when the frame did not decode and the writer is refused, and
-/// the frame's buffer, which the writer encodes its next step into.
-type Reply = (Option<u64>, Vec<u8>);
+/// The reader's answer to one step, on `TAG_ACK`: the step it read, or
+/// `None` when the step did not decode and the writer is refused, and
+/// the step's framing and blocks, which the writer marshals its next
+/// step into.
+type Reply = (Option<u64>, Vec<u8>, Vec<Payload>);
 
 /// This rank's role after [`pair`].
 pub enum Role {
@@ -90,7 +96,8 @@ pub fn pair(world: &Comm, n_writers: usize) -> Role {
             sub,
             writer: FlexpathWriter {
                 peer,
-                frame: Vec::new(),
+                meta: Vec::new(),
+                blocks: Vec::new(),
                 outstanding: None,
                 refused: None,
                 closed: false,
@@ -104,8 +111,7 @@ pub fn pair(world: &Comm, n_writers: usize) -> Role {
                 rank,
                 steps: 0,
                 bytes: 0,
-                frame: Vec::new(),
-                spare: BpStep::default(),
+                meta: Vec::new(),
             })
             .collect();
         Role::Endpoint {
@@ -122,9 +128,11 @@ pub fn pair(world: &Comm, n_writers: usize) -> Role {
 /// Writer-side transport handle.
 pub struct FlexpathWriter {
     peer: usize,
-    /// The buffer every frame is encoded into; at the endpoint while a
-    /// step is outstanding.
-    frame: Vec<u8>,
+    /// The buffer each step's framing is encoded into, and the payload
+    /// blocks its values are copied into; at the endpoint while a step
+    /// is outstanding.
+    meta: Vec<u8>,
+    blocks: Vec<Payload>,
     /// The step shipped and not yet answered.
     outstanding: Option<u64>,
     /// The step the endpoint refused; nothing ships after it.
@@ -156,44 +164,71 @@ impl FlexpathWriter {
         (probe::time::now_seconds() - t0).max(0.0)
     }
 
-    /// Take back the outstanding frame's buffer, and note a refusal.
+    /// Take back the outstanding step's buffers, and note a refusal.
     fn await_reply(&mut self, world: &Comm) {
         if let Some(sent) = self.outstanding.take() {
-            let (read, frame): Reply = world.recv(self.peer, TAG_ACK);
-            self.frame = frame;
+            let (read, meta, blocks): Reply = world.recv(self.peer, TAG_ACK);
+            self.meta = meta;
+            self.blocks = blocks;
             if read.is_none() {
                 self.refused = Some(sent);
             }
         }
     }
 
-    /// Ship one step: serializes it (the one marshaling copy of
-    /// §4.1.4) into the kept frame buffer, exactly sized, and moves
-    /// that buffer into the channel, which needs to own it. Returns the
-    /// bytes shipped: 0 once the endpoint has refused this writer.
+    /// Ship one step: encodes its framing without payloads into the kept
+    /// metadata buffer, copies each variable's values into the block the
+    /// last answer returned (the one marshaling copy of §4.1.4; a fresh
+    /// block only where the type changed or something still holds the
+    /// old one), and moves both into the channel, which needs to own
+    /// them. Returns the bytes shipped, the step's
+    /// [`BpStep::encoded_len`]: 0 once the endpoint has refused this
+    /// writer.
     pub fn write(&mut self, world: &Comm, step: &BpStep) -> usize {
         assert!(!self.closed, "write after close");
         assert!(self.outstanding.is_none(), "write without advance");
         if self.refused.is_some() {
             return 0;
         }
-        step.encode_into(&mut self.frame);
-        let frame = std::mem::take(&mut self.frame);
-        let n = frame.len();
-        world.send(self.peer, TAG_DATA, (false, frame));
-        self.outstanding = Some(step.step);
-        n
+        self.marshal(step);
+        self.ship(world, step.step);
+        step.encoded_len()
     }
 
-    /// Disconnect from the endpoint, dropping the frame buffer. A
+    /// Encode `step`'s framing and copy its payloads into the kept
+    /// buffers.
+    fn marshal(&mut self, step: &BpStep) {
+        step.encode_meta(&mut self.meta);
+        self.blocks.truncate(step.vars.len());
+        for (i, var) in step.vars.iter().enumerate() {
+            match self.blocks.get_mut(i) {
+                Some(block) => var.data.marshal_into(block),
+                None => self.blocks.push(var.data.copied()),
+            }
+        }
+    }
+
+    /// Move the marshalled step into the channel.
+    fn ship(&mut self, world: &Comm, step: u64) {
+        let frame: Frame = (
+            false,
+            std::mem::take(&mut self.meta),
+            std::mem::take(&mut self.blocks),
+        );
+        world.send(self.peer, TAG_DATA, frame);
+        self.outstanding = Some(step);
+    }
+
+    /// Disconnect from the endpoint, dropping the step buffers. A
     /// refused writer has nobody to tell.
     pub fn close(&mut self, world: &Comm) {
         if !self.closed {
             self.await_reply(world);
             if self.refused.is_none() {
-                world.send(self.peer, TAG_DATA, (true, Vec::<u8>::new()));
+                world.send::<Frame>(self.peer, TAG_DATA, (true, Vec::new(), Vec::new()));
             }
-            self.frame = Vec::new();
+            self.meta = Vec::new();
+            self.blocks = Vec::new();
             self.closed = true;
         }
     }
@@ -205,11 +240,8 @@ struct WriterLink {
     rank: usize,
     steps: u64,
     bytes: u64,
-    /// The frame decoded this round, held until `end_step` returns it.
-    frame: Vec<u8>,
-    /// The step read last round, whose payloads the next frame is
-    /// decoded into.
-    spare: BpStep,
+    /// The framing read this round, held until `end_step` returns it.
+    meta: Vec<u8>,
 }
 
 /// Reader-side transport handle.
@@ -227,7 +259,7 @@ impl FlexpathReader {
 
     /// Writers lost mid-stream so far, with what was received before
     /// the loss: [`FailureReport::DeadWriter`] for a missed receive
-    /// deadline, [`FailureReport::CorruptFrame`] for a frame that did
+    /// deadline, [`FailureReport::CorruptFrame`] for a step that did
     /// not decode.
     pub fn dead_writers(&self) -> &[FailureReport] {
         &self.dead
@@ -244,10 +276,11 @@ impl FlexpathReader {
     /// Receive one step from every still-connected writer. Returns
     /// `None` once all writers have closed or died. Steps arrive with
     /// their source world rank. A writer that misses the deadline, or
-    /// sends a frame that does not decode, is recorded in
-    /// [`FlexpathReader::dead_writers`] and dropped; the stream degrades
-    /// to end-of-stream instead of hanging, and the other writers are
-    /// served as before.
+    /// sends a step that does not decode — a framing that does not
+    /// parse, or a payload block that disagrees with its header — is
+    /// recorded in [`FlexpathReader::dead_writers`] and dropped; the
+    /// stream degrades to end-of-stream instead of hanging, and the
+    /// other writers are served as before.
     ///
     /// Internally this is one event-loop round over a multi-peer
     /// select ([`Comm::recv_any_of_deadline`]): whichever writer is
@@ -262,13 +295,12 @@ impl FlexpathReader {
             return None;
         }
         let mut steps: Vec<(usize, BpStep)> = Vec::with_capacity(self.links.len());
-        // Writers still owing a frame this round; shrinks as frames
+        // Writers still owing a step this round; shrinks as steps
         // arrive.
         let mut awaiting: Vec<usize> = self.links.iter().map(|l| l.rank).collect();
         while !awaiting.is_empty() {
-            let got =
-                world.recv_any_of_deadline::<(bool, Vec<u8>)>(&awaiting, TAG_DATA, self.deadline);
-            let Ok((w, (is_close, bytes))) = got else {
+            let got = world.recv_any_of_deadline::<Frame>(&awaiting, TAG_DATA, self.deadline);
+            let Ok((w, (is_close, meta, blocks))) = got else {
                 // Every writer still awaited was silent for the whole
                 // window: declare them all dead in one decision.
                 let waited = self.deadline;
@@ -290,17 +322,17 @@ impl FlexpathReader {
             let Some(link) = self.links.iter_mut().find(|l| l.rank == w) else {
                 continue;
             };
-            match BpStep::refill(&bytes, std::mem::take(&mut link.spare)) {
+            match BpStep::adopt(&meta, blocks) {
                 Ok(step) => {
                     link.steps += 1;
-                    link.bytes += bytes.len() as u64;
-                    link.frame = bytes;
+                    link.bytes += (meta.len() + step.payload_bytes()) as u64;
+                    link.meta = meta;
                     steps.push((w, step));
                 }
-                // Refused: the frame goes back with no step, so the
-                // writer's `advance` returns and it ships nothing more.
+                // Refused: the answer carries no step, so the writer's
+                // `advance` returns and it ships nothing more.
                 Err(err) => {
-                    world.try_send::<Reply>(w, TAG_ACK, (None, bytes));
+                    world.try_send::<Reply>(w, TAG_ACK, (None, meta, Vec::new()));
                     self.drop_link(w, |link| FailureReport::CorruptFrame {
                         rank: w,
                         steps_received: link.steps,
@@ -320,17 +352,17 @@ impl FlexpathReader {
     }
 
     /// Acknowledge the current round to the writers that sent it,
-    /// returning each its frame and releasing its back-pressure, and
-    /// keep the round's steps as the spares the next round is decoded
-    /// into: a payload nothing else holds by then is refilled in place.
-    /// Best-effort: a writer that died after sending must not take the
-    /// endpoint down with it.
+    /// releasing their back-pressure and returning each its framing and
+    /// the round's payloads, which the writer marshals its next step
+    /// into wherever nothing else holds them by then. Best-effort: a
+    /// writer that died after sending must not take the endpoint down
+    /// with it.
     pub fn end_step(&mut self, world: &Comm, round: Vec<(usize, BpStep)>) {
         for (w, step) in round {
             if let Some(link) = self.links.iter_mut().find(|l| l.rank == w) {
-                let frame = std::mem::take(&mut link.frame);
-                world.try_send::<Reply>(w, TAG_ACK, (Some(step.step), frame));
-                link.spare = step;
+                let meta = std::mem::take(&mut link.meta);
+                let blocks = step.vars.into_iter().map(|v| v.data).collect();
+                world.try_send::<Reply>(w, TAG_ACK, (Some(step.step), meta, blocks));
             }
         }
     }
@@ -339,8 +371,24 @@ impl FlexpathReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bp::{BpVar, Payload};
+    use crate::bp::BpVar;
     use minimpi::World;
+
+    impl FlexpathWriter {
+        /// [`FlexpathWriter::write`], with `tamper` applied to the
+        /// marshalled payload blocks before they ship.
+        pub(crate) fn write_tampered(
+            &mut self,
+            world: &Comm,
+            step: &BpStep,
+            tamper: impl FnOnce(&mut Vec<Payload>),
+        ) {
+            assert!(self.outstanding.is_none(), "write without advance");
+            self.marshal(step);
+            tamper(&mut self.blocks);
+            self.ship(world, step.step);
+        }
+    }
 
     fn step_with(step: u64, v: f64) -> BpStep {
         let mut s = BpStep::new(step, step as f64 * 0.1);
@@ -383,42 +431,56 @@ mod tests {
         });
     }
 
+    /// Where a payload's values live.
+    fn data_ptr(payload: &Payload) -> usize {
+        let Payload::F64(values) = payload else {
+            panic!("f64 in, f64 out");
+        };
+        values.as_ptr() as usize
+    }
+
     #[test]
     fn frames_and_payloads_circulate() {
-        // The writer's frame comes back with each answer, and a payload
-        // nothing else holds is refilled in place the next round.
-        World::run(2, |world| match pair(world, 1) {
+        // The writer's framing and blocks come back with each answer and
+        // are marshalled into again; the endpoint reads the very block
+        // the writer marshalled each step into. One buffer per variable
+        // serves the whole stream.
+        let ranks = World::run(2, |world| match pair(world, 1) {
             Role::Writer { mut writer, .. } => {
-                let mut frames = Vec::new();
+                let (mut metas, mut blocks) = (Vec::new(), Vec::new());
                 for s in 0..3u64 {
                     writer.advance(world);
                     if s > 0 {
-                        frames.push(writer.frame.as_ptr());
+                        metas.push(writer.meta.as_ptr());
+                        blocks.push(data_ptr(&writer.blocks[0]));
                     }
                     writer.write(world, &step_with(s, s as f64));
                 }
                 writer.close(world);
-                assert_eq!(frames.len(), 2);
-                assert_eq!(frames[0], frames[1], "one frame buffer, encoded into again");
+                assert_eq!(metas.len(), 2);
+                assert_eq!(metas[0], metas[1], "one framing buffer, encoded into again");
+                blocks
             }
             Role::Endpoint { mut reader, .. } => {
                 let mut payloads = Vec::new();
                 while let Some(steps) = reader.begin_step(world) {
                     let step = &steps[0].1;
-                    let Payload::F64(data) = &step.var("data").unwrap().data else {
-                        panic!("f64 in, f64 out");
-                    };
-                    assert_eq!(**data, [step.step as f64; 2]);
-                    payloads.push(data.as_ptr());
+                    let data = &step.var("data").unwrap().data;
+                    assert_eq!(*data, vec![step.step as f64; 2].into());
+                    payloads.push(data_ptr(data));
                     reader.end_step(world, steps);
                 }
-                assert_eq!(payloads.len(), 3);
-                assert!(
-                    payloads.windows(2).all(|p| p[0] == p[1]),
-                    "refilled in place: {payloads:?}"
-                );
+                payloads
             }
         });
+        let (marshalled, read) = (&ranks[0], &ranks[1]);
+        assert_eq!(read.len(), 3);
+        assert!(read.iter().all(|&p| p == read[0]), "one buffer: {read:?}");
+        assert_eq!(
+            marshalled[..],
+            read[1..],
+            "the endpoint reads what was marshalled"
+        );
     }
 
     #[test]

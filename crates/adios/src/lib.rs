@@ -23,9 +23,10 @@
 //!   Catalyst slice or a histogram runs *in transit* without the
 //!   simulation knowing — while teeing the stream onto the [`broker`].
 //!
-//! The transport deliberately serializes (one marshaling copy): FlexPath
-//! "does not yet use zero-copy" in the paper, and that copy is part of
-//! the measured overhead.
+//! The transport deliberately keeps one marshaling copy, on the writer:
+//! FlexPath "does not yet use zero-copy" in the paper, and that copy is
+//! part of the measured overhead. The endpoint adopts the buffers the
+//! writer marshalled into, so it adds no second one.
 
 pub mod bp;
 pub mod broker;

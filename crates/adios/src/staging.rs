@@ -4,14 +4,16 @@
 //! Libsim, histogram, or autocorrelation run at the endpoint without the
 //! simulation knowing which (Fig. 2's composability).
 //!
-//! Each payload byte moves once a side (DESIGN §11): the writer encodes
-//! its frame straight from the producer's buffer — §4.1.4's marshaling
-//! copy — inside a publish window held until the frame is written; the
-//! endpoint's blocks, meshes, broker and subscribers share what the
-//! decoder filled. The buffers circulate: the frame goes back to its
-//! writer with the ack, and the endpoint loop releases each round's
-//! adaptor before `end_step`, so the next round's frames are decoded
-//! into the payloads nothing holds any more.
+//! Each payload byte is copied once (DESIGN §11): the writer copies it
+//! from the producer's buffer into its payload block — §4.1.4's
+//! marshaling copy — inside a publish window held until the step is
+//! written; the endpoint adopts that block, and its meshes, broker and
+//! subscribers share it. The buffers circulate: the blocks go back to
+//! their writer with the ack, and the endpoint loop releases each
+//! round's adaptor before `end_step`, so the writer marshals the next
+//! step into the blocks nothing holds any more. Both sides report their
+//! heap calls a step as the `mem/allocs` counter when a probe is
+//! attached.
 
 use datamodel::{DataSet, Extent, ImageData, MultiBlock};
 use minimpi::Comm;
@@ -103,7 +105,7 @@ fn step_to_blocks(step: &BpStep) -> Vec<ImageData> {
         let mut grid = ImageData::new(Extent::new(lo, hi), global)
             .with_geometry(geo("origin", 0.0), geo("spacing", 1.0));
         for var in vars {
-            // The decoded buffer itself: a reference count, not a copy.
+            // The adopted buffer itself: a reference count, not a copy.
             grid.add_point_array(var.data.to_array(&var.name));
         }
         blocks.push(grid);
@@ -211,7 +213,7 @@ impl DataAdaptor for BpAdaptor {
         for (i, b) in self.blocks.iter().enumerate() {
             let target = mb.block_mut(i).and_then(DataSet::point_data_mut);
             if let (Some(point_data), Some(arr)) = (target, b.point_data.get(name)) {
-                // Shares the decoded buffer.
+                // Shares the adopted buffer.
                 point_data.insert(arr.clone());
                 any = true;
             }
@@ -278,6 +280,7 @@ impl AnalysisAdaptor for AdiosWriterAnalysis {
 
     fn execute(&mut self, data: &dyn DataAdaptor, comm: &Comm) -> Steering {
         let probe = comm.probe();
+        let calls = probe::alloc::allocations();
         let was_refused = self.writer.refused().is_some();
         let advance = self.writer.advance(comm);
         self.report_refusal(was_refused);
@@ -285,10 +288,10 @@ impl AnalysisAdaptor for AdiosWriterAnalysis {
         let t0 = probe::time::now_seconds();
         let shipped = {
             let mesh = data.full_mesh();
-            // The step shares the producer's buffers and the frame is
-            // encoded straight from them (the one copy of §4.1.4), so
-            // the publish window stays open until the frame is written
-            // and the step dropped.
+            // The step shares the producer's buffers and the payloads
+            // are copied straight from them (the one copy of §4.1.4),
+            // so the publish window stays open until the step is
+            // written and dropped.
             let _publish = datamodel::publish_dataset(&mesh, "adios");
             // A marshal failure (wrong-space array) degrades to shipping
             // an empty step: the stream's step count stays aligned with
@@ -303,10 +306,13 @@ impl AnalysisAdaptor for AdiosWriterAnalysis {
         let write = (probe::time::now_seconds() - t0).max(0.0);
         self.write_seconds += write;
         // Fig. 8's decomposition as observability spans, plus the bytes
-        // this rank put on the staging wire.
+        // this rank put on the staging wire and its heap calls.
         probe.record_span("per-step/adios-flexpath/advance", advance);
         probe.record_span("per-step/adios-flexpath/write", write);
-        probe.message(&probe::key::of("staging", "on_wire"), shipped as u64);
+        if probe.is_enabled() {
+            probe.message(&probe::key::of("staging", "on_wire"), shipped as u64);
+        }
+        record_allocs(&probe, calls);
         Steering::Continue
     }
 
@@ -318,6 +324,17 @@ impl AnalysisAdaptor for AdiosWriterAnalysis {
 
     fn take_failures(&mut self) -> Vec<String> {
         std::mem::take(&mut self.failures)
+    }
+}
+
+/// Count this thread's heap calls since `since` as one step of the
+/// `mem/allocs` counter (calls = steps, messages = heap calls). Skipped
+/// where no tracking allocator counts, and on virtual-time ranks, whose
+/// reports must be byte-stable.
+fn record_allocs(probe: &probe::Probe, since: u64) {
+    let now = probe::alloc::allocations();
+    if probe.is_enabled() && now > 0 && !probe::time::is_virtual() {
+        probe.bulk(&probe::key::of("mem", "allocs"), 1, now - since, 0);
     }
 }
 
@@ -355,6 +372,7 @@ pub fn run_endpoint_with_broker(
         bridge.register(a);
     }
     loop {
+        let calls = probe::alloc::allocations();
         let steps = reader.begin_step(world);
         // Every endpoint must agree on whether a round happens, because
         // the analyses are collective over `sub`. All writers advance in
@@ -381,11 +399,12 @@ pub fn run_endpoint_with_broker(
         let mut adaptor = BpAdaptor::new(&steps);
         adaptor.reconcile_step_time(sub);
         bridge.execute(&adaptor, sub);
-        // The round's payloads become the reader's spares, refilled by
-        // the next round if nothing holds them: release the adaptor's
-        // shares first.
+        // The round's payloads go back to their writers, which marshal
+        // the next step into those nothing holds by then: release the
+        // adaptor's shares first.
         drop(adaptor);
         reader.end_step(world, steps);
+        record_allocs(&probe, calls);
     }
     broker.finish_all();
     for evicted in broker.take_evictions() {
@@ -407,6 +426,7 @@ mod tests {
     use minimpi::World;
     use sensei::analysis::histogram::HistogramAnalysis;
     use sensei::InMemoryAdaptor;
+    use std::sync::Arc;
 
     fn marshal(data: &dyn DataAdaptor) -> BpStep {
         try_adaptor_to_step(data).expect("host-resident test data marshals")
@@ -777,10 +797,34 @@ mod tests {
 
     #[test]
     fn corrupt_frame_drops_its_writer_and_spares_the_rest() {
-        // Writer 0's second frame does not decode. The endpoint drops
-        // that link with one typed report, refuses the writer — which
-        // runs on to the end, shipping nothing more — and keeps serving
-        // writer 1, whose block the last histogram then covers alone.
+        // Writer 0's second frame does not decode.
+        refusal_spares_the_rest("block exceeds global dims", |writer, world| {
+            assert!(writer.write(world, &undecodable(1)) > 0);
+        });
+    }
+
+    #[test]
+    fn mismatched_block_drops_its_writer_and_spares_the_rest() {
+        // Writer 0's second step ships a payload block one element
+        // short of what its header says: the framing parses, and the
+        // block is refused, not adopted.
+        refusal_spares_the_rest("block disagrees with its header", |writer, world| {
+            writer.write_tampered(world, &marshal(&sim_adaptor(0, 2, 1)), |blocks| {
+                let Payload::F64(values) = &mut blocks[0] else {
+                    panic!("f64 in, f64 out");
+                };
+                Arc::make_mut(values).pop();
+            });
+        });
+    }
+
+    /// Writer 0's second step, shipped by `ship_bad`, is refused for
+    /// `reason`. The
+    /// endpoint drops that link with one typed report, refuses the
+    /// writer — which runs on to the end, shipping nothing more — and
+    /// keeps serving writer 1, whose block the last histogram then
+    /// covers alone.
+    fn refusal_spares_the_rest(reason: &'static str, ship_bad: fn(&mut FlexpathWriter, &Comm)) {
         const STEPS: u64 = 4;
         let alone = World::run(1, |comm| {
             let hist = HistogramAnalysis::new("data", 8);
@@ -799,7 +843,7 @@ mod tests {
                 ship.execute(&sim_adaptor(0, 2, 0), world);
                 let first = ship.bytes_shipped;
                 ship.writer.advance(world);
-                assert!(ship.writer.write(world, &undecodable(1)) > 0);
+                ship_bad(&mut ship.writer, world);
                 for s in 2..STEPS {
                     ship.execute(&sim_adaptor(0, 2, s), world);
                 }
@@ -831,6 +875,7 @@ mod tests {
                 assert!(text.contains("writer rank 0"), "{text}");
                 assert!(text.contains("1 step(s)"), "{text}");
                 assert!(text.contains("corrupt BP data"), "{text}");
+                assert!(text.contains(reason), "{text}");
                 let r = handle.lock().clone().expect("endpoint histogram");
                 assert_eq!((r.counts, r.min.to_bits(), r.max.to_bits()), alone);
             }

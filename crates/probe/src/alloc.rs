@@ -1,7 +1,8 @@
 //! Per-thread allocation accounting behind the memory high-water gauge.
 //!
 //! [`TrackingAllocator`] wraps the system allocator and keeps
-//! *thread-local* current/peak byte counters. Under minimpi's
+//! *thread-local* current/peak byte counters and a count of the blocks
+//! it handed out. Under minimpi's
 //! thread-backed worlds one thread drives one rank, so the thread-local
 //! peak is the per-rank allocation high-water mark the paper's memory
 //! tables report.
@@ -15,8 +16,8 @@
 //! what the gauge is for.
 //!
 //! Enable the `track-alloc` feature (binaries and test harnesses, not
-//! libraries) to install the allocator; without it [`peak_bytes`]
-//! reports 0 and the gauge degrades gracefully.
+//! libraries) to install the allocator; without it [`peak_bytes`] and
+//! [`allocations`] report 0 and the gauge degrades gracefully.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -24,6 +25,15 @@ use std::cell::Cell;
 thread_local! {
     static CURRENT: Cell<usize> = const { Cell::new(0) };
     static PEAK: Cell<usize> = const { Cell::new(0) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Blocks handed out to this thread since it started — by `alloc`,
+/// `alloc_zeroed` and `realloc` alike, since a `realloc` may move its
+/// block. Differences between two readings count a section's heap
+/// calls.
+pub fn allocations() -> u64 {
+    ALLOCATIONS.try_with(Cell::get).unwrap_or(0)
 }
 
 /// Live heap bytes attributed to this thread.
@@ -45,6 +55,7 @@ pub fn reset_peak() {
 
 fn credit(n: usize) {
     // `try_with` guards thread teardown (TLS already destroyed).
+    let _ = ALLOCATIONS.try_with(|a| a.set(a.get() + 1));
     let _ = CURRENT.try_with(|c| {
         let v = c.get().saturating_add(n);
         c.set(v);
@@ -125,6 +136,27 @@ mod tests {
             drop(v);
             let after_drop = current_bytes();
             assert!(peak_bytes() >= after_drop + (1 << 20), "peak is sticky");
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn every_block_handed_out_is_counted() {
+        std::thread::spawn(|| {
+            let before = allocations();
+            let mut v: Vec<u8> = Vec::with_capacity(8);
+            assert_eq!(allocations(), before + 1, "alloc");
+            v.reserve_exact(1 << 20);
+            assert_eq!(allocations(), before + 2, "realloc");
+            drop(v);
+            let zeroed = vec![0u8; 16];
+            assert_eq!(
+                allocations(),
+                before + 3,
+                "alloc_zeroed; a free is not counted"
+            );
+            assert_eq!(zeroed.capacity(), 16);
         })
         .join()
         .unwrap();

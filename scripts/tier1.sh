@@ -37,18 +37,25 @@ if grep -n 'widened to f64' <<<"$adios_src"; then
     exit 1
 fi
 
-echo "==> in transit buffers are kept"
-# A steady-state staging step allocates no payload: the writer encodes
-# into the frame the last ack handed back, the reader decodes into last
-# round's payloads (BpStep::refill; BpStep::decode allocates fresh
-# ones), and the oscillator's ghost flags are a view of the array its
-# simulation caches, not a copy a step.
+echo "==> in transit payloads are adopted, not copied"
+# The staging wire carries the BPL3 framing without its payload
+# sections, beside the buffers the writer marshalled the payloads into:
+# the reader adopts those blocks (BpStep::adopt) instead of decoding a
+# copy (BpStep::decode, or a refill into spare buffers), no payload byte
+# is encoded onto the wire (encode_into), and the writer marshals each
+# step into the buffers the last ack returned, not into a fresh frame.
+# The oscillator's ghost flags are a view of the array its simulation
+# caches, not a copy a step.
 flexpath_src=$(awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' crates/adios/src/flexpath.rs)
-if grep -F 'BpStep::decode(' <<<"$flexpath_src"; then
-    echo "tier1: the staging reader decodes into fresh payloads again" >&2
+if grep -E 'BpStep::(decode|refill)\(' <<<"$flexpath_src"; then
+    echo "tier1: the staging reader decodes a copy of the payloads again" >&2
     exit 1
 fi
-if awk '/pub fn write\(/{inside=1} inside {print} inside && /:     }$/{exit}' <<<"$flexpath_src" |
+if grep -F 'encode_into(' <<<"$flexpath_src"; then
+    echo "tier1: payload bytes travel inline on the staging wire again" >&2
+    exit 1
+fi
+if awk '/fn (write|marshal|ship)\(/{inside=1} inside {print} inside && /:     }$/{inside=0}' <<<"$flexpath_src" |
     grep -F 'Vec::new()'; then
     echo "tier1: FlexpathWriter::write builds a fresh frame again" >&2
     exit 1

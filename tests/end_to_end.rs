@@ -468,12 +468,13 @@ fn endpoint_reads_the_decoded_frame_in_place() {
     }
 }
 
-/// Records this thread's allocation high-water rise from one `execute`
-/// to the next: beside an endpoint's analyses, everything one staging
-/// round costs — the ack, the next frame's decode, the analyses.
+/// This thread's allocation high-water rise and heap calls from one
+/// `execute` to the next: beside an endpoint's analyses, everything one
+/// staging round costs — the ack, the next step's adoption, the
+/// analyses.
 struct AllocBetweenExecutes {
-    rises: std::sync::Arc<std::sync::Mutex<Vec<usize>>>,
-    floor: Option<usize>,
+    rounds: std::sync::Arc<std::sync::Mutex<Vec<(usize, u64)>>>,
+    floor: Option<(usize, u64)>,
 }
 
 impl sensei::AnalysisAdaptor for AllocBetweenExecutes {
@@ -486,31 +487,64 @@ impl sensei::AnalysisAdaptor for AllocBetweenExecutes {
         _data: &dyn sensei::DataAdaptor,
         _comm: &minimpi::Comm,
     ) -> sensei::Steering {
-        if let Some(floor) = self.floor {
-            let rise = probe::alloc::peak_bytes().saturating_sub(floor);
-            self.rises.lock().unwrap().push(rise);
+        if let Some((bytes, calls)) = self.floor {
+            let rise = probe::alloc::peak_bytes().saturating_sub(bytes);
+            let calls = probe::alloc::allocations() - calls;
+            self.rounds.lock().unwrap().push((rise, calls));
         }
         probe::alloc::reset_peak();
-        self.floor = Some(probe::alloc::current_bytes());
+        self.floor = Some((probe::alloc::current_bytes(), probe::alloc::allocations()));
         sensei::Steering::Continue
     }
 }
 
 /// The in transit buffers circulate: after two warm-up steps, neither a
-/// writer's `execute` (marshal, encode into the frame the last ack
-/// returned, ship) nor an endpoint round (ack, decode into last round's
-/// payloads, histogram) allocates anything payload-sized. At 64³ over
-/// two writers a frame is 1.2 MB; a fresh frame, a fresh decode or a
-/// copied ghost array each break the bound.
+/// writer's `execute` (marshal into the blocks the last ack returned,
+/// ship) nor an endpoint round (ack, adopt the next blocks, histogram)
+/// allocates anything payload-sized. At 64³ over two writers a step is
+/// 1.2 MB; a fresh block, a copied payload or a copied ghost array each
+/// break the byte bound.
+///
+/// The heap calls are exact, and all of them are metadata. A warm
+/// writer `execute` makes 21:
+/// - `DataAdaptor::full_mesh` over the oscillator, 8: the array-name
+///   list and its two names (3), the field and ghost arrays'
+///   `DataArray::shared` (2 each), the point-data slot (1);
+/// - `mesh_to_step`, 12: the leaf walk (1), six geometry attribute
+///   names (6) and the attribute list growing to hold them (2), the
+///   variable list (1), two variable names (2);
+/// - `FlexpathWriter::write`, 1: the channel envelope of the step.
+///
+/// A warm endpoint round makes 100:
+/// - `FlexpathReader::begin_step`, 22: the round's step list and the
+///   list of writers awaited (2), and per writer (10 each) the metadata
+///   `BpStep::adopt` parses into owned values — the attribute and
+///   variable lists (2), six attribute names and two variable names (8);
+/// - `StagingBroker::publish_step`, 6: per writer, a topic key a
+///   variable (2) and the report list (1);
+/// - `BpAdaptor::new`, 41: the block list (1), and per writer (20 each)
+///   `step_to_blocks`'s leaf ids, block list and leaf variable list
+///   (3), six geometry keys built by `format!` (2 each, 12), two
+///   `DataArray::shared` arrays (2 each, 4) and the point-data slot (1);
+/// - `Bridge::execute`, 3: the analyses' per-step span labels;
+/// - the histogram's populated mesh, 21: the multiblock (1), and per
+///   array added (field, ghosts) the adaptor's name list, its names,
+///   each block's name list, array clone and storage clone (9), plus
+///   the point-data slot of each block on the first (2);
+/// - `HistogramAnalysis::execute`, 5: the leaf list and its view list
+///   (2), the count vector (1), each leaf's scatter lanes (2);
+/// - `FlexpathReader::end_step`, 2: the channel envelope of each ack.
 #[test]
 fn steady_state_staging_step_allocates_no_payload() {
     use adios::staging::{run_endpoint_with_broker, AdiosWriterAnalysis};
     use adios::{pair, BrokerConfig, Role, StagingBroker};
     const BOUND: usize = 64 << 10;
+    const WRITER_CALLS: u64 = 21;
+    const ENDPOINT_CALLS: u64 = 100;
     const STEPS: usize = 6;
     const WARM_UP: usize = 2;
     let d = deck();
-    let rises = World::run(3, move |world| match pair(world, 2) {
+    let rounds = World::run(3, move |world| match pair(world, 2) {
         Role::Writer { sub, writer } => {
             let cfg = SimConfig {
                 grid: [64, 64, 64],
@@ -519,22 +553,27 @@ fn steady_state_staging_step_allocates_no_payload() {
             };
             let mut sim = Simulation::new(&sub, cfg, (sub.rank() == 0).then_some(d.as_str()));
             let mut ship = AdiosWriterAnalysis::new(writer);
-            let mut rises = Vec::new();
+            let mut rounds = Vec::new();
             for _ in 0..STEPS {
                 sim.step(&sub);
+                let data = OscillatorAdaptor::new(&sim);
                 probe::alloc::reset_peak();
                 let floor = probe::alloc::current_bytes();
-                ship.execute(&OscillatorAdaptor::new(&sim), world);
-                rises.push(probe::alloc::peak_bytes() - floor);
+                let calls = probe::alloc::allocations();
+                ship.execute(&data, world);
+                rounds.push((
+                    probe::alloc::peak_bytes() - floor,
+                    probe::alloc::allocations() - calls,
+                ));
             }
             ship.finalize(world);
             assert!(ship.take_failures().is_empty());
-            rises.split_off(WARM_UP)
+            rounds.split_off(WARM_UP)
         }
         Role::Endpoint { sub, mut reader } => {
-            let rises = std::sync::Arc::default();
+            let rounds = std::sync::Arc::default();
             let recorder = AllocBetweenExecutes {
-                rises: std::sync::Arc::clone(&rises),
+                rounds: std::sync::Arc::clone(&rounds),
                 floor: None,
             };
             let (bridge, _) = run_endpoint_with_broker(
@@ -550,16 +589,66 @@ fn steady_state_staging_step_allocates_no_payload() {
             assert_eq!(bridge.steps(), STEPS as u64);
             assert!(bridge.failure_reports().is_empty());
             // The first interval ends at the second execute.
-            let rises = std::mem::take(&mut *rises.lock().unwrap());
-            assert_eq!(rises.len(), STEPS - 1);
-            rises[WARM_UP - 1..].to_vec()
+            let rounds = std::mem::take(&mut *rounds.lock().unwrap());
+            assert_eq!(rounds.len(), STEPS - 1);
+            rounds[WARM_UP - 1..].to_vec()
         }
     });
-    for (rank, rises) in rises.iter().enumerate() {
-        let who = if rank < 2 { "writer" } else { "endpoint" };
+    for (rank, rounds) in rounds.iter().enumerate() {
+        let (who, calls) = if rank < 2 {
+            ("writer", WRITER_CALLS)
+        } else {
+            ("endpoint", ENDPOINT_CALLS)
+        };
         assert!(
-            rises.iter().all(|&rise| rise < BOUND),
-            "{who} rank {rank} allocated {rises:?} B in steady-state staging steps"
+            rounds.iter().all(|&(rise, n)| rise < BOUND && n == calls),
+            "{who} rank {rank} allocated {rounds:?} (B, heap calls) in steady-state staging \
+             steps, expected {calls} calls a step"
+        );
+    }
+}
+
+/// A probed staging run reports its heap calls as the per-step
+/// `mem/allocs` counter: one call a writer `execute` and one an endpoint
+/// round, each carrying that step's allocations as its messages.
+#[test]
+fn staging_reports_its_heap_calls_a_step() {
+    use adios::staging::{run_endpoint_with_broker, AdiosWriterAnalysis};
+    use adios::{pair, BrokerConfig, Role, StagingBroker};
+    const STEPS: usize = 3;
+    let d = deck();
+    let counters = World::run(3, move |world| {
+        world.attach_probe(probe::enabled());
+        match pair(world, 2) {
+            Role::Writer { sub, writer } => {
+                let cfg = SimConfig {
+                    grid: [16, 16, 16],
+                    steps: STEPS,
+                    ..SimConfig::default()
+                };
+                let mut sim = Simulation::new(&sub, cfg, (sub.rank() == 0).then_some(d.as_str()));
+                let mut ship = AdiosWriterAnalysis::new(writer);
+                for _ in 0..STEPS {
+                    sim.step(&sub);
+                    ship.execute(&OscillatorAdaptor::new(&sim), world);
+                }
+                ship.finalize(world);
+            }
+            Role::Endpoint { sub, mut reader } => {
+                let broker = StagingBroker::new(BrokerConfig::default());
+                run_endpoint_with_broker(world, &sub, &mut reader, Vec::new(), &broker);
+            }
+        }
+        let snapshot = world.probe().snapshot();
+        let allocs = snapshot.counters.iter().find(|c| c.name == "mem/allocs");
+        allocs.map(|c| (c.calls, c.messages))
+    });
+    for (rank, counter) in counters.into_iter().enumerate() {
+        let (calls, allocs) = counter.expect("a mem/allocs counter on every rank");
+        assert_eq!(calls, STEPS as u64, "rank {rank}: one call a step");
+        assert!(
+            allocs >= calls,
+            "rank {rank}: {allocs} heap calls in {calls} steps"
         );
     }
 }

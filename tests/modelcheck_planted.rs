@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use adios::staging::{run_endpoint_with_broker, AdiosWriterAnalysis};
-use adios::{pair, BpStep, BpVar, Broker, BrokerConfig, Role, StagingBroker, TopicKey};
+use adios::{pair, BpStep, BpVar, Broker, BrokerConfig, Payload, Role, StagingBroker, TopicKey};
 use datamodel::{DataArray, DataSet, Extent, ImageData};
 use minimpi::{Checker, Comm, LivenessSpec};
 use oscillator::{demo_oscillators, osc::format_deck, OscillatorAdaptor, SimConfig, Simulation};
@@ -344,6 +344,66 @@ fn refused_writer_is_released_not_stranded() {
                 let reports = bridge.failure_reports();
                 assert_eq!(reports.len(), 1, "{reports:?}");
                 assert_eq!(reports[0].kind(), "corrupt-frame");
+            }
+        });
+    assert!(
+        report.failure.is_none(),
+        "every schedule terminates: {:?}",
+        report.failure.map(|f| f.message)
+    );
+    assert!(
+        !report.stats.budget_exhausted,
+        "the schedule tree completes"
+    );
+}
+
+/// `adios::flexpath`'s step and answer tags. A writer whose payload
+/// block disagrees with its own header cannot be built through
+/// `FlexpathWriter`, so the planted one below speaks the wire itself.
+const FLEXPATH_TAG_DATA: u32 = 0xAD10_0001;
+const FLEXPATH_TAG_ACK: u32 = 0xAD10_0002;
+
+/// One writer ships a step whose framing parses but whose payload
+/// block is one element short of its header. The endpoint refuses the
+/// block instead of adopting it and releases the writer with an answer
+/// that carries no step and no blocks, while the healthy writer's
+/// stream finishes: every schedule terminates, with nothing left in
+/// flight.
+#[test]
+fn mismatched_block_writer_is_released_not_stranded() {
+    const STEPS: u64 = 3;
+    let report = Checker::new()
+        .sanitize()
+        .run(3, |comm| match pair(comm, 2) {
+            Role::Writer { writer, .. } if comm.rank() == 0 => {
+                let step = half_line(0, 0, false);
+                let mut meta = Vec::new();
+                step.encode_into(&mut meta);
+                meta.truncate(meta.len() - step.payload_bytes());
+                let short: Payload = vec![0.0f64].into();
+                comm.send(writer.peer(), FLEXPATH_TAG_DATA, (false, meta, vec![short]));
+                let (read, _, blocks): (Option<u64>, Vec<u8>, Vec<Payload>) =
+                    comm.recv(writer.peer(), FLEXPATH_TAG_ACK);
+                assert_eq!(read, None, "refused");
+                assert!(blocks.is_empty(), "not adopted");
+            }
+            Role::Writer { mut writer, .. } => {
+                for s in 0..STEPS {
+                    writer.advance(comm);
+                    writer.write(comm, &half_line(1, s, false));
+                }
+                writer.close(comm);
+            }
+            Role::Endpoint { sub, mut reader } => {
+                let broker = StagingBroker::new(BrokerConfig::default());
+                let (bridge, _) =
+                    run_endpoint_with_broker(comm, &sub, &mut reader, Vec::new(), &broker);
+                assert_eq!(bridge.steps(), STEPS, "the healthy stream finished");
+                let reports = bridge.failure_reports();
+                assert_eq!(reports.len(), 1, "{reports:?}");
+                assert_eq!(reports[0].kind(), "corrupt-frame");
+                let reason = reports[0].to_string();
+                assert!(reason.contains("disagrees with its header"), "{reason}");
             }
         });
     assert!(
