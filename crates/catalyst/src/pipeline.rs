@@ -48,10 +48,6 @@ impl SlicePipeline {
     }
 }
 
-/// Catalyst draws each frame into the last one's buffer: its 1920×1080
-/// frame is faulted in once, not every step.
-const KEEP_FRAME: bool = true;
-
 /// Shared handle to the most recent PNG (rank 0 only).
 pub type PngHandle = Arc<Mutex<Option<Vec<u8>>>>;
 
@@ -71,7 +67,7 @@ impl CatalystSliceAnalysis {
         let (axis, index, cmap) = (pipeline.axis, pipeline.global_index, Colormap::cool_warm());
         let image = (pipeline.width, pipeline.height);
         let plots = vec![Plot::Slice { axis, index, cmap }];
-        let mut scene = Scene::new("slice", image, BinarySwap, Color::WHITE, plots, KEEP_FRAME);
+        let mut scene = Scene::new("slice", image, BinarySwap, Color::WHITE, plots);
         scene.output.clone_from(&pipeline.output);
         CatalystSliceAnalysis {
             pipeline,

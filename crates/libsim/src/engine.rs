@@ -17,11 +17,6 @@ use crate::session::{Plot, Session};
 /// Libsim's compositing family: a direct-send fan-in tree.
 pub const COMPOSITOR: Compositor = Compositor::DirectSendTree(8);
 
-/// The frame is not kept: Catalyst's stays resident through this
-/// render, and a second kept image puts the peak a fifth over the two
-/// transient ones' (measured in CHANGES.md).
-const KEEP_FRAME: bool = false;
-
 /// Shared handle to the most recent PNG (rank 0 only).
 pub type PngHandle = Arc<Mutex<Option<Vec<u8>>>>;
 
@@ -69,7 +64,7 @@ impl LibsimAnalysis {
             });
         }
         let image = session.image;
-        let scene = Scene::new("libsim", image, COMPOSITOR, Color::BLACK, plots, KEEP_FRAME);
+        let scene = Scene::new("libsim", image, COMPOSITOR, Color::BLACK, plots);
         LibsimAnalysis {
             array,
             frequency: session.frequency,

@@ -113,6 +113,24 @@ fn violating_fixture_trips_r4_in_sanitizer_paths() {
 }
 
 #[test]
+fn violating_fixture_trips_r4_in_render_paths() {
+    // `render` joined the R4 crate list at zero sites: its byte reads
+    // cannot fail and its invariants need no `expect`.
+    let out = Command::new(lint_bin())
+        .current_dir(repo_root())
+        .arg("crates/lint/fixtures/render/unwrap.rs")
+        .output()
+        .expect("lint binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!out.status.success(), "render-path fixture must fail lint");
+    assert_eq!(
+        stdout.matches("[no-unwrap-core]").count(),
+        2,
+        "exactly the two non-test sites fire: {stdout}"
+    );
+}
+
+#[test]
 fn violating_fixture_trips_r6_obligation_pairing() {
     let out = Command::new(lint_bin())
         .current_dir(repo_root())

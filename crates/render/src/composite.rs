@@ -9,15 +9,15 @@
 //! * direct-send tree — a fan-in tree of configurable arity; each
 //!   parent composites its children's images (Libsim-like).
 //!
-//! What travels is never an image: a rank sends the part of its drawn
-//! rectangle inside the rows it gives away (a `Patch`; a header alone
-//! when it drew nothing there), and the receiver depth-merges that
-//! patch only. Every pixel outside the rectangle is clear and loses to
-//! anything, so the result is the full-frame merge's, bit for bit. A
-//! swap partner copies its rectangle out; a rank that gives its buffer
-//! up (a folded rank, a tree child) hands the buffer over inside the
-//! patch, and only the rectangle is read. Each patch sent counts on the
-//! comm's probe under `render/composite`: one message, 8 B a pixel.
+//! What travels is never an image: a rank sends a copy of the part of
+//! its drawn rectangle inside the rows it gives away (a `Patch`; a
+//! header alone when it drew nothing there), and the receiver
+//! depth-merges that patch only. Every pixel outside the rectangle is
+//! clear and loses to anything, so the result is the full-frame
+//! merge's, bit for bit. Every rank keeps its buffer, a folded rank and
+//! a tree child included, so that the next frame is drawn into it
+//! (`Framebuffer::take`). Each patch sent counts on the comm's probe
+//! under `render/composite`: one message, 8 B a pixel.
 //!
 //! Compositing is two steps. `merge` runs the algorithm and stops
 //! where the finished pixels are: binary swap leaves each rank of the
@@ -74,7 +74,7 @@ fn merge_patch_from(comm: &Comm, src: usize, tag: u32, fb: &mut Framebuffer) {
 
 /// Binary-swap merge. Works for any rank count: ranks beyond the
 /// largest power of two fold their image into a partner first.
-fn binary_swap_merge(comm: &Comm, mut fb: Framebuffer) -> Option<Framebuffer> {
+fn binary_swap_merge(comm: &Comm, fb: &mut Framebuffer) {
     let p = comm.size();
     let me = comm.rank();
     let pot = swap_group(p);
@@ -86,32 +86,31 @@ fn binary_swap_merge(comm: &Comm, mut fb: Framebuffer) -> Option<Framebuffer> {
 
     // Fold phase: ranks >= pot ship their whole image to rank - pot.
     if me >= pot {
-        send_patch(comm, me - pot, TAG_FOLD, fb.into_patch(0..height));
-        return None;
+        send_patch(comm, me - pot, TAG_FOLD, fb.patch(0..height));
+        return;
     }
     if me + pot < p {
-        merge_patch_from(comm, me + pot, TAG_FOLD, &mut fb);
+        merge_patch_from(comm, me + pot, TAG_FOLD, fb);
     }
 
     // Swap phase over the power-of-two group. The rows given away hold
     // stale pixels from here on (inside the drawn rectangle, so the
-    // next clear re-arms them).
+    // next take re-arms them).
     let mut rows = 0..height;
     let mut bit = pot >> 1;
     while bit > 0 {
         let partner = me ^ bit;
         let (keep, give) = halve(rows.start, rows.end, me & bit == 0);
         send_patch(comm, partner, TAG_SWAP, fb.patch(give));
-        merge_patch_from(comm, partner, TAG_SWAP, &mut fb);
+        merge_patch_from(comm, partner, TAG_SWAP, fb);
         rows = keep;
         bit >>= 1;
     }
-    Some(fb)
 }
 
 /// Direct-send fan-in tree merge with arity `fanout`: children of node
 /// `r` are `r*fanout + 1 ..= r*fanout + fanout`.
-fn direct_send_tree_merge(comm: &Comm, mut fb: Framebuffer, fanout: usize) -> Option<Framebuffer> {
+fn direct_send_tree_merge(comm: &Comm, fb: &mut Framebuffer, fanout: usize) {
     assert!(fanout >= 2, "tree fanout must be >= 2");
     let p = comm.size();
     let me = comm.rank();
@@ -120,15 +119,12 @@ fn direct_send_tree_merge(comm: &Comm, mut fb: Framebuffer, fanout: usize) -> Op
     for c in 1..=fanout {
         let child = me * fanout + c;
         if child < p {
-            merge_patch_from(comm, child, TAG_TREE, &mut fb);
+            merge_patch_from(comm, child, TAG_TREE, fb);
         }
     }
-    if me == 0 {
-        Some(fb)
-    } else {
+    if me > 0 {
         let height = fb.height();
-        send_patch(comm, (me - 1) / fanout, TAG_TREE, fb.into_patch(0..height));
-        None
+        send_patch(comm, (me - 1) / fanout, TAG_TREE, fb.patch(0..height));
     }
 }
 
@@ -163,16 +159,17 @@ impl Compositor {
 }
 
 /// Run the selected compositor up to, and not including, the gather:
-/// collective; a rank gets back the buffer it still holds, whose rows
-/// `which.owned_rows(comm.size(), comm.rank(), height)` are the final
-/// image's (the others are stale), or `None` if it shipped its image
-/// whole and owns no row.
+/// collective; afterwards the rows
+/// `which.owned_rows(comm.size(), comm.rank(), height)` of `fb` are the
+/// final image's and the others are stale (every row, on a rank that
+/// shipped its image whole). Stale pixels lie inside the drawn
+/// rectangle, so the next take clears them.
 ///
 /// # Panics
 /// Panics if framebuffer sizes differ across ranks, a binary-swap image
 /// is shorter than the participating rank count (bands would be empty),
 /// or a tree's fan-in is below 2.
-pub(crate) fn merge(comm: &Comm, fb: Framebuffer, which: Compositor) -> Option<Framebuffer> {
+pub(crate) fn merge(comm: &Comm, fb: &mut Framebuffer, which: Compositor) {
     match which {
         Compositor::BinarySwap => binary_swap_merge(comm, fb),
         Compositor::DirectSendTree(fanout) => direct_send_tree_merge(comm, fb, fanout),
@@ -182,22 +179,15 @@ pub(crate) fn merge(comm: &Comm, fb: Framebuffer, which: Compositor) -> Option<F
 /// Move the rows [`merge`] left on each rank to rank 0, which pastes
 /// them around its own: the bands tile the image, so every stale row of
 /// its buffer is overwritten.
-pub(crate) fn gather(
-    comm: &Comm,
-    held: Option<Framebuffer>,
-    which: Compositor,
-    height: usize,
-) -> Option<Framebuffer> {
-    let (p, me) = (comm.size(), comm.rank());
+pub(crate) fn gather(comm: &Comm, mut fb: Framebuffer, which: Compositor) -> Option<Framebuffer> {
+    let (p, me, height) = (comm.size(), comm.rank(), fb.height());
     if me > 0 {
         let rows = which.owned_rows(p, me, height);
         if !rows.is_empty() {
-            let fb = held.expect("a rank that owns rows holds their buffer");
             comm.send(0, TAG_GATHER, fb.extract_rows(rows.start, rows.end));
         }
         return None;
     }
-    let mut fb = held.expect("rank 0 owns rows under either compositor");
     for r in 1..p {
         let rows = which.owned_rows(p, r, height);
         if !rows.is_empty() {
@@ -209,9 +199,9 @@ pub(crate) fn gather(
 }
 
 /// Run the selected compositor; the final image lands on rank 0.
-pub fn composite(comm: &Comm, fb: Framebuffer, which: Compositor) -> Option<Framebuffer> {
-    let height = fb.height();
-    gather(comm, merge(comm, fb, which), which, height)
+pub fn composite(comm: &Comm, mut fb: Framebuffer, which: Compositor) -> Option<Framebuffer> {
+    merge(comm, &mut fb, which);
+    gather(comm, fb, which)
 }
 
 #[cfg(test)]
@@ -453,16 +443,17 @@ mod tests {
                             let drawn = drawn.clone();
                             World::run(p, move |comm| {
                                 let me = comm.rank();
-                                merge(comm, overlapping(me, p, size, &drawn[me]), which)
+                                let mut fb = overlapping(me, p, size, &drawn[me]);
+                                merge(comm, &mut fb, which);
+                                fb
                             })
                         };
                         // The owned ranges tile the image, in some order.
                         let mut rows: Vec<_> = (0..p).map(|r| which.owned_rows(p, r, h)).collect();
-                        for (r, (held, rows)) in held.iter().zip(&rows).enumerate() {
+                        for (r, (fb, rows)) in held.iter().zip(&rows).enumerate() {
                             let what = format!("{which:?} {size:?} p={p} rank {r} rows {rows:?}");
-                            assert_eq!(held.is_none(), rows.is_empty(), "{what}");
-                            if let Some(fb) = held {
-                                fb.assert_clear_outside_drawn();
+                            fb.assert_clear_outside_drawn();
+                            if !rows.is_empty() {
                                 assert_eq!(
                                     fb.extract_rows(rows.start, rows.end),
                                     want.extract_rows(rows.start, rows.end),

@@ -314,9 +314,8 @@ fn hash3(b: &[u8]) -> usize {
 fn match_len(data: &[u8], a: usize, b: usize, max_len: usize) -> usize {
     let (x, y) = (&data[a..a + max_len], &data[b..b + max_len]);
     let mut l = 0;
-    for (wx, wy) in x.chunks_exact(8).zip(y.chunks_exact(8)) {
-        let diff = u64::from_le_bytes(wx.try_into().expect("chunk of 8"))
-            ^ u64::from_le_bytes(wy.try_into().expect("chunk of 8"));
+    for (&wx, &wy) in x.as_chunks::<8>().0.iter().zip(y.as_chunks::<8>().0) {
+        let diff = u64::from_le_bytes(wx) ^ u64::from_le_bytes(wy);
         if diff != 0 {
             return l + (diff.trailing_zeros() / 8) as usize;
         }
@@ -361,10 +360,9 @@ impl Default for Fixed {
     fn default() -> Self {
         // Arrays, so that the parse's indices — a `HASH_BITS`-bit hash,
         // a position modulo `WINDOW` — are in bounds by their type.
-        let table = |len| vec![NIL; len].into_boxed_slice();
         Fixed {
-            head: table(1 << HASH_BITS).try_into().expect("length as given"),
-            prev: table(WINDOW).try_into().expect("length as given"),
+            head: Box::new([NIL; 1 << HASH_BITS]),
+            prev: Box::new([NIL; WINDOW]),
             spec: Vec::new(),
             spec_bits: 0,
             starts: Vec::new(),

@@ -1,9 +1,24 @@
-//! RGBA + depth framebuffers, the rectangle drawn since the last clear,
-//! and the depth-merge the parallel compositors apply to patches of it.
+//! RGBA + depth framebuffers, the rectangle drawn since one was taken,
+//! the depth-merge the parallel compositors apply to patches of it, and
+//! the one buffer each rank draws its frames into.
+//!
+//! A rank keeps one spare framebuffer (thread-local: a rank is one
+//! thread). `Framebuffer::take` hands it out cleared, at any size
+//! within its capacity, and `Framebuffer::park` puts a buffer back
+//! when the frame is encoded, keeping the larger of the two. Catalyst's
+//! 1920×1080 frame and Libsim's 1024×1024 one are drawn into the same
+//! memory, and a compositing child sends a copy of its drawn pixels and
+//! keeps its buffer: after the first frame no rank faults a frame in.
 
+use std::cell::Cell;
 use std::ops::Range;
 
 use crate::color::Color;
+
+thread_local! {
+    /// This rank's spare framebuffer, between frames.
+    static SPARE: Cell<Option<Framebuffer>> = const { Cell::new(None) };
+}
 
 /// A pixel rectangle `cols` × `rows`, half-open; every empty one is
 /// `Rect::default()`.
@@ -55,9 +70,9 @@ impl Rect {
 /// closer"; empty pixels carry `f32::INFINITY` depth and transparent
 /// color, so depth-compositing two partial images is associative.
 ///
-/// The buffer records the rectangle drawn since its last clear: every
+/// The buffer records the rectangle drawn since it was taken: every
 /// pixel outside it is clear. Compositing ships and merges only that
-/// rectangle, and [`Framebuffer::clear`] re-arms only it. Equality
+/// rectangle, and `Framebuffer::take` re-arms only it. Equality
 /// compares pixels, not the record.
 #[derive(Clone, Debug)]
 pub struct Framebuffer {
@@ -77,20 +92,14 @@ impl PartialEq for Framebuffer {
     }
 }
 
-/// The pixels of a rectangle of a framebuffer: what compositing sends.
-/// An empty rectangle is a header alone.
+/// The pixels of a rectangle of a framebuffer, copied out row after
+/// row: what compositing sends. An empty rectangle is a header alone.
 pub(crate) struct Patch {
     /// Width and height of the image it was cut from.
     image: (usize, usize),
     rect: Rect,
-    /// Row `r` of the rectangle starts at `start + r * stride`: a copy
-    /// of the rectangle alone, or the sender's own buffer when it gives
-    /// the buffer up (on threads, handing it over costs nothing; only
-    /// the rectangle is read).
     color: Vec<[u8; 4]>,
     depth: Vec<f32>,
-    start: usize,
-    stride: usize,
 }
 
 impl Patch {
@@ -127,18 +136,42 @@ impl Framebuffer {
         }
     }
 
-    /// A cleared `width` × `height` framebuffer in `kept`'s memory when
-    /// that has the size, a new one otherwise: what a renderer that
-    /// draws a frame a step calls instead of [`Framebuffer::new`], so
-    /// that the pages are faulted in once.
-    pub fn recycle(kept: Option<Framebuffer>, width: usize, height: usize) -> Self {
-        match kept {
-            Some(mut fb) if (fb.width, fb.height) == (width, height) => {
-                fb.clear();
-                fb
-            }
-            _ => Framebuffer::new(width, height),
+    /// A cleared `width` × `height` framebuffer in this rank's spare
+    /// buffer's memory, or a new one if the rank has none: what a
+    /// renderer that draws a frame a step calls instead of
+    /// [`Framebuffer::new`], so that the pages are faulted in once.
+    ///
+    /// The spare may have had any size. Its drawn rectangle is cleared
+    /// where it lies inside the new extent's pixels, and the pixels are
+    /// resized to the new extent, within the capacity when it suffices:
+    /// every pixel the new frame has is then clear.
+    pub(crate) fn take(width: usize, height: usize) -> Self {
+        let Some(mut fb) = SPARE.take() else {
+            return Framebuffer::new(width, height);
+        };
+        assert!(width > 0 && height > 0, "degenerate framebuffer");
+        let n = width * height;
+        let Rect { cols, rows } = std::mem::take(&mut fb.drawn);
+        for y in rows {
+            let row = y * fb.width;
+            let at = (row + cols.start).min(n)..(row + cols.end).min(n);
+            fb.color[at.clone()].fill([0; 4]);
+            fb.depth[at].fill(f32::INFINITY);
         }
+        fb.color.resize(n, [0; 4]);
+        fb.depth.resize(n, f32::INFINITY);
+        (fb.width, fb.height) = (width, height);
+        fb
+    }
+
+    /// Give this buffer back as the rank's spare, once its frame is
+    /// encoded; of it and a spare already parked, the larger stays.
+    pub(crate) fn park(self) {
+        let keep = match SPARE.take() {
+            Some(spare) if spare.color.capacity() > self.color.capacity() => spare,
+            _ => self,
+        };
+        SPARE.set(Some(keep));
     }
 
     /// Width in pixels.
@@ -159,17 +192,6 @@ impl Framebuffer {
     /// Per-pixel depth, in the order of [`Framebuffer::color`].
     pub fn depth(&self) -> &[f32] {
         &self.depth
-    }
-
-    /// Clear to transparent/far: the drawn rectangle, as nothing outside
-    /// it is drawn.
-    pub fn clear(&mut self) {
-        let Rect { cols, rows } = std::mem::take(&mut self.drawn);
-        for y in rows {
-            let at = y * self.width + cols.start..y * self.width + cols.end;
-            self.color[at.clone()].fill([0; 4]);
-            self.depth[at].fill(f32::INFINITY);
-        }
     }
 
     /// Widen the drawn rectangle by `cols` × `rows`, clipped to the
@@ -271,26 +293,6 @@ impl Framebuffer {
         }
         Patch {
             image: (self.width, self.height),
-            stride: rect.cols.len(),
-            rect,
-            color,
-            depth,
-            start: 0,
-        }
-    }
-
-    /// The drawn pixels inside `rows`, in this buffer, given up to send.
-    pub(crate) fn into_patch(self, rows: Range<usize>) -> Patch {
-        let rect = self.drawn.within_rows(rows);
-        let (color, depth) = if rect.is_empty() {
-            (Vec::new(), Vec::new())
-        } else {
-            (self.color, self.depth)
-        };
-        Patch {
-            image: (self.width, self.height),
-            start: rect.rows.start * self.width + rect.cols.start,
-            stride: self.width,
             rect,
             color,
             depth,
@@ -304,11 +306,9 @@ impl Framebuffer {
             (self.width, self.height),
             "composite: image size mismatch"
         );
-        let n = patch.rect.cols.len();
-        let rows = (0..patch.rect.rows.len()).map(|r| {
-            let at = patch.start + r * patch.stride..patch.start + r * patch.stride + n;
-            (&patch.color[at.clone()], &patch.depth[at])
-        });
+        // An empty patch has no rows; a width of 1 keeps `chunks` legal.
+        let n = patch.rect.cols.len().max(1);
+        let rows = patch.color.chunks(n).zip(patch.depth.chunks(n));
         self.merge_rows(&patch.rect, rows);
     }
 
@@ -349,7 +349,16 @@ impl Framebuffer {
 
 #[cfg(test)]
 impl Framebuffer {
-    /// The rectangle drawn since the last clear.
+    /// The address of this rank's spare framebuffer's pixels, if it
+    /// has one.
+    pub(crate) fn spare_at() -> Option<usize> {
+        let spare = SPARE.take();
+        let at = spare.as_ref().map(|fb| fb.color.as_ptr() as usize);
+        SPARE.set(spare);
+        at
+    }
+
+    /// The rectangle drawn since the buffer was taken.
     pub(crate) fn drawn(&self) -> &Rect {
         &self.drawn
     }
@@ -399,21 +408,68 @@ mod tests {
         fb.assert_clear_outside_drawn();
     }
 
+    /// Draw a `cols` × `rows` block, clipped to the image, as a
+    /// rasterizer does: mark it, then fill it.
+    fn draw(fb: &mut Framebuffer, cols: Range<usize>, rows: Range<usize>, c: Color) {
+        let cols = cols.start.min(fb.width)..cols.end.min(fb.width);
+        let rows = rows.start.min(fb.height)..rows.end.min(fb.height);
+        fb.mark(cols.clone(), rows.clone());
+        for y in rows {
+            fb.fill_span(y, cols.clone(), 0.5, c);
+        }
+    }
+
     #[test]
-    fn recycled_buffer_is_a_new_one_in_the_same_memory() {
-        let mut used = Framebuffer::new(3, 2);
-        used.set_pixel(1, 1, 0.25, Color::rgb(9, 8, 7));
+    fn taken_buffer_is_a_new_one_in_the_spare_memory_at_any_size() {
+        drop(SPARE.take());
+        let mut used = Framebuffer::take(7, 5);
+        draw(&mut used, 1..6, 2..5, Color::rgb(9, 8, 7));
         let at = used.color.as_ptr();
-        let again = Framebuffer::recycle(Some(used), 3, 2);
-        assert_eq!(again, Framebuffer::new(3, 2), "colour and depth re-armed");
-        assert!(again.drawn().is_empty());
-        assert_eq!(again.color.as_ptr(), at, "no new allocation");
-        // Another size cannot be reused.
-        assert_eq!(
-            Framebuffer::recycle(Some(again), 2, 3),
-            Framebuffer::new(2, 3)
-        );
-        assert_eq!(Framebuffer::recycle(None, 1, 1), Framebuffer::new(1, 1));
+        used.park();
+        // A smaller frame after a larger one: the same allocation, and
+        // a new buffer pixel for pixel.
+        let mut small = Framebuffer::take(3, 4);
+        assert_eq!(small, Framebuffer::new(3, 4), "colour and depth re-armed");
+        assert!(small.drawn().is_empty());
+        assert_eq!(small.color.as_ptr(), at, "no new allocation");
+        // And back: what the small frame drew is cleared too.
+        draw(&mut small, 0..3, 1..4, Color::WHITE);
+        small.park();
+        let again = Framebuffer::take(7, 5);
+        assert_eq!(again, Framebuffer::new(7, 5));
+        assert_eq!(again.color.as_ptr(), at);
+        again.assert_clear_outside_drawn();
+        // Of two parked buffers the larger stays.
+        again.park();
+        Framebuffer::new(2, 2).park();
+        assert_eq!(Framebuffer::take(1, 1).color.as_ptr(), at);
+        assert_eq!(Framebuffer::take(1, 1), Framebuffer::new(1, 1), "none left");
+    }
+
+    proptest::proptest! {
+        /// Any sequence of sizes and drawn blocks through the one spare:
+        /// each buffer taken is a new one, and it is drawn into as one.
+        #[test]
+        fn any_frames_through_the_spare_are_new_frames(
+            frames in proptest::collection::vec(
+                ((1usize..24, 1usize..24), (0usize..30, 0usize..30), (0usize..30, 0usize..30)),
+                1..12,
+            ),
+        ) {
+            drop(SPARE.take());
+            for ((w, h), (x0, x1), (y0, y1)) in frames {
+                let mut fb = Framebuffer::take(w, h);
+                proptest::prop_assert!(fb == Framebuffer::new(w, h));
+                proptest::prop_assert!(fb.drawn().is_empty());
+                let (cols, rows) = (x0.min(x1)..x0.max(x1), y0.min(y1)..y0.max(y1));
+                draw(&mut fb, cols.clone(), rows.clone(), Color::rgb(w as u8, h as u8, 1));
+                let mut want = Framebuffer::new(w, h);
+                draw(&mut want, cols, rows, Color::rgb(w as u8, h as u8, 1));
+                proptest::prop_assert!(fb == want);
+                fb.assert_clear_outside_drawn();
+                fb.park();
+            }
+        }
     }
 
     #[test]
@@ -531,27 +587,29 @@ mod tests {
                 assert_eq!(merged.pixel(x, y), from.pixel(x, y), "({x}, {y})");
             }
         }
-        // The buffer given up merges the same, reading the same pixels.
-        let mut moved = full.clone();
-        moved.merge(&other.clone().into_patch(1..4));
-        assert_eq!(moved, merged);
-        assert_eq!(moved.drawn, merged.drawn);
-        // Rows with nothing drawn send a header alone.
+        // Rows with nothing drawn send a header alone, and merge as
+        // nothing.
         let empty = other.patch(0..2);
-        assert_eq!((&empty.rect, empty.pixels()), (&Rect::default(), 0));
-        let empty = other.into_patch(0..2);
         assert_eq!((&empty.rect, empty.color.len()), (&Rect::default(), 0));
+        let before = merged.clone();
+        merged.merge(&empty);
+        assert_eq!((&merged, &merged.drawn), (&before, &before.drawn));
     }
 
     #[test]
-    fn clear_rearms_the_drawn_rectangle_only() {
+    fn take_rearms_the_drawn_rectangle_only() {
+        drop(SPARE.take());
         let mut fb = Framebuffer::new(4, 4);
         fb.mark(1..3, 1..4);
         fb.fill_span(2, 1..3, 0.5, Color::WHITE);
         fb.plot(1, 3, 0.5, Color::WHITE);
         assert_eq!(fb.covered_pixels(), 3);
-        fb.clear();
-        assert_eq!(fb, Framebuffer::new(4, 4));
+        // A pixel outside the record is not the take's to clear.
+        fb.color[0] = [1; 4];
+        fb.park();
+        let fb = Framebuffer::take(4, 4);
+        assert_eq!(fb.color[0], [1; 4]);
+        assert_eq!(fb.covered_pixels(), 1);
         assert!(fb.drawn().is_empty());
     }
 }

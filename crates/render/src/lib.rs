@@ -7,7 +7,8 @@
 //!
 //! * [`color`] — colormaps (cool–warm diverging, viridis-like, grayscale)
 //!   for pseudocoloring;
-//! * [`framebuffer`] — RGBA color + depth buffers with over-blending;
+//! * [`framebuffer`] — RGBA color + depth buffers with over-blending,
+//!   and the one buffer per rank that every in situ frame is drawn into;
 //! * [`camera`] — orthographic and simple perspective projection;
 //! * [`raster`] — z-buffered triangle rasterization;
 //! * [`slice`] — axis-aligned slice extraction from structured grids;

@@ -5,10 +5,10 @@
 //!
 //! Each pipeline comes gathered ([`pseudocolor_slice`],
 //! [`shaded_isosurface`]: the image on rank 0) and as bands
-//! ([`pseudocolor_slice_bands`], [`shaded_isosurface_bands`]: over a
-//! range taken once per frame, every rank keeps the rows the compositor
-//! left it, for [`crate::png::PngEncoder`], and draws into last frame's
-//! buffer).
+//! (`pseudocolor_slice_bands`, `shaded_isosurface_bands`: over a range
+//! taken once per frame, drawn into the caller's cleared buffer, every
+//! rank keeps the rows the compositor left it, for
+//! [`crate::png::PngEncoder`]).
 
 use datamodel::Extent;
 use minimpi::Comm;
@@ -73,29 +73,28 @@ pub fn pseudocolor_slice(
     cfg: &SliceRender,
 ) -> Option<Framebuffer> {
     let range = global_range(comm, values);
-    let held = pseudocolor_slice_bands(comm, local, global, values, cfg, range, None);
-    gather(comm, held, cfg.compositor, cfg.height)
+    let mut fb = Framebuffer::new(cfg.width, cfg.height);
+    pseudocolor_slice_bands(comm, local, global, values, cfg, range, &mut fb);
+    gather(comm, fb, cfg.compositor)
 }
 
 /// [`pseudocolor_slice`] without the gather, coloured over `range`:
-/// drawn into `kept` (last frame's buffer, if the caller has one of the
-/// size) and composited up to where `composite::merge` stops. A rank
-/// gets back the buffer it still holds, final in the rows
-/// `cfg.compositor` leaves it.
-pub fn pseudocolor_slice_bands(
+/// drawn into `fb`, a cleared buffer of the image's size, and
+/// composited up to where `composite::merge` stops, so that `fb` is
+/// final in the rows `cfg.compositor` leaves this rank.
+pub(crate) fn pseudocolor_slice_bands(
     comm: &Comm,
     local: &Extent,
     global: &Extent,
     values: &[f64],
     cfg: &SliceRender,
     range: (f64, f64),
-    kept: Option<Framebuffer>,
-) -> Option<Framebuffer> {
-    let mut fb = Framebuffer::recycle(kept, cfg.width, cfg.height);
+    fb: &mut Framebuffer,
+) {
     if let Some(slice) = extract_plane(local, global, values, cfg.axis, cfg.global_index) {
-        render_plane(&mut fb, &slice, &cfg.cmap, range);
+        render_plane(fb, &slice, &cfg.cmap, range);
     }
-    merge(comm, fb, cfg.compositor)
+    merge(comm, fb, cfg.compositor);
 }
 
 /// Configuration of a distributed isosurface render.
@@ -128,21 +127,21 @@ pub fn shaded_isosurface(
     cfg: &IsosurfaceRender,
 ) -> Option<Framebuffer> {
     let range = global_range(comm, values);
-    let held = shaded_isosurface_bands(comm, local, values, cfg, range, None);
-    gather(comm, held, cfg.compositor, cfg.height)
+    let mut fb = Framebuffer::new(cfg.width, cfg.height);
+    shaded_isosurface_bands(comm, local, values, cfg, range, &mut fb);
+    gather(comm, fb, cfg.compositor)
 }
 
 /// [`shaded_isosurface`] without the gather, coloured over `range` and
-/// drawn into `kept`: see [`pseudocolor_slice_bands`].
-pub fn shaded_isosurface_bands(
+/// drawn into `fb`: see `pseudocolor_slice_bands`.
+pub(crate) fn shaded_isosurface_bands(
     comm: &Comm,
     local: &Extent,
     values: &[f64],
     cfg: &IsosurfaceRender,
     (glo, ghi): (f64, f64),
-    kept: Option<Framebuffer>,
-) -> Option<Framebuffer> {
-    let mut fb = Framebuffer::recycle(kept, cfg.width, cfg.height);
+    fb: &mut Framebuffer,
+) {
     let light = normalize([0.4, 0.5, -0.8]);
     for &iso in &cfg.isovalues {
         let base = cfg.cmap.map_range(iso, glo, ghi);
@@ -160,7 +159,7 @@ pub fn shaded_isosurface_bands(
             let project = |p: [f64; 3]| cfg.camera.project(p, cfg.width, cfg.height);
             if let (Some(a), Some(b), Some(cc)) = (project(t[0]), project(t[1]), project(t[2])) {
                 fill_triangle(
-                    &mut fb,
+                    fb,
                     Vertex {
                         x: a.0,
                         y: a.1,
@@ -183,7 +182,7 @@ pub fn shaded_isosurface_bands(
             }
         }
     }
-    merge(comm, fb, cfg.compositor)
+    merge(comm, fb, cfg.compositor);
 }
 
 fn triangle_normal(t: &[[f64; 3]; 3]) -> [f64; 3] {
@@ -269,11 +268,11 @@ mod tests {
     }
 
     #[test]
-    fn drawing_into_last_frames_buffer_equals_drawing_into_a_new_one() {
-        // The kept buffer arrives full of another frame (another plane,
-        // stale rows from the swap, and pixels in front of anything a
-        // slice draws, off the slice too); colour and depth of what
-        // comes back must be a fresh render's, on every rank.
+    fn drawing_into_the_spare_buffer_equals_drawing_into_a_new_one() {
+        // The spare arrives full of another frame (another plane, stale
+        // rows from the swap, and pixels in front of anything a slice
+        // draws, off the slice too) at another size; colour and depth
+        // of what comes back must be a fresh render's, on every rank.
         let global = Extent::whole([9, 9, 9]);
         let cfg = SliceRender {
             axis: 2,
@@ -288,24 +287,25 @@ mod tests {
             let vals: Vec<f64> = local.iter_points().map(|p| (p[0] * p[1]) as f64).collect();
             let other = SliceRender {
                 global_index: 7,
+                width: 30,
                 ..cfg.clone()
             };
             let range = global_range(comm, &vals);
-            let bands = |cfg: &SliceRender, kept| {
-                pseudocolor_slice_bands(comm, &local, &global, &vals, cfg, range, kept)
+            let bands = |cfg: &SliceRender, mut fb: Framebuffer| {
+                pseudocolor_slice_bands(comm, &local, &global, &vals, cfg, range, &mut fb);
+                fb
             };
-            let mut kept = bands(&other, None);
-            if let Some(fb) = &mut kept {
-                for k in 0..8 {
-                    fb.set_pixel(3 * k, 2 * k, -1.0, Color::WHITE);
-                }
+            let mut before = bands(&other, Framebuffer::take(other.width, other.height));
+            for k in 0..8 {
+                before.set_pixel(3 * k, 2 * k, -1.0, Color::WHITE);
             }
-            let again = bands(&cfg, kept);
-            let fresh = bands(&cfg, None);
-            (again, fresh)
+            let at = before.color().as_ptr();
+            before.park();
+            let again = bands(&cfg, Framebuffer::take(cfg.width, cfg.height));
+            assert_eq!(again.color().as_ptr(), at, "the spare's memory");
+            (again, bands(&cfg, Framebuffer::new(cfg.width, cfg.height)))
         });
         for (again, fresh) in held {
-            assert!(again.is_some());
             assert_eq!(again, fresh, "colour and depth");
         }
     }

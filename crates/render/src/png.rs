@@ -210,27 +210,23 @@ fn overlap(a: &Range<usize>, b: &Range<usize>) -> Range<usize> {
 }
 
 impl PngEncoder {
-    /// Encode the `width` × `height` image that `which` composited,
-    /// flattened over `background`; collective, the file is returned on
-    /// rank 0. `held` is what the compositor left this rank short of
-    /// the gather ([`crate::pipeline::pseudocolor_slice_bands`]): a
-    /// buffer whose rows `which` assigns to the rank are final, or
-    /// nothing. The bytes are those of [`encode_framebuffer`] on the
-    /// gathered image in `Mode::Fixed`, deflated in up to `comm.size()`
-    /// bands of at least `MIN_BAND` (256 KiB).
-    ///
-    /// # Panics
-    /// Panics if a rank that owns rows passes no buffer, or one of
-    /// another size.
+    /// Encode the image that `which` composited, flattened over
+    /// `background`; collective, the file is returned on rank 0. `fb`
+    /// is this rank's buffer as the compositor left it short of the
+    /// gather (`composite::merge`): its rows that `which` assigns to
+    /// the rank are final, and no other row is read. The bytes are
+    /// those of [`encode_framebuffer`] on the gathered image in
+    /// `Mode::Fixed`, deflated in up to `comm.size()` bands of at least
+    /// `MIN_BAND` (256 KiB).
     pub fn encode(
         &mut self,
         comm: &Comm,
-        (width, height): (usize, usize),
-        held: Option<&Framebuffer>,
+        fb: &Framebuffer,
         which: Compositor,
         background: Color,
     ) -> Option<Vec<u8>> {
         let (p, me) = (comm.size(), comm.rank());
+        let (width, height) = (fb.width(), fb.height());
         let stride = stride(width);
         let bands = (height / MIN_BAND.div_ceil(stride)).clamp(1, p);
         // Band `k`, and the rows whose scanlines its parse reads: its
@@ -243,15 +239,8 @@ impl PngEncoder {
                 ..(band.end * stride + MAX_MATCH).div_ceil(stride).min(height)
         };
         let owned = |r: usize| which.owned_rows(p, r, height);
-        let flatten = |lines: &mut [u8], rows: Range<usize>| {
-            let fb = held.expect("a rank that owns rows holds their buffer");
-            assert_eq!(
-                (fb.width(), fb.height()),
-                (width, height),
-                "encode: buffer size mismatch"
-            );
-            fill_scanlines(lines, fb, rows, background);
-        };
+        let flatten =
+            |lines: &mut [u8], rows: Range<usize>| fill_scanlines(lines, fb, rows, background);
 
         // Scanlines go where they are deflated, flattened straight into
         // the message. Sends are eager, so all of them first; every
@@ -356,13 +345,13 @@ pub fn decode_rgb(png: &[u8]) -> Result<(usize, usize, Vec<u8>), PngError> {
     let mut height = 0usize;
     let mut idat = Vec::new();
     while pos + 12 <= png.len() {
-        let len = u32::from_be_bytes(png[pos..pos + 4].try_into().unwrap()) as usize;
+        let len = be_u32(&png[pos..pos + 4]) as usize;
         let kind = &png[pos + 4..pos + 8];
         if pos + 12 + len > png.len() {
             return Err(PngError::BadChunk);
         }
         let payload = &png[pos + 8..pos + 8 + len];
-        let want_crc = u32::from_be_bytes(png[pos + 8 + len..pos + 12 + len].try_into().unwrap());
+        let want_crc = be_u32(&png[pos + 8 + len..pos + 12 + len]);
         if crc32(&png[pos + 4..pos + 8 + len]) != want_crc {
             return Err(PngError::BadChunk);
         }
@@ -371,8 +360,8 @@ pub fn decode_rgb(png: &[u8]) -> Result<(usize, usize, Vec<u8>), PngError> {
                 if len != 13 || payload[8] != 8 || payload[9] != 2 {
                     return Err(PngError::Unsupported);
                 }
-                width = u32::from_be_bytes(payload[0..4].try_into().unwrap()) as usize;
-                height = u32::from_be_bytes(payload[4..8].try_into().unwrap()) as usize;
+                width = be_u32(&payload[0..4]) as usize;
+                height = be_u32(&payload[4..8]) as usize;
             }
             b"IDAT" => idat.extend_from_slice(payload),
             b"IEND" => break,
@@ -383,12 +372,16 @@ pub fn decode_rgb(png: &[u8]) -> Result<(usize, usize, Vec<u8>), PngError> {
     if width == 0 || height == 0 {
         return Err(PngError::BadChunk);
     }
+    // The scanline stream's length, unless the header's size has none.
+    let stride = width.checked_mul(3).and_then(|n| n.checked_add(1));
+    let Some((stride, n)) = stride.and_then(|s| Some((s, height.checked_mul(s)?))) else {
+        return Err(PngError::BadChunk);
+    };
     let raw = deflate::zlib_decompress(&idat).map_err(|_| PngError::BadData)?;
-    let stride = 1 + width * 3;
-    if raw.len() != height * stride {
+    if raw.len() != n {
         return Err(PngError::BadData);
     }
-    let mut rgb = Vec::with_capacity(width * height * 3);
+    let mut rgb = Vec::with_capacity(n - height);
     for row in raw.chunks(stride) {
         if row[0] != 0 {
             return Err(PngError::Unsupported); // we only write filter 0
@@ -396,6 +389,11 @@ pub fn decode_rgb(png: &[u8]) -> Result<(usize, usize, Vec<u8>), PngError> {
         rgb.extend_from_slice(&row[1..]);
     }
     Ok((width, height, rgb))
+}
+
+/// The big-endian number in `bytes`, four of them where it is called.
+fn be_u32(bytes: &[u8]) -> u32 {
+    bytes.iter().fold(0, |n, &b| n << 8 | u32::from(b))
 }
 
 #[cfg(test)]
@@ -529,8 +527,9 @@ mod tests {
             let mut encoder = PngEncoder::default();
             let files: Vec<_> = (0..2)
                 .map(|_| {
-                    let held = merge(comm, layer(comm.rank(), p, w, h), which);
-                    encoder.encode(comm, (w, h), held.as_ref(), which, background)
+                    let mut fb = layer(comm.rank(), p, w, h);
+                    merge(comm, &mut fb, which);
+                    encoder.encode(comm, &fb, which, background)
                 })
                 .collect();
             let gathered = composite(comm, layer(comm.rank(), p, w, h), which);
@@ -593,14 +592,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "holds their buffer")]
-    fn owner_without_a_buffer_panics() {
-        World::run(1, |comm| {
-            PngEncoder::default().encode(comm, (4, 4), None, Compositor::BinarySwap, Color::WHITE)
-        });
-    }
-
-    #[test]
     fn signature_and_structure_validated() {
         let rgb = gradient(4, 4);
         let mut png = encode_rgb(4, 4, &rgb, Mode::Fixed);
@@ -608,6 +599,37 @@ mod tests {
         // Corrupt a payload byte inside IHDR → CRC failure.
         png[16] ^= 0xFF;
         assert_eq!(decode_rgb(&png), Err(PngError::BadChunk));
+    }
+
+    /// A chunk of `kind` around `payload`, with its length and CRC.
+    fn chunk(kind: &[u8; 4], payload: &[u8]) -> Vec<u8> {
+        let mut out = (payload.len() as u32).to_be_bytes().to_vec();
+        out.extend_from_slice(kind);
+        out.extend_from_slice(payload);
+        out.extend_from_slice(&crc32(&out[4..]).to_be_bytes());
+        out
+    }
+
+    #[test]
+    fn a_header_whose_stream_length_overflows_is_refused() {
+        // 0xFFFF_FFFF × 0xFFFF_FFFF RGB: valid CRCs and a valid, short
+        // IDAT, but `height * (1 + 3 * width)` is beyond `usize`. Once
+        // this panicked with "attempt to multiply with overflow".
+        let mut ihdr = [0xFF; 13];
+        ihdr[8..].copy_from_slice(&[8, 2, 0, 0, 0]);
+        let mut png = encode_rgb(1, 1, &[1, 2, 3], Mode::Stored)[..8].to_vec();
+        png.extend(chunk(b"IHDR", &ihdr));
+        png.extend(chunk(
+            b"IDAT",
+            &deflate::zlib_compress(&[0, 1, 2, 3], Mode::Stored),
+        ));
+        png.extend(chunk(b"IEND", &[]));
+        assert_eq!(decode_rgb(&png), Err(PngError::BadChunk));
+        // The same file at 1 × 1 decodes: only the size is at fault.
+        png[16..24].copy_from_slice(&[0, 0, 0, 1, 0, 0, 0, 1]);
+        let crc = crc32(&png[12..29]).to_be_bytes();
+        png[29..33].copy_from_slice(&crc);
+        assert_eq!(decode_rgb(&png), Ok((1, 1, vec![1, 2, 3])));
     }
 
     #[test]

@@ -3,6 +3,13 @@
 //! depth-merged where its rows lie, one collective [`PngEncoder`] file.
 //! A rank without the field is an empty block: it draws nothing and
 //! still joins every collective, so no rank waits on it.
+//!
+//! A frame is drawn into the rank's one spare framebuffer
+//! (`Framebuffer::take`), whatever scene drew the last one, and the
+//! buffer is parked again once the file is encoded: Catalyst and Libsim
+//! on one rank share it, and no frame is faulted in after the first. A
+//! scene's later plots share one more buffer a frame, which the last
+//! park drops.
 
 use std::path::PathBuf;
 
@@ -34,7 +41,7 @@ pub enum Plot {
 }
 
 /// A frame's configuration, and what it keeps between frames: the
-/// encoder's tables and, with `keep_frame`, the buffer this rank holds.
+/// encoder's tables.
 pub struct Scene {
     image: (usize, usize),
     compositor: Compositor,
@@ -43,8 +50,6 @@ pub struct Scene {
     /// Rank 0 writes each frame to `<dir>/<prefix>_<step>.png` here.
     pub output: Option<PathBuf>,
     prefix: &'static str,
-    keep_frame: bool,
-    canvas: Option<Framebuffer>,
     encoder: PngEncoder,
 }
 
@@ -57,7 +62,6 @@ impl Scene {
         compositor: Compositor,
         background: Color,
         plots: Vec<Plot>,
-        keep_frame: bool,
     ) -> Self {
         Scene {
             image,
@@ -66,8 +70,6 @@ impl Scene {
             plots,
             output: None,
             prefix,
-            keep_frame,
-            canvas: None,
             encoder: PngEncoder::default(),
         }
     }
@@ -83,11 +85,11 @@ impl Scene {
     ) -> Option<(Vec<u8>, Result<(), String>)> {
         let (lo, hi) = global_range(comm, field.map_or(&[][..], |(_, values)| values));
         let ((width, height), compositor) = (self.image, self.compositor);
-        let mut kept = self.canvas.take();
-        let mut held = self.plots.iter().filter_map(|plot| {
-            let kept = kept.take();
+        let mut layers = self.plots.iter().map(|plot| {
+            let mut fb = Framebuffer::take(width, height);
             let Some((grid, values)) = field else {
-                return merge(comm, Framebuffer::recycle(kept, width, height), compositor);
+                merge(comm, &mut fb, compositor);
+                return fb;
             };
             let (local, global) = (&grid.extent, &grid.global_extent);
             match plot {
@@ -100,7 +102,7 @@ impl Scene {
                         compositor,
                         cmap: cmap.clone(),
                     };
-                    pseudocolor_slice_bands(comm, local, global, values, &cfg, (lo, hi), kept)
+                    pseudocolor_slice_bands(comm, local, global, values, &cfg, (lo, hi), &mut fb);
                 }
                 Plot::Isosurface { levels, cmap } => {
                     let cfg = IsosurfaceRender {
@@ -113,31 +115,27 @@ impl Scene {
                         origin: grid.origin,
                         spacing: grid.spacing,
                     };
-                    shaded_isosurface_bands(comm, local, values, &cfg, (lo, hi), kept)
+                    shaded_isosurface_bands(comm, local, values, &cfg, (lo, hi), &mut fb);
                 }
             }
+            fb
         });
+        // With no plot the buffer stays clear: a rank that owns rows
+        // still owes the encode them.
+        let mut image = layers
+            .next()
+            .unwrap_or_else(|| Framebuffer::take(width, height));
         // Each later plot is merged in where this rank's rows lie: only
         // what it drew there is final, and only that can show.
         let owned = compositor.owned_rows(comm.size(), comm.rank(), height);
-        let mut image = held.next();
-        if let Some(acc) = &mut image {
-            held.for_each(|fb| acc.merge(&fb.into_patch(owned.clone())));
+        for fb in layers {
+            image.merge(&fb.patch(owned.clone()));
+            fb.park();
         }
-        // No plot: a rank that owns rows still owes the encode them.
-        if image.is_none() && !owned.is_empty() {
-            image = Some(Framebuffer::recycle(kept, width, height));
-        }
-        let png = self.encoder.encode(
-            comm,
-            self.image,
-            image.as_ref(),
-            compositor,
-            self.background,
-        );
-        if self.keep_frame {
-            self.canvas = image;
-        }
+        let png = self
+            .encoder
+            .encode(comm, &image, compositor, self.background);
+        image.park();
         let png = png?;
         let written = self.output.as_ref().map_or(Ok(()), |dir| {
             let path = dir.join(format!("{}_{step:05}.png", self.prefix));
@@ -157,4 +155,72 @@ fn overview(grid: &Structured<'_>) -> Camera {
     let size = span(0).max(span(1)).max(span(2));
     let eye = std::array::from_fn(|a| center[a] + [1.2, 0.9, -2.0][a] * size);
     Camera::look_at(eye, center, [0.0, 1.0, 0.0], 0.8)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use datamodel::{dims_create, partition_extent, Attributes, Extent};
+    use minimpi::World;
+
+    /// Two frames of one slice on `p` ranks: where each rank's spare
+    /// framebuffer is after each, and rank 0's files.
+    fn two_frames(which: Compositor, p: usize) -> Vec<Vec<(Option<usize>, bool)>> {
+        let global = Extent::whole([9, 9, 9]);
+        let files = World::run(p, move |comm| {
+            let extent = partition_extent(&global, dims_create(p), comm.rank());
+            let values: Vec<f64> = extent
+                .iter_points()
+                .map(|q| (q[0] + 2 * q[1]) as f64)
+                .collect();
+            let attrs = Attributes::default();
+            let grid = Structured {
+                extent,
+                global_extent: global,
+                origin: [0.0; 3],
+                spacing: [1.0; 3],
+                point_data: &attrs,
+            };
+            let plot = Plot::Slice {
+                axis: 2,
+                index: 4,
+                cmap: Colormap::cool_warm(),
+            };
+            let mut scene = Scene::new("frame", (40, 24), which, Color::BLACK, vec![plot]);
+            (0..2)
+                .map(|step| {
+                    let png = scene.frame(comm, step, Some((grid, &values)));
+                    (Framebuffer::spare_at(), png.map(|(png, _)| png))
+                })
+                .collect::<Vec<_>>()
+        });
+        let first = files[0][0].1.clone();
+        assert!(first.is_some(), "rank 0 gets the file");
+        files
+            .into_iter()
+            .map(|frames| {
+                let same = |png: &Option<Vec<u8>>| png.is_none() || *png == first;
+                frames
+                    .into_iter()
+                    .map(|(at, png)| (at, same(&png)))
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_rank_draws_each_frame_into_the_buffer_it_kept() {
+        // A tree child and a folded swap rank send copies of their drawn
+        // pixels and keep their buffers, like every other rank.
+        for which in [Compositor::BinarySwap, Compositor::DirectSendTree(2)] {
+            for p in [2, 3, 5] {
+                for (rank, frames) in two_frames(which, p).into_iter().enumerate() {
+                    let what = format!("{which:?} p={p} rank {rank}: {frames:?}");
+                    assert!(frames[0].0.is_some(), "{what}: the frame was parked");
+                    assert_eq!(frames[0].0, frames[1].0, "{what}: one allocation");
+                    assert!(frames.iter().all(|f| f.1), "{what}: the same file");
+                }
+            }
+        }
+    }
 }

@@ -99,6 +99,26 @@ for f in crates/{catalyst,libsim}/src/*.rs; do
     fi
 done
 
+echo "==> one frame buffer per rank"
+# Catalyst and Libsim draw into the rank's one spare framebuffer
+# (Framebuffer::take, parked again after the encode), and a compositing
+# child or folded rank sends a copy of its drawn pixels and keeps its
+# buffer. A scene or adaptor keeping a canvas of its own, a recycle of
+# a caller-held buffer, or a buffer handed over inside a patch is a
+# second frame resident on a rank, or a fresh one faulted in a step.
+for f in crates/{render,catalyst,libsim}/src/*.rs; do
+    if awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$f" |
+        grep -E 'keep_frame|KEEP_FRAME|canvas|Framebuffer::recycle|fn recycle\('; then
+        echo "tier1: a frame kept beside the rank's spare framebuffer is back" >&2
+        exit 1
+    fi
+done
+if awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' crates/render/src/composite.rs |
+    grep -F 'into_patch('; then
+    echo "tier1: composite.rs hands a framebuffer over inside a patch again" >&2
+    exit 1
+fi
+
 echo "==> a frame ships what it draws"
 # Compositing moves patches, the part of a framebuffer's drawn rectangle
 # inside the rows being sent. Outside `gather`, which moves finished

@@ -202,16 +202,17 @@ fn render_pair(
     (sim, catalyst, libsim)
 }
 
-/// Catalyst keeps its frame and both encoders their tables: once the
-/// first steps have faulted them in, a render step allocates the
-/// transient pieces only — the half image binary swap gives away, the
-/// tree root's 1024² frame, scanline bands, the files — and rank 0's
-/// high-water mark over a step is 8 406 834 B, Libsim's frame. The
-/// 16.6 MB of a fresh 1920×1080 framebuffer plus the half it gives
-/// away, as before PR 23 (24 884 536 B), does not fit the bound.
+/// Catalyst and Libsim draw into the rank's one spare framebuffer and
+/// both encoders keep their tables: once the first steps have faulted
+/// them in, a render step allocates the transient pieces only — the
+/// half image binary swap gives away, the child's patch up Libsim's
+/// tree, scanline bands, the files — and rank 0's high-water mark over a
+/// step is 4 213 360 B, the 975 × 540 pixels of its swap patch. A fresh
+/// 1024² Libsim frame a step (8 406 834 B) or a fresh 1920×1080 one
+/// (24 884 536 B) does not fit the bound.
 #[test]
 fn steady_state_render_step_allocates_no_catalyst_frame() {
-    const BOUND: usize = 12 << 20;
+    const BOUND: usize = 6 << 20;
     let d = deck();
     let rises = World::run(2, move |comm| {
         let (mut sim, catalyst, libsim) = render_pair(comm, &d);
@@ -236,6 +237,117 @@ fn steady_state_render_step_allocates_no_catalyst_frame() {
         "rank 0 allocated {} B in a steady-state render step",
         rises[0]
     );
+}
+
+/// Catalyst and Libsim draw into each rank's one spare framebuffer, and
+/// a compositing child sends a copy of its drawn pixels and keeps its
+/// buffer: a warm render step allocates no framebuffer on either rank
+/// (one would be 2 heap calls, colour and depth, and 0.5–1 MB here).
+/// Catalyst at 480×270 and Libsim at 256×256 over a 16³ field on two
+/// free-running ranks: under the seeded scheduler, its own decision
+/// records land on the rank threads in counts that follow the
+/// interleaving.
+///
+/// The bytes are bounded by what a step allocates on purpose: the
+/// patches a rank sends, the scanlines it deflates (one band a file:
+/// each stream is under `2 · MIN_BAND`, so rank 0 holds the whole
+/// stretch) or sends there, and the file, in a `Vec` grown to at most
+/// twice its length; 16 KiB covers everything else.
+///
+/// The heap calls are exact, and listed by site. Before their first
+/// pixel, the two analyses make 19 on each rank:
+/// - `Bridge::execute`, its span label (2 for `per-step/catalyst-slice`,
+///   which outgrows `format!`'s first guess; 1 for `per-step/libsim`);
+/// - `with_point_field`, 5: the field's `DataArray::shared` and its name
+///   (2), the point-data slot (1), `leaf_views`' leaf and view lists (2);
+/// - `global_range`, 1: the envelope of its pair (rank 1's reduce, rank
+///   0's broadcast);
+/// - `Scene::frame`, 1: the slice's colormap, cloned into its config;
+/// - `extract_plane`, 1: the plane's values.
+///
+/// Beyond that, rank 1 makes 8 more, to 27:
+/// - Catalyst's swap patch, 3: colour, depth, envelope;
+/// - Catalyst's scanlines for rank 0's band, 2: the lines, envelope;
+/// - Libsim's patch up the tree, 3: colour, depth, envelope.
+///
+/// Rank 0 makes 13 more, to 32, plus each file's growth:
+/// - Catalyst's swap patch, 3;
+/// - per file (2 each): its header `Vec` (4: 8 B, then 16, 32 and 64 as
+///   the signature and `IHDR` go in) and the raw stream (1);
+/// - the file `Vec`'s doublings from 64 B to the power of two holding
+///   it: 7 for Catalyst's ≈ 5.2 KB, 6 for Libsim's ≈ 3 KB.
+#[test]
+fn steady_state_render_step_allocates_no_framebuffer() {
+    const STEPS: usize = 5;
+    const WARM_UP: usize = 2;
+    const CALLS: [u64; 2] = [32, 27];
+    let d = deck();
+    let rounds = World::run(2, move |comm| {
+        let cfg = SimConfig {
+            grid: [16, 16, 16],
+            steps: STEPS,
+            ..SimConfig::default()
+        };
+        let mut sim = Simulation::new(comm, cfg, (comm.rank() == 0).then_some(d.as_str()));
+        let mut pipeline = catalyst::SlicePipeline::new("data", 2, 8);
+        (pipeline.width, pipeline.height) = (480, 270);
+        let catalyst = catalyst::CatalystSliceAnalysis::new(pipeline);
+        let session =
+            libsim::Session::parse("image 256 256\nplot pseudocolor data axis=z index=8\n")
+                .unwrap();
+        let libsim = libsim::LibsimAnalysis::new(session, std::path::Path::new("/nonexistent"));
+        let files = [catalyst.png_handle(), libsim.png_handle()];
+        let mut bridge = Bridge::new();
+        bridge.register(Box::new(catalyst));
+        bridge.register(Box::new(libsim));
+        let mut rounds = Vec::new();
+        for _ in 0..STEPS {
+            sim.step(comm);
+            let data = OscillatorAdaptor::new(&sim);
+            probe::alloc::reset_peak();
+            let floor = probe::alloc::current_bytes();
+            let calls = probe::alloc::allocations();
+            bridge.execute(&data, comm);
+            let len = |f: &catalyst::pipeline::PngHandle| f.lock().as_ref().map_or(0, Vec::len);
+            rounds.push((
+                probe::alloc::peak_bytes() - floor,
+                probe::alloc::allocations() - calls,
+                files.each_ref().map(len),
+            ));
+        }
+        assert!(bridge.failure_reports().is_empty());
+        rounds.split_off(WARM_UP)
+    });
+    // The field splits along x at point 8 of 15 cells, and the slice
+    // fills the image. Catalyst, 480×270: rank 0 draws the 256 columns
+    // whose centre lies left of 8·480/15, rank 1 the other 224, and each
+    // sends them in the 135 rows it gives away. Libsim, 256×256: rank 1
+    // draws from 8·256/15 = 136.5, 119 columns, and sends all its rows.
+    let patches = [8 * 256 * 135, 8 * (224 * 135 + 119 * 256)];
+    // Scanlines are 1 + 3·width bytes: rank 0 deflates both whole
+    // streams; rank 1 sends the 135 Catalyst rows it owns.
+    let lines = [270 * 1441 + 256 * 769, 135 * 1441];
+    let growth = |len: usize| u64::from((len.next_power_of_two() / 64).ilog2());
+    for (rank, rounds) in rounds.iter().enumerate() {
+        for &(rise, calls, [cat, lib]) in rounds {
+            let files = if rank == 0 { 2 * (cat + lib) } else { 0 };
+            let bound = patches[rank] + lines[rank] + files + (16 << 10);
+            assert!(
+                rise <= bound,
+                "rank {rank} allocated {rise} B in a warm render step, over {bound} B"
+            );
+            let want = CALLS[rank]
+                + if rank == 0 {
+                    growth(cat) + growth(lib)
+                } else {
+                    0
+                };
+            assert_eq!(
+                calls, want,
+                "rank {rank}: heap calls in a warm render step ({cat} + {lib} B of files)"
+            );
+        }
+    }
 }
 
 /// Counts, not clocks: what a render step puts on the wire at 2 ranks.
