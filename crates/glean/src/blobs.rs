@@ -64,7 +64,14 @@ fn take_arr<const N: usize>(raw: &[u8], pos: &mut usize) -> std::io::Result<[u8;
     Ok(arr)
 }
 
-/// Read every `(step, blocks)` frame back from an aggregator file.
+/// Bytes of a block record besides its name and values: rank (`u64`),
+/// name length (`u32`), extent (6 × `i64`) and element count (`u64`).
+const BLOCK_HEADER: usize = 8 + 4 + 48 + 8;
+
+/// Read every `(step, blocks)` frame back from an aggregator file. Every
+/// count is checked against the bytes left in the file before anything
+/// is allocated for it: a corrupt count is `InvalidData`, never an
+/// allocation the file could not fill.
 pub fn read_blob_file(path: &Path) -> std::io::Result<Vec<(u64, Vec<BlockRecord>)>> {
     let mut raw = Vec::new();
     std::fs::File::open(path)?.read_to_end(&mut raw)?;
@@ -73,6 +80,9 @@ pub fn read_blob_file(path: &Path) -> std::io::Result<Vec<(u64, Vec<BlockRecord>
     while pos < raw.len() {
         let step = u64::from_le_bytes(take_arr(&raw, &mut pos)?);
         let n = u32::from_le_bytes(take_arr(&raw, &mut pos)?) as usize;
+        if n > (raw.len() - pos) / BLOCK_HEADER {
+            return Err(corrupt());
+        }
         let mut blocks = Vec::with_capacity(n);
         for _ in 0..n {
             let rank = u64::from_le_bytes(take_arr(&raw, &mut pos)?) as usize;
@@ -86,8 +96,11 @@ pub fn read_blob_file(path: &Path) -> std::io::Result<Vec<(u64, Vec<BlockRecord>
             for e in extent.iter_mut() {
                 *e = i64::from_le_bytes(take_arr(&raw, &mut pos)?);
             }
-            let count = u64::from_le_bytes(take_arr(&raw, &mut pos)?) as usize;
-            let mut data = Vec::with_capacity(count);
+            let count = u64::from_le_bytes(take_arr(&raw, &mut pos)?);
+            if count > ((raw.len() - pos) / 8) as u64 {
+                return Err(corrupt());
+            }
+            let mut data = Vec::with_capacity(count as usize);
             for _ in 0..count {
                 data.push(f64::from_le_bytes(take_arr(&raw, &mut pos)?));
             }
@@ -142,6 +155,35 @@ mod tests {
         let raw = std::fs::read(&p).unwrap();
         std::fs::write(&p, &raw[..raw.len() - 3]).unwrap();
         assert!(read_blob_file(&p).is_err());
+        std::fs::remove_file(&p).unwrap();
+    }
+
+    #[test]
+    fn a_corrupt_count_is_invalid_data_not_an_allocation() {
+        let p = tmp("count.bin");
+        let _ = std::fs::remove_file(&p);
+        append_step(&p, 0, &[rec(0)]).unwrap();
+        let good = std::fs::read(&p).unwrap();
+        // `rec` is named "data": the element count sits at bytes 76..84,
+        // after step, block count, rank, name length, name and extent.
+        assert_eq!(good[76..84], 8u64.to_le_bytes());
+        let read_with = |at: usize, count: &[u8]| {
+            let mut bad = good.clone();
+            bad[at..at + count.len()].copy_from_slice(count);
+            std::fs::write(&p, &bad).unwrap();
+            read_blob_file(&p).map_err(|e| e.kind())
+        };
+        let invalid = Err(std::io::ErrorKind::InvalidData);
+        // An element count of 2^40 once aborted the process
+        // ("memory allocation of 8796093022208 bytes failed").
+        assert_eq!(read_with(76, &(1u64 << 40).to_le_bytes()), invalid);
+        assert_eq!(read_with(76, &9u64.to_le_bytes()), invalid);
+        // So did a block count of 2^32 - 1.
+        assert_eq!(read_with(8, &u32::MAX.to_le_bytes()), invalid);
+        assert_eq!(
+            read_with(8, &1u32.to_le_bytes()),
+            Ok(vec![(0, vec![rec(0)])])
+        );
         std::fs::remove_file(&p).unwrap();
     }
 

@@ -120,8 +120,10 @@ pub fn read_global(path: &Path, global: &Extent) -> std::io::Result<Vec<f64>> {
         ));
     }
     Ok(raw
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
+        .as_chunks::<8>()
+        .0
+        .iter()
+        .map(|&c| f64::from_le_bytes(c))
         .collect())
 }
 

@@ -90,45 +90,75 @@ pub fn write_piece(dir: &Path, step: u64, rank: usize, piece: &Piece) -> Result<
     Ok(buf.len() as u64)
 }
 
-/// Read a piece file back.
+/// Consume the next `N` bytes of `raw` as a fixed array, or
+/// `Corrupt("truncated")` if the file ends first: a read that cannot
+/// panic.
+fn take_arr<const N: usize>(raw: &[u8], pos: &mut usize) -> Result<[u8; N], VtkIoError> {
+    let arr = raw
+        .get(*pos..)
+        .and_then(<[u8]>::first_chunk::<N>)
+        .ok_or(VtkIoError::Corrupt("truncated"))?;
+    *pos += N;
+    Ok(*arr)
+}
+
+/// Consume the next `n` bytes of `raw`, or `Corrupt("truncated")`.
+fn take<'a>(raw: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], VtkIoError> {
+    let bytes = raw
+        .get(*pos..)
+        .and_then(|rest| rest.get(..n))
+        .ok_or(VtkIoError::Corrupt("truncated"))?;
+    *pos += n;
+    Ok(bytes)
+}
+
+/// Bytes of an array entry besides its name and values: the name
+/// length (`u32`) and the element count (`u64`).
+const ARRAY_HEADER: usize = 4 + 8;
+
+/// Read a piece file back. Every count is checked against the bytes
+/// left in the file before anything is allocated for it, so a corrupt
+/// count is `Corrupt("truncated")`, never an allocation the file could
+/// not fill.
 pub fn read_piece(dir: &Path, step: u64, rank: usize) -> Result<Piece, VtkIoError> {
     let mut raw = Vec::new();
     std::fs::File::open(piece_path(dir, step, rank))?.read_to_end(&mut raw)?;
+    let raw = &raw[..];
     let mut pos = 0usize;
-    let take = |pos: &mut usize, n: usize| -> Result<std::ops::Range<usize>, VtkIoError> {
-        if *pos + n > raw.len() {
-            return Err(VtkIoError::Corrupt("truncated"));
-        }
-        let r = *pos..*pos + n;
-        *pos += n;
-        Ok(r)
-    };
-    if &raw[take(&mut pos, 4)?] != MAGIC {
+    if take_arr::<4>(raw, &mut pos)? != *MAGIC {
         return Err(VtkIoError::Corrupt("bad magic"));
     }
     let mut exts = [[0i64; 6]; 2];
     for e in exts.iter_mut() {
         for v in e.iter_mut() {
-            *v = i64::from_le_bytes(raw[take(&mut pos, 8)?].try_into().unwrap());
+            *v = i64::from_le_bytes(take_arr(raw, &mut pos)?);
         }
     }
     let mut spacing = [0.0f64; 3];
     for s in spacing.iter_mut() {
-        *s = f64::from_le_bytes(raw[take(&mut pos, 8)?].try_into().unwrap());
+        *s = f64::from_le_bytes(take_arr(raw, &mut pos)?);
     }
-    let narrays = u32::from_le_bytes(raw[take(&mut pos, 4)?].try_into().unwrap()) as usize;
+    let narrays = u32::from_le_bytes(take_arr(raw, &mut pos)?) as usize;
+    if narrays > (raw.len() - pos) / ARRAY_HEADER {
+        return Err(VtkIoError::Corrupt("truncated"));
+    }
     let mut arrays = Vec::with_capacity(narrays);
     for _ in 0..narrays {
-        let nl = u32::from_le_bytes(raw[take(&mut pos, 4)?].try_into().unwrap()) as usize;
-        let name = String::from_utf8(raw[take(&mut pos, nl)?].to_vec())
+        let nl = u32::from_le_bytes(take_arr(raw, &mut pos)?) as usize;
+        let name = String::from_utf8(take(raw, &mut pos, nl)?.to_vec())
             .map_err(|_| VtkIoError::Corrupt("bad name"))?;
-        let count = u64::from_le_bytes(raw[take(&mut pos, 8)?].try_into().unwrap()) as usize;
-        let mut data = Vec::with_capacity(count);
-        for _ in 0..count {
-            data.push(f64::from_le_bytes(
-                raw[take(&mut pos, 8)?].try_into().unwrap(),
-            ));
-        }
+        let count = u64::from_le_bytes(take_arr(raw, &mut pos)?);
+        // An element count the bytes left cannot hold fails here.
+        let len = usize::try_from(count)
+            .ok()
+            .and_then(|n| n.checked_mul(8))
+            .ok_or(VtkIoError::Corrupt("truncated"))?;
+        let data = take(raw, &mut pos, len)?
+            .as_chunks::<8>()
+            .0
+            .iter()
+            .map(|&v| f64::from_le_bytes(v))
+            .collect();
         arrays.push((name, data));
     }
     let ext = Extent::new(
@@ -238,6 +268,40 @@ mod tests {
         assert!(bytes as usize > p.extent.num_points() * 8);
         let back = read_piece(&dir, 3, 7).unwrap();
         assert_eq!(back, p);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_corrupt_count_is_truncated_not_an_allocation() {
+        let dir = tmpdir("count");
+        let p = sample_piece();
+        write_piece(&dir, 0, 0, &p).unwrap();
+        let path = piece_path(&dir, 0, 0);
+        let good = std::fs::read(&path).unwrap();
+        // After magic, two extents and the spacing: the array count at
+        // 124, then the one array's name length, "data" and its element
+        // count at 136.
+        assert_eq!(good[136..144], (p.arrays[0].1.len() as u64).to_le_bytes());
+        let read_with = |at: usize, count: &[u8]| {
+            let mut bad = good.clone();
+            bad[at..at + count.len()].copy_from_slice(count);
+            std::fs::write(&path, &bad).unwrap();
+            read_piece(&dir, 0, 0)
+        };
+        let truncated =
+            |r: Result<Piece, VtkIoError>| matches!(r, Err(VtkIoError::Corrupt("truncated")));
+        // An element count of 2^40 once aborted the process ("memory
+        // allocation of 8796093022208 bytes failed"), and one element
+        // too many must fail as well.
+        assert!(truncated(read_with(136, &(1u64 << 40).to_le_bytes())));
+        assert!(truncated(read_with(
+            136,
+            &(p.arrays[0].1.len() as u64 + 1).to_le_bytes()
+        )));
+        // An array count of 2^32 - 1 once asked for 206 158 430 160 B.
+        assert!(truncated(read_with(124, &u32::MAX.to_le_bytes())));
+        assert!(truncated(read_with(124, &2u32.to_le_bytes())));
+        assert_eq!(read_with(124, &1u32.to_le_bytes()).unwrap(), p);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -25,13 +25,13 @@
 //!   `OnceLock` are fine.
 //! * **R4 no-unwrap-core** — no `.unwrap()`/`.expect(` in non-test
 //!   code of `minimpi`, `datamodel`, `sensei`, `science`, `adios`,
-//!   `glean`, `query`, `catalyst`, `libsim`, `perfmodel`, `sanitizer`
-//!   and `render`: the substrate, the staging/aggregation data paths,
-//!   the render endpoints and the stack under them, the model, and the
-//!   race detector must surface failures as typed errors or structured
-//!   panics (the monitor/scheduler reports), never ad-hoc unwraps. The
-//!   last five joined at zero sites, so their count can only stay
-//!   there.
+//!   `glean`, `query`, `catalyst`, `libsim`, `perfmodel`, `sanitizer`,
+//!   `render` and `iosim`: the substrate, the staging/aggregation data
+//!   paths, the render endpoints and the stack under them, the model,
+//!   the race detector and the post hoc I/O readers must surface
+//!   failures as typed errors or structured panics (the
+//!   monitor/scheduler reports), never ad-hoc unwraps. The last six
+//!   joined at zero sites, so their count can only stay there.
 //! * **R6 obligation** — protocol acquire/release calls must pair
 //!   inside one function, matching what the sanitizer's obligation
 //!   registry checks at `Bridge::finalize`: a `publish_dataset(` call
@@ -108,6 +108,7 @@ fn in_core_crate(path: &Path) -> bool {
         "perfmodel",
         "sanitizer",
         "render",
+        "iosim",
     ]
     .iter()
     .any(|c| under_dir(path, c))

@@ -131,6 +131,24 @@ fn violating_fixture_trips_r4_in_render_paths() {
 }
 
 #[test]
+fn violating_fixture_trips_r4_in_iosim_paths() {
+    // `iosim` joined the R4 crate list at zero sites: its readers take
+    // fixed-size arrays and bound every count by the bytes left.
+    let out = Command::new(lint_bin())
+        .current_dir(repo_root())
+        .arg("crates/lint/fixtures/iosim/unwrap.rs")
+        .output()
+        .expect("lint binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!out.status.success(), "iosim-path fixture must fail lint");
+    assert_eq!(
+        stdout.matches("[no-unwrap-core]").count(),
+        2,
+        "exactly the two non-test sites fire: {stdout}"
+    );
+}
+
+#[test]
 fn violating_fixture_trips_r6_obligation_pairing() {
     let out = Command::new(lint_bin())
         .current_dir(repo_root())

@@ -16,8 +16,19 @@
 //! clear and loses to anything, so the result is the full-frame
 //! merge's, bit for bit. Every rank keeps its buffer, a folded rank and
 //! a tree child included, so that the next frame is drawn into it
-//! (`Framebuffer::take`). Each patch sent counts on the comm's probe
-//! under `render/composite`: one message, 8 B a pixel.
+//! (`Framebuffer::take`).
+//!
+//! Nor does a patch travel whole. The rows a rank gives away are cut
+//! into strips of `max(1, STRIP / width)` rows, so that a message spans
+//! at most `STRIP` pixels of the image, and each strip is one patch:
+//! swap partners alternate sending a strip and merging one; a tree
+//! child or a folded rank has at most `CREDITS` strips in flight and
+//! sends the next in the buffer the receiver's credit brings back. The
+//! strip buffers circulate between frames in a per-rank pool of
+//! `CREDITS`: a warm frame allocates none. Both sides count the strips
+//! from the rows and the width alone. Each strip sent counts on the
+//! comm's probe under `render/composite`: one message, 8 B a pixel; a
+//! credit counts as a plain point-to-point message.
 //!
 //! Compositing is two steps. `merge` runs the algorithm and stops
 //! where the finished pixels are: binary swap leaves each rank of the
@@ -31,17 +42,30 @@
 //! collective PNG encoder (`png::PngEncoder`) takes `merge`'s result as
 //! it lies instead, and moves scanlines.
 
+use std::cell::RefCell;
 use std::ops::Range;
 
 use minimpi::Comm;
 
-use crate::framebuffer::{Framebuffer, Patch};
+use crate::framebuffer::{Framebuffer, Patch, Rect};
 
 /// Tag space for compositing traffic.
 const TAG_FOLD: u32 = 0x434F_0001;
 const TAG_SWAP: u32 = 0x434F_0002;
 const TAG_GATHER: u32 = 0x434F_0003;
 const TAG_TREE: u32 = 0x434F_0004;
+const TAG_CREDIT: u32 = 0x434F_0005;
+
+/// Pixels of the image one compositing message spans at most.
+const STRIP: usize = 32 * 1024;
+/// Strips a tree child or folded rank may have in flight, and the strip
+/// buffers a rank keeps between frames.
+const CREDITS: usize = 2;
+
+thread_local! {
+    /// This rank's strip buffers (a rank is one thread).
+    static STRIPS: RefCell<Vec<Patch>> = const { RefCell::new(Vec::new()) };
+}
 
 /// The largest power of two not above `p`: binary swap's group.
 fn swap_group(p: usize) -> usize {
@@ -59,17 +83,100 @@ fn halve(lo: usize, hi: usize, keep_low: bool) -> (Range<usize>, Range<usize>) {
     }
 }
 
-/// Send `patch`, counted under `render/composite`.
-fn send_patch(comm: &Comm, dest: usize, tag: u32, patch: Patch) {
+/// `rows` of an image `width` pixels wide, cut into the strips that
+/// travel one to a message.
+fn strips(rows: Range<usize>, width: usize) -> impl Iterator<Item = Range<usize>> {
+    let step = (STRIP / width).max(1);
+    let end = rows.end;
+    rows.step_by(step).map(move |y| y..(y + step).min(end))
+}
+
+/// One of this rank's strip buffers, or a new one.
+fn spare_strip() -> Patch {
+    STRIPS.with_borrow_mut(Vec::pop).unwrap_or_default()
+}
+
+/// Keep `patch`'s buffers for a later strip, unless the rank holds
+/// `CREDITS` already.
+fn keep_strip(patch: Patch) {
+    STRIPS.with_borrow_mut(|pool| {
+        if pool.len() < CREDITS {
+            pool.push(patch);
+        }
+    });
+}
+
+/// Copy the pixels of `rect`, inside `fb`'s drawn rectangle, into
+/// `patch` and send it, counted under `render/composite`.
+fn send_strip(comm: &Comm, dest: usize, tag: u32, fb: &Framebuffer, rect: Rect, mut patch: Patch) {
+    fb.copy_patch(rect, &mut patch);
     comm.probe()
         .message("render/composite", 8 * patch.pixels() as u64);
     comm.send(dest, tag, patch);
 }
 
-/// Depth-merge the patch `src` sends into `fb`.
-fn merge_patch_from(comm: &Comm, src: usize, tag: u32, fb: &mut Framebuffer) {
-    let patch: Patch = comm.recv(src, tag);
-    fb.merge(&patch);
+/// Send the drawn pixels of `rows` to `dest` strip by strip: the first
+/// `CREDITS` in this rank's buffers, each later one in the buffer of
+/// the strip `CREDITS` before it, which `dest` sends back once merged.
+/// Returns when every buffer is back.
+fn send_rows(comm: &Comm, dest: usize, tag: u32, fb: &Framebuffer, rows: Range<usize>) {
+    let drawn = fb.drawn();
+    let mut sent = 0;
+    for strip in strips(rows, fb.width()) {
+        if sent >= CREDITS {
+            let patch: Patch = comm.recv(dest, TAG_CREDIT);
+            keep_strip(patch);
+        }
+        send_strip(comm, dest, tag, fb, drawn.within_rows(strip), spare_strip());
+        sent += 1;
+    }
+    for _ in 0..sent.min(CREDITS) {
+        let patch: Patch = comm.recv(dest, TAG_CREDIT);
+        keep_strip(patch);
+    }
+}
+
+/// Depth-merge the strips of `rows` that `src` sends into `fb`,
+/// returning each strip's buffer to `src` as its credit.
+fn merge_rows_from(comm: &Comm, src: usize, tag: u32, fb: &mut Framebuffer, rows: Range<usize>) {
+    for _ in strips(rows, fb.width()) {
+        let patch: Patch = comm.recv(src, tag);
+        fb.merge(&patch);
+        comm.send(src, TAG_CREDIT, patch);
+    }
+}
+
+/// One round of binary swap: send `partner` the strips of `give` and
+/// merge its strips of `keep`, alternately. What goes out is the drawn
+/// rectangle as the round found it: a merge widens the rectangle, but
+/// only in `keep`, and every pixel it adds in `give` is clear. Each
+/// strip received is kept as the buffer a later one goes out in: the
+/// two halves differ by a row at most, so neither side gets more than a
+/// strip ahead.
+fn swap_rows(
+    comm: &Comm,
+    partner: usize,
+    fb: &mut Framebuffer,
+    give: Range<usize>,
+    keep: Range<usize>,
+) {
+    let (width, drawn) = (fb.width(), fb.drawn().clone());
+    let (mut give, mut keep) = (strips(give, width), strips(keep, width));
+    loop {
+        let (out, back) = (give.next(), keep.next());
+        if out.is_none() && back.is_none() {
+            return;
+        }
+        if let Some(rows) = out {
+            let rect = drawn.within_rows(rows);
+            send_strip(comm, partner, TAG_SWAP, fb, rect, spare_strip());
+        }
+        if back.is_some() {
+            let patch: Patch = comm.recv(partner, TAG_SWAP);
+            fb.merge(&patch);
+            keep_strip(patch);
+        }
+    }
 }
 
 /// Binary-swap merge. Works for any rank count: ranks beyond the
@@ -86,11 +193,11 @@ fn binary_swap_merge(comm: &Comm, fb: &mut Framebuffer) {
 
     // Fold phase: ranks >= pot ship their whole image to rank - pot.
     if me >= pot {
-        send_patch(comm, me - pot, TAG_FOLD, fb.patch(0..height));
+        send_rows(comm, me - pot, TAG_FOLD, fb, 0..height);
         return;
     }
     if me + pot < p {
-        merge_patch_from(comm, me + pot, TAG_FOLD, fb);
+        merge_rows_from(comm, me + pot, TAG_FOLD, fb, 0..height);
     }
 
     // Swap phase over the power-of-two group. The rows given away hold
@@ -101,8 +208,7 @@ fn binary_swap_merge(comm: &Comm, fb: &mut Framebuffer) {
     while bit > 0 {
         let partner = me ^ bit;
         let (keep, give) = halve(rows.start, rows.end, me & bit == 0);
-        send_patch(comm, partner, TAG_SWAP, fb.patch(give));
-        merge_patch_from(comm, partner, TAG_SWAP, fb);
+        swap_rows(comm, partner, fb, give, keep.clone());
         rows = keep;
         bit >>= 1;
     }
@@ -114,17 +220,17 @@ fn direct_send_tree_merge(comm: &Comm, fb: &mut Framebuffer, fanout: usize) {
     assert!(fanout >= 2, "tree fanout must be >= 2");
     let p = comm.size();
     let me = comm.rank();
+    let height = fb.height();
     // Receive from children (deepest first is unnecessary; compositing is
     // order-independent for opaque fragments).
     for c in 1..=fanout {
         let child = me * fanout + c;
         if child < p {
-            merge_patch_from(comm, child, TAG_TREE, fb);
+            merge_rows_from(comm, child, TAG_TREE, fb, 0..height);
         }
     }
     if me > 0 {
-        let height = fb.height();
-        send_patch(comm, (me - 1) / fanout, TAG_TREE, fb.patch(0..height));
+        send_rows(comm, (me - 1) / fanout, TAG_TREE, fb, 0..height);
     }
 }
 
@@ -521,43 +627,52 @@ mod tests {
 
     /// `(messages, bytes)` of `render/composite` each rank sends, from
     /// the ranks' projected rectangles alone: a patch is what the
-    /// sender has covered so far, cut to the rows it sends, at 8 B/px.
-    fn predicted(which: Compositor, mut covered: Vec<Drawn>, h: usize) -> Vec<(u64, u64)> {
+    /// sender has covered so far, cut to the rows it sends, at 8 B/px,
+    /// and it travels as one message for each strip of those rows.
+    fn predicted(
+        which: Compositor,
+        mut covered: Vec<Drawn>,
+        (w, h): (usize, usize),
+    ) -> Vec<(u64, u64)> {
         let p = covered.len();
         let mut sent = vec![(0, 0); p];
-        let mut send = |from: usize, patch: &Drawn| {
-            sent[from].0 += 1;
+        let rows_a_strip = (STRIP / w).max(1);
+        let mut send = |from: usize, rows: usize, patch: &Drawn| {
+            sent[from].0 += rows.div_ceil(rows_a_strip) as u64;
             sent[from].1 += 8 * area(patch);
         };
         match which {
             Compositor::BinarySwap => {
                 let pot = swap_group(p);
                 for r in pot..p {
-                    send(r, &covered[r]);
+                    send(r, h, &covered[r]);
                     covered[r - pot] = bbox(&covered[r - pot], &covered[r]);
                 }
                 let mut spans = vec![0..h; pot];
                 let mut bit = pot >> 1;
                 while bit > 0 {
-                    let patches: Vec<Drawn> = (0..pot)
+                    let patches: Vec<(usize, Drawn)> = (0..pot)
                         .map(|r| {
                             let (keep, give) = halve(spans[r].start, spans[r].end, r & bit == 0);
                             spans[r] = keep;
                             let (cols, rows) = &covered[r];
                             let start = rows.start.max(give.start);
-                            (cols.clone(), start..rows.end.min(give.end).max(start))
+                            (
+                                give.len(),
+                                (cols.clone(), start..rows.end.min(give.end).max(start)),
+                            )
                         })
                         .collect();
-                    for (r, patch) in patches.iter().enumerate() {
-                        send(r, patch);
-                        covered[r] = bbox(&covered[r], &patches[r ^ bit]);
+                    for (r, (rows, patch)) in patches.iter().enumerate() {
+                        send(r, *rows, patch);
+                        covered[r] = bbox(&covered[r], &patches[r ^ bit].1);
                     }
                     bit >>= 1;
                 }
             }
             Compositor::DirectSendTree(fanout) => {
                 for r in (1..p).rev() {
-                    send(r, &covered[r]);
+                    send(r, h, &covered[r]);
                     let parent = (r - 1) / fanout;
                     covered[parent] = bbox(&covered[parent], &covered[r]);
                 }
@@ -574,11 +689,10 @@ mod tests {
     fn slice_traffic(
         p: usize,
         points: [usize; 3],
-        axis: usize,
-        index: i64,
+        (axis, index): (usize, i64),
         which: Compositor,
+        (w, h): (usize, usize),
     ) -> usize {
-        let (w, h) = (40, 64);
         let global = Extent::whole(points);
         let out = WorldBuilder::new(p)
             .sched(SchedPolicy::Seeded(p as u64))
@@ -628,22 +742,30 @@ mod tests {
         }
         let counted: Vec<(u64, u64)> = out.iter().map(|(c, _, _)| *c).collect();
         let what = format!("{which:?} p={p} {points:?} axis {axis} index {index}");
-        assert_eq!(counted, predicted(which, rects.clone(), h), "{what}");
+        assert_eq!(counted, predicted(which, rects.clone(), (w, h)), "{what}");
         rects.iter().filter(|r| area(r) > 0).count()
     }
 
     #[test]
     fn composite_bytes_are_the_projected_rectangles_at_1_to_8_ranks() {
         let points = [17, 13, 11];
-        for p in 1..=8 {
-            for which in [Compositor::BinarySwap, Compositor::DirectSendTree(2)] {
-                let mut drawing = Vec::new();
-                for (axis, index) in [(0, 3), (1, 6), (2, 5), (0, 16)] {
-                    drawing.push(slice_traffic(p, points, axis, index, which));
-                }
-                // A plane across the rank grid's long axis misses ranks.
-                if p >= 2 {
-                    assert!(drawing[0] < p, "{which:?} p={p}: {drawing:?}");
+        // One strip holds a whole patch at 40×64; at 300×700 a strip is
+        // 109 rows, and a patch of 700 / 2^k rows travels in several.
+        for size in [(40, 64), (300, 700)] {
+            assert_eq!(
+                strips(0..size.1, size.0).count(),
+                size.1.div_ceil(STRIP / size.0)
+            );
+            for p in 1..=8 {
+                for which in [Compositor::BinarySwap, Compositor::DirectSendTree(2)] {
+                    let mut drawing = Vec::new();
+                    for plane in [(0, 3), (1, 6), (2, 5), (0, 16)] {
+                        drawing.push(slice_traffic(p, points, plane, which, size));
+                    }
+                    // A plane across the rank grid's long axis misses ranks.
+                    if p >= 2 {
+                        assert!(drawing[0] < p, "{which:?} p={p}: {drawing:?}");
+                    }
                 }
             }
         }
@@ -654,9 +776,10 @@ mod tests {
         // 17³ points over 2³ and 4³ blocks; z = 6 lies inside a block
         // layer, z = 8 on the boundary between two.
         for (p, on_boundary) in [(8, 8), (64, 32)] {
-            let inside = slice_traffic(p, [17; 3], 2, 6, Compositor::BinarySwap);
+            let inside = slice_traffic(p, [17; 3], (2, 6), Compositor::BinarySwap, (40, 64));
             assert_eq!(inside, perfmodel::workloads::slice_participants(p), "p={p}");
-            let boundary = slice_traffic(p, [17; 3], 2, 8, Compositor::DirectSendTree(8));
+            let boundary =
+                slice_traffic(p, [17; 3], (2, 8), Compositor::DirectSendTree(8), (40, 64));
             assert_eq!(boundary, on_boundary, "p={p}");
         }
     }

@@ -22,6 +22,12 @@
 //! position is known, the band is re-parsed from there until it starts
 //! a token where the speculative parse did — from that position on the
 //! two are one parse — and the bit strings are spliced.
+//!
+//! A parse never holds its input whole either: it pulls the stream
+//! through a sliding buffer of `WINDOW + CHUNK + MAX_MATCH + 3` bytes
+//! (`Input`), its chains continuing across chunks, and folds the
+//! Adler-32 of what it read chunk by chunk. The serial encoders copy
+//! out of a stream they hold; the collective one flattens pixels.
 
 /// Compression mode.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -327,48 +333,74 @@ fn match_len(data: &[u8], a: usize, b: usize, max_len: usize) -> usize {
     l
 }
 
-/// The fixed-Huffman encoder: the chain tables of the greedy parse and,
-/// for a band that does not start the stream, its speculative parse.
-/// Kept between calls by a caller that encodes a frame a step, so that
-/// neither is allocated again.
-///
-/// `head[h]` is the latest position whose three bytes hash to `h`,
-/// `prev[p % WINDOW]` the one before `p` on the same chain. That ring
-/// has exactly `WINDOW` slots because that is exactly how long a link
-/// is needed: `p`'s slot is next written by `p + WINDOW`, and the search
-/// at `i` runs before `i` is inserted, so every candidate with
-/// `i - cand <= WINDOW` — distance 32 768 included — still owns its
-/// slot, and the first candidate beyond that ends the walk before its
-/// reused slot is read. Only `head` is reset between parses: a slot of
-/// `prev` is read for a position reached through `head`, and every such
-/// position wrote its slot in this parse.
-pub(crate) struct Fixed {
-    head: Box<[u32; 1 << HASH_BITS]>,
-    prev: Box<[u32; WINDOW]>,
-    /// The speculative parse of the band last given to
-    /// [`Fixed::speculate`]: its bit string, …
-    spec: Vec<u8>,
-    spec_bits: u64,
-    /// … every position it started a token at with the bit offset of
-    /// that token, in order, …
-    starts: Vec<(usize, u64)>,
-    /// … and the first position past the band it did not code.
-    landing: usize,
+/// Bytes of stream a parse asks its source for at a time, on top of
+/// the window it keeps behind the token it stands at.
+pub(crate) const CHUNK: usize = 64 * 1024;
+/// Bytes at and past a token start that its search and the insertion of
+/// a match's skipped positions read: a whole match and the last
+/// skipped position's three bytes.
+const LOOK: usize = MAX_MATCH + MIN_MATCH;
+/// A parse's sliding buffer: the `WINDOW` bytes behind the token, a
+/// chunk, and what a search at the chunk's end reads past it.
+pub(crate) const SLIDE: usize = WINDOW + CHUNK + LOOK;
+
+/// Where a parse reads the stream, a chunk at a time: `fill(pos, dst)`
+/// writes the stream's bytes `pos..pos + dst.len()`, any of them any
+/// number of times. Nothing at or past `horizon` is asked for: the
+/// stream's end, or at least `MAX_MATCH` bytes past the band parsed.
+pub(crate) struct Input<'a> {
+    pub(crate) horizon: usize,
+    pub(crate) fill: &'a mut dyn FnMut(usize, &mut [u8]),
 }
 
-impl Default for Fixed {
-    fn default() -> Self {
-        // Arrays, so that the parse's indices — a `HASH_BITS`-bit hash,
-        // a position modulo `WINDOW` — are in bounds by their type.
-        Fixed {
-            head: Box::new([NIL; 1 << HASH_BITS]),
-            prev: Box::new([NIL; WINDOW]),
-            spec: Vec::new(),
-            spec_bits: 0,
-            starts: Vec::new(),
-            landing: 0,
+/// The source of a stream held whole in `data`: copies out of it.
+pub(crate) fn copy_from(data: &[u8]) -> impl FnMut(usize, &mut [u8]) + '_ {
+    move |pos, dst| dst.copy_from_slice(&data[pos..pos + dst.len()])
+}
+
+/// Stream bytes in view: `data[k]` is the byte at position `base + k` of
+/// a stream that ends at `n`.
+#[derive(Clone, Copy)]
+struct View<'a> {
+    data: &'a [u8],
+    base: usize,
+    n: usize,
+}
+
+/// The Adler-32 of the stream's bytes in `range`, folded from the
+/// pieces a parse reads them in, in order.
+struct Sum {
+    range: std::ops::Range<usize>,
+    adler: u32,
+}
+
+impl Sum {
+    /// Fold in `bytes`, the stream's from position `at` on.
+    fn add(&mut self, at: usize, bytes: &[u8]) {
+        let lo = self.range.start.max(at);
+        let hi = self.range.end.min(at + bytes.len());
+        if lo < hi {
+            let piece = &bytes[lo - at..hi - at];
+            self.adler = adler32_combine(self.adler, adler32(piece), piece.len());
         }
     }
+}
+
+/// The hash chains of the greedy parse. `head[h]` is the latest
+/// position whose three bytes hash to `h`, `prev[p % WINDOW]` the one
+/// before `p` on the same chain. That ring has exactly `WINDOW` slots
+/// because that is exactly how long a link is needed: `p`'s slot is next
+/// written by `p + WINDOW`, and the search at `i` runs before `i` is
+/// inserted, so every candidate with `i - cand <= WINDOW` — distance
+/// 32 768 included — still owns its slot, and the first candidate
+/// beyond that ends the walk before its reused slot is read. Only
+/// `head` is reset between parses: a slot of `prev` is read for a
+/// position reached through `head`, and every such position wrote its
+/// slot in this parse. Positions are the stream's own, wherever the
+/// bytes in view start.
+struct Chains {
+    head: Box<[u32; 1 << HASH_BITS]>,
+    prev: Box<[u32; WINDOW]>,
 }
 
 /// Enter `pos`, whose three bytes are `tri`, at the head of its chain.
@@ -379,45 +411,31 @@ fn insert(head: &mut [u32; 1 << HASH_BITS], prev: &mut [u32; WINDOW], pos: usize
     head[h] = pos as u32;
 }
 
-impl Fixed {
-    /// Greedy LZ77 (3-byte hash chains of at most [`MAX_CHAIN`] links,
-    /// the first longest match wins) over `data[from..]`, coded with the
-    /// fixed Huffman code as the parse goes, until a token would start
-    /// at or past `end` or `at_token(position, bit offset)` says stop.
-    /// Returns the position of the token it did not write.
-    ///
-    /// The chains are primed with the `WINDOW` positions before `from`,
-    /// which is all a search at or after `from` can reach, so the tokens
-    /// are those of the parse of all of `data` from any token start of
-    /// its at `from` on: the parse from 0 — byte for byte that of the
-    /// token-list encoder this replaced, which the tests keep as their
-    /// oracle (`deflate/reference.rs`) — is the case `from == 0`. A last
-    /// match may overrun `end`; `data` has to hold what it can reach
-    /// ([`MAX_MATCH`] bytes past `end`, or the end of the stream).
-    fn parse(
+impl Chains {
+    /// The parse loop: tokens from the start `i` on, coded as they are
+    /// found, until one would start at or past `lim` or `at_token`
+    /// says stop. Returns where the parse stands and whether `at_token`
+    /// stopped it. `view` holds the `WINDOW` bytes before every token
+    /// this starts and the `LOOK` bytes from it, or up to the end.
+    fn run(
         &mut self,
-        data: &[u8],
-        from: usize,
-        end: usize,
+        view: View,
+        mut i: usize,
+        lim: usize,
         w: &mut BitWriter,
-        mut at_token: impl FnMut(usize, u64) -> bool,
-    ) -> usize {
-        let n = data.len();
-        assert!(n < NIL as usize, "deflate input of {n} bytes exceeds u32");
-        debug_assert!(from <= end && end <= n);
+        at_token: &mut impl FnMut(usize, u64) -> bool,
+    ) -> (usize, bool) {
+        let View { data, base, n } = view;
         let (head, prev) = (&mut *self.head, &mut *self.prev);
-        head.fill(NIL);
-        let first = from.saturating_sub(WINDOW);
-        let primed = from.min(n.saturating_sub(MIN_MATCH - 1));
-        for (j, tri) in (first..primed).zip(data[first..].windows(3)) {
-            insert(head, prev, j, tri);
-        }
-        let mut i = from;
-        while i < end && at_token(i, w.bit_len()) {
+        while i < lim {
+            if !at_token(i, w.bit_len()) {
+                return (i, true);
+            }
+            let at = i - base;
             let (mut best_len, mut best_dist) = (0, 0);
             if i + MIN_MATCH <= n {
                 let max_len = (n - i).min(MAX_MATCH);
-                let h = hash3(&data[i..]);
+                let h = hash3(&data[at..]);
                 let mut cand = head[h];
                 let mut chain = 0;
                 // `best_len == max_len` cannot be beaten; stopping there also
@@ -429,8 +447,9 @@ impl Fixed {
                     }
                     // A longer match must agree at `best_len`: one byte
                     // rejects most candidates before the full comparison.
-                    if data[c + best_len] == data[i + best_len] {
-                        let l = match_len(data, c, i, max_len);
+                    let from = c - base;
+                    if data[from + best_len] == data[at + best_len] {
+                        let l = match_len(data, from, at, max_len);
                         if l > best_len {
                             (best_len, best_dist) = (l, i - c);
                         }
@@ -448,25 +467,154 @@ impl Fixed {
                 w.bits(len_bits as u32 | dist_bits << len_n, len_n as u32 + dist_n);
                 // Insert the skipped positions so later matches can find them.
                 let stop = (i + best_len).min(n.saturating_sub(MIN_MATCH - 1));
-                for (j, tri) in (i + 1..stop).zip(data[i + 1..stop + 2].windows(3)) {
+                for (j, tri) in (i + 1..stop).zip(data[at + 1..stop + 2 - base].windows(3)) {
                     insert(head, prev, j, tri);
                 }
                 i += best_len;
             } else {
-                let (bits, nbits) = LITLEN_BITS[data[i] as usize];
+                let (bits, nbits) = LITLEN_BITS[data[at] as usize];
                 w.bits(bits as u32, nbits as u32);
                 i += 1;
             }
         }
-        i
+        (i, false)
+    }
+}
+
+/// The fixed-Huffman encoder: the chain tables of the greedy parse, its
+/// sliding buffer and, for a band that does not start the stream, its
+/// speculative parse. Kept between calls by a caller that encodes a
+/// frame a step, so that none of them is allocated again.
+///
+/// A parse pulls its [`Input`] through the one buffer of `SLIDE` bytes:
+/// when the next token's search could read past what is in view, the
+/// `WINDOW` bytes behind it and the bytes ahead slide to the front and
+/// the source writes the next chunk behind them. The chains are not
+/// touched — positions are the stream's, and the window behind the
+/// token is still in view — so the parse continues across chunks as if
+/// the stream were held whole.
+pub(crate) struct Fixed {
+    chains: Chains,
+    slide: Vec<u8>,
+    /// The speculative parse of the band last given to
+    /// [`Fixed::speculate`]: its bit string, …
+    spec: Vec<u8>,
+    spec_bits: u64,
+    /// … every position it started a token at with the bit offset of
+    /// that token, in order, …
+    starts: Vec<(usize, u64)>,
+    /// … and the first position past the band it did not code.
+    landing: usize,
+}
+
+impl Default for Fixed {
+    fn default() -> Self {
+        // Arrays, so that the parse's indices — a `HASH_BITS`-bit hash,
+        // a position modulo `WINDOW` — are in bounds by their type.
+        Fixed {
+            chains: Chains {
+                head: Box::new([NIL; 1 << HASH_BITS]),
+                prev: Box::new([NIL; WINDOW]),
+            },
+            slide: Vec::new(),
+            spec: Vec::new(),
+            spec_bits: 0,
+            starts: Vec::new(),
+            landing: 0,
+        }
+    }
+}
+
+impl Fixed {
+    /// Greedy LZ77 (3-byte hash chains of at most [`MAX_CHAIN`] links,
+    /// the first longest match wins) over the stream from `from`, coded
+    /// with the fixed Huffman code as the parse goes, until a token would
+    /// start at or past `end` or `at_token(position, bit offset)` says
+    /// stop. Returns the position of the token it did not write, and the
+    /// Adler-32 of the bytes `from..end` (whole only if the parse ran to
+    /// `end`).
+    ///
+    /// The chains are primed with the `WINDOW` positions before `from`,
+    /// which is all a search at or after `from` can reach, so the tokens
+    /// are those of the parse of the whole stream from any token start
+    /// of its at `from` on: the parse from 0 — byte for byte that of the
+    /// token-list encoder this replaced, which the tests keep as their
+    /// oracle (`deflate/reference.rs`) — is the case `from == 0`. A last
+    /// match may overrun `end`; the input has to reach what it can
+    /// ([`MAX_MATCH`] bytes past `end`, or the end of the stream).
+    fn parse(
+        &mut self,
+        input: &mut Input,
+        from: usize,
+        end: usize,
+        w: &mut BitWriter,
+        mut at_token: impl FnMut(usize, u64) -> bool,
+    ) -> (usize, u32) {
+        let Input { horizon: n, fill } = input;
+        let n = *n;
+        assert!(n < NIL as usize, "deflate input of {n} bytes exceeds u32");
+        debug_assert!(from <= end && end <= n);
+        let (chains, slide) = (&mut self.chains, &mut self.slide);
+        chains.head.fill(NIL);
+        let first = from.saturating_sub(WINDOW);
+        // Every byte of the view is the source's: what it held is not read.
+        slide.resize((first + SLIDE).min(n) - first, 0);
+        fill(first, slide);
+        let mut view = View {
+            data: slide,
+            base: first,
+            n,
+        };
+        let mut sum = Sum {
+            range: from..end,
+            adler: 1,
+        };
+        sum.add(view.base, view.data);
+        let primed = from.min(n.saturating_sub(MIN_MATCH - 1));
+        let behind = view.data[first - view.base..].windows(3);
+        for (j, tri) in (first..primed).zip(behind) {
+            insert(&mut chains.head, &mut chains.prev, j, tri);
+        }
+        let mut i = from;
+        loop {
+            let (base, top) = (view.base, view.base + view.data.len());
+            // Past `top - LOOK` a search could read beyond the view,
+            // unless the view reaches the end of the stream.
+            let lim = if top == n { end } else { end.min(top - LOOK) };
+            let stopped;
+            (i, stopped) = chains.run(view, i, lim, w, &mut at_token);
+            if stopped || i >= end {
+                break;
+            }
+            // Slide the window behind `i` and what lies past it to the
+            // front, and pull the next chunk in behind them.
+            let keep = i - WINDOW;
+            slide.copy_within(keep - base.., 0);
+            let kept = top - keep;
+            slide.resize((keep + SLIDE).min(n) - keep, 0);
+            fill(keep + kept, &mut slide[kept..]);
+            sum.add(keep + kept, &slide[kept..]);
+            view = View {
+                data: slide,
+                base: keep,
+                n,
+            };
+        }
+        (i, sum.adler)
     }
 
     /// Append the fixed-mode stream of all of `data` to `out`: one band.
-    pub(crate) fn whole(&mut self, out: &mut Vec<u8>, data: &[u8]) {
+    /// Returns the Adler-32 of `data`.
+    pub(crate) fn whole(&mut self, out: &mut Vec<u8>, data: &[u8]) -> u32 {
         let mut w = BitWriter::on(out);
         Fixed::begin(&mut w);
-        self.lead(&mut w, data, data.len());
+        let mut input = Input {
+            horizon: data.len(),
+            fill: &mut copy_from(data),
+        };
+        let (_, adler) = self.lead(&mut w, &mut input, data.len());
         Fixed::end(w);
+        adler
     }
 
     /// Open the one fixed-Huffman block of a stream.
@@ -476,14 +624,21 @@ impl Fixed {
     }
 
     /// Code the band `[0, end)` that starts the stream straight into
-    /// `w`; returns its landing position, the first it did not code.
-    pub(crate) fn lead(&mut self, w: &mut BitWriter, data: &[u8], end: usize) -> usize {
-        self.parse(data, 0, end, w, |_, _| true)
+    /// `w`; returns its landing position, the first it did not code, and
+    /// the band's Adler-32.
+    pub(crate) fn lead(
+        &mut self,
+        w: &mut BitWriter,
+        input: &mut Input,
+        end: usize,
+    ) -> (usize, u32) {
+        self.parse(input, 0, end, w, |_, _| true)
     }
 
     /// Parse the band `[cut, end)` as if a token started at `cut`,
-    /// keeping the result for [`Fixed::join`].
-    pub(crate) fn speculate(&mut self, data: &[u8], cut: usize, end: usize) {
+    /// keeping the result for [`Fixed::join`]; returns the band's
+    /// Adler-32.
+    pub(crate) fn speculate(&mut self, input: &mut Input, cut: usize, end: usize) -> u32 {
         let (mut spec, mut starts) = (
             std::mem::take(&mut self.spec),
             std::mem::take(&mut self.starts),
@@ -491,12 +646,14 @@ impl Fixed {
         spec.clear();
         starts.clear();
         let mut w = BitWriter::on(&mut spec);
-        self.landing = self.parse(data, cut, end, &mut w, |i, bit| {
+        let (landing, adler) = self.parse(input, cut, end, &mut w, |i, bit| {
             starts.push((i, bit));
             true
         });
+        self.landing = landing;
         self.spec_bits = w.finish();
         (self.spec, self.starts) = (spec, starts);
+        adler
     }
 
     /// Write the true bit string of the speculated band `[cut, end)`
@@ -508,11 +665,14 @@ impl Fixed {
     /// 258-byte matches from both starts, and `m + 258 k` never equals
     /// `cut + 258 k'` unless `m - cut` is a multiple of 258 — and then
     /// the band is the re-parse alone. A `landing` at or past `end`
-    /// (the match before covers the band) passes through.
+    /// (the match before covers the band) passes through. The
+    /// re-parse asks its source again for the window before `landing`
+    /// and whatever it reads from there: the speculative parse has slid
+    /// past them.
     pub(crate) fn join(
         &mut self,
         w: &mut BitWriter,
-        data: &[u8],
+        input: &mut Input,
         landing: usize,
         end: usize,
     ) -> (usize, bool) {
@@ -521,7 +681,7 @@ impl Fixed {
         }
         let starts = std::mem::take(&mut self.starts);
         let mut next = 0;
-        let met = self.parse(data, landing, end, w, |i, _| {
+        let (met, _) = self.parse(input, landing, end, w, |i, _| {
             while next < starts.len() && starts[next].0 < i {
                 next += 1;
             }
@@ -552,7 +712,9 @@ pub fn deflate(data: &[u8], mode: Mode) -> Vec<u8> {
     let mut out = Vec::new();
     match mode {
         Mode::Stored => deflate_stored(&mut out, data.len(), |raw| raw.copy_from_slice(data)),
-        Mode::Fixed => Fixed::default().whole(&mut out, data),
+        Mode::Fixed => {
+            Fixed::default().whole(&mut out, data);
+        }
     }
     out
 }
@@ -991,16 +1153,25 @@ mod tests {
         let mut out = Vec::new();
         let mut w = BitWriter::on(&mut out);
         Fixed::begin(&mut w);
-        let mut landing = fixed.lead(&mut w, horizon(edges[1]), edges[1]);
+        let lead = horizon(edges[1]);
+        let mut input = Input {
+            horizon: lead.len(),
+            fill: &mut copy_from(lead),
+        };
+        let (mut landing, _) = fixed.lead(&mut w, &mut input, edges[1]);
         let mut unmet = 0;
         for band in edges[1..].windows(2) {
             let (cut, end) = (band[0], band[1]);
             // Bytes a band may not see are poisoned, not just unread.
             let mut seen = horizon(end).to_vec();
             seen[..cut.saturating_sub(WINDOW)].fill(0xA5);
-            fixed.speculate(&seen, cut, end);
+            let mut input = Input {
+                horizon: seen.len(),
+                fill: &mut copy_from(&seen),
+            };
+            fixed.speculate(&mut input, cut, end);
             let crossed = landing < end;
-            let (next, met) = fixed.join(&mut w, &seen, landing, end);
+            let (next, met) = fixed.join(&mut w, &mut input, landing, end);
             unmet += usize::from(crossed && !met);
             landing = next;
         }

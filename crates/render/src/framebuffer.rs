@@ -57,7 +57,7 @@ impl Rect {
     }
 
     /// Its part inside `rows`.
-    fn within_rows(&self, rows: Range<usize>) -> Rect {
+    pub(crate) fn within_rows(&self, rows: Range<usize>) -> Rect {
         let start = self.rows.start.max(rows.start);
         Rect::new(
             self.cols.clone(),
@@ -94,6 +94,9 @@ impl PartialEq for Framebuffer {
 
 /// The pixels of a rectangle of a framebuffer, copied out row after
 /// row: what compositing sends. An empty rectangle is a header alone.
+/// Its buffers can be filled again (`Framebuffer::copy_patch`), so
+/// that a compositor's messages reuse their memory.
+#[derive(Default)]
 pub(crate) struct Patch {
     /// Width and height of the image it was cut from.
     image: (usize, usize),
@@ -194,6 +197,11 @@ impl Framebuffer {
         &self.depth
     }
 
+    /// The rectangle drawn since the buffer was taken.
+    pub(crate) fn drawn(&self) -> &Rect {
+        &self.drawn
+    }
+
     /// Widen the drawn rectangle by `cols` × `rows`, clipped to the
     /// image by the caller: a rasterizer marks its box once and then
     /// writes inside it with [`Framebuffer::plot`] or
@@ -284,19 +292,24 @@ impl Framebuffer {
 
     /// The drawn pixels inside `rows`, copied out to send.
     pub(crate) fn patch(&self, rows: Range<usize>) -> Patch {
-        let rect = self.drawn.within_rows(rows);
-        let mut color = Vec::with_capacity(rect.pixels());
-        let mut depth = Vec::with_capacity(rect.pixels());
+        let mut patch = Patch::default();
+        self.copy_patch(self.drawn.within_rows(rows), &mut patch);
+        patch
+    }
+
+    /// The pixels of `rect`, a part of the drawn rectangle, copied into
+    /// `patch`'s memory, whatever it held.
+    pub(crate) fn copy_patch(&self, rect: Rect, patch: &mut Patch) {
+        let (color, depth) = (&mut patch.color, &mut patch.depth);
+        color.clear();
+        depth.clear();
+        color.reserve_exact(rect.pixels());
+        depth.reserve_exact(rect.pixels());
         for (c, d) in self.rows_of(&rect) {
             color.extend_from_slice(c);
             depth.extend_from_slice(d);
         }
-        Patch {
-            image: (self.width, self.height),
-            rect,
-            color,
-            depth,
-        }
+        (patch.image, patch.rect) = ((self.width, self.height), rect);
     }
 
     /// Depth-merge a patch of a framebuffer of this size where it lies.
@@ -356,11 +369,6 @@ impl Framebuffer {
         let at = spare.as_ref().map(|fb| fb.color.as_ptr() as usize);
         SPARE.set(spare);
         at
-    }
-
-    /// The rectangle drawn since the buffer was taken.
-    pub(crate) fn drawn(&self) -> &Rect {
-        &self.drawn
     }
 
     /// The record's promise: every pixel outside the drawn rectangle is

@@ -6,15 +6,18 @@
 //! write" — and what the Table 2 reproduction times. [`PngEncoder`] is
 //! the adaptors' path: a collective over the ranks that hold the
 //! composited rows. The raw stream is cut at scanline boundaries into
-//! bands of at least `MIN_BAND` (256 KiB), one per rank from 0 up; each
-//! owner flattens its rows where they are, straight into the stream of
-//! the rank that deflates them or into a message to it — 3 B/px
-//! scanlines, the rows holding the `WINDOW` bytes before a band and the
-//! `MAX_MATCH` after it included, which is all its parse can reach —
-//! every band is parsed at once and the junctions are settled in rank
-//! order (`deflate::Fixed`); rank 0 splices the bit strings and
-//! combines the per-band Adler-32s. The file is the serial one byte for
-//! byte, at every rank count, because the parse is (DESIGN §11).
+//! bands of at least `MIN_BAND` (256 KiB), one per rank from 0 up. What
+//! a band's parse reads — its rows, the rows holding the `WINDOW` bytes
+//! before it and the `MAX_MATCH` after — comes from where the rows are:
+//! another owner flattens its rows into a message to the band's rank (3
+//! B/px scanlines), and the band's rank flattens its own only as the
+//! parse pulls them through its sliding buffer (`deflate::Input`),
+//! so no band's stream is ever held whole. Every band is parsed at once
+//! and the junctions are settled in rank order (`deflate::Fixed`); rank
+//! 0 splices the bit strings and combines the per-band Adler-32s, each
+//! folded chunk by chunk as the parse read it. The file is the serial
+//! one byte for byte, at every rank count, because the parse is
+//! (DESIGN §11).
 
 use std::ops::Range;
 
@@ -22,7 +25,7 @@ use minimpi::Comm;
 
 use crate::color::Color;
 use crate::composite::Compositor;
-use crate::deflate::{self, BitWriter, Fixed, Mode, MAX_MATCH, WINDOW};
+use crate::deflate::{self, BitWriter, Fixed, Input, Mode, MAX_MATCH, WINDOW};
 use crate::framebuffer::Framebuffer;
 
 /// Tag space of the collective encoder.
@@ -137,27 +140,23 @@ fn fill_scanlines(lines: &mut [u8], fb: &Framebuffer, rows: Range<usize>, backgr
 /// The zlib stream of the `n` bytes of raw stream that `fill` writes,
 /// made here: one band. Stored mode has them written straight into the
 /// file; fixed mode needs them beside it, as the parse's input.
-fn zlib_serial(
-    out: &mut Vec<u8>,
-    fixed: &mut Fixed,
-    n: usize,
-    fill: impl FnOnce(&mut [u8]),
-    mode: Mode,
-) {
+fn zlib_serial(out: &mut Vec<u8>, n: usize, fill: impl FnOnce(&mut [u8]), mode: Mode) {
     out.extend_from_slice(&deflate::ZLIB_HEADER);
-    let mut adler = 0;
-    match mode {
-        Mode::Stored => deflate::deflate_stored(out, n, |raw| {
-            fill(raw);
-            adler = deflate::adler32(raw);
-        }),
+    let adler = match mode {
+        Mode::Stored => {
+            let mut adler = 0;
+            deflate::deflate_stored(out, n, |raw| {
+                fill(raw);
+                adler = deflate::adler32(raw);
+            });
+            adler
+        }
         Mode::Fixed => {
             let mut raw = vec![0; n];
             fill(&mut raw);
-            adler = deflate::adler32(&raw);
-            fixed.whole(out, &raw);
+            Fixed::default().whole(out, &raw)
         }
-    }
+    };
     out.extend_from_slice(&adler.to_be_bytes());
 }
 
@@ -192,21 +191,87 @@ pub fn encode_framebuffer(fb: &Framebuffer, background: Color, mode: Mode) -> Ve
 /// The file of the scanlines `fill` writes, encoded on this rank alone.
 fn serial(width: usize, height: usize, fill: impl FnOnce(&mut [u8]), mode: Mode) -> Vec<u8> {
     let n = height * stride(width);
-    file(width, height, |out| {
-        zlib_serial(out, &mut Fixed::default(), n, fill, mode)
-    })
+    file(width, height, |out| zlib_serial(out, n, fill, mode))
 }
 
 /// The collective encoder, and what it keeps from one frame to the
-/// next: the deflate tables and the speculative parse's buffers.
+/// next: the deflate tables, its sliding buffer and the speculative
+/// parse's buffers, and one scanline, for a row a chunk boundary cuts.
 #[derive(Default)]
 pub struct PngEncoder {
     fixed: Fixed,
+    line: Vec<u8>,
 }
 
 fn overlap(a: &Range<usize>, b: &Range<usize>) -> Range<usize> {
     let start = a.start.max(b.start);
     start..a.end.min(b.end).max(start)
+}
+
+/// Where a band's scanlines come from: the rows this rank owns,
+/// flattened from its framebuffer as the parse pulls them, and the rows
+/// other ranks flattened and sent, each with the rows it holds.
+struct Scanlines<'a> {
+    fb: &'a Framebuffer,
+    background: Color,
+    stride: usize,
+    mine: Range<usize>,
+    sent: Vec<(Range<usize>, Vec<u8>)>,
+}
+
+impl Scanlines<'_> {
+    /// Write the stream's bytes `pos..pos + dst.len()`, each of them in
+    /// a row this rank owns or was sent; `line` holds a row that `pos`
+    /// or the end cuts.
+    fn fill(&self, line: &mut Vec<u8>, mut pos: usize, mut dst: &mut [u8]) {
+        let stride = self.stride;
+        while !dst.is_empty() {
+            let y = pos / stride;
+            let (rows, lines) = match self.sent.iter().find(|(rows, _)| rows.contains(&y)) {
+                Some((rows, lines)) => (rows, Some(lines)),
+                None => (&self.mine, None),
+            };
+            debug_assert!(rows.contains(&y), "row {y} is neither owned nor sent");
+            let take = (rows.end * stride - pos).min(dst.len());
+            let (now, rest) = std::mem::take(&mut dst).split_at_mut(take);
+            match lines {
+                Some(lines) => {
+                    let at = pos - rows.start * stride;
+                    now.copy_from_slice(&lines[at..at + take]);
+                }
+                None => self.flatten(line, pos, now),
+            }
+            (pos, dst) = (pos + take, rest);
+        }
+    }
+
+    /// Flatten the stream's bytes `pos..pos + dst.len()`, all in rows
+    /// this rank owns: whole rows straight into `dst`, a cut one through
+    /// `line`.
+    fn flatten(&self, line: &mut Vec<u8>, pos: usize, dst: &mut [u8]) {
+        let stride = self.stride;
+        let (y, at) = (pos / stride, pos % stride);
+        let row = |line: &mut Vec<u8>, y: usize| {
+            line.resize(stride, 0);
+            fill_scanlines(line, self.fb, y..y + 1, self.background);
+        };
+        let (head, dst) = if at == 0 {
+            (0, dst)
+        } else {
+            let head = (stride - at).min(dst.len());
+            row(line, y);
+            dst[..head].copy_from_slice(&line[at..at + head]);
+            (head, &mut dst[head..])
+        };
+        let first = (pos + head).div_ceil(stride);
+        let whole = dst.len() / stride;
+        let (rows, tail) = dst.split_at_mut(whole * stride);
+        fill_scanlines(rows, self.fb, first..first + whole, self.background);
+        if !tail.is_empty() {
+            row(line, first + whole);
+            tail.copy_from_slice(&line[..tail.len()]);
+        }
+    }
 }
 
 impl PngEncoder {
@@ -218,6 +283,10 @@ impl PngEncoder {
     /// those of [`encode_framebuffer`] on the gathered image in
     /// `Mode::Fixed`, deflated in up to `comm.size()` bands of at least
     /// `MIN_BAND` (256 KiB).
+    ///
+    /// A band's stream is never held whole: the parse pulls it through
+    /// its sliding buffer (`deflate::SLIDE` bytes), flattening this
+    /// rank's rows as it goes and copying the ones other ranks sent.
     pub fn encode(
         &mut self,
         comm: &Comm,
@@ -239,8 +308,6 @@ impl PngEncoder {
                 ..(band.end * stride + MAX_MATCH).div_ceil(stride).min(height)
         };
         let owned = |r: usize| which.owned_rows(p, r, height);
-        let flatten =
-            |lines: &mut [u8], rows: Range<usize>| fill_scanlines(lines, fb, rows, background);
 
         // Scanlines go where they are deflated, flattened straight into
         // the message. Sends are eager, so all of them first; every
@@ -249,66 +316,60 @@ impl PngEncoder {
             let rows = overlap(&reads(k), &owned(me));
             if !rows.is_empty() {
                 let mut lines = vec![0; rows.len() * stride];
-                flatten(&mut lines, rows);
+                fill_scanlines(&mut lines, fb, rows, background);
                 comm.send(k, TAG_ROWS, lines);
             }
         }
         if me >= bands {
             return None;
         }
-        // `raw` is the stretch of the stream this rank's parse reads;
-        // positions travel as stream positions and are parsed as offsets
-        // into it: the parse does not care where 0 is.
+        // Positions are the stream's: the parse does not care that this
+        // rank holds only the stretch it reads.
         let reads = reads(me);
-        let base = reads.start * stride;
-        let local = |rows: &Range<usize>| rows.start * stride - base..rows.end * stride - base;
-        let assemble = |raw: &mut [u8]| {
-            for r in 0..p {
-                let rows = overlap(&reads, &owned(r));
-                if rows.is_empty() {
-                    continue;
-                }
-                if r == me {
-                    flatten(&mut raw[local(&rows)], rows);
-                } else {
-                    let lines: Vec<u8> = comm.recv(r, TAG_ROWS);
-                    raw[local(&rows)].copy_from_slice(&lines);
-                }
-            }
+        let sent = (0..p)
+            .filter(|&r| r != me)
+            .map(|r| (overlap(&reads, &owned(r)), r))
+            .filter(|(rows, _)| !rows.is_empty())
+            .map(|(rows, r)| (rows, comm.recv(r, TAG_ROWS)))
+            .collect();
+        let mine = overlap(&reads, &owned(me));
+        let scanlines = Scanlines {
+            fb,
+            background,
+            stride,
+            mine,
+            sent,
         };
-        let n = reads.len() * stride;
-        let my = local(&band(me));
-        let fixed = &mut self.fixed;
+        let PngEncoder { fixed, line } = self;
+        let mut fill = |pos: usize, dst: &mut [u8]| scanlines.fill(line, pos, dst);
+        let mut input = Input {
+            horizon: reads.end * stride,
+            fill: &mut fill,
+        };
+        let (cut, end) = (band(me).start * stride, band(me).end * stride);
         if me > 0 {
             // Parse from the cut while the bands before do the same,
             // then settle the junction and pass the landing on.
-            let mut raw = vec![0; n];
-            assemble(&mut raw);
-            fixed.speculate(&raw, my.start, my.end);
+            let adler = fixed.speculate(&mut input, cut, end);
             let landing: usize = comm.recv(me - 1, TAG_LANDING);
             let mut bits = Vec::new();
             let mut w = BitWriter::on(&mut bits);
-            let (landing, _) = fixed.join(&mut w, &raw, landing - base, my.end);
+            let (landing, _) = fixed.join(&mut w, &mut input, landing, end);
             let len = w.finish();
             if me + 1 < bands {
-                comm.send(me + 1, TAG_LANDING, landing + base);
+                comm.send(me + 1, TAG_LANDING, landing);
             }
-            let adler = deflate::adler32(&raw[my]);
             comm.send(0, TAG_BAND, (bits, len, adler));
             return None;
         }
         Some(file(width, height, |out| {
-            if bands == 1 {
-                return zlib_serial(out, fixed, n, assemble, Mode::Fixed);
-            }
-            let mut raw = vec![0; n];
-            assemble(&mut raw);
             out.extend_from_slice(&deflate::ZLIB_HEADER);
             let mut w = BitWriter::on(out);
             Fixed::begin(&mut w);
-            let landing = fixed.lead(&mut w, &raw, my.end);
-            comm.send(1, TAG_LANDING, landing);
-            let mut adler = deflate::adler32(&raw[my]);
+            let (landing, mut adler) = fixed.lead(&mut w, &mut input, end);
+            if bands > 1 {
+                comm.send(1, TAG_LANDING, landing);
+            }
             for k in 1..bands {
                 let (bits, len, theirs): (Vec<u8>, u64, u32) = comm.recv(k, TAG_BAND);
                 w.append(&bits, 0, len);
@@ -521,24 +582,43 @@ mod tests {
 
     /// The collective's file on `p` ranks, twice through one encoder,
     /// against `encode_framebuffer` of the gathered image.
-    fn assert_collective_is_serial(which: Compositor, p: usize, (w, h): (usize, usize)) {
-        let background = Color::rgb(250, 240, 230);
+    fn assert_collective_is_serial(which: Compositor, p: usize, size: (usize, usize)) {
+        assert_streamed_is_serial(which, p, size, false);
+    }
+
+    /// [`assert_collective_is_serial`] over `layer`'s frames, or, if
+    /// `flat`, over frames nothing is drawn into, on black: a stream of
+    /// zero bytes, where a junction's re-parse never meets the
+    /// speculative parse.
+    fn assert_streamed_is_serial(which: Compositor, p: usize, (w, h): (usize, usize), flat: bool) {
+        let background = if flat {
+            Color::BLACK
+        } else {
+            Color::rgb(250, 240, 230)
+        };
+        let frame = move |rank: usize| {
+            if flat {
+                Framebuffer::new(w, h)
+            } else {
+                layer(rank, p, w, h)
+            }
+        };
         let out = World::run(p, move |comm| {
             let mut encoder = PngEncoder::default();
             let files: Vec<_> = (0..2)
                 .map(|_| {
-                    let mut fb = layer(comm.rank(), p, w, h);
+                    let mut fb = frame(comm.rank());
                     merge(comm, &mut fb, which);
                     encoder.encode(comm, &fb, which, background)
                 })
                 .collect();
-            let gathered = composite(comm, layer(comm.rank(), p, w, h), which);
+            let gathered = composite(comm, frame(comm.rank()), which);
             (
                 files,
                 gathered.map(|fb| encode_framebuffer(&fb, background, Mode::Fixed)),
             )
         });
-        let what = format!("{which:?} p={p} {w}x{h}");
+        let what = format!("{which:?} p={p} {w}x{h} flat={flat}");
         let mut ranks = out.into_iter();
         let (files, serial) = ranks.next().expect("rank 0");
         let serial = serial.expect("rank 0 holds the gathered image");
@@ -589,6 +669,69 @@ mod tests {
             (0..8).any(|r| swap(r) != (r * size.1 / 8..(r + 1) * size.1 / 8)),
             "the case this test is for"
         );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// The streamed collective's file is `encode_framebuffer`'s, byte
+        /// for byte: 1–8 ranks under either compositor, any stride, and
+        /// streams of one to three bands, so that at most rank counts the
+        /// bands are fewer than the ranks. A slide falls wherever the
+        /// parse stands, at any offset of a row. Flat frames make a zero
+        /// stream, whose junctions re-parse to the band's end through
+        /// bytes the speculative parse slid past.
+        #[test]
+        fn streamed_file_is_the_serial_file(
+            width in 1usize..400,
+            bytes in MIN_BAND / 2..3 * MIN_BAND,
+            p in 1usize..9,
+            tree in proptest::prelude::any::<bool>(),
+            flat in proptest::prelude::any::<bool>(),
+        ) {
+            let which = COMPOSITORS[usize::from(tree)];
+            let height = (bytes / stride(width)).max(p);
+            assert_streamed_is_serial(which, p, (width, height), flat);
+        }
+    }
+
+    #[test]
+    fn a_flat_frame_is_the_serial_file_at_every_rank_count() {
+        // 1 024 × 256 at stride 3 073: three bands of zero bytes, cut at
+        // rows 85 and 170, 5 − 1 and 5 + 205 bytes past a multiple of
+        // 258 from position 1, so neither junction meets.
+        for which in COMPOSITORS {
+            for p in 1..=8 {
+                assert_streamed_is_serial(which, p, (1024, 256), true);
+            }
+        }
+    }
+
+    #[test]
+    fn scanlines_are_pulled_at_every_offset_of_a_row() {
+        // Stride 16: rows 0..4 are this rank's, flattened as they are
+        // pulled; rows 4..9 came from another rank, as lines.
+        let (w, h) = (5, 9);
+        let fb = layer(0, 2, w, h);
+        let background = Color::rgb(1, 2, 3);
+        let s = stride(w);
+        let mut stream = vec![0; h * s];
+        fill_scanlines(&mut stream, &fb, 0..h, background);
+        let scanlines = Scanlines {
+            fb: &fb,
+            background,
+            stride: s,
+            mine: 0..4,
+            sent: vec![(4..9, stream[4 * s..].to_vec())],
+        };
+        let mut line = Vec::new();
+        for pos in 0..h * s {
+            for len in 0..=(h * s - pos).min(3 * s) {
+                let mut pulled = vec![0xAA; len];
+                scanlines.fill(&mut line, pos, &mut pulled);
+                assert_eq!(pulled, stream[pos..pos + len], "{len} bytes at {pos}");
+            }
+        }
     }
 
     #[test]

@@ -133,6 +133,27 @@ if awk '/#\[cfg\(test\)\]/{exit}
     exit 1
 fi
 
+echo "==> no image-sized render transient"
+# Compositing moves a patch as strips of a fixed pixel budget
+# (composite::send_strip, in buffers that circulate), never the rows a
+# rank gives away, or its whole image, as one patch; the collective
+# encoder pulls a band's scanlines through its sliding buffer
+# (deflate::Input) instead of holding the band's stream. A warm
+# render step then holds nothing image-sized beside its frame.
+if awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' crates/render/src/composite.rs |
+    grep -E '\.patch\('; then
+    echo "tier1: composite.rs sends a whole patch in one message again" >&2
+    exit 1
+fi
+if awk '/#\[cfg\(test\)\]/{exit}
+        /^impl PngEncoder/{inside=1}
+        inside {print FILENAME ":" FNR ": " $0}
+        inside && /^}/{inside=0}' crates/render/src/png.rs |
+    grep -E 'vec!\[0; *n\]|let mut raw\b'; then
+    echo "tier1: PngEncoder::encode holds a band's scanline stream whole again" >&2
+    exit 1
+fi
+
 echo "==> one real-mode timing path"
 # Real-mode timings are `benchmark/` and `experiments validate`; a
 # micro-benchmark harness beside them times what no document, test or

@@ -202,17 +202,35 @@ fn render_pair(
     (sim, catalyst, libsim)
 }
 
-/// Catalyst and Libsim draw into the rank's one spare framebuffer and
-/// both encoders keep their tables: once the first steps have faulted
-/// them in, a render step allocates the transient pieces only — the
-/// half image binary swap gives away, the child's patch up Libsim's
-/// tree, scanline bands, the files — and rank 0's high-water mark over a
-/// step is 4 213 360 B, the 975 × 540 pixels of its swap patch. A fresh
-/// 1024² Libsim frame a step (8 406 834 B) or a fresh 1920×1080 one
-/// (24 884 536 B) does not fit the bound.
+/// Catalyst and Libsim draw into the rank's one spare framebuffer, both
+/// encoders keep their tables and sliding buffers, and compositing
+/// strips circulate: once the first steps have faulted them in, nothing
+/// image-sized is allocated beside the frame. Rank 0's high-water mark
+/// over a warm step is bounded by what could still be transient there
+/// (the bytes of `render::composite`'s and `render::deflate`'s
+/// constants, restated):
+/// - the strips in flight, two of rank 0's 975 columns × ⌊32 Ki /
+///   1920⌋ = 17 rows at 8 B/px: 265 200 B (they circulate, so a warm
+///   step allocates none);
+/// - the sliding buffer of the encode, `WINDOW + CHUNK + MAX_MATCH + 3`
+///   = 98 565 B (kept by the encoder);
+/// - the scanlines rank 0 flattens for the band rank 1 deflates:
+///   Catalyst's 6 halo rows of 5 761 B and Libsim's 512 + 11 rows of
+///   3 073 B, 1 641 745 B in all (sent, and freed on rank 1).
+///
+/// That is 2 005 510 B, under 2 MiB; rank 0 rises 1 637 142 B, the
+/// scanlines. Until the strips, it rose 4 213 360 B, the 975 × 540
+/// pixels of its swap patch; a fresh 1024² Libsim frame a step
+/// (8 406 834 B) or a fresh 1920×1080 one (24 884 536 B) does not fit
+/// either.
 #[test]
 fn steady_state_render_step_allocates_no_catalyst_frame() {
-    const BOUND: usize = 6 << 20;
+    let strips = 2 * 8 * 975 * (32 * 1024 / 1920);
+    let sliding = 32 * 1024 + 64 * 1024 + 258 + 3;
+    let scanlines = 6 * (1 + 3 * 1920) + (512 + 11) * (1 + 3 * 1024);
+    let bound = strips + sliding + scanlines;
+    assert_eq!(bound, 2_005_510);
+    assert!(bound < 2 << 20);
     let d = deck();
     let rises = World::run(2, move |comm| {
         let (mut sim, catalyst, libsim) = render_pair(comm, &d);
@@ -233,26 +251,26 @@ fn steady_state_render_step_allocates_no_catalyst_frame() {
         rise
     });
     assert!(
-        rises[0] < BOUND,
+        rises[0] < bound,
         "rank 0 allocated {} B in a steady-state render step",
         rises[0]
     );
 }
 
-/// Catalyst and Libsim draw into each rank's one spare framebuffer, and
-/// a compositing child sends a copy of its drawn pixels and keeps its
-/// buffer: a warm render step allocates no framebuffer on either rank
-/// (one would be 2 heap calls, colour and depth, and 0.5–1 MB here).
-/// Catalyst at 480×270 and Libsim at 256×256 over a 16³ field on two
-/// free-running ranks: under the seeded scheduler, its own decision
-/// records land on the rank threads in counts that follow the
-/// interleaving.
+/// Catalyst and Libsim draw into each rank's one spare framebuffer, a
+/// compositing child sends strips of its drawn pixels and keeps its
+/// buffer, and the strips circulate: a warm render step allocates no
+/// framebuffer and no patch on either rank (a framebuffer would be 2
+/// heap calls, colour and depth, and 0.5–1 MB here). Catalyst at
+/// 480×270 and Libsim at 256×256 over a 16³ field on two free-running
+/// ranks: under the seeded scheduler, its own decision records land on
+/// the rank threads in counts that follow the interleaving.
 ///
 /// The bytes are bounded by what a step allocates on purpose: the
-/// patches a rank sends, the scanlines it deflates (one band a file:
-/// each stream is under `2 · MIN_BAND`, so rank 0 holds the whole
-/// stretch) or sends there, and the file, in a `Vec` grown to at most
-/// twice its length; 16 KiB covers everything else.
+/// scanlines a rank flattens for another (one band a file: each stream
+/// is under `2 · MIN_BAND`, so rank 0 deflates the whole of both and
+/// rank 1 sends its 135 Catalyst rows), and the file, in a `Vec` grown
+/// to at most twice its length; 16 KiB covers everything else.
 ///
 /// The heap calls are exact, and listed by site. Before their first
 /// pixel, the two analyses make 19 on each rank:
@@ -265,22 +283,31 @@ fn steady_state_render_step_allocates_no_catalyst_frame() {
 /// - `Scene::frame`, 1: the slice's colormap, cloned into its config;
 /// - `extract_plane`, 1: the plane's values.
 ///
-/// Beyond that, rank 1 makes 8 more, to 27:
-/// - Catalyst's swap patch, 3: colour, depth, envelope;
+/// A strip is ⌊32 Ki / 480⌋ = 68 Catalyst rows or 128 Libsim rows, so
+/// each swap half (135 rows) and the tree child's image (256 rows)
+/// travel as 2 strips, in buffers that circulate: each message is its
+/// envelope alone. Beyond the 19, rank 1 makes 6 more, to 25:
+/// - Catalyst's swap strips, 2;
 /// - Catalyst's scanlines for rank 0's band, 2: the lines, envelope;
-/// - Libsim's patch up the tree, 3: colour, depth, envelope.
+/// - Libsim's strips up the tree, 2.
 ///
 /// Rank 0 makes 13 more, to 32, plus each file's growth:
-/// - Catalyst's swap patch, 3;
-/// - per file (2 each): its header `Vec` (4: 8 B, then 16, 32 and 64 as
-///   the signature and `IHDR` go in) and the raw stream (1);
+/// - Catalyst's swap strips, 2;
+/// - Libsim's credits back to rank 1, 2;
+/// - Catalyst's list of the rows rank 1 sent, 1;
+/// - per file, its header `Vec`, 4: 8 B, then 16, 32 and 64 as the
+///   signature and `IHDR` go in;
 /// - the file `Vec`'s doublings from 64 B to the power of two holding
 ///   it: 7 for Catalyst's ≈ 5.2 KB, 6 for Libsim's ≈ 3 KB.
+///
+/// Until the strips, rank 0's swap patch took 3 calls (colour, depth,
+/// envelope) and each file's raw scanline stream 1, and rank 1's two
+/// patches 3 each: 32 and 27.
 #[test]
 fn steady_state_render_step_allocates_no_framebuffer() {
     const STEPS: usize = 5;
     const WARM_UP: usize = 2;
-    const CALLS: [u64; 2] = [32, 27];
+    const CALLS: [u64; 2] = [32, 25];
     let d = deck();
     let rounds = World::run(2, move |comm| {
         let cfg = SimConfig {
@@ -318,20 +345,14 @@ fn steady_state_render_step_allocates_no_framebuffer() {
         assert!(bridge.failure_reports().is_empty());
         rounds.split_off(WARM_UP)
     });
-    // The field splits along x at point 8 of 15 cells, and the slice
-    // fills the image. Catalyst, 480×270: rank 0 draws the 256 columns
-    // whose centre lies left of 8·480/15, rank 1 the other 224, and each
-    // sends them in the 135 rows it gives away. Libsim, 256×256: rank 1
-    // draws from 8·256/15 = 136.5, 119 columns, and sends all its rows.
-    let patches = [8 * 256 * 135, 8 * (224 * 135 + 119 * 256)];
-    // Scanlines are 1 + 3·width bytes: rank 0 deflates both whole
-    // streams; rank 1 sends the 135 Catalyst rows it owns.
-    let lines = [270 * 1441 + 256 * 769, 135 * 1441];
+    // Scanlines are 1 + 3·width bytes: rank 0 pulls both streams through
+    // its sliding buffer; rank 1 sends the 135 Catalyst rows it owns.
+    let lines = [0, 135 * 1441];
     let growth = |len: usize| u64::from((len.next_power_of_two() / 64).ilog2());
     for (rank, rounds) in rounds.iter().enumerate() {
         for &(rise, calls, [cat, lib]) in rounds {
             let files = if rank == 0 { 2 * (cat + lib) } else { 0 };
-            let bound = patches[rank] + lines[rank] + files + (16 << 10);
+            let bound = lines[rank] + files + (16 << 10);
             assert!(
                 rise <= bound,
                 "rank {rank} allocated {rise} B in a warm render step, over {bound} B"
@@ -351,14 +372,19 @@ fn steady_state_render_step_allocates_no_framebuffer() {
 }
 
 /// Counts, not clocks: what a render step puts on the wire at 2 ranks.
-/// Compositing patches travel by ownership: `minimpi/p2p` counts each as
-/// its header, and `render/composite` counts its pixels at 8 B. The
-/// scanlines of the collective encode are byte vectors and count in
-/// full. Catalyst: one patch each way in the swap round and nothing
-/// image-sized after it — 6 rows of halo one way, the look-ahead row the
-/// other, a landing position, a band's bits. Libsim: rank 1's patch up
-/// the tree, then exactly one band of scanlines plus its halo rows from
-/// the root, a landing, the bits back.
+/// Compositing patches travel by ownership, cut into strips of
+/// `32 Ki / width` whole rows (`render::composite`'s pixel budget):
+/// `minimpi/p2p` counts each strip as its header, and
+/// `render/composite` counts its pixels at 8 B. The scanlines of the
+/// collective encode are byte vectors and count in full. Catalyst: each
+/// swap partner sends its 540 rows as ⌈540 / 17⌉ = 32 strips and
+/// receives as many, which come back as the buffers of its own, so the
+/// swap needs no credit; then nothing image-sized — 6 rows of halo one
+/// way, the look-ahead row the other, a landing position, a band's
+/// bits. Libsim: rank 1 sends its 1 024 rows up the tree as
+/// ⌈1024 / 32⌉ = 32 strips, each strip's buffer comes back as a credit
+/// (32 more headers, root to child), then exactly one band of scanlines
+/// plus its halo rows from the root, a landing, the bits back.
 #[test]
 fn render_step_ships_scanlines_not_gathered_framebuffers() {
     use sensei::AnalysisAdaptor;
@@ -389,39 +415,51 @@ fn render_step_ships_scanlines_not_gathered_framebuffers() {
     let vec = std::mem::size_of::<Vec<u8>>() as u64;
     let bits = std::mem::size_of::<(Vec<u8>, u64, u32)>() as u64;
     let landing = std::mem::size_of::<usize>() as u64;
-    // Libsim's rank 1 sends its patch and its band's bits: the patch
-    // header, whatever its size, is the rest, and every patch has it.
+    let strips = |width: u64, rows: u64| rows.div_ceil(32 * 1024 / width);
+    let (swap, tree) = (strips(1920, 540), strips(1024, 1024));
+    assert_eq!((swap, tree), (32, 32));
+    // Libsim's rank 1 sends its strips and its band's bits: the strip
+    // header, whatever its size, is the rest, and every strip has it.
     let [libsim_p2p, libsim_patches] = sent[1][1];
-    assert_eq!((libsim_p2p.0, libsim_patches.0), (2, 1));
-    let header = libsim_p2p.1 - bits;
-    assert!(header < 256, "a patch travels as a {header} B header");
+    assert_eq!((libsim_p2p.0, libsim_patches.0), (tree + 1, tree));
+    let header = (libsim_p2p.1 - bits) / tree;
+    assert_eq!(libsim_p2p.1, tree * header + bits);
+    assert!(header < 256, "a strip travels as a {header} B header");
 
     // The 64³ field splits along x at point 32 of 63 cells, and the
     // slice fills every row. Catalyst, 1920×1080: rank 0 draws the
     // pixel columns whose centre lies left of 32·1920/63 = 975.2 (975
     // of them), rank 1 the other 945; each sends the half of the rows
     // it gives away. Libsim, 1024×1024: rank 1 draws from
-    // 32·1024/63 = 520.1, 504 columns, and sends all its rows.
-    assert_eq!(sent[0][0][1], (1, 8 * 975 * 540));
-    assert_eq!(sent[1][0][1], (1, 8 * 945 * 540));
+    // 32·1024/63 = 520.1, 504 columns, and sends all its rows. The
+    // bytes are those of whole patches; only the messages grew.
+    assert_eq!(sent[0][0][1], (swap, 8 * 975 * 540));
+    assert_eq!(sent[1][0][1], (swap, 8 * 945 * 540));
     assert_eq!(sent[0][1][1], (0, 0));
-    assert_eq!(libsim_patches, (1, 8 * 504 * 1024));
+    assert_eq!(libsim_patches, (tree, 8 * 504 * 1024));
 
     // Catalyst, 1920×1080: stride 5761, cut at row 540.
     let (stride, halo_rows) = (1 + 3 * 1920, 6);
     assert_eq!(halo_rows, 540 - (540 * stride - 32 * 1024) / stride);
     assert_eq!(
         sent[0][0][0],
-        (3, header + vec + halo_rows * stride + landing)
+        (swap + 2, swap * header + vec + halo_rows * stride + landing)
     );
-    assert_eq!(sent[1][0][0], (3, header + vec + stride + bits));
+    assert_eq!(
+        sent[1][0][0],
+        (swap + 2, swap * header + vec + stride + bits)
+    );
 
-    // Libsim, 1024×1024: stride 3073, cut at row 512.
+    // Libsim, 1024×1024: stride 3073, cut at row 512; the root's
+    // credits are strip headers too.
     let (stride, halo_rows) = (1 + 3 * 1024, 11);
     assert_eq!(halo_rows, 512 - (512 * stride - 32 * 1024) / stride);
     assert_eq!(
         sent[0][1][0],
-        (2, vec + (512 + halo_rows) * stride + landing)
+        (
+            tree + 2,
+            tree * header + vec + (512 + halo_rows) * stride + landing
+        )
     );
 }
 
