@@ -85,18 +85,23 @@ pub fn partition_extent(global: &Extent, dims: [usize; 3], rank: usize) -> Exten
 /// [`crate::GHOST_DUPLICATE`] on duplicated planes, 0 elsewhere. The
 /// non-ghost points of all blocks of a decomposition tile the global
 /// extent exactly once.
+///
+/// The flags are filled a row (fixed `j`, `k`) at a time: a row on a
+/// shared low `y` or `z` face is all ghost, and any other row has at
+/// most its first point flagged, when the low `x` face is shared.
 pub fn duplicate_point_ghosts(local: &Extent, global: &Extent) -> Vec<u8> {
-    let shared: Vec<usize> = (0..3).filter(|&a| local.lo[a] > global.lo[a]).collect();
-    local
-        .iter_points()
-        .map(|p| {
-            if shared.iter().any(|&a| p[a] == local.lo[a]) {
-                crate::GHOST_DUPLICATE
-            } else {
-                0
-            }
-        })
-        .collect()
+    let shared = [0, 1, 2].map(|a| local.lo[a] > global.lo[a]);
+    let [nx, ny, nz] = local.point_dims();
+    let mut flags = vec![0; nx * ny * nz];
+    for (r, row) in flags.chunks_exact_mut(nx).enumerate() {
+        let (j, k) = (r % ny, r / ny);
+        if (shared[1] && j == 0) || (shared[2] && k == 0) {
+            row.fill(crate::GHOST_DUPLICATE);
+        } else if shared[0] {
+            row[0] = crate::GHOST_DUPLICATE;
+        }
+    }
+    flags
 }
 
 #[cfg(test)]
@@ -190,6 +195,43 @@ mod tests {
                 owner.iter().all(|&c| c == 1),
                 "dims {dims:?}: every point owned exactly once"
             );
+        }
+    }
+
+    /// The per-point definition the row fill must reproduce.
+    fn per_point_ghosts(local: &Extent, global: &Extent) -> Vec<u8> {
+        let shared: Vec<usize> = (0..3).filter(|&a| local.lo[a] > global.lo[a]).collect();
+        local
+            .iter_points()
+            .map(|p| {
+                if shared.iter().any(|&a| p[a] == local.lo[a]) {
+                    crate::GHOST_DUPLICATE
+                } else {
+                    0
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn row_fill_matches_the_per_point_flags() {
+        for global in [
+            Extent::whole([17, 13, 9]),
+            Extent::whole([9, 9, 9]),
+            Extent::whole([33, 5, 4]),
+            Extent::new([-3, 2, 5], [12, 9, 11]),
+        ] {
+            for p in 1..=8 {
+                let dims = dims_create(p);
+                for rank in 0..p {
+                    let local = partition_extent(&global, dims, rank);
+                    assert_eq!(
+                        duplicate_point_ghosts(&local, &global),
+                        per_point_ghosts(&local, &global),
+                        "{global:?} over {dims:?}, rank {rank}"
+                    );
+                }
+            }
         }
     }
 

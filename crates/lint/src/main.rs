@@ -26,12 +26,13 @@
 //! * **R4 no-unwrap-core** — no `.unwrap()`/`.expect(` in non-test
 //!   code of `minimpi`, `datamodel`, `sensei`, `science`, `adios`,
 //!   `glean`, `query`, `catalyst`, `libsim`, `perfmodel`, `sanitizer`,
-//!   `render` and `iosim`: the substrate, the staging/aggregation data
-//!   paths, the render endpoints and the stack under them, the model,
-//!   the race detector and the post hoc I/O readers must surface
-//!   failures as typed errors or structured panics (the
-//!   monitor/scheduler reports), never ad-hoc unwraps. The last six
-//!   joined at zero sites, so their count can only stay there.
+//!   `render`, `iosim` and `probe`: the substrate, the
+//!   staging/aggregation data paths, the render endpoints and the stack
+//!   under them, the model, the race detector, the post hoc I/O readers
+//!   and the recorder every layer reports through must surface failures
+//!   as typed errors or structured panics (the monitor/scheduler
+//!   reports), never ad-hoc unwraps. The last seven joined at zero
+//!   sites, so their count can only stay there.
 //! * **R6 obligation** — protocol acquire/release calls must pair
 //!   inside one function, matching what the sanitizer's obligation
 //!   registry checks at `Bridge::finalize`: a `publish_dataset(` call
@@ -109,6 +110,7 @@ fn in_core_crate(path: &Path) -> bool {
         "sanitizer",
         "render",
         "iosim",
+        "probe",
     ]
     .iter()
     .any(|c| under_dir(path, c))

@@ -149,6 +149,24 @@ fn violating_fixture_trips_r4_in_iosim_paths() {
 }
 
 #[test]
+fn violating_fixture_trips_r4_in_probe_paths() {
+    // `probe` joined the R4 crate list at zero sites: its counters are
+    // reached by the entry API and its JSON reader by patterns.
+    let out = Command::new(lint_bin())
+        .current_dir(repo_root())
+        .arg("crates/lint/fixtures/probe/unwrap.rs")
+        .output()
+        .expect("lint binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!out.status.success(), "probe-path fixture must fail lint");
+    assert_eq!(
+        stdout.matches("[no-unwrap-core]").count(),
+        2,
+        "exactly the two non-test sites fire: {stdout}"
+    );
+}
+
+#[test]
 fn violating_fixture_trips_r6_obligation_pairing() {
     let out = Command::new(lint_bin())
         .current_dir(repo_root())

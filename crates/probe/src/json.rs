@@ -233,7 +233,9 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
             Some(_) => {
                 // Consume one UTF-8 scalar (multi-byte safe).
                 let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
+                let Some(c) = rest.chars().next() else {
+                    return Err("unterminated string".into());
+                };
                 out.push(c);
                 *pos += c.len_utf8();
             }

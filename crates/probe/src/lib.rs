@@ -225,7 +225,7 @@ impl Probe {
     pub fn call(&self, name: &str) {
         if let Some(inner) = &self.0 {
             let mut state = inner.state.lock();
-            counter_mut(&mut state, name).calls += 1;
+            bump(&mut state, name, |c| c.calls += 1);
         }
     }
 
@@ -234,9 +234,10 @@ impl Probe {
     pub fn message(&self, name: &str, bytes: u64) {
         if let Some(inner) = &self.0 {
             let mut state = inner.state.lock();
-            let c = counter_mut(&mut state, name);
-            c.messages += 1;
-            c.bytes += bytes;
+            bump(&mut state, name, |c| {
+                c.messages += 1;
+                c.bytes += bytes;
+            });
         }
     }
 
@@ -248,10 +249,11 @@ impl Probe {
     pub fn bulk(&self, name: &str, calls: u64, messages: u64, bytes: u64) {
         if let Some(inner) = &self.0 {
             let mut state = inner.state.lock();
-            let c = counter_mut(&mut state, name);
-            c.calls += calls;
-            c.messages += messages;
-            c.bytes += bytes;
+            bump(&mut state, name, |c| {
+                c.calls += calls;
+                c.messages += messages;
+                c.bytes += bytes;
+            });
         }
     }
 
@@ -311,11 +313,13 @@ impl Probe {
     }
 }
 
-fn counter_mut<'s>(state: &'s mut State, name: &str) -> &'s mut Counter {
-    if !state.counters.contains_key(name) {
-        state.counters.insert(name.to_string(), Counter::default());
+/// Apply `f` to the counter `name`, created on first use; only that
+/// first use allocates its key.
+fn bump(state: &mut State, name: &str, f: impl FnOnce(&mut Counter)) {
+    match state.counters.get_mut(name) {
+        Some(c) => f(c),
+        None => f(state.counters.entry(name.to_string()).or_default()),
     }
-    state.counters.get_mut(name).unwrap()
 }
 
 /// RAII timer returned by [`Probe::span`]; records on drop. Holds no

@@ -28,16 +28,20 @@ use crate::slice::{extract_plane, render_plane};
 pub fn global_range(comm: &Comm, values: &[f64]) -> (f64, f64) {
     // Eight independent accumulators: `min`/`max` over a set do not
     // depend on the order, and one accumulator is a serial chain of
-    // their latencies over the whole field.
+    // their latencies over the whole field. The lanes are selects,
+    // which compile to packed `min`/`max` where `f64::min`/`max` do not.
     const LANES: usize = 8;
     let mut lo = [f64::INFINITY; LANES];
     let mut hi = [f64::NEG_INFINITY; LANES];
-    for block in values.chunks(LANES) {
-        for ((lo, hi), &v) in lo.iter_mut().zip(&mut hi).zip(block) {
-            *lo = lo.min(v);
-            *hi = hi.max(v);
+    let mut fold = |vs: &[f64]| {
+        for ((lo, hi), &v) in lo.iter_mut().zip(&mut hi).zip(vs) {
+            *lo = if v < *lo { v } else { *lo };
+            *hi = if v > *hi { v } else { *hi };
         }
-    }
+    };
+    let (octets, rest) = values.as_chunks::<LANES>();
+    octets.iter().for_each(|vs| fold(vs));
+    fold(rest);
     let lo = lo.into_iter().fold(f64::INFINITY, f64::min);
     let hi = hi.into_iter().fold(f64::NEG_INFINITY, f64::max);
     comm.allreduce_scalar((lo, hi), |a: (f64, f64), b| (a.0.min(b.0), a.1.max(b.1)))

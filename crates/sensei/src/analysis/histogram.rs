@@ -4,20 +4,24 @@
 //!
 //! Both local passes *stream* over the simulation's buffers on the rank
 //! thread: each leaf's values are read in place through a zero-copy
-//! borrowed slice (never gathered into a temporary). The state is one
-//! `(min, max, count)` triple for pass 1 and one bin vector for pass 2,
-//! so storage stays proportional to the bin count, independent of the
-//! field size.
+//! borrowed slice (never gathered into a temporary), and ghosts are
+//! skipped by walking the leaf's maximal runs of kept values
+//! (`LeafView::kept_runs`), the walk the autocorrelation makes, so no
+//! value's ghost byte is tested in the loops that read the values.
 //!
-//! The local passes run a **lane-unrolled kernel**: pass 1 folds values
-//! through four independent accumulator lanes (breaking the sequential
-//! `min`/`max` dependency chain so LLVM can pipeline or vectorize it),
-//! with ghost flags applied branchlessly as identity elements; pass 2
-//! scatters into four independent sub-histograms so back-to-back
-//! increments of one hot bin stop serializing on store-to-load
-//! forwarding. Both are result-identical to the pre-blocking streaming
-//! loops, kept as the `cfg(test)` oracle `histogram/reference.rs`; the
-//! property tests pin blocked == reference on arbitrary values.
+//! Pass 1 folds each run through eight independent select lanes
+//! (`if v < lo { v } else { lo }`), which ignore `NaN` as `f64::min`
+//! does and compile to packed `min`/`max`; the kept count is the sum
+//! of the run lengths. Pass 2 bins each run in blocks of 256: a
+//! branch-free pre-pass clamps `(v - glo) · inv_w` to `[0, last]`
+//! (`NaN` → 0) and truncates it, the same bin as the saturating cast,
+//! and the indices scatter into eight sub-histograms kept between
+//! steps, so back-to-back hits on one bin do not serialise on one
+//! counter. Both are result-identical to the pre-blocking streaming
+//! loops, kept as the `cfg(test)` oracle `histogram/reference.rs` (the
+//! range equal as numbers: which zero a `±0` extreme carries follows
+//! the lanes, as it follows the decomposition); the property test pins
+//! kernels == reference through `LeafView`s.
 //!
 //! The two range reductions of §3.3 are fused into one `(min, max)`
 //! pair reduce, and the bin reduction is one binomial-tree
@@ -28,7 +32,9 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 
 use crate::adaptor::{Association, DataAdaptor};
-use crate::analysis::{leaf_views, populated_mesh, AnalysisAdaptor, ReportOnce, Steering};
+use crate::analysis::{
+    leaf_views, populated_mesh, AnalysisAdaptor, LeafView, ReportOnce, Steering,
+};
 use datamodel::MemoryFootprint;
 
 /// The result available on rank 0 after each execute.
@@ -62,6 +68,9 @@ pub struct HistogramAnalysis {
     bins: usize,
     results: ResultsHandle,
     failures: ReportOnce,
+    /// Pass 2's sub-histograms, `LANES × bins` counters kept between
+    /// steps (zero outside [`bin`]).
+    lanes: Vec<u32>,
 }
 
 impl HistogramAnalysis {
@@ -79,6 +88,7 @@ impl HistogramAnalysis {
             bins,
             results: Arc::new(Mutex::new(None)),
             failures: ReportOnce::default(),
+            lanes: vec![0; LANES * bins],
         }
     }
 
@@ -88,115 +98,95 @@ impl HistogramAnalysis {
     }
 }
 
-/// Blocked pass-1 kernel: four independent accumulator lanes break the
-/// sequential `min`/`max` dependency chain, and ghost flags are applied
-/// branchlessly by substituting each lane's identity element (`+∞` for
-/// the min lane, `-∞` for the max lane) — exactly equivalent to
-/// skipping the value, since `x.min(+∞) == x` and `x.max(-∞) == x` for
-/// every `x` including `NaN`-ignoring folds. The final lane merge is
-/// fixed-order.
-fn blocked_range(values: &[f64], ghosts: Option<&[u8]>) -> (f64, f64, u64) {
-    let mut mn = [f64::INFINITY; 4];
-    let mut mx = [f64::NEG_INFINITY; 4];
+/// Independent accumulators each pass keeps: pass 1's `(min, max)`
+/// lanes and pass 2's sub-histograms.
+const LANES: usize = 8;
+
+/// Values pass 2 turns into bin indices before scattering them.
+const BLOCK: usize = 256;
+
+/// Pass 1 over every leaf's kept runs: `(min, max, kept count)`. Each
+/// run folds through `LANES` independent select lanes, which compile
+/// to packed `min`/`max`; like `f64::min`/`max` they skip `NaN`, since
+/// `NaN < lo` is false. The lanes merge in a fixed order.
+fn range(views: &[LeafView]) -> (f64, f64, u64) {
+    let mut lo = [f64::INFINITY; LANES];
+    let mut hi = [f64::NEG_INFINITY; LANES];
     let mut n = 0u64;
-    match ghosts {
-        None => {
-            let mut lanes = values.chunks_exact(4);
-            for vs in &mut lanes {
-                for l in 0..4 {
-                    mn[l] = mn[l].min(vs[l]);
-                    mx[l] = mx[l].max(vs[l]);
+    for view in views {
+        for (start, len) in view.kept_runs() {
+            let mut fold = |vs: &[f64]| {
+                for ((lo, hi), &v) in lo.iter_mut().zip(&mut hi).zip(vs) {
+                    *lo = if v < *lo { v } else { *lo };
+                    *hi = if v > *hi { v } else { *hi };
                 }
-            }
-            for &v in lanes.remainder() {
-                mn[0] = mn[0].min(v);
-                mx[0] = mx[0].max(v);
-            }
-            n = values.len() as u64;
-        }
-        Some(g) => {
-            let mut lanes = values.chunks_exact(4);
-            let mut glanes = g.chunks_exact(4);
-            for (vs, gs) in (&mut lanes).zip(&mut glanes) {
-                for l in 0..4 {
-                    let keep = gs[l] == 0;
-                    mn[l] = mn[l].min(if keep { vs[l] } else { f64::INFINITY });
-                    mx[l] = mx[l].max(if keep { vs[l] } else { f64::NEG_INFINITY });
-                    n += u64::from(keep);
-                }
-            }
-            for (&v, &gv) in lanes.remainder().iter().zip(glanes.remainder()) {
-                let keep = gv == 0;
-                mn[0] = mn[0].min(if keep { v } else { f64::INFINITY });
-                mx[0] = mx[0].max(if keep { v } else { f64::NEG_INFINITY });
-                n += u64::from(keep);
-            }
+            };
+            let (octets, rest) = view.values[start..start + len].as_chunks::<LANES>();
+            octets.iter().for_each(|vs| fold(vs));
+            fold(rest);
+            n += len as u64;
         }
     }
     (
-        mn[0].min(mn[1]).min(mn[2]).min(mn[3]),
-        mx[0].max(mx[1]).max(mx[2]).max(mx[3]),
+        lo.into_iter().fold(f64::INFINITY, f64::min),
+        hi.into_iter().fold(f64::NEG_INFINITY, f64::max),
         n,
     )
 }
 
-/// Blocked pass-2 kernel: four independent sub-histogram lanes break
-/// the increment dependency chain — when consecutive values land in the
-/// same bin, a single count vector serializes on store-to-load
-/// forwarding, while four lanes let the cast/clamp/increment chains
-/// overlap (the same trick as the pass-1 lanes). Ghosts are masked
-/// branchlessly (`+= 0` for a ghost is the integer identity, equivalent
-/// to skipping), the saturating float→int cast matches the reference
-/// cast exactly (`NaN → 0`, out-of-range clamps), and the lanes are
-/// merged into `c` with exact integer adds in fixed order — so the
-/// split changes nothing observable.
-fn blocked_bin(
-    values: &[f64],
-    ghosts: Option<&[u8]>,
-    glo: f64,
-    inv_w: f64,
-    last: usize,
-    c: &mut [u64],
-) {
-    let bins = c.len();
-    let idx = |v: f64| (((v - glo) * inv_w) as usize).min(last);
-    let mut lanes = vec![0u64; bins * 4];
-    let (a01, a23) = lanes.split_at_mut(bins * 2);
-    let (l0, l1) = a01.split_at_mut(bins);
-    let (l2, l3) = a23.split_at_mut(bins);
-    match ghosts {
-        None => {
-            let mut quads = values.chunks_exact(4);
-            for vs in &mut quads {
-                l0[idx(vs[0])] += 1;
-                l1[idx(vs[1])] += 1;
-                l2[idx(vs[2])] += 1;
-                l3[idx(vs[3])] += 1;
-            }
-            for &v in quads.remainder() {
-                l0[idx(v)] += 1;
+/// Pass 2 over every leaf's kept runs, adding into `counts`. A run is
+/// binned `BLOCK` values at a time: a branch-free pre-pass clamps
+/// `(v - glo) · inv_w` to `[0, last]` (`NaN` → 0) and truncates it,
+/// which is the bin of the saturating `as usize` cast followed by
+/// `.min(last)`; the indices then scatter into `LANES` sub-histograms,
+/// so back-to-back hits on one bin do not serialise on one counter.
+/// `lanes` holds `LANES × counts.len()` zeros on entry and on return:
+/// they fold into `counts` in a fixed order before any can wrap.
+fn bin(views: &[LeafView], glo: f64, inv_w: f64, lanes: &mut [u32], counts: &mut [u64]) {
+    let bins = counts.len();
+    assert!(bins <= i32::MAX as usize, "bin indices must fit an i32");
+    let last = (bins - 1) as f64;
+    let fold = |lanes: &mut [u32], counts: &mut [u64]| {
+        for lane in lanes.chunks_exact_mut(bins) {
+            for (c, l) in counts.iter_mut().zip(lane) {
+                *c += u64::from(std::mem::take(l));
             }
         }
-        Some(g) => {
-            let mut quads = values.chunks_exact(4);
-            let mut gquads = g.chunks_exact(4);
-            for (vs, gs) in (&mut quads).zip(&mut gquads) {
-                l0[idx(vs[0])] += u64::from(gs[0] == 0);
-                l1[idx(vs[1])] += u64::from(gs[1] == 0);
-                l2[idx(vs[2])] += u64::from(gs[2] == 0);
-                l3[idx(vs[3])] += u64::from(gs[3] == 0);
-            }
-            for (&v, &gv) in quads.remainder().iter().zip(gquads.remainder()) {
-                l0[idx(v)] += u64::from(gv == 0);
+    };
+    // Values scattered since the last fold bound every lane's counts.
+    let mut pending = 0usize;
+    let mut idx = [0u32; BLOCK];
+    for view in views {
+        for (start, len) in view.kept_runs() {
+            for block in view.values[start..start + len].chunks(BLOCK) {
+                if pending > (u32::MAX as usize) - BLOCK {
+                    fold(lanes, counts);
+                    pending = 0;
+                }
+                pending += block.len();
+                let idx = &mut idx[..block.len()];
+                for (i, &v) in idx.iter_mut().zip(block) {
+                    let x = (v - glo) * inv_w;
+                    let x = if x > 0.0 { x } else { 0.0 };
+                    let x = if x < last { x } else { last };
+                    // SAFETY: the two selects above make `x` finite and
+                    // in `[0, last]`, NaN included, and `last < i32::MAX`
+                    // by the assert on `bins`, so its truncation fits an
+                    // `i32`.
+                    *i = unsafe { x.to_int_unchecked::<i32>() } as u32;
+                }
+                let mut scatter = |is: &[u32]| {
+                    for (l, &i) in is.iter().enumerate() {
+                        lanes[l * bins + i as usize] += 1;
+                    }
+                };
+                let (octets, rest) = idx.as_chunks::<LANES>();
+                octets.iter().for_each(|is| scatter(is));
+                scatter(rest);
             }
         }
     }
-    for (dst, ((&a, &b), (&d, &e))) in c
-        .iter_mut()
-        .zip(l0.iter().zip(l1.iter()).zip(l2.iter().zip(l3.iter())))
-    {
-        *dst += a + b + d + e;
-    }
+    fold(lanes, counts);
 }
 
 impl AnalysisAdaptor for HistogramAnalysis {
@@ -227,21 +217,12 @@ impl AnalysisAdaptor for HistogramAnalysis {
             Vec::new()
         });
 
-        // Pass 1: streaming local min/max + count. Nothing is
-        // materialized: each leaf folds its borrowed values into a
-        // (min, max, count) triple through the blocked kernel.
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        let mut local_n = 0u64;
-        {
+        // Pass 1: streaming local min/max + count over the borrowed
+        // values' kept runs. Nothing is materialized.
+        let (lo, hi, local_n) = {
             let _pass1 = probe.span("per-step/histogram/pass1");
-            for view in &views {
-                let (vlo, vhi, vn) = blocked_range(&view.values, view.ghosts.as_deref());
-                lo = lo.min(vlo);
-                hi = hi.max(vhi);
-                local_n += vn;
-            }
-        }
+            range(&views)
+        };
         // The two global reductions of §3.3 fused into one (min, max)
         // pair: identical values, half the collective latency — the
         // range phase was the highest-variance span in the seed's
@@ -258,11 +239,7 @@ impl AnalysisAdaptor for HistogramAnalysis {
             let _pass2 = probe.span("per-step/histogram/pass2");
             if ghi > glo {
                 let inv_w = self.bins as f64 / (ghi - glo);
-                let last = self.bins - 1;
-                for view in &views {
-                    let ghosts = view.ghosts.as_deref();
-                    blocked_bin(&view.values, ghosts, glo, inv_w, last, &mut counts);
-                }
+                bin(&views, glo, inv_w, &mut self.lanes, &mut counts);
             } else if glo.is_finite() {
                 // Degenerate range: everything in bin 0.
                 counts[0] = local_n;
@@ -447,19 +424,40 @@ mod tests {
         let _ = HistogramAnalysis::new("data", 0);
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+    /// The ghost flags of a property-test leaf of `n` values: none,
+    /// every `k`-th value, `k` leading and `k` trailing values,
+    /// alternating kept and ghost runs of `k`, or all ghost.
+    fn ghost_pattern(pattern: usize, n: usize, k: usize) -> Option<Vec<u8>> {
+        let flag = |i: usize| match pattern {
+            1 => i.is_multiple_of(k),
+            2 => i < k || i + k >= n,
+            3 => (i / k) % 2 == 1,
+            4 => true,
+            _ => false,
+        };
+        (pattern != 0).then(|| (0..n).map(|i| u8::from(flag(i))).collect())
+    }
 
-        /// The lane-unrolled kernels are indistinguishable from the
-        /// reference streaming loops on arbitrary values — including
-        /// NaN / ±0 / ±∞ specials, ghost masks, lengths that exercise
-        /// the 4-lane remainder.
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The kept-run kernels are indistinguishable from the reference
+        /// streaming loops, driven through `LeafView`s as `execute`
+        /// drives them: NaN / ±0 / ±∞ specials, every ghost pattern of
+        /// [`ghost_pattern`] (leaf `j` of a step takes pattern
+        /// `pattern + j`, so a step mixes them), runs shorter than the
+        /// lanes and longer than a block, 1–96 bins. Min and max are
+        /// compared as numbers: which zero a `±0` extreme carries
+        /// follows the lane order, as it follows the decomposition.
         #[test]
         fn prop_blocked_matches_reference(
             n in 1usize..1200,
             seed in proptest::prelude::any::<u32>(),
-            bins in 1usize..96,
-            ghost_stride in 0usize..5,
+            bins in 1usize..97,
+            pattern in 0usize..5,
+            k in 1usize..8,
+            long in 0usize..2,
+            leaves in 1usize..4,
         ) {
             let vals: Vec<f64> = (0..n)
                 .map(|i| {
@@ -477,19 +475,49 @@ mod tests {
                     }
                 })
                 .collect();
-            let flags: Vec<u8> = (0..n).map(|i| u8::from(i % ghost_stride.max(1) == 0)).collect();
-            let ghosts = (ghost_stride > 0).then_some(&flags[..]);
-            let (lo, hi, kept) = reference::range(&vals, ghosts);
-            proptest::prop_assert_eq!(blocked_range(&vals, ghosts), (lo, hi, kept));
+            let cuts: Vec<usize> = (0..=leaves).map(|j| j * n / leaves).collect();
+            // Runs of 1–7 values, or of 100–700 across blocks.
+            let k = if long == 1 { 100 * k } else { k };
+            let flags: Vec<Option<Vec<u8>>> = cuts
+                .windows(2)
+                .enumerate()
+                .map(|(j, w)| ghost_pattern((pattern + j) % 5, w[1] - w[0], k))
+                .collect();
+            let views: Vec<LeafView> = cuts
+                .windows(2)
+                .zip(&flags)
+                .map(|(w, g)| LeafView {
+                    values: std::borrow::Cow::Borrowed(&vals[w[0]..w[1]]),
+                    ghosts: g.as_deref().map(std::borrow::Cow::Borrowed),
+                    geometry: None,
+                })
+                .collect();
+            let want = views.iter().fold(
+                (f64::INFINITY, f64::NEG_INFINITY, 0),
+                |(lo, hi, kept), v| {
+                    let (vlo, vhi, vn) = reference::range(&v.values, v.ghosts.as_deref());
+                    (lo.min(vlo), hi.max(vhi), kept + vn)
+                },
+            );
+            proptest::prop_assert_eq!(range(&views), want);
             // Bin over the finite part of the range, as `execute` would
             // over a finite global range; out-of-range values clamp.
-            let (glo, ghi) = (lo.max(-1600.0), hi.min(1600.0));
+            let (glo, ghi) = (want.0.max(-1600.0), want.1.min(1600.0));
             if ghi > glo {
                 let inv_w = bins as f64 / (ghi - glo);
-                let (mut want, mut got) = (vec![0u64; bins], vec![0u64; bins]);
-                reference::bin(&vals, ghosts, glo, inv_w, bins - 1, &mut want);
-                blocked_bin(&vals, ghosts, glo, inv_w, bins - 1, &mut got);
-                proptest::prop_assert_eq!(got, want, "bins={} stride={}", bins, ghost_stride);
+                let mut want = vec![0u64; bins];
+                for v in &views {
+                    let ghosts = v.ghosts.as_deref();
+                    reference::bin(&v.values, ghosts, glo, inv_w, bins - 1, &mut want);
+                }
+                // Twice through the same lanes: they come back zeroed.
+                let mut lanes = vec![0u32; LANES * bins];
+                for _ in 0..2 {
+                    let mut got = vec![0u64; bins];
+                    bin(&views, glo, inv_w, &mut lanes, &mut got);
+                    proptest::prop_assert_eq!(&got, &want, "bins={} pattern={}", bins, pattern);
+                    proptest::prop_assert!(lanes.iter().all(|&l| l == 0));
+                }
             }
         }
     }

@@ -1,5 +1,5 @@
 //! The pre-blocking streaming loops, kept verbatim as the oracle for the
-//! lane-unrolled kernels of [`HistogramAnalysis`](super::HistogramAnalysis):
+//! kept-run kernels of [`HistogramAnalysis`](super::HistogramAnalysis):
 //! one sequential fold and one scatter, each with a branch per ghost
 //! flag. Their `(min, max, count)` and bin counts are the contract.
 

@@ -66,6 +66,16 @@ if tr '\n' ' ' <<<"$oscillator_src" | grep -oE 'DataArray::owned\(\s*(GHOST_ARRA
     exit 1
 fi
 
+echo "==> the histogram reads ghosts as kept runs"
+# Both local passes walk each leaf's runs of kept values
+# (LeafView::kept_runs); a ghost flag tested per value in the product
+# code, or the blocked kernels that did so, is a second way back.
+if awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' \
+    crates/sensei/src/analysis/histogram.rs | grep -E 'ghost_at|\.ghosts|blocked_(range|bin)'; then
+    echo "tier1: the histogram tests ghost flags per value again" >&2
+    exit 1
+fi
+
 echo "==> a rank is one thread"
 # Concurrency inside a node comes from ranks; a kernel, analysis or
 # bridge that spawns workers, or a thread-count knob, needs a benchmark

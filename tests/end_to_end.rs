@@ -665,7 +665,7 @@ impl sensei::AnalysisAdaptor for AllocBetweenExecutes {
 ///   variable list (1), two variable names (2);
 /// - `FlexpathWriter::write`, 1: the channel envelope of the step.
 ///
-/// A warm endpoint round makes 100:
+/// A warm endpoint round makes 98:
 /// - `FlexpathReader::begin_step`, 22: the round's step list and the
 ///   list of writers awaited (2), and per writer (10 each) the metadata
 ///   `BpStep::adopt` parses into owned values — the attribute and
@@ -681,8 +681,9 @@ impl sensei::AnalysisAdaptor for AllocBetweenExecutes {
 ///   array added (field, ghosts) the adaptor's name list, its names,
 ///   each block's name list, array clone and storage clone (9), plus
 ///   the point-data slot of each block on the first (2);
-/// - `HistogramAnalysis::execute`, 5: the leaf list and its view list
-///   (2), the count vector (1), each leaf's scatter lanes (2);
+/// - `HistogramAnalysis::execute`, 3: the leaf list and its view list
+///   (2), the count vector (1) — its scatter lanes are kept between
+///   steps (until they were, each leaf's took 1 more, for 100);
 /// - `FlexpathReader::end_step`, 2: the channel envelope of each ack.
 #[test]
 fn steady_state_staging_step_allocates_no_payload() {
@@ -690,7 +691,7 @@ fn steady_state_staging_step_allocates_no_payload() {
     use adios::{pair, BrokerConfig, Role, StagingBroker};
     const BOUND: usize = 64 << 10;
     const WRITER_CALLS: u64 = 21;
-    const ENDPOINT_CALLS: u64 = 100;
+    const ENDPOINT_CALLS: u64 = 98;
     const STEPS: usize = 6;
     const WARM_UP: usize = 2;
     let d = deck();
@@ -1094,4 +1095,83 @@ fn science_proxies_through_one_bridge_api() {
         assert!(s.count > 0);
         assert!(s.max > 0.0, "flow is moving");
     });
+}
+
+/// A warm `stats-insitu` step (histogram of 64 bins, autocorrelation of
+/// window 4, top 8) at 32³ on two free-running ranks allocates nothing
+/// field-sized, and its heap calls are exact, listed by site. Free
+/// ranks, as in the render test: under the seeded scheduler its own
+/// decision records land on the rank threads, and rank 0's histogram
+/// step made 15 or 16 calls under `Seeded(2016)` where free ranks make
+/// 12.
+///
+/// Both analyses first build the step's mesh and views, 7 calls:
+/// - `populated_mesh`, 5: the field's `DataArray::shared` and its name
+///   (2), the point-data slot (1), the ghost flags' `DataArray::shared`
+///   and its name (2);
+/// - `leaf_views`' leaf and view lists (2).
+///
+/// The histogram makes 3 more on rank 1, to 10, and 5 on rank 0, to 12:
+/// - the count vector (1);
+/// - the `(min, max)` pair reduction's envelope (1: rank 1's reduce,
+///   rank 0's broadcast);
+/// - the bin reduction: rank 1's reduce envelope (1), or rank 0's
+///   reduced vector, the copy it broadcasts and its envelope (3).
+///
+/// Its scatter lanes are kept between steps; until they were, each
+/// leaf's took one more call a step. The autocorrelation makes 2 more,
+/// to 9: the step's run table (1, compared with the captured one) and
+/// the list of past slots its delays read (1).
+#[test]
+fn steady_state_stats_step_heap_calls() {
+    const STEPS: usize = 6;
+    const WARM_UP: usize = 2;
+    const BOUND: usize = 16 << 10;
+    const CALLS: [[u64; 2]; 2] = [[12, 9], [10, 9]];
+    let d = deck();
+    let rounds = World::run(2, move |comm| {
+        let cfg = SimConfig {
+            grid: [32, 32, 32],
+            steps: STEPS,
+            ..SimConfig::default()
+        };
+        let mut sim = Simulation::new(comm, cfg, (comm.rank() == 0).then_some(d.as_str()));
+        let mut histogram = HistogramAnalysis::new("data", 64);
+        let mut autocorrelation = Autocorrelation::new("data", 4, 8);
+        let mut rounds = Vec::new();
+        for _ in 0..STEPS {
+            sim.step(comm);
+            let data = OscillatorAdaptor::new(&sim);
+            let mut round = [(0, 0); 2];
+            let analyses: [&mut dyn sensei::AnalysisAdaptor; 2] =
+                [&mut histogram, &mut autocorrelation];
+            for (analysis, round) in analyses.into_iter().zip(&mut round) {
+                probe::alloc::reset_peak();
+                let floor = probe::alloc::current_bytes();
+                let calls = probe::alloc::allocations();
+                assert!(analysis.execute(&data, comm).should_continue());
+                *round = (
+                    probe::alloc::peak_bytes() - floor,
+                    probe::alloc::allocations() - calls,
+                );
+            }
+            rounds.push(round);
+        }
+        assert!(histogram.take_failures().is_empty());
+        assert!(autocorrelation.take_failures().is_empty());
+        rounds.split_off(WARM_UP)
+    });
+    for (rank, rounds) in rounds.iter().enumerate() {
+        for round in rounds {
+            assert!(
+                round.iter().all(|&(rise, _)| rise < BOUND),
+                "rank {rank} allocated {round:?} (B, heap calls) in a warm stats step"
+            );
+            assert_eq!(
+                round.map(|(_, calls)| calls),
+                CALLS[rank],
+                "rank {rank}: heap calls of the histogram and the autocorrelation"
+            );
+        }
+    }
 }
