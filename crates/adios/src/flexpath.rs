@@ -9,18 +9,19 @@
 //! Per-step protocol, matching Fig. 8's decomposition:
 //!
 //! * `advance` — the writer's metadata update: blocks until the reader
-//!   has answered the *previous* step (bounded queue of depth 1 —
-//!   back-pressure is where "blocking time if the reader is not yet
-//!   ready" appears). The answer carries the step's buffers back, so
-//!   the writer marshals every step into the buffers it keeps;
-//! * `write` — ships one [`BpStep`] split in two, as ADIOS2's SST
+//!   has given the *previous* step back (a step is a `minimpi` loan with
+//!   at most one out — back-pressure is where "blocking time if the
+//!   reader is not yet ready" appears). The step's buffers come back
+//!   with it, into the writer's pool, so the writer marshals every step
+//!   into the buffers it keeps;
+//! * `write` — lends one [`BpStep`] split in two, as ADIOS2's SST
 //!   engine splits its control and data planes: the BPL3 framing
 //!   without its payload sections travels as bytes, and each payload
 //!   travels beside it as the block the writer copied it into — the one
 //!   marshaling copy of §4.1.4, and the only copy either side makes;
 //! * readers `begin_step`/`end_step` around their analysis. A reader
 //!   checks each block against its header and adopts it as the
-//!   variable's payload, and `end_step` sends the framing and the
+//!   variable's payload, and `end_step` gives the framing and the
 //!   blocks back, so a warm stream allocates no payload on either side.
 //!
 //! Writers may `close` at any time (FlexPath supports dynamic
@@ -31,18 +32,19 @@
 //! or whose step does not decode — is recorded as a
 //! [`FailureReport`] (steps and bytes received before the loss) and
 //! dropped from the stream instead of hanging or killing the endpoint.
-//! A writer whose step does not decode is *refused*: its answer says
-//! so, its `advance` returns, and it ships nothing more.
+//! A writer whose step does not decode is *refused*: the step comes
+//! back with [`Verdict::Refused`], its `advance` returns, and it ships
+//! nothing more.
 
 use std::time::Duration;
 
-use minimpi::Comm;
+use minimpi::{Comm, Verdict};
 use sensei::FailureReport;
 
 use crate::bp::{BpStep, Payload};
 
+/// The tag steps are lent on, and come back on.
 const TAG_DATA: u32 = 0xAD10_0001;
-const TAG_ACK: u32 = 0xAD10_0002;
 
 /// Default per-writer receive deadline: generous enough for slow
 /// simulation steps, small enough that a dead writer is diagnosed rather
@@ -53,12 +55,6 @@ const DEFAULT_WRITER_DEADLINE: Duration = Duration::from_secs(30);
 /// framing without payloads ([`BpStep::encode_meta`]), and one payload
 /// block per variable.
 type Frame = (bool, Vec<u8>, Vec<Payload>);
-
-/// The reader's answer to one step, on `TAG_ACK`: the step it read, or
-/// `None` when the step did not decode and the writer is refused, and
-/// the step's framing and blocks, which the writer marshals its next
-/// step into.
-type Reply = (Option<u64>, Vec<u8>, Vec<Payload>);
 
 /// This rank's role after [`pair`].
 pub enum Role {
@@ -96,9 +92,7 @@ pub fn pair(world: &Comm, n_writers: usize) -> Role {
             sub,
             writer: FlexpathWriter {
                 peer,
-                meta: Vec::new(),
-                blocks: Vec::new(),
-                outstanding: None,
+                last: 0,
                 refused: None,
                 closed: false,
             },
@@ -125,16 +119,13 @@ pub fn pair(world: &Comm, n_writers: usize) -> Role {
     }
 }
 
-/// Writer-side transport handle.
+/// Writer-side transport handle. The step buffers it marshals into are
+/// the world communicator's: at the endpoint while a step is lent, in
+/// the rank's pool (`Comm::spare`) between steps.
 pub struct FlexpathWriter {
     peer: usize,
-    /// The buffer each step's framing is encoded into, and the payload
-    /// blocks its values are copied into; at the endpoint while a step
-    /// is outstanding.
-    meta: Vec<u8>,
-    blocks: Vec<Payload>,
-    /// The step shipped and not yet answered.
-    outstanding: Option<u64>,
+    /// The step lent last.
+    last: u64,
     /// The step the endpoint refused; nothing ships after it.
     refused: Option<u64>,
     closed: bool,
@@ -151,85 +142,69 @@ impl FlexpathWriter {
         self.refused
     }
 
-    /// Metadata advance: waits for the reader's answer to the previous
-    /// step (returns the blocking seconds, the Fig. 8
-    /// `adios::advance`+blocking component).
+    /// Metadata advance: waits for the reader to give the previous step
+    /// back (returns the blocking seconds, the Fig. 8
+    /// `adios::advance`+blocking component; 0 when no step is out).
     pub fn advance(&mut self, world: &Comm) -> f64 {
         assert!(!self.closed, "advance after close");
-        if self.outstanding.is_none() {
-            return 0.0;
-        }
         let t0 = probe::time::now_seconds();
-        self.await_reply(world);
-        (probe::time::now_seconds() - t0).max(0.0)
+        match self.settle(world) {
+            None => 0.0,
+            Some(()) => (probe::time::now_seconds() - t0).max(0.0),
+        }
     }
 
-    /// Take back the outstanding step's buffers, and note a refusal.
-    fn await_reply(&mut self, world: &Comm) {
-        if let Some(sent) = self.outstanding.take() {
-            let (read, meta, blocks): Reply = world.recv(self.peer, TAG_ACK);
-            self.meta = meta;
-            self.blocks = blocks;
-            if read.is_none() {
-                self.refused = Some(sent);
-            }
+    /// Take the lent step's buffers back, if one is out, and note a
+    /// refusal.
+    fn settle(&mut self, world: &Comm) -> Option<()> {
+        if world.reclaim::<Frame>(self.peer, TAG_DATA)? == Verdict::Refused {
+            self.refused = Some(self.last);
         }
+        Some(())
     }
 
     /// Ship one step: encodes its framing without payloads into the kept
     /// metadata buffer, copies each variable's values into the block the
-    /// last answer returned (the one marshaling copy of §4.1.4; a fresh
+    /// last step returned (the one marshaling copy of §4.1.4; a fresh
     /// block only where the type changed or something still holds the
-    /// old one), and moves both into the channel, which needs to own
-    /// them. Returns the bytes shipped, the step's
-    /// [`BpStep::encoded_len`]: 0 once the endpoint has refused this
-    /// writer.
+    /// old one), and lends both to the endpoint, which needs to own
+    /// them; a step still out is waited for first, as `advance` does.
+    /// Returns the bytes shipped, the step's [`BpStep::encoded_len`]: 0
+    /// once the endpoint has refused this writer.
     pub fn write(&mut self, world: &Comm, step: &BpStep) -> usize {
         assert!(!self.closed, "write after close");
-        assert!(self.outstanding.is_none(), "write without advance");
+        self.settle(world);
         if self.refused.is_some() {
             return 0;
         }
-        self.marshal(step);
-        self.ship(world, step.step);
+        world.lend(self.peer, TAG_DATA, 1, |frame| marshal(step, frame));
+        self.last = step.step;
         step.encoded_len()
-    }
-
-    /// Encode `step`'s framing and copy its payloads into the kept
-    /// buffers.
-    fn marshal(&mut self, step: &BpStep) {
-        step.encode_meta(&mut self.meta);
-        self.blocks.truncate(step.vars.len());
-        for (i, var) in step.vars.iter().enumerate() {
-            match self.blocks.get_mut(i) {
-                Some(block) => var.data.marshal_into(block),
-                None => self.blocks.push(var.data.copied()),
-            }
-        }
-    }
-
-    /// Move the marshalled step into the channel.
-    fn ship(&mut self, world: &Comm, step: u64) {
-        let frame: Frame = (
-            false,
-            std::mem::take(&mut self.meta),
-            std::mem::take(&mut self.blocks),
-        );
-        world.send(self.peer, TAG_DATA, frame);
-        self.outstanding = Some(step);
     }
 
     /// Disconnect from the endpoint, dropping the step buffers. A
     /// refused writer has nobody to tell.
     pub fn close(&mut self, world: &Comm) {
         if !self.closed {
-            self.await_reply(world);
+            self.settle(world);
             if self.refused.is_none() {
                 world.send::<Frame>(self.peer, TAG_DATA, (true, Vec::new(), Vec::new()));
             }
-            self.meta = Vec::new();
-            self.blocks = Vec::new();
+            drop(world.spare::<Frame>());
             self.closed = true;
+        }
+    }
+}
+
+/// Marshal `step` into `frame`, reusing the buffers it holds.
+fn marshal(step: &BpStep, (closing, meta, blocks): &mut Frame) {
+    *closing = false;
+    step.encode_meta(meta);
+    blocks.truncate(step.vars.len());
+    for (i, var) in step.vars.iter().enumerate() {
+        match blocks.get_mut(i) {
+            Some(block) => var.data.marshal_into(block),
+            None => blocks.push(var.data.copied()),
         }
     }
 }
@@ -240,7 +215,7 @@ struct WriterLink {
     rank: usize,
     steps: u64,
     bytes: u64,
-    /// The framing read this round, held until `end_step` returns it.
+    /// The framing read this round, held until `end_step` gives it back.
     meta: Vec<u8>,
 }
 
@@ -329,10 +304,11 @@ impl FlexpathReader {
                     link.meta = meta;
                     steps.push((w, step));
                 }
-                // Refused: the answer carries no step, so the writer's
-                // `advance` returns and it ships nothing more.
+                // Refused: the writer's `advance` returns and it ships
+                // nothing more. The blocks were not adopted.
                 Err(err) => {
-                    world.try_send::<Reply>(w, TAG_ACK, (None, meta, Vec::new()));
+                    let frame: Frame = (false, meta, Vec::new());
+                    world.give_back(w, TAG_DATA, frame, Verdict::Refused);
                     self.drop_link(w, |link| FailureReport::CorruptFrame {
                         rank: w,
                         steps_received: link.steps,
@@ -351,7 +327,7 @@ impl FlexpathReader {
         }
     }
 
-    /// Acknowledge the current round to the writers that sent it,
+    /// Give the current round back to the writers that lent it,
     /// releasing their back-pressure and returning each its framing and
     /// the round's payloads, which the writer marshals its next step
     /// into wherever nothing else holds them by then. Best-effort: a
@@ -362,7 +338,8 @@ impl FlexpathReader {
             if let Some(link) = self.links.iter_mut().find(|l| l.rank == w) {
                 let meta = std::mem::take(&mut link.meta);
                 let blocks = step.vars.into_iter().map(|v| v.data).collect();
-                world.try_send::<Reply>(w, TAG_ACK, (Some(step.step), meta, blocks));
+                let frame: Frame = (false, meta, blocks);
+                world.give_back(w, TAG_DATA, frame, Verdict::Taken);
             }
         }
     }
@@ -383,10 +360,12 @@ mod tests {
             step: &BpStep,
             tamper: impl FnOnce(&mut Vec<Payload>),
         ) {
-            assert!(self.outstanding.is_none(), "write without advance");
-            self.marshal(step);
-            tamper(&mut self.blocks);
-            self.ship(world, step.step);
+            self.settle(world);
+            world.lend(self.peer, TAG_DATA, 1, |frame: &mut Frame| {
+                marshal(step, frame);
+                tamper(&mut frame.2);
+            });
+            self.last = step.step;
         }
     }
 
@@ -451,8 +430,10 @@ mod tests {
                 for s in 0..3u64 {
                     writer.advance(world);
                     if s > 0 {
-                        metas.push(writer.meta.as_ptr());
-                        blocks.push(data_ptr(&writer.blocks[0]));
+                        let frame: Frame = world.spare().expect("the step came back");
+                        metas.push(frame.1.as_ptr());
+                        blocks.push(data_ptr(&frame.2[0]));
+                        world.keep(frame, 1);
                     }
                     writer.write(world, &step_with(s, s as f64));
                 }

@@ -8,10 +8,10 @@
 //! from the producer's buffer into its payload block — §4.1.4's
 //! marshaling copy — inside a publish window held until the step is
 //! written; the endpoint adopts that block, and its meshes, broker and
-//! subscribers share it. The buffers circulate: the blocks go back to
-//! their writer with the ack, and the endpoint loop releases each
-//! round's adaptor before `end_step`, so the writer marshals the next
-//! step into the blocks nothing holds any more. Both sides report their
+//! subscribers share it. The buffers circulate: the step, blocks and
+//! all, is a loan the endpoint gives back, and the endpoint loop
+//! releases each round's adaptor before `end_step`, so the writer
+//! marshals the next step into the blocks nothing holds any more. Both sides report their
 //! heap calls a step as the `mem/allocs` counter when a probe is
 //! attached.
 

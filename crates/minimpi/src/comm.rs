@@ -11,6 +11,7 @@ use probe::time::Wall;
 
 use crate::envelope::{CollectiveKind, Envelope, Tag, ANY_SOURCE};
 use crate::fault::{FaultAction, FaultHandle};
+use crate::loan::{Loans, Pool};
 use crate::monitor::{BlockedInfo, Monitor};
 use crate::sched::{Sched, WaitInfo, Wake};
 
@@ -52,6 +53,10 @@ pub struct Comm {
     sched: Option<Arc<Sched>>,
     /// Observability handle; [`probe::off`] (a no-op) by default.
     probe: RefCell<probe::Probe>,
+    /// Loans out, per `(peer, tag)` ([`Comm::lend`]).
+    pub(crate) loans: RefCell<Vec<Loans>>,
+    /// This rank's spare buffers ([`Comm::keep`]).
+    pub(crate) pool: RefCell<Pool>,
 }
 
 impl Comm {
@@ -74,6 +79,8 @@ impl Comm {
             faults: None,
             sched: None,
             probe: RefCell::new(probe::off()),
+            loans: RefCell::new(Vec::new()),
+            pool: RefCell::new(Vec::new()),
         }
     }
 
@@ -168,20 +175,8 @@ impl Comm {
         self.send_tagged(dest, Tag::user(tag), value)
     }
 
-    /// Non-panicking send: returns `false` when the destination rank has
-    /// already exited (its channel is gone) instead of panicking, so
-    /// best-effort protocol messages (acks to a possibly-dead peer) do not
-    /// take the sender down with the failure.
-    ///
-    /// # Panics
-    /// Still panics if `dest` is out of range — that is a program bug, not
-    /// a runtime failure.
-    pub fn try_send<T: Send + 'static>(&self, dest: usize, tag: u32, value: T) -> bool {
-        self.try_send_tagged(dest, Tag::user(tag), value)
-    }
-
     pub(crate) fn send_tagged<T: Send + 'static>(&self, dest: usize, tag: Tag, value: T) {
-        if !self.try_send_tagged(dest, tag, value) {
+        if !self.try_send(dest, tag, value) {
             panic!(
                 "send: destination rank disconnected (rank {} sending tag {tag} to rank {dest})",
                 self.rank
@@ -190,8 +185,9 @@ impl Comm {
     }
 
     /// Shared send path; applies injected faults. A fault-dropped message
-    /// counts as delivered from the sender's perspective.
-    fn try_send_tagged<T: Send + 'static>(&self, dest: usize, tag: Tag, value: T) -> bool {
+    /// counts as delivered from the sender's perspective, and one to a
+    /// rank that has exited as not: `false`, where `send` panics.
+    pub(crate) fn try_send<T: Send + 'static>(&self, dest: usize, tag: Tag, value: T) -> bool {
         let sender = self
             .senders
             .get(dest)
@@ -282,7 +278,7 @@ impl Comm {
         timeout: Duration,
     ) -> crate::Result<(usize, T)> {
         let tag = Tag::user(tag);
-        let env = self.match_envelope_deadline(src, tag, Some(timeout))?;
+        let env = self.match_envelope_deadline(&[src], tag, Some(timeout))?;
         let from = env.src;
         Ok((from, downcast_payload(env.payload, from, tag)))
     }
@@ -316,8 +312,22 @@ impl Comm {
         tag: u32,
         timeout: Duration,
     ) -> crate::Result<(usize, T)> {
+        assert!(
+            !sources.is_empty(),
+            "recv_any_of_deadline: empty source set on rank {}",
+            self.rank
+        );
+        if sources.len() > 1 {
+            for src in sources {
+                assert!(
+                    *src < self.size(),
+                    "recv_any_of_deadline: rank {src} out of range (size {})",
+                    self.size()
+                );
+            }
+        }
         let tag = Tag::user(tag);
-        let env = self.match_any_of_deadline(sources, tag, Some(timeout))?;
+        let env = self.match_envelope_deadline(sources, tag, Some(timeout))?;
         let from = env.src;
         Ok((from, downcast_payload(env.payload, from, tag)))
     }
@@ -329,7 +339,7 @@ impl Comm {
         self.pending
             .borrow()
             .iter()
-            .any(|e| e.tag == tag && (src == ANY_SOURCE || e.src == src))
+            .any(|e| e.tag == tag && is_from(&[src], e.src))
     }
 
     /// Combined send + receive with the same tag (pairwise exchange).
@@ -356,24 +366,33 @@ impl Comm {
     /// Block until an envelope matching `(src, tag)` is available and
     /// remove it from the pending queue.
     fn match_envelope(&self, src: usize, tag: Tag) -> Envelope {
-        self.match_envelope_deadline(src, tag, None)
+        self.match_envelope_deadline(&[src], tag, None)
             .unwrap_or_else(|_| unreachable!("recv without a deadline cannot time out"))
     }
 
-    /// Matching engine behind every receive. While blocked it publishes
-    /// its wait state to the watchdog monitor, polls the abort flag, and
-    /// verifies collective order on every non-matching envelope.
+    /// Matching engine behind every receive: the first envelope with
+    /// `tag` from one of `sources` — one rank, `[ANY_SOURCE]`, or the set
+    /// of a select. While blocked it publishes its wait state to the
+    /// watchdog monitor and polls the abort flag; a receive from one
+    /// rank verifies collective order on every non-matching envelope
+    /// from it.
     fn match_envelope_deadline(
         &self,
-        src: usize,
+        sources: &[usize],
         tag: Tag,
         deadline: Option<Duration>,
     ) -> crate::Result<Envelope> {
+        // The awaited rank, as the watchdog, the scheduler and a
+        // deadline report name it: `ANY_SOURCE` for any or a set.
+        let src = match sources {
+            [one] => *one,
+            _ => ANY_SOURCE,
+        };
         if let Some(sched) = self.sched.clone() {
-            return self.match_envelope_sched(&sched, src, tag, deadline);
+            return self.match_envelope_sched(&sched, sources, src, tag, deadline);
         }
         // Fast path: already pending.
-        if let Some(env) = self.take_pending(src, tag) {
+        if let Some(env) = self.take_pending(sources, tag) {
             self.note_progress();
             self.note_delivery(&env);
             return Ok(env);
@@ -394,7 +413,7 @@ impl Comm {
             };
             match self.receiver.recv_timeout(wait) {
                 Ok(env) => {
-                    if env.tag == tag && (src == ANY_SOURCE || env.src == src) {
+                    if env.tag == tag && is_from(sources, env.src) {
                         self.note_progress();
                         self.note_delivery(&env);
                         break Ok(env);
@@ -421,13 +440,14 @@ impl Comm {
     /// Matching engine under the deterministic scheduler. The rank
     /// holds the schedule token while it runs; the only blocking point
     /// is [`Sched::block_recv`], which hands the token to a
-    /// policy-chosen peer. `ANY_SOURCE` matches among multiple ready
-    /// senders become explicit [`Sched::choose_match`] decisions, and
-    /// deadlines resolve on the *virtual* clock at quiescence — no
-    /// wall-clock polling anywhere.
+    /// policy-chosen peer. A match among several ready senders — any
+    /// source, or a select's set — is an explicit
+    /// [`Sched::choose_match`] decision, and deadlines resolve on the
+    /// *virtual* clock at quiescence — no wall-clock polling anywhere.
     fn match_envelope_sched(
         &self,
         sched: &Arc<Sched>,
+        sources: &[usize],
         src: usize,
         tag: Tag,
         deadline: Option<Duration>,
@@ -436,7 +456,7 @@ impl Comm {
             deadline.map(|d| sched.vclock_nanos().saturating_add(d.as_nanos() as u64));
         loop {
             self.drain_channel();
-            if let Some(env) = self.take_pending_sched(sched, src, tag) {
+            if let Some(env) = self.take_pending_sched(sched, sources, src, tag) {
                 self.note_delivery(&env);
                 return Ok(env);
             }
@@ -459,151 +479,24 @@ impl Comm {
         }
     }
 
-    /// Matching engine behind the multi-peer select. A one-element set
-    /// degenerates to the specific-source engine so it keeps that
-    /// path's collective-order verification; larger sets match
-    /// whichever listed peer has traffic queued (FIFO within a pair,
-    /// policy-chosen across pairs under the scheduler — a recorded,
-    /// replayable decision just like `ANY_SOURCE`).
-    fn match_any_of_deadline(
+    /// Pending-queue match under the scheduler: a receive from one rank
+    /// is FIFO as usual; one that could match several distinct senders
+    /// asks the policy to pick one.
+    fn take_pending_sched(
         &self,
+        sched: &Sched,
         sources: &[usize],
+        src: usize,
         tag: Tag,
-        deadline: Option<Duration>,
-    ) -> crate::Result<Envelope> {
-        assert!(
-            !sources.is_empty(),
-            "recv_any_of_deadline: empty source set on rank {}",
-            self.rank
-        );
-        if let [only] = sources {
-            return self.match_envelope_deadline(*only, tag, deadline);
-        }
-        for src in sources {
-            assert!(
-                *src < self.size(),
-                "recv_any_of_deadline: rank {src} out of range (size {})",
-                self.size()
-            );
-        }
-        if let Some(sched) = self.sched.clone() {
-            return self.match_any_of_sched(&sched, sources, tag, deadline);
-        }
-        if let Some(env) = self.take_pending_any_of(sources, tag) {
-            self.note_progress();
-            self.note_delivery(&env);
-            return Ok(env);
-        }
-        let start = Wall::now();
-        self.publish_blocked(ANY_SOURCE, tag, start);
-        let outcome = loop {
-            let wait = match deadline {
-                Some(limit) => {
-                    let elapsed = start.elapsed();
-                    if elapsed >= limit {
-                        break Err(self.deadline_error(ANY_SOURCE, tag, elapsed));
-                    }
-                    POLL_TICK.min(limit - elapsed)
-                }
-                None => POLL_TICK,
-            };
-            match self.receiver.recv_timeout(wait) {
-                Ok(env) => {
-                    if env.tag == tag && sources.contains(&env.src) {
-                        self.note_progress();
-                        self.note_delivery(&env);
-                        break Ok(env);
-                    }
-                    self.pending.borrow_mut().push_back(env);
-                    self.update_pending_snapshot();
-                }
-                Err(RecvTimeoutError::Timeout) => self.check_abort(),
-                Err(RecvTimeoutError::Disconnected) => {
-                    panic!(
-                        "recv_any_of_deadline: all peer ranks disconnected while rank {} waited for tag {tag}",
-                        self.rank
-                    );
-                }
-            }
-        };
-        if let Some(monitor) = &self.monitor {
-            monitor.clear_blocked(self.slot);
-        }
-        outcome
-    }
-
-    /// Multi-peer select under the deterministic scheduler: blocks as
-    /// an `ANY_SOURCE` wait (any mail wakes it; non-matching mail just
-    /// re-blocks) and resolves set matches through
-    /// [`Sched::choose_match`] so record and replay stay aligned.
-    fn match_any_of_sched(
-        &self,
-        sched: &Arc<Sched>,
-        sources: &[usize],
-        tag: Tag,
-        deadline: Option<Duration>,
-    ) -> crate::Result<Envelope> {
-        let deadline_nanos =
-            deadline.map(|d| sched.vclock_nanos().saturating_add(d.as_nanos() as u64));
-        loop {
-            self.drain_channel();
-            let candidates: Vec<usize> = {
-                let pending = self.pending.borrow();
-                let mut distinct = Vec::new();
-                for e in pending.iter() {
-                    if e.tag == tag && sources.contains(&e.src) && !distinct.contains(&e.src) {
-                        distinct.push(e.src);
-                    }
-                }
-                distinct
-            };
-            if !candidates.is_empty() {
-                let chosen = sched.choose_match(self.slot, &candidates, tag);
-                if let Some(env) = self.take_pending(chosen, tag) {
-                    self.note_delivery(&env);
-                    return Ok(env);
-                }
-            }
-            let info = WaitInfo {
-                comm_rank: self.rank,
-                comm_size: self.size(),
-                src: ANY_SOURCE,
-                tag,
-                deadline_nanos,
-                pending: self.pending_snapshot(),
-            };
-            match sched.block_recv(self.slot, info) {
-                Wake::Mail => continue,
-                Wake::Deadline => {
-                    return Err(self.deadline_error(ANY_SOURCE, tag, deadline.unwrap_or_default()))
-                }
-                Wake::Abort(msg) => panic!("{msg}"),
-            }
-        }
-    }
-
-    /// FIFO-across-the-queue match against a source set (wall-clock
-    /// path; the scheduler path makes the cross-pair choice explicit).
-    fn take_pending_any_of(&self, sources: &[usize], tag: Tag) -> Option<Envelope> {
-        let mut pending = self.pending.borrow_mut();
-        let idx = pending
-            .iter()
-            .position(|e| e.tag == tag && sources.contains(&e.src))?;
-        pending.remove(idx)
-    }
-
-    /// Pending-queue match under the scheduler: a specific-source
-    /// receive is FIFO as usual; an `ANY_SOURCE` receive that could
-    /// match several distinct senders asks the policy to pick one.
-    fn take_pending_sched(&self, sched: &Sched, src: usize, tag: Tag) -> Option<Envelope> {
+    ) -> Option<Envelope> {
         if src != ANY_SOURCE {
-            return self.take_pending(src, tag);
+            return self.take_pending(sources, tag);
         }
         let candidates: Vec<usize> = {
             let pending = self.pending.borrow();
             let mut distinct = Vec::new();
             for e in pending.iter() {
-                if e.tag == tag && !distinct.contains(&e.src) {
+                if e.tag == tag && is_from(sources, e.src) && !distinct.contains(&e.src) {
                     distinct.push(e.src);
                 }
             }
@@ -615,14 +508,15 @@ impl Comm {
         // Always a recorded decision — even with one candidate — so
         // replayed traces align event-for-event with the original run.
         let chosen = sched.choose_match(self.slot, &candidates, tag);
-        self.take_pending(chosen, tag)
+        self.take_pending(&[chosen], tag)
     }
 
-    fn take_pending(&self, src: usize, tag: Tag) -> Option<Envelope> {
+    /// The first pending envelope with `tag` from one of `sources`.
+    fn take_pending(&self, sources: &[usize], tag: Tag) -> Option<Envelope> {
         let mut pending = self.pending.borrow_mut();
         let idx = pending
             .iter()
-            .position(|e| e.tag == tag && (src == ANY_SOURCE || e.src == src))?;
+            .position(|e| e.tag == tag && is_from(sources, e.src))?;
         pending.remove(idx)
     }
 
@@ -816,6 +710,11 @@ struct SplitInfo {
     old_rank: usize,
     slot: usize,
     sender: Sender<Envelope>,
+}
+
+/// Does a receive from `sources` match a message from `src`?
+fn is_from(sources: &[usize], src: usize) -> bool {
+    sources == [ANY_SOURCE] || sources.contains(&src)
 }
 
 /// Estimated deep size of a payload about to ship. The transport is

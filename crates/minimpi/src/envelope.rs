@@ -7,7 +7,8 @@
 use std::any::Any;
 
 /// Message tag. User tags occupy the low 32-bit space; collective
-/// implementations use a reserved high space (see [`Tag::collective`]).
+/// implementations use a reserved high space (see [`Tag::collective`]),
+/// and loan returns one beside it (`Tag::returned`).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct Tag(pub u64);
 
@@ -15,6 +16,7 @@ pub struct Tag(pub u64);
 pub const ANY_SOURCE: usize = usize::MAX;
 
 const COLLECTIVE_BIT: u64 = 1 << 63;
+const RETURN_BIT: u64 = 1 << 62;
 
 impl Tag {
     /// A user-level tag. Values are taken as-is from the low 32 bits.
@@ -30,6 +32,13 @@ impl Tag {
     /// collectives of the same kind.
     pub fn collective(kind: CollectiveKind, epoch: u64) -> Self {
         Tag(COLLECTIVE_BIT | ((kind as u64) << 48) | (epoch & 0xFFFF_FFFF_FFFF))
+    }
+
+    /// The tag a loan lent on user tag `tag` comes back on
+    /// ([`crate::Comm::give_back`]): point-to-point, and apart from every
+    /// user tag.
+    pub(crate) fn returned(tag: u32) -> Self {
+        Tag(RETURN_BIT | tag as u64)
     }
 
     /// True if this tag belongs to the reserved collective space.
@@ -55,6 +64,7 @@ impl std::fmt::Display for Tag {
         match self.collective_parts() {
             Some((kind, epoch)) => write!(f, "{kind:?}@{epoch}"),
             None if self.is_collective() => write!(f, "collective:{:#x}", self.0),
+            None if self.0 & RETURN_BIT != 0 => write!(f, "return:{}", self.0 ^ RETURN_BIT),
             None => write!(f, "user:{}", self.0),
         }
     }
@@ -168,6 +178,9 @@ mod tests {
         assert_eq!(Tag::user(42).collective_parts(), None);
         assert_eq!(format!("{t}"), "Reduce@42");
         assert_eq!(format!("{}", Tag::user(7)), "user:7");
+        assert_eq!(format!("{}", Tag::returned(7)), "return:7");
+        assert!(!Tag::returned(u32::MAX).is_collective());
+        assert_ne!(Tag::returned(7), Tag::user(7));
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //!   their communication structure mirrors a real MPI implementation;
 //! * communicator splitting ([`Comm::split`]) for subgroups, used by the
 //!   staging infrastructures to carve simulation and endpoint partitions
-//!   out of the world.
+//!   out of the world;
+//! * loans ([`Comm::lend`], [`Comm::give_back`], [`Comm::reclaim`]) of
+//!   buffers that come back, kept between loans in the rank's pool.
 //!
 //! Messages transfer ownership (a `Vec<f64>` moves without copying its
 //! heap buffer), which is the moral equivalent of zero-copy shared-memory
@@ -35,6 +37,7 @@
 mod comm;
 mod envelope;
 mod fault;
+mod loan;
 mod monitor;
 mod ops;
 mod world;
@@ -47,6 +50,7 @@ pub use comm::Comm;
 pub use dpor::{CheckFailure, CheckReport, CheckStats, Checker};
 pub use envelope::{CollectiveKind, Envelope, Tag, ANY_SOURCE};
 pub use fault::FaultHandle;
+pub use loan::Verdict;
 pub use ops::{maxloc, minloc, MaxLoc, MinLoc};
 pub use sched::{Event, Guide, LivenessSpec, SchedPolicy, Trace, TraceCell};
 pub use world::{World, WorldBuilder};

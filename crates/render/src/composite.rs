@@ -21,14 +21,16 @@
 //! Nor does a patch travel whole. The rows a rank gives away are cut
 //! into strips of `max(1, STRIP / width)` rows, so that a message spans
 //! at most `STRIP` pixels of the image, and each strip is one patch:
-//! swap partners alternate sending a strip and merging one; a tree
-//! child or a folded rank has at most `CREDITS` strips in flight and
-//! sends the next in the buffer the receiver's credit brings back. The
-//! strip buffers circulate between frames in a per-rank pool of
-//! `CREDITS`: a warm frame allocates none. Both sides count the strips
-//! from the rows and the width alone. Each strip sent counts on the
-//! comm's probe under `render/composite`: one message, 8 B a pixel; a
-//! credit counts as a plain point-to-point message.
+//! swap partners alternate sending a strip and merging one, and keep
+//! each strip they receive as the buffer a later one goes out in; a
+//! tree child or a folded rank lends its strips (`Comm::lend`, at most
+//! `CREDITS` out), and the receiver gives each back once merged, so the
+//! next strip goes out in the buffer that came back. Between frames the
+//! strip buffers wait in the rank's pool (`Comm::keep`, `CREDITS` of
+//! them): a warm frame allocates none. Both sides count the strips from
+//! the rows and the width alone. Each strip sent counts on the comm's
+//! probe under `render/composite`: one message, 8 B a pixel; a strip
+//! given back counts as a plain point-to-point message.
 //!
 //! Compositing is two steps. `merge` runs the algorithm and stops
 //! where the finished pixels are: binary swap leaves each rank of the
@@ -42,10 +44,9 @@
 //! collective PNG encoder (`png::PngEncoder`) takes `merge`'s result as
 //! it lies instead, and moves scanlines.
 
-use std::cell::RefCell;
 use std::ops::Range;
 
-use minimpi::Comm;
+use minimpi::{Comm, Verdict};
 
 use crate::framebuffer::{Framebuffer, Patch, Rect};
 
@@ -54,18 +55,12 @@ const TAG_FOLD: u32 = 0x434F_0001;
 const TAG_SWAP: u32 = 0x434F_0002;
 const TAG_GATHER: u32 = 0x434F_0003;
 const TAG_TREE: u32 = 0x434F_0004;
-const TAG_CREDIT: u32 = 0x434F_0005;
 
 /// Pixels of the image one compositing message spans at most.
 const STRIP: usize = 32 * 1024;
-/// Strips a tree child or folded rank may have in flight, and the strip
-/// buffers a rank keeps between frames.
+/// Strips a tree child or folded rank may have lent at once, and the
+/// strip buffers a rank keeps between frames.
 const CREDITS: usize = 2;
-
-thread_local! {
-    /// This rank's strip buffers (a rank is one thread).
-    static STRIPS: RefCell<Vec<Patch>> = const { RefCell::new(Vec::new()) };
-}
 
 /// The largest power of two not above `p`: binary swap's group.
 fn swap_group(p: usize) -> usize {
@@ -91,58 +86,33 @@ fn strips(rows: Range<usize>, width: usize) -> impl Iterator<Item = Range<usize>
     rows.step_by(step).map(move |y| y..(y + step).min(end))
 }
 
-/// One of this rank's strip buffers, or a new one.
-fn spare_strip() -> Patch {
-    STRIPS.with_borrow_mut(Vec::pop).unwrap_or_default()
-}
-
-/// Keep `patch`'s buffers for a later strip, unless the rank holds
-/// `CREDITS` already.
-fn keep_strip(patch: Patch) {
-    STRIPS.with_borrow_mut(|pool| {
-        if pool.len() < CREDITS {
-            pool.push(patch);
-        }
-    });
-}
-
 /// Copy the pixels of `rect`, inside `fb`'s drawn rectangle, into
-/// `patch` and send it, counted under `render/composite`.
-fn send_strip(comm: &Comm, dest: usize, tag: u32, fb: &Framebuffer, rect: Rect, mut patch: Patch) {
-    fb.copy_patch(rect, &mut patch);
+/// `patch` to send, counted under `render/composite`.
+fn fill_strip(comm: &Comm, fb: &Framebuffer, rect: Rect, patch: &mut Patch) {
+    fb.copy_patch(rect, patch);
     comm.probe()
         .message("render/composite", 8 * patch.pixels() as u64);
-    comm.send(dest, tag, patch);
 }
 
-/// Send the drawn pixels of `rows` to `dest` strip by strip: the first
-/// `CREDITS` in this rank's buffers, each later one in the buffer of
-/// the strip `CREDITS` before it, which `dest` sends back once merged.
-/// Returns when every buffer is back.
+/// Lend `dest` the drawn pixels of `rows` strip by strip, at most
+/// `CREDITS` out at once. Returns when every buffer is back.
 fn send_rows(comm: &Comm, dest: usize, tag: u32, fb: &Framebuffer, rows: Range<usize>) {
     let drawn = fb.drawn();
-    let mut sent = 0;
     for strip in strips(rows, fb.width()) {
-        if sent >= CREDITS {
-            let patch: Patch = comm.recv(dest, TAG_CREDIT);
-            keep_strip(patch);
-        }
-        send_strip(comm, dest, tag, fb, drawn.within_rows(strip), spare_strip());
-        sent += 1;
+        comm.lend(dest, tag, CREDITS, |patch| {
+            fill_strip(comm, fb, drawn.within_rows(strip), patch)
+        });
     }
-    for _ in 0..sent.min(CREDITS) {
-        let patch: Patch = comm.recv(dest, TAG_CREDIT);
-        keep_strip(patch);
-    }
+    while comm.reclaim::<Patch>(dest, tag).is_some() {}
 }
 
-/// Depth-merge the strips of `rows` that `src` sends into `fb`,
-/// returning each strip's buffer to `src` as its credit.
+/// Depth-merge the strips of `rows` that `src` lends into `fb`, giving
+/// each strip's buffer back.
 fn merge_rows_from(comm: &Comm, src: usize, tag: u32, fb: &mut Framebuffer, rows: Range<usize>) {
     for _ in strips(rows, fb.width()) {
         let patch: Patch = comm.recv(src, tag);
         fb.merge(&patch);
-        comm.send(src, TAG_CREDIT, patch);
+        comm.give_back(src, tag, patch, Verdict::Taken);
     }
 }
 
@@ -168,13 +138,14 @@ fn swap_rows(
             return;
         }
         if let Some(rows) = out {
-            let rect = drawn.within_rows(rows);
-            send_strip(comm, partner, TAG_SWAP, fb, rect, spare_strip());
+            let mut patch = comm.spare().unwrap_or_default();
+            fill_strip(comm, fb, drawn.within_rows(rows), &mut patch);
+            comm.send(partner, TAG_SWAP, patch);
         }
         if back.is_some() {
             let patch: Patch = comm.recv(partner, TAG_SWAP);
             fb.merge(&patch);
-            keep_strip(patch);
+            comm.keep(patch, CREDITS);
         }
     }
 }

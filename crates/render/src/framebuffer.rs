@@ -2,23 +2,20 @@
 //! the depth-merge the parallel compositors apply to patches of it, and
 //! the one buffer each rank draws its frames into.
 //!
-//! A rank keeps one spare framebuffer (thread-local: a rank is one
-//! thread). `Framebuffer::take` hands it out cleared, at any size
-//! within its capacity, and `Framebuffer::park` puts a buffer back
-//! when the frame is encoded, keeping the larger of the two. Catalyst's
-//! 1920×1080 frame and Libsim's 1024×1024 one are drawn into the same
-//! memory, and a compositing child sends a copy of its drawn pixels and
-//! keeps its buffer: after the first frame no rank faults a frame in.
+//! A rank keeps one spare framebuffer in its communicator's pool
+//! (`minimpi::Comm::keep`). `Framebuffer::take` hands it out cleared, at
+//! any size within its capacity, and `Framebuffer::park` puts a buffer
+//! back when the frame is encoded, keeping the larger of the two.
+//! Catalyst's 1920×1080 frame and Libsim's 1024×1024 one are drawn into
+//! the same memory, and a compositing child sends a copy of its drawn
+//! pixels and keeps its buffer: after the first frame no rank faults a
+//! frame in.
 
-use std::cell::Cell;
 use std::ops::Range;
 
-use crate::color::Color;
+use minimpi::Comm;
 
-thread_local! {
-    /// This rank's spare framebuffer, between frames.
-    static SPARE: Cell<Option<Framebuffer>> = const { Cell::new(None) };
-}
+use crate::color::Color;
 
 /// A pixel rectangle `cols` × `rows`, half-open; every empty one is
 /// `Rect::default()`.
@@ -139,17 +136,17 @@ impl Framebuffer {
         }
     }
 
-    /// A cleared `width` × `height` framebuffer in this rank's spare
-    /// buffer's memory, or a new one if the rank has none: what a
-    /// renderer that draws a frame a step calls instead of
+    /// A cleared `width` × `height` framebuffer in the memory of the
+    /// spare buffer `comm`'s rank keeps, or a new one if it keeps none:
+    /// what a renderer that draws a frame a step calls instead of
     /// [`Framebuffer::new`], so that the pages are faulted in once.
     ///
     /// The spare may have had any size. Its drawn rectangle is cleared
     /// where it lies inside the new extent's pixels, and the pixels are
     /// resized to the new extent, within the capacity when it suffices:
     /// every pixel the new frame has is then clear.
-    pub(crate) fn take(width: usize, height: usize) -> Self {
-        let Some(mut fb) = SPARE.take() else {
+    pub(crate) fn take(comm: &Comm, width: usize, height: usize) -> Self {
+        let Some(mut fb) = comm.spare::<Framebuffer>() else {
             return Framebuffer::new(width, height);
         };
         assert!(width > 0 && height > 0, "degenerate framebuffer");
@@ -167,14 +164,15 @@ impl Framebuffer {
         fb
     }
 
-    /// Give this buffer back as the rank's spare, once its frame is
-    /// encoded; of it and a spare already parked, the larger stays.
-    pub(crate) fn park(self) {
-        let keep = match SPARE.take() {
+    /// Give this buffer back as the spare `comm`'s rank keeps, once its
+    /// frame is encoded; of it and a spare already parked, the larger
+    /// stays.
+    pub(crate) fn park(self, comm: &Comm) {
+        let keep = match comm.spare::<Framebuffer>() {
             Some(spare) if spare.color.capacity() > self.color.capacity() => spare,
             _ => self,
         };
-        SPARE.set(Some(keep));
+        comm.keep(keep, 1);
     }
 
     /// Width in pixels.
@@ -285,16 +283,16 @@ impl Framebuffer {
     /// commutative for opaque geometry and associative, as binary swap
     /// requires.
     pub fn composite_from(&mut self, other: &Framebuffer) {
-        assert_eq!(self.width, other.width, "composite: width mismatch");
-        assert_eq!(self.height, other.height, "composite: height mismatch");
-        self.merge_rows(&other.drawn, other.rows_of(&other.drawn));
+        self.composite_rows_from(other, 0..other.height);
     }
 
-    /// The drawn pixels inside `rows`, copied out to send.
-    pub(crate) fn patch(&self, rows: Range<usize>) -> Patch {
-        let mut patch = Patch::default();
-        self.copy_patch(self.drawn.within_rows(rows), &mut patch);
-        patch
+    /// [`Framebuffer::composite_from`] inside `rows` alone: what
+    /// merging `other`'s patch of those rows does, read where it lies.
+    pub(crate) fn composite_rows_from(&mut self, other: &Framebuffer, rows: Range<usize>) {
+        assert_eq!(self.width, other.width, "composite: width mismatch");
+        assert_eq!(self.height, other.height, "composite: height mismatch");
+        let rect = other.drawn.within_rows(rows);
+        self.merge_rows(&rect, other.rows_of(&rect));
     }
 
     /// The pixels of `rect`, a part of the drawn rectangle, copied into
@@ -362,13 +360,20 @@ impl Framebuffer {
 
 #[cfg(test)]
 impl Framebuffer {
-    /// The address of this rank's spare framebuffer's pixels, if it
-    /// has one.
-    pub(crate) fn spare_at() -> Option<usize> {
-        let spare = SPARE.take();
-        let at = spare.as_ref().map(|fb| fb.color.as_ptr() as usize);
-        SPARE.set(spare);
-        at
+    /// The address of the pixels of the spare framebuffer `comm`'s rank
+    /// keeps, if it keeps one.
+    pub(crate) fn spare_at(comm: &Comm) -> Option<usize> {
+        let spare = comm.spare::<Framebuffer>()?;
+        let at = spare.color.as_ptr() as usize;
+        comm.keep(spare, 1);
+        Some(at)
+    }
+
+    /// The drawn pixels inside `rows`, copied out as a patch.
+    pub(crate) fn patch(&self, rows: Range<usize>) -> Patch {
+        let mut patch = Patch::default();
+        self.copy_patch(self.drawn.within_rows(rows), &mut patch);
+        patch
     }
 
     /// The record's promise: every pixel outside the drawn rectangle is
@@ -393,6 +398,7 @@ impl Framebuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minimpi::World;
 
     #[test]
     fn depth_test_keeps_closer_fragment() {
@@ -429,29 +435,34 @@ mod tests {
 
     #[test]
     fn taken_buffer_is_a_new_one_in_the_spare_memory_at_any_size() {
-        drop(SPARE.take());
-        let mut used = Framebuffer::take(7, 5);
-        draw(&mut used, 1..6, 2..5, Color::rgb(9, 8, 7));
-        let at = used.color.as_ptr();
-        used.park();
-        // A smaller frame after a larger one: the same allocation, and
-        // a new buffer pixel for pixel.
-        let mut small = Framebuffer::take(3, 4);
-        assert_eq!(small, Framebuffer::new(3, 4), "colour and depth re-armed");
-        assert!(small.drawn().is_empty());
-        assert_eq!(small.color.as_ptr(), at, "no new allocation");
-        // And back: what the small frame drew is cleared too.
-        draw(&mut small, 0..3, 1..4, Color::WHITE);
-        small.park();
-        let again = Framebuffer::take(7, 5);
-        assert_eq!(again, Framebuffer::new(7, 5));
-        assert_eq!(again.color.as_ptr(), at);
-        again.assert_clear_outside_drawn();
-        // Of two parked buffers the larger stays.
-        again.park();
-        Framebuffer::new(2, 2).park();
-        assert_eq!(Framebuffer::take(1, 1).color.as_ptr(), at);
-        assert_eq!(Framebuffer::take(1, 1), Framebuffer::new(1, 1), "none left");
+        World::run(1, |comm| {
+            let mut used = Framebuffer::take(comm, 7, 5);
+            draw(&mut used, 1..6, 2..5, Color::rgb(9, 8, 7));
+            let at = used.color.as_ptr();
+            used.park(comm);
+            // A smaller frame after a larger one: the same allocation, and
+            // a new buffer pixel for pixel.
+            let mut small = Framebuffer::take(comm, 3, 4);
+            assert_eq!(small, Framebuffer::new(3, 4), "colour and depth re-armed");
+            assert!(small.drawn().is_empty());
+            assert_eq!(small.color.as_ptr(), at, "no new allocation");
+            // And back: what the small frame drew is cleared too.
+            draw(&mut small, 0..3, 1..4, Color::WHITE);
+            small.park(comm);
+            let again = Framebuffer::take(comm, 7, 5);
+            assert_eq!(again, Framebuffer::new(7, 5));
+            assert_eq!(again.color.as_ptr(), at);
+            again.assert_clear_outside_drawn();
+            // Of two parked buffers the larger stays.
+            again.park(comm);
+            Framebuffer::new(2, 2).park(comm);
+            assert_eq!(Framebuffer::take(comm, 1, 1).color.as_ptr(), at);
+            assert_eq!(
+                Framebuffer::take(comm, 1, 1),
+                Framebuffer::new(1, 1),
+                "none left"
+            );
+        });
     }
 
     proptest::proptest! {
@@ -464,19 +475,20 @@ mod tests {
                 1..12,
             ),
         ) {
-            drop(SPARE.take());
-            for ((w, h), (x0, x1), (y0, y1)) in frames {
-                let mut fb = Framebuffer::take(w, h);
-                proptest::prop_assert!(fb == Framebuffer::new(w, h));
-                proptest::prop_assert!(fb.drawn().is_empty());
-                let (cols, rows) = (x0.min(x1)..x0.max(x1), y0.min(y1)..y0.max(y1));
-                draw(&mut fb, cols.clone(), rows.clone(), Color::rgb(w as u8, h as u8, 1));
-                let mut want = Framebuffer::new(w, h);
-                draw(&mut want, cols, rows, Color::rgb(w as u8, h as u8, 1));
-                proptest::prop_assert!(fb == want);
-                fb.assert_clear_outside_drawn();
-                fb.park();
-            }
+            World::run(1, move |comm| {
+                for &((w, h), (x0, x1), (y0, y1)) in &frames {
+                    let mut fb = Framebuffer::take(comm, w, h);
+                    proptest::prop_assert!(fb == Framebuffer::new(w, h));
+                    proptest::prop_assert!(fb.drawn().is_empty());
+                    let (cols, rows) = (x0.min(x1)..x0.max(x1), y0.min(y1)..y0.max(y1));
+                    draw(&mut fb, cols.clone(), rows.clone(), Color::rgb(w as u8, h as u8, 1));
+                    let mut want = Framebuffer::new(w, h);
+                    draw(&mut want, cols, rows, Color::rgb(w as u8, h as u8, 1));
+                    proptest::prop_assert!(fb == want);
+                    fb.assert_clear_outside_drawn();
+                    fb.park(comm);
+                }
+            });
         }
     }
 
@@ -606,18 +618,19 @@ mod tests {
 
     #[test]
     fn take_rearms_the_drawn_rectangle_only() {
-        drop(SPARE.take());
-        let mut fb = Framebuffer::new(4, 4);
-        fb.mark(1..3, 1..4);
-        fb.fill_span(2, 1..3, 0.5, Color::WHITE);
-        fb.plot(1, 3, 0.5, Color::WHITE);
-        assert_eq!(fb.covered_pixels(), 3);
-        // A pixel outside the record is not the take's to clear.
-        fb.color[0] = [1; 4];
-        fb.park();
-        let fb = Framebuffer::take(4, 4);
-        assert_eq!(fb.color[0], [1; 4]);
-        assert_eq!(fb.covered_pixels(), 1);
-        assert!(fb.drawn().is_empty());
+        World::run(1, |comm| {
+            let mut fb = Framebuffer::new(4, 4);
+            fb.mark(1..3, 1..4);
+            fb.fill_span(2, 1..3, 0.5, Color::WHITE);
+            fb.plot(1, 3, 0.5, Color::WHITE);
+            assert_eq!(fb.covered_pixels(), 3);
+            // A pixel outside the record is not the take's to clear.
+            fb.color[0] = [1; 4];
+            fb.park(comm);
+            let fb = Framebuffer::take(comm, 4, 4);
+            assert_eq!(fb.color[0], [1; 4]);
+            assert_eq!(fb.covered_pixels(), 1);
+            assert!(fb.drawn().is_empty());
+        });
     }
 }

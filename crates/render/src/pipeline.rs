@@ -4,18 +4,18 @@
 //! (image sizes, compositor family), per §4.1.3, through [`crate::scene::Scene`].
 //!
 //! Each pipeline comes gathered ([`pseudocolor_slice`],
-//! [`shaded_isosurface`]: the image on rank 0) and as bands
-//! (`pseudocolor_slice_bands`, `shaded_isosurface_bands`: over a range
-//! taken once per frame, drawn into the caller's cleared buffer, every
-//! rank keeps the rows the compositor left it, for
-//! [`crate::png::PngEncoder`]).
+//! [`shaded_isosurface`]: the image on rank 0) and as its drawing alone
+//! (`draw_slice`, `draw_isosurface`: this rank's block, over a range
+//! taken once per frame, into the caller's cleared buffer), which
+//! [`crate::scene::Scene`] composites up to where `composite::merge`
+//! stops and hands to [`crate::png::PngEncoder`].
 
 use datamodel::Extent;
 use minimpi::Comm;
 
 use crate::camera::Camera;
 use crate::color::{Color, Colormap};
-use crate::composite::{gather, merge, Compositor};
+use crate::composite::{composite, Compositor};
 use crate::framebuffer::Framebuffer;
 use crate::isosurface::marching_tetrahedra;
 use crate::raster::{fill_triangle, Vertex};
@@ -78,16 +78,14 @@ pub fn pseudocolor_slice(
 ) -> Option<Framebuffer> {
     let range = global_range(comm, values);
     let mut fb = Framebuffer::new(cfg.width, cfg.height);
-    pseudocolor_slice_bands(comm, local, global, values, cfg, range, &mut fb);
-    gather(comm, fb, cfg.compositor)
+    draw_slice(local, global, values, cfg, range, &mut fb);
+    composite(comm, fb, cfg.compositor)
 }
 
-/// [`pseudocolor_slice`] without the gather, coloured over `range`:
-/// drawn into `fb`, a cleared buffer of the image's size, and
-/// composited up to where `composite::merge` stops, so that `fb` is
-/// final in the rows `cfg.compositor` leaves this rank.
-pub(crate) fn pseudocolor_slice_bands(
-    comm: &Comm,
+/// This rank's part of [`pseudocolor_slice`], coloured over `range` and
+/// drawn into `fb`, a cleared buffer of the image's size; nothing is
+/// composited.
+pub(crate) fn draw_slice(
     local: &Extent,
     global: &Extent,
     values: &[f64],
@@ -98,7 +96,6 @@ pub(crate) fn pseudocolor_slice_bands(
     if let Some(slice) = extract_plane(local, global, values, cfg.axis, cfg.global_index) {
         render_plane(fb, &slice, &cfg.cmap, range);
     }
-    merge(comm, fb, cfg.compositor);
 }
 
 /// Configuration of a distributed isosurface render.
@@ -132,14 +129,13 @@ pub fn shaded_isosurface(
 ) -> Option<Framebuffer> {
     let range = global_range(comm, values);
     let mut fb = Framebuffer::new(cfg.width, cfg.height);
-    shaded_isosurface_bands(comm, local, values, cfg, range, &mut fb);
-    gather(comm, fb, cfg.compositor)
+    draw_isosurface(local, values, cfg, range, &mut fb);
+    composite(comm, fb, cfg.compositor)
 }
 
-/// [`shaded_isosurface`] without the gather, coloured over `range` and
-/// drawn into `fb`: see `pseudocolor_slice_bands`.
-pub(crate) fn shaded_isosurface_bands(
-    comm: &Comm,
+/// This rank's part of [`shaded_isosurface`], coloured over `range` and
+/// drawn into `fb`: see `draw_slice`.
+pub(crate) fn draw_isosurface(
     local: &Extent,
     values: &[f64],
     cfg: &IsosurfaceRender,
@@ -186,7 +182,6 @@ pub(crate) fn shaded_isosurface_bands(
             }
         }
     }
-    merge(comm, fb, cfg.compositor);
 }
 
 fn triangle_normal(t: &[[f64; 3]; 3]) -> [f64; 3] {
@@ -210,6 +205,7 @@ fn normalize(v: [f64; 3]) -> [f64; 3] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::composite::merge;
     use datamodel::partition_extent;
     use minimpi::World;
 
@@ -296,16 +292,17 @@ mod tests {
             };
             let range = global_range(comm, &vals);
             let bands = |cfg: &SliceRender, mut fb: Framebuffer| {
-                pseudocolor_slice_bands(comm, &local, &global, &vals, cfg, range, &mut fb);
+                draw_slice(&local, &global, &vals, cfg, range, &mut fb);
+                merge(comm, &mut fb, cfg.compositor);
                 fb
             };
-            let mut before = bands(&other, Framebuffer::take(other.width, other.height));
+            let mut before = bands(&other, Framebuffer::take(comm, other.width, other.height));
             for k in 0..8 {
                 before.set_pixel(3 * k, 2 * k, -1.0, Color::WHITE);
             }
             let at = before.color().as_ptr();
-            before.park();
-            let again = bands(&cfg, Framebuffer::take(cfg.width, cfg.height));
+            before.park(comm);
+            let again = bands(&cfg, Framebuffer::take(comm, cfg.width, cfg.height));
             assert_eq!(again.color().as_ptr(), at, "the spare's memory");
             (again, bands(&cfg, Framebuffer::new(cfg.width, cfg.height)))
         });

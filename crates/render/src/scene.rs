@@ -4,12 +4,14 @@
 //! A rank without the field is an empty block: it draws nothing and
 //! still joins every collective, so no rank waits on it.
 //!
-//! A frame is drawn into the rank's one spare framebuffer
+//! A frame is drawn into the spare framebuffer in the rank's pool
 //! (`Framebuffer::take`), whatever scene drew the last one, and the
 //! buffer is parked again once the file is encoded: Catalyst and Libsim
 //! on one rank share it, and no frame is faulted in after the first. A
 //! scene's later plots share one more buffer a frame, which the last
-//! park drops.
+//! park drops, and are merged into the frame where they lie. The comm's
+//! probe times `per-step/render/range` and `…/encode` once a frame, and
+//! `…/draw` and `…/composite` once a plot.
 
 use std::path::PathBuf;
 
@@ -20,9 +22,7 @@ use crate::camera::Camera;
 use crate::color::{Color, Colormap};
 use crate::composite::{merge, Compositor};
 use crate::framebuffer::Framebuffer;
-use crate::pipeline::{
-    global_range, pseudocolor_slice_bands, shaded_isosurface_bands, IsosurfaceRender, SliceRender,
-};
+use crate::pipeline::{draw_isosurface, draw_slice, global_range, IsosurfaceRender, SliceRender};
 use crate::png::PngEncoder;
 
 /// One plot of a [`Scene`], coloured by `cmap` over the field's range.
@@ -83,59 +83,68 @@ impl Scene {
         step: u64,
         field: Option<(Structured<'_>, &[f64])>,
     ) -> Option<(Vec<u8>, Result<(), String>)> {
-        let (lo, hi) = global_range(comm, field.map_or(&[][..], |(_, values)| values));
+        let probe = comm.probe();
+        let (lo, hi) = {
+            let _range = probe.span("per-step/render/range");
+            global_range(comm, field.map_or(&[][..], |(_, values)| values))
+        };
         let ((width, height), compositor) = (self.image, self.compositor);
-        let mut layers = self.plots.iter().map(|plot| {
-            let mut fb = Framebuffer::take(width, height);
-            let Some((grid, values)) = field else {
-                merge(comm, &mut fb, compositor);
-                return fb;
-            };
-            let (local, global) = (&grid.extent, &grid.global_extent);
-            match plot {
-                Plot::Slice { axis, index, cmap } => {
-                    let cfg = SliceRender {
-                        axis: *axis,
-                        global_index: (*index).clamp(global.lo[*axis], global.hi[*axis]),
-                        width,
-                        height,
-                        compositor,
-                        cmap: cmap.clone(),
-                    };
-                    pseudocolor_slice_bands(comm, local, global, values, &cfg, (lo, hi), &mut fb);
-                }
-                Plot::Isosurface { levels, cmap } => {
-                    let cfg = IsosurfaceRender {
-                        isovalues: levels.iter().map(|f| lo + f * (hi - lo)).collect(),
-                        camera: overview(&grid),
-                        width,
-                        height,
-                        compositor,
-                        cmap: cmap.clone(),
-                        origin: grid.origin,
-                        spacing: grid.spacing,
-                    };
-                    shaded_isosurface_bands(comm, local, values, &cfg, (lo, hi), &mut fb);
-                }
-            }
-            fb
-        });
-        // With no plot the buffer stays clear: a rank that owns rows
-        // still owes the encode them.
-        let mut image = layers
-            .next()
-            .unwrap_or_else(|| Framebuffer::take(width, height));
         // Each later plot is merged in where this rank's rows lie: only
         // what it drew there is final, and only that can show.
         let owned = compositor.owned_rows(comm.size(), comm.rank(), height);
-        for fb in layers {
-            image.merge(&fb.patch(owned.clone()));
-            fb.park();
+        let mut image: Option<Framebuffer> = None;
+        for plot in &self.plots {
+            let mut fb = Framebuffer::take(comm, width, height);
+            let draw = probe.span("per-step/render/draw");
+            if let Some((grid, values)) = field {
+                let (local, global) = (&grid.extent, &grid.global_extent);
+                match plot {
+                    Plot::Slice { axis, index, cmap } => {
+                        let cfg = SliceRender {
+                            axis: *axis,
+                            global_index: (*index).clamp(global.lo[*axis], global.hi[*axis]),
+                            width,
+                            height,
+                            compositor,
+                            cmap: cmap.clone(),
+                        };
+                        draw_slice(local, global, values, &cfg, (lo, hi), &mut fb);
+                    }
+                    Plot::Isosurface { levels, cmap } => {
+                        let cfg = IsosurfaceRender {
+                            isovalues: levels.iter().map(|f| lo + f * (hi - lo)).collect(),
+                            camera: overview(&grid),
+                            width,
+                            height,
+                            compositor,
+                            cmap: cmap.clone(),
+                            origin: grid.origin,
+                            spacing: grid.spacing,
+                        };
+                        draw_isosurface(local, values, &cfg, (lo, hi), &mut fb);
+                    }
+                }
+            }
+            drop(draw);
+            let _composite = probe.span("per-step/render/composite");
+            merge(comm, &mut fb, compositor);
+            match &mut image {
+                None => image = Some(fb),
+                Some(image) => {
+                    image.composite_rows_from(&fb, owned.clone());
+                    fb.park(comm);
+                }
+            }
         }
-        let png = self
-            .encoder
-            .encode(comm, &image, compositor, self.background);
-        image.park();
+        // With no plot the buffer stays clear: a rank that owns rows
+        // still owes the encode them.
+        let image = image.unwrap_or_else(|| Framebuffer::take(comm, width, height));
+        let png = {
+            let _encode = probe.span("per-step/render/encode");
+            self.encoder
+                .encode(comm, &image, compositor, self.background)
+        };
+        image.park(comm);
         let png = png?;
         let written = self.output.as_ref().map_or(Ok(()), |dir| {
             let path = dir.join(format!("{}_{step:05}.png", self.prefix));
@@ -190,7 +199,7 @@ mod tests {
             (0..2)
                 .map(|step| {
                     let png = scene.frame(comm, step, Some((grid, &values)));
-                    (Framebuffer::spare_at(), png.map(|(png, _)| png))
+                    (Framebuffer::spare_at(comm), png.map(|(png, _)| png))
                 })
                 .collect::<Vec<_>>()
         });

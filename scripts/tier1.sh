@@ -43,7 +43,8 @@ echo "==> in transit payloads are adopted, not copied"
 # the reader adopts those blocks (BpStep::adopt) instead of decoding a
 # copy (BpStep::decode, or a refill into spare buffers), no payload byte
 # is encoded onto the wire (encode_into), and the writer marshals each
-# step into the buffers the last ack returned, not into a fresh frame.
+# step into the buffers the last step came back in, not into a fresh
+# frame.
 # The oscillator's ghost flags are a view of the array its simulation
 # caches, not a copy a step.
 flexpath_src=$(awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' crates/adios/src/flexpath.rs)
@@ -103,7 +104,7 @@ echo "==> one render driver"
 # adaptor naming one of those pieces is assembling a frame of its own.
 for f in crates/{catalyst,libsim}/src/*.rs; do
     if awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' "$f" |
-        grep -E 'PngEncoder|global_range|pseudocolor_slice_bands|shaded_isosurface_bands|encode_framebuffer'; then
+        grep -E 'PngEncoder|global_range|pseudocolor_slice_bands|shaded_isosurface_bands|draw_slice|draw_isosurface|encode_framebuffer'; then
         echo "tier1: an adaptor's product code drives the render stack itself" >&2
         exit 1
     fi
@@ -111,7 +112,8 @@ done
 
 echo "==> one frame buffer per rank"
 # Catalyst and Libsim draw into the rank's one spare framebuffer
-# (Framebuffer::take, parked again after the encode), and a compositing
+# (Framebuffer::take from the comm's pool, parked again after the
+# encode), and a compositing
 # child or folded rank sends a copy of its drawn pixels and keeps its
 # buffer. A scene or adaptor keeping a canvas of its own, a recycle of
 # a caller-held buffer, or a buffer handed over inside a patch is a
@@ -145,7 +147,7 @@ fi
 
 echo "==> no image-sized render transient"
 # Compositing moves a patch as strips of a fixed pixel budget
-# (composite::send_strip, in buffers that circulate), never the rows a
+# (composite::fill_strip, in buffers that circulate), never the rows a
 # rank gives away, or its whole image, as one patch; the collective
 # encoder pulls a band's scanlines through its sliding buffer
 # (deflate::Input) instead of holding the band's stream. A warm
@@ -155,12 +157,40 @@ if awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' crates/render
     echo "tier1: composite.rs sends a whole patch in one message again" >&2
     exit 1
 fi
+# A scene's later plot is merged into the frame where it lies
+# (Framebuffer::composite_rows_from), not copied into a patch of the
+# rows the rank owns — up to a whole image on the tree's root.
+if awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' crates/render/src/scene.rs |
+    grep -E '\.patch\('; then
+    echo "tier1: scene.rs copies a later plot into a patch again" >&2
+    exit 1
+fi
 if awk '/#\[cfg\(test\)\]/{exit}
         /^impl PngEncoder/{inside=1}
         inside {print FILENAME ":" FNR ": " $0}
         inside && /^}/{inside=0}' crates/render/src/png.rs |
     grep -E 'vec!\[0; *n\]|let mut raw\b'; then
     echo "tier1: PngEncoder::encode holds a band's scanline stream whole again" >&2
+    exit 1
+fi
+
+echo "==> one way to lend a buffer"
+# A buffer that goes to a peer and comes back — a compositing strip, a
+# staging step — is a minimpi loan (Comm::lend / give_back / reclaim),
+# and a rank's spare buffers, the frame among them, wait in its comm's
+# pool (Comm::spare / keep). A thread-local pool in render, or a credit
+# or ack protocol of a compositor's or FlexPath's own, is a second
+# return path the checker and the fault walk do not cover.
+if awk '/#\[cfg\(test\)\]/{nextfile} {print FILENAME ":" FNR ": " $0}' \
+    crates/render/src/*.rs crates/render/src/*/*.rs |
+    grep -F 'thread_local!'; then
+    echo "tier1: crates/render/src keeps a thread-local pool again" >&2
+    exit 1
+fi
+if awk '/#\[cfg\(test\)\]/{nextfile} {print FILENAME ":" FNR ": " $0}' \
+    crates/render/src/composite.rs crates/adios/src/flexpath.rs |
+    grep -E 'TAG_CREDIT|TAG_ACK|type Reply'; then
+    echo "tier1: a compositor credit or a FlexPath ack is back beside the loan" >&2
     exit 1
 fi
 

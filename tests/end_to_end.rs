@@ -14,6 +14,29 @@ fn deck() -> String {
     format_deck(&demo_oscillators())
 }
 
+/// The messages this rank has sent, as the benchmark counts them (every
+/// `minimpi/*` counter but the harness's barrier), and the
+/// `render/composite` strips among them with their bytes; all 0 on an
+/// unprobed comm.
+fn sent(comm: &minimpi::Comm) -> [u64; 3] {
+    let snapshot = comm.probe().snapshot();
+    let minimpi = snapshot
+        .counters
+        .iter()
+        .filter(|c| c.name.starts_with("minimpi/") && c.name != "minimpi/barrier")
+        .map(|c| c.messages)
+        .sum();
+    let strips = snapshot
+        .counters
+        .iter()
+        .find(|c| c.name == "render/composite");
+    [
+        minimpi,
+        strips.map_or(0, |c| c.messages),
+        strips.map_or(0, |c| c.bytes),
+    ]
+}
+
 /// The full §4.1 coupling: miniapp + every non-rendering analysis at
 /// once through one bridge, over several steps, with timing capture.
 #[test]
@@ -255,6 +278,34 @@ fn steady_state_render_step_allocates_no_catalyst_frame() {
         "rank 0 allocated {} B in a steady-state render step",
         rises[0]
     );
+
+    // A probed pass counts one warm step's messages over both ranks:
+    // 139, DESIGN §11's 14 + 62 + 63 (the frames' collectives and
+    // scanlines, Catalyst's swap strips beyond the one patch each way,
+    // Libsim's strips and their returns beyond its one patch). 96 are
+    // strips, whose bytes are the closed form of
+    // `render_step_ships_scanlines_not_gathered_framebuffers`: Catalyst
+    // swaps 975 × 540 and 945 × 540 px, Libsim's child lends 504 × 1024.
+    let d = deck();
+    let counted = World::run(2, move |comm| {
+        comm.attach_probe(probe::enabled());
+        let (mut sim, catalyst, libsim) = render_pair(comm, &d);
+        let mut bridge = Bridge::new();
+        bridge.register(Box::new(catalyst));
+        bridge.register(Box::new(libsim));
+        let mut step = [0; 3];
+        for _ in 0..3 {
+            sim.step(comm);
+            let before = sent(comm);
+            bridge.execute(&OscillatorAdaptor::new(&sim), comm);
+            step = [0, 1, 2].map(|k| sent(comm)[k] - before[k]);
+        }
+        step
+    });
+    let total = [0, 1, 2].map(|k| counted[0][k] + counted[1][k]);
+    assert_eq!(total[0], 14 + 62 + 63, "minimpi messages a warm step");
+    assert_eq!(total[1], 96, "render/composite strips a warm step");
+    assert_eq!(total[2], 8 * (975 * 540 + 945 * 540 + 504 * 1024));
 }
 
 /// Catalyst and Libsim draw into each rank's one spare framebuffer, a
@@ -293,7 +344,7 @@ fn steady_state_render_step_allocates_no_catalyst_frame() {
 ///
 /// Rank 0 makes 13 more, to 32, plus each file's growth:
 /// - Catalyst's swap strips, 2;
-/// - Libsim's credits back to rank 1, 2;
+/// - Libsim's strips given back to rank 1, 2;
 /// - Catalyst's list of the rows rank 1 sent, 1;
 /// - per file, its header `Vec`, 4: 8 B, then 16, 32 and 64 as the
 ///   signature and `IHDR` go in;
@@ -371,6 +422,56 @@ fn steady_state_render_step_allocates_no_framebuffer() {
     }
 }
 
+/// Heap calls of one warm Libsim step on each of two free-running ranks
+/// (16³, a 256² image, a direct-send tree), less the growth of rank 0's
+/// file, for a session of `plots`.
+fn warm_libsim_calls(plots: &'static str) -> Vec<u64> {
+    let d = deck();
+    World::run(2, move |comm| {
+        let cfg = SimConfig {
+            grid: [16, 16, 16],
+            steps: 4,
+            ..SimConfig::default()
+        };
+        let mut sim = Simulation::new(comm, cfg, (comm.rank() == 0).then_some(d.as_str()));
+        let session = libsim::Session::parse(&format!("image 256 256\n{plots}")).unwrap();
+        let mut libsim = libsim::LibsimAnalysis::new(session, std::path::Path::new("/nonexistent"));
+        let file = libsim.png_handle();
+        let mut calls = 0;
+        for _ in 0..4 {
+            sim.step(comm);
+            let data = OscillatorAdaptor::new(&sim);
+            let before = probe::alloc::allocations();
+            libsim.execute(&data, comm);
+            calls = probe::alloc::allocations() - before;
+        }
+        let len = file.lock().as_ref().map_or(0, Vec::len);
+        let growth = (len.next_power_of_two() / 64).checked_ilog2().unwrap_or(0);
+        calls - u64::from(growth)
+    })
+}
+
+/// A scene's later plot is merged into the frame where it lies, not
+/// through a copied patch: a warm Libsim step with a second slice makes
+/// exactly the second plot's own heap calls more, on each rank:
+/// - its framebuffer, 2 (colour, depth): the frame holds the rank's
+///   spare while the plot is drawn;
+/// - its colormap, cloned into its config, 1; its plane's values, 1;
+/// - its strips up the tree, 2 envelopes on rank 1, and their returns,
+///   2 on rank 0.
+///
+/// Until the merge read the plot in place, rank 0 — whose owned rows
+/// are the whole image — also copied them into a patch's colour and
+/// depth `Vec`s: 8, not 6.
+#[test]
+fn a_later_plot_is_merged_in_place() {
+    let one = warm_libsim_calls("plot pseudocolor data axis=z index=8\n");
+    let two = warm_libsim_calls(
+        "plot pseudocolor data axis=z index=8\nplot pseudocolor data axis=x index=8\n",
+    );
+    assert_eq!([two[0] - one[0], two[1] - one[1]], [6, 6]);
+}
+
 /// Counts, not clocks: what a render step puts on the wire at 2 ranks.
 /// Compositing patches travel by ownership, cut into strips of
 /// `32 Ki / width` whole rows (`render::composite`'s pixel budget):
@@ -381,10 +482,11 @@ fn steady_state_render_step_allocates_no_framebuffer() {
 /// receives as many, which come back as the buffers of its own, so the
 /// swap needs no credit; then nothing image-sized — 6 rows of halo one
 /// way, the look-ahead row the other, a landing position, a band's
-/// bits. Libsim: rank 1 sends its 1 024 rows up the tree as
-/// ⌈1024 / 32⌉ = 32 strips, each strip's buffer comes back as a credit
-/// (32 more headers, root to child), then exactly one band of scanlines
-/// plus its halo rows from the root, a landing, the bits back.
+/// bits. Libsim: rank 1 lends its 1 024 rows up the tree as
+/// ⌈1024 / 32⌉ = 32 strips, the root gives each strip's buffer back
+/// with its verdict (32 more headers, root to child, each a word
+/// longer), then exactly one band of scanlines plus its halo rows from
+/// the root, a landing, the bits back.
 #[test]
 fn render_step_ships_scanlines_not_gathered_framebuffers() {
     use sensei::AnalysisAdaptor;
@@ -450,15 +552,17 @@ fn render_step_ships_scanlines_not_gathered_framebuffers() {
         (swap + 2, swap * header + vec + stride + bits)
     );
 
-    // Libsim, 1024×1024: stride 3073, cut at row 512; the root's
-    // credits are strip headers too.
+    // Libsim, 1024×1024: stride 3073, cut at row 512; what the root
+    // gives back is a strip header and a `minimpi::Verdict`, padded to
+    // the header's 8-byte alignment.
     let (stride, halo_rows) = (1 + 3 * 1024, 11);
     assert_eq!(halo_rows, 512 - (512 * stride - 32 * 1024) / stride);
+    let given_back = (header + std::mem::size_of::<minimpi::Verdict>() as u64).next_multiple_of(8);
     assert_eq!(
         sent[0][1][0],
         (
             tree + 2,
-            tree * header + vec + (512 + halo_rows) * stride + landing
+            tree * given_back + vec + (512 + halo_rows) * stride + landing
         )
     );
 }
@@ -618,13 +722,13 @@ fn endpoint_reads_the_decoded_frame_in_place() {
     }
 }
 
-/// This thread's allocation high-water rise and heap calls from one
-/// `execute` to the next: beside an endpoint's analyses, everything one
-/// staging round costs — the ack, the next step's adoption, the
-/// analyses.
+/// This thread's allocation high-water rise, heap calls and messages
+/// sent from one `execute` to the next: beside an endpoint's analyses,
+/// everything one staging round costs — the steps given back, the next
+/// steps' adoption, the analyses.
 struct AllocBetweenExecutes {
-    rounds: std::sync::Arc<std::sync::Mutex<Vec<(usize, u64)>>>,
-    floor: Option<(usize, u64)>,
+    rounds: std::sync::Arc<std::sync::Mutex<Vec<(usize, u64, u64)>>>,
+    floor: Option<(usize, u64, u64)>,
 }
 
 impl sensei::AnalysisAdaptor for AllocBetweenExecutes {
@@ -635,22 +739,29 @@ impl sensei::AnalysisAdaptor for AllocBetweenExecutes {
     fn execute(
         &mut self,
         _data: &dyn sensei::DataAdaptor,
-        _comm: &minimpi::Comm,
+        comm: &minimpi::Comm,
     ) -> sensei::Steering {
-        if let Some((bytes, calls)) = self.floor {
+        if let Some((bytes, calls, messages)) = self.floor {
             let rise = probe::alloc::peak_bytes().saturating_sub(bytes);
             let calls = probe::alloc::allocations() - calls;
-            self.rounds.lock().unwrap().push((rise, calls));
+            let messages = sent(comm)[0] - messages;
+            self.rounds.lock().unwrap().push((rise, calls, messages));
         }
+        let messages = sent(comm)[0];
         probe::alloc::reset_peak();
-        self.floor = Some((probe::alloc::current_bytes(), probe::alloc::allocations()));
+        self.floor = Some((
+            probe::alloc::current_bytes(),
+            probe::alloc::allocations(),
+            messages,
+        ));
         sensei::Steering::Continue
     }
 }
 
 /// The in transit buffers circulate: after two warm-up steps, neither a
-/// writer's `execute` (marshal into the blocks the last ack returned,
-/// ship) nor an endpoint round (ack, adopt the next blocks, histogram)
+/// writer's `execute` (marshal into the blocks the last step came back
+/// in, lend) nor an endpoint round (give back, adopt the next blocks,
+/// histogram)
 /// allocates anything payload-sized. At 64³ over two writers a step is
 /// 1.2 MB; a fresh block, a copied payload or a copied ghost array each
 /// break the byte bound.
@@ -684,7 +795,8 @@ impl sensei::AnalysisAdaptor for AllocBetweenExecutes {
 /// - `HistogramAnalysis::execute`, 3: the leaf list and its view list
 ///   (2), the count vector (1) — its scatter lanes are kept between
 ///   steps (until they were, each leaf's took 1 more, for 100);
-/// - `FlexpathReader::end_step`, 2: the channel envelope of each ack.
+/// - `FlexpathReader::end_step`, 2: the channel envelope of each step
+///   given back.
 #[test]
 fn steady_state_staging_step_allocates_no_payload() {
     use adios::staging::{run_endpoint_with_broker, AdiosWriterAnalysis};
@@ -694,69 +806,88 @@ fn steady_state_staging_step_allocates_no_payload() {
     const ENDPOINT_CALLS: u64 = 98;
     const STEPS: usize = 6;
     const WARM_UP: usize = 2;
-    let d = deck();
-    let rounds = World::run(3, move |world| match pair(world, 2) {
-        Role::Writer { sub, writer } => {
-            let cfg = SimConfig {
-                grid: [64, 64, 64],
-                steps: STEPS,
-                ..SimConfig::default()
-            };
-            let mut sim = Simulation::new(&sub, cfg, (sub.rank() == 0).then_some(d.as_str()));
-            let mut ship = AdiosWriterAnalysis::new(writer);
-            let mut rounds = Vec::new();
-            for _ in 0..STEPS {
-                sim.step(&sub);
-                let data = OscillatorAdaptor::new(&sim);
-                probe::alloc::reset_peak();
-                let floor = probe::alloc::current_bytes();
-                let calls = probe::alloc::allocations();
-                ship.execute(&data, world);
-                rounds.push((
-                    probe::alloc::peak_bytes() - floor,
-                    probe::alloc::allocations() - calls,
-                ));
+    let run = |probed: bool| {
+        let d = deck();
+        World::run(3, move |world| {
+            if probed {
+                world.attach_probe(probe::enabled());
             }
-            ship.finalize(world);
-            assert!(ship.take_failures().is_empty());
-            rounds.split_off(WARM_UP)
-        }
-        Role::Endpoint { sub, mut reader } => {
-            let rounds = std::sync::Arc::default();
-            let recorder = AllocBetweenExecutes {
-                rounds: std::sync::Arc::clone(&rounds),
-                floor: None,
-            };
-            let (bridge, _) = run_endpoint_with_broker(
-                world,
-                &sub,
-                &mut reader,
-                vec![
-                    Box::new(HistogramAnalysis::new("data", 64)),
-                    Box::new(recorder),
-                ],
-                &StagingBroker::new(BrokerConfig::default()),
-            );
-            assert_eq!(bridge.steps(), STEPS as u64);
-            assert!(bridge.failure_reports().is_empty());
-            // The first interval ends at the second execute.
-            let rounds = std::mem::take(&mut *rounds.lock().unwrap());
-            assert_eq!(rounds.len(), STEPS - 1);
-            rounds[WARM_UP - 1..].to_vec()
-        }
-    });
-    for (rank, rounds) in rounds.iter().enumerate() {
+            match pair(world, 2) {
+                Role::Writer { sub, writer } => {
+                    let cfg = SimConfig {
+                        grid: [64, 64, 64],
+                        steps: STEPS,
+                        ..SimConfig::default()
+                    };
+                    let mut sim =
+                        Simulation::new(&sub, cfg, (sub.rank() == 0).then_some(d.as_str()));
+                    let mut ship = AdiosWriterAnalysis::new(writer);
+                    let mut rounds = Vec::new();
+                    for _ in 0..STEPS {
+                        sim.step(&sub);
+                        let data = OscillatorAdaptor::new(&sim);
+                        let messages = sent(world)[0];
+                        probe::alloc::reset_peak();
+                        let floor = probe::alloc::current_bytes();
+                        let calls = probe::alloc::allocations();
+                        ship.execute(&data, world);
+                        rounds.push((
+                            probe::alloc::peak_bytes() - floor,
+                            probe::alloc::allocations() - calls,
+                            sent(world)[0] - messages,
+                        ));
+                    }
+                    ship.finalize(world);
+                    assert!(ship.take_failures().is_empty());
+                    rounds.split_off(WARM_UP)
+                }
+                Role::Endpoint { sub, mut reader } => {
+                    let rounds = std::sync::Arc::default();
+                    let recorder = AllocBetweenExecutes {
+                        rounds: std::sync::Arc::clone(&rounds),
+                        floor: None,
+                    };
+                    let (bridge, _) = run_endpoint_with_broker(
+                        world,
+                        &sub,
+                        &mut reader,
+                        vec![
+                            Box::new(HistogramAnalysis::new("data", 64)),
+                            Box::new(recorder),
+                        ],
+                        &StagingBroker::new(BrokerConfig::default()),
+                    );
+                    assert_eq!(bridge.steps(), STEPS as u64);
+                    assert!(bridge.failure_reports().is_empty());
+                    // The first interval ends at the second execute.
+                    let rounds = std::mem::take(&mut *rounds.lock().unwrap());
+                    assert_eq!(rounds.len(), STEPS - 1);
+                    rounds[WARM_UP - 1..].to_vec()
+                }
+            }
+        })
+    };
+    for (rank, rounds) in run(false).iter().enumerate() {
         let (who, calls) = if rank < 2 {
             ("writer", WRITER_CALLS)
         } else {
             ("endpoint", ENDPOINT_CALLS)
         };
         assert!(
-            rounds.iter().all(|&(rise, n)| rise < BOUND && n == calls),
+            rounds
+                .iter()
+                .all(|&(rise, n, _)| rise < BOUND && n == calls),
             "{who} rank {rank} allocated {rounds:?} (B, heap calls) in steady-state staging \
              steps, expected {calls} calls a step"
         );
     }
+    // A probed pass counts a warm step's messages: each writer lends its
+    // step, and the endpoint gives both back — 4 in all.
+    let messages: Vec<Vec<u64>> = run(true)
+        .iter()
+        .map(|rounds| rounds.iter().map(|r| r.2).collect())
+        .collect();
+    assert_eq!(messages, [vec![1; 4], vec![1; 4], vec![2; 4]]);
 }
 
 /// A probed staging run reports its heap calls as the per-step

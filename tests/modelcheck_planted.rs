@@ -10,11 +10,12 @@
 //! clean twins of the same protocols run under the same checker with
 //! zero findings.
 //!
-//! The last three tests sweep the substrate's riskiest surfaces — mixed
+//! The last four tests sweep the substrate's riskiest surfaces — mixed
 //! collectives with an `ANY_SOURCE` fan-in, the FlexPath staging
-//! handshake, and the zero-copy publish discipline — at six ranks with
-//! the sanitizer armed. A failure writes its minimized delivery trace
-//! to `results/minimized_trace_<scenario>.json` before the test panics;
+//! handshake, the zero-copy publish discipline, and compositing's lent
+//! strips — at six ranks (and three, for compositing) with the
+//! sanitizer armed. A failure writes its minimized delivery trace to
+//! `results/minimized_trace_<scenario>.json` before the test panics;
 //! replay it with `SchedPolicy::Replay(Trace::from_json(..))`.
 
 use std::sync::Arc;
@@ -23,9 +24,11 @@ use std::time::Duration;
 use adios::staging::{run_endpoint_with_broker, AdiosWriterAnalysis};
 use adios::{pair, BpStep, BpVar, Broker, BrokerConfig, Payload, Role, StagingBroker, TopicKey};
 use datamodel::{DataArray, DataSet, Extent, ImageData};
-use minimpi::{Checker, Comm, LivenessSpec};
+use minimpi::{Checker, Comm, LivenessSpec, Verdict};
 use oscillator::{demo_oscillators, osc::format_deck, OscillatorAdaptor, SimConfig, Simulation};
 use query::{Query, QueryConfig, QueryServer, SessionScript};
+use render::composite::{composite, Compositor};
+use render::{Color, Framebuffer};
 use sensei::analysis::histogram::HistogramAnalysis;
 use sensei::analysis::AnalysisAdaptor;
 use sensei::{Bridge, InMemoryAdaptor};
@@ -320,7 +323,7 @@ fn half_line(w: u64, s: u64, corrupt: bool) -> BpStep {
 /// it. The refused writer is released — its `advance` returns, it ships
 /// nothing more and closes without a word — while the healthy writer's
 /// stream finishes. Without the refusal the writer waits in `advance`
-/// for an ack that never comes: a deadlock under every schedule.
+/// for a step that never comes back: a deadlock under every schedule.
 #[test]
 fn refused_writer_is_released_not_stranded() {
     const STEPS: u64 = 3;
@@ -357,18 +360,17 @@ fn refused_writer_is_released_not_stranded() {
     );
 }
 
-/// `adios::flexpath`'s step and answer tags. A writer whose payload
-/// block disagrees with its own header cannot be built through
-/// `FlexpathWriter`, so the planted one below speaks the wire itself.
+/// `adios::flexpath`'s step tag and step. A writer whose payload block
+/// disagrees with its own header cannot be built through
+/// `FlexpathWriter`, so the planted one below lends the step itself.
 const FLEXPATH_TAG_DATA: u32 = 0xAD10_0001;
-const FLEXPATH_TAG_ACK: u32 = 0xAD10_0002;
+type FlexpathFrame = (bool, Vec<u8>, Vec<Payload>);
 
 /// One writer ships a step whose framing parses but whose payload
 /// block is one element short of its header. The endpoint refuses the
-/// block instead of adopting it and releases the writer with an answer
-/// that carries no step and no blocks, while the healthy writer's
-/// stream finishes: every schedule terminates, with nothing left in
-/// flight.
+/// block instead of adopting it and gives the step back refused,
+/// without its blocks, while the healthy writer's stream finishes:
+/// every schedule terminates, with nothing left in flight.
 #[test]
 fn mismatched_block_writer_is_released_not_stranded() {
     const STEPS: u64 = 3;
@@ -381,10 +383,12 @@ fn mismatched_block_writer_is_released_not_stranded() {
                 step.encode_into(&mut meta);
                 meta.truncate(meta.len() - step.payload_bytes());
                 let short: Payload = vec![0.0f64].into();
-                comm.send(writer.peer(), FLEXPATH_TAG_DATA, (false, meta, vec![short]));
-                let (read, _, blocks): (Option<u64>, Vec<u8>, Vec<Payload>) =
-                    comm.recv(writer.peer(), FLEXPATH_TAG_ACK);
-                assert_eq!(read, None, "refused");
+                comm.lend(writer.peer(), FLEXPATH_TAG_DATA, 1, |frame| {
+                    *frame = (false, meta, vec![short]);
+                });
+                let verdict = comm.reclaim::<FlexpathFrame>(writer.peer(), FLEXPATH_TAG_DATA);
+                assert_eq!(verdict, Some(Verdict::Refused), "refused");
+                let (_, _, blocks) = comm.spare::<FlexpathFrame>().expect("given back");
                 assert!(blocks.is_empty(), "not adopted");
             }
             Role::Writer { mut writer, .. } => {
@@ -414,6 +418,52 @@ fn mismatched_block_writer_is_released_not_stranded() {
     assert!(
         !report.stats.budget_exhausted,
         "the schedule tree completes"
+    );
+}
+
+// A lender with at most two loans out, and a borrower that merges one
+// strip and keeps it: compositing's strips with a credit lost.
+const LOAN: u32 = 61;
+const LENT: u64 = 4;
+
+#[test]
+fn unreturned_credit_is_found_minimized_and_replayed() {
+    let report = Checker::new().max_schedules(16).sanitize().run(2, |comm| {
+        if comm.rank() == 0 {
+            for strip in 0..LENT {
+                comm.lend(1, LOAN, 2, |buf: &mut Vec<u64>| {
+                    buf.clear();
+                    buf.push(strip);
+                });
+            }
+            while comm.reclaim::<Vec<u64>>(1, LOAN).is_some() {}
+        } else {
+            for strip in 0..LENT {
+                let buf: Vec<u64> = comm.recv(0, LOAN);
+                assert_eq!(buf, [strip]);
+                // BUG: the second strip's buffer is never given back,
+                // so the lender waits for a return that never comes.
+                if strip != 1 {
+                    comm.give_back(0, LOAN, buf, Verdict::Taken);
+                }
+            }
+        }
+    });
+    let failure = report.failure.expect("the lost credit must be found");
+    assert!(
+        failure.message.contains("deterministic deadlock detected"),
+        "{}",
+        failure.message
+    );
+    assert!(
+        failure.message.contains("return:61"),
+        "the report names the awaited return: {}",
+        failure.message
+    );
+    assert!(failure.replayed_bitwise, "shrunk schedule replays bitwise");
+    assert!(
+        failure.prefix.is_empty(),
+        "a lost credit strands the lender under every schedule; ddmin reaches the empty prefix"
     );
 }
 
@@ -463,26 +513,27 @@ fn clean_pipeline_is_silent_under_systematic_exploration() {
     assert!(report.stats.schedules_explored >= 1);
 }
 
-/// Ranks of every scenario sweep.
+/// Ranks of every scenario sweep (the render sweep runs at 3 too).
 const SWEEP_RANKS: usize = 6;
-/// Schedules each sweep explores: the three sweeps together take about
-/// 4–5 s of a debug `cargo test` on a 2-vCPU x86-64 VM, under 2 s in
-/// release.
+/// Schedules each sweep explores: the four sweeps together take about
+/// 8 s of a debug `cargo test` on a 2-vCPU x86-64 VM, 3.5 s in release;
+/// the render sweep at 3 ranks ends before the budget, its schedule
+/// tree done.
 const SWEEP_SCHEDULES: usize = 512;
 const GRID: [usize; 3] = [9, 9, 9];
 const STEPS: usize = 2;
 const BINS: usize = 16;
 
-/// Explore `scenario` on [`SWEEP_RANKS`] ranks with the sanitizer armed.
-/// A failure leaves its minimized trace in `results/` and panics.
-fn sweep<F>(name: &str, scenario: F)
+/// Explore `scenario` on `ranks` ranks with the sanitizer armed. A
+/// failure leaves its minimized trace in `results/` and panics.
+fn sweep<F>(name: &str, ranks: usize, scenario: F)
 where
     F: Fn(&Comm) + Send + Sync + 'static,
 {
     let report = Checker::new()
         .max_schedules(SWEEP_SCHEDULES)
         .sanitize()
-        .run(SWEEP_RANKS, scenario);
+        .run(ranks, scenario);
     if let Some(failure) = &report.failure {
         std::fs::create_dir_all("results").expect("results dir");
         let path = format!("results/minimized_trace_{name}.json");
@@ -623,18 +674,68 @@ fn publish_scenario(comm: &Comm) {
     comm.barrier();
 }
 
+/// The render sweep's image: a strip is 32 Ki / 4096 = 8 rows, so the
+/// 24 rows a tree child or a folded rank ships travel as 3 lent strips,
+/// the last in the buffer the first came back in, and each swap half as
+/// 2 strips or 1.
+const RENDER_IMAGE: (usize, usize) = (4096, 17);
+
+/// A frame of Catalyst's binary swap, then one of Libsim's
+/// direct-send tree, which lends strips the swap left in the rank's
+/// pool. Rank `r` draws every row of columns `12r .. 12r + 16 + f` at
+/// depth `r` in frame `f`, so neighbours overlap and the lower rank
+/// wins; rank 0's image must be exactly that, however the strips and
+/// their returns interleave.
+fn render_scenario(comm: &Comm) {
+    let (w, h) = RENDER_IMAGE;
+    let (r, p) = (comm.rank(), comm.size());
+    let band = |rank: usize, frame: usize| 12 * rank..12 * rank + 16 + frame;
+    let frames = [Compositor::BinarySwap, Compositor::DirectSendTree(2)];
+    for (frame, which) in frames.into_iter().enumerate() {
+        let mut fb = Framebuffer::new(w, h);
+        for y in 0..h {
+            for x in band(r, frame) {
+                fb.set_pixel(x, y, r as f32, Color::rgb(r as u8 + 1, 0, 0));
+            }
+        }
+        let Some(image) = composite(comm, fb, which) else {
+            assert_ne!(r, 0, "rank 0 holds the image");
+            continue;
+        };
+        let want: Vec<u8> = (0..w)
+            .flat_map(|x| match (0..p).find(|&q| band(q, frame).contains(&x)) {
+                Some(q) => [q as u8 + 1, 0, 0, 255],
+                None => [0; 4],
+            })
+            .collect();
+        for (y, row) in image.color().as_flattened().chunks(4 * w).enumerate() {
+            assert!(row == want, "{which:?}: row {y}");
+        }
+    }
+}
+
 #[test]
 fn collectives_sweep_is_clean() {
-    sweep("collectives", collectives_scenario);
+    sweep("collectives", SWEEP_RANKS, collectives_scenario);
 }
 
 #[test]
 fn staging_sweep_is_clean() {
     let deck = format_deck(&demo_oscillators());
-    sweep("staging", move |comm| staging_scenario(comm, &deck));
+    sweep("staging", SWEEP_RANKS, move |comm| {
+        staging_scenario(comm, &deck)
+    });
 }
 
 #[test]
 fn publish_sweep_is_clean() {
-    sweep("publish", publish_scenario);
+    sweep("publish", SWEEP_RANKS, publish_scenario);
+}
+
+/// At 3 ranks binary swap folds one rank into a pair; at 6, two into
+/// four, and the tree is two levels deep.
+#[test]
+fn render_sweep_is_clean() {
+    sweep("render_3", 3, render_scenario);
+    sweep("render_6", SWEEP_RANKS, render_scenario);
 }

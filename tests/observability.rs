@@ -224,3 +224,42 @@ fn run_report_round_trips_through_json() {
     // And the round trip is a fixed point.
     assert_eq!(json, back.to_json());
 }
+
+/// A render step's frames report their stages as product spans: a
+/// Catalyst and a Libsim frame on each of two ranks record the range,
+/// the plots' drawing, their compositing and the encode once a frame.
+#[test]
+fn render_frames_report_their_four_stages() {
+    const RANKS: usize = 2;
+    let deck = format_deck(&demo_oscillators());
+    let report = World::run(RANKS, move |comm| {
+        let cfg = SimConfig {
+            grid: [GRID, GRID, GRID],
+            steps: 1,
+            ..SimConfig::default()
+        };
+        let mut sim = Simulation::new(comm, cfg, (comm.rank() == 0).then_some(deck.as_str()));
+        let mut bridge = Bridge::with_probe(Probe::enabled());
+        comm.attach_probe(bridge.probe().clone());
+        let mut pipeline = catalyst::SlicePipeline::new("data", 2, 4);
+        (pipeline.width, pipeline.height) = (64, 48);
+        bridge.register(Box::new(catalyst::CatalystSliceAnalysis::new(pipeline)));
+        let session =
+            libsim::Session::parse("image 64 64\nplot pseudocolor data axis=z index=4\n").unwrap();
+        let nowhere = std::path::Path::new("/nonexistent");
+        bridge.register(Box::new(libsim::LibsimAnalysis::new(session, nowhere)));
+        sim.step(comm);
+        bridge.execute(&OscillatorAdaptor::new(&sim), comm);
+        bridge.finalize(comm)
+    })
+    .remove(0);
+    for stage in ["range", "draw", "composite", "encode"] {
+        let label = format!("per-step/render/{stage}");
+        let phase = report.phase(&label).expect("the stage is a span");
+        assert_eq!(
+            (phase.ranks, phase.samples),
+            (RANKS, 2 * RANKS as u64),
+            "{label}"
+        );
+    }
+}
