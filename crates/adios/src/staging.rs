@@ -18,7 +18,7 @@
 use datamodel::{DataSet, Extent, ImageData, MultiBlock};
 use minimpi::Comm;
 use sensei::{
-    AdaptorError, AnalysisAdaptor, Association, Bridge, DataAdaptor, RunReport, Steering,
+    AdaptorError, AnalysisAdaptor, Bridge, DataAdaptor, InMemoryAdaptor, RunReport, Steering,
 };
 
 use crate::bp::{BpStep, BpVar, Payload};
@@ -81,152 +81,59 @@ pub fn try_adaptor_to_step(data: &dyn DataAdaptor) -> Result<BpStep, AdaptorErro
     Ok(step)
 }
 
-/// Reconstruct one image-grid block per mesh leaf from a BP step. Each
-/// leaf's variables carry their own extent; an unprefixed geometry
-/// attribute set is honored as a fallback for hand-built steps.
-fn step_to_blocks(step: &BpStep) -> Vec<ImageData> {
-    let mut leaf_ids: Vec<u32> = step.vars.iter().map(|v| v.leaf).collect();
-    leaf_ids.sort_unstable();
-    leaf_ids.dedup();
-    let mut blocks = Vec::with_capacity(leaf_ids.len());
-    for leaf in leaf_ids {
-        let vars: Vec<&BpVar> = step.vars.iter().filter(|v| v.leaf == leaf).collect();
-        let Some(first) = vars.first() else { continue };
-        let global = Extent::new([0; 3], first.global_dims.map(|d| d as i64 - 1));
-        let lo = first.offset.map(|o| o as i64);
-        let hi = std::array::from_fn(|a| lo[a] + first.local_dims[a] as i64 - 1);
-        let geo = |what: &str, default: f64| {
-            [0, 1, 2].map(|a| {
-                step.attr(&format!("leaf{leaf}_{what}_{a}"))
-                    .or_else(|| step.attr(&format!("{what}_{a}")))
-                    .unwrap_or(default)
-            })
-        };
-        let mut grid = ImageData::new(Extent::new(lo, hi), global)
-            .with_geometry(geo("origin", 0.0), geo("spacing", 1.0));
-        for var in vars {
-            // The adopted buffer itself: a reference count, not a copy.
-            grid.add_point_array(var.data.to_array(&var.name));
+/// The blocks of one round of received steps: an image grid per writer
+/// leaf, each carrying its leaf's variables on its own extent and
+/// geometry.
+fn round_blocks(steps: &[(usize, BpStep)]) -> MultiBlock {
+    let mut blocks = MultiBlock::new();
+    for (_, step) in steps {
+        let mut leaf_ids: Vec<u32> = step.vars.iter().map(|v| v.leaf).collect();
+        leaf_ids.sort_unstable();
+        leaf_ids.dedup();
+        for leaf in leaf_ids {
+            let vars: Vec<&BpVar> = step.vars.iter().filter(|v| v.leaf == leaf).collect();
+            let Some(first) = vars.first() else { continue };
+            let global = Extent::new([0; 3], first.global_dims.map(|d| d as i64 - 1));
+            let lo = first.offset.map(|o| o as i64);
+            let hi = std::array::from_fn(|a| lo[a] + first.local_dims[a] as i64 - 1);
+            let geo = |what: &str, default: f64| {
+                [0, 1, 2].map(|a| {
+                    step.attr(&format!("leaf{leaf}_{what}_{a}"))
+                        .unwrap_or(default)
+                })
+            };
+            let mut grid = ImageData::new(Extent::new(lo, hi), global)
+                .with_geometry(geo("origin", 0.0), geo("spacing", 1.0));
+            for var in vars {
+                // The adopted buffer itself: a reference count, not a copy.
+                grid.add_point_array(var.data.to_array(&var.name));
+            }
+            blocks.push(DataSet::Image(grid));
         }
-        blocks.push(grid);
     }
     blocks
 }
 
-/// Endpoint-side data adaptor over the steps received from the served
-/// writers: presents them as a multiblock dataset.
-pub struct BpAdaptor {
-    blocks: Vec<ImageData>,
-    step: u64,
-    time: f64,
+/// The endpoint's view of one round of received steps: a multiblock
+/// of their blocks, at the first step's `(step, time)`.
+pub fn round_adaptor(steps: &[(usize, BpStep)]) -> InMemoryAdaptor {
+    let (step, time) = steps.first().map_or((0, 0.0), |(_, s)| (s.step, s.time));
+    InMemoryAdaptor::new(DataSet::Multi(round_blocks(steps)), time, step)
 }
 
-impl BpAdaptor {
-    /// Build from one round of received steps.
-    pub fn new(steps: &[(usize, BpStep)]) -> Self {
-        let blocks: Vec<ImageData> = steps.iter().flat_map(|(_, s)| step_to_blocks(s)).collect();
-        let step = steps.first().map(|(_, s)| s.step).unwrap_or(0);
-        let time = steps.first().map(|(_, s)| s.time).unwrap_or(0.0);
-        BpAdaptor { blocks, step, time }
-    }
-
-    /// Agree on `(step, time)` with the other endpoints of `sub`.
-    ///
-    /// An endpoint whose writers all closed or died receives no steps in
-    /// a round and would otherwise report `step=0, time=0.0`, disagreeing
-    /// with its peers mid-run; adopt the maximum `(has-data, step)` pair
-    /// across the subgroup instead. Collective over `sub`.
-    pub fn reconcile_step_time(&mut self, sub: &Comm) {
-        let mine = (!self.blocks.is_empty(), self.step, self.time);
-        let (_, step, time) =
-            sub.allreduce_scalar(mine, |a, b| if (b.0, b.1) > (a.0, a.1) { b } else { a });
-        self.step = step;
-        self.time = time;
-    }
-}
-
-impl DataAdaptor for BpAdaptor {
-    fn time(&self) -> f64 {
-        self.time
-    }
-
-    fn step(&self) -> u64 {
-        self.step
-    }
-
-    fn mesh(&self) -> DataSet {
-        let mut mb = MultiBlock::new();
-        for b in &self.blocks {
-            mb.push(DataSet::Image(
-                ImageData::new(b.extent, b.global_extent).with_geometry(b.origin, b.spacing),
-            ));
-        }
-        DataSet::Multi(mb)
-    }
-
-    fn array_names(&self, assoc: Association) -> Vec<String> {
-        if assoc != Association::Point {
-            return Vec::new();
-        }
-        let mut names: Vec<String> = Vec::new();
-        for b in &self.blocks {
-            for n in b.point_data.names() {
-                if !names.iter().any(|x| x == n) {
-                    names.push(n.to_string());
-                }
-            }
-        }
-        names
-    }
-
-    fn add_array(
-        &self,
-        mesh: &mut DataSet,
-        assoc: Association,
-        name: &str,
-    ) -> Result<(), AdaptorError> {
-        let known = self
-            .array_names(Association::Point)
-            .iter()
-            .any(|n| n == name);
-        if assoc != Association::Point {
-            return Err(if known {
-                AdaptorError::WrongAssociation {
-                    name: name.to_string(),
-                    requested: assoc,
-                    available: Association::Point,
-                }
-            } else {
-                AdaptorError::UnknownArray {
-                    name: name.to_string(),
-                    assoc,
-                }
-            });
-        }
-        let DataSet::Multi(mb) = mesh else {
-            return Err(AdaptorError::LayoutUnsupported {
-                name: name.to_string(),
-                detail: "endpoint adaptor targets a multiblock mesh".to_string(),
-            });
-        };
-        let mut any = false;
-        for (i, b) in self.blocks.iter().enumerate() {
-            let target = mb.block_mut(i).and_then(DataSet::point_data_mut);
-            if let (Some(point_data), Some(arr)) = (target, b.point_data.get(name)) {
-                // Shares the adopted buffer.
-                point_data.insert(arr.clone());
-                any = true;
-            }
-        }
-        if any {
-            Ok(())
-        } else {
-            Err(AdaptorError::UnknownArray {
-                name: name.to_string(),
-                assoc,
-            })
-        }
-    }
+/// The round's `(step, time)` as the endpoints of `sub` agree on it.
+///
+/// An endpoint whose writers all closed or died has no blocks in a
+/// round and would otherwise report `step=0, time=0.0`, disagreeing
+/// with its peers mid-run; every endpoint adopts the maximum
+/// `(has-data, step)` across the subgroup instead. Collective over
+/// `sub`.
+fn agreed_step_time(sub: &Comm, steps: &[(usize, BpStep)], blocks: &MultiBlock) -> (u64, f64) {
+    let mine = steps.first().map_or((0, 0.0), |(_, s)| (s.step, s.time));
+    let mine = (blocks.num_present() > 0, mine.0, mine.1);
+    let (_, step, time) =
+        sub.allreduce_scalar(mine, |a, b| if (b.0, b.1) > (a.0, a.1) { b } else { a });
+    (step, time)
 }
 
 /// Writer-side SENSEI analysis adaptor: ships each executed step through
@@ -396,8 +303,9 @@ pub fn run_endpoint_with_broker(
         for (_src, bp) in &steps {
             broker.publish_step(bp);
         }
-        let mut adaptor = BpAdaptor::new(&steps);
-        adaptor.reconcile_step_time(sub);
+        let blocks = round_blocks(&steps);
+        let (step, time) = agreed_step_time(sub, &steps, &blocks);
+        let adaptor = InMemoryAdaptor::new(DataSet::Multi(blocks), time, step);
         bridge.execute(&adaptor, sub);
         // The round's payloads go back to their writers, which marshal
         // the next step into those nothing holds by then: release the
@@ -430,6 +338,18 @@ mod tests {
 
     fn marshal(data: &dyn DataAdaptor) -> BpStep {
         try_adaptor_to_step(data).expect("host-resident test data marshals")
+    }
+
+    /// The image blocks the endpoint builds from one writer's step.
+    fn step_to_blocks(step: &BpStep) -> Vec<ImageData> {
+        let blocks = round_blocks(&[(0, step.clone())]);
+        let images = blocks.blocks().map(|block| {
+            let DataSet::Image(grid) = block else {
+                panic!("the endpoint builds image blocks")
+            };
+            grid.clone()
+        });
+        images.collect()
     }
 
     fn encoded(step: &BpStep) -> Vec<u8> {
@@ -684,8 +604,8 @@ mod tests {
         g.add_point_array(DataArray::owned("data", 1, vec![0.0f64; g.num_points()]));
         let source = [g.x.clone(), g.y.clone(), g.z.clone()];
         let a = InMemoryAdaptor::new(DataSet::Rectilinear(g), 0.0, 0);
-        let endpoint = BpAdaptor::new(&[(0, marshal(&a))]);
-        let block = &endpoint.blocks[0];
+        let blocks = step_to_blocks(&marshal(&a));
+        let block = &blocks[0];
         assert_eq!(block.extent, local);
         for p in local.iter_points() {
             let at = |a: usize| source[a][(p[a] - local.lo[a]) as usize];
@@ -721,10 +641,9 @@ mod tests {
             } else {
                 Vec::new()
             };
-            let mut adaptor = BpAdaptor::new(&steps);
-            adaptor.reconcile_step_time(world);
-            assert_eq!(adaptor.step(), 7, "rank {}", world.rank());
-            assert!((adaptor.time() - 7.0).abs() < 1e-12);
+            let (step, time) = agreed_step_time(world, &steps, &round_blocks(&steps));
+            assert_eq!(step, 7, "rank {}", world.rank());
+            assert!((time - 7.0).abs() < 1e-12);
         });
     }
 
@@ -891,7 +810,7 @@ mod tests {
         g.add_point_array(DataArray::owned("ids", 1, extremes.clone()));
         let a = InMemoryAdaptor::new(DataSet::Image(g), 0.0, 0);
         let wire = BpStep::decode(&encoded(&marshal(&a))).unwrap();
-        let mesh = BpAdaptor::new(&[(0, wire)]).full_mesh();
+        let mesh = round_adaptor(&[(0, wire)]).full_mesh();
         let ids = mesh.leaves().next().and_then(DataSet::point_data).unwrap();
         let ids = ids.get("ids").expect("the array survives");
         assert_eq!(
@@ -901,14 +820,14 @@ mod tests {
     }
 
     #[test]
-    fn bp_adaptor_presents_multiblock() {
+    fn round_adaptor_presents_multiblock() {
         let s0 = marshal(&sim_adaptor(0, 2, 1));
         let s1 = marshal(&sim_adaptor(1, 2, 1));
-        let adaptor = BpAdaptor::new(&[(0, s0), (1, s1)]);
+        let adaptor = round_adaptor(&[(0, s0), (1, s1)]);
         let mesh = adaptor.full_mesh();
         assert_eq!(mesh.leaves().count(), 2);
         assert_eq!(
-            adaptor.array_names(Association::Point),
+            adaptor.array_names(sensei::Association::Point),
             vec!["data".to_string()]
         );
         let total: usize = mesh

@@ -9,8 +9,8 @@ use minimpi::Comm;
 use render::color::{Color, Colormap};
 use render::composite::Compositor::BinarySwap;
 use render::scene::{Plot, Scene};
-use sensei::analysis::{with_point_field, ReportOnce};
-use sensei::{AnalysisAdaptor, DataAdaptor, Steering};
+use sensei::analysis::{LeafView, ReportOnce};
+use sensei::{AnalysisAdaptor, Association, DataAdaptor, Steering};
 
 /// Configuration of a Catalyst slice extract + render.
 #[derive(Clone, Debug)]
@@ -89,12 +89,15 @@ impl AnalysisAdaptor for CatalystSliceAnalysis {
     }
 
     fn execute(&mut self, data: &dyn DataAdaptor, comm: &Comm) -> Steering {
-        let (step, scene) = (data.step(), &mut self.scene);
+        let step = data.step();
         if step.is_multiple_of(self.pipeline.frequency) {
-            let array = &self.pipeline.array;
-            let frame = with_point_field(data, array, "catalyst", &mut self.failures, |field| {
-                scene.frame(comm, step, field)
-            });
+            let field = data.field(Association::Point, &self.pipeline.array);
+            let _publish = field
+                .mesh()
+                .map(|mesh| datamodel::publish_dataset(mesh, "catalyst"));
+            let views = field.views_or(&mut self.failures);
+            let block = views.iter().find_map(LeafView::block);
+            let frame = self.scene.frame(comm, step, block, field.range());
             if let Some((png, written)) = frame {
                 written.unwrap_or_else(|e| self.failures.report(e));
                 *self.last_png.lock() = Some(png);

@@ -112,16 +112,6 @@ impl DataSet {
         }
     }
 
-    /// Mutable point attributes of a leaf dataset (`None` for multiblock).
-    pub fn point_data_mut(&mut self) -> Option<&mut Attributes> {
-        match self {
-            DataSet::Image(g) => Some(&mut g.point_data),
-            DataSet::Rectilinear(g) => Some(&mut g.point_data),
-            DataSet::Unstructured(g) => Some(&mut g.point_data),
-            DataSet::Multi(_) => None,
-        }
-    }
-
     /// Iterate this dataset's leaves (itself, or each multiblock block).
     pub fn leaves(&self) -> Box<dyn Iterator<Item = &DataSet> + '_> {
         match self {

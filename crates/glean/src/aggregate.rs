@@ -18,8 +18,8 @@ use std::time::Duration;
 use adios::broker::{Broker, BrokerConfig, TopicKey};
 use minimpi::Comm;
 use probe::time::Wall;
-use sensei::analysis::{with_point_field, ReportOnce};
-use sensei::{AnalysisAdaptor, DataAdaptor, FailureReport, Steering};
+use sensei::analysis::{LeafView, ReportOnce};
+use sensei::{AnalysisAdaptor, Association, DataAdaptor, FailureReport, Steering};
 
 use crate::blobs::{append_step, BlockRecord};
 
@@ -176,16 +176,19 @@ impl GleanWriter {
         // The block is drained out of the zero-copy arrays inside a
         // publish window, into a record that owns its payload (it
         // outlives the step on the drain thread).
-        let block = with_point_field(data, &self.array, "glean", &mut self.missing, |field| {
-            field.map(|(grid, values)| (grid.extent, values.to_vec()))
-        });
+        let field = data.field(Association::Point, &self.array);
+        let _publish = field
+            .mesh()
+            .map(|mesh| datamodel::publish_dataset(mesh, "glean"));
+        let views = field.views_or(&mut self.missing);
         self.failures.extend(self.missing.take());
-        let (datamodel::Extent { lo, hi }, data) = block?;
+        let (grid, values) = views.iter().find_map(LeafView::block)?;
+        let datamodel::Extent { lo, hi } = grid.extent;
         Some(BlockRecord {
             rank,
             name: self.array.clone(),
             extent: [lo[0], lo[1], lo[2], hi[0], hi[1], hi[2]],
-            data,
+            data: values.to_vec(),
         })
     }
 

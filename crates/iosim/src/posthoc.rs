@@ -5,9 +5,9 @@
 
 use std::path::{Path, PathBuf};
 
-use datamodel::{Attributes, DataArray, DataSet, ImageData, MultiBlock};
+use datamodel::{DataArray, DataSet, ImageData, MultiBlock};
 use minimpi::Comm;
-use sensei::{AdaptorError, AnalysisAdaptor, Association, Bridge, DataAdaptor};
+use sensei::{AnalysisAdaptor, Bridge, InMemoryAdaptor};
 
 use crate::vtkio::read_piece;
 
@@ -25,96 +25,6 @@ pub struct PosthocReport {
     pub steps: u64,
     /// Bytes read from storage by this rank.
     pub bytes_read: u64,
-}
-
-/// Adaptor over the pieces this reader reassembled for one step.
-struct PiecesAdaptor {
-    blocks: Vec<ImageData>,
-    step: u64,
-}
-
-impl DataAdaptor for PiecesAdaptor {
-    fn time(&self) -> f64 {
-        self.step as f64
-    }
-
-    fn step(&self) -> u64 {
-        self.step
-    }
-
-    fn mesh(&self) -> DataSet {
-        let mut mb = MultiBlock::new();
-        for b in &self.blocks {
-            let mut empty = b.clone();
-            empty.point_data = Attributes::new();
-            empty.cell_data = Attributes::new();
-            mb.push(DataSet::Image(empty));
-        }
-        DataSet::Multi(mb)
-    }
-
-    fn array_names(&self, assoc: Association) -> Vec<String> {
-        if assoc != Association::Point {
-            return Vec::new();
-        }
-        let mut names = Vec::new();
-        for b in &self.blocks {
-            for n in b.point_data.names() {
-                if !names.iter().any(|x: &String| x == n) {
-                    names.push(n.to_string());
-                }
-            }
-        }
-        names
-    }
-
-    fn add_array(
-        &self,
-        mesh: &mut DataSet,
-        assoc: Association,
-        name: &str,
-    ) -> Result<(), AdaptorError> {
-        let known = self
-            .array_names(Association::Point)
-            .iter()
-            .any(|n| n == name);
-        if assoc != Association::Point {
-            return Err(if known {
-                AdaptorError::WrongAssociation {
-                    name: name.to_string(),
-                    requested: assoc,
-                    available: Association::Point,
-                }
-            } else {
-                AdaptorError::UnknownArray {
-                    name: name.to_string(),
-                    assoc,
-                }
-            });
-        }
-        let DataSet::Multi(mb) = mesh else {
-            return Err(AdaptorError::LayoutUnsupported {
-                name: name.to_string(),
-                detail: "pieces adaptor presents a multiblock mesh".to_string(),
-            });
-        };
-        let mut any = false;
-        for (i, b) in self.blocks.iter().enumerate() {
-            if let (Some(DataSet::Image(g)), Some(arr)) = (mb.block_mut(i), b.point_data.get(name))
-            {
-                g.point_data.insert(arr.clone());
-                any = true;
-            }
-        }
-        if any {
-            Ok(())
-        } else {
-            Err(AdaptorError::UnknownArray {
-                name: name.to_string(),
-                assoc,
-            })
-        }
-    }
 }
 
 /// Run the post hoc workflow over `comm` (the **reader** communicator):
@@ -141,8 +51,8 @@ pub fn posthoc_analysis(
     for step in 0..steps {
         // Read phase.
         let t0 = probe::time::Wall::now();
-        let mut blocks = Vec::with_capacity(my_writers.len());
-        for &w in &my_writers {
+        let mut blocks = MultiBlock::with_slots(my_writers.len());
+        for (slot, &w) in my_writers.iter().enumerate() {
             let piece = read_piece(dir, step, w)
                 .unwrap_or_else(|e| panic!("posthoc: reading step {step} rank {w}: {e}"));
             let mut g =
@@ -151,13 +61,13 @@ pub fn posthoc_analysis(
                 report.bytes_read += data.len() as u64 * 8;
                 g.add_point_array(DataArray::owned(name, 1, data));
             }
-            blocks.push(g);
+            blocks.set(slot, DataSet::Image(g));
         }
         report.read_seconds += t0.elapsed().as_secs_f64();
 
         // Process phase.
         let t1 = probe::time::Wall::now();
-        let adaptor = PiecesAdaptor { blocks, step };
+        let adaptor = InMemoryAdaptor::new(DataSet::Multi(blocks), step as f64, step);
         bridge.execute(&adaptor, comm);
         report.process_seconds += t1.elapsed().as_secs_f64();
         report.steps += 1;

@@ -9,8 +9,8 @@ use minimpi::Comm;
 use render::color::{Color, Colormap};
 use render::composite::Compositor;
 use render::scene::{self, Scene};
-use sensei::analysis::{with_point_field, ReportOnce};
-use sensei::{AnalysisAdaptor, DataAdaptor, Steering};
+use sensei::analysis::{LeafView, ReportOnce};
+use sensei::{AnalysisAdaptor, Association, DataAdaptor, Steering};
 
 use crate::session::{Plot, Session};
 
@@ -98,12 +98,15 @@ impl AnalysisAdaptor for LibsimAnalysis {
     }
 
     fn execute(&mut self, data: &dyn DataAdaptor, comm: &Comm) -> Steering {
-        let (step, scene) = (data.step(), &mut self.scene);
+        let step = data.step();
         if step.is_multiple_of(self.frequency) {
-            let frame =
-                with_point_field(data, &self.array, "libsim", &mut self.failures, |field| {
-                    scene.frame(comm, step, field)
-                });
+            let field = data.field(Association::Point, &self.array);
+            let _publish = field
+                .mesh()
+                .map(|mesh| datamodel::publish_dataset(mesh, "libsim"));
+            let views = field.views_or(&mut self.failures);
+            let block = views.iter().find_map(LeafView::block);
+            let frame = self.scene.frame(comm, step, block, field.range());
             if let Some((png, written)) = frame {
                 written.unwrap_or_else(|e| self.failures.report(e));
                 *self.last_png.lock() = Some(png);

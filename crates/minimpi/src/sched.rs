@@ -493,7 +493,17 @@ struct State {
     /// Per-slot decision count at the last progress event (send,
     /// match, or interactive).
     last_progress: Vec<u64>,
+    /// The runnable slots of the decision being made, sized for every
+    /// slot when the world is built: a decision allocates nothing.
+    runnable: Vec<usize>,
 }
+
+/// Trace events reserved when the world is built, before any rank
+/// holds the turn: a run that records fewer grows its trace on no
+/// rank's thread, so a rank's heap calls do not follow the
+/// interleaving. A longer run doubles it on the rank thread that
+/// records the next event.
+const TRACE_RESERVE: usize = 1 << 12;
 
 /// The serialized deterministic scheduler shared by every rank of one
 /// world. At most one rank executes user code at any instant; all
@@ -544,13 +554,14 @@ impl Sched {
                 vclock_nanos: 0,
                 trace: Trace {
                     seed,
-                    events: Vec::new(),
+                    events: Vec::with_capacity(TRACE_RESERVE),
                 },
                 abort: None,
                 liveness,
                 decisions: 0,
                 spin_counts: vec![0; size],
                 last_progress: vec![0; size],
+                runnable: Vec::with_capacity(size),
             }),
             cv: Condvar::new(),
         })
@@ -737,13 +748,11 @@ impl Sched {
     /// token; resolve quiescence (deadline expiry or exact deadlock)
     /// when the ready set is empty.
     fn pick_and_grant(&self, s: &mut State) {
-        let runnable: Vec<usize> = s
-            .status
-            .iter()
-            .enumerate()
-            .filter(|(_, st)| matches!(st, Status::Runnable))
-            .map(|(slot, _)| slot)
-            .collect();
+        s.runnable.clear();
+        let ready = s.status.iter().enumerate();
+        let ready = ready.filter(|(_, st)| matches!(st, Status::Runnable));
+        s.runnable.extend(ready.map(|(slot, _)| slot));
+        let runnable = &s.runnable;
         if runnable.is_empty() {
             self.resolve_quiescence(s);
             return;
@@ -770,7 +779,7 @@ impl Sched {
                     .find(|slot| runnable.contains(slot))
                     .unwrap_or(runnable[0]);
                 let chosen =
-                    guided_choice(guide, pos, &runnable, fair, DecisionKind::Run, trace_pos);
+                    guided_choice(guide, pos, runnable, fair, DecisionKind::Run, trace_pos);
                 *rotor = (chosen + 1) % size;
                 chosen
             }

@@ -47,7 +47,7 @@ use parking_lot::Mutex;
 
 use adios::{AdmissionError, Broker, BrokerConfig, EvictionRecord, Subscription, TopicKey};
 use minimpi::{Comm, FaultHandle};
-use sensei::analysis::{for_each_value, leaf_views};
+use sensei::analysis::{leaf_views, LeafView};
 use sensei::{AnalysisAdaptor, Association, DataAdaptor, FailureReport, Steering};
 
 /// Interactive client identity. Stable across record and replay: the
@@ -885,11 +885,19 @@ impl QueryServer {
 /// Stream a field's non-ghost values, trying point association first
 /// and falling back to cell. An unreadable field counts as absent.
 fn each_value(data: &dyn DataAdaptor, field: &str, mut f: impl FnMut(f64)) -> usize {
-    let n = for_each_value(data, Association::Point, field, &mut f).unwrap_or(0);
-    if n > 0 {
-        return n;
+    let mut n = 0;
+    for assoc in [Association::Point, Association::Cell] {
+        if let Ok(views) = data.field(assoc, field).views() {
+            for (_, v) in views.iter().flat_map(LeafView::kept) {
+                f(v);
+                n += 1;
+            }
+        }
+        if n > 0 {
+            break;
+        }
     }
-    for_each_value(data, Association::Cell, field, &mut f).unwrap_or(0)
+    n
 }
 
 /// Read the leading values of leaf `leaf`'s field from a snapshot.

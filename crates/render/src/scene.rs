@@ -1,5 +1,6 @@
 //! One in situ frame, as `catalyst` and `libsim` configure it: one
-//! [`global_range`], each plot drawn and composited over it and
+//! [`global_range`] a step, kept in the caller's range cell for the
+//! step's later frames, each plot drawn and composited over it and
 //! depth-merged where its rows lie, one collective [`PngEncoder`] file.
 //! A rank without the field is an empty block: it draws nothing and
 //! still joins every collective, so no rank waits on it.
@@ -13,6 +14,7 @@
 //! probe times `per-step/render/range` and `…/encode` once a frame, and
 //! `…/draw` and `…/composite` once a plot.
 
+use std::cell::Cell;
 use std::path::PathBuf;
 
 use datamodel::Structured;
@@ -75,18 +77,26 @@ impl Scene {
     }
 
     /// One frame of `field` — this rank's block and its point values, or
-    /// `None`. Collective; rank 0 gets the PNG and whether writing it to
-    /// `output` failed.
+    /// `None` — coloured over `range`, the field's range this step: the
+    /// one a frame of this step already took, or else taken here (one
+    /// pair reduction) and kept in it. Collective, so every rank passes
+    /// a cell in the same state; rank 0 gets the PNG and whether writing
+    /// it to `output` failed.
     pub fn frame(
         &mut self,
         comm: &Comm,
         step: u64,
         field: Option<(Structured<'_>, &[f64])>,
+        range: &Cell<Option<(f64, f64)>>,
     ) -> Option<(Vec<u8>, Result<(), String>)> {
         let probe = comm.probe();
         let (lo, hi) = {
             let _range = probe.span("per-step/render/range");
-            global_range(comm, field.map_or(&[][..], |(_, values)| values))
+            let taken = range
+                .get()
+                .unwrap_or_else(|| global_range(comm, field.map_or(&[][..], |(_, values)| values)));
+            range.set(Some(taken));
+            taken
         };
         let ((width, height), compositor) = (self.image, self.compositor);
         // Each later plot is merged in where this rank's rows lie: only
@@ -198,7 +208,8 @@ mod tests {
             let mut scene = Scene::new("frame", (40, 24), which, Color::BLACK, vec![plot]);
             (0..2)
                 .map(|step| {
-                    let png = scene.frame(comm, step, Some((grid, &values)));
+                    let range = Cell::new(None);
+                    let png = scene.frame(comm, step, Some((grid, &values)), &range);
                     (Framebuffer::spare_at(comm), png.map(|(png, _)| png))
                 })
                 .collect::<Vec<_>>()

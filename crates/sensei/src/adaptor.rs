@@ -2,6 +2,8 @@
 
 use datamodel::DataSet;
 
+use crate::field::Field;
+
 /// Whether an array lives on points or cells.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub enum Association {
@@ -13,7 +15,7 @@ pub enum Association {
 
 impl Association {
     /// The other association.
-    pub fn other(self) -> Self {
+    pub(crate) fn other(self) -> Self {
         match self {
             Association::Point => Association::Cell,
             Association::Cell => Association::Point,
@@ -178,6 +180,15 @@ pub trait DataAdaptor {
         mesh
     }
 
+    /// The step's `array` under `assoc`, populated and viewed once for
+    /// every reader: see [`Field`]. The default derives it afresh from
+    /// [`DataAdaptor::mesh`] and [`DataAdaptor::add_array`] on each
+    /// call; inside [`crate::Bridge::execute`] the step's analyses share
+    /// one per `(assoc, array)`.
+    fn field(&self, assoc: Association, array: &str) -> Field<'_> {
+        Field::derive(self, assoc, array)
+    }
+
     /// Release references to simulation data after the bridge finishes a
     /// step. Default: nothing (adaptors built per step need no release).
     ///
@@ -201,11 +212,6 @@ impl InMemoryAdaptor {
     /// Wrap `data` at the given time/step.
     pub fn new(data: DataSet, time: f64, step: u64) -> Self {
         InMemoryAdaptor { data, time, step }
-    }
-
-    /// Access the wrapped dataset.
-    pub fn data(&self) -> &DataSet {
-        &self.data
     }
 
     /// Classify a lookup miss: does the array live under the other
@@ -236,39 +242,43 @@ impl DataAdaptor for InMemoryAdaptor {
     }
 
     fn mesh(&self) -> DataSet {
-        // Structure only: strip attributes.
-        fn strip(ds: &DataSet) -> DataSet {
+        // Structure only: each leaf's geometry, built bare.
+        fn bare(ds: &DataSet) -> DataSet {
+            use datamodel::Attributes;
             match ds {
-                DataSet::Image(g) => {
-                    let mut g = g.clone();
-                    g.point_data = datamodel::Attributes::new();
-                    g.cell_data = datamodel::Attributes::new();
-                    DataSet::Image(g)
-                }
-                DataSet::Rectilinear(g) => {
-                    let mut g = g.clone();
-                    g.point_data = datamodel::Attributes::new();
-                    g.cell_data = datamodel::Attributes::new();
-                    DataSet::Rectilinear(g)
-                }
-                DataSet::Unstructured(g) => {
-                    let mut g = g.clone();
-                    g.point_data = datamodel::Attributes::new();
-                    g.cell_data = datamodel::Attributes::new();
-                    DataSet::Unstructured(g)
-                }
+                DataSet::Image(g) => DataSet::Image(datamodel::ImageData {
+                    point_data: Attributes::new(),
+                    cell_data: Attributes::new(),
+                    ..*g
+                }),
+                DataSet::Rectilinear(g) => DataSet::Rectilinear(datamodel::RectilinearGrid {
+                    x: g.x.clone(),
+                    y: g.y.clone(),
+                    z: g.z.clone(),
+                    point_data: Attributes::new(),
+                    cell_data: Attributes::new(),
+                    ..*g
+                }),
+                DataSet::Unstructured(g) => DataSet::Unstructured(datamodel::UnstructuredGrid {
+                    points: g.points.clone(),
+                    connectivity: g.connectivity.clone(),
+                    offsets: g.offsets.clone(),
+                    cell_types: g.cell_types.clone(),
+                    point_data: Attributes::new(),
+                    cell_data: Attributes::new(),
+                }),
                 DataSet::Multi(m) => {
                     let mut out = datamodel::MultiBlock::with_slots(m.num_slots());
                     for i in 0..m.num_slots() {
                         if let Some(b) = m.block(i) {
-                            out.set(i, strip(b));
+                            out.set(i, bare(b));
                         }
                     }
                     DataSet::Multi(out)
                 }
             }
         }
-        strip(&self.data)
+        bare(&self.data)
     }
 
     fn array_names(&self, assoc: Association) -> Vec<String> {

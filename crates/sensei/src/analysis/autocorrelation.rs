@@ -27,9 +27,7 @@ use std::cmp::Ordering;
 use std::sync::Arc;
 
 use crate::adaptor::{Association, DataAdaptor};
-use crate::analysis::{
-    leaf_views, populated_mesh, AnalysisAdaptor, LeafView, ReportOnce, Steering,
-};
+use crate::analysis::{AnalysisAdaptor, LeafView, ReportOnce, Steering};
 use datamodel::Extent;
 
 /// Gauge name for the autocorrelation history/correlation buffers
@@ -275,14 +273,8 @@ impl AnalysisAdaptor for Autocorrelation {
         let _update = probe.span("per-step/autocorrelation/update");
         // An unreadable field (missing array, wrong memory space) skips
         // the step; the typed cause is reported once.
-        let mesh = match populated_mesh(data, Association::Point, &self.array) {
-            Ok(mesh) => mesh,
-            Err(err) => {
-                self.failures.report(err);
-                return Steering::Continue;
-            }
-        };
-        let views = match leaf_views(&mesh, Association::Point, &self.array) {
+        let field = data.field(Association::Point, &self.array);
+        let views = match field.views() {
             Ok(views) => views,
             Err(err) => {
                 self.failures.report(err);
@@ -348,6 +340,7 @@ mod tests {
     use super::reference::Reference;
     use super::*;
     use crate::adaptor::InMemoryAdaptor;
+    use crate::analysis::leaf_views;
     use crate::Bridge;
     use datamodel::{
         dims_create, duplicate_point_ghosts, partition_extent, DataArray, DataSet, ImageData,

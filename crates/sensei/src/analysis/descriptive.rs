@@ -8,7 +8,7 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 
 use crate::adaptor::{Association, DataAdaptor};
-use crate::analysis::{for_each_value, AnalysisAdaptor, ReportOnce, Steering};
+use crate::analysis::{AnalysisAdaptor, LeafView, ReportOnce, Steering};
 
 /// Moments and extrema of a field at one step, identical on all ranks.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -73,17 +73,19 @@ impl AnalysisAdaptor for DescriptiveStats {
         let mut sum_sq = 0.0;
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
-        let read = for_each_value(data, self.assoc, &self.array, |v| {
-            count += 1.0;
-            sum += v;
-            sum_sq += v * v;
-            lo = lo.min(v);
-            hi = hi.max(v);
-        });
         // An unreadable field contributes nothing, but the partials
         // still go to the allreduce: every rank reaches it.
-        if let Err(err) = read {
-            self.failures.report(err);
+        match data.field(self.assoc, &self.array).views() {
+            Ok(views) => {
+                for (_, v) in views.iter().flat_map(LeafView::kept) {
+                    count += 1.0;
+                    sum += v;
+                    sum_sq += v * v;
+                    lo = lo.min(v);
+                    hi = hi.max(v);
+                }
+            }
+            Err(err) => self.failures.report(err),
         }
         let step = data.step();
         let merged = comm.allreduce(vec![count, sum, sum_sq, lo, hi], |a, b| {

@@ -32,9 +32,7 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 
 use crate::adaptor::{Association, DataAdaptor};
-use crate::analysis::{
-    leaf_views, populated_mesh, AnalysisAdaptor, LeafView, ReportOnce, Steering,
-};
+use crate::analysis::{AnalysisAdaptor, LeafView, ReportOnce, Steering};
 use datamodel::MemoryFootprint;
 
 /// The result available on rank 0 after each execute.
@@ -196,26 +194,23 @@ impl AnalysisAdaptor for HistogramAnalysis {
 
     fn execute(&mut self, data: &dyn DataAdaptor, comm: &Comm) -> Steering {
         let probe = comm.probe();
-        // The typed cause of a missing array is reported once.
-        let mesh = populated_mesh(data, self.assoc, &self.array).unwrap_or_else(|err| {
-            self.failures.report(err);
-            data.mesh()
-        });
-        if probe.is_enabled() {
-            // Borrowed vs. owned bytes of this step's analysis mesh: the
-            // zero-copy story as numbers.
-            let owned = mesh.heap_bytes(false);
-            let total = mesh.heap_bytes(true);
-            probe.gauge_max(probe::GAUGE_DATASET_OWNED, owned as u64);
-            probe.gauge_max(probe::GAUGE_DATASET_SHARED, (total - owned) as u64);
+        let field = data.field(self.assoc, &self.array);
+        // Borrowed vs. owned bytes of this step's analysis mesh: the
+        // zero-copy story as numbers.
+        match field.mesh() {
+            Ok(mesh) if probe.is_enabled() => {
+                let owned = mesh.heap_bytes(false);
+                let total = mesh.heap_bytes(true);
+                probe.gauge_max(probe::GAUGE_DATASET_OWNED, owned as u64);
+                probe.gauge_max(probe::GAUGE_DATASET_SHARED, (total - owned) as u64);
+            }
+            _ => {}
         }
-        // A mesh without the array — or with one this rank's memory
-        // space cannot reach — yields zero views, but the collectives
-        // below still run: every rank must reach the reductions.
-        let views = leaf_views(&mesh, self.assoc, &self.array).unwrap_or_else(|err| {
-            self.failures.report(err);
-            Vec::new()
-        });
+        // A field this rank lacks — or one its memory space cannot
+        // reach — yields zero views, but the collectives below still
+        // run: every rank must reach the reductions. The typed cause is
+        // reported once.
+        let views = field.views_or(&mut self.failures);
 
         // Pass 1: streaming local min/max + count over the borrowed
         // values' kept runs. Nothing is materialized.

@@ -13,7 +13,7 @@ pub mod histogram;
 
 use std::borrow::Cow;
 
-use crate::adaptor::{AdaptorError, Association, DataAdaptor};
+use crate::adaptor::{Association, DataAdaptor};
 use datamodel::AccessError;
 use minimpi::Comm;
 
@@ -91,6 +91,7 @@ pub trait AnalysisAdaptor: Send {
 /// anywhere; a non-`f64` or multi-component field (or an exotically
 /// typed ghost array) is widened once into the `Owned` side and then
 /// runs the same kernels.
+#[derive(Clone)]
 pub struct LeafView<'a> {
     /// Component 0 of the field, widened to `f64`.
     pub values: Cow<'a, [f64]>,
@@ -101,8 +102,14 @@ pub struct LeafView<'a> {
 }
 
 impl LeafView<'_> {
+    /// The leaf's structured geometry and its values, where it has one:
+    /// the block an infrastructure draws or ships.
+    pub fn block(&self) -> Option<(datamodel::Structured<'_>, &[f64])> {
+        Some((self.geometry?, &self.values))
+    }
+
     /// The non-ghost values with their tuple index, in element order.
-    pub(crate) fn kept(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+    pub fn kept(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
         let ghosts = self.ghosts.as_deref();
         let values = self.values.iter().copied().enumerate();
         values.filter(move |&(t, _)| !ghost_at(ghosts, t))
@@ -211,67 +218,6 @@ impl ReportOnce {
     }
 }
 
-/// Run `f` on this rank's block of point array `array` — the first
-/// structured leaf carrying it, read in place inside a publish window
-/// named `endpoint` — or on `None`, the cause going to `failures`, where
-/// the rank has no such leaf or cannot read it: what an infrastructure
-/// does with a field is collective, so `f` runs either way.
-pub fn with_point_field<R>(
-    data: &dyn DataAdaptor,
-    array: &str,
-    endpoint: &str,
-    failures: &mut ReportOnce,
-    f: impl FnOnce(Option<(datamodel::Structured<'_>, &[f64])>) -> R,
-) -> R {
-    let mut mesh = data.mesh();
-    if let Err(err) = data.add_array(&mut mesh, Association::Point, array) {
-        failures.report(err);
-        return f(None);
-    }
-    let _publish = datamodel::publish_dataset(&mesh, endpoint);
-    // Space-checked: a device-resident array is a failure, not a copy.
-    let views = leaf_views(&mesh, Association::Point, array).unwrap_or_else(|err| {
-        failures.report(format!("{endpoint}: {err}"));
-        Vec::new()
-    });
-    let field = views
-        .iter()
-        .find_map(|v| Some((v.geometry?, &v.values[..])));
-    f(field)
-}
-
-/// The step's analysis mesh with `array` attached, plus the producer's
-/// ghost flags when it has them (so ghost tuples can be blanked).
-pub(crate) fn populated_mesh(
-    data: &dyn DataAdaptor,
-    assoc: Association,
-    array: &str,
-) -> Result<datamodel::DataSet, AdaptorError> {
-    let mut mesh = data.mesh();
-    data.add_array(&mut mesh, assoc, array)?;
-    let _ = data.add_array(&mut mesh, assoc, datamodel::GHOST_ARRAY_NAME);
-    Ok(mesh)
-}
-
-/// Feed a field's non-ghost values, leaf by leaf in element order, to
-/// `f`; returns how many there were.
-pub fn for_each_value(
-    data: &dyn DataAdaptor,
-    assoc: Association,
-    array: &str,
-    mut f: impl FnMut(f64),
-) -> Result<usize, AdaptorError> {
-    let mesh = populated_mesh(data, assoc, array)?;
-    let mut n = 0;
-    for view in leaf_views(&mesh, assoc, array)? {
-        for (_, v) in view.kept() {
-            f(v);
-            n += 1;
-        }
-    }
-    Ok(n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::autocorrelation::Autocorrelation;
@@ -327,9 +273,8 @@ mod tests {
             let mut reference = Vec::new();
             for step in 0..5 {
                 let data = deck(storage, ghosted, comm.rank(), step);
-                let mesh = populated_mesh(&data, Association::Point, "data").unwrap();
-                let views = leaf_views(&mesh, Association::Point, "data").unwrap();
-                reference.push(histogram::local_histogram(&views, 16));
+                let field = data.field(Association::Point, "data");
+                reference.push(histogram::local_histogram(&field.views().unwrap(), 16));
                 bridge.execute(&data, comm);
             }
             bridge.finalize(comm);

@@ -17,9 +17,10 @@ use std::collections::BTreeSet;
 use minimpi::Comm;
 use probe::{GaugeStat, Probe, RunReport, Snapshot};
 
-use crate::adaptor::DataAdaptor;
+use crate::adaptor::{AdaptorError, Association, DataAdaptor};
 use crate::analysis::{AnalysisAdaptor, Steering};
 use crate::failure::FailureReport;
+use crate::field::{Field, Memo};
 use probe::FailureEntry;
 
 /// Which analysis asked the simulation to stop, and why.
@@ -33,7 +34,8 @@ pub struct StopInfo {
 
 /// The bridge between a simulation and its enabled analyses.
 pub struct Bridge {
-    analyses: Vec<Box<dyn AnalysisAdaptor>>,
+    /// Each analysis with its `per-step/<name>` span label.
+    analyses: Vec<(Box<dyn AnalysisAdaptor>, String)>,
     steps: u64,
     finalized: bool,
     failures: Vec<FailureReport>,
@@ -88,7 +90,8 @@ impl Drop for Registration<'_> {
         if let Some(analysis) = self.analysis.take() {
             let label = format!("initialize/{}", analysis.name());
             self.bridge.phases.record_span(&label, self.init_seconds);
-            self.bridge.analyses.push(analysis);
+            let per_step = format!("per-step/{}", analysis.name());
+            self.bridge.analyses.push((analysis, per_step));
         }
     }
 }
@@ -176,19 +179,25 @@ impl Bridge {
             None
         };
         let mut stop: Option<StopInfo> = None;
-        for analysis in &mut self.analyses {
-            let label = format!("per-step/{}", analysis.name());
-            let verdict = timed(&self.phases, &label, || analysis.execute(data, comm));
-            drain_failures(
-                &mut self.failures,
-                &mut self.seen_failures,
-                analysis.as_mut(),
-            );
-            if let Steering::Stop { reason } = verdict {
-                stop.get_or_insert_with(|| StopInfo {
-                    analysis: analysis.name().to_string(),
-                    reason,
-                });
+        {
+            // The step's fields, shared by its analyses and dropped
+            // before release_data(): no share of the step's buffers
+            // outlives execute.
+            let memo = Memo::default();
+            let step = Step { data, memo: &memo };
+            for (analysis, label) in &mut self.analyses {
+                let verdict = timed(&self.phases, label, || analysis.execute(&step, comm));
+                drain_failures(
+                    &mut self.failures,
+                    &mut self.seen_failures,
+                    analysis.as_mut(),
+                );
+                if let Steering::Stop { reason } = verdict {
+                    stop.get_or_insert_with(|| StopInfo {
+                        analysis: analysis.name().to_string(),
+                        reason,
+                    });
+                }
             }
         }
         data.release_data();
@@ -225,7 +234,7 @@ impl Bridge {
         // have closed — an endpoint still holding a staged view here
         // is a leak (reported per window, with the opening clock).
         sanitizer::check_view_leaks("Bridge::finalize");
-        for analysis in &mut self.analyses {
+        for (analysis, _) in &mut self.analyses {
             let label = format!("finalize/{}", analysis.name());
             timed(&self.phases, &label, || analysis.finalize(comm));
             drain_failures(
@@ -303,6 +312,44 @@ impl Bridge {
     /// Failure reports recorded during the run (empty = healthy).
     pub fn failure_reports(&self) -> &[FailureReport] {
         &self.failures
+    }
+}
+
+/// The data adaptor as a step's analyses see it: the adaptor itself,
+/// but one [`Field`] per `(association, array)` for the whole step.
+struct Step<'m> {
+    data: &'m dyn DataAdaptor,
+    memo: &'m Memo<'m>,
+}
+
+impl DataAdaptor for Step<'_> {
+    fn time(&self) -> f64 {
+        self.data.time()
+    }
+
+    fn step(&self) -> u64 {
+        self.data.step()
+    }
+
+    fn mesh(&self) -> datamodel::DataSet {
+        self.data.mesh()
+    }
+
+    fn array_names(&self, assoc: Association) -> Vec<String> {
+        self.data.array_names(assoc)
+    }
+
+    fn add_array(
+        &self,
+        mesh: &mut datamodel::DataSet,
+        assoc: Association,
+        name: &str,
+    ) -> Result<(), AdaptorError> {
+        self.data.add_array(mesh, assoc, name)
+    }
+
+    fn field(&self, assoc: Association, array: &str) -> Field<'_> {
+        self.memo.field(self.data, assoc, array)
     }
 }
 

@@ -61,11 +61,13 @@ pub mod analysis;
 pub mod bridge;
 pub mod config;
 pub mod failure;
+mod field;
 
 pub use adaptor::{AdaptorError, Association, DataAdaptor, InMemoryAdaptor};
 pub use analysis::{AnalysisAdaptor, Steering};
 pub use bridge::{Bridge, Registration, StopInfo};
 pub use failure::FailureReport;
+pub use field::Field;
 
 // Re-exported so downstream crates can consume run reports without
 // depending on `probe` directly.

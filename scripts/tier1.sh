@@ -21,6 +21,19 @@ if grep -rnE 'DataSet::(Rectilinear|Image)\([a-z_][A-Za-z0-9_]*\)[^=]*=>' \
     exit 1
 fi
 
+echo "==> one way to read a field"
+# Analyses and endpoints read a step's field through DataAdaptor::field,
+# which Bridge::execute shares among a step's analyses, and blocks that
+# arrive materialised (staging, post hoc) are an InMemoryAdaptor; a
+# private derivation of the field, or another adaptor over received
+# blocks, is a second way back.
+if awk '/#\[cfg\(test\)\]/{nextfile} {print FILENAME ":" FNR ": " $0}' \
+    $(find crates/*/src src -name '*.rs') |
+    grep -E 'with_point_field|populated_mesh|for_each_value|struct (BpAdaptor|PiecesAdaptor)'; then
+    echo "tier1: a second way to read a step's field is back" >&2
+    exit 1
+fi
+
 echo "==> in transit payloads move in bulk, in their own type"
 # BP payloads are encoded and decoded a slice at a time; outside the
 # tests, the per-scalar f64 puts are the step time and the attribute

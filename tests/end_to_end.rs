@@ -280,9 +280,11 @@ fn steady_state_render_step_allocates_no_catalyst_frame() {
     );
 
     // A probed pass counts one warm step's messages over both ranks:
-    // 139, DESIGN §11's 14 + 62 + 63 (the frames' collectives and
+    // 137, DESIGN §11's 12 + 62 + 63 (the frames' collectives and
     // scanlines, Catalyst's swap strips beyond the one patch each way,
-    // Libsim's strips and their returns beyond its one patch). 96 are
+    // Libsim's strips and their returns beyond its one patch). The
+    // step's one colour range is one pair reduction, a reduce and a
+    // broadcast: Libsim's frame reuses the range Catalyst's took. 96 are
     // strips, whose bytes are the closed form of
     // `render_step_ships_scanlines_not_gathered_framebuffers`: Catalyst
     // swaps 975 × 540 and 945 × 540 px, Libsim's child lends 504 × 1024.
@@ -303,7 +305,7 @@ fn steady_state_render_step_allocates_no_catalyst_frame() {
         step
     });
     let total = [0, 1, 2].map(|k| counted[0][k] + counted[1][k]);
-    assert_eq!(total[0], 14 + 62 + 63, "minimpi messages a warm step");
+    assert_eq!(total[0], 12 + 62 + 63, "minimpi messages a warm step");
     assert_eq!(total[1], 96, "render/composite strips a warm step");
     assert_eq!(total[2], 8 * (975 * 540 + 945 * 540 + 504 * 1024));
 }
@@ -324,25 +326,26 @@ fn steady_state_render_step_allocates_no_catalyst_frame() {
 /// to at most twice its length; 16 KiB covers everything else.
 ///
 /// The heap calls are exact, and listed by site. Before their first
-/// pixel, the two analyses make 19 on each rank:
-/// - `Bridge::execute`, its span label (2 for `per-step/catalyst-slice`,
-///   which outgrows `format!`'s first guess; 1 for `per-step/libsim`);
-/// - `with_point_field`, 5: the field's `DataArray::shared` and its name
-///   (2), the point-data slot (1), `leaf_views`' leaf and view lists (2);
-/// - `global_range`, 1: the envelope of its pair (rank 1's reduce, rank
-///   0's broadcast);
-/// - `Scene::frame`, 1: the slice's colormap, cloned into its config;
-/// - `extract_plane`, 1: the plane's values.
+/// pixel, the two analyses make 13 on each rank:
+/// - the step's field, 8, derived for Catalyst and shared with Libsim:
+///   the field's and the ghost flags' `DataArray::shared` and names (4),
+///   the point-data slot (1), the field's name as the step's key (1),
+///   `leaf_views`' leaf and view lists (2);
+/// - `global_range`, 1, once: the envelope of its pair (rank 1's
+///   reduce, rank 0's broadcast); Libsim reuses the range;
+/// - `Scene::frame`, 1 a frame: the slice's colormap, cloned into its
+///   config;
+/// - `extract_plane`, 1 a frame: the plane's values.
 ///
 /// A strip is ⌊32 Ki / 480⌋ = 68 Catalyst rows or 128 Libsim rows, so
 /// each swap half (135 rows) and the tree child's image (256 rows)
 /// travel as 2 strips, in buffers that circulate: each message is its
-/// envelope alone. Beyond the 19, rank 1 makes 6 more, to 25:
+/// envelope alone. Beyond the 13, rank 1 makes 6 more, to 19:
 /// - Catalyst's swap strips, 2;
 /// - Catalyst's scanlines for rank 0's band, 2: the lines, envelope;
 /// - Libsim's strips up the tree, 2.
 ///
-/// Rank 0 makes 13 more, to 32, plus each file's growth:
+/// Rank 0 makes 13 more, to 26, plus each file's growth:
 /// - Catalyst's swap strips, 2;
 /// - Libsim's strips given back to rank 1, 2;
 /// - Catalyst's list of the rows rank 1 sent, 1;
@@ -353,12 +356,12 @@ fn steady_state_render_step_allocates_no_catalyst_frame() {
 ///
 /// Until the strips, rank 0's swap patch took 3 calls (colour, depth,
 /// envelope) and each file's raw scanline stream 1, and rank 1's two
-/// patches 3 each: 32 and 27.
+/// patches 3 each.
 #[test]
 fn steady_state_render_step_allocates_no_framebuffer() {
     const STEPS: usize = 5;
     const WARM_UP: usize = 2;
-    const CALLS: [u64; 2] = [32, 25];
+    const CALLS: [u64; 2] = [26, 19];
     let d = deck();
     let rounds = World::run(2, move |comm| {
         let cfg = SimConfig {
@@ -420,6 +423,65 @@ fn steady_state_render_step_allocates_no_framebuffer() {
             );
         }
     }
+}
+
+/// Each rank's collective calls (`minimpi/*` counters but p2p), by
+/// name, and rank 0's files, over three Catalyst + Libsim steps of a
+/// 9³ grid on two ranks, rank 1 carrying its block's field as `array`.
+fn render_with_rank1_array(array: &'static str) -> (Vec<Vec<(String, u64)>>, Vec<String>) {
+    use datamodel::{DataArray, DataSet, ImageData};
+    let ranks = World::run(2, move |comm| {
+        comm.attach_probe(probe::enabled());
+        let global = Extent::whole([9, 9, 9]);
+        let local = partition_extent(&global, datamodel::dims_create(2), comm.rank());
+        let mut pipeline = catalyst::SlicePipeline::new("data", 2, 4);
+        (pipeline.width, pipeline.height) = (64, 48);
+        let catalyst = catalyst::CatalystSliceAnalysis::new(pipeline);
+        let session =
+            libsim::Session::parse("image 48 48\nplot pseudocolor data axis=x index=4\n").unwrap();
+        let libsim = libsim::LibsimAnalysis::new(session, std::path::Path::new("/nonexistent"));
+        let files = [catalyst.png_handle(), libsim.png_handle()];
+        let mut bridge = Bridge::new();
+        bridge.register(Box::new(catalyst));
+        bridge.register(Box::new(libsim));
+        for step in 0..3 {
+            let mut g = ImageData::new(local, global);
+            let name = if comm.rank() == 1 { array } else { "data" };
+            let values = local.iter_points().map(|p| (p[0] + 2 * p[1] + p[2]) as f64);
+            g.add_point_array(DataArray::owned(name, 1, values.collect()));
+            let data = sensei::InMemoryAdaptor::new(DataSet::Image(g), step as f64, step);
+            assert!(bridge.execute(&data, comm).should_continue());
+        }
+        let missing = bridge.failure_reports().len();
+        assert_eq!(missing, if array == "data" { 0 } else { 2 * comm.rank() });
+        let calls = comm.probe().snapshot().counters.into_iter();
+        let calls = calls.filter(|c| c.name.starts_with("minimpi/") && c.name != "minimpi/p2p");
+        let files = files.map(|f| format!("{:?}", f.lock().as_ref().map(|png| png.len())));
+        (calls.map(|c| (c.name, c.calls)).collect(), files.join(" "))
+    });
+    ranks.into_iter().unzip()
+}
+
+/// A rank whose step lacks the field still joins every collective of a
+/// Catalyst + Libsim step: the step's field keeps the miss like a hit,
+/// so the colour range it shares is taken once a step on every rank,
+/// and the frames finish, each rank making the collectives it makes
+/// when every rank has the field.
+#[test]
+fn a_rank_without_the_field_joins_the_same_collectives() {
+    let (present, files) = render_with_rank1_array("data");
+    let (missing, missing_files) = render_with_rank1_array("other");
+    // One pair reduction a step, the range both frames share; the
+    // frames' encode moves point to point.
+    let range = vec![
+        ("minimpi/bcast".to_string(), 3),
+        ("minimpi/reduce".to_string(), 3),
+    ];
+    assert_eq!(present, [range.clone(), range], "the field on both ranks");
+    assert_eq!(missing, present, "rank 1 without the field");
+    assert_eq!(files[1], "None None", "rank 0 holds the files");
+    assert_eq!(missing_files[1], files[1]);
+    assert!(missing_files[0].starts_with("Some(") && missing_files[0].contains(") Some("));
 }
 
 /// Heap calls of one warm Libsim step on each of two free-running ranks
@@ -686,7 +748,7 @@ fn endpoint_reads_the_decoded_frame_in_place() {
 
     probe::alloc::reset_peak();
     let floor = probe::alloc::current_bytes();
-    let endpoint = adios::staging::BpAdaptor::new(&steps);
+    let endpoint = adios::staging::round_adaptor(&steps);
     let mut mesh = endpoint.mesh();
     for name in ["data", datamodel::GHOST_ARRAY_NAME] {
         endpoint
@@ -720,6 +782,192 @@ fn endpoint_reads_the_decoded_frame_in_place() {
             flags.as_ptr()
         );
     }
+}
+
+/// No share of a step outlives `Bridge::execute`: the step's field is
+/// held by every analysis of the step and dropped before the adaptor's
+/// `release_data`. In situ, the oscillator's field buffer is back to
+/// its reference count before the call by `release_data`, having been
+/// shared during it; in transit, every block a writer lent comes back
+/// `Taken` and held by nobody else, so the writer marshals into it
+/// again, and a bridged round leaves each adopted block to its step.
+#[test]
+fn no_share_of_a_step_outlives_bridge_execute() {
+    use adios::bp::Payload;
+    use adios::staging::{run_endpoint_with_broker, try_adaptor_to_step};
+    use adios::{pair, BrokerConfig, Role, StagingBroker};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    /// Reads the step's field, and records how many hold the
+    /// simulation's buffer while it does.
+    struct Holders {
+        field: Arc<std::sync::Mutex<std::sync::Weak<Vec<f64>>>>,
+        during: Arc<AtomicUsize>,
+    }
+    impl sensei::AnalysisAdaptor for Holders {
+        fn name(&self) -> &str {
+            "holders"
+        }
+        fn execute(
+            &mut self,
+            data: &dyn sensei::DataAdaptor,
+            _comm: &minimpi::Comm,
+        ) -> sensei::Steering {
+            let field = data.field(sensei::Association::Point, "data");
+            assert!(field.views().is_ok_and(|views| views.len() == 1));
+            let held = self.field.lock().unwrap().strong_count();
+            self.during.store(held, Ordering::SeqCst);
+            sensei::Steering::Continue
+        }
+    }
+
+    /// The oscillator's adaptor, recording how many hold the
+    /// simulation's buffer when the bridge releases the step.
+    struct CountsAtRelease {
+        inner: OscillatorAdaptor,
+        field: std::sync::Weak<Vec<f64>>,
+        at_release: AtomicUsize,
+    }
+    impl sensei::DataAdaptor for CountsAtRelease {
+        fn time(&self) -> f64 {
+            self.inner.time()
+        }
+        fn step(&self) -> u64 {
+            self.inner.step()
+        }
+        fn mesh(&self) -> datamodel::DataSet {
+            self.inner.mesh()
+        }
+        fn array_names(&self, assoc: sensei::Association) -> Vec<String> {
+            self.inner.array_names(assoc)
+        }
+        fn add_array(
+            &self,
+            mesh: &mut datamodel::DataSet,
+            assoc: sensei::Association,
+            name: &str,
+        ) -> Result<(), sensei::AdaptorError> {
+            self.inner.add_array(mesh, assoc, name)
+        }
+        fn release_data(&self) {
+            let held = self.field.strong_count();
+            self.at_release.store(held, Ordering::SeqCst);
+        }
+    }
+
+    let d = deck();
+    World::run(2, move |comm| {
+        let cfg = SimConfig {
+            grid: [16, 16, 16],
+            steps: 3,
+            ..SimConfig::default()
+        };
+        let mut sim = Simulation::new(comm, cfg, (comm.rank() == 0).then_some(d.as_str()));
+        let (current, during) = (Arc::default(), Arc::new(AtomicUsize::new(0)));
+        let mut bridge = Bridge::new();
+        bridge.register(Box::new(HistogramAnalysis::new("data", 16)));
+        bridge.register(Box::new(Autocorrelation::new("data", 2, 2)));
+        bridge.register(Box::new(Holders {
+            field: Arc::clone(&current),
+            during: Arc::clone(&during),
+        }));
+        for _ in 0..3 {
+            sim.step(comm);
+            let field = sim.field();
+            *current.lock().unwrap() = Arc::downgrade(&field);
+            let data = CountsAtRelease {
+                inner: OscillatorAdaptor::new(&sim),
+                field: Arc::downgrade(&field),
+                at_release: AtomicUsize::new(0),
+            };
+            let before = Arc::strong_count(&field);
+            bridge.execute(&data, comm);
+            assert_eq!(
+                during.load(Ordering::SeqCst),
+                before + 1,
+                "the step's field"
+            );
+            let at_release = data.at_release.load(Ordering::SeqCst);
+            assert_eq!(at_release, before, "at release_data");
+            assert_eq!(Arc::strong_count(&field), before, "after execute");
+        }
+    });
+
+    let ranks = World::run(2, |world| match pair(world, 1) {
+        Role::Writer { sub, mut writer } => {
+            let cfg = SimConfig {
+                grid: [16, 16, 16],
+                steps: 4,
+                ..SimConfig::default()
+            };
+            let mut sim = Simulation::new(&sub, cfg, Some(&deck()));
+            let mut unshared = Vec::new();
+            for s in 0..4 {
+                writer.advance(world);
+                if s > 0 {
+                    type Frame = (bool, Vec<u8>, Vec<Payload>);
+                    let frame: Frame = world.spare().expect("the step came back");
+                    let held = |p: &Payload| match p {
+                        Payload::F64(values) => Arc::strong_count(values),
+                        Payload::U8(flags) => Arc::strong_count(flags),
+                        other => panic!("the oscillator ships f64 and u8, not {other:?}"),
+                    };
+                    unshared.push(frame.2.iter().all(|p| held(p) == 1));
+                    world.keep(frame, 1);
+                }
+                sim.step(&sub);
+                let step = try_adaptor_to_step(&OscillatorAdaptor::new(&sim)).unwrap();
+                // A refused step stops the stream: nothing ships after it.
+                assert!(
+                    writer.write(world, &step) > 0,
+                    "step {s} ships: the last was taken"
+                );
+            }
+            writer.close(world);
+            unshared
+        }
+        Role::Endpoint { sub, mut reader } => {
+            let analyses: Vec<Box<dyn sensei::AnalysisAdaptor>> = vec![
+                Box::new(HistogramAnalysis::new("data", 16)),
+                Box::new(Autocorrelation::new("data", 2, 2)),
+                Box::new(DescriptiveStats::new("data")),
+            ];
+            let broker = StagingBroker::new(BrokerConfig::default());
+            let (bridge, _) = run_endpoint_with_broker(world, &sub, &mut reader, analyses, &broker);
+            assert_eq!(bridge.steps(), 4);
+            assert!(bridge.failure_reports().is_empty());
+            Vec::new()
+        }
+    });
+    assert_eq!(
+        ranks[0], [true; 3],
+        "the writer's blocks come back unshared"
+    );
+
+    // The endpoint's half alone, with no writer racing its release: once
+    // a bridged round and its adaptor are gone, each adopted block is
+    // held by its step alone, ready to be given back.
+    let steps: Arc<Vec<(usize, adios::BpStep)>> =
+        Arc::new(two_marshalled_blocks().into_iter().enumerate().collect());
+    World::run(1, move |comm| {
+        let mut bridge = Bridge::new();
+        bridge.register(Box::new(HistogramAnalysis::new("data", 16)));
+        bridge.register(Box::new(DescriptiveStats::new("data")));
+        let adaptor = adios::staging::round_adaptor(&steps);
+        bridge.execute(&adaptor, comm);
+        drop(adaptor);
+        for (_, step) in steps.iter() {
+            for var in &step.vars {
+                let held = match &var.data {
+                    Payload::F64(values) => Arc::strong_count(values),
+                    Payload::U8(flags) => Arc::strong_count(flags),
+                    other => panic!("the oscillator ships f64 and u8, not {other:?}"),
+                };
+                assert_eq!(held, 1, "{} after the round", var.name);
+            }
+        }
+    });
 }
 
 /// This thread's allocation high-water rise, heap calls and messages
@@ -776,25 +1024,23 @@ impl sensei::AnalysisAdaptor for AllocBetweenExecutes {
 ///   variable list (1), two variable names (2);
 /// - `FlexpathWriter::write`, 1: the channel envelope of the step.
 ///
-/// A warm endpoint round makes 98:
+/// A warm endpoint round makes 84:
 /// - `FlexpathReader::begin_step`, 22: the round's step list and the
 ///   list of writers awaited (2), and per writer (10 each) the metadata
 ///   `BpStep::adopt` parses into owned values — the attribute and
 ///   variable lists (2), six attribute names and two variable names (8);
 /// - `StagingBroker::publish_step`, 6: per writer, a topic key a
 ///   variable (2) and the report list (1);
-/// - `BpAdaptor::new`, 41: the block list (1), and per writer (20 each)
-///   `step_to_blocks`'s leaf ids, block list and leaf variable list
-///   (3), six geometry keys built by `format!` (2 each, 12), two
+/// - the round's blocks, 39: the multiblock's block list (1), and per
+///   writer (19 each) the leaf ids and leaf variable list (2), six
+///   geometry keys built by `format!` (2 each, 12), two
 ///   `DataArray::shared` arrays (2 each, 4) and the point-data slot (1);
-/// - `Bridge::execute`, 3: the analyses' per-step span labels;
-/// - the histogram's populated mesh, 21: the multiblock (1), and per
-///   array added (field, ghosts) the adaptor's name list, its names,
-///   each block's name list, array clone and storage clone (9), plus
-///   the point-data slot of each block on the first (2);
-/// - `HistogramAnalysis::execute`, 3: the leaf list and its view list
-///   (2), the count vector (1) — its scatter lanes are kept between
-///   steps (until they were, each leaf's took 1 more, for 100);
+/// - the step's field, 14: the bare multiblock (1), per block the
+///   field's and the ghost flags' array clones (name and buffer list, 2
+///   each: 8) and the point-data slot (2), the field's name as the
+///   step's key (1), `leaf_views`' leaf and view lists (2);
+/// - `HistogramAnalysis::execute`, 1: the count vector — its scatter
+///   lanes are kept between steps;
 /// - `FlexpathReader::end_step`, 2: the channel envelope of each step
 ///   given back.
 #[test]
@@ -803,7 +1049,7 @@ fn steady_state_staging_step_allocates_no_payload() {
     use adios::{pair, BrokerConfig, Role, StagingBroker};
     const BOUND: usize = 64 << 10;
     const WRITER_CALLS: u64 = 21;
-    const ENDPOINT_CALLS: u64 = 98;
+    const ENDPOINT_CALLS: u64 = 84;
     const STEPS: usize = 6;
     const WARM_UP: usize = 2;
     let run = |probed: bool| {
@@ -1229,80 +1475,129 @@ fn science_proxies_through_one_bridge_api() {
 }
 
 /// A warm `stats-insitu` step (histogram of 64 bins, autocorrelation of
-/// window 4, top 8) at 32³ on two free-running ranks allocates nothing
-/// field-sized, and its heap calls are exact, listed by site. Free
-/// ranks, as in the render test: under the seeded scheduler its own
-/// decision records land on the rank threads, and rank 0's histogram
-/// step made 15 or 16 calls under `Seeded(2016)` where free ranks make
-/// 12.
+/// window 4, top 8) at 32³ on two ranks under the seeded scheduler
+/// allocates nothing field-sized, and its heap calls are exact, listed
+/// by site, and the same on every warm step.
 ///
-/// Both analyses first build the step's mesh and views, 7 calls:
-/// - `populated_mesh`, 5: the field's `DataArray::shared` and its name
+/// Called directly, each analysis derives the step's field, 8 calls:
+/// - the populated mesh, 5: the field's `DataArray::shared` and its name
 ///   (2), the point-data slot (1), the ghost flags' `DataArray::shared`
 ///   and its name (2);
+/// - the field's name, kept with it (1);
 /// - `leaf_views`' leaf and view lists (2).
 ///
-/// The histogram makes 3 more on rank 1, to 10, and 5 on rank 0, to 12:
+/// The histogram makes 3 more on rank 1, to 11, and 5 on rank 0, to 13:
 /// - the count vector (1);
 /// - the `(min, max)` pair reduction's envelope (1: rank 1's reduce,
 ///   rank 0's broadcast);
 /// - the bin reduction: rank 1's reduce envelope (1), or rank 0's
 ///   reduced vector, the copy it broadcasts and its envelope (3).
 ///
-/// Its scatter lanes are kept between steps; until they were, each
-/// leaf's took one more call a step. The autocorrelation makes 2 more,
-/// to 9: the step's run table (1, compared with the captured one) and
-/// the list of past slots its delays read (1).
+/// The autocorrelation makes 2 more, to 10: the step's run table (1,
+/// compared with the captured one) and the list of past slots its
+/// delays read (1).
+///
+/// Through a bridge the two share the step's one field: the histogram,
+/// first to read it, makes the same 13 / 11, and the autocorrelation
+/// only its own 2.
 #[test]
 fn steady_state_stats_step_heap_calls() {
+    use minimpi::{SchedPolicy, WorldBuilder};
+    use std::sync::{Arc, Mutex};
     const STEPS: usize = 6;
     const WARM_UP: usize = 2;
     const BOUND: usize = 16 << 10;
-    const CALLS: [[u64; 2]; 2] = [[12, 9], [10, 9]];
+    // Per rank: histogram and autocorrelation called directly, then
+    // through a bridge.
+    const CALLS: [[[u64; 2]; 2]; 2] = [[[13, 10], [13, 2]], [[11, 10], [11, 2]]];
+
+    /// Each `execute`'s allocation rise and heap calls.
+    type Rounds = Arc<Mutex<Vec<(usize, u64)>>>;
+
+    /// An analysis that records its rounds.
+    struct Counted {
+        inner: Box<dyn sensei::AnalysisAdaptor>,
+        rounds: Rounds,
+    }
+    impl sensei::AnalysisAdaptor for Counted {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn execute(
+            &mut self,
+            data: &dyn sensei::DataAdaptor,
+            comm: &minimpi::Comm,
+        ) -> sensei::Steering {
+            probe::alloc::reset_peak();
+            let floor = probe::alloc::current_bytes();
+            let calls = probe::alloc::allocations();
+            let verdict = self.inner.execute(data, comm);
+            let round = (
+                probe::alloc::peak_bytes() - floor,
+                probe::alloc::allocations() - calls,
+            );
+            self.rounds.lock().unwrap().push(round);
+            verdict
+        }
+        fn take_failures(&mut self) -> Vec<String> {
+            self.inner.take_failures()
+        }
+    }
+
     let d = deck();
-    let rounds = World::run(2, move |comm| {
-        let cfg = SimConfig {
-            grid: [32, 32, 32],
-            steps: STEPS,
-            ..SimConfig::default()
-        };
-        let mut sim = Simulation::new(comm, cfg, (comm.rank() == 0).then_some(d.as_str()));
-        let mut histogram = HistogramAnalysis::new("data", 64);
-        let mut autocorrelation = Autocorrelation::new("data", 4, 8);
-        let mut rounds = Vec::new();
-        for _ in 0..STEPS {
-            sim.step(comm);
-            let data = OscillatorAdaptor::new(&sim);
-            let mut round = [(0, 0); 2];
-            let analyses: [&mut dyn sensei::AnalysisAdaptor; 2] =
-                [&mut histogram, &mut autocorrelation];
-            for (analysis, round) in analyses.into_iter().zip(&mut round) {
-                probe::alloc::reset_peak();
-                let floor = probe::alloc::current_bytes();
-                let calls = probe::alloc::allocations();
-                assert!(analysis.execute(&data, comm).should_continue());
-                *round = (
-                    probe::alloc::peak_bytes() - floor,
-                    probe::alloc::allocations() - calls,
+    let rounds = WorldBuilder::new(2)
+        .sched(SchedPolicy::Seeded(2016))
+        .run(move |comm| {
+            let cfg = SimConfig {
+                grid: [32, 32, 32],
+                steps: STEPS,
+                ..SimConfig::default()
+            };
+            let mut sim = Simulation::new(comm, cfg, (comm.rank() == 0).then_some(d.as_str()));
+            let rounds: [Rounds; 4] =
+                std::array::from_fn(|_| Arc::new(Mutex::new(Vec::with_capacity(STEPS))));
+            let counted = |k: usize| Counted {
+                inner: if k.is_multiple_of(2) {
+                    Box::new(HistogramAnalysis::new("data", 64))
+                } else {
+                    Box::new(Autocorrelation::new("data", 4, 8))
+                },
+                rounds: Arc::clone(&rounds[k]),
+            };
+            let mut direct = [counted(0), counted(1)];
+            let mut bridge = Bridge::new();
+            bridge.register(Box::new(counted(2)));
+            bridge.register(Box::new(counted(3)));
+            for _ in 0..STEPS {
+                sim.step(comm);
+                let data = OscillatorAdaptor::new(&sim);
+                for analysis in &mut direct {
+                    assert!(analysis.execute(&data, comm).should_continue());
+                }
+                assert!(bridge.execute(&data, comm).should_continue());
+            }
+            for analysis in &mut direct {
+                assert!(analysis.take_failures().is_empty());
+            }
+            assert!(bridge.failure_reports().is_empty());
+            rounds.map(|r| r.lock().unwrap().split_off(WARM_UP))
+        });
+    for (rank, rounds) in rounds.iter().enumerate() {
+        for (pass, want) in ["direct", "bridge"].into_iter().zip(CALLS[rank]) {
+            let analyses = &rounds[if pass == "direct" { 0..2 } else { 2..4 }];
+            assert!(analyses.iter().all(|a| a.len() == STEPS - WARM_UP));
+            for (&histogram, &autocorrelation) in analyses[0].iter().zip(&analyses[1]) {
+                let round = [histogram, autocorrelation];
+                assert!(
+                    round.iter().all(|&(rise, _)| rise < BOUND),
+                    "rank {rank} allocated {round:?} (B, heap calls) in a warm {pass} stats step"
+                );
+                assert_eq!(
+                    round.map(|(_, calls)| calls),
+                    want,
+                    "rank {rank}, {pass}: heap calls of the histogram and the autocorrelation"
                 );
             }
-            rounds.push(round);
-        }
-        assert!(histogram.take_failures().is_empty());
-        assert!(autocorrelation.take_failures().is_empty());
-        rounds.split_off(WARM_UP)
-    });
-    for (rank, rounds) in rounds.iter().enumerate() {
-        for round in rounds {
-            assert!(
-                round.iter().all(|&(rise, _)| rise < BOUND),
-                "rank {rank} allocated {round:?} (B, heap calls) in a warm stats step"
-            );
-            assert_eq!(
-                round.map(|(_, calls)| calls),
-                CALLS[rank],
-                "rank {rank}: heap calls of the histogram and the autocorrelation"
-            );
         }
     }
 }

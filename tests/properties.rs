@@ -308,7 +308,7 @@ proptest! {
         time in -1e3f64..1e3,
         stepno in any::<u64>(),
     ) {
-        use adios::staging::{try_adaptor_to_step, BpAdaptor};
+        use adios::staging::{round_adaptor, try_adaptor_to_step};
         use datamodel::{DataSet, ImageData, MultiBlock, ScalarType, GHOST_ARRAY_NAME};
         use sensei::DataAdaptor as _;
         let mut mb = MultiBlock::new();
@@ -335,7 +335,7 @@ proptest! {
         }
         let adaptor = sensei::InMemoryAdaptor::new(DataSet::Multi(mb), time, stepno);
         let marshaled = try_adaptor_to_step(&adaptor).expect("host-resident data marshals");
-        let back = BpAdaptor::new(&[(0, marshaled)]);
+        let back = round_adaptor(&[(0, marshaled)]);
         prop_assert_eq!(back.step(), stepno);
         prop_assert_eq!(back.time().to_bits(), time.to_bits());
         let mesh = back.full_mesh();
