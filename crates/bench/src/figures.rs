@@ -173,8 +173,8 @@ pub fn fig7() -> Table {
                 + match config {
                     "Histogram" => memory::histogram_heap(BINS),
                     "Autocorrelation" => memory::autocorrelation_heap(cells, WINDOW),
-                    "Catalyst-slice" => memory::slice_render_heap_avg(p, 1920, 1080),
-                    "Libsim-slice" => memory::slice_render_heap_avg(p, 1600, 1600),
+                    "Catalyst-slice" => memory::slice_render_heap(1920, 1080),
+                    "Libsim-slice" => memory::slice_render_heap(1600, 1600),
                     _ => 0.0,
                 };
             let startup = p as f64 * exe.bytes();

@@ -6,7 +6,6 @@
 //! configuration. §4.2 adds executable-size observations (Catalyst
 //! Editions: 153 MB static / 87 MB dynamic with PHASTA; Nyx 68 → 109 MB).
 
-use crate::workloads::slice_participants;
 use crate::MB;
 
 /// Executable / resident-image sizes in bytes for each configuration.
@@ -65,12 +64,15 @@ pub fn histogram_heap(bins: usize) -> f64 {
     (bins * 8 + 64) as f64
 }
 
-/// Heap of a slice-render pipeline, averaged across ranks: participating
-/// ranks hold framebuffer + depth + extracted geometry; others nothing.
-pub fn slice_render_heap_avg(p: usize, width: usize, height: usize) -> f64 {
-    let per_participant = (width * height * (4 + 4)) as f64 * 2.0; // color+depth, double-buffered
-    let participants = slice_participants(p) as f64;
-    per_participant * participants / p as f64
+/// Per-rank heap of a slice-render pipeline: the one frame each rank
+/// draws into and keeps between steps, 7 B a pixel (RGB and depth; a
+/// pixel is covered where its depth is finite). Every rank holds it,
+/// whether its block meets the plane or not: a rank that draws nothing
+/// still takes its frame to merge and encode, and a compositing child
+/// keeps its own. The strips and the encoder's sliding buffer beside it
+/// (≈ 0.56 MB) are not charged.
+pub fn slice_render_heap(width: usize, height: usize) -> f64 {
+    (width * height * 7) as f64
 }
 
 /// Total memory high-water mark summed over `p` ranks, the quantity the
@@ -136,10 +138,12 @@ mod tests {
     }
 
     #[test]
-    fn slice_render_heap_concentrated_on_participants() {
-        let avg = slice_render_heap_avg(45440, 1920, 1080);
-        // Much smaller than a full per-rank framebuffer.
-        assert!(avg < (1920 * 1080 * 8) as f64);
-        assert!(avg > 0.0);
+    fn slice_render_heap_is_one_frame_a_rank() {
+        // 1920×1080 at 7 B a pixel, on every rank at every scale.
+        assert_eq!(slice_render_heap(1920, 1080), 14_515_200.0);
+        let heap = slice_render_heap(1600, 1600);
+        let a = total_high_water(812, Executable::Libsim, heap);
+        let b = total_high_water(45440, Executable::Libsim, heap);
+        assert!((b / a - 45440.0 / 812.0).abs() < 1e-9);
     }
 }

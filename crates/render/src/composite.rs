@@ -10,11 +10,12 @@
 //!   parent composites its children's images (Libsim-like).
 //!
 //! What travels is never an image: a rank sends a copy of the part of
-//! its drawn rectangle inside the rows it gives away (a `Patch`; a
-//! header alone when it drew nothing there), and the receiver
-//! depth-merges that patch only. Every pixel outside the rectangle is
-//! clear and loses to anything, so the result is the full-frame
-//! merge's, bit for bit. Every rank keeps its buffer, a folded rank and
+//! its drawn rectangle inside the rows it gives away (a `Patch` of RGB
+//! and depth, 7 B a pixel; a header alone when it drew nothing there),
+//! and the receiver depth-merges that patch only: the nearer fragment
+//! wins. Every pixel outside the rectangle is clear, at depth +∞, and
+//! loses to anything, so the result is the full-frame merge's, bit for
+//! bit. Every rank keeps its buffer, a folded rank and
 //! a tree child included, so that the next frame is drawn into it
 //! (`Framebuffer::take`).
 //!
@@ -29,7 +30,7 @@
 //! strip buffers wait in the rank's pool (`Comm::keep`, `CREDITS` of
 //! them): a warm frame allocates none. Both sides count the strips from
 //! the rows and the width alone. Each strip sent counts on the comm's
-//! probe under `render/composite`: one message, 8 B a pixel; a strip
+//! probe under `render/composite`: one message, 7 B a pixel; a strip
 //! given back counts as a plain point-to-point message.
 //!
 //! Compositing is two steps. `merge` runs the algorithm and stops
@@ -87,11 +88,12 @@ fn strips(rows: Range<usize>, width: usize) -> impl Iterator<Item = Range<usize>
 }
 
 /// Copy the pixels of `rect`, inside `fb`'s drawn rectangle, into
-/// `patch` to send, counted under `render/composite`.
+/// `patch` to send, counted under `render/composite` at 7 B a pixel
+/// (RGB and depth).
 fn fill_strip(comm: &Comm, fb: &Framebuffer, rect: Rect, patch: &mut Patch) {
     fb.copy_patch(rect, patch);
     comm.probe()
-        .message("render/composite", 8 * patch.pixels() as u64);
+        .message("render/composite", 7 * patch.pixels() as u64);
 }
 
 /// Lend `dest` the drawn pixels of `rows` strip by strip, at most
@@ -507,6 +509,101 @@ mod tests {
         }
     }
 
+    /// Depth levels a fragment of the oracle proptest is drawn at: two
+    /// finite, so that ranks meet at equal depths, and +∞, a hole
+    /// inside a drawn rectangle.
+    const LEVELS: [f32; 3] = [0.25, 0.5, f32::INFINITY];
+
+    /// A rank's fragments: rectangles `(x0, x1, y0, y1, level)`, clipped
+    /// to the image.
+    type Fragments = Vec<(usize, usize, usize, usize, usize)>;
+
+    /// Each pixel of each rectangle, its colour a function of the pixel
+    /// and the depth: equal depths are equal fragments, so the result
+    /// does not depend on the merge order. A third of the nearest level's
+    /// fragments are black, which a clear pixel is too.
+    fn fragments(
+        rects: &Fragments,
+        (w, h): (usize, usize),
+    ) -> impl Iterator<Item = (usize, usize, f32, Color)> + '_ {
+        rects.iter().flat_map(move |&(x0, x1, y0, y1, level)| {
+            let (cols, rows) = (
+                x0.min(x1).min(w)..x0.max(x1).min(w),
+                y0.min(y1).min(h)..y0.max(y1).min(h),
+            );
+            rows.flat_map(move |y| {
+                cols.clone().map(move |x| {
+                    let g = ((x + y) % 3) as u8 * 100;
+                    let c = Color::rgb(g, g, 100 * level as u8);
+                    (x, y, LEVELS[level], c)
+                })
+            })
+        })
+    }
+
+    /// The image the RGBA rule makes of the ranks' fragments: each rank
+    /// plots its own with an alpha byte (written where closer), and the
+    /// layers merge in rank order under the two-rule merge.
+    fn rgba_oracle(ranks: &[Fragments], (w, h): (usize, usize)) -> (Vec<[u8; 4]>, Vec<f32>) {
+        let clear = || (vec![[0u8; 4]; w * h], vec![f32::INFINITY; w * h]);
+        let (mut color, mut depth) = clear();
+        for rects in ranks {
+            let (mut mine, mut near) = clear();
+            for (x, y, z, c) in fragments(rects, (w, h)) {
+                if z < near[y * w + x] {
+                    (mine[y * w + x], near[y * w + x]) = ([c.r, c.g, c.b, c.a], z);
+                }
+            }
+            for i in 0..w * h {
+                crate::framebuffer::merge_rgba_pixel(
+                    &mut color[i],
+                    &mut depth[i],
+                    mine[i],
+                    near[i],
+                );
+            }
+        }
+        (color, depth)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        /// Coverage is depth: both compositors at 1–8 ranks give, bit
+        /// for bit, the RGB and depth the RGBA rule gives, with overlapping
+        /// rectangles at equal, different and infinite depths.
+        #[test]
+        fn coverage_by_depth_composites_as_the_rgba_rule(
+            p in 1usize..9,
+            size in (1usize..20, 8usize..20),
+            ranks in proptest::collection::vec(
+                proptest::collection::vec((0usize..22, 0usize..22, 0usize..22, 0usize..22, 0usize..3), 0..4),
+                8..9,
+            ),
+        ) {
+            let ranks = ranks[..p].to_vec();
+            let (color, depth) = rgba_oracle(&ranks, size);
+            for which in [Compositor::BinarySwap, Compositor::DirectSendTree(2)] {
+                let ranks = ranks.clone();
+                let out = World::run(p, move |comm| {
+                    let mut fb = Framebuffer::new(size.0, size.1);
+                    for (x, y, z, c) in fragments(&ranks[comm.rank()], size) {
+                        fb.set_pixel(x, y, z, c);
+                    }
+                    composite(comm, fb, which)
+                });
+                let image = out[0].as_ref().expect("rank 0 holds the image");
+                let rgb: Vec<[u8; 3]> = color.iter().map(|&[r, g, b, _]| [r, g, b]).collect();
+                proptest::prop_assert_eq!(image.color(), &rgb[..], "{:?}", which);
+                let bits = |d: &[f32]| d.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+                proptest::prop_assert_eq!(bits(image.depth()), bits(&depth), "{:?}", which);
+                for (i, &[.., a]) in color.iter().enumerate() {
+                    let (x, y) = (i % size.0, i / size.0);
+                    proptest::prop_assert_eq!(image.pixel(x, y).a, a, "{:?} ({}, {})", which, x, y);
+                }
+            }
+        }
+    }
+
     #[test]
     fn merge_leaves_each_rank_the_rows_it_is_said_to_own() {
         for which in [Compositor::BinarySwap, Compositor::DirectSendTree(3)] {
@@ -598,7 +695,7 @@ mod tests {
 
     /// `(messages, bytes)` of `render/composite` each rank sends, from
     /// the ranks' projected rectangles alone: a patch is what the
-    /// sender has covered so far, cut to the rows it sends, at 8 B/px,
+    /// sender has covered so far, cut to the rows it sends, at 7 B/px,
     /// and it travels as one message for each strip of those rows.
     fn predicted(
         which: Compositor,
@@ -610,7 +707,7 @@ mod tests {
         let rows_a_strip = (STRIP / w).max(1);
         let mut send = |from: usize, rows: usize, patch: &Drawn| {
             sent[from].0 += rows.div_ceil(rows_a_strip) as u64;
-            sent[from].1 += 8 * area(patch);
+            sent[from].1 += 7 * area(patch);
         };
         match which {
             Compositor::BinarySwap => {

@@ -1,6 +1,13 @@
-//! RGBA + depth framebuffers, the rectangle drawn since one was taken,
+//! RGB + depth framebuffers, the rectangle drawn since one was taken,
 //! the depth-merge the parallel compositors apply to patches of it, and
 //! the one buffer each rank draws its frames into.
+//!
+//! A pixel is its colour and its depth, 7 B: it is covered iff its depth
+//! is below +∞ (`covered`), so no alpha byte is stored. A clear pixel
+//! is black at +∞ and loses every merge, the nearer fragment wins, and
+//! the encoders put the background where the depth is +∞. `Color` keeps
+//! its alpha for the colormaps; every colour drawn is opaque, and no
+//! fragment is drawn at +∞ or NaN (`z < depth` rejects both).
 //!
 //! A rank keeps one spare framebuffer in its communicator's pool
 //! (`minimpi::Comm::keep`). `Framebuffer::take` hands it out cleared, at
@@ -63,9 +70,9 @@ impl Rect {
     }
 }
 
-/// A color+depth image. Depth follows the convention "smaller is
-/// closer"; empty pixels carry `f32::INFINITY` depth and transparent
-/// color, so depth-compositing two partial images is associative.
+/// A colour+depth image. Depth follows the convention "smaller is
+/// closer"; empty pixels carry `f32::INFINITY` depth and black, so
+/// depth-compositing two partial images is associative.
 ///
 /// The buffer records the rectangle drawn since it was taken: every
 /// pixel outside it is clear. Compositing ships and merges only that
@@ -75,8 +82,8 @@ impl Rect {
 pub struct Framebuffer {
     width: usize,
     height: usize,
-    /// RGBA8, row-major from the top-left.
-    color: Vec<[u8; 4]>,
+    /// RGB8, row-major from the top-left.
+    color: Vec<[u8; 3]>,
     depth: Vec<f32>,
     drawn: Rect,
 }
@@ -98,7 +105,7 @@ pub(crate) struct Patch {
     /// Width and height of the image it was cut from.
     image: (usize, usize),
     rect: Rect,
-    color: Vec<[u8; 4]>,
+    color: Vec<[u8; 3]>,
     depth: Vec<f32>,
 }
 
@@ -108,29 +115,30 @@ impl Patch {
     }
 }
 
-/// The depth rule: a transparent fragment loses to anything, else the
-/// closer one wins.
+/// The coverage rule: a pixel is drawn iff its depth is below +∞.
 #[inline]
-fn merge_pixel(color: &mut [u8; 4], depth: &mut f32, c: [u8; 4], d: f32) {
-    let take_other = match (c[3], color[3]) {
-        (0, _) => false,
-        (_, 0) => true,
-        _ => d < *depth,
-    };
-    if take_other {
+pub(crate) fn covered(depth: f32) -> bool {
+    depth < f32::INFINITY
+}
+
+/// The depth rule: the nearer fragment wins. A clear pixel sits at +∞
+/// and loses to anything; of two equal depths the one held stays.
+#[inline]
+fn merge_pixel(color: &mut [u8; 3], depth: &mut f32, c: [u8; 3], d: f32) {
+    if d < *depth {
         *color = c;
         *depth = d;
     }
 }
 
 impl Framebuffer {
-    /// A cleared framebuffer (transparent, infinitely far).
+    /// A cleared framebuffer (black, infinitely far).
     pub fn new(width: usize, height: usize) -> Self {
         assert!(width > 0 && height > 0, "degenerate framebuffer");
         Framebuffer {
             width,
             height,
-            color: vec![[0, 0, 0, 0]; width * height],
+            color: vec![[0; 3]; width * height],
             depth: vec![f32::INFINITY; width * height],
             drawn: Rect::default(),
         }
@@ -155,10 +163,10 @@ impl Framebuffer {
         for y in rows {
             let row = y * fb.width;
             let at = (row + cols.start).min(n)..(row + cols.end).min(n);
-            fb.color[at.clone()].fill([0; 4]);
+            fb.color[at.clone()].fill([0; 3]);
             fb.depth[at].fill(f32::INFINITY);
         }
-        fb.color.resize(n, [0; 4]);
+        fb.color.resize(n, [0; 3]);
         fb.depth.resize(n, f32::INFINITY);
         (fb.width, fb.height) = (width, height);
         fb
@@ -185,8 +193,9 @@ impl Framebuffer {
         self.height
     }
 
-    /// RGBA8 pixels, row-major from the top-left.
-    pub fn color(&self) -> &[[u8; 4]] {
+    /// RGB8 pixels, row-major from the top-left; where the depth is +∞
+    /// the pixel is clear, and black.
+    pub fn color(&self) -> &[[u8; 3]] {
         &self.color
     }
 
@@ -226,7 +235,7 @@ impl Framebuffer {
         let i = y * self.width + x;
         if z < self.depth[i] {
             self.depth[i] = z;
-            self.color[i] = [c.r, c.g, c.b, c.a];
+            self.color[i] = [c.r, c.g, c.b];
         }
     }
 
@@ -234,24 +243,25 @@ impl Framebuffer {
     pub(crate) fn fill_span(&mut self, y: usize, cols: Range<usize>, z: f32, c: Color) {
         debug_assert!(Rect::new(cols.clone(), y..y + 1).union(&self.drawn) == self.drawn);
         let at = y * self.width + cols.start..y * self.width + cols.end;
-        let rgba = [c.r, c.g, c.b, c.a];
+        let rgb = [c.r, c.g, c.b];
         for (color, depth) in self.color[at.clone()].iter_mut().zip(&mut self.depth[at]) {
             if z < *depth {
                 *depth = z;
-                *color = rgba;
+                *color = rgb;
             }
         }
     }
 
-    /// Read a pixel.
+    /// Read a pixel: opaque where it is covered, transparent elsewhere.
     pub fn pixel(&self, x: usize, y: usize) -> Color {
         let i = y * self.width + x;
-        let [r, g, b, a] = self.color[i];
+        let [r, g, b] = self.color[i];
+        let a = if covered(self.depth[i]) { 255 } else { 0 };
         Color { r, g, b, a }
     }
 
     /// The colour and depth of `rect`'s columns, one row at a time.
-    fn rows_of<'a>(&'a self, rect: &Rect) -> impl Iterator<Item = (&'a [[u8; 4]], &'a [f32])> {
+    fn rows_of<'a>(&'a self, rect: &Rect) -> impl Iterator<Item = (&'a [[u8; 3]], &'a [f32])> {
         let (cols, width) = (rect.cols.clone(), self.width);
         rect.rows.clone().map(move |y| {
             let at = y * width + cols.start..y * width + cols.end;
@@ -263,7 +273,7 @@ impl Framebuffer {
     fn merge_rows<'a>(
         &mut self,
         rect: &Rect,
-        rows: impl Iterator<Item = (&'a [[u8; 4]], &'a [f32])>,
+        rows: impl Iterator<Item = (&'a [[u8; 3]], &'a [f32])>,
     ) {
         self.drawn = self.drawn.union(rect);
         for (y, (colors, depths)) in rect.rows.clone().zip(rows) {
@@ -276,7 +286,7 @@ impl Framebuffer {
     }
 
     /// Depth-composite `other` into `self`: per pixel, keep the closer
-    /// opaque fragment; transparent pixels lose to anything. Only
+    /// fragment; clear pixels, at +∞, lose to anything. Only
     /// `other`'s drawn rectangle is visited: nothing else of it can win.
     ///
     /// This is the merge operator of the parallel compositors. It is
@@ -323,9 +333,10 @@ impl Framebuffer {
         self.merge_rows(&patch.rect, rows);
     }
 
-    /// Count of non-transparent pixels (diagnostics and tests).
+    /// Count of covered pixels, those at a finite depth (diagnostics
+    /// and tests).
     pub fn covered_pixels(&self) -> usize {
-        self.color.iter().filter(|p| p[3] != 0).count()
+        self.depth.iter().filter(|&&d| covered(d)).count()
     }
 
     /// A copy of the rows `[y0, y1)` (the gather moves finished bands).
@@ -358,8 +369,30 @@ impl Framebuffer {
     }
 }
 
+/// The merge rule of frames that stored an alpha byte: a transparent
+/// fragment loses to anything, else the closer one wins. The oracle the
+/// coverage rule is held to (`composite`'s tests).
+#[cfg(test)]
+pub(crate) fn merge_rgba_pixel(color: &mut [u8; 4], depth: &mut f32, c: [u8; 4], d: f32) {
+    let take_other = match (c[3], color[3]) {
+        (0, _) => false,
+        (_, 0) => true,
+        _ => d < *depth,
+    };
+    if take_other {
+        *color = c;
+        *depth = d;
+    }
+}
+
 #[cfg(test)]
 impl Framebuffer {
+    /// Bytes its pixel planes hold, colour and depth.
+    pub(crate) fn pixel_bytes(&self) -> usize {
+        self.color.capacity() * std::mem::size_of::<[u8; 3]>()
+            + self.depth.capacity() * std::mem::size_of::<f32>()
+    }
+
     /// The address of the pixels of the spare framebuffer `comm`'s rank
     /// keeps, if it keeps one.
     pub(crate) fn spare_at(comm: &Comm) -> Option<usize> {
@@ -385,7 +418,7 @@ impl Framebuffer {
                     let i = y * self.width + x;
                     assert_eq!(
                         (self.color[i], self.depth[i]),
-                        ([0; 4], f32::INFINITY),
+                        ([0; 3], f32::INFINITY),
                         "({x}, {y}) outside {:?}",
                         self.drawn
                     );
@@ -462,6 +495,21 @@ mod tests {
                 Framebuffer::new(1, 1),
                 "none left"
             );
+        });
+    }
+
+    #[test]
+    fn a_taken_full_hd_frame_holds_seven_bytes_a_pixel() {
+        World::run(1, |comm| {
+            let (w, h) = (1920, 1080);
+            let fb = Framebuffer::take(comm, w, h);
+            assert_eq!(fb.pixel_bytes(), w * h * 7);
+            fb.park(comm);
+            // Through a smaller frame and back, the same planes.
+            Framebuffer::take(comm, 1024, 1024).park(comm);
+            let fb = Framebuffer::take(comm, w, h);
+            assert_eq!(fb.pixel_bytes(), w * h * 7);
+            assert_eq!(fb.pixel_bytes(), 14_515_200);
         });
     }
 
@@ -625,10 +673,10 @@ mod tests {
             fb.plot(1, 3, 0.5, Color::WHITE);
             assert_eq!(fb.covered_pixels(), 3);
             // A pixel outside the record is not the take's to clear.
-            fb.color[0] = [1; 4];
+            (fb.color[0], fb.depth[0]) = ([1; 3], 0.25);
             fb.park(comm);
             let fb = Framebuffer::take(comm, 4, 4);
-            assert_eq!(fb.color[0], [1; 4]);
+            assert_eq!((fb.color[0], fb.depth[0]), ([1; 3], 0.25));
             assert_eq!(fb.covered_pixels(), 1);
             assert!(fb.drawn().is_empty());
         });

@@ -7,8 +7,9 @@
 //!
 //! * [`color`] — colormaps (cool–warm diverging, viridis-like, grayscale)
 //!   for pseudocoloring;
-//! * [`framebuffer`] — RGBA color + depth buffers with over-blending,
-//!   and the one buffer per rank that every in situ frame is drawn into;
+//! * [`framebuffer`] — RGB colour + depth buffers, a pixel covered where
+//!   its depth is finite, and the one buffer per rank that every in situ
+//!   frame is drawn into;
 //! * [`camera`] — orthographic and simple perspective projection;
 //! * [`raster`] — z-buffered triangle rasterization;
 //! * [`slice`] — axis-aligned slice extraction from structured grids;

@@ -1,6 +1,11 @@
 //! Minimal PNG encoding (and decoding of our own files) over the
 //! from-scratch zlib. 8-bit RGB, filter type 0 per scanline.
 //!
+//! A frame is flattened over its background: a pixel takes its RGB
+//! where it is covered and the background where its depth is +∞ (the
+//! framebuffer's coverage rule; it stores no alpha). One function,
+//! `fill_scanlines`, does that for both encoders.
+//!
 //! Two ways in, one set of bytes out. [`encode_framebuffer`] and
 //! [`encode_rgb`] are the paper's path — "render, compress on rank 0,
 //! write" — and what the Table 2 reproduction times. [`PngEncoder`] is
@@ -26,7 +31,7 @@ use minimpi::Comm;
 use crate::color::Color;
 use crate::composite::Compositor;
 use crate::deflate::{self, BitWriter, Fixed, Input, Mode, MAX_MATCH, WINDOW};
-use crate::framebuffer::Framebuffer;
+use crate::framebuffer::{covered, Framebuffer};
 
 /// Tag space of the collective encoder.
 const TAG_ROWS: u32 = 0x504E_0001;
@@ -123,16 +128,25 @@ fn stride(width: usize) -> usize {
 
 /// Flatten `rows` of `fb` over `background` into `lines`, their stretch
 /// of the filtered scanline stream: filter byte 0 (None), then the RGB
-/// of each pixel, transparent ones taking the background colour.
+/// of each pixel, those at depth +∞ taking the background colour. The
+/// one flatten path of both encoders.
 fn fill_scanlines(lines: &mut [u8], fb: &Framebuffer, rows: Range<usize>, background: Color) {
     let width = fb.width();
     debug_assert_eq!(lines.len(), rows.len() * stride(width));
     let background = [background.r, background.g, background.b];
-    let pixels = fb.color()[rows.start * width..rows.end * width].chunks_exact(width);
-    for (line, row) in lines.chunks_exact_mut(stride(width)).zip(pixels) {
+    let at = rows.start * width..rows.end * width;
+    let pixels = fb.color()[at.clone()]
+        .chunks_exact(width)
+        .zip(fb.depth()[at].chunks_exact(width));
+    // The row's colours are copied whole, then the clear pixels patched:
+    // a select per pixel over 3-byte arrays does not vectorise.
+    for (line, (colors, depths)) in lines.chunks_exact_mut(stride(width)).zip(pixels) {
         line[0] = 0;
-        for (rgb, px) in line[1..].chunks_exact_mut(3).zip(row) {
-            rgb.copy_from_slice(if px[3] == 0 { &background } else { &px[..3] });
+        line[1..].copy_from_slice(colors.as_flattened());
+        for (rgb, &d) in line[1..].as_chunks_mut::<3>().0.iter_mut().zip(depths) {
+            if !covered(d) {
+                *rgb = background;
+            }
         }
     }
 }
@@ -180,7 +194,7 @@ pub fn encode_rgb(width: usize, height: usize, rgb: &[u8], mode: Mode) -> Vec<u8
 }
 
 /// Encode a framebuffer flattened over `background`, on this rank
-/// alone: the scanline stream is written straight from the RGBA pixels
+/// alone: the scanline stream is written straight from the RGB pixels
 /// and deflated as one band.
 pub fn encode_framebuffer(fb: &Framebuffer, background: Color, mode: Mode) -> Vec<u8> {
     let (width, height) = (fb.width(), fb.height());
@@ -545,11 +559,14 @@ mod tests {
 
     #[test]
     fn framebuffer_encode_uses_background() {
-        let mut fb = Framebuffer::new(2, 1);
+        // A drawn black pixel is covered: only depth +∞ takes the
+        // background.
+        let mut fb = Framebuffer::new(3, 1);
         fb.set_pixel(0, 0, 0.0, Color::rgb(1, 2, 3));
+        fb.set_pixel(1, 0, 0.5, Color::BLACK);
         let png = encode_framebuffer(&fb, Color::rgb(9, 9, 9), Mode::Stored);
         let (_, _, rgb) = decode_rgb(&png).unwrap();
-        assert_eq!(rgb, vec![1, 2, 3, 9, 9, 9]);
+        assert_eq!(rgb, vec![1, 2, 3, 0, 0, 0, 9, 9, 9]);
     }
 
     /// Every rank paints most pixels, at a depth that makes a different

@@ -67,14 +67,20 @@ struct Runs {
     count: usize,
 }
 
-/// The run table of a step's leaves, in element order. Equal tables
-/// mean the same tuples of the same leaves are non-ghost: the greedy
-/// folding below is a function of the run sequence and loses none of it.
-fn run_table(views: &[LeafView]) -> Vec<Runs> {
-    let mut table: Vec<Runs> = Vec::new();
-    for (leaf, view) in views.iter().enumerate() {
-        for (start, len) in view.kept_runs() {
-            if let Some(last) = table.last_mut() {
+/// The run table of a step's leaves, in element order, an entry at a
+/// time as the kept runs are walked: a step is compared with the
+/// captured table without building its own. Equal tables mean the same
+/// tuples of the same leaves are non-ghost: the greedy folding below is
+/// a function of the run sequence and loses none of it.
+fn run_table<'v>(views: &'v [LeafView]) -> impl Iterator<Item = Runs> + 'v {
+    let mut kept = views
+        .iter()
+        .enumerate()
+        .flat_map(|(leaf, view)| view.kept_runs().map(move |(start, len)| (leaf, start, len)));
+    let mut open: Option<Runs> = None;
+    std::iter::from_fn(move || {
+        for (leaf, start, len) in kept.by_ref() {
+            if let Some(last) = &mut open {
                 if last.leaf == leaf && last.len == len {
                     if last.count == 1 {
                         last.stride = start - last.start;
@@ -85,21 +91,24 @@ fn run_table(views: &[LeafView]) -> Vec<Runs> {
                     }
                 }
             }
-            table.push(Runs {
+            let next = Runs {
                 leaf,
                 start,
                 len,
                 stride: 0,
                 count: 1,
-            });
+            };
+            if let Some(done) = open.replace(next) {
+                return Some(done);
+            }
         }
-    }
-    table
+        open.take()
+    })
 }
 
 /// `(cells, runs)` a table covers.
-fn table_size(table: &[Runs]) -> (usize, usize) {
-    table.iter().fold((0, 0), |(cells, runs), r| {
+fn table_size(table: impl IntoIterator<Item = Runs>) -> (usize, usize) {
+    table.into_iter().fold((0, 0), |(cells, runs), r| {
         (cells + r.len * r.count, runs + r.count)
     })
 }
@@ -176,7 +185,7 @@ impl Autocorrelation {
     /// each structured leaf's extents for the global ids, and size the
     /// two buffers to the non-ghost cells.
     fn capture_layout(&mut self, table: Vec<Runs>, views: &[LeafView]) {
-        self.cells = table_size(&table).0;
+        self.cells = table_size(table.iter().copied()).0;
         self.runs = table;
         self.extents = views
             .iter()
@@ -193,15 +202,16 @@ impl Autocorrelation {
     fn update(&mut self, views: &[LeafView]) {
         let (cells, w, s) = (self.cells, self.window as u64, self.steps_seen);
         let slot = (s % w) as usize;
-        // Slot row holding the value `lag` steps back, `lag = 1..`.
-        let pasts: Vec<usize> = (1..=s.min(w)).map(|lag| ((s - lag) % w) as usize).collect();
+        // Slot row holding the value `lag + 1` steps back, for each
+        // delay the run has reached.
+        let pasts = (0..s.min(w)).map(|lag| ((s - 1 - lag) % w) as usize);
         let mut at = 0;
         for runs in &self.runs {
             let values = &views[runs.leaf].values;
             for i in 0..runs.count {
                 let run = &values[runs.start + i * runs.stride..][..runs.len];
                 for block in run.chunks(BLOCK) {
-                    for (lag, &past) in pasts.iter().enumerate() {
+                    for (lag, past) in pasts.clone().enumerate() {
                         let corr = &mut self.corr[lag * cells + at..][..block.len()];
                         let history = &self.history[past * cells + at..][..block.len()];
                         for ((c, v), h) in corr.iter_mut().zip(block).zip(history) {
@@ -281,24 +291,28 @@ impl AnalysisAdaptor for Autocorrelation {
                 return Steering::Continue;
             }
         };
-        let table = run_table(&views);
-        if table.is_empty() {
-            return Steering::Continue;
-        }
+        // A step without kept cells is skipped; the first with some
+        // captures the layout, and a warm step walks its runs against it.
         if self.cells == 0 {
+            let table: Vec<Runs> = run_table(&views).collect();
+            if table.is_empty() {
+                return Steering::Continue;
+            }
             self.capture_layout(table, &views);
-        } else if table != self.runs {
+        } else if !run_table(&views).eq(self.runs.iter().copied()) {
             // Also skipped, with nothing touched: the rows are indexed
             // by the captured table. No collective runs per step, so a
             // rank that skips cannot hang the others.
-            let (cells, runs) = table_size(&table);
-            self.failures.report(format_args!(
-                "autocorrelation: mesh layout changed mid-run (captured {} cells in {} runs, \
-                 step {} has {cells} cells in {runs} runs)",
-                self.cells,
-                table_size(&self.runs).1,
-                data.step(),
-            ));
+            let (cells, runs) = table_size(run_table(&views));
+            if runs > 0 {
+                self.failures.report(format_args!(
+                    "autocorrelation: mesh layout changed mid-run (captured {} cells in {} runs, \
+                     step {} has {cells} cells in {runs} runs)",
+                    self.cells,
+                    table_size(self.runs.iter().copied()).1,
+                    data.step(),
+                ));
+            }
             return Steering::Continue;
         }
         self.update(&views);
@@ -568,8 +582,9 @@ mod tests {
 
     #[test]
     fn run_table_folds_a_ghost_plane_into_strided_entries() {
-        let table =
-            |mesh: &DataSet| run_table(&leaf_views(mesh, Association::Point, "data").unwrap());
+        let table = |mesh: &DataSet| -> Vec<Runs> {
+            run_table(&leaf_views(mesh, Association::Point, "data").unwrap()).collect()
+        };
         let entry = |start, len, stride, count| Runs {
             leaf: 0,
             start,
@@ -589,7 +604,7 @@ mod tests {
         // Across the fastest axis: one run per grid row, one entry.
         let x_plane = table(&flagged_block(0, |i, _, _| i == 0));
         assert_eq!(x_plane, [entry(1, 6, 7, 15)]);
-        assert_eq!(table_size(&x_plane), (90, 15));
+        assert_eq!(table_size(x_plane.iter().copied()), (90, 15));
         // x and y planes together: one entry per z slab.
         assert_eq!(
             table(&flagged_block(0, |i, j, _| i == 0 || j == 0)),

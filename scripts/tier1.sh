@@ -187,6 +187,19 @@ if awk '/#\[cfg\(test\)\]/{exit}
     exit 1
 fi
 
+echo "==> coverage is depth"
+# A pixel is its RGB and its depth, 7 B; it is covered iff its depth is
+# below +inf (framebuffer::covered), and the encoders put the background
+# where it is +inf. A 4-byte pixel plane, or a test of a fourth colour
+# byte, in render's product code is the alpha byte, and a second
+# coverage rule, back.
+if awk '/#\[cfg\(test\)\]/{nextfile} {print FILENAME ":" FNR ": " $0}' \
+    crates/render/src/{framebuffer,composite,raster,scene,png}.rs |
+    grep -E 'Vec<\[u8; *4\]>|\[\[u8; *4\]\]|\[3\] *[!=]= *0'; then
+    echo "tier1: render stores an alpha byte or tests one for coverage again" >&2
+    exit 1
+fi
+
 echo "==> one way to lend a buffer"
 # A buffer that goes to a peer and comes back — a compositing strip, a
 # staging step — is a minimpi loan (Comm::lend / give_back / reclaim),

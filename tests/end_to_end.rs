@@ -233,26 +233,26 @@ fn render_pair(
 /// (the bytes of `render::composite`'s and `render::deflate`'s
 /// constants, restated):
 /// - the strips in flight, two of rank 0's 975 columns × ⌊32 Ki /
-///   1920⌋ = 17 rows at 8 B/px: 265 200 B (they circulate, so a warm
-///   step allocates none);
+///   1920⌋ = 17 rows at 7 B/px (RGB and depth): 232 050 B (they
+///   circulate, so a warm step allocates none);
 /// - the sliding buffer of the encode, `WINDOW + CHUNK + MAX_MATCH + 3`
 ///   = 98 565 B (kept by the encoder);
 /// - the scanlines rank 0 flattens for the band rank 1 deflates:
 ///   Catalyst's 6 halo rows of 5 761 B and Libsim's 512 + 11 rows of
 ///   3 073 B, 1 641 745 B in all (sent, and freed on rank 1).
 ///
-/// That is 2 005 510 B, under 2 MiB; rank 0 rises 1 637 142 B, the
+/// That is 1 972 360 B, under 2 MiB; rank 0 rises 1 637 142 B, the
 /// scanlines. Until the strips, it rose 4 213 360 B, the 975 × 540
-/// pixels of its swap patch; a fresh 1024² Libsim frame a step
-/// (8 406 834 B) or a fresh 1920×1080 one (24 884 536 B) does not fit
-/// either.
+/// pixels of its swap patch at 8 B/px; a fresh 1024² Libsim frame a
+/// step (7 340 032 B of pixels) or a fresh 1920×1080 one (14 515 200 B)
+/// does not fit either.
 #[test]
 fn steady_state_render_step_allocates_no_catalyst_frame() {
-    let strips = 2 * 8 * 975 * (32 * 1024 / 1920);
+    let strips = 2 * 7 * 975 * (32 * 1024 / 1920);
     let sliding = 32 * 1024 + 64 * 1024 + 258 + 3;
     let scanlines = 6 * (1 + 3 * 1920) + (512 + 11) * (1 + 3 * 1024);
     let bound = strips + sliding + scanlines;
-    assert_eq!(bound, 2_005_510);
+    assert_eq!(bound, 1_972_360);
     assert!(bound < 2 << 20);
     let d = deck();
     let rises = World::run(2, move |comm| {
@@ -287,7 +287,8 @@ fn steady_state_render_step_allocates_no_catalyst_frame() {
     // broadcast: Libsim's frame reuses the range Catalyst's took. 96 are
     // strips, whose bytes are the closed form of
     // `render_step_ships_scanlines_not_gathered_framebuffers`: Catalyst
-    // swaps 975 × 540 and 945 × 540 px, Libsim's child lends 504 × 1024.
+    // swaps 975 × 540 and 945 × 540 px, Libsim's child lends 504 × 1024,
+    // each pixel 7 B (RGB and depth).
     let d = deck();
     let counted = World::run(2, move |comm| {
         comm.attach_probe(probe::enabled());
@@ -307,7 +308,7 @@ fn steady_state_render_step_allocates_no_catalyst_frame() {
     let total = [0, 1, 2].map(|k| counted[0][k] + counted[1][k]);
     assert_eq!(total[0], 12 + 62 + 63, "minimpi messages a warm step");
     assert_eq!(total[1], 96, "render/composite strips a warm step");
-    assert_eq!(total[2], 8 * (975 * 540 + 945 * 540 + 504 * 1024));
+    assert_eq!(total[2], 7 * (975 * 540 + 945 * 540 + 504 * 1024));
 }
 
 /// Catalyst and Libsim draw into each rank's one spare framebuffer, a
@@ -538,7 +539,7 @@ fn a_later_plot_is_merged_in_place() {
 /// Compositing patches travel by ownership, cut into strips of
 /// `32 Ki / width` whole rows (`render::composite`'s pixel budget):
 /// `minimpi/p2p` counts each strip as its header, and
-/// `render/composite` counts its pixels at 8 B. The scanlines of the
+/// `render/composite` counts its pixels at 7 B. The scanlines of the
 /// collective encode are byte vectors and count in full. Catalyst: each
 /// swap partner sends its 540 rows as ⌈540 / 17⌉ = 32 strips and
 /// receives as many, which come back as the buffers of its own, so the
@@ -596,11 +597,12 @@ fn render_step_ships_scanlines_not_gathered_framebuffers() {
     // of them), rank 1 the other 945; each sends the half of the rows
     // it gives away. Libsim, 1024×1024: rank 1 draws from
     // 32·1024/63 = 520.1, 504 columns, and sends all its rows. The
-    // bytes are those of whole patches; only the messages grew.
-    assert_eq!(sent[0][0][1], (swap, 8 * 975 * 540));
-    assert_eq!(sent[1][0][1], (swap, 8 * 945 * 540));
+    // bytes are those of whole patches, 7 B a pixel (RGB and depth);
+    // only the messages grew.
+    assert_eq!(sent[0][0][1], (swap, 7 * 975 * 540));
+    assert_eq!(sent[1][0][1], (swap, 7 * 945 * 540));
     assert_eq!(sent[0][1][1], (0, 0));
-    assert_eq!(libsim_patches, (tree, 8 * 504 * 1024));
+    assert_eq!(libsim_patches, (tree, 7 * 504 * 1024));
 
     // Catalyst, 1920×1080: stride 5761, cut at row 540.
     let (stride, halo_rows) = (1 + 3 * 1920, 6);
@@ -1493,13 +1495,13 @@ fn science_proxies_through_one_bridge_api() {
 /// - the bin reduction: rank 1's reduce envelope (1), or rank 0's
 ///   reduced vector, the copy it broadcasts and its envelope (3).
 ///
-/// The autocorrelation makes 2 more, to 10: the step's run table (1,
-/// compared with the captured one) and the list of past slots its
-/// delays read (1).
+/// The autocorrelation makes none beyond the field's 8: it walks the
+/// step's kept runs against the captured table entry by entry, and
+/// finds each delay's past slot as it goes.
 ///
 /// Through a bridge the two share the step's one field: the histogram,
 /// first to read it, makes the same 13 / 11, and the autocorrelation
-/// only its own 2.
+/// none.
 #[test]
 fn steady_state_stats_step_heap_calls() {
     use minimpi::{SchedPolicy, WorldBuilder};
@@ -1509,7 +1511,7 @@ fn steady_state_stats_step_heap_calls() {
     const BOUND: usize = 16 << 10;
     // Per rank: histogram and autocorrelation called directly, then
     // through a bridge.
-    const CALLS: [[[u64; 2]; 2]; 2] = [[[13, 10], [13, 2]], [[11, 10], [11, 2]]];
+    const CALLS: [[[u64; 2]; 2]; 2] = [[[13, 8], [13, 0]], [[11, 8], [11, 0]]];
 
     /// Each `execute`'s allocation rise and heap calls.
     type Rounds = Arc<Mutex<Vec<(usize, u64)>>>;

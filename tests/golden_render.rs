@@ -44,12 +44,16 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Digest of everything a framebuffer holds: RGBA bytes and the exact
-/// bit patterns of the depth buffer.
+/// Digest of everything a framebuffer holds: each pixel's RGBA, its
+/// alpha read from coverage (`Framebuffer::pixel`), and the exact bit
+/// patterns of the depth buffer.
 fn framebuffer_digest(fb: &Framebuffer) -> u64 {
     let mut bytes = Vec::with_capacity(fb.color().len() * 8);
-    for px in fb.color() {
-        bytes.extend_from_slice(px);
+    for y in 0..fb.height() {
+        for x in 0..fb.width() {
+            let Color { r, g, b, a } = fb.pixel(x, y);
+            bytes.extend_from_slice(&[r, g, b, a]);
+        }
     }
     for d in fb.depth() {
         bytes.extend_from_slice(&d.to_bits().to_le_bytes());

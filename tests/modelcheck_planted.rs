@@ -702,14 +702,17 @@ fn render_scenario(comm: &Comm) {
             assert_ne!(r, 0, "rank 0 holds the image");
             continue;
         };
-        let want: Vec<u8> = (0..w)
-            .flat_map(|x| match (0..p).find(|&q| band(q, frame).contains(&x)) {
-                Some(q) => [q as u8 + 1, 0, 0, 255],
-                None => [0; 4],
+        let want: Vec<Color> = (0..w)
+            .map(|x| match (0..p).find(|&q| band(q, frame).contains(&x)) {
+                Some(q) => Color::rgb(q as u8 + 1, 0, 0),
+                None => Color::TRANSPARENT,
             })
             .collect();
-        for (y, row) in image.color().as_flattened().chunks(4 * w).enumerate() {
-            assert!(row == want, "{which:?}: row {y}");
+        for y in 0..h {
+            assert!(
+                (0..w).map(|x| image.pixel(x, y)).eq(want.iter().copied()),
+                "{which:?}: row {y}"
+            );
         }
     }
 }
