@@ -769,6 +769,23 @@ mod tests {
         assert_eq!(steps.len(), 2);
         assert_eq!(steps[0], a);
         assert_eq!(steps[1].step, 8);
+        // A file cut anywhere inside its last frame, length prefix or
+        // step, is corrupt; cut at a frame boundary it is the steps
+        // before the cut.
+        let whole = std::fs::read(&path).unwrap();
+        let first = 8 + a.encoded_len();
+        for end in first + 1..whole.len() {
+            std::fs::write(&path, &whole[..end]).unwrap();
+            assert!(
+                matches!(BpFile::read_all(&path), Err(BpError::Corrupt(_))),
+                "cut at {end}"
+            );
+        }
+        std::fs::write(&path, &whole[..first]).unwrap();
+        assert_eq!(BpFile::read_all(&path).unwrap(), [a]);
+        std::fs::write(&path, b"").unwrap();
+        assert!(BpFile::read_all(&path).unwrap().is_empty(), "no steps");
+        std::fs::write(&path, &whole).unwrap();
         // A length prefix larger than the file is corrupt, not a wrapped
         // offset.
         let mut f = std::fs::OpenOptions::new()

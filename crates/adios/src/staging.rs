@@ -66,19 +66,31 @@ fn mesh_to_step(mesh: &DataSet, data: &dyn DataAdaptor) -> Result<BpStep, Adapto
     Ok(step)
 }
 
-/// Convert one timestep of a (structured) data adaptor into a BP step
-/// that owns its payloads (see [`mesh_to_step`] for what becomes a variable).
-pub fn try_adaptor_to_step(data: &dyn DataAdaptor) -> Result<BpStep, AdaptorError> {
-    let mesh = data.full_mesh();
+/// Marshal `mesh`, one step of `data`, into a BP step that owns its
+/// payloads: the one way a step is put at rest (GLEAN's aggregator
+/// files, post hoc pieces) or shipped by a caller that keeps no publish
+/// window open. See [`mesh_to_step`] for what becomes a variable;
+/// `endpoint` names the publish window the sanitizer reports.
+pub fn marshal(
+    mesh: &DataSet,
+    data: &dyn DataAdaptor,
+    endpoint: &str,
+) -> Result<BpStep, AdaptorError> {
     // Sanitizer: marshaling reads every array zero-copy, in a window.
-    let _publish = datamodel::publish_dataset(&mesh, "adios");
-    let mut step = mesh_to_step(&mesh, data)?;
+    let _publish = datamodel::publish_dataset(mesh, endpoint);
+    let mut step = mesh_to_step(mesh, data)?;
     // The step outlives the window, so what it still shares with the
     // producer is copied out here, once and exactly sized.
     for var in &mut step.vars {
         var.data.detach();
     }
     Ok(step)
+}
+
+/// [`marshal`] every array of one timestep of a (structured) data
+/// adaptor.
+pub fn try_adaptor_to_step(data: &dyn DataAdaptor) -> Result<BpStep, AdaptorError> {
+    marshal(&data.full_mesh(), data, "adios")
 }
 
 /// The blocks of one round of received steps: an image grid per writer

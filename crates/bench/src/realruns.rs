@@ -6,8 +6,9 @@
 
 use probe::time::Wall;
 
-use datamodel::Extent;
+use datamodel::{DataArray, DataSet, Extent, ImageData};
 use minimpi::World;
+use sensei::InMemoryAdaptor;
 
 /// Seconds of wall clock for `f`.
 fn time<T>(f: impl FnOnce() -> T) -> (f64, T) {
@@ -28,14 +29,15 @@ pub fn measure_write_paths(ranks: usize, grid: usize, dir: &std::path::Path) -> 
         let dims = datamodel::dims_create(comm.size());
         let local = datamodel::partition_extent(&global, dims, comm.rank());
         let values: Vec<f64> = local.iter_points().map(|p| p[0] as f64).collect();
+        let mut block = ImageData::new(local, global);
+        block.add_point_array(DataArray::owned("data", 1, values));
+        let block = InMemoryAdaptor::new(DataSet::Image(block), 0.0, 0);
+        // A piece is appended: one left by an earlier run goes first.
+        let path = iosim::piece_path(&dir_a, 0, comm.rank());
+        let _ = std::fs::remove_file(&path);
         let t0 = Wall::now();
-        let piece = iosim::Piece {
-            extent: local,
-            global,
-            spacing: [1.0; 3],
-            arrays: vec![("data".to_string(), values)],
-        };
-        iosim::write_piece(&dir_a, 0, comm.rank(), &piece).expect("write piece");
+        let piece = adios::staging::try_adaptor_to_step(&block).expect("host-resident block");
+        adios::BpFile::append(&path, &piece).expect("write piece");
         comm.barrier();
         t0.elapsed().as_secs_f64()
     })

@@ -2,13 +2,18 @@
 //!
 //! Each aggregator is a **staging-broker topic**: the assembled node
 //! step publishes to `("glean/<array>", aggregator)` on an
-//! [`adios::broker::Broker`], and the blob-file drain thread is just
-//! that topic's first subscriber. Any number of additional consumers
-//! (live monitors, secondary analyses) can subscribe to the same topic
-//! via [`GleanWriter::with_broker`] without touching the aggregation
-//! path — the same one-producer/N-consumer contract as the FlexPath
-//! staging broker, with the same bounded-queue backpressure and
-//! slow-consumer eviction semantics.
+//! [`adios::broker::Broker`], and the drain thread that appends it to
+//! the aggregator's `.bp` file is just that topic's first subscriber.
+//! Any number of additional consumers (live monitors, secondary
+//! analyses) can subscribe to the same topic via
+//! [`GleanWriter::with_broker`] without touching the aggregation path —
+//! the same one-producer/N-consumer contract as the FlexPath staging
+//! broker, with the same bounded-queue backpressure and slow-consumer
+//! eviction semantics.
+//!
+//! A node step is the members' BP-lite steps in rank order, which is
+//! what [`adios::staging::round_adaptor`] takes: the files read back
+//! with [`adios::BpFile::read_all`] are a data adaptor again.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -16,12 +21,11 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use adios::broker::{Broker, BrokerConfig, TopicKey};
+use adios::{BpError, BpFile, BpStep};
 use minimpi::Comm;
 use probe::time::Wall;
-use sensei::analysis::{LeafView, ReportOnce};
+use sensei::analysis::ReportOnce;
 use sensei::{AnalysisAdaptor, Association, DataAdaptor, FailureReport, Steering};
-
-use crate::blobs::{append_step, BlockRecord};
 
 const TAG_AGG: u32 = 0x61E4_0001;
 
@@ -30,15 +34,12 @@ const TAG_AGG: u32 = 0x61E4_0001;
 const DEFAULT_MEMBER_DEADLINE: Duration = Duration::from_secs(30);
 
 /// Default bound on how long `finalize` waits for the drain thread to
-/// flush and exit before declaring the blobs suspect.
+/// flush and exit before declaring the aggregator's file suspect.
 const DEFAULT_FINALIZE_DEADLINE: Duration = Duration::from_secs(30);
 
 /// Steps of slack between the aggregator and its drain subscriber
 /// before backpressure kicks in.
 const DRAIN_QUEUE_DEPTH: usize = 8;
-
-/// One assembled node step: what an aggregator publishes to its topic.
-pub type NodeStep = (u64, Vec<BlockRecord>);
 
 /// The machine topology GLEAN exploits: which ranks share a node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -77,9 +78,10 @@ impl Topology {
 }
 
 /// SENSEI analysis adaptor enabling GLEAN-accelerated output: every rank
-/// forwards its block to its node aggregator; aggregators publish the
-/// assembled node step to their broker topic, whose drain subscriber (a
-/// background thread) writes one blob file per aggregator.
+/// marshals its block into a BP-lite step and forwards it to its node
+/// aggregator; aggregators publish the assembled node step to their
+/// broker topic, whose drain subscriber (a background thread) appends
+/// it to one `.bp` file per aggregator.
 pub struct GleanWriter {
     topology: Topology,
     array: String,
@@ -87,8 +89,8 @@ pub struct GleanWriter {
     /// The topic fabric node steps publish through. Private by
     /// default; share one via [`GleanWriter::with_broker`] to let
     /// other consumers watch the aggregation stream.
-    broker: Broker<NodeStep>,
-    drain: Option<JoinHandle<std::io::Result<u64>>>,
+    broker: Broker<Vec<(usize, BpStep)>>,
+    drain: Option<JoinHandle<Result<(), BpError>>>,
     /// Steps accepted so far.
     steps: u64,
     /// Bytes forwarded or aggregated by this rank so far.
@@ -135,7 +137,7 @@ impl GleanWriter {
     /// Publish through a shared broker instead of a private one, so
     /// external subscribers can watch this writer's aggregation topic
     /// (key `("glean/<array>", aggregator-rank)`).
-    pub fn with_broker(mut self, broker: Broker<NodeStep>) -> Self {
+    pub fn with_broker(mut self, broker: Broker<Vec<(usize, BpStep)>>) -> Self {
         self.broker = broker;
         self
     }
@@ -162,9 +164,10 @@ impl GleanWriter {
         self.drain_delay = delay;
     }
 
-    /// Blob file path for aggregator `agg`.
-    pub fn blob_path(dir: &std::path::Path, agg: usize) -> PathBuf {
-        dir.join(format!("glean_{agg:06}.bin"))
+    /// The `.bp` file aggregator `agg` drains to: every node step's
+    /// member steps, appended in rank order.
+    pub fn file_path(dir: &std::path::Path, agg: usize) -> PathBuf {
+        dir.join(format!("glean_{agg:06}.bp"))
     }
 
     /// Steps processed.
@@ -172,24 +175,20 @@ impl GleanWriter {
         self.steps
     }
 
-    fn local_block(&mut self, data: &dyn DataAdaptor, rank: usize) -> Option<BlockRecord> {
-        // The block is drained out of the zero-copy arrays inside a
-        // publish window, into a record that owns its payload (it
-        // outlives the step on the drain thread).
+    /// This rank's block: the field's mesh (the array, the producer's
+    /// ghost flags and the geometry) marshalled into a step that owns
+    /// its payloads, since it outlives the step on the drain thread.
+    fn local_step(&mut self, data: &dyn DataAdaptor) -> Option<BpStep> {
         let field = data.field(Association::Point, &self.array);
-        let _publish = field
-            .mesh()
-            .map(|mesh| datamodel::publish_dataset(mesh, "glean"));
-        let views = field.views_or(&mut self.missing);
-        self.failures.extend(self.missing.take());
-        let (grid, values) = views.iter().find_map(LeafView::block)?;
-        let datamodel::Extent { lo, hi } = grid.extent;
-        Some(BlockRecord {
-            rank,
-            name: self.array.clone(),
-            extent: [lo[0], lo[1], lo[2], hi[0], hi[1], hi[2]],
-            data: values.to_vec(),
+        let step = match field.mesh() {
+            Ok(mesh) => adios::staging::marshal(mesh, data, "glean"),
+            Err(err) => Err(err.clone()),
+        };
+        step.map_err(|cause| {
+            self.missing.report(cause);
+            self.failures.extend(self.missing.take());
         })
+        .ok()
     }
 
     /// Move the broker's eviction records into the typed reports.
@@ -207,8 +206,7 @@ impl GleanWriter {
         if self.drain.is_some() {
             return true;
         }
-        let path = Self::blob_path(&self.output_dir, agg);
-        let _ = std::fs::remove_file(&path);
+        let path = Self::file_path(&self.output_dir, agg);
         let topic = self.topic(agg);
         let sub = match self
             .broker
@@ -222,17 +220,19 @@ impl GleanWriter {
             }
         };
         let delay = self.drain_delay;
-        let handle = std::thread::spawn(move || -> std::io::Result<u64> {
-            let mut written = 0u64;
+        let handle = std::thread::spawn(move || -> Result<(), BpError> {
+            // A run leaves one file per aggregator, empty if nothing
+            // was aggregated.
+            std::fs::File::create(&path)?;
             loop {
                 match sub.recv_deadline(Duration::from_millis(200)) {
                     Ok(Some(msg)) => {
                         if !delay.is_zero() {
                             std::thread::sleep(delay);
                         }
-                        let (step, blocks) = &*msg.payload;
-                        append_step(&path, *step, blocks)?;
-                        written += blocks.iter().map(|b| b.data.len() as u64 * 8).sum::<u64>();
+                        for (_, step) in msg.payload.iter() {
+                            BpFile::append(&path, step)?;
+                        }
                     }
                     // End-of-stream (topic finished, queue drained) or
                     // this subscriber was evicted for falling behind —
@@ -243,7 +243,7 @@ impl GleanWriter {
                     Err(()) => continue,
                 }
             }
-            Ok(written)
+            Ok(())
         });
         self.drain = Some(handle);
         true
@@ -259,12 +259,13 @@ impl AnalysisAdaptor for GleanWriter {
         self.steps += 1;
         let me = comm.rank();
         let agg = self.topology.aggregator_of(me);
-        let block = self.local_block(data, me);
+        let block = self.local_step(data);
         if let Some(b) = &block {
-            self.bytes_handled += b.data.len() as u64 * 8;
+            self.bytes_handled += b.payload_bytes() as u64;
         }
         if me != agg {
-            // Ownership of the buffer moves to the aggregator: no copy.
+            // Ownership of the marshalled step moves to the aggregator:
+            // no second copy.
             comm.send(agg, TAG_AGG, block);
             return Steering::Continue;
         }
@@ -278,21 +279,17 @@ impl AnalysisAdaptor for GleanWriter {
             .into_iter()
             .filter(|&p| p != me && !self.dead_ranks.contains(&p))
             .collect();
-        let mut blocks: Vec<BlockRecord> = Vec::with_capacity(awaiting.len() + 1);
-        if let Some(b) = block {
-            blocks.push(b);
-        }
+        let mut blocks: Vec<(usize, BpStep)> = Vec::with_capacity(awaiting.len() + 1);
+        blocks.extend(block.map(|b| (me, b)));
         while !awaiting.is_empty() {
-            match comm.recv_any_of_deadline::<Option<BlockRecord>>(
+            match comm.recv_any_of_deadline::<Option<BpStep>>(
                 &awaiting,
                 TAG_AGG,
                 self.member_deadline,
             ) {
                 Ok((peer, b)) => {
                     awaiting.retain(|&p| p != peer);
-                    if let Some(b) = b {
-                        blocks.push(b);
-                    }
+                    blocks.extend(b.map(|b| (peer, b)));
                 }
                 Err(_) => {
                     // Every member still awaited was silent for the
@@ -309,11 +306,10 @@ impl AnalysisAdaptor for GleanWriter {
                 }
             }
         }
-        blocks.sort_by_key(|b| b.rank);
-        let step = data.step();
+        blocks.sort_by_key(|&(rank, _)| rank);
         if self.ensure_drain(agg) {
             let topic = self.topic(agg);
-            self.broker.publish(&topic, (step, blocks));
+            self.broker.publish(&topic, blocks);
             self.take_evictions();
         }
         Steering::Continue
@@ -326,7 +322,7 @@ impl AnalysisAdaptor for GleanWriter {
             // Join with a deadline: a wedged drain (dead disk, hung
             // filesystem) must not hang the whole job at exit. The
             // thread is detached past the deadline and the suspect
-            // blobs are surfaced through take_failures.
+            // file is surfaced through take_failures.
             let start = Wall::now();
             let joined = loop {
                 if handle.is_finished() {
@@ -339,15 +335,15 @@ impl AnalysisAdaptor for GleanWriter {
             };
             if !joined {
                 self.failures.push(format!(
-                    "glean: drain thread did not finish within {:?}; blob file for \
+                    "glean: drain thread did not finish within {:?}; the file of \
                      aggregator {agg} may be truncated or unflushed",
                     self.finalize_deadline
                 ));
                 return;
             }
             match handle.join() {
-                Ok(Ok(_written)) => {}
-                Ok(Err(e)) => self.failures.push(format!("drain thread I/O error: {e}")),
+                Ok(Ok(())) => {}
+                Ok(Err(e)) => self.failures.push(format!("drain thread: {e}")),
                 Err(_) => self.failures.push("drain thread panicked".to_string()),
             }
             self.take_evictions();
@@ -366,10 +362,23 @@ impl AnalysisAdaptor for GleanWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blobs::read_blob_file;
     use datamodel::{partition_extent, DataArray, DataSet, Extent, ImageData};
     use minimpi::World;
     use sensei::{Bridge, InMemoryAdaptor};
+
+    /// Every member step aggregator `agg` appended, in file order.
+    fn read_back(dir: &std::path::Path, agg: usize) -> Vec<BpStep> {
+        BpFile::read_all(&GleanWriter::file_path(dir, agg)).expect("the aggregator's file parses")
+    }
+
+    /// The `(step, x offset)` of each member step in a file: the rank
+    /// order of the node steps, since the test grids split along x.
+    fn steps_and_offsets(steps: &[BpStep]) -> Vec<(u64, u64)> {
+        steps
+            .iter()
+            .map(|s| (s.step, s.vars[0].offset[0]))
+            .collect()
+    }
 
     fn adaptor(comm: &Comm, step: u64) -> InMemoryAdaptor {
         let global = Extent::whole([9, 3, 3]);
@@ -410,35 +419,20 @@ mod tests {
             }
             bridge.finalize(comm);
         });
-        // 4 ranks, 2 per node → 2 blob files.
-        let f0 = read_blob_file(&GleanWriter::blob_path(&dir, 0)).unwrap();
-        let f2 = read_blob_file(&GleanWriter::blob_path(&dir, 2)).unwrap();
-        assert!(!GleanWriter::blob_path(&dir, 1).exists());
-        assert_eq!(f0.len(), 3, "three steps");
-        assert_eq!(f2.len(), 3);
-        // Each frame holds both node members' blocks, rank-sorted.
-        for (step, blocks) in &f0 {
-            assert!(*step < 3);
-            assert_eq!(
-                blocks.iter().map(|b| b.rank).collect::<Vec<_>>(),
-                vec![0, 1]
-            );
-        }
-        for (_, blocks) in &f2 {
-            assert_eq!(
-                blocks.iter().map(|b| b.rank).collect::<Vec<_>>(),
-                vec![2, 3]
-            );
-        }
-        // Every cell of the global grid is present exactly once per step
+        // 4 ranks, 2 per node → 2 files.
+        let f0 = read_back(&dir, 0);
+        let f2 = read_back(&dir, 2);
+        assert!(!GleanWriter::file_path(&dir, 1).exists());
+        // Each node step is both node members' steps, rank-sorted.
+        let lo = |r| partition_extent(&Extent::whole([9, 3, 3]), [4, 1, 1], r).lo[0] as u64;
+        let node = |a, b| (0..3).flat_map(move |s| [(s, lo(a)), (s, lo(b))]);
+        assert_eq!(steps_and_offsets(&f0), node(0, 1).collect::<Vec<_>>());
+        assert_eq!(steps_and_offsets(&f2), node(2, 3).collect::<Vec<_>>());
+        // Every point of the global grid is present once per step
         // across the two files (shared planes belong to both blocks, so
         // compare against the sum of local point counts).
-        let total: usize = f0[0]
-            .1
-            .iter()
-            .chain(f2[0].1.iter())
-            .map(|b| b.data.len())
-            .sum();
+        let step0 = [&f0[..2], &f2[..2]].concat();
+        let total: usize = step0.iter().map(|s| s.payload_bytes() / 8).sum();
         let expect: usize = (0..4)
             .map(|r| partition_extent(&Extent::whole([9, 3, 3]), [4, 1, 1], r).num_points())
             .sum();
@@ -459,9 +453,9 @@ mod tests {
                 assert!(w.bytes_handled > 0);
             }
         });
-        let frames = read_blob_file(&GleanWriter::blob_path(&dir, 0)).unwrap();
-        assert_eq!(frames.len(), 1);
-        assert_eq!(frames[0].1.len(), 3, "all three ranks aggregated");
+        let steps = read_back(&dir, 0);
+        assert_eq!(steps.len(), 3, "all three ranks aggregated");
+        assert!(steps.iter().all(|s| s.step == 0));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -476,11 +470,11 @@ mod tests {
     }
 
     // Regression (finalize/drain race): finalizing immediately after a
-    // large step must wait for the drain subscriber, so the blob holds
-    // the complete frame — truncated/unflushed blobs were the failure
+    // large step must wait for the drain subscriber, so the file holds
+    // the complete step — truncated/unflushed files were the failure
     // mode when finalize did not join the drain with a bound.
     #[test]
-    fn finalize_right_after_large_step_leaves_complete_blob() {
+    fn finalize_right_after_large_step_leaves_complete_file() {
         let dir = std::env::temp_dir().join(format!("glean_flush_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let d2 = dir.clone();
@@ -491,10 +485,10 @@ mod tests {
             w.finalize(comm);
             assert!(w.take_failures().is_empty(), "clean run reports nothing");
         });
-        let frames = read_blob_file(&GleanWriter::blob_path(&dir, 0)).unwrap();
-        assert_eq!(frames.len(), 1);
+        let steps = read_back(&dir, 0);
+        assert_eq!(steps.len(), 1);
         let expect = Extent::whole([200, 30, 30]).num_points();
-        assert_eq!(frames[0].1[0].data.len(), expect, "frame complete");
+        assert_eq!(steps[0].payload_bytes(), expect * 8, "step complete");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -577,16 +571,12 @@ mod tests {
                 }
             });
         assert_eq!(faults.dropped(), 3, "every forwarded block was dropped");
-        // All three steps persisted with the aggregator's own block only.
-        let frames = read_blob_file(&GleanWriter::blob_path(&dir, 0)).unwrap();
-        assert_eq!(frames.len(), 3);
-        for (_, blocks) in &frames {
-            assert_eq!(
-                blocks.iter().map(|b| b.rank).collect::<Vec<_>>(),
-                vec![0],
-                "dead member's blocks must not appear"
-            );
-        }
+        // All three steps persisted with the aggregator's own block
+        // only: the dead member's blocks must not appear.
+        assert_eq!(
+            steps_and_offsets(&read_back(&dir, 0)),
+            [(0, 0), (1, 0), (2, 0)]
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -600,7 +590,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let d2 = dir.clone();
         World::run(2, move |comm| {
-            let broker: Broker<NodeStep> = Broker::new(BrokerConfig {
+            let broker: Broker<Vec<(usize, BpStep)>> = Broker::new(BrokerConfig {
                 queue_depth: 8,
                 ..BrokerConfig::default()
             });
@@ -618,9 +608,9 @@ mod tests {
             if let Some(watcher) = watcher {
                 let mut steps = Vec::new();
                 while let Some(msg) = watcher.try_next() {
-                    let (step, blocks) = &*msg.payload;
-                    assert_eq!(blocks.len(), 2, "both node members aggregated");
-                    steps.push(*step);
+                    let ranks: Vec<usize> = msg.payload.iter().map(|&(r, _)| r).collect();
+                    assert_eq!(ranks, [0, 1], "both node members aggregated");
+                    steps.push(msg.payload[0].1.step);
                 }
                 assert_eq!(steps, vec![0, 1, 2], "watcher saw every node step");
                 assert!(watcher.is_eos(), "finalize finished the topic");
@@ -639,9 +629,7 @@ mod tests {
             w.execute(&adaptor(comm, 0), comm);
             w.finalize(comm);
         });
-        let frames = read_blob_file(&GleanWriter::blob_path(&dir, 0)).unwrap();
-        assert_eq!(frames.len(), 1);
-        assert!(frames[0].1.is_empty());
+        assert!(read_back(&dir, 0).is_empty(), "an empty file");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -12,19 +12,22 @@
 //! * **asynchronous draining** — each aggregator publishes aggregated
 //!   steps to its staging-broker topic (`("glean/<array>", agg)` on an
 //!   [`adios::broker::Broker`]); a background writer thread subscribes
-//!   and persists them, overlapping storage I/O with the next
-//!   simulation step (the "fastest path for their data"), and any
-//!   number of extra subscribers can watch the same topic
-//!   ([`GleanWriter::with_broker`]);
+//!   and appends them to the aggregator's `.bp` file, overlapping
+//!   storage I/O with the next simulation step (the "fastest path for
+//!   their data"), and any number of extra subscribers can watch the
+//!   same topic ([`GleanWriter::with_broker`]);
 //! * a SENSEI [`sensei::AnalysisAdaptor`] wrapper ([`GleanWriter`]) so
 //!   the simulation enables GLEAN exactly like any other analysis.
 //!
-//! Because `minimpi` messages move ownership, intra-node "aggregation"
-//! is genuinely copy-free: a rank's field buffer travels to the
-//! aggregator without a memcpy.
+//! A rank's block is a BP-lite step ([`adios::BpStep`]): the array,
+//! the producer's ghost flags and the geometry, marshalled by
+//! [`adios::staging::marshal`] — the one copy, out of the simulation's
+//! buffer. `minimpi` messages move ownership, so that step then
+//! reaches the aggregator, the broker and the drain without another.
+//! The files hold BP-lite steps too, and read back through
+//! [`adios::BpFile::read_all`] and [`adios::staging::round_adaptor`]
+//! as post hoc and in transit data do.
 
 mod aggregate;
-mod blobs;
 
-pub use aggregate::{GleanWriter, NodeStep, Topology};
-pub use blobs::{read_blob_file, BlockRecord};
+pub use aggregate::{GleanWriter, Topology};

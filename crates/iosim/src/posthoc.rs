@@ -1,15 +1,18 @@
 //! The post hoc analysis workflow (Fig. 11): a reader group *smaller*
 //! than the writer group (the paper uses 10%) reads each timestep's
-//! pieces back, reassembles blocks, and runs SENSEI analyses — the same
-//! analyses that ran in situ, which is the point of the comparison.
+//! pieces back and runs SENSEI analyses over them — the same analyses
+//! that ran in situ, which is the point of the comparison. A piece is
+//! a BP-lite step, so a reader's pieces become a data adaptor the way a
+//! staging endpoint's received steps do ([`round_adaptor`]).
 
 use std::path::{Path, PathBuf};
 
-use datamodel::{DataArray, DataSet, ImageData, MultiBlock};
+use adios::staging::round_adaptor;
+use adios::BpFile;
 use minimpi::Comm;
-use sensei::{AnalysisAdaptor, Bridge, InMemoryAdaptor};
+use sensei::{AnalysisAdaptor, Bridge, RunReport};
 
-use crate::vtkio::read_piece;
+use crate::vtkio::piece_path;
 
 /// Wall-clock decomposition of a post hoc run — the read/process/write
 /// stacked bars of Fig. 11.
@@ -23,16 +26,20 @@ pub struct PosthocReport {
     pub write_seconds: f64,
     /// Steps processed.
     pub steps: u64,
-    /// Bytes read from storage by this rank.
+    /// Payload bytes read from storage by this rank.
     pub bytes_read: u64,
 }
 
 /// Run the post hoc workflow over `comm` (the **reader** communicator):
 /// for each step in `0..steps`, read the pieces of writers assigned to
-/// this reader (round-robin over `writers`), reassemble, and execute the
-/// analyses. Results land wherever the analyses put them; a small
+/// this reader (round-robin over `writers`) and execute the analyses
+/// over them. Results land wherever the analyses put them; a small
 /// results artifact is written to `results_path` by rank 0 to account
 /// for the "write" bar.
+///
+/// A piece that is missing or does not decode is recorded as a failure
+/// (in the bridge's reports and the returned [`RunReport`]) and left
+/// out of its step; the reader still joins every collective.
 pub fn posthoc_analysis(
     comm: &Comm,
     dir: &Path,
@@ -40,7 +47,7 @@ pub fn posthoc_analysis(
     writers: usize,
     analyses: Vec<Box<dyn AnalysisAdaptor>>,
     results_path: Option<PathBuf>,
-) -> (Bridge, PosthocReport) {
+) -> (Bridge, RunReport, PosthocReport) {
     let mut bridge = Bridge::new();
     for a in analyses {
         bridge.register(a);
@@ -51,28 +58,28 @@ pub fn posthoc_analysis(
     for step in 0..steps {
         // Read phase.
         let t0 = probe::time::Wall::now();
-        let mut blocks = MultiBlock::with_slots(my_writers.len());
-        for (slot, &w) in my_writers.iter().enumerate() {
-            let piece = read_piece(dir, step, w)
-                .unwrap_or_else(|e| panic!("posthoc: reading step {step} rank {w}: {e}"));
-            let mut g =
-                ImageData::new(piece.extent, piece.global).with_geometry([0.0; 3], piece.spacing);
-            for (name, data) in piece.arrays {
-                report.bytes_read += data.len() as u64 * 8;
-                g.add_point_array(DataArray::owned(name, 1, data));
+        let mut pieces = Vec::with_capacity(my_writers.len());
+        for &w in &my_writers {
+            match BpFile::read_all(&piece_path(dir, step, w)) {
+                Ok(read) => pieces.extend(read.into_iter().map(|piece| (w, piece))),
+                Err(e) => bridge.record_failure(format!(
+                    "posthoc: piece of step {step} from writer {w}: {e}"
+                )),
             }
-            blocks.set(slot, DataSet::Image(g));
         }
+        report.bytes_read += pieces
+            .iter()
+            .map(|(_, piece)| piece.payload_bytes() as u64)
+            .sum::<u64>();
         report.read_seconds += t0.elapsed().as_secs_f64();
 
         // Process phase.
         let t1 = probe::time::Wall::now();
-        let adaptor = InMemoryAdaptor::new(DataSet::Multi(blocks), step as f64, step);
-        bridge.execute(&adaptor, comm);
+        bridge.execute(&round_adaptor(&pieces), comm);
         report.process_seconds += t1.elapsed().as_secs_f64();
         report.steps += 1;
     }
-    bridge.finalize(comm);
+    let run = bridge.finalize(comm);
 
     // Write phase: a small results artifact from rank 0.
     if comm.rank() == 0 {
@@ -90,38 +97,39 @@ pub fn posthoc_analysis(
             report.write_seconds += t2.elapsed().as_secs_f64();
         }
     }
-    (bridge, report)
+    (bridge, run, report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vtkio::{write_manifest, write_piece, Piece};
-    use datamodel::{partition_extent, Extent};
+    use crate::vtkio::write_manifest;
+    use adios::staging::try_adaptor_to_step;
+    use datamodel::{partition_extent, DataArray, DataSet, Extent, ImageData};
     use minimpi::World;
     use sensei::analysis::histogram::HistogramAnalysis;
+    use sensei::InMemoryAdaptor;
 
-    /// Write a 10-writer dataset of `steps` steps, value = global x.
-    fn write_dataset(dir: &Path, steps: u64, writers: usize) {
+    /// Writer `w`'s block of a `writers`-writer grid at `step`, value =
+    /// global x + step.
+    fn block(step: u64, writers: usize, w: usize) -> InMemoryAdaptor {
         let global = Extent::whole([writers * 2 + 1, 3, 3]);
+        let local = partition_extent(&global, [writers, 1, 1], w);
+        let mut g = ImageData::new(local, global);
+        let values = local.iter_points().map(|p| p[0] as f64 + step as f64);
+        g.add_point_array(DataArray::owned("data", 1, values.collect()));
+        InMemoryAdaptor::new(DataSet::Image(g), step as f64, step)
+    }
+
+    /// Write a `writers`-writer dataset of `steps` steps.
+    fn write_dataset(dir: &Path, steps: u64, writers: usize) {
         for step in 0..steps {
             let mut extents = Vec::new();
             for w in 0..writers {
-                let local = partition_extent(&global, [writers, 1, 1], w);
-                extents.push(local);
-                let piece = Piece {
-                    extent: local,
-                    global,
-                    spacing: [1.0; 3],
-                    arrays: vec![(
-                        "data".to_string(),
-                        local
-                            .iter_points()
-                            .map(|p| p[0] as f64 + step as f64)
-                            .collect(),
-                    )],
-                };
-                write_piece(dir, step, w, &piece).unwrap();
+                let piece = try_adaptor_to_step(&block(step, writers, w)).unwrap();
+                let global = Extent::whole([writers * 2 + 1, 3, 3]);
+                extents.push(partition_extent(&global, [writers, 1, 1], w));
+                BpFile::append(&piece_path(dir, step, w), &piece).unwrap();
             }
             write_manifest(dir, step, &extents).unwrap();
         }
@@ -138,7 +146,7 @@ mod tests {
         World::run(1, move |comm| {
             let hist = HistogramAnalysis::new("data", 8);
             let handle = hist.results_handle();
-            let (bridge, report) = posthoc_analysis(
+            let (bridge, run, report) = posthoc_analysis(
                 comm,
                 &d2,
                 3,
@@ -147,6 +155,7 @@ mod tests {
                 Some(d2.join("results.txt")),
             );
             assert_eq!(bridge.steps(), 3);
+            assert!(run.failures.is_empty());
             assert_eq!(report.steps, 3);
             assert!(report.read_seconds > 0.0);
             assert!(report.bytes_read > 0);
@@ -154,6 +163,7 @@ mod tests {
             // Global grid 21×3×3; pieces overlap on shared planes:
             // 10 pieces of 3×3×3 = 270 values per step.
             assert_eq!(r.counts.iter().sum::<u64>(), 270);
+            assert_eq!(r.step, 2);
             assert!(d2.join("results.txt").exists());
         });
         std::fs::remove_dir_all(&dir).unwrap();
@@ -168,12 +178,52 @@ mod tests {
         World::run(2, move |comm| {
             let hist = HistogramAnalysis::new("data", 4);
             let handle = hist.results_handle();
-            let (_, report) = posthoc_analysis(comm, &d2, 2, 6, vec![Box::new(hist)], None);
+            let (_, _, report) = posthoc_analysis(comm, &d2, 2, 6, vec![Box::new(hist)], None);
             // Each of 2 readers reads 3 of the 6 writers' pieces.
             assert_eq!(report.bytes_read, 2 * 3 * 27 * 8);
             if comm.rank() == 0 {
                 let r = handle.lock().clone().unwrap();
                 assert_eq!(r.counts.iter().sum::<u64>(), 6 * 27);
+            }
+        });
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_bad_piece_is_a_failure_report_not_a_panic() {
+        // Writer 0's piece is cut inside its payload and writer 3's is
+        // missing: each reader records its own, still runs the step
+        // with the pieces it has, and the histogram covers writers 1
+        // and 2.
+        let dir = std::env::temp_dir().join(format!("posthoc_bad_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        write_dataset(&dir, 1, 4);
+        let cut = piece_path(&dir, 0, 0);
+        let raw = std::fs::read(&cut).unwrap();
+        std::fs::write(&cut, &raw[..raw.len() - 5]).unwrap();
+        std::fs::remove_file(piece_path(&dir, 0, 3)).unwrap();
+        let d2 = dir.clone();
+        World::run(2, move |comm| {
+            let hist = HistogramAnalysis::new("data", 4);
+            let handle = hist.results_handle();
+            let (bridge, run, report) =
+                posthoc_analysis(comm, &d2, 1, 4, vec![Box::new(hist)], None);
+            assert_eq!(bridge.steps(), 1);
+            assert_eq!(report.bytes_read, 27 * 8, "one good piece a reader");
+            let mine = bridge.failure_reports();
+            assert_eq!(mine.len(), 1, "{mine:?}");
+            let text = mine[0].to_string();
+            let expect = ["corrupt BP data", "BP I/O error"][comm.rank()];
+            assert!(text.contains(expect), "{text}");
+            if comm.rank() == 0 {
+                let kinds: Vec<_> = run
+                    .failures
+                    .iter()
+                    .map(|f| (f.rank, f.kind.as_str()))
+                    .collect();
+                assert_eq!(kinds, [(0, "other"), (1, "other")]);
+                let r = handle.lock().clone().unwrap();
+                assert_eq!(r.counts.iter().sum::<u64>(), 2 * 27);
             }
         });
         std::fs::remove_dir_all(&dir).unwrap();
@@ -197,21 +247,9 @@ mod tests {
         });
 
         let insitu = World::run(4, move |comm| {
-            let global = Extent::whole([9, 3, 3]);
-            let local = partition_extent(&global, [4, 1, 1], comm.rank());
-            let mut g = ImageData::new(local, global);
-            g.add_point_array(DataArray::owned(
-                "data",
-                1,
-                local.iter_points().map(|p| p[0] as f64).collect(),
-            ));
             let mut hist = HistogramAnalysis::new("data", 8);
             let handle = hist.results_handle();
-            use sensei::AnalysisAdaptor as _;
-            hist.execute(
-                &sensei::InMemoryAdaptor::new(DataSet::Image(g), 0.0, 0),
-                comm,
-            );
+            hist.execute(&block(0, 4, comm.rank()), comm);
             if comm.rank() == 0 {
                 handle.lock().clone()
             } else {

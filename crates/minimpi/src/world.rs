@@ -40,15 +40,15 @@ impl World {
     }
 }
 
-/// Configurable world launcher.
-///
-/// The default stack size is raised above the OS default because science
+/// Per-rank thread stack size: above the OS default because science
 /// proxies place sizable scratch buffers on the stack in debug builds.
+const STACK_SIZE: usize = 8 << 20;
+
+/// Configurable world launcher. Rank threads are named `rank-{rank}`.
+///
 /// A deadlock watchdog is armed by default (see [`WorldBuilder::watchdog`]).
 pub struct WorldBuilder {
     size: usize,
-    stack_size: usize,
-    name_prefix: String,
     watchdog: Duration,
     faults: Option<FaultHandle>,
     sched_policy: SchedPolicy,
@@ -63,8 +63,6 @@ impl WorldBuilder {
         assert!(size > 0, "world size must be at least 1");
         WorldBuilder {
             size,
-            stack_size: 8 << 20,
-            name_prefix: "rank".to_string(),
             watchdog: DEFAULT_WATCHDOG_GRACE,
             faults: None,
             sched_policy: SchedPolicy::Os,
@@ -72,18 +70,6 @@ impl WorldBuilder {
             sanitizer: None,
             liveness: None,
         }
-    }
-
-    /// Set the per-rank thread stack size in bytes.
-    pub fn stack_size(mut self, bytes: usize) -> Self {
-        self.stack_size = bytes;
-        self
-    }
-
-    /// Set the thread-name prefix (threads are named `{prefix}-{rank}`).
-    pub fn name_prefix(mut self, prefix: impl Into<String>) -> Self {
-        self.name_prefix = prefix.into();
-        self
     }
 
     /// Set the watchdog grace period. When every rank that has not yet
@@ -186,7 +172,7 @@ impl WorldBuilder {
             // Detached: exits on its own shortly after the last rank
             // finishes (or after triggering an abort).
             thread::Builder::new()
-                .name(format!("{}-watchdog", self.name_prefix))
+                .name("rank-watchdog".to_string())
                 .spawn(move || run_watchdog(monitor, grace))
                 .unwrap_or_else(|e| panic!("failed to spawn watchdog thread: {e}"));
         }
@@ -202,10 +188,9 @@ impl WorldBuilder {
                 let faults = self.faults.clone();
                 let sched = sched.clone();
                 let session = session.clone();
-                let name = format!("{}-{rank}", self.name_prefix);
                 thread::Builder::new()
-                    .name(name)
-                    .stack_size(self.stack_size)
+                    .name(format!("rank-{rank}"))
+                    .stack_size(STACK_SIZE)
                     .spawn(move || {
                         // Scheduled ranks run on the deterministic
                         // virtual clock so recorded timings are
@@ -330,12 +315,10 @@ mod tests {
 
     #[test]
     fn builder_names_threads() {
-        let names = WorldBuilder::new(2)
-            .name_prefix("osc")
-            .run(|_| thread::current().name().map(str::to_string));
+        let names = WorldBuilder::new(2).run(|_| thread::current().name().map(str::to_string));
         assert_eq!(
             names,
-            vec![Some("osc-0".to_string()), Some("osc-1".to_string())]
+            vec![Some("rank-0".to_string()), Some("rank-1".to_string())]
         );
     }
 

@@ -7,8 +7,10 @@
 //! cargo run --release --example posthoc_vs_insitu
 //! ```
 
+use adios::staging::try_adaptor_to_step;
+use adios::BpFile;
 use datamodel::{dims_create, partition_extent, Extent};
-use iosim::{posthoc_analysis, write_manifest, write_piece, Piece};
+use iosim::{piece_path, posthoc_analysis, write_manifest};
 use minimpi::World;
 use oscillator::{demo_oscillators, osc::format_deck, OscillatorAdaptor, SimConfig, Simulation};
 use sensei::analysis::histogram::HistogramAnalysis;
@@ -72,16 +74,12 @@ fn main() {
         let mut sim = Simulation::new(comm, cfg, root);
         let global = Extent::whole([GRID, GRID, GRID]);
         let dims = dims_create(comm.size());
-        let local = partition_extent(&global, dims, comm.rank());
         for step in 0..STEPS as u64 {
             sim.step(comm);
-            let piece = Piece {
-                extent: local,
-                global,
-                spacing: sim.spacing(),
-                arrays: vec![("data".to_string(), sim.field().as_ref().clone())],
-            };
-            write_piece(&dir_w, step, comm.rank(), &piece).expect("write piece");
+            // The piece is what in transit ships: the field, its ghost
+            // flags and the geometry, as one BP-lite step.
+            let piece = try_adaptor_to_step(&OscillatorAdaptor::new(&sim)).expect("host field");
+            BpFile::append(&piece_path(&dir_w, step, comm.rank()), &piece).expect("write piece");
             if comm.rank() == 0 {
                 let extents: Vec<Extent> = (0..comm.size())
                     .map(|r| partition_extent(&global, dims, r))
@@ -98,7 +96,7 @@ fn main() {
     let (posthoc_hist, report) = World::run(1, move |comm| {
         let hist = HistogramAnalysis::new("data", BINS);
         let handle = hist.results_handle();
-        let (_, report) = posthoc_analysis(
+        let (_, _, report) = posthoc_analysis(
             comm,
             &dir_r,
             STEPS as u64,

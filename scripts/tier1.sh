@@ -80,6 +80,18 @@ if tr '\n' ' ' <<<"$oscillator_src" | grep -oE 'DataArray::owned\(\s*(GHOST_ARRA
     exit 1
 fi
 
+echo "==> one step format at rest"
+# GLEAN's aggregator files and the post hoc pieces are BP-lite steps
+# (adios::BpFile), marshalled by adios::staging::marshal and read back
+# through adios::staging::round_adaptor. A byte codec in glean or in
+# iosim's pieces, or the records such a codec wrote, is a second format.
+if awk '/#\[cfg\(test\)\]/{nextfile} {print FILENAME ":" FNR ": " $0}' \
+    crates/glean/src/*.rs crates/iosim/src/{vtkio,posthoc}.rs |
+    grep -E '(to|from)_le_bytes|BlockRecord|read_blob_file|struct Piece|VtkIoError'; then
+    echo "tier1: GLEAN or the post hoc pieces have a step format of their own again" >&2
+    exit 1
+fi
+
 echo "==> the histogram reads ghosts as kept runs"
 # Both local passes walk each leaf's runs of kept values
 # (LeafView::kept_runs); a ghost flag tested per value in the product

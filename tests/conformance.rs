@@ -20,7 +20,7 @@ use oscillator::{demo_oscillators, osc::format_deck, OscillatorAdaptor, SimConfi
 use sensei::analysis::autocorrelation::{Autocorrelation, AutocorrelationResult};
 use sensei::analysis::descriptive::DescriptiveStats;
 use sensei::analysis::histogram::{HistogramAnalysis, HistogramResult};
-use sensei::Bridge;
+use sensei::{AnalysisAdaptor as _, Bridge, DataAdaptor as _};
 
 const GRID: [usize; 3] = [17, 17, 17];
 const STEPS: usize = 3;
@@ -435,13 +435,17 @@ fn adios_flexpath_staging_matches_insitu() {
     }
 }
 
-/// GLEAN: aggregated blob files are byte-identical across same-seed
-/// runs *and* across seeds (the schedule may never leak into persisted
-/// data), and the union of written blocks is the same field at every
-/// aggregation fan-in.
+/// GLEAN: aggregated files are byte-identical across same-seed runs
+/// *and* across seeds (the schedule may never leak into persisted
+/// data), the union of written blocks is the same field at every
+/// aggregation fan-in, and the files read back through
+/// `BpFile::read_all` and `round_adaptor` give the in situ histogram
+/// bitwise: they carry the producer's ghost flags.
 #[test]
 fn glean_blobs_are_schedule_and_topology_independent() {
-    let glean_run = |seed: u64, ranks: usize, tag: &str| -> (Vec<Vec<u8>>, Vec<u64>) {
+    type Bits = (Vec<u64>, u64, u64, u64);
+    let bits = |h: HistogramResult| (h.counts, h.min.to_bits(), h.max.to_bits(), h.step);
+    let glean_run = |seed: u64, ranks: usize, tag: &str| -> (Vec<Vec<u8>>, Vec<u64>, Bits, Bits) {
         let d = deck();
         let dir = std::env::temp_dir().join(format!(
             "conformance_glean_{}_{tag}_{seed}_{ranks}",
@@ -449,7 +453,7 @@ fn glean_blobs_are_schedule_and_topology_independent() {
         ));
         std::fs::create_dir_all(&dir).unwrap();
         let dir2 = dir.clone();
-        WorldBuilder::new(ranks)
+        let insitu = WorldBuilder::new(ranks)
             .sched(SchedPolicy::Seeded(seed))
             .run(move |comm| {
                 let cfg = SimConfig {
@@ -463,67 +467,86 @@ fn glean_blobs_are_schedule_and_topology_independent() {
                     None
                 };
                 let mut sim = Simulation::new(comm, cfg, root);
+                let hist = HistogramAnalysis::new("data", BINS);
+                let res = hist.results_handle();
                 let mut bridge = Bridge::new();
                 bridge.register(Box::new(glean::GleanWriter::new(
                     glean::Topology::new(2),
                     "data",
                     dir2.clone(),
                 )));
+                bridge.register(Box::new(hist));
                 for _ in 0..2 {
                     sim.step(comm);
                     bridge.execute(&OscillatorAdaptor::new(&sim), comm);
                 }
                 bridge.finalize(comm);
-            });
-        // One blob per aggregator (every other rank under Topology(2)).
-        // Reassemble the final step's field point-by-point: neighbouring
-        // blocks share a point plane, so the shared values appear in
-        // several blocks and the raw multiset depends on the
-        // decomposition — the assembled *field* must not.
+                let out = res.lock().clone();
+                out
+            })
+            .remove(0)
+            .expect("in situ histogram");
+        // One file per aggregator (every other rank under Topology(2)).
+        // Read the final step back as the post hoc reader does, and
+        // reassemble its field point-by-point: neighbouring blocks share
+        // a point plane, so the shared values appear in several blocks
+        // and the raw multiset depends on the decomposition — the
+        // assembled *field* must not.
         let global = datamodel::Extent::whole([9, 9, 9]);
-        let mut blobs = Vec::new();
-        let mut field: Vec<Option<u64>> = vec![None; global.num_points()];
+        let mut files = Vec::new();
+        let mut last = Vec::new();
         for agg in (0..ranks).step_by(2) {
-            let path = glean::GleanWriter::blob_path(&dir, agg);
-            blobs.push(std::fs::read(&path).expect("blob bytes"));
-            for (step, blocks) in glean::read_blob_file(&path).expect("blob parses") {
-                if step == 1 {
-                    for b in blocks {
-                        let e = datamodel::Extent::new(
-                            [b.extent[0], b.extent[1], b.extent[2]],
-                            [b.extent[3], b.extent[4], b.extent[5]],
-                        );
-                        for (p, v) in e.iter_points().zip(&b.data) {
-                            let prev = field[global.linear_index(p)].replace(v.to_bits());
-                            if let Some(prev) = prev {
-                                assert_eq!(
-                                    prev,
-                                    v.to_bits(),
-                                    "blocks disagree on shared point {p:?}"
-                                );
-                            }
-                        }
-                    }
+            let path = glean::GleanWriter::file_path(&dir, agg);
+            files.push(std::fs::read(&path).expect("file bytes"));
+            let steps = adios::BpFile::read_all(&path).expect("file parses");
+            let members = steps.into_iter().filter(|s| s.step == insitu.step);
+            last.extend(members.map(|s| (agg, s)));
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(last.len(), ranks, "every member's final step");
+        let readback = adios::staging::round_adaptor(&last);
+        let mut field: Vec<Option<u64>> = vec![None; global.num_points()];
+        for leaf in readback.full_mesh().leaves() {
+            let grid = leaf.structured().expect("an image block");
+            let data = leaf.point_data().and_then(|p| p.get("data")).unwrap();
+            let values = data.as_slice_in::<f64>(datamodel::current_space()).unwrap();
+            for (p, v) in grid.extent.iter_points().zip(values) {
+                let prev = field[global.linear_index(p)].replace(v.to_bits());
+                if let Some(prev) = prev {
+                    assert_eq!(prev, v.to_bits(), "blocks disagree on shared point {p:?}");
                 }
             }
         }
-        std::fs::remove_dir_all(&dir).unwrap();
         let values: Vec<u64> = field
             .into_iter()
             .map(|v| v.expect("final step covers every grid point"))
             .collect();
-        (blobs, values)
+        let posthoc = WorldBuilder::new(1)
+            .run(move |comm| {
+                let mut hist = HistogramAnalysis::new("data", BINS);
+                let res = hist.results_handle();
+                hist.execute(&readback, comm);
+                let out = res.lock().clone();
+                out
+            })
+            .remove(0)
+            .expect("read-back histogram");
+        (files, values, bits(insitu), bits(posthoc))
     };
 
-    let (blobs_a, values_4) = glean_run(5, 4, "a");
-    let (blobs_b, _) = glean_run(5, 4, "b");
-    assert_eq!(blobs_a, blobs_b, "same seed must write identical blobs");
-    let (blobs_c, _) = glean_run(6, 4, "c");
+    let (files_a, values_4, insitu_4, readback_4) = glean_run(5, 4, "a");
     assert_eq!(
-        blobs_a, blobs_c,
+        readback_4, insitu_4,
+        "GLEAN's files read back to the in situ histogram"
+    );
+    let (files_b, ..) = glean_run(5, 4, "b");
+    assert_eq!(files_a, files_b, "same seed must write identical files");
+    let (files_c, ..) = glean_run(6, 4, "c");
+    assert_eq!(
+        files_a, files_c,
         "the schedule leaked into persisted GLEAN data"
     );
-    let (_, values_8) = glean_run(5, 8, "d");
+    let (_, values_8, ..) = glean_run(5, 8, "d");
     assert_eq!(values_4.len(), 9 * 9 * 9, "one value per grid point");
     assert_eq!(
         values_4, values_8,

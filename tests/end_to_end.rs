@@ -1189,6 +1189,7 @@ fn staging_reports_its_heap_calls_a_step() {
 #[test]
 fn first_leaf_without_the_array_is_skipped_not_fatal() {
     use datamodel::{DataArray, DataSet, ImageData, MultiBlock};
+    use sensei::DataAdaptor as _;
     let dir = std::env::temp_dir().join(format!("glean_skip_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let out = dir.clone();
@@ -1218,10 +1219,12 @@ fn first_leaf_without_the_array_is_skipped_not_fatal() {
         writer.finalize(comm);
         assert!(render.take_failures().is_empty() && writer.take_failures().is_empty());
     });
-    let frames = glean::read_blob_file(&glean::GleanWriter::blob_path(&dir, 0)).unwrap();
-    let blocks = &frames[0].1;
+    let steps = adios::BpFile::read_all(&glean::GleanWriter::file_path(&dir, 0)).unwrap();
+    let steps: Vec<_> = steps.into_iter().map(|s| (0, s)).collect();
+    let mesh = adios::staging::round_adaptor(&steps).full_mesh();
+    let blocks: Vec<_> = mesh.leaves().filter_map(|l| l.structured()).collect();
     assert_eq!(blocks.len(), 1, "the second leaf's block");
-    assert_eq!(blocks[0].extent, [4, 0, 0, 8, 8, 8]);
+    assert_eq!(blocks[0].extent, Extent::new([4, 0, 0], [8, 8, 8]));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -1338,23 +1341,18 @@ fn three_paths_one_histogram() {
     std::fs::create_dir_all(&dir).unwrap();
     let dir_w = dir.clone();
     World::run(2, move |comm| {
-        let (local, global, g) = make_field(comm, 2);
-        let arr = g.point_data.get("data").unwrap();
-        let values: Vec<f64> = (0..arr.num_tuples()).map(|t| arr.get(t, 0)).collect();
-        let piece = iosim::Piece {
-            extent: local,
-            global,
-            spacing: [1.0; 3],
-            arrays: vec![("data".to_string(), values)],
-        };
-        iosim::write_piece(&dir_w, 0, comm.rank(), &piece).unwrap();
+        let (_, _, g) = make_field(comm, 2);
+        let adaptor = sensei::InMemoryAdaptor::new(datamodel::DataSet::Image(g), 0.0, 0);
+        let piece = try_adaptor_to_step(&adaptor).expect("host-resident data marshals");
+        adios::BpFile::append(&iosim::piece_path(&dir_w, 0, comm.rank()), &piece).unwrap();
         comm.barrier();
     });
     let dir_r = dir.clone();
     let posthoc = World::run(1, move |comm| {
         let h = HistogramAnalysis::new("data", 8);
         let res = h.results_handle();
-        iosim::posthoc_analysis(comm, &dir_r, 1, 2, vec![Box::new(h)], None);
+        let (_, run, _) = iosim::posthoc_analysis(comm, &dir_r, 1, 2, vec![Box::new(h)], None);
+        assert!(run.failures.is_empty(), "{:?}", run.failures);
         let out = res.lock().clone();
         out.expect("post hoc histogram")
     })
@@ -1368,7 +1366,7 @@ fn three_paths_one_histogram() {
 }
 
 /// GLEAN as a fourth infrastructure: aggregate the miniapp's field and
-/// verify the blobs reconstruct every rank's block.
+/// verify the aggregators' files hold every rank's block.
 #[test]
 fn glean_aggregation_end_to_end() {
     let d = deck();
@@ -1399,16 +1397,21 @@ fn glean_aggregation_end_to_end() {
         }
         bridge.finalize(comm);
     });
-    let f0 = glean::read_blob_file(&glean::GleanWriter::blob_path(&dir, 0)).unwrap();
-    let f2 = glean::read_blob_file(&glean::GleanWriter::blob_path(&dir, 2)).unwrap();
-    assert_eq!(f0.len(), 2, "two steps aggregated");
-    let ranks: Vec<usize> = f0[0]
-        .1
-        .iter()
-        .chain(f2[0].1.iter())
-        .map(|b| b.rank)
+    let read = |agg| adios::BpFile::read_all(&glean::GleanWriter::file_path(&dir, agg)).unwrap();
+    let (f0, f2) = (read(0), read(2));
+    let steps: Vec<u64> = f0.iter().map(|s| s.step).collect();
+    assert_eq!(steps, [1, 1, 2, 2], "two steps of two members aggregated");
+    let step1 = f0[..2].iter().chain(&f2[..2]);
+    let lo: Vec<[u64; 3]> = step1.map(|s| s.var("data").unwrap().offset).collect();
+    let dims = datamodel::dims_create(4);
+    let expect: Vec<[u64; 3]> = (0..4)
+        .map(|r| {
+            partition_extent(&Extent::whole([9, 9, 9]), dims, r)
+                .lo
+                .map(|x| x as u64)
+        })
         .collect();
-    assert_eq!(ranks.len(), 4, "all four ranks' blocks present");
+    assert_eq!(lo, expect, "all four ranks' blocks present, in rank order");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
