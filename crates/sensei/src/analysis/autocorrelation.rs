@@ -10,16 +10,18 @@
 //!
 //! Both buffers are lag-major: `history` is `window` rows, one per
 //! circular slot, and `corr` is `window` rows, one per delay, each one
-//! value per non-ghost cell. A step reads each leaf's values in place
-//! through zero-copy borrowed slices and is, per maximal run of
-//! non-ghost tuples, one unit-stride `corr[lag] += values ·
-//! history[past(lag)]` per delay and one copy into the current slot's
-//! row. The run table is also the mesh's identity: a step whose table
-//! differs from the first populated step's is refused, not folded
-//! into the wrong cells. Finalize keeps the best `k` of each `corr`
-//! row in a `k`-entry buffer under one order (value descending, then
-//! cell id ascending), the order the cross-rank merge uses too, and
-//! evaluates global cell ids for the winners only.
+//! value per non-ghost cell, reserved at the first populated step: step
+//! `s` appends delay `s`'s row while `s ≤ window`, its slot row while
+//! `s < window`. A step reads each leaf's values in place through
+//! zero-copy borrowed slices and is, per maximal run of non-ghost
+//! tuples, one unit-stride `corr[lag] += values · history[past(lag)]`
+//! per delay and one copy into the current slot's row. The run table
+//! is also the mesh's identity: a step whose table differs from the
+//! first populated step's is refused, not folded into the wrong cells.
+//! Finalize keeps the best `k` of each `corr` row (+0.0 throughout if no
+//! step reached it) in a `k`-entry buffer under one order (value
+//! descending, then cell id ascending), the order the cross-rank merge
+//! uses too, and evaluates global cell ids for the winners only.
 
 use minimpi::Comm;
 use parking_lot::Mutex;
@@ -133,10 +135,10 @@ pub struct Autocorrelation {
     array: String,
     window: usize,
     k: usize,
-    /// Circular value history: `window` slot rows of `cells` values,
-    /// lazily sized.
+    /// Circular value history: `window` slot rows of `cells` values
+    /// reserved, a row held per slot filled.
     history: Vec<f64>,
-    /// Running correlations: `window` lag rows of `cells` values.
+    /// Running correlations: `window` lag rows reserved, one per delay reached.
     corr: Vec<f64>,
     cells: usize,
     steps_seen: u64,
@@ -182,8 +184,8 @@ impl Autocorrelation {
     }
 
     /// First-step setup: adopt the step's run table as the layout, keep
-    /// each structured leaf's extents for the global ids, and size the
-    /// two buffers to the non-ghost cells.
+    /// each structured leaf's extents for the global ids, and reserve
+    /// (not fill) the two buffers for the non-ghost cells.
     fn capture_layout(&mut self, table: Vec<Runs>, views: &[LeafView]) {
         self.cells = table_size(table.iter().copied()).0;
         self.runs = table;
@@ -191,8 +193,8 @@ impl Autocorrelation {
             .iter()
             .map(|view| view.geometry.as_ref().map(|g| (g.extent, g.global_extent)))
             .collect();
-        self.history = vec![0.0; self.cells * self.window];
-        self.corr = vec![0.0; self.cells * self.window];
+        self.history = Vec::with_capacity(self.cells * self.window);
+        self.corr = Vec::with_capacity(self.cells * self.window);
     }
 
     /// One step of every cell: `corr[lag] += values · history[past(lag)]`
@@ -201,7 +203,7 @@ impl Autocorrelation {
     /// same step order as a per-cell loop makes.
     fn update(&mut self, views: &[LeafView]) {
         let (cells, w, s) = (self.cells, self.window as u64, self.steps_seen);
-        let slot = (s % w) as usize;
+        let (slot, rows) = ((s % w) as usize, self.corr.len() / cells);
         // Slot row holding the value `lag + 1` steps back, for each
         // delay the run has reached.
         let pasts = (0..s.min(w)).map(|lag| ((s - 1 - lag) % w) as usize);
@@ -212,13 +214,23 @@ impl Autocorrelation {
                 let run = &values[runs.start + i * runs.stride..][..runs.len];
                 for block in run.chunks(BLOCK) {
                     for (lag, past) in pasts.clone().enumerate() {
-                        let corr = &mut self.corr[lag * cells + at..][..block.len()];
                         let history = &self.history[past * cells + at..][..block.len()];
-                        for ((c, v), h) in corr.iter_mut().zip(block).zip(history) {
-                            *c += v * h;
+                        if lag < rows {
+                            let corr = &mut self.corr[lag * cells + at..][..block.len()];
+                            for ((c, v), h) in corr.iter_mut().zip(block).zip(history) {
+                                *c += v * h;
+                            }
+                        } else {
+                            // `0.0 + v·h`: what `+=` leaves in a +0.0 cell
+                            self.corr
+                                .extend(block.iter().zip(history).map(|(v, h)| 0.0 + v * h));
                         }
                     }
-                    self.history[slot * cells + at..][..block.len()].copy_from_slice(block);
+                    if s < w {
+                        self.history.extend_from_slice(block);
+                    } else {
+                        self.history[slot * cells + at..][..block.len()].copy_from_slice(block);
+                    }
                     at += block.len();
                 }
             }
@@ -237,10 +249,10 @@ impl Autocorrelation {
     }
 
     /// This rank's best `k` of delay `lag + 1`: one pass over the
-    /// `corr` row, no copy of it.
+    /// `corr` row, no copy of it; a delay no step reached is all +0.0.
     fn local_peaks(&self, lag: usize) -> Vec<Peak> {
         let k = self.k;
-        let row = &self.corr[lag * self.cells..][..self.cells];
+        let row = self.corr.get(lag * self.cells..(lag + 1) * self.cells);
         let mut best: Vec<Peak> = Vec::new();
         // Best `(value, tuple)` of one table entry, strongest first.
         // Ids grow with the tuple inside a leaf, so there an equal
@@ -251,16 +263,35 @@ impl Autocorrelation {
             top.clear();
             for i in 0..runs.count {
                 let start = runs.start + i * runs.stride;
-                for (j, &value) in row[at..][..runs.len].iter().enumerate() {
-                    if top.len() == k {
-                        if value.total_cmp(&top[k - 1].0) != Ordering::Greater {
+                let Some(row) = row else {
+                    let first = (start..start + runs.len).take(k - top.len());
+                    top.extend(first.map(|tuple| (0.0, tuple)));
+                    continue;
+                };
+                let offer = |top: &mut Vec<(f64, usize)>, from: usize, values: &[f64]| {
+                    for (j, &value) in values.iter().enumerate() {
+                        if top.len() == k {
+                            if value.total_cmp(&top[k - 1].0) != Ordering::Greater {
+                                continue;
+                            }
+                            top.pop();
+                        }
+                        let rank = top.partition_point(|held| held.0.total_cmp(&value).is_ge());
+                        top.insert(rank, (value, start + from + j));
+                    }
+                };
+                // Eight at a time: `v < low` (the `k`-th held) ranks `v` below
+                // `low` under `total_cmp` too; NaN and ±0 reach `offer`'s test.
+                let (chunks, tail) = row[at..][..runs.len].as_chunks::<8>();
+                for (c, chunk) in chunks.iter().enumerate() {
+                    if let Some(&(low, _)) = top.get(k - 1) {
+                        if chunk.iter().fold(true, |all, &v| all & (v < low)) {
                             continue;
                         }
-                        top.pop();
                     }
-                    let rank = top.partition_point(|held| held.0.total_cmp(&value).is_ge());
-                    top.insert(rank, (value, start + j));
+                    offer(&mut top, c * 8, chunk);
                 }
+                offer(&mut top, chunks.len() * 8, tail);
                 at += runs.len;
             }
             let ids = top.iter().map(|&(value, tuple)| Peak {
@@ -323,9 +354,11 @@ impl AnalysisAdaptor for Autocorrelation {
 
     fn finalize(&mut self, comm: &Comm) {
         let probe = comm.probe();
-        let _reduce = probe.span("finalize/autocorrelation/reduce");
         // Local top-k per lag (§3.3's final global reduction)…
+        let select = probe.span("finalize/autocorrelation/select");
         let local: Vec<Vec<Peak>> = (0..self.window).map(|lag| self.local_peaks(lag)).collect();
+        drop(select);
+        let _reduce = probe.span("finalize/autocorrelation/reduce");
         // …merged up a binomial tree, re-truncating to k at every level:
         // O(k·window·log p) data movement instead of gathering every
         // rank's candidates to root.
@@ -544,6 +577,51 @@ mod tests {
             // Two buffers × 100 cells × 10 lags × 8 bytes.
             assert_eq!(ac.buffer_bytes(), 2 * 100 * 10 * 8);
         });
+    }
+
+    #[test]
+    fn the_window_is_held_as_the_run_reaches_it() {
+        let (window, k) = (4usize, 6);
+        let mesh = |s: u64| deck(5, &[3, 4], 3, 2016, 0, s);
+        World::run(1, move |comm| {
+            let mut ac = Autocorrelation::new("data", window, k);
+            for s in 1..=2 * window {
+                ac.execute(&InMemoryAdaptor::new(mesh(s as u64), 0.0, s as u64), comm);
+                let cells = ac.cells;
+                assert_eq!(ac.history.len(), s.min(window) * cells, "step {s}");
+                assert_eq!(ac.corr.len(), (s - 1).min(window) * cells, "step {s}");
+                assert_eq!(ac.buffer_bytes(), 2 * window * cells * 8, "step {s}");
+            }
+        });
+        // Runs shorter than the window finalize every delay, the
+        // unreached ones as the oracle's all-+0.0 rows.
+        for steps in [1, window as u64 - 1] {
+            let mut oracle = Reference::new(window, k);
+            let meshes: Vec<DataSet> = (0..steps).map(mesh).collect();
+            for mesh in &meshes {
+                oracle.step(&leaf_views(mesh, Association::Point, "data").unwrap());
+            }
+            let peaks = World::run(1, move |comm| {
+                let mut ac = Autocorrelation::new("data", window, k);
+                let res = ac.results_handle();
+                for (s, mesh) in meshes.iter().enumerate() {
+                    ac.execute(&InMemoryAdaptor::new(mesh.clone(), 0.0, s as u64), comm);
+                }
+                ac.finalize(comm);
+                let peaks = res.lock().take();
+                peaks.expect("one rank is the root")
+            });
+            let expect = oracle.local_peaks();
+            assert_eq!(peaks[0].len(), window, "{steps} steps");
+            for (lag, (got, expect)) in peaks[0].iter().zip(&expect).enumerate() {
+                assert_eq!(
+                    peak_bits(got),
+                    peak_bits(expect),
+                    "{steps} steps, lag {}",
+                    lag + 1
+                );
+            }
+        }
     }
 
     #[test]
@@ -841,17 +919,30 @@ mod tests {
             let mut ac = run_steps(window, k, meshes);
             assert!(ac.take_failures().is_empty());
             assert_eq!(ac.cells, oracle.cells);
-            assert_eq!(bits(&cell_major(&ac.corr, ac.cells)), bits(&oracle.corr));
-            assert_eq!(bits(&cell_major(&ac.history, ac.cells)), bits(&oracle.history));
+            // The rows a step wrote are the oracle's; past them, the
+            // oracle's rows are still +0.0 in every cell.
+            for (ours, theirs) in [(&ac.corr, &oracle.corr), (&ac.history, &oracle.history)] {
+                for row in 0..window {
+                    let expect: Vec<u64> = bits(theirs).into_iter().skip(row).step_by(window).collect();
+                    match ours.get(row * ac.cells..(row + 1) * ac.cells) {
+                        Some(got) => assert_eq!(bits(got), expect, "row {row}"),
+                        None => assert!(expect.iter().all(|&b| b == 0), "row {row}: {expect:?}"),
+                    }
+                }
+            }
             for (lag, expect) in oracle.local_peaks().iter().enumerate() {
                 assert_eq!(peak_bits(&ac.local_peaks(lag)), peak_bits(expect), "lag {}", lag + 1);
             }
         }
 
         /// On leaves whose ids restart (each its own global extent, so
-        /// the id is the tuple), with values from a palette of three, the selection
-        /// is the full sort by (value descending, id ascending) cut to `k`, for `k`
-        /// below, at and beyond the cell count.
+        /// the id is the tuple), the selection is the full sort by
+        /// (value descending, id ascending) cut to `k`, for every `k`
+        /// from 1 to beyond the cell count: over a run's lag-1 row of
+        /// products of a palette of three (heavy ties), and over a lag-2
+        /// row redrawn from the IEEE specials deck, where the chunk
+        /// pre-filter meets thresholds at NaN, −0.0 and +0.0 (a sum
+        /// from +0.0 is never −0.0, so only a drawn row holds one).
         #[test]
         fn prop_selection_is_the_sort_under_the_one_comparator(
             sizes in proptest::collection::vec(1usize..40, 1..4),
@@ -882,9 +973,14 @@ mod tests {
                 .flat_map(|view| view.kept().map(|(t, _)| t as u64).collect::<Vec<_>>())
                 .collect();
             let cells = ids.len();
-            for k in [1, (cells - 1).max(1), cells, cells + 5] {
-                let mut ac = run_steps(2, k, (0..4).map(mesh).collect());
-                assert!(ac.take_failures().is_empty());
+            // The run does not read `k`; every `k` selects from its rows.
+            let mut ac = run_steps(2, 1, (0..4).map(mesh).collect());
+            assert!(ac.take_failures().is_empty());
+            for (cell, value) in ac.corr[cells..].iter_mut().enumerate() {
+                *value = deck_value(seed, 0, cell, 4);
+            }
+            for k in 1..=cells + 5 {
+                ac.k = k;
                 for lag in 0..2 {
                     let row = &ac.corr[lag * cells..][..cells];
                     let mut expect: Vec<Peak> =

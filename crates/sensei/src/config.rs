@@ -47,6 +47,12 @@ pub enum ConfigError {
         key: String,
         value: String,
     },
+    /// A zero window, `k` or bin count, or more bins than an `i32` indexes.
+    OutOfRange {
+        section: String,
+        key: String,
+        value: usize,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -64,6 +70,13 @@ impl std::fmt::Display for ConfigError {
                 value,
             } => {
                 write!(f, "[{section}] {key} = '{value}' is not a number")
+            }
+            ConfigError::OutOfRange {
+                section,
+                key,
+                value,
+            } => {
+                write!(f, "[{section}] {key} = {value} is out of range")
             }
         }
     }
@@ -143,16 +156,29 @@ pub fn build_builtin_analyses(cfg: &Config) -> Result<BuiltinAnalyses, ConfigErr
     let mut analyses: Vec<Box<dyn AnalysisAdaptor>> = Vec::new();
     let mut unknown = Vec::new();
     for (name, map) in cfg.sections() {
+        // A count outside `1..=max` is one no analysis can serve.
+        let count = |key: &str, default, max: usize| -> Result<usize, ConfigError> {
+            let value = Config::get_usize(name, map, key, default)?;
+            if (1..=max).contains(&value) {
+                return Ok(value);
+            }
+            let (section, key) = (name.to_string(), key.to_string());
+            Err(ConfigError::OutOfRange {
+                section,
+                key,
+                value,
+            })
+        };
         match name {
             "histogram" => {
                 let array = Config::get_str(map, "array", "data").to_string();
-                let bins = Config::get_usize(name, map, "bins", 64)?;
+                let bins = count("bins", 64, i32::MAX as usize)?;
                 analyses.push(Box::new(HistogramAnalysis::new(array, bins)));
             }
             "autocorrelation" => {
                 let array = Config::get_str(map, "array", "data").to_string();
-                let window = Config::get_usize(name, map, "window", 10)?;
-                let k = Config::get_usize(name, map, "k", 16)?;
+                let window = count("window", 10, usize::MAX)?;
+                let k = count("k", 16, usize::MAX)?;
                 analyses.push(Box::new(Autocorrelation::new(array, window, k)));
             }
             "descriptive-stats" => {
@@ -217,6 +243,52 @@ mod tests {
         };
         assert!(matches!(err, ConfigError::BadNumber { .. }));
         assert!(format!("{err}").contains("bins"));
+    }
+
+    /// The error `text`'s analyses are refused with.
+    fn refused(text: &str) -> ConfigError {
+        match build_builtin_analyses(&Config::parse(text).unwrap()) {
+            Err(e) => e,
+            Ok(_) => panic!("expected an error for {text:?}"),
+        }
+    }
+
+    fn out_of_range(section: &str, key: &str, value: usize) -> ConfigError {
+        ConfigError::OutOfRange {
+            section: section.to_string(),
+            key: key.to_string(),
+            value,
+        }
+    }
+
+    #[test]
+    fn zero_window_is_an_error() {
+        let err = refused("[autocorrelation]\nwindow = 0\n");
+        assert_eq!(err, out_of_range("autocorrelation", "window", 0));
+        assert_eq!(
+            err.to_string(),
+            "[autocorrelation] window = 0 is out of range"
+        );
+    }
+
+    #[test]
+    fn zero_k_is_an_error() {
+        let err = refused("[autocorrelation]\nk = 0\n");
+        assert_eq!(err, out_of_range("autocorrelation", "k", 0));
+    }
+
+    #[test]
+    fn zero_bins_is_an_error() {
+        let err = refused("[histogram]\nbins = 0\n");
+        assert_eq!(err, out_of_range("histogram", "bins", 0));
+    }
+
+    #[test]
+    fn bins_past_i32_is_an_error() {
+        let bins = i32::MAX as usize + 1;
+        let err = refused(&format!("[histogram]\nbins = {bins}\n"));
+        assert_eq!(err, out_of_range("histogram", "bins", bins));
+        assert!(err.to_string().contains("bins = 2147483648"), "{err}");
     }
 
     #[test]

@@ -102,6 +102,17 @@ if awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' \
     exit 1
 fi
 
+echo "==> the window is paid as it is reached"
+# The autocorrelation reserves its two O(t·N³) buffers at capture and
+# appends a row when a step first writes it, and finalize selects an
+# unreached delay without reading memory; a fill of the window
+# (vec![0.0; …] or a resize) touches pages no step has written.
+if awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' \
+    crates/sensei/src/analysis/autocorrelation.rs | grep -E 'vec!\[0\.0|\.resize\('; then
+    echo "tier1: the autocorrelation fills its window before a step writes it again" >&2
+    exit 1
+fi
+
 echo "==> a rank is one thread"
 # Concurrency inside a node comes from ranks; a kernel, analysis or
 # bridge that spawns workers, or a thread-count knob, needs a benchmark

@@ -263,3 +263,20 @@ fn render_frames_report_their_four_stages() {
         );
     }
 }
+
+/// The autocorrelation's finalize reports its local selection and its
+/// cross-rank merge as two spans, one sample a rank each.
+#[test]
+fn autocorrelation_finalize_reports_select_and_reduce() {
+    const RANKS: usize = 2;
+    let report = probed_run(RANKS);
+    for stage in ["select", "reduce"] {
+        let label = format!("finalize/autocorrelation/{stage}");
+        let phase = report.phase(&label).expect("the stage is a span");
+        assert_eq!(
+            (phase.ranks, phase.samples),
+            (RANKS, RANKS as u64),
+            "{label}"
+        );
+    }
+}
