@@ -12,8 +12,7 @@
 //!
 //! A payload is an `Arc`: the writer's step can share the producer's
 //! buffer while it is marshalled, and on the endpoint the buffer the
-//! writer filled is the one the analysis mesh, the broker and every
-//! subscriber read.
+//! writer filled is the one the analysis mesh reads.
 
 use bytes::BufMut;
 use datamodel::{AccessError, DataArray, MemorySpace, ScalarType};

@@ -21,7 +21,7 @@
 //!   and an endpoint loop ([`staging::run_endpoint_with_broker`]) that
 //!   reconstructs datasets and drives any SENSEI analyses — so a
 //!   Catalyst slice or a histogram runs *in transit* without the
-//!   simulation knowing — while teeing the stream onto the [`broker`].
+//!   simulation knowing.
 //!
 //! The transport deliberately keeps one marshaling copy, on the writer:
 //! FlexPath "does not yet use zero-copy" in the paper, and that copy is
@@ -34,8 +34,5 @@ pub mod flexpath;
 pub mod staging;
 
 pub use bp::{BpError, BpFile, BpStep, BpVar, Payload};
-pub use broker::{
-    AdmissionError, Broker, BrokerConfig, EvictionRecord, PublishReport, StagingBroker,
-    Subscription, TopicKey, TopicMsg,
-};
+pub use broker::{BrokerConfig, StagingBroker};
 pub use flexpath::{pair, FlexpathReader, FlexpathWriter, Role};

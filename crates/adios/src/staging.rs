@@ -7,11 +7,11 @@
 //! Each payload byte is copied once (DESIGN §11): the writer copies it
 //! from the producer's buffer into its payload block — §4.1.4's
 //! marshaling copy — inside a publish window held until the step is
-//! written; the endpoint adopts that block, and its meshes, broker and
-//! subscribers share it. The buffers circulate: the step, blocks and
-//! all, is a loan the endpoint gives back, and the endpoint loop
-//! releases each round's adaptor before `end_step`, so the writer
-//! marshals the next step into the blocks nothing holds any more. Both sides report their
+//! written; the endpoint adopts that block, and its meshes share it.
+//! The buffers circulate: the step, blocks and all, is a loan the
+//! endpoint gives back, and the endpoint loop releases each round's
+//! adaptor before `end_step`, so the writer marshals the next step into
+//! the blocks nothing holds any more. Both sides report their
 //! heap calls a step as the `mem/allocs` counter when a probe is
 //! attached.
 
@@ -262,19 +262,14 @@ fn record_allocs(probe: &probe::Probe, since: u64) {
 /// collective communicator is the endpoint subgroup. Returns the bridge
 /// (analysis result handles stay valid) and the run report.
 ///
-/// Every received step is also routed onto `broker`
-/// ([`StagingBroker::publish_step`] — one topic per `(field, leaf)`),
-/// so any number of subscribers — live monitors, secondary analyses,
-/// soak clients — consume the stream without the writers knowing. A
-/// topic nobody subscribes to copies no payload, so a
-/// `StagingBroker::new(BrokerConfig::default())` with no subscribers
-/// is the plain endpoint.
+/// Every received step is also published to `broker`
+/// ([`StagingBroker::publish_step`]), which copies and allocates
+/// nothing.
 ///
 /// A writer lost mid-stream degrades gracefully: its stream ends (the
 /// reader's per-writer deadline fires), the loop keeps serving the
 /// surviving writers in lock-step with the other endpoints, and the
-/// bytes/steps lost are surfaced through [`Bridge::failure_reports`],
-/// next to every slow-consumer eviction the broker recorded.
+/// bytes/steps lost are surfaced through [`Bridge::failure_reports`].
 pub fn run_endpoint_with_broker(
     world: &Comm,
     sub: &Comm,
@@ -286,7 +281,6 @@ pub fn run_endpoint_with_broker(
     // subgroup, so in-transit analyses land in the same report.
     let mut bridge = Bridge::with_probe(sub.probe());
     let probe = sub.probe();
-    broker.attach_probe(probe.clone());
     for a in analyses {
         bridge.register(a);
     }
@@ -325,10 +319,6 @@ pub fn run_endpoint_with_broker(
         drop(adaptor);
         reader.end_step(world, steps);
         record_allocs(&probe, calls);
-    }
-    broker.finish_all();
-    for evicted in broker.take_evictions() {
-        bridge.record_failure(evicted);
     }
     for lost in reader.dead_writers() {
         bridge.record_failure(lost.clone());
@@ -370,8 +360,8 @@ mod tests {
         out
     }
 
-    /// An endpoint nobody subscribes to.
-    fn unwatched_endpoint(
+    /// The endpoint loop with a fresh tee.
+    fn endpoint(
         world: &Comm,
         sub: &Comm,
         reader: &mut FlexpathReader,
@@ -410,8 +400,7 @@ mod tests {
             Role::Endpoint { sub, mut reader } => {
                 let hist = HistogramAnalysis::new("data", 8);
                 let handle = hist.results_handle();
-                let (bridge, _) =
-                    unwatched_endpoint(world, &sub, &mut reader, vec![Box::new(hist)]);
+                let (bridge, _) = endpoint(world, &sub, &mut reader, vec![Box::new(hist)]);
                 assert_eq!(bridge.steps(), 4);
                 if sub.rank() == 0 {
                     let r = handle.lock().clone().expect("endpoint histogram");
@@ -428,54 +417,20 @@ mod tests {
     }
 
     #[test]
-    fn endpoint_broker_tee_feeds_subscribers() {
-        use crate::broker::TopicKey;
-        use std::time::Duration;
-        // 1 writer + 1 endpoint; the endpoint tees every step onto the
-        // broker, where an out-of-band subscriber consumes one leaf's
-        // field without appearing anywhere in the writer/endpoint
-        // pairing.
-        World::run(2, |world| match pair(world, 1) {
-            Role::Writer { mut writer, .. } => {
-                for s in 0..4u64 {
-                    writer.advance(world);
-                    let step = marshal(&sim_adaptor(world.rank(), 1, s));
-                    writer.write(world, &step);
-                }
-                writer.close(world);
+    fn a_payload_an_analysis_holds_is_never_refilled() {
+        // The analysis keeps every step's mesh, so every step's payload
+        // is still held when the next frame arrives: each must get a
+        // buffer of its own and keep its values to the bit.
+        struct Hoard(Arc<parking_lot::Mutex<Vec<DataSet>>>);
+        impl AnalysisAdaptor for Hoard {
+            fn name(&self) -> &str {
+                "hoard"
             }
-            Role::Endpoint { sub, mut reader } => {
-                let broker = StagingBroker::new(BrokerConfig {
-                    queue_depth: 8,
-                    max_subscribers: 16,
-                    eviction_deadline: Duration::from_millis(200),
-                });
-                let watcher = broker
-                    .subscribe_labeled(TopicKey::new("data", 0), "watcher")
-                    .expect("admitted");
-                let (bridge, _) =
-                    run_endpoint_with_broker(world, &sub, &mut reader, Vec::new(), &broker);
-                assert_eq!(bridge.steps(), 4);
-                let mut seqs = Vec::new();
-                while let Some(msg) = watcher.try_next() {
-                    assert_eq!(msg.payload.name, "data");
-                    seqs.push(msg.seq);
-                }
-                assert_eq!(seqs, vec![0, 1, 2, 3], "no step lost, in order");
-                assert!(watcher.is_eos(), "finish propagated at end-of-stream");
-                assert!(bridge.failure_reports().is_empty());
+            fn execute(&mut self, data: &dyn DataAdaptor, _comm: &Comm) -> Steering {
+                self.0.lock().push(data.full_mesh());
+                Steering::Continue
             }
-        });
-    }
-
-    #[test]
-    fn a_payload_a_subscriber_holds_is_never_refilled() {
-        use crate::bp::Payload;
-        use crate::broker::TopicKey;
-        use std::time::Duration;
-        // The subscriber drains nothing until the stream ends, so every
-        // step's payload is still held when the next frame decodes: each
-        // must get a buffer of its own and keep its values to the bit.
+        }
         const STEPS: u64 = 4;
         World::run(2, |world| match pair(world, 1) {
             Role::Writer { mut writer, .. } => {
@@ -486,26 +441,26 @@ mod tests {
                 writer.close(world);
             }
             Role::Endpoint { sub, mut reader } => {
-                let broker = StagingBroker::new(BrokerConfig {
-                    queue_depth: STEPS as usize,
-                    max_subscribers: 1,
-                    eviction_deadline: Duration::from_millis(200),
-                });
-                let held = broker
-                    .subscribe(TopicKey::new("data", 0))
-                    .expect("admitted");
-                run_endpoint_with_broker(world, &sub, &mut reader, Vec::new(), &broker);
+                let held = Arc::default();
+                let hoard = Box::new(Hoard(Arc::clone(&held)));
+                endpoint(world, &sub, &mut reader, vec![hoard]);
+                let held = held.lock();
+                assert_eq!(held.len(), STEPS as usize);
                 let mut buffers = Vec::new();
-                for s in 0..STEPS {
-                    let msg = held.try_next().expect("every step queued");
+                for (s, mesh) in (0..STEPS).zip(held.iter()) {
+                    let Some(DataSet::Image(grid)) = mesh.leaves().next() else {
+                        panic!("the endpoint builds image blocks")
+                    };
+                    let got = grid.point_data.get("data").expect("the field is held");
+                    let got = got
+                        .values_in(0, datamodel::MemorySpace::Host)
+                        .expect("host-resident");
                     let sent = marshal(&sim_adaptor(0, 1, s));
-                    let (Payload::F64(got), Payload::F64(sent)) =
-                        (&msg.payload.data, &sent.vars[0].data)
-                    else {
+                    let Payload::F64(sent) = &sent.vars[0].data else {
                         panic!("f64 in, f64 out");
                     };
                     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(got), bits(sent), "step {s}");
+                    assert_eq!(bits(&got), bits(sent), "step {s}");
                     buffers.push(got.as_ptr());
                 }
                 buffers.sort_unstable();
@@ -538,7 +493,7 @@ mod tests {
                 bridge.finalize(&sub);
             }
             Role::Endpoint { sub, mut reader } => {
-                let (bridge, _) = unwatched_endpoint(world, &sub, &mut reader, Vec::new());
+                let (bridge, _) = endpoint(world, &sub, &mut reader, Vec::new());
                 assert_eq!(bridge.steps(), 3);
             }
         });
@@ -691,7 +646,7 @@ mod tests {
                 }
                 Role::Endpoint { sub, mut reader } => {
                     reader.set_deadline(Duration::from_millis(150));
-                    let (bridge, _) = unwatched_endpoint(world, &sub, &mut reader, Vec::new());
+                    let (bridge, _) = endpoint(world, &sub, &mut reader, Vec::new());
                     assert_eq!(bridge.steps(), 4, "endpoints stay in lock-step");
                     if world.rank() == 2 {
                         let reports = bridge.failure_reports();
@@ -796,8 +751,7 @@ mod tests {
             Role::Endpoint { sub, mut reader } => {
                 let hist = HistogramAnalysis::new("data", 8);
                 let handle = hist.results_handle();
-                let (bridge, _) =
-                    unwatched_endpoint(world, &sub, &mut reader, vec![Box::new(hist)]);
+                let (bridge, _) = endpoint(world, &sub, &mut reader, vec![Box::new(hist)]);
                 assert_eq!(bridge.steps(), STEPS, "writer 1's stream finished");
                 let reports = bridge.failure_reports();
                 assert_eq!(reports.len(), 1, "{reports:?}");

@@ -1,15 +1,12 @@
 //! Topology-aware aggregation with an asynchronous drain thread.
 //!
-//! Each aggregator is a **staging-broker topic**: the assembled node
-//! step publishes to `("glean/<array>", aggregator)` on an
-//! [`adios::broker::Broker`], and the drain thread that appends it to
-//! the aggregator's `.bp` file is just that topic's first subscriber.
-//! Any number of additional consumers (live monitors, secondary
-//! analyses) can subscribe to the same topic via
-//! [`GleanWriter::with_broker`] without touching the aggregation path —
-//! the same one-producer/N-consumer contract as the FlexPath staging
-//! broker, with the same bounded-queue backpressure and slow-consumer
-//! eviction semantics.
+//! Each aggregator hands its assembled node steps to one drain thread,
+//! which appends them to the aggregator's `.bp` file, through a queue
+//! of [`DRAIN_QUEUE_DEPTH`] node steps. An aggregator that finds the
+//! queue full waits at [`minimpi::sched::yield_point`], so the model
+//! checker sees the wait; a drain still behind at the drain deadline is
+//! cut off and reported as [`FailureReport::SlowDrain`], and the run
+//! goes on without persisting later steps.
 //!
 //! A node step is the members' BP-lite steps in rank order, which is
 //! what [`adios::staging::round_adaptor`] takes: the files read back
@@ -17,10 +14,10 @@
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
+use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use adios::broker::{Broker, BrokerConfig, TopicKey};
 use adios::{BpError, BpFile, BpStep};
 use minimpi::Comm;
 use probe::time::Wall;
@@ -33,13 +30,27 @@ const TAG_AGG: u32 = 0x61E4_0001;
 /// aggregator. Mirrors the FlexPath reader's writer deadline.
 const DEFAULT_MEMBER_DEADLINE: Duration = Duration::from_secs(30);
 
-/// Default bound on how long `finalize` waits for the drain thread to
-/// flush and exit before declaring the aggregator's file suspect.
-const DEFAULT_FINALIZE_DEADLINE: Duration = Duration::from_secs(30);
+/// Default bound on each wait for the drain thread: for a queue slot
+/// in a step, and for the thread to flush and exit at `finalize`.
+const DEFAULT_DRAIN_DEADLINE: Duration = Duration::from_secs(30);
 
-/// Steps of slack between the aggregator and its drain subscriber
-/// before backpressure kicks in.
+/// Node steps of slack between the aggregator and its drain thread
+/// before the aggregator waits.
 const DRAIN_QUEUE_DEPTH: usize = 8;
+
+/// The members' steps of one node step, in rank order.
+type NodeStep = Vec<(usize, BpStep)>;
+
+/// An aggregator's end of its drain thread.
+struct Drain {
+    /// The bounded hand-off; `None` once the drain fell behind and was
+    /// cut off.
+    queue: Option<SyncSender<NodeStep>>,
+    thread: JoinHandle<Result<(), BpError>>,
+    /// The sanitizer's `glean-drain` obligation: `finalize` closes the
+    /// hand-off and joins the thread.
+    obligation: Option<u64>,
+}
 
 /// The machine topology GLEAN exploits: which ranks share a node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,33 +90,28 @@ impl Topology {
 
 /// SENSEI analysis adaptor enabling GLEAN-accelerated output: every rank
 /// marshals its block into a BP-lite step and forwards it to its node
-/// aggregator; aggregators publish the assembled node step to their
-/// broker topic, whose drain subscriber (a background thread) appends
-/// it to one `.bp` file per aggregator.
+/// aggregator; aggregators hand the assembled node step to their drain
+/// thread, which appends it to one `.bp` file per aggregator.
 pub struct GleanWriter {
     topology: Topology,
     array: String,
     output_dir: PathBuf,
-    /// The topic fabric node steps publish through. Private by
-    /// default; share one via [`GleanWriter::with_broker`] to let
-    /// other consumers watch the aggregation stream.
-    broker: Broker<Vec<(usize, BpStep)>>,
-    drain: Option<JoinHandle<Result<(), BpError>>>,
+    drain: Option<Drain>,
     /// Steps accepted so far.
     steps: u64,
     /// Bytes forwarded or aggregated by this rank so far.
     pub bytes_handled: u64,
     failures: Vec<String>,
-    /// Typed failures: dead node members and evicted subscribers.
+    /// Typed failures: dead node members and a drain cut off.
     reports: Vec<FailureReport>,
     /// Why this rank had no block to forward, the first time.
     missing: ReportOnce,
     member_deadline: Duration,
-    finalize_deadline: Duration,
+    drain_deadline: Duration,
     /// Node members declared dead (skipped in later gathers).
     dead_ranks: BTreeSet<usize>,
-    /// Test hook: artificial per-step latency in the drain subscriber,
-    /// to exercise the finalize deadline path.
+    /// Test hook: artificial latency before each node step the drain
+    /// thread takes, to exercise the drain deadlines.
     drain_delay: Duration,
 }
 
@@ -117,10 +123,6 @@ impl GleanWriter {
             topology,
             array: array.into(),
             output_dir,
-            broker: Broker::new(BrokerConfig {
-                queue_depth: DRAIN_QUEUE_DEPTH,
-                ..BrokerConfig::default()
-            }),
             drain: None,
             steps: 0,
             bytes_handled: 0,
@@ -128,23 +130,10 @@ impl GleanWriter {
             reports: Vec::new(),
             missing: ReportOnce::default(),
             member_deadline: DEFAULT_MEMBER_DEADLINE,
-            finalize_deadline: DEFAULT_FINALIZE_DEADLINE,
+            drain_deadline: DEFAULT_DRAIN_DEADLINE,
             dead_ranks: BTreeSet::new(),
             drain_delay: Duration::ZERO,
         }
-    }
-
-    /// Publish through a shared broker instead of a private one, so
-    /// external subscribers can watch this writer's aggregation topic
-    /// (key `("glean/<array>", aggregator-rank)`).
-    pub fn with_broker(mut self, broker: Broker<Vec<(usize, BpStep)>>) -> Self {
-        self.broker = broker;
-        self
-    }
-
-    /// The topic an aggregator rank publishes to.
-    pub fn topic(&self, agg: usize) -> TopicKey {
-        TopicKey::new(format!("glean/{}", self.array), agg as u32)
     }
 
     /// Override the per-member gather deadline (tests use short ones).
@@ -152,13 +141,15 @@ impl GleanWriter {
         self.member_deadline = deadline;
     }
 
-    /// Override the finalize drain-join deadline.
-    pub fn set_finalize_deadline(&mut self, deadline: Duration) {
-        self.finalize_deadline = deadline;
+    /// Override the drain deadline: how long a step waits for a slot
+    /// in the drain's queue, and `finalize` for the drain to exit.
+    pub fn set_drain_deadline(&mut self, deadline: Duration) {
+        self.drain_deadline = deadline;
     }
 
-    /// Test hook: make the drain subscriber sleep this long per step,
-    /// to exercise the finalize-deadline path deterministically.
+    /// Test hook: make the drain thread sleep this long before each
+    /// node step it takes, to exercise the drain deadlines
+    /// deterministically.
     #[doc(hidden)]
     pub fn set_drain_delay(&mut self, delay: Duration) {
         self.drain_delay = delay;
@@ -191,62 +182,72 @@ impl GleanWriter {
         .ok()
     }
 
-    /// Move the broker's eviction records into the typed reports.
-    fn take_evictions(&mut self) {
-        let evicted = self.broker.take_evictions();
-        self.reports
-            .extend(evicted.into_iter().map(FailureReport::from));
+    /// Start the drain thread on first use: it persists every node step
+    /// it takes off the queue until the aggregator closes it.
+    fn drain(&mut self, agg: usize) -> &mut Drain {
+        let path = Self::file_path(&self.output_dir, agg);
+        let delay = self.drain_delay;
+        self.drain.get_or_insert_with(|| {
+            let (queue, steps) = sync_channel::<NodeStep>(DRAIN_QUEUE_DEPTH);
+            let obligation = sanitizer::open_obligation("glean-drain", &path.display().to_string());
+            let thread = std::thread::spawn(move || -> Result<(), BpError> {
+                // A run leaves one file per aggregator, empty if nothing
+                // was aggregated.
+                std::fs::File::create(&path)?;
+                loop {
+                    if !delay.is_zero() {
+                        std::thread::sleep(delay);
+                    }
+                    // Ends when the aggregator closes the queue.
+                    let Ok(node) = steps.recv() else {
+                        return Ok(());
+                    };
+                    for (_, step) in &node {
+                        BpFile::append(&path, step)?;
+                    }
+                }
+            });
+            Drain {
+                queue: Some(queue),
+                thread,
+                obligation,
+            }
+        })
     }
 
-    /// Start the drain subscriber on first use: it subscribes to this
-    /// aggregator's topic and persists every node step it receives.
-    /// Returns whether a drain (now) exists; `false` means the
-    /// subscription was refused and the failure has been recorded.
-    fn ensure_drain(&mut self, agg: usize) -> bool {
-        if self.drain.is_some() {
-            return true;
-        }
-        let path = Self::file_path(&self.output_dir, agg);
-        let topic = self.topic(agg);
-        let sub = match self
-            .broker
-            .subscribe_labeled(topic.clone(), format!("glean-drain-{agg}"))
-        {
-            Ok(sub) => sub,
-            Err(e) => {
-                self.failures
-                    .push(format!("glean: drain subscription refused: {e}"));
-                return false;
+    /// Hand one node step to the drain, waiting — at a scheduling
+    /// point, up to the drain deadline — while its queue is full. A
+    /// drain still behind at the deadline is cut off and reported.
+    fn hand_off(&mut self, agg: usize, mut node: NodeStep) {
+        let deadline = self.drain_deadline.as_secs_f64();
+        let steps_queued = self.steps - 1;
+        let drain = self.drain(agg);
+        let Some(queue) = &drain.queue else {
+            return;
+        };
+        let start = probe::time::now_seconds();
+        let waited = loop {
+            node = match queue.try_send(node) {
+                Ok(()) => return,
+                Err(TrySendError::Full(node)) => node,
+                // The thread failed; finalize reports why.
+                Err(TrySendError::Disconnected(_)) => return,
+            };
+            let waited = (probe::time::now_seconds() - start).max(0.0);
+            if waited >= deadline {
+                break Duration::from_secs_f64(waited);
+            }
+            minimpi::sched::yield_point();
+            if !probe::time::is_virtual() {
+                std::thread::sleep(Duration::from_micros(50));
             }
         };
-        let delay = self.drain_delay;
-        let handle = std::thread::spawn(move || -> Result<(), BpError> {
-            // A run leaves one file per aggregator, empty if nothing
-            // was aggregated.
-            std::fs::File::create(&path)?;
-            loop {
-                match sub.recv_deadline(Duration::from_millis(200)) {
-                    Ok(Some(msg)) => {
-                        if !delay.is_zero() {
-                            std::thread::sleep(delay);
-                        }
-                        for (_, step) in msg.payload.iter() {
-                            BpFile::append(&path, step)?;
-                        }
-                    }
-                    // End-of-stream (topic finished, queue drained) or
-                    // this subscriber was evicted for falling behind —
-                    // either way there is nothing left to persist.
-                    Ok(None) => break,
-                    // Quiet stretch; keep waiting. finalize() bounds
-                    // the writer-side wait, not this loop.
-                    Err(()) => continue,
-                }
-            }
-            Ok(())
+        drain.queue = None;
+        self.reports.push(FailureReport::SlowDrain {
+            aggregator: agg,
+            steps_queued,
+            waited,
         });
-        self.drain = Some(handle);
-        true
     }
 }
 
@@ -279,7 +280,7 @@ impl AnalysisAdaptor for GleanWriter {
             .into_iter()
             .filter(|&p| p != me && !self.dead_ranks.contains(&p))
             .collect();
-        let mut blocks: Vec<(usize, BpStep)> = Vec::with_capacity(awaiting.len() + 1);
+        let mut blocks: NodeStep = Vec::with_capacity(awaiting.len() + 1);
         blocks.extend(block.map(|b| (me, b)));
         while !awaiting.is_empty() {
             match comm.recv_any_of_deadline::<Option<BpStep>>(
@@ -307,46 +308,44 @@ impl AnalysisAdaptor for GleanWriter {
             }
         }
         blocks.sort_by_key(|&(rank, _)| rank);
-        if self.ensure_drain(agg) {
-            let topic = self.topic(agg);
-            self.broker.publish(&topic, blocks);
-            self.take_evictions();
-        }
+        self.hand_off(agg, blocks);
         Steering::Continue
     }
 
     fn finalize(&mut self, comm: &Comm) {
-        if let Some(handle) = self.drain.take() {
-            let agg = self.topology.aggregator_of(comm.rank());
-            self.broker.finish(&self.topic(agg));
-            // Join with a deadline: a wedged drain (dead disk, hung
-            // filesystem) must not hang the whole job at exit. The
-            // thread is detached past the deadline and the suspect
-            // file is surfaced through take_failures.
-            let start = Wall::now();
-            let joined = loop {
-                if handle.is_finished() {
-                    break true;
-                }
-                if start.elapsed() >= self.finalize_deadline {
-                    break false;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            };
-            if !joined {
+        let Some(Drain {
+            queue,
+            thread,
+            obligation,
+        }) = self.drain.take()
+        else {
+            return;
+        };
+        // Closing the queue ends the thread once it has persisted what
+        // is queued.
+        drop(queue);
+        sanitizer::close_obligation(obligation);
+        // Join with a deadline: a wedged drain (dead disk, hung
+        // filesystem) must not hang the whole job at exit. The thread
+        // is detached past the deadline and the suspect file is
+        // surfaced through take_failures.
+        let start = Wall::now();
+        while !thread.is_finished() {
+            if start.elapsed() >= self.drain_deadline {
+                let agg = self.topology.aggregator_of(comm.rank());
                 self.failures.push(format!(
                     "glean: drain thread did not finish within {:?}; the file of \
                      aggregator {agg} may be truncated or unflushed",
-                    self.finalize_deadline
+                    self.drain_deadline
                 ));
                 return;
             }
-            match handle.join() {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => self.failures.push(format!("drain thread: {e}")),
-                Err(_) => self.failures.push("drain thread panicked".to_string()),
-            }
-            self.take_evictions();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        match thread.join() {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => self.failures.push(format!("drain thread: {e}")),
+            Err(_) => self.failures.push("drain thread panicked".to_string()),
         }
     }
 
@@ -470,7 +469,7 @@ mod tests {
     }
 
     // Regression (finalize/drain race): finalizing immediately after a
-    // large step must wait for the drain subscriber, so the file holds
+    // large step must wait for the drain thread, so the file holds
     // the complete step — truncated/unflushed files were the failure
     // mode when finalize did not join the drain with a bound.
     #[test]
@@ -503,7 +502,7 @@ mod tests {
         World::run(1, move |comm| {
             let mut w = GleanWriter::new(Topology::new(1), "data", d2.clone());
             w.set_drain_delay(Duration::from_millis(400));
-            w.set_finalize_deadline(Duration::from_millis(40));
+            w.set_drain_deadline(Duration::from_millis(40));
             w.execute(&adaptor(comm, 0), comm);
             let t0 = Wall::now();
             w.finalize(comm);
@@ -580,42 +579,39 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    // Aggregators are broker topics: an external subscriber on a shared
-    // broker watches the aggregation stream without touching the
-    // drain path.
+    // A drain that stays behind its aggregator is cut off at the drain
+    // deadline instead of holding the simulation: the step that found
+    // the queue full is reported, typed, and what was queued before it
+    // still reaches the file.
     #[test]
-    fn external_subscriber_watches_aggregator_topic() {
-        use adios::broker::{Broker, BrokerConfig};
-        let dir = std::env::temp_dir().join(format!("glean_watch_{}", std::process::id()));
+    fn slow_drain_is_cut_off_and_reported() {
+        let dir = std::env::temp_dir().join(format!("glean_slow_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let d2 = dir.clone();
-        World::run(2, move |comm| {
-            let broker: Broker<Vec<(usize, BpStep)>> = Broker::new(BrokerConfig {
-                queue_depth: 8,
-                ..BrokerConfig::default()
-            });
-            let mut w =
-                GleanWriter::new(Topology::new(2), "data", d2.clone()).with_broker(broker.clone());
-            let watcher = if comm.rank() == 0 {
-                Some(broker.subscribe_labeled(w.topic(0), "watcher").unwrap())
-            } else {
-                None
-            };
-            for s in 0..3u64 {
+        World::run(1, move |comm| {
+            let mut w = GleanWriter::new(Topology::new(1), "data", d2.clone());
+            w.set_drain_delay(Duration::from_millis(100));
+            w.set_drain_deadline(Duration::from_millis(10));
+            for s in 0..=DRAIN_QUEUE_DEPTH as u64 + 1 {
                 w.execute(&adaptor(comm, s), comm);
             }
+            let reports = w.take_failure_reports();
+            assert_eq!(reports.len(), 1, "{reports:?}");
+            assert_eq!(reports[0].kind(), "slow-drain");
+            assert!(matches!(
+                reports[0],
+                FailureReport::SlowDrain {
+                    aggregator: 0,
+                    steps_queued,
+                    ..
+                } if steps_queued == DRAIN_QUEUE_DEPTH as u64
+            ));
+            w.set_drain_deadline(Duration::from_secs(10));
             w.finalize(comm);
-            if let Some(watcher) = watcher {
-                let mut steps = Vec::new();
-                while let Some(msg) = watcher.try_next() {
-                    let ranks: Vec<usize> = msg.payload.iter().map(|&(r, _)| r).collect();
-                    assert_eq!(ranks, [0, 1], "both node members aggregated");
-                    steps.push(msg.payload[0].1.step);
-                }
-                assert_eq!(steps, vec![0, 1, 2], "watcher saw every node step");
-                assert!(watcher.is_eos(), "finalize finished the topic");
-            }
+            assert!(w.take_failures().is_empty());
         });
+        let steps: Vec<u64> = read_back(&dir, 0).iter().map(|s| s.step).collect();
+        assert_eq!(steps, (0..DRAIN_QUEUE_DEPTH as u64).collect::<Vec<_>>());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -25,8 +25,8 @@
 //!   `OnceLock` are fine.
 //! * **R4 no-unwrap-core** — no `.unwrap()`/`.expect(` in non-test
 //!   code of `minimpi`, `datamodel`, `sensei`, `science`, `adios`,
-//!   `glean`, `query`, `catalyst`, `libsim`, `perfmodel`, `sanitizer`,
-//!   `render`, `iosim` and `probe`: the substrate, the
+//!   `glean`, `catalyst`, `libsim`, `perfmodel`, `sanitizer`, `render`,
+//!   `iosim` and `probe`: the substrate, the
 //!   staging/aggregation data paths, the render endpoints and the stack
 //!   under them, the model, the race detector, the post hoc I/O readers
 //!   and the recorder every layer reports through must surface failures
@@ -38,11 +38,8 @@
 //!   registry checks at `Bridge::finalize`: a `publish_dataset(` call
 //!   must bind its RAII guard with a `let` (an unbound guard drops —
 //!   and closes the window — immediately, silently disabling the
-//!   use-after-publish check); a `QueryHandle` join
-//!   (`.join(` with arguments, in files that mention `QueryHandle`)
-//!   must pair with `.leave(` or `finalize`. Skips shims, tests, and
-//!   benches; `datamodel` (which defines the guard) is exempt from
-//!   the publish leg.
+//!   use-after-publish check). Skips shims, tests, and benches;
+//!   `datamodel` (which defines the guard) is exempt.
 //!
 //! Test code is exempt from R2/R4: `tests/`/`benches/` directories,
 //! `fixtures/`, and `#[cfg(test)]` regions (tracked by brace depth).
@@ -103,7 +100,6 @@ fn in_core_crate(path: &Path) -> bool {
         "science",
         "adios",
         "glean",
-        "query",
         "catalyst",
         "libsim",
         "perfmodel",
@@ -226,13 +222,11 @@ fn check_file(path: &Path, source: &str, out: &mut Vec<Violation>) {
     // (when it is on); this rule catches the static shape — acquire
     // without a paired release in the same function — everywhere.
     if !in_shims && !file_is_test {
-        let mentions_query_handle = code.contains("QueryHandle");
         for &(start, end) in &scan::fn_regions(&code_lines) {
             if in_test.get(start).copied().unwrap_or(false) {
                 continue;
             }
             let body = &code_lines[start..=end];
-            let has = |needle: &str| body.iter().any(|l| l.contains(needle));
             for (k, &line) in body.iter().enumerate() {
                 let lineno = start + k + 1;
                 // Publish windows: the guard must be `let`-bound, or
@@ -264,25 +258,6 @@ fn check_file(path: &Path, source: &str, out: &mut Vec<Violation>) {
                                 .into(),
                         });
                     }
-                }
-                // Query clients: a join must pair with a leave (or the
-                // server finalize). Gated to files that actually use
-                // QueryHandle so slice/path `.join(...)` stays quiet;
-                // `.join()` (thread handles) takes no arguments.
-                if mentions_query_handle
-                    && line.contains(".join(")
-                    && !line.contains(".join()")
-                    && !has(".leave(")
-                    && !has("finalize")
-                {
-                    out.push(Violation {
-                        rule: "obligation",
-                        path: path.to_path_buf(),
-                        line: lineno,
-                        message: "`QueryHandle` `.join(` without `.leave(`/`finalize` in \
-                                  the same function — client registration never released"
-                            .into(),
-                    });
                 }
             }
         }

@@ -74,24 +74,6 @@ fn violating_fixture_trips_r4_in_staging_paths() {
 }
 
 #[test]
-fn violating_fixture_trips_r4_in_query_paths() {
-    // `query` joined the R4 crate list with the obligation lint — the
-    // interactive endpoint is steering-correctness core too.
-    let out = Command::new(lint_bin())
-        .current_dir(repo_root())
-        .arg("crates/lint/fixtures/query/unwrap.rs")
-        .output()
-        .expect("lint binary runs");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(!out.status.success(), "query-path fixture must fail lint");
-    assert_eq!(
-        stdout.matches("[no-unwrap-core]").count(),
-        2,
-        "exactly the two non-test sites fire: {stdout}"
-    );
-}
-
-#[test]
 fn violating_fixture_trips_r4_in_sanitizer_paths() {
     // `catalyst`, `libsim`, `perfmodel` and `sanitizer` joined the R4
     // crate list with zero sites; the rule keeps them there.
@@ -170,20 +152,19 @@ fn violating_fixture_trips_r4_in_probe_paths() {
 fn violating_fixture_trips_r6_obligation_pairing() {
     let out = Command::new(lint_bin())
         .current_dir(repo_root())
-        .arg("crates/lint/fixtures/query/obligation.rs")
+        .arg("crates/lint/fixtures/obligation.rs")
         .output()
         .expect("lint binary runs");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(!out.status.success(), "obligation fixture must fail lint");
-    // One finding per leg: unbound publish, join without leave. The
-    // paired twins and the cfg(test) region stay silent.
+    // The unbound publish fires; the bound twins and the cfg(test)
+    // region stay silent.
     assert_eq!(
         stdout.matches("[obligation]").count(),
-        2,
-        "exactly the two unpaired sites fire: {stdout}"
+        1,
+        "exactly the unbound site fires: {stdout}"
     );
     assert!(stdout.contains("publish_dataset"), "{stdout}");
-    assert!(stdout.contains("leave"), "{stdout}");
 }
 
 #[test]

@@ -134,19 +134,6 @@ impl Comm {
         (probe::time::now_seconds() - self.t0).max(0.0)
     }
 
-    /// Record an interactive query/steering command in the world's
-    /// delivery trace: `client` issued a command whose serialized
-    /// payload hashes to `digest`, applied by this rank at bridge step
-    /// `step`. Under [`crate::SchedPolicy::Os`] this is a no-op; under
-    /// the deterministic scheduler the event lands in the [`crate::Trace`]
-    /// and is verified in schedule position on replay, making an
-    /// interactive session a reproducible artifact.
-    pub fn record_interactive(&self, client: u64, step: u64, digest: u64) {
-        if let Some(sched) = &self.sched {
-            sched.on_interactive(self.slot, client, step, digest);
-        }
-    }
-
     /// Advance and return the collective epoch for this communicator.
     pub(crate) fn next_epoch(&self) -> u64 {
         let e = self.epoch.get();

@@ -151,7 +151,7 @@ struct Branch {
 enum Action {
     /// A delivery into `to`'s queue under `tag`.
     Send { to: usize, tag: u64 },
-    /// A local visible event (`Match` resolution, interactive apply).
+    /// A local visible event (a `Match` resolution).
     Local,
 }
 
@@ -360,7 +360,7 @@ impl Checker {
                     clocks[*to].merge(&snapshot);
                     Some((*from, Action::Send { to: *to, tag: *tag }, snapshot))
                 }
-                Event::Match { slot, .. } | Event::Interactive { slot, .. } => {
+                Event::Match { slot, .. } => {
                     clocks[*slot].tick(*slot);
                     Some((*slot, Action::Local, clocks[*slot].clone()))
                 }

@@ -89,16 +89,6 @@ impl FaultHandle {
         self.inner.dropped.load(Ordering::Relaxed)
     }
 
-    /// Would a message from world slot `from` to `to` be discarded
-    /// under the active rules? Liveness oracle for layers *above* the
-    /// transport (e.g. steering clients that never touch a `Comm`): a
-    /// severed link means the peer is unreachable and waiting on it is
-    /// pointless, so fail-fast paths can degrade immediately instead of
-    /// burning a deadline.
-    pub fn is_severed(&self, from: usize, to: usize) -> bool {
-        matches!(self.action(from, to), FaultAction::Drop)
-    }
-
     fn push(&self, rule: Rule) {
         self.inner.rules.lock().push(rule);
     }
@@ -180,18 +170,6 @@ mod tests {
         );
         f.heal();
         assert_eq!(f.action(0, 1), FaultAction::Deliver);
-    }
-
-    #[test]
-    fn severed_mirrors_drop_rules() {
-        let f = FaultHandle::new();
-        assert!(!f.is_severed(0, 1));
-        f.drop_link(0, 1);
-        assert!(f.is_severed(0, 1));
-        assert!(!f.is_severed(1, 0));
-        f.heal();
-        f.delay_link(0, 1, Duration::from_millis(1));
-        assert!(!f.is_severed(0, 1), "delayed links are alive");
     }
 
     #[test]

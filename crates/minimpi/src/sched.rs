@@ -179,9 +179,9 @@ pub struct LivenessSpec {
     /// unfinished ranks (livelock / starvation backstop).
     pub max_decisions: u64,
     /// Abort when one rank passes this many consecutive
-    /// [`yield_point`] spins without making progress (a send, match,
-    /// or interactive event resets the count) — the backpressure
-    /// publisher-spinning-forever shape.
+    /// [`yield_point`] spins without making progress (a send or match
+    /// resets the count) — the shape of a producer spinning forever on
+    /// a full queue.
     pub spin_limit: u64,
     /// When the decision budget trips, a live rank that made no
     /// progress in this many trailing decisions while others kept
@@ -226,21 +226,6 @@ pub enum Event {
         /// Raw tag bits.
         tag: u64,
     },
-    /// World slot `slot` applied an interactive query or steering
-    /// command from client `client` at bridge step `step`. The payload
-    /// itself lives outside the transport; its FNV-1a digest pins the
-    /// bytes, so a replayed session must deliver the identical command
-    /// stream in the identical schedule position.
-    Interactive {
-        /// World slot that applied the command.
-        slot: usize,
-        /// Interactive client id.
-        client: u64,
-        /// Bridge step the command was applied at.
-        step: u64,
-        /// FNV-1a digest of the serialized payload.
-        digest: u64,
-    },
 }
 
 impl Event {
@@ -259,18 +244,6 @@ impl Event {
                 Json::Num(*slot as f64),
                 Json::Num(*src as f64),
                 Json::Str(format!("{tag:x}")),
-            ]),
-            Event::Interactive {
-                slot,
-                client,
-                step,
-                digest,
-            } => Json::Arr(vec![
-                Json::Str("q".into()),
-                Json::Num(*slot as f64),
-                Json::Num(*client as f64),
-                Json::Num(*step as f64),
-                Json::Str(format!("{digest:x}")),
             ]),
         }
     }
@@ -307,12 +280,6 @@ impl Event {
                 src: num(2)?,
                 tag: tag(3)?,
             }),
-            "q" => Ok(Event::Interactive {
-                slot: num(1)?,
-                client: num(2)? as u64,
-                step: num(3)? as u64,
-                digest: tag(4)?,
-            }),
             other => Err(format!("unknown event kind '{other}'")),
         }
     }
@@ -328,15 +295,6 @@ impl std::fmt::Display for Event {
             Event::Match { slot, src, tag } => {
                 write!(f, "match slot {slot} <- src {src} tag {}", Tag(*tag))
             }
-            Event::Interactive {
-                slot,
-                client,
-                step,
-                digest,
-            } => write!(
-                f,
-                "interactive slot {slot} client {client} step {step} digest {digest:016x}"
-            ),
         }
     }
 }
@@ -490,8 +448,8 @@ struct State {
     decisions: u64,
     /// Per-slot consecutive [`yield_point`] spins without progress.
     spin_counts: Vec<u64>,
-    /// Per-slot decision count at the last progress event (send,
-    /// match, or interactive).
+    /// Per-slot decision count at the last progress event (send or
+    /// match).
     last_progress: Vec<u64>,
     /// The runnable slots of the decision being made, sized for every
     /// slot when the world is built: a decision allocates nothing.
@@ -679,29 +637,6 @@ impl Sched {
         src
     }
 
-    /// Record an interactive query/steering command in the delivery
-    /// trace. Pure bookkeeping — the rank keeps the turn token — but
-    /// under replay the event is verified in schedule position like any
-    /// delivery, so a session whose command stream changed diverges
-    /// immediately instead of silently producing different results.
-    pub(crate) fn on_interactive(&self, slot: usize, client: u64, step: u64, digest: u64) {
-        let mut s = self.state.lock();
-        self.emit(
-            &mut s,
-            Event::Interactive {
-                slot,
-                client,
-                step,
-                digest,
-            },
-        );
-        if let Some(msg) = &s.abort {
-            let msg = msg.clone();
-            drop(s);
-            panic!("{msg}");
-        }
-    }
-
     /// Advance the virtual clock (injected link delay).
     pub(crate) fn advance_clock(&self, by: Duration) {
         let mut s = self.state.lock();
@@ -847,12 +782,12 @@ impl Sched {
                 }
             }
         }
-        // A send, match, or interactive event is progress for its
-        // actor: reset the spin count and stamp the liveness window.
-        // Merely being granted the token (Run) is not progress.
+        // A send or match is progress for its actor: reset the spin
+        // count and stamp the liveness window. Merely being granted the
+        // token (Run) is not progress.
         let actor = match &event {
             Event::Send { from, .. } => Some(*from),
-            Event::Match { slot, .. } | Event::Interactive { slot, .. } => Some(*slot),
+            Event::Match { slot, .. } => Some(*slot),
             Event::Run { .. } => None,
         };
         if let Some(actor) = actor {
@@ -1067,7 +1002,7 @@ fn guided_choice(
 thread_local! {
     /// The scheduler and world slot of the rank running on this thread,
     /// installed for the lifetime of the rank closure so library code
-    /// (e.g. the staging broker's backpressure loop) can reach the
+    /// (e.g. GLEAN's wait for a drain-queue slot) can reach the
     /// scheduler without threading it through every call.
     static THREAD_SCHED: std::cell::RefCell<Option<(Arc<Sched>, usize)>> =
         const { std::cell::RefCell::new(None) };
@@ -1135,12 +1070,6 @@ mod tests {
                     src: 0,
                     tag: Tag::user(9).0,
                 },
-                Event::Interactive {
-                    slot: 0,
-                    client: 17,
-                    step: 4,
-                    digest: 0xdead_beef_cafe_f00d,
-                },
             ],
         };
         let text = t.to_json();
@@ -1150,11 +1079,6 @@ mod tests {
             unreachable!()
         };
         assert!(tag & (1 << 63) != 0);
-        // Interactive digests are full-width u64s and round trip too.
-        let Event::Interactive { digest, .. } = &t.events[3] else {
-            unreachable!()
-        };
-        assert!(digest & (1 << 63) != 0);
     }
 
     #[test]

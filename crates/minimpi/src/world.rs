@@ -209,7 +209,7 @@ impl WorldBuilder {
                             slot: rank,
                         };
                         // Thread-local scheduler handle so spin loops
-                        // deep in library code (broker backpressure)
+                        // deep in library code (GLEAN's drain hand-off)
                         // can reach crate::sched::yield_point().
                         let _sched_tls = sched
                             .as_ref()

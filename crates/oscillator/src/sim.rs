@@ -79,15 +79,27 @@ impl Simulation {
     /// The parsed deck moves through [`Comm::bcast_arc`], so every rank
     /// of a node shares one allocation instead of deep-copying the deck
     /// along the broadcast tree.
+    ///
+    /// # Panics
+    /// On every rank, with the same `bad deck: …` message, if rank 0
+    /// supplies no deck or one that does not parse: the parse outcome is
+    /// what rank 0 broadcasts, so no rank waits for a deck that never
+    /// comes.
     pub fn new(comm: &Comm, config: SimConfig, deck_on_root: Option<&str>) -> Self {
         // Root parses and broadcasts the oscillator set (§3.3: "read and
         // broadcast from the root process").
-        let oscillators = if comm.rank() == 0 {
-            let deck = deck_on_root.expect("rank 0 must supply the oscillator deck");
-            let parsed = parse_deck(deck).unwrap_or_else(|e| panic!("bad deck: {e}"));
+        let outcome = if comm.rank() == 0 {
+            let parsed = match deck_on_root {
+                Some(deck) => parse_deck(deck).map(Arc::new).map_err(|e| e.to_string()),
+                None => Err("rank 0 must supply the oscillator deck".to_string()),
+            };
             comm.bcast_arc(0, Some(Arc::new(parsed)))
         } else {
             comm.bcast_arc(0, None)
+        };
+        let oscillators = match &*outcome {
+            Ok(oscillators) => Arc::clone(oscillators),
+            Err(e) => panic!("bad deck: {e}"),
         };
         assert!(!oscillators.is_empty(), "need at least one oscillator");
 
@@ -218,25 +230,6 @@ impl Simulation {
     /// The oscillator set (after broadcast; identical on all ranks).
     pub fn oscillators(&self) -> &[Oscillator] {
         &self.oscillators
-    }
-
-    /// Retarget oscillator `index`: move its center and retune its
-    /// frequency, effective from the next `step` call. This is the
-    /// write-back steering surface — every rank must apply the same
-    /// retarget at the same step boundary (the deck is replicated, not
-    /// distributed), which interactive sessions guarantee by scripting
-    /// commands against the bridge step counter. Returns `false` when
-    /// `index` is out of range (the command is ignored).
-    pub fn retarget_oscillator(&mut self, index: usize, center: [f64; 3], omega: f64) -> bool {
-        let deck = Arc::make_mut(&mut self.oscillators);
-        match deck.get_mut(index) {
-            Some(o) => {
-                o.center = center;
-                o.omega = omega;
-                true
-            }
-            None => false,
-        }
     }
 }
 
@@ -548,56 +541,6 @@ mod tests {
                     .sum();
                 assert!((field[i] - expect).abs() < 1e-12);
             }
-        });
-    }
-
-    #[test]
-    fn retarget_moves_an_oscillator_and_changes_the_field() {
-        let d = deck();
-        World::run(2, move |comm| {
-            let root_deck = if comm.rank() == 0 {
-                Some(d.as_str())
-            } else {
-                None
-            };
-            let cfg = SimConfig {
-                grid: [8, 8, 8],
-                steps: 4,
-                ..SimConfig::default()
-            };
-            let mut sim = Simulation::new(comm, cfg, root_deck);
-            sim.step(comm);
-            let before = sim.field().as_slice().to_vec();
-            assert!(!sim.retarget_oscillator(99, [0.5; 3], 2.0));
-            assert!(sim.retarget_oscillator(0, [0.9, 0.1, 0.9], 7.0));
-            assert_eq!(sim.oscillators()[0].center, [0.9, 0.1, 0.9]);
-            assert_eq!(sim.oscillators()[0].omega, 7.0);
-            sim.step(comm);
-            // The retargeted deck must produce the analytic field of the
-            // *new* deck, identically on every rank.
-            let t = sim.current_time();
-            let field = sim.field();
-            let local = sim.local_extent();
-            let sp = sim.spacing();
-            let mut differs = false;
-            for (i, p) in local.iter_points().enumerate() {
-                let pos = [
-                    p[0] as f64 * sp[0],
-                    p[1] as f64 * sp[1],
-                    p[2] as f64 * sp[2],
-                ];
-                let expect: f64 = sim
-                    .oscillators()
-                    .iter()
-                    .map(|o| o.contribution(pos, t))
-                    .sum();
-                assert!((field[i] - expect).abs() < 1e-12);
-                if field[i] != before[i] {
-                    differs = true;
-                }
-            }
-            let any = comm.allreduce_scalar(u8::from(differs), |a, b| a.max(b));
-            assert_eq!(any, 1, "retarget must actually change the field");
         });
     }
 

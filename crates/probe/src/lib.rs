@@ -44,54 +44,30 @@ pub const GAUGE_DATASET_SHARED: &str = "mem/dataset_shared_bytes";
 /// Namespaced instrumentation keys.
 ///
 /// Every counter and gauge in the workspace lives on a slash path
-/// (`"broker/field#0/queue_peak"`, `"staging/on_wire"`, …). Building
+/// (`"staging/on_wire"`, `"mem/allocs"`, …). Building
 /// those paths with ad-hoc `format!` calls at each site let the same
 /// metric drift into different spellings between recording and
 /// reporting; these helpers are the single place the shape is
 /// defined. The output is byte-identical to the historical keys, so
 /// existing `RunReport`s and checked-in baselines keep their labels.
 pub mod key {
-    use std::fmt::Display;
 
     /// A crate-wide metric: `"namespace/metric"`.
     pub fn of(namespace: &str, metric: &str) -> String {
         format!("{namespace}/{metric}")
     }
 
-    /// A per-entity metric: `"namespace/instance/metric"`. The
-    /// instance renders through `Display`, so topic handles, ranks,
-    /// and labels all slot in without pre-formatting.
-    pub fn scoped(namespace: &str, instance: impl Display, metric: &str) -> String {
-        format!("{namespace}/{instance}/{metric}")
-    }
-
     #[cfg(test)]
     mod tests {
         use super::*;
-
-        struct Topic(u32);
-        impl Display for Topic {
-            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                write!(f, "field#{}", self.0)
-            }
-        }
 
         // The exact strings below appear in checked-in baseline
         // reports; the helper must reproduce them byte-for-byte.
         #[test]
         fn keys_match_the_historical_spellings() {
-            assert_eq!(of("broker", "evictions"), "broker/evictions");
             assert_eq!(of("staging", "on_wire"), "staging/on_wire");
             assert_eq!(of("staging", "off_wire"), "staging/off_wire");
             assert_eq!(of("minimpi", "reduce"), "minimpi/reduce");
-            assert_eq!(
-                scoped("broker", Topic(3), "queue_peak"),
-                "broker/field#3/queue_peak"
-            );
-            assert_eq!(
-                scoped("broker", Topic(0), "fanout"),
-                "broker/field#0/fanout"
-            );
         }
     }
 }
@@ -243,8 +219,8 @@ impl Probe {
 
     /// Bulk counter update: `calls` invocations moving `messages`
     /// messages of `bytes` total under `name`, in one lock
-    /// acquisition. The fan-out hot path (one publish delivered to N
-    /// subscribers) records once instead of N times.
+    /// acquisition: a kernel's per-step term counts record once, not
+    /// once per term.
     #[inline]
     pub fn bulk(&self, name: &str, calls: u64, messages: u64, bytes: u64) {
         if let Some(inner) = &self.0 {
@@ -450,13 +426,13 @@ mod tests {
     #[test]
     fn bulk_updates_one_counter_in_one_shot() {
         let p = enabled();
-        p.bulk("broker/data#0/fanout", 1, 1000, 8000);
-        p.bulk("broker/data#0/fanout", 1, 500, 4000);
+        p.bulk("sim/terms", 1, 1000, 8000);
+        p.bulk("sim/terms", 1, 500, 4000);
         let s = p.snapshot();
         assert_eq!(
             s.counters,
             vec![CounterStat {
-                name: "broker/data#0/fanout".into(),
+                name: "sim/terms".into(),
                 calls: 2,
                 messages: 1500,
                 bytes: 12000,

@@ -17,7 +17,7 @@ pub const SCHEMA: &str = "sensei-runreport-v2";
 
 /// One non-fatal failure in the run, as a single machine-readable
 /// shape: which rank reported it, a stable kind tag (`"dead-writer"`,
-/// `"eviction"`, `"analysis"`, …), and the human-readable description.
+/// `"slow-drain"`, `"analysis"`, …), and the human-readable description.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FailureEntry {
     /// Rank that recorded the failure.

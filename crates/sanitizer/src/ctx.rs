@@ -157,7 +157,7 @@ pub fn check_view_leaks(location: &str) {
 }
 
 /// Open a protocol obligation for this rank: `kind` names the
-/// protocol (`query-client`, ...), `subject` the
+/// protocol (`glean-drain`, ...), `subject` the
 /// concrete resource. Returns the id to pass to [`close_obligation`]
 /// when the matching release runs, or `None` without a context (the
 /// caller keeps the `None` and both calls are no-ops).

@@ -15,7 +15,7 @@
 //! * **view leaks** — publish windows still open at
 //!   `Bridge::finalize`;
 //! * **obligation leaks** — protocol acquire/release pairs left open
-//!   (query clients never leaving)
+//!   (a GLEAN drain never closed)
 //!   at `Bridge::finalize` or world teardown.
 //!
 //! Mechanically: each rank thread installs a [`ctx`] holding a

@@ -29,8 +29,7 @@ pub enum FindingKind {
     /// `Bridge::finalize` — the endpoint kept a borrowed view alive
     /// past the bridge's lifetime.
     ViewLeak,
-    /// A protocol obligation — a live query client registration, an
-    /// open publish window's RAII pairing —
+    /// A protocol obligation — a GLEAN aggregator's drain hand-off —
     /// was acquired but never discharged by the matching release call
     /// before finalize/teardown.
     ObligationLeak,

@@ -48,7 +48,7 @@ struct PubMeta {
 
 /// Bookkeeping for one open protocol obligation: a resource whose
 /// acquire must be paired with a release before the world (or the
-/// bridge) finalizes — live query-client registrations, and the like.
+/// bridge) finalizes — a GLEAN drain's hand-off, and the like.
 #[derive(Clone, Debug)]
 struct OblMeta {
     slot: usize,
@@ -143,7 +143,7 @@ impl Session {
     }
 
     /// Open a protocol obligation for `slot`: `kind` names the
-    /// protocol (e.g. `query-client`), `subject`
+    /// protocol (e.g. `glean-drain`), `subject`
     /// the concrete resource. Returns the id [`Session::close_obligation`]
     /// must be called with before finalize/teardown.
     pub fn open_obligation(&self, slot: usize, kind: &str, subject: &str) -> u64 {
@@ -343,8 +343,8 @@ mod tests {
     #[test]
     fn undischarged_obligation_is_a_leak() {
         let s = Session::new(4, Mode::Collect);
-        let kept = s.open_obligation(1, "query-client", "client 7 @ query/7");
-        let closed = s.open_obligation(3, "query-client", "steer@rank3");
+        let kept = s.open_obligation(1, "glean-drain", "glean_000007.bp");
+        let closed = s.open_obligation(3, "glean-drain", "glean_000003.bp");
         s.close_obligation(closed);
         // Per-slot check (the finalize path): only slot 1's leak fires.
         s.check_obligations(3, "Bridge::finalize");
@@ -354,7 +354,7 @@ mod tests {
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].kind, FindingKind::ObligationLeak);
         assert_eq!(f[0].slots, (1, None));
-        assert!(f[0].subject.contains("client 7"), "{}", f[0].subject);
+        assert!(f[0].subject.contains("glean_000007"), "{}", f[0].subject);
         s.clear_findings();
         // World teardown reports it too, then closing silences it.
         assert_eq!(s.finish_world(), 1);

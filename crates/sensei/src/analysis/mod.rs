@@ -74,8 +74,8 @@ pub trait AnalysisAdaptor: Send {
 
     /// Drain *typed* failure reports. Like
     /// [`take_failures`](AnalysisAdaptor::take_failures) but for
-    /// adaptors that can say exactly what broke (an evicted query
-    /// client, a dead steering peer) instead of flattening the
+    /// adaptors that can say exactly what broke (a dead node member, a
+    /// drain cut off) instead of flattening the
     /// forensics into a string — the bridge records these under their
     /// own `kind` tag rather than as `analysis` failures. Default: no
     /// reports.

@@ -244,7 +244,7 @@ impl Bridge {
             );
         }
         // Analyses had their chance to discharge protocol obligations
-        // (query servers close client registrations in their finalize);
+        // (GLEAN closes its drain's hand-off in its finalize);
         // anything this rank still holds open is a leak.
         sanitizer::check_obligations("Bridge::finalize");
         let snap = self.local_snapshot();
@@ -297,7 +297,7 @@ impl Bridge {
     /// Record a non-fatal infrastructure failure (e.g. a writer lost in
     /// transit whose stream degraded to end-of-stream). Accepts anything
     /// convertible to [`FailureReport`] — the endpoint crates provide
-    /// `From` impls for their record types (dead writers, evictions),
+    /// `From` impls for their record types (dead writers),
     /// and plain strings become [`FailureReport::Other`].
     /// The run continues; the report is surfaced so a degraded pipeline
     /// is never mistaken for a healthy one. Duplicates collapse to one.
@@ -493,6 +493,47 @@ mod tests {
             assert_eq!(info.analysis, "stopper");
             assert_eq!(info.reason, "step budget 2 exhausted");
         });
+    }
+
+    // A steering analysis whose client is lost on one rank keeps every
+    // verdict `Continue`: the run goes to completion, and the loss is
+    // one typed entry of rank 0's report, from the rank that saw it.
+    #[test]
+    fn a_lost_steering_client_degrades_to_run_to_completion() {
+        struct Steer {
+            lost: bool,
+        }
+        impl AnalysisAdaptor for Steer {
+            fn name(&self) -> &str {
+                "steer"
+            }
+            fn execute(&mut self, data: &dyn DataAdaptor, comm: &Comm) -> Steering {
+                self.lost |= comm.rank() == 1 && data.step() == 1;
+                Steering::Continue
+            }
+            fn take_failure_reports(&mut self) -> Vec<FailureReport> {
+                if std::mem::take(&mut self.lost) {
+                    vec!["steering client 7 lost; running to completion".into()]
+                } else {
+                    Vec::new()
+                }
+            }
+        }
+        let reports = World::run(2, |comm| {
+            let mut bridge = Bridge::new();
+            bridge.register(Box::new(Steer { lost: false }));
+            for s in 0..4 {
+                assert!(bridge.execute(&adaptor(s), comm).should_continue());
+            }
+            assert!(bridge.stop_info().is_none());
+            bridge.finalize(comm)
+        });
+        let report = &reports[0];
+        assert_eq!(report.steps, 4);
+        assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
+        assert_eq!(report.failures[0].rank, 1);
+        assert_eq!(report.failures[0].kind, "other");
+        assert!(report.failures[0].detail.contains("steering client 7"));
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Unified non-fatal failure reporting.
 //!
 //! Before this module every degraded-pipeline event had its own shape:
-//! the FlexPath reader's dead-writer record, GLEAN's dead node members,
-//! the staging broker's `EvictionRecord`, and free-form strings from
-//! analyses. They all funnel into one [`FailureReport`] enum behind
+//! the FlexPath reader's dead-writer record, GLEAN's dead node members
+//! and slow drains, and free-form strings from analyses. They all
+//! funnel into one [`FailureReport`] enum behind
 //! [`Bridge::failure_reports`], so every consumer — tests, the
 //! `RunReport` JSON, live monitors — sees a single machine-readable
 //! shape with a `kind` tag, while `From` impls in the endpoint crates
-//! keep call sites as small as `bridge.record_failure(evicted)`.
+//! keep call sites as small as `bridge.record_failure(lost)`.
 //!
 //! [`Bridge::failure_reports`]: crate::bridge::Bridge::failure_reports
 
@@ -54,32 +54,17 @@ pub enum FailureReport {
         /// How long the aggregator waited before declaring it dead.
         waited: Duration,
     },
-    /// A slow consumer was evicted from a staging-broker topic so the
-    /// producers could keep publishing.
-    Eviction {
-        /// Consumer identity: its label, or `client N` if unlabeled.
-        consumer: String,
-        /// Topic it was evicted from.
-        topic: String,
-        /// Messages delivered into its queue before eviction.
-        delivered: u64,
-        /// Messages it actually drained before eviction.
-        consumed: u64,
-        /// Sequence number of the publish that evicted it.
-        dropped_seq: u64,
-        /// How long the dispatcher waited for the queue to drain.
+    /// A GLEAN aggregator's drain thread kept its queue full for the
+    /// whole drain deadline: the aggregator stopped handing it node
+    /// steps so the simulation could go on, and the aggregator's file
+    /// ends at the steps queued before.
+    SlowDrain {
+        /// World rank of the aggregator.
+        aggregator: usize,
+        /// Node steps handed to the drain before it was cut off.
+        steps_queued: u64,
+        /// How long the aggregator waited for a queue slot.
         waited: Duration,
-    },
-    /// An interactive steering client stopped responding: the query
-    /// server stops waiting for its commands at step boundaries and the
-    /// run degrades to run-to-completion instead of blocking.
-    DeadSteering {
-        /// Interactive client id.
-        client: u64,
-        /// Bridge step at which the client was declared dead.
-        step: u64,
-        /// Bridge steps the server waited before giving up.
-        waited_steps: u64,
     },
     /// An analysis adaptor reported a failure string through
     /// `AnalysisAdaptor::take_failures`.
@@ -104,8 +89,7 @@ impl FailureReport {
             FailureReport::DeadWriter { .. } => "dead-writer",
             FailureReport::CorruptFrame { .. } => "corrupt-frame",
             FailureReport::DeadMember { .. } => "dead-member",
-            FailureReport::Eviction { .. } => "eviction",
-            FailureReport::DeadSteering { .. } => "dead-steering",
+            FailureReport::SlowDrain { .. } => "slow-drain",
             FailureReport::Analysis { .. } => "analysis",
             FailureReport::Other { .. } => "other",
         }
@@ -146,27 +130,14 @@ impl std::fmt::Display for FailureReport {
                 "node member rank {rank} lost after {steps_received} step(s) (no block \
                  within {waited:?}); aggregating without it"
             ),
-            FailureReport::Eviction {
-                consumer,
-                topic,
-                delivered,
-                consumed,
-                dropped_seq,
+            FailureReport::SlowDrain {
+                aggregator,
+                steps_queued,
                 waited,
             } => write!(
                 f,
-                "broker evicted slow consumer {consumer} from topic {topic}: queue full \
-                 at seq {dropped_seq} after {waited:?} (delivered {delivered}, consumed \
-                 {consumed})"
-            ),
-            FailureReport::DeadSteering {
-                client,
-                step,
-                waited_steps,
-            } => write!(
-                f,
-                "steering client {client} unresponsive at step {step} (no command for \
-                 {waited_steps} step(s)); running to completion without it"
+                "drain of aggregator rank {aggregator} cut off after {steps_queued} node \
+                 step(s): its queue stayed full for {waited:?}; later steps are not persisted"
             ),
             FailureReport::Analysis { analysis, detail } => write!(f, "{analysis}: {detail}"),
             FailureReport::Other { detail } => f.write_str(detail),
@@ -212,18 +183,10 @@ mod tests {
                 steps_received: 1,
                 waited: Duration::from_millis(50),
             },
-            FailureReport::Eviction {
-                consumer: "stall-00".into(),
-                topic: "data#0".into(),
-                delivered: 8,
-                consumed: 2,
-                dropped_seq: 9,
+            FailureReport::SlowDrain {
+                aggregator: 4,
+                steps_queued: 8,
                 waited: Duration::from_millis(20),
-            },
-            FailureReport::DeadSteering {
-                client: 7,
-                step: 12,
-                waited_steps: 3,
             },
             FailureReport::Analysis {
                 analysis: "histogram".into(),
@@ -240,8 +203,7 @@ mod tests {
                 "dead-writer",
                 "corrupt-frame",
                 "dead-member",
-                "eviction",
-                "dead-steering",
+                "slow-drain",
                 "analysis",
                 "other"
             ]

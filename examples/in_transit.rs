@@ -70,8 +70,8 @@ fn main() {
                 }
                 sub.barrier();
                 let catalyst_slice = catalyst::CatalystSliceAnalysis::new(pipe);
-                // The broker tee is the staging spine: subscribers can
-                // attach to the stream at any time; with none, it's free.
+                // The endpoint tees each step to the broker, which
+                // copies and allocates nothing.
                 let broker = StagingBroker::new(BrokerConfig::default());
                 let (bridge, _report) = run_endpoint_with_broker(
                     world,

@@ -9,7 +9,7 @@ cd "$(dirname "$0")/.."
 echo "==> checker unit suite (DPOR vs exhaustive, liveness, shrinker)"
 cargo test --release -p minimpi --test dpor
 
-echo "==> planted-bug corpus (broker/reply-order/lost-credit/obligation/steering protocols)"
+echo "==> planted-bug corpus (drain backpressure/reply-order/lost-credit/obligation/steering protocols)"
 SENSEI_SANITIZER=1 cargo test --release --test modelcheck_planted -- --skip sweep
 
 echo "==> scenario sweeps (collectives/staging/publish at 6 ranks, render at 3 and 6, sanitized)"

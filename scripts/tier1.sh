@@ -11,12 +11,31 @@ if grep -rnE '#\[deprecated|allow\(deprecated\)' crates tests examples src; then
     exit 1
 fi
 
+echo "==> four endpoints"
+# The paper drives four infrastructures from one instrumentation
+# (Fig. 2): Catalyst, Libsim, ADIOS/FlexPath and GLEAN. An interactive
+# query endpoint beside them, or the multi-tenant broker it rode on
+# (subscriptions, evictions), is a fifth endpoint back; the staging
+# tee stays inside adios.
+if [ -e crates/query ]; then
+    echo "tier1: crates/query is back" >&2
+    exit 1
+fi
+if grep -rnE 'QueryServer|QueryHandle|subscribe_labeled|take_evictions' crates tests examples; then
+    echo "tier1: a query endpoint or a broker subscription is back" >&2
+    exit 1
+fi
+if grep -rn 'adios::broker' crates tests examples src | grep -v '^crates/adios/'; then
+    echo "tier1: a crate other than adios names adios::broker" >&2
+    exit 1
+fi
+
 echo "==> one way to read a structured leaf"
 # Consumers read leaves through DataSet::structured / leaf_views; a
 # match on the leaf kind is a private walker growing back. Constructors
 # (no binding and `=>` after the variant) stay legal.
 if grep -rnE 'DataSet::(Rectilinear|Image)\([a-z_][A-Za-z0-9_]*\)[^=]*=>' \
-    crates/{catalyst,libsim,glean,adios,query}/src crates/sensei/src/analysis; then
+    crates/{catalyst,libsim,glean,adios}/src crates/sensei/src/analysis; then
     echo "tier1: match on DataSet::{Image,Rectilinear} in a consumer" >&2
     exit 1
 fi

@@ -173,177 +173,6 @@ fn results_survive_interleavings_and_decompositions() {
     assert_eq!(p4_a.ac, p4_b.ac, "autocorrelation is seed-dependent");
 }
 
-/// Interactive endpoint scenario (ISSUE 9): a scripted 32-client
-/// query + steering session — summaries, histograms, leaf slices, and
-/// a pause/resume/refine/retarget steering sequence — is a
-/// *reproducible artifact*. Recording under `SchedPolicy::Seeded`
-/// and replaying the trace under `SchedPolicy::Replay` yields
-/// byte-identical query responses AND a byte-identical RunReport at
-/// 1/4/8 ranks; running the same script under `SchedPolicy::Os` (no
-/// scheduler, real threads) still yields byte-identical query
-/// responses and the same `query/*` counter totals — the schedule may
-/// never leak into what a client sees. (Os runs use real wall clocks,
-/// so their phase *timings* are not byte-comparable; everything a
-/// client observes is.)
-#[test]
-fn interactive_session_replay_bitwise() {
-    use query::{Action, Query, QueryConfig, QueryServer, SessionScript, SteerCommand};
-    use std::sync::Arc;
-
-    /// Bridge step boundaries driven per run (one is paused).
-    const BOUNDARIES: u64 = 6;
-
-    // 32 clients: 16 summaries, 12 histograms, 4 leaf slices, plus a
-    // steering sequence with pause, resume, refine, and a retarget.
-    let script = {
-        let mut s = SessionScript::new();
-        for c in 0..16u64 {
-            s = s.at(
-                0,
-                c,
-                Action::Register(Query::Summary {
-                    field: "data".into(),
-                }),
-            );
-        }
-        for c in 16..28u64 {
-            s = s.at(
-                0,
-                c,
-                Action::Register(Query::Histogram {
-                    field: "data".into(),
-                    bins: 8,
-                }),
-            );
-        }
-        for c in 28..32u64 {
-            s = s.at(
-                0,
-                c,
-                Action::Register(Query::LeafSlice {
-                    field: "data".into(),
-                    leaf: 0,
-                }),
-            );
-        }
-        s.at(1, 0, Action::Steer(SteerCommand::Pause))
-            .at(2, 0, Action::Steer(SteerCommand::Resume))
-            .at(2, 1, Action::Steer(SteerCommand::Refine { bins: 16 }))
-            .at(
-                3,
-                2,
-                Action::Steer(SteerCommand::Retarget {
-                    oscillator: 1,
-                    center: [0.6, 0.4, 0.5],
-                    omega: 5.5,
-                }),
-            )
-            .at(4, 0, Action::Steer(SteerCommand::Heartbeat))
-    };
-
-    // One interactive run: returns rank 0's (session log, RunReport
-    // JSON) and, when recording, the delivery trace.
-    let session_run =
-        |ranks: usize, policy: SchedPolicy, cell: Option<&TraceCell>| -> (String, String) {
-            let d = deck();
-            let script = script.clone();
-            let mut b = WorldBuilder::new(ranks).sched(policy);
-            if let Some(cell) = cell {
-                b = b.trace_cell(cell);
-            }
-            let out = b.run(move |comm| {
-                let cfg = SimConfig {
-                    grid: GRID,
-                    steps: BOUNDARIES as usize,
-                    ..SimConfig::default()
-                };
-                let root = if comm.rank() == 0 {
-                    Some(d.as_str())
-                } else {
-                    None
-                };
-                let mut sim = Simulation::new(comm, cfg, root);
-                let server = QueryServer::new(Arc::new(script.clone()), QueryConfig::default());
-                let handle = server.handle();
-                let mut bridge = Bridge::new();
-                bridge.register(Box::new(server));
-                for _ in 0..BOUNDARIES {
-                    // A paused session holds the simulation but keeps
-                    // executing step boundaries, so the resume command
-                    // stays reachable.
-                    if !handle.paused() {
-                        sim.step(comm);
-                    }
-                    assert!(bridge
-                        .execute(&OscillatorAdaptor::new(&sim), comm)
-                        .should_continue());
-                    // Write-back steering: retargets drained at the step
-                    // boundary, applied identically on every rank.
-                    for r in handle.take_retargets() {
-                        assert!(sim.retarget_oscillator(r.oscillator, r.center, r.omega));
-                    }
-                    if comm.rank() == 0 {
-                        handle.poll_all();
-                    }
-                }
-                let report = bridge.finalize(comm);
-                if comm.rank() == 0 {
-                    Some((handle.session_log(), report.to_json()))
-                } else {
-                    None
-                }
-            });
-            out.into_iter().flatten().next().expect("rank 0 session")
-        };
-
-    let query_counters = |report_json: &str| -> Vec<(String, u64, u64)> {
-        let report = probe::RunReport::from_json(report_json).expect("report parses");
-        let mut c: Vec<(String, u64, u64)> = report
-            .counters
-            .iter()
-            .filter(|c| c.name.starts_with("query/"))
-            .map(|c| (c.name.clone(), c.calls, c.bytes))
-            .collect();
-        c.sort();
-        c
-    };
-
-    for ranks in [1usize, 4, 8] {
-        let cell = TraceCell::new();
-        let (log_rec, report_rec) = session_run(ranks, SchedPolicy::Seeded(13), Some(&cell));
-        assert!(
-            !log_rec.is_empty(),
-            "session produced responses at p={ranks}"
-        );
-        let trace = cell.take().expect("recorded session trace");
-        assert!(
-            trace.to_json().contains("\"q\""),
-            "interactive events recorded in the delivery trace at p={ranks}"
-        );
-
-        let (log_rep, report_rep) = session_run(ranks, SchedPolicy::Replay(trace), None);
-        assert_eq!(
-            log_rec, log_rep,
-            "query responses did not replay byte-identically at p={ranks}"
-        );
-        assert_eq!(
-            report_rec, report_rep,
-            "RunReport did not replay byte-identically at p={ranks}"
-        );
-
-        let (log_os, report_os) = session_run(ranks, SchedPolicy::Os, None);
-        assert_eq!(
-            log_rec, log_os,
-            "the schedule leaked into query responses at p={ranks}"
-        );
-        assert_eq!(
-            query_counters(&report_rec),
-            query_counters(&report_os),
-            "query/* counter totals are schedule-dependent at p={ranks}"
-        );
-    }
-}
-
 fn phase_labels(report_json: &str) -> Vec<String> {
     let report = probe::RunReport::from_json(report_json).expect("report parses");
     let mut labels: Vec<String> = report.phases.iter().map(|p| p.label.clone()).collect();

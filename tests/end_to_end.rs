@@ -1013,8 +1013,10 @@ impl sensei::AnalysisAdaptor for AllocBetweenExecutes {
 /// in, lend) nor an endpoint round (give back, adopt the next blocks,
 /// histogram)
 /// allocates anything payload-sized. At 64³ over two writers a step is
-/// 1.2 MB; a fresh block, a copied payload or a copied ghost array each
-/// break the byte bound.
+/// 1.2 MB; a warm step's high-water rise repeats to the byte — 1 310 B a
+/// writer `execute`, 528 B an endpoint round — so a fresh block, a
+/// copied payload or a copied ghost array, or any other new buffer,
+/// breaks it.
 ///
 /// The heap calls are exact, and all of them are metadata. A warm
 /// writer `execute` makes 21:
@@ -1026,13 +1028,12 @@ impl sensei::AnalysisAdaptor for AllocBetweenExecutes {
 ///   variable list (1), two variable names (2);
 /// - `FlexpathWriter::write`, 1: the channel envelope of the step.
 ///
-/// A warm endpoint round makes 84:
+/// A warm endpoint round makes 78:
 /// - `FlexpathReader::begin_step`, 22: the round's step list and the
 ///   list of writers awaited (2), and per writer (10 each) the metadata
 ///   `BpStep::adopt` parses into owned values — the attribute and
 ///   variable lists (2), six attribute names and two variable names (8);
-/// - `StagingBroker::publish_step`, 6: per writer, a topic key a
-///   variable (2) and the report list (1);
+/// - `StagingBroker::publish_step`, 0: it has no subscriber to deliver to;
 /// - the round's blocks, 39: the multiblock's block list (1), and per
 ///   writer (19 each) the leaf ids and leaf variable list (2), six
 ///   geometry keys built by `format!` (2 each, 12), two
@@ -1049,9 +1050,10 @@ impl sensei::AnalysisAdaptor for AllocBetweenExecutes {
 fn steady_state_staging_step_allocates_no_payload() {
     use adios::staging::{run_endpoint_with_broker, AdiosWriterAnalysis};
     use adios::{pair, BrokerConfig, Role, StagingBroker};
-    const BOUND: usize = 64 << 10;
+    const WRITER_RISE: usize = 1310;
+    const ENDPOINT_RISE: usize = 528;
     const WRITER_CALLS: u64 = 21;
-    const ENDPOINT_CALLS: u64 = 84;
+    const ENDPOINT_CALLS: u64 = 78;
     const STEPS: usize = 6;
     const WARM_UP: usize = 2;
     let run = |probed: bool| {
@@ -1116,17 +1118,17 @@ fn steady_state_staging_step_allocates_no_payload() {
         })
     };
     for (rank, rounds) in run(false).iter().enumerate() {
-        let (who, calls) = if rank < 2 {
-            ("writer", WRITER_CALLS)
+        let (who, bytes, calls) = if rank < 2 {
+            ("writer", WRITER_RISE, WRITER_CALLS)
         } else {
-            ("endpoint", ENDPOINT_CALLS)
+            ("endpoint", ENDPOINT_RISE, ENDPOINT_CALLS)
         };
         assert!(
             rounds
                 .iter()
-                .all(|&(rise, n, _)| rise < BOUND && n == calls),
+                .all(|&(rise, n, _)| rise == bytes && n == calls),
             "{who} rank {rank} allocated {rounds:?} (B, heap calls) in steady-state staging \
-             steps, expected {calls} calls a step"
+             steps, expected {bytes} B and {calls} calls a step"
         );
     }
     // A probed pass counts a warm step's messages: each writer lends its

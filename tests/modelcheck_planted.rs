@@ -1,9 +1,9 @@
 //! Planted-bug corpus for the systematic model checker.
 //!
-//! Each test plants one concurrency or protocol bug — the broker's
-//! eviction/backpressure protocol, a reply-order deadlock over plain
-//! point-to-point messages, the publish-window and query-client
-//! obligations, steering command application — and asserts the
+//! Each test plants one concurrency or protocol bug — GLEAN's wait on
+//! a full drain queue, a reply-order deadlock over plain point-to-point
+//! messages, the publish-window and GLEAN-drain obligations, steering
+//! command application — and asserts the
 //! [`minimpi::Checker`] finds it within a deterministic schedule
 //! budget, minimizes the failing schedule with the ddmin shrinker, and
 //! replays the shrunk trace bitwise under `SchedPolicy::Replay`. The
@@ -22,11 +22,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use adios::staging::{run_endpoint_with_broker, AdiosWriterAnalysis};
-use adios::{pair, BpStep, BpVar, Broker, BrokerConfig, Payload, Role, StagingBroker, TopicKey};
+use adios::{pair, BpStep, BpVar, BrokerConfig, Payload, Role, StagingBroker};
 use datamodel::{DataArray, DataSet, Extent, ImageData};
 use minimpi::{Checker, Comm, LivenessSpec, Verdict};
 use oscillator::{demo_oscillators, osc::format_deck, OscillatorAdaptor, SimConfig, Simulation};
-use query::{Query, QueryConfig, QueryServer, SessionScript};
 use render::composite::{composite, Compositor};
 use render::{Color, Framebuffer};
 use sensei::analysis::histogram::HistogramAnalysis;
@@ -44,28 +43,51 @@ fn shared_image(n: [usize; 3]) -> DataSet {
     DataSet::Image(img)
 }
 
-/// The broker eviction/backpressure protocol with a publisher whose
-/// one consumer never drains. With an effectively infinite eviction
-/// deadline the second publish spins forever in the backpressure
-/// loop — the planted livelock; with a zero deadline the slow
-/// consumer is evicted and the protocol terminates — the clean twin.
-fn broker_backpressure(_comm: &Comm, deadline: Duration) {
-    let broker: Broker<u64> = Broker::new(BrokerConfig {
-        queue_depth: 1,
-        max_subscribers: 4,
-        eviction_deadline: deadline,
-    });
-    let topic = TopicKey::new("planted/backpressure", 0);
-    let sub = broker.subscribe(topic.clone()).expect("admitted");
-    broker.publish(&topic, 1);
-    // Queue is full and `sub` never drains: this publish sits in the
-    // backpressure loop until the deadline (or the spin limit) trips.
-    broker.publish(&topic, 2);
-    drop(sub);
+/// A small per-rank step with a `data` point array.
+fn data_step(step: u64) -> InMemoryAdaptor {
+    let whole = Extent::whole([4, 4, 1]);
+    let mut img = ImageData::new(whole, whole);
+    img.add_point_array(DataArray::owned("data", 1, vec![step as f64; 16]));
+    InMemoryAdaptor::new(DataSet::Image(img), step as f64, step)
 }
 
+/// A directory of this process's own for one GLEAN scenario.
+fn glean_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("planted_{name}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir
+}
+
+/// GLEAN's bounded drain hand-off with a drain thread that never takes
+/// a node step. Once the queue is full, the aggregator's next step
+/// waits at a scheduling point: with an effectively infinite drain
+/// deadline it spins forever — the planted livelock; with a zero
+/// deadline the drain is cut off, reported, and the run goes on — the
+/// clean twin.
+fn glean_backpressure(comm: &Comm, dir: std::path::PathBuf, deadline: Duration) {
+    let mut writer = glean::GleanWriter::new(glean::Topology::new(1), "data", dir);
+    writer.set_drain_delay(Duration::from_secs(3600));
+    writer.set_drain_deadline(deadline);
+    for step in 0..64 {
+        writer.execute(&data_step(step), comm);
+        let reports = writer.take_failure_reports();
+        if let Some(report) = reports.first() {
+            assert_eq!(report.kind(), "slow-drain", "{report}");
+            // Closes the hand-off; the wedged thread is left behind at
+            // the (zero) drain deadline.
+            writer.finalize(comm);
+            return;
+        }
+    }
+    panic!("the drain queue never filled");
+}
+
+/// The backpressure livelock: a producer spinning forever on a full
+/// queue its consumer never drains, planted on GLEAN's drain hand-off.
 #[test]
 fn broker_backpressure_livelock_is_found_minimized_and_replayed() {
+    let dir = glean_dir("spin");
+    let d2 = dir.clone();
     let report = Checker::new()
         .max_schedules(8)
         .liveness(LivenessSpec {
@@ -73,9 +95,9 @@ fn broker_backpressure_livelock_is_found_minimized_and_replayed() {
             spin_limit: 64,
             starvation_window: 0,
         })
-        .run(2, |comm| {
+        .run(2, move |comm| {
             if comm.rank() == 0 {
-                broker_backpressure(comm, Duration::from_secs(3600));
+                glean_backpressure(comm, d2.clone(), Duration::from_secs(3600));
             }
         });
     let failure = report.failure.expect("the planted livelock must be found");
@@ -94,10 +116,14 @@ fn broker_backpressure_livelock_is_found_minimized_and_replayed() {
         failure.prefix.is_empty(),
         "a schedule-independent livelock shrinks to the empty prefix"
     );
+    std::fs::remove_dir_all(&dir).expect("scratch dir removed");
 }
 
+/// The same shape with the consumer cut off (evicted) at the deadline.
 #[test]
 fn broker_backpressure_with_eviction_is_clean() {
+    let dir = glean_dir("cut");
+    let d2 = dir.clone();
     let report = Checker::new()
         .max_schedules(8)
         .liveness(LivenessSpec {
@@ -105,19 +131,20 @@ fn broker_backpressure_with_eviction_is_clean() {
             spin_limit: 64,
             starvation_window: 0,
         })
-        .run(2, |comm| {
+        .run(2, move |comm| {
             if comm.rank() == 0 {
-                // Zero deadline: the stalled consumer is evicted on the
-                // first backpressure poll and the publisher proceeds.
-                broker_backpressure(comm, Duration::ZERO);
+                // Zero deadline: the stalled drain is cut off on the
+                // first wait and the aggregator proceeds.
+                glean_backpressure(comm, d2.clone(), Duration::ZERO);
             }
         });
     assert!(
         report.failure.is_none(),
-        "eviction drains the backpressure loop: {:?}",
+        "cutting the drain off ends the wait: {:?}",
         report.failure.map(|f| f.message)
     );
     assert!(!report.stats.budget_exhausted);
+    std::fs::remove_dir_all(&dir).expect("scratch dir removed");
 }
 
 // A request/reply protocol over point-to-point messages: rank 0 sends
@@ -221,31 +248,36 @@ fn unclosed_publish_window_is_found_and_replayed() {
 }
 
 #[test]
-fn unclosed_query_client_is_an_obligation_leak() {
-    let report = Checker::new().max_schedules(8).sanitize().run(1, |_comm| {
-        let server = QueryServer::new(Arc::new(SessionScript::new()), QueryConfig::default());
-        let handle = server.handle();
-        let mut bridge = Bridge::new();
-        bridge.register(Box::new(server));
-        let summary = Query::Summary {
-            field: "data".into(),
-        };
-        handle.join(7, summary, "planted").expect("admitted");
-        // BUG: the bridge is dropped without `finalize` — the server
-        // never closes the client registration `join` opened.
-    });
-    let failure = report.failure.expect("the open client must be found");
+fn unclosed_glean_drain_is_an_obligation_leak() {
+    let dir = glean_dir("leak");
+    let d2 = dir.clone();
+    let report = Checker::new()
+        .max_schedules(8)
+        .sanitize()
+        .run(1, move |comm| {
+            let mut bridge = Bridge::new();
+            bridge.register(Box::new(glean::GleanWriter::new(
+                glean::Topology::new(1),
+                "data",
+                d2.clone(),
+            )));
+            bridge.execute(&data_step(0), comm);
+            // BUG: the bridge is dropped without `finalize` — the drain's
+            // hand-off is never closed and its thread never joined.
+        });
+    let failure = report.failure.expect("the open drain must be found");
     assert!(
         failure.message.contains("obligation-leak"),
         "{}",
         failure.message
     );
     assert!(
-        failure.message.contains("query-client"),
+        failure.message.contains("glean-drain"),
         "the finding names the protocol: {}",
         failure.message
     );
     assert!(failure.replayed_bitwise, "shrunk schedule replays bitwise");
+    std::fs::remove_dir_all(&dir).expect("scratch dir removed");
 }
 
 // Steering command application: the client plane starves when the
@@ -467,43 +499,39 @@ fn unreturned_credit_is_found_minimized_and_replayed() {
     );
 }
 
-/// The clean pipeline — bridge steps with a histogram, publish windows
-/// opened and closed per step, finalize, and a broker round with a
-/// draining consumer — produces zero findings across every explored
-/// schedule.
+/// The clean pipeline — bridge steps with a histogram and GLEAN's
+/// aggregation, publish windows opened and closed per step, and a
+/// finalize that closes the drain — produces zero findings across every
+/// explored schedule.
 #[test]
 fn clean_pipeline_is_silent_under_systematic_exploration() {
-    let report = Checker::new().max_schedules(6).sanitize().run(2, |comm| {
-        let mut bridge = Bridge::new();
-        bridge.register(Box::new(HistogramAnalysis::new("data", 8)));
-        for step in 0..3u64 {
-            let whole = Extent::whole([8, 1, 1]);
-            let mut img = ImageData::new(whole, whole);
-            let base = (comm.rank() as u64 * 100 + step) as f64;
-            img.add_point_array(DataArray::owned(
+    let dir = glean_dir("clean");
+    let d2 = dir.clone();
+    let report = Checker::new()
+        .max_schedules(6)
+        .sanitize()
+        .run(2, move |comm| {
+            let mut bridge = Bridge::new();
+            bridge.register(Box::new(HistogramAnalysis::new("data", 8)));
+            bridge.register(Box::new(glean::GleanWriter::new(
+                glean::Topology::new(2),
                 "data",
-                1,
-                (0..8).map(|i| base + i as f64).collect::<Vec<f64>>(),
-            ));
-            let adaptor = InMemoryAdaptor::new(DataSet::Image(img), step as f64, step);
-            assert!(bridge.execute(&adaptor, comm).should_continue());
-        }
-        bridge.finalize(comm);
-        if comm.rank() == 0 {
-            let broker: Broker<u64> = Broker::new(BrokerConfig {
-                queue_depth: 2,
-                max_subscribers: 4,
-                eviction_deadline: Duration::from_millis(50),
-            });
-            let topic = TopicKey::new("clean/round", 0);
-            let sub = broker.subscribe(topic.clone()).expect("admitted");
-            broker.publish(&topic, 1);
-            broker.publish(&topic, 2);
-            assert!(sub.try_next().is_some());
-            assert!(sub.try_next().is_some());
-            broker.finish_all();
-        }
-    });
+                d2.clone(),
+            )));
+            for step in 0..3u64 {
+                let whole = Extent::whole([8, 1, 1]);
+                let mut img = ImageData::new(whole, whole);
+                let base = (comm.rank() as u64 * 100 + step) as f64;
+                img.add_point_array(DataArray::owned(
+                    "data",
+                    1,
+                    (0..8).map(|i| base + i as f64).collect::<Vec<f64>>(),
+                ));
+                let adaptor = InMemoryAdaptor::new(DataSet::Image(img), step as f64, step);
+                assert!(bridge.execute(&adaptor, comm).should_continue());
+            }
+            bridge.finalize(comm);
+        });
     assert!(
         report.failure.is_none(),
         "clean pipeline must stay silent: {:?}",
@@ -511,6 +539,7 @@ fn clean_pipeline_is_silent_under_systematic_exploration() {
     );
     assert!(!report.stats.budget_exhausted || report.stats.schedules_explored >= 6);
     assert!(report.stats.schedules_explored >= 1);
+    std::fs::remove_dir_all(&dir).expect("scratch dir removed");
 }
 
 /// Ranks of every scenario sweep (the render sweep runs at 3 too).

@@ -4,11 +4,9 @@
 
 use minimpi::World;
 use oscillator::{demo_oscillators, osc::format_deck, OscillatorAdaptor, SimConfig, Simulation};
-use query::{QueryConfig, QueryServer, SessionScript};
 use sensei::analysis::autocorrelation::{Autocorrelation, AutocorrelationResult};
 use sensei::analysis::histogram::{HistogramAnalysis, HistogramResult};
 use sensei::{Bridge, Probe, RunReport};
-use std::sync::Arc;
 
 const STEPS: usize = 4;
 const GRID: usize = 9;
@@ -143,10 +141,8 @@ fn probes_do_not_perturb_results_bitwise() {
 
 /// Every analysis phase is timed once, by the bridge, whether or not
 /// the caller handed it a probe: the same `initialize/`, `per-step/`,
-/// `finalize/` labels, one sample per rank per call. The query server
-/// is in the mix as the analysis with the most instrumentation of its
-/// own: a span opened inside it under the bridge's
-/// `per-step/query-server` label would double that count.
+/// `finalize/` labels, one sample per rank per call: a span an analysis
+/// opened under the bridge's label would double that count.
 #[test]
 fn probed_and_unprobed_bridges_report_the_same_phases() {
     const RANKS: usize = 2;
@@ -168,10 +164,6 @@ fn probed_and_unprobed_bridges_report_the_same_phases() {
                 .register(Box::new(HistogramAnalysis::new("data", 16)))
                 .init_cost(0.25);
             bridge.register(Box::new(Autocorrelation::new("data", 3, 4)));
-            bridge.register(Box::new(QueryServer::new(
-                Arc::new(SessionScript::new()),
-                QueryConfig::default(),
-            )));
             for _ in 0..STEPS {
                 sim.step(comm);
                 bridge.execute(&OscillatorAdaptor::new(&sim), comm);
@@ -198,9 +190,7 @@ fn probed_and_unprobed_bridges_report_the_same_phases() {
     let labels: Vec<&str> = unprobed.iter().map(|(l, _)| l.as_str()).collect();
     let expect: Vec<String> = ["finalize", "initialize", "per-step"]
         .iter()
-        .flat_map(|phase| {
-            ["autocorrelation", "histogram", "query-server"].map(|name| format!("{phase}/{name}"))
-        })
+        .flat_map(|phase| ["autocorrelation", "histogram"].map(|name| format!("{phase}/{name}")))
         .collect();
     assert_eq!(labels, expect);
     for (label, samples) in &unprobed {
