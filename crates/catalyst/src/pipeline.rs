@@ -206,29 +206,27 @@ mod tests {
     #[test]
     fn rank_without_the_array_still_reaches_render_and_encode() {
         // Rank 2 names its array differently. Render and encode are
-        // collective: the run finishes (the watchdog would end it
-        // otherwise), rank 0 has its file every step, and the rank says
-        // once what it lacked.
-        let out = minimpi::WorldBuilder::new(4)
-            .watchdog(std::time::Duration::from_secs(5))
-            .run(|comm| {
-                let mut pipe = SlicePipeline::new("data", 2, 4);
-                (pipe.width, pipe.height) = (40, 30);
-                let analysis = CatalystSliceAnalysis::new(pipe);
-                let png = analysis.png_handle();
-                let mut bridge = Bridge::new();
-                bridge.register(Box::new(analysis));
-                for step in 0..3 {
-                    let name = if comm.rank() == 2 { "other" } else { "data" };
-                    *png.lock() = None;
-                    bridge.execute(&block(comm, step, name, |p| (p[0] + p[1]) as f64), comm);
-                    if comm.rank() == 0 {
-                        let bytes = png.lock().clone().expect("a file every step");
-                        assert_eq!(decode_rgb(&bytes).map(|d| (d.0, d.1)), Ok((40, 30)));
-                    }
+        // collective: the run finishes (a deadlock would abort it),
+        // rank 0 has its file every step, and the rank says once what it
+        // lacked.
+        let out = minimpi::World::run(4, |comm| {
+            let mut pipe = SlicePipeline::new("data", 2, 4);
+            (pipe.width, pipe.height) = (40, 30);
+            let analysis = CatalystSliceAnalysis::new(pipe);
+            let png = analysis.png_handle();
+            let mut bridge = Bridge::new();
+            bridge.register(Box::new(analysis));
+            for step in 0..3 {
+                let name = if comm.rank() == 2 { "other" } else { "data" };
+                *png.lock() = None;
+                bridge.execute(&block(comm, step, name, |p| (p[0] + p[1]) as f64), comm);
+                if comm.rank() == 0 {
+                    let bytes = png.lock().clone().expect("a file every step");
+                    assert_eq!(decode_rgb(&bytes).map(|d| (d.0, d.1)), Ok((40, 30)));
                 }
-                bridge.failure_reports().len()
-            });
+            }
+            bridge.failure_reports().len()
+        });
         assert_eq!(
             out,
             [0, 0, 1, 0],

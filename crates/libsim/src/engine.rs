@@ -222,27 +222,25 @@ mod tests {
     #[test]
     fn rank_without_the_array_still_reaches_every_collective() {
         // Rank 2 names its array differently. The range, both plots'
-        // merges and the encode are collective: the run finishes (the
-        // watchdog would end it otherwise), rank 0 has its file every
-        // step, and the rank says once what it lacked.
-        let out = minimpi::WorldBuilder::new(4)
-            .watchdog(std::time::Duration::from_secs(5))
-            .run(|comm| {
-                let analysis = LibsimAnalysis::new(small_session(1), Path::new("/nonexistent"));
-                let png = analysis.png_handle();
-                let mut bridge = sensei::Bridge::new();
-                bridge.register(Box::new(analysis));
-                for step in 0..3 {
-                    let name = if comm.rank() == 2 { "other" } else { "data" };
-                    *png.lock() = None;
-                    bridge.execute(&block(comm, step, name), comm);
-                    if comm.rank() == 0 {
-                        let bytes = png.lock().clone().expect("a file every step");
-                        assert_eq!(decode_rgb(&bytes).map(|d| (d.0, d.1)), Ok((48, 48)));
-                    }
+        // merges and the encode are collective: the run finishes (a
+        // deadlock would abort it), rank 0 has its file every step, and
+        // the rank says once what it lacked.
+        let out = minimpi::World::run(4, |comm| {
+            let analysis = LibsimAnalysis::new(small_session(1), Path::new("/nonexistent"));
+            let png = analysis.png_handle();
+            let mut bridge = sensei::Bridge::new();
+            bridge.register(Box::new(analysis));
+            for step in 0..3 {
+                let name = if comm.rank() == 2 { "other" } else { "data" };
+                *png.lock() = None;
+                bridge.execute(&block(comm, step, name), comm);
+                if comm.rank() == 0 {
+                    let bytes = png.lock().clone().expect("a file every step");
+                    assert_eq!(decode_rgb(&bytes).map(|d| (d.0, d.1)), Ok((48, 48)));
                 }
-                bridge.failure_reports().len()
-            });
+            }
+            bridge.failure_reports().len()
+        });
         assert_eq!(
             out,
             [0, 0, 1, 0],

@@ -2,7 +2,7 @@
 //!
 //! Algorithms follow the classic MPICH implementations where practical:
 //! dissemination barrier, binomial-tree broadcast and reduce, ring
-//! allgather, pairwise all-to-all, and a linear-chain scan. Because the
+//! allgather, and a linear-chain scan. Because the
 //! transport is eager (sends never block), the exchanges cannot deadlock.
 //!
 //! Every rank of a communicator must call each collective, in the same
@@ -193,61 +193,7 @@ impl Comm {
     /// full rank-ordered vector. `p - 1` neighbor exchanges.
     pub fn allgather<T: Clone + Send + 'static>(&self, value: T) -> Vec<T> {
         let tag = self.collective_tag(CollectiveKind::Allgather);
-        allgather_ring(self, tag, value)
-    }
-
-    /// Scatter a rank-ordered vector from `root`; each rank receives its
-    /// element. The root passes `Some(values)` with `values.len() == p`.
-    pub fn scatter<T: Send + 'static>(&self, root: usize, values: Option<Vec<T>>) -> T {
-        let p = self.size();
-        assert!(root < p, "scatter: root {root} out of range for size {p}");
-        let tag = self.collective_tag(CollectiveKind::Scatter);
-        if self.rank() == root {
-            let Some(values) = values else {
-                panic!("scatter: root must supply Some(values)")
-            };
-            assert_eq!(values.len(), p, "scatter: need one value per rank");
-            let mut mine = None;
-            for (dest, v) in values.into_iter().enumerate() {
-                if dest == root {
-                    mine = Some(v);
-                } else {
-                    self.send_tagged(dest, tag, v);
-                }
-            }
-            mine.unwrap_or_else(|| panic!("scatter: root element missing"))
-        } else {
-            assert!(
-                values.is_none(),
-                "scatter: non-root rank passed Some(values)"
-            );
-            self.recv_tagged(root, tag).1
-        }
-    }
-
-    /// Pairwise all-to-all personalized exchange: `values[d]` goes to rank
-    /// `d`; the result's element `s` came from rank `s`.
-    pub fn alltoall<T: Send + 'static>(&self, values: Vec<T>) -> Vec<T> {
-        let p = self.size();
-        assert_eq!(values.len(), p, "alltoall: need one value per rank");
-        let tag = self.collective_tag(CollectiveKind::Alltoall);
-        let me = self.rank();
-        let mut slots: Vec<Option<T>> = (0..p).map(|_| None).collect();
-        for (dest, v) in values.into_iter().enumerate() {
-            if dest == me {
-                slots[me] = Some(v);
-            } else {
-                self.send_tagged(dest, tag, v);
-            }
-        }
-        for _ in 0..p - 1 {
-            let (src, v) = self.recv_tagged::<T>(crate::ANY_SOURCE, tag);
-            slots[src] = Some(v);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.unwrap_or_else(|| panic!("alltoall: hole")))
-            .collect()
+        allgather_tagged(self, tag, value)
     }
 
     /// Inclusive prefix scan: rank `r` returns
@@ -271,25 +217,6 @@ impl Comm {
         }
         mine
     }
-
-    /// Exclusive prefix scan; rank 0 returns `identity`.
-    pub fn exscan<T, F>(&self, value: T, identity: T, op: F) -> T
-    where
-        T: Clone + Send + 'static,
-        F: Fn(T, T) -> T,
-    {
-        let inclusive = self.scan(value.clone(), &op);
-        // Shift right by one rank: send inclusive prefix to the next rank.
-        let tag = self.collective_tag(CollectiveKind::Scan);
-        if self.rank() + 1 < self.size() {
-            self.send_tagged(self.rank() + 1, tag, inclusive);
-        }
-        if self.rank() == 0 {
-            identity
-        } else {
-            self.recv_tagged(self.rank() - 1, tag).1
-        }
-    }
 }
 
 /// Ring allgather with an explicit tag; shared with `Comm::split`, which
@@ -299,10 +226,6 @@ pub(crate) fn allgather_tagged<T: Clone + Send + 'static>(
     tag: Tag,
     value: T,
 ) -> Vec<T> {
-    allgather_ring(comm, tag, value)
-}
-
-fn allgather_ring<T: Clone + Send + 'static>(comm: &Comm, tag: Tag, value: T) -> Vec<T> {
     let p = comm.size();
     let me = comm.rank();
     let mut slots: Vec<Option<T>> = (0..p).map(|_| None).collect();
@@ -441,33 +364,6 @@ mod tests {
     }
 
     #[test]
-    fn scatter_roundtrip() {
-        World::run(6, |comm| {
-            let values = if comm.rank() == 2 {
-                Some((0..6).map(|i| i * i).collect())
-            } else {
-                None
-            };
-            let got: usize = comm.scatter(2, values);
-            assert_eq!(got, comm.rank() * comm.rank());
-        });
-    }
-
-    #[test]
-    fn alltoall_transpose() {
-        for p in sizes() {
-            World::run(p, move |comm| {
-                // Send (me, dest) pairs; receive (src, me) pairs.
-                let send: Vec<(usize, usize)> = (0..p).map(|d| (comm.rank(), d)).collect();
-                let recv = comm.alltoall(send);
-                for (s, pair) in recv.iter().enumerate() {
-                    assert_eq!(*pair, (s, comm.rank()));
-                }
-            });
-        }
-    }
-
-    #[test]
     fn inclusive_scan_prefix_sums() {
         for p in sizes() {
             World::run(p, move |comm| {
@@ -476,15 +372,6 @@ mod tests {
                 assert_eq!(got, r * (r + 1) / 2);
             });
         }
-    }
-
-    #[test]
-    fn exclusive_scan_offsets() {
-        World::run(5, |comm| {
-            let counts = 10u64; // every rank contributes 10 items
-            let offset = comm.exscan(counts, 0, |a, b| a + b);
-            assert_eq!(offset, comm.rank() as u64 * 10);
-        });
     }
 
     proptest::proptest! {

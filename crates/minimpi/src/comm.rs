@@ -12,13 +12,14 @@ use probe::time::Wall;
 use crate::envelope::{CollectiveKind, Envelope, Tag, ANY_SOURCE};
 use crate::fault::{FaultAction, FaultHandle};
 use crate::loan::{Loans, Pool};
-use crate::monitor::{BlockedInfo, Monitor};
 use crate::sched::{Sched, WaitInfo, Wake};
 
-/// How often a blocked receive wakes up to poll the watchdog abort flag
-/// and (when set) its deadline. Bounds the latency between the watchdog
-/// raising an abort and every blocked rank panicking with the report.
-const POLL_TICK: Duration = Duration::from_millis(25);
+/// How often a free-running receive without a deadline wakes up to
+/// renew its `Blocked` mark — a send on another of the rank's channels
+/// takes it back — and to see whether the world aborted. Bounds the
+/// latency between a deadlock and every blocked rank panicking with the
+/// report.
+pub(crate) const POLL_TICK: Duration = Duration::from_millis(25);
 
 /// An MPI-style communicator handle owned by one rank (one thread).
 ///
@@ -39,18 +40,17 @@ pub struct Comm {
     /// scheduler.
     t0: f64,
     /// This rank's slot in the *world* (stable across `split`); used to
-    /// key monitor state and fault rules.
+    /// key the rank table and fault rules.
     slot: usize,
     /// World slot of each rank in this communicator (`peer_slots[rank]`).
     peer_slots: Arc<Vec<usize>>,
-    /// Shared deadlock monitor, when launched under a [`crate::World`].
-    monitor: Option<Arc<Monitor>>,
     /// Injected transport faults, when installed for a test.
     faults: Option<FaultHandle>,
-    /// Deterministic scheduler, when launched under a non-`Os`
-    /// [`crate::SchedPolicy`]. Interposes on every delivery, blocking
-    /// receive, and `ANY_SOURCE` match.
-    sched: Option<Arc<Sched>>,
+    /// The world's rank table: every delivery wakes its destination and
+    /// every receive without a deadline blocks on it. Under a non-`Os`
+    /// [`crate::SchedPolicy`] it is also the deterministic scheduler,
+    /// interposing on every blocking receive and `ANY_SOURCE` match.
+    sched: Arc<Sched>,
     /// Observability handle; [`probe::off`] (a no-op) by default.
     probe: RefCell<probe::Probe>,
     /// Loans out, per `(peer, tag)` ([`Comm::lend`]).
@@ -60,12 +60,17 @@ pub struct Comm {
 }
 
 impl Comm {
+    /// Rank `rank` of a communicator whose ranks sit in world slots
+    /// `peer_slots`, this one in `slot`.
     pub(crate) fn new(
         rank: usize,
         senders: Arc<Vec<Sender<Envelope>>>,
         receiver: Receiver<Envelope>,
+        slot: usize,
+        peer_slots: Arc<Vec<usize>>,
+        faults: Option<FaultHandle>,
+        sched: Arc<Sched>,
     ) -> Self {
-        let size = senders.len();
         Comm {
             rank,
             senders,
@@ -73,39 +78,20 @@ impl Comm {
             pending: RefCell::new(VecDeque::new()),
             epoch: Cell::new(0),
             t0: probe::time::now_seconds(),
-            slot: rank,
-            peer_slots: Arc::new((0..size).collect()),
-            monitor: None,
-            faults: None,
-            sched: None,
+            slot,
+            peer_slots,
+            faults,
+            sched,
             probe: RefCell::new(probe::off()),
             loans: RefCell::new(Vec::new()),
             pool: RefCell::new(Vec::new()),
         }
     }
 
-    /// Attach world identity and instrumentation (monitor, faults,
-    /// deterministic scheduler).
-    pub(crate) fn with_runtime(
-        mut self,
-        slot: usize,
-        peer_slots: Arc<Vec<usize>>,
-        monitor: Option<Arc<Monitor>>,
-        faults: Option<FaultHandle>,
-        sched: Option<Arc<Sched>>,
-    ) -> Self {
-        self.slot = slot;
-        self.peer_slots = peer_slots;
-        self.monitor = monitor;
-        self.faults = faults;
-        self.sched = sched;
-        self
-    }
-
     /// Attach an observability probe: subsequent sends count messages
     /// and (estimated) payload bytes per collective kind, and
     /// collective entries count invocations. Communicators derived via
-    /// [`Comm::split`] / [`Comm::dup`] inherit the probe.
+    /// [`Comm::split`] inherit the probe.
     pub fn attach_probe(&self, probe: probe::Probe) {
         *self.probe.borrow_mut() = probe;
     }
@@ -211,10 +197,8 @@ impl Comm {
                 // Under the deterministic scheduler an injected link
                 // delay advances the virtual clock instead of sleeping,
                 // so delayed runs stay schedule-reproducible.
-                FaultAction::Delay(d) => match &self.sched {
-                    Some(sched) => sched.advance_clock(d),
-                    None => std::thread::sleep(d),
-                },
+                FaultAction::Delay(d) if self.sched.serial() => self.sched.advance_clock(d),
+                FaultAction::Delay(d) => std::thread::sleep(d),
             }
         }
         let delivered = sender
@@ -226,9 +210,7 @@ impl Comm {
             })
             .is_ok();
         if delivered {
-            if let Some(sched) = &self.sched {
-                sched.on_send(self.slot, to_slot, tag);
-            }
+            self.sched.on_send(self.slot, to_slot, tag);
         } else if let Some(stamp) = &stamp {
             // The receiver's channel is gone: the message never entered
             // flight, so it must not count as a leak.
@@ -319,29 +301,6 @@ impl Comm {
         Ok((from, downcast_payload(env.payload, from, tag)))
     }
 
-    /// Non-blocking probe: is a message matching `(src, tag)` available?
-    pub fn iprobe(&self, src: usize, tag: u32) -> bool {
-        self.drain_channel();
-        let tag = Tag::user(tag);
-        self.pending
-            .borrow()
-            .iter()
-            .any(|e| e.tag == tag && is_from(&[src], e.src))
-    }
-
-    /// Combined send + receive with the same tag (pairwise exchange).
-    /// Never deadlocks because sends are eager.
-    pub fn sendrecv<T: Send + 'static, U: Send + 'static>(
-        &self,
-        dest: usize,
-        src: usize,
-        tag: u32,
-        value: T,
-    ) -> U {
-        self.send(dest, tag, value);
-        self.recv(src, tag)
-    }
-
     /// Pull everything currently queued in the channel into `pending`.
     fn drain_channel(&self) {
         let mut pending = self.pending.borrow_mut();
@@ -359,57 +318,68 @@ impl Comm {
 
     /// Matching engine behind every receive: the first envelope with
     /// `tag` from one of `sources` — one rank, `[ANY_SOURCE]`, or the set
-    /// of a select. While blocked it publishes its wait state to the
-    /// watchdog monitor and polls the abort flag; a receive from one
-    /// rank verifies collective order on every non-matching envelope
-    /// from it.
+    /// of a select. A receive without a deadline that finds nothing
+    /// blocks on the world's rank table, which aborts the world when no
+    /// live rank can run; a receive from one rank verifies collective
+    /// order on every non-matching envelope from it.
     fn match_envelope_deadline(
         &self,
         sources: &[usize],
         tag: Tag,
         deadline: Option<Duration>,
     ) -> crate::Result<Envelope> {
-        // The awaited rank, as the watchdog, the scheduler and a
-        // deadline report name it: `ANY_SOURCE` for any or a set.
+        // The awaited rank, as the scheduler and a deadline report name
+        // it: `ANY_SOURCE` for any or a set.
         let src = match sources {
             [one] => *one,
             _ => ANY_SOURCE,
         };
-        if let Some(sched) = self.sched.clone() {
-            return self.match_envelope_sched(&sched, sources, src, tag, deadline);
+        if self.sched.serial() {
+            return self.match_envelope_sched(sources, src, tag, deadline);
         }
         // Fast path: already pending.
         if let Some(env) = self.take_pending(sources, tag) {
-            self.note_progress();
             self.note_delivery(&env);
             return Ok(env);
         }
         self.check_pending_for_mismatch(src, tag);
         let start = Wall::now();
-        self.publish_blocked(src, tag, start);
-        let outcome = loop {
+        // A new wait (or new pending mail) renews the `Blocked` mark.
+        let mut fresh = true;
+        loop {
             let wait = match deadline {
                 Some(limit) => {
                     let elapsed = start.elapsed();
                     if elapsed >= limit {
-                        break Err(self.deadline_error(src, tag, elapsed));
+                        return Err(self.deadline_error(src, tag, elapsed));
                     }
-                    POLL_TICK.min(limit - elapsed)
+                    limit - elapsed
                 }
-                None => POLL_TICK,
+                None => {
+                    let blocked = self.sched.block_free(
+                        self.slot,
+                        fresh,
+                        || self.receiver.is_empty(),
+                        || self.wait_info(src, tag, None),
+                    );
+                    if let Err(report) = blocked {
+                        panic!("{report}");
+                    }
+                    fresh = false;
+                    POLL_TICK
+                }
             };
             match self.receiver.recv_timeout(wait) {
                 Ok(env) => {
                     if env.tag == tag && is_from(sources, env.src) {
-                        self.note_progress();
                         self.note_delivery(&env);
-                        break Ok(env);
+                        return Ok(env);
                     }
                     self.check_envelope_for_mismatch(&env, src, tag);
                     self.pending.borrow_mut().push_back(env);
-                    self.update_pending_snapshot();
+                    fresh = true;
                 }
-                Err(RecvTimeoutError::Timeout) => self.check_abort(),
+                Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => {
                     panic!(
                         "recv: all peer ranks disconnected while rank {} waited for tag {tag}",
@@ -417,11 +387,7 @@ impl Comm {
                     );
                 }
             }
-        };
-        if let Some(monitor) = &self.monitor {
-            monitor.clear_blocked(self.slot);
         }
-        outcome
     }
 
     /// Matching engine under the deterministic scheduler. The rank
@@ -433,30 +399,22 @@ impl Comm {
     /// *virtual* clock at quiescence — no wall-clock polling anywhere.
     fn match_envelope_sched(
         &self,
-        sched: &Arc<Sched>,
         sources: &[usize],
         src: usize,
         tag: Tag,
         deadline: Option<Duration>,
     ) -> crate::Result<Envelope> {
+        let sched = &self.sched;
         let deadline_nanos =
             deadline.map(|d| sched.vclock_nanos().saturating_add(d.as_nanos() as u64));
         loop {
             self.drain_channel();
-            if let Some(env) = self.take_pending_sched(sched, sources, src, tag) {
+            if let Some(env) = self.take_pending_sched(sources, src, tag) {
                 self.note_delivery(&env);
                 return Ok(env);
             }
             self.check_pending_for_mismatch(src, tag);
-            let info = WaitInfo {
-                comm_rank: self.rank,
-                comm_size: self.size(),
-                src,
-                tag,
-                deadline_nanos,
-                pending: self.pending_snapshot(),
-            };
-            match sched.block_recv(self.slot, info) {
+            match sched.block_recv(self.slot, self.wait_info(src, tag, deadline_nanos)) {
                 Wake::Mail => continue,
                 Wake::Deadline => {
                     return Err(self.deadline_error(src, tag, deadline.unwrap_or_default()))
@@ -469,13 +427,7 @@ impl Comm {
     /// Pending-queue match under the scheduler: a receive from one rank
     /// is FIFO as usual; one that could match several distinct senders
     /// asks the policy to pick one.
-    fn take_pending_sched(
-        &self,
-        sched: &Sched,
-        sources: &[usize],
-        src: usize,
-        tag: Tag,
-    ) -> Option<Envelope> {
+    fn take_pending_sched(&self, sources: &[usize], src: usize, tag: Tag) -> Option<Envelope> {
         if src != ANY_SOURCE {
             return self.take_pending(sources, tag);
         }
@@ -494,7 +446,7 @@ impl Comm {
         }
         // Always a recorded decision — even with one candidate — so
         // replayed traces align event-for-event with the original run.
-        let chosen = sched.choose_match(self.slot, &candidates, tag);
+        let chosen = self.sched.choose_match(self.slot, &candidates, tag);
         self.take_pending(&[chosen], tag)
     }
 
@@ -563,12 +515,6 @@ impl Comm {
         );
     }
 
-    fn note_progress(&self) {
-        if let Some(monitor) = &self.monitor {
-            monitor.note_progress(self.slot);
-        }
-    }
-
     /// Sanitizer delivery hook: merge the sender's piggybacked clock
     /// into this rank's (the happens-before edge every safety argument
     /// leans on) and clear the in-flight registration. A no-op when
@@ -579,32 +525,16 @@ impl Comm {
         }
     }
 
-    fn publish_blocked(&self, src: usize, tag: Tag, since: Wall) {
-        let Some(monitor) = &self.monitor else {
-            return;
-        };
-        let src_slot = if src == ANY_SOURCE {
-            None
-        } else {
-            self.peer_slots.get(src).copied()
-        };
-        monitor.publish_blocked(
-            self.slot,
-            BlockedInfo {
-                comm_rank: self.rank,
-                comm_size: self.size(),
-                src,
-                src_slot,
-                tag,
-                since,
-                pending: self.pending_snapshot(),
-            },
-        );
-    }
-
-    fn update_pending_snapshot(&self) {
-        if let Some(monitor) = &self.monitor {
-            monitor.update_pending(self.slot, self.pending_snapshot());
+    /// What this rank waits for, as the rank table records it.
+    fn wait_info(&self, src: usize, tag: Tag, deadline_nanos: Option<u64>) -> WaitInfo {
+        WaitInfo {
+            comm_rank: self.rank,
+            comm_size: self.size(),
+            src,
+            src_slot: self.peer_slots.get(src).copied(),
+            tag,
+            deadline_nanos,
+            pending: self.pending_snapshot(),
         }
     }
 
@@ -614,15 +544,6 @@ impl Comm {
             .iter()
             .map(|e| (e.src, e.tag))
             .collect()
-    }
-
-    /// Panic with the watchdog's deadlock report if it fired.
-    fn check_abort(&self) {
-        if let Some(monitor) = &self.monitor {
-            if monitor.aborted() {
-                panic!("{}", monitor.report());
-            }
-        }
     }
 
     fn deadline_error(&self, src: usize, tag: Tag, waited: Duration) -> crate::Error {
@@ -670,23 +591,17 @@ impl Comm {
             .unwrap_or_else(|| panic!("split: own rank missing from its color group"));
         let senders: Vec<Sender<Envelope>> = members.iter().map(|i| i.sender.clone()).collect();
         let peer_slots: Arc<Vec<usize>> = Arc::new(members.iter().map(|i| i.slot).collect());
-        let sub = Comm::new(new_rank, Arc::new(senders), rx).with_runtime(
+        let sub = Comm::new(
+            new_rank,
+            Arc::new(senders),
+            rx,
             self.slot,
             peer_slots,
-            self.monitor.clone(),
             self.faults.clone(),
-            self.sched.clone(),
+            Arc::clone(&self.sched),
         );
         sub.attach_probe(self.probe());
         sub
-    }
-
-    /// Collectively duplicate this communicator (cf. `MPI_Comm_dup`).
-    ///
-    /// The duplicate has an independent tag/epoch space, so libraries can
-    /// communicate on it without colliding with application messages.
-    pub fn dup(&self) -> Comm {
-        self.split(0, self.rank as u32)
     }
 }
 
@@ -807,16 +722,6 @@ mod tests {
     }
 
     #[test]
-    fn sendrecv_ring_shift() {
-        World::run(5, |comm| {
-            let right = (comm.rank() + 1) % comm.size();
-            let left = (comm.rank() + comm.size() - 1) % comm.size();
-            let got: usize = comm.sendrecv(right, left, 3, comm.rank());
-            assert_eq!(got, left);
-        });
-    }
-
-    #[test]
     fn split_into_even_odd_groups() {
         World::run(6, |comm| {
             let color = (comm.rank() % 2) as u32;
@@ -837,40 +742,6 @@ mod tests {
             let key = (comm.size() - comm.rank()) as u32;
             let sub = comm.split(0, key);
             assert_eq!(sub.rank(), comm.size() - 1 - comm.rank());
-        });
-    }
-
-    #[test]
-    fn dup_is_independent() {
-        World::run(3, |comm| {
-            let dup = comm.dup();
-            assert_eq!(dup.rank(), comm.rank());
-            assert_eq!(dup.size(), comm.size());
-            // Same tag on both communicators does not cross over.
-            if comm.rank() == 0 {
-                comm.send(1, 4, 1u8);
-                dup.send(1, 4, 2u8);
-            } else if comm.rank() == 1 {
-                let b: u8 = dup.recv(0, 4);
-                let a: u8 = comm.recv(0, 4);
-                assert_eq!((a, b), (1, 2));
-            }
-        });
-    }
-
-    #[test]
-    fn iprobe_sees_pending_message() {
-        World::run(2, |comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 11, 42u64);
-                comm.barrier();
-            } else {
-                comm.barrier();
-                assert!(comm.iprobe(0, 11));
-                assert!(!comm.iprobe(0, 12));
-                let v: u64 = comm.recv(0, 11);
-                assert_eq!(v, 42);
-            }
         });
     }
 

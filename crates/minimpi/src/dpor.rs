@@ -218,7 +218,7 @@ impl Checker {
     }
 
     /// Like [`Checker::run`], with a hook to configure each world
-    /// (fault handles, watchdog tweaks, …). The hook runs once per
+    /// (fault handles, a sanitizer session, …). The hook runs once per
     /// explored schedule.
     pub fn run_with<C, F>(&self, size: usize, configure: C, f: F) -> CheckReport
     where

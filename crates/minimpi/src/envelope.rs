@@ -70,7 +70,9 @@ impl std::fmt::Display for Tag {
     }
 }
 
-/// Which collective algorithm a reserved tag belongs to.
+/// Which collective algorithm a reserved tag belongs to. The
+/// discriminants are the tag's kind bits: they keep their values, so a
+/// recorded trace keeps its meaning, and 7 and 8 are unused.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(u8)]
 pub enum CollectiveKind {
@@ -80,8 +82,6 @@ pub enum CollectiveKind {
     Allreduce = 4,
     Gather = 5,
     Allgather = 6,
-    Scatter = 7,
-    Alltoall = 8,
     Scan = 9,
     Split = 10,
 }
@@ -98,8 +98,6 @@ impl CollectiveKind {
             CollectiveKind::Allreduce => "minimpi/allreduce",
             CollectiveKind::Gather => "minimpi/gather",
             CollectiveKind::Allgather => "minimpi/allgather",
-            CollectiveKind::Scatter => "minimpi/scatter",
-            CollectiveKind::Alltoall => "minimpi/alltoall",
             CollectiveKind::Scan => "minimpi/scan",
             CollectiveKind::Split => "minimpi/split",
         }
@@ -114,8 +112,6 @@ impl CollectiveKind {
             4 => CollectiveKind::Allreduce,
             5 => CollectiveKind::Gather,
             6 => CollectiveKind::Allgather,
-            7 => CollectiveKind::Scatter,
-            8 => CollectiveKind::Alltoall,
             9 => CollectiveKind::Scan,
             10 => CollectiveKind::Split,
             _ => return None,

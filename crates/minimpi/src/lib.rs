@@ -7,17 +7,22 @@
 //! * a [`World`] launches `P` ranks, each receiving a [`Comm`];
 //! * tagged, typed point-to-point [`Comm::send`] / [`Comm::recv`] with
 //!   per-`(source, tag)` FIFO matching, like MPI's matching rules;
-//! * the usual collectives — [`Comm::barrier`], [`Comm::bcast`],
-//!   [`Comm::reduce`], [`Comm::allreduce`], [`Comm::gather`],
-//!   [`Comm::allgather`], [`Comm::scatter`], [`Comm::alltoall`],
-//!   [`Comm::scan`] — implemented *on top of* point-to-point with the
-//!   classic algorithms (binomial trees, recursive doubling, ring), so
-//!   their communication structure mirrors a real MPI implementation;
+//! * the collectives the workspace uses — [`Comm::barrier`],
+//!   [`Comm::bcast`], [`Comm::reduce`], [`Comm::allreduce`],
+//!   [`Comm::gather`], [`Comm::allgather`], [`Comm::scan`] — implemented
+//!   *on top of* point-to-point with the classic algorithms (binomial
+//!   trees, dissemination, ring), so their communication structure
+//!   mirrors a real MPI implementation;
 //! * communicator splitting ([`Comm::split`]) for subgroups, used by the
 //!   staging infrastructures to carve simulation and endpoint partitions
 //!   out of the world;
 //! * loans ([`Comm::lend`], [`Comm::give_back`], [`Comm::reclaim`]) of
 //!   buffers that come back, kept between loans in the rank's pool.
+//!
+//! A world keeps one table of its ranks (runnable, blocked in a
+//! receive, finished) under every [`SchedPolicy`], and aborts as soon as
+//! no live rank can run: every blocked rank panics with each rank's
+//! wait state instead of hanging.
 //!
 //! Messages transfer ownership (a `Vec<f64>` moves without copying its
 //! heap buffer), which is the moral equivalent of zero-copy shared-memory
@@ -38,7 +43,6 @@ mod comm;
 mod envelope;
 mod fault;
 mod loan;
-mod monitor;
 mod ops;
 mod world;
 

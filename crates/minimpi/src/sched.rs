@@ -1,12 +1,24 @@
-//! Deterministic scheduling: seed-driven serialized execution, delivery
-//! traces, replay, and the guided policy the model checker steers.
+//! Scheduling: the world's rank table, seed-driven serialized
+//! execution, delivery traces, replay, and the guided policy the model
+//! checker steers.
 //!
-//! The thread-backed substrate normally runs at the mercy of the OS
-//! scheduler: which rank runs next, and which sender an `ANY_SOURCE`
+//! Every world keeps one table of its ranks — each `Runnable`,
+//! `Blocked` in a receive (with what it waits for), or `Finished` —
+//! under one lock, and applies one deadlock rule to it under every
+//! policy: when a rank blocks or finishes and no live rank is runnable,
+//! the world aborts at once and every blocked rank panics with the same
+//! per-rank dump. Sends are eager, so a rank blocked in a receive can
+//! only be released by a send from a runnable rank; with none left the
+//! wait can never end. There is no grace period and no wall-clock
+//! watchdog.
+//!
+//! Under [`SchedPolicy::Os`] ranks run freely and the table is all
+//! there is. The thread-backed substrate then runs at the mercy of the
+//! OS scheduler: which rank runs next, and which sender an `ANY_SOURCE`
 //! receive matches first, differ run to run. That is faithful to real
-//! MPI — and useless for reproducing a bad interleaving. This module
-//! adds a cooperative scheduler that serializes rank execution around a
-//! single turn token and makes every nondeterministic decision
+//! MPI — and useless for reproducing a bad interleaving. The other
+//! policies add a cooperative scheduler that serializes rank execution
+//! around a single turn token and makes every nondeterministic decision
 //! explicitly, driven by a seeded RNG:
 //!
 //! * **run decisions** — at every scheduling point (post-send
@@ -23,10 +35,8 @@
 //! Every decision and delivery is recorded in a [`Trace`]. The same
 //! [`SchedPolicy::Seeded`] seed replays the identical schedule
 //! byte-for-byte; [`SchedPolicy::Replay`] forces a recorded trace and
-//! panics with a diff on the first divergence. A deadlock under the
-//! deterministic scheduler is detected *exactly* (the ready set empties
-//! with unfinished ranks) — no grace period, no wall-clock watchdog —
-//! and every blocked rank panics with a per-rank dump plus the seed.
+//! panics with a diff on the first divergence. A deadlock report under
+//! these policies carries the seed.
 //!
 //! [`SchedPolicy::Guided`] is how [`crate::Checker`] searches
 //! interleavings: a forced decision prefix per run, each run's decisions
@@ -46,6 +56,8 @@ use crate::envelope::Tag;
 #[derive(Clone, Debug)]
 pub enum SchedPolicy {
     /// OS threads run freely (the default; faithful nondeterminism).
+    /// Only the rank table is kept, so a deadlock is still caught the
+    /// moment no live rank can run.
     Os,
     /// Serialized deterministic execution: every scheduling and
     /// matching decision comes from an RNG seeded with this value. The
@@ -387,6 +399,8 @@ pub(crate) struct WaitInfo {
     pub comm_size: usize,
     /// Awaited communicator-local source ([`crate::ANY_SOURCE`] = any).
     pub src: usize,
+    /// World slot of the awaited source, when `src` is one rank.
+    pub src_slot: Option<usize>,
     pub tag: Tag,
     /// Absolute virtual deadline in nanoseconds, when the receive has
     /// one.
@@ -402,6 +416,8 @@ enum Status {
 }
 
 enum Mode {
+    /// Free-running ranks: no token, no decisions, no trace.
+    Os,
     Seeded(StdRng),
     Replay {
         recorded: Vec<Event>,
@@ -463,28 +479,27 @@ struct State {
 /// records the next event.
 const TRACE_RESERVE: usize = 1 << 12;
 
-/// The serialized deterministic scheduler shared by every rank of one
-/// world. At most one rank executes user code at any instant; all
+/// The rank table shared by every rank of one world and, under a
+/// deterministic policy, the serialized scheduler around it: at most
+/// one rank then executes user code at any instant, and all
 /// interleaving freedom is concentrated in the explicit decisions this
 /// type makes (and records).
 pub(crate) struct Sched {
     state: Mutex<State>,
     cv: Condvar,
+    /// A deterministic policy: ranks take turns holding the token.
+    serial: bool,
 }
 
 impl Sched {
-    /// Build the engine for a deterministic policy.
-    ///
-    /// # Panics
-    /// Panics when handed [`SchedPolicy::Os`] — an OS-scheduled world
-    /// has no engine.
+    /// Build the rank table for `policy`.
     pub(crate) fn new(
         size: usize,
         policy: &SchedPolicy,
         liveness: Option<LivenessSpec>,
     ) -> Arc<Sched> {
         let (mode, seed) = match policy {
-            SchedPolicy::Os => panic!("SchedPolicy::Os has no scheduler engine"),
+            SchedPolicy::Os => (Mode::Os, None),
             SchedPolicy::Seeded(seed) => (Mode::Seeded(StdRng::seed_from_u64(*seed)), Some(*seed)),
             SchedPolicy::Replay(trace) => (
                 Mode::Replay {
@@ -502,6 +517,7 @@ impl Sched {
                 None,
             ),
         };
+        let serial = !matches!(mode, Mode::Os);
         Arc::new(Sched {
             state: Mutex::new(State {
                 mode,
@@ -512,7 +528,7 @@ impl Sched {
                 vclock_nanos: 0,
                 trace: Trace {
                     seed,
-                    events: Vec::with_capacity(TRACE_RESERVE),
+                    events: Vec::with_capacity(if serial { TRACE_RESERVE } else { 0 }),
                 },
                 abort: None,
                 liveness,
@@ -522,7 +538,13 @@ impl Sched {
                 runnable: Vec::with_capacity(size),
             }),
             cv: Condvar::new(),
+            serial,
         })
+    }
+
+    /// True under a deterministic policy (ranks take turns).
+    pub(crate) fn serial(&self) -> bool {
+        self.serial
     }
 
     /// Block until this rank is granted the turn token for the first
@@ -544,11 +566,18 @@ impl Sched {
         }
     }
 
-    /// Scheduling point after a delivery: record the send, wake the
-    /// destination if it was blocked, then let the policy decide who
-    /// runs next (post-send preemption).
+    /// After a delivery: wake the destination if it was blocked — before
+    /// the sender can block — and, under a deterministic policy, record
+    /// the send and let the policy decide who runs next (post-send
+    /// preemption).
     pub(crate) fn on_send(&self, from_slot: usize, to_slot: usize, tag: Tag) {
         let mut s = self.state.lock();
+        if matches!(s.status[to_slot], Status::Blocked(_)) {
+            s.status[to_slot] = Status::Runnable;
+        }
+        if !self.serial {
+            return;
+        }
         self.emit(
             &mut s,
             Event::Send {
@@ -557,10 +586,37 @@ impl Sched {
                 tag: tag.0,
             },
         );
-        if matches!(s.status[to_slot], Status::Blocked(_)) {
-            s.status[to_slot] = Status::Runnable;
-        }
         self.reschedule(s, from_slot);
+    }
+
+    /// A free-running rank's receive found nothing: mark it `Blocked`
+    /// unless its awaited channel has filled meanwhile (`idle` is read
+    /// under the lock, so a send either shows there or wakes the mark),
+    /// and abort the world if no live rank is runnable. A rank still
+    /// waiting calls again each poll tick (`fresh == false`): it keeps
+    /// its mark, or takes it back if a send on another of its channels
+    /// woke it. `Err` carries the report to panic with.
+    pub(crate) fn block_free(
+        &self,
+        slot: usize,
+        fresh: bool,
+        idle: impl FnOnce() -> bool,
+        info: impl FnOnce() -> WaitInfo,
+    ) -> Result<(), String> {
+        let mut s = self.state.lock();
+        if s.abort.is_none() && (fresh || !matches!(s.status[slot], Status::Blocked(_))) && idle() {
+            s.status[slot] = Status::Blocked(info());
+            self.settle_free(&mut s);
+        }
+        s.abort.clone().map_or(Ok(()), Err)
+    }
+
+    /// The deadlock rule for free-running ranks: with no live rank
+    /// runnable, resolve quiescence as the serialized scheduler does.
+    fn settle_free(&self, s: &mut State) {
+        if !s.status.iter().any(|st| matches!(st, Status::Runnable)) {
+            self.resolve_quiescence(s);
+        }
     }
 
     /// Block this rank on a receive. Returns why it woke.
@@ -596,6 +652,7 @@ impl Sched {
         let mut s = self.state.lock();
         let trace_pos = s.trace.events.len();
         let src = match &mut s.mode {
+            Mode::Os => unreachable!("free-running matches are not decisions"),
             Mode::Seeded(rng) => candidates[rng.gen_range(0..candidates.len())],
             Mode::Guided { guide, pos, .. } => guided_choice(
                 guide,
@@ -649,12 +706,14 @@ impl Sched {
     }
 
     /// Mark this rank finished (normal return or unwind) and hand the
-    /// token onward.
+    /// token onward, or — free-running — apply the deadlock rule.
     pub(crate) fn finish(&self, slot: usize) {
         let mut s = self.state.lock();
         s.status[slot] = Status::Finished;
         s.deadline_fired[slot] = false;
-        if s.current == Some(slot) {
+        if !self.serial {
+            self.settle_free(&mut s);
+        } else if s.current == Some(slot) {
             self.pick_and_grant(&mut s);
         }
         self.cv.notify_all();
@@ -703,6 +762,7 @@ impl Sched {
         let size = s.status.len();
         let trace_pos = s.trace.events.len();
         let slot = match &mut s.mode {
+            Mode::Os => unreachable!("free-running ranks are not granted turns"),
             Mode::Seeded(rng) => runnable[rng.gen_range(0..runnable.len())],
             Mode::Guided { guide, pos, rotor } => {
                 // Fair round-robin default: the first enabled slot at or
@@ -813,25 +873,26 @@ impl Sched {
 
     /// Compose the exact-deadlock report: every live rank's wait state.
     fn deadlock_report(&self, s: &State, live: usize) -> String {
+        let (who, kind) = if self.serial {
+            (" sched", "deterministic ")
+        } else {
+            ("", "")
+        };
         let seed = match s.trace.seed {
             Some(seed) => format!(" (seed {seed})"),
             None => String::new(),
         };
         let mut report = format!(
-            "minimpi sched: deterministic deadlock detected{seed} — all {live} live rank(s) \
+            "minimpi{who}: {kind}deadlock detected{seed} — all {live} live rank(s) \
              blocked in recv with an empty ready set:"
         );
         for (slot, st) in s.status.iter().enumerate() {
             let Status::Blocked(info) = st else { continue };
-            let src = if info.src == crate::ANY_SOURCE {
-                "any source".to_string()
-            } else {
-                format!("src {}", info.src)
-            };
             report.push_str(&format!(
-                "\n  world rank {slot}: rank {}/{} waiting for {src}, tag {}; pending ({})",
+                "\n  world rank {slot}: rank {}/{} waiting for {}, tag {}; pending ({})",
                 info.comm_rank,
                 info.comm_size,
+                awaited(s, info),
                 info.tag,
                 info.pending.len(),
             ));
@@ -925,18 +986,12 @@ impl Sched {
             let state = match st {
                 Status::Finished => "finished".to_string(),
                 Status::Runnable => "runnable".to_string(),
-                Status::Blocked(info) => {
-                    let src = if info.src == crate::ANY_SOURCE {
-                        "any source".to_string()
-                    } else {
-                        format!("src {}", info.src)
-                    };
-                    format!(
-                        "blocked waiting for {src}, tag {} ({} pending)",
-                        info.tag,
-                        info.pending.len()
-                    )
-                }
+                Status::Blocked(info) => format!(
+                    "blocked waiting for {}, tag {} ({} pending)",
+                    awaited(s, info),
+                    info.tag,
+                    info.pending.len()
+                ),
             };
             report.push_str(&format!(
                 "\n  world rank {slot}: {state}; last progress at decision {}/{}; spin count {}",
@@ -955,8 +1010,31 @@ impl Sched {
     }
 }
 
-/// Releases a rank's hold on the scheduler when its closure exits —
-/// normally or by unwind — so the remaining ranks keep scheduling.
+/// The awaited source of a blocked rank, as a report names it: its
+/// world rank when that differs, and whether it has finished.
+fn awaited(s: &State, info: &WaitInfo) -> String {
+    if info.src == crate::ANY_SOURCE {
+        return "any source".to_string();
+    }
+    let mut notes = Vec::new();
+    if let Some(world) = info.src_slot {
+        if world != info.src {
+            notes.push(format!("world rank {world}"));
+        }
+        if matches!(s.status.get(world), Some(Status::Finished)) {
+            notes.push("finished".to_string());
+        }
+    }
+    if notes.is_empty() {
+        format!("src {}", info.src)
+    } else {
+        format!("src {} ({})", info.src, notes.join(", "))
+    }
+}
+
+/// Marks a rank finished when its closure exits — normally or by
+/// unwind — so the remaining ranks keep scheduling and a peer waiting
+/// on it is released by the deadlock rule.
 pub(crate) struct SchedFinishGuard {
     pub sched: Arc<Sched>,
     pub slot: usize,

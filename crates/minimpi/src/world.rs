@@ -2,21 +2,13 @@
 
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
 
 use crossbeam::channel::unbounded;
 
 use crate::comm::Comm;
 use crate::envelope::Envelope;
 use crate::fault::FaultHandle;
-use crate::monitor::{run_watchdog, FinishGuard, Monitor};
 use crate::sched::{LivenessSpec, Sched, SchedFinishGuard, SchedPolicy, TraceCell};
-
-/// Default watchdog grace period: how long every live rank must sit
-/// blocked with zero matched messages before the world is declared
-/// deadlocked. Generous enough that heavyweight compute phases between
-/// receives never trip it (they leave at least one rank unblocked).
-const DEFAULT_WATCHDOG_GRACE: Duration = Duration::from_secs(10);
 
 /// Entry point for running an SPMD program across `P` thread-backed ranks.
 ///
@@ -46,10 +38,10 @@ const STACK_SIZE: usize = 8 << 20;
 
 /// Configurable world launcher. Rank threads are named `rank-{rank}`.
 ///
-/// A deadlock watchdog is armed by default (see [`WorldBuilder::watchdog`]).
+/// Under every policy the world aborts as soon as no live rank can run:
+/// every blocked rank then panics with each rank's wait state.
 pub struct WorldBuilder {
     size: usize,
-    watchdog: Duration,
     faults: Option<FaultHandle>,
     sched_policy: SchedPolicy,
     trace_cell: Option<TraceCell>,
@@ -63,23 +55,12 @@ impl WorldBuilder {
         assert!(size > 0, "world size must be at least 1");
         WorldBuilder {
             size,
-            watchdog: DEFAULT_WATCHDOG_GRACE,
             faults: None,
             sched_policy: SchedPolicy::Os,
             trace_cell: None,
             sanitizer: None,
             liveness: None,
         }
-    }
-
-    /// Set the watchdog grace period. When every rank that has not yet
-    /// returned sits blocked in a receive and no message is matched for
-    /// `grace`, the watchdog dumps each rank's wait state and pending
-    /// queue and aborts the world (each blocked rank panics with the
-    /// report). Sends are eager, so this condition is a true deadlock.
-    pub fn watchdog(mut self, grace: Duration) -> Self {
-        self.watchdog = grace;
-        self
     }
 
     /// Install a fault-injection handle; see [`FaultHandle`]. Test-only
@@ -91,9 +72,8 @@ impl WorldBuilder {
 
     /// Choose the scheduling policy; see [`SchedPolicy`]. Non-`Os`
     /// policies serialize rank execution under the deterministic
-    /// scheduler: rank threads run on virtual time, the wall-clock
-    /// watchdog is replaced by *exact* deadlock detection (an empty
-    /// ready set with live ranks), and every run records a delivery
+    /// scheduler: rank threads run on virtual time, and every run
+    /// records a delivery
     /// [`crate::Trace`]. On a rank panic the trace is printed to stderr
     /// so the interleaving can be replayed with [`SchedPolicy::Replay`].
     pub fn sched(mut self, policy: SchedPolicy) -> Self {
@@ -143,12 +123,9 @@ impl WorldBuilder {
             (0..self.size).map(|_| unbounded::<Envelope>()).unzip();
         let senders = Arc::new(senders);
         let f = Arc::new(f);
-        let monitor = Monitor::new(self.size);
         let peer_slots: Arc<Vec<usize>> = Arc::new((0..self.size).collect());
-        let sched = match &self.sched_policy {
-            SchedPolicy::Os => None,
-            policy => Some(Sched::new(self.size, policy, self.liveness)),
-        };
+        let sched = Sched::new(self.size, &self.sched_policy, self.liveness);
+        let serial = sched.serial();
         // Sanitizer session: explicit via the builder, else env-gated
         // (read every run so one process can toggle on/off runs).
         let session = self.sanitizer.clone().or_else(|| {
@@ -164,29 +141,15 @@ impl WorldBuilder {
             });
         }
 
-        // Under the deterministic scheduler deadlocks are detected
-        // exactly (empty ready set), so the wall-clock watchdog — which
-        // would misread serialized execution as stalling — stays off.
-        if sched.is_none() {
-            let (monitor, grace) = (Arc::clone(&monitor), self.watchdog);
-            // Detached: exits on its own shortly after the last rank
-            // finishes (or after triggering an abort).
-            thread::Builder::new()
-                .name("rank-watchdog".to_string())
-                .spawn(move || run_watchdog(monitor, grace))
-                .unwrap_or_else(|e| panic!("failed to spawn watchdog thread: {e}"));
-        }
-
         let handles: Vec<_> = receivers
             .into_iter()
             .enumerate()
             .map(|(rank, rx)| {
                 let senders = Arc::clone(&senders);
                 let f = Arc::clone(&f);
-                let monitor = Arc::clone(&monitor);
                 let peer_slots = Arc::clone(&peer_slots);
                 let faults = self.faults.clone();
-                let sched = sched.clone();
+                let sched = Arc::clone(&sched);
                 let session = session.clone();
                 thread::Builder::new()
                     .name(format!("rank-{rank}"))
@@ -195,42 +158,31 @@ impl WorldBuilder {
                         // Scheduled ranks run on the deterministic
                         // virtual clock so recorded timings are
                         // byte-identical across same-seed runs.
-                        let _vt = sched.as_ref().map(|_| probe::time::install_virtual());
+                        let _vt = serial.then(probe::time::install_virtual);
                         // Per-rank sanitizer context: this thread's
                         // vector clock plus the hooks the transport
                         // and data model call into.
                         let _san = session
                             .as_ref()
                             .map(|s| sanitizer::install(Arc::clone(s), rank));
-                        // Marks the rank finished even on unwind, so the
-                        // watchdog never waits on a dead rank.
-                        let _finish = FinishGuard {
-                            monitor: Arc::clone(&monitor),
-                            slot: rank,
-                        };
                         // Thread-local scheduler handle so spin loops
                         // deep in library code (GLEAN's drain hand-off)
                         // can reach crate::sched::yield_point().
-                        let _sched_tls = sched
-                            .as_ref()
-                            .map(|s| crate::sched::install_thread(s, rank));
-                        // Waits for the first turn grant; releases this
-                        // rank's scheduler slot even on unwind so the
-                        // remaining ranks keep scheduling.
-                        let _sched_finish = sched.as_ref().map(|s| {
-                            s.acquire(rank);
+                        let _sched_tls = serial.then(|| crate::sched::install_thread(&sched, rank));
+                        // Waits for the first turn grant, when ranks take
+                        // turns; marks the rank finished even on unwind,
+                        // so the remaining ranks keep scheduling and a
+                        // peer waiting on this one is released.
+                        let _finish = {
+                            if serial {
+                                sched.acquire(rank);
+                            }
                             SchedFinishGuard {
-                                sched: Arc::clone(s),
+                                sched: Arc::clone(&sched),
                                 slot: rank,
                             }
-                        });
-                        let comm = Comm::new(rank, senders, rx).with_runtime(
-                            rank,
-                            peer_slots,
-                            if sched.is_some() { None } else { Some(monitor) },
-                            faults,
-                            sched,
-                        );
+                        };
+                        let comm = Comm::new(rank, senders, rx, rank, peer_slots, faults, sched);
                         f(&comm)
                     })
                     .unwrap_or_else(|e| panic!("failed to spawn rank thread: {e}"))
@@ -263,7 +215,7 @@ impl WorldBuilder {
                 }
             }
         }
-        if let Some(sched) = &sched {
+        if serial {
             let trace = sched.trace();
             if panic.is_some() {
                 let seed = trace
@@ -323,17 +275,45 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_does_not_fire_on_healthy_runs() {
-        // A short grace with constant traffic: progress resets the timer.
-        let out = WorldBuilder::new(4)
-            .watchdog(Duration::from_millis(100))
-            .run(|comm| {
-                let mut acc = 0u64;
-                for _ in 0..20 {
-                    acc = comm.allreduce_scalar(acc + comm.rank() as u64, |a, b| a + b);
+    fn a_rank_computing_while_its_peer_waits_is_no_deadlock() {
+        // Rank 1 waits in a receive without a deadline for several poll
+        // ticks while rank 0 computes: rank 0 is runnable throughout.
+        let out = World::run(2, |comm| {
+            if comm.rank() == 0 {
+                thread::sleep(crate::comm::POLL_TICK * 4);
+                comm.send(1, 1, 7u32);
+                0
+            } else {
+                comm.recv::<u32>(0, 1)
+            }
+        });
+        assert_eq!(out, vec![0, 7]);
+    }
+
+    #[test]
+    fn mail_on_another_channel_is_no_deadlock() {
+        // Each round a rank sends to its right on the world and on a
+        // sub-communicator, then waits for its left on the
+        // sub-communicator first: the world's mail, already there, wakes
+        // its table entry but not its wait, so it renews its `Blocked`
+        // mark. One rank sleeps now and then while the others wait.
+        let out = World::run(8, |comm| {
+            let sub = comm.split((comm.rank() % 2) as u32, comm.rank() as u32);
+            let (p, q) = (comm.size(), sub.size());
+            let (right, left) = ((comm.rank() + 1) % p, (comm.rank() + p - 1) % p);
+            let (sub_right, sub_left) = ((sub.rank() + 1) % q, (sub.rank() + q - 1) % q);
+            let mut acc = 0u64;
+            for round in 0..2_000u64 {
+                if comm.rank() == 3 && round % 250 == 0 {
+                    thread::sleep(std::time::Duration::from_millis(2));
                 }
-                acc
-            });
-        assert_eq!(out.len(), 4);
+                comm.send(right, 1, round);
+                sub.send(sub_right, 2, round);
+                acc += sub.recv::<u64>(sub_left, 2);
+                acc += comm.recv::<u64>(left, 1);
+            }
+            acc
+        });
+        assert_eq!(out, vec![2 * (0..2_000u64).sum::<u64>(); 8]);
     }
 }

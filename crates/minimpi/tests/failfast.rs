@@ -1,6 +1,6 @@
 //! Failure-mode coverage for the fail-fast layer: collective-order
-//! verification, recv deadlines, the deadlock watchdog, and injected
-//! transport faults. At the paper's target scale a silent hang is the
+//! verification, recv deadlines, the deadlock rule (a world aborts as
+//! soon as no live rank can run), and injected transport faults. At the paper's target scale a silent hang is the
 //! worst possible failure mode — each test here pins down that a specific
 //! misuse or fault produces a *diagnostic* error instead.
 
@@ -10,8 +10,8 @@ use minimpi::{Error, FaultHandle, World, WorldBuilder};
 
 /// Milliseconds scaled by `MINIMPI_TEST_TIME_SCALE` (default 1).
 ///
-/// Every timing in this file — watchdog grace, recv deadlines, injected
-/// delays, and the bounds asserted against them — goes through this
+/// Every timing in this file — recv deadlines, injected delays, and the
+/// bounds asserted against them — goes through this
 /// helper, so a slow or loaded machine can export e.g.
 /// `MINIMPI_TEST_TIME_SCALE=4` and stretch all of them together: the
 /// ratios the assertions rely on are preserved, the flake window is not.
@@ -91,28 +91,57 @@ fn deadline_error_reports_pending_queue() {
     });
 }
 
-/// Two ranks each wait for a message the other never sends: the watchdog
+/// Two ranks each wait for a message the other never sends: the world
 /// must convert the hang into a panic carrying the per-rank dump.
 #[test]
-fn watchdog_aborts_deadlock_with_rank_dump() {
+fn deadlock_aborts_with_rank_dump() {
     let result = std::panic::catch_unwind(|| {
-        WorldBuilder::new(2).watchdog(scaled(200)).run(|comm| {
+        World::run(2, |comm| {
             // Cross traffic on the wrong tags lands in pending, so the
             // report can show what each rank *did* receive.
             comm.send(1 - comm.rank(), 10 + comm.rank() as u32, 1u8);
             let _: u8 = comm.recv(1 - comm.rank(), 55);
         });
     });
-    let payload = result.expect_err("deadlocked world must panic");
-    let text = payload
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-        .expect("panic payload is a string");
+    let text = panic_text(result.expect_err("deadlocked world must panic"));
     assert!(text.contains("deadlock detected"), "got: {text}");
     assert!(text.contains("world rank 0"), "missing rank dump: {text}");
     assert!(text.contains("user:55"), "missing awaited tag: {text}");
     assert!(text.contains("pending"), "missing pending dump: {text}");
+}
+
+/// Rank 1 waits for a message from rank 0, which has returned: no
+/// message can ever come, so the world ends at once and the report names
+/// the awaited rank as finished.
+#[test]
+fn a_wait_on_a_finished_rank_ends_at_once() {
+    let t0 = Instant::now();
+    let result = std::panic::catch_unwind(|| {
+        World::run(2, |comm| {
+            if comm.rank() == 1 {
+                let _: u8 = comm.recv(0, 1);
+            }
+        });
+    });
+    let text = panic_text(result.expect_err("a wait on a finished rank must panic"));
+    assert!(
+        t0.elapsed() < scaled(1_000),
+        "took {:?}: {text}",
+        t0.elapsed()
+    );
+    assert!(text.contains("deadlock detected"), "got: {text}");
+    assert!(
+        text.contains("world rank 1: rank 1/2 waiting for src 0 (finished), tag user:1"),
+        "the awaited rank is not named finished: {text}"
+    );
+}
+
+fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .expect("panic payload is a string")
 }
 
 #[test]

@@ -7,8 +7,9 @@ use std::time::{Duration, Instant};
 use minimpi::World;
 use oscillator::{SimConfig, Simulation};
 
-/// Long enough for a 3-rank world to fail on a loaded machine, well
-/// short of the world watchdog's 10 s.
+/// Long enough for a 3-rank world to fail on a loaded machine. A rank
+/// left waiting on a failed one is released at once by the world's
+/// deadlock rule, so only a regression comes near it.
 const DEADLINE: Duration = Duration::from_secs(5);
 
 /// The world runs on a helper thread under a deadline, so a regression

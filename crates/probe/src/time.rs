@@ -64,8 +64,8 @@ pub fn install_virtual() -> VirtualTimeGuard {
     VirtualTimeGuard { prev }
 }
 
-/// A wall-clock instant for *control flow*: watchdog grace periods,
-/// poll deadlines, exploration budgets — places that must track real
+/// A wall-clock instant for *control flow*: receive deadlines, drain
+/// deadlines, exploration budgets — places that must track real
 /// elapsed time even on a thread whose measurement clock is virtual.
 ///
 /// This is the workspace's only sanctioned wrapper around

@@ -30,6 +30,21 @@ if grep -rn 'adios::broker' crates tests examples src | grep -v '^crates/adios/'
     exit 1
 fi
 
+echo "==> one deadlock rule"
+# Every world keeps one rank table and aborts as soon as no live rank
+# can run, under every scheduling policy (crates/minimpi/src/sched.rs).
+# A wall-clock watchdog with a grace period beside that rule is a second
+# deadlock detector, and a rank waiting on a finished one waits out the
+# grace.
+if [ -e crates/minimpi/src/monitor.rs ]; then
+    echo "tier1: crates/minimpi/src/monitor.rs is back" >&2
+    exit 1
+fi
+if grep -rnE 'run_watchdog|rank-watchdog|DEFAULT_WATCHDOG_GRACE|\.watchdog\(' crates tests examples; then
+    echo "tier1: a wall-clock deadlock watchdog is back" >&2
+    exit 1
+fi
+
 echo "==> one way to read a structured leaf"
 # Consumers read leaves through DataSet::structured / leaf_views; a
 # match on the leaf kind is a private walker growing back. Constructors
