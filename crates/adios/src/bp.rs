@@ -14,7 +14,6 @@
 //! buffer while it is marshalled, and on the endpoint the buffer the
 //! writer filled is the one the analysis mesh reads.
 
-use bytes::BufMut;
 use datamodel::{AccessError, DataArray, MemorySpace, ScalarType};
 use std::io::{Read, Write};
 use std::path::Path;
@@ -322,23 +321,23 @@ impl BpStep {
         out.clear();
         let inline = if payloads { 0 } else { self.payload_bytes() };
         out.reserve_exact(self.encoded_len() - inline);
-        out.put_slice(MAGIC);
-        out.put_u64_le(self.step);
-        out.put_f64_le(self.time);
-        out.put_u32_le(self.attributes.len() as u32);
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&self.step.to_le_bytes());
+        out.extend_from_slice(&self.time.to_le_bytes());
+        out.extend_from_slice(&(self.attributes.len() as u32).to_le_bytes());
         for (name, value) in &self.attributes {
             put_string(out, name);
-            out.put_f64_le(*value);
+            out.extend_from_slice(&value.to_le_bytes());
         }
-        out.put_u32_le(self.vars.len() as u32);
+        out.extend_from_slice(&(self.vars.len() as u32).to_le_bytes());
         for v in &self.vars {
             put_string(out, &v.name);
-            out.put_u8(v.data.code());
-            out.put_u32_le(v.leaf);
+            out.push(v.data.code());
+            out.extend_from_slice(&v.leaf.to_le_bytes());
             for d in v.global_dims.iter().chain(&v.offset).chain(&v.local_dims) {
-                out.put_u64_le(*d);
+                out.extend_from_slice(&d.to_le_bytes());
             }
-            out.put_u64_le(v.data.len() as u64);
+            out.extend_from_slice(&(v.data.len() as u64).to_le_bytes());
             if payloads {
                 v.data.put_le(out);
             }
@@ -443,8 +442,8 @@ impl BpStep {
 }
 
 fn put_string(b: &mut Vec<u8>, s: &str) {
-    b.put_u32_le(s.len() as u32);
-    b.put_slice(s.as_bytes());
+    b.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    b.extend_from_slice(s.as_bytes());
 }
 
 fn get_string(buf: &mut &[u8]) -> Result<String, BpError> {

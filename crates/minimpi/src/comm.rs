@@ -3,10 +3,10 @@
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use probe::time::Wall;
 
 use crate::envelope::{CollectiveKind, Envelope, Tag, ANY_SOURCE};
@@ -347,6 +347,7 @@ impl Comm {
         // A new wait (or new pending mail) renews the `Blocked` mark.
         let mut fresh = true;
         loop {
+            let mut found = None;
             let wait = match deadline {
                 Some(limit) => {
                     let elapsed = start.elapsed();
@@ -356,10 +357,16 @@ impl Comm {
                     limit - elapsed
                 }
                 None => {
+                    // The emptiness check under the table's lock takes
+                    // what it finds: mail goes to the match below, and
+                    // the rank is not marked `Blocked`.
                     let blocked = self.sched.block_free(
                         self.slot,
                         fresh,
-                        || self.receiver.is_empty(),
+                        || {
+                            found = self.receiver.try_recv().ok();
+                            found.is_none()
+                        },
                         || self.wait_info(src, tag, None),
                     );
                     if let Err(report) = blocked {
@@ -369,7 +376,11 @@ impl Comm {
                     POLL_TICK
                 }
             };
-            match self.receiver.recv_timeout(wait) {
+            let next = match found {
+                Some(env) => Ok(env),
+                None => self.receiver.recv_timeout(wait),
+            };
+            match next {
                 Ok(env) => {
                     if env.tag == tag && is_from(sources, env.src) {
                         self.note_delivery(&env);
@@ -573,7 +584,7 @@ impl Comm {
     /// within a group, new ranks are ordered by `(key, old rank)`. Every
     /// rank of `self` must call `split`. Analogous to `MPI_Comm_split`.
     pub fn split(&self, color: u32, key: u32) -> Comm {
-        let (tx, rx) = unbounded::<Envelope>();
+        let (tx, rx) = mpsc::channel::<Envelope>();
         let tag = self.collective_tag(CollectiveKind::Split);
         let mine = SplitInfo {
             color,

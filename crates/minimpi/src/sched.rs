@@ -590,12 +590,13 @@ impl Sched {
     }
 
     /// A free-running rank's receive found nothing: mark it `Blocked`
-    /// unless its awaited channel has filled meanwhile (`idle` is read
-    /// under the lock, so a send either shows there or wakes the mark),
-    /// and abort the world if no live rank is runnable. A rank still
-    /// waiting calls again each poll tick (`fresh == false`): it keeps
-    /// its mark, or takes it back if a send on another of its channels
-    /// woke it. `Err` carries the report to panic with.
+    /// unless its channel has filled meanwhile (`idle` runs under the
+    /// lock, so a send either shows there or wakes the mark; it takes
+    /// the mail it finds for the caller to match), and abort the world
+    /// if no live rank is runnable. A rank still waiting calls again
+    /// each poll tick (`fresh == false`): it keeps its mark, or takes it
+    /// back if a send on another of its channels woke it. `Err` carries
+    /// the report to panic with.
     pub(crate) fn block_free(
         &self,
         slot: usize,

@@ -1,9 +1,7 @@
 //! Launching SPMD worlds: one thread per rank.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
-
-use crossbeam::channel::unbounded;
 
 use crate::comm::Comm;
 use crate::envelope::Envelope;
@@ -120,7 +118,7 @@ impl WorldBuilder {
         F: Fn(&Comm) -> T + Send + Sync + 'static,
     {
         let (senders, receivers): (Vec<_>, Vec<_>) =
-            (0..self.size).map(|_| unbounded::<Envelope>()).unzip();
+            (0..self.size).map(|_| mpsc::channel::<Envelope>()).unzip();
         let senders = Arc::new(senders);
         let f = Arc::new(f);
         let peer_slots: Arc<Vec<usize>> = Arc::new((0..self.size).collect());
@@ -242,6 +240,7 @@ impl WorldBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn results_indexed_by_rank() {
@@ -315,5 +314,42 @@ mod tests {
             acc
         });
         assert_eq!(out, vec![2 * (0..2_000u64).sum::<u64>(); 8]);
+    }
+
+    #[test]
+    fn mail_found_by_the_emptiness_check_is_matched() {
+        // Rank 0 is blocked in `recv(1, 1)` when tag 2 arrives: it pends
+        // that one and checks its channel again under the table's lock.
+        // Every other round rank 1 sends tag 1 at once, so that check
+        // can find it and must match it; else rank 0 waits out a sleep.
+        let (done, result) = mpsc::channel();
+        let world = thread::spawn(move || {
+            let out = World::run(2, |comm| {
+                let mut got = Vec::new();
+                for round in 0..1_000u64 {
+                    if comm.rank() == 0 {
+                        let first = comm.recv::<u64>(1, 1);
+                        got.push((first, comm.recv::<u64>(1, 2)));
+                        comm.send(1, 3, round);
+                    } else {
+                        thread::sleep(Duration::from_micros(200));
+                        comm.send(0, 2, 2 * round);
+                        if round % 2 == 1 {
+                            thread::sleep(Duration::from_millis(2));
+                        }
+                        comm.send(0, 1, 2 * round + 1);
+                        comm.recv::<u64>(0, 3);
+                    }
+                }
+                got
+            });
+            let _ = done.send(out);
+        });
+        let out = result
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the world neither hangs nor aborts");
+        world.join().expect("the world's thread returns");
+        let want: Vec<(u64, u64)> = (0..1_000).map(|r| (2 * r + 1, 2 * r)).collect();
+        assert_eq!(out[0], want);
     }
 }

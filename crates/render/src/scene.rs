@@ -12,7 +12,7 @@
 //! scene's later plots share one more buffer a frame, which the last
 //! park drops, and are merged into the frame where they lie. The comm's
 //! probe times `per-step/render/range` and `…/encode` once a frame, and
-//! `…/draw` and `…/composite` once a plot.
+//! `…/clear` (the take), `…/draw` and `…/composite` once a plot.
 
 use std::cell::Cell;
 use std::path::PathBuf;
@@ -104,7 +104,10 @@ impl Scene {
         let owned = compositor.owned_rows(comm.size(), comm.rank(), height);
         let mut image: Option<Framebuffer> = None;
         for plot in &self.plots {
-            let mut fb = Framebuffer::take(comm, width, height);
+            let mut fb = {
+                let _clear = probe.span("per-step/render/clear");
+                Framebuffer::take(comm, width, height)
+            };
             let draw = probe.span("per-step/render/draw");
             if let Some((grid, values)) = field {
                 let (local, global) = (&grid.extent, &grid.global_extent);

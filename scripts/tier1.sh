@@ -70,13 +70,13 @@ fi
 
 echo "==> in transit payloads move in bulk, in their own type"
 # BP payloads are encoded and decoded a slice at a time; outside the
-# tests, the per-scalar f64 puts are the step time and the attribute
-# values (the decoder reads through its checked `get`), and nothing
-# travels widened.
+# tests, the per-scalar f64 reads are the step time and the attribute
+# values (each `f64::from_le_bytes` of the decoder's checked `get`), and
+# nothing travels widened.
 adios_src=$(for f in crates/adios/src/*.rs; do awk '/#\[cfg\(test\)\]/{exit} {print}' "$f"; done)
-scalar_calls=$(grep -cE '(put|get)_f64_le' <<<"$adios_src" || true)
+scalar_calls=$(grep -cF 'f64::from_le_bytes' <<<"$adios_src" || true)
 if [ "$scalar_calls" -ne 2 ]; then
-    echo "tier1: $scalar_calls put_f64_le/get_f64_le calls in crates/adios/src, expected 2" >&2
+    echo "tier1: $scalar_calls f64::from_le_bytes calls in crates/adios/src, expected 2" >&2
     exit 1
 fi
 if grep -n 'widened to f64' <<<"$adios_src"; then
@@ -111,6 +111,27 @@ fi
 oscillator_src=$(for f in crates/oscillator/src/*.rs; do awk '/#\[cfg\(test\)\]/{exit} {print}' "$f"; done)
 if tr '\n' ' ' <<<"$oscillator_src" | grep -oE 'DataArray::owned\(\s*(GHOST_ARRAY_NAME|"vtkGhostType")'; then
     echo "tier1: crates/oscillator/src copies the ghost flags into an owned array again" >&2
+    exit 1
+fi
+
+echo "==> std over shims"
+# Channels are std::sync::mpsc and BP-lite writes into a plain Vec<u8>;
+# the shims left are rand, proptest and parking_lot. A crossbeam or
+# bytes shim, a manifest naming one, or an import of one is a
+# re-implementation of std back.
+for shim in shims/crossbeam shims/bytes; do
+    if [ -e "$shim" ]; then
+        echo "tier1: $shim is back" >&2
+        exit 1
+    fi
+done
+if find . \( -name target -o -path './.*' -o -path ./benchmark \) -prune -o -name Cargo.toml -print0 |
+    xargs -0 grep -nwE 'crossbeam|bytes'; then
+    echo "tier1: a Cargo.toml outside benchmark/ names crossbeam or bytes" >&2
+    exit 1
+fi
+if grep -rnE 'crossbeam::|use bytes' crates tests examples src; then
+    echo "tier1: a source file uses crossbeam or bytes" >&2
     exit 1
 fi
 

@@ -58,6 +58,21 @@ fn glean_dir(name: &str) -> std::path::PathBuf {
     dir
 }
 
+/// Remove a [`glean_dir`] whose drain threads a planted bug left
+/// unjoined: the last one may still be creating its file or appending
+/// its step, so a removal that races it is retried for up to a second.
+fn remove_glean_dir(dir: &std::path::Path) {
+    let mut removed = std::fs::remove_dir_all(dir);
+    for _ in 0..100 {
+        if removed.is_ok() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+        removed = std::fs::remove_dir_all(dir);
+    }
+    removed.expect("scratch dir removed");
+}
+
 /// GLEAN's bounded drain hand-off with a drain thread that never takes
 /// a node step. Once the queue is full, the aggregator's next step
 /// waits at a scheduling point: with an effectively infinite drain
@@ -116,7 +131,7 @@ fn broker_backpressure_livelock_is_found_minimized_and_replayed() {
         failure.prefix.is_empty(),
         "a schedule-independent livelock shrinks to the empty prefix"
     );
-    std::fs::remove_dir_all(&dir).expect("scratch dir removed");
+    remove_glean_dir(&dir);
 }
 
 /// The same shape with the consumer cut off (evicted) at the deadline.
@@ -144,7 +159,7 @@ fn broker_backpressure_with_eviction_is_clean() {
         report.failure.map(|f| f.message)
     );
     assert!(!report.stats.budget_exhausted);
-    std::fs::remove_dir_all(&dir).expect("scratch dir removed");
+    remove_glean_dir(&dir);
 }
 
 // A request/reply protocol over point-to-point messages: rank 0 sends
@@ -277,7 +292,7 @@ fn unclosed_glean_drain_is_an_obligation_leak() {
         failure.message
     );
     assert!(failure.replayed_bitwise, "shrunk schedule replays bitwise");
-    std::fs::remove_dir_all(&dir).expect("scratch dir removed");
+    remove_glean_dir(&dir);
 }
 
 // Steering command application: the client plane starves when the

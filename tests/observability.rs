@@ -217,9 +217,10 @@ fn run_report_round_trips_through_json() {
 
 /// A render step's frames report their stages as product spans: a
 /// Catalyst and a Libsim frame on each of two ranks record the range,
-/// the plots' drawing, their compositing and the encode once a frame.
+/// the plots' framebuffer take (`clear`), drawing and compositing, and
+/// the encode once a frame.
 #[test]
-fn render_frames_report_their_four_stages() {
+fn render_frames_report_their_stages() {
     const RANKS: usize = 2;
     let deck = format_deck(&demo_oscillators());
     let report = World::run(RANKS, move |comm| {
@@ -243,7 +244,7 @@ fn render_frames_report_their_four_stages() {
         bridge.finalize(comm)
     })
     .remove(0);
-    for stage in ["range", "draw", "composite", "encode"] {
+    for stage in ["range", "clear", "draw", "composite", "encode"] {
         let label = format!("per-step/render/{stage}");
         let phase = report.phase(&label).expect("the stage is a span");
         assert_eq!(
