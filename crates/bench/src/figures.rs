@@ -2,6 +2,7 @@
 //! evaluation, at the paper's concurrencies, on the paper's machines.
 //! See EXPERIMENTS.md for the paper-vs-regenerated comparison.
 
+use perfmodel::compositing::Algorithm::{BinarySwap, DirectSendTree};
 use perfmodel::memory::{self, Executable};
 use perfmodel::storage;
 use perfmodel::workloads::{self as w, PhastaRun};
@@ -169,12 +170,13 @@ pub fn fig7() -> Table {
                 "Libsim-slice" => Executable::Libsim,
                 _ => unreachable!(),
             };
+            let libsim_tree = DirectSendTree { fanout: 8 };
             let heap = memory::miniapp_heap(cells, OSCILLATORS)
                 + match config {
                     "Histogram" => memory::histogram_heap(BINS),
                     "Autocorrelation" => memory::autocorrelation_heap(cells, WINDOW),
-                    "Catalyst-slice" => memory::slice_render_heap(1920, 1080),
-                    "Libsim-slice" => memory::slice_render_heap(1600, 1600),
+                    "Catalyst-slice" => memory::slice_render_heap(1920, 1080, BinarySwap, p),
+                    "Libsim-slice" => memory::slice_render_heap(1600, 1600, libsim_tree, p),
                     _ => 0.0,
                 };
             let startup = p as f64 * exe.bytes();

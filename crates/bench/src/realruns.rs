@@ -97,14 +97,25 @@ mod tests {
         // At PHASTA's IS2 image size the LZ77+Huffman work dominates the
         // extra memcpy of stored mode. The wall clock only means that in
         // the optimised build: debug codegen inflates both modes unevenly.
-        let (fixed, stored, nf, ns) = measure_png_ablation(2900, 725);
+        // Each mode's time is the least of 5 samples, so that another
+        // process sharing the cores for one sample does not invert a gap
+        // of a few per cent.
+        let samples = if cfg!(debug_assertions) { 1 } else { 5 };
+        let runs: Vec<_> = (0..samples)
+            .map(|_| measure_png_ablation(2900, 725))
+            .collect();
+        let least = |time: fn(&(f64, f64, usize, usize)) -> f64| {
+            runs.iter().map(time).fold(f64::INFINITY, f64::min)
+        };
+        let (fixed, stored) = (least(|r| r.0), least(|r| r.1));
         #[cfg(not(debug_assertions))]
         assert!(
             fixed > stored,
-            "compression costs time: {fixed} vs {stored}"
+            "compression costs time: {fixed} vs {stored} (least of {samples})"
         );
         #[cfg(debug_assertions)]
         let _ = (fixed, stored);
+        let (nf, ns) = (runs[0].2, runs[0].3);
         assert!(nf < ns, "…and saves bytes: {nf} vs {ns}");
     }
 

@@ -6,6 +6,7 @@
 //! configuration. §4.2 adds executable-size observations (Catalyst
 //! Editions: 153 MB static / 87 MB dynamic with PHASTA; Nyx 68 → 109 MB).
 
+use crate::compositing::Algorithm;
 use crate::MB;
 
 /// Executable / resident-image sizes in bytes for each configuration.
@@ -64,15 +65,49 @@ pub fn histogram_heap(bins: usize) -> f64 {
     (bins * 8 + 64) as f64
 }
 
-/// Per-rank heap of a slice-render pipeline: the one frame each rank
-/// draws into and keeps between steps, 7 B a pixel (RGB and depth; a
-/// pixel is covered where its depth is finite). Every rank holds it,
-/// whether its block meets the plane or not: a rank that draws nothing
-/// still takes its frame to merge and encode, and a compositing child
-/// keeps its own. The strips and the encoder's sliding buffer beside it
-/// (≈ 0.56 MB) are not charged.
-pub fn slice_render_heap(width: usize, height: usize) -> f64 {
-    (width * height * 7) as f64
+/// Per-rank heap of a slice-render pipeline over `p` ranks composited by
+/// `alg`: the frame each rank draws the rows it keeps into and keeps
+/// between steps, 7 B a pixel (RGB and depth; a pixel is covered where
+/// its depth is finite), averaged over the ranks. The rows are those
+/// compositing leaves a rank (`kept_rows`), whether its block meets the
+/// plane or not. The strips, the one buffer a rank draws the strips it
+/// gives away into, and the encoder's sliding buffer beside the frame
+/// (≈ 0.79 MB at 1920 wide) are not charged.
+pub fn slice_render_heap(width: usize, height: usize, alg: Algorithm, p: usize) -> f64 {
+    let rows: usize = (0..p).map(|rank| kept_rows(alg, p, rank, height)).sum();
+    (width * rows * 7) as f64 / p as f64
+}
+
+/// The rows of a `height`-row image `rank`'s frame holds while `alg`
+/// composites over `p` ranks. Binary swap: the half of the image it
+/// keeps after the first halving (the lower half of the group keeps
+/// `⌊h/2⌋` rows, the upper `⌈h/2⌉`), all of it on a rank that merges a
+/// folded rank's image (ranks below `p − pot`, `pot` the largest power
+/// of two not above `p`) or is alone, and none on a folded rank. A
+/// fan-in tree: all of it on the root and on every node with a child,
+/// none on a leaf, whose image goes up strip by strip as it is drawn.
+fn kept_rows(alg: Algorithm, p: usize, rank: usize, height: usize) -> usize {
+    match alg {
+        Algorithm::BinarySwap => {
+            let pot = 1 << p.ilog2();
+            if rank >= pot {
+                0
+            } else if pot == 1 || rank + pot < p {
+                height
+            } else if rank < pot / 2 {
+                height / 2
+            } else {
+                height - height / 2
+            }
+        }
+        Algorithm::DirectSendTree { fanout } => {
+            if rank == 0 || rank * fanout + 1 < p {
+                height
+            } else {
+                0
+            }
+        }
+    }
 }
 
 /// Total memory high-water mark summed over `p` ranks, the quantity the
@@ -138,12 +173,44 @@ mod tests {
     }
 
     #[test]
-    fn slice_render_heap_is_one_frame_a_rank() {
-        // 1920×1080 at 7 B a pixel, on every rank at every scale.
-        assert_eq!(slice_render_heap(1920, 1080), 14_515_200.0);
-        let heap = slice_render_heap(1600, 1600);
+    fn slice_render_heap_charges_the_rows_each_rank_keeps() {
+        const TREE: Algorithm = Algorithm::DirectSendTree { fanout: 8 };
+        // `render-insitu` on 2 ranks: each keeps Catalyst's 540 rows of
+        // 1920; Libsim's root keeps its whole 1024² image, its leaf none.
+        assert_eq!(
+            slice_render_heap(1920, 1080, Algorithm::BinarySwap, 2),
+            7_257_600.0
+        );
+        assert_eq!(slice_render_heap(1024, 1024, TREE, 2), 7_340_032.0 / 2.0);
+        // Alone, a rank keeps the whole frame.
+        assert_eq!(
+            slice_render_heap(1920, 1080, Algorithm::BinarySwap, 1),
+            14_515_200.0
+        );
+        assert_eq!(slice_render_heap(1920, 1080, TREE, 1), 14_515_200.0);
+        // 3 ranks: rank 0 merges rank 2's image (1080 rows), rank 1
+        // keeps its upper half (540), rank 2 none; the tree's root
+        // keeps all, its two leaves none.
+        assert_eq!(
+            slice_render_heap(20, 1081, Algorithm::BinarySwap, 3) * 3.0,
+            (7 * 20 * (1081 + 541)) as f64
+        );
+        assert_eq!(
+            slice_render_heap(20, 1081, TREE, 3) * 3.0,
+            7.0 * 20.0 * 1081.0
+        );
+        // A power-of-two group keeps half an image a rank; a tree keeps
+        // an image on each of its ⌈(p − 1) / f⌉ inner nodes.
+        for p in [8, 64, 4096] {
+            let heap = slice_render_heap(1920, 1080, Algorithm::BinarySwap, p);
+            assert_eq!(heap, 14_515_200.0 / 2.0, "p = {p}");
+            let inner = (p - 1).div_ceil(8);
+            let tree = slice_render_heap(1920, 1080, TREE, p) * p as f64;
+            assert_eq!(tree, 14_515_200.0 * inner as f64, "p = {p}");
+        }
+        let heap = slice_render_heap(1600, 1600, TREE, 812);
         let a = total_high_water(812, Executable::Libsim, heap);
-        let b = total_high_water(45440, Executable::Libsim, heap);
-        assert!((b / a - 45440.0 / 812.0).abs() < 1e-9);
+        let b = total_high_water(6496, Executable::Libsim, heap);
+        assert!((b / a - 8.0).abs() < 1e-9);
     }
 }

@@ -15,23 +15,41 @@
 //! and the receiver depth-merges that patch only: the nearer fragment
 //! wins. Every pixel outside the rectangle is clear, at depth +∞, and
 //! loses to anything, so the result is the full-frame merge's, bit for
-//! bit. Every rank keeps its buffer, a folded rank and
-//! a tree child included, so that the next frame is drawn into it
+//! bit.
+//!
+//! Nor is an image held whole where a rank keeps less of it. A plot
+//! reaches `merge` as a [`RowSource`]: drawn into any rows of the image
+//! on demand. A rank's frame holds only the rows it keeps
+//! (`Compositor::kept_rows`): under binary swap its half after the
+//! first halving, the whole image on a rank a folded rank's image is
+//! merged into; under the tree the whole image on the root and on a
+//! node with children, and nothing on a leaf. A rank draws those rows
+//! first, before it merges anything, so of two equal depths its own
+//! fragment stays, as it did when every rank drew the whole image. The
+//! rows it gives away from outside its frame — round 1's half, a folded
+//! rank's or a leaf's image — are drawn strip by strip into one strip
+//! buffer just before each strip goes out, and the rectangle a strip
+//! ships is the whole plot's drawn rectangle inside its rows, so the
+//! patches are those of a whole-image draw, byte for byte. The gathered
+//! [`composite`] runs the same merge over a buffer already drawn, whose
+//! rows are copied out as they are asked for. Each rank keeps its frame
+//! and its strip buffer, so that the next frame is drawn into them
 //! (`Framebuffer::take`).
 //!
-//! Nor does a patch travel whole. The rows a rank gives away are cut
-//! into strips of `max(1, STRIP / width)` rows, so that a message spans
-//! at most `STRIP` pixels of the image, and each strip is one patch:
-//! swap partners alternate sending a strip and merging one, and keep
-//! each strip they receive as the buffer a later one goes out in; a
-//! tree child or a folded rank lends its strips (`Comm::lend`, at most
+//! The rows a rank gives away are cut into strips of
+//! `max(1, STRIP / width)` rows, so that a message spans at most
+//! `STRIP` pixels of the image, and each strip is one patch: swap
+//! partners alternate sending a strip and merging one, and keep each
+//! strip they receive as the buffer a later one goes out in; a tree
+//! child or a folded rank lends its strips (`Comm::lend`, at most
 //! `CREDITS` out), and the receiver gives each back once merged, so the
 //! next strip goes out in the buffer that came back. Between frames the
 //! strip buffers wait in the rank's pool (`Comm::keep`, `CREDITS` of
-//! them): a warm frame allocates none. Both sides count the strips from
-//! the rows and the width alone. Each strip sent counts on the comm's
-//! probe under `render/composite`: one message, 7 B a pixel; a strip
-//! given back counts as a plain point-to-point message.
+//! them, and the one buffer strips are drawn into): a warm frame
+//! allocates none. Both sides count the strips from the rows and the
+//! width alone. Each strip sent counts on the comm's probe under
+//! `render/composite`: one message, 7 B a pixel; a strip given back
+//! counts as a plain point-to-point message.
 //!
 //! Compositing is two steps. `merge` runs the algorithm and stops
 //! where the finished pixels are: binary swap leaves each rank of the
@@ -49,7 +67,7 @@ use std::ops::Range;
 
 use minimpi::{Comm, Verdict};
 
-use crate::framebuffer::{Framebuffer, Patch, Rect};
+use crate::framebuffer::{overlap, Framebuffer, Patch, Rect};
 
 /// Tag space for compositing traffic.
 const TAG_FOLD: u32 = 0x434F_0001;
@@ -62,6 +80,75 @@ const STRIP: usize = 32 * 1024;
 /// Strips a tree child or folded rank may have lent at once, and the
 /// strip buffers a rank keeps between frames.
 const CREDITS: usize = 2;
+
+/// A plot as compositing reads it: drawn into any rows of the image,
+/// when they are needed.
+pub(crate) trait RowSource {
+    /// The rectangle of the image a draw of all its rows marks; every
+    /// pixel outside it is clear.
+    fn drawn(&self) -> &Rect;
+
+    /// Draw its pixels inside the rows `fb` holds into `fb`, which is
+    /// clear there.
+    fn draw(&self, fb: &mut Framebuffer);
+}
+
+/// A buffer drawn already, holding every row of its image, reads as its
+/// rows: merged into a cleared buffer, a copy of them.
+impl RowSource for Framebuffer {
+    fn drawn(&self) -> &Rect {
+        Framebuffer::drawn(self)
+    }
+
+    fn draw(&self, fb: &mut Framebuffer) {
+        fb.composite_rows_from(self, fb.rows());
+    }
+}
+
+/// The one buffer a rank draws the strips it gives away into, between
+/// strips and between frames kept in its pool.
+struct StripBuffer(Framebuffer);
+
+/// Where the strips a rank gives away come from.
+enum Give<'a> {
+    /// Its frame, which holds their rows; the rectangle is the one drawn
+    /// in it when the round began.
+    Frame(Rect),
+    /// Its plot, drawn strip by strip.
+    Plot(&'a dyn RowSource),
+}
+
+impl Give<'_> {
+    /// Fill `patch` with the strip `rows` of the image `fb` is a frame
+    /// of, counted under `render/composite` at 7 B a pixel (RGB and
+    /// depth).
+    fn fill(&self, comm: &Comm, fb: &Framebuffer, rows: Range<usize>, patch: &mut Patch) {
+        match self {
+            Give::Frame(drawn) => fb.copy_patch(drawn.within_rows(rows), patch),
+            Give::Plot(source) => {
+                let (width, height) = (fb.width(), fb.height());
+                let mut strip = match comm.spare::<StripBuffer>() {
+                    Some(StripBuffer(strip)) => strip.rearm(width, height, rows.clone()),
+                    None => Framebuffer::with_rows(width, height, rows.clone()),
+                };
+                source.draw(&mut strip);
+                strip.copy_patch(source.drawn().within_rows(rows), patch);
+                comm.keep(StripBuffer(strip), 1);
+            }
+        }
+        comm.probe()
+            .message("render/composite", 7 * patch.pixels() as u64);
+    }
+}
+
+/// Draw `source` into the rows `fb` holds, and record the rectangle it
+/// covers in the whole image: the later rounds ship the parts of that
+/// rectangle that lie in their rows, as a whole-image draw would.
+fn draw_kept(fb: &mut Framebuffer, source: &dyn RowSource) {
+    source.draw(fb);
+    let Rect { cols, rows } = source.drawn().clone();
+    fb.mark(cols, rows);
+}
 
 /// The largest power of two not above `p`: binary swap's group.
 fn swap_group(p: usize) -> usize {
@@ -87,22 +174,19 @@ fn strips(rows: Range<usize>, width: usize) -> impl Iterator<Item = Range<usize>
     rows.step_by(step).map(move |y| y..(y + step).min(end))
 }
 
-/// Copy the pixels of `rect`, inside `fb`'s drawn rectangle, into
-/// `patch` to send, counted under `render/composite` at 7 B a pixel
-/// (RGB and depth).
-fn fill_strip(comm: &Comm, fb: &Framebuffer, rect: Rect, patch: &mut Patch) {
-    fb.copy_patch(rect, patch);
-    comm.probe()
-        .message("render/composite", 7 * patch.pixels() as u64);
-}
-
 /// Lend `dest` the drawn pixels of `rows` strip by strip, at most
 /// `CREDITS` out at once. Returns when every buffer is back.
-fn send_rows(comm: &Comm, dest: usize, tag: u32, fb: &Framebuffer, rows: Range<usize>) {
-    let drawn = fb.drawn();
+fn send_rows(
+    comm: &Comm,
+    dest: usize,
+    tag: u32,
+    fb: &Framebuffer,
+    give: &Give<'_>,
+    rows: Range<usize>,
+) {
     for strip in strips(rows, fb.width()) {
         comm.lend(dest, tag, CREDITS, |patch| {
-            fill_strip(comm, fb, drawn.within_rows(strip), patch)
+            give.fill(comm, fb, strip, patch)
         });
     }
     while comm.reclaim::<Patch>(dest, tag).is_some() {}
@@ -119,20 +203,21 @@ fn merge_rows_from(comm: &Comm, src: usize, tag: u32, fb: &mut Framebuffer, rows
 }
 
 /// One round of binary swap: send `partner` the strips of `give` and
-/// merge its strips of `keep`, alternately. What goes out is the drawn
-/// rectangle as the round found it: a merge widens the rectangle, but
-/// only in `keep`, and every pixel it adds in `give` is clear. Each
-/// strip received is kept as the buffer a later one goes out in: the
-/// two halves differ by a row at most, so neither side gets more than a
-/// strip ahead.
+/// merge its strips of `keep`, alternately. What goes out of the frame
+/// is the drawn rectangle as the round found it: a merge widens the
+/// rectangle, but only in `keep`, and every pixel it adds in `give` is
+/// clear. Each strip received is kept as the buffer a later one goes
+/// out in: the two halves differ by a row at most, so neither side gets
+/// more than a strip ahead.
 fn swap_rows(
     comm: &Comm,
     partner: usize,
     fb: &mut Framebuffer,
+    from: Give<'_>,
     give: Range<usize>,
     keep: Range<usize>,
 ) {
-    let (width, drawn) = (fb.width(), fb.drawn().clone());
+    let width = fb.width();
     let (mut give, mut keep) = (strips(give, width), strips(keep, width));
     loop {
         let (out, back) = (give.next(), keep.next());
@@ -141,7 +226,7 @@ fn swap_rows(
         }
         if let Some(rows) = out {
             let mut patch = comm.spare().unwrap_or_default();
-            fill_strip(comm, fb, drawn.within_rows(rows), &mut patch);
+            from.fill(comm, fb, rows, &mut patch);
             comm.send(partner, TAG_SWAP, patch);
         }
         if back.is_some() {
@@ -154,7 +239,7 @@ fn swap_rows(
 
 /// Binary-swap merge. Works for any rank count: ranks beyond the
 /// largest power of two fold their image into a partner first.
-fn binary_swap_merge(comm: &Comm, fb: &mut Framebuffer) {
+fn binary_swap_merge(comm: &Comm, fb: &mut Framebuffer, source: &dyn RowSource) {
     let p = comm.size();
     let me = comm.rank();
     let pot = swap_group(p);
@@ -166,22 +251,29 @@ fn binary_swap_merge(comm: &Comm, fb: &mut Framebuffer) {
 
     // Fold phase: ranks >= pot ship their whole image to rank - pot.
     if me >= pot {
-        send_rows(comm, me - pot, TAG_FOLD, fb, 0..height);
+        send_rows(comm, me - pot, TAG_FOLD, fb, &Give::Plot(source), 0..height);
         return;
     }
+    draw_kept(fb, source);
     if me + pot < p {
         merge_rows_from(comm, me + pot, TAG_FOLD, fb, 0..height);
     }
 
-    // Swap phase over the power-of-two group. The rows given away hold
-    // stale pixels from here on (inside the drawn rectangle, so the
-    // next take re-arms them).
+    // Swap phase over the power-of-two group. A half given away from
+    // the frame holds stale pixels from here on (inside the drawn
+    // rectangle, so the next take re-arms them); one the frame does not
+    // hold is drawn as it goes.
     let mut rows = 0..height;
     let mut bit = pot >> 1;
     while bit > 0 {
         let partner = me ^ bit;
         let (keep, give) = halve(rows.start, rows.end, me & bit == 0);
-        swap_rows(comm, partner, fb, give, keep.clone());
+        let from = if overlap(&give, &fb.rows()) == give {
+            Give::Frame(fb.drawn().clone())
+        } else {
+            Give::Plot(source)
+        };
+        swap_rows(comm, partner, fb, from, give, keep.clone());
         rows = keep;
         bit >>= 1;
     }
@@ -189,11 +281,23 @@ fn binary_swap_merge(comm: &Comm, fb: &mut Framebuffer) {
 
 /// Direct-send fan-in tree merge with arity `fanout`: children of node
 /// `r` are `r*fanout + 1 ..= r*fanout + fanout`.
-fn direct_send_tree_merge(comm: &Comm, fb: &mut Framebuffer, fanout: usize) {
+fn direct_send_tree_merge(
+    comm: &Comm,
+    fb: &mut Framebuffer,
+    source: &dyn RowSource,
+    fanout: usize,
+) {
     assert!(fanout >= 2, "tree fanout must be >= 2");
     let p = comm.size();
     let me = comm.rank();
     let height = fb.height();
+    if fb.rows().is_empty() {
+        // A leaf keeps no rows: its image goes up as it is drawn.
+        let leaf = Give::Plot(source);
+        send_rows(comm, (me - 1) / fanout, TAG_TREE, fb, &leaf, 0..height);
+        return;
+    }
+    draw_kept(fb, source);
     // Receive from children (deepest first is unnecessary; compositing is
     // order-independent for opaque fragments).
     for c in 1..=fanout {
@@ -203,7 +307,8 @@ fn direct_send_tree_merge(comm: &Comm, fb: &mut Framebuffer, fanout: usize) {
         }
     }
     if me > 0 {
-        send_rows(comm, (me - 1) / fanout, TAG_TREE, fb, 0..height);
+        let drawn = Give::Frame(fb.drawn().clone());
+        send_rows(comm, (me - 1) / fanout, TAG_TREE, fb, &drawn, 0..height);
     }
 }
 
@@ -235,52 +340,105 @@ impl Compositor {
             _ => 0..0,
         }
     }
-}
 
-/// Run the selected compositor up to, and not including, the gather:
-/// collective; afterwards the rows
-/// `which.owned_rows(comm.size(), comm.rank(), height)` of `fb` are the
-/// final image's and the others are stale (every row, on a rank that
-/// shipped its image whole). Stale pixels lie inside the drawn
-/// rectangle, so the next take clears them.
-///
-/// # Panics
-/// Panics if framebuffer sizes differ across ranks, a binary-swap image
-/// is shorter than the participating rank count (bands would be empty),
-/// or a tree's fan-in is below 2.
-pub(crate) fn merge(comm: &Comm, fb: &mut Framebuffer, which: Compositor) {
-    match which {
-        Compositor::BinarySwap => binary_swap_merge(comm, fb),
-        Compositor::DirectSendTree(fanout) => direct_send_tree_merge(comm, fb, fanout),
+    /// The rows of a `height`-row image that `rank`'s frame holds while
+    /// `merge` runs over `p` ranks: those it draws before it merges
+    /// anything, and merges into. Under binary swap, its half after the
+    /// first halving, or the whole image on a rank that merges a folded
+    /// rank's image or is alone; under the tree, the whole image on the
+    /// root and on a node with children. Empty on a rank that ships all
+    /// it draws as it draws it: a folded rank, a tree leaf. They hold
+    /// `owned_rows`.
+    pub(crate) fn kept_rows(self, p: usize, rank: usize, height: usize) -> Range<usize> {
+        match self {
+            Compositor::BinarySwap => {
+                let pot = swap_group(p);
+                if rank >= pot {
+                    0..0
+                } else if pot == 1 || rank + pot < p {
+                    0..height
+                } else {
+                    halve(0, height, rank & (pot >> 1) == 0).0
+                }
+            }
+            Compositor::DirectSendTree(fanout) if rank == 0 || rank * fanout + 1 < p => 0..height,
+            Compositor::DirectSendTree(_) => 0..0,
+        }
     }
 }
 
-/// Move the rows [`merge`] left on each rank to rank 0, which pastes
-/// them around its own: the bands tile the image, so every stale row of
-/// its buffer is overwritten.
-pub(crate) fn gather(comm: &Comm, mut fb: Framebuffer, which: Compositor) -> Option<Framebuffer> {
+/// Run the selected compositor over `source`, this rank's plot, up to,
+/// and not including, the gather: collective. `fb` is a cleared frame
+/// of the rows `which.kept_rows(comm.size(), comm.rank(), height)`;
+/// afterwards its rows `which.owned_rows(…)` are the final image's and
+/// the others are stale. Stale pixels lie inside the drawn rectangle,
+/// so the next take clears them.
+///
+/// # Panics
+/// Panics if `fb` holds other rows, framebuffer sizes differ across
+/// ranks, a binary-swap image is shorter than the participating rank
+/// count (bands would be empty), or a tree's fan-in is below 2.
+pub(crate) fn merge(comm: &Comm, fb: &mut Framebuffer, source: &dyn RowSource, which: Compositor) {
     let (p, me, height) = (comm.size(), comm.rank(), fb.height());
+    assert_eq!(
+        fb.rows(),
+        which.kept_rows(p, me, height),
+        "merge: the frame holds the rows the rank keeps"
+    );
+    match which {
+        Compositor::BinarySwap => binary_swap_merge(comm, fb, source),
+        Compositor::DirectSendTree(fanout) => direct_send_tree_merge(comm, fb, source, fanout),
+    }
+}
+
+/// Move the rows [`merge`] left on each rank to rank 0, which holds
+/// them in a buffer of the whole image: its own frame, when that holds
+/// every row (the bands tile the image, so every stale row of it is
+/// overwritten), or a new one.
+pub(crate) fn gather(comm: &Comm, fb: Framebuffer, which: Compositor) -> Option<Framebuffer> {
+    let (p, me, width, height) = (comm.size(), comm.rank(), fb.width(), fb.height());
+    let owned = which.owned_rows(p, me, height);
     if me > 0 {
-        let rows = which.owned_rows(p, me, height);
-        if !rows.is_empty() {
-            comm.send(0, TAG_GATHER, fb.extract_rows(rows.start, rows.end));
+        if !owned.is_empty() {
+            comm.send(0, TAG_GATHER, fb.extract_rows(owned.start, owned.end));
         }
         return None;
     }
+    let mut image = if fb.rows() == (0..height) {
+        fb
+    } else {
+        let mut image = Framebuffer::new(width, height);
+        image.paste_rows(&fb, owned);
+        image
+    };
     for r in 1..p {
         let rows = which.owned_rows(p, r, height);
         if !rows.is_empty() {
             let band: Framebuffer = comm.recv(r, TAG_GATHER);
-            fb.paste_rows(rows.start, &band);
+            image.paste_rows(&band, rows);
         }
     }
-    Some(fb)
+    Some(image)
+}
+
+/// `source`, a plot of a `width` × `height` image on every rank,
+/// composited by `which` into a frame of the rows each rank keeps and
+/// gathered: the image on rank 0.
+pub(crate) fn gathered(
+    comm: &Comm,
+    source: &dyn RowSource,
+    (width, height): (usize, usize),
+    which: Compositor,
+) -> Option<Framebuffer> {
+    let rows = which.kept_rows(comm.size(), comm.rank(), height);
+    let mut frame = Framebuffer::with_rows(width, height, rows);
+    merge(comm, &mut frame, source, which);
+    gather(comm, frame, which)
 }
 
 /// Run the selected compositor; the final image lands on rank 0.
-pub fn composite(comm: &Comm, mut fb: Framebuffer, which: Compositor) -> Option<Framebuffer> {
-    merge(comm, &mut fb, which);
-    gather(comm, fb, which)
+pub fn composite(comm: &Comm, fb: Framebuffer, which: Compositor) -> Option<Framebuffer> {
+    gathered(comm, &fb, (fb.width(), fb.height()), which)
 }
 
 #[cfg(test)]
@@ -617,8 +775,10 @@ mod tests {
                             let drawn = drawn.clone();
                             World::run(p, move |comm| {
                                 let me = comm.rank();
-                                let mut fb = overlapping(me, p, size, &drawn[me]);
-                                merge(comm, &mut fb, which);
+                                let source = overlapping(me, p, size, &drawn[me]);
+                                let kept = which.kept_rows(p, me, h);
+                                let mut fb = Framebuffer::with_rows(size.0, h, kept);
+                                merge(comm, &mut fb, &source, which);
                                 fb
                             })
                         };

@@ -9,14 +9,17 @@
 //! its alpha for the colormaps; every colour drawn is opaque, and no
 //! fragment is drawn at +∞ or NaN (`z < depth` rejects both).
 //!
-//! A rank keeps one spare framebuffer in its communicator's pool
-//! (`minimpi::Comm::keep`). `Framebuffer::take` hands it out cleared, at
-//! any size within its capacity, and `Framebuffer::park` puts a buffer
-//! back when the frame is encoded, keeping the larger of the two.
-//! Catalyst's 1920×1080 frame and Libsim's 1024×1024 one are drawn into
-//! the same memory, and a compositing child sends a copy of its drawn
-//! pixels and keeps its buffer: after the first frame no rank faults a
-//! frame in.
+//! A buffer holds a band of whole rows of its image (`Framebuffer::rows`,
+//! all of them for [`Framebuffer::new`]): a compositing rank's frame
+//! holds only the rows it keeps, `w · kept rows · 7` B, and a
+//! rasterizer draws only into the rows a buffer holds. A rank keeps one
+//! spare framebuffer in its communicator's pool (`minimpi::Comm::keep`).
+//! `Framebuffer::take` hands it out cleared, at any size and band
+//! within its capacity (grown to the new extent exactly when it falls
+//! short), and `Framebuffer::park` puts a buffer back when the frame is
+//! encoded, keeping the larger of the two. Catalyst's 540 rows of
+//! 1920 and Libsim's 1024×1024 frame are drawn into the same memory:
+//! after the first frame no rank faults a frame in.
 
 use std::ops::Range;
 
@@ -33,7 +36,7 @@ pub(crate) struct Rect {
 }
 
 impl Rect {
-    fn new(cols: Range<usize>, rows: Range<usize>) -> Rect {
+    pub(crate) fn new(cols: Range<usize>, rows: Range<usize>) -> Rect {
         if cols.is_empty() || rows.is_empty() {
             return Rect::default();
         }
@@ -49,7 +52,7 @@ impl Rect {
     }
 
     /// The smallest rectangle holding both.
-    fn union(&self, other: &Rect) -> Rect {
+    pub(crate) fn union(&self, other: &Rect) -> Rect {
         match (self.is_empty(), other.is_empty()) {
             (_, true) => self.clone(),
             (true, false) => other.clone(),
@@ -70,19 +73,30 @@ impl Rect {
     }
 }
 
-/// A colour+depth image. Depth follows the convention "smaller is
-/// closer"; empty pixels carry `f32::INFINITY` depth and black, so
-/// depth-compositing two partial images is associative.
+/// A colour+depth image, or the band of its rows a rank keeps. Depth
+/// follows the convention "smaller is closer"; empty pixels carry
+/// `f32::INFINITY` depth and black, so depth-compositing two partial
+/// images is associative.
 ///
-/// The buffer records the rectangle drawn since it was taken: every
-/// pixel outside it is clear. Compositing ships and merges only that
-/// rectangle, and `Framebuffer::take` re-arms only it. Equality
-/// compares pixels, not the record.
+/// `width` × `height` is the image's size, and the buffer holds its
+/// rows `rows`, whole: a compositing rank keeps only the rows its
+/// algorithm leaves it (`Compositor::kept_rows`), and a band moved to
+/// the root is a buffer of its rows alone. Pixel `(x, y)` is addressed
+/// in the image's coordinates, `y` inside `rows`.
+///
+/// The buffer records the rectangle of the image drawn since it was
+/// taken, in image coordinates too: every pixel of its rows outside it
+/// is clear. The record may reach past the rows held (a rank records
+/// the whole plot it drew, of which it keeps a band); compositing
+/// ships and merges only its part in the rows at hand, and
+/// `Framebuffer::take` re-arms only that part. Equality compares the
+/// rows held and their pixels, not the record.
 #[derive(Clone, Debug)]
 pub struct Framebuffer {
     width: usize,
     height: usize,
-    /// RGB8, row-major from the top-left.
+    rows: Range<usize>,
+    /// RGB8, row-major from the top-left of `rows`.
     color: Vec<[u8; 3]>,
     depth: Vec<f32>,
     drawn: Rect,
@@ -90,7 +104,7 @@ pub struct Framebuffer {
 
 impl PartialEq for Framebuffer {
     fn eq(&self, other: &Self) -> bool {
-        (self.width, self.height) == (other.width, other.height)
+        (self.width, self.height, &self.rows) == (other.width, other.height, &other.rows)
             && self.color == other.color
             && self.depth == other.depth
     }
@@ -131,45 +145,73 @@ fn merge_pixel(color: &mut [u8; 3], depth: &mut f32, c: [u8; 3], d: f32) {
     }
 }
 
+/// Rows `a` and `b` share.
+pub(crate) fn overlap(a: &Range<usize>, b: &Range<usize>) -> Range<usize> {
+    let start = a.start.max(b.start);
+    start..a.end.min(b.end).max(start)
+}
+
 impl Framebuffer {
     /// A cleared framebuffer (black, infinitely far).
     pub fn new(width: usize, height: usize) -> Self {
         assert!(width > 0 && height > 0, "degenerate framebuffer");
+        Framebuffer::with_rows(width, height, 0..height)
+    }
+
+    /// A cleared buffer of the rows `rows` of a `width` × `height`
+    /// image; one of no rows holds no memory.
+    pub(crate) fn with_rows(width: usize, height: usize, rows: Range<usize>) -> Self {
+        assert!(rows.end <= height, "rows {rows:?} outside {height}");
+        let n = width * rows.len();
         Framebuffer {
             width,
             height,
-            color: vec![[0; 3]; width * height],
-            depth: vec![f32::INFINITY; width * height],
+            rows,
+            color: vec![[0; 3]; n],
+            depth: vec![f32::INFINITY; n],
             drawn: Rect::default(),
         }
     }
 
-    /// A cleared `width` × `height` framebuffer in the memory of the
-    /// spare buffer `comm`'s rank keeps, or a new one if it keeps none:
-    /// what a renderer that draws a frame a step calls instead of
-    /// [`Framebuffer::new`], so that the pages are faulted in once.
-    ///
-    /// The spare may have had any size. Its drawn rectangle is cleared
-    /// where it lies inside the new extent's pixels, and the pixels are
-    /// resized to the new extent, within the capacity when it suffices:
-    /// every pixel the new frame has is then clear.
-    pub(crate) fn take(comm: &Comm, width: usize, height: usize) -> Self {
-        let Some(mut fb) = comm.spare::<Framebuffer>() else {
-            return Framebuffer::new(width, height);
-        };
+    /// A cleared buffer of the rows `rows` of a `width` × `height` image
+    /// in the memory of the spare buffer `comm`'s rank keeps, or a new
+    /// one if it keeps none: what a renderer that draws a frame a step
+    /// calls instead of [`Framebuffer::new`], so that the pages are
+    /// faulted in once. A buffer of no rows is not taken: it holds
+    /// nothing, and the spare stays for the rank's next frame.
+    pub(crate) fn take(comm: &Comm, width: usize, height: usize, rows: Range<usize>) -> Self {
         assert!(width > 0 && height > 0, "degenerate framebuffer");
-        let n = width * height;
-        let Rect { cols, rows } = std::mem::take(&mut fb.drawn);
-        for y in rows {
-            let row = y * fb.width;
-            let at = (row + cols.start).min(n)..(row + cols.end).min(n);
-            fb.color[at.clone()].fill([0; 3]);
-            fb.depth[at].fill(f32::INFINITY);
+        let spare = (!rows.is_empty()).then(|| comm.spare::<Framebuffer>());
+        match spare.flatten() {
+            Some(fb) => fb.rearm(width, height, rows),
+            None => Framebuffer::with_rows(width, height, rows),
         }
-        fb.color.resize(n, [0; 3]);
-        fb.depth.resize(n, f32::INFINITY);
-        (fb.width, fb.height) = (width, height);
-        fb
+    }
+
+    /// This buffer, whatever its size, as a cleared buffer of the rows
+    /// `rows` of a `width` × `height` image. Its drawn rectangle is
+    /// cleared where it lies inside the new extent's pixels, and the
+    /// pixels are resized to the new extent, within the capacity when it
+    /// suffices and to the extent exactly when not: every pixel the new
+    /// buffer has is then clear.
+    pub(crate) fn rearm(mut self, width: usize, height: usize, rows: Range<usize>) -> Self {
+        assert!(rows.end <= height, "rows {rows:?} outside {height}");
+        let n = width * rows.len();
+        let Rect { cols, rows: marked } = std::mem::take(&mut self.drawn);
+        for y in overlap(&marked, &self.rows) {
+            let row = self.row_at(y);
+            let at = (row + cols.start).min(n)..(row + cols.end).min(n);
+            self.color[at.clone()].fill([0; 3]);
+            self.depth[at].fill(f32::INFINITY);
+        }
+        self.color.truncate(n);
+        self.depth.truncate(n);
+        self.color.reserve_exact(n - self.color.len());
+        self.depth.reserve_exact(n - self.depth.len());
+        self.color.resize(n, [0; 3]);
+        self.depth.resize(n, f32::INFINITY);
+        (self.width, self.height, self.rows) = (width, height, rows);
+        self
     }
 
     /// Give this buffer back as the spare `comm`'s rank keeps, once its
@@ -188,13 +230,24 @@ impl Framebuffer {
         self.width
     }
 
-    /// Height in pixels.
+    /// Height of the image in pixels.
     pub fn height(&self) -> usize {
         self.height
     }
 
-    /// RGB8 pixels, row-major from the top-left; where the depth is +∞
-    /// the pixel is clear, and black.
+    /// The rows of the image this buffer holds.
+    pub(crate) fn rows(&self) -> Range<usize> {
+        self.rows.clone()
+    }
+
+    /// Where row `y` of the image starts in the pixel planes.
+    fn row_at(&self, y: usize) -> usize {
+        debug_assert!(self.rows.contains(&y) || y == self.rows.end);
+        (y - self.rows.start) * self.width
+    }
+
+    /// RGB8 pixels of the rows held, row-major from their top-left;
+    /// where the depth is +∞ the pixel is clear, and black.
     pub fn color(&self) -> &[[u8; 3]] {
         &self.color
     }
@@ -210,18 +263,20 @@ impl Framebuffer {
     }
 
     /// Widen the drawn rectangle by `cols` × `rows`, clipped to the
-    /// image by the caller: a rasterizer marks its box once and then
-    /// writes inside it with [`Framebuffer::plot`] or
-    /// [`Framebuffer::fill_span`].
+    /// image by the caller: a rasterizer marks its box inside the rows
+    /// held once and then writes inside it with [`Framebuffer::plot`]
+    /// or [`Framebuffer::fill_span`].
     pub(crate) fn mark(&mut self, cols: Range<usize>, rows: Range<usize>) {
-        debug_assert!(cols.end <= self.width && rows.end <= self.height);
-        self.drawn = self.drawn.union(&Rect::new(cols, rows));
+        let rect = Rect::new(cols, rows);
+        debug_assert!(rect.cols.end <= self.width && rect.rows.end <= self.height);
+        self.drawn = self.drawn.union(&rect);
     }
 
-    /// Write a pixel if it wins the depth test.
+    /// Write a pixel if it wins the depth test; a pixel outside the rows
+    /// held is not this buffer's.
     #[inline]
     pub fn set_pixel(&mut self, x: usize, y: usize, z: f32, c: Color) {
-        if x >= self.width || y >= self.height {
+        if x >= self.width || !self.rows.contains(&y) {
             return;
         }
         self.mark(x..x + 1, y..y + 1);
@@ -232,7 +287,7 @@ impl Framebuffer {
     #[inline]
     pub(crate) fn plot(&mut self, x: usize, y: usize, z: f32, c: Color) {
         debug_assert!(self.drawn.cols.contains(&x) && self.drawn.rows.contains(&y));
-        let i = y * self.width + x;
+        let i = self.row_at(y) + x;
         if z < self.depth[i] {
             self.depth[i] = z;
             self.color[i] = [c.r, c.g, c.b];
@@ -242,7 +297,8 @@ impl Framebuffer {
     /// [`Framebuffer::plot`] along the columns `cols` of row `y`.
     pub(crate) fn fill_span(&mut self, y: usize, cols: Range<usize>, z: f32, c: Color) {
         debug_assert!(Rect::new(cols.clone(), y..y + 1).union(&self.drawn) == self.drawn);
-        let at = y * self.width + cols.start..y * self.width + cols.end;
+        let row = self.row_at(y);
+        let at = row + cols.start..row + cols.end;
         let rgb = [c.r, c.g, c.b];
         for (color, depth) in self.color[at.clone()].iter_mut().zip(&mut self.depth[at]) {
             if z < *depth {
@@ -252,24 +308,28 @@ impl Framebuffer {
         }
     }
 
-    /// Read a pixel: opaque where it is covered, transparent elsewhere.
+    /// Read a pixel of the rows held: opaque where it is covered,
+    /// transparent elsewhere.
     pub fn pixel(&self, x: usize, y: usize) -> Color {
-        let i = y * self.width + x;
+        let i = self.row_at(y) + x;
         let [r, g, b] = self.color[i];
         let a = if covered(self.depth[i]) { 255 } else { 0 };
         Color { r, g, b, a }
     }
 
-    /// The colour and depth of `rect`'s columns, one row at a time.
+    /// The colour and depth of `rect`'s columns, one row at a time;
+    /// `rect` lies in the rows held.
     fn rows_of<'a>(&'a self, rect: &Rect) -> impl Iterator<Item = (&'a [[u8; 3]], &'a [f32])> {
-        let (cols, width) = (rect.cols.clone(), self.width);
+        let cols = rect.cols.clone();
         rect.rows.clone().map(move |y| {
-            let at = y * width + cols.start..y * width + cols.end;
+            let row = self.row_at(y);
+            let at = row + cols.start..row + cols.end;
             (&self.color[at.clone()], &self.depth[at])
         })
     }
 
-    /// Depth-merge `rows`, the pixels of `rect` row by row, into `rect`.
+    /// Depth-merge `rows`, the pixels of `rect` row by row, into `rect`,
+    /// which lies in the rows held.
     fn merge_rows<'a>(
         &mut self,
         rect: &Rect,
@@ -277,7 +337,8 @@ impl Framebuffer {
     ) {
         self.drawn = self.drawn.union(rect);
         for (y, (colors, depths)) in rect.rows.clone().zip(rows) {
-            let at = y * self.width + rect.cols.start..y * self.width + rect.cols.end;
+            let row = self.row_at(y);
+            let at = row + rect.cols.start..row + rect.cols.end;
             let mine = self.color[at.clone()].iter_mut().zip(&mut self.depth[at]);
             for ((color, depth), (&c, &d)) in mine.zip(colors.iter().zip(depths)) {
                 merge_pixel(color, depth, c, d);
@@ -285,28 +346,34 @@ impl Framebuffer {
         }
     }
 
-    /// Depth-composite `other` into `self`: per pixel, keep the closer
-    /// fragment; clear pixels, at +∞, lose to anything. Only
-    /// `other`'s drawn rectangle is visited: nothing else of it can win.
+    /// Depth-composite `other`, whose rows of an image of the same size
+    /// this buffer holds too, into `self`: per pixel, keep the closer
+    /// fragment; clear pixels, at +∞, lose to anything. Only `other`'s
+    /// drawn rectangle is visited: nothing else of it can win.
     ///
     /// This is the merge operator of the parallel compositors. It is
     /// commutative for opaque geometry and associative, as binary swap
     /// requires.
     pub fn composite_from(&mut self, other: &Framebuffer) {
-        self.composite_rows_from(other, 0..other.height);
+        self.composite_rows_from(other, other.rows());
     }
 
-    /// [`Framebuffer::composite_from`] inside `rows` alone: what
-    /// merging `other`'s patch of those rows does, read where it lies.
+    /// [`Framebuffer::composite_from`] inside `rows` alone, which both
+    /// buffers hold: what merging `other`'s patch of those rows does,
+    /// read where it lies.
     pub(crate) fn composite_rows_from(&mut self, other: &Framebuffer, rows: Range<usize>) {
         assert_eq!(self.width, other.width, "composite: width mismatch");
         assert_eq!(self.height, other.height, "composite: height mismatch");
+        assert!(
+            overlap(&rows, &self.rows) == rows && overlap(&rows, &other.rows) == rows,
+            "composite: rows {rows:?} not in both buffers"
+        );
         let rect = other.drawn.within_rows(rows);
         self.merge_rows(&rect, other.rows_of(&rect));
     }
 
-    /// The pixels of `rect`, a part of the drawn rectangle, copied into
-    /// `patch`'s memory, whatever it held.
+    /// The pixels of `rect`, a part of the drawn rectangle inside the
+    /// rows held, copied into `patch`'s memory, whatever it held.
     pub(crate) fn copy_patch(&self, rect: Rect, patch: &mut Patch) {
         let (color, depth) = (&mut patch.color, &mut patch.depth);
         color.clear();
@@ -320,7 +387,8 @@ impl Framebuffer {
         (patch.image, patch.rect) = ((self.width, self.height), rect);
     }
 
-    /// Depth-merge a patch of a framebuffer of this size where it lies.
+    /// Depth-merge a patch of a framebuffer of this size where it lies,
+    /// inside the rows held.
     pub(crate) fn merge(&mut self, patch: &Patch) {
         assert_eq!(
             patch.image,
@@ -333,39 +401,44 @@ impl Framebuffer {
         self.merge_rows(&patch.rect, rows);
     }
 
-    /// Count of covered pixels, those at a finite depth (diagnostics
-    /// and tests).
+    /// Count of covered pixels of the rows held, those at a finite depth
+    /// (diagnostics and tests).
     pub fn covered_pixels(&self) -> usize {
         self.depth.iter().filter(|&&d| covered(d)).count()
     }
 
-    /// A copy of the rows `[y0, y1)` (the gather moves finished bands).
+    /// A copy of the rows `[y0, y1)`, as a buffer of those rows alone
+    /// (the gather moves finished bands).
     pub(crate) fn extract_rows(&self, y0: usize, y1: usize) -> Framebuffer {
-        assert!(y0 < y1 && y1 <= self.height, "bad band [{y0}, {y1})");
-        // Empty is 0..0, which the shift leaves alone.
-        let Rect { cols, rows } = self.drawn.within_rows(y0..y1);
+        assert!(
+            y0 < y1 && overlap(&(y0..y1), &self.rows) == (y0..y1),
+            "bad band [{y0}, {y1})"
+        );
+        let at = self.row_at(y0)..self.row_at(y1);
         Framebuffer {
             width: self.width,
-            height: y1 - y0,
-            color: self.color[y0 * self.width..y1 * self.width].to_vec(),
-            depth: self.depth[y0 * self.width..y1 * self.width].to_vec(),
-            drawn: Rect::new(
-                cols,
-                rows.start.saturating_sub(y0)..rows.end.saturating_sub(y0),
-            ),
+            height: self.height,
+            rows: y0..y1,
+            color: self.color[at.clone()].to_vec(),
+            depth: self.depth[at].to_vec(),
+            drawn: self.drawn.within_rows(y0..y1),
         }
     }
 
-    /// Paste a band previously extracted at row `y0`.
-    pub(crate) fn paste_rows(&mut self, y0: usize, band: &Framebuffer) {
+    /// Paste the rows `rows` of `band`, a buffer of an image of this
+    /// width that holds them, over this buffer's.
+    pub(crate) fn paste_rows(&mut self, band: &Framebuffer, rows: Range<usize>) {
         assert_eq!(band.width, self.width, "paste: width mismatch");
-        assert!(y0 + band.height <= self.height, "paste: band overflows");
-        let start = y0 * self.width;
-        let n = band.color.len();
-        self.color[start..start + n].copy_from_slice(&band.color);
-        self.depth[start..start + n].copy_from_slice(&band.depth);
-        let Rect { cols, rows } = &band.drawn;
-        self.mark(cols.clone(), rows.start + y0..rows.end + y0);
+        assert!(
+            overlap(&rows, &self.rows) == rows && overlap(&rows, &band.rows) == rows,
+            "paste: rows {rows:?} not in both buffers"
+        );
+        let (to, from) = (self.row_at(rows.start), band.row_at(rows.start));
+        let n = rows.len() * self.width;
+        self.color[to..to + n].copy_from_slice(&band.color[from..from + n]);
+        self.depth[to..to + n].copy_from_slice(&band.depth[from..from + n]);
+        let Rect { cols, rows } = band.drawn.within_rows(rows);
+        self.mark(cols, rows);
     }
 }
 
@@ -412,10 +485,10 @@ impl Framebuffer {
     /// The record's promise: every pixel outside the drawn rectangle is
     /// clear.
     pub(crate) fn assert_clear_outside_drawn(&self) {
-        for y in 0..self.height {
+        for y in self.rows() {
             for x in 0..self.width {
                 if !(self.drawn.cols.contains(&x) && self.drawn.rows.contains(&y)) {
-                    let i = y * self.width + x;
+                    let i = self.row_at(y) + x;
                     assert_eq!(
                         (self.color[i], self.depth[i]),
                         ([0; 3], f32::INFINITY),
@@ -459,7 +532,7 @@ mod tests {
     /// rasterizer does: mark it, then fill it.
     fn draw(fb: &mut Framebuffer, cols: Range<usize>, rows: Range<usize>, c: Color) {
         let cols = cols.start.min(fb.width)..cols.end.min(fb.width);
-        let rows = rows.start.min(fb.height)..rows.end.min(fb.height);
+        let rows = overlap(&rows, &fb.rows());
         fb.mark(cols.clone(), rows.clone());
         for y in rows {
             fb.fill_span(y, cols.clone(), 0.5, c);
@@ -469,29 +542,29 @@ mod tests {
     #[test]
     fn taken_buffer_is_a_new_one_in_the_spare_memory_at_any_size() {
         World::run(1, |comm| {
-            let mut used = Framebuffer::take(comm, 7, 5);
+            let mut used = Framebuffer::take(comm, 7, 5, 0..5);
             draw(&mut used, 1..6, 2..5, Color::rgb(9, 8, 7));
             let at = used.color.as_ptr();
             used.park(comm);
             // A smaller frame after a larger one: the same allocation, and
             // a new buffer pixel for pixel.
-            let mut small = Framebuffer::take(comm, 3, 4);
+            let mut small = Framebuffer::take(comm, 3, 4, 0..4);
             assert_eq!(small, Framebuffer::new(3, 4), "colour and depth re-armed");
             assert!(small.drawn().is_empty());
             assert_eq!(small.color.as_ptr(), at, "no new allocation");
             // And back: what the small frame drew is cleared too.
             draw(&mut small, 0..3, 1..4, Color::WHITE);
             small.park(comm);
-            let again = Framebuffer::take(comm, 7, 5);
+            let again = Framebuffer::take(comm, 7, 5, 0..5);
             assert_eq!(again, Framebuffer::new(7, 5));
             assert_eq!(again.color.as_ptr(), at);
             again.assert_clear_outside_drawn();
             // Of two parked buffers the larger stays.
             again.park(comm);
             Framebuffer::new(2, 2).park(comm);
-            assert_eq!(Framebuffer::take(comm, 1, 1).color.as_ptr(), at);
+            assert_eq!(Framebuffer::take(comm, 1, 1, 0..1).color.as_ptr(), at);
             assert_eq!(
-                Framebuffer::take(comm, 1, 1),
+                Framebuffer::take(comm, 1, 1, 0..1),
                 Framebuffer::new(1, 1),
                 "none left"
             );
@@ -502,35 +575,45 @@ mod tests {
     fn a_taken_full_hd_frame_holds_seven_bytes_a_pixel() {
         World::run(1, |comm| {
             let (w, h) = (1920, 1080);
-            let fb = Framebuffer::take(comm, w, h);
+            let fb = Framebuffer::take(comm, w, h, 0..h);
             assert_eq!(fb.pixel_bytes(), w * h * 7);
             fb.park(comm);
             // Through a smaller frame and back, the same planes.
-            Framebuffer::take(comm, 1024, 1024).park(comm);
-            let fb = Framebuffer::take(comm, w, h);
+            Framebuffer::take(comm, 1024, 1024, 0..1024).park(comm);
+            let fb = Framebuffer::take(comm, w, h, 0..h);
             assert_eq!(fb.pixel_bytes(), w * h * 7);
             assert_eq!(fb.pixel_bytes(), 14_515_200);
         });
     }
 
     proptest::proptest! {
-        /// Any sequence of sizes and drawn blocks through the one spare:
-        /// each buffer taken is a new one, and it is drawn into as one.
+        /// Any sequence of sizes, bands of rows and drawn blocks through
+        /// the one spare: each buffer taken is a new one, and it is drawn
+        /// into as one. Some record a drawn rectangle reaching past their
+        /// rows, as a rank records the whole plot it drew a band of.
         #[test]
         fn any_frames_through_the_spare_are_new_frames(
             frames in proptest::collection::vec(
-                ((1usize..24, 1usize..24), (0usize..30, 0usize..30), (0usize..30, 0usize..30)),
+                (
+                    ((1usize..24, 1usize..24), (0usize..24, 0usize..24)),
+                    ((0usize..30, 0usize..30), (0usize..30, 0usize..30)),
+                    proptest::prelude::any::<bool>(),
+                ),
                 1..12,
             ),
         ) {
             World::run(1, move |comm| {
-                for &((w, h), (x0, x1), (y0, y1)) in &frames {
-                    let mut fb = Framebuffer::take(comm, w, h);
-                    proptest::prop_assert!(fb == Framebuffer::new(w, h));
+                for &(((w, h), (r0, r1)), ((x0, x1), (y0, y1)), wide) in &frames {
+                    let band = r0.min(r1).min(h)..r0.max(r1).min(h);
+                    let mut fb = Framebuffer::take(comm, w, h, band.clone());
+                    proptest::prop_assert!(fb == Framebuffer::with_rows(w, h, band.clone()));
                     proptest::prop_assert!(fb.drawn().is_empty());
                     let (cols, rows) = (x0.min(x1)..x0.max(x1), y0.min(y1)..y0.max(y1));
                     draw(&mut fb, cols.clone(), rows.clone(), Color::rgb(w as u8, h as u8, 1));
-                    let mut want = Framebuffer::new(w, h);
+                    if wide {
+                        fb.mark(0..w, 0..h);
+                    }
+                    let mut want = Framebuffer::with_rows(w, h, band.clone());
                     draw(&mut want, cols, rows, Color::rgb(w as u8, h as u8, 1));
                     proptest::prop_assert!(fb == want);
                     fb.assert_clear_outside_drawn();
@@ -538,6 +621,33 @@ mod tests {
                 }
             });
         }
+    }
+
+    #[test]
+    fn a_band_holds_its_rows_alone_and_grows_to_a_larger_one_exactly() {
+        World::run(1, |comm| {
+            // Catalyst's lower 540 rows of 1920, then Libsim's whole
+            // 1024² image in the same spare, grown to it exactly, not to
+            // twice the band; then the band again, in that memory.
+            let band = Framebuffer::take(comm, 1920, 1080, 540..1080);
+            assert_eq!(band.pixel_bytes(), 1920 * 540 * 7);
+            assert_eq!((band.height(), band.color().len()), (1080, 1920 * 540));
+            band.park(comm);
+            let whole = Framebuffer::take(comm, 1024, 1024, 0..1024);
+            assert_eq!(whole.pixel_bytes(), 7_340_032);
+            let at = whole.color.as_ptr();
+            whole.park(comm);
+            let band = Framebuffer::take(comm, 1920, 1080, 0..540);
+            assert_eq!((band.pixel_bytes(), band.color.as_ptr()), (7_340_032, at));
+            // A buffer of no rows holds nothing, and leaves the spare in
+            // the pool.
+            band.park(comm);
+            let none = Framebuffer::take(comm, 1024, 1024, 0..0);
+            assert_eq!(none.pixel_bytes(), 0);
+            assert_eq!(Framebuffer::spare_at(comm), Some(at as usize));
+            none.park(comm);
+            assert_eq!(Framebuffer::spare_at(comm), Some(at as usize));
+        });
     }
 
     #[test]
@@ -593,10 +703,11 @@ mod tests {
             fb.set_pixel(0, y, 0.1, Color::rgb(y as u8, 0, 0));
         }
         let band = fb.extract_rows(1, 3);
-        assert_eq!(band.height(), 2);
-        assert_eq!(band.drawn, Rect::new(0..1, 0..2));
+        assert_eq!((band.height(), band.rows()), (4, 1..3));
+        assert_eq!(band.drawn, Rect::new(0..1, 1..3));
+        assert_eq!(band.pixel(0, 2), Color::rgb(2, 0, 0));
         let mut fresh = Framebuffer::new(2, 4);
-        fresh.paste_rows(1, &band);
+        fresh.paste_rows(&band, band.rows());
         assert_eq!(fresh.pixel(0, 1), Color::rgb(1, 0, 0));
         assert_eq!(fresh.pixel(0, 2), Color::rgb(2, 0, 0));
         assert_eq!(fresh.pixel(0, 0), Color::TRANSPARENT);
@@ -675,7 +786,7 @@ mod tests {
             // A pixel outside the record is not the take's to clear.
             (fb.color[0], fb.depth[0]) = ([1; 3], 0.25);
             fb.park(comm);
-            let fb = Framebuffer::take(comm, 4, 4);
+            let fb = Framebuffer::take(comm, 4, 4, 0..4);
             assert_eq!((fb.color[0], fb.depth[0]), ([1; 3], 0.25));
             assert_eq!(fb.covered_pixels(), 1);
             assert!(fb.drawn().is_empty());

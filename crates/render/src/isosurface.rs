@@ -30,11 +30,27 @@ pub fn marching_tetrahedra(
     origin: [f64; 3],
     spacing: [f64; 3],
 ) -> Vec<Triangle> {
+    let mut triangles = Vec::new();
+    march(local, values, isovalue, origin, spacing, &mut |t| {
+        triangles.push(t)
+    });
+    triangles
+}
+
+/// [`marching_tetrahedra`]'s triangles, in its order, handed to `emit`
+/// one at a time instead of collected.
+pub(crate) fn march(
+    local: &Extent,
+    values: &[f64],
+    isovalue: f64,
+    origin: [f64; 3],
+    spacing: [f64; 3],
+    emit: &mut impl FnMut(Triangle),
+) {
     assert_eq!(values.len(), local.num_points(), "point data size mismatch");
     let d = local.point_dims();
-    let mut triangles = Vec::new();
     if d[0] < 2 || d[1] < 2 || d[2] < 2 {
-        return triangles;
+        return;
     }
     let val = |i: usize, j: usize, k: usize| values[(k * d[1] + j) * d[0] + i];
     for k in 0..d[2] - 1 {
@@ -69,13 +85,12 @@ pub fn marching_tetrahedra(
                             corner_v[tet[3]],
                         ],
                         isovalue,
-                        &mut triangles,
+                        emit,
                     );
                 }
             }
         }
     }
-    triangles
 }
 
 /// Interpolate the isovalue crossing on an edge.
@@ -94,7 +109,7 @@ fn interp(p0: [f64; 3], p1: [f64; 3], v0: f64, v1: f64, iso: f64) -> [f64; 3] {
 
 /// March one tetrahedron: 16 sign cases collapse to 0, 1, or 2
 /// triangles.
-fn march_tet(p: [[f64; 3]; 4], v: [f64; 4], iso: f64, out: &mut Vec<Triangle>) {
+fn march_tet(p: [[f64; 3]; 4], v: [f64; 4], iso: f64, emit: &mut impl FnMut(Triangle)) {
     let mut inside = [false; 4];
     let mut case = 0usize;
     for c in 0..4 {
@@ -113,7 +128,7 @@ fn march_tet(p: [[f64; 3]; 4], v: [f64; 4], iso: f64, out: &mut Vec<Triangle>) {
         1 => {
             // One vertex inside: single triangle on the three edges.
             let a = ins[0];
-            out.push([
+            emit([
                 interp(p[a], p[outs[0]], v[a], v[outs[0]], iso),
                 interp(p[a], p[outs[1]], v[a], v[outs[1]], iso),
                 interp(p[a], p[outs[2]], v[a], v[outs[2]], iso),
@@ -122,7 +137,7 @@ fn march_tet(p: [[f64; 3]; 4], v: [f64; 4], iso: f64, out: &mut Vec<Triangle>) {
         3 => {
             // One vertex outside: single triangle (mirrored case).
             let a = outs[0];
-            out.push([
+            emit([
                 interp(p[a], p[ins[0]], v[a], v[ins[0]], iso),
                 interp(p[a], p[ins[1]], v[a], v[ins[1]], iso),
                 interp(p[a], p[ins[2]], v[a], v[ins[2]], iso),
@@ -136,8 +151,8 @@ fn march_tet(p: [[f64; 3]; 4], v: [f64; 4], iso: f64, out: &mut Vec<Triangle>) {
             let ad = interp(p[a], p[d], v[a], v[d], iso);
             let bc = interp(p[b], p[c], v[b], v[c], iso);
             let bd = interp(p[b], p[d], v[b], v[d], iso);
-            out.push([ac, ad, bd]);
-            out.push([ac, bd, bc]);
+            emit([ac, ad, bd]);
+            emit([ac, bd, bc]);
         }
         _ => unreachable!(),
     }

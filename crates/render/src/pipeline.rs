@@ -4,22 +4,23 @@
 //! (image sizes, compositor family), per §4.1.3, through [`crate::scene::Scene`].
 //!
 //! Each pipeline comes gathered ([`pseudocolor_slice`],
-//! [`shaded_isosurface`]: the image on rank 0) and as its drawing alone
-//! (`draw_slice`, `draw_isosurface`: this rank's block, over a range
-//! taken once per frame, into the caller's cleared buffer), which
-//! [`crate::scene::Scene`] composites up to where `composite::merge`
-//! stops and hands to [`crate::png::PngEncoder`].
+//! [`shaded_isosurface`]: the image on rank 0) and as its plot alone
+//! (`slice_layer`, `isosurface_layer`: this rank's block over a range
+//! taken once per frame, prepared once and drawn into whatever rows the
+//! compositor asks for), which [`crate::scene::Scene`] composites up to
+//! where `composite::merge` stops and hands to
+//! [`crate::png::PngEncoder`]. Both go through the one merge.
 
 use datamodel::Extent;
 use minimpi::Comm;
 
 use crate::camera::Camera;
 use crate::color::{Color, Colormap};
-use crate::composite::{composite, Compositor};
-use crate::framebuffer::Framebuffer;
-use crate::isosurface::marching_tetrahedra;
-use crate::raster::{fill_triangle, Vertex};
-use crate::slice::{extract_plane, render_plane};
+use crate::composite::{gathered, Compositor, RowSource};
+use crate::framebuffer::{Framebuffer, Rect};
+use crate::isosurface::march;
+use crate::raster::{fill_triangle, triangle_box, Vertex};
+use crate::slice::{extract_plane, plane_box, render_plane, LocalSlice};
 
 /// Global `(min, max)` of a block-decomposed field: the one colour scale
 /// every rank has to share. Collective (one pair reduction); NaN-free
@@ -77,24 +78,76 @@ pub fn pseudocolor_slice(
     cfg: &SliceRender,
 ) -> Option<Framebuffer> {
     let range = global_range(comm, values);
-    let mut fb = Framebuffer::new(cfg.width, cfg.height);
-    draw_slice(local, global, values, cfg, range, &mut fb);
-    composite(comm, fb, cfg.compositor)
+    let layer = slice_layer(local, global, values, cfg, range);
+    gathered(comm, &layer, (cfg.width, cfg.height), cfg.compositor)
 }
 
-/// This rank's part of [`pseudocolor_slice`], coloured over `range` and
-/// drawn into `fb`, a cleared buffer of the image's size; nothing is
-/// composited.
-pub(crate) fn draw_slice(
+/// One rank's plot, prepared once a frame and drawn into any rows of the
+/// image: the compositor draws the rows a rank keeps into its frame,
+/// and each strip it gives away into a strip buffer just before it is
+/// sent (`composite::RowSource`).
+pub(crate) enum Layer<'a> {
+    /// Nothing: the rank has no block, or its block misses the plot.
+    Empty,
+    /// This rank's piece of a slice plane, each cell coloured as it is
+    /// drawn.
+    Slice {
+        piece: LocalSlice,
+        cmap: &'a Colormap,
+        range: (f64, f64),
+        drawn: Rect,
+    },
+    /// Shaded triangles projected into the image, in drawing order, each
+    /// with pixels of the image in its box.
+    Triangles { tris: Vec<[Vertex; 3]>, drawn: Rect },
+}
+
+impl RowSource for Layer<'_> {
+    fn drawn(&self) -> &Rect {
+        const NOTHING: &Rect = &Rect {
+            cols: 0..0,
+            rows: 0..0,
+        };
+        match self {
+            Layer::Empty => NOTHING,
+            Layer::Slice { drawn, .. } | Layer::Triangles { drawn, .. } => drawn,
+        }
+    }
+
+    fn draw(&self, fb: &mut Framebuffer) {
+        match self {
+            Layer::Empty => {}
+            Layer::Slice {
+                piece, cmap, range, ..
+            } => render_plane(fb, piece, cmap, *range),
+            Layer::Triangles { tris, .. } => {
+                for &[a, b, c] in tris {
+                    fill_triangle(fb, a, b, c);
+                }
+            }
+        }
+    }
+}
+
+/// This rank's part of [`pseudocolor_slice`], coloured over `range`:
+/// its piece of the plane, if its block meets it, and the rectangle the
+/// piece covers in the image.
+pub(crate) fn slice_layer<'a>(
     local: &Extent,
     global: &Extent,
     values: &[f64],
-    cfg: &SliceRender,
+    cfg: &'a SliceRender,
     range: (f64, f64),
-    fb: &mut Framebuffer,
-) {
-    if let Some(slice) = extract_plane(local, global, values, cfg.axis, cfg.global_index) {
-        render_plane(fb, &slice, &cfg.cmap, range);
+) -> Layer<'a> {
+    let Some(piece) = extract_plane(local, global, values, cfg.axis, cfg.global_index) else {
+        return Layer::Empty;
+    };
+    let drawn = plane_box(&piece, cfg.width, cfg.height);
+    Layer::Slice {
+        piece,
+        cmap: &cfg.cmap,
+        range,
+        drawn,
     }
 }
 
@@ -128,60 +181,46 @@ pub fn shaded_isosurface(
     cfg: &IsosurfaceRender,
 ) -> Option<Framebuffer> {
     let range = global_range(comm, values);
-    let mut fb = Framebuffer::new(cfg.width, cfg.height);
-    draw_isosurface(local, values, cfg, range, &mut fb);
-    composite(comm, fb, cfg.compositor)
+    let layer = isosurface_layer(local, values, cfg, range);
+    gathered(comm, &layer, (cfg.width, cfg.height), cfg.compositor)
 }
 
-/// This rank's part of [`shaded_isosurface`], coloured over `range` and
-/// drawn into `fb`: see `draw_slice`.
-pub(crate) fn draw_isosurface(
+/// This rank's part of [`shaded_isosurface`], coloured over `range`: its
+/// triangles of every level, shaded and projected, those that cover no
+/// pixel left out, and the rectangle they cover.
+pub(crate) fn isosurface_layer(
     local: &Extent,
     values: &[f64],
     cfg: &IsosurfaceRender,
     (glo, ghi): (f64, f64),
-    fb: &mut Framebuffer,
-) {
+) -> Layer<'static> {
     let light = normalize([0.4, 0.5, -0.8]);
+    let (mut tris, mut drawn) = (Vec::new(), Rect::default());
     for &iso in &cfg.isovalues {
         let base = cfg.cmap.map_range(iso, glo, ghi);
-        let tris = marching_tetrahedra(local, values, iso, cfg.origin, cfg.spacing);
-        for t in tris {
+        march(local, values, iso, cfg.origin, cfg.spacing, &mut |t| {
             let n = triangle_normal(&t);
             // Two-sided diffuse shade.
             let diffuse = (n[0] * light[0] + n[1] * light[1] + n[2] * light[2]).abs();
             let shade = 0.35 + 0.65 * diffuse;
-            let c = Color::rgb(
+            let color = Color::rgb(
                 (base.r as f64 * shade) as u8,
                 (base.g as f64 * shade) as u8,
                 (base.b as f64 * shade) as u8,
             );
-            let project = |p: [f64; 3]| cfg.camera.project(p, cfg.width, cfg.height);
-            if let (Some(a), Some(b), Some(cc)) = (project(t[0]), project(t[1]), project(t[2])) {
-                fill_triangle(
-                    fb,
-                    Vertex {
-                        x: a.0,
-                        y: a.1,
-                        z: a.2,
-                        color: c,
-                    },
-                    Vertex {
-                        x: b.0,
-                        y: b.1,
-                        z: b.2,
-                        color: c,
-                    },
-                    Vertex {
-                        x: cc.0,
-                        y: cc.1,
-                        z: cc.2,
-                        color: c,
-                    },
-                );
+            let vertex = |p: [f64; 3]| {
+                let (x, y, z) = cfg.camera.project(p, cfg.width, cfg.height)?;
+                Some(Vertex { x, y, z, color })
+            };
+            if let (Some(a), Some(b), Some(c)) = (vertex(t[0]), vertex(t[1]), vertex(t[2])) {
+                if let Some(bbox) = triangle_box([a, b, c], cfg.width, cfg.height) {
+                    drawn = drawn.union(&bbox);
+                    tris.push([a, b, c]);
+                }
             }
-        }
+        });
     }
+    Layer::Triangles { tris, drawn }
 }
 
 fn triangle_normal(t: &[[f64; 3]; 3]) -> [f64; 3] {
@@ -291,20 +330,26 @@ mod tests {
                 ..cfg.clone()
             };
             let range = global_range(comm, &vals);
+            let kept = |cfg: &SliceRender| cfg.compositor.kept_rows(4, comm.rank(), cfg.height);
             let bands = |cfg: &SliceRender, mut fb: Framebuffer| {
-                draw_slice(&local, &global, &vals, cfg, range, &mut fb);
-                merge(comm, &mut fb, cfg.compositor);
+                let layer = slice_layer(&local, &global, &vals, cfg, range);
+                merge(comm, &mut fb, &layer, cfg.compositor);
                 fb
             };
-            let mut before = bands(&other, Framebuffer::take(comm, other.width, other.height));
+            let taken = Framebuffer::take(comm, other.width, other.height, kept(&other));
+            let mut before = bands(&other, taken);
             for k in 0..8 {
                 before.set_pixel(3 * k, 2 * k, -1.0, Color::WHITE);
             }
             let at = before.color().as_ptr();
             before.park(comm);
-            let again = bands(&cfg, Framebuffer::take(comm, cfg.width, cfg.height));
+            let again = bands(
+                &cfg,
+                Framebuffer::take(comm, cfg.width, cfg.height, kept(&cfg)),
+            );
             assert_eq!(again.color().as_ptr(), at, "the spare's memory");
-            (again, bands(&cfg, Framebuffer::new(cfg.width, cfg.height)))
+            let fresh = Framebuffer::with_rows(cfg.width, cfg.height, kept(&cfg));
+            (again, bands(&cfg, fresh))
         });
         for (again, fresh) in held {
             assert_eq!(again, fresh, "colour and depth");

@@ -31,7 +31,7 @@ use minimpi::Comm;
 use crate::color::Color;
 use crate::composite::Compositor;
 use crate::deflate::{self, BitWriter, Fixed, Input, Mode, MAX_MATCH, WINDOW};
-use crate::framebuffer::{covered, Framebuffer};
+use crate::framebuffer::{covered, overlap, Framebuffer};
 
 /// Tag space of the collective encoder.
 const TAG_ROWS: u32 = 0x504E_0001;
@@ -133,8 +133,10 @@ fn stride(width: usize) -> usize {
 fn fill_scanlines(lines: &mut [u8], fb: &Framebuffer, rows: Range<usize>, background: Color) {
     let width = fb.width();
     debug_assert_eq!(lines.len(), rows.len() * stride(width));
+    debug_assert_eq!(overlap(&rows, &fb.rows()), rows, "rows the buffer holds");
     let background = [background.r, background.g, background.b];
-    let at = rows.start * width..rows.end * width;
+    let first = fb.rows().start;
+    let at = (rows.start - first) * width..(rows.end - first) * width;
     let pixels = fb.color()[at.clone()]
         .chunks_exact(width)
         .zip(fb.depth()[at].chunks_exact(width));
@@ -217,11 +219,6 @@ pub struct PngEncoder {
     line: Vec<u8>,
 }
 
-fn overlap(a: &Range<usize>, b: &Range<usize>) -> Range<usize> {
-    let start = a.start.max(b.start);
-    start..a.end.min(b.end).max(start)
-}
-
 /// Where a band's scanlines come from: the rows this rank owns,
 /// flattened from its framebuffer as the parse pulls them, and the rows
 /// other ranks flattened and sent, each with the rows it holds.
@@ -291,9 +288,10 @@ impl Scanlines<'_> {
 impl PngEncoder {
     /// Encode the image that `which` composited, flattened over
     /// `background`; collective, the file is returned on rank 0. `fb`
-    /// is this rank's buffer as the compositor left it short of the
-    /// gather (`composite::merge`): its rows that `which` assigns to
-    /// the rank are final, and no other row is read. The bytes are
+    /// is this rank's frame as the compositor left it short of the
+    /// gather (`composite::merge`), holding the rows the rank kept: its
+    /// rows that `which` assigns to the rank are final, and no other row
+    /// is read. The bytes are
     /// those of [`encode_framebuffer`] on the gathered image in
     /// `Mode::Fixed`, deflated in up to `comm.size()` bands of at least
     /// `MIN_BAND` (256 KiB).
@@ -624,8 +622,9 @@ mod tests {
             let mut encoder = PngEncoder::default();
             let files: Vec<_> = (0..2)
                 .map(|_| {
-                    let mut fb = frame(comm.rank());
-                    merge(comm, &mut fb, which);
+                    let kept = which.kept_rows(p, comm.rank(), h);
+                    let mut fb = Framebuffer::with_rows(w, h, kept);
+                    merge(comm, &mut fb, &frame(comm.rank()), which);
                     encoder.encode(comm, &fb, which, background)
                 })
                 .collect();

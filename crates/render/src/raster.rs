@@ -5,7 +5,7 @@
 use std::ops::Range;
 
 use crate::color::Color;
-use crate::framebuffer::Framebuffer;
+use crate::framebuffer::{overlap, Framebuffer, Rect};
 
 /// A screen-space vertex: continuous pixel coordinates, depth, color.
 #[derive(Clone, Copy, Debug)]
@@ -20,29 +20,39 @@ pub struct Vertex {
     pub color: Color,
 }
 
-/// Rasterize a filled triangle with barycentric interpolation of depth
-/// and color.
-pub fn fill_triangle(fb: &mut Framebuffer, v0: Vertex, v1: Vertex, v2: Vertex) {
+/// The pixel box of the triangle `v0 v1 v2` clipped to a `width` ×
+/// `height` image, or `None` if it covers no pixel centre for sure: the
+/// box is empty, or the triangle has no area. What
+/// [`fill_triangle`] marks when it draws the whole image.
+pub(crate) fn triangle_box([v0, v1, v2]: [Vertex; 3], width: usize, height: usize) -> Option<Rect> {
     let min_x = v0.x.min(v1.x).min(v2.x).floor().max(0.0) as i64;
-    let max_x = v0.x.max(v1.x).max(v2.x).ceil().min(fb.width() as f64) as i64;
+    let max_x = v0.x.max(v1.x).max(v2.x).ceil().min(width as f64) as i64;
     let min_y = v0.y.min(v1.y).min(v2.y).floor().max(0.0) as i64;
-    let max_y = v0.y.max(v1.y).max(v2.y).ceil().min(fb.height() as f64) as i64;
-    if min_x >= max_x || min_y >= max_y {
+    let max_y = v0.y.max(v1.y).max(v2.y).ceil().min(height as f64) as i64;
+    if min_x >= max_x || min_y >= max_y || edge(v0, v1, v2.x, v2.y).abs() < 1e-12 {
+        return None;
+    }
+    Some(Rect {
+        cols: min_x as usize..max_x as usize,
+        rows: min_y as usize..max_y as usize,
+    })
+}
+
+/// Rasterize a filled triangle with barycentric interpolation of depth
+/// and color, into the rows `fb` holds.
+pub fn fill_triangle(fb: &mut Framebuffer, v0: Vertex, v1: Vertex, v2: Vertex) {
+    let Some(bbox) = triangle_box([v0, v1, v2], fb.width(), fb.height()) else {
+        return; // off the image, or degenerate
+    };
+    let rows = overlap(&bbox.rows, &fb.rows());
+    if rows.is_empty() {
         return;
     }
+    let inv_area = 1.0 / edge(v0, v1, v2.x, v2.y);
 
-    let area = edge(v0, v1, v2.x, v2.y);
-    if area.abs() < 1e-12 {
-        return; // degenerate
-    }
-    let inv_area = 1.0 / area;
-
-    fb.mark(
-        min_x as usize..max_x as usize,
-        min_y as usize..max_y as usize,
-    );
-    for py in min_y..max_y {
-        for px in min_x..max_x {
+    fb.mark(bbox.cols.clone(), rows.clone());
+    for py in rows {
+        for px in bbox.cols.clone() {
             // Sample at the pixel center.
             let sx = px as f64 + 0.5;
             let sy = py as f64 + 0.5;
@@ -61,7 +71,7 @@ pub fn fill_triangle(fb: &mut Framebuffer, v0: Vertex, v1: Vertex, v2: Vertex) {
                 b: blend(v0.color.b, v1.color.b, v2.color.b),
                 a: blend(v0.color.a, v1.color.a, v2.color.a),
             };
-            fb.plot(px as usize, py as usize, z, color);
+            fb.plot(px, py, z, color);
         }
     }
 }
@@ -74,12 +84,12 @@ fn edge(a: Vertex, b: Vertex, x: f64, y: f64) -> f64 {
 /// Rasterize a filled axis-aligned rectangle of constant depth/color
 /// (fast path for structured slice cells): the pixels whose centre lies
 /// in `[x0, x1) × [y0, y1)`, which keeps adjacent rects seamless, filled
-/// one row span at a time.
+/// one row span at a time in the rows `fb` holds.
 pub fn fill_rect(fb: &mut Framebuffer, x0: f64, y0: f64, x1: f64, y1: f64, z: f32, color: Color) {
     let (x0, x1) = (x0.min(x1), x0.max(x1));
     let (y0, y1) = (y0.min(y1), y0.max(y1));
     let cols = centres_in(x0, x1, fb.width());
-    let rows = centres_in(y0, y1, fb.height());
+    let rows = overlap(&centres_in(y0, y1, fb.height()), &fb.rows());
     fb.mark(cols.clone(), rows.clone());
     for py in rows {
         fb.fill_span(py, cols.clone(), z, color);
@@ -88,7 +98,7 @@ pub fn fill_rect(fb: &mut Framebuffer, x0: f64, y0: f64, x1: f64, y1: f64, z: f3
 
 /// The pixels `p < n` whose centre `p + 0.5` lies in `[a, b)`: a run,
 /// as the centre grows with `p`, found by testing its ends only.
-fn centres_in(a: f64, b: f64, n: usize) -> Range<usize> {
+pub(crate) fn centres_in(a: f64, b: f64, n: usize) -> Range<usize> {
     let inside = |p: usize| {
         let c = p as f64 + 0.5;
         c >= a && c < b

@@ -3,14 +3,19 @@
 //! Mirrors the paper's slice workloads: "only those ranks whose domains
 //! intersect the slice plane will extract and render the slice geometry"
 //! (§4.1.3) — extraction returns `None` on non-intersecting ranks, and
-//! rendering pseudocolors the local piece into a full-size framebuffer
-//! that the parallel compositor then merges.
+//! rendering pseudocolors the local piece into the rows a framebuffer
+//! holds, the global plane mapped onto the whole image: a compositing
+//! rank draws the rows it keeps into its frame and each strip it gives
+//! away into a strip buffer, visiting only the rows of cells that meet
+//! them, and the parallel compositor merges the rest.
+
+use std::ops::Range;
 
 use datamodel::Extent;
 
 use crate::color::Colormap;
-use crate::framebuffer::Framebuffer;
-use crate::raster::fill_rect;
+use crate::framebuffer::{overlap, Framebuffer, Rect};
+use crate::raster::{centres_in, fill_rect};
 
 /// One rank's piece of a global slice plane, in index space.
 #[derive(Clone, Debug, PartialEq)]
@@ -104,23 +109,68 @@ impl LocalSlice {
     }
 }
 
-/// Pseudocolor this rank's slice piece into `fb`, mapping the **global**
-/// plane onto the full image so pieces from different ranks tile
-/// seamlessly before compositing. `range` is the global data range.
-pub fn render_plane(fb: &mut Framebuffer, slice: &LocalSlice, cmap: &Colormap, range: (f64, f64)) {
-    let gu0 = slice.global_u[0] as f64;
-    let gv0 = slice.global_v[0] as f64;
-    // The plane spans one fewer cell than points per axis.
-    let gu_cells = (slice.global_u[1] - slice.global_u[0]) as f64;
-    let gv_cells = (slice.global_v[1] - slice.global_v[0]) as f64;
-    if gu_cells <= 0.0 || gv_cells <= 0.0 {
-        return;
-    }
-    let sx = fb.width() as f64 / gu_cells;
-    let sy = fb.height() as f64 / gv_cells;
+/// Where a slice piece's cells land in an image: the global plane
+/// mapped onto all of it, v up.
+struct Placement {
+    u0: f64,
+    v0: f64,
+    sx: f64,
+    sy: f64,
+    height: f64,
+}
 
+impl Placement {
+    /// The placement in a `width` × `height` image, or `None` if the
+    /// plane spans no cell along an axis.
+    fn of(slice: &LocalSlice, width: usize, height: usize) -> Option<Placement> {
+        let gu0 = slice.global_u[0] as f64;
+        let gv0 = slice.global_v[0] as f64;
+        // The plane spans one fewer cell than points per axis.
+        let gu_cells = (slice.global_u[1] - slice.global_u[0]) as f64;
+        let gv_cells = (slice.global_v[1] - slice.global_v[0]) as f64;
+        if gu_cells <= 0.0 || gv_cells <= 0.0 {
+            return None;
+        }
+        Some(Placement {
+            u0: slice.u_range[0] as f64 - gu0,
+            v0: slice.v_range[0] as f64 - gv0,
+            sx: width as f64 / gu_cells,
+            sy: height as f64 / gv_cells,
+            height: height as f64,
+        })
+    }
+
+    /// The image columns `[x0, x1)` of local cell column `u`.
+    fn cols(&self, u: usize) -> (f64, f64) {
+        let x0 = (self.u0 + u as f64) * self.sx;
+        let x1 = (self.u0 + u as f64 + 1.0) * self.sx;
+        (x0.min(x1), x0.max(x1))
+    }
+
+    /// The image rows `[y0, y1)` of local cell row `v`.
+    fn rows(&self, v: usize) -> (f64, f64) {
+        let y1 = self.height - (self.v0 + v as f64) * self.sy;
+        let y0 = self.height - (self.v0 + v as f64 + 1.0) * self.sy;
+        (y0.min(y1), y0.max(y1))
+    }
+}
+
+/// Pseudocolor this rank's slice piece into the rows `fb` holds,
+/// mapping the **global** plane onto the full image so pieces from
+/// different ranks tile seamlessly before compositing. `range` is the
+/// global data range. A row of cells that misses the rows held is
+/// skipped whole.
+pub fn render_plane(fb: &mut Framebuffer, slice: &LocalSlice, cmap: &Colormap, range: (f64, f64)) {
+    let Some(at) = Placement::of(slice, fb.width(), fb.height()) else {
+        return;
+    };
+    let held = fb.rows();
     // Paint one rect per local cell, colored by the cell's mean value.
     for v in 0..slice.nv().saturating_sub(1) {
+        let (y0, y1) = at.rows(v);
+        if overlap(&centres_in(y0, y1, fb.height()), &held).is_empty() {
+            continue;
+        }
         for u in 0..slice.nu().saturating_sub(1) {
             let mean = 0.25
                 * (slice.value(u, v)
@@ -128,14 +178,35 @@ pub fn render_plane(fb: &mut Framebuffer, slice: &LocalSlice, cmap: &Colormap, r
                     + slice.value(u, v + 1)
                     + slice.value(u + 1, v + 1));
             let color = cmap.map_range(mean, range.0, range.1);
-            let x0 = (slice.u_range[0] as f64 + u as f64 - gu0) * sx;
-            let x1 = (slice.u_range[0] as f64 + u as f64 + 1.0 - gu0) * sx;
-            // Flip v so increasing v is up in the image.
-            let y1 = fb.height() as f64 - (slice.v_range[0] as f64 + v as f64 - gv0) * sy;
-            let y0 = fb.height() as f64 - (slice.v_range[0] as f64 + v as f64 + 1.0 - gv0) * sy;
+            let (x0, x1) = at.cols(u);
             fill_rect(fb, x0, y0, x1, y1, 0.5, color);
         }
     }
+}
+
+/// The rectangle [`render_plane`] marks drawing `slice` into a whole
+/// `width` × `height` image: the columns of its cell columns by the
+/// rows of its cell rows.
+pub(crate) fn plane_box(slice: &LocalSlice, width: usize, height: usize) -> Rect {
+    let Some(at) = Placement::of(slice, width, height) else {
+        return Rect::default();
+    };
+    let span = |cells: usize, pixels: &dyn Fn(usize) -> Range<usize>| {
+        (0..cells.saturating_sub(1))
+            .map(pixels)
+            .filter(|r| !r.is_empty())
+            .reduce(|a, b| a.start.min(b.start)..a.end.max(b.end))
+            .unwrap_or(0..0)
+    };
+    let cols = span(slice.nu(), &|u| {
+        let (x0, x1) = at.cols(u);
+        centres_in(x0, x1, width)
+    });
+    let rows = span(slice.nv(), &|v| {
+        let (y0, y1) = at.rows(v);
+        centres_in(y0, y1, height)
+    });
+    Rect::new(cols, rows)
 }
 
 #[cfg(test)]

@@ -222,6 +222,27 @@ if awk '/#\[cfg\(test\)\]/{exit} {print FILENAME ":" FNR ": " $0}' crates/render
     exit 1
 fi
 
+echo "==> a frame holds the rows it keeps"
+# A rank's frame holds the rows compositing leaves it
+# (Compositor::kept_rows: half of binary swap's image after the first
+# halving, the tree's image on its root and inner nodes, nothing on a
+# leaf), and the rows it gives away are drawn strip by strip as they are
+# sent; only `gather`, which hands rank 0 the finished image, builds a
+# buffer of the whole image. In scene.rs or composite.rs product code
+# outside gather, a frame taken or built at the image's height — a
+# Framebuffer::new, a take of (comm, width, height) with no rows, or a
+# take or with_rows of the rows 0..height — is the whole frame on every
+# rank back.
+frames=$(awk '/#\[cfg\(test\)\]/{nextfile}
+        /^pub\(crate\) fn gather\(/{skip=1}
+        skip && /^}/{skip=0; next}
+        !skip {print FILENAME ":" FNR ": " $0}' crates/render/src/{scene,composite}.rs |
+    grep -E 'Framebuffer::(new|take|with_rows)\(' || true)
+if grep -E 'Framebuffer::new\(|Framebuffer::take\([^,()]*,[^,()]*,[^,()]*\)|0 *\.\. *(height|h)\b' <<<"$frames"; then
+    echo "tier1: scene.rs or composite.rs takes a frame of the whole image outside gather" >&2
+    exit 1
+fi
+
 echo "==> a frame ships what it draws"
 # Compositing moves patches, the part of a framebuffer's drawn rectangle
 # inside the rows being sent. Outside `gather`, which moves finished
@@ -238,7 +259,7 @@ fi
 
 echo "==> no image-sized render transient"
 # Compositing moves a patch as strips of a fixed pixel budget
-# (composite::fill_strip, in buffers that circulate), never the rows a
+# (composite::Give::fill, in buffers that circulate), never the rows a
 # rank gives away, or its whole image, as one patch; the collective
 # encoder pulls a band's scanlines through its sliding buffer
 # (deflate::Input) instead of holding the band's stream. A warm

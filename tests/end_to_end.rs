@@ -228,56 +228,91 @@ fn render_pair(
 /// Catalyst and Libsim draw into the rank's one spare framebuffer, both
 /// encoders keep their tables and sliding buffers, and compositing
 /// strips circulate: once the first steps have faulted them in, nothing
-/// image-sized is allocated beside the frame. Rank 0's high-water mark
-/// over a warm step is bounded by what could still be transient there
-/// (the bytes of `render::composite`'s and `render::deflate`'s
-/// constants, restated):
-/// - the strips in flight, two of rank 0's 975 columns × ⌊32 Ki /
-///   1920⌋ = 17 rows at 7 B/px (RGB and depth): 232 050 B (they
-///   circulate, so a warm step allocates none);
-/// - the sliding buffer of the encode, `WINDOW + CHUNK + MAX_MATCH + 3`
-///   = 98 565 B (kept by the encoder);
-/// - the scanlines rank 0 flattens for the band rank 1 deflates:
-///   Catalyst's 6 halo rows of 5 761 B and Libsim's 512 + 11 rows of
-///   3 073 B, 1 641 745 B in all (sent, and freed on rank 1).
+/// image-sized is allocated beside the frame, and the frame holds only
+/// the rows the rank keeps.
 ///
-/// That is 1 972 360 B, under 2 MiB; rank 0 rises 1 637 142 B, the
-/// scanlines. Until the strips, it rose 4 213 360 B, the 975 × 540
-/// pixels of its swap patch at 8 B/px; a fresh 1024² Libsim frame a
-/// step (7 340 032 B of pixels) or a fresh 1920×1080 one (14 515 200 B)
-/// does not fit either.
+/// The frame each rank parks after a warm step is `width × kept rows ×
+/// 7` B (RGB and depth), what `perfmodel::memory::slice_render_heap`
+/// charges: rank 0 keeps Libsim's whole 1024² image as the tree's root,
+/// 7 340 032 B, and Catalyst's 540 rows of 1920 are drawn into that
+/// memory; rank 1 keeps Catalyst's 540 rows, 7 257 600 B, and as
+/// Libsim's leaf no rows at all. Until a frame held only its rows,
+/// each rank kept a whole 1920×1080 frame, 14 515 200 B.
+///
+/// Each rank's high-water mark over a warm step is exact, site by site
+/// (the heap bytes a thread frees count against it, so a buffer sent
+/// and freed by the peer stays on the sender's count, and one received
+/// comes off the receiver's). Both ranks first derive the step's field
+/// (1 220 B left allocated) and take the colour range, whose envelopes
+/// (16 B each way) cancel. Rank 1 peaks in Catalyst's encode, when the
+/// bits of the band it deflates grow to their last power of two, `B`:
+/// 1 220 + the look-ahead row it sends rank 0 (5 761) + the list of the
+/// 6 rows rank 0 sent it (160) − rank 0's landing it frees (8) + the
+/// envelope of its bits (40) + `B`. Rank 0 peaks in Libsim's encode,
+/// when its file grows to its last power of two, `L`:
+/// - 1 220, the step's field;
+/// - Catalyst: its 6 halo rows for rank 1's band (34 566, freed there),
+///   less the look-ahead row it frees (5 761), its landing out and rank
+///   1's band envelope in (8 − 40), and rank 1's band bits (`B`);
+///   the envelopes of the two rows sent cancel, and so do the files;
+/// - Libsim: its 32 strips come in 96 B envelopes and go back in 104 B
+///   ones with their verdict (32 × 8), then 523 rows for rank 1's band
+///   (1 607 179) in a 24 B envelope, its landing and rank 1's band
+///   envelope (8 − 40), and `L`.
+///
+/// Until the strips, rank 0 rose 4 213 360 B, the 975 × 540 pixels of
+/// its swap patch at 8 B/px.
 #[test]
 fn steady_state_render_step_allocates_no_catalyst_frame() {
-    let strips = 2 * 7 * 975 * (32 * 1024 / 1920);
-    let sliding = 32 * 1024 + 64 * 1024 + 258 + 3;
-    let scanlines = 6 * (1 + 3 * 1920) + (512 + 11) * (1 + 3 * 1024);
-    let bound = strips + sliding + scanlines;
-    assert_eq!(bound, 1_972_360);
-    assert!(bound < 2 << 20);
     let d = deck();
-    let rises = World::run(2, move |comm| {
+    let ranks = World::run(2, move |comm| {
         let (mut sim, catalyst, libsim) = render_pair(comm, &d);
+        let file = libsim.png_handle();
         let mut bridge = Bridge::new();
         bridge.register(Box::new(catalyst));
         bridge.register(Box::new(libsim));
-        let mut rise = 0;
+        let mut warm = Vec::new();
         for step in 0..4 {
             sim.step(comm);
             probe::alloc::reset_peak();
             let floor = probe::alloc::current_bytes();
             bridge.execute(&OscillatorAdaptor::new(&sim), comm);
+            let len = file.lock().as_ref().map_or(0, Vec::len);
             if step >= 2 {
-                rise = rise.max(probe::alloc::peak_bytes() - floor);
+                warm.push((probe::alloc::peak_bytes() - floor, len));
             }
         }
         assert!(bridge.failure_reports().is_empty());
-        rise
+        // The frame parked in the rank's pool: its colour and depth.
+        let frame = comm.spare::<render::Framebuffer>();
+        let bytes = frame.map_or(0, |fb| size_of_val(fb.color()) + size_of_val(fb.depth()));
+        (warm, bytes)
     });
-    assert!(
-        rises[0] < bound,
-        "rank 0 allocated {} B in a steady-state render step",
-        rises[0]
-    );
+    let frames = [ranks[0].1, ranks[1].1];
+    assert_eq!(frames, [1024 * 1024 * 7, 1920 * 540 * 7]);
+    assert_eq!(frames, [7_340_032, 7_257_600]);
+    let charged = |w, h, alg| 2.0 * perfmodel::memory::slice_render_heap(w, h, alg, 2);
+    let tree = perfmodel::compositing::Algorithm::DirectSendTree { fanout: 8 };
+    let swap = perfmodel::compositing::Algorithm::BinarySwap;
+    assert_eq!(charged(1024, 1024, tree), frames[0] as f64);
+    assert_eq!(charged(1920, 1080, swap), 2.0 * frames[1] as f64);
+
+    let (field, halo, row): (i64, i64, i64) = (1_220, 6 * (1 + 3 * 1920), 1 + 3 * 1920);
+    let (landing, band) = (8, std::mem::size_of::<(Vec<u8>, u64, u32)>() as i64);
+    let libsim_rows = (512 + 11) * (1 + 3 * 1024);
+    assert_eq!((halo, libsim_rows, band), (34_566, 1_607_179, 40));
+    for (&(rise0, len), &(rise1, _)) in ranks[0].0.iter().zip(&ranks[1].0) {
+        let bits = rise1 as i64 - (field + row + 160 - landing + band);
+        assert!(bits > 0 && bits.count_ones() == 1, "rank 1 rose {rise1} B");
+        let file = len.next_power_of_two() as i64;
+        let catalyst = halo - row + landing - band - bits;
+        let libsim = 32 * 8 + libsim_rows + 24 + landing - band + file;
+        assert_eq!(
+            rise0 as i64,
+            field + catalyst + libsim,
+            "rank 0's warm rise (rank 1's band bits {bits} B, Libsim's file {len} B)"
+        );
+    }
 
     // A probed pass counts one warm step's messages over both ranks:
     // 137, DESIGN §11's 12 + 62 + 63 (the frames' collectives and
@@ -312,19 +347,26 @@ fn steady_state_render_step_allocates_no_catalyst_frame() {
 }
 
 /// Catalyst and Libsim draw into each rank's one spare framebuffer, a
-/// compositing child sends strips of its drawn pixels and keeps its
-/// buffer, and the strips circulate: a warm render step allocates no
+/// compositing child sends strips of its drawn pixels as it draws them,
+/// and the strips circulate: a warm render step allocates no
 /// framebuffer and no patch on either rank (a framebuffer would be 2
 /// heap calls, colour and depth, and 0.5–1 MB here). Catalyst at
 /// 480×270 and Libsim at 256×256 over a 16³ field on two free-running
 /// ranks: under the seeded scheduler, its own decision records land on
 /// the rank threads in counts that follow the interleaving.
 ///
-/// The bytes are bounded by what a step allocates on purpose: the
-/// scanlines a rank flattens for another (one band a file: each stream
-/// is under `2 · MIN_BAND`, so rank 0 deflates the whole of both and
-/// rank 1 sends its 135 Catalyst rows), and the file, in a `Vec` grown
-/// to at most twice its length; 16 KiB covers everything else.
+/// The bytes are exact (one band a file: each stream is under
+/// `2 · MIN_BAND`, so rank 0 deflates the whole of both). Both ranks
+/// first derive the step's field (1 220 B left allocated), and the
+/// range's envelopes cancel. Rank 0 peaks when Catalyst's file grows to
+/// its last power of two: 1 220 − the envelope of the rows rank 1 sent
+/// it (24) + the list of them (160) + the file. Rank 1 writes no file;
+/// it peaks once Libsim's leaf has lent both strips: 1 220 + the 135
+/// Catalyst rows it sends rank 0 (135 × 1 441) in a 24 B envelope +
+/// Libsim's colormap (80) and plane values (1 024), which its strips
+/// are drawn from as they go out, + the two strips' 96 B envelopes.
+/// (While the leaf drew its whole image first, the plane was freed
+/// before the strips went out, and rank 1 rose 192 B less.)
 ///
 /// The heap calls are exact, and listed by site. Before their first
 /// pixel, the two analyses make 13 on each rank:
@@ -400,17 +442,19 @@ fn steady_state_render_step_allocates_no_framebuffer() {
         assert!(bridge.failure_reports().is_empty());
         rounds.split_off(WARM_UP)
     });
-    // Scanlines are 1 + 3·width bytes: rank 0 pulls both streams through
-    // its sliding buffer; rank 1 sends the 135 Catalyst rows it owns.
-    let lines = [0, 135 * 1441];
+    let field = 1_220;
+    let lines = 135 * (1 + 3 * 480);
     let growth = |len: usize| u64::from((len.next_power_of_two() / 64).ilog2());
     for (rank, rounds) in rounds.iter().enumerate() {
         for &(rise, calls, [cat, lib]) in rounds {
-            let files = if rank == 0 { 2 * (cat + lib) } else { 0 };
-            let bound = lines[rank] + files + (16 << 10);
-            assert!(
-                rise <= bound,
-                "rank {rank} allocated {rise} B in a warm render step, over {bound} B"
+            let want = if rank == 0 {
+                field - 24 + 160 + cat.next_power_of_two()
+            } else {
+                field + lines + 24 + 80 + 16 * 8 * 8 + 2 * 96
+            };
+            assert_eq!(
+                rise, want,
+                "rank {rank}: bytes in a warm render step ({cat} + {lib} B of files)"
             );
             let want = CALLS[rank]
                 + if rank == 0 {
@@ -517,22 +561,25 @@ fn warm_libsim_calls(plots: &'static str) -> Vec<u64> {
 /// A scene's later plot is merged into the frame where it lies, not
 /// through a copied patch: a warm Libsim step with a second slice makes
 /// exactly the second plot's own heap calls more, on each rank:
-/// - its framebuffer, 2 (colour, depth): the frame holds the rank's
-///   spare while the plot is drawn;
+/// - on rank 0, the tree's root, its framebuffer, 2 (colour, depth):
+///   the frame holds the rank's spare while the plot is drawn; rank 1,
+///   a leaf, keeps no rows and takes none, and draws the plot's strips
+///   into the strip buffer its first plot left in its pool;
 /// - its colormap, cloned into its config, 1; its plane's values, 1;
 /// - its strips up the tree, 2 envelopes on rank 1, and their returns,
 ///   2 on rank 0.
 ///
 /// Until the merge read the plot in place, rank 0 — whose owned rows
 /// are the whole image — also copied them into a patch's colour and
-/// depth `Vec`s: 8, not 6.
+/// depth `Vec`s: 8, not 6. Until a leaf drew its strips as it sent
+/// them, rank 1 took a whole frame for the plot too: 6, not 4.
 #[test]
 fn a_later_plot_is_merged_in_place() {
     let one = warm_libsim_calls("plot pseudocolor data axis=z index=8\n");
     let two = warm_libsim_calls(
         "plot pseudocolor data axis=z index=8\nplot pseudocolor data axis=x index=8\n",
     );
-    assert_eq!([two[0] - one[0], two[1] - one[1]], [6, 6]);
+    assert_eq!([two[0] - one[0], two[1] - one[1]], [6, 4]);
 }
 
 /// Counts, not clocks: what a render step puts on the wire at 2 ranks.
