@@ -35,4 +35,4 @@ pub mod staging;
 
 pub use bp::{BpError, BpFile, BpStep, BpVar, Payload};
 pub use broker::{BrokerConfig, StagingBroker};
-pub use flexpath::{pair, FlexpathReader, FlexpathWriter, Role};
+pub use flexpath::{pair, Role};

@@ -11,11 +11,11 @@ use perfmodel::{MachineSpec, SeededNoise};
 use crate::table::{bytes, secs, Table};
 
 /// Oscillator count of the miniapp configuration.
-pub const OSCILLATORS: usize = 3;
+pub(crate) const OSCILLATORS: usize = 3;
 /// Autocorrelation window (§3.3 time delay t).
 pub const WINDOW: usize = 10;
 /// Top-k of the autocorrelation finalize.
-pub const TOP_K: usize = 16;
+pub(crate) const TOP_K: usize = 16;
 /// Histogram bins.
 pub const BINS: usize = 64;
 /// Steps per miniapp run.
@@ -67,7 +67,7 @@ const CONFIGS: [&str; 5] = [
 
 /// Fig. 3 — time to solution, Original (subroutine-called
 /// autocorrelation) vs Autocorrelation (SENSEI-coupled), weak scaling.
-pub fn fig3() -> Table {
+pub(crate) fn fig3() -> Table {
     let m = cori();
     let mut t = Table::new(
         "Fig. 3 — time to solution (s), Original vs SENSEI Autocorrelation, 100 steps",
@@ -92,7 +92,7 @@ pub fn fig3() -> Table {
 
 /// Fig. 4 — memory footprint (summed high-water marks), Original vs
 /// Autocorrelation.
-pub fn fig4() -> Table {
+pub(crate) fn fig4() -> Table {
     let mut t = Table::new(
         "Fig. 4 — total memory high-water mark, Original vs SENSEI Autocorrelation",
         &["cores", "original", "sensei", "overhead %"],
@@ -114,7 +114,7 @@ pub fn fig4() -> Table {
 
 /// Fig. 5 — one-time costs per configuration: simulation initialize,
 /// analysis initialize, finalize.
-pub fn fig5() -> Table {
+pub(crate) fn fig5() -> Table {
     let m = cori();
     let mut t = Table::new(
         "Fig. 5 — one-time costs (s)",
@@ -135,7 +135,7 @@ pub fn fig5() -> Table {
 }
 
 /// Fig. 6 — per-timestep costs: simulation and analysis.
-pub fn fig6() -> Table {
+pub(crate) fn fig6() -> Table {
     let m = cori();
     let mut t = Table::new(
         "Fig. 6 — per-timestep costs (s)",
@@ -156,7 +156,7 @@ pub fn fig6() -> Table {
 
 /// Fig. 7 — memory overhead: startup executable footprint vs run
 /// high-water mark (both summed over ranks).
-pub fn fig7() -> Table {
+pub(crate) fn fig7() -> Table {
     let mut t = Table::new(
         "Fig. 7 — memory: startup executable footprint and high-water mark",
         &["config", "cores", "startup", "high water"],
@@ -193,7 +193,7 @@ pub fn fig7() -> Table {
 
 /// Fig. 8 — ADIOS/FlexPath writer-side costs (histogram endpoint):
 /// one-time open and per-step advance / analysis-transmission.
-pub fn fig8() -> Table {
+pub(crate) fn fig8() -> Table {
     let m = cori();
     let mut t = Table::new(
         "Fig. 8 — ADIOS FlexPath writer costs (s), histogram endpoint",
@@ -218,7 +218,7 @@ pub fn fig8() -> Table {
 
 /// Fig. 9 — ADIOS FlexPath endpoint timings: reader init (Cori vs
 /// Titan) and per-step analysis times at the endpoint.
-pub fn fig9() -> Table {
+pub(crate) fn fig9() -> Table {
     let cori = cori();
     let titan = MachineSpec::titan();
     let mut t = Table::new(
@@ -247,7 +247,7 @@ pub fn fig9() -> Table {
 
 /// Fig. 10 — Baseline vs Baseline+write: per-step and one-time costs of
 /// adding file-per-rank output every step.
-pub fn fig10() -> Table {
+pub(crate) fn fig10() -> Table {
     let m = cori();
     let mut t = Table::new(
         "Fig. 10 — baseline vs baseline+I/O (file-per-rank writes, 100 steps)",
@@ -276,7 +276,7 @@ pub fn fig10() -> Table {
 }
 
 /// Table 1 — one-timestep write costs: multi-file VTK I/O vs MPI-IO.
-pub fn table1() -> Table {
+pub(crate) fn table1() -> Table {
     let m = cori();
     let mut t = Table::new(
         "Table 1 — one-step write cost: multi-file VTK I/O vs MPI-IO",
@@ -296,7 +296,7 @@ pub fn table1() -> Table {
 
 /// Fig. 11 — post hoc read/process/write at 10% of the write
 /// concurrency (82 / 650 / 4545 readers), per analysis.
-pub fn fig11() -> Table {
+pub(crate) fn fig11() -> Table {
     let m = cori();
     let mut t = Table::new(
         "Fig. 11 — post hoc analysis (100 steps): read/process/write (s)",
@@ -332,7 +332,7 @@ pub fn fig11() -> Table {
 
 /// Fig. 12 — weak-scaling time-to-solution of the in situ
 /// configurations (and the post hoc write total for contrast).
-pub fn fig12() -> Table {
+pub(crate) fn fig12() -> Table {
     let m = cori();
     let mut t = Table::new(
         "Fig. 12 — time to solution (100 steps), in situ configurations (s)",
@@ -370,7 +370,7 @@ pub fn fig12() -> Table {
 }
 
 /// Table 2 — PHASTA execution times on Mira.
-pub fn table2() -> Table {
+pub(crate) fn table2() -> Table {
     let m = MachineSpec::mira_bgq();
     let mut t = Table::new(
         "Table 2 — PHASTA execution times (s), Mira BG/Q",
@@ -405,7 +405,7 @@ pub fn table2() -> Table {
 }
 
 /// Fig. 15 — AVF-LESLIE strong scaling on Titan with SENSEI/Libsim.
-pub fn fig15() -> Table {
+pub(crate) fn fig15() -> Table {
     let m = MachineSpec::titan();
     let mut t = Table::new(
         "Fig. 15 — AVF-LESLIE 1025^3 strong scaling with SENSEI/Libsim (s/step)",
@@ -438,7 +438,7 @@ pub fn fig15() -> Table {
 
 /// Fig. 16 — per-iteration SENSEI cost at 65K cores (Libsim every 5
 /// steps): the spiky series of adaptor-only vs render steps.
-pub fn fig16() -> Table {
+pub(crate) fn fig16() -> Table {
     let m = MachineSpec::titan();
     let p = 65536;
     let mut t = Table::new(
@@ -471,7 +471,7 @@ pub fn fig16() -> Table {
 
 /// Fig. 17 — Nyx with SENSEI: per-step solver vs in situ analysis cost,
 /// plus the plot-file write each analysis avoids.
-pub fn fig17() -> Table {
+pub(crate) fn fig17() -> Table {
     let m = cori();
     let mut t = Table::new(
         "Fig. 17 — Nyx in situ overhead (s/step) and plot-file contrast",

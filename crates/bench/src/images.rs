@@ -22,7 +22,7 @@ use sensei::AnalysisAdaptor as _;
 use sensei::DataAdaptor as _;
 
 /// Render a Catalyst slice of the oscillator miniapp (quickstart image).
-pub fn render_oscillator_slice(dir: &Path) -> std::path::PathBuf {
+pub(crate) fn render_oscillator_slice(dir: &Path) -> std::path::PathBuf {
     std::fs::create_dir_all(dir).expect("create image dir");
     let dir2 = dir.to_path_buf();
     let deck = format_deck(&demo_oscillators());
@@ -53,7 +53,7 @@ pub fn render_oscillator_slice(dir: &Path) -> std::path::PathBuf {
 
 /// Fig. 14 — the TML's evolution: Libsim renders (isosurfaces + slices)
 /// at an early and a later step.
-pub fn render_leslie_evolution(dir: &Path) -> Vec<std::path::PathBuf> {
+pub(crate) fn render_leslie_evolution(dir: &Path) -> Vec<std::path::PathBuf> {
     std::fs::create_dir_all(dir).expect("create image dir");
     let dir2 = dir.to_path_buf();
     World::run(2, move |comm| {
@@ -84,7 +84,7 @@ pub fn render_leslie_evolution(dir: &Path) -> Vec<std::path::PathBuf> {
 
 /// Fig. 18 — Nyx density slices at two separated steps (feature
 /// tracking needs the in-between frames in situ provides).
-pub fn render_nyx_slices(dir: &Path) -> Vec<std::path::PathBuf> {
+pub(crate) fn render_nyx_slices(dir: &Path) -> Vec<std::path::PathBuf> {
     std::fs::create_dir_all(dir).expect("create image dir");
     let dir2 = dir.to_path_buf();
     World::run(4, move |comm| {
@@ -112,7 +112,7 @@ pub fn render_nyx_slices(dir: &Path) -> Vec<std::path::PathBuf> {
 
 /// Fig. 13 — PHASTA slice through the wing: cut the tet mesh with a
 /// plane and rasterize the velocity-magnitude pseudocolor.
-pub fn render_phasta_cut(dir: &Path) -> std::path::PathBuf {
+pub(crate) fn render_phasta_cut(dir: &Path) -> std::path::PathBuf {
     std::fs::create_dir_all(dir).expect("create image dir");
     let out = dir.join("phasta_cut.png");
     let out2 = out.clone();

@@ -97,7 +97,7 @@ impl Table {
 }
 
 /// Format seconds with sensible precision.
-pub fn secs(v: f64) -> String {
+pub(crate) fn secs(v: f64) -> String {
     if v >= 100.0 {
         format!("{v:.0}")
     } else if v >= 1.0 {

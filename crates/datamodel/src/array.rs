@@ -84,7 +84,7 @@ pub enum Buffer<T> {
 
 impl<T: Copy> Buffer<T> {
     /// Read access to the elements.
-    pub fn as_slice(&self) -> &[T] {
+    pub(crate) fn as_slice(&self) -> &[T] {
         match self {
             Buffer::Owned(v) => v,
             Buffer::Shared(a) => a,
@@ -102,13 +102,13 @@ impl<T: Copy> Buffer<T> {
     }
 
     /// True if this is a zero-copy view.
-    pub fn is_shared(&self) -> bool {
+    pub(crate) fn is_shared(&self) -> bool {
         matches!(self, Buffer::Shared(_))
     }
 
     /// Mutable access; copies shared storage on first write
     /// (copy-on-write, like `Arc::make_mut`).
-    pub fn to_mut(&mut self) -> &mut Vec<T> {
+    pub(crate) fn to_mut(&mut self) -> &mut Vec<T> {
         if let Buffer::Shared(a) = self {
             *self = Buffer::Owned(a.as_ref().clone());
         }
@@ -136,7 +136,7 @@ impl<T> MemoryFootprint for Buffer<T> {
 
 /// Component storage for one scalar type.
 #[derive(Clone, Debug)]
-pub struct Components<T> {
+pub(crate) struct Components<T> {
     layout: Layout,
     /// AoS: exactly one interleaved buffer. SoA: one buffer per component.
     buffers: Vec<Buffer<T>>,
@@ -197,7 +197,7 @@ impl<T: Scalar> Components<T> {
 
 /// Type-erased storage.
 #[derive(Clone, Debug)]
-pub enum Storage {
+pub(crate) enum Storage {
     F32(Components<f32>),
     F64(Components<f64>),
     I32(Components<i32>),
@@ -380,7 +380,7 @@ impl DataArray {
         }
         let bytes = self.payload_bytes();
         if let Some(shadow) = &self.shadow {
-            shadow.on_transfer(&self.space.label(), &space.label());
+            shadow.on_read();
         }
         self.space = space;
         bytes
@@ -389,10 +389,9 @@ impl DataArray {
     /// Snapshot this array into `space`: a deep, type- and
     /// layout-preserving copy placed in `space`, with every buffer
     /// `Shared` so re-cloning the snapshot (double-buffered payloads,
-    /// worker fan-out) costs a reference count. The explicit transfer
-    /// is recorded on the shadow (the transfer clock is the
-    /// happens-before edge proving the device copy cannot race later
-    /// host writes).
+    /// worker fan-out) costs a reference count. The transfer is a read
+    /// on the shadow: program order puts the device copy before any
+    /// later host write, so the two cannot race.
     pub fn snapshot_in(&self, space: MemorySpace) -> DataArray {
         let storage = match &self.storage {
             Storage::F32(c) => Storage::F32(c.snapshot()),
@@ -402,7 +401,7 @@ impl DataArray {
             Storage::U8(c) => Storage::U8(c.snapshot()),
         };
         if let Some(shadow) = &self.shadow {
-            shadow.on_transfer(&self.space.label(), &space.label());
+            shadow.on_read();
         }
         DataArray {
             name: self.name.clone(),

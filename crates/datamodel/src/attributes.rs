@@ -11,7 +11,7 @@ use crate::MemoryFootprint;
 pub const GHOST_ARRAY_NAME: &str = "vtkGhostType";
 
 /// Ghost flag value for a duplicated (ghost) point or cell.
-pub const GHOST_DUPLICATE: u8 = 1;
+pub(crate) const GHOST_DUPLICATE: u8 = 1;
 
 /// An ordered collection of named [`DataArray`]s attached to points or
 /// cells of a mesh (the analogue of `vtkPointData` / `vtkCellData`).

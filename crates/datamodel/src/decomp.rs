@@ -82,7 +82,7 @@ pub fn partition_extent(global: &Extent, dims: [usize; 3], rank: usize) -> Exten
 /// convention ([`crate::GHOST_ARRAY_NAME`]).
 ///
 /// Returns one flag per point in `local.iter_points()` order:
-/// [`crate::GHOST_DUPLICATE`] on duplicated planes, 0 elsewhere. The
+/// [`crate::attributes::GHOST_DUPLICATE`] on duplicated planes, 0 elsewhere. The
 /// non-ghost points of all blocks of a decomposition tile the global
 /// extent exactly once.
 ///
@@ -96,9 +96,9 @@ pub fn duplicate_point_ghosts(local: &Extent, global: &Extent) -> Vec<u8> {
     for (r, row) in flags.chunks_exact_mut(nx).enumerate() {
         let (j, k) = (r % ny, r / ny);
         if (shared[1] && j == 0) || (shared[2] && k == 0) {
-            row.fill(crate::GHOST_DUPLICATE);
+            row.fill(crate::attributes::GHOST_DUPLICATE);
         } else if shared[0] {
-            row[0] = crate::GHOST_DUPLICATE;
+            row[0] = crate::attributes::GHOST_DUPLICATE;
         }
     }
     flags
@@ -205,7 +205,7 @@ mod tests {
             .iter_points()
             .map(|p| {
                 if shared.iter().any(|&a| p[a] == local.lo[a]) {
-                    crate::GHOST_DUPLICATE
+                    crate::attributes::GHOST_DUPLICATE
                 } else {
                     0
                 }

@@ -94,7 +94,7 @@ impl Extent {
     }
 
     /// Intersection, or `None` when disjoint.
-    pub fn intersect(&self, other: &Extent) -> Option<Extent> {
+    pub(crate) fn intersect(&self, other: &Extent) -> Option<Extent> {
         let lo = [
             self.lo[0].max(other.lo[0]),
             self.lo[1].max(other.lo[1]),

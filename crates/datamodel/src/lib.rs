@@ -36,14 +36,14 @@ pub mod space;
 pub mod unstructured;
 
 pub use array::{Buffer, DataArray, Layout, Scalar, ScalarType};
-pub use attributes::{Attributes, GHOST_ARRAY_NAME, GHOST_DUPLICATE};
+pub use attributes::{Attributes, GHOST_ARRAY_NAME};
 pub use dataset::{DataSet, Structured};
 pub use decomp::{dims_create, duplicate_point_ghosts, partition_extent};
 pub use extent::Extent;
 pub use grids::{ImageData, RectilinearGrid};
 pub use multiblock::MultiBlock;
-pub use sanitize::{publish_dataset, PublishGuard};
-pub use space::{current_space, enter_space, AccessError, MemorySpace, SpaceGuard};
+pub use sanitize::publish_dataset;
+pub use space::{current_space, enter_space, AccessError, MemorySpace};
 pub use unstructured::{CellType, UnstructuredGrid};
 
 /// Anything that can report how many heap bytes it owns.

@@ -147,20 +147,6 @@ impl UnstructuredGrid {
         );
         self.cell_data.insert(array);
     }
-
-    /// Centroid of cell `c` (mean of its node coordinates).
-    pub fn cell_centroid(&self, c: usize) -> [f64; 3] {
-        let pts = self.cell_points(c);
-        let mut acc = [0.0f64; 3];
-        for &p in pts {
-            let x = self.point_coords(p as usize);
-            for a in 0..3 {
-                acc[a] += x[a];
-            }
-        }
-        let n = pts.len() as f64;
-        [acc[0] / n, acc[1] / n, acc[2] / n]
-    }
 }
 
 impl MemoryFootprint for UnstructuredGrid {
@@ -203,15 +189,6 @@ mod tests {
         assert_eq!(g.num_cells(), 2);
         assert_eq!(g.cell_points(1), &[1, 2, 3, 4]);
         assert_eq!(g.point_coords(4), [1.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn centroid_of_unit_tet() {
-        let g = two_tets();
-        let c = g.cell_centroid(0);
-        assert!((c[0] - 0.25).abs() < 1e-12);
-        assert!((c[1] - 0.25).abs() < 1e-12);
-        assert!((c[2] - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -67,24 +67,19 @@ impl Topology {
     }
 
     /// The aggregator (first rank of the node) for `rank`.
-    pub fn aggregator_of(&self, rank: usize) -> usize {
+    pub(crate) fn aggregator_of(&self, rank: usize) -> usize {
         (rank / self.ranks_per_node) * self.ranks_per_node
     }
 
     /// Is `rank` an aggregator?
-    pub fn is_aggregator(&self, rank: usize) -> bool {
+    pub(crate) fn is_aggregator(&self, rank: usize) -> bool {
         self.aggregator_of(rank) == rank
     }
 
     /// Ranks aggregated by `agg` (including itself) in a `size`-rank job.
-    pub fn node_members(&self, agg: usize, size: usize) -> Vec<usize> {
+    pub(crate) fn node_members(&self, agg: usize, size: usize) -> Vec<usize> {
         debug_assert!(self.is_aggregator(agg));
         (agg..(agg + self.ranks_per_node).min(size)).collect()
-    }
-
-    /// Number of aggregators in a `size`-rank job.
-    pub fn num_aggregators(&self, size: usize) -> usize {
-        size.div_ceil(self.ranks_per_node)
     }
 }
 
@@ -134,11 +129,6 @@ impl GleanWriter {
             dead_ranks: BTreeSet::new(),
             drain_delay: Duration::ZERO,
         }
-    }
-
-    /// Override the per-member gather deadline (tests use short ones).
-    pub fn set_member_deadline(&mut self, deadline: Duration) {
-        self.member_deadline = deadline;
     }
 
     /// Override the drain deadline: how long a step waits for a slot
@@ -397,8 +387,6 @@ mod tests {
         assert!(t.is_aggregator(4));
         assert!(!t.is_aggregator(5));
         assert_eq!(t.node_members(4, 6), vec![4, 5]);
-        assert_eq!(t.num_aggregators(6), 2);
-        assert_eq!(t.num_aggregators(8), 2);
     }
 
     #[test]
@@ -539,7 +527,7 @@ mod tests {
             .fault_handle(handle)
             .run(move |comm| {
                 let mut w = GleanWriter::new(Topology::new(2), "data", d2.clone());
-                w.set_member_deadline(Duration::from_millis(60));
+                w.member_deadline = Duration::from_millis(60);
                 let mut bridge = Bridge::new();
                 bridge.register(Box::new(w));
                 for s in 0..3u64 {

@@ -12,7 +12,7 @@
 //! The resulting file is a dense row-major `f64` array of the global
 //! extent — byte-identical regardless of the writer decomposition.
 
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
 
 use datamodel::Extent;
@@ -107,31 +107,22 @@ pub fn collective_write(
     Ok(())
 }
 
-/// Read the whole shared file back as a dense global array (validation
-/// and post hoc use).
-pub fn read_global(path: &Path, global: &Extent) -> std::io::Result<Vec<f64>> {
-    let mut raw = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut raw)?;
-    let n = global.num_points();
-    if raw.len() != n * 8 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("file holds {} bytes, expected {}", raw.len(), n * 8),
-        ));
-    }
-    Ok(raw
-        .as_chunks::<8>()
-        .0
-        .iter()
-        .map(|&c| f64::from_le_bytes(c))
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use datamodel::{dims_create, partition_extent};
     use minimpi::World;
+
+    /// The shared file read back as the dense global array it holds.
+    fn read_global(path: &Path, global: &Extent) -> Vec<f64> {
+        let raw = std::fs::read(path).unwrap();
+        assert_eq!(raw.len(), global.num_points() * 8, "file size");
+        raw.as_chunks::<8>()
+            .0
+            .iter()
+            .map(|&c| f64::from_le_bytes(c))
+            .collect()
+    }
 
     fn field(p: [i64; 3]) -> f64 {
         (p[0] + 100 * p[1] + 10_000 * p[2]) as f64
@@ -155,7 +146,7 @@ mod tests {
             collective_write(comm, &path2, &local, &global, &values, naggr).unwrap();
         });
         let global = Extent::whole(dims);
-        let out = read_global(&path, &global).unwrap();
+        let out = read_global(&path, &global);
         std::fs::remove_file(&path).unwrap();
         out
     }
@@ -185,14 +176,5 @@ mod tests {
         let dims = [5, 5, 5];
         let out = run_collective(2, 99, dims);
         assert_eq!(out.len(), 125);
-    }
-
-    #[test]
-    fn read_global_size_check() {
-        let path = std::env::temp_dir().join(format!("collective_bad_{}.bin", std::process::id()));
-        std::fs::write(&path, [0u8; 24]).unwrap();
-        let err = read_global(&path, &Extent::whole([2, 2, 2])).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        std::fs::remove_file(&path).unwrap();
     }
 }

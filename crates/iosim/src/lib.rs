@@ -23,6 +23,6 @@ pub mod collective;
 pub mod posthoc;
 pub mod vtkio;
 
-pub use collective::{collective_write, read_global};
-pub use posthoc::{posthoc_analysis, PosthocReport};
+pub use collective::collective_write;
+pub use posthoc::posthoc_analysis;
 pub use vtkio::{piece_path, write_manifest};

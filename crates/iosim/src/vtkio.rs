@@ -19,7 +19,7 @@ pub fn piece_path(dir: &Path, step: u64, rank: usize) -> PathBuf {
 }
 
 /// Manifest file name for a step.
-pub fn manifest_path(dir: &Path, step: u64) -> PathBuf {
+pub(crate) fn manifest_path(dir: &Path, step: u64) -> PathBuf {
     dir.join(format!("step{step:05}.pmvtk"))
 }
 

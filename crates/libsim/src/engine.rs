@@ -27,8 +27,6 @@ pub struct LibsimAnalysis {
     frequency: u64,
     scene: Scene,
     last_png: PngHandle,
-    /// Measured one-time startup cost (the per-rank config check).
-    startup_seconds: f64,
     failures: ReportOnce,
 }
 
@@ -41,10 +39,8 @@ impl LibsimAnalysis {
     /// viridis, isosurfaces in cool–warm, of one array, the first
     /// plot's; a plot of another array is reported and left out.
     pub fn new(session: Session, config_path: &Path) -> Self {
-        let t0 = probe::time::now_seconds();
         // VisIt checks for a .visitrc / runtime config per rank.
         let _ = std::fs::metadata(config_path);
-        let startup_seconds = (probe::time::now_seconds() - t0).max(0.0);
         let (mut failures, mut plots) = (ReportOnce::default(), Vec::new());
         let array = session.plots.first().map_or("", Plot::array).to_owned();
         for plot in session.plots {
@@ -70,7 +66,6 @@ impl LibsimAnalysis {
             frequency: session.frequency,
             scene,
             last_png: Arc::new(Mutex::new(None)),
-            startup_seconds,
             failures,
         }
     }
@@ -84,11 +79,6 @@ impl LibsimAnalysis {
     /// Handle to the latest PNG bytes (rank 0).
     pub fn png_handle(&self) -> PngHandle {
         Arc::clone(&self.last_png)
-    }
-
-    /// Measured startup (config check) seconds on this rank.
-    pub fn startup_seconds(&self) -> f64 {
-        self.startup_seconds
     }
 }
 
@@ -281,15 +271,6 @@ mod tests {
             if comm.rank() == 0 {
                 assert_eq!(frames, 2, "steps 0 and 5 only");
             }
-        });
-    }
-
-    #[test]
-    fn startup_performs_config_check() {
-        World::run(1, |_comm| {
-            let a = LibsimAnalysis::new(small_session(1), Path::new("/nonexistent/.visitrc"));
-            assert!(a.startup_seconds() >= 0.0);
-            assert!(a.startup_seconds() < 0.5, "a single stat is fast");
         });
     }
 

@@ -23,7 +23,7 @@ pub mod engine;
 pub mod session;
 
 pub use engine::LibsimAnalysis;
-pub use session::{Plot, Session, SessionError};
+pub use session::{Plot, Session};
 
 /// Libsim's output resolution in the paper's miniapp study.
 pub const DEFAULT_IMAGE: (usize, usize) = (1600, 1600);

@@ -5,7 +5,7 @@
 
 /// Replace comments and string/char-literal contents with spaces,
 /// keeping every newline, so downstream matchers only ever see code.
-pub fn strip_comments_and_strings(source: &str) -> String {
+pub(crate) fn strip_comments_and_strings(source: &str) -> String {
     let bytes: Vec<char> = source.chars().collect();
     let mut out = String::with_capacity(source.len());
     let mut i = 0usize;
@@ -148,7 +148,7 @@ pub fn strip_comments_and_strings(source: &str) -> String {
 /// attribute line itself, the item header, and everything through the
 /// item's closing brace are marked. Handles `#[cfg(all(test, ...))]`
 /// too.
-pub fn test_region_lines(lines: &[&str]) -> Vec<bool> {
+pub(crate) fn test_region_lines(lines: &[&str]) -> Vec<bool> {
     let mut out = vec![false; lines.len()];
     let mut i = 0usize;
     while i < lines.len() {
@@ -221,7 +221,7 @@ fn is_fn_header(line: &str) -> bool {
     false
 }
 
-pub fn fn_regions(lines: &[&str]) -> Vec<(usize, usize)> {
+pub(crate) fn fn_regions(lines: &[&str]) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
     let mut i = 0usize;
     while i < lines.len() {
@@ -289,7 +289,7 @@ fn has_word(hay: &str, needle: &str) -> bool {
 /// and impl headers (`unsafe fn`, `unsafe impl`) are the compiler's
 /// department (`deny(unsafe_op_in_unsafe_fn)` forces explicit inner
 /// blocks, which this rule then catches).
-pub fn has_unsafe_intro(line: &str) -> bool {
+pub(crate) fn has_unsafe_intro(line: &str) -> bool {
     let mut start = 0usize;
     while let Some(pos) = line[start..].find("unsafe") {
         let at = start + pos;
@@ -313,7 +313,7 @@ pub fn has_unsafe_intro(line: &str) -> bool {
 }
 
 /// Does this line `use` Instant/SystemTime out of `std::time`?
-pub fn imports_std_time_type(line: &str) -> bool {
+pub(crate) fn imports_std_time_type(line: &str) -> bool {
     let t = line.trim_start();
     t.starts_with("use ")
         && t.contains("std::time")
@@ -321,7 +321,7 @@ pub fn imports_std_time_type(line: &str) -> bool {
 }
 
 /// The raw `std::sync` lock primitive this line names, if any.
-pub fn std_sync_primitive(line: &str) -> Option<&'static str> {
+pub(crate) fn std_sync_primitive(line: &str) -> Option<&'static str> {
     if !line.contains("std::sync") {
         return None;
     }

@@ -10,7 +10,7 @@ use std::any::Any;
 /// implementations use a reserved high space (see [`Tag::collective`]),
 /// and loan returns one beside it (`Tag::returned`).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
-pub struct Tag(pub u64);
+pub(crate) struct Tag(pub u64);
 
 /// Wildcard source for [`crate::Comm::recv_any`]-style matching.
 pub const ANY_SOURCE: usize = usize::MAX;
@@ -20,7 +20,7 @@ const RETURN_BIT: u64 = 1 << 62;
 
 impl Tag {
     /// A user-level tag. Values are taken as-is from the low 32 bits.
-    pub fn user(tag: u32) -> Self {
+    pub(crate) fn user(tag: u32) -> Self {
         Tag(tag as u64)
     }
 
@@ -30,7 +30,7 @@ impl Tag {
     /// semantics require every rank to issue collectives in the same order,
     /// the per-rank counters agree and the epoch disambiguates successive
     /// collectives of the same kind.
-    pub fn collective(kind: CollectiveKind, epoch: u64) -> Self {
+    pub(crate) fn collective(kind: CollectiveKind, epoch: u64) -> Self {
         Tag(COLLECTIVE_BIT | ((kind as u64) << 48) | (epoch & 0xFFFF_FFFF_FFFF))
     }
 
@@ -42,13 +42,13 @@ impl Tag {
     }
 
     /// True if this tag belongs to the reserved collective space.
-    pub fn is_collective(self) -> bool {
+    pub(crate) fn is_collective(self) -> bool {
         self.0 & COLLECTIVE_BIT != 0
     }
 
     /// Decode a collective tag into `(kind, epoch)`; `None` for user tags
     /// or unknown kind bits.
-    pub fn collective_parts(self) -> Option<(CollectiveKind, u64)> {
+    pub(crate) fn collective_parts(self) -> Option<(CollectiveKind, u64)> {
         if !self.is_collective() {
             return None;
         }
@@ -75,7 +75,7 @@ impl std::fmt::Display for Tag {
 /// recorded trace keeps its meaning, and 7 and 8 are unused.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(u8)]
-pub enum CollectiveKind {
+pub(crate) enum CollectiveKind {
     Barrier = 1,
     Bcast = 2,
     Reduce = 3,
@@ -90,7 +90,7 @@ impl CollectiveKind {
     /// Probe counter name for this collective (messages/bytes tally up
     /// under the algorithm that moved them: an allreduce built from
     /// reduce + bcast reports as those two kinds).
-    pub fn counter_name(self) -> &'static str {
+    pub(crate) fn counter_name(self) -> &'static str {
         match self {
             CollectiveKind::Barrier => "minimpi/barrier",
             CollectiveKind::Bcast => "minimpi/bcast",
@@ -104,7 +104,7 @@ impl CollectiveKind {
     }
 
     /// Inverse of `kind as u8`; `None` for values outside the enum.
-    pub fn from_bits(bits: u8) -> Option<Self> {
+    pub(crate) fn from_bits(bits: u8) -> Option<Self> {
         Some(match bits {
             1 => CollectiveKind::Barrier,
             2 => CollectiveKind::Bcast,
@@ -120,7 +120,7 @@ impl CollectiveKind {
 }
 
 /// A message in flight: source rank, tag, and type-erased payload.
-pub struct Envelope {
+pub(crate) struct Envelope {
     /// Rank of the sender within the communicator the message was sent on.
     pub src: usize,
     /// Matching tag.

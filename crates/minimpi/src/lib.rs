@@ -43,7 +43,6 @@ mod comm;
 mod envelope;
 mod fault;
 mod loan;
-mod ops;
 mod world;
 
 pub mod collectives;
@@ -51,12 +50,11 @@ pub mod dpor;
 pub mod sched;
 
 pub use comm::Comm;
-pub use dpor::{CheckFailure, CheckReport, CheckStats, Checker};
-pub use envelope::{CollectiveKind, Envelope, Tag, ANY_SOURCE};
+pub use dpor::Checker;
+pub use envelope::ANY_SOURCE;
 pub use fault::FaultHandle;
 pub use loan::Verdict;
-pub use ops::{maxloc, minloc, MaxLoc, MinLoc};
-pub use sched::{Event, Guide, LivenessSpec, SchedPolicy, Trace, TraceCell};
+pub use sched::{Guide, LivenessSpec, SchedPolicy, Trace, TraceCell};
 pub use world::{World, WorldBuilder};
 
 /// Crate-level result alias (operations that can fail on malformed use).

@@ -1142,7 +1142,7 @@ mod tests {
                 Event::Send {
                     from: 0,
                     to: 1,
-                    tag: Tag::collective(crate::CollectiveKind::Bcast, 7).0,
+                    tag: Tag::collective(crate::envelope::CollectiveKind::Bcast, 7).0,
                 },
                 Event::Match {
                     slot: 1,

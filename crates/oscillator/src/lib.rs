@@ -19,7 +19,7 @@ pub mod osc;
 pub mod sim;
 
 pub use adaptor::OscillatorAdaptor;
-pub use osc::{format_deck, parse_deck, Oscillator, OscillatorKind, ParseError};
+pub use osc::{format_deck, parse_deck, Oscillator, OscillatorKind};
 pub use sim::{SimConfig, Simulation};
 
 /// The standard demo oscillator set used across examples and tests —

@@ -46,7 +46,7 @@ pub struct Oscillator {
 /// built on this threshold is therefore *bitwise* exact, not an
 /// approximation: every culled contribution is a `±0.0` that cannot
 /// change a non-negative-zero accumulator.
-pub const GAUSSIAN_UNDERFLOW_EXPONENT: f64 = 746.0;
+pub(crate) const GAUSSIAN_UNDERFLOW_EXPONENT: f64 = 746.0;
 
 impl Oscillator {
     /// Squared support cutoff: for any `d2 >= cutoff_d2()` the spatial
@@ -56,7 +56,7 @@ impl Oscillator {
     /// Returns `0.0` when the radius is so small the denominator
     /// underflows (callers must then disable culling — the Gaussian is
     /// NaN at the center in that degenerate case).
-    pub fn cutoff_d2(&self) -> f64 {
+    pub(crate) fn cutoff_d2(&self) -> f64 {
         2.0 * self.radius * self.radius * GAUSSIAN_UNDERFLOW_EXPONENT
     }
 
@@ -68,7 +68,7 @@ impl Oscillator {
     }
 
     /// Temporal amplitude at time `t`.
-    pub fn value_at(&self, t: f64) -> f64 {
+    pub(crate) fn value_at(&self, t: f64) -> f64 {
         match self.kind {
             OscillatorKind::Periodic => (self.omega * t).cos(),
             OscillatorKind::Damped => {
@@ -81,7 +81,7 @@ impl Oscillator {
     }
 
     /// Spatial Gaussian weight at squared distance `d2` from the center.
-    pub fn gaussian(&self, d2: f64) -> f64 {
+    pub(crate) fn gaussian(&self, d2: f64) -> f64 {
         (-d2 / (2.0 * self.radius * self.radius)).exp()
     }
 

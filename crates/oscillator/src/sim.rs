@@ -218,18 +218,13 @@ impl Simulation {
     }
 
     /// Physical time of the last computed step.
-    pub fn current_time(&self) -> f64 {
+    pub(crate) fn current_time(&self) -> f64 {
         self.time
     }
 
     /// Configured total steps.
     pub fn total_steps(&self) -> usize {
         self.config.steps
-    }
-
-    /// The oscillator set (after broadcast; identical on all ranks).
-    pub fn oscillators(&self) -> &[Oscillator] {
-        &self.oscillators
     }
 }
 
@@ -485,7 +480,7 @@ mod tests {
                 None
             };
             let sim = Simulation::new(comm, SimConfig::default(), root_deck);
-            assert_eq!(sim.oscillators().len(), 3);
+            assert_eq!(sim.oscillators.len(), 3);
         });
     }
 
@@ -534,11 +529,7 @@ mod tests {
                     p[1] as f64 * sp[1],
                     p[2] as f64 * sp[2],
                 ];
-                let expect: f64 = sim
-                    .oscillators()
-                    .iter()
-                    .map(|o| o.contribution(pos, t))
-                    .sum();
+                let expect: f64 = sim.oscillators.iter().map(|o| o.contribution(pos, t)).sum();
                 assert!((field[i] - expect).abs() < 1e-12);
             }
         });
@@ -643,7 +634,7 @@ mod tests {
     fn nonzero_terms(sim: &Simulation) -> u64 {
         let (t, sp) = (sim.current_time(), sim.spacing());
         let mut n = 0;
-        for o in sim.oscillators() {
+        for o in sim.oscillators.iter() {
             let cullable = o.value_at(t).is_finite() && o.cutoff_d2() > 0.0;
             for p in sim.local_extent().iter_points() {
                 let [dx, dy, dz] = [0, 1, 2].map(|a| p[a] as f64 * sp[a] - o.center[a]);
@@ -694,7 +685,7 @@ mod tests {
                 .iter()
                 .find(|c| c.name == "sim/terms")
                 .expect("counted");
-            let terms = culled.field().len() * culled.oscillators().len() * steps;
+            let terms = culled.field().len() * culled.oscillators.len() * steps;
             assert_eq!(
                 (c.calls, c.messages + c.bytes),
                 (steps as u64, terms as u64)

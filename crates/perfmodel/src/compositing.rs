@@ -51,12 +51,12 @@ pub fn composite(m: &MachineSpec, alg: Algorithm, p: usize, image_bytes: f64) ->
 }
 
 /// Bytes of an RGBA8 framebuffer.
-pub fn rgba_bytes(width: usize, height: usize) -> f64 {
+pub(crate) fn rgba_bytes(width: usize, height: usize) -> f64 {
     (width * height * 4) as f64
 }
 
 /// Bytes of an RGB8 framebuffer (what the PNG writer consumes).
-pub fn rgb_bytes(width: usize, height: usize) -> f64 {
+pub(crate) fn rgb_bytes(width: usize, height: usize) -> f64 {
     (width * height * 3) as f64
 }
 

@@ -43,7 +43,7 @@ pub const GB: f64 = 1e9;
 pub const MB: f64 = 1e6;
 
 /// log2 of a rank count, as the (integer, ceiling) number of tree stages.
-pub fn stages(p: usize) -> f64 {
+pub(crate) fn stages(p: usize) -> f64 {
     if p <= 1 {
         0.0
     } else {

@@ -10,14 +10,14 @@
 /// especially) have empirically non-monotone throughput curves, so a
 /// table beats any smooth closed form.
 #[derive(Clone, Debug)]
-pub struct CalibTable {
+pub(crate) struct CalibTable {
     /// `(x, y)` anchor points with strictly increasing `x`.
     pub points: Vec<(f64, f64)>,
 }
 
 impl CalibTable {
     /// Build from anchors; panics on unordered or empty input.
-    pub fn new(points: Vec<(f64, f64)>) -> Self {
+    pub(crate) fn new(points: Vec<(f64, f64)>) -> Self {
         assert!(!points.is_empty(), "calibration table needs points");
         assert!(
             points.windows(2).all(|w| w[1].0 > w[0].0),
@@ -28,7 +28,7 @@ impl CalibTable {
 
     /// Evaluate at `x` with log-x linear interpolation, clamped outside
     /// the anchor range.
-    pub fn eval(&self, x: f64) -> f64 {
+    pub(crate) fn eval(&self, x: f64) -> f64 {
         let pts = &self.points;
         if x <= pts[0].0 {
             return pts[0].1;
@@ -73,7 +73,7 @@ pub struct MachineSpec {
     pub composite_bw: f64,
     /// Metadata-server file-create throughput (files/s) as a function of
     /// simultaneous file count; calibrated to Table 1's VTK I/O column.
-    pub mds_create_rate: CalibTable,
+    pub(crate) mds_create_rate: CalibTable,
     /// Metadata-server stat/open throughput (files/s) — Libsim's per-rank
     /// config check (~3.5 s at 45,440 ranks ⇒ ~13 K stats/s).
     pub mds_stat_rate: f64,

@@ -116,15 +116,6 @@ pub fn total_high_water(p: usize, exe: Executable, per_rank_heap: f64) -> f64 {
     p as f64 * (exe.bytes() + per_rank_heap)
 }
 
-/// Nyx executable sizes (§4.2.3): baseline 68 MB, with SENSEI 109 MB.
-pub fn nyx_executable(with_sensei: bool) -> f64 {
-    if with_sensei {
-        109.0 * MB
-    } else {
-        68.0 * MB
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,8 +125,6 @@ mod tests {
     fn executable_sizes_match_paper_notes() {
         assert_eq!(Executable::CatalystStatic.bytes(), 153.0 * MB);
         assert_eq!(Executable::CatalystDynamic.bytes(), 87.0 * MB);
-        assert!((nyx_executable(true) - 109.0 * MB).abs() < 1.0);
-        assert!((nyx_executable(false) - 68.0 * MB).abs() < 1.0);
     }
 
     #[test]

@@ -23,7 +23,7 @@ impl SeededNoise {
     }
 
     /// A standard-normal sample (Box–Muller over the uniform generator).
-    pub fn standard_normal(&mut self) -> f64 {
+    pub(crate) fn standard_normal(&mut self) -> f64 {
         let u1: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
         let u2: f64 = self.rng.gen_range(0.0..1.0);
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()

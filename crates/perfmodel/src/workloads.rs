@@ -19,16 +19,16 @@ use crate::network;
 /// paper's prose anchors: writes have "little impact" at 1K
 /// (0.12 s ≈ ⅓ of a step) and take "about 20×" a step at 45K
 /// (9.05 s ≈ 20 × 0.46 s).
-pub const OSC_EVAL_RATE: f64 = 2.25e6;
+pub(crate) const OSC_EVAL_RATE: f64 = 2.25e6;
 
 /// Values/second one core streams for min/max+binning passes.
-pub const SCAN_RATE: f64 = 4.0e8;
+pub(crate) const SCAN_RATE: f64 = 4.0e8;
 
 /// Autocorrelation multiply-accumulate throughput, ops/second/core.
-pub const AUTOCORR_RATE: f64 = 2.0e8;
+pub(crate) const AUTOCORR_RATE: f64 = 2.0e8;
 
 /// Items/second a core merges in the final top-k reduction.
-pub const MERGE_RATE: f64 = 2.0e7;
+pub(crate) const MERGE_RATE: f64 = 2.0e7;
 
 /// The paper's three miniapp scales: `(cores, cells per core)`.
 /// 812/6496 use 68³ per core; the 45,440-core run carries the work
@@ -96,13 +96,13 @@ pub fn slice_participants(p: usize) -> usize {
 
 /// Local slice extraction on a participating rank: touch one plane of
 /// the subgrid (≈ cells^(2/3) values).
-pub fn slice_extract(m: &MachineSpec, cells_per_rank: usize) -> f64 {
+pub(crate) fn slice_extract(m: &MachineSpec, cells_per_rank: usize) -> f64 {
     (cells_per_rank as f64).powf(2.0 / 3.0) * 4.0 / (SCAN_RATE * m.core_speed)
 }
 
 /// Serial PNG encode on rank 0 (filtering + zlib DEFLATE — the Table 2
 /// culprit). `raw_bytes` is width × height × 3.
-pub fn png_encode(m: &MachineSpec, raw_bytes: f64) -> f64 {
+pub(crate) fn png_encode(m: &MachineSpec, raw_bytes: f64) -> f64 {
     raw_bytes / m.zlib_bw
 }
 
@@ -177,21 +177,6 @@ pub fn adios_transmit(m: &MachineSpec, bytes_per_rank: f64) -> f64 {
 /// Catalyst-slice over FlexPath versus inline.
 pub const ADIOS_COSCHEDULE_FACTOR: f64 = 0.45;
 
-/// Writer-side per-timestep cost of running `endpoint_analysis_seconds`
-/// of analysis at a FlexPath endpoint sharing the writer's cores:
-/// metadata advance + non-zero-copy transmission + blocking while the
-/// hyperthread-sharing reader drains the previous step.
-pub fn adios_staged_step(
-    m: &MachineSpec,
-    p: usize,
-    bytes_per_rank: f64,
-    endpoint_analysis_seconds: f64,
-) -> f64 {
-    adios_advance(m, p)
-        + adios_transmit(m, bytes_per_rank)
-        + ADIOS_COSCHEDULE_FACTOR * endpoint_analysis_seconds
-}
-
 // ---------------------------------------------------------------------
 // Science applications
 // ---------------------------------------------------------------------
@@ -233,7 +218,7 @@ impl PhastaRun {
     }
 
     /// Mesh elements per rank.
-    pub fn elements_per_rank(self) -> usize {
+    pub(crate) fn elements_per_rank(self) -> usize {
         match self {
             PhastaRun::Is1 | PhastaRun::Is2 => 1_280_000_000 / 262_144,
             PhastaRun::Is3 => 6_330_000_000 / 1_048_576,
@@ -244,7 +229,7 @@ impl PhastaRun {
     /// totals net of in situ time (the implicit FE solve is not what the
     /// paper measures; see DESIGN.md). IS1 runs 64 ranks/core-pair
     /// (4/core), halving per-rank memory bandwidth vs IS2.
-    pub fn solver_step_seconds(self) -> f64 {
+    pub(crate) fn solver_step_seconds(self) -> f64 {
         match self {
             PhastaRun::Is1 => 8.04,
             PhastaRun::Is2 => 5.38,
@@ -257,7 +242,7 @@ impl PhastaRun {
 /// unstructured mesh): extract + binary-swap composite + serial PNG.
 /// Unlike the miniapp's axis-aligned slice, the tail-geometry slice cuts
 /// most ranks, so all ranks composite.
-pub fn phasta_insitu_step(m: &MachineSpec, run: PhastaRun) -> f64 {
+pub(crate) fn phasta_insitu_step(m: &MachineSpec, run: PhastaRun) -> f64 {
     let (w, h) = run.image();
     let extract = (run.elements_per_rank() as f64) * 0.12 / (SCAN_RATE * m.core_speed);
     extract
@@ -272,7 +257,7 @@ pub fn phasta_insitu_step(m: &MachineSpec, run: PhastaRun) -> f64 {
 
 /// PHASTA one-time in situ cost (adaptor construction, Catalyst edition
 /// pipeline load, first-use connectivity copy).
-pub fn phasta_insitu_onetime(m: &MachineSpec, run: PhastaRun) -> f64 {
+pub(crate) fn phasta_insitu_onetime(m: &MachineSpec, run: PhastaRun) -> f64 {
     let connectivity_copy = (run.elements_per_rank() * 4 * 8) as f64 / (2e9 * m.core_speed);
     1.0 + connectivity_copy + network::bcast(m, run.ranks(), 64.0 * 1024.0)
 }
@@ -323,13 +308,6 @@ pub fn leslie_adaptor_step(m: &MachineSpec, p: usize) -> f64 {
     let cells_per_core = 1025.0f64.powi(3) / p as f64;
     // Curl stencil = ~9 reads/cell.
     9.0 * cells_per_core / (SCAN_RATE * m.core_speed) + 0.02
-}
-
-/// AVF-LESLIE volume checkpoint (11 conserved/species variables): the
-/// ≈24 s per step at 65K the paper contrasts with 1–1.5 s of in situ.
-pub fn leslie_volume_write(m: &MachineSpec) -> f64 {
-    let bytes = 1025.0f64.powi(3) * 8.0 * 11.0;
-    crate::storage::collective_write(m, bytes)
 }
 
 /// Nyx solver step seconds (LyA problem, 40-step convergence runs):
@@ -503,19 +481,6 @@ mod tests {
     }
 
     #[test]
-    fn leslie_write_anchor() {
-        // ≈24 s to write one volume step at 1025³.
-        let t = leslie_volume_write(&MachineSpec::titan());
-        assert!((20.0..28.0).contains(&t), "volume write {t}");
-        // In situ affords 3–4× the temporal resolution of post hoc.
-        let m = MachineSpec::titan();
-        let insitu_per_step =
-            leslie_render_invocation(&m, 65536) / 5.0 + leslie_adaptor_step(&m, 65536);
-        let afford = t / (insitu_per_step * 5.0);
-        assert!(afford > 2.0, "temporal-resolution advantage {afford}");
-    }
-
-    #[test]
     fn nyx_anchors() {
         // Steps: ~67 s / 90 s / 202 s; analyses < 1 s; writes 17/80/312 s.
         let m = cori();
@@ -548,7 +513,11 @@ mod tests {
         let m = cori();
         let (p, cells) = (6496usize, 64 * 64 * 64);
         let inline = catalyst_slice_step(&m, p, cells);
-        let staged = adios_staged_step(&m, p, (cells * 8) as f64, inline);
+        // The writer's staged step, summed as Fig. 8's advance and
+        // analysis columns sum it.
+        let staged = adios_advance(&m, p)
+            + adios_transmit(&m, (cells * 8) as f64)
+            + ADIOS_COSCHEDULE_FACTOR * inline;
         let penalty = staged / inline;
         assert!((0.35..0.7).contains(&penalty), "penalty {penalty}");
     }

@@ -24,9 +24,7 @@ mod report;
 pub mod time;
 
 pub use json::Json;
-pub use report::{
-    aggregate, Aggregates, CounterAgg, FailureEntry, GaugeAgg, PhaseAgg, RankMemory, RunReport,
-};
+pub use report::{CounterAgg, FailureEntry, GaugeAgg, PhaseAgg, RankMemory, RunReport};
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

@@ -13,7 +13,7 @@ use crate::json::Json;
 use crate::{Snapshot, GAUGE_ALLOC_PEAK, GAUGE_DATASET_OWNED, GAUGE_DATASET_SHARED};
 
 /// Format tag written into every report.
-pub const SCHEMA: &str = "sensei-runreport-v2";
+pub(crate) const SCHEMA: &str = "sensei-runreport-v2";
 
 /// One non-fatal failure in the run, as a single machine-readable
 /// shape: which rank reported it, a stable kind tag (`"dead-writer"`,
@@ -102,7 +102,7 @@ pub struct RankMemory {
 
 /// The output of [`aggregate`].
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct Aggregates {
+pub(crate) struct Aggregates {
     /// Per-label cross-rank phase statistics, sorted by label.
     pub phases: Vec<PhaseAgg>,
     /// Per-name counter totals, sorted by name.
@@ -116,7 +116,7 @@ pub struct Aggregates {
 /// Reduce rank-ordered snapshots (`snapshots[r]` from rank `r`) to
 /// cross-rank statistics. Pure and deterministic: the same snapshots
 /// aggregate to the same report on any rank or host.
-pub fn aggregate(snapshots: &[Snapshot]) -> Aggregates {
+pub(crate) fn aggregate(snapshots: &[Snapshot]) -> Aggregates {
     let mut phases: Vec<PhaseAgg> = Vec::new();
     let mut counters: Vec<CounterAgg> = Vec::new();
     let mut gauges: Vec<GaugeAgg> = Vec::new();

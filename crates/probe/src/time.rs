@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 /// Seconds a virtual clock advances per [`now_seconds`] call: 100 ns.
 /// Small enough that virtual spans stay far below any real-time
 /// threshold a test might assert on, large enough to stay exact in f64.
-pub const VIRTUAL_TICK_SECONDS: f64 = 1e-7;
+pub(crate) const VIRTUAL_TICK_SECONDS: f64 = 1e-7;
 
 thread_local! {
     /// `Some(ticks)` when this thread runs on virtual time.
@@ -87,11 +87,6 @@ impl Wall {
     pub fn elapsed(&self) -> Duration {
         self.0.elapsed()
     }
-
-    /// Real time between `earlier` and this instant (zero if negative).
-    pub fn duration_since(&self, earlier: Wall) -> Duration {
-        self.0.saturating_duration_since(earlier.0)
-    }
 }
 
 /// Restores the thread's previous time source on drop; see
@@ -152,9 +147,6 @@ mod tests {
         let t0 = Wall::now();
         std::thread::sleep(std::time::Duration::from_millis(2));
         assert!(t0.elapsed() >= std::time::Duration::from_millis(1));
-        let t1 = Wall::now();
-        assert!(t1.duration_since(t0) >= std::time::Duration::from_millis(1));
-        assert_eq!(t0.duration_since(t1), std::time::Duration::ZERO);
     }
 
     #[test]

@@ -34,7 +34,7 @@ impl Color {
     pub const BLACK: Color = Color::rgb(0, 0, 0);
 
     /// Linear interpolation between two colors.
-    pub fn lerp(a: Color, b: Color, t: f64) -> Color {
+    pub(crate) fn lerp(a: Color, b: Color, t: f64) -> Color {
         let t = t.clamp(0.0, 1.0);
         let mix = |x: u8, y: u8| (x as f64 + (y as f64 - x as f64) * t).round() as u8;
         Color {
@@ -87,11 +87,6 @@ impl Colormap {
         ])
     }
 
-    /// Grayscale ramp.
-    pub fn grayscale() -> Self {
-        Colormap::new(vec![(0.0, Color::BLACK), (1.0, Color::WHITE)])
-    }
-
     /// Map a normalized value (clamped to `[0,1]`; NaN maps to 0).
     pub fn map(&self, t: f64) -> Color {
         let t = if t.is_nan() { 0.0 } else { t.clamp(0.0, 1.0) };
@@ -116,6 +111,14 @@ impl Colormap {
         } else {
             self.map(0.5)
         }
+    }
+}
+
+#[cfg(test)]
+impl Colormap {
+    /// Grayscale ramp (the tests' colormap).
+    pub(crate) fn grayscale() -> Self {
+        Colormap::new(vec![(0.0, Color::BLACK), (1.0, Color::WHITE)])
     }
 }
 

@@ -759,7 +759,7 @@ const ADLER_RUN: usize = 5536;
 /// Over a run of `m` blocks, byte `16j + k` enters the checksum's `b`
 /// `16(m − j) − k` times, which is `16·b[k] − k·a[k]` summed over the
 /// lanes, plus `16m` times the `a` the run started from.
-pub fn adler32(data: &[u8]) -> u32 {
+pub(crate) fn adler32(data: &[u8]) -> u32 {
     let m = ADLER_MOD as u64;
     let (mut a, mut b) = (1u64, 0u64);
     for run in data.chunks(ADLER_RUN) {

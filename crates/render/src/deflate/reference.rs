@@ -220,7 +220,7 @@ fn lz77(data: &[u8]) -> Vec<Token> {
 }
 
 /// Raw DEFLATE stream of `data`: one final fixed-Huffman block.
-pub fn deflate_fixed(data: &[u8]) -> Vec<u8> {
+pub(crate) fn deflate_fixed(data: &[u8]) -> Vec<u8> {
     let mut w = BitWriter {
         out: Vec::new(),
         bitbuf: 0,

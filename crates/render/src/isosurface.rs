@@ -21,24 +21,8 @@ const TETS: [[usize; 4]; 6] = [
 ];
 
 /// Extract the isosurface of `values` (point data over `local`, row-major
-/// k-slowest) at `isovalue`. Vertex positions are
-/// `origin + index * spacing`. Returns world-space triangles.
-pub fn marching_tetrahedra(
-    local: &Extent,
-    values: &[f64],
-    isovalue: f64,
-    origin: [f64; 3],
-    spacing: [f64; 3],
-) -> Vec<Triangle> {
-    let mut triangles = Vec::new();
-    march(local, values, isovalue, origin, spacing, &mut |t| {
-        triangles.push(t)
-    });
-    triangles
-}
-
-/// [`marching_tetrahedra`]'s triangles, in its order, handed to `emit`
-/// one at a time instead of collected.
+/// k-slowest) at `isovalue`, handing each world-space triangle to `emit`
+/// in order. Vertex positions are `origin + index * spacing`.
 pub(crate) fn march(
     local: &Extent,
     values: &[f64],
@@ -156,6 +140,22 @@ fn march_tet(p: [[f64; 3]; 4], v: [f64; 4], iso: f64, emit: &mut impl FnMut(Tria
         }
         _ => unreachable!(),
     }
+}
+
+/// [`march`]'s triangles, collected: the tests' reference surface.
+#[cfg(test)]
+pub(crate) fn marching_tetrahedra(
+    local: &Extent,
+    values: &[f64],
+    isovalue: f64,
+    origin: [f64; 3],
+    spacing: [f64; 3],
+) -> Vec<Triangle> {
+    let mut triangles = Vec::new();
+    march(local, values, isovalue, origin, spacing, &mut |t| {
+        triangles.push(t)
+    });
+    triangles
 }
 
 #[cfg(test)]

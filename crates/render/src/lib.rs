@@ -5,7 +5,7 @@
 //! through OSMesa — i.e. *software* rendering. This crate provides the
 //! equivalent pieces from scratch:
 //!
-//! * [`color`] — colormaps (cool–warm diverging, viridis-like, grayscale)
+//! * [`color`] — colormaps (cool–warm diverging, viridis-like)
 //!   for pseudocoloring;
 //! * [`framebuffer`] — RGB colour + depth buffers, a pixel covered where
 //!   its depth is finite, and the one buffer per rank that every in situ

@@ -26,7 +26,7 @@ use crate::slice::{extract_plane, plane_box, render_plane, LocalSlice};
 /// every rank has to share. Collective (one pair reduction); NaN-free
 /// fields assumed. Equal as numbers to the serial fold; the sign of a
 /// zero extreme is unspecified, as it is for `f64::min`/`max`.
-pub fn global_range(comm: &Comm, values: &[f64]) -> (f64, f64) {
+pub(crate) fn global_range(comm: &Comm, values: &[f64]) -> (f64, f64) {
     // Eight independent accumulators: `min`/`max` over a set do not
     // depend on the order, and one accumulator is a serial chain of
     // their latencies over the whole field. The lanes are selects,

@@ -46,7 +46,7 @@ const MIN_BAND: usize = 256 * 1024;
 const _: () = assert!(MIN_BAND >= WINDOW + MAX_MATCH);
 
 /// CRC-32 (ISO 3309), as required by the PNG chunk format.
-pub fn crc32(data: &[u8]) -> u32 {
+pub(crate) fn crc32(data: &[u8]) -> u32 {
     crc32_update(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
 }
 
@@ -214,7 +214,7 @@ fn serial(width: usize, height: usize, fill: impl FnOnce(&mut [u8]), mode: Mode)
 /// next: the deflate tables, its sliding buffer and the speculative
 /// parse's buffers, and one scanline, for a row a chunk boundary cuts.
 #[derive(Default)]
-pub struct PngEncoder {
+pub(crate) struct PngEncoder {
     fixed: Fixed,
     line: Vec<u8>,
 }
@@ -299,7 +299,7 @@ impl PngEncoder {
     /// A band's stream is never held whole: the parse pulls it through
     /// its sliding buffer (`deflate::SLIDE` bytes), flattening this
     /// rank's rows as it goes and copying the ones other ranks sent.
-    pub fn encode(
+    pub(crate) fn encode(
         &mut self,
         comm: &Comm,
         fb: &Framebuffer,

@@ -85,7 +85,15 @@ fn edge(a: Vertex, b: Vertex, x: f64, y: f64) -> f64 {
 /// (fast path for structured slice cells): the pixels whose centre lies
 /// in `[x0, x1) × [y0, y1)`, which keeps adjacent rects seamless, filled
 /// one row span at a time in the rows `fb` holds.
-pub fn fill_rect(fb: &mut Framebuffer, x0: f64, y0: f64, x1: f64, y1: f64, z: f32, color: Color) {
+pub(crate) fn fill_rect(
+    fb: &mut Framebuffer,
+    x0: f64,
+    y0: f64,
+    x1: f64,
+    y1: f64,
+    z: f32,
+    color: Color,
+) {
     let (x0, x1) = (x0.min(x1), x0.max(x1));
     let (y0, y1) = (y0.min(y1), y0.max(y1));
     let cols = centres_in(x0, x1, fb.width());

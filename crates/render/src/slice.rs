@@ -37,7 +37,7 @@ pub struct LocalSlice {
 }
 
 /// The two in-plane axes for a slice along `axis`.
-pub fn plane_axes(axis: usize) -> (usize, usize) {
+pub(crate) fn plane_axes(axis: usize) -> (usize, usize) {
     match axis {
         0 => (1, 2),
         1 => (0, 2),
@@ -99,7 +99,7 @@ impl LocalSlice {
     }
 
     /// Local points along v.
-    pub fn nv(&self) -> usize {
+    pub(crate) fn nv(&self) -> usize {
         (self.v_range[1] - self.v_range[0] + 1) as usize
     }
 

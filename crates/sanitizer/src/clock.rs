@@ -3,9 +3,9 @@
 //! One clock per rank *slot* (a slot is minimpi's world-wide thread
 //! index, stable across `Comm::split`). A rank ticks its own component
 //! on every visible event (send, receive, array write) and merges the
-//! sender's clock into its own on delivery, so `a.happens_before(b)`
-//! holds exactly when a chain of messages orders event `a` before
-//! event `b`.
+//! sender's clock into its own on delivery, so `a.happens_before_or_eq(b)`
+//! holds, and its converse does not, exactly when a chain of messages
+//! orders event `a` before event `b`.
 
 use std::fmt;
 
@@ -55,7 +55,7 @@ impl VectorClock {
     /// is also in `other`'s past. This is the happens-before-or-equal
     /// test the shadow state uses — a release stamped `self` orders
     /// before a write stamped `other` iff this returns true.
-    pub fn happens_before_or_eq(&self, other: &VectorClock) -> bool {
+    pub(crate) fn happens_before_or_eq(&self, other: &VectorClock) -> bool {
         if self.0.len() > other.0.len() && self.0[other.0.len()..].iter().any(|&c| c != 0) {
             return false;
         }
@@ -63,11 +63,6 @@ impl VectorClock {
             .iter()
             .zip(other.0.iter())
             .all(|(mine, theirs)| mine <= theirs)
-    }
-
-    /// Strict happens-before: `self ≤ other` and `self != other`.
-    pub fn happens_before(&self, other: &VectorClock) -> bool {
-        self.happens_before_or_eq(other) && self != other
     }
 
     /// Neither orders before the other: the two events are racing.
@@ -116,7 +111,7 @@ mod tests {
         let mut b = VectorClock::new(3);
         b.merge(&a); // delivery
         b.tick(1);
-        assert!(a.happens_before(&b));
+        assert!(a.happens_before_or_eq(&b));
         assert!(!b.happens_before_or_eq(&a));
     }
 
@@ -128,16 +123,15 @@ mod tests {
         b.tick(1);
         assert!(a.concurrent_with(&b));
         assert!(b.concurrent_with(&a));
-        assert!(!a.happens_before(&b));
     }
 
     #[test]
-    fn equal_clocks_order_weakly_not_strictly() {
+    fn equal_clocks_order_weakly_both_ways() {
         let mut a = VectorClock::new(2);
         a.tick(0);
         let b = a.clone();
         assert!(a.happens_before_or_eq(&b));
-        assert!(!a.happens_before(&b));
+        assert!(b.happens_before_or_eq(&a));
         assert!(!a.concurrent_with(&b));
     }
 

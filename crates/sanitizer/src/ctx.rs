@@ -68,7 +68,7 @@ pub fn slot() -> Option<usize> {
 /// A local visible event (an array write, a publish open/close): tick
 /// this rank's clock and return `(session, slot, clock-after-tick)`.
 /// `None` when no context is active — callers skip their check.
-pub fn local_event() -> Option<(Arc<Session>, usize, VectorClock)> {
+pub(crate) fn local_event() -> Option<(Arc<Session>, usize, VectorClock)> {
     CTX.with(|c| {
         let mut b = c.borrow_mut();
         let ctx = b.as_mut()?;
@@ -217,7 +217,8 @@ mod tests {
             on_recv(&stamp);
             local_event().expect("ctx installed").2
         };
-        assert!(stamp.clock.happens_before(&write_clock));
+        assert!(stamp.clock.happens_before_or_eq(&write_clock));
+        assert!(!write_clock.happens_before_or_eq(&stamp.clock));
         // Delivered: no leak at teardown.
         assert_eq!(session.finish_world(), 0);
     }

@@ -46,16 +46,16 @@ mod shadow;
 
 pub use clock::{Stamp, VectorClock};
 pub use ctx::{
-    active, cancel_send, check_obligations, check_view_leaks, close_obligation, install,
-    local_event, on_recv, on_send, open_obligation, report_wrong_space, session, slot, CtxGuard,
+    active, cancel_send, check_obligations, check_view_leaks, close_obligation, install, on_recv,
+    on_send, open_obligation, report_wrong_space, session, slot, CtxGuard,
 };
-pub use report::{findings_to_json, Finding, FindingKind};
-pub use session::{Mode, MsgMeta, Session};
+pub use report::{Finding, FindingKind};
+pub use session::{Mode, Session};
 pub use shadow::Shadow;
 
 /// Environment variable that force-enables the sanitizer for every
 /// world (`1`/`true`/`on`, case-insensitive).
-pub const ENV_VAR: &str = "SENSEI_SANITIZER";
+pub(crate) const ENV_VAR: &str = "SENSEI_SANITIZER";
 
 /// Should worlds auto-install a sanitizer? Reads [`ENV_VAR`] on every
 /// call (no caching) so a process can toggle it between runs — the

@@ -123,11 +123,6 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Render a batch of findings as a JSON array string for artifacts.
-pub fn findings_to_json(findings: &[Finding]) -> String {
-    Json::Arr(findings.iter().map(Finding::to_json).collect()).to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,8 +158,8 @@ mod tests {
             seed: None,
             detail: "sent but never received".into(),
         };
-        let s = findings_to_json(&[f]);
-        assert!(s.starts_with('[') && s.ends_with(']'));
+        let s = f.to_json().to_string();
+        assert!(s.starts_with('{') && s.ends_with('}'));
         assert!(s.contains("\"message-leak\""), "{s}");
         assert!(
             s.contains("\"peer_slot\":null")

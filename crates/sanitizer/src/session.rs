@@ -32,7 +32,7 @@ pub enum Mode {
 
 /// Bookkeeping for one in-flight message.
 #[derive(Clone, Debug)]
-pub struct MsgMeta {
+pub(crate) struct MsgMeta {
     pub from: usize,
     pub to: usize,
     pub tag: String,
@@ -107,14 +107,14 @@ impl Session {
 
     /// Register a message entering flight; returns its session-unique
     /// id (carried on the envelope stamp, cleared on delivery).
-    pub fn register_send(&self, meta: MsgMeta) -> u64 {
+    pub(crate) fn register_send(&self, meta: MsgMeta) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         self.state.lock().inflight.insert(id, meta);
         id
     }
 
     /// Delivery: the message with `msg_id` was matched by a receiver.
-    pub fn register_recv(&self, msg_id: u64) {
+    pub(crate) fn register_recv(&self, msg_id: u64) {
         self.state.lock().inflight.remove(&msg_id);
     }
 
@@ -125,7 +125,7 @@ impl Session {
     }
 
     /// Register an open zero-copy publish window (a staged view).
-    pub fn register_publish(&self, slot: usize, subject: &str) -> u64 {
+    pub(crate) fn register_publish(&self, slot: usize, subject: &str) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         self.state.lock().publishes.insert(
             id,
@@ -138,7 +138,7 @@ impl Session {
     }
 
     /// The publish window with `pub_id` closed (view returned).
-    pub fn release_publish(&self, pub_id: u64) {
+    pub(crate) fn release_publish(&self, pub_id: u64) {
         self.state.lock().publishes.remove(&pub_id);
     }
 
@@ -203,11 +203,6 @@ impl Session {
     /// Findings accumulated so far (Collect mode; empty under Panic).
     pub fn findings(&self) -> Vec<Finding> {
         self.state.lock().findings.clone()
-    }
-
-    /// Drop every accumulated finding (between runs sharing a session).
-    pub fn clear_findings(&self) {
-        self.state.lock().findings.clear();
     }
 
     /// Publish windows still open for `slot` — the view-leak check a
@@ -334,10 +329,9 @@ mod tests {
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].kind, FindingKind::ViewLeak);
         assert_eq!(f[0].slots.0, 2);
-        s.clear_findings();
         s.release_publish(id);
         s.check_view_leaks(2, "Bridge::finalize");
-        assert!(s.findings().is_empty());
+        assert_eq!(s.findings().len(), 1, "a released window is no leak");
     }
 
     #[test]
@@ -355,12 +349,12 @@ mod tests {
         assert_eq!(f[0].kind, FindingKind::ObligationLeak);
         assert_eq!(f[0].slots, (1, None));
         assert!(f[0].subject.contains("glean_000007"), "{}", f[0].subject);
-        s.clear_findings();
         // World teardown reports it too, then closing silences it.
         assert_eq!(s.finish_world(), 1);
-        s.clear_findings();
+        assert_eq!(s.findings().len(), 2);
         s.close_obligation(kept);
         assert_eq!(s.finish_world(), 0);
+        assert_eq!(s.findings().len(), 2);
     }
 
     #[test]

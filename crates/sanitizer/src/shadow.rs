@@ -8,10 +8,9 @@
 //! simulation publishes and the endpoint reads) is one object.
 //!
 //! The ledger records, per array: open and recently-closed zero-copy
-//! publish windows (with the publishing slot and clocks), the last
-//! write and last read events, and — once the array's dataset carries
-//! a `vtkGhostType` array — the ghost flags used to police tuple
-//! writes.
+//! publish windows (with the publishing slot and clocks) and — once
+//! the array's dataset carries a `vtkGhostType` array — the ghost flags
+//! used to police tuple writes.
 //!
 //! The write rule: a write at clock `C` by slot `w` races a publish
 //! window `p` unless the window closed *and* its release
@@ -50,14 +49,6 @@ struct PublishRecord {
 #[derive(Default)]
 struct ShadowState {
     publishes: Vec<PublishRecord>,
-    last_write: Option<(usize, VectorClock)>,
-    last_read: Option<(usize, VectorClock)>,
-    /// Last explicit cross-space transfer: `(slot, "from->to", clock)`.
-    /// The transfer clock is the happens-before edge that makes the
-    /// device-side copy race-free: it is ordered after every write the
-    /// rank made before snapshotting, and the device only ever reads
-    /// the copy.
-    last_transfer: Option<(usize, String, VectorClock)>,
     ghosts: Option<Arc<Vec<u8>>>,
 }
 
@@ -123,16 +114,6 @@ impl Shadow {
         }
     }
 
-    /// A write to the whole array (bulk mutation, COW fork, slice
-    /// handout for writing). Checks every publish window, reporting a
-    /// use-after-publish for each one not ordered before this write.
-    pub fn on_write(&self) {
-        let Some((session, slot, clock)) = ctx::local_event() else {
-            return;
-        };
-        self.check_write(&session, slot, &clock);
-    }
-
     /// A write to one tuple (`DataArray::set`): the whole-array check
     /// plus the ghost rule — a rank must never write a tuple its
     /// decomposition marks as a ghost copy.
@@ -164,45 +145,15 @@ impl Shadow {
         self.check_write(&session, slot, &clock);
     }
 
-    /// A read borrow (`as_slice_in` / `component_slice_in` / leaf view).
-    /// Reads are always safe against open windows (both sides read);
-    /// the event is recorded as the last-reader epoch for evidence.
+    /// A read of the array's bytes: a read borrow (`as_slice_in` /
+    /// `component_slice_in` / leaf view) or an explicit cross-space
+    /// transfer (`move_to` / `snapshot_in`). A visible event that ticks
+    /// the rank's clock; reads are always safe against open windows
+    /// (both sides read), so there is no publish check. A transfer's
+    /// snapshot is ordered after every prior write by program order, so
+    /// later host writes cannot race the device copy.
     pub fn on_read(&self) {
-        let Some((_session, slot, clock)) = ctx::local_event() else {
-            return;
-        };
-        self.state.lock().last_read = Some((slot, clock));
-    }
-
-    /// An explicit cross-space transfer (`move_to` / `snapshot_in`)
-    /// of this array's bytes from `from` to `to`. A visible event:
-    /// ticks the rank's clock and records it as the transfer edge.
-    /// The snapshot the transfer produced is ordered after every
-    /// prior write by program order, so later host writes cannot race
-    /// the device copy — which is exactly what makes the async
-    /// overlap provable. Reads are window-safe, so no publish check.
-    pub fn on_transfer(&self, from: &str, to: &str) {
-        let Some((_session, slot, clock)) = ctx::local_event() else {
-            return;
-        };
-        let mut state = self.state.lock();
-        state.last_transfer = Some((slot, format!("{from}->{to}"), clock.clone()));
-        state.last_read = Some((slot, clock));
-    }
-
-    /// Last transfer `(slot, "from->to", clock)`, if any was observed.
-    pub fn last_transfer(&self) -> Option<(usize, String, VectorClock)> {
-        self.state.lock().last_transfer.clone()
-    }
-
-    /// Last writer `(slot, clock)`, if any write was observed.
-    pub fn last_write(&self) -> Option<(usize, VectorClock)> {
-        self.state.lock().last_write.clone()
-    }
-
-    /// Last reader `(slot, clock)`, if any read was observed.
-    pub fn last_read(&self) -> Option<(usize, VectorClock)> {
-        self.state.lock().last_read.clone()
+        let _ = ctx::local_event();
     }
 
     /// Number of publish windows still open (tests / diagnostics).
@@ -261,7 +212,6 @@ impl Shadow {
             }
         }
         state.publishes = keep;
-        state.last_write = Some((slot, clock.clone()));
     }
 }
 
@@ -285,7 +235,7 @@ mod tests {
         let _g = install(Arc::clone(&session), 0);
         let shadow = Shadow::new("data");
         let id = shadow.begin_publish("catalyst").expect("ctx active");
-        shadow.on_write();
+        shadow.on_write_tuple(0);
         let f = session.findings();
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].kind, FindingKind::UseAfterPublish);
@@ -300,7 +250,7 @@ mod tests {
         let shadow = Shadow::new("data");
         let id = shadow.begin_publish("libsim").expect("ctx active");
         shadow.end_publish(id);
-        shadow.on_write();
+        shadow.on_write_tuple(0);
         assert!(session.findings().is_empty());
         // Window pruned once proven ordered.
         assert_eq!(shadow.open_publishes(), 0);
@@ -321,21 +271,21 @@ mod tests {
         // Rank 1 writes WITHOUT receiving the message: racy.
         {
             let _g1 = install(Arc::clone(&session), 1);
-            shadow.on_write();
+            shadow.on_write_tuple(0);
             let f = session.findings();
             assert_eq!(f.len(), 1);
             assert_eq!(f[0].kind, FindingKind::UseAfterPublish);
             assert_eq!(f[0].slots, (1, Some(0)));
         }
-        session.clear_findings();
         // Rank 1 writes AFTER receiving: the edge orders the release
         // before the write — clean.
         {
             let _g1 = install(Arc::clone(&session), 1);
             crate::ctx::on_recv(&stamp);
-            shadow.on_write();
-            assert!(
-                session.findings().is_empty(),
+            shadow.on_write_tuple(0);
+            assert_eq!(
+                session.findings().len(),
+                1,
                 "release → send → recv → write is ordered"
             );
         }
@@ -357,14 +307,13 @@ mod tests {
     }
 
     #[test]
-    fn reads_record_the_last_reader_epoch() {
+    fn reads_never_race_windows() {
         let session = Session::new(1, Mode::Collect);
         let _g = install(Arc::clone(&session), 0);
         let shadow = Shadow::new("data");
-        assert!(shadow.last_read().is_none());
+        let id = shadow.begin_publish("catalyst").expect("ctx active");
         shadow.on_read();
-        let (slot, _clock) = shadow.last_read().expect("read recorded");
-        assert_eq!(slot, 0);
         assert!(session.findings().is_empty(), "reads never race windows");
+        shadow.end_publish(id);
     }
 }

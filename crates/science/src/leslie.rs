@@ -133,11 +133,6 @@ impl Leslie {
         }
     }
 
-    #[inline]
-    fn idx(&self, i: usize, j: usize, k: usize) -> usize {
-        (k * self.ghosted_dims[1] + j) * self.ghosted_dims[0] + i
-    }
-
     /// One explicit advection–diffusion update of (u, v, w), then halo
     /// exchange of the ghost z-planes.
     pub fn step(&mut self, comm: &Comm) {
@@ -226,7 +221,7 @@ impl Leslie {
 
     /// Vorticity magnitude `|∇×u|` over the ghosted local grid — the
     /// derived field the SENSEI adaptor computes (§4.2.2).
-    pub fn vorticity_magnitude(&self) -> Vec<f64> {
+    pub(crate) fn vorticity_magnitude(&self) -> Vec<f64> {
         let [nx, ny, nzg] = self.ghosted_dims;
         let [dx, dy, dz] = self.spacing;
         let get = |f: &[f64], i: usize, j: usize, k: usize| f[(k * ny + j) * nx + i];
@@ -270,29 +265,9 @@ impl Leslie {
         comm.allreduce_scalar(ke, |a, b| a + b)
     }
 
-    /// Value of `u` at a ghosted-local index (tests).
-    pub fn u_at(&self, i: usize, j: usize, k: usize) -> f64 {
-        self.u[self.idx(i, j, k)]
-    }
-
     /// Completed steps.
     pub fn current_step(&self) -> u64 {
         self.step
-    }
-
-    /// Ghosted local dims.
-    pub fn ghosted_dims(&self) -> [usize; 3] {
-        self.ghosted_dims
-    }
-
-    /// Interior z planes on this rank.
-    pub fn nz_local(&self) -> usize {
-        self.nz_local
-    }
-
-    /// Global z offset of the first interior plane.
-    pub fn z_offset(&self) -> usize {
-        self.z_offset
     }
 
     /// Grid spacing.
@@ -435,10 +410,10 @@ mod tests {
     fn shear_profile_initialized() {
         World::run(1, |comm| {
             let sim = Leslie::new(comm, small());
-            let [_, ny, _] = sim.ghosted_dims();
+            let [nx, ny, _] = sim.ghosted_dims;
             // Bottom of the layer flows −u0-ish, top +u0-ish.
-            let lo = sim.u_at(3, 0, 2);
-            let hi = sim.u_at(3, ny - 1, 2);
+            let lo = sim.u[2 * ny * nx + 3];
+            let hi = sim.u[(2 * ny + ny - 1) * nx + 3];
             assert!(lo < -0.8, "bottom stream {lo}");
             assert!(hi > 0.8, "top stream {hi}");
         });
@@ -451,10 +426,10 @@ mod tests {
             sim.step(comm);
             sim.step(comm);
             // Gather every rank's interior boundary planes and ghosts.
-            let [nx, ny, _] = sim.ghosted_dims();
+            let [nx, ny, _] = sim.ghosted_dims;
             let plane = nx * ny;
             let interior_top: Vec<f64> =
-                sim.u[sim.nz_local() * plane..(sim.nz_local() + 1) * plane].to_vec();
+                sim.u[sim.nz_local * plane..(sim.nz_local + 1) * plane].to_vec();
             let ghost_bottom: Vec<f64> = sim.u[..plane].to_vec();
             let tops = comm.allgather(interior_top);
             let ghosts = comm.allgather(ghost_bottom);
@@ -494,7 +469,7 @@ mod tests {
         World::run(1, |comm| {
             let sim = Leslie::new(comm, small());
             let vort = sim.vorticity_magnitude();
-            let [nx, ny, _] = sim.ghosted_dims();
+            let [nx, ny, _] = sim.ghosted_dims;
             let mid_j = ny / 2;
             let edge_j = 1;
             let at = |j: usize| vort[(2 * ny + j) * nx + 3];
@@ -521,7 +496,7 @@ mod tests {
                     ..small()
                 },
             );
-            let [nx, ny, _] = sim.ghosted_dims();
+            let [nx, ny, _] = sim.ghosted_dims;
             // Momentum-thickness proxy: ∫ (1 − ū²/U²) dy over the mean
             // (x,z-averaged) streamwise profile.
             let thickness = |s: &Leslie| -> f64 {
@@ -529,7 +504,7 @@ mod tests {
                 for j in 0..ny {
                     let mut mean = 0.0;
                     let mut count = 0.0;
-                    for k in 1..=s.nz_local() {
+                    for k in 1..=s.nz_local {
                         for i in 0..nx {
                             mean += s.u[(k * ny + j) * nx + i];
                             count += 1.0;
@@ -566,8 +541,8 @@ mod tests {
             let handle = stats.results_handle();
             stats.execute(&adaptor, comm);
             let s = (*handle.lock()).unwrap();
-            let [nx, ny, _] = sim.ghosted_dims();
-            let interior = nx * ny * sim.nz_local() * comm.size();
+            let [nx, ny, _] = sim.ghosted_dims;
+            let interior = nx * ny * sim.nz_local * comm.size();
             assert_eq!(s.count as usize, interior, "ghost planes excluded");
         });
     }

@@ -55,7 +55,7 @@ impl Default for NyxConfig {
 
 /// One dark-matter particle.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Particle {
+pub(crate) struct Particle {
     /// Position in `[0, box_size)³`.
     pub pos: [f64; 3],
     /// Velocity.
@@ -265,36 +265,14 @@ impl Nyx {
         (coords[2] * self.rank_dims[1] + coords[1]) * self.rank_dims[0] + coords[0]
     }
 
-    /// Local particle count.
-    pub fn num_particles(&self) -> usize {
-        self.particles.len()
-    }
-
     /// Global particle count (collective).
     pub fn total_particles(&self, comm: &Comm) -> usize {
         comm.allreduce_scalar(self.particles.len(), |a, b| a + b)
     }
 
-    /// Total mass on the local (non-ghost) density cells.
-    pub fn local_mass(&self) -> f64 {
-        let cell_vol = self.dx[0] * self.dx[1] * self.dx[2];
-        let mut m = 0.0;
-        for c in self.ghosted.iter_points() {
-            if self.cells.contains(c) {
-                m += self.density[self.ghosted.linear_index(c)] * cell_vol;
-            }
-        }
-        m
-    }
-
     /// Completed steps.
     pub fn current_step(&self) -> u64 {
         self.step
-    }
-
-    /// Access to the particles (diagnostics).
-    pub fn particles(&self) -> &[Particle] {
-        &self.particles
     }
 }
 
@@ -358,11 +336,6 @@ impl NyxAdaptor {
             step: sim.step,
             time: sim.step as f64 * sim.config.dt,
         }
-    }
-
-    /// Bytes of the ghost-marking array.
-    pub fn ghost_array_bytes(&self) -> usize {
-        self.ghosted.num_points()
     }
 }
 
@@ -445,6 +418,18 @@ mod tests {
     use sensei::analysis::histogram::HistogramAnalysis;
     use sensei::analysis::AnalysisAdaptor as _;
 
+    /// Total mass on `sim`'s local (non-ghost) density cells.
+    fn local_mass(sim: &Nyx) -> f64 {
+        let cell_vol = sim.dx[0] * sim.dx[1] * sim.dx[2];
+        let mut m = 0.0;
+        for c in sim.ghosted.iter_points() {
+            if sim.cells.contains(c) {
+                m += sim.density[sim.ghosted.linear_index(c)] * cell_vol;
+            }
+        }
+        m
+    }
+
     fn small() -> NyxConfig {
         NyxConfig {
             grid: [8, 8, 8],
@@ -475,11 +460,11 @@ mod tests {
                     ..small()
                 },
             );
-            let before = sim.num_particles();
+            let before = sim.particles.len();
             let mut changed = false;
             for _ in 0..10 {
                 sim.step(comm);
-                if sim.num_particles() != before {
+                if sim.particles.len() != before {
                     changed = true;
                 }
             }
@@ -498,7 +483,7 @@ mod tests {
             // (Each particle's CIC cloud may straddle rank boundaries,
             // landing in a neighbor's owned cell and our ghost; owned
             // cells tile the domain, so the global sum is exact.)
-            let local = sim.local_mass();
+            let local = local_mass(&sim);
             let total = comm.allreduce_scalar(local, |a, b| a + b);
             // Periodic wrapping can place cloud corners outside the
             // ghost layer at this small scale; tolerate a small deficit.
@@ -576,7 +561,7 @@ mod tests {
                 .get("density")
                 .unwrap()
                 .is_zero_copy());
-            assert!(adaptor.ghost_array_bytes() > 0);
+            assert!(adaptor.ghosted.num_points() > 0);
         });
     }
 
@@ -588,7 +573,7 @@ mod tests {
                 for _ in 0..3 {
                     sim.step(comm);
                 }
-                (sim.num_particles(), sim.local_mass())
+                (sim.particles.len(), local_mass(&sim))
             })
         };
         assert_eq!(run(), run());

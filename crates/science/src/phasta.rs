@@ -285,13 +285,8 @@ impl Phasta {
         }
     }
 
-    /// Local node count.
-    pub fn num_nodes(&self) -> usize {
-        self.solid.len()
-    }
-
     /// Local tet count.
-    pub fn num_tets(&self) -> usize {
+    pub(crate) fn num_tets(&self) -> usize {
         self.connectivity.len() / 4
     }
 
@@ -303,16 +298,6 @@ impl Phasta {
     /// Completed steps.
     pub fn current_step(&self) -> u64 {
         self.step
-    }
-
-    /// Velocity magnitude at a local node (diagnostics).
-    pub fn velocity_magnitude(&self, n: usize) -> f64 {
-        let [u, v, w] = [
-            self.velocity[0][n],
-            self.velocity[1][n],
-            self.velocity[2][n],
-        ];
-        (u * u + v * v + w * w).sqrt()
     }
 
     /// Maximum |v| (crossflow) component over local fluid nodes — the
@@ -472,7 +457,7 @@ mod tests {
             let [gx, gy, gz] = [13usize, 9, 9];
             let total = sim.total_tets(comm);
             assert_eq!(total, (gx - 1) * (gy - 1) * (gz - 1) * 6);
-            assert!(sim.num_nodes() > 0);
+            assert!(!sim.solid.is_empty());
         });
     }
 
@@ -483,9 +468,10 @@ mod tests {
             for _ in 0..5 {
                 sim.step(comm);
             }
-            for n in 0..sim.num_nodes() {
+            for n in 0..sim.solid.len() {
                 if sim.solid[n] {
-                    assert_eq!(sim.velocity_magnitude(n), 0.0, "node {n} in the tail");
+                    let v = sim.velocity.each_ref().map(|c| c[n]);
+                    assert_eq!(v, [0.0; 3], "node {n} in the tail");
                 }
             }
             // The tail exists in this lattice.

@@ -34,7 +34,7 @@ use datamodel::Extent;
 
 /// Gauge name for the autocorrelation history/correlation buffers
 /// (the `O(t·N³)` storage the paper's Fig. 4 studies).
-pub const GAUGE_BUFFER_BYTES: &str = "mem/autocorrelation_buffer_bytes";
+pub(crate) const GAUGE_BUFFER_BYTES: &str = "mem/autocorrelation_buffer_bytes";
 
 /// Cells a step updates for all delays before moving on: the block's
 /// values and its slot row stay in cache across the `window` lag rows.
@@ -54,7 +54,7 @@ pub struct Peak {
 pub type AutocorrelationResult = Vec<Vec<Peak>>;
 
 /// Shared handle to the finalize result.
-pub type ResultsHandle = Arc<Mutex<Option<AutocorrelationResult>>>;
+pub(crate) type ResultsHandle = Arc<Mutex<Option<AutocorrelationResult>>>;
 
 /// `count` maximal runs of `len` non-ghost tuples of leaf `leaf`, run
 /// `i` starting at tuple `start + i · stride`. A ghost plane across the

@@ -29,7 +29,7 @@ pub struct Stats {
 
 /// Shared handle to the latest stats (available on **every** rank, since
 /// the reduction is an allreduce).
-pub type ResultsHandle = Arc<Mutex<Option<Stats>>>;
+pub(crate) type ResultsHandle = Arc<Mutex<Option<Stats>>>;
 
 /// Descriptive-statistics analysis adaptor.
 pub struct DescriptiveStats {
@@ -46,7 +46,7 @@ impl DescriptiveStats {
     }
 
     /// Stats with an explicit association.
-    pub fn with_association(array: impl Into<String>, assoc: Association) -> Self {
+    pub(crate) fn with_association(array: impl Into<String>, assoc: Association) -> Self {
         DescriptiveStats {
             array: array.into(),
             assoc,

@@ -57,7 +57,7 @@ impl HistogramResult {
 }
 
 /// Shared handle to the most recent result (populated on rank 0).
-pub type ResultsHandle = Arc<Mutex<Option<HistogramResult>>>;
+pub(crate) type ResultsHandle = Arc<Mutex<Option<HistogramResult>>>;
 
 /// Histogram analysis adaptor.
 pub struct HistogramAnalysis {
@@ -78,7 +78,11 @@ impl HistogramAnalysis {
     }
 
     /// Histogram with an explicit association.
-    pub fn with_association(array: impl Into<String>, assoc: Association, bins: usize) -> Self {
+    pub(crate) fn with_association(
+        array: impl Into<String>,
+        assoc: Association,
+        bins: usize,
+    ) -> Self {
         assert!(bins > 0, "need at least one bin");
         HistogramAnalysis {
             array: array.into(),

@@ -112,25 +112,21 @@ impl Config {
     }
 
     /// Iterate sections in file order.
-    pub fn sections(&self) -> impl Iterator<Item = (&str, &BTreeMap<String, String>)> {
+    pub(crate) fn sections(&self) -> impl Iterator<Item = (&str, &BTreeMap<String, String>)> {
         self.sections.iter().map(|(n, m)| (n.as_str(), m))
     }
 
-    /// First section with the given name.
-    pub fn section(&self, name: &str) -> Option<&BTreeMap<String, String>> {
-        self.sections
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, m)| m)
-    }
-
     /// String option with default.
-    pub fn get_str<'a>(map: &'a BTreeMap<String, String>, key: &str, default: &'a str) -> &'a str {
+    pub(crate) fn get_str<'a>(
+        map: &'a BTreeMap<String, String>,
+        key: &str,
+        default: &'a str,
+    ) -> &'a str {
         map.get(key).map(String::as_str).unwrap_or(default)
     }
 
     /// Numeric option with default.
-    pub fn get_usize(
+    pub(crate) fn get_usize(
         section: &str,
         map: &BTreeMap<String, String>,
         key: &str,
@@ -148,7 +144,7 @@ impl Config {
 }
 
 /// The analyses a config names, plus the section names nobody claimed.
-pub type BuiltinAnalyses = (Vec<Box<dyn AnalysisAdaptor>>, Vec<String>);
+pub(crate) type BuiltinAnalyses = (Vec<Box<dyn AnalysisAdaptor>>, Vec<String>);
 
 /// Construct the built-in analyses named by `cfg`. Unknown sections are
 /// returned so an infrastructure layer can claim them.
@@ -202,7 +198,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(cfg.sections().count(), 2);
-        let h = cfg.section("histogram").unwrap();
+        let (_, h) = cfg.sections().find(|(n, _)| *n == "histogram").unwrap();
         assert_eq!(h.get("array").unwrap(), "rho");
         assert_eq!(Config::get_usize("histogram", h, "bins", 64).unwrap(), 32);
         assert_eq!(
@@ -294,6 +290,8 @@ mod tests {
     #[test]
     fn semicolon_comments_and_whitespace() {
         let cfg = Config::parse("; c\n  [ s ]  \n  a  =  1 2 3  \n").unwrap();
-        assert_eq!(cfg.section("s").unwrap().get("a").unwrap(), "1 2 3");
+        let (name, s) = cfg.sections().next().unwrap();
+        assert_eq!(name, "s");
+        assert_eq!(s.get("a").unwrap(), "1 2 3");
     }
 }

@@ -65,7 +65,7 @@ mod field;
 
 pub use adaptor::{AdaptorError, Association, DataAdaptor, InMemoryAdaptor};
 pub use analysis::{AnalysisAdaptor, Steering};
-pub use bridge::{Bridge, Registration, StopInfo};
+pub use bridge::Bridge;
 pub use failure::FailureReport;
 pub use field::Field;
 

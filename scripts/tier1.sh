@@ -11,6 +11,99 @@ if grep -rnE '#\[deprecated|allow\(deprecated\)' crates tests examples src; then
     exit 1
 fi
 
+echo "==> every pub item has an outside user"
+# A crate's pub items are what other code calls. Each pub name that
+# scripts/size.sh counts under crates/<c>/src must be named, outside a
+# `//` comment, by an outside user: another crate, the crate's own
+# tests/, examples/ or src/bin/, the top-level tests/, examples/ and
+# src/, or benchmark/src. An item nothing outside names is pub(crate);
+# a `pub use` of it is no user. The one exemption is a type that a
+# public signature exposes without any outside user naming it: each is
+# listed with the item exposing it, and an entry fails once it is no
+# longer needed (the type is named outside, is no longer pub, or the
+# exposing item no longer mentions it), so the list only shrinks.
+exposed="
+adios FlexpathReader Role
+adios FlexpathWriter Role
+catalyst CutTriangle cut_tets
+datamodel PublishGuard publish_dataset
+datamodel SpaceGuard enter_space
+iosim PosthocReport posthoc_analysis
+libsim SessionError parse
+minimpi CheckReport run_with
+minimpi CheckStats CheckReport
+minimpi CheckFailure CheckReport
+minimpi DecisionLog log
+minimpi DecisionRecord take
+minimpi DecisionKind DecisionRecord
+minimpi Event Trace
+oscillator ParseError parse_deck
+probe SpanStat Snapshot
+probe CounterStat Snapshot
+probe PhaseAgg RunReport
+probe CounterAgg RunReport
+probe GaugeAgg RunReport
+probe RankMemory RunReport
+probe VirtualTimeGuard install_virtual
+render InflateError inflate
+render LocalSlice extract_plane
+render PngError decode_rgb
+sanitizer CtxGuard install
+sensei ConfigError build_builtin_analyses
+sensei Field DataAdaptor
+sensei Registration register
+"
+pub_item='^\s*pub (const fn|fn|struct|enum|trait|const|static|type) '
+pub_names() {
+    { grep -rhE "$pub_item" "$1" || true; } | sed -E "s/$pub_item([A-Za-z0-9_]+).*/\2/" | sort -u
+}
+# Does a `pub` declaration of $3 under $1 mention the word $2? A fn's
+# declaration runs to its first line ending in `{` or `;`; a struct's,
+# enum's or trait's to its closing brace.
+exposes() {
+    awk -v item="$3" -v ty="$2" '
+        !open && match($0, "^[ \t]*pub (const fn|fn|struct|enum|trait|type|const|static) " item "([^A-Za-z0-9_]|$)") {
+            open = 1; text = ""; indent = $0; sub(/[^ \t].*/, "", indent)
+            block = $0 ~ ("pub (struct|enum|trait) " item)
+        }
+        open {
+            text = text " " $0
+            if (block ? ($0 == indent "}" || $0 ~ /;[ \t]*$/ && text !~ /\{/) : $0 ~ /[{;][ \t]*$/) {
+                open = 0
+                if (text ~ ("(^|[^A-Za-z0-9_])" ty "([^A-Za-z0-9_]|$)")) found = 1
+            }
+        }
+        END { exit !found }' $(find "$1" -name '*.rs')
+}
+surface_ok=1
+for dir in crates/*/; do
+    c=$(basename "$dir")
+    words=$(find crates tests examples src benchmark/src -name '*.rs' -not -path '*/fixtures/*' \
+        \( -not -path "crates/$c/src/*" -o -path "crates/$c/src/bin/*" \) -print0 |
+        xargs -0 sed -E 's|//.*||' | grep -ohE '[A-Za-z_][A-Za-z0-9_]*' | sort -u)
+    names=$(pub_names "crates/$c/src")
+    listed=$(awk -v c="$c" '$1 == c {print $2}' <<<"$exposed" | sort -u)
+    for n in $(comm -23 <(echo "$names") <(echo "$words") | comm -23 - <(echo "$listed")); do
+        echo "tier1: pub item \`$n\` in crates/$c has no outside user; make it pub(crate) or delete it" >&2
+        surface_ok=0
+    done
+    while read -r _ ty by; do
+        if grep -qx "$ty" <<<"$words"; then
+            echo "tier1: \`$ty\` (crates/$c) is named outside now; drop its exemption" >&2
+            surface_ok=0
+        elif ! grep -qx "$ty" <<<"$names"; then
+            echo "tier1: \`$ty\` (crates/$c) is no longer pub; drop its exemption" >&2
+            surface_ok=0
+        elif ! exposes "crates/$c/src" "$ty" "$by"; then
+            echo "tier1: no pub \`$by\` in crates/$c exposes \`$ty\`; drop its exemption" >&2
+            surface_ok=0
+        fi
+    done < <(awk -v c="$c" '$1 == c' <<<"$exposed")
+done
+if [ "$surface_ok" -ne 1 ]; then
+    exit 1
+fi
+
 echo "==> four endpoints"
 # The paper drives four infrastructures from one instrumentation
 # (Fig. 2): Catalyst, Libsim, ADIOS/FlexPath and GLEAN. An interactive
