@@ -645,7 +645,7 @@ mod tests {
                     writer.close(world);
                 }
                 Role::Endpoint { sub, mut reader } => {
-                    reader.set_deadline(Duration::from_millis(150));
+                    reader.deadline = Duration::from_millis(150);
                     let (bridge, _) = endpoint(world, &sub, &mut reader, Vec::new());
                     assert_eq!(bridge.steps(), 4, "endpoints stay in lock-step");
                     if world.rank() == 2 {
