@@ -28,6 +28,8 @@
 //! part of the measured overhead. The endpoint adopts the buffers the
 //! writer marshalled into, so it adds no second one.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod bp;
 pub mod broker;
 pub mod flexpath;

@@ -229,7 +229,7 @@ impl AnalysisAdaptor for AdiosWriterAnalysis {
         probe.record_span("per-step/adios-flexpath/advance", advance);
         probe.record_span("per-step/adios-flexpath/write", write);
         if probe.is_enabled() {
-            probe.message(&probe::key::of("staging", "on_wire"), shipped as u64);
+            probe.message("staging/on_wire", shipped as u64);
         }
         record_allocs(&probe, calls);
         Steering::Continue
@@ -253,7 +253,7 @@ impl AnalysisAdaptor for AdiosWriterAnalysis {
 fn record_allocs(probe: &probe::Probe, since: u64) {
     let now = probe::alloc::allocations();
     if probe.is_enabled() && now > 0 && !probe::time::is_virtual() {
-        probe.bulk(&probe::key::of("mem", "allocs"), 1, now - since, 0);
+        probe.bulk("mem/allocs", 1, now - since, 0);
     }
 }
 
@@ -300,10 +300,7 @@ pub fn run_endpoint_with_broker(
         if probe.is_enabled() {
             // Payload bytes this endpoint pulled off the staging wire.
             for (_src, bp) in &steps {
-                probe.message(
-                    &probe::key::of("staging", "off_wire"),
-                    bp.payload_bytes() as u64,
-                );
+                probe.message("staging/off_wire", bp.payload_bytes() as u64);
             }
         }
         for (_src, bp) in &steps {

@@ -442,7 +442,7 @@ pub(crate) fn fig16() -> Table {
     let m = MachineSpec::titan();
     let p = 65536;
     let mut t = Table::new(
-        "Fig. 16 — per-iteration SENSEI cost at 65K cores (s)",
+        "Fig. 16 — per-iteration SENSEI cost at 65K cores (s), and the volume write a render replaces",
         &["step", "sensei cost", "kind"],
     );
     let adaptor = w::leslie_adaptor_step(&m, p);
@@ -466,6 +466,20 @@ pub(crate) fn fig16() -> Table {
             .to_string(),
         ]);
     }
+    // The temporal-resolution advantage: one collective write of the 11
+    // f64 variables of the 1025³ volume for post hoc rendering, against
+    // one render step.
+    let write = storage::collective_write(&m, 11.0 * 1025f64.powi(3) * 8.0);
+    t.row(vec![
+        "write".into(),
+        secs(write),
+        "11-variable volume write".into(),
+    ]);
+    t.row(vec![
+        "ratio".into(),
+        format!("{:.2}", write / (adaptor + render)),
+        "write / render step".into(),
+    ]);
     t
 }
 
@@ -659,7 +673,7 @@ mod tests {
     #[test]
     fn fig16_spiky_series() {
         let t = fig16();
-        assert_eq!(t.rows.len(), 25);
+        assert_eq!(t.rows.len(), 27);
         let renders: Vec<f64> = (0..25)
             .filter(|r| t.rows[*r][2] == "adaptor+libsim")
             .map(|r| t.value(r, "sensei cost").unwrap())
@@ -676,6 +690,15 @@ mod tests {
         for v in quiets {
             assert!(v < 0.5, "quiet step {v}");
         }
+        // The last two rows price the volume write and its ratio to a
+        // noiseless render step, in closed form.
+        let m = MachineSpec::titan();
+        let write = 11.0 * 1025f64.powi(3) * 8.0 / m.fs_collective_bw;
+        assert_eq!(t.rows[25][2], "11-variable volume write");
+        assert_eq!(t.rows[25][1], secs(write));
+        let render = w::leslie_adaptor_step(&m, 65536) + w::leslie_render_invocation(&m, 65536);
+        assert_eq!(t.rows[26][2], "write / render step");
+        assert_eq!(t.rows[26][1], format!("{:.2}", write / render));
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //!   ([`CatalystSliceAnalysis`]) so simulations drive Catalyst through
 //!   the generic interface without Catalyst-specific code.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod cutter;
 pub mod pipeline;
 

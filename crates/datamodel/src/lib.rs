@@ -24,6 +24,8 @@
 //! paper's memory-overhead studies (Figs. 4, 7) can attribute bytes to
 //! simulation vs. analysis ownership.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod array;
 pub mod attributes;
 pub mod dataset;

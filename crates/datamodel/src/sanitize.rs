@@ -43,6 +43,7 @@ pub fn publish_dataset(data: &DataSet, endpoint: &str) -> PublishGuard {
 
 /// RAII token for a set of open publish windows; closing happens on
 /// drop so early returns and panics still release the windows.
+#[must_use = "dropping the guard closes the publish window"]
 pub struct PublishGuard {
     open: Vec<(Arc<sanitizer::Shadow>, u64)>,
 }

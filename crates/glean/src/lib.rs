@@ -27,6 +27,8 @@
 //! [`adios::BpFile::read_all`] and [`adios::staging::round_adaptor`]
 //! as post hoc and in transit data do.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 mod aggregate;
 
 pub use aggregate::{GleanWriter, Topology};

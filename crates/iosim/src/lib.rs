@@ -19,6 +19,8 @@
 //! All three run for real at thread scale; the `perfmodel::storage`
 //! models (calibrated to Table 1) regenerate the paper-scale costs.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod collective;
 pub mod posthoc;
 pub mod vtkio;

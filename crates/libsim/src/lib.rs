@@ -19,6 +19,8 @@
 //!   `stat` per rank;
 //! * a SENSEI [`sensei::AnalysisAdaptor`] wrapper ([`LibsimAnalysis`]).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod engine;
 pub mod session;
 

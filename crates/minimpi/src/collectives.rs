@@ -9,8 +9,6 @@
 //! order — the standard MPI contract. Violations deadlock, as they would
 //! under MPI.
 
-use std::sync::Arc;
-
 use crate::comm::Comm;
 use crate::envelope::{CollectiveKind, Tag};
 
@@ -38,6 +36,14 @@ impl Comm {
     ///
     /// The root passes `Some(value)`; every other rank passes `None` and
     /// receives the root's value. All ranks return the broadcast value.
+    ///
+    /// Each hop of the tree moves a clone of the value, so an [`Arc`]
+    /// moves by pointer (one atomic increment), never the payload:
+    /// broadcasting a multi-megabyte deck to `p` ranks as an `Arc` costs
+    /// one allocation in total instead of `p` deep copies, and every
+    /// rank's result shares the root's buffer.
+    ///
+    /// [`Arc`]: std::sync::Arc
     pub fn bcast<T: Clone + Send + 'static>(&self, root: usize, value: Option<T>) -> T {
         let p = self.size();
         assert!(root < p, "bcast: root {root} out of range for size {p}");
@@ -74,24 +80,6 @@ impl Comm {
             mask >>= 1;
         }
         value
-    }
-
-    /// Zero-copy broadcast of a shared payload from `root`.
-    ///
-    /// Semantically identical to [`Comm::bcast`], but the value travels
-    /// as an [`Arc`]: each hop of the binomial tree clones a pointer
-    /// (one atomic increment), never the payload, so broadcasting a
-    /// multi-megabyte deck or lookup table to `p` ranks costs one
-    /// allocation total instead of `p` deep copies. Every rank's return
-    /// value shares the root's buffer; a rank that needs private
-    /// mutable access uses `Arc::make_mut`, paying for the copy only
-    /// if and when it actually writes.
-    pub fn bcast_arc<T: Send + Sync + 'static>(
-        &self,
-        root: usize,
-        value: Option<Arc<T>>,
-    ) -> Arc<T> {
-        self.bcast(root, value)
     }
 
     /// Binomial-tree reduction to `root` with a combining operator.
@@ -316,7 +304,7 @@ mod tests {
     }
 
     #[test]
-    fn bcast_arc_shares_one_allocation() {
+    fn bcast_of_an_arc_shares_one_allocation() {
         use std::sync::Arc;
         World::run(6, |comm| {
             let v = if comm.rank() == 0 {
@@ -324,7 +312,7 @@ mod tests {
             } else {
                 None
             };
-            let got = comm.bcast_arc(0, v);
+            let got = comm.bcast(0, v);
             assert_eq!(got.as_ref(), &vec![1u64, 2, 3]);
             // All ranks alias the root's buffer (in-process transport).
             let expect = comm.allreduce_scalar(Arc::as_ptr(&got) as usize, |a, b| {

@@ -39,6 +39,8 @@
 //! assert_eq!(sums, vec![10, 10, 10, 10]);
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 mod comm;
 mod envelope;
 mod fault;

@@ -251,7 +251,7 @@ fn clean_scenarios_produce_no_findings_and_terminate() {
 
 #[test]
 fn checker_exports_probe_gauges() {
-    let probe = probe::Probe::enabled();
+    let probe = probe::enabled();
     let report = Checker::new()
         .max_schedules(64)
         .probe(probe.clone())

@@ -4,9 +4,10 @@
 //! worst possible failure mode — each test here pins down that a specific
 //! misuse or fault produces a *diagnostic* error instead.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use minimpi::{Error, FaultHandle, World, WorldBuilder};
+use probe::time::Wall;
 
 /// Milliseconds scaled by `MINIMPI_TEST_TIME_SCALE` (default 1).
 ///
@@ -49,7 +50,7 @@ fn recv_deadline_fires_instead_of_hanging() {
     World::run(2, |comm| {
         if comm.rank() == 1 {
             // Nobody ever sends tag 9: the deadline must fire.
-            let t0 = Instant::now();
+            let t0 = Wall::now();
             let got: minimpi::Result<(usize, u64)> = comm.recv_deadline(0, 9, scaled(50));
             match got {
                 Err(Error::DeadlineExceeded { src, waited, .. }) => {
@@ -115,7 +116,7 @@ fn deadlock_aborts_with_rank_dump() {
 /// the awaited rank as finished.
 #[test]
 fn a_wait_on_a_finished_rank_ends_at_once() {
-    let t0 = Instant::now();
+    let t0 = Wall::now();
     let result = std::panic::catch_unwind(|| {
         World::run(2, |comm| {
             if comm.rank() == 1 {
@@ -196,7 +197,7 @@ fn fault_delay_link_slows_delivery() {
         if comm.rank() == 0 {
             comm.send(1, 3, 9u8);
         } else {
-            let t0 = Instant::now();
+            let t0 = Wall::now();
             let v: u8 = comm.recv(0, 3);
             assert_eq!(v, 9);
             assert!(

@@ -121,7 +121,7 @@ fn replay_divergence_is_detected() {
 
 #[test]
 fn virtual_deadline_fires_without_wall_clock_waiting() {
-    let t0 = std::time::Instant::now();
+    let t0 = probe::time::Wall::now();
     // A 60-second deadline that must resolve instantly in virtual time:
     // nobody ever sends, so quiescence fires the deadline.
     WorldBuilder::new(2)
@@ -144,7 +144,7 @@ fn virtual_deadline_fires_without_wall_clock_waiting() {
 fn injected_delay_advances_virtual_clock_not_wall_clock() {
     let faults = FaultHandle::new();
     faults.delay_link(0, 1, Duration::from_secs(30));
-    let t0 = std::time::Instant::now();
+    let t0 = probe::time::Wall::now();
     WorldBuilder::new(2)
         .fault_handle(faults)
         .sched(SchedPolicy::Seeded(11))

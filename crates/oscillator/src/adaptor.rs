@@ -189,7 +189,7 @@ mod tests {
     fn adaptor_construction_is_cheap() {
         World::run(1, |comm| {
             let sim = run_sim(comm, 32);
-            let t0 = std::time::Instant::now();
+            let t0 = probe::time::Wall::now();
             for _ in 0..10_000 {
                 let a = OscillatorAdaptor::new(&sim);
                 std::hint::black_box(a.step());

@@ -76,9 +76,9 @@ impl Simulation {
     /// broadcast, the global grid is partitioned by regular
     /// decomposition, and the local field allocated.
     ///
-    /// The parsed deck moves through [`Comm::bcast_arc`], so every rank
-    /// of a node shares one allocation instead of deep-copying the deck
-    /// along the broadcast tree.
+    /// The parsed deck is broadcast as an `Arc` ([`Comm::bcast`]), so
+    /// every rank of a node shares one allocation instead of
+    /// deep-copying the deck along the broadcast tree.
     ///
     /// # Panics
     /// On every rank, with the same `bad deck: …` message, if rank 0
@@ -93,9 +93,9 @@ impl Simulation {
                 Some(deck) => parse_deck(deck).map(Arc::new).map_err(|e| e.to_string()),
                 None => Err("rank 0 must supply the oscillator deck".to_string()),
             };
-            comm.bcast_arc(0, Some(Arc::new(parsed)))
+            comm.bcast(0, Some(Arc::new(parsed)))
         } else {
-            comm.bcast_arc(0, None)
+            comm.bcast(0, None)
         };
         let oscillators = match &*outcome {
             Ok(oscillators) => Arc::clone(oscillators),
@@ -658,7 +658,7 @@ mod tests {
     ) -> (u64, u64) {
         let text = format_deck(deck);
         let per_rank = World::run(ranks, move |comm| {
-            comm.attach_probe(sensei::Probe::enabled());
+            comm.attach_probe(probe::enabled());
             let cfg = SimConfig {
                 grid,
                 dt,

@@ -2,10 +2,11 @@
 //! `Simulation::new` with the same message instead of leaving the other
 //! ranks waiting in the deck's broadcast.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use minimpi::World;
 use oscillator::{SimConfig, Simulation};
+use probe::time::Wall;
 
 /// Long enough for a 3-rank world to fail on a loaded machine. A rank
 /// left waiting on a failed one is released at once by the world's
@@ -36,7 +37,7 @@ fn a_bad_deck_fails_every_rank() {
                     .map(|e| minimpi::sched::panic_text(&*e))
                 })
             });
-            let start = Instant::now();
+            let start = Wall::now();
             while !world.is_finished() {
                 assert!(
                     start.elapsed() < DEADLINE,

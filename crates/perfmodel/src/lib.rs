@@ -26,6 +26,8 @@
 //! the threaded execution mode. EXPERIMENTS.md records the resulting
 //! paper-vs-model comparison for every figure.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod compositing;
 pub mod machine;
 pub mod memory;

@@ -101,6 +101,9 @@ fn debit(n: usize) {
 /// thread-local counters above.
 pub struct TrackingAllocator;
 
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds `GlobalAlloc`'s contract; the counters beside it touch
+// only thread-local cells and never allocate.
 unsafe impl GlobalAlloc for TrackingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // SAFETY: `layout` is the caller's layout, forwarded unchanged;

@@ -18,6 +18,8 @@
 //! rank-of-extremum per label) into a [`RunReport`], which serializes
 //! to JSON without serde (see [`report`]).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod alloc;
 mod json;
 mod report;
@@ -38,37 +40,6 @@ pub const GAUGE_DATASET_OWNED: &str = "mem/dataset_owned_bytes";
 /// Gauge name for bytes a rank's analysis meshes borrow from the
 /// simulation (zero-copy shared buffers).
 pub const GAUGE_DATASET_SHARED: &str = "mem/dataset_shared_bytes";
-
-/// Namespaced instrumentation keys.
-///
-/// Every counter and gauge in the workspace lives on a slash path
-/// (`"staging/on_wire"`, `"mem/allocs"`, …). Building
-/// those paths with ad-hoc `format!` calls at each site let the same
-/// metric drift into different spellings between recording and
-/// reporting; these helpers are the single place the shape is
-/// defined. The output is byte-identical to the historical keys, so
-/// existing `RunReport`s and checked-in baselines keep their labels.
-pub mod key {
-
-    /// A crate-wide metric: `"namespace/metric"`.
-    pub fn of(namespace: &str, metric: &str) -> String {
-        format!("{namespace}/{metric}")
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        // The exact strings below appear in checked-in baseline
-        // reports; the helper must reproduce them byte-for-byte.
-        #[test]
-        fn keys_match_the_historical_spellings() {
-            assert_eq!(of("staging", "on_wire"), "staging/on_wire");
-            assert_eq!(of("staging", "off_wire"), "staging/off_wire");
-            assert_eq!(of("minimpi", "reduce"), "minimpi/reduce");
-        }
-    }
-}
 
 /// Online mean/variance accumulator (Welford) with range tracking.
 #[derive(Clone, Copy, Debug, Default)]
@@ -148,16 +119,6 @@ pub fn enabled() -> Probe {
 }
 
 impl Probe {
-    /// Alias for [`off`].
-    pub const fn off() -> Self {
-        off()
-    }
-
-    /// Alias for [`enabled`].
-    pub fn enabled() -> Self {
-        enabled()
-    }
-
     /// Is this handle recording?
     #[inline]
     pub fn is_enabled(&self) -> bool {

@@ -15,6 +15,10 @@
 //! deterministic world run virtual while the harness thread (and
 //! GLEAN's drain thread) keep real time.
 
+// The one module that reads `std::time::Instant` (clippy.toml's
+// disallowed types): every other clock read goes through it.
+#![allow(clippy::disallowed_types)]
+
 use std::cell::Cell;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -69,9 +73,9 @@ pub fn install_virtual() -> VirtualTimeGuard {
 /// elapsed time even on a thread whose measurement clock is virtual.
 ///
 /// This is the workspace's only sanctioned wrapper around
-/// [`std::time::Instant`]; the lint pass (`cargo run -p lint`) rejects
-/// direct `Instant`/`SystemTime` use outside this module so that every
-/// *measured* duration flows through [`now_seconds`] (and stays
+/// [`std::time::Instant`]; clippy (`disallowed-types` in clippy.toml)
+/// rejects direct `Instant`/`SystemTime` use outside this module, so
+/// that every *measured* duration flows through [`now_seconds`] (and stays
 /// deterministic under the virtual source), while timeout logic
 /// explicitly opts into real time by naming `Wall`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]

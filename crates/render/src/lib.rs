@@ -28,6 +28,8 @@
 //! * [`scene`] — one in situ frame from those pieces, which both
 //!   infrastructure crates configure instead of assembling their own.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod camera;
 pub mod color;
 pub mod composite;

@@ -38,6 +38,8 @@
 //! The crate deliberately never reads `probe::time` — a sanitized run
 //! must stay bitwise-identical in its virtual-clock tick counts.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 mod clock;
 mod ctx;
 mod report;

@@ -23,6 +23,8 @@
 //! particle migration, a SENSEI data adaptor, and deterministic seeded
 //! initial conditions.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod leslie;
 pub mod nyx;
 pub mod phasta;

@@ -92,7 +92,7 @@ impl Bridge {
     /// "Baseline" configuration). Probing starts disabled; every
     /// instrumentation point is a no-op branch.
     pub fn new() -> Self {
-        Self::with_probe(Probe::off())
+        Self::with_probe(probe::off())
     }
 
     /// A bridge recording through the given probe (pass
@@ -430,7 +430,7 @@ mod tests {
     fn empty_bridge_is_near_free() {
         World::run(1, |comm| {
             let mut bridge = Bridge::new();
-            let t0 = std::time::Instant::now();
+            let t0 = probe::time::Wall::now();
             for s in 0..1000 {
                 bridge.execute(&adaptor(s), comm);
             }

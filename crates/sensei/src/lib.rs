@@ -56,6 +56,8 @@
 //! });
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod adaptor;
 pub mod analysis;
 pub mod bridge;

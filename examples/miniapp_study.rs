@@ -17,7 +17,7 @@ use minimpi::World;
 use oscillator::{demo_oscillators, osc::format_deck, OscillatorAdaptor, SimConfig, Simulation};
 use sensei::analysis::autocorrelation::Autocorrelation;
 use sensei::analysis::histogram::HistogramAnalysis;
-use sensei::{AnalysisAdaptor, Bridge, Probe};
+use sensei::{AnalysisAdaptor, Bridge};
 
 const STEPS: usize = 10;
 
@@ -79,7 +79,7 @@ fn main() {
                 None
             };
             let mut sim = Simulation::new(comm, cfg, root_deck);
-            let mut bridge = Bridge::with_probe(Probe::enabled());
+            let mut bridge = Bridge::with_probe(probe::enabled());
             // Attach the probe before the first step so the simulation
             // kernel's own spans are captured from step 0.
             comm.attach_probe(bridge.probe().clone());

@@ -78,7 +78,7 @@ exposes() {
 surface_ok=1
 for dir in crates/*/; do
     c=$(basename "$dir")
-    words=$(find crates tests examples src benchmark/src -name '*.rs' -not -path '*/fixtures/*' \
+    words=$(find crates tests examples src benchmark/src -name '*.rs' \
         \( -not -path "crates/$c/src/*" -o -path "crates/$c/src/bin/*" \) -print0 |
         xargs -0 sed -E 's|//.*||' | grep -ohE '[A-Za-z_][A-Za-z0-9_]*' | sort -u)
     names=$(pub_names "crates/$c/src")
@@ -428,6 +428,51 @@ echo "==> one exploration engine"
 if grep -rnE 'Explorer|ExploreBudget|ExploreFailure|wall_cap|max_shrink_runs' \
     crates tests examples src; then
     echo "tier1: a second exploration engine or a Checker wall/shrink knob is back" >&2
+    exit 1
+fi
+
+echo "==> the lint rules have no escape hatch"
+# The workspace lint rules (DESIGN §10) are clippy's, checked by the
+# clippy leg below: clippy.toml disallows the std clock and lock types
+# (R2, R3) and lets tests unwrap, [workspace.lints.clippy] denies those
+# types and an unsafe block or impl without a SAFETY comment (R1), and
+# each core crate's root denies unwrap and expect (R4). A second lint
+# checker, a config entry dropped, a crate leaving the workspace lints,
+# or an allow outside the two sanctioned wrappers (probe::time and the
+# parking_lot shim) switches a rule off.
+lint_ok=1
+lint_fail() {
+    echo "tier1: $1" >&2
+    lint_ok=0
+}
+if [ -e crates/lint ]; then
+    lint_fail "crates/lint is back; the lint rules are clippy's"
+fi
+for ty in std::time::Instant std::time::SystemTime std::sync::Mutex std::sync::RwLock std::sync::Condvar std::sync::Barrier; do
+    grep -qF "{ path = \"$ty\"" clippy.toml 2>/dev/null || lint_fail "clippy.toml no longer disallows $ty"
+done
+for key in allow-unwrap-in-tests allow-expect-in-tests; do
+    grep -qx "$key = true" clippy.toml 2>/dev/null || lint_fail "clippy.toml lost \`$key = true\`"
+done
+for lint in undocumented_unsafe_blocks disallowed_types; do
+    awk -v l="$lint" '/^\[/{in_clippy = ($0 == "[workspace.lints.clippy]")} in_clippy && $0 == l " = \"deny\"" {found = 1}
+        END {exit !found}' Cargo.toml || lint_fail "Cargo.toml's [workspace.lints.clippy] no longer denies $lint"
+done
+for manifest in crates/*/Cargo.toml shims/*/Cargo.toml; do
+    awk '/^\[/{in_lints = ($0 == "[lints]")} in_lints && $0 == "workspace = true" {found = 1}
+        END {exit !found}' "$manifest" || lint_fail "$manifest does not take the workspace lints"
+done
+for c in minimpi datamodel sensei science adios glean catalyst libsim perfmodel sanitizer render iosim probe; do
+    grep -qxF '#![deny(clippy::unwrap_used, clippy::expect_used)]' "crates/$c/src/lib.rs" ||
+        lint_fail "crates/$c/src/lib.rs lost its unwrap/expect deny"
+done
+escapes=$(grep -rnE '(allow|expect)\([^)]*clippy::(disallowed_types|unwrap_used|expect_used|undocumented_unsafe_blocks|all|style|restriction)\b' \
+    crates shims src tests examples | grep -vE '^(crates/probe/src/time\.rs|shims/parking_lot/src/lib\.rs):[0-9]+:#!\[allow\(clippy::disallowed_types\)\]$' || true)
+if [ -n "$escapes" ]; then
+    echo "$escapes" >&2
+    lint_fail "a lint rule is allowed outside probe::time and the parking_lot shim"
+fi
+if [ "$lint_ok" -ne 1 ]; then
     exit 1
 fi
 

@@ -910,7 +910,7 @@ fn no_share_of_a_step_outlives_bridge_execute() {
     /// Reads the step's field, and records how many hold the
     /// simulation's buffer while it does.
     struct Holders {
-        field: Arc<std::sync::Mutex<std::sync::Weak<Vec<f64>>>>,
+        field: Arc<parking_lot::Mutex<std::sync::Weak<Vec<f64>>>>,
         during: Arc<AtomicUsize>,
     }
     impl sensei::AnalysisAdaptor for Holders {
@@ -924,7 +924,7 @@ fn no_share_of_a_step_outlives_bridge_execute() {
         ) -> sensei::Steering {
             let field = data.field(sensei::Association::Point, "data");
             assert!(field.views().is_ok_and(|views| views.len() == 1));
-            let held = self.field.lock().unwrap().strong_count();
+            let held = self.field.lock().strong_count();
             self.during.store(held, Ordering::SeqCst);
             sensei::Steering::Continue
         }
@@ -983,7 +983,7 @@ fn no_share_of_a_step_outlives_bridge_execute() {
         for _ in 0..3 {
             sim.step(comm);
             let field = sim.field();
-            *current.lock().unwrap() = Arc::downgrade(&field);
+            *current.lock() = Arc::downgrade(&field);
             let data = CountsAtRelease {
                 inner: OscillatorAdaptor::new(&sim),
                 field: Arc::downgrade(&field),
@@ -1083,7 +1083,7 @@ fn no_share_of_a_step_outlives_bridge_execute() {
 /// everything one staging round costs — the steps given back, the next
 /// steps' adoption, the analyses.
 struct AllocBetweenExecutes {
-    rounds: std::sync::Arc<std::sync::Mutex<Vec<(usize, u64, u64)>>>,
+    rounds: std::sync::Arc<parking_lot::Mutex<Vec<(usize, u64, u64)>>>,
     floor: Option<(isize, u64, u64)>,
 }
 
@@ -1101,7 +1101,7 @@ impl sensei::AnalysisAdaptor for AllocBetweenExecutes {
             let rise = probe::alloc::rise_since(bytes);
             let calls = probe::alloc::allocations() - calls;
             let messages = sent(comm)[0] - messages;
-            self.rounds.lock().unwrap().push((rise, calls, messages));
+            self.rounds.lock().push((rise, calls, messages));
         }
         let messages = sent(comm)[0];
         probe::alloc::reset_peak();
@@ -1216,7 +1216,7 @@ fn steady_state_staging_step_allocates_no_payload() {
                     assert_eq!(bridge.steps(), STEPS as u64);
                     assert!(bridge.failure_reports().is_empty());
                     // The first interval ends at the second execute.
-                    let rounds = std::mem::take(&mut *rounds.lock().unwrap());
+                    let rounds = std::mem::take(&mut *rounds.lock());
                     assert_eq!(rounds.len(), STEPS - 1);
                     rounds[WARM_UP - 1..].to_vec()
                 }
@@ -1621,7 +1621,8 @@ fn science_proxies_through_one_bridge_api() {
 #[test]
 fn steady_state_stats_step_heap_calls() {
     use minimpi::{SchedPolicy, WorldBuilder};
-    use std::sync::{Arc, Mutex};
+    use parking_lot::Mutex;
+    use std::sync::Arc;
     const STEPS: usize = 6;
     const WARM_UP: usize = 2;
     // Per rank: histogram and autocorrelation called directly, then
@@ -1654,7 +1655,7 @@ fn steady_state_stats_step_heap_calls() {
                 probe::alloc::rise_since(floor),
                 probe::alloc::allocations() - calls,
             );
-            self.rounds.lock().unwrap().push(round);
+            self.rounds.lock().push(round);
             verdict
         }
         fn take_failures(&mut self) -> Vec<String> {
@@ -1698,7 +1699,7 @@ fn steady_state_stats_step_heap_calls() {
                 assert!(analysis.take_failures().is_empty());
             }
             assert!(bridge.failure_reports().is_empty());
-            rounds.map(|r| r.lock().unwrap().split_off(WARM_UP))
+            rounds.map(|r| r.lock().split_off(WARM_UP))
         });
     for (rank, rounds) in rounds.iter().enumerate() {
         let wants = CALLS[rank].into_iter().zip(RISES[rank]);

@@ -6,7 +6,7 @@ use minimpi::World;
 use oscillator::{demo_oscillators, osc::format_deck, OscillatorAdaptor, SimConfig, Simulation};
 use sensei::analysis::autocorrelation::{Autocorrelation, AutocorrelationResult};
 use sensei::analysis::histogram::{HistogramAnalysis, HistogramResult};
-use sensei::{Bridge, Probe, RunReport};
+use sensei::{Bridge, RunReport};
 
 const STEPS: usize = 4;
 const GRID: usize = 9;
@@ -27,7 +27,7 @@ fn probed_run(ranks: usize) -> RunReport {
             None
         };
         let mut sim = Simulation::new(comm, cfg, root_deck);
-        let mut bridge = Bridge::with_probe(Probe::enabled());
+        let mut bridge = Bridge::with_probe(probe::enabled());
         comm.attach_probe(bridge.probe().clone());
         bridge.register(Box::new(HistogramAnalysis::new("data", 16)));
         bridge.register(Box::new(Autocorrelation::new("data", 3, 4)));
@@ -96,7 +96,7 @@ fn probes_do_not_perturb_results_bitwise() {
             let ac = Autocorrelation::new("data", 3, 4);
             let ac_res = ac.results_handle();
             let mut bridge = if probed {
-                let b = Bridge::with_probe(Probe::enabled());
+                let b = Bridge::with_probe(probe::enabled());
                 comm.attach_probe(b.probe().clone());
                 b
             } else {
@@ -156,7 +156,7 @@ fn probed_and_unprobed_bridges_report_the_same_phases() {
             };
             let mut sim = Simulation::new(comm, cfg, (comm.rank() == 0).then_some(deck.as_str()));
             let mut bridge = if probed {
-                Bridge::with_probe(Probe::enabled())
+                Bridge::with_probe(probe::enabled())
             } else {
                 Bridge::new()
             };
@@ -230,7 +230,7 @@ fn render_frames_report_their_stages() {
             ..SimConfig::default()
         };
         let mut sim = Simulation::new(comm, cfg, (comm.rank() == 0).then_some(deck.as_str()));
-        let mut bridge = Bridge::with_probe(Probe::enabled());
+        let mut bridge = Bridge::with_probe(probe::enabled());
         comm.attach_probe(bridge.probe().clone());
         let mut pipeline = catalyst::SlicePipeline::new("data", 2, 4);
         (pipeline.width, pipeline.height) = (64, 48);

@@ -556,8 +556,8 @@ proptest! {
         });
     }
 
-    /// Arc broadcast delivers the same value as the by-value broadcast,
-    /// from any root.
+    /// A broadcast of an `Arc` delivers the same value as the by-value
+    /// broadcast, from any root.
     #[test]
     fn bcast_arc_matches_bcast(
         data in proptest::collection::vec(any::<u64>(), 0..64),
@@ -568,7 +568,7 @@ proptest! {
         let expect = data.clone();
         let out = minimpi::World::run(p, move |comm| {
             let v1 = comm.bcast(root, (comm.rank() == root).then(|| data.clone()));
-            let v2 = comm.bcast_arc(
+            let v2 = comm.bcast(
                 root,
                 (comm.rank() == root).then(|| std::sync::Arc::new(data.clone())),
             );
