@@ -2,24 +2,13 @@
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
-
-use probe::time::Wall;
 
 use crate::envelope::{CollectiveKind, Envelope, Tag, ANY_SOURCE};
 use crate::fault::{FaultAction, FaultHandle};
 use crate::loan::{Loans, Pool};
-use crate::sched::{Sched, WaitInfo, Wake};
-
-/// How often a free-running receive without a deadline wakes up to
-/// renew its `Blocked` mark — a send on another of the rank's channels
-/// takes it back — and to see whether the world aborted. Bounds the
-/// latency between a deadlock and every blocked rank panicking with the
-/// report.
-pub(crate) const POLL_TICK: Duration = Duration::from_millis(25);
+use crate::sched::{list_mail, Deadline, Sched, WaitInfo, Wake};
 
 /// An MPI-style communicator handle owned by one rank (one thread).
 ///
@@ -29,10 +18,9 @@ pub(crate) const POLL_TICK: Duration = Duration::from_millis(25);
 /// communicator, just as `MPI_THREAD_FUNNELED` requires.
 pub struct Comm {
     rank: usize,
-    senders: Arc<Vec<Sender<Envelope>>>,
-    receiver: Receiver<Envelope>,
-    /// Messages received but not yet matched by a `recv` call.
-    pending: RefCell<VecDeque<Envelope>>,
+    /// The mailbox in the rank table of each rank of this communicator
+    /// (`mailboxes[rank]`); this rank receives from its own.
+    mailboxes: Arc<Vec<usize>>,
     /// Count of collective operations issued, used to build collective tags.
     epoch: Cell<u64>,
     /// Clock origin for [`Comm::wtime`], in [`probe::time`] seconds —
@@ -46,10 +34,11 @@ pub struct Comm {
     peer_slots: Arc<Vec<usize>>,
     /// Injected transport faults, when installed for a test.
     faults: Option<FaultHandle>,
-    /// The world's rank table: every delivery wakes its destination and
-    /// every receive without a deadline blocks on it. Under a non-`Os`
-    /// [`crate::SchedPolicy`] it is also the deterministic scheduler,
-    /// interposing on every blocking receive and `ANY_SOURCE` match.
+    /// The world's rank table: it holds every rank's mail, every
+    /// delivery wakes its destination and every receive waits on it.
+    /// Under a non-`Os` [`crate::SchedPolicy`] it is also the
+    /// deterministic scheduler, interposing on every blocking receive
+    /// and `ANY_SOURCE` match.
     sched: Arc<Sched>,
     /// Observability handle; [`probe::off`] (a no-op) by default.
     probe: RefCell<probe::Probe>,
@@ -61,21 +50,18 @@ pub struct Comm {
 
 impl Comm {
     /// Rank `rank` of a communicator whose ranks sit in world slots
-    /// `peer_slots`, this one in `slot`.
+    /// `peer_slots` and receive from `mailboxes`, this one in `slot`.
     pub(crate) fn new(
         rank: usize,
-        senders: Arc<Vec<Sender<Envelope>>>,
-        receiver: Receiver<Envelope>,
         slot: usize,
         peer_slots: Arc<Vec<usize>>,
+        mailboxes: Arc<Vec<usize>>,
         faults: Option<FaultHandle>,
         sched: Arc<Sched>,
     ) -> Self {
         Comm {
             rank,
-            senders,
-            receiver,
-            pending: RefCell::new(VecDeque::new()),
+            mailboxes,
             epoch: Cell::new(0),
             t0: probe::time::now_seconds(),
             slot,
@@ -110,7 +96,7 @@ impl Comm {
 
     /// Number of ranks in the communicator.
     pub fn size(&self) -> usize {
-        self.senders.len()
+        self.mailboxes.len()
     }
 
     /// Seconds since this communicator was created (cf. `MPI_Wtime`).
@@ -161,8 +147,8 @@ impl Comm {
     /// counts as delivered from the sender's perspective, and one to a
     /// rank that has exited as not: `false`, where `send` panics.
     pub(crate) fn try_send<T: Send + 'static>(&self, dest: usize, tag: Tag, value: T) -> bool {
-        let sender = self
-            .senders
+        let mailbox = *self
+            .mailboxes
             .get(dest)
             .unwrap_or_else(|| panic!("send: rank {dest} out of range (size {})", self.size()));
         {
@@ -201,22 +187,23 @@ impl Comm {
                 FaultAction::Delay(d) => std::thread::sleep(d),
             }
         }
-        let delivered = sender
-            .send(Envelope {
-                src: self.rank,
-                tag,
-                payload: Box::new(value),
-                stamp: stamp.clone(),
-            })
-            .is_ok();
-        if delivered {
-            self.sched.on_send(self.slot, to_slot, tag);
-        } else if let Some(stamp) = &stamp {
-            // The receiver's channel is gone: the message never entered
-            // flight, so it must not count as a leak.
-            sanitizer::cancel_send(stamp);
+        let env = Envelope {
+            src: self.rank,
+            tag,
+            payload: Box::new(value),
+            stamp,
+        };
+        match self.sched.deliver(self.slot, to_slot, mailbox, env) {
+            Ok(()) => true,
+            Err(env) => {
+                // The receiver's mailbox is closed: the message never
+                // entered flight, so it must not count as a leak.
+                if let Some(stamp) = &env.stamp {
+                    sanitizer::cancel_send(stamp);
+                }
+                false
+            }
         }
-        delivered
     }
 
     /// Blocking receive of a `T` from `src` with user `tag`.
@@ -226,7 +213,8 @@ impl Comm {
     /// sender.
     ///
     /// # Panics
-    /// Panics if the matched payload is not a `T`, or all senders hang up.
+    /// Panics if the matched payload is not a `T`, or the world aborts
+    /// (no live rank can send).
     pub fn recv<T: Send + 'static>(&self, src: usize, tag: u32) -> T {
         self.recv_tagged(src, Tag::user(tag)).1
     }
@@ -238,7 +226,7 @@ impl Comm {
 
     /// Receive with a deadline: like [`Comm::recv`], but gives up after
     /// `timeout` and returns [`crate::Error::DeadlineExceeded`] carrying a
-    /// snapshot of this rank's unmatched pending queue — the raw material
+    /// list of this rank's unmatched mail — the raw material
     /// for diagnosing who stopped talking.
     pub fn recv_deadline<T: Send + 'static>(
         &self,
@@ -247,13 +235,15 @@ impl Comm {
         timeout: Duration,
     ) -> crate::Result<(usize, T)> {
         let tag = Tag::user(tag);
-        let env = self.match_envelope_deadline(&[src], tag, Some(timeout))?;
+        let env = self.match_envelope(&[src], tag, Some(timeout))?;
         let from = env.src;
         Ok((from, downcast_payload(env.payload, from, tag)))
     }
 
     pub(crate) fn recv_tagged<T: Send + 'static>(&self, src: usize, tag: Tag) -> (usize, T) {
-        let env = self.match_envelope(src, tag);
+        let env = self
+            .match_envelope(&[src], tag, None)
+            .unwrap_or_else(|_| unreachable!("recv without a deadline cannot time out"));
         let from = env.src;
         (from, downcast_payload(env.payload, from, tag))
     }
@@ -296,37 +286,24 @@ impl Comm {
             }
         }
         let tag = Tag::user(tag);
-        let env = self.match_envelope_deadline(sources, tag, Some(timeout))?;
+        let env = self.match_envelope(sources, tag, Some(timeout))?;
         let from = env.src;
         Ok((from, downcast_payload(env.payload, from, tag)))
     }
 
-    /// Pull everything currently queued in the channel into `pending`.
-    fn drain_channel(&self) {
-        let mut pending = self.pending.borrow_mut();
-        while let Ok(env) = self.receiver.try_recv() {
-            pending.push_back(env);
-        }
-    }
-
-    /// Block until an envelope matching `(src, tag)` is available and
-    /// remove it from the pending queue.
-    fn match_envelope(&self, src: usize, tag: Tag) -> Envelope {
-        self.match_envelope_deadline(&[src], tag, None)
-            .unwrap_or_else(|_| unreachable!("recv without a deadline cannot time out"))
-    }
-
-    /// Matching engine behind every receive: the first envelope with
-    /// `tag` from one of `sources` — one rank, `[ANY_SOURCE]`, or the set
-    /// of a select. A receive without a deadline that finds nothing
-    /// blocks on the world's rank table, which aborts the world when no
-    /// live rank can run; a receive from one rank verifies collective
-    /// order on every non-matching envelope from it.
-    fn match_envelope_deadline(
+    /// The one receive loop, under every policy: the first envelope
+    /// with `tag` from one of `sources` — one rank, `[ANY_SOURCE]`, or
+    /// the set of a select — taken from this rank's mailbox under the
+    /// rank table's lock ([`crate::sched::Table::take`]). A receive
+    /// from one rank verifies collective order against the mailbox.
+    /// With nothing to match the rank waits on the table for mail, its
+    /// deadline, or the world's abort (a deadlock or a replay
+    /// divergence), and matches again.
+    fn match_envelope(
         &self,
         sources: &[usize],
         tag: Tag,
-        deadline: Option<Duration>,
+        limit: Option<Duration>,
     ) -> crate::Result<Envelope> {
         // The awaited rank, as the scheduler and a deadline report name
         // it: `ANY_SOURCE` for any or a set.
@@ -334,178 +311,36 @@ impl Comm {
             [one] => *one,
             _ => ANY_SOURCE,
         };
-        if self.sched.serial() {
-            return self.match_envelope_sched(sources, src, tag, deadline);
-        }
-        // Fast path: already pending.
-        if let Some(env) = self.take_pending(sources, tag) {
-            self.note_delivery(&env);
-            return Ok(env);
-        }
-        self.check_pending_for_mismatch(src, tag);
-        let start = Wall::now();
-        // A new wait (or new pending mail) renews the `Blocked` mark.
-        let mut fresh = true;
+        let mailbox = self.mailboxes[self.rank];
+        let mut table = self.sched.lock();
+        let deadline = limit.map(|limit| table.deadline(limit));
         loop {
-            let mut found = None;
-            let wait = match deadline {
-                Some(limit) => {
-                    let elapsed = start.elapsed();
-                    if elapsed >= limit {
-                        return Err(self.deadline_error(src, tag, elapsed));
-                    }
-                    limit - elapsed
-                }
-                None => {
-                    // The emptiness check under the table's lock takes
-                    // what it finds: mail goes to the match below, and
-                    // the rank is not marked `Blocked`.
-                    let blocked = self.sched.block_free(
-                        self.slot,
-                        fresh,
-                        || {
-                            found = self.receiver.try_recv().ok();
-                            found.is_none()
-                        },
-                        || self.wait_info(src, tag, None),
-                    );
-                    if let Err(report) = blocked {
-                        panic!("{report}");
-                    }
-                    fresh = false;
-                    POLL_TICK
-                }
-            };
-            let next = match found {
-                Some(env) => Ok(env),
-                None => self.receiver.recv_timeout(wait),
-            };
-            match next {
-                Ok(env) => {
-                    if env.tag == tag && is_from(sources, env.src) {
-                        self.note_delivery(&env);
-                        return Ok(env);
-                    }
-                    self.check_envelope_for_mismatch(&env, src, tag);
-                    self.pending.borrow_mut().push_back(env);
-                    fresh = true;
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    panic!(
-                        "recv: all peer ranks disconnected while rank {} waited for tag {tag}",
-                        self.rank
-                    );
-                }
-            }
-        }
-    }
-
-    /// Matching engine under the deterministic scheduler. The rank
-    /// holds the schedule token while it runs; the only blocking point
-    /// is [`Sched::block_recv`], which hands the token to a
-    /// policy-chosen peer. A match among several ready senders — any
-    /// source, or a select's set — is an explicit
-    /// [`Sched::choose_match`] decision, and deadlines resolve on the
-    /// *virtual* clock at quiescence — no wall-clock polling anywhere.
-    fn match_envelope_sched(
-        &self,
-        sources: &[usize],
-        src: usize,
-        tag: Tag,
-        deadline: Option<Duration>,
-    ) -> crate::Result<Envelope> {
-        let sched = &self.sched;
-        let deadline_nanos =
-            deadline.map(|d| sched.vclock_nanos().saturating_add(d.as_nanos() as u64));
-        loop {
-            self.drain_channel();
-            if let Some(env) = self.take_pending_sched(sources, src, tag) {
+            if let Some(env) = table.take(self.slot, mailbox, sources, src, tag) {
+                drop(table);
                 self.note_delivery(&env);
                 return Ok(env);
             }
-            self.check_pending_for_mismatch(src, tag);
-            match sched.block_recv(self.slot, self.wait_info(src, tag, deadline_nanos)) {
-                Wake::Mail => continue,
-                Wake::Deadline => {
-                    return Err(self.deadline_error(src, tag, deadline.unwrap_or_default()))
-                }
-                Wake::Abort(msg) => panic!("{msg}"),
+            if let Some((mine, theirs)) = collective_ahead(table.mail(mailbox), src, tag) {
+                drop(table);
+                self.collective_mismatch(mine, src, theirs);
             }
-        }
-    }
-
-    /// Pending-queue match under the scheduler: a receive from one rank
-    /// is FIFO as usual; one that could match several distinct senders
-    /// asks the policy to pick one.
-    fn take_pending_sched(&self, sources: &[usize], src: usize, tag: Tag) -> Option<Envelope> {
-        if src != ANY_SOURCE {
-            return self.take_pending(sources, tag);
-        }
-        let candidates: Vec<usize> = {
-            let pending = self.pending.borrow();
-            let mut distinct = Vec::new();
-            for e in pending.iter() {
-                if e.tag == tag && is_from(sources, e.src) && !distinct.contains(&e.src) {
-                    distinct.push(e.src);
+            let info = self.wait_info(src, tag, mailbox, deadline);
+            match table.wait(self.slot, info, deadline) {
+                Wake::Mail => {}
+                Wake::Deadline(waited) => {
+                    return Err(crate::Error::DeadlineExceeded {
+                        src,
+                        tag: tag.to_string(),
+                        waited,
+                        pending: list_mail(table.mail(mailbox)),
+                    })
+                }
+                Wake::Abort(msg) => {
+                    drop(table);
+                    panic!("{msg}");
                 }
             }
-            distinct
-        };
-        if candidates.is_empty() {
-            return None;
         }
-        // Always a recorded decision — even with one candidate — so
-        // replayed traces align event-for-event with the original run.
-        let chosen = self.sched.choose_match(self.slot, &candidates, tag);
-        self.take_pending(&[chosen], tag)
-    }
-
-    /// The first pending envelope with `tag` from one of `sources`.
-    fn take_pending(&self, sources: &[usize], tag: Tag) -> Option<Envelope> {
-        let mut pending = self.pending.borrow_mut();
-        let idx = pending
-            .iter()
-            .position(|e| e.tag == tag && is_from(sources, e.src))?;
-        pending.remove(idx)
-    }
-
-    /// Collective-order verification against the pending queue: if this
-    /// rank waits for a collective message from a *specific* peer and that
-    /// peer has already sent traffic for a *different* collective, the
-    /// program violated the all-ranks-same-order rule. Sound because every
-    /// collective's sends are exactly consumed by its receives and
-    /// per-pair delivery is FIFO, so a leftover collective envelope from
-    /// the awaited peer can only mean divergent collective order.
-    fn check_pending_for_mismatch(&self, src: usize, tag: Tag) {
-        if src == ANY_SOURCE {
-            return;
-        }
-        let Some(mine) = tag.collective_parts() else {
-            return;
-        };
-        let theirs = self.pending.borrow().iter().find_map(|e| {
-            if e.src == src && e.tag != tag {
-                e.tag.collective_parts()
-            } else {
-                None
-            }
-        });
-        if let Some(theirs) = theirs {
-            self.collective_mismatch(mine, src, theirs);
-        }
-    }
-
-    /// Same check for a freshly received non-matching envelope.
-    fn check_envelope_for_mismatch(&self, env: &Envelope, src: usize, tag: Tag) {
-        if src == ANY_SOURCE || env.src != src {
-            return;
-        }
-        let (Some(mine), Some(theirs)) = (tag.collective_parts(), env.tag.collective_parts())
-        else {
-            return;
-        };
-        self.collective_mismatch(mine, src, theirs);
     }
 
     fn collective_mismatch(
@@ -537,44 +372,21 @@ impl Comm {
     }
 
     /// What this rank waits for, as the rank table records it.
-    fn wait_info(&self, src: usize, tag: Tag, deadline_nanos: Option<u64>) -> WaitInfo {
+    fn wait_info(
+        &self,
+        src: usize,
+        tag: Tag,
+        mailbox: usize,
+        deadline: Option<Deadline>,
+    ) -> WaitInfo {
         WaitInfo {
             comm_rank: self.rank,
             comm_size: self.size(),
             src,
             src_slot: self.peer_slots.get(src).copied(),
             tag,
-            deadline_nanos,
-            pending: self.pending_snapshot(),
-        }
-    }
-
-    fn pending_snapshot(&self) -> Vec<(usize, Tag)> {
-        self.pending
-            .borrow()
-            .iter()
-            .map(|e| (e.src, e.tag))
-            .collect()
-    }
-
-    fn deadline_error(&self, src: usize, tag: Tag, waited: Duration) -> crate::Error {
-        let snapshot = self.pending_snapshot();
-        let mut pending = String::from("[");
-        for (i, (from, tag)) in snapshot.iter().take(8).enumerate() {
-            if i > 0 {
-                pending.push_str(", ");
-            }
-            pending.push_str(&format!("from {from}: {tag}"));
-        }
-        if snapshot.len() > 8 {
-            pending.push_str(", ...");
-        }
-        pending.push(']');
-        crate::Error::DeadlineExceeded {
-            src,
-            tag: tag.to_string(),
-            waited,
-            pending,
+            deadline_nanos: deadline.map(|d| d.at_nanos),
+            mailbox,
         }
     }
 
@@ -584,14 +396,13 @@ impl Comm {
     /// within a group, new ranks are ordered by `(key, old rank)`. Every
     /// rank of `self` must call `split`. Analogous to `MPI_Comm_split`.
     pub fn split(&self, color: u32, key: u32) -> Comm {
-        let (tx, rx) = mpsc::channel::<Envelope>();
         let tag = self.collective_tag(CollectiveKind::Split);
         let mine = SplitInfo {
             color,
             key,
             old_rank: self.rank,
             slot: self.slot,
-            sender: tx,
+            mailbox: self.sched.open_mailbox(),
         };
         let infos: Vec<SplitInfo> = crate::collectives::allgather_tagged(self, tag, mine);
         let mut members: Vec<&SplitInfo> = infos.iter().filter(|i| i.color == color).collect();
@@ -600,14 +411,13 @@ impl Comm {
             .iter()
             .position(|i| i.old_rank == self.rank)
             .unwrap_or_else(|| panic!("split: own rank missing from its color group"));
-        let senders: Vec<Sender<Envelope>> = members.iter().map(|i| i.sender.clone()).collect();
         let peer_slots: Arc<Vec<usize>> = Arc::new(members.iter().map(|i| i.slot).collect());
+        let mailboxes: Arc<Vec<usize>> = Arc::new(members.iter().map(|i| i.mailbox).collect());
         let sub = Comm::new(
             new_rank,
-            Arc::new(senders),
-            rx,
             self.slot,
             peer_slots,
+            mailboxes,
             self.faults.clone(),
             Arc::clone(&self.sched),
         );
@@ -616,18 +426,43 @@ impl Comm {
     }
 }
 
-#[derive(Clone)]
+impl Drop for Comm {
+    /// Close this rank's mailbox: a later send to it fails.
+    fn drop(&mut self) {
+        self.sched.close_mailbox(self.mailboxes[self.rank]);
+    }
+}
+
+#[derive(Clone, Copy)]
 struct SplitInfo {
     color: u32,
     key: u32,
     old_rank: usize,
     slot: usize,
-    sender: Sender<Envelope>,
+    mailbox: usize,
 }
 
-/// Does a receive from `sources` match a message from `src`?
-fn is_from(sources: &[usize], src: usize) -> bool {
-    sources == [ANY_SOURCE] || sources.contains(&src)
+/// Collective-order verification against the mailbox: if this rank
+/// waits for a collective message from a *specific* peer and that peer
+/// has already sent traffic for a *different* collective, the program
+/// violated the all-ranks-same-order rule: `(mine, theirs)`. Sound
+/// because every collective's sends are exactly consumed by its
+/// receives and per-pair delivery is FIFO, so a leftover collective
+/// envelope from the awaited peer can only mean divergent collective
+/// order.
+fn collective_ahead<'a>(
+    mail: impl Iterator<Item = &'a Envelope>,
+    src: usize,
+    tag: Tag,
+) -> Option<((CollectiveKind, u64), (CollectiveKind, u64))> {
+    if src == ANY_SOURCE {
+        return None;
+    }
+    let mine = tag.collective_parts()?;
+    let theirs = mail
+        .filter(|e| e.src == src && e.tag != tag)
+        .find_map(|e| e.tag.collective_parts())?;
+    Some((mine, theirs))
 }
 
 /// Estimated deep size of a payload about to ship. The transport is

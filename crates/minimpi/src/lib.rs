@@ -2,7 +2,8 @@
 //!
 //! The SC16 SENSEI paper runs everything on MPI. Rust has no mature MPI
 //! ecosystem, so this crate provides the same SPMD programming model with
-//! ranks backed by OS threads and messages moved over lock-free channels:
+//! ranks backed by OS threads and messages moved through one mailbox
+//! per rank and communicator, held in the world's rank table:
 //!
 //! * a [`World`] launches `P` ranks, each receiving a [`Comm`];
 //! * tagged, typed point-to-point [`Comm::send`] / [`Comm::recv`] with
@@ -64,19 +65,15 @@ pub type Result<T> = std::result::Result<T, Error>;
 
 /// Errors produced by communicator operations.
 ///
-/// Most misuse (type mismatches, rank out of range) panics — programs here
-/// are deterministic SPMD codes where such conditions are bugs — but a few
-/// operations surface recoverable conditions.
+/// Misuse (type mismatches, rank out of range) panics — programs here
+/// are deterministic SPMD codes where such conditions are bugs — and
+/// so does a deadlock. The one recoverable condition is a receive that
+/// gives up at its deadline.
 #[derive(Debug)]
 pub enum Error {
-    /// The destination or source rank does not exist in the communicator.
-    RankOutOfRange { rank: usize, size: usize },
-    /// A communicator split produced an empty group for this rank.
-    EmptyGroup,
-    /// The remote end of a channel disconnected (peer rank panicked).
-    Disconnected,
-    /// A [`Comm::recv_deadline`] gave up waiting. Carries a rendering of
-    /// the rank's unmatched pending queue for diagnosis.
+    /// A [`Comm::recv_deadline`] or [`Comm::recv_any_of_deadline`] gave
+    /// up waiting. Carries a rendering of the rank's unmatched mail for
+    /// diagnosis.
     DeadlineExceeded {
         /// Awaited source rank ([`ANY_SOURCE`] = any).
         src: usize,
@@ -92,14 +89,6 @@ pub enum Error {
 impl std::fmt::Display for Error {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Error::RankOutOfRange { rank, size } => {
-                write!(
-                    f,
-                    "rank {rank} out of range for communicator of size {size}"
-                )
-            }
-            Error::EmptyGroup => write!(f, "communicator split produced an empty group"),
-            Error::Disconnected => write!(f, "peer rank disconnected (panicked?)"),
             Error::DeadlineExceeded {
                 src,
                 tag,

@@ -12,8 +12,16 @@
 //! wait can never end. There is no grace period and no wall-clock
 //! watchdog.
 //!
+//! The table also holds every rank's mail: one queue per rank and
+//! communicator, in send order. A send pushes its envelope under the
+//! table's lock, and a receive matches, and if need be waits, under the
+//! same lock, so one receive loop serves every policy and no mail is
+//! missed between a match that finds nothing and the wait.
+//!
 //! Under [`SchedPolicy::Os`] ranks run freely and the table is all
-//! there is. The thread-backed substrate then runs at the mercy of the
+//! there is: a waiting rank sleeps on its own condition variable until
+//! mail, its wall-clock deadline or the world's abort wakes it. The
+//! thread-backed substrate then runs at the mercy of the
 //! OS scheduler: which rank runs next, and which sender an `ANY_SOURCE`
 //! receive matches first, differ run to run. That is faithful to real
 //! MPI — and useless for reproducing a bad interleaving. The other
@@ -43,21 +51,24 @@
 //! logged for the next branch, failures replayed under
 //! [`SchedPolicy::Replay`].
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
+use probe::time::Wall;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::envelope::Tag;
+use crate::envelope::{Envelope, Tag};
 
 /// How a world schedules its ranks.
 #[derive(Clone, Debug)]
 pub enum SchedPolicy {
     /// OS threads run freely (the default; faithful nondeterminism).
-    /// Only the rank table is kept, so a deadlock is still caught the
-    /// moment no live rank can run.
+    /// Only the rank table is kept: a waiting rank sleeps until mail,
+    /// its deadline or the world's abort wakes it, and a deadlock is
+    /// still caught the moment no live rank can run.
     Os,
     /// Serialized deterministic execution: every scheduling and
     /// matching decision comes from an RNG seeded with this value. The
@@ -383,10 +394,12 @@ impl TraceCell {
 
 /// Why a blocked receive woke up.
 pub(crate) enum Wake {
-    /// New mail may have arrived; re-check the pending queue.
+    /// New mail may have arrived; match again.
     Mail,
-    /// The receive's virtual deadline fired at quiescence.
-    Deadline,
+    /// The receive's deadline passed, after this long: wall-clock time
+    /// when ranks run free, the limit itself when the virtual deadline
+    /// fired at quiescence.
+    Deadline(Duration),
     /// The world is aborting (deadlock or replay divergence); panic
     /// with this message.
     Abort(String),
@@ -405,8 +418,18 @@ pub(crate) struct WaitInfo {
     /// Absolute virtual deadline in nanoseconds, when the receive has
     /// one.
     pub deadline_nanos: Option<u64>,
-    /// Snapshot of unmatched `(src, tag)` pairs in the pending queue.
-    pub pending: Vec<(usize, Tag)>,
+    /// The mailbox it waits on, whose unmatched mail a report lists.
+    pub mailbox: usize,
+}
+
+/// When a receive gives up: `limit` after `start` on the wall clock
+/// when ranks run free, at `at_nanos` on the virtual clock when they
+/// take turns.
+#[derive(Clone, Copy)]
+pub(crate) struct Deadline {
+    start: Wall,
+    limit: Duration,
+    pub at_nanos: u64,
 }
 
 enum Status {
@@ -470,6 +493,13 @@ struct State {
     /// The runnable slots of the decision being made, sized for every
     /// slot when the world is built: a decision allocates nothing.
     runnable: Vec<usize>,
+    /// Every mailbox's mail in send order, by id: one per rank and
+    /// communicator, the world's first (id = slot). `None` once its
+    /// `Comm` is dropped. A queue keeps its capacity, so a warm step
+    /// allocates nothing for mail.
+    mailboxes: Vec<Option<VecDeque<Envelope>>>,
+    /// Per slot: a free-running rank sleeps on its waker.
+    waiting: Vec<bool>,
 }
 
 /// Trace events reserved when the world is built, before any rank
@@ -487,6 +517,9 @@ const TRACE_RESERVE: usize = 1 << 12;
 pub(crate) struct Sched {
     state: Mutex<State>,
     cv: Condvar,
+    /// Per slot, what a free-running rank waits on: a send wakes only
+    /// its destination.
+    wakers: Vec<Condvar>,
     /// A deterministic policy: ranks take turns holding the token.
     serial: bool,
 }
@@ -536,8 +569,11 @@ impl Sched {
                 spin_counts: vec![0; size],
                 last_progress: vec![0; size],
                 runnable: Vec::with_capacity(size),
+                mailboxes: (0..size).map(|_| Some(VecDeque::new())).collect(),
+                waiting: vec![false; size],
             }),
             cv: Condvar::new(),
+            wakers: (0..size).map(|_| Condvar::new()).collect(),
             serial,
         })
     }
@@ -566,17 +602,58 @@ impl Sched {
         }
     }
 
-    /// After a delivery: wake the destination if it was blocked — before
-    /// the sender can block — and, under a deterministic policy, record
-    /// the send and let the policy decide who runs next (post-send
-    /// preemption).
-    pub(crate) fn on_send(&self, from_slot: usize, to_slot: usize, tag: Tag) {
+    /// Lock the table for a receive: match, check and wait under one
+    /// hold.
+    pub(crate) fn lock(&self) -> Table<'_> {
+        Table {
+            sched: self,
+            s: self.state.lock(),
+        }
+    }
+
+    /// A new mailbox, for a rank of a communicator being split off.
+    pub(crate) fn open_mailbox(&self) -> usize {
         let mut s = self.state.lock();
+        s.mailboxes.push(Some(VecDeque::new()));
+        s.mailboxes.len() - 1
+    }
+
+    /// Close `mailbox` (its `Comm` is dropped): later sends to it fail,
+    /// and its unmatched mail is dropped.
+    pub(crate) fn close_mailbox(&self, mailbox: usize) {
+        let mail = self.state.lock().mailboxes[mailbox].take();
+        drop(mail);
+    }
+
+    /// Deliver `env` into `mailbox` of world slot `to_slot`, waking the
+    /// destination if it was blocked — before the sender can block —
+    /// and, under a deterministic policy, record the send and let the
+    /// policy decide who runs next (post-send preemption). `Err` gives
+    /// the envelope back when the mailbox is closed.
+    pub(crate) fn deliver(
+        &self,
+        from_slot: usize,
+        to_slot: usize,
+        mailbox: usize,
+        env: Envelope,
+    ) -> Result<(), Envelope> {
+        let mut s = self.state.lock();
+        let tag = env.tag;
+        let Some(mail) = s.mailboxes[mailbox].as_mut() else {
+            return Err(env);
+        };
+        mail.push_back(env);
         if matches!(s.status[to_slot], Status::Blocked(_)) {
             s.status[to_slot] = Status::Runnable;
         }
         if !self.serial {
-            return;
+            // Woken after the unlock, the destination finds the lock free.
+            let waiting = s.waiting[to_slot];
+            drop(s);
+            if waiting {
+                self.wakers[to_slot].notify_one();
+            }
+            return Ok(());
         }
         self.emit(
             &mut s,
@@ -587,29 +664,7 @@ impl Sched {
             },
         );
         self.reschedule(s, from_slot);
-    }
-
-    /// A free-running rank's receive found nothing: mark it `Blocked`
-    /// unless its channel has filled meanwhile (`idle` runs under the
-    /// lock, so a send either shows there or wakes the mark; it takes
-    /// the mail it finds for the caller to match), and abort the world
-    /// if no live rank is runnable. A rank still waiting calls again
-    /// each poll tick (`fresh == false`): it keeps its mark, or takes it
-    /// back if a send on another of its channels woke it. `Err` carries
-    /// the report to panic with.
-    pub(crate) fn block_free(
-        &self,
-        slot: usize,
-        fresh: bool,
-        idle: impl FnOnce() -> bool,
-        info: impl FnOnce() -> WaitInfo,
-    ) -> Result<(), String> {
-        let mut s = self.state.lock();
-        if s.abort.is_none() && (fresh || !matches!(s.status[slot], Status::Blocked(_))) && idle() {
-            s.status[slot] = Status::Blocked(info());
-            self.settle_free(&mut s);
-        }
-        s.abort.clone().map_or(Ok(()), Err)
+        Ok(())
     }
 
     /// The deadlock rule for free-running ranks: with no live rank
@@ -620,37 +675,11 @@ impl Sched {
         }
     }
 
-    /// Block this rank on a receive. Returns why it woke.
-    pub(crate) fn block_recv(&self, slot: usize, info: WaitInfo) -> Wake {
-        let mut s = self.state.lock();
-        debug_assert_eq!(s.current, Some(slot), "block_recv without the token");
-        s.status[slot] = Status::Blocked(info);
-        self.pick_and_grant(&mut s);
-        self.cv.notify_all();
-        loop {
-            if let Some(msg) = &s.abort {
-                return Wake::Abort(msg.clone());
-            }
-            if s.current == Some(slot) {
-                // Granted again: either a sender woke us or our
-                // deadline fired at quiescence.
-                s.status[slot] = Status::Runnable;
-                if s.deadline_fired[slot] {
-                    s.deadline_fired[slot] = false;
-                    return Wake::Deadline;
-                }
-                return Wake::Mail;
-            }
-            self.cv.wait(&mut s);
-        }
-    }
-
     /// Choose which source an `ANY_SOURCE` receive matches, among the
     /// communicator-local `candidates` (distinct sources with a
-    /// matching envelope, in pending-queue order).
-    pub(crate) fn choose_match(&self, slot: usize, candidates: &[usize], tag: Tag) -> usize {
+    /// matching envelope, in mailbox order).
+    fn choose_match(&self, s: &mut State, slot: usize, candidates: &[usize], tag: Tag) -> usize {
         debug_assert!(!candidates.is_empty());
-        let mut s = self.state.lock();
         let trace_pos = s.trace.events.len();
         let src = match &mut s.mode {
             Mode::Os => unreachable!("free-running matches are not decisions"),
@@ -678,14 +707,13 @@ impl Sched {
                             Tag(tag.0)
                         ),
                     );
-                    self.raise_abort(&mut s, msg.clone());
-                    drop(s);
+                    self.raise_abort(s, msg.clone());
                     panic!("{msg}");
                 }
             },
         };
         self.emit(
-            &mut s,
+            s,
             Event::Match {
                 slot,
                 src,
@@ -699,11 +727,6 @@ impl Sched {
     pub(crate) fn advance_clock(&self, by: Duration) {
         let mut s = self.state.lock();
         s.vclock_nanos = s.vclock_nanos.saturating_add(by.as_nanos() as u64);
-    }
-
-    /// Current virtual time in nanoseconds.
-    pub(crate) fn vclock_nanos(&self) -> u64 {
-        self.state.lock().vclock_nanos
     }
 
     /// Mark this rank finished (normal return or unwind) and hand the
@@ -726,7 +749,7 @@ impl Sched {
     }
 
     /// Release the token held by `slot` and wait to get it back.
-    fn reschedule(&self, mut s: parking_lot::MutexGuard<'_, State>, slot: usize) {
+    fn reschedule(&self, mut s: MutexGuard<'_, State>, slot: usize) {
         self.pick_and_grant(&mut s);
         self.cv.notify_all();
         while s.current != Some(slot) {
@@ -890,25 +913,14 @@ impl Sched {
         for (slot, st) in s.status.iter().enumerate() {
             let Status::Blocked(info) = st else { continue };
             report.push_str(&format!(
-                "\n  world rank {slot}: rank {}/{} waiting for {}, tag {}; pending ({})",
+                "\n  world rank {slot}: rank {}/{} waiting for {}, tag {}; pending ({}): {}",
                 info.comm_rank,
                 info.comm_size,
                 awaited(s, info),
                 info.tag,
-                info.pending.len(),
+                s.mail(info.mailbox).count(),
+                list_mail(s.mail(info.mailbox)),
             ));
-            if info.pending.is_empty() {
-                report.push_str(": []");
-            } else {
-                let shown: Vec<String> = info
-                    .pending
-                    .iter()
-                    .take(8)
-                    .map(|(src, tag)| format!("from {src}: {tag}"))
-                    .collect();
-                let ellipsis = if info.pending.len() > 8 { ", ..." } else { "" };
-                report.push_str(&format!(": [{}{ellipsis}]", shown.join(", ")));
-            }
         }
         report
     }
@@ -991,7 +1003,7 @@ impl Sched {
                     "blocked waiting for {}, tag {} ({} pending)",
                     awaited(s, info),
                     info.tag,
-                    info.pending.len()
+                    s.mail(info.mailbox).count()
                 ),
             };
             report.push_str(&format!(
@@ -1008,6 +1020,153 @@ impl Sched {
         }
         s.current = None;
         self.cv.notify_all();
+        for waker in &self.wakers {
+            waker.notify_all();
+        }
+    }
+}
+
+impl State {
+    /// The unmatched mail of `mailbox`, in send order (none once it is
+    /// closed).
+    fn mail(&self, mailbox: usize) -> impl Iterator<Item = &Envelope> {
+        self.mailboxes[mailbox].iter().flatten()
+    }
+}
+
+/// Up to 8 envelopes of `mail`, as reports list them:
+/// `[from 1: user:5, ...]`.
+pub(crate) fn list_mail<'a>(mail: impl Iterator<Item = &'a Envelope>) -> String {
+    let mut list = String::from("[");
+    for (i, env) in mail.enumerate() {
+        if i == 8 {
+            list.push_str(", ...");
+            break;
+        }
+        if i > 0 {
+            list.push_str(", ");
+        }
+        list.push_str(&format!("from {}: {}", env.src, env.tag));
+    }
+    list.push(']');
+    list
+}
+
+/// The rank table, locked for one receive ([`Sched::lock`]).
+pub(crate) struct Table<'a> {
+    sched: &'a Sched,
+    s: MutexGuard<'a, State>,
+}
+
+impl Table<'_> {
+    /// A deadline `limit` from now, on both clocks.
+    pub(crate) fn deadline(&self, limit: Duration) -> Deadline {
+        Deadline {
+            start: Wall::now(),
+            limit,
+            at_nanos: self.s.vclock_nanos.saturating_add(limit.as_nanos() as u64),
+        }
+    }
+
+    /// The unmatched mail of `mailbox`, in send order.
+    pub(crate) fn mail(&self, mailbox: usize) -> impl Iterator<Item = &Envelope> {
+        self.s.mail(mailbox)
+    }
+
+    /// Take the first envelope of `mailbox` with `tag` from one of
+    /// `sources` (`src` is the one source, or `ANY_SOURCE` for any or a
+    /// set): FIFO per `(src, tag)`. When ranks take turns, a match that
+    /// could take several distinct senders is a recorded decision —
+    /// even with one candidate, so replayed traces align event for
+    /// event.
+    pub(crate) fn take(
+        &mut self,
+        slot: usize,
+        mailbox: usize,
+        sources: &[usize],
+        src: usize,
+        tag: Tag,
+    ) -> Option<Envelope> {
+        let is_from = |sources: &[usize], e: &Envelope| {
+            e.tag == tag && (sources == [crate::ANY_SOURCE] || sources.contains(&e.src))
+        };
+        let mut chosen = None;
+        if self.sched.serial && src == crate::ANY_SOURCE {
+            let mut candidates = Vec::new();
+            for e in self.s.mail(mailbox) {
+                if is_from(sources, e) && !candidates.contains(&e.src) {
+                    candidates.push(e.src);
+                }
+            }
+            if candidates.is_empty() {
+                return None;
+            }
+            chosen = Some([self.sched.choose_match(&mut self.s, slot, &candidates, tag)]);
+        }
+        let sources = chosen.as_ref().map_or(sources, |one| one.as_slice());
+        let mail = self.s.mailboxes[mailbox].as_mut()?;
+        let idx = mail.iter().position(|e| is_from(sources, e))?;
+        mail.remove(idx)
+    }
+
+    /// Wait on the table for mail, the receive's deadline, or the
+    /// world's abort. A free-running receive without a deadline is
+    /// marked `Blocked` (its match found nothing under this same lock)
+    /// and the deadlock rule applies; one with a deadline stays
+    /// runnable, as it ends on its own. Both sleep on the rank's waker,
+    /// which a send to the rank or the abort wakes. When ranks take
+    /// turns this hands the token to a policy-chosen peer, and a
+    /// deadline fires on the virtual clock at quiescence.
+    pub(crate) fn wait(&mut self, slot: usize, info: WaitInfo, deadline: Option<Deadline>) -> Wake {
+        let (sched, s) = (self.sched, &mut self.s);
+        if sched.serial {
+            debug_assert_eq!(s.current, Some(slot), "wait without the token");
+            s.status[slot] = Status::Blocked(info);
+            sched.pick_and_grant(s);
+            sched.cv.notify_all();
+            loop {
+                if let Some(msg) = &s.abort {
+                    return Wake::Abort(msg.clone());
+                }
+                if s.current == Some(slot) {
+                    // Granted again: either a sender woke us or our
+                    // deadline fired at quiescence.
+                    s.status[slot] = Status::Runnable;
+                    if s.deadline_fired[slot] {
+                        s.deadline_fired[slot] = false;
+                        return Wake::Deadline(deadline.map_or(Duration::ZERO, |d| d.limit));
+                    }
+                    return Wake::Mail;
+                }
+                sched.cv.wait(s);
+            }
+        }
+        let left = match deadline {
+            Some(d) => {
+                let waited = d.start.elapsed();
+                if waited >= d.limit {
+                    return Wake::Deadline(waited);
+                }
+                Some(d.limit - waited)
+            }
+            None => {
+                if s.abort.is_none() {
+                    s.status[slot] = Status::Blocked(info);
+                    sched.settle_free(s);
+                }
+                None
+            }
+        };
+        if let Some(msg) = &s.abort {
+            return Wake::Abort(msg.clone());
+        }
+        s.waiting[slot] = true;
+        match left {
+            Some(left) => _ = sched.wakers[slot].wait_for(s, left),
+            None => sched.wakers[slot].wait(s),
+        }
+        s.waiting[slot] = false;
+        Wake::Mail
     }
 }
 

@@ -1,10 +1,9 @@
 //! Launching SPMD worlds: one thread per rank.
 
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread;
 
 use crate::comm::Comm;
-use crate::envelope::Envelope;
 use crate::fault::FaultHandle;
 use crate::sched::{LivenessSpec, Sched, SchedFinishGuard, SchedPolicy, TraceCell};
 
@@ -117,10 +116,8 @@ impl WorldBuilder {
         T: Send + 'static,
         F: Fn(&Comm) -> T + Send + Sync + 'static,
     {
-        let (senders, receivers): (Vec<_>, Vec<_>) =
-            (0..self.size).map(|_| mpsc::channel::<Envelope>()).unzip();
-        let senders = Arc::new(senders);
         let f = Arc::new(f);
+        // A world rank's slot is its rank and the id of its mailbox.
         let peer_slots: Arc<Vec<usize>> = Arc::new((0..self.size).collect());
         let sched = Sched::new(self.size, &self.sched_policy, self.liveness);
         let serial = sched.serial();
@@ -139,11 +136,8 @@ impl WorldBuilder {
             });
         }
 
-        let handles: Vec<_> = receivers
-            .into_iter()
-            .enumerate()
-            .map(|(rank, rx)| {
-                let senders = Arc::clone(&senders);
+        let handles: Vec<_> = (0..self.size)
+            .map(|rank| {
                 let f = Arc::clone(&f);
                 let peer_slots = Arc::clone(&peer_slots);
                 let faults = self.faults.clone();
@@ -180,7 +174,8 @@ impl WorldBuilder {
                                 slot: rank,
                             }
                         };
-                        let comm = Comm::new(rank, senders, rx, rank, peer_slots, faults, sched);
+                        let mailboxes = Arc::clone(&peer_slots);
+                        let comm = Comm::new(rank, rank, peer_slots, mailboxes, faults, sched);
                         f(&comm)
                     })
                     .unwrap_or_else(|e| panic!("failed to spawn rank thread: {e}"))
@@ -275,11 +270,12 @@ mod tests {
 
     #[test]
     fn a_rank_computing_while_its_peer_waits_is_no_deadlock() {
-        // Rank 1 waits in a receive without a deadline for several poll
-        // ticks while rank 0 computes: rank 0 is runnable throughout.
+        // Rank 1 waits in a receive without a deadline while rank 0
+        // computes: rank 0 is runnable throughout.
+        const COMPUTE: Duration = Duration::from_millis(100);
         let out = World::run(2, |comm| {
             if comm.rank() == 0 {
-                thread::sleep(crate::comm::POLL_TICK * 4);
+                thread::sleep(COMPUTE);
                 comm.send(1, 1, 7u32);
                 0
             } else {
@@ -294,8 +290,8 @@ mod tests {
         // Each round a rank sends to its right on the world and on a
         // sub-communicator, then waits for its left on the
         // sub-communicator first: the world's mail, already there, wakes
-        // its table entry but not its wait, so it renews its `Blocked`
-        // mark. One rank sleeps now and then while the others wait.
+        // the rank, which finds no match and takes its `Blocked` mark
+        // back. One rank sleeps now and then while the others wait.
         let out = World::run(8, |comm| {
             let sub = comm.split((comm.rank() % 2) as u32, comm.rank() as u32);
             let (p, q) = (comm.size(), sub.size());
@@ -318,13 +314,13 @@ mod tests {
 
     #[test]
     fn mail_found_by_the_emptiness_check_is_matched() {
-        // Rank 0 is blocked in `recv(1, 1)` when tag 2 arrives: it pends
-        // that one and checks its channel again under the table's lock.
-        // Every other round rank 1 sends tag 1 at once, so that check
-        // can find it and must match it; else rank 0 waits out a sleep.
-        let (done, result) = mpsc::channel();
+        // Rank 0 is blocked in `recv(1, 1)` when tag 2 arrives: it wakes,
+        // leaves that one in its mailbox and matches again under the
+        // table's lock. Every other round rank 1 sends tag 1 at once, so
+        // that match can find it and must take it; else rank 0 waits
+        // out a sleep.
         let world = thread::spawn(move || {
-            let out = World::run(2, |comm| {
+            World::run(2, |comm| {
                 let mut got = Vec::new();
                 for round in 0..1_000u64 {
                     if comm.rank() == 0 {
@@ -342,13 +338,14 @@ mod tests {
                     }
                 }
                 got
-            });
-            let _ = done.send(out);
+            })
         });
-        let out = result
-            .recv_timeout(Duration::from_secs(10))
-            .expect("the world neither hangs nor aborts");
-        world.join().expect("the world's thread returns");
+        let start = probe::time::Wall::now();
+        while !world.is_finished() {
+            assert!(start.elapsed() < Duration::from_secs(10), "the world hangs");
+            thread::sleep(Duration::from_millis(10));
+        }
+        let out = world.join().expect("the world does not abort");
         let want: Vec<(u64, u64)> = (0..1_000).map(|r| (2 * r + 1, 2 * r)).collect();
         assert_eq!(out[0], want);
     }

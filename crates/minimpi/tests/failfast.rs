@@ -98,8 +98,9 @@ fn deadline_error_reports_pending_queue() {
 fn deadlock_aborts_with_rank_dump() {
     let result = std::panic::catch_unwind(|| {
         World::run(2, |comm| {
-            // Cross traffic on the wrong tags lands in pending, so the
-            // report can show what each rank *did* receive.
+            // Cross traffic on the wrong tags stays unmatched in each
+            // mailbox, so the report can show what each rank *did*
+            // receive.
             comm.send(1 - comm.rank(), 10 + comm.rank() as u32, 1u8);
             let _: u8 = comm.recv(1 - comm.rank(), 55);
         });

@@ -202,13 +202,29 @@ if awk '/fn (write|marshal|ship)\(/{inside=1} inside {print} inside && /:     }$
     exit 1
 fi
 oscillator_src=$(for f in crates/oscillator/src/*.rs; do awk '/#\[cfg\(test\)\]/{exit} {print}' "$f"; done)
+echo "==> one receive path"
+# The rank table holds each rank's mailbox (one per communicator), and
+# every receive runs one loop under every scheduling policy: it matches
+# in the mailbox and waits on the table until mail, its deadline or the
+# world's abort wakes it. A std channel beside the table, a polling
+# wake-up, or a second matching engine is a second receive path back.
+if grep -rnE 'std::sync::mpsc|recv_timeout|POLL_TICK|block_free|drain_channel' crates/minimpi/src; then
+    echo "tier1: crates/minimpi/src has a second receive path (a channel, a poll tick or a drain)" >&2
+    exit 1
+fi
+if [ "$(grep -cE '^\s*(pub(\([a-z]+\))? )?fn match_envelope' crates/minimpi/src/comm.rs)" -gt 1 ]; then
+    echo "tier1: crates/minimpi/src/comm.rs defines more than one fn match_envelope*" >&2
+    exit 1
+fi
+
 if tr '\n' ' ' <<<"$oscillator_src" | grep -oE 'DataArray::owned\(\s*(GHOST_ARRAY_NAME|"vtkGhostType")'; then
     echo "tier1: crates/oscillator/src copies the ghost flags into an owned array again" >&2
     exit 1
 fi
 
 echo "==> std over shims"
-# Channels are std::sync::mpsc and BP-lite writes into a plain Vec<u8>;
+# Mail is a VecDeque per mailbox in minimpi's rank table, channels
+# elsewhere are std::sync::mpsc, and BP-lite writes into a plain Vec<u8>;
 # the shims left are rand, proptest and parking_lot. A crossbeam or
 # bytes shim, a manifest naming one, or an import of one is a
 # re-implementation of std back.

@@ -75,14 +75,16 @@ impl Condvar {
     /// parking_lot-style in-place signature: the guard stays borrowed
     /// by the caller across the wait.
     ///
-    /// Each mutex must be paired with a single condvar (std
-    /// restriction; `std::sync::Condvar::wait` panics otherwise).
+    /// A condvar must always wait with the same mutex (std
+    /// restriction; `std::sync::Condvar::wait` may panic when one
+    /// condvar meets a second mutex). Several condvars may share one
+    /// mutex.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         // SAFETY: the guard is moved out, consumed by `wait`, and the
         // guard it returns is written back before anyone can observe
         // the hole. `std::sync::Condvar::wait` does not unwind for a
-        // mutex paired with exactly one condvar (documented above as a
-        // usage requirement), so no path drops the moved-out guard
+        // condvar that always waits with one mutex (documented above as
+        // a usage requirement), so no path drops the moved-out guard
         // twice.
         unsafe {
             let owned = std::ptr::read(guard);
@@ -97,8 +99,8 @@ impl Condvar {
     pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: std::time::Duration) -> bool {
         // SAFETY: identical move-out/write-back discipline as `wait`:
         // the hole in `guard` is filled before this returns, and
-        // `wait_timeout` does not unwind under the one-condvar-per-
-        // mutex pairing rule documented on `wait`.
+        // `wait_timeout` does not unwind under the one-mutex-per-
+        // condvar rule documented on `wait`.
         unsafe {
             let owned = std::ptr::read(guard);
             let (reacquired, result) = self

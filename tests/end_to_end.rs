@@ -692,108 +692,149 @@ fn render_step_ships_scanlines_not_gathered_framebuffers() {
 /// it runs, no copy of a `corr` row while it selects the peaks (the
 /// tracking allocator is installed for this test binary). Both the
 /// bytes it holds and finalize's rise are asserted to the byte, as sums
-/// of what each site keeps, on free-running ranks.
+/// of what each site keeps, on free-running ranks and under the seeded
+/// scheduler alike.
 #[test]
 fn autocorrelation_holds_two_buffers_and_selects_in_place() {
+    use minimpi::{SchedPolicy, WorldBuilder};
+    for policy in [SchedPolicy::Os, SchedPolicy::Seeded(2016)] {
+        let d = deck();
+        WorldBuilder::new(2)
+            .sched(policy)
+            .run(move |comm| autocorrelation_heap(comm, &d));
+    }
+}
+
+fn autocorrelation_heap(comm: &minimpi::Comm, d: &str) {
     use sensei::analysis::autocorrelation::{AutocorrelationResult, Peak};
-    // What std allocates on its own behalf, as read on the pinned
-    // toolchain (a std update may move these, with no change here):
-    // the capacity std first gives a collected `Vec`,
+    // The capacity std first gives a collected `Vec` or a `VecDeque`, as
+    // read on the pinned toolchain (a std update may move it, with no
+    // change here).
     const FIRST_CAP: usize = 4;
-    // the slots in one block of an mpsc channel,
-    const MPSC_BLOCK_SLOTS: usize = 31;
-    // and the waker a thread's first blocking mpsc receive registers
-    // (its context `Arc`, and `FIRST_CAP` entries of the channel's
-    // waiter list).
-    const MPSC_WAKER: usize = 144;
-    let d = deck();
-    World::run(2, move |comm| {
-        let cfg = SimConfig {
-            grid: [64, 64, 64],
-            steps: 3,
-            ..SimConfig::default()
-        };
-        let root = (comm.rank() == 0).then_some(d.as_str());
-        let mut sim = Simulation::new(comm, cfg, root);
+    let cfg = SimConfig {
+        grid: [64, 64, 64],
+        steps: 3,
+        ..SimConfig::default()
+    };
+    let root = (comm.rank() == 0).then_some(d);
+    let mut sim = Simulation::new(comm, cfg, root);
+    sim.step(comm);
+    // A throwaway first reader: the simulation builds its ghost flags on
+    // first demand and keeps them.
+    Autocorrelation::new("data", 1, 1).execute(&OscillatorAdaptor::new(&sim), comm);
+    let flags = datamodel::duplicate_point_ghosts(&sim.local_extent(), &sim.global_extent());
+    let cells = flags.iter().filter(|&&flag| flag == 0).count();
+    let (window, k) = (4, 8);
+    let buffers = 2 * cells * window * 8;
+    drop(flags);
+
+    let floor = probe::alloc::current_bytes();
+    let mut ac = Autocorrelation::new("data", window, k);
+    let peaks = ac.results_handle();
+    ac.execute(&OscillatorAdaptor::new(&sim), comm);
+    let live = (probe::alloc::current_bytes() - floor) as usize;
+    assert_eq!(ac.buffer_bytes(), buffers);
+    // Beside the buffers, what `new` and the first step keep: the
+    // array's name, the results handle (an `Arc`: two counts and a mutex
+    // over the result), the run table (here one entry of five words, in
+    // a collected `Vec`) and the leaf's extent pair.
+    let word = size_of::<usize>();
+    let kept = "data".len()
+        + 2 * word
+        + size_of::<parking_lot::Mutex<Option<AutocorrelationResult>>>()
+        + FIRST_CAP * 5 * word
+        + size_of::<Option<(Extent, Extent)>>();
+    assert_eq!(
+        live,
+        buffers + kept,
+        "rank {}: {live} B live against {buffers} B of buffers",
+        comm.rank()
+    );
+    for _ in 1..3 {
         sim.step(comm);
-        // A throwaway first reader: the simulation builds its ghost
-        // flags on first demand and keeps them.
-        Autocorrelation::new("data", 1, 1).execute(&OscillatorAdaptor::new(&sim), comm);
-        let flags = datamodel::duplicate_point_ghosts(&sim.local_extent(), &sim.global_extent());
-        let cells = flags.iter().filter(|&&flag| flag == 0).count();
-        let (window, k) = (4, 8);
-        let buffers = 2 * cells * window * 8;
-        drop(flags);
-
-        let floor = probe::alloc::current_bytes();
-        let mut ac = Autocorrelation::new("data", window, k);
-        let peaks = ac.results_handle();
         ac.execute(&OscillatorAdaptor::new(&sim), comm);
-        let live = (probe::alloc::current_bytes() - floor) as usize;
-        assert_eq!(ac.buffer_bytes(), buffers);
-        // Beside the buffers, what `new` and the first step keep: the
-        // array's name, the results handle (an `Arc`: two counts and a
-        // mutex over the result), the run table (here one entry of five
-        // words, in a collected `Vec`) and the leaf's extent pair.
-        let word = size_of::<usize>();
-        let kept = "data".len()
-            + 2 * word
-            + size_of::<parking_lot::Mutex<Option<AutocorrelationResult>>>()
-            + FIRST_CAP * 5 * word
-            + size_of::<Option<(Extent, Extent)>>();
-        assert_eq!(
-            live,
-            buffers + kept,
-            "rank {}: {live} B live against {buffers} B of buffers",
-            comm.rank()
-        );
-        for _ in 1..3 {
-            sim.step(comm);
-            ac.execute(&OscillatorAdaptor::new(&sim), comm);
-        }
-        assert!(ac.take_failures().is_empty());
+    }
+    assert!(ac.take_failures().is_empty());
 
+    probe::alloc::reset_peak();
+    let floor = probe::alloc::current_bytes();
+    ac.finalize(comm);
+    let rise = probe::alloc::rise_since(floor);
+    // Finalize holds each rank's `window` rows of `k` peaks. While it
+    // selects them it also holds the `k` best `(value, tuple)`
+    // candidates of the row it builds. Once they are selected:
+    // - rank 1 holds what it sends rank 0 and rank 0 frees: the rows,
+    //   their boxed payload, and rank 0's world mailbox, which grows to
+    //   its first `FIRST_CAP` envelopes at this first send into it (the
+    //   deck's broadcast went the other way);
+    // - rank 0 grows a row to `2k` peaks as rank 1's is merged into it
+    //   (rank 1's row, freed next, pays for the next growth), less the
+    //   received payload box it frees.
+    let rows = window * (size_of::<Vec<Peak>>() + k * size_of::<Peak>());
+    let select = rows + k * size_of::<(f64, usize)>();
+    let payload = size_of::<Vec<Vec<Peak>>>();
+    // An envelope: source, tag, boxed payload (pointer and vtable) and
+    // sanitizer stamp.
+    let envelope = word + size_of::<u64>() + 2 * word + size_of::<Option<sanitizer::Stamp>>();
+    let reduce = if comm.rank() == 1 {
+        rows + payload + FIRST_CAP * envelope
+    } else {
+        rows - payload + k * size_of::<Peak>()
+    };
+    let want = select.max(reduce);
+    assert_eq!(
+        rise,
+        want,
+        "rank {}: finalize allocated {rise} B over {cells} cells, not {want} B",
+        comm.rank()
+    );
+    if comm.rank() == 0 {
+        let peaks = peaks.lock().clone().expect("root holds the peaks");
+        assert_eq!(peaks.len(), window);
+        assert!(peaks.iter().all(|lag| lag.len() == k));
+    }
+}
+
+/// A receive allocates nothing on the receiving rank, whether its
+/// message is already queued or it waits: rank 1's heap window (bytes
+/// risen, heap calls) around its first receive that blocks (rank 0
+/// sleeps before it sends), around one whose message is already in its
+/// mailbox (sent before the one rank 1 took last), and around its first
+/// receive that blocks on a fresh `split` communicator reads 0 B in 0
+/// calls each time.
+#[test]
+fn a_blocking_receive_allocates_nothing() {
+    const LATE: std::time::Duration = std::time::Duration::from_millis(60);
+    let window = |recv: &dyn Fn() -> u64| {
         probe::alloc::reset_peak();
-        let floor = probe::alloc::current_bytes();
-        ac.finalize(comm);
-        let rise = probe::alloc::rise_since(floor);
-        // Finalize holds each rank's `window` rows of `k` peaks. While
-        // it selects them it also holds the `k` best `(value, tuple)`
-        // candidates of the row it builds. Once they are selected:
-        // - rank 1 holds what it sends rank 0 and rank 0 frees: the
-        //   rows, their boxed payload, and the first block of rank 0's
-        //   mailbox, which std's mpsc channel allocates at the first
-        //   send into it (a next pointer, then the block's slots of an
-        //   envelope and a state word);
-        // - rank 0 grows a row to `2k` peaks as rank 1's is merged into
-        //   it (rank 1's row, freed next, pays for the next growth),
-        //   less the received payload box it frees; and it holds the
-        //   waker too if rank 1's peaks were not yet queued when it
-        //   asked for them.
-        let rows = window * (size_of::<Vec<Peak>>() + k * size_of::<Peak>());
-        let select = rows + k * size_of::<(f64, usize)>();
-        let payload = size_of::<Vec<Vec<Peak>>>();
-        // An envelope: source, tag, boxed payload (pointer and vtable)
-        // and sanitizer stamp.
-        let envelope = word + size_of::<u64>() + 2 * word + size_of::<Option<sanitizer::Stamp>>();
-        let reduce = if comm.rank() == 1 {
-            rows + payload + word + MPSC_BLOCK_SLOTS * (envelope + word)
-        } else {
-            rows - payload + k * size_of::<Peak>()
-        };
-        let want = select.max(reduce);
-        let waited = select.max(reduce + MPSC_WAKER);
-        assert!(
-            rise == want || (comm.rank() == 0 && rise == waited),
-            "rank {}: finalize allocated {rise} B over {cells} cells, not {want} B",
-            comm.rank()
+        let (floor, calls) = (probe::alloc::current_bytes(), probe::alloc::allocations());
+        let got = recv();
+        let window = (
+            probe::alloc::rise_since(floor),
+            probe::alloc::allocations() - calls,
         );
+        (got, window)
+    };
+    let windows = World::run(2, move |comm| {
         if comm.rank() == 0 {
-            let peaks = peaks.lock().clone().expect("root holds the peaks");
-            assert_eq!(peaks.len(), window);
-            assert!(peaks.iter().all(|lag| lag.len() == k));
+            std::thread::sleep(LATE);
+            comm.send(1, 1, 1u64);
+            comm.send(1, 2, 2u64);
+            comm.send(1, 9, ());
+            let sub = comm.split(0, 0);
+            std::thread::sleep(LATE);
+            sub.send(1, 3, 3u64);
+            Vec::new()
+        } else {
+            let blocked = window(&|| comm.recv(0, 1));
+            comm.recv::<()>(0, 9);
+            let queued = window(&|| comm.recv(0, 2));
+            let sub = comm.split(0, 1);
+            let fresh = window(&|| sub.recv(0, 3));
+            vec![blocked, queued, fresh]
         }
     });
+    assert_eq!(windows[1], [(1, (0, 0)), (2, (0, 0)), (3, (0, 0))]);
 }
 
 /// One step of a 64³ run on two ranks, marshalled by each: the ghosted
