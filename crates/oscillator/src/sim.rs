@@ -34,8 +34,6 @@ pub struct SimConfig {
     pub dt: f64,
     /// Number of timesteps.
     pub steps: usize,
-    /// Synchronize ranks after every step (off in the paper's runs).
-    pub sync_every_step: bool,
 }
 
 impl Default for SimConfig {
@@ -45,7 +43,6 @@ impl Default for SimConfig {
             domain: [1.0, 1.0, 1.0],
             dt: 0.01,
             steps: 100,
-            sync_every_step: false,
         }
     }
 }
@@ -149,9 +146,6 @@ impl Simulation {
         let terms = (field.len() * self.oscillators.len()) as u64;
         probe.bulk("sim/terms", 1, evaluated, terms - evaluated);
         self.step += 1;
-        if self.config.sync_every_step {
-            comm.barrier();
-        }
     }
 
     /// Advance one timestep with the naive all-pairs kernel: every cell
@@ -182,9 +176,6 @@ impl Simulation {
             *out = v;
         }
         self.step += 1;
-        if self.config.sync_every_step {
-            comm.barrier();
-        }
     }
 
     /// Zero-copy handle to the current field.

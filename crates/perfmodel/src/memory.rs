@@ -66,16 +66,24 @@ pub fn histogram_heap(bins: usize) -> f64 {
 }
 
 /// Per-rank heap of a slice-render pipeline over `p` ranks composited by
-/// `alg`: the frame each rank draws the rows it keeps into and keeps
-/// between steps, 7 B a pixel (RGB and depth; a pixel is covered where
-/// its depth is finite), averaged over the ranks. The rows are those
-/// compositing leaves a rank (`kept_rows`), whether its block meets the
-/// plane or not. The strips, the one buffer a rank draws the strips it
-/// gives away into, and the encoder's sliding buffer beside the frame
-/// (≈ 0.79 MB at 1920 wide) are not charged.
+/// `alg`, averaged over the ranks: the frame each rank draws the rows
+/// it keeps into and keeps between steps, 7 B a pixel (RGB and depth; a
+/// pixel is covered where its depth is finite), and the PNG encoder
+/// each rank that deflates a band keeps. The rows are those compositing
+/// leaves a rank (`kept_rows`), whether its block meets the plane or
+/// not. The bands are one a rank from 0 up, each at least 256 KiB of
+/// scanlines (`1 + 3 · width` B a row); an encoder is its hash chains'
+/// `head` and `prev` (131 072 B each), its sliding buffer (`WINDOW +
+/// CHUNK + MAX_MATCH + 3` = 98 565 B) and a scanline. The speculative
+/// bit string and junction log a band rank past the first keeps follow
+/// the pixels, and the strips (`CREDITS` = 2 of at most 32 Ki pixels)
+/// are not charged.
 pub fn slice_render_heap(width: usize, height: usize, alg: Algorithm, p: usize) -> f64 {
     let rows: usize = (0..p).map(|rank| kept_rows(alg, p, rank, height)).sum();
-    (width * rows * 7) as f64 / p as f64
+    let stride = 1 + 3 * width;
+    let bands = (height / (256 * 1024usize).div_ceil(stride)).clamp(1, p);
+    let encoders = bands * (2 * 131_072 + 98_565 + stride);
+    (width * rows * 7 + encoders) as f64 / p as f64
 }
 
 /// The rows of a `height`-row image `rank`'s frame holds while `alg`
@@ -164,38 +172,56 @@ mod tests {
     #[test]
     fn slice_render_heap_charges_the_rows_each_rank_keeps() {
         const TREE: Algorithm = Algorithm::DirectSendTree { fanout: 8 };
+        // One encoder a band: its chains, sliding buffer and scanline.
+        let encoder = |width: usize| (131_072 + 131_072 + 98_565 + 1 + 3 * width) as f64;
+        assert_eq!(encoder(1920), 366_470.0);
         // `render-insitu` on 2 ranks: each keeps Catalyst's 540 rows of
         // 1920; Libsim's root keeps its whole 1024² image, its leaf none.
+        // Both files are two bands (23 and 11 of 256 KiB), one a rank.
         assert_eq!(
             slice_render_heap(1920, 1080, Algorithm::BinarySwap, 2),
-            7_257_600.0
+            7_257_600.0 + 366_470.0
         );
-        assert_eq!(slice_render_heap(1024, 1024, TREE, 2), 7_340_032.0 / 2.0);
-        // Alone, a rank keeps the whole frame.
+        assert_eq!(
+            slice_render_heap(1024, 1024, TREE, 2),
+            (7_340_032.0 + 2.0 * encoder(1024)) / 2.0
+        );
+        // Alone, a rank keeps the whole frame and the one encoder.
         assert_eq!(
             slice_render_heap(1920, 1080, Algorithm::BinarySwap, 1),
-            14_515_200.0
+            14_515_200.0 + 366_470.0
         );
-        assert_eq!(slice_render_heap(1920, 1080, TREE, 1), 14_515_200.0);
+        assert_eq!(
+            slice_render_heap(1920, 1080, TREE, 1),
+            14_515_200.0 + 366_470.0
+        );
         // 3 ranks: rank 0 merges rank 2's image (1080 rows), rank 1
         // keeps its upper half (540), rank 2 none; the tree's root
-        // keeps all, its two leaves none.
+        // keeps all, its two leaves none. 1081 rows of 61 B are under
+        // 256 KiB: one band, rank 0's.
         assert_eq!(
             slice_render_heap(20, 1081, Algorithm::BinarySwap, 3) * 3.0,
-            (7 * 20 * (1081 + 541)) as f64
+            (7 * 20 * (1081 + 541)) as f64 + encoder(20)
         );
         assert_eq!(
             slice_render_heap(20, 1081, TREE, 3) * 3.0,
-            7.0 * 20.0 * 1081.0
+            7.0 * 20.0 * 1081.0 + encoder(20)
         );
         // A power-of-two group keeps half an image a rank; a tree keeps
-        // an image on each of its ⌈(p − 1) / f⌉ inner nodes.
+        // an image on each of its ⌈(p − 1) / f⌉ inner nodes. A 1920 ×
+        // 1080 file is at most 1080 / ⌈256 Ki / 5761⌉ = 23 bands.
         for p in [8, 64, 4096] {
-            let heap = slice_render_heap(1920, 1080, Algorithm::BinarySwap, p);
-            assert_eq!(heap, 14_515_200.0 / 2.0, "p = {p}");
+            let bands = p.min(23) as f64;
+            let heap = slice_render_heap(1920, 1080, Algorithm::BinarySwap, p) * p as f64;
+            let half = 14_515_200.0 / 2.0 * p as f64;
+            assert_eq!(heap, half + bands * 366_470.0, "p = {p}");
             let inner = (p - 1).div_ceil(8);
             let tree = slice_render_heap(1920, 1080, TREE, p) * p as f64;
-            assert_eq!(tree, 14_515_200.0 * inner as f64, "p = {p}");
+            assert_eq!(
+                tree,
+                14_515_200.0 * inner as f64 + bands * 366_470.0,
+                "p = {p}"
+            );
         }
         let heap = slice_render_heap(1600, 1600, TREE, 812);
         let a = total_high_water(812, Executable::Libsim, heap);

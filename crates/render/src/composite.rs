@@ -9,47 +9,48 @@
 //! * direct-send tree — a fan-in tree of configurable arity; each
 //!   parent composites its children's images (Libsim-like).
 //!
-//! What travels is never an image: a rank sends a copy of the part of
-//! its drawn rectangle inside the rows it gives away (a `Patch` of RGB
-//! and depth, 7 B a pixel; a header alone when it drew nothing there),
-//! and the receiver depth-merges that patch only: the nearer fragment
-//! wins. Every pixel outside the rectangle is clear, at depth +∞, and
-//! loses to anything, so the result is the full-frame merge's, bit for
-//! bit.
+//! What travels is never an image: a rank sends the part of its drawn
+//! rectangle inside the rows it gives away, a strip at a time, each
+//! strip a framebuffer of the drawn columns of its rows (RGB and depth,
+//! 7 B a pixel; one that holds nothing when the rank drew nothing
+//! there), and the receiver depth-merges it where it lies, through the
+//! one row-merge path (`Framebuffer::composite_from`): the nearer
+//! fragment wins. Every pixel outside the rectangle is clear, at depth
+//! +∞, and loses to anything, so the result is the full-frame merge's,
+//! bit for bit.
 //!
 //! Nor is an image held whole where a rank keeps less of it. A plot
-//! reaches `merge` as a [`RowSource`]: drawn into any rows of the image
-//! on demand. A rank's frame holds only the rows it keeps
-//! (`Compositor::kept_rows`): under binary swap its half after the
+//! reaches `merge` as a [`RowSource`]: drawn into any rectangle of the
+//! image on demand. A rank's frame holds every column of the rows it
+//! keeps (`Compositor::kept_rows`): under binary swap its half after the
 //! first halving, the whole image on a rank a folded rank's image is
 //! merged into; under the tree the whole image on the root and on a
 //! node with children, and nothing on a leaf. A rank draws those rows
 //! first, before it merges anything, so of two equal depths its own
 //! fragment stays, as it did when every rank drew the whole image. The
 //! rows it gives away from outside its frame — round 1's half, a folded
-//! rank's or a leaf's image — are drawn strip by strip into one strip
-//! buffer just before each strip goes out, and the rectangle a strip
-//! ships is the whole plot's drawn rectangle inside its rows, so the
-//! patches are those of a whole-image draw, byte for byte. The gathered
-//! [`composite`] runs the same merge over a buffer already drawn, whose
-//! rows are copied out as they are asked for. Each rank keeps its frame
-//! and its strip buffer, so that the next frame is drawn into them
-//! (`Framebuffer::take`).
+//! rank's or a leaf's image — are drawn strip by strip straight into
+//! the buffer that goes out as the message, just before it is sent; the
+//! rows it gives away from its frame are copied into it the same way,
+//! the frame read as a `RowSource`. The rectangle a strip holds is the
+//! whole plot's drawn rectangle inside its rows, so the strips are those
+//! of a whole-image draw, byte for byte. The gathered [`composite`]
+//! runs the same merge over a buffer already drawn, whose rows are
+//! copied out as they are asked for.
 //!
 //! The rows a rank gives away are cut into strips of
 //! `max(1, STRIP / width)` rows, so that a message spans at most
-//! `STRIP` pixels of the image, and each strip is one patch: swap
-//! partners alternate sending a strip and merging one, and keep each
-//! strip they receive as the buffer a later one goes out in; a tree
-//! child or a folded rank lends its strips (`Comm::lend`, at most
-//! `CREDITS` out), and the receiver gives each back once merged, so the
-//! next strip goes out in the buffer that came back. Between frames the
-//! strip buffers wait in the rank's pool (`Comm::keep`, `CREDITS` of
-//! them, and the one buffer strips are drawn into): a warm frame
-//! allocates none. Both sides count the strips from the rows and the
-//! width alone. Each strip sent counts on the comm's probe under
-//! `render/composite`: one message, 7 B a pixel; a strip given back
-//! counts as a plain point-to-point message.
+//! `STRIP` pixels of the image: swap partners alternate sending a strip
+//! and merging one, and keep each strip they receive as the buffer a
+//! later one goes out in; a tree child or a folded rank lends its
+//! strips (`Comm::lend`, at most `CREDITS` out), and the receiver gives
+//! each back once merged, so the next strip goes out in the buffer that
+//! came back. Between frames the strips wait in the rank's pool
+//! (`Comm::keep`, `CREDITS` of them): a warm frame allocates none. Both
+//! sides count the strips from the rows and the width alone. Each strip
+//! sent counts on the comm's probe under `render/composite`: one
+//! message, 7 B a pixel; a strip given back counts as a plain
+//! point-to-point message.
 //!
 //! Compositing is two steps. `merge` runs the algorithm and stops
 //! where the finished pixels are: binary swap leaves each rank of the
@@ -67,7 +68,7 @@ use std::ops::Range;
 
 use minimpi::{Comm, Verdict};
 
-use crate::framebuffer::{overlap, Framebuffer, Patch, Rect};
+use crate::framebuffer::{overlap, Framebuffer, Rect};
 
 /// Tag space for compositing traffic.
 const TAG_FOLD: u32 = 0x434F_0001;
@@ -78,22 +79,22 @@ const TAG_TREE: u32 = 0x434F_0004;
 /// Pixels of the image one compositing message spans at most.
 const STRIP: usize = 32 * 1024;
 /// Strips a tree child or folded rank may have lent at once, and the
-/// strip buffers a rank keeps between frames.
+/// strips a rank keeps between frames.
 const CREDITS: usize = 2;
 
-/// A plot as compositing reads it: drawn into any rows of the image,
-/// when they are needed.
+/// A plot as compositing reads it: drawn into any rectangle of the
+/// image, when it is needed.
 pub(crate) trait RowSource {
     /// The rectangle of the image a draw of all its rows marks; every
     /// pixel outside it is clear.
     fn drawn(&self) -> &Rect;
 
-    /// Draw its pixels inside the rows `fb` holds into `fb`, which is
-    /// clear there.
+    /// Draw its pixels inside the rectangle `fb` holds into `fb`, which
+    /// is clear there.
     fn draw(&self, fb: &mut Framebuffer);
 }
 
-/// A buffer drawn already, holding every row of its image, reads as its
+/// A buffer drawn already, holding every row asked of it, reads as its
 /// rows: merged into a cleared buffer, a copy of them.
 impl RowSource for Framebuffer {
     fn drawn(&self) -> &Rect {
@@ -105,9 +106,16 @@ impl RowSource for Framebuffer {
     }
 }
 
-/// The one buffer a rank draws the strips it gives away into, between
-/// strips and between frames kept in its pool.
-struct StripBuffer(Framebuffer);
+/// A strip as it travels: a framebuffer of the drawn columns of the
+/// strip's rows. Its own type, so that the strips a rank keeps wait in
+/// its pool apart from its one frame (`Framebuffer::take`).
+struct Strip(Framebuffer);
+
+impl Default for Strip {
+    fn default() -> Self {
+        Strip(Framebuffer::with_rows(0, 0, 0..0))
+    }
+}
 
 /// Where the strips a rank gives away come from.
 enum Give<'a> {
@@ -119,29 +127,25 @@ enum Give<'a> {
 }
 
 impl Give<'_> {
-    /// Fill `patch` with the strip `rows` of the image `fb` is a frame
-    /// of, counted under `render/composite` at 7 B a pixel (RGB and
-    /// depth).
-    fn fill(&self, comm: &Comm, fb: &Framebuffer, rows: Range<usize>, patch: &mut Patch) {
-        match self {
-            Give::Frame(drawn) => fb.copy_patch(drawn.within_rows(rows), patch),
-            Give::Plot(source) => {
-                let (width, height) = (fb.width(), fb.height());
-                let mut strip = match comm.spare::<StripBuffer>() {
-                    Some(StripBuffer(strip)) => strip.rearm(width, height, rows.clone()),
-                    None => Framebuffer::with_rows(width, height, rows.clone()),
-                };
-                source.draw(&mut strip);
-                strip.copy_patch(source.drawn().within_rows(rows), patch);
-                comm.keep(StripBuffer(strip), 1);
-            }
-        }
+    /// Draw the strip `rows` of the image `fb` is a frame of into
+    /// `strip`, which then holds the drawn columns of those rows, and
+    /// count it under `render/composite` at 7 B a pixel (RGB and depth).
+    fn fill(&self, comm: &Comm, fb: &Framebuffer, rows: Range<usize>, Strip(strip): &mut Strip) {
+        let (drawn, source): (&Rect, &dyn RowSource) = match self {
+            Give::Frame(drawn) => (drawn, fb),
+            Give::Plot(source) => (source.drawn(), *source),
+        };
+        let held = drawn.within_rows(rows);
+        strip.rearm(fb.width(), fb.height(), held.clone());
+        source.draw(strip);
+        // All of it ships, as the whole plot's rectangle inside the rows.
+        strip.mark(held.cols.clone(), held.rows.clone());
         comm.probe()
-            .message("render/composite", 7 * patch.pixels() as u64);
+            .message("render/composite", 7 * held.pixels() as u64);
     }
 }
 
-/// Draw `source` into the rows `fb` holds, and record the rectangle it
+/// Draw `source` into the pixels `fb` holds, and record the rectangle it
 /// covers in the whole image: the later rounds ship the parts of that
 /// rectangle that lie in their rows, as a whole-image draw would.
 fn draw_kept(fb: &mut Framebuffer, source: &dyn RowSource) {
@@ -184,21 +188,19 @@ fn send_rows(
     give: &Give<'_>,
     rows: Range<usize>,
 ) {
-    for strip in strips(rows, fb.width()) {
-        comm.lend(dest, tag, CREDITS, |patch| {
-            give.fill(comm, fb, strip, patch)
-        });
+    for rows in strips(rows, fb.width()) {
+        comm.lend(dest, tag, CREDITS, |strip| give.fill(comm, fb, rows, strip));
     }
-    while comm.reclaim::<Patch>(dest, tag).is_some() {}
+    while comm.reclaim::<Strip>(dest, tag).is_some() {}
 }
 
 /// Depth-merge the strips of `rows` that `src` lends into `fb`, giving
 /// each strip's buffer back.
 fn merge_rows_from(comm: &Comm, src: usize, tag: u32, fb: &mut Framebuffer, rows: Range<usize>) {
     for _ in strips(rows, fb.width()) {
-        let patch: Patch = comm.recv(src, tag);
-        fb.merge(&patch);
-        comm.give_back(src, tag, patch, Verdict::Taken);
+        let strip: Strip = comm.recv(src, tag);
+        fb.composite_from(&strip.0);
+        comm.give_back(src, tag, strip, Verdict::Taken);
     }
 }
 
@@ -225,14 +227,14 @@ fn swap_rows(
             return;
         }
         if let Some(rows) = out {
-            let mut patch = comm.spare().unwrap_or_default();
-            from.fill(comm, fb, rows, &mut patch);
-            comm.send(partner, TAG_SWAP, patch);
+            let mut strip = comm.spare().unwrap_or_default();
+            from.fill(comm, fb, rows, &mut strip);
+            comm.send(partner, TAG_SWAP, strip);
         }
         if back.is_some() {
-            let patch: Patch = comm.recv(partner, TAG_SWAP);
-            fb.merge(&patch);
-            comm.keep(patch, CREDITS);
+            let strip: Strip = comm.recv(partner, TAG_SWAP);
+            fb.composite_from(&strip.0);
+            comm.keep(strip, CREDITS);
         }
     }
 }
@@ -854,9 +856,9 @@ mod tests {
     }
 
     /// `(messages, bytes)` of `render/composite` each rank sends, from
-    /// the ranks' projected rectangles alone: a patch is what the
-    /// sender has covered so far, cut to the rows it sends, at 7 B/px,
-    /// and it travels as one message for each strip of those rows.
+    /// the ranks' projected rectangles alone: what a rank sends is what
+    /// it has covered so far, cut to the rows it sends, at 7 B/px, and
+    /// it travels as one message for each strip of those rows.
     fn predicted(
         which: Compositor,
         mut covered: Vec<Drawn>,

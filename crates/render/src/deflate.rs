@@ -343,6 +343,11 @@ const LOOK: usize = MAX_MATCH + MIN_MATCH;
 /// A parse's sliding buffer: the `WINDOW` bytes behind the token, a
 /// chunk, and what a search at the chunk's end reads past it.
 pub(crate) const SLIDE: usize = WINDOW + CHUNK + LOOK;
+/// Bytes past its cut within which a speculative parse logs its token
+/// starts, and so a junction's re-parse can meet it (the benchmark's
+/// meet within 24 KB); one that has not met by then re-parses the rest
+/// of its band, as one that never meets does, and no byte changes.
+pub(crate) const JOIN_SPAN: usize = 64 * 1024;
 
 /// Where a parse reads the stream, a chunk at a time: `fill(pos, dst)`
 /// writes the stream's bytes `pos..pos + dst.len()`, any of them any
@@ -500,8 +505,8 @@ pub(crate) struct Fixed {
     /// [`Fixed::speculate`]: its bit string, …
     spec: Vec<u8>,
     spec_bits: u64,
-    /// … every position it started a token at with the bit offset of
-    /// that token, in order, …
+    /// … every position before `cut + JOIN_SPAN` it started a token at
+    /// with the bit offset of that token, in order, …
     starts: Vec<(usize, u64)>,
     /// … and the first position past the band it did not code.
     landing: usize,
@@ -557,6 +562,8 @@ impl Fixed {
         let (chains, slide) = (&mut self.chains, &mut self.slide);
         chains.head.fill(NIL);
         let first = from.saturating_sub(WINDOW);
+        // `SLIDE` bytes whatever the stream's length: a closed form.
+        slide.reserve_exact(SLIDE.saturating_sub(slide.len()));
         // Every byte of the view is the source's: what it held is not read.
         slide.resize((first + SLIDE).min(n) - first, 0);
         fill(first, slide);
@@ -636,8 +643,8 @@ impl Fixed {
     }
 
     /// Parse the band `[cut, end)` as if a token started at `cut`,
-    /// keeping the result for [`Fixed::join`]; returns the band's
-    /// Adler-32.
+    /// keeping the result for [`Fixed::join`], the token starts within
+    /// [`JOIN_SPAN`] of the cut among it; returns the band's Adler-32.
     pub(crate) fn speculate(&mut self, input: &mut Input, cut: usize, end: usize) -> u32 {
         let (mut spec, mut starts) = (
             std::mem::take(&mut self.spec),
@@ -646,8 +653,11 @@ impl Fixed {
         spec.clear();
         starts.clear();
         let mut w = BitWriter::on(&mut spec);
+        let span = cut + JOIN_SPAN;
         let (landing, adler) = self.parse(input, cut, end, &mut w, |i, bit| {
-            starts.push((i, bit));
+            if i < span {
+                starts.push((i, bit));
+            }
             true
         });
         self.landing = landing;
@@ -659,40 +669,45 @@ impl Fixed {
     /// Write the true bit string of the speculated band `[cut, end)`
     /// into `w`, given `landing`, where the parse before it really
     /// stopped: re-parse from there until a token starts where the
-    /// speculative parse started one, and splice that parse's bits on
-    /// from that token. Returns the band's own landing position and
-    /// whether the two parses met. They need not — equal bytes give
-    /// 258-byte matches from both starts, and `m + 258 k` never equals
-    /// `cut + 258 k'` unless `m - cut` is a multiple of 258 — and then
-    /// the band is the re-parse alone. A `landing` at or past `end`
-    /// (the match before covers the band) passes through. The
-    /// re-parse asks its source again for the window before `landing`
-    /// and whatever it reads from there: the speculative parse has slid
-    /// past them.
+    /// speculative parse started one within [`JOIN_SPAN`] of the cut,
+    /// and splice that parse's bits on from that token. They need not
+    /// meet — equal bytes give 258-byte matches from both starts, and
+    /// `m + 258 k` never equals `cut + 258 k'` unless `m - cut` is a
+    /// multiple of 258 — nor meet inside the span, and then the band is
+    /// the re-parse alone. A `landing` at or past `end` (the match
+    /// before covers the band) passes through. The re-parse asks its
+    /// source again for the window before `landing` and whatever it
+    /// reads from there: the speculative parse has slid past them.
+    /// Returns the band's own landing, and the tokens the re-parse coded
+    /// and the stream bytes they cover, which end before the band does
+    /// iff the two parses met.
     pub(crate) fn join(
         &mut self,
         w: &mut BitWriter,
         input: &mut Input,
         landing: usize,
         end: usize,
-    ) -> (usize, bool) {
+    ) -> (usize, [u64; 2]) {
         if landing >= end {
-            return (landing, false);
+            return (landing, [0; 2]);
         }
         let starts = std::mem::take(&mut self.starts);
-        let mut next = 0;
-        let (met, _) = self.parse(input, landing, end, w, |i, _| {
+        let (mut next, mut tokens) = (0, 0);
+        let (stop, _) = self.parse(input, landing, end, w, |i, _| {
             while next < starts.len() && starts[next].0 < i {
                 next += 1;
             }
-            next == starts.len() || starts[next].0 != i
+            let on = next == starts.len() || starts[next].0 != i;
+            tokens += u64::from(on);
+            on
         });
-        let joined = met < end;
-        if joined {
+        let met = stop < end;
+        if met {
             w.append(&self.spec, starts[next].1, self.spec_bits);
         }
         self.starts = starts;
-        (if joined { self.landing } else { met }, joined)
+        let reparsed = [tokens, (stop - landing) as u64];
+        (if met { self.landing } else { stop }, reparsed)
     }
 
     /// Close the block and pad the stream to a byte.
@@ -960,6 +975,18 @@ pub fn zlib_decompress(data: &[u8]) -> Result<Vec<u8>, InflateError> {
 mod reference;
 
 #[cfg(test)]
+impl Fixed {
+    /// Heap bytes it holds between parses: its chain tables and sliding
+    /// buffer, and its speculative parse's bit string and junction log.
+    pub(crate) fn held(&self) -> [usize; 2] {
+        let Chains { head, prev } = &self.chains;
+        let tables = size_of_val(&**head) + size_of_val(&**prev) + self.slide.capacity();
+        let log = self.starts.capacity() * size_of::<(usize, u64)>();
+        [tables, self.spec.capacity() + log]
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
@@ -1142,8 +1169,9 @@ mod tests {
     /// The fixed-mode stream of `data` made band by band at `cuts`
     /// (ascending, each in `0..=len`), the way the collective PNG
     /// encoder makes it — every band sees only its own bytes, `WINDOW`
-    /// before and `MAX_MATCH` after — and how many junctions never met.
-    fn deflate_banded(data: &[u8], cuts: &[usize]) -> (Vec<u8>, usize) {
+    /// before and `MAX_MATCH` after —, how many junctions never met, and
+    /// the bytes each junction re-parsed.
+    fn deflate_banded(data: &[u8], cuts: &[usize]) -> (Vec<u8>, usize, Vec<usize>) {
         let n = data.len();
         let mut edges = vec![0];
         edges.extend_from_slice(cuts);
@@ -1159,7 +1187,7 @@ mod tests {
             fill: &mut copy_from(lead),
         };
         let (mut landing, _) = fixed.lead(&mut w, &mut input, edges[1]);
-        let mut unmet = 0;
+        let (mut unmet, mut reparsed) = (0, Vec::new());
         for band in edges[1..].windows(2) {
             let (cut, end) = (band[0], band[1]);
             // Bytes a band may not see are poisoned, not just unread.
@@ -1170,14 +1198,15 @@ mod tests {
                 fill: &mut copy_from(&seen),
             };
             fixed.speculate(&mut input, cut, end);
-            let crossed = landing < end;
-            let (next, met) = fixed.join(&mut w, &mut input, landing, end);
-            unmet += usize::from(crossed && !met);
+            let (next, [_, bytes]) = fixed.join(&mut w, &mut input, landing, end);
+            let met = landing + (bytes as usize) < end;
+            unmet += usize::from(landing < end && !met);
+            reparsed.push(bytes as usize);
             landing = next;
         }
         assert_eq!(landing, n, "the last band lands on the end of the stream");
         Fixed::end(w);
-        (out, unmet)
+        (out, unmet, reparsed)
     }
 
     /// Pseudo-random: xorshift, so no rand dependency needed here.
@@ -1214,7 +1243,7 @@ mod tests {
                 vec![WINDOW - 1, WINDOW, WINDOW + 1],
                 vec![1000, 1100, 1200, 1210, 1211, 40_000, 40_257, 40_300],
             ] {
-                let (got, _) = deflate_banded(data, &cuts);
+                let (got, ..) = deflate_banded(data, &cuts);
                 assert!(got == want, "{n} bytes cut at {cuts:?}");
             }
         }
@@ -1226,13 +1255,41 @@ mod tests {
         // at `landing + 258 k`, the speculative parse at `cut + 258 k`.
         let data = vec![7u8; 3 * WINDOW];
         let want = deflate(&data, Mode::Fixed);
-        let (got, unmet) = deflate_banded(&data, &[WINDOW + 5, 2 * WINDOW + 11]);
+        let (got, unmet, _) = deflate_banded(&data, &[WINDOW + 5, 2 * WINDOW + 11]);
         assert!(got == want);
         assert_eq!(unmet, 2, "both junctions take the re-parse-alone path");
         // A cut a whole number of matches from the start does meet.
-        let (got, unmet) = deflate_banded(&data, &[1 + 258 * 40]);
+        let (got, unmet, _) = deflate_banded(&data, &[1 + 258 * 40]);
         assert!(got == want);
         assert_eq!(unmet, 0);
+
+        // Equal bytes out of phase past the cut, then noise, where the
+        // two parses fall into step at once: a run that ends inside
+        // `JOIN_SPAN` meets just past its end; one that ends beyond it
+        // would meet just past the span, and re-parses the rest of its
+        // band instead, to the same bytes.
+        let cut = WINDOW + 5;
+        let band = |run: usize| {
+            let mut data = vec![7u8; cut + run];
+            data.extend(xorshift_bytes(2 * JOIN_SPAN, 0x2545_F491));
+            let want = deflate(&data, Mode::Fixed);
+            let end = data.len() - JOIN_SPAN / 2;
+            let (got, unmet, reparsed) = deflate_banded(&data, &[cut, end]);
+            assert!(got == want, "a run of {run} bytes past the cut");
+            (unmet, reparsed[0], end)
+        };
+        // The landing lies within a match of the cut, and so does the
+        // re-parse's meeting point of the run's end, or its stop of the
+        // band's end.
+        let near = |at: usize, reparsed: usize| reparsed.abs_diff(at - cut) < MAX_MATCH;
+        let run = JOIN_SPAN - 1000;
+        let (unmet, reparsed, _) = band(run);
+        assert_eq!(unmet, 0, "met inside the span");
+        assert!(near(cut + run, reparsed), "met {reparsed} B on");
+        let run = JOIN_SPAN + 1000;
+        let (unmet, reparsed, end) = band(run);
+        assert_eq!(unmet, 1, "not met inside the span");
+        assert!(near(end, reparsed), "re-parsed {reparsed} B, not the band");
     }
 
     #[test]
@@ -1285,7 +1342,7 @@ mod tests {
 
     /// Banded at `cuts` == one band == the reference encoder.
     fn assert_bands_identical(data: &[u8], cuts: &[usize]) -> usize {
-        let (banded, unmet) = deflate_banded(data, cuts);
+        let (banded, unmet, _) = deflate_banded(data, cuts);
         let serial = deflate(data, Mode::Fixed);
         assert!(
             banded == serial,

@@ -1,6 +1,6 @@
 //! RGB + depth framebuffers, the rectangle drawn since one was taken,
-//! the depth-merge the parallel compositors apply to patches of it, and
-//! the one buffer each rank draws its frames into.
+//! the depth-merge the parallel compositors apply to them, and the one
+//! buffer each rank draws its frames into.
 //!
 //! A pixel is its colour and its depth, 7 B: it is covered iff its depth
 //! is below +∞ (`covered`), so no alpha byte is stored. A clear pixel
@@ -9,10 +9,12 @@
 //! its alpha for the colormaps; every colour drawn is opaque, and no
 //! fragment is drawn at +∞ or NaN (`z < depth` rejects both).
 //!
-//! A buffer holds a band of whole rows of its image (`Framebuffer::rows`,
-//! all of them for [`Framebuffer::new`]): a compositing rank's frame
-//! holds only the rows it keeps, `w · kept rows · 7` B, and a
-//! rasterizer draws only into the rows a buffer holds. A rank keeps one
+//! A buffer holds a rectangle of its image, columns × rows
+//! (`Framebuffer::cols`, `Framebuffer::rows`; all of it for
+//! [`Framebuffer::new`]): a compositing rank's frame holds every column
+//! of the rows it keeps, `w · kept rows · 7` B, a strip it gives away
+//! holds the drawn columns of the strip's rows, and a rasterizer draws
+//! only into the pixels a buffer holds. A rank keeps one
 //! spare framebuffer in its communicator's pool (`minimpi::Comm::keep`).
 //! `Framebuffer::take` hands it out cleared, at any size and band
 //! within its capacity (grown to the new extent exactly when it falls
@@ -73,30 +75,32 @@ impl Rect {
     }
 }
 
-/// A colour+depth image, or the band of its rows a rank keeps. Depth
+/// A colour+depth image, or the rectangle of it a rank holds. Depth
 /// follows the convention "smaller is closer"; empty pixels carry
 /// `f32::INFINITY` depth and black, so depth-compositing two partial
 /// images is associative.
 ///
 /// `width` × `height` is the image's size, and the buffer holds its
-/// rows `rows`, whole: a compositing rank keeps only the rows its
-/// algorithm leaves it (`Compositor::kept_rows`), and a band moved to
-/// the root is a buffer of its rows alone. Pixel `(x, y)` is addressed
-/// in the image's coordinates, `y` inside `rows`.
+/// pixels `cols` × `rows`: a compositing rank's frame is every column
+/// of the rows its algorithm leaves it (`Compositor::kept_rows`), a
+/// band moved to the root every column of its rows alone, and a strip
+/// given away the drawn columns of its rows. Pixel `(x, y)` is
+/// addressed in the image's coordinates, inside the rectangle held.
 ///
 /// The buffer records the rectangle of the image drawn since it was
-/// taken, in image coordinates too: every pixel of its rows outside it
-/// is clear. The record may reach past the rows held (a rank records
+/// taken, in image coordinates too: every pixel it holds outside it is
+/// clear. The record may reach past the pixels held (a rank records
 /// the whole plot it drew, of which it keeps a band); compositing
 /// ships and merges only its part in the rows at hand, and
 /// `Framebuffer::take` re-arms only that part. Equality compares the
-/// rows held and their pixels, not the record.
+/// pixels held, not the record.
 #[derive(Clone, Debug)]
 pub struct Framebuffer {
     width: usize,
     height: usize,
+    cols: Range<usize>,
     rows: Range<usize>,
-    /// RGB8, row-major from the top-left of `rows`.
+    /// RGB8, row-major from the top-left of `cols` × `rows`.
     color: Vec<[u8; 3]>,
     depth: Vec<f32>,
     drawn: Rect,
@@ -104,28 +108,10 @@ pub struct Framebuffer {
 
 impl PartialEq for Framebuffer {
     fn eq(&self, other: &Self) -> bool {
-        (self.width, self.height, &self.rows) == (other.width, other.height, &other.rows)
+        (self.width, self.height, &self.cols, &self.rows)
+            == (other.width, other.height, &other.cols, &other.rows)
             && self.color == other.color
             && self.depth == other.depth
-    }
-}
-
-/// The pixels of a rectangle of a framebuffer, copied out row after
-/// row: what compositing sends. An empty rectangle is a header alone.
-/// Its buffers can be filled again (`Framebuffer::copy_patch`), so
-/// that a compositor's messages reuse their memory.
-#[derive(Default)]
-pub(crate) struct Patch {
-    /// Width and height of the image it was cut from.
-    image: (usize, usize),
-    rect: Rect,
-    color: Vec<[u8; 3]>,
-    depth: Vec<f32>,
-}
-
-impl Patch {
-    pub(crate) fn pixels(&self) -> usize {
-        self.rect.pixels()
     }
 }
 
@@ -158,14 +144,15 @@ impl Framebuffer {
         Framebuffer::with_rows(width, height, 0..height)
     }
 
-    /// A cleared buffer of the rows `rows` of a `width` × `height`
-    /// image; one of no rows holds no memory.
+    /// A cleared buffer of every column of the rows `rows` of a `width`
+    /// × `height` image; one of no rows holds no memory.
     pub(crate) fn with_rows(width: usize, height: usize, rows: Range<usize>) -> Self {
         assert!(rows.end <= height, "rows {rows:?} outside {height}");
         let n = width * rows.len();
         Framebuffer {
             width,
             height,
+            cols: 0..width,
             rows,
             color: vec![[0; 3]; n],
             depth: vec![f32::INFINITY; n],
@@ -183,24 +170,34 @@ impl Framebuffer {
         assert!(width > 0 && height > 0, "degenerate framebuffer");
         let spare = (!rows.is_empty()).then(|| comm.spare::<Framebuffer>());
         match spare.flatten() {
-            Some(fb) => fb.rearm(width, height, rows),
+            Some(mut fb) => {
+                fb.rearm(width, height, Rect::new(0..width, rows));
+                fb
+            }
             None => Framebuffer::with_rows(width, height, rows),
         }
     }
 
-    /// This buffer, whatever its size, as a cleared buffer of the rows
-    /// `rows` of a `width` × `height` image. Its drawn rectangle is
-    /// cleared where it lies inside the new extent's pixels, and the
+    /// Make this buffer, whatever its size, a cleared buffer of the
+    /// pixels `held` of a `width` × `height` image. Its drawn rectangle
+    /// is cleared where it lies inside the new extent's pixels, and the
     /// pixels are resized to the new extent, within the capacity when it
     /// suffices and to the extent exactly when not: every pixel the new
     /// buffer has is then clear.
-    pub(crate) fn rearm(mut self, width: usize, height: usize, rows: Range<usize>) -> Self {
-        assert!(rows.end <= height, "rows {rows:?} outside {height}");
-        let n = width * rows.len();
-        let Rect { cols, rows: marked } = std::mem::take(&mut self.drawn);
-        for y in overlap(&marked, &self.rows) {
-            let row = self.row_at(y);
-            let at = (row + cols.start).min(n)..(row + cols.end).min(n);
+    pub(crate) fn rearm(&mut self, width: usize, height: usize, held: Rect) {
+        assert!(
+            held.cols.end <= width && held.rows.end <= height,
+            "{held:?} outside {width} × {height}"
+        );
+        let n = held.cols.len() * held.rows.len();
+        let drawn = std::mem::take(&mut self.drawn);
+        let Rect { cols, rows } = Rect::new(
+            overlap(&drawn.cols, &self.cols),
+            overlap(&drawn.rows, &self.rows),
+        );
+        for y in rows {
+            let at = self.at(cols.start, y);
+            let at = at.min(n)..(at + cols.len()).min(n);
             self.color[at.clone()].fill([0; 3]);
             self.depth[at].fill(f32::INFINITY);
         }
@@ -210,8 +207,8 @@ impl Framebuffer {
         self.depth.reserve_exact(n - self.depth.len());
         self.color.resize(n, [0; 3]);
         self.depth.resize(n, f32::INFINITY);
-        (self.width, self.height, self.rows) = (width, height, rows);
-        self
+        (self.width, self.height) = (width, height);
+        (self.cols, self.rows) = (held.cols, held.rows);
     }
 
     /// Give this buffer back as the spare `comm`'s rank keeps, once its
@@ -235,18 +232,25 @@ impl Framebuffer {
         self.height
     }
 
+    /// The columns of the image this buffer holds.
+    pub(crate) fn cols(&self) -> Range<usize> {
+        self.cols.clone()
+    }
+
     /// The rows of the image this buffer holds.
     pub(crate) fn rows(&self) -> Range<usize> {
         self.rows.clone()
     }
 
-    /// Where row `y` of the image starts in the pixel planes.
-    fn row_at(&self, y: usize) -> usize {
-        debug_assert!(self.rows.contains(&y) || y == self.rows.end);
-        (y - self.rows.start) * self.width
+    /// Where pixel `(x, y)` of the image lies in the pixel planes; `x`
+    /// may be the end of the columns held, `y` the end of the rows.
+    fn at(&self, x: usize, y: usize) -> usize {
+        debug_assert!((self.cols.start..=self.cols.end).contains(&x));
+        debug_assert!((self.rows.start..=self.rows.end).contains(&y));
+        (y - self.rows.start) * self.cols.len() + x - self.cols.start
     }
 
-    /// RGB8 pixels of the rows held, row-major from their top-left;
+    /// RGB8 pixels of the rectangle held, row-major from its top-left;
     /// where the depth is +∞ the pixel is clear, and black.
     pub fn color(&self) -> &[[u8; 3]] {
         &self.color
@@ -272,11 +276,11 @@ impl Framebuffer {
         self.drawn = self.drawn.union(&rect);
     }
 
-    /// Write a pixel if it wins the depth test; a pixel outside the rows
-    /// held is not this buffer's.
+    /// Write a pixel if it wins the depth test; a pixel outside the
+    /// rectangle held is not this buffer's.
     #[inline]
     pub fn set_pixel(&mut self, x: usize, y: usize, z: f32, c: Color) {
-        if x >= self.width || !self.rows.contains(&y) {
+        if !self.cols.contains(&x) || !self.rows.contains(&y) {
             return;
         }
         self.mark(x..x + 1, y..y + 1);
@@ -287,7 +291,7 @@ impl Framebuffer {
     #[inline]
     pub(crate) fn plot(&mut self, x: usize, y: usize, z: f32, c: Color) {
         debug_assert!(self.drawn.cols.contains(&x) && self.drawn.rows.contains(&y));
-        let i = self.row_at(y) + x;
+        let i = self.at(x, y);
         if z < self.depth[i] {
             self.depth[i] = z;
             self.color[i] = [c.r, c.g, c.b];
@@ -297,8 +301,8 @@ impl Framebuffer {
     /// [`Framebuffer::plot`] along the columns `cols` of row `y`.
     pub(crate) fn fill_span(&mut self, y: usize, cols: Range<usize>, z: f32, c: Color) {
         debug_assert!(Rect::new(cols.clone(), y..y + 1).union(&self.drawn) == self.drawn);
-        let row = self.row_at(y);
-        let at = row + cols.start..row + cols.end;
+        let at = self.at(cols.start, y);
+        let at = at..at + cols.len();
         let rgb = [c.r, c.g, c.b];
         for (color, depth) in self.color[at.clone()].iter_mut().zip(&mut self.depth[at]) {
             if z < *depth {
@@ -308,48 +312,19 @@ impl Framebuffer {
         }
     }
 
-    /// Read a pixel of the rows held: opaque where it is covered,
+    /// Read a pixel of the rectangle held: opaque where it is covered,
     /// transparent elsewhere.
     pub fn pixel(&self, x: usize, y: usize) -> Color {
-        let i = self.row_at(y) + x;
+        let i = self.at(x, y);
         let [r, g, b] = self.color[i];
         let a = if covered(self.depth[i]) { 255 } else { 0 };
         Color { r, g, b, a }
     }
 
-    /// The colour and depth of `rect`'s columns, one row at a time;
-    /// `rect` lies in the rows held.
-    fn rows_of<'a>(&'a self, rect: &Rect) -> impl Iterator<Item = (&'a [[u8; 3]], &'a [f32])> {
-        let cols = rect.cols.clone();
-        rect.rows.clone().map(move |y| {
-            let row = self.row_at(y);
-            let at = row + cols.start..row + cols.end;
-            (&self.color[at.clone()], &self.depth[at])
-        })
-    }
-
-    /// Depth-merge `rows`, the pixels of `rect` row by row, into `rect`,
-    /// which lies in the rows held.
-    fn merge_rows<'a>(
-        &mut self,
-        rect: &Rect,
-        rows: impl Iterator<Item = (&'a [[u8; 3]], &'a [f32])>,
-    ) {
-        self.drawn = self.drawn.union(rect);
-        for (y, (colors, depths)) in rect.rows.clone().zip(rows) {
-            let row = self.row_at(y);
-            let at = row + rect.cols.start..row + rect.cols.end;
-            let mine = self.color[at.clone()].iter_mut().zip(&mut self.depth[at]);
-            for ((color, depth), (&c, &d)) in mine.zip(colors.iter().zip(depths)) {
-                merge_pixel(color, depth, c, d);
-            }
-        }
-    }
-
-    /// Depth-composite `other`, whose rows of an image of the same size
-    /// this buffer holds too, into `self`: per pixel, keep the closer
-    /// fragment; clear pixels, at +∞, lose to anything. Only `other`'s
-    /// drawn rectangle is visited: nothing else of it can win.
+    /// Depth-composite `other`, whose rectangle of an image of the same
+    /// size this buffer holds too, into `self`: per pixel, keep the
+    /// closer fragment; clear pixels, at +∞, lose to anything. Only
+    /// `other`'s drawn rectangle is visited: nothing else of it can win.
     ///
     /// This is the merge operator of the parallel compositors. It is
     /// commutative for opaque geometry and associative, as binary swap
@@ -359,49 +334,37 @@ impl Framebuffer {
     }
 
     /// [`Framebuffer::composite_from`] inside `rows` alone, which both
-    /// buffers hold: what merging `other`'s patch of those rows does,
-    /// read where it lies.
+    /// buffers hold, and inside the columns this buffer holds: the one
+    /// row-merge path, whether `other` is a strip that came in, a plot
+    /// merged where it lies, or a frame copied into a strip going out.
     pub(crate) fn composite_rows_from(&mut self, other: &Framebuffer, rows: Range<usize>) {
         assert_eq!(self.width, other.width, "composite: width mismatch");
         assert_eq!(self.height, other.height, "composite: height mismatch");
+        let held = |a: &Range<usize>| rows.is_empty() || overlap(&rows, a) == rows;
         assert!(
-            overlap(&rows, &self.rows) == rows && overlap(&rows, &other.rows) == rows,
+            held(&self.rows) && held(&other.rows),
             "composite: rows {rows:?} not in both buffers"
         );
-        let rect = other.drawn.within_rows(rows);
-        self.merge_rows(&rect, other.rows_of(&rect));
-    }
-
-    /// The pixels of `rect`, a part of the drawn rectangle inside the
-    /// rows held, copied into `patch`'s memory, whatever it held.
-    pub(crate) fn copy_patch(&self, rect: Rect, patch: &mut Patch) {
-        let (color, depth) = (&mut patch.color, &mut patch.depth);
-        color.clear();
-        depth.clear();
-        color.reserve_exact(rect.pixels());
-        depth.reserve_exact(rect.pixels());
-        for (c, d) in self.rows_of(&rect) {
-            color.extend_from_slice(c);
-            depth.extend_from_slice(d);
+        let drawn = other.drawn.within_rows(rows);
+        let cols = overlap(&overlap(&drawn.cols, &other.cols), &self.cols);
+        let rect = Rect::new(cols, drawn.rows);
+        self.drawn = self.drawn.union(&rect);
+        let n = rect.cols.len();
+        for y in rect.rows.clone() {
+            let (to, from) = (self.at(rect.cols.start, y), other.at(rect.cols.start, y));
+            let mine = self.color[to..to + n]
+                .iter_mut()
+                .zip(&mut self.depth[to..to + n]);
+            let theirs = other.color[from..from + n]
+                .iter()
+                .zip(&other.depth[from..from + n]);
+            for ((color, depth), (&c, &d)) in mine.zip(theirs) {
+                merge_pixel(color, depth, c, d);
+            }
         }
-        (patch.image, patch.rect) = ((self.width, self.height), rect);
     }
 
-    /// Depth-merge a patch of a framebuffer of this size where it lies,
-    /// inside the rows held.
-    pub(crate) fn merge(&mut self, patch: &Patch) {
-        assert_eq!(
-            patch.image,
-            (self.width, self.height),
-            "composite: image size mismatch"
-        );
-        // An empty patch has no rows; a width of 1 keeps `chunks` legal.
-        let n = patch.rect.cols.len().max(1);
-        let rows = patch.color.chunks(n).zip(patch.depth.chunks(n));
-        self.merge_rows(&patch.rect, rows);
-    }
-
-    /// Count of covered pixels of the rows held, those at a finite depth
+    /// Count of covered pixels held, those at a finite depth
     /// (diagnostics and tests).
     pub fn covered_pixels(&self) -> usize {
         self.depth.iter().filter(|&&d| covered(d)).count()
@@ -414,10 +377,11 @@ impl Framebuffer {
             y0 < y1 && overlap(&(y0..y1), &self.rows) == (y0..y1),
             "bad band [{y0}, {y1})"
         );
-        let at = self.row_at(y0)..self.row_at(y1);
+        let at = self.at(self.cols.start, y0)..self.at(self.cols.start, y1);
         Framebuffer {
             width: self.width,
             height: self.height,
+            cols: self.cols.clone(),
             rows: y0..y1,
             color: self.color[at.clone()].to_vec(),
             depth: self.depth[at].to_vec(),
@@ -426,15 +390,21 @@ impl Framebuffer {
     }
 
     /// Paste the rows `rows` of `band`, a buffer of an image of this
-    /// width that holds them, over this buffer's.
+    /// width that holds them and these columns, over this buffer's.
     pub(crate) fn paste_rows(&mut self, band: &Framebuffer, rows: Range<usize>) {
-        assert_eq!(band.width, self.width, "paste: width mismatch");
+        assert!(
+            (band.width, &band.cols) == (self.width, &self.cols),
+            "paste: width mismatch"
+        );
         assert!(
             overlap(&rows, &self.rows) == rows && overlap(&rows, &band.rows) == rows,
             "paste: rows {rows:?} not in both buffers"
         );
-        let (to, from) = (self.row_at(rows.start), band.row_at(rows.start));
-        let n = rows.len() * self.width;
+        let (to, from) = (
+            self.at(self.cols.start, rows.start),
+            band.at(band.cols.start, rows.start),
+        );
+        let n = rows.len() * self.cols.len();
         self.color[to..to + n].copy_from_slice(&band.color[from..from + n]);
         self.depth[to..to + n].copy_from_slice(&band.depth[from..from + n]);
         let Rect { cols, rows } = band.drawn.within_rows(rows);
@@ -475,20 +445,13 @@ impl Framebuffer {
         Some(at)
     }
 
-    /// The drawn pixels inside `rows`, copied out as a patch.
-    pub(crate) fn patch(&self, rows: Range<usize>) -> Patch {
-        let mut patch = Patch::default();
-        self.copy_patch(self.drawn.within_rows(rows), &mut patch);
-        patch
-    }
-
     /// The record's promise: every pixel outside the drawn rectangle is
     /// clear.
     pub(crate) fn assert_clear_outside_drawn(&self) {
         for y in self.rows() {
-            for x in 0..self.width {
+            for x in self.cols() {
                 if !(self.drawn.cols.contains(&x) && self.drawn.rows.contains(&y)) {
-                    let i = self.row_at(y) + x;
+                    let i = self.at(x, y);
                     assert_eq!(
                         (self.color[i], self.depth[i]),
                         ([0; 3], f32::INFINITY),
@@ -730,14 +693,17 @@ mod tests {
         a.composite_from(&Framebuffer::new(2, 3));
     }
 
-    #[test]
-    #[should_panic(expected = "image size mismatch")]
-    fn patch_of_another_size_panics() {
-        Framebuffer::new(2, 4).merge(&Framebuffer::new(3, 4).patch(0..4));
+    /// The drawn pixels of `fb` inside `rows`, copied into a buffer of
+    /// that rectangle alone, as a strip given away from a frame is.
+    fn strip(fb: &Framebuffer, rows: Range<usize>) -> Framebuffer {
+        let mut strip = Framebuffer::with_rows(1, 1, 0..0);
+        strip.rearm(fb.width, fb.height, fb.drawn.within_rows(rows));
+        strip.composite_rows_from(fb, strip.rows());
+        strip
     }
 
     #[test]
-    fn a_patch_carries_the_drawn_pixels_of_its_rows_and_merges_as_the_frame() {
+    fn a_strip_holds_the_drawn_pixels_of_its_rows_and_merges_as_the_frame() {
         let mut full = Framebuffer::new(5, 6);
         for y in 0..6 {
             full.set_pixel(1, y, 0.5, Color::rgb(y as u8 + 1, 0, 0));
@@ -747,11 +713,12 @@ mod tests {
         other.set_pixel(1, 3, 0.9, Color::rgb(60, 0, 0)); // farther: loses row 3
         other.set_pixel(3, 3, 0.9, Color::rgb(70, 0, 0)); // over empty: wins
         other.set_pixel(2, 5, 0.1, Color::rgb(80, 0, 0)); // outside the rows sent
-        let patch = other.patch(1..4);
-        assert_eq!(patch.rect, Rect::new(1..4, 2..4));
-        assert_eq!(patch.pixels(), 6);
+        let sent = strip(&other, 1..4);
+        assert_eq!((sent.cols(), sent.rows()), (1..4, 2..4));
+        assert_eq!((sent.color.len(), sent.pixel_bytes()), (6, 6 * 7));
+        assert_eq!(sent.drawn, Rect::new(1..4, 2..4));
         let mut merged = full.clone();
-        merged.merge(&patch);
+        merged.composite_from(&sent);
         assert_eq!(merged.pixel(1, 2), Color::rgb(50, 0, 0));
         assert_eq!(merged.pixel(1, 3), Color::rgb(4, 0, 0));
         assert_eq!(merged.pixel(3, 3), Color::rgb(70, 0, 0));
@@ -766,13 +733,40 @@ mod tests {
                 assert_eq!(merged.pixel(x, y), from.pixel(x, y), "({x}, {y})");
             }
         }
-        // Rows with nothing drawn send a header alone, and merge as
+        // Rows with nothing drawn send an empty buffer, which merges as
         // nothing.
-        let empty = other.patch(0..2);
-        assert_eq!((&empty.rect, empty.color.len()), (&Rect::default(), 0));
+        let empty = strip(&other, 0..2);
+        assert_eq!((empty.drawn(), empty.color.len()), (&Rect::default(), 0));
         let before = merged.clone();
-        merged.merge(&empty);
+        merged.composite_from(&empty);
         assert_eq!((&merged, &merged.drawn), (&before, &before.drawn));
+    }
+
+    #[test]
+    fn a_strip_rearmed_at_another_rectangle_is_clear() {
+        // A strip's memory goes out again holding other columns and
+        // rows: every pixel it then holds is clear, and pixels address
+        // the new rectangle.
+        let mut fb = Framebuffer::new(9, 7);
+        fb.mark(0..9, 0..7);
+        for y in 0..7 {
+            fb.fill_span(y, 0..9, 0.5, Color::rgb(y as u8, 1, 2));
+        }
+        let mut s = strip(&fb, 2..5);
+        assert_eq!((s.cols(), s.rows(), s.covered_pixels()), (0..9, 2..5, 27));
+        s.rearm(9, 7, Rect::new(3..5, 1..7));
+        assert_eq!(s, {
+            let mut want = Framebuffer::with_rows(1, 1, 0..0);
+            want.rearm(9, 7, Rect::new(3..5, 1..7));
+            want
+        });
+        assert_eq!(s.covered_pixels(), 0);
+        s.composite_rows_from(&fb, 1..7);
+        assert_eq!(
+            (s.pixel(3, 6), s.pixel(4, 1)),
+            (fb.pixel(3, 6), fb.pixel(4, 1))
+        );
+        s.assert_clear_outside_drawn();
     }
 
     #[test]

@@ -82,10 +82,10 @@ pub fn pseudocolor_slice(
     gathered(comm, &layer, (cfg.width, cfg.height), cfg.compositor)
 }
 
-/// One rank's plot, prepared once a frame and drawn into any rows of the
-/// image: the compositor draws the rows a rank keeps into its frame,
-/// and each strip it gives away into a strip buffer just before it is
-/// sent (`composite::RowSource`).
+/// One rank's plot, prepared once a frame and drawn into any rectangle
+/// of the image: the compositor draws the rows a rank keeps into its
+/// frame, and each strip it gives away straight into the message just
+/// before it is sent (`composite::RowSource`).
 pub(crate) enum Layer<'a> {
     /// Nothing: the rank has no block, or its block misses the plot.
     Empty,

@@ -18,7 +18,8 @@
 //! B/px scanlines), and the band's rank flattens its own only as the
 //! parse pulls them through its sliding buffer (`deflate::Input`),
 //! so no band's stream is ever held whole. Every band is parsed at once
-//! and the junctions are settled in rank order (`deflate::Fixed`); rank
+//! and the junctions are settled in rank order (`deflate::Fixed`), each
+//! counted under `render/junction` (tokens and bytes re-parsed); rank
 //! 0 splices the bit strings and combines the per-band Adler-32s, each
 //! folded chunk by chunk as the parse read it. The file is the serial
 //! one byte for byte, at every rank count, because the parse is
@@ -210,9 +211,10 @@ fn serial(width: usize, height: usize, fill: impl FnOnce(&mut [u8]), mode: Mode)
     file(width, height, |out| zlib_serial(out, n, fill, mode))
 }
 
-/// The collective encoder, and what it keeps from one frame to the
-/// next: the deflate tables, its sliding buffer and the speculative
-/// parse's buffers, and one scanline, for a row a chunk boundary cuts.
+/// The collective encoder, and what a rank that deflates a band keeps in
+/// its pool from one frame to the next, whatever scene encodes: the
+/// deflate tables, its sliding buffer and the speculative parse's
+/// buffers, and one scanline, for a row a chunk boundary cuts.
 #[derive(Default)]
 pub(crate) struct PngEncoder {
     fixed: Fixed,
@@ -300,7 +302,6 @@ impl PngEncoder {
     /// its sliding buffer (`deflate::SLIDE` bytes), flattening this
     /// rank's rows as it goes and copying the ones other ranks sent.
     pub(crate) fn encode(
-        &mut self,
         comm: &Comm,
         fb: &Framebuffer,
         which: Compositor,
@@ -335,6 +336,7 @@ impl PngEncoder {
         if me >= bands {
             return None;
         }
+        let mut encoder = comm.spare::<PngEncoder>().unwrap_or_default();
         // Positions are the stream's: the parse does not care that this
         // rank holds only the stretch it reads.
         let reads = reads(me);
@@ -352,44 +354,50 @@ impl PngEncoder {
             mine,
             sent,
         };
-        let PngEncoder { fixed, line } = self;
+        let PngEncoder { fixed, line } = &mut encoder;
+        line.clear(); // then the widest scanline yet, exactly
+        line.reserve_exact(stride);
         let mut fill = |pos: usize, dst: &mut [u8]| scanlines.fill(line, pos, dst);
         let mut input = Input {
             horizon: reads.end * stride,
             fill: &mut fill,
         };
         let (cut, end) = (band(me).start * stride, band(me).end * stride);
-        if me > 0 {
+        let png = if me > 0 {
             // Parse from the cut while the bands before do the same,
             // then settle the junction and pass the landing on.
             let adler = fixed.speculate(&mut input, cut, end);
             let landing: usize = comm.recv(me - 1, TAG_LANDING);
             let mut bits = Vec::new();
             let mut w = BitWriter::on(&mut bits);
-            let (landing, _) = fixed.join(&mut w, &mut input, landing, end);
+            let (landing, [tokens, bytes]) = fixed.join(&mut w, &mut input, landing, end);
             let len = w.finish();
+            comm.probe().bulk("render/junction", 1, tokens, bytes);
             if me + 1 < bands {
                 comm.send(me + 1, TAG_LANDING, landing);
             }
             comm.send(0, TAG_BAND, (bits, len, adler));
-            return None;
-        }
-        Some(file(width, height, |out| {
-            out.extend_from_slice(&deflate::ZLIB_HEADER);
-            let mut w = BitWriter::on(out);
-            Fixed::begin(&mut w);
-            let (landing, mut adler) = fixed.lead(&mut w, &mut input, end);
-            if bands > 1 {
-                comm.send(1, TAG_LANDING, landing);
-            }
-            for k in 1..bands {
-                let (bits, len, theirs): (Vec<u8>, u64, u32) = comm.recv(k, TAG_BAND);
-                w.append(&bits, 0, len);
-                adler = deflate::adler32_combine(adler, theirs, band(k).len() * stride);
-            }
-            Fixed::end(w);
-            out.extend_from_slice(&adler.to_be_bytes());
-        }))
+            None
+        } else {
+            Some(file(width, height, |out| {
+                out.extend_from_slice(&deflate::ZLIB_HEADER);
+                let mut w = BitWriter::on(out);
+                Fixed::begin(&mut w);
+                let (landing, mut adler) = fixed.lead(&mut w, &mut input, end);
+                if bands > 1 {
+                    comm.send(1, TAG_LANDING, landing);
+                }
+                for k in 1..bands {
+                    let (bits, len, theirs): (Vec<u8>, u64, u32) = comm.recv(k, TAG_BAND);
+                    w.append(&bits, 0, len);
+                    adler = deflate::adler32_combine(adler, theirs, band(k).len() * stride);
+                }
+                Fixed::end(w);
+                out.extend_from_slice(&adler.to_be_bytes());
+            }))
+        };
+        comm.keep(encoder, 1);
+        png
     }
 }
 
@@ -467,6 +475,17 @@ pub fn decode_rgb(png: &[u8]) -> Result<(usize, usize, Vec<u8>), PngError> {
 /// The big-endian number in `bytes`, four of them where it is called.
 fn be_u32(bytes: &[u8]) -> u32 {
     bytes.iter().fold(0, |n, &b| n << 8 | u32::from(b))
+}
+
+#[cfg(test)]
+impl PngEncoder {
+    /// Heap bytes it holds between frames: its deflate tables, sliding
+    /// buffer and scanline, and its speculative parse's bit string and
+    /// junction log (`Fixed::held`).
+    pub(crate) fn held(&self) -> [usize; 2] {
+        let [tables, spec] = self.fixed.held();
+        [tables + self.line.capacity(), spec]
+    }
 }
 
 #[cfg(test)]
@@ -595,8 +614,9 @@ mod tests {
         fb
     }
 
-    /// The collective's file on `p` ranks, twice through one encoder,
-    /// against `encode_framebuffer` of the gathered image.
+    /// The collective's file on `p` ranks, twice through each rank's
+    /// pooled encoder, against `encode_framebuffer` of the gathered
+    /// image.
     fn assert_collective_is_serial(which: Compositor, p: usize, size: (usize, usize)) {
         assert_streamed_is_serial(which, p, size, false);
     }
@@ -619,13 +639,12 @@ mod tests {
             }
         };
         let out = World::run(p, move |comm| {
-            let mut encoder = PngEncoder::default();
             let files: Vec<_> = (0..2)
                 .map(|_| {
                     let kept = which.kept_rows(p, comm.rank(), h);
                     let mut fb = Framebuffer::with_rows(w, h, kept);
                     merge(comm, &mut fb, &frame(comm.rank()), which);
-                    encoder.encode(comm, &fb, which, background)
+                    PngEncoder::encode(comm, &fb, which, background)
                 })
                 .collect();
             let gathered = composite(comm, frame(comm.rank()), which);

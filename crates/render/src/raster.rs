@@ -39,20 +39,23 @@ pub(crate) fn triangle_box([v0, v1, v2]: [Vertex; 3], width: usize, height: usiz
 }
 
 /// Rasterize a filled triangle with barycentric interpolation of depth
-/// and color, into the rows `fb` holds.
+/// and color, into the pixels `fb` holds.
 pub fn fill_triangle(fb: &mut Framebuffer, v0: Vertex, v1: Vertex, v2: Vertex) {
     let Some(bbox) = triangle_box([v0, v1, v2], fb.width(), fb.height()) else {
         return; // off the image, or degenerate
     };
-    let rows = overlap(&bbox.rows, &fb.rows());
-    if rows.is_empty() {
+    let (cols, rows) = (
+        overlap(&bbox.cols, &fb.cols()),
+        overlap(&bbox.rows, &fb.rows()),
+    );
+    if cols.is_empty() || rows.is_empty() {
         return;
     }
     let inv_area = 1.0 / edge(v0, v1, v2.x, v2.y);
 
-    fb.mark(bbox.cols.clone(), rows.clone());
+    fb.mark(cols.clone(), rows.clone());
     for py in rows {
-        for px in bbox.cols.clone() {
+        for px in cols.clone() {
             // Sample at the pixel center.
             let sx = px as f64 + 0.5;
             let sy = py as f64 + 0.5;
@@ -84,7 +87,7 @@ fn edge(a: Vertex, b: Vertex, x: f64, y: f64) -> f64 {
 /// Rasterize a filled axis-aligned rectangle of constant depth/color
 /// (fast path for structured slice cells): the pixels whose centre lies
 /// in `[x0, x1) × [y0, y1)`, which keeps adjacent rects seamless, filled
-/// one row span at a time in the rows `fb` holds.
+/// one row span at a time in the pixels `fb` holds.
 pub(crate) fn fill_rect(
     fb: &mut Framebuffer,
     x0: f64,
@@ -96,8 +99,11 @@ pub(crate) fn fill_rect(
 ) {
     let (x0, x1) = (x0.min(x1), x0.max(x1));
     let (y0, y1) = (y0.min(y1), y0.max(y1));
-    let cols = centres_in(x0, x1, fb.width());
+    let cols = overlap(&centres_in(x0, x1, fb.width()), &fb.cols());
     let rows = overlap(&centres_in(y0, y1, fb.height()), &fb.rows());
+    if cols.is_empty() {
+        return;
+    }
     fb.mark(cols.clone(), rows.clone());
     for py in rows {
         fb.fill_span(py, cols.clone(), z, color);

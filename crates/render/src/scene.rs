@@ -5,16 +5,20 @@
 //! A rank without the field is an empty block: it draws nothing and
 //! still joins every collective, so no rank waits on it.
 //!
-//! A frame holds only the rows the rank keeps while it composites
-//! (`Compositor::kept_rows`): half of Catalyst's image after binary
-//! swap's first halving, all of Libsim's on the tree's root and
-//! nothing on a leaf. It is taken from the spare framebuffer in the
-//! rank's pool (`Framebuffer::take`), whatever scene drew the last one,
-//! and parked again once the file is encoded: Catalyst and Libsim on
-//! one rank share it, and no frame is faulted in after the first. The
-//! rows a rank gives away are drawn strip by strip as they are sent
-//! (`composite::merge`). A scene's later plots share one more buffer a
-//! frame, which the last park drops, and are merged into the frame
+//! A scene is configuration alone; what a rank keeps between frames
+//! waits in its pool, one of each whatever scene drew last, so that
+//! Catalyst and Libsim on one rank share them and nothing is faulted in
+//! after the first frames. A frame holds only the rows the rank keeps
+//! while it composites (`Compositor::kept_rows`): half of Catalyst's
+//! image after binary swap's first halving, all of Libsim's on the
+//! tree's root and nothing on a leaf. It is taken from the spare
+//! framebuffer in the pool (`Framebuffer::take`) and parked again once
+//! the file is encoded. The rows a rank gives away are drawn strip by
+//! strip straight into the messages that carry them
+//! (`composite::merge`), whose buffers wait in the pool too. A rank
+//! that deflates a band of the file takes the pool's one encoder for it
+//! (`PngEncoder::encode`). A scene's later plots share one more buffer
+//! a frame, which the last park drops, and are merged into the frame
 //! where they lie. The comm's probe times `per-step/render/range` and
 //! `…/encode` once a frame, and `…/clear` (the take), `…/draw` (the
 //! plot's preparation: its slice piece, or its projected triangles)
@@ -51,8 +55,7 @@ pub enum Plot {
     Isosurface { levels: Vec<f64>, cmap: Colormap },
 }
 
-/// A frame's configuration, and what it keeps between frames: the
-/// encoder's tables.
+/// A frame's configuration.
 pub struct Scene {
     image: (usize, usize),
     compositor: Compositor,
@@ -61,7 +64,6 @@ pub struct Scene {
     /// Rank 0 writes each frame to `<dir>/<prefix>_<step>.png` here.
     pub output: Option<PathBuf>,
     prefix: &'static str,
-    encoder: PngEncoder,
 }
 
 impl Scene {
@@ -81,7 +83,6 @@ impl Scene {
             plots,
             output: None,
             prefix,
-            encoder: PngEncoder::default(),
         }
     }
 
@@ -92,7 +93,7 @@ impl Scene {
     /// a cell in the same state; rank 0 gets the PNG and whether writing
     /// it to `output` failed.
     pub fn frame(
-        &mut self,
+        &self,
         comm: &Comm,
         step: u64,
         field: Option<(Structured<'_>, &[f64])>,
@@ -168,8 +169,7 @@ impl Scene {
         let image = image.unwrap_or_else(|| Framebuffer::take(comm, width, height, kept));
         let png = {
             let _encode = probe.span("per-step/render/encode");
-            self.encoder
-                .encode(comm, &image, compositor, self.background)
+            PngEncoder::encode(comm, &image, compositor, self.background)
         };
         image.park(comm);
         let png = png?;
@@ -229,7 +229,7 @@ mod tests {
                 index: 4,
                 cmap: Colormap::cool_warm(),
             };
-            let mut scene = Scene::new("frame", (40, 24), which, Color::BLACK, vec![plot]);
+            let scene = Scene::new("frame", (40, 24), which, Color::BLACK, vec![plot]);
             (0..2)
                 .map(|step| {
                     let range = Cell::new(None);
@@ -286,62 +286,83 @@ mod tests {
         }
     }
 
-    #[test]
-    fn each_rank_keeps_a_frame_of_the_rows_it_keeps() {
-        // Two frames of one slice, an odd height: the spare each rank
-        // parks is `w · kept rows · 7` B, and over the ranks they sum to
-        // what `perfmodel::memory::slice_render_heap` charges.
-        let (w, h) = (40, 25);
-        for (which, alg) in [
-            (Compositor::BinarySwap, Algorithm::BinarySwap),
-            (
-                Compositor::DirectSendTree(2),
-                Algorithm::DirectSendTree { fanout: 2 },
-            ),
-            (
-                Compositor::DirectSendTree(8),
-                Algorithm::DirectSendTree { fanout: 8 },
-            ),
-        ] {
-            for p in [1, 2, 3, 4, 5, 8] {
-                let global = Extent::whole([9, 9, 9]);
-                let held = World::run(p, move |comm| {
-                    let extent = partition_extent(&global, dims_create(p), comm.rank());
-                    let values: Vec<f64> = extent.iter_points().map(|q| q[0] as f64).collect();
-                    let attrs = Attributes::default();
-                    let grid = Structured {
-                        extent,
-                        global_extent: global,
-                        origin: [0.0; 3],
-                        spacing: [1.0; 3],
-                        point_data: &attrs,
-                    };
-                    let plot = Plot::Slice {
-                        axis: 2,
-                        index: 4,
-                        cmap: Colormap::cool_warm(),
-                    };
-                    let mut scene = Scene::new("kept", (w, h), which, Color::BLACK, vec![plot]);
-                    for step in 0..2 {
-                        scene.frame(comm, step, Some((grid, &values)), &Cell::new(None));
-                    }
-                    let spare = comm.spare::<Framebuffer>();
-                    spare.map_or(0, |fb| fb.pixel_bytes())
-                });
-                for (rank, &bytes) in held.iter().enumerate() {
-                    assert_eq!(
-                        bytes,
-                        w * kept(which, p, rank, h) * 7,
-                        "{which:?} p={p} rank {rank}"
-                    );
-                }
-                let charged = perfmodel::memory::slice_render_heap(w, h, alg, p);
-                assert_eq!(
-                    held.iter().sum::<usize>() as f64,
-                    p as f64 * charged,
-                    "{which:?} p={p}"
-                );
+    /// What each of `p` ranks keeps after two frames of one slice in a
+    /// `w` × `h` image: its frame's pixel bytes, its encoder's tables,
+    /// sliding buffer and scanline, and its speculative bit string and
+    /// junction log.
+    fn kept_after_two_frames(
+        which: Compositor,
+        (w, h): (usize, usize),
+        p: usize,
+    ) -> Vec<[usize; 3]> {
+        let global = Extent::whole([9, 9, 9]);
+        World::run(p, move |comm| {
+            let extent = partition_extent(&global, dims_create(p), comm.rank());
+            let values: Vec<f64> = extent.iter_points().map(|q| q[0] as f64).collect();
+            let attrs = Attributes::default();
+            let grid = Structured {
+                extent,
+                global_extent: global,
+                origin: [0.0; 3],
+                spacing: [1.0; 3],
+                point_data: &attrs,
+            };
+            let plot = Plot::Slice {
+                axis: 2,
+                index: 4,
+                cmap: Colormap::cool_warm(),
+            };
+            let scene = Scene::new("kept", (w, h), which, Color::BLACK, vec![plot]);
+            for step in 0..2 {
+                scene.frame(comm, step, Some((grid, &values)), &Cell::new(None));
             }
+            let frame = comm.spare::<Framebuffer>().map_or(0, |fb| fb.pixel_bytes());
+            let [tables, spec] = comm.spare::<PngEncoder>().map_or([0; 2], |e| e.held());
+            [frame, tables, spec]
+        })
+    }
+
+    #[test]
+    fn each_rank_keeps_a_frame_of_the_rows_it_keeps_and_one_encoder() {
+        // Two frames of one slice: the spare frame each rank parks is
+        // `w · kept rows · 7` B, and each rank that deflates a band keeps
+        // one encoder, its chains (2 × 131 072 B), sliding buffer
+        // (98 565) and a scanline. Over the ranks they sum to what
+        // `perfmodel::memory::slice_render_heap` charges. An odd height
+        // in one band, and the benchmark's images at 2 and 3 ranks, in
+        // two bands: rank 1 also keeps the bit string of the band it
+        // speculated and the token starts within `JOIN_SPAN` of its cut,
+        // which the charge leaves out.
+        let swap = (Compositor::BinarySwap, Algorithm::BinarySwap);
+        let tree = |f| {
+            (
+                Compositor::DirectSendTree(f),
+                Algorithm::DirectSendTree { fanout: f },
+            )
+        };
+        let mut cases = Vec::new();
+        for (which, alg) in [swap, tree(2), tree(8)] {
+            for p in [1, 2, 3, 4, 5, 8] {
+                cases.push((which, alg, (40, 25), p));
+            }
+        }
+        for p in [2, 3] {
+            cases.push((swap.0, swap.1, (1920, 1080), p));
+            cases.push((tree(8).0, tree(8).1, (1024, 1024), p));
+        }
+        for (which, alg, (w, h), p) in cases {
+            let held = kept_after_two_frames(which, (w, h), p);
+            let bands = (h / (256 * 1024usize).div_ceil(1 + 3 * w)).clamp(1, p);
+            let encoder = 2 * 131_072 + 98_565 + 1 + 3 * w;
+            for (rank, &[frame, tables, spec]) in held.iter().enumerate() {
+                let what = format!("{which:?} {w}x{h} p={p} rank {rank}");
+                assert_eq!(frame, w * kept(which, p, rank, h) * 7, "{what}");
+                assert_eq!(tables, if rank < bands { encoder } else { 0 }, "{what}");
+                assert_eq!(spec > 0, (1..bands).contains(&rank), "{what}");
+            }
+            let charged = perfmodel::memory::slice_render_heap(w, h, alg, p);
+            let fixed: usize = held.iter().map(|[frame, tables, ..]| frame + tables).sum();
+            assert_eq!(fixed as f64, p as f64 * charged, "{which:?} {w}x{h} p={p}");
         }
     }
 
@@ -379,7 +400,7 @@ mod tests {
                 spacing: [1.0; 3],
                 point_data: &attrs,
             };
-            let mut scene = Scene::new("oracle", (w, h), which, background, plots.clone());
+            let scene = Scene::new("oracle", (w, h), which, background, plots.clone());
             let range = Cell::new(None);
             let png = scene.frame(comm, 0, Some((grid, &values)), &range);
             let (lo, hi) = range.get().expect("the frame took the range");
@@ -588,7 +609,7 @@ mod tests {
                     index: 4,
                     cmap: Colormap::cool_warm(),
                 };
-                let mut scene = Scene::new("tie", (w, h), which, Color::BLACK, vec![plot]);
+                let scene = Scene::new("tie", (w, h), which, Color::BLACK, vec![plot]);
                 let range = Cell::new(None);
                 scene
                     .frame(comm, 0, Some((grid, &values)), &range)

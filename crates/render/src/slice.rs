@@ -3,11 +3,11 @@
 //! Mirrors the paper's slice workloads: "only those ranks whose domains
 //! intersect the slice plane will extract and render the slice geometry"
 //! (§4.1.3) — extraction returns `None` on non-intersecting ranks, and
-//! rendering pseudocolors the local piece into the rows a framebuffer
+//! rendering pseudocolors the local piece into the pixels a framebuffer
 //! holds, the global plane mapped onto the whole image: a compositing
 //! rank draws the rows it keeps into its frame and each strip it gives
-//! away into a strip buffer, visiting only the rows of cells that meet
-//! them, and the parallel compositor merges the rest.
+//! away straight into the message, visiting only the rows of cells that
+//! meet them, and the parallel compositor merges the rest.
 
 use std::ops::Range;
 
@@ -155,7 +155,7 @@ impl Placement {
     }
 }
 
-/// Pseudocolor this rank's slice piece into the rows `fb` holds,
+/// Pseudocolor this rank's slice piece into the pixels `fb` holds,
 /// mapping the **global** plane onto the full image so pieces from
 /// different ranks tile seamlessly before compositing. `range` is the
 /// global data range. A row of cells that misses the rows held is

@@ -353,16 +353,33 @@ if grep -E 'Framebuffer::new\(|Framebuffer::take\([^,()]*,[^,()]*,[^,()]*\)|0 *\
 fi
 
 echo "==> a frame ships what it draws"
-# Compositing moves patches, the part of a framebuffer's drawn rectangle
-# inside the rows being sent. Outside `gather`, which moves finished
-# bands, a send or receive in composite.rs's product code that is not a
-# Patch ships a whole Framebuffer again.
+# Compositing moves strips, each a buffer of the part of the drawn
+# rectangle inside the strip's rows. Outside `gather`, which moves
+# finished bands, a send or receive in composite.rs's product code that
+# is not a Strip ships a whole Framebuffer again.
 if awk '/#\[cfg\(test\)\]/{exit}
         /^pub\(crate\) fn gather\(/{skip=1}
         skip && /^}/{skip=0; next}
         !skip {print FILENAME ":" FNR ": " $0}' crates/render/src/composite.rs |
-    grep -E 'comm\.(send|recv)' | grep -vE '\bpatch\)|: Patch = '; then
+    grep -E 'comm\.(send|recv)' | grep -vE '\bstrip\)|: Strip = '; then
     echo "tier1: composite.rs sends or receives a whole Framebuffer outside gather" >&2
+    exit 1
+fi
+
+echo "==> one of each render scratch a rank"
+# A rank keeps one encoder in its comm's pool, whichever scene encodes
+# (PngEncoder::encode takes and parks it), and draws each strip it gives
+# away straight into the buffer that travels. An encoder owned by a
+# Scene, a strip buffer drawn into and then copied out of, or a Patch
+# that the copy fills is a second copy of the render scratch back.
+if awk '/#\[cfg\(test\)\]/{nextfile} {print FILENAME ":" FNR ": " $0}' crates/render/src/*.rs |
+    grep -E 'struct Patch\b|StripBuffer|copy_patch'; then
+    echo "tier1: a Patch or a strip buffer is back in crates/render/src" >&2
+    exit 1
+fi
+if awk '/#\[cfg\(test\)\]/{exit} /^pub struct Scene/{inside=1} inside {print FILENAME ":" FNR ": " $0} inside && /^}/{inside=0}' \
+    crates/render/src/scene.rs | grep -F 'PngEncoder'; then
+    echo "tier1: a Scene owns a PngEncoder again" >&2
     exit 1
 fi
 

@@ -200,27 +200,30 @@ fn renderers_read_the_simulation_field_in_place() {
     });
 }
 
-/// A 2-rank world stepping a 64³ oscillator field, with Catalyst and
-/// Libsim at the benchmark's image sizes (1920×1080 binary swap,
-/// 1024×1024 direct send), one pseudocolor slice each.
+/// A 2-rank world stepping a `grid`³ oscillator field, with Catalyst
+/// and Libsim at the benchmark's image sizes (1920×1080 binary swap,
+/// 1024×1024 direct send), one pseudocolor slice each, through the
+/// mid-plane z = `grid / 2`.
 fn render_pair(
     comm: &minimpi::Comm,
     deck: &str,
+    grid: usize,
 ) -> (
     Simulation,
     catalyst::CatalystSliceAnalysis,
     libsim::LibsimAnalysis,
 ) {
     let cfg = SimConfig {
-        grid: [64, 64, 64],
+        grid: [grid; 3],
         steps: 4,
         ..SimConfig::default()
     };
     let sim = Simulation::new(comm, cfg, (comm.rank() == 0).then_some(deck));
-    let catalyst =
-        catalyst::CatalystSliceAnalysis::new(catalyst::SlicePipeline::new("data", 2, 32));
-    let session =
-        libsim::Session::parse("image 1024 1024\nplot pseudocolor data axis=z index=32\n").unwrap();
+    let plane = grid / 2;
+    let pipeline = catalyst::SlicePipeline::new("data", 2, plane as i64);
+    let catalyst = catalyst::CatalystSliceAnalysis::new(pipeline);
+    let session = format!("image 1024 1024\nplot pseudocolor data axis=z index={plane}\n");
+    let session = libsim::Session::parse(&session).unwrap();
     let libsim = libsim::LibsimAnalysis::new(session, std::path::Path::new("/nonexistent"));
     (sim, catalyst, libsim)
 }
@@ -255,7 +258,7 @@ fn render_pair(
 ///   less the look-ahead row it frees (5 761), its landing out and rank
 ///   1's band envelope in (8 − 40), and rank 1's band bits (`B`);
 ///   the envelopes of the two rows sent cancel, and so do the files;
-/// - Libsim: its 32 strips come in 96 B envelopes and go back in 104 B
+/// - Libsim: its 32 strips come in 128 B envelopes and go back in 136 B
 ///   ones with their verdict (32 × 8), then 523 rows for rank 1's band
 ///   (1 607 179) in a 24 B envelope, its landing and rank 1's band
 ///   envelope (8 − 40), and `L`.
@@ -266,7 +269,7 @@ fn render_pair(
 fn steady_state_render_step_allocates_no_catalyst_frame() {
     let d = deck();
     let ranks = World::run(2, move |comm| {
-        let (mut sim, catalyst, libsim) = render_pair(comm, &d);
+        let (mut sim, catalyst, libsim) = render_pair(comm, &d, 64);
         let file = libsim.png_handle();
         let mut bridge = Bridge::new();
         bridge.register(Box::new(catalyst));
@@ -300,11 +303,22 @@ fn steady_state_render_step_allocates_no_catalyst_frame() {
     let frames = [ranks[0].1, ranks[1].1];
     assert_eq!(frames, [1024 * 1024 * 7, 1920 * 540 * 7]);
     assert_eq!(frames, [7_340_032, 7_257_600]);
+    // The model charges each configuration its frames and, on each of
+    // its two band ranks, one encoder: chains, sliding buffer and a
+    // scanline. Catalyst and Libsim share the rank's one encoder
+    // (`render::scene`'s tests hold its bytes, which this crate cannot
+    // name).
     let charged = |w, h, alg| 2.0 * perfmodel::memory::slice_render_heap(w, h, alg, 2);
     let tree = perfmodel::compositing::Algorithm::DirectSendTree { fanout: 8 };
     let swap = perfmodel::compositing::Algorithm::BinarySwap;
-    assert_eq!(charged(1024, 1024, tree), frames[0] as f64);
-    assert_eq!(charged(1920, 1080, swap), 2.0 * frames[1] as f64);
+    let encoder = |w: usize| (131_072 + 131_072 + 98_565 + 1 + 3 * w) as f64;
+    assert_eq!(encoder(1920), 366_470.0);
+    let frames_f = frames.map(|b| b as f64);
+    assert_eq!(charged(1024, 1024, tree), frames_f[0] + 2.0 * encoder(1024));
+    assert_eq!(
+        charged(1920, 1080, swap),
+        2.0 * (frames_f[1] + encoder(1920))
+    );
 
     let (field, halo, row): (i64, i64, i64) = (1_220, 6 * (1 + 3 * 1920), 1 + 3 * 1920);
     let (landing, band) = (8, std::mem::size_of::<(Vec<u8>, u64, u32)>() as i64);
@@ -336,7 +350,7 @@ fn steady_state_render_step_allocates_no_catalyst_frame() {
     let d = deck();
     let counted = World::run(2, move |comm| {
         comm.attach_probe(probe::enabled());
-        let (mut sim, catalyst, libsim) = render_pair(comm, &d);
+        let (mut sim, catalyst, libsim) = render_pair(comm, &d, 64);
         let mut bridge = Bridge::new();
         bridge.register(Box::new(catalyst));
         bridge.register(Box::new(libsim));
@@ -373,7 +387,10 @@ fn steady_state_render_step_allocates_no_catalyst_frame() {
 /// it peaks once Libsim's leaf has lent both strips: 1 220 + the 135
 /// Catalyst rows it sends rank 0 (135 × 1 441) in a 24 B envelope +
 /// Libsim's colormap (80) and plane values (1 024), which its strips
-/// are drawn from as they go out, + the two strips' 96 B envelopes.
+/// are drawn from as they go out, + the two strips' 128 B envelopes
+/// (a strip is a framebuffer of the pixels it holds: image size,
+/// columns, rows, colour, depth and drawn rectangle; 96 B, and 64 B
+/// less a step, while it was a patch copied out of a strip buffer).
 /// (While the leaf drew its whole image first, the plane was freed
 /// before the strips went out, and rank 1 rose 192 B less.)
 ///
@@ -459,7 +476,7 @@ fn steady_state_render_step_allocates_no_framebuffer() {
             let want = if rank == 0 {
                 field - 24 + 160 + cat.next_power_of_two()
             } else {
-                field + lines + 24 + 80 + 16 * 8 * 8 + 2 * 96
+                field + lines + 24 + 80 + 16 * 8 * 8 + 2 * 128
             };
             assert_eq!(
                 rise, want,
@@ -620,7 +637,7 @@ fn render_step_ships_scanlines_not_gathered_framebuffers() {
             };
             [count("minimpi/p2p"), count("render/composite")]
         };
-        let (mut sim, mut catalyst, mut libsim) = render_pair(comm, &d);
+        let (mut sim, mut catalyst, mut libsim) = render_pair(comm, &d, 64);
         sim.step(comm);
         let data = OscillatorAdaptor::new(&sim);
         let t0 = counted(comm);
@@ -685,6 +702,60 @@ fn render_step_ships_scanlines_not_gathered_framebuffers() {
             tree * given_back + vec + (512 + halo_rows) * stride + landing
         )
     );
+}
+
+/// Counts, not clocks: how far each junction of the collective encoder
+/// re-parses before it meets the speculative parse, at the benchmark's
+/// image sizes and `render-insitu`'s shape (2 ranks, 128³, z = 64). At
+/// 2 ranks each file is two bands, so rank 1 settles one junction a
+/// file: Catalyst's at row 540 of 1920, Libsim's at row 512 of 1024.
+/// `render/junction` counts them (calls), the tokens re-parsed
+/// (messages) and the stream bytes those cover (bytes). Over the first
+/// two steps each re-parse meets within 11–48 tokens and 2 264–12 225 B,
+/// inside `JOIN_SPAN` (64 KiB, the stretch past the cut whose token
+/// starts the speculative parse logs): a junction that had not met
+/// inside it would re-parse the rest of its band, 3.1 or 1.6 MB.
+#[test]
+fn render_junctions_meet_inside_the_join_span() {
+    const JOIN_SPAN: u64 = 64 * 1024;
+    const STEPS: usize = 2;
+    let d = deck();
+    let ranks = World::run(2, move |comm| {
+        use sensei::AnalysisAdaptor;
+        comm.attach_probe(probe::enabled());
+        let (mut sim, mut catalyst, mut libsim) = render_pair(comm, &d, 128);
+        let junctions = || {
+            let snapshot = comm.probe().snapshot();
+            let c = snapshot
+                .counters
+                .iter()
+                .find(|c| c.name == "render/junction");
+            c.map_or([0; 3], |c| [c.calls, c.messages, c.bytes])
+        };
+        let mut files = Vec::new();
+        for _ in 0..STEPS {
+            sim.step(comm);
+            let data = OscillatorAdaptor::new(&sim);
+            let analyses: [&mut dyn AnalysisAdaptor; 2] = [&mut catalyst, &mut libsim];
+            for analysis in analyses {
+                let before = junctions();
+                analysis.execute(&data, comm);
+                let after = junctions();
+                files.push([0, 1, 2].map(|k| after[k] - before[k]));
+            }
+        }
+        files
+    });
+    assert!(ranks[0].iter().all(|&file| file == [0; 3]), "rank 0 leads");
+    // Catalyst, Libsim; Catalyst, Libsim.
+    let want = [
+        [1, 11, 2_264],
+        [1, 48, 12_225],
+        [1, 19, 4_213],
+        [1, 48, 12_225],
+    ];
+    assert_eq!(ranks[1], want, "junctions, tokens, bytes re-parsed a file");
+    assert!(want.iter().all(|&[_, _, bytes]| bytes < JOIN_SPAN));
 }
 
 /// The autocorrelation's memory is the paper's two `O(t·N³)` buffers and
