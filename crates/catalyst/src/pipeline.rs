@@ -92,10 +92,8 @@ impl AnalysisAdaptor for CatalystSliceAnalysis {
         let step = data.step();
         if step.is_multiple_of(self.pipeline.frequency) {
             let field = data.field(Association::Point, &self.pipeline.array);
-            let _publish = field
-                .mesh()
-                .map(|mesh| datamodel::publish_dataset(mesh, "catalyst"));
-            let views = field.views_or(&mut self.failures);
+            let (mesh, views) = field.blocks_or(&mut self.failures);
+            let _publish = mesh.map(|mesh| datamodel::publish_dataset(mesh, "catalyst"));
             let block = views.iter().find_map(LeafView::block);
             let frame = self.scene.frame(comm, step, block, field.range());
             if let Some((png, written)) = frame {

@@ -84,13 +84,18 @@ pub fn partition_extent(global: &Extent, dims: [usize; 3], rank: usize) -> Exten
 /// Returns one flag per point in `local.iter_points()` order:
 /// [`crate::attributes::GHOST_DUPLICATE`] on duplicated planes, 0 elsewhere. The
 /// non-ghost points of all blocks of a decomposition tile the global
-/// extent exactly once.
+/// extent exactly once. A block that duplicates no plane (its `lo` is
+/// the global `lo` on every axis) has no ghost, and gets no flags:
+/// readers take an absent ghost array as every tuple kept.
 ///
 /// The flags are filled a row (fixed `j`, `k`) at a time: a row on a
 /// shared low `y` or `z` face is all ghost, and any other row has at
 /// most its first point flagged, when the low `x` face is shared.
-pub fn duplicate_point_ghosts(local: &Extent, global: &Extent) -> Vec<u8> {
+pub fn duplicate_point_ghosts(local: &Extent, global: &Extent) -> Option<Vec<u8>> {
     let shared = [0, 1, 2].map(|a| local.lo[a] > global.lo[a]);
+    if shared == [false; 3] {
+        return None;
+    }
     let [nx, ny, nz] = local.point_dims();
     let mut flags = vec![0; nx * ny * nz];
     for (r, row) in flags.chunks_exact_mut(nx).enumerate() {
@@ -101,7 +106,7 @@ pub fn duplicate_point_ghosts(local: &Extent, global: &Extent) -> Vec<u8> {
             row[0] = crate::attributes::GHOST_DUPLICATE;
         }
     }
-    flags
+    Some(flags)
 }
 
 #[cfg(test)]
@@ -171,9 +176,7 @@ mod tests {
     #[test]
     fn single_block_has_no_duplicate_ghosts() {
         let global = Extent::whole([9, 7, 5]);
-        let flags = duplicate_point_ghosts(&global, &global);
-        assert_eq!(flags.len(), global.num_points());
-        assert!(flags.iter().all(|&f| f == 0));
+        assert_eq!(duplicate_point_ghosts(&global, &global), None);
     }
 
     #[test]
@@ -184,7 +187,8 @@ mod tests {
             let mut owner = vec![0usize; global.num_points()];
             for rank in 0..p {
                 let local = partition_extent(&global, dims, rank);
-                let flags = duplicate_point_ghosts(&local, &global);
+                let flags = duplicate_point_ghosts(&local, &global)
+                    .unwrap_or_else(|| vec![0; local.num_points()]);
                 for (pt, &f) in local.iter_points().zip(&flags) {
                     if f == 0 {
                         owner[global.linear_index(pt)] += 1;
@@ -198,10 +202,14 @@ mod tests {
         }
     }
 
-    /// The per-point definition the row fill must reproduce.
-    fn per_point_ghosts(local: &Extent, global: &Extent) -> Vec<u8> {
+    /// The per-point definition the row fill must reproduce: none for a
+    /// block with no shared face.
+    fn per_point_ghosts(local: &Extent, global: &Extent) -> Option<Vec<u8>> {
         let shared: Vec<usize> = (0..3).filter(|&a| local.lo[a] > global.lo[a]).collect();
-        local
+        if shared.is_empty() {
+            return None;
+        }
+        let flags = local
             .iter_points()
             .map(|p| {
                 if shared.iter().any(|&a| p[a] == local.lo[a]) {
@@ -210,7 +218,8 @@ mod tests {
                     0
                 }
             })
-            .collect()
+            .collect();
+        Some(flags)
     }
 
     #[test]
@@ -239,7 +248,7 @@ mod tests {
     fn shared_planes_are_marked_on_the_low_side() {
         let global = Extent::whole([11, 11, 11]);
         let b = partition_extent(&global, [2, 1, 1], 1);
-        let flags = duplicate_point_ghosts(&b, &global);
+        let flags = duplicate_point_ghosts(&b, &global).expect("rank 1 shares a plane");
         for (pt, &f) in b.iter_points().zip(&flags) {
             assert_eq!(
                 f != 0,

@@ -91,10 +91,8 @@ impl AnalysisAdaptor for LibsimAnalysis {
         let step = data.step();
         if step.is_multiple_of(self.frequency) {
             let field = data.field(Association::Point, &self.array);
-            let _publish = field
-                .mesh()
-                .map(|mesh| datamodel::publish_dataset(mesh, "libsim"));
-            let views = field.views_or(&mut self.failures);
+            let (mesh, views) = field.blocks_or(&mut self.failures);
+            let _publish = mesh.map(|mesh| datamodel::publish_dataset(mesh, "libsim"));
             let block = views.iter().find_map(LeafView::block);
             let frame = self.scene.frame(comm, step, block, field.range());
             if let Some((png, written)) = frame {

@@ -13,10 +13,11 @@ use crate::sim::Simulation;
 /// Construction costs two `Arc` clones and a handful of scalars — this is
 /// the overhead the paper measures as "almost nonexistent" (§3.2). The
 /// field array is attached lazily and shares the simulation's buffer;
-/// the ghost flags are built once per simulation and shared the same way.
+/// the ghost flags are built once per simulation and shared the same way,
+/// on the blocks that have a ghost.
 pub struct OscillatorAdaptor {
     field: Arc<Vec<f64>>,
-    ghosts: Arc<OnceLock<Arc<Vec<u8>>>>,
+    ghosts: Arc<OnceLock<Option<Arc<Vec<u8>>>>>,
     local: Extent,
     global: Extent,
     spacing: [f64; 3],
@@ -41,6 +42,14 @@ impl OscillatorAdaptor {
     fn grid(&self) -> ImageData {
         ImageData::new(self.local, self.global).with_geometry([0.0; 3], self.spacing)
     }
+
+    /// The block's ghost flags, built on first demand and kept by the
+    /// simulation: none when the block duplicates no plane.
+    fn ghosts(&self) -> Option<&Arc<Vec<u8>>> {
+        self.ghosts
+            .get_or_init(|| duplicate_point_ghosts(&self.local, &self.global).map(Arc::new))
+            .as_ref()
+    }
 }
 
 impl DataAdaptor for OscillatorAdaptor {
@@ -58,7 +67,10 @@ impl DataAdaptor for OscillatorAdaptor {
 
     fn array_names(&self, assoc: Association) -> Vec<String> {
         match assoc {
-            Association::Point => vec!["data".to_string(), GHOST_ARRAY_NAME.to_string()],
+            Association::Point => std::iter::once("data")
+                .chain(self.ghosts().map(|_| GHOST_ARRAY_NAME))
+                .map(str::to_string)
+                .collect(),
             Association::Cell => Vec::new(),
         }
     }
@@ -69,7 +81,9 @@ impl DataAdaptor for OscillatorAdaptor {
         assoc: Association,
         name: &str,
     ) -> Result<(), AdaptorError> {
-        if name != "data" && name != GHOST_ARRAY_NAME {
+        // A block with no ghost has no flags to attach.
+        let flags = (name == GHOST_ARRAY_NAME).then(|| self.ghosts()).flatten();
+        if name != "data" && flags.is_none() {
             return Err(AdaptorError::UnknownArray {
                 name: name.to_string(),
                 assoc,
@@ -88,7 +102,7 @@ impl DataAdaptor for OscillatorAdaptor {
                 detail: "oscillator produces a single structured grid".to_string(),
             });
         };
-        if name == GHOST_ARRAY_NAME {
+        if let Some(flags) = flags {
             // Neighbouring blocks share a point plane (partition_extent
             // splits cells); mark the duplicated planes so point
             // analyses stay decomposition-invariant. The extents never
@@ -97,9 +111,6 @@ impl DataAdaptor for OscillatorAdaptor {
             // the field. Inserting them is also what arms the
             // sanitizer's ghost-write checks on the sibling zero-copy
             // arrays.
-            let flags = self
-                .ghosts
-                .get_or_init(|| Arc::new(duplicate_point_ghosts(&self.local, &self.global)));
             g.add_point_array(
                 DataArray::shared(GHOST_ARRAY_NAME, 1, Arc::clone(flags))
                     .with_space(datamodel::MemorySpace::Host),
@@ -166,22 +177,26 @@ mod tests {
             // The flags an adaptor hands out, and where they live.
             let flags_of = |sim: &Simulation| {
                 let mesh = OscillatorAdaptor::new(sim).full_mesh();
-                let ghosts = mesh.point_data().unwrap().ghosts().unwrap();
+                let ghosts = mesh.point_data().unwrap().ghosts()?;
                 assert!(ghosts.is_zero_copy(), "a view, not a copy");
                 let flags = ghosts.as_slice_in::<u8>(ghosts.space()).unwrap();
-                (flags.to_vec(), flags.as_ptr())
+                Some((flags.to_vec(), flags.as_ptr()))
             };
-            let (first, at) = flags_of(&sim);
-            let built = sim.ghost_cell().get().expect("built on demand").as_ptr();
-            assert_eq!(at, built, "the cached flags themselves");
+            let first = flags_of(&sim);
+            let want = duplicate_point_ghosts(&sim.local_extent(), &sim.global_extent());
+            // Split along x, rank 0's block duplicates no plane: it
+            // lists, attaches and builds no flags.
+            assert_eq!(want.is_some(), comm.rank() == 1);
+            let built = sim.ghost_cell().get().expect("decided on demand").clone();
+            assert_eq!(first.clone().map(|(flags, _)| flags), want);
             assert_eq!(
-                first,
-                duplicate_point_ghosts(&sim.local_extent(), &sim.global_extent())
+                first.as_ref().map(|&(_, at)| at),
+                built.as_ref().map(|flags| flags.as_ptr()),
+                "the cached flags themselves"
             );
             // A later step's adaptor shares the same cached flags.
             sim.step(comm);
-            assert_eq!(flags_of(&sim), (first, built));
-            assert_eq!(built, sim.ghost_cell().get().unwrap().as_ptr());
+            assert_eq!(flags_of(&sim), first);
         });
     }
 

@@ -62,8 +62,9 @@ pub struct Simulation {
     field: Arc<Vec<f64>>,
     /// The `vtkGhostType` flags of `local` within `global`, which never
     /// change: computed by the first adaptor an analysis asks for them,
-    /// shared by every adaptor after it, never computed if none asks.
-    ghosts: Arc<OnceLock<Arc<Vec<u8>>>>,
+    /// shared by every adaptor after it, never computed if none asks;
+    /// none for a block that duplicates no plane.
+    ghosts: Arc<OnceLock<Option<Arc<Vec<u8>>>>>,
     step: u64,
     time: f64,
 }
@@ -184,7 +185,7 @@ impl Simulation {
     }
 
     /// The cell the adaptors share the ghost flags through.
-    pub(crate) fn ghost_cell(&self) -> Arc<OnceLock<Arc<Vec<u8>>>> {
+    pub(crate) fn ghost_cell(&self) -> Arc<OnceLock<Option<Arc<Vec<u8>>>>> {
         Arc::clone(&self.ghosts)
     }
 

@@ -118,6 +118,22 @@ fn kept_rows(alg: Algorithm, p: usize, rank: usize, height: usize) -> usize {
     }
 }
 
+/// Bytes one in transit step of the oscillator ships over its writers
+/// (`adios.bytes_per_step`), given each writer's block as its point
+/// count and whether it has a ghost: the `f64` field, the `u8` ghost
+/// flags of the blocks that have one (a block with none ships no ghost
+/// variable), and per block a BP header — 187 B of framing and six
+/// geometry attributes, and 89 B a variable beside its name: 280 B
+/// without flags, 381 B with them.
+pub fn staged_step_bytes(blocks: &[(usize, bool)]) -> f64 {
+    let variable = |name: &str| 89 + name.len();
+    let block = |&(points, ghosted): &(usize, bool)| {
+        let flags = usize::from(ghosted) * (points + variable("vtkGhostType"));
+        187 + 8 * points + variable("data") + flags
+    };
+    blocks.iter().map(block).sum::<usize>() as f64
+}
+
 /// Total memory high-water mark summed over `p` ranks, the quantity the
 /// miniapp study charts.
 pub fn total_high_water(p: usize, exe: Executable, per_rank_heap: f64) -> f64 {
@@ -128,6 +144,18 @@ pub fn total_high_water(p: usize, exe: Executable, per_rank_heap: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::workloads::miniapp_scales;
+
+    #[test]
+    fn staged_step_reads_the_benchmark_row() {
+        // `intransit-staging`: 128³ over two writers split along x, the
+        // second block duplicating the first's last plane.
+        let blocks = [(65 * 128 * 128, false), (64 * 128 * 128, true)];
+        assert_eq!(
+            staged_step_bytes(&blocks),
+            (16_908_288 + 1_048_576 + 280 + 381) as f64
+        );
+        assert_eq!(staged_step_bytes(&blocks), 17_957_525.0);
+    }
 
     #[test]
     fn executable_sizes_match_paper_notes() {

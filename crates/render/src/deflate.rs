@@ -513,7 +513,17 @@ pub(crate) struct Fixed {
 }
 
 impl Default for Fixed {
+    /// An encoder kept between calls: its sliding buffer is `SLIDE`
+    /// bytes whatever a stream's length, a closed form.
     fn default() -> Self {
+        Fixed::with_slide(SLIDE)
+    }
+}
+
+impl Fixed {
+    /// An encoder whose sliding buffer holds `slide` bytes, what a
+    /// parse of a stream that long fills (or any stream, at `SLIDE`).
+    fn with_slide(slide: usize) -> Self {
         // Arrays, so that the parse's indices — a `HASH_BITS`-bit hash,
         // a position modulo `WINDOW` — are in bounds by their type.
         Fixed {
@@ -521,16 +531,14 @@ impl Default for Fixed {
                 head: Box::new([NIL; 1 << HASH_BITS]),
                 prev: Box::new([NIL; WINDOW]),
             },
-            slide: Vec::new(),
+            slide: Vec::with_capacity(slide),
             spec: Vec::new(),
             spec_bits: 0,
             starts: Vec::new(),
             landing: 0,
         }
     }
-}
 
-impl Fixed {
     /// Greedy LZ77 (3-byte hash chains of at most [`MAX_CHAIN`] links,
     /// the first longest match wins) over the stream from `from`, coded
     /// with the fixed Huffman code as the parse goes, until a token would
@@ -562,9 +570,9 @@ impl Fixed {
         let (chains, slide) = (&mut self.chains, &mut self.slide);
         chains.head.fill(NIL);
         let first = from.saturating_sub(WINDOW);
-        // `SLIDE` bytes whatever the stream's length: a closed form.
-        slide.reserve_exact(SLIDE.saturating_sub(slide.len()));
-        // Every byte of the view is the source's: what it held is not read.
+        // The view never outgrows the `min(SLIDE, n)` bytes the encoder
+        // was built with. Every byte of it is the source's: what it held
+        // is not read.
         slide.resize((first + SLIDE).min(n) - first, 0);
         fill(first, slide);
         let mut view = View {
@@ -610,16 +618,18 @@ impl Fixed {
         (i, sum.adler)
     }
 
-    /// Append the fixed-mode stream of all of `data` to `out`: one band.
-    /// Returns the Adler-32 of `data`.
-    pub(crate) fn whole(&mut self, out: &mut Vec<u8>, data: &[u8]) -> u32 {
+    /// Append the fixed-mode stream of all of `data` to `out`: one band,
+    /// by an encoder made for it, whose sliding buffer is no larger than
+    /// `data`. Returns the Adler-32 of `data`.
+    pub(crate) fn whole(out: &mut Vec<u8>, data: &[u8]) -> u32 {
         let mut w = BitWriter::on(out);
         Fixed::begin(&mut w);
         let mut input = Input {
             horizon: data.len(),
             fill: &mut copy_from(data),
         };
-        let (_, adler) = self.lead(&mut w, &mut input, data.len());
+        let once = &mut Fixed::with_slide(SLIDE.min(data.len()));
+        let (_, adler) = once.lead(&mut w, &mut input, data.len());
         Fixed::end(w);
         adler
     }
@@ -728,7 +738,7 @@ pub fn deflate(data: &[u8], mode: Mode) -> Vec<u8> {
     match mode {
         Mode::Stored => deflate_stored(&mut out, data.len(), |raw| raw.copy_from_slice(data)),
         Mode::Fixed => {
-            Fixed::default().whole(&mut out, data);
+            Fixed::whole(&mut out, data);
         }
     }
     out

@@ -94,21 +94,22 @@ fn interp(p0: [f64; 3], p1: [f64; 3], v0: f64, v1: f64, iso: f64) -> [f64; 3] {
 /// March one tetrahedron: 16 sign cases collapse to 0, 1, or 2
 /// triangles.
 fn march_tet(p: [[f64; 3]; 4], v: [f64; 4], iso: f64, emit: &mut impl FnMut(Triangle)) {
-    let mut inside = [false; 4];
-    let mut case = 0usize;
-    for c in 0..4 {
-        inside[c] = v[c] >= iso;
-        if inside[c] {
-            case |= 1 << c;
+    // Indices of inside / outside vertices, ascending.
+    let (mut ins, mut outs) = ([0usize; 4], [0usize; 4]);
+    let (mut n_in, mut n_out) = (0, 0);
+    for (c, &value) in v.iter().enumerate() {
+        if value >= iso {
+            ins[n_in] = c;
+            n_in += 1;
+        } else {
+            outs[n_out] = c;
+            n_out += 1;
         }
     }
-    if case == 0 || case == 15 {
+    if n_in == 0 || n_in == 4 {
         return;
     }
-    // Indices of inside / outside vertices.
-    let ins: Vec<usize> = (0..4).filter(|&c| inside[c]).collect();
-    let outs: Vec<usize> = (0..4).filter(|&c| !inside[c]).collect();
-    match ins.len() {
+    match n_in {
         1 => {
             // One vertex inside: single triangle on the three edges.
             let a = ins[0];

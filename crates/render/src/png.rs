@@ -171,7 +171,7 @@ fn zlib_serial(out: &mut Vec<u8>, n: usize, fill: impl FnOnce(&mut [u8]), mode: 
         Mode::Fixed => {
             let mut raw = vec![0; n];
             fill(&mut raw);
-            Fixed::default().whole(out, &raw)
+            Fixed::whole(out, &raw)
         }
     };
     out.extend_from_slice(&adler.to_be_bytes());

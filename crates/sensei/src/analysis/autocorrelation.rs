@@ -766,8 +766,9 @@ mod tests {
                 let mut g = ImageData::new(local, global);
                 let values: Vec<f64> = local.iter_points().map(|p| tied(p, s)).collect();
                 g.add_point_array(DataArray::owned("data", 1, values));
-                let flags = duplicate_point_ghosts(&local, &global);
-                g.add_point_array(DataArray::owned(GHOST_ARRAY_NAME, 1, flags));
+                if let Some(flags) = duplicate_point_ghosts(&local, &global) {
+                    g.add_point_array(DataArray::owned(GHOST_ARRAY_NAME, 1, flags));
+                }
                 ac.execute(&InMemoryAdaptor::new(DataSet::Image(g), s as f64, s), comm);
             }
             ac.finalize(comm);
