@@ -20,11 +20,7 @@ fn plane_dist(p: [f64; 3], normal: [f64; 3], offset: f64) -> f64 {
 }
 
 fn lerp_point(a: [f64; 3], b: [f64; 3], t: f64) -> [f64; 3] {
-    [
-        a[0] + t * (b[0] - a[0]),
-        a[1] + t * (b[1] - a[1]),
-        a[2] + t * (b[2] - a[2]),
-    ]
+    std::array::from_fn(|i| a[i] + t * (b[i] - a[i]))
 }
 
 /// Cut every tetrahedral cell of `grid` with the plane
@@ -103,16 +99,9 @@ pub fn cut_tets(
 pub fn cut_area(tris: &[CutTriangle]) -> f64 {
     tris.iter()
         .map(|t| {
-            let u = [
-                t.points[1][0] - t.points[0][0],
-                t.points[1][1] - t.points[0][1],
-                t.points[1][2] - t.points[0][2],
-            ];
-            let v = [
-                t.points[2][0] - t.points[0][0],
-                t.points[2][1] - t.points[0][1],
-                t.points[2][2] - t.points[0][2],
-            ];
+            let [o, p, q] = t.points;
+            let u: [f64; 3] = std::array::from_fn(|i| p[i] - o[i]);
+            let v: [f64; 3] = std::array::from_fn(|i| q[i] - o[i]);
             let c = [
                 u[1] * v[2] - u[2] * v[1],
                 u[2] * v[0] - u[0] * v[2],

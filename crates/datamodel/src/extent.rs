@@ -28,28 +28,19 @@ impl Extent {
         assert!(dims.iter().all(|&d| d > 0), "zero-sized grid");
         Extent {
             lo: [0, 0, 0],
-            hi: [dims[0] as i64 - 1, dims[1] as i64 - 1, dims[2] as i64 - 1],
+            hi: dims.map(|d| d as i64 - 1),
         }
     }
 
     /// Points per axis.
     pub fn point_dims(&self) -> [usize; 3] {
-        [
-            (self.hi[0] - self.lo[0] + 1) as usize,
-            (self.hi[1] - self.lo[1] + 1) as usize,
-            (self.hi[2] - self.lo[2] + 1) as usize,
-        ]
+        std::array::from_fn(|a| (self.hi[a] - self.lo[a] + 1) as usize)
     }
 
     /// Cells per axis (`max(points-1, 1)` on degenerate axes is *not*
     /// applied: a flat axis has zero cells, so a plane has no 3D cells).
     pub fn cell_dims(&self) -> [usize; 3] {
-        let p = self.point_dims();
-        [
-            p[0].saturating_sub(1),
-            p[1].saturating_sub(1),
-            p[2].saturating_sub(1),
-        ]
+        self.point_dims().map(|p| p.saturating_sub(1))
     }
 
     /// Total number of points.
@@ -83,28 +74,18 @@ impl Extent {
     /// Inverse of [`Extent::linear_index`].
     pub fn point_at(&self, linear: usize) -> [i64; 3] {
         let d = self.point_dims();
-        let i = linear % d[0];
-        let j = (linear / d[0]) % d[1];
-        let k = linear / (d[0] * d[1]);
-        [
-            self.lo[0] + i as i64,
-            self.lo[1] + j as i64,
-            self.lo[2] + k as i64,
-        ]
+        let ijk = [
+            linear % d[0],
+            (linear / d[0]) % d[1],
+            linear / (d[0] * d[1]),
+        ];
+        std::array::from_fn(|a| self.lo[a] + ijk[a] as i64)
     }
 
     /// Intersection, or `None` when disjoint.
     pub(crate) fn intersect(&self, other: &Extent) -> Option<Extent> {
-        let lo = [
-            self.lo[0].max(other.lo[0]),
-            self.lo[1].max(other.lo[1]),
-            self.lo[2].max(other.lo[2]),
-        ];
-        let hi = [
-            self.hi[0].min(other.hi[0]),
-            self.hi[1].min(other.hi[1]),
-            self.hi[2].min(other.hi[2]),
-        ];
+        let lo: [i64; 3] = std::array::from_fn(|a| self.lo[a].max(other.lo[a]));
+        let hi: [i64; 3] = std::array::from_fn(|a| self.hi[a].min(other.hi[a]));
         if (0..3).all(|a| lo[a] <= hi[a]) {
             Some(Extent { lo, hi })
         } else {
@@ -115,16 +96,8 @@ impl Extent {
     /// Grow by `g` layers on every face, clipped to `bounds`.
     pub fn grow_within(&self, g: i64, bounds: &Extent) -> Extent {
         Extent {
-            lo: [
-                (self.lo[0] - g).max(bounds.lo[0]),
-                (self.lo[1] - g).max(bounds.lo[1]),
-                (self.lo[2] - g).max(bounds.lo[2]),
-            ],
-            hi: [
-                (self.hi[0] + g).min(bounds.hi[0]),
-                (self.hi[1] + g).min(bounds.hi[1]),
-                (self.hi[2] + g).min(bounds.hi[2]),
-            ],
+            lo: std::array::from_fn(|a| (self.lo[a] - g).max(bounds.lo[a])),
+            hi: std::array::from_fn(|a| (self.hi[a] + g).min(bounds.hi[a])),
         }
     }
 

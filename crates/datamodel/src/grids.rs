@@ -53,11 +53,7 @@ impl ImageData {
 
     /// Physical coordinates of a global point index.
     pub fn point_coords(&self, p: [i64; 3]) -> [f64; 3] {
-        [
-            self.origin[0] + p[0] as f64 * self.spacing[0],
-            self.origin[1] + p[1] as f64 * self.spacing[1],
-            self.origin[2] + p[2] as f64 * self.spacing[2],
-        ]
+        std::array::from_fn(|a| self.origin[a] + p[a] as f64 * self.spacing[a])
     }
 
     /// Number of local points.
@@ -72,28 +68,13 @@ impl ImageData {
 
     /// Attach a point array, validating its tuple count.
     pub fn add_point_array(&mut self, array: DataArray) {
-        assert_eq!(
-            array.num_tuples(),
-            self.num_points(),
-            "point array '{}' has {} tuples, grid has {} points",
-            array.name(),
-            array.num_tuples(),
-            self.num_points()
-        );
-        self.point_data.insert(array);
+        let n = self.extent.num_points();
+        attach(&mut self.point_data, array, n, "point");
     }
 
     /// Attach a cell array, validating its tuple count.
     pub fn add_cell_array(&mut self, array: DataArray) {
-        assert_eq!(
-            array.num_tuples(),
-            self.num_cells(),
-            "cell array '{}' has {} tuples, grid has {} cells",
-            array.name(),
-            array.num_tuples(),
-            self.num_cells()
-        );
-        self.cell_data.insert(array);
+        attach(&mut self.cell_data, array, self.extent.num_cells(), "cell");
     }
 }
 
@@ -133,29 +114,12 @@ impl RectilinearGrid {
         y: Vec<f64>,
         z: Vec<f64>,
     ) -> Self {
-        let d = extent.point_dims();
-        assert_eq!(
-            x.len(),
-            d[0],
-            "x coords sized {} for {} points",
-            x.len(),
-            d[0]
-        );
-        assert_eq!(
-            y.len(),
-            d[1],
-            "y coords sized {} for {} points",
-            y.len(),
-            d[1]
-        );
-        assert_eq!(
-            z.len(),
-            d[2],
-            "z coords sized {} for {} points",
-            z.len(),
-            d[2]
-        );
-        for c in [&x, &y, &z] {
+        for ((c, axis), n) in [&x, &y, &z]
+            .into_iter()
+            .zip("xyz".chars())
+            .zip(extent.point_dims())
+        {
+            assert_eq!(c.len(), n, "{axis} coords sized {} for {n} points", c.len());
             assert!(
                 c.windows(2).all(|w| w[1] > w[0]),
                 "coordinates must be strictly increasing"
@@ -199,28 +163,13 @@ impl RectilinearGrid {
 
     /// Attach a cell array, validating its tuple count.
     pub fn add_cell_array(&mut self, array: DataArray) {
-        assert_eq!(
-            array.num_tuples(),
-            self.num_cells(),
-            "cell array '{}' has {} tuples, grid has {} cells",
-            array.name(),
-            array.num_tuples(),
-            self.num_cells()
-        );
-        self.cell_data.insert(array);
+        attach(&mut self.cell_data, array, self.extent.num_cells(), "cell");
     }
 
     /// Attach a point array, validating its tuple count.
     pub fn add_point_array(&mut self, array: DataArray) {
-        assert_eq!(
-            array.num_tuples(),
-            self.num_points(),
-            "point array '{}' has {} tuples, grid has {} points",
-            array.name(),
-            array.num_tuples(),
-            self.num_points()
-        );
-        self.point_data.insert(array);
+        let n = self.extent.num_points();
+        attach(&mut self.point_data, array, n, "point");
     }
 }
 
@@ -230,6 +179,19 @@ impl MemoryFootprint for RectilinearGrid {
             + self.point_data.heap_bytes(count_shared)
             + self.cell_data.heap_bytes(count_shared)
     }
+}
+
+/// Insert `array` into `attrs`, a grid's `kind` (point or cell) data,
+/// once its tuple count is checked against the grid's `n`.
+pub(crate) fn attach(attrs: &mut Attributes, array: DataArray, n: usize, kind: &str) {
+    let tuples = array.num_tuples();
+    assert_eq!(
+        tuples,
+        n,
+        "{kind} array '{}' has {tuples} tuples, grid has {n} {kind}s",
+        array.name()
+    );
+    attrs.insert(array);
 }
 
 #[cfg(test)]

@@ -128,24 +128,14 @@ impl UnstructuredGrid {
 
     /// Attach a point array, validating its tuple count.
     pub fn add_point_array(&mut self, array: DataArray) {
-        assert_eq!(
-            array.num_tuples(),
-            self.num_points(),
-            "point array '{}' tuple count mismatch",
-            array.name()
-        );
-        self.point_data.insert(array);
+        let n = self.num_points();
+        crate::grids::attach(&mut self.point_data, array, n, "point");
     }
 
     /// Attach a cell array, validating its tuple count.
     pub fn add_cell_array(&mut self, array: DataArray) {
-        assert_eq!(
-            array.num_tuples(),
-            self.num_cells(),
-            "cell array '{}' tuple count mismatch",
-            array.name()
-        );
-        self.cell_data.insert(array);
+        let n = self.num_cells();
+        crate::grids::attach(&mut self.cell_data, array, n, "cell");
     }
 }
 

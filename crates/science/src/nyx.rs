@@ -12,7 +12,9 @@
 
 use std::sync::Arc;
 
-use datamodel::{dims_create, DataArray, DataSet, Extent, RectilinearGrid, GHOST_ARRAY_NAME};
+use datamodel::{
+    dims_create, partition_extent, DataArray, DataSet, Extent, RectilinearGrid, GHOST_ARRAY_NAME,
+};
 use minimpi::Comm;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -89,23 +91,10 @@ impl Nyx {
     /// Initialize: particles are laid out near cell centers with seeded
     /// perturbations (the proxy for Nyx's initial-condition files).
     pub fn new(comm: &Comm, config: NyxConfig) -> Self {
-        let global_cells = Extent::new(
-            [0, 0, 0],
-            [
-                config.grid[0] as i64 - 1,
-                config.grid[1] as i64 - 1,
-                config.grid[2] as i64 - 1,
-            ],
-        );
+        let global_cells = Extent::new([0; 3], config.grid.map(|n| n as i64 - 1));
         let rank_dims = dims_create(comm.size());
-        // Partition cells: reuse the point partitioner on the cell grid
-        // by treating cells as points here.
         let cells = cell_partition(&global_cells, rank_dims, comm.rank());
-        let dx = [
-            config.box_size / config.grid[0] as f64,
-            config.box_size / config.grid[1] as f64,
-            config.box_size / config.grid[2] as f64,
-        ];
+        let dx = config.grid.map(|n| config.box_size / n as f64);
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(comm.rank() as u64));
         let mut particles = Vec::new();
         for c in cells.iter_points() {
@@ -276,26 +265,13 @@ impl Nyx {
     }
 }
 
-/// Partition a cell extent across ranks (every cell owned exactly once).
+/// Partition a cell extent across ranks (every cell owned exactly once):
+/// [`partition_extent`]'s block of the cells' corner points, less the
+/// upper plane it shares with the next block.
 fn cell_partition(global_cells: &Extent, dims: [usize; 3], rank: usize) -> Extent {
-    let coords = [
-        rank % dims[0],
-        (rank / dims[0]) % dims[1],
-        rank / (dims[0] * dims[1]),
-    ];
-    let mut lo = [0i64; 3];
-    let mut hi = [0i64; 3];
-    for a in 0..3 {
-        let n = (global_cells.hi[a] - global_cells.lo[a] + 1) as usize;
-        assert!(dims[a] <= n, "axis {a}: more ranks than cells");
-        let base = n / dims[a];
-        let extra = n % dims[a];
-        let mine = base + usize::from(coords[a] < extra);
-        let start = coords[a] * base + coords[a].min(extra);
-        lo[a] = global_cells.lo[a] + start as i64;
-        hi[a] = lo[a] + mine as i64 - 1;
-    }
-    Extent::new(lo, hi)
+    let points = Extent::new(global_cells.lo, global_cells.hi.map(|h| h + 1));
+    let block = partition_extent(&points, dims, rank);
+    Extent::new(block.lo, block.hi.map(|h| h - 1))
 }
 
 /// Which block (of `dims` blocks over `n` cells) contains `cell`.

@@ -95,11 +95,8 @@ impl Phasta {
         let x_offset = comm.rank() * base + comm.rank().min(extra);
         let nx = my_cells + 1;
         let local_nodes = [nx, gy, gz];
-        let spacing = [
-            config.domain[0] / (gx - 1) as f64,
-            config.domain[1] / (gy - 1) as f64,
-            config.domain[2] / (gz - 1) as f64,
-        ];
+        let nodes = [gx, gy, gz];
+        let spacing: [f64; 3] = std::array::from_fn(|a| config.domain[a] / (nodes[a] - 1) as f64);
 
         let nn = nx * gy * gz;
         let node = |i: usize, j: usize, k: usize| (k * gy + j) * nx + i;
@@ -329,16 +326,8 @@ impl PhastaAdaptor {
     /// the one real copy in the PHASTA coupling.
     pub fn new(sim: &Phasta) -> Self {
         PhastaAdaptor {
-            coords: [
-                Arc::clone(&sim.coords[0]),
-                Arc::clone(&sim.coords[1]),
-                Arc::clone(&sim.coords[2]),
-            ],
-            velocity: [
-                Arc::clone(&sim.velocity[0]),
-                Arc::clone(&sim.velocity[1]),
-                Arc::clone(&sim.velocity[2]),
-            ],
+            coords: sim.coords.each_ref().map(Arc::clone),
+            velocity: sim.velocity.each_ref().map(Arc::clone),
             connectivity: sim.connectivity.clone(),
             step: sim.step,
             dt: sim.config.dt,

@@ -133,6 +133,21 @@ impl std::fmt::Display for AdaptorError {
 
 impl std::error::Error for AdaptorError {}
 
+/// `&self` as the `&dyn DataAdaptor` a [`Field`] keeps to ask for the
+/// ghost flags later, which a default method of [`DataAdaptor`] cannot
+/// write itself (`Self` may be unsized there). Every sized adaptor has
+/// it through the blanket impl, so no other crate names it, and
+/// `DataAdaptor` may take it as a crate-private supertrait.
+pub(crate) trait AsDyn {
+    fn as_dyn(&self) -> &dyn DataAdaptor;
+}
+
+impl<T: DataAdaptor> AsDyn for T {
+    fn as_dyn(&self) -> &dyn DataAdaptor {
+        self
+    }
+}
+
 /// Simulation-side adaptor: maps the simulation's native structures into
 /// the shared data model **on demand**.
 ///
@@ -141,7 +156,8 @@ impl std::error::Error for AdaptorError {}
 /// them via [`DataAdaptor::add_array`]. When no analysis is enabled the
 /// bridge never calls either, so instrumentation overhead is near zero
 /// (the paper's §3.2 design point).
-pub trait DataAdaptor {
+#[allow(private_bounds)]
+pub trait DataAdaptor: AsDyn {
     /// Simulated physical time of the current step.
     fn time(&self) -> f64;
 
@@ -186,7 +202,7 @@ pub trait DataAdaptor {
     /// call; inside [`crate::Bridge::execute`] the step's analyses share
     /// one per `(assoc, array)`.
     fn field(&self, assoc: Association, array: &str) -> Field<'_> {
-        Field::derive(self, assoc, array)
+        Field::derive(self.as_dyn(), assoc, array)
     }
 
     /// Release references to simulation data after the bridge finishes a
