@@ -357,9 +357,10 @@ impl BpStep {
     /// payload as it is, with no copy, once its type code and element
     /// count agree with the variable's header. A block that disagrees,
     /// or a block count other than the variable count, is
-    /// [`BpError::Corrupt`].
-    pub(crate) fn adopt(meta: &[u8], blocks: Vec<Payload>) -> Result<BpStep, BpError> {
-        let mut blocks = blocks.into_iter();
+    /// [`BpError::Corrupt`]. The blocks are drained either way, and the
+    /// emptied list keeps its allocation, to carry payloads again.
+    pub(crate) fn adopt(meta: &[u8], blocks: &mut Vec<Payload>) -> Result<BpStep, BpError> {
+        let mut blocks = blocks.drain(..);
         let step = BpStep::parse(meta, |code, count, _| {
             let block = blocks
                 .next()
@@ -589,9 +590,10 @@ mod tests {
     #[test]
     fn adopt_takes_each_block_as_its_payload() {
         let s = sample();
-        let (meta, blocks) = split(&s);
-        let back = BpStep::adopt(&meta, blocks).expect("adopt");
+        let (meta, mut blocks) = split(&s);
+        let back = BpStep::adopt(&meta, &mut blocks).expect("adopt");
         assert_eq!(back, s);
+        assert!(blocks.is_empty() && blocks.capacity() == s.vars.len());
         for (got, sent) in back.vars.iter().zip(&s.vars) {
             let (Payload::F64(got), Payload::F64(values)) = (&got.data, &sent.data) else {
                 panic!("f64 in, f64 out");
@@ -610,7 +612,7 @@ mod tests {
         let corrupt = |tamper: fn(&mut Vec<Payload>)| {
             let (meta, mut blocks) = split(&s);
             tamper(&mut blocks);
-            matches!(BpStep::adopt(&meta, blocks), Err(BpError::Corrupt(_)))
+            matches!(BpStep::adopt(&meta, &mut blocks), Err(BpError::Corrupt(_)))
         };
         assert!(corrupt(|b| b[0] = vec![0.0f32; 256].into()), "wrong type");
         assert!(
@@ -633,9 +635,9 @@ mod tests {
         assert!(corrupt(Vec::clear), "no blocks");
         assert!(!corrupt(|_| ()), "the blocks as marshalled");
         // The framing is checked as `decode` checks it.
-        let (meta, blocks) = split(&s);
+        let (meta, mut blocks) = split(&s);
         assert!(matches!(
-            BpStep::adopt(&meta[..meta.len() - 1], blocks),
+            BpStep::adopt(&meta[..meta.len() - 1], &mut blocks),
             Err(BpError::Corrupt(_))
         ));
     }

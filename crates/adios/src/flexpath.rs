@@ -106,6 +106,7 @@ pub fn pair(world: &Comm, n_writers: usize) -> Role {
                 steps: 0,
                 bytes: 0,
                 meta: Vec::new(),
+                blocks: Vec::new(),
             })
             .collect();
         Role::Endpoint {
@@ -217,6 +218,9 @@ struct WriterLink {
     bytes: u64,
     /// The framing read this round, held until `end_step` gives it back.
     meta: Vec<u8>,
+    /// The payload list it came in, drained by `BpStep::adopt`, to carry
+    /// the payloads back.
+    blocks: Vec<Payload>,
 }
 
 /// Reader-side transport handle.
@@ -271,7 +275,7 @@ impl FlexpathReader {
         let mut awaiting: Vec<usize> = self.links.iter().map(|l| l.rank).collect();
         while !awaiting.is_empty() {
             let got = world.recv_any_of_deadline::<Frame>(&awaiting, TAG_DATA, self.deadline);
-            let Ok((w, (is_close, meta, blocks))) = got else {
+            let Ok((w, (is_close, meta, mut blocks))) = got else {
                 // Every writer still awaited was silent for the whole
                 // window: declare them all dead in one decision.
                 let waited = self.deadline;
@@ -293,17 +297,18 @@ impl FlexpathReader {
             let Some(link) = self.links.iter_mut().find(|l| l.rank == w) else {
                 continue;
             };
-            match BpStep::adopt(&meta, blocks) {
+            match BpStep::adopt(&meta, &mut blocks) {
                 Ok(step) => {
                     link.steps += 1;
                     link.bytes += (meta.len() + step.payload_bytes()) as u64;
                     link.meta = meta;
+                    link.blocks = blocks;
                     steps.push((w, step));
                 }
                 // Refused: the writer's `advance` returns and it ships
                 // nothing more. The blocks were not adopted.
                 Err(err) => {
-                    let frame: Frame = (false, meta, Vec::new());
+                    let frame: Frame = (false, meta, blocks);
                     world.give_back(w, TAG_DATA, frame, Verdict::Refused);
                     self.drop_link(w, |link| FailureReport::CorruptFrame {
                         rank: w,
@@ -333,7 +338,8 @@ impl FlexpathReader {
         for (w, step) in round {
             if let Some(link) = self.links.iter_mut().find(|l| l.rank == w) {
                 let meta = std::mem::take(&mut link.meta);
-                let blocks = step.vars.into_iter().map(|v| v.data).collect();
+                let mut blocks = std::mem::take(&mut link.blocks);
+                blocks.extend(step.vars.into_iter().map(|v| v.data));
                 let frame: Frame = (false, meta, blocks);
                 world.give_back(w, TAG_DATA, frame, Verdict::Taken);
             }

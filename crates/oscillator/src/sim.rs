@@ -3,17 +3,19 @@
 //!
 //! The per-step fill is the miniapp half of the paper's hot path. A
 //! rank is one thread, and [`Simulation::step`] fills the rank's block
-//! with a **culled** kernel that skips exactly the terms that cannot
-//! change a cell: the spatial Gaussian underflows to exactly `+0.0`
-//! beyond [`Oscillator::support_radius`], so each oscillator only
+//! with a kernel that skips exactly the terms that cannot change a
+//! cell: the spatial Gaussian underflows to exactly `+0.0` beyond
+//! [`Oscillator::support_radius`], so each **culled** oscillator only
 //! touches cells inside its influence box — `O(cells + Σ support
 //! volumes)` instead of `O(cells × oscillators)` — and inside the box a
 //! term below half an ulp of a cell that already holds `|v| ≥ 2⁻⁴⁰` (a
-//! narrow oscillator's tail on a wide one's value) is skipped too. The
+//! narrow oscillator's tail on a wide one's value) is skipped too. A
+//! **dense** one, which no cell of the block can skip (a wide one),
+//! skips that machinery instead, fused two at a time into one pass. The
 //! field stays **bitwise identical** to the naive all-pairs kernel
 //! ([`Simulation::step_naive`], kept as the property-test and benchmark
 //! reference); the step reports its evaluated and skipped terms as the
-//! probe counter `sim/terms`.
+//! probe counter `sim/terms`, and a warm step allocates nothing.
 
 use std::sync::{Arc, OnceLock};
 
@@ -65,6 +67,8 @@ pub struct Simulation {
     /// shared by every adaptor after it, never computed if none asks;
     /// none for a block that duplicates no plane.
     ghosts: Arc<OnceLock<Option<Arc<Vec<u8>>>>>,
+    /// The kernel's `dx²` row tables, one per oscillator of a fused pair.
+    tables: [Vec<f64>; 2],
     step: u64,
     time: f64,
 }
@@ -118,6 +122,7 @@ impl Simulation {
             spacing,
             field,
             ghosts: Arc::default(),
+            tables: [(); 2].map(|_| Vec::with_capacity(local.point_dims()[0])),
             step: 0,
             time: 0.0,
         }
@@ -137,13 +142,9 @@ impl Simulation {
         // (the steady state: adaptors release between steps); if a view
         // is still alive this copies rather than corrupting it.
         let field = Arc::make_mut(&mut self.field);
-        let evaluated = fill_culled(
-            self.local,
-            field,
-            &self.oscillators,
-            self.spacing,
-            self.time,
-        );
+        let (t, block, spacing, deck) = (self.time, self.local, self.spacing, &self.oscillators);
+        let terms = deck.iter().map(|o| Term::new(o, t, block, spacing));
+        let evaluated = fill_culled(block, field, terms, &mut self.tables);
         let terms = (field.len() * self.oscillators.len()) as u64;
         probe.bulk("sim/terms", 1, evaluated, terms - evaluated);
         self.step += 1;
@@ -240,136 +241,189 @@ const MARGIN: f64 = 1e-9;
 /// under that margin for any amplitude this admits.
 const NORMAL_EXP_LIMIT: f64 = 708.0;
 
-/// Fill one block of the field with the culled kernel; returns the
-/// number of terms it evaluated.
-///
-/// For each oscillator (in deck order, so per-cell accumulation order
-/// matches the naive kernel) the block is clipped to the oscillator's
-/// axis-aligned influence box, and inside the box a term is skipped
-/// only when it cannot change the sum — the cell then holds exactly
-/// what [`Simulation::step_naive`] holds after adding it:
-///
-/// * *Exact zeros:* for `d² ≥ cutoff_d2` the Gaussian is exactly
-///   `+0.0`, and a `±0.0` add cannot change an accumulator that is never
-///   `-0.0` (it starts at `+0.0`, and IEEE addition only yields `-0.0`
-///   from two negative zeros).
-/// * *Half an ulp:* for `d² ≥ skip_d2` ([`skip_d2`]) the term's
-///   magnitude is below [`SKIP_BELOW`], and if the cell holds `|v| ≥`
-///   [`SKIP_FLOOR`] that is under half the gap to `v`'s nearer
-///   neighbour, so `v + y` rounds to `v`. A NaN cell fails the test and
-///   is evaluated; an infinite one passes and stays itself.
-///
-/// A whole row of the box is skipped when its smallest computed `d²`,
-/// `(min dx² + dy²) + dz²`, is past the threshold (rounding is
-/// monotone, so no cell of the row is nearer) and one scan shows every
-/// cell of the row above the floor. Debug builds evaluate every skipped
-/// term and assert it leaves the cell's bits as they were.
-///
-/// Degenerate oscillators (non-finite amplitude at `t`, or a radius so
-/// small the Gaussian denominator underflows) disable culling for that
-/// oscillator and fall back to evaluating every cell, preserving the
-/// naive kernel's NaN propagation.
-///
-/// The innermost loop runs over a precomputed `dx²` row table: `dx`
-/// depends only on `i`, so it is squared once per oscillator in a
-/// straight-line pass LLVM can unroll and vectorize, then reused across
-/// every `(j, k)` row of the influence box. The distance is still
-/// summed as `(dx² + dy²) + dz²` — the naive kernel's exact evaluation
-/// order — so the table changes nothing bitwise; it only removes the
-/// per-cell index→coordinate conversion and multiply from the loop
-/// that pays for the `exp`.
-fn fill_culled(
+/// Fill one block of the field with the deck's terms, each classed for
+/// this step and block ([`Term::new`]); returns the number evaluated.
+/// Consecutive **dense** terms are fused two at a time, a lone one
+/// alone ([`fill_dense`]); the rest are **culled** ([`fill_box`]). A
+/// deck that starts dense writes `0.0 + terms` over the block in its
+/// first pass, the naive kernel's own sum; any other starts from zeros.
+fn fill_culled<'a>(
     block: Extent,
     out: &mut [f64],
-    oscillators: &[Oscillator],
-    spacing: [f64; 3],
-    t: f64,
+    terms: impl Iterator<Item = Term<'a>>,
+    tables: &mut [Vec<f64>; 2],
 ) -> u64 {
     debug_assert_eq!(out.len(), block.num_points());
-    out.fill(0.0);
-    let d = block.point_dims();
-    let mut evaluated = 0u64;
-    // One reusable row table per call; `clear` keeps the allocation warm
-    // across oscillators.
-    let mut dx2 = Vec::with_capacity(d[0]);
-    for o in oscillators {
-        // Hoisted invariants: `amp` and `denom` are the exact values
-        // `contribution` computes internally, so `amp * (-d2/denom).exp()`
-        // reproduces it bit for bit.
+    let mut terms = terms.peekable();
+    let mut fresh = terms.peek().is_some_and(|a| a.dense);
+    if !fresh {
+        out.fill(0.0);
+    }
+    let mut evaluated = 0;
+    while let Some(a) = terms.next() {
+        evaluated += if a.dense {
+            let b = terms.next_if(|b| b.dense);
+            fill_dense(block, out, (a, b), fresh, tables)
+        } else {
+            fill_box(block, out, a, &mut tables[0])
+        };
+        fresh = false;
+    }
+    evaluated
+}
+
+/// One oscillator at the step's time, hoisted for a block: `amp` and
+/// `denom` are the exact values [`Oscillator::contribution`] computes,
+/// so [`Term::at`] reproduces it bit for bit.
+#[derive(Clone, Copy)]
+struct Term<'a> {
+    o: &'a Oscillator,
+    spacing: [f64; 3],
+    amp: f64,
+    denom: f64,
+    cutoff: f64,
+    skip_from: f64,
+    dense: bool,
+}
+
+impl<'a> Term<'a> {
+    /// Dense when culling cannot be trusted (a non-finite amplitude,
+    /// whose `∞ · 0` must stay NaN, or an underflowed denominator) or
+    /// when the block's farthest corner, `(max dx² + max dy²) + max dz²`
+    /// over each axis's two ends, is nearer than [`skip_d2`]: `dx` is
+    /// monotone along an axis and rounding is monotone, so that bounds
+    /// every cell's computed `d²`.
+    fn new(o: &'a Oscillator, t: f64, block: Extent, spacing: [f64; 3]) -> Self {
         let amp = o.value_at(t);
         let denom = 2.0 * o.radius * o.radius;
         let cutoff = o.cutoff_d2();
-        let cullable = amp.is_finite() && cutoff > 0.0;
-        let skip_from = skip_d2(amp, denom, cutoff);
-        let term = |d2: f64| amp * (-d2 / denom).exp();
-        // `skip_from ≤ cutoff`: past it a term is skipped if it is an
-        // exact zero, or if the cell is above the floor.
-        let skips = |d2: f64, v: f64| {
-            cullable && d2 >= skip_from && (d2 >= cutoff || v.abs() >= SKIP_FLOOR)
+        let mut a = Term {
+            o,
+            spacing,
+            amp,
+            denom,
+            cutoff,
+            skip_from: skip_d2(amp, denom, cutoff),
+            dense: false,
         };
-        let (ilo, ihi) = axis_range(
-            block.lo[0],
-            block.hi[0],
-            o.center[0],
-            spacing[0],
-            cutoff,
-            cullable,
-        );
-        let (jlo, jhi) = axis_range(
-            block.lo[1],
-            block.hi[1],
-            o.center[1],
-            spacing[1],
-            cutoff,
-            cullable,
-        );
-        let (klo, khi) = axis_range(
-            block.lo[2],
-            block.hi[2],
-            o.center[2],
-            spacing[2],
-            cutoff,
-            cullable,
-        );
-        if ilo > ihi || jlo > jhi || klo > khi {
-            continue; // influence box misses this block entirely
+        let far = |x| f64::max(a.square(x, block.lo[x]), a.square(x, block.hi[x]));
+        a.dense = !(amp.is_finite() && cutoff > 0.0) || (far(0) + far(1)) + far(2) < a.skip_from;
+        a
+    }
+
+    fn at(&self, d2: f64) -> f64 {
+        self.amp * (-d2 / self.denom).exp()
+    }
+
+    /// `(i·h − c)²` along `axis`, the naive kernel's own expression.
+    fn square(&self, axis: usize, i: i64) -> f64 {
+        let d = i as f64 * self.spacing[axis] - self.o.center[axis];
+        d * d
+    }
+
+    /// Refill `table` with `dx²` for `i` in `lo..=hi`, once a pass, for
+    /// every row; a cell still sums `(dx² + dy²) + dz²`, bit for bit.
+    fn row_table(&self, lo: i64, hi: i64, table: &mut Vec<f64>) {
+        table.clear();
+        table.extend((lo..=hi).map(|i| self.square(0, i)));
+    }
+
+    /// Inclusive index range of the points within the block along
+    /// `axis` whose coordinate can lie inside the support, widened by one
+    /// point so float rounding can never shrink it. Falls back to the
+    /// block's range whenever the bound arithmetic is not trustworthy
+    /// (non-positive spacing, or non-finite bounds).
+    fn range(&self, block: Extent, axis: usize) -> (i64, i64) {
+        let (lo, hi, sp) = (block.lo[axis], block.hi[axis], self.spacing[axis]);
+        if sp.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) || !self.cutoff.is_finite() {
+            return (lo, hi);
         }
-        dx2.clear();
-        dx2.extend((ilo..=ihi).map(|i| {
-            let dx = i as f64 * spacing[0] - o.center[0];
-            dx * dx
-        }));
-        let min_dx2 = dx2.iter().copied().fold(f64::INFINITY, f64::min);
-        for k in klo..=khi {
-            let dz = k as f64 * spacing[2] - o.center[2];
-            let dz2 = dz * dz;
-            let krow = (k - block.lo[2]) as usize * d[1];
-            for j in jlo..=jhi {
-                let dy = j as f64 * spacing[1] - o.center[1];
-                let dy2 = dy * dy;
-                let start =
-                    (krow + (j - block.lo[1]) as usize) * d[0] + (ilo - block.lo[0]) as usize;
-                let row = &mut out[start..start + dx2.len()];
-                let nearest = min_dx2 + dy2 + dz2;
-                if cullable && nearest >= skip_from && (nearest >= cutoff || above_floor(row)) {
+        let r = self.cutoff.sqrt();
+        let a = (self.o.center[axis] - r) / sp - 1.0;
+        let b = (self.o.center[axis] + r) / sp + 1.0;
+        if !a.is_finite() || !b.is_finite() {
+            return (lo, hi);
+        }
+        // `as i64` saturates, so astronomically wide supports clamp safely.
+        ((a.floor() as i64).max(lo), (b.ceil() as i64).min(hi))
+    }
+}
+
+/// Add a dense oscillator `a`, or the pair `a` then `b`, to every cell
+/// in one pass (over a block not yet filled if `fresh`), with the
+/// pair's constants and `dy²`, `dz²` in scalar locals.
+fn fill_dense(
+    block: Extent,
+    out: &mut [f64],
+    (a, b): (Term, Option<Term>),
+    fresh: bool,
+    [ta, tb]: &mut [Vec<f64>; 2],
+) -> u64 {
+    let [nx, ny, _] = block.point_dims();
+    let start = |cell: &f64| if fresh { 0.0 } else { *cell };
+    a.row_table(block.lo[0], block.hi[0], ta);
+    if let Some(b) = b {
+        b.row_table(block.lo[0], block.hi[0], tb);
+    }
+    for (r, row) in out.chunks_exact_mut(nx).enumerate() {
+        let (j, k) = (block.lo[1] + (r % ny) as i64, block.lo[2] + (r / ny) as i64);
+        let (ya, za) = (a.square(1, j), a.square(2, k));
+        if let Some(b) = b {
+            let (yb, zb) = (b.square(1, j), b.square(2, k));
+            for ((cell, &xa), &xb) in row.iter_mut().zip(ta.iter()).zip(tb.iter()) {
+                let v = start(cell) + a.at((xa + ya) + za);
+                *cell = v + b.at((xb + yb) + zb);
+            }
+        } else {
+            for (cell, &xa) in row.iter_mut().zip(ta.iter()) {
+                *cell = start(cell) + a.at((xa + ya) + za);
+            }
+        }
+    }
+    (out.len() * (1 + usize::from(b.is_some()))) as u64
+}
+
+/// Add a culled oscillator to the block clipped to its influence box,
+/// skipping only the terms that cannot change a cell (DESIGN §6 rule
+/// 1): exact zeros past `cutoff_d2`, and past [`skip_d2`] a term under
+/// half an ulp of a cell holding `|v| ≥` [`SKIP_FLOOR`], a cell or a
+/// whole row at a time. Debug builds evaluate every skipped term and
+/// assert it leaves the cell's bits as they were.
+fn fill_box(block: Extent, out: &mut [f64], a: Term, dx2: &mut Vec<f64>) -> u64 {
+    let d = block.point_dims();
+    let [(ilo, ihi), (jlo, jhi), (klo, khi)] = [0, 1, 2].map(|axis| a.range(block, axis));
+    if ilo > ihi || jlo > jhi || klo > khi {
+        return 0; // influence box misses this block entirely
+    }
+    let skips = |d2: f64, v: f64| d2 >= a.skip_from && (d2 >= a.cutoff || v.abs() >= SKIP_FLOOR);
+    a.row_table(ilo, ihi, dx2);
+    let min_dx2 = dx2.iter().copied().fold(f64::INFINITY, f64::min);
+    let mut evaluated = 0;
+    for k in klo..=khi {
+        let (dz2, krow) = (a.square(2, k), (k - block.lo[2]) as usize * d[1]);
+        for j in jlo..=jhi {
+            let dy2 = a.square(1, j);
+            let start = (krow + (j - block.lo[1]) as usize) * d[0] + (ilo - block.lo[0]) as usize;
+            let row = &mut out[start..start + dx2.len()];
+            let nearest = min_dx2 + dy2 + dz2;
+            if nearest >= a.skip_from && (nearest >= a.cutoff || above_floor(row)) {
+                if cfg!(debug_assertions) {
+                    for (&v, &dxx) in row.iter().zip(dx2.iter()) {
+                        assert_unchanged(v, a.at(dxx + dy2 + dz2));
+                    }
+                }
+                continue;
+            }
+            for (cell, &dxx) in row.iter_mut().zip(dx2.iter()) {
+                let d2 = dxx + dy2 + dz2;
+                if skips(d2, *cell) {
                     if cfg!(debug_assertions) {
-                        for (&v, &dxx) in row.iter().zip(&dx2) {
-                            assert_unchanged(v, term(dxx + dy2 + dz2));
-                        }
+                        assert_unchanged(*cell, a.at(d2));
                     }
                     continue;
                 }
-                for (cell, &dxx) in row.iter_mut().zip(&dx2) {
-                    let d2 = dxx + dy2 + dz2;
-                    if skips(d2, *cell) {
-                        if cfg!(debug_assertions) {
-                            assert_unchanged(*cell, term(d2));
-                        }
-                        continue;
-                    }
-                    *cell += term(d2);
-                    evaluated += 1;
-                }
+                *cell += a.at(d2);
+                evaluated += 1;
             }
         }
     }
@@ -406,27 +460,6 @@ fn assert_unchanged(v: f64, y: f64) {
         v.to_bits(),
         "skipped a term {y:e} that changes the cell {v:e}"
     );
-}
-
-/// Inclusive index range of points within `[lo, hi]` whose coordinate
-/// can lie inside the oscillator's support along one axis, widened by
-/// one point so float rounding can never shrink the true support. Falls
-/// back to the full range whenever the bound arithmetic is not
-/// trustworthy (culling disabled, non-positive spacing, or non-finite
-/// bounds).
-fn axis_range(lo: i64, hi: i64, center: f64, sp: f64, cutoff: f64, cullable: bool) -> (i64, i64) {
-    if !cullable || sp.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) || !cutoff.is_finite()
-    {
-        return (lo, hi);
-    }
-    let r = cutoff.sqrt();
-    let a = (center - r) / sp - 1.0;
-    let b = (center + r) / sp + 1.0;
-    if !a.is_finite() || !b.is_finite() {
-        return (lo, hi);
-    }
-    // `as i64` saturates, so astronomically wide supports clamp safely.
-    ((a.floor() as i64).max(lo), (b.ceil() as i64).min(hi))
 }
 
 #[cfg(test)]
@@ -637,6 +670,13 @@ mod tests {
         n
     }
 
+    /// `(calls, evaluated, skipped)` of this rank's `sim/terms` so far.
+    fn terms(comm: &Comm) -> (u64, u64, u64) {
+        let snapshot = comm.probe().snapshot();
+        let c = snapshot.counters.iter().find(|c| c.name == "sim/terms");
+        c.map_or((0, 0, 0), |c| (c.calls, c.messages, c.bytes))
+    }
+
     /// Steps the naive and the culled kernel side by side on `ranks`
     /// ranks, asserting bit-equal fields after every step. Returns,
     /// summed over ranks and steps, the terms the culled kernel evaluated
@@ -671,18 +711,10 @@ mod tests {
                 );
                 nonzero += nonzero_terms(&culled);
             }
-            let snapshot = comm.probe().snapshot();
-            let c = snapshot
-                .counters
-                .iter()
-                .find(|c| c.name == "sim/terms")
-                .expect("counted");
-            let terms = culled.field().len() * culled.oscillators.len() * steps;
-            assert_eq!(
-                (c.calls, c.messages + c.bytes),
-                (steps as u64, terms as u64)
-            );
-            (c.messages, nonzero)
+            let (calls, evaluated, skipped) = terms(comm);
+            let all = culled.field().len() * culled.oscillators.len() * steps;
+            assert_eq!((calls, evaluated + skipped), (steps as u64, all as u64));
+            (evaluated, nonzero)
         });
         per_rank
             .into_iter()
@@ -696,7 +728,9 @@ mod tests {
         // domain) and a sparse deck (most oscillator/cell pairs culled).
         for text in [deck(), sparse_deck(40)] {
             let deck = crate::osc::parse_deck(&text).unwrap();
-            against_naive(&deck, [17, 13, 11], 0.01, 4, 2);
+            for ranks in [1, 2, 4] {
+                against_naive(&deck, [17, 13, 11], 0.01, 4, ranks);
+            }
         }
         // The benchmark's shape, and narrow oscillators both before and
         // after the wide ones: the narrow tails that land on wide values
@@ -704,12 +738,126 @@ mod tests {
         let (wide, narrow) = wide_and_narrow();
         let before_and_after: Vec<Oscillator> = [&narrow[..7], &wide[..], &narrow[7..]].concat();
         for deck in [[wide.clone(), narrow.clone()].concat(), before_and_after] {
-            let (evaluated, nonzero) = against_naive(&deck, [32, 32, 32], 0.01, 3, 2);
-            assert!(
-                evaluated < nonzero,
-                "no term culled by size: {evaluated} of {nonzero}"
-            );
+            for ranks in [1, 2, 4] {
+                let (evaluated, nonzero) = against_naive(&deck, [32, 32, 32], 0.01, 3, ranks);
+                assert!(
+                    evaluated < nonzero,
+                    "no term culled by size: {evaluated} of {nonzero}"
+                );
+            }
         }
+        // Dense runs of 1, 2 and 3 at the front, between culled
+        // oscillators and at the end: fused pairs, a lone one, and a
+        // first pass that writes the block.
+        let w = [
+            wide[0],
+            wide[1],
+            osc(OscillatorKind::Decaying, [0.45, 0.5, 0.6], 0.19, 2.0),
+        ];
+        let n = &narrow[..3];
+        let runs: [Vec<Oscillator>; 5] = [
+            [&w[..], n].concat(),
+            [n, &w[..1]].concat(),
+            [&n[..1], &w[..1], &n[1..], &w[1..]].concat(),
+            [&w[..2], n, &w[2..], &n[..1]].concat(),
+            [&n[..1], &w[..2], &n[1..2], &w[2..], &n[2..]].concat(),
+        ];
+        for deck in &runs {
+            let wide: Vec<bool> = deck.iter().map(|o| o.radius > 0.1).collect();
+            assert_eq!(dense(deck, [12, 11, 10], 1, 0.0), [wide]);
+            for ranks in [1, 2, 4] {
+                against_naive(deck, [12, 11, 10], 0.01, 3, ranks);
+            }
+        }
+        // A wide oscillator dense on the block around it and culled on
+        // the block beyond (split along x at 2 and 4 ranks).
+        let half = osc(OscillatorKind::Periodic, [0.25, 0.5, 0.5], 0.08, 5.0);
+        let deck = [&w[..1], &[half], n, &w[1..]].concat();
+        assert_eq!(
+            dense(&[half], [16, 16, 16], 4, 0.0),
+            [[true], [false], [true], [false]]
+        );
+        for ranks in [1, 2, 4] {
+            against_naive(&deck, [16, 16, 16], 0.01, 3, ranks);
+        }
+        // Amplitudes that fade from dense to culled inside a dense run,
+        // and one that overflows to +∞ inside another (step 24 on).
+        let fading = osc(OscillatorKind::Decaying, [0.5, 0.5, 0.5], 0.2, 300.0);
+        let growing = osc(OscillatorKind::Decaying, [0.4, 0.5, 0.5], 0.2, -3000.0);
+        assert_eq!(dense(&[fading], [10, 10, 10], 2, 0.0), [[true]; 2]);
+        assert_eq!(dense(&[fading], [10, 10, 10], 2, 0.2), [[false]; 2]);
+        assert!(growing.value_at(0.23).is_finite() && growing.value_at(0.24).is_infinite());
+        let deck = [
+            &w[..1],
+            &[fading],
+            &w[1..2],
+            n,
+            &w[..1],
+            &[growing],
+            &w[1..],
+        ]
+        .concat();
+        for ranks in [1, 2, 4] {
+            against_naive(&deck, [10, 10, 10], 0.01, 26, ranks);
+        }
+    }
+
+    /// Whether each oscillator of `deck` is dense on each rank's block at
+    /// time `t`.
+    fn dense(deck: &[Oscillator], grid: [usize; 3], ranks: usize, t: f64) -> Vec<Vec<bool>> {
+        let text = format_deck(deck);
+        World::run(ranks, move |comm| {
+            let cfg = SimConfig {
+                grid,
+                ..SimConfig::default()
+            };
+            let sim = Simulation::new(comm, cfg, (comm.rank() == 0).then_some(text.as_str()));
+            sim.oscillators
+                .iter()
+                .map(|o| Term::new(o, t, sim.local, sim.spacing).dense)
+                .collect()
+        })
+    }
+
+    #[test]
+    fn terms_are_counted_step_by_step_as_before() {
+        // `sim/terms` (evaluated, skipped) of each step on the benchmark's
+        // shape at 32³ over 2 ranks, rank by rank: the counts of the
+        // kernel that ran every oscillator through the culling machinery.
+        let (wide, narrow) = wide_and_narrow();
+        let text = format_deck(&[wide, narrow].concat());
+        let per_rank = World::run(2, move |comm| {
+            comm.attach_probe(probe::enabled());
+            let root = (comm.rank() == 0).then_some(text.as_str());
+            let mut sim = Simulation::new(comm, SimConfig::default(), root);
+            let mut last = (0, 0);
+            (0..4)
+                .map(|_| {
+                    sim.step(comm);
+                    let (_, evaluated, skipped) = terms(comm);
+                    let step = (evaluated - last.0, skipped - last.1);
+                    last = (evaluated, skipped);
+                    step
+                })
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(
+            per_rank,
+            [
+                [
+                    (35023, 243505),
+                    (35023, 243505),
+                    (35021, 243507),
+                    (35021, 243507)
+                ],
+                [
+                    (32940, 229204),
+                    (32940, 229204),
+                    (32938, 229206),
+                    (32938, 229206)
+                ],
+            ]
+        );
     }
 
     #[test]

@@ -484,6 +484,36 @@ if grep -rnE 'Explorer|ExploreBudget|ExploreFailure|wall_cap|max_shrink_runs' \
     exit 1
 fi
 
+echo "==> the step kernel keeps libm exp"
+# The step kernel is bitwise step_naive: each term is `amp * (-d2 /
+# denom).exp()` on libm's f64::exp, added in deck order with no fused
+# multiply-add, on the rank's own thread. And the kernel, from
+# fill_culled to the tests, reuses the row tables its Simulation keeps,
+# so a buffer it builds is a heap call every step.
+sim_src=$(awk '/^#\[cfg\(test\)\]/{exit} {sub(/\/\/.*/, ""); print FILENAME ":" FNR ": " $0}' \
+    crates/oscillator/src/sim.rs)
+if grep -E 'mul_add|\bthread\b|spawn\(|rayon' <<<"$sim_src"; then
+    echo "tier1: crates/oscillator/src/sim.rs fuses a multiply-add or starts a thread" >&2
+    exit 1
+fi
+other_exp=$(grep -oE '(\.|([A-Za-z0-9_]+::)+)?[A-Za-z0-9_]*exp[A-Za-z0-9_]*[[:space:]]*\(' <<<"$sim_src" |
+    grep -vxE '\.exp\(|f64::exp\(' || true)
+if [ -n "$other_exp" ]; then
+    echo "$other_exp" >&2
+    echo "tier1: crates/oscillator/src/sim.rs calls an exp other than f64::exp" >&2
+    exit 1
+fi
+kernel_src=$(awk '/^#\[cfg\(test\)\]/{exit} /^fn fill_culled[(<]/{on = 1} on {sub(/\/\/.*/, ""); print FILENAME ":" FNR ": " $0}' \
+    crates/oscillator/src/sim.rs)
+if [ -z "$kernel_src" ]; then
+    echo "tier1: fn fill_culled is gone from crates/oscillator/src/sim.rs; point this leg at the kernel" >&2
+    exit 1
+fi
+if grep -E 'Vec::new|with_capacity|vec!|collect|to_vec|Box::new' <<<"$kernel_src"; then
+    echo "tier1: the step kernel allocates; keep its buffers in the Simulation" >&2
+    exit 1
+fi
+
 echo "==> the lint rules have no escape hatch"
 # The workspace lint rules (DESIGN §10) are clippy's, checked by the
 # clippy leg below: clippy.toml disallows the std clock and lock types
