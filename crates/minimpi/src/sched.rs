@@ -27,7 +27,7 @@
 //! MPI — and useless for reproducing a bad interleaving. The other
 //! policies add a cooperative scheduler that serializes rank execution
 //! around a single turn token and makes every nondeterministic decision
-//! explicitly, driven by a seeded RNG:
+//! explicitly:
 //!
 //! * **run decisions** — at every scheduling point (post-send
 //!   preemption, receive blocking, rank completion) the policy picks
@@ -40,16 +40,23 @@
 //!   ties broken by world slot. Rank-side span timings run on
 //!   [`probe::time`]'s per-thread virtual tick source.
 //!
-//! Every decision and delivery is recorded in a [`Trace`]. The same
-//! [`SchedPolicy::Seeded`] seed replays the identical schedule
-//! byte-for-byte; [`SchedPolicy::Replay`] forces a recorded trace and
-//! panics with a diff on the first divergence. A deadlock report under
-//! these policies carries the seed.
+//! Both kinds are made by one `Sched::decide`, among the enabled values
+//! (runnable slots, or the distinct sources with a matching envelope)
+//! with a default (the fair round-robin slot, or the first candidate).
+//! Only where the choice comes from differs: [`SchedPolicy::Seeded`]
+//! draws it from an RNG seeded with the seed; [`SchedPolicy::Replay`]
+//! takes the enabled value whose event the trace records next;
+//! [`SchedPolicy::Guided`] takes the guide's forced prefix value while
+//! it lasts and is enabled, else the default, and logs the decision for
+//! [`crate::Checker`]'s next branch.
 //!
-//! [`SchedPolicy::Guided`] is how [`crate::Checker`] searches
-//! interleavings: a forced decision prefix per run, each run's decisions
-//! logged for the next branch, failures replayed under
-//! [`SchedPolicy::Replay`].
+//! Every decision and delivery is recorded in a [`Trace`] by `emit`,
+//! under replay the one check against the recording: the first event
+//! that differs (a decision finding no recorded value enabled is one)
+//! aborts the world with a diff. A seed replays its schedule
+//! byte-for-byte, and its deadlock reports carry it. A rank waits for
+//! the token by one rule, `await_turn`: the world's abort first, then
+//! the grant.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -438,9 +445,8 @@ enum Status {
     Finished,
 }
 
+/// Where a deterministic policy's decisions come from.
 enum Mode {
-    /// Free-running ranks: no token, no decisions, no trace.
-    Os,
     Seeded(StdRng),
     Replay {
         recorded: Vec<Event>,
@@ -450,9 +456,6 @@ enum Mode {
         guide: Guide,
         /// Next decision index (consumes the guide's prefix).
         pos: usize,
-        /// Fair round-robin rotor: the slot the default policy tries
-        /// first at the next run decision.
-        rotor: usize,
     },
 }
 
@@ -465,7 +468,8 @@ enum LivenessBreach {
 }
 
 struct State {
-    mode: Mode,
+    /// `None` for free-running ranks: no token, no decisions, no trace.
+    mode: Option<Mode>,
     /// World slot currently holding the turn token.
     current: Option<usize>,
     /// Set once the first grant has been made.
@@ -490,9 +494,13 @@ struct State {
     /// Per-slot decision count at the last progress event (send or
     /// match).
     last_progress: Vec<u64>,
-    /// The runnable slots of the decision being made, sized for every
-    /// slot when the world is built: a decision allocates nothing.
-    runnable: Vec<usize>,
+    /// Fair round-robin rotor: the slot a run decision's default tries
+    /// first (the one after the last slot granted).
+    rotor: usize,
+    /// The enabled values of the decision being made (runnable slots,
+    /// or a match's candidate sources), sized for every slot when the
+    /// world is built: a decision allocates nothing.
+    enabled: Vec<usize>,
     /// Every mailbox's mail in send order, by id: one per rank and
     /// communicator, the world's first (id = slot). `None` once its
     /// `Comm` is dropped. A queue keeps its capacity, so a warm step
@@ -532,25 +540,27 @@ impl Sched {
         liveness: Option<LivenessSpec>,
     ) -> Arc<Sched> {
         let (mode, seed) = match policy {
-            SchedPolicy::Os => (Mode::Os, None),
-            SchedPolicy::Seeded(seed) => (Mode::Seeded(StdRng::seed_from_u64(*seed)), Some(*seed)),
+            SchedPolicy::Os => (None, None),
+            SchedPolicy::Seeded(seed) => (
+                Some(Mode::Seeded(StdRng::seed_from_u64(*seed))),
+                Some(*seed),
+            ),
             SchedPolicy::Replay(trace) => (
-                Mode::Replay {
+                Some(Mode::Replay {
                     recorded: trace.events.clone(),
                     pos: 0,
-                },
+                }),
                 trace.seed,
             ),
             SchedPolicy::Guided(guide) => (
-                Mode::Guided {
+                Some(Mode::Guided {
                     guide: guide.clone(),
                     pos: 0,
-                    rotor: 0,
-                },
+                }),
                 None,
             ),
         };
-        let serial = !matches!(mode, Mode::Os);
+        let serial = mode.is_some();
         Arc::new(Sched {
             state: Mutex::new(State {
                 mode,
@@ -568,7 +578,8 @@ impl Sched {
                 decisions: 0,
                 spin_counts: vec![0; size],
                 last_progress: vec![0; size],
-                runnable: Vec::with_capacity(size),
+                rotor: 0,
+                enabled: Vec::with_capacity(size),
                 mailboxes: (0..size).map(|_| Some(VecDeque::new())).collect(),
                 waiting: vec![false; size],
             }),
@@ -592,13 +603,23 @@ impl Sched {
             self.pick_and_grant(&mut s);
             self.cv.notify_all();
         }
-        while s.current != Some(slot) {
+        if let Err(msg) = self.await_turn(&mut s, slot) {
+            drop(s);
+            panic!("{msg}");
+        }
+    }
+
+    /// The one turn rule: wait until the world aborts (`Err` with its
+    /// message) or `slot` holds the token.
+    fn await_turn(&self, s: &mut MutexGuard<'_, State>, slot: usize) -> Result<(), String> {
+        loop {
             if let Some(msg) = &s.abort {
-                let msg = msg.clone();
-                drop(s);
-                panic!("{msg}");
+                return Err(msg.clone());
             }
-            self.cv.wait(&mut s);
+            if s.current == Some(slot) {
+                return Ok(());
+            }
+            self.cv.wait(s);
         }
     }
 
@@ -655,14 +676,12 @@ impl Sched {
             }
             return Ok(());
         }
-        self.emit(
-            &mut s,
-            Event::Send {
-                from: from_slot,
-                to: to_slot,
-                tag: tag.0,
-            },
-        );
+        let send = Event::Send {
+            from: from_slot,
+            to: to_slot,
+            tag: tag.0,
+        };
+        self.emit(&mut s, send, &[]);
         self.reschedule(s, from_slot);
         Ok(())
     }
@@ -673,54 +692,6 @@ impl Sched {
         if !s.status.iter().any(|st| matches!(st, Status::Runnable)) {
             self.resolve_quiescence(s);
         }
-    }
-
-    /// Choose which source an `ANY_SOURCE` receive matches, among the
-    /// communicator-local `candidates` (distinct sources with a
-    /// matching envelope, in mailbox order).
-    fn choose_match(&self, s: &mut State, slot: usize, candidates: &[usize], tag: Tag) -> usize {
-        debug_assert!(!candidates.is_empty());
-        let trace_pos = s.trace.events.len();
-        let src = match &mut s.mode {
-            Mode::Os => unreachable!("free-running matches are not decisions"),
-            Mode::Seeded(rng) => candidates[rng.gen_range(0..candidates.len())],
-            Mode::Guided { guide, pos, .. } => guided_choice(
-                guide,
-                pos,
-                candidates,
-                candidates[0],
-                DecisionKind::Match { slot },
-                trace_pos,
-            ),
-            Mode::Replay { recorded, pos } => match recorded.get(*pos) {
-                Some(Event::Match {
-                    slot: r_slot,
-                    src,
-                    tag: r_tag,
-                }) if *r_slot == slot && *r_tag == tag.0 && candidates.contains(src) => *src,
-                other => {
-                    let msg = self.divergence_message(
-                        *pos,
-                        other.cloned(),
-                        format!(
-                            "match slot {slot} tag {} among candidates {candidates:?}",
-                            Tag(tag.0)
-                        ),
-                    );
-                    self.raise_abort(s, msg.clone());
-                    panic!("{msg}");
-                }
-            },
-        };
-        self.emit(
-            s,
-            Event::Match {
-                slot,
-                src,
-                tag: tag.0,
-            },
-        );
-        src
     }
 
     /// Advance the virtual clock (injected link delay).
@@ -752,29 +723,25 @@ impl Sched {
     fn reschedule(&self, mut s: MutexGuard<'_, State>, slot: usize) {
         self.pick_and_grant(&mut s);
         self.cv.notify_all();
-        while s.current != Some(slot) {
-            if let Some(msg) = &s.abort {
-                let msg = msg.clone();
-                drop(s);
-                panic!("{msg}");
-            }
-            self.cv.wait(&mut s);
+        if let Err(msg) = self.await_turn(&mut s, slot) {
+            drop(s);
+            panic!("{msg}");
         }
     }
 
     /// Pick the next runnable rank (policy decision) and grant it the
     /// token; resolve quiescence (deadline expiry or exact deadlock)
-    /// when the ready set is empty.
+    /// when the ready set is empty. A replay that diverges grants
+    /// nothing.
     fn pick_and_grant(&self, s: &mut State) {
-        s.runnable.clear();
+        s.enabled.clear();
         let ready = s.status.iter().enumerate();
         let ready = ready.filter(|(_, st)| matches!(st, Status::Runnable));
-        s.runnable.extend(ready.map(|(slot, _)| slot));
-        let runnable = &s.runnable;
-        if runnable.is_empty() {
+        s.enabled.extend(ready.map(|(slot, _)| slot));
+        let Some(&first) = s.enabled.first() else {
             self.resolve_quiescence(s);
             return;
-        }
+        };
         s.decisions += 1;
         if let Some(spec) = s.liveness {
             if spec.max_decisions > 0 && s.decisions > spec.max_decisions {
@@ -783,40 +750,56 @@ impl Sched {
                 return;
             }
         }
-        let size = s.status.len();
+        // Fair round-robin default: the first runnable slot at or
+        // cyclically after the rotor, so no runnable rank waits more
+        // than one full rotation.
+        let fair = s.enabled.iter().find(|&&slot| slot >= s.rotor);
+        let fair = fair.map_or(first, |&slot| slot);
+        if let Some(slot) = self.decide(s, DecisionKind::Run, fair, |slot| Event::Run { slot }) {
+            s.rotor = (slot + 1) % s.status.len();
+            s.current = Some(slot);
+        }
+    }
+
+    /// The one place a choice is made, among `s.enabled` (non-empty):
+    /// the policy's value (see the module docs), recorded by `emit`.
+    /// `None` when the replay diverged here.
+    fn decide(
+        &self,
+        s: &mut State,
+        kind: DecisionKind,
+        default: usize,
+        event: impl Fn(usize) -> Event,
+    ) -> Option<usize> {
+        let enabled = std::mem::take(&mut s.enabled);
         let trace_pos = s.trace.events.len();
-        let slot = match &mut s.mode {
-            Mode::Os => unreachable!("free-running ranks are not granted turns"),
-            Mode::Seeded(rng) => runnable[rng.gen_range(0..runnable.len())],
-            Mode::Guided { guide, pos, rotor } => {
-                // Fair round-robin default: the first enabled slot at or
-                // cyclically after the rotor, so no enabled rank waits
-                // more than one full rotation.
-                let start = *rotor;
-                let fair = (0..size)
-                    .map(|k| (start + k) % size)
-                    .find(|slot| runnable.contains(slot))
-                    .unwrap_or(runnable[0]);
-                let chosen =
-                    guided_choice(guide, pos, runnable, fair, DecisionKind::Run, trace_pos);
-                *rotor = (chosen + 1) % size;
+        let chosen = match &mut s.mode {
+            Some(Mode::Seeded(rng)) => enabled[rng.gen_range(0..enabled.len())],
+            Some(Mode::Replay { recorded, pos }) => {
+                let recorded = recorded.get(*pos);
+                let replayed = enabled.iter().find(|&&v| recorded == Some(&event(v)));
+                replayed.map_or(default, |&v| v)
+            }
+            Some(Mode::Guided { guide, pos }) => {
+                let forced = guide.prefix.get(*pos).copied();
+                *pos += 1;
+                if forced.is_some_and(|v| !enabled.contains(&v)) {
+                    guide.log.mark_divergence();
+                }
+                let chosen = forced.filter(|v| enabled.contains(v)).unwrap_or(default);
+                guide.log.push(DecisionRecord {
+                    kind,
+                    enabled: enabled.clone(),
+                    chosen,
+                    trace_pos,
+                });
                 chosen
             }
-            Mode::Replay { recorded, pos } => match recorded.get(*pos) {
-                Some(Event::Run { slot }) if runnable.contains(slot) => *slot,
-                other => {
-                    let msg = self.divergence_message(
-                        *pos,
-                        other.cloned(),
-                        format!("run decision among runnable {runnable:?}"),
-                    );
-                    self.raise_abort(s, msg);
-                    return;
-                }
-            },
+            None => default,
         };
-        self.emit(s, Event::Run { slot });
-        s.current = Some(slot);
+        let replayed = self.emit(s, event(chosen), &enabled);
+        s.enabled = enabled;
+        replayed.then_some(chosen)
     }
 
     /// No rank can run. Fire the earliest virtual deadline (ties broken
@@ -843,7 +826,7 @@ impl Sched {
             s.vclock_nanos = s.vclock_nanos.max(deadline);
             s.deadline_fired[slot] = true;
             s.status[slot] = Status::Runnable;
-            self.emit(s, Event::Run { slot });
+            self.emit(s, Event::Run { slot }, &[]);
             s.current = Some(slot);
             return;
         }
@@ -854,16 +837,32 @@ impl Sched {
         // All ranks finished: nothing to grant.
     }
 
-    /// Record an event; under replay, verify it against the recording.
-    fn emit(&self, s: &mut State, event: Event) {
-        if let Mode::Replay { recorded, pos } = &mut s.mode {
-            match recorded.get(*pos) {
-                Some(expected) if *expected == event => *pos += 1,
-                other => {
-                    let msg = self.divergence_message(*pos, other.cloned(), format!("{event}"));
-                    self.raise_abort(s, msg);
-                    // Keep recording so the divergent trace is visible.
-                }
+    /// Record an event; under replay, verify it against the recording
+    /// (the one replay check), naming the decision's `enabled` values
+    /// when it diverges. False when it diverged.
+    fn emit(&self, s: &mut State, event: Event, enabled: &[usize]) -> bool {
+        let mut replayed = true;
+        if let Some(Mode::Replay { recorded, pos }) = &mut s.mode {
+            let recorded = match recorded.get(*pos) {
+                Some(expected) if *expected == event => None,
+                Some(expected) => Some(format!("trace recorded [{expected}]")),
+                None => Some("the trace is exhausted".to_string()),
+            };
+            if let Some(recorded) = recorded {
+                let among = match enabled {
+                    [] => String::new(),
+                    _ => format!(" among enabled {enabled:?}"),
+                };
+                let msg = format!(
+                    "minimpi sched: replay diverged at event {pos}: {recorded}, this execution \
+                     produced [{event}]{among} — the program or its inputs changed since the \
+                     trace was recorded"
+                );
+                self.raise_abort(s, msg);
+                replayed = false;
+                // Keep recording so the divergent trace is visible.
+            } else {
+                *pos += 1;
             }
         }
         // A send or match is progress for its actor: reset the spin
@@ -879,20 +878,7 @@ impl Sched {
             s.last_progress[actor] = s.decisions;
         }
         s.trace.events.push(event);
-    }
-
-    fn divergence_message(&self, pos: usize, expected: Option<Event>, got: String) -> String {
-        match expected {
-            Some(e) => format!(
-                "minimpi sched: replay diverged at event {pos}: trace recorded [{e}], \
-                 this execution produced [{got}] — the program or its inputs changed \
-                 since the trace was recorded"
-            ),
-            None => format!(
-                "minimpi sched: replay diverged at event {pos}: trace is exhausted but \
-                 this execution produced [{got}]"
-            ),
-        }
+        replayed
     }
 
     /// Compose the exact-deadlock report: every live rank's wait state.
@@ -1092,16 +1078,27 @@ impl Table<'_> {
         };
         let mut chosen = None;
         if self.sched.serial && src == crate::ANY_SOURCE {
-            let mut candidates = Vec::new();
-            for e in self.s.mail(mailbox) {
-                if is_from(sources, e) && !candidates.contains(&e.src) {
-                    candidates.push(e.src);
+            // The candidates: distinct sources with a matching envelope,
+            // in mailbox order; the first is the default.
+            let s = &mut *self.s;
+            s.enabled.clear();
+            for e in s.mailboxes[mailbox].iter().flatten() {
+                if is_from(sources, e) && !s.enabled.contains(&e.src) {
+                    s.enabled.push(e.src);
                 }
             }
-            if candidates.is_empty() {
-                return None;
-            }
-            chosen = Some([self.sched.choose_match(&mut self.s, slot, &candidates, tag)]);
+            let &first = s.enabled.first()?;
+            let event = |src| Event::Match {
+                slot,
+                src,
+                tag: tag.0,
+            };
+            let kind = DecisionKind::Match { slot };
+            let Some(src) = self.sched.decide(s, kind, first, event) else {
+                // The replay diverged: this rank panics at the decision.
+                panic!("{}", s.abort.as_deref().unwrap_or_default());
+            };
+            chosen = Some([src]);
         }
         let sources = chosen.as_ref().map_or(sources, |one| one.as_slice());
         let mail = self.s.mailboxes[mailbox].as_mut()?;
@@ -1124,22 +1121,16 @@ impl Table<'_> {
             s.status[slot] = Status::Blocked(info);
             sched.pick_and_grant(s);
             sched.cv.notify_all();
-            loop {
-                if let Some(msg) = &s.abort {
-                    return Wake::Abort(msg.clone());
-                }
-                if s.current == Some(slot) {
-                    // Granted again: either a sender woke us or our
-                    // deadline fired at quiescence.
-                    s.status[slot] = Status::Runnable;
-                    if s.deadline_fired[slot] {
-                        s.deadline_fired[slot] = false;
-                        return Wake::Deadline(deadline.map_or(Duration::ZERO, |d| d.limit));
-                    }
-                    return Wake::Mail;
-                }
-                sched.cv.wait(s);
+            if let Err(msg) = sched.await_turn(s, slot) {
+                return Wake::Abort(msg);
             }
+            // Granted again: either a sender woke us or our deadline
+            // fired at quiescence.
+            s.status[slot] = Status::Runnable;
+            if std::mem::take(&mut s.deadline_fired[slot]) {
+                return Wake::Deadline(deadline.map_or(Duration::ZERO, |d| d.limit));
+            }
+            return Wake::Mail;
         }
         let left = match deadline {
             Some(d) => {
@@ -1204,37 +1195,6 @@ impl Drop for SchedFinishGuard {
     fn drop(&mut self) {
         self.sched.finish(self.slot);
     }
-}
-
-/// Resolve one guided decision: consume the forced prefix while it
-/// lasts (skipping, and counting, forced values that are not enabled),
-/// fall back to the deterministic default past it, and record the
-/// decision in the guide's log.
-fn guided_choice(
-    guide: &Guide,
-    pos: &mut usize,
-    enabled: &[usize],
-    default: usize,
-    kind: DecisionKind,
-    trace_pos: usize,
-) -> usize {
-    let idx = *pos;
-    *pos += 1;
-    let mut chosen = default;
-    if let Some(&forced) = guide.prefix.get(idx) {
-        if enabled.contains(&forced) {
-            chosen = forced;
-        } else {
-            guide.log.mark_divergence();
-        }
-    }
-    guide.log.push(DecisionRecord {
-        kind,
-        enabled: enabled.to_vec(),
-        chosen,
-        trace_pos,
-    });
-    chosen
 }
 
 thread_local! {

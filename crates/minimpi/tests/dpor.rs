@@ -106,6 +106,25 @@ fn systematic_explores_strictly_fewer_schedules_than_exhaustive() {
         dpor.stats
     );
     assert!(dpor.stats.pruning_ratio() > 0.0);
+    // The exact counts: a change that moves one is a change to the
+    // search, not to its bookkeeping.
+    for (stats, want) in [
+        (&dpor.stats, [1, 0, 8, 0]),
+        (&exhaustive.stats, [44, 6, 0, 6]),
+    ] {
+        let got = [
+            stats.schedules_explored,
+            stats.pruned_by_sleep_set,
+            stats.pruned_independent,
+            stats.max_backtrack_depth,
+        ];
+        assert_eq!(got, want, "{stats:?}");
+        assert_eq!(
+            (stats.divergent_runs, stats.shrink_runs),
+            (0, 0),
+            "{stats:?}"
+        );
+    }
 }
 
 #[test]

@@ -7,8 +7,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use minimpi::sched::{DecisionKind, DecisionRecord, Event};
 use minimpi::{
-    Checker, FaultHandle, LivenessSpec, SchedPolicy, Trace, TraceCell, World, WorldBuilder,
+    Checker, FaultHandle, Guide, LivenessSpec, SchedPolicy, Trace, TraceCell, World, WorldBuilder,
 };
 
 /// Run a small mixed workload (p2p + ANY_SOURCE + collectives) under a
@@ -117,6 +118,98 @@ fn replay_divergence_is_detected() {
     .expect_err("divergent replay must panic");
     let msg = minimpi::sched::panic_text(&*err);
     assert!(msg.contains("replay diverged"), "got: {msg}");
+}
+
+/// A fan-in on `size` ranks under `policy`, counting rank 0's
+/// completed matches into `matched`: (the panic text, if any, and the
+/// trace the world deposited).
+fn fanin_under(
+    size: usize,
+    policy: SchedPolicy,
+    matched: &Arc<AtomicUsize>,
+) -> (Option<String>, Trace) {
+    let cell = TraceCell::new();
+    let counter = Arc::clone(matched);
+    let run = std::panic::catch_unwind(|| {
+        WorldBuilder::new(size)
+            .sched(policy)
+            .trace_cell(&cell)
+            .run(move |comm| {
+                if comm.rank() == 0 {
+                    for _ in 1..comm.size() {
+                        let _: (usize, u64) = comm.recv_any(7);
+                        counter.fetch_add(1, Ordering::SeqCst);
+                    }
+                } else {
+                    comm.send(0, 7, comm.rank() as u64);
+                }
+            })
+    });
+    let msg = run.err().map(|err| minimpi::sched::panic_text(&*err));
+    (msg, cell.take().expect("trace deposited"))
+}
+
+/// Replay a 3-rank fan-in recorded under the guided default schedule,
+/// with the event of the first decision `edit` returns a replacement
+/// for swapped out. The replay must abort at that event, naming the
+/// recorded event and the decision's enabled values, and the deciding
+/// rank must panic there: nothing is recorded past it, and rank 0
+/// completed only the matches recorded before it.
+fn diverge_at_one_decision(edit: impl Fn(&DecisionRecord, &Event) -> Option<Event>) {
+    let guide = Guide::new(Vec::new());
+    let log = guide.log();
+    let (msg, mut trace) = fanin_under(3, SchedPolicy::Guided(guide), &Arc::default());
+    assert_eq!(msg, None, "the recorded run is clean");
+    let (records, _) = log.take();
+    let (record, event) = records
+        .iter()
+        .find_map(|r| Some((r, edit(r, &trace.events[r.trace_pos])?)))
+        .expect("the fan-in has a decision to edit");
+    let at = record.trace_pos;
+    trace.events[at] = event.clone();
+
+    let matched = Arc::new(AtomicUsize::new(0));
+    let (msg, replayed) = fanin_under(3, SchedPolicy::Replay(trace.clone()), &matched);
+    let msg = msg.expect("a divergent replay aborts");
+    assert!(
+        msg.contains(&format!("replay diverged at event {at}")),
+        "got: {msg}"
+    );
+    assert!(msg.contains(&format!("[{event}]")), "got: {msg}");
+    assert!(msg.contains(&format!("{:?}", record.enabled)), "got: {msg}");
+    assert!(replayed.events.len() <= at + 1, "recorded past event {at}");
+    assert_eq!(replayed.events[..at], trace.events[..at]);
+    let before = trace.events[..at]
+        .iter()
+        .filter(|e| matches!(e, Event::Match { .. }));
+    assert_eq!(matched.load(Ordering::SeqCst), before.count());
+}
+
+#[test]
+fn replay_divergence_at_a_run_decision() {
+    // A run decision made while rank 0 is blocked in its fan-in, edited
+    // to grant a slot that is not runnable.
+    diverge_at_one_decision(|r, _| {
+        let idle = (0..3).find(|slot| !r.enabled.contains(slot))?;
+        (r.kind == DecisionKind::Run).then_some(Event::Run { slot: idle })
+    });
+}
+
+#[test]
+fn replay_divergence_at_a_match_decision() {
+    // A match decision edited to name a source with no matching
+    // envelope in the mailbox.
+    diverge_at_one_decision(|r, event| {
+        let absent = (1..3).find(|src| !r.enabled.contains(src))?;
+        let &Event::Match { slot, tag, .. } = event else {
+            return None;
+        };
+        Some(Event::Match {
+            slot,
+            src: absent,
+            tag,
+        })
+    });
 }
 
 #[test]
@@ -390,4 +483,133 @@ fn wtime_is_deterministic_under_seeds() {
             })
     };
     assert_eq!(stamps(4), stamps(4), "virtual wtime must be reproducible");
+}
+
+/// FNV-1a (64-bit) of `text`: a digest that is the same on every
+/// platform and build.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The pinned workload: an `ANY_SOURCE` fan-in, allreduce, bcast,
+/// barrier, gather, allgather, and one `ANY_SOURCE` pair.
+fn pinned_workload(comm: &minimpi::Comm) -> u64 {
+    let (rank, size) = (comm.rank(), comm.size());
+    let mut got = 0u64;
+    if rank == 0 {
+        for _ in 1..size {
+            let (src, v): (usize, u64) = comm.recv_any(31);
+            assert_eq!(v, src as u64 * 5);
+            got += v;
+        }
+    } else {
+        comm.send(0, 31, rank as u64 * 5);
+    }
+    let total = comm.allreduce_scalar(rank as u64, |a, b| a + b);
+    let root = size - 1;
+    let b = comm.bcast(root, (rank == root).then_some(total * 2));
+    comm.barrier();
+    let gathered = comm.gather(0, rank as u64).map_or(0, |g| g.iter().sum());
+    let all: u64 = comm.allgather(rank as u64 + b).iter().sum();
+    if rank == 1 {
+        comm.send(0, 32, all);
+    } else if rank == 0 {
+        let echo: u64 = comm.recv(minimpi::ANY_SOURCE, 32);
+        assert_eq!(echo, all);
+    }
+    got + gathered + all
+}
+
+/// A schedule is part of the program's behaviour: a seeded trace, a
+/// deadlock report, a guided run's decision log and the checker's
+/// verdict on the planted fan-in bug must read the same at every
+/// commit that does not mean to change them. Each row is the FNV-1a
+/// digest of those texts, in order.
+#[test]
+fn seeded_schedules_are_pinned() {
+    let mut rows = Vec::new();
+    for size in [2, 3, 6] {
+        let mut text = String::new();
+        for seed in 0..40 {
+            let cell = TraceCell::new();
+            WorldBuilder::new(size)
+                .sched(SchedPolicy::Seeded(seed))
+                .trace_cell(&cell)
+                .run(pinned_workload);
+            text += &cell.take().expect("trace deposited").to_json();
+            text.push('\n');
+        }
+        rows.push(fnv1a(&text));
+    }
+
+    let mut text = String::new();
+    for seed in 0..40 {
+        let cell = TraceCell::new();
+        let err = std::panic::catch_unwind(|| {
+            WorldBuilder::new(3)
+                .sched(SchedPolicy::Seeded(seed))
+                .trace_cell(&cell)
+                .run(|comm| {
+                    // Rank 2 answers only one of rank 0's two receives.
+                    if comm.rank() == 0 {
+                        comm.send(1, 9, 1u32);
+                        let _: (usize, u32) = comm.recv_any(9);
+                        let _: u32 = comm.recv(2, 9);
+                    } else if comm.rank() == 1 {
+                        let _: u32 = comm.recv(0, 9);
+                        comm.send(0, 9, 2u32);
+                        let _: u32 = comm.recv(2, 9);
+                    } else {
+                        comm.send(0, 9, 3u32);
+                    }
+                })
+        })
+        .expect_err("rank 2 sends once: the world deadlocks");
+        text += &minimpi::sched::panic_text(&*err);
+        text += &cell.take().expect("trace deposited").to_json();
+        text.push('\n');
+    }
+    rows.push(fnv1a(&text));
+
+    let mut text = String::new();
+    for prefix in [vec![], vec![1], vec![2, 0], vec![0, 2, 1, 1]] {
+        let guide = Guide::new(prefix);
+        let log = guide.log();
+        let cell = TraceCell::new();
+        WorldBuilder::new(3)
+            .sched(SchedPolicy::Guided(guide))
+            .trace_cell(&cell)
+            .run(pinned_workload);
+        text += &format!("{:?}", log.take());
+        text += &cell.take().expect("trace deposited").to_json();
+        text.push('\n');
+    }
+    rows.push(fnv1a(&text));
+
+    let mut text = String::new();
+    for size in [3, 6] {
+        let report = Checker::new()
+            .max_schedules(8)
+            .run(size, rank_order_assuming_fanin);
+        let failure = report.failure.expect("the planted bug is found");
+        text += &format!("{:?} {:?}", failure.prefix, report.stats);
+        text += &failure.trace.to_json();
+        text.push('\n');
+    }
+    rows.push(fnv1a(&text));
+
+    assert_eq!(
+        rows,
+        [
+            0x449f_e9b8_7f79_d9fd,
+            0xeb68_ba19_6584_b733,
+            0x8c68_e890_2ff6_fd36,
+            0x9b67_ebfa_34fd_0386,
+            0x0dff_4d62_7553_8dea,
+            0x2bba_1a76_ba33_1001,
+        ],
+        "{rows:#x?}"
+    );
 }

@@ -34,9 +34,6 @@ minimpi CheckReport run_with
 minimpi CheckStats CheckReport
 minimpi CheckFailure CheckReport
 minimpi DecisionLog log
-minimpi DecisionRecord take
-minimpi DecisionKind DecisionRecord
-minimpi Event Trace
 oscillator ParseError parse_deck
 probe SpanStat Snapshot
 probe CounterStat Snapshot
@@ -137,6 +134,36 @@ if grep -rnE 'run_watchdog|rank-watchdog|DEFAULT_WATCHDOG_GRACE|\.watchdog\(' cr
     echo "tier1: a wall-clock deadlock watchdog is back" >&2
     exit 1
 fi
+
+echo "==> one decision source"
+# Under a deterministic policy every schedule decision (which rank runs,
+# which sender an ANY_SOURCE receive matches) is made by the one
+# Sched::decide in crates/minimpi/src/sched.rs, from the policy's one
+# source: a seeded draw, a replayed choice or a guided prefix. Under
+# replay one emit checks every event against the recording. A second
+# chooser (guided_choice, a free-running Mode::Os arm that cannot be
+# reached), a second RNG draw or a second divergence formatter is a
+# second decision source back.
+sched_src=$(awk '/#\[cfg\(test\)\]/{exit} {sub(/\/\/.*/, ""); print FILENAME ":" FNR ": " $0}' \
+    crates/minimpi/src/sched.rs)
+if grep -E 'fn guided_choice\b|Mode::Os\b' <<<"$sched_src" ||
+    awk '/enum Mode \{/{on = 1} on && /^[^:]*:[0-9]+: *Os([^A-Za-z0-9_]|$)/ {print; found = 1} on && /: }$/{on = 0}
+        END {exit !found}' <<<"$sched_src"; then
+    echo "tier1: crates/minimpi/src/sched.rs has guided_choice or a Mode::Os again" >&2
+    exit 1
+fi
+decide_fns=$(grep -cE '\bfn decide\b' <<<"$sched_src" || true)
+if [ "$decide_fns" -ne 1 ]; then
+    echo "tier1: crates/minimpi/src/sched.rs has $decide_fns fn decide, expected 1" >&2
+    exit 1
+fi
+for what in 'gen_range' 'divergence_message|replay diverged'; do
+    if [ "$(grep -cE "$what" <<<"$sched_src" || true)" -gt 1 ]; then
+        grep -E "$what" <<<"$sched_src" >&2
+        echo "tier1: crates/minimpi/src/sched.rs has \`$what\` more than once" >&2
+        exit 1
+    fi
+done
 
 echo "==> one way to read a structured leaf"
 # Consumers read leaves through DataSet::structured / leaf_views; a

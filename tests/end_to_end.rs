@@ -984,6 +984,36 @@ fn a_blocking_receive_allocates_nothing() {
     assert_eq!(windows[1], [(1, (0, 0)), (2, (0, 0)), (3, (0, 0))]);
 }
 
+/// A match decision allocates nothing: under a deterministic policy an
+/// `ANY_SOURCE` receive chooses among its candidate senders in a buffer
+/// the world keeps, so a rank's heap calls do not follow the
+/// interleaving. Rank 0 of 4 takes a round of three `recv_any` to warm
+/// up, then a second round reads 0 heap calls, seeded and free-running.
+#[test]
+fn a_match_decision_allocates_nothing() {
+    use minimpi::{SchedPolicy, WorldBuilder};
+    for policy in [SchedPolicy::Seeded(3), SchedPolicy::Os] {
+        let calls = WorldBuilder::new(4).sched(policy.clone()).run(|comm| {
+            let mut calls = 0;
+            for round in 0..2u64 {
+                if comm.rank() == 0 {
+                    let before = probe::alloc::allocations();
+                    for _ in 1..comm.size() {
+                        let (_, v): (usize, u64) = comm.recv_any(5);
+                        assert_eq!(v, round);
+                    }
+                    calls = probe::alloc::allocations() - before;
+                } else {
+                    comm.send(0, 5, round);
+                }
+                comm.barrier();
+            }
+            calls
+        });
+        assert_eq!(calls[0], 0, "{policy:?}: heap calls in three warm recv_any");
+    }
+}
+
 /// The benchmark's input at seed 2016, the text its generator hands the
 /// program: two wide oscillators, whose support covers the domain, then
 /// seven narrow ones, each followed by its point reflection through the
