@@ -269,7 +269,7 @@ impl Framebuffer {
     /// Widen the drawn rectangle by `cols` × `rows`, clipped to the
     /// image by the caller: a rasterizer marks its box inside the rows
     /// held once and then writes inside it with [`Framebuffer::plot`]
-    /// or [`Framebuffer::fill_span`].
+    /// or [`Framebuffer::fill_rows`].
     pub(crate) fn mark(&mut self, cols: Range<usize>, rows: Range<usize>) {
         let rect = Rect::new(cols, rows);
         debug_assert!(rect.cols.end <= self.width && rect.rows.end <= self.height);
@@ -298,18 +298,35 @@ impl Framebuffer {
         }
     }
 
-    /// [`Framebuffer::plot`] along the columns `cols` of row `y`.
-    pub(crate) fn fill_span(&mut self, y: usize, cols: Range<usize>, z: f32, c: Color) {
-        debug_assert!(Rect::new(cols.clone(), y..y + 1).union(&self.drawn) == self.drawn);
-        let at = self.at(cols.start, y);
-        let at = at..at + cols.len();
-        let rgb = [c.r, c.g, c.b];
-        for (color, depth) in self.color[at.clone()].iter_mut().zip(&mut self.depth[at]) {
-            if z < *depth {
-                *depth = z;
-                *color = rgb;
-            }
+    /// Fill `rows` (not empty, clear where filled, marked) with `spans`
+    /// of colour at depth `z`, left to right, in the first row and by copy
+    /// in the others, with no depth test. Returns the rows copied.
+    pub(crate) fn fill_rows(
+        &mut self,
+        rows: Range<usize>,
+        z: f32,
+        spans: impl Iterator<Item = (Range<usize>, [u8; 3])>,
+    ) -> usize {
+        let mut filled: Option<Range<usize>> = None;
+        for (cols, rgb) in spans.filter(|(cols, _)| !cols.is_empty()) {
+            let at = self.at(cols.start, rows.start);
+            debug_assert!(self.depth[at..at + cols.len()].iter().all(|&d| !covered(d)));
+            self.color[at..at + cols.len()].fill(rgb);
+            self.depth[at..at + cols.len()].fill(z);
+            filled = Some(filled.map_or(cols.start, |f| f.start)..cols.end);
         }
+        let Some(filled) = filled else {
+            return 0;
+        };
+        debug_assert!(Rect::new(filled.clone(), rows.clone()).union(&self.drawn) == self.drawn);
+        let (from, n) = (self.at(filled.start, rows.start), filled.len());
+        for y in rows.start + 1..rows.end {
+            let to = self.at(filled.start, y);
+            debug_assert!(self.depth[to..to + n].iter().all(|&d| !covered(d)));
+            self.color.copy_within(from..from + n, to);
+            self.depth.copy_within(from..from + n, to);
+        }
+        rows.len() - 1
     }
 
     /// Read a pixel of the rectangle held: opaque where it is covered,
@@ -497,8 +514,8 @@ mod tests {
         let cols = cols.start.min(fb.width)..cols.end.min(fb.width);
         let rows = overlap(&rows, &fb.rows());
         fb.mark(cols.clone(), rows.clone());
-        for y in rows {
-            fb.fill_span(y, cols.clone(), 0.5, c);
+        if !rows.is_empty() {
+            fb.fill_rows(rows, 0.5, std::iter::once((cols, [c.r, c.g, c.b])));
         }
     }
 
@@ -750,7 +767,7 @@ mod tests {
         let mut fb = Framebuffer::new(9, 7);
         fb.mark(0..9, 0..7);
         for y in 0..7 {
-            fb.fill_span(y, 0..9, 0.5, Color::rgb(y as u8, 1, 2));
+            fb.fill_rows(y..y + 1, 0.5, std::iter::once((0..9, [y as u8, 1, 2])));
         }
         let mut s = strip(&fb, 2..5);
         assert_eq!((s.cols(), s.rows(), s.covered_pixels()), (0..9, 2..5, 27));
@@ -774,7 +791,7 @@ mod tests {
         World::run(1, |comm| {
             let mut fb = Framebuffer::new(4, 4);
             fb.mark(1..3, 1..4);
-            fb.fill_span(2, 1..3, 0.5, Color::WHITE);
+            fb.fill_rows(2..3, 0.5, std::iter::once((1..3, [255; 3])));
             fb.plot(1, 3, 0.5, Color::WHITE);
             assert_eq!(fb.covered_pixels(), 3);
             // A pixel outside the record is not the take's to clear.

@@ -6,9 +6,10 @@
 //! Each pipeline comes gathered ([`pseudocolor_slice`],
 //! [`shaded_isosurface`]: the image on rank 0) and as its plot alone
 //! (`slice_layer`, `isosurface_layer`: this rank's block over a range
-//! taken once per frame, prepared once and drawn into whatever rows the
-//! compositor asks for), which [`crate::scene::Scene`] composites up to
-//! where `composite::merge` stops and hands to
+//! taken once per frame, prepared once — a slice's cells coloured, a
+//! surface's triangles shaded and projected — and drawn into whatever
+//! rows the compositor asks for), which [`crate::scene::Scene`]
+//! composites up to where `composite::merge` stops and hands to
 //! [`crate::png::PngEncoder`]. Both go through the one merge.
 
 use datamodel::Extent;
@@ -20,7 +21,7 @@ use crate::composite::{gathered, Compositor, RowSource};
 use crate::framebuffer::{Framebuffer, Rect};
 use crate::isosurface::march;
 use crate::raster::{fill_triangle, triangle_box, Vertex};
-use crate::slice::{extract_plane, plane_box, render_plane, LocalSlice};
+use crate::slice::{locate_plane, Plane};
 
 /// Global `(min, max)` of a block-decomposed field: the one colour scale
 /// every rank has to share. Collective (one pair reduction); NaN-free
@@ -78,31 +79,29 @@ pub fn pseudocolor_slice(
     cfg: &SliceRender,
 ) -> Option<Framebuffer> {
     let range = global_range(comm, values);
-    let layer = slice_layer(local, global, values, cfg, range);
-    gathered(comm, &layer, (cfg.width, cfg.height), cfg.compositor)
+    let layer = slice_layer(comm, local, global, values, cfg, range);
+    let image = gathered(comm, &layer, (cfg.width, cfg.height), cfg.compositor);
+    if let Layer::Slice(plane) = layer {
+        plane.park(comm);
+    }
+    image
 }
 
 /// One rank's plot, prepared once a frame and drawn into any rectangle
 /// of the image: the compositor draws the rows a rank keeps into its
 /// frame, and each strip it gives away straight into the message just
 /// before it is sent (`composite::RowSource`).
-pub(crate) enum Layer<'a> {
+pub(crate) enum Layer {
     /// Nothing: the rank has no block, or its block misses the plot.
     Empty,
-    /// This rank's piece of a slice plane, each cell coloured as it is
-    /// drawn.
-    Slice {
-        piece: LocalSlice,
-        cmap: &'a Colormap,
-        range: (f64, f64),
-        drawn: Rect,
-    },
+    /// This rank's piece of a slice plane, its cells coloured.
+    Slice(Plane),
     /// Shaded triangles projected into the image, in drawing order, each
     /// with pixels of the image in its box.
     Triangles { tris: Vec<[Vertex; 3]>, drawn: Rect },
 }
 
-impl RowSource for Layer<'_> {
+impl RowSource for Layer {
     fn drawn(&self) -> &Rect {
         const NOTHING: &Rect = &Rect {
             cols: 0..0,
@@ -110,16 +109,15 @@ impl RowSource for Layer<'_> {
         };
         match self {
             Layer::Empty => NOTHING,
-            Layer::Slice { drawn, .. } | Layer::Triangles { drawn, .. } => drawn,
+            Layer::Slice(plane) => &plane.drawn,
+            Layer::Triangles { drawn, .. } => drawn,
         }
     }
 
     fn draw(&self, fb: &mut Framebuffer) {
         match self {
             Layer::Empty => {}
-            Layer::Slice {
-                piece, cmap, range, ..
-            } => render_plane(fb, piece, cmap, *range),
+            Layer::Slice(plane) => plane.draw(fb),
             Layer::Triangles { tris, .. } => {
                 for &[a, b, c] in tris {
                     fill_triangle(fb, a, b, c);
@@ -129,26 +127,24 @@ impl RowSource for Layer<'_> {
     }
 }
 
-/// This rank's part of [`pseudocolor_slice`], coloured over `range`:
-/// its piece of the plane, if its block meets it, and the rectangle the
-/// piece covers in the image.
-pub(crate) fn slice_layer<'a>(
+/// This rank's part of [`pseudocolor_slice`], coloured over `range`: its
+/// piece of the plane, if its block meets it, prepared from `values` in
+/// place into the tables `comm`'s pool keeps.
+pub(crate) fn slice_layer(
+    comm: &Comm,
     local: &Extent,
     global: &Extent,
     values: &[f64],
-    cfg: &'a SliceRender,
+    cfg: &SliceRender,
     range: (f64, f64),
-) -> Layer<'a> {
-    let Some(piece) = extract_plane(local, global, values, cfg.axis, cfg.global_index) else {
+) -> Layer {
+    let Some((piece, at)) = locate_plane(local, global, cfg.axis, cfg.global_index) else {
         return Layer::Empty;
     };
-    let drawn = plane_box(&piece, cfg.width, cfg.height);
-    Layer::Slice {
-        piece,
-        cmap: &cfg.cmap,
-        range,
-        drawn,
-    }
+    let mut plane: Plane = comm.spare().unwrap_or_default();
+    let value = |u, v| values[at(u, v)];
+    plane.prepare(&piece, value, &cfg.cmap, range, (cfg.width, cfg.height));
+    Layer::Slice(plane)
 }
 
 /// Configuration of a distributed isosurface render.
@@ -193,7 +189,7 @@ pub(crate) fn isosurface_layer(
     values: &[f64],
     cfg: &IsosurfaceRender,
     (glo, ghi): (f64, f64),
-) -> Layer<'static> {
+) -> Layer {
     let light = normalize([0.4, 0.5, -0.8]);
     let (mut tris, mut drawn) = (Vec::new(), Rect::default());
     for &iso in &cfg.isovalues {
@@ -332,8 +328,11 @@ mod tests {
             let range = global_range(comm, &vals);
             let kept = |cfg: &SliceRender| cfg.compositor.kept_rows(4, comm.rank(), cfg.height);
             let bands = |cfg: &SliceRender, mut fb: Framebuffer| {
-                let layer = slice_layer(&local, &global, &vals, cfg, range);
+                let layer = slice_layer(comm, &local, &global, &vals, cfg, range);
                 merge(comm, &mut fb, &layer, cfg.compositor);
+                if let Layer::Slice(plane) = layer {
+                    plane.park(comm);
+                }
                 fb
             };
             let taken = Framebuffer::take(comm, other.width, other.height, kept(&other));

@@ -1,6 +1,6 @@
 //! Z-buffered triangle rasterization with per-vertex color
-//! interpolation (Gouraud) — the software renderer under the slice and
-//! isosurface pipelines.
+//! interpolation (Gouraud) — the software renderer under the isosurface
+//! pipeline — and the pixel-centre rule a slice's cells are cut by.
 
 use std::ops::Range;
 
@@ -84,46 +84,14 @@ fn edge(a: Vertex, b: Vertex, x: f64, y: f64) -> f64 {
     (b.x - a.x) * (y - a.y) - (b.y - a.y) * (x - a.x)
 }
 
-/// Rasterize a filled axis-aligned rectangle of constant depth/color
-/// (fast path for structured slice cells): the pixels whose centre lies
-/// in `[x0, x1) × [y0, y1)`, which keeps adjacent rects seamless, filled
-/// one row span at a time in the pixels `fb` holds.
-pub(crate) fn fill_rect(
-    fb: &mut Framebuffer,
-    x0: f64,
-    y0: f64,
-    x1: f64,
-    y1: f64,
-    z: f32,
-    color: Color,
-) {
-    let (x0, x1) = (x0.min(x1), x0.max(x1));
-    let (y0, y1) = (y0.min(y1), y0.max(y1));
-    let cols = overlap(&centres_in(x0, x1, fb.width()), &fb.cols());
-    let rows = overlap(&centres_in(y0, y1, fb.height()), &fb.rows());
-    if cols.is_empty() {
-        return;
-    }
-    fb.mark(cols.clone(), rows.clone());
-    for py in rows {
-        fb.fill_span(py, cols.clone(), z, color);
-    }
-}
-
 /// The pixels `p < n` whose centre `p + 0.5` lies in `[a, b)`: a run,
 /// as the centre grows with `p`, found by testing its ends only.
 pub(crate) fn centres_in(a: f64, b: f64, n: usize) -> Range<usize> {
-    let inside = |p: usize| {
-        let c = p as f64 + 0.5;
-        c >= a && c < b
-    };
+    let inside = |p: usize| (a..b).contains(&(p as f64 + 0.5));
     let lo = (a.floor().max(0.0) as usize).min(n);
     let hi = (b.ceil().min(n as f64) as usize).max(lo);
     let start = (lo..hi).find(|&p| inside(p)).unwrap_or(hi);
-    let end = (start..hi)
-        .rev()
-        .find(|&p| inside(p))
-        .map_or(start, |p| p + 1);
+    let end = (start..hi).rfind(|&p| inside(p)).map_or(start, |p| p + 1);
     start..end
 }
 
@@ -197,49 +165,34 @@ mod tests {
     }
 
     #[test]
-    fn rect_fills_exact_cells_without_seams() {
-        let mut fb = Framebuffer::new(8, 8);
-        fill_rect(&mut fb, 0.0, 0.0, 4.0, 8.0, 0.5, Color::rgb(1, 1, 1));
-        fill_rect(&mut fb, 4.0, 0.0, 8.0, 8.0, 0.5, Color::rgb(2, 2, 2));
-        assert_eq!(fb.covered_pixels(), 64, "no gaps, no overdraw misses");
-        assert_eq!(fb.pixel(3, 0), Color::rgb(1, 1, 1));
-        assert_eq!(fb.pixel(4, 0), Color::rgb(2, 2, 2));
+    fn adjacent_runs_share_no_pixel_and_leave_no_gap() {
+        // Cells meeting at a shared edge split the pixels between them.
+        for edge in [4.0, 3.5, 3.25, 0.0, 8.0] {
+            let (left, right) = (centres_in(0.0, edge, 8), centres_in(edge, 8.0, 8));
+            assert_eq!(
+                (left.start, left.end, right.end),
+                (0, right.start, 8),
+                "{edge}"
+            );
+        }
     }
 
     #[test]
-    fn rect_spans_are_the_pixel_centre_test() {
+    fn runs_are_the_pixel_centre_test() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(7);
-        // Quarter-pixel corners, so centres land on edges too.
-        let mut coord = |hi: i64| rng.gen_range(-12..4 * hi + 12) as f64 / 4.0;
+        // Quarter-pixel ends, so centres land on them too, and ends off
+        // both sides of the image.
         for _ in 0..2000 {
-            let (x0, x1, y0, y1) = (coord(11), coord(11), coord(9), coord(9));
-            let mut fb = Framebuffer::new(11, 9);
-            fill_rect(&mut fb, x0, y0, x1, y1, 0.5, Color::WHITE);
-            let inside = |p: usize, a: f64, b: f64| {
-                let c = p as f64 + 0.5;
-                c >= a.min(b) && c < a.max(b)
-            };
-            let mut covered = Vec::new();
-            for py in 0..9 {
-                for px in 0..11 {
-                    let want = inside(px, x0, x1) && inside(py, y0, y1);
-                    assert_eq!(
-                        fb.pixel(px, py) == Color::WHITE,
-                        want,
-                        "{x0} {x1} {y0} {y1}"
-                    );
-                    if want {
-                        covered.push((px, py));
-                    }
-                }
-            }
-            // The drawn rectangle is exactly their bounding box.
-            let drawn = fb.drawn();
-            assert_eq!(drawn.pixels(), covered.len(), "{x0} {x1} {y0} {y1}");
-            assert!(covered
-                .iter()
-                .all(|(x, y)| drawn.cols.contains(x) && drawn.rows.contains(y)));
+            let n = rng.gen_range(1..12);
+            let mut end = || rng.gen_range(-12..4 * n as i64 + 12) as f64 / 4.0;
+            let (a, b) = (end(), end());
+            let inside: Vec<usize> = (0..n)
+                .filter(|&p| (a..b).contains(&(p as f64 + 0.5)))
+                .collect();
+            let run = centres_in(a, b, n);
+            assert_eq!(run.clone().collect::<Vec<_>>(), inside, "{a} {b} {n}");
+            assert!(run.end <= n, "{a} {b} {n}: {run:?}");
         }
     }
 
@@ -260,9 +213,10 @@ mod tests {
     }
 
     #[test]
-    fn rect_clips_to_framebuffer() {
-        let mut fb = Framebuffer::new(4, 4);
-        fill_rect(&mut fb, -5.0, -5.0, 100.0, 100.0, 0.5, Color::WHITE);
-        assert_eq!(fb.covered_pixels(), 16);
+    fn runs_clip_to_the_image() {
+        assert_eq!(centres_in(-5.0, 100.0, 4), 0..4);
+        assert_eq!(centres_in(-5.0, 0.75, 4), 0..1);
+        assert_eq!(centres_in(3.6, 100.0, 4), 4..4);
+        assert!(centres_in(-5.0, -1.0, 4).is_empty());
     }
 }

@@ -472,6 +472,45 @@ if awk '/#\[cfg\(test\)\]/{nextfile} {print FILENAME ":" FNR ": " $0}' \
     exit 1
 fi
 
+echo "==> a slice is coloured once a frame"
+# A slice is prepared once a frame: slice::Plane::prepare colours each
+# cell and finds the pixel columns and rows of each cell column and
+# row. A draw into a frame or a strip only fills memory, the first row
+# a row of cells holds span by span and copies of it in the others. A
+# colormap lookup or a Color in slice.rs's product code outside
+# prepare, the per-cell fill_rect, or a colour taken in the draw arm of
+# Layer::Slice recolours the cells for every strip again.
+slice_src=$(awk '/^#\[cfg\(test\)\]/{exit}
+        {sub(/\/\/.*/, "")}
+        !inside && /fn prepare\(/{inside = 1; indent = $0; sub(/[^ \t].*/, "", indent); next}
+        inside {if ($0 == indent "}") inside = 0; next}
+        {print FILENAME ":" FNR ": " $0}' crates/render/src/slice.rs)
+if grep -E 'map_range|Colormap::map|cmap\.map\(|\bColor\b' <<<"$slice_src"; then
+    echo "tier1: slice.rs colours a cell outside Plane::prepare" >&2
+    exit 1
+fi
+if awk '/^#\[cfg\(test\)\]/{nextfile} {sub(/\/\/.*/, ""); print FILENAME ":" FNR ": " $0}' \
+    crates/render/src/*.rs | grep -E '\bfill_rect\b'; then
+    echo "tier1: the per-cell fill_rect is back in crates/render/src" >&2
+    exit 1
+fi
+slice_arm=$(awk '/^#\[cfg\(test\)\]/{exit}
+        {sub(/\/\/.*/, "")}
+        /^impl RowSource for Layer \{/{in_impl = 1}
+        in_impl && /fn draw\(/{in_draw = 1}
+        in_draw && /Layer::Slice/{arm = 1}
+        in_draw && arm && /Layer::(Empty|Triangles)/{arm = 0}
+        arm {print FILENAME ":" FNR ": " $0}
+        in_impl && /^}/{in_impl = 0; in_draw = 0; arm = 0}' crates/render/src/pipeline.rs)
+if [ -z "$slice_arm" ]; then
+    echo "tier1: no Layer::Slice arm in pipeline.rs's RowSource::draw; point this leg at the slice's draw" >&2
+    exit 1
+fi
+if grep -E 'map_range|Colormap|cmap|prepare|render_plane' <<<"$slice_arm"; then
+    echo "tier1: Layer::Slice's draw arm colours the slice again" >&2
+    exit 1
+fi
+
 echo "==> one way to lend a buffer"
 # A buffer that goes to a peer and comes back — a compositing strip, a
 # staging step — is a minimpi loan (Comm::lend / give_back / reclaim),

@@ -165,14 +165,17 @@ fn both_infrastructures_render_same_run() {
 ///   frame: its chains (2 × 131 072), sliding buffer (98 565) and a
 ///   scanline (1 + 3 × 48);
 /// - the file, grown to its last power of two;
+/// - the slice's prepared plane, kept in the rank's pool for the next
+///   frame: a colour for each of its 63 × 63 cells (3 B) and a pixel
+///   range for each of its 63 cell columns and 63 cell rows (16 B);
 /// - the first keeps in the rank's pool: the pool's list of four
-///   entries, and per kept type (the encoder, 128 B, and the frame) a
-///   boxed list of four.
+///   entries, and per kept type (the plane, 120 B, the encoder, 128 B,
+///   and the frame) a boxed list of four.
 ///
-/// Its slice's plane (64 × 64 values) and colormap are freed before the
-/// encoder is built. Libsim draws its slice into Catalyst's parked
-/// frame, and peaks while the isosurface collects its triangles, after
-/// the slice's plane is freed: its second frame, 32 × 32 px at 7 B, the
+/// Its slice is coloured from the field in place, and its colormap is
+/// freed once the plane is prepared. Libsim prepares its slice in
+/// Catalyst's tables and draws it into Catalyst's parked frame, and
+/// peaks while the isosurface collects its triangles: its second frame, 32 × 32 px at 7 B, the
 /// isosurface's level and colormap (3 stops), and the triangle list at
 /// its last doubling, 72 B a triangle: the one term the field's values
 /// set, 2^13 triangles for this deck's 64³ field at level 0.9.
@@ -223,10 +226,12 @@ fn renderers_read_the_simulation_field_in_place() {
         let encoder = 2 * 131_072 + 98_565 + (1 + 3 * 48);
         let png = file.lock().as_ref().map_or(0, Vec::len).next_power_of_two();
         let kept = |t: usize| size_of::<Vec<u8>>() + 4 * t;
+        let plane = 63 * 63 * 3 + 2 * 63 * size_of::<std::ops::Range<usize>>();
         let pool = 4 * size_of::<Box<dyn std::any::Any + Send>>()
+            + kept(120)
             + kept(128)
             + kept(size_of::<render::Framebuffer>());
-        let catalyst = derived + 48 * 32 * 7 + encoder + png + pool;
+        let catalyst = derived + 48 * 32 * 7 + encoder + png + plane + pool;
         assert_eq!(rises[0], catalyst, "Catalyst against a {payload} B field");
         let level = size_of::<f64>() + 3 * size_of::<(f64, render::Color)>();
         let triangle = size_of::<[render::raster::Vertex; 3]>();
@@ -455,17 +460,17 @@ fn steady_state_render_step_allocates_no_catalyst_frame() {
 /// its last power of two: 1 184 − the envelope of the rows rank 1 sent
 /// it (24) + the list of them (160) + the file. Rank 1 writes no file;
 /// it peaks once Libsim's leaf has lent both strips: 1 184 + the 135
-/// Catalyst rows it sends rank 0 (135 × 1 441) in a 24 B envelope +
-/// Libsim's colormap (80) and plane values (1 024), which its strips
-/// are drawn from as they go out, + the two strips' 128 B envelopes
-/// (a strip is a framebuffer of the pixels it holds: image size,
-/// columns, rows, colour, depth and drawn rectangle; 96 B, and 64 B
-/// less a step, while it was a patch copied out of a strip buffer).
-/// (While the leaf drew its whole image first, the plane was freed
-/// before the strips went out, and rank 1 rose 192 B less.)
+/// Catalyst rows it sends rank 0 (135 × 1 441) in a 24 B envelope + the
+/// two strips' 128 B envelopes (a strip is a framebuffer of the pixels
+/// it holds: image size, columns, rows, colour, depth and drawn
+/// rectangle). Libsim's slice is coloured from the field in place, into
+/// the tables the rank's pool keeps, and its colormap's clone is freed
+/// before the strips go out. (While the strips were drawn from a copy
+/// of the plane's values, the copy (1 024) and the colormap (80) were
+/// held until they had gone out, and rank 1 rose 1 104 B more.)
 ///
 /// The heap calls are exact, and listed by site. Before their first
-/// pixel, the two analyses make 11 on each rank:
+/// pixel, the two analyses make 9 on each rank:
 /// - the step's field, 6, derived for Catalyst and shared with Libsim:
 ///   the field's `DataArray::shared` and its name (2), the point-data
 ///   slot (1), the field's name as the step's key (1), `leaf_views`'
@@ -475,18 +480,19 @@ fn steady_state_render_step_allocates_no_catalyst_frame() {
 /// - `global_range`, 1, once: the envelope of its pair (rank 1's
 ///   reduce, rank 0's broadcast); Libsim reuses the range;
 /// - `Scene::frame`, 1 a frame: the slice's colormap, cloned into its
-///   config;
-/// - `extract_plane`, 1 a frame: the plane's values.
+///   config. The slice is coloured from the field in place, into the
+///   tables the rank's pool keeps (while `extract_plane` copied each
+///   frame's plane values first, 1 more a frame: 24 / 17 calls).
 ///
 /// A strip is ⌊32 Ki / 480⌋ = 68 Catalyst rows or 128 Libsim rows, so
 /// each swap half (135 rows) and the tree child's image (256 rows)
 /// travel as 2 strips, in buffers that circulate: each message is its
-/// envelope alone. Beyond the 11, rank 1 makes 6 more, to 17:
+/// envelope alone. Beyond the 9, rank 1 makes 6 more, to 15:
 /// - Catalyst's swap strips, 2;
 /// - Catalyst's scanlines for rank 0's band, 2: the lines, envelope;
 /// - Libsim's strips up the tree, 2.
 ///
-/// Rank 0 makes 13 more, to 24, plus each file's growth:
+/// Rank 0 makes 13 more, to 22, plus each file's growth:
 /// - Catalyst's swap strips, 2;
 /// - Libsim's strips given back to rank 1, 2;
 /// - Catalyst's list of the rows rank 1 sent, 1;
@@ -502,7 +508,7 @@ fn steady_state_render_step_allocates_no_catalyst_frame() {
 fn steady_state_render_step_allocates_no_framebuffer() {
     const STEPS: usize = 5;
     const WARM_UP: usize = 2;
-    const CALLS: [u64; 2] = [24, 17];
+    const CALLS: [u64; 2] = [22, 15];
     let d = deck();
     let rounds = World::run(2, move |comm| {
         let cfg = SimConfig {
@@ -548,7 +554,7 @@ fn steady_state_render_step_allocates_no_framebuffer() {
             let want = if rank == 0 {
                 field - 24 + 160 + cat.next_power_of_two()
             } else {
-                field + lines + 24 + 80 + 16 * 8 * 8 + 2 * 128
+                field + lines + 24 + 2 * 128
             };
             assert_eq!(
                 rise, want,
@@ -663,7 +669,10 @@ fn warm_libsim_calls(plots: &'static str) -> Vec<u64> {
 ///   the frame holds the rank's spare while the plot is drawn; rank 1,
 ///   a leaf, keeps no rows and takes none, and draws the plot's strips
 ///   into the strip buffer its first plot left in its pool;
-/// - its colormap, cloned into its config, 1; its plane's values, 1;
+/// - its colormap, cloned into its config, 1; its cells are coloured
+///   straight from the field into the tables the first plot left in the
+///   rank's pool (while its plane's values were copied out first, 1
+///   more);
 /// - its strips up the tree, 2 envelopes on rank 1, and their returns,
 ///   2 on rank 0.
 ///
@@ -677,7 +686,7 @@ fn a_later_plot_is_merged_in_place() {
     let two = warm_libsim_calls(
         "plot pseudocolor data axis=z index=8\nplot pseudocolor data axis=x index=8\n",
     );
-    assert_eq!([two[0] - one[0], two[1] - one[1]], [6, 4]);
+    assert_eq!([two[0] - one[0], two[1] - one[1]], [5, 3]);
 }
 
 /// Counts, not clocks: what a render step puts on the wire at 2 ranks.
@@ -828,6 +837,117 @@ fn render_junctions_meet_inside_the_join_span() {
     ];
     assert_eq!(ranks[1], want, "junctions, tokens, bytes re-parsed a file");
     assert!(want.iter().all(|&[_, _, bytes]| bytes < JOIN_SPAN));
+}
+
+/// The pixel rows draws of the image rows `draws` copy, in an image
+/// `h` rows high of a plane of `cells` rows of cells, v up: a draw fills
+/// the first row it holds of each row of cells it meets and copies it
+/// into the others (a pixel row belongs to the row of cells its centre
+/// lies in, `Placement::rows`' edges restated).
+fn rows_copied(h: usize, cells: usize, draws: &[std::ops::Range<usize>]) -> u64 {
+    let sy = h as f64 / cells as f64;
+    let cell_of = |y: usize| {
+        let c = y as f64 + 0.5;
+        (0..cells).find(|&v| c >= h as f64 - (v as f64 + 1.0) * sy && c < h as f64 - v as f64 * sy)
+    };
+    let met = |rows: &std::ops::Range<usize>| {
+        let mut met: Vec<_> = rows.clone().filter_map(cell_of).collect();
+        met.dedup();
+        met.len()
+    };
+    draws
+        .iter()
+        .map(|rows| (rows.len() - met(rows)) as u64)
+        .sum()
+}
+
+/// Counts, not clocks: a slice's cells are coloured once a frame, and a
+/// draw only fills memory. At `render-insitu`'s shape (2 ranks, z mid-
+/// plane) and at 64³, `render/draw` counts each slice plot's draws
+/// (calls), the cells its preparation coloured (messages) and the pixel
+/// rows its draws copied (bytes), once a plot a frame. The field splits
+/// along x at its middle point, so rank 0's piece is 32 × 63 cells at
+/// 64³ (64 × 127 at 128³) and rank 1's 31 × 63 (63 × 127); each is
+/// coloured once in Catalyst's frame and once in Libsim's. Catalyst's
+/// binary swap draws a rank's kept half as one frame and the half it
+/// gives away as ⌈540 / 17⌉ = 32 strips; Libsim's root draws its whole
+/// frame once and its leaf lends ⌈1024 / 32⌉ = 32 strips. Every other
+/// pixel row a draw holds of a row of cells is a copy.
+///
+/// The per-cell draw this replaced coloured every cell of a row of
+/// cells again in each draw that met it, as an instrumented copy of it
+/// read and the rule restates: at 64³, rank 0 coloured 3 040 cells a
+/// Catalyst frame (32 cells × 95 rows of cells met over its 33 draws)
+/// and 2 016 a Libsim frame, rank 1 2 852 (31 × 92) and 2 914 (31 × 94);
+/// at 128³, rank 0 10 176 (64 × 159) and 8 128, rank 1 8 064 (63 × 128)
+/// and 9 828 (63 × 156).
+#[test]
+fn a_slice_is_coloured_once_a_frame() {
+    let per_cell_draw = [
+        [[3_040, 2_016], [2_852, 2_914]],
+        [[10_176, 8_128], [8_064, 9_828]],
+    ];
+    let shapes = [(64, [32 * 63, 31 * 63]), (128, [64 * 127, 63 * 127])];
+    for ((grid, cells), per_cell_draw) in shapes.into_iter().zip(per_cell_draw) {
+        let d = deck();
+        let ranks = World::run(2, move |comm| {
+            use sensei::AnalysisAdaptor;
+            comm.attach_probe(probe::enabled());
+            let (mut sim, mut catalyst, mut libsim) = render_pair(comm, &d, grid);
+            let drawn = || {
+                let snapshot = comm.probe().snapshot();
+                let c = snapshot.counters.iter().find(|c| c.name == "render/draw");
+                c.map_or([0; 3], |c| [c.calls, c.messages, c.bytes])
+            };
+            let mut frames = Vec::new();
+            for _ in 0..2 {
+                sim.step(comm);
+                let data = OscillatorAdaptor::new(&sim);
+                let analyses: [&mut dyn AnalysisAdaptor; 2] = [&mut catalyst, &mut libsim];
+                for analysis in analyses {
+                    let before = drawn();
+                    analysis.execute(&data, comm);
+                    let after = drawn();
+                    frames.push([0, 1, 2].map(|k| after[k] - before[k]));
+                }
+            }
+            frames
+        });
+        assert_eq!(
+            (cells[0] + cells[1]) as usize,
+            (grid - 1) * (grid - 1),
+            "the plane's cells"
+        );
+        let strips = |rows: std::ops::Range<usize>, step: usize| {
+            rows.clone()
+                .step_by(step)
+                .map(move |y| y..(y + step).min(rows.end))
+        };
+        for (rank, frames) in ranks.iter().enumerate() {
+            let (kept, given) = if rank == 0 {
+                (0..540, 540..1080)
+            } else {
+                (540..1080, 0..540)
+            };
+            let catalyst: Vec<_> = std::iter::once(kept).chain(strips(given, 17)).collect();
+            // The tree's root draws its frame whole, its leaf in strips.
+            let libsim: Vec<_> = strips(0..1024, if rank == 0 { 1024 } else { 32 }).collect();
+            let want = [
+                [33, cells[rank], rows_copied(1080, grid - 1, &catalyst)],
+                [
+                    libsim.len() as u64,
+                    cells[rank],
+                    rows_copied(1024, grid - 1, &libsim),
+                ],
+            ];
+            assert_eq!(frames[..], [want, want].concat(), "{grid}³ rank {rank}");
+            // Each row a draw holds was filled or copied, so the rows of
+            // cells the draws met are the rows less the copies.
+            let row_cells = cells[rank] / (grid as u64 - 1);
+            let met = [(1080, want[0][2]), (1024, want[1][2])].map(|(h, copied)| h - copied);
+            assert_eq!(met.map(|m| m * row_cells), per_cell_draw[rank]);
+        }
+    }
 }
 
 /// The autocorrelation's memory is the paper's two `O(t·N³)` buffers and
