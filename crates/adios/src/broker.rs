@@ -26,6 +26,6 @@ impl StagingBroker {
 
     /// Publish one received step: there is no subscriber to deliver
     /// it to, so nothing is copied and no heap call made
-    /// (`tests/end_to_end.rs` counts a staging round's).
+    /// (`tests/golden/counts.tsv` counts a staging round's).
     pub fn publish_step(&self, _step: &BpStep) {}
 }

@@ -11,9 +11,7 @@
 //! The buffers circulate: the step, blocks and all, is a loan the
 //! endpoint gives back, and the endpoint loop releases each round's
 //! adaptor before `end_step`, so the writer marshals the next step into
-//! the blocks nothing holds any more. Both sides report their
-//! heap calls a step as the `mem/allocs` counter when a probe is
-//! attached.
+//! the blocks nothing holds any more.
 
 use datamodel::{DataSet, Extent, ImageData, MultiBlock};
 use minimpi::Comm;
@@ -199,7 +197,6 @@ impl AnalysisAdaptor for AdiosWriterAnalysis {
 
     fn execute(&mut self, data: &dyn DataAdaptor, comm: &Comm) -> Steering {
         let probe = comm.probe();
-        let calls = probe::alloc::allocations();
         let was_refused = self.writer.refused().is_some();
         let advance = self.writer.advance(comm);
         self.report_refusal(was_refused);
@@ -225,13 +222,12 @@ impl AnalysisAdaptor for AdiosWriterAnalysis {
         let write = (probe::time::now_seconds() - t0).max(0.0);
         self.write_seconds += write;
         // Fig. 8's decomposition as observability spans, plus the bytes
-        // this rank put on the staging wire and its heap calls.
+        // this rank put on the staging wire.
         probe.record_span("per-step/adios-flexpath/advance", advance);
         probe.record_span("per-step/adios-flexpath/write", write);
         if probe.is_enabled() {
             probe.message("staging/on_wire", shipped as u64);
         }
-        record_allocs(&probe, calls);
         Steering::Continue
     }
 
@@ -243,17 +239,6 @@ impl AnalysisAdaptor for AdiosWriterAnalysis {
 
     fn take_failures(&mut self) -> Vec<String> {
         std::mem::take(&mut self.failures)
-    }
-}
-
-/// Count this thread's heap calls since `since` as one step of the
-/// `mem/allocs` counter (calls = steps, messages = heap calls). Skipped
-/// where no tracking allocator counts, and on virtual-time ranks, whose
-/// reports must be byte-stable.
-fn record_allocs(probe: &probe::Probe, since: u64) {
-    let now = probe::alloc::allocations();
-    if probe.is_enabled() && now > 0 && !probe::time::is_virtual() {
-        probe.bulk("mem/allocs", 1, now - since, 0);
     }
 }
 
@@ -285,7 +270,6 @@ pub fn run_endpoint_with_broker(
         bridge.register(a);
     }
     loop {
-        let calls = probe::alloc::allocations();
         let steps = reader.begin_step(world);
         // Every endpoint must agree on whether a round happens, because
         // the analyses are collective over `sub`. All writers advance in
@@ -315,7 +299,6 @@ pub fn run_endpoint_with_broker(
         // adaptor's shares first.
         drop(adaptor);
         reader.end_step(world, steps);
-        record_allocs(&probe, calls);
     }
     for lost in reader.dead_writers() {
         bridge.record_failure(lost.clone());

@@ -13,9 +13,8 @@
 //! DEFLATE parse, chunk framing), which a round-trip test cannot see.
 //! When the
 //! change is intentional, regenerate the goldens with
-//! `scripts/regen_golden_render.sh` (equivalently
-//! `GOLDEN_REGEN=1 cargo test --test golden_render`) and commit the
-//! diff.
+//! `scripts/regen_goldens.sh` (which runs this test and `tests/counts.rs`
+//! with `GOLDEN_REGEN=1`) and commit the diff.
 
 use minimpi::{SchedPolicy, WorldBuilder};
 use oscillator::{demo_oscillators, osc::format_deck, OscillatorAdaptor, SimConfig, Simulation};
@@ -204,7 +203,7 @@ fn rendered_images_match_checked_in_digests() {
     }
     let json = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
-            "cannot read {} ({e}); run scripts/regen_golden_render.sh to create it",
+            "cannot read {} ({e}); run scripts/regen_goldens.sh to create it",
             path.display()
         )
     });
@@ -212,7 +211,7 @@ fn rendered_images_match_checked_in_digests() {
         assert_eq!(
             digest,
             parse_digest(&json, key),
-            "{key} changed; if intentional, run scripts/regen_golden_render.sh"
+            "{key} changed; if intentional, run scripts/regen_goldens.sh"
         );
     }
 }
