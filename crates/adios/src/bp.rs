@@ -15,6 +15,7 @@
 //! writer filled is the one the analysis mesh reads.
 
 use datamodel::{AccessError, DataArray, MemorySpace, ScalarType};
+use minimpi::Wire;
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::Arc;
@@ -62,6 +63,15 @@ macro_rules! payload_types {
         #[derive(Clone, Debug, PartialEq)]
         pub enum Payload {
             $($variant(Arc<Vec<$t>>)),*
+        }
+
+        /// A payload ships its values, in the buffer its `Arc` shares.
+        impl Wire for Payload {
+            fn heap_bytes(&self) -> usize {
+                match self {
+                    $(Payload::$variant(v) => v.heap_bytes()),*
+                }
+            }
         }
 
         $(
@@ -192,6 +202,12 @@ pub struct BpVar {
     pub leaf: u32,
 }
 
+impl Wire for BpVar {
+    fn heap_bytes(&self) -> usize {
+        self.name.heap_bytes() + self.data.heap_bytes()
+    }
+}
+
 impl BpVar {
     /// Validate and build a variable on leaf 0 (see
     /// [`BpVar::with_leaf`]); a `Vec` of any supported scalar type
@@ -245,6 +261,14 @@ pub struct BpStep {
     pub attributes: Vec<(String, f64)>,
     /// Variables.
     pub vars: Vec<BpVar>,
+}
+
+/// A step GLEAN moves to its aggregator ships its attributes and
+/// variables.
+impl Wire for BpStep {
+    fn heap_bytes(&self) -> usize {
+        self.attributes.heap_bytes() + self.vars.heap_bytes()
+    }
 }
 
 impl BpStep {

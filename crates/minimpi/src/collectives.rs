@@ -11,6 +11,7 @@
 
 use crate::comm::Comm;
 use crate::envelope::{CollectiveKind, Tag};
+use crate::Wire;
 
 impl Comm {
     /// Block until every rank in the communicator has entered the barrier.
@@ -44,7 +45,7 @@ impl Comm {
     /// rank's result shares the root's buffer.
     ///
     /// [`Arc`]: std::sync::Arc
-    pub fn bcast<T: Clone + Send + 'static>(&self, root: usize, value: Option<T>) -> T {
+    pub fn bcast<T: Clone + Wire + Send + 'static>(&self, root: usize, value: Option<T>) -> T {
         let p = self.size();
         assert!(root < p, "bcast: root {root} out of range for size {p}");
         if self.rank() == root {
@@ -88,7 +89,7 @@ impl Comm {
     /// associative and commutative (the MPI built-in-op contract).
     pub fn reduce<T, F>(&self, root: usize, value: T, op: F) -> Option<T>
     where
-        T: Send + 'static,
+        T: Wire + Send + 'static,
         F: Fn(T, T) -> T,
     {
         let p = self.size();
@@ -120,7 +121,7 @@ impl Comm {
     /// the pattern the paper's BSP analyses exhibit.
     pub fn allreduce<T, F>(&self, value: T, op: F) -> T
     where
-        T: Clone + Send + 'static,
+        T: Clone + Wire + Send + 'static,
         F: Fn(T, T) -> T,
     {
         let reduced = self.reduce(0, value, op);
@@ -131,7 +132,7 @@ impl Comm {
     /// sites that reduce a single scalar.
     pub fn allreduce_scalar<T, F>(&self, value: T, op: F) -> T
     where
-        T: Clone + Send + 'static,
+        T: Clone + Wire + Send + 'static,
         F: Fn(T, T) -> T,
     {
         self.allreduce(value, op)
@@ -143,7 +144,7 @@ impl Comm {
     /// Panics if ranks contribute vectors of different lengths.
     pub fn allreduce_vec<T, F>(&self, value: Vec<T>, op: F) -> Vec<T>
     where
-        T: Clone + Send + 'static,
+        T: Clone + Wire + Send + 'static,
         F: Fn(&T, &T) -> T,
     {
         self.allreduce(value, |a, b| {
@@ -154,7 +155,7 @@ impl Comm {
 
     /// Gather one value from every rank to `root`, ordered by rank.
     /// Returns `Some(values)` on the root, `None` elsewhere.
-    pub fn gather<T: Send + 'static>(&self, root: usize, value: T) -> Option<Vec<T>> {
+    pub fn gather<T: Wire + Send + 'static>(&self, root: usize, value: T) -> Option<Vec<T>> {
         let p = self.size();
         assert!(root < p, "gather: root {root} out of range for size {p}");
         let tag = self.collective_tag(CollectiveKind::Gather);
@@ -179,7 +180,7 @@ impl Comm {
 
     /// Ring allgather: every rank contributes one value and receives the
     /// full rank-ordered vector. `p - 1` neighbor exchanges.
-    pub fn allgather<T: Clone + Send + 'static>(&self, value: T) -> Vec<T> {
+    pub fn allgather<T: Clone + Wire + Send + 'static>(&self, value: T) -> Vec<T> {
         let tag = self.collective_tag(CollectiveKind::Allgather);
         allgather_tagged(self, tag, value)
     }
@@ -189,7 +190,7 @@ impl Comm {
     /// linear chain.
     pub fn scan<T, F>(&self, value: T, op: F) -> T
     where
-        T: Clone + Send + 'static,
+        T: Clone + Wire + Send + 'static,
         F: Fn(T, T) -> T,
     {
         let p = self.size();
@@ -209,7 +210,7 @@ impl Comm {
 
 /// Ring allgather with an explicit tag; shared with `Comm::split`, which
 /// must allgather before the new communicator exists.
-pub(crate) fn allgather_tagged<T: Clone + Send + 'static>(
+pub(crate) fn allgather_tagged<T: Clone + Wire + Send + 'static>(
     comm: &Comm,
     tag: Tag,
     value: T,

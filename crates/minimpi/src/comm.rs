@@ -9,6 +9,7 @@ use crate::envelope::{CollectiveKind, Envelope, Tag, ANY_SOURCE};
 use crate::fault::{FaultAction, FaultHandle};
 use crate::loan::{Loans, Pool};
 use crate::sched::{list_mail, Deadline, Sched, WaitInfo, Wake};
+use crate::Wire;
 
 /// An MPI-style communicator handle owned by one rank (one thread).
 ///
@@ -75,7 +76,7 @@ impl Comm {
     }
 
     /// Attach an observability probe: subsequent sends count messages
-    /// and (estimated) payload bytes per collective kind, and
+    /// and their payloads' wire bytes ([`Wire`]) per collective kind, and
     /// collective entries count invocations. Communicators derived via
     /// [`Comm::split`] inherit the probe.
     pub fn attach_probe(&self, probe: probe::Probe) {
@@ -130,12 +131,12 @@ impl Comm {
     ///
     /// # Panics
     /// Panics if `dest` is out of range or the destination rank has exited.
-    pub fn send<T: Send + 'static>(&self, dest: usize, tag: u32, value: T) {
+    pub fn send<T: Wire + Send + 'static>(&self, dest: usize, tag: u32, value: T) {
         self.send_tagged(dest, Tag::user(tag), value)
     }
 
-    pub(crate) fn send_tagged<T: Send + 'static>(&self, dest: usize, tag: Tag, value: T) {
-        if !self.try_send(dest, tag, value) {
+    pub(crate) fn send_tagged<T: Wire + Send + 'static>(&self, dest: usize, tag: Tag, value: T) {
+        if !self.try_send(dest, tag, value, T::wire_bytes) {
             panic!(
                 "send: destination rank disconnected (rank {} sending tag {tag} to rank {dest})",
                 self.rank
@@ -145,8 +146,15 @@ impl Comm {
 
     /// Shared send path; applies injected faults. A fault-dropped message
     /// counts as delivered from the sender's perspective, and one to a
-    /// rank that has exited as not: `false`, where `send` panics.
-    pub(crate) fn try_send<T: Send + 'static>(&self, dest: usize, tag: Tag, value: T) -> bool {
+    /// rank that has exited as not: `false`, where `send` panics. A
+    /// probe attached counts the message at `bytes(&value)`.
+    pub(crate) fn try_send<T: Send + 'static>(
+        &self,
+        dest: usize,
+        tag: Tag,
+        value: T,
+        bytes: fn(&T) -> usize,
+    ) -> bool {
         let mailbox = *self
             .mailboxes
             .get(dest)
@@ -163,7 +171,7 @@ impl Comm {
                 if !tag.is_collective() {
                     probe.call(name);
                 }
-                probe.message(name, payload_bytes(&value) as u64);
+                probe.message(name, bytes(&value) as u64);
             }
         }
         // Sanitizer stamp: ticks this rank's vector clock and registers
@@ -442,6 +450,13 @@ struct SplitInfo {
     mailbox: usize,
 }
 
+impl Wire for SplitInfo {
+    const PLAIN: bool = true;
+    fn heap_bytes(&self) -> usize {
+        0
+    }
+}
+
 /// Collective-order verification against the mailbox: if this rank
 /// waits for a collective message from a *specific* peer and that peer
 /// has already sent traffic for a *different* collective, the program
@@ -463,32 +478,6 @@ fn collective_ahead<'a>(
         .filter(|e| e.src == src && e.tag != tag)
         .find_map(|e| e.tag.collective_parts())?;
     Some((mine, theirs))
-}
-
-/// Estimated deep size of a payload about to ship. The transport is
-/// type-erased, so deep sizing probes the concrete buffer types the
-/// workspace actually moves (element vectors, strings); anything else
-/// falls back to its shallow `size_of`. Only evaluated when a probe is
-/// attached.
-fn payload_bytes<T: Send + 'static>(value: &T) -> usize {
-    fn vec_bytes<E>(v: &[E]) -> usize {
-        std::mem::size_of::<Vec<E>>() + std::mem::size_of_val(v)
-    }
-    let any: &dyn Any = value;
-    macro_rules! try_vec {
-        ($($elem:ty),* $(,)?) => {
-            $(
-                if let Some(v) = any.downcast_ref::<Vec<$elem>>() {
-                    return vec_bytes(v);
-                }
-            )*
-        };
-    }
-    try_vec!(f64, f32, u64, i64, u32, i32, u8, usize);
-    if let Some(s) = any.downcast_ref::<String>() {
-        return std::mem::size_of::<String>() + s.len();
-    }
-    std::mem::size_of::<T>()
 }
 
 fn downcast_payload<T: 'static>(payload: Box<dyn Any + Send>, src: usize, tag: Tag) -> T {
@@ -612,7 +601,7 @@ mod tests {
             if comm.rank() == 0 {
                 let c = get("minimpi/p2p").unwrap();
                 assert_eq!((c.calls, c.messages), (1, 1));
-                assert!(c.bytes >= 16 * 8, "deep-sized payload: {} bytes", c.bytes);
+                assert_eq!(c.bytes, 24 + 16 * 8, "a Vec<f64>, header and elements");
             } else {
                 assert!(get("minimpi/p2p").is_none(), "recv side counts nothing");
             }

@@ -46,6 +46,7 @@ mod comm;
 mod envelope;
 mod fault;
 mod loan;
+mod wire;
 mod world;
 
 pub mod collectives;
@@ -58,6 +59,7 @@ pub use envelope::ANY_SOURCE;
 pub use fault::FaultHandle;
 pub use loan::Verdict;
 pub use sched::{Guide, LivenessSpec, SchedPolicy, Trace, TraceCell};
+pub use wire::Wire;
 pub use world::{World, WorldBuilder};
 
 /// Crate-level result alias (operations that can fail on malformed use).

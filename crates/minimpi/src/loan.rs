@@ -10,7 +10,7 @@ use std::any::Any;
 use std::cell::RefMut;
 
 use crate::envelope::Tag;
-use crate::Comm;
+use crate::{Comm, Wire};
 
 /// What a borrower says as it gives a loan back.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,7 +42,7 @@ impl Comm {
     ///
     /// # Panics
     /// As [`Comm::send`] does.
-    pub fn lend<T: Default + Send + 'static>(
+    pub fn lend<T: Default + Wire + Send + 'static>(
         &self,
         dest: usize,
         tag: u32,
@@ -77,7 +77,9 @@ impl Comm {
     }
 
     /// Give `value`, lent by `src` on `tag`, back with `verdict`;
-    /// best-effort: `false` if the lender has exited.
+    /// best-effort: `false` if the lender has exited. The buffer comes
+    /// back but its contents do not travel, so a probe counts the return
+    /// at its `size_of`.
     pub fn give_back<T: Send + 'static>(
         &self,
         src: usize,
@@ -85,7 +87,8 @@ impl Comm {
         value: T,
         verdict: Verdict,
     ) -> bool {
-        self.try_send(src, Tag::returned(tag), (value, verdict))
+        let shallow = |_: &(T, Verdict)| size_of::<(T, Verdict)>();
+        self.try_send(src, Tag::returned(tag), (value, verdict), shallow)
     }
 
     /// One of this rank's spare `T`s, if it keeps any.

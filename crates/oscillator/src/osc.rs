@@ -36,6 +36,14 @@ pub struct Oscillator {
     pub zeta: f64,
 }
 
+/// The deck rank 0 broadcasts is a list of plain oscillators.
+impl minimpi::Wire for Oscillator {
+    const PLAIN: bool = true;
+    fn heap_bytes(&self) -> usize {
+        0
+    }
+}
+
 /// The Gaussian exponent magnitude beyond which `exp` underflows to
 /// exactly `+0.0` in IEEE f64.
 ///

@@ -302,7 +302,7 @@ pub struct CounterStat {
     pub calls: u64,
     /// Messages sent.
     pub messages: u64,
-    /// Payload bytes sent (estimated for type-erased payloads).
+    /// Payload bytes sent: for `minimpi`, each payload's wire bytes.
     pub bytes: u64,
 }
 

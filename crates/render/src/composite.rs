@@ -47,10 +47,10 @@
 //! each back once merged, so the next strip goes out in the buffer that
 //! came back. Between frames the strips wait in the rank's pool
 //! (`Comm::keep`, `CREDITS` of them): a warm frame allocates none. Both
-//! sides count the strips from the rows and the width alone. Each strip
-//! sent counts on the comm's probe under `render/composite`: one
-//! message, 7 B a pixel; a strip given back counts as a plain
-//! point-to-point message.
+//! sides count the strips from the rows and the width alone. A strip is
+//! a point-to-point message of its wire bytes (`minimpi::Wire`): its
+//! 128 B framebuffer and 7 B a pixel it holds; a strip given back is
+//! one of its 136 B envelope, for its pixels do not travel back.
 //!
 //! Compositing is two steps. `merge` runs the algorithm and stops
 //! where the finished pixels are: binary swap leaves each rank of the
@@ -66,7 +66,7 @@
 
 use std::ops::Range;
 
-use minimpi::{Comm, Verdict};
+use minimpi::{Comm, Verdict, Wire};
 
 use crate::framebuffer::{overlap, Framebuffer, Rect};
 
@@ -111,6 +111,12 @@ impl RowSource for Framebuffer {
 /// its pool apart from its one frame (`Framebuffer::take`).
 struct Strip(Framebuffer);
 
+impl Wire for Strip {
+    fn heap_bytes(&self) -> usize {
+        self.0.heap_bytes()
+    }
+}
+
 impl Default for Strip {
     fn default() -> Self {
         Strip(Framebuffer::with_rows(0, 0, 0..0))
@@ -128,9 +134,8 @@ enum Give<'a> {
 
 impl Give<'_> {
     /// Draw the strip `rows` of the image `fb` is a frame of into
-    /// `strip`, which then holds the drawn columns of those rows, and
-    /// count it under `render/composite` at 7 B a pixel (RGB and depth).
-    fn fill(&self, comm: &Comm, fb: &Framebuffer, rows: Range<usize>, Strip(strip): &mut Strip) {
+    /// `strip`, which then holds the drawn columns of those rows.
+    fn fill(&self, fb: &Framebuffer, rows: Range<usize>, Strip(strip): &mut Strip) {
         let (drawn, source): (&Rect, &dyn RowSource) = match self {
             Give::Frame(drawn) => (drawn, fb),
             Give::Plot(source) => (source.drawn(), *source),
@@ -139,9 +144,7 @@ impl Give<'_> {
         strip.rearm(fb.width(), fb.height(), held.clone());
         source.draw(strip);
         // All of it ships, as the whole plot's rectangle inside the rows.
-        strip.mark(held.cols.clone(), held.rows.clone());
-        comm.probe()
-            .message("render/composite", 7 * held.pixels() as u64);
+        strip.mark(held.cols, held.rows);
     }
 }
 
@@ -189,7 +192,7 @@ fn send_rows(
     rows: Range<usize>,
 ) {
     for rows in strips(rows, fb.width()) {
-        comm.lend(dest, tag, CREDITS, |strip| give.fill(comm, fb, rows, strip));
+        comm.lend(dest, tag, CREDITS, |strip| give.fill(fb, rows, strip));
     }
     while comm.reclaim::<Strip>(dest, tag).is_some() {}
 }
@@ -228,7 +231,7 @@ fn swap_rows(
         }
         if let Some(rows) = out {
             let mut strip = comm.spare().unwrap_or_default();
-            from.fill(comm, fb, rows, &mut strip);
+            from.fill(fb, rows, &mut strip);
             comm.send(partner, TAG_SWAP, strip);
         }
         if back.is_some() {
@@ -447,7 +450,6 @@ pub fn composite(comm: &Comm, fb: Framebuffer, which: Compositor) -> Option<Fram
 mod tests {
     use super::*;
     use crate::color::{Color, Colormap};
-    use crate::pipeline::{pseudocolor_slice, SliceRender};
     use crate::slice::{extract_plane, plane_axes, render_plane};
     use datamodel::{dims_create, partition_extent, Extent};
     use minimpi::{SchedPolicy, World, WorldBuilder};
@@ -855,10 +857,13 @@ mod tests {
         }
     }
 
-    /// `(messages, bytes)` of `render/composite` each rank sends, from
-    /// the ranks' projected rectangles alone: what a rank sends is what
-    /// it has covered so far, cut to the rows it sends, at 7 B/px, and
-    /// it travels as one message for each strip of those rows.
+    /// `(messages, bytes)` of `minimpi/p2p` each rank sends over
+    /// `merge`, from the ranks' projected rectangles alone: what a rank
+    /// sends is what it has covered so far, cut to the rows it sends,
+    /// and it travels as one message for each strip of those rows, at
+    /// its wire bytes: a `Strip`'s framebuffer and 7 B a pixel. A strip
+    /// lent (folded, or up the tree) comes back as the receiver's
+    /// message of one `(Strip, Verdict)`, its pixels left behind.
     fn predicted(
         which: Compositor,
         mut covered: Vec<Drawn>,
@@ -867,15 +872,23 @@ mod tests {
         let p = covered.len();
         let mut sent = vec![(0, 0); p];
         let rows_a_strip = (STRIP / w).max(1);
-        let mut send = |from: usize, rows: usize, patch: &Drawn| {
-            sent[from].0 += rows.div_ceil(rows_a_strip) as u64;
-            sent[from].1 += 7 * area(patch);
+        let (header, given_back) = (size_of::<Strip>(), size_of::<(Strip, Verdict)>());
+        // `from` sends the strips of `rows`, which hold `patch`; a loan
+        // names the rank that gives each strip back.
+        let mut send = |from: usize, lent_to: Option<usize>, rows: usize, patch: &Drawn| {
+            let n = rows.div_ceil(rows_a_strip) as u64;
+            sent[from].0 += n;
+            sent[from].1 += n * header as u64 + 7 * area(patch);
+            if let Some(to) = lent_to {
+                sent[to].0 += n;
+                sent[to].1 += n * given_back as u64;
+            }
         };
         match which {
             Compositor::BinarySwap => {
                 let pot = swap_group(p);
                 for r in pot..p {
-                    send(r, h, &covered[r]);
+                    send(r, Some(r - pot), h, &covered[r]);
                     covered[r - pot] = bbox(&covered[r - pot], &covered[r]);
                 }
                 let mut spans = vec![0..h; pot];
@@ -894,7 +907,7 @@ mod tests {
                         })
                         .collect();
                     for (r, (rows, patch)) in patches.iter().enumerate() {
-                        send(r, *rows, patch);
+                        send(r, None, *rows, patch);
                         covered[r] = bbox(&covered[r], &patches[r ^ bit].1);
                     }
                     bit >>= 1;
@@ -902,8 +915,8 @@ mod tests {
             }
             Compositor::DirectSendTree(fanout) => {
                 for r in (1..p).rev() {
-                    send(r, h, &covered[r]);
                     let parent = (r - 1) / fanout;
+                    send(r, Some(parent), h, &covered[r]);
                     covered[parent] = bbox(&covered[parent], &covered[r]);
                 }
             }
@@ -911,8 +924,8 @@ mod tests {
         sent
     }
 
-    /// Compositing traffic, counted: the probe's `render/composite`
-    /// messages and bytes on every rank of a seeded run equal what the
+    /// Compositing traffic, counted: the `minimpi/p2p` messages and
+    /// bytes `merge` sends on every rank of a seeded run equal what the
     /// ranks' extents and the image size predict, under both
     /// compositors, with ranks whose block misses the plane among them.
     /// Returns the ranks that drew something.
@@ -927,31 +940,22 @@ mod tests {
         let out = WorldBuilder::new(p)
             .sched(SchedPolicy::Seeded(p as u64))
             .run(move |comm| {
-                comm.attach_probe(probe::enabled());
                 let local = partition_extent(&global, dims_create(p), comm.rank());
                 let values: Vec<f64> = local
                     .iter_points()
                     .map(|q| (q[0] + 2 * q[1] + 3 * q[2]) as f64)
                     .collect();
-                let cfg = SliceRender {
-                    axis,
-                    global_index: index,
-                    width: w,
-                    height: h,
-                    compositor: which,
-                    cmap: Colormap::cool_warm(),
-                };
-                pseudocolor_slice(comm, &local, &global, &values, &cfg);
-                let snapshot = comm.probe().snapshot();
-                let counted = snapshot
-                    .counters
-                    .iter()
-                    .find(|c| c.name == "render/composite");
                 // What this rank draws before compositing.
                 let mut fb = Framebuffer::new(w, h);
                 if let Some(piece) = extract_plane(&local, &global, &values, axis, index) {
-                    render_plane(&mut fb, &piece, &cfg.cmap, (0.0, 1.0));
+                    render_plane(&mut fb, &piece, &Colormap::cool_warm(), (0.0, 1.0));
                 }
+                let kept = which.kept_rows(p, comm.rank(), h);
+                let mut frame = Framebuffer::with_rows(w, h, kept);
+                comm.attach_probe(probe::enabled());
+                merge(comm, &mut frame, &fb, which);
+                let snapshot = comm.probe().snapshot();
+                let counted = snapshot.counters.iter().find(|c| c.name == "minimpi/p2p");
                 let drawn = fb.drawn().clone();
                 let drawn = (drawn.cols, drawn.rows);
                 (

@@ -25,7 +25,7 @@
 
 use std::ops::Range;
 
-use minimpi::Comm;
+use minimpi::{Comm, Wire};
 
 use crate::color::Color;
 
@@ -47,10 +47,6 @@ impl Rect {
 
     fn is_empty(&self) -> bool {
         self.cols.is_empty() || self.rows.is_empty()
-    }
-
-    pub(crate) fn pixels(&self) -> usize {
-        self.cols.len() * self.rows.len()
     }
 
     /// The smallest rectangle holding both.
@@ -112,6 +108,13 @@ impl PartialEq for Framebuffer {
             == (other.width, other.height, &other.cols, &other.rows)
             && self.color == other.color
             && self.depth == other.depth
+    }
+}
+
+/// A buffer ships the pixels it holds, 7 B each: RGB and depth.
+impl Wire for Framebuffer {
+    fn heap_bytes(&self) -> usize {
+        size_of_val(self.color.as_slice()) + size_of_val(self.depth.as_slice())
     }
 }
 

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use datamodel::{
     dims_create, partition_extent, DataArray, DataSet, Extent, RectilinearGrid, GHOST_ARRAY_NAME,
 };
-use minimpi::Comm;
+use minimpi::{Comm, Wire};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sensei::{AdaptorError, Association, DataAdaptor};
@@ -64,6 +64,14 @@ pub(crate) struct Particle {
     pub vel: [f64; 3],
     /// Mass.
     pub mass: f64,
+}
+
+/// A particle migrates as plain data.
+impl Wire for Particle {
+    const PLAIN: bool = true;
+    fn heap_bytes(&self) -> usize {
+        0
+    }
 }
 
 /// Per-rank Nyx state.

@@ -23,7 +23,7 @@
 //! descending, then cell id ascending), the order the cross-rank merge
 //! uses too, and evaluates global cell ids for the winners only.
 
-use minimpi::Comm;
+use minimpi::{Comm, Wire};
 use parking_lot::Mutex;
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -47,6 +47,13 @@ pub struct Peak {
     pub value: f64,
     /// Global cell identifier.
     pub cell: u64,
+}
+
+impl Wire for Peak {
+    const PLAIN: bool = true;
+    fn heap_bytes(&self) -> usize {
+        0
+    }
 }
 
 /// Final result on rank 0: `peaks[lag - 1]` holds the global top-k for

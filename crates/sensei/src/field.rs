@@ -118,12 +118,20 @@ impl<'a> Field<'a> {
 
     /// The blocks an infrastructure draws whole: [`Field::views_or`] and
     /// the mesh it reads, without the ghost flags, which are neither
-    /// attached nor built.
+    /// attached nor built. Leaves of which none is structured are kept
+    /// in `failures` too: an infrastructure draws a structured block, so
+    /// this rank has nothing to draw, though it still joins the frame.
     pub fn blocks_or(
         &self,
         failures: &mut ReportOnce,
     ) -> (Option<&DataSet>, Cow<'_, [LeafView<'_>]>) {
         let views = reported(self.views_kept(false), failures);
+        if !views.is_empty() && views.iter().all(|v| v.geometry.is_none()) {
+            failures.report(format_args!(
+                "`{}` has no structured leaf on this rank: nothing to draw",
+                self.derived.array
+            ));
+        }
         (self.derived.mesh.as_ref().ok(), views)
     }
 

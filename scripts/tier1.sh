@@ -35,8 +35,6 @@ minimpi CheckStats CheckReport
 minimpi CheckFailure CheckReport
 minimpi DecisionLog log
 oscillator ParseError parse_deck
-probe SpanStat Snapshot
-probe CounterStat Snapshot
 probe PhaseAgg RunReport
 probe CounterAgg RunReport
 probe GaugeAgg RunReport
@@ -528,6 +526,32 @@ if awk '/#\[cfg\(test\)\]/{nextfile} {print FILENAME ":" FNR ": " $0}' \
     crates/render/src/composite.rs crates/adios/src/flexpath.rs |
     grep -E 'TAG_CREDIT|TAG_ACK|type Reply'; then
     echo "tier1: a compositor credit or a FlexPath ack is back beside the loan" >&2
+    exit 1
+fi
+
+echo "==> one wire-size rule"
+# A payload's wire bytes are its size_of plus the heap bytes it ships,
+# stated once by its type through minimpi::Wire; minimpi's send path
+# charges value.wire_bytes(). A downcast that sizes a payload (a
+# downcast_ref in crates/minimpi/src outside downcast_payload, which
+# receives one, and panic_text, which reads a panic's message) or a
+# shallow size_of::<T>() fallback is a second rule that undercounts
+# every type it does not know. Render counts no traffic by hand: its
+# strips are minimpi/p2p messages at their wire bytes.
+wire_src=$(awk 'FNR == 1 {f = ""} /^#\[cfg\(test\)\]/{nextfile} {sub(/\/\/.*/, "")}
+    match($0, /fn [A-Za-z0-9_]+/) {f = substr($0, RSTART + 3, RLENGTH - 3)}
+    {print FILENAME ":" FNR ": " f ": " $0}' crates/minimpi/src/*.rs)
+if grep -E 'downcast_ref' <<<"$wire_src" | grep -vE '^[^:]+:[0-9]+: (downcast_payload|panic_text): '; then
+    echo "tier1: crates/minimpi/src downcasts a payload to size it; implement minimpi::Wire for its type" >&2
+    exit 1
+fi
+if grep -F 'size_of::<T>()' <<<"$wire_src"; then
+    echo "tier1: crates/minimpi/src falls back to a payload's shallow size_of" >&2
+    exit 1
+fi
+if awk '/^#\[cfg\(test\)\]/{nextfile} {sub(/\/\/.*/, ""); print FILENAME ":" FNR ": " $0}' \
+    $(find crates/render/src -name '*.rs') | grep -F '.message('; then
+    echo "tier1: crates/render/src counts messages by hand; its traffic is minimpi's" >&2
     exit 1
 fi
 

@@ -694,6 +694,96 @@ fn science_proxies_through_one_bridge_api() {
     });
 }
 
+/// One step of `array` drawn by Catalyst and Libsim as a 64×48 slice
+/// through z = 4: the analyses that report a failure on this rank, each
+/// that it has nothing to draw, and on rank 0 each file's pixels that
+/// are not its background (Catalyst's white, Libsim's black).
+fn drawn(
+    comm: &minimpi::Comm,
+    data: &dyn sensei::DataAdaptor,
+    array: &str,
+) -> (Vec<String>, Option<[usize; 2]>) {
+    let mut pipeline = catalyst::SlicePipeline::new(array, 2, 4);
+    (pipeline.width, pipeline.height) = (64, 48);
+    let catalyst = catalyst::CatalystSliceAnalysis::new(pipeline);
+    let session = format!("image 64 48\nplot pseudocolor {array} axis=z index=4\n");
+    let session = libsim::Session::parse(&session).unwrap();
+    let libsim = libsim::LibsimAnalysis::new(session, std::path::Path::new("/nonexistent"));
+    let files = [catalyst.png_handle(), libsim.png_handle()];
+    let mut bridge = Bridge::new();
+    bridge.register(Box::new(catalyst));
+    bridge.register(Box::new(libsim));
+    bridge.execute(data, comm);
+    let coloured = files.each_ref().map(|file| {
+        let png = file.lock().clone()?;
+        let (w, h, rgb) = render::png::decode_rgb(&png).expect("a decodable PNG");
+        assert_eq!((w, h), (64, 48));
+        Some(
+            rgb.chunks(3)
+                .filter(|p| p != &[255; 3] && p != &[0; 3])
+                .count(),
+        )
+    });
+    let reports = bridge.failure_reports().iter().map(|report| match report {
+        sensei::FailureReport::Analysis { analysis, detail } => {
+            assert!(detail.ends_with("has no structured leaf on this rank: nothing to draw"));
+            analysis.clone()
+        }
+        other => panic!("{other}"),
+    });
+    let reports = reports.collect();
+    match coloured {
+        [Some(c), Some(l)] => (reports, Some([c, l])),
+        [None, None] => (reports, None),
+        _ => panic!("one file of two on rank {}", comm.rank()),
+    }
+}
+
+/// Catalyst and Libsim draw a structured block. LESLIE and Nyx have one
+/// on every rank, and their slices colour every pixel. PHASTA's mesh is
+/// unstructured: on each rank each infrastructure reports once that it
+/// has nothing to draw, still joins the frame, and rank 0's files
+/// decode, all background.
+#[test]
+fn an_unstructured_field_is_reported_not_drawn_blank() {
+    let ranks = World::run(2, |comm| {
+        let config = science::LeslieConfig {
+            grid: [12, 13, 8],
+            ..science::LeslieConfig::default()
+        };
+        let mut leslie = science::Leslie::new(comm, config);
+        leslie.step(comm);
+        let leslie = drawn(comm, &science::LeslieAdaptor::new(&leslie), "vorticity");
+        let config = science::NyxConfig {
+            grid: [8, 8, 8],
+            ..science::NyxConfig::default()
+        };
+        let mut nyx = science::Nyx::new(comm, config);
+        nyx.step(comm);
+        let nyx = drawn(comm, &science::NyxAdaptor::new(&nyx), "density");
+        let config = science::PhastaConfig {
+            lattice: [9, 7, 7],
+            ..science::PhastaConfig::default()
+        };
+        let mut phasta = science::Phasta::new(comm, config);
+        phasta.step(comm);
+        let phasta = drawn(comm, &science::PhastaAdaptor::new(&phasta), "velmag");
+        [leslie, nyx, phasta]
+    });
+    let both = vec!["catalyst-slice".to_string(), "libsim".to_string()];
+    let every = Some([64 * 48; 2]);
+    for (rank, [leslie, nyx, phasta]) in ranks.into_iter().enumerate() {
+        let file = |coloured| (rank == 0).then_some(coloured).flatten();
+        assert_eq!(leslie, (Vec::new(), file(every)), "LESLIE, rank {rank}");
+        assert_eq!(nyx, (Vec::new(), file(every)), "Nyx, rank {rank}");
+        assert_eq!(
+            phasta,
+            (both.clone(), file(Some([0; 2]))),
+            "PHASTA, rank {rank}"
+        );
+    }
+}
+
 /// The oscillator's adaptor with ghost flags on every block: all zero
 /// where the block duplicates no plane, as every block carried them
 /// while the flags were built for each block.

@@ -161,22 +161,20 @@ fn warm_heap(what: &str, steps: &[Cost]) -> (usize, u64) {
 
 /// The probe counters a window reads: every `minimpi/*` counter but the
 /// harness's barrier, summed (what the benchmark's
-/// `minimpi.msgs_per_step` counts), then five by name. Each is read as
+/// `minimpi.msgs_per_step` counts), then four by name. Each is read as
 /// calls, messages and bytes.
-const COUNTERS: [&str; 6] = [
+const COUNTERS: [&str; 5] = [
     "minimpi/",
     "minimpi/p2p",
-    "render/composite",
     "render/draw",
     "render/junction",
     "sim/terms",
 ];
 const MSGS: usize = 0;
 const P2P: usize = 1;
-const COMPOSITE: usize = 2;
-const DRAW: usize = 3;
-const JUNCTION: usize = 4;
-const TERMS: usize = 5;
+const DRAW: usize = 2;
+const JUNCTION: usize = 3;
+const TERMS: usize = 4;
 
 type Counts = [[u64; 3]; COUNTERS.len()];
 
@@ -626,22 +624,25 @@ fn rows_copied(h: usize, cells: usize, draws: &[std::ops::Range<usize>]) -> u64 
 /// benchmark's `minimpi.msgs_per_step`, a run's messages over its steps,
 /// reads a little above 137.
 ///
-/// Counts, not clocks, of what each analysis puts on the wire.
-/// Compositing patches travel by ownership, cut into strips of
-/// `32 Ki / width` whole rows (`render::composite`'s pixel budget):
-/// `minimpi/p2p` counts each strip as its header, a `Strip`'s
-/// `Framebuffer` (minimpi charges a payload it cannot size its
-/// `size_of`), and `render/composite` counts its pixels at 7 B. The
-/// scanlines of the collective encode are byte vectors and count in
-/// full. Catalyst: each swap partner sends its 540 rows as ⌈540 / 17⌉ =
-/// 32 strips and receives as many, which come back as the buffers of
-/// its own, so the swap needs no credit; then nothing image-sized — 6
-/// rows of halo one way, the look-ahead row the other, a landing
-/// position, a band's bits. Libsim: rank 1 lends its 1 024 rows up the
-/// tree as ⌈1024 / 32⌉ = 32 strips, the root gives each strip's buffer
-/// back with its verdict (32 more headers, root to child, each a word
-/// longer), then exactly one band of scanlines plus its halo rows from
-/// the root, a landing, the bits back.
+/// Counts, not clocks, of what each analysis puts on the wire, each
+/// message at its payload's wire bytes (`minimpi::Wire`). Compositing
+/// patches travel by ownership, cut into strips of `32 Ki / width`
+/// whole rows (`render::composite`'s pixel budget): `minimpi/p2p`
+/// counts each strip as a `Strip`'s `Framebuffer` (the `strip.header`
+/// row) and its pixels at 7 B. The scanlines of the collective encode
+/// are byte vectors and count in full, and so does a band's bits, beside
+/// its length and checksum. Catalyst: each swap partner sends its 540
+/// rows as ⌈540 / 17⌉ = 32 strips and receives as many, which come back
+/// as the buffers of its own, so the swap needs no credit; then nothing
+/// image-sized — 6 rows of halo one way, the look-ahead row the other, a
+/// landing position, a band's bits. Libsim: rank 1 lends its 1 024 rows
+/// up the tree as ⌈1024 / 32⌉ = 32 strips, the root gives each strip's
+/// buffer back with its verdict (32 returns, root to child, each a
+/// header and a word: its pixels stay), then exactly one band of
+/// scanlines plus its halo rows from the root, a landing, the bits back.
+/// A band's bits are as long as its deflated stream, which the field's
+/// values set, so rank 1's byte rows are each step's; Catalyst's bits
+/// grow to the capacity `B` its warm rise reads, every step.
 fn render_64(t: &mut Rows) {
     let ranks = render_steps(64, BENCH, 4, |comm, sim| {
         // The frame parked in the rank's pool: its colour and depth,
@@ -683,9 +684,9 @@ fn render_64(t: &mut Rows) {
     let warm0 = warm("rank 0's render step", &ranks[0].0);
     let warm1 = warm("rank 1's render step", &ranks[1].0);
     let (rise0, [_, file]) = (warm0.0.rise as i64, warm0.1);
-    let bits = warm1.0.rise as i64 - (field + row + 160 - landing + band);
-    t.eq(bits.count_ones(), 1);
-    let catalyst = halo - row + landing - band - bits;
+    let grown = warm1.0.rise as i64 - (field + row + 160 - landing + band);
+    t.eq(grown.count_ones(), 1);
+    let catalyst = halo - row + landing - band - grown;
     let libsim = 32 * 8 + libsim_rows + 24 + landing - band + file as i64;
     t.eq(rise0, field + catalyst + libsim);
 
@@ -709,7 +710,7 @@ fn render_64(t: &mut Rows) {
 
     let probed = probed_render(64, 3);
     let vec = size_of::<Vec<u8>>() as u64;
-    let bits = size_of::<(Vec<u8>, u64, u32)>() as u64;
+    let band = size_of::<(Vec<u8>, u64, u32)>() as u64;
     let landing = size_of::<usize>() as u64;
     let strips = |width: u64, rows: u64| rows.div_ceil(32 * 1024 / width);
     let (swap, tree) = (strips(1920, 540), strips(1024, 1024));
@@ -725,59 +726,71 @@ fn render_64(t: &mut Rows) {
     // Libsim, 1024×1024: rank 1 draws from 32·1024/63 = 520.1, 504
     // columns, and sends all its rows and its band's bits; the root gives
     // its strips back (stride 3073, cut at row 512) with 523 rows and a
-    // landing. The bytes of the strips are those of whole patches, 7 B a
-    // pixel (RGB and depth).
+    // landing. The strips hold whole patches, 7 B a pixel (RGB and
+    // depth). A band's bits are left out here: their length follows the
+    // field's values, so they are measured step by step below.
     let (cat, lib) = (1 + 3 * 1920, 1 + 3 * 1024);
     assert_eq!(6, 540 - (540 * cat - 32 * 1024) / cat);
     assert_eq!(11, 512 - (512 * lib - 32 * 1024) / lib);
-    let swapped = |tail| (swap + 2, swap * header + vec + tail);
+    let swapped = |pixels: u64, tail: u64| (swap + 2, swap * header + 7 * pixels + vec + tail);
     let root = (tree + 2, tree * given_back + vec + 523 * lib + landing);
-    let leaf = (tree + 1, tree * header + bits);
+    let leaf = (tree + 1, tree * header + 7 * 504 * 1024 + band);
     let wire = [
-        [
-            [swapped(6 * cat + landing), (swap, 7 * 975 * 540)],
-            [root, (0, 0)],
-        ],
-        [
-            [swapped(cat + bits), (swap, 7 * 945 * 540)],
-            [leaf, (tree, 7 * 504 * 1024)],
-        ],
+        [swapped(975 * 540, 6 * cat + landing), root],
+        [swapped(945 * 540, cat + band), leaf],
     ];
-    let (mut msgs, mut strips) = (0, (0, 0));
+    let mut msgs = 0;
     for (rank, p) in probed.iter().enumerate() {
-        // A junction re-parses a stream the field's values set, so it
-        // moves step to step (`render_128` pins its steps).
-        let steady = |mut c: Counts| {
+        // A junction re-parses a stream the field's values set, and a
+        // band's bits are as long as its stream: both move step to step
+        // (`render_128` pins the junctions). `bits` holds each step's
+        // band bits on rank 1, Catalyst's then Libsim's: what the
+        // analysis sends beyond its closed form.
+        let bits = |a: &[Cost; 2]| match rank {
+            0 => [0; 2],
+            _ => [0, 1].map(|k| sent(&a[k].counts, P2P).1.saturating_sub(wire[rank][k].1)),
+        };
+        let steady = |mut c: Counts, bits: u64| {
             c[JUNCTION] = [0; 3];
+            c[MSGS][2] -= bits;
+            c[P2P][2] -= bits;
             c
         };
-        let steps = p
-            .steps
-            .iter()
-            .map(|(t, a)| (steady(t.counts), a.map(|c| steady(c.counts))));
+        let steps = p.steps.iter().map(|(t, a)| {
+            let [c, l] = bits(a);
+            let analyses = [steady(a[0].counts, c), steady(a[1].counts, l)];
+            (steady(t.counts, c + l), analyses)
+        });
         let (total, analyses) = warm("a probed render step", &steps.collect::<Vec<_>>());
-        let wired = analyses.map(|a| [sent(&a, P2P), sent(&a, COMPOSITE)]);
+        let wired = analyses.map(|a| sent(&a, P2P));
         t.eq(wired, wire[rank]);
         msgs += sent(&total, MSGS).0;
-        let composite = sent(&total, COMPOSITE);
-        strips = (strips.0 + composite.0, strips.1 + composite.1);
         t.on("setup", rank)
             .put("msgs", sent(&p.setup.counts, MSGS).0);
         t.on("warm", rank).put("msgs", sent(&total, MSGS).0);
         t.on("finalize", rank)
             .put("msgs", sent(&p.finalize.counts, MSGS).0);
         t.on("warm", rank);
-        for (analysis, [(p2p, p2p_bytes), (n, bytes)]) in ANALYSES.into_iter().zip(wired) {
+        for (analysis, (p2p, bytes)) in ANALYSES.into_iter().zip(wired) {
             t.put(&format!("{analysis}.p2p"), p2p);
-            t.put(&format!("{analysis}.p2p.bytes"), p2p_bytes);
-            t.put(&format!("{analysis}.strips"), n);
-            t.put(&format!("{analysis}.strips.bytes"), bytes);
+            if rank == 0 {
+                t.put(&format!("{analysis}.p2p.bytes"), bytes);
+            }
         }
         coloured_once(t, 64, rank, analyses);
+        if rank == 1 {
+            // Catalyst's bits grow to the capacity rank 1's warm rise
+            // reads, every step.
+            for (step, (_, a)) in p.steps.iter().enumerate() {
+                let [c, l] = bits(a);
+                t.eq(c.next_power_of_two(), grown as u64);
+                t.on(format!("step {step}"), rank);
+                t.put("catalyst.p2p.bytes", wired[0].1 + c);
+                t.put("libsim.p2p.bytes", wired[1].1 + l);
+            }
+        }
     }
     t.eq(msgs, 12 + 62 + 63);
-    let bytes = 7 * (975 * 540 + 945 * 540 + 504 * 1024);
-    t.eq(strips, (96, bytes));
     t.on("warm", "all").put("strip.header", header);
 }
 
@@ -1362,6 +1375,14 @@ impl AnalysisAdaptor for Rounds {
 /// step's two). The one-time messages beside them, each rank's setup
 /// and each writer's close, are why the benchmark's
 /// `minimpi.msgs_per_step` reads above 4.
+///
+/// It counts their bytes too, at their wire sizes. A writer's step is
+/// its frame, `(closing, metadata, payloads)`: the frame's `size_of`,
+/// the framing without its values and the values, which are
+/// `perfmodel::memory::staged_step_bytes` of its block, and for each
+/// variable a payload, whose `Arc` shares a `Vec` header. The endpoint
+/// gives each step back at its `size_of` and a verdict's: the buffers
+/// return, but not what they hold.
 fn staging_64(t: &mut Rows) {
     const CALLS: [u64; 3] = [17, 21, 80];
     t.scenario("staging-64");
@@ -1373,17 +1394,30 @@ fn staging_64(t: &mut Rows) {
     for (rank, run) in staging(2, 64, 6, true).iter().enumerate() {
         let msgs: Vec<u64> = run.steps.iter().map(|c| sent(&c.counts, MSGS).0).collect();
         let (cold, warm_steps) = msgs.split_at(WARM_UP - run.first);
-        let warm = warm("a staging step's messages", warm_steps);
-        t.eq(warm, [1, 1, 2][rank]);
+        let steady = warm("a staging step's messages", warm_steps);
+        t.eq(steady, [1, 1, 2][rank]);
         t.on("setup", rank)
             .put("msgs", sent(&run.setup.counts, MSGS).0);
         for (i, msgs) in cold.iter().enumerate() {
             t.on(format!("step {}", run.first + i), rank)
                 .put("msgs", msgs);
         }
-        t.on("warm", rank).put("msgs", warm);
+        t.on("warm", rank).put("msgs", steady);
         t.on("finalize", rank)
             .put("msgs", sent(&run.finalize.counts, MSGS).0);
+        let bytes: Vec<u64> = run.steps.iter().map(|c| sent(&c.counts, P2P).1).collect();
+        let bytes = warm("a staging step's bytes", &bytes[WARM_UP - run.first..]) as usize;
+        type Frame = (bool, Vec<u8>, Vec<adios::Payload>);
+        let block @ (_, ghosted) = run.shipped.1;
+        let variables = 1 + usize::from(ghosted);
+        let payload = size_of::<adios::Payload>() + size_of::<Vec<u8>>();
+        let step = perfmodel::memory::staged_step_bytes(&[block]) as usize;
+        let want = match rank {
+            2 => 2 * size_of::<(Frame, minimpi::Verdict)>(),
+            _ => size_of::<Frame>() + step + variables * payload,
+        };
+        t.eq(bytes, want);
+        t.on("warm", rank).put("p2p.bytes", bytes);
     }
 }
 
