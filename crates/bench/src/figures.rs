@@ -204,8 +204,8 @@ pub(crate) fn fig8() -> Table {
         let endpoint_analysis = w::histogram_step(&m, p, cells, BINS);
         let open = 0.2 + w::flexpath_reader_init(&m, p) * 0.1; // writer side sees a fraction
         let advance = w::adios_advance(&m, p);
-        let analysis =
-            w::adios_transmit(&m, bytes_per_rank) + w::ADIOS_COSCHEDULE_FACTOR * endpoint_analysis;
+        let analysis = w::adios_transmit(&m, bytes_per_rank)
+            + w::adios_coschedule_factor() * endpoint_analysis;
         t.row(vec![
             p.to_string(),
             secs(open),
@@ -295,7 +295,7 @@ pub(crate) fn table1() -> Table {
 }
 
 /// Fig. 11 — post hoc read/process/write at 10% of the write
-/// concurrency (82 / 650 / 4545 readers), per analysis.
+/// concurrency (81 / 649 / 4544 readers, `p / 10`), per analysis.
 pub(crate) fn fig11() -> Table {
     let m = cori();
     let mut t = Table::new(
@@ -515,212 +515,4 @@ pub(crate) fn fig17() -> Table {
         ]);
     }
     t
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn all_experiments_produce_tables() {
-        for id in crate::ALL_EXPERIMENTS {
-            let t = crate::run_experiment(id).unwrap_or_else(|| panic!("missing {id}"));
-            assert!(!t.rows.is_empty(), "{id} has rows");
-            assert!(!t.headers.is_empty());
-        }
-        assert!(crate::run_experiment("fig99").is_none());
-    }
-
-    #[test]
-    fn fig3_overhead_negligible() {
-        let t = fig3();
-        for r in 0..t.rows.len() {
-            let pct = t.value(r, "overhead %").unwrap();
-            assert!(pct < 0.1, "SENSEI overhead {pct}% must be negligible");
-        }
-    }
-
-    #[test]
-    fn fig4_memory_overhead_small() {
-        let t = fig4();
-        for r in 0..t.rows.len() {
-            let pct = t.value(r, "overhead %").unwrap();
-            assert!(pct < 2.0, "memory overhead {pct}%");
-        }
-    }
-
-    #[test]
-    fn fig5_libsim_init_dominates_at_scale() {
-        let t = fig5();
-        // Find the Libsim-slice row at 45440.
-        let row = t
-            .rows
-            .iter()
-            .position(|r| r[0] == "Libsim-slice" && r[1] == "45440")
-            .unwrap();
-        let init = t.value(row, "analysis init").unwrap();
-        assert!((init - 3.5).abs() < 0.3, "Libsim init ≈3.5 s, got {init}");
-    }
-
-    #[test]
-    fn table1_matches_paper_numbers() {
-        let t = table1();
-        let expect = [(0.12, 0.40), (0.67, 3.17), (9.05, 22.87)];
-        for (r, (vtk, mpiio)) in expect.iter().enumerate() {
-            let got_vtk = t.value(r, "VTK I/O (s)").unwrap();
-            let got_mpiio = t.value(r, "MPI-IO (s)").unwrap();
-            assert!(
-                (got_vtk - vtk).abs() / vtk < 0.15,
-                "row {r}: {got_vtk} vs {vtk}"
-            );
-            assert!(
-                (got_mpiio - mpiio).abs() / mpiio < 0.15,
-                "row {r}: {got_mpiio} vs {mpiio}"
-            );
-        }
-    }
-
-    #[test]
-    fn fig10_write_ratio_crossover() {
-        // Little impact at 1K; ~20× at 45K — the paper's prose anchors.
-        let t = fig10();
-        let r1k = t.value(0, "write/sim ratio").unwrap();
-        let r45k = t.value(2, "write/sim ratio").unwrap();
-        assert!(r1k < 1.0, "1K ratio {r1k}");
-        assert!((15.0..26.0).contains(&r45k), "45K ratio {r45k}");
-    }
-
-    #[test]
-    fn fig11_posthoc_exceeds_insitu() {
-        let posthoc = fig11();
-        let insitu = fig12();
-        // Histogram post hoc total at 45K vs in situ histogram total.
-        let ph_row = posthoc
-            .rows
-            .iter()
-            .position(|r| r[0] == "histogram" && r[1] == "4544")
-            .unwrap();
-        let is_row = insitu
-            .rows
-            .iter()
-            .position(|r| r[0] == "Histogram" && r[1] == "45440")
-            .unwrap();
-        let ph = posthoc.value(ph_row, "total").unwrap();
-        let is = insitu.value(is_row, "total").unwrap();
-        assert!(
-            ph > 3.0 * is,
-            "post hoc ({ph}) must far exceed in situ ({is})"
-        );
-    }
-
-    #[test]
-    fn fig12_in_situ_beats_posthoc_writes() {
-        let t = fig12();
-        // At 45K: every in situ config total < the write-only total.
-        let write_row = t
-            .rows
-            .iter()
-            .position(|r| r[0] == "PostHoc-writes" && r[1] == "45440")
-            .unwrap();
-        let write_total = t.value(write_row, "total").unwrap();
-        for config in CONFIGS {
-            let row = t
-                .rows
-                .iter()
-                .position(|r| r[0] == config && r[1] == "45440")
-                .unwrap();
-            let total = t.value(row, "total").unwrap();
-            assert!(
-                total < write_total,
-                "{config} in situ ({total}) < post hoc writes ({write_total})"
-            );
-        }
-    }
-
-    #[test]
-    fn table2_matches_paper() {
-        let t = table2();
-        let expect = [
-            (1.40, 1051.0, 8.2),
-            (5.24, 962.0, 33.0),
-            (5.62, 653.0, 13.0),
-        ];
-        for (r, (per_step, total, pct)) in expect.iter().enumerate() {
-            let got_ps = t.value(r, "in situ per step").unwrap();
-            let got_total = t.value(r, "total").unwrap();
-            let got_pct = t.value(r, "% in situ").unwrap();
-            assert!(
-                (got_ps - per_step).abs() / per_step < 0.25,
-                "row {r} per-step {got_ps}"
-            );
-            assert!(
-                (got_total - total).abs() / total < 0.10,
-                "row {r} total {got_total}"
-            );
-            assert!((got_pct - pct).abs() / pct < 0.30, "row {r} pct {got_pct}");
-        }
-    }
-
-    #[test]
-    fn fig15_efficiency_shape() {
-        let t = fig15();
-        let s16 = t.value(1, "speedup vs 8K").unwrap();
-        let s128 = t.value(4, "speedup vs 8K").unwrap();
-        assert!(s16 > 1.75, "near-ideal to 16K: {s16}");
-        assert!(s128 < 16.0 * 0.75, "efficiency degraded at 131K: {s128}");
-    }
-
-    #[test]
-    fn fig16_spiky_series() {
-        let t = fig16();
-        assert_eq!(t.rows.len(), 27);
-        let renders: Vec<f64> = (0..25)
-            .filter(|r| t.rows[*r][2] == "adaptor+libsim")
-            .map(|r| t.value(r, "sensei cost").unwrap())
-            .collect();
-        let quiets: Vec<f64> = (0..25)
-            .filter(|r| t.rows[*r][2] == "adaptor only")
-            .map(|r| t.value(r, "sensei cost").unwrap())
-            .collect();
-        assert_eq!(renders.len(), 5);
-        // Render steps land in the 7–8 s band, quiet steps < 0.5 s.
-        for v in renders {
-            assert!((6.0..9.5).contains(&v), "render step {v}");
-        }
-        for v in quiets {
-            assert!(v < 0.5, "quiet step {v}");
-        }
-        // The last two rows price the volume write and its ratio to a
-        // noiseless render step, in closed form.
-        let m = MachineSpec::titan();
-        let write = 11.0 * 1025f64.powi(3) * 8.0 / m.fs_collective_bw;
-        assert_eq!(t.rows[25][2], "11-variable volume write");
-        assert_eq!(t.rows[25][1], secs(write));
-        let render = w::leslie_adaptor_step(&m, 65536) + w::leslie_render_invocation(&m, 65536);
-        assert_eq!(t.rows[26][2], "write / render step");
-        assert_eq!(t.rows[26][1], format!("{:.2}", write / render));
-    }
-
-    #[test]
-    fn fig17_analysis_under_a_second() {
-        let t = fig17();
-        for r in 0..t.rows.len() {
-            if let Some(h) = t.value(r, "histogram/step") {
-                assert!(h < 1.0, "histogram {h}");
-            }
-            let s = t.value(r, "slice/step").unwrap();
-            assert!(s < 1.0, "slice {s}");
-            let solver = t.value(r, "solver/step").unwrap();
-            assert!(solver > 50.0, "solver dominates: {solver}");
-        }
-    }
-
-    #[test]
-    fn fig9_titan_init_order_of_magnitude_faster() {
-        let t = fig9();
-        let r = t.rows.len() - 1; // 45K row
-        let cori = t.value(r, "init (cori)").unwrap();
-        let titan = t.value(r, "init (titan)").unwrap();
-        assert!(cori / titan >= 10.0, "{cori} vs {titan}");
-    }
 }

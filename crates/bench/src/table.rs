@@ -33,17 +33,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Column index by header name.
-    pub fn column(&self, header: &str) -> Option<usize> {
-        self.headers.iter().position(|h| h == header)
-    }
-
-    /// Numeric value at `(row, header)`, if parseable.
-    pub fn value(&self, row: usize, header: &str) -> Option<f64> {
-        let c = self.column(header)?;
-        self.rows.get(row)?.get(c)?.parse().ok()
-    }
-
     /// Render aligned plain text.
     pub fn to_text(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
@@ -135,15 +124,6 @@ mod tests {
         let csv = t.to_csv();
         assert!(csv.starts_with("cores,time (s)\n"));
         assert_eq!(csv.lines().count(), 3);
-    }
-
-    #[test]
-    fn value_lookup() {
-        let mut t = Table::new("x", &["a", "b"]);
-        t.row(vec!["1".into(), "2.5".into()]);
-        assert_eq!(t.value(0, "b"), Some(2.5));
-        assert_eq!(t.value(0, "c"), None);
-        assert_eq!(t.value(9, "a"), None);
     }
 
     #[test]

@@ -13,18 +13,20 @@
 //!   models with Lofstead-style lognormal interference;
 //! * [`compositing`] — binary-swap and direct-send image compositing;
 //! * [`workloads`] — per-application per-timestep cost models (oscillator
-//!   miniapp, PHASTA, AVF-LESLIE, Nyx) calibrated to the paper's reported
+//!   miniapp, PHASTA, AVF-LESLIE, Nyx) fitted to the paper's reported
 //!   anchors;
 //! * [`memory`] — executable and heap footprint models for the memory
 //!   studies (Figs. 4, 7 and the PHASTA/Nyx executable-size notes);
 //! * [`noise`] — deterministic seeded noise so regenerated charts carry
 //!   realistic run-to-run variability yet reproduce bit-for-bit.
 //!
-//! Constants are *calibrations*, not first-principles predictions: each is
-//! anchored either to a number printed in the paper (e.g. Table 1's write
-//! times, Table 2's PHASTA in situ costs) or to a real measurement from
-//! the threaded execution mode. EXPERIMENTS.md records the resulting
-//! paper-vs-model comparison for every figure.
+//! Constants are *calibrations*, not first-principles predictions. One
+//! whose doc names a number printed in the paper (e.g. Table 1's write
+//! times, Table 2's PHASTA in situ costs) is solved from it in code; the
+//! others are typed. `tests/golden/figures.tsv` holds every numeric cell
+//! of every regenerated figure beside the paper's value: `fitted` where
+//! a constant is solved from it (error 0), `predicted` where not (its
+//! relative error), and the paper's prose claims as `shape` lines.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 

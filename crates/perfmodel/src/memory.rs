@@ -143,7 +143,6 @@ pub fn total_high_water(p: usize, exe: Executable, per_rank_heap: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workloads::miniapp_scales;
 
     #[test]
     fn staged_step_reads_the_benchmark_row() {
@@ -155,26 +154,6 @@ mod tests {
             (16_908_288 + 1_048_576 + 280 + 381) as f64
         );
         assert_eq!(staged_step_bytes(&blocks), 17_957_525.0);
-    }
-
-    #[test]
-    fn executable_sizes_match_paper_notes() {
-        assert_eq!(Executable::CatalystStatic.bytes(), 153.0 * MB);
-        assert_eq!(Executable::CatalystDynamic.bytes(), 87.0 * MB);
-    }
-
-    #[test]
-    fn fig4_original_vs_sensei_autocorrelation_equal() {
-        // Zero-copy interface ⇒ the two configurations' footprints are
-        // the same analysis buffers + grid; only the executable differs
-        // by the thin SENSEI layer.
-        for (p, cells) in miniapp_scales() {
-            let heap = miniapp_heap(cells, 3) + autocorrelation_heap(cells, 10);
-            let original = total_high_water(p, Executable::Original, heap);
-            let sensei = total_high_water(p, Executable::DirectAnalysis, heap);
-            let rel = (sensei - original) / original;
-            assert!(rel > 0.0 && rel < 0.02, "relative overhead {rel}");
-        }
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //!
 //! Sections this crate knows (`histogram`, `autocorrelation`,
 //! `descriptive-stats`) construct built-in analyses via
-//! [`build_builtin_analyses`]; infrastructure crates parse the same
-//! [`Config`] and construct their own adaptors from sections such as
-//! `[catalyst-slice]`.
+//! [`build_builtin_analyses`], which returns the names of the other
+//! sections, such as `[catalyst-slice]`. No infrastructure crate parses
+//! a section: a caller constructs a Catalyst or Libsim adaptor itself
+//! and registers it beside the built-in analyses.
 
 use std::collections::BTreeMap;
 

@@ -661,6 +661,22 @@ if grep -rnE 'probe::alloc::(rise_since|allocations)' tests --include='*.rs' |
     exit 1
 fi
 
+echo "==> each paper number is checked once"
+# Every printed number of the paper, fitted or predicted, and every prose
+# claim about a figure is a line of tests/golden/figures.tsv, checked by
+# tests/figures.rs. A test module beside the figures, or Table's cell
+# lookups that such tests read, is a second check of the same numbers
+# with tolerances of its own.
+if grep -n '#\[cfg(test)\]' crates/bench/src/figures.rs; then
+    echo "tier1: crates/bench/src/figures.rs has a test module again; the figures are checked by tests/figures.rs" >&2
+    exit 1
+fi
+if awk '/^#\[cfg\(test\)\]/{nextfile} {sub(/\/\/.*/, ""); print FILENAME ":" FNR ": " $0}' \
+    $(find crates/bench/src -name '*.rs') | grep -E 'fn (value|column)\('; then
+    echo "tier1: Table::value or Table::column is back in crates/bench/src" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
