@@ -1,25 +1,24 @@
 //! Regeneration of the paper's image figures (13, 14, 18) as real
 //! renders from the proxies, written as PNG files.
 
+use std::cell::Cell;
 use std::path::Path;
 
 use catalyst::{CatalystSliceAnalysis, SlicePipeline};
+use datamodel::DataSet;
 use libsim::{LibsimAnalysis, Session};
 use minimpi::World;
 use oscillator::{demo_oscillators, osc::format_deck, OscillatorAdaptor, SimConfig, Simulation};
-use render::camera::Camera;
 use render::color::{Color, Colormap};
-use render::composite::Compositor;
-use render::deflate::Mode;
-use render::framebuffer::Framebuffer;
-use render::png::encode_framebuffer;
-use render::raster::{fill_triangle, Vertex};
+use render::composite::Compositor::BinarySwap;
+use render::scene::{Leaf, Plot, Scene};
 use science::{
     Leslie, LeslieAdaptor, LeslieConfig, Nyx, NyxAdaptor, NyxConfig, Phasta, PhastaAdaptor,
     PhastaConfig,
 };
+use sensei::analysis::leaf_views;
 use sensei::AnalysisAdaptor as _;
-use sensei::DataAdaptor as _;
+use sensei::{Association, DataAdaptor as _};
 
 /// Render a Catalyst slice of the oscillator miniapp (quickstart image).
 pub(crate) fn render_oscillator_slice(dir: &Path) -> std::path::PathBuf {
@@ -110,59 +109,43 @@ pub(crate) fn render_nyx_slices(dir: &Path) -> Vec<std::path::PathBuf> {
     vec![dir.join("slice_00000.png"), dir.join("slice_00008.png")]
 }
 
-/// Fig. 13 — PHASTA slice through the wing: cut the tet mesh with a
-/// plane and rasterize the velocity-magnitude pseudocolor.
+/// Fig. 13 — PHASTA slice through the wing: a scene of one cut of the
+/// tet mesh at z = 0.3 (through the tail), pseudocoloured by velocity
+/// magnitude.
 pub(crate) fn render_phasta_cut(dir: &Path) -> std::path::PathBuf {
     std::fs::create_dir_all(dir).expect("create image dir");
-    let out = dir.join("phasta_cut.png");
-    let out2 = out.clone();
+    let dir2 = dir.to_path_buf();
     World::run(2, move |comm| {
         let mut sim = Phasta::new(comm, PhastaConfig::default());
         for _ in 0..20 {
             sim.step(comm);
         }
+        let plot = Plot::Cut {
+            axis: 2,
+            at: 0.3,
+            cmap: Colormap::cool_warm(),
+        };
+        let mut scene = Scene::new(
+            "phasta_cut",
+            (640, 320),
+            BinarySwap,
+            Color::WHITE,
+            vec![plot],
+        );
+        scene.output = Some(dir2.clone());
         let adaptor = PhastaAdaptor::new(&sim);
         let mesh = adaptor.full_mesh();
-        let datamodel::DataSet::Unstructured(grid) = &mesh else {
-            panic!("unstructured")
+        let views = leaf_views(&mesh, Association::Point, "velmag").expect("velmag");
+        let DataSet::Unstructured(grid) = &mesh else {
+            panic!("PHASTA's mesh is unstructured")
         };
-        // Horizontal cut at z = 0.3 (through the tail).
-        let tris = catalyst::cutter::cut_tets(grid, "velmag", [0.0, 0.0, 1.0], 0.3);
-        let cam = Camera::ortho(0.0, 2.0, 0.0, 1.0);
-        let cmap = Colormap::cool_warm();
-        let (w, h) = (640usize, 320usize);
-        let mut fb = Framebuffer::new(w, h);
-        // Global scalar range for a shared color scale.
-        let local_max = tris.iter().flat_map(|t| t.scalars).fold(0.0f64, f64::max);
-        let global_max = comm.allreduce_scalar(local_max, f64::max).max(1e-9);
-        for t in &tris {
-            let verts: Vec<Vertex> = t
-                .points
-                .iter()
-                .zip(t.scalars.iter())
-                .map(|(p, s)| {
-                    let (x, y, z) = {
-                        let (px, py, pz) = (p[0], p[1], p[2]);
-                        let (sx, sy, d) = cam.project([px, py, pz], w, h).unwrap();
-                        (sx, sy, d)
-                    };
-                    Vertex {
-                        x,
-                        y,
-                        z,
-                        color: cmap.map_range(*s, 0.0, global_max),
-                    }
-                })
-                .collect();
-            fill_triangle(&mut fb, verts[0], verts[1], verts[2]);
-        }
-        let composited = render::composite::composite(comm, fb, Compositor::BinarySwap);
-        if let Some(final_fb) = composited {
-            let png = encode_framebuffer(&final_fb, Color::WHITE, Mode::Fixed);
-            std::fs::write(&out2, png).expect("write phasta cut");
+        let leaf = (Leaf::Unstructured(grid), &views[0].values[..]);
+        let frame = scene.frame(comm, adaptor.step(), Some(leaf), &Cell::new(None));
+        if let Some((_, written)) = frame {
+            written.expect("write phasta cut");
         }
     });
-    out
+    dir.join("phasta_cut_00020.png")
 }
 
 /// Render every paper image figure into `dir`; returns the paths.

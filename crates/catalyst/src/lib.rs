@@ -11,16 +11,16 @@
 //!   file on rank 0. All of it is `render::scene::Scene` in Catalyst's
 //!   configuration, the one Libsim configures differently; the
 //!   footprint of a Catalyst Edition (153 MB static, 87 MB dynamic) is
-//!   `perfmodel::memory`'s;
-//! * a tetrahedral **cutter** ([`cutter`]) for unstructured meshes
-//!   (PHASTA's slice-through-the-wing images);
+//!   `perfmodel::memory`'s. An unstructured field is reported once
+//!   and drawn as a blank frame: the slice is a point index in a
+//!   structured extent. PHASTA's slice through the wing is
+//!   `render::scene::Plot::Cut`, drawn by the same `Scene::frame`;
 //! * a SENSEI [`sensei::AnalysisAdaptor`] wrapper
 //!   ([`CatalystSliceAnalysis`]) so simulations drive Catalyst through
 //!   the generic interface without Catalyst-specific code.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-pub mod cutter;
 pub mod pipeline;
 
 pub use pipeline::{CatalystSliceAnalysis, SlicePipeline};

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use minimpi::Comm;
 use render::color::{Color, Colormap};
 use render::composite::Compositor::BinarySwap;
-use render::scene::{Plot, Scene};
+use render::scene::{Leaf, Plot, Scene};
 use sensei::analysis::{LeafView, ReportOnce};
 use sensei::{AnalysisAdaptor, Association, DataAdaptor, Steering};
 
@@ -95,6 +95,7 @@ impl AnalysisAdaptor for CatalystSliceAnalysis {
             let (mesh, views) = field.blocks_or(&mut self.failures);
             let _publish = mesh.map(|mesh| datamodel::publish_dataset(mesh, "catalyst"));
             let block = views.iter().find_map(LeafView::block);
+            let block = block.map(|(grid, values)| (Leaf::Structured(grid), values));
             let frame = self.scene.frame(comm, step, block, field.range());
             if let Some((png, written)) = frame {
                 written.unwrap_or_else(|e| self.failures.report(e));

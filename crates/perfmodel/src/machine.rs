@@ -56,10 +56,6 @@ impl CalibTable {
 pub struct MachineSpec {
     /// Human-readable name ("cori-haswell", …).
     pub name: &'static str,
-    /// Cores per compute node.
-    pub cores_per_node: usize,
-    /// Memory per node in bytes.
-    pub mem_per_node: f64,
     /// Effective per-core cell-update throughput scale relative to a Cori
     /// Haswell core (BG/Q cores are much slower per core).
     pub core_speed: f64,
@@ -113,8 +109,6 @@ impl MachineSpec {
         let creates = vtk.map(|(&(files, bytes), t)| (files, files / (t - bytes / fs_agg_bw)));
         MachineSpec {
             name: "cori-haswell",
-            cores_per_node: 32,
-            mem_per_node: 128e9,
             core_speed: 1.0,
             net_alpha: 1.5e-6,
             net_bw: 8e9,
@@ -138,8 +132,6 @@ impl MachineSpec {
     pub fn mira_bgq() -> Self {
         let mut m = MachineSpec {
             name: "mira-bgq",
-            cores_per_node: 16,
-            mem_per_node: 16e9,
             core_speed: 0.25,
             net_alpha: 2.5e-6,
             net_bw: 2e9,
@@ -167,8 +159,6 @@ impl MachineSpec {
     pub fn titan() -> Self {
         MachineSpec {
             name: "titan",
-            cores_per_node: 16,
-            mem_per_node: 32e9,
             core_speed: 0.6,
             net_alpha: 1.8e-6,
             net_bw: 5e9,

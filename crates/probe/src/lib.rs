@@ -41,41 +41,11 @@ pub const GAUGE_DATASET_OWNED: &str = "mem/dataset_owned_bytes";
 /// simulation (zero-copy shared buffers).
 pub const GAUGE_DATASET_SHARED: &str = "mem/dataset_shared_bytes";
 
-/// Online mean/variance accumulator (Welford) with range tracking.
-#[derive(Clone, Copy, Debug, Default)]
-struct Welford {
+/// A label's samples: how many, and their sum in seconds.
+#[derive(Default)]
+struct Tally {
     count: u64,
     total: f64,
-    min: f64,
-    max: f64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    fn push(&mut self, x: f64) {
-        if self.count == 0 {
-            self.min = x;
-            self.max = x;
-        } else {
-            self.min = self.min.min(x);
-            self.max = self.max.max(x);
-        }
-        self.count += 1;
-        self.total += x;
-        let d = x - self.mean;
-        self.mean += d / self.count as f64;
-        self.m2 += d * (x - self.mean);
-    }
-
-    /// Population standard deviation (0 for fewer than two samples).
-    fn stddev(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            (self.m2 / self.count as f64).max(0.0).sqrt()
-        }
-    }
 }
 
 /// Per-label message/byte tallies.
@@ -88,7 +58,7 @@ struct Counter {
 
 #[derive(Default)]
 struct State {
-    spans: BTreeMap<String, Welford>,
+    spans: BTreeMap<String, Tally>,
     counters: BTreeMap<String, Counter>,
     gauges: BTreeMap<String, u64>,
 }
@@ -143,14 +113,12 @@ impl Probe {
     pub fn record_span(&self, path: &str, seconds: f64) {
         if let Some(inner) = &self.0 {
             let mut state = inner.state.lock();
-            match state.spans.get_mut(path) {
-                Some(w) => w.push(seconds),
-                None => {
-                    let mut w = Welford::default();
-                    w.push(seconds);
-                    state.spans.insert(path.to_string(), w);
-                }
-            }
+            let tally = match state.spans.get_mut(path) {
+                Some(tally) => tally,
+                None => state.spans.entry(path.to_string()).or_default(),
+            };
+            tally.count += 1;
+            tally.total += seconds;
         }
     }
 
@@ -216,14 +184,10 @@ impl Probe {
             spans: state
                 .spans
                 .iter()
-                .map(|(label, w)| SpanStat {
+                .map(|(label, t)| SpanStat {
                     label: label.clone(),
-                    count: w.count,
-                    total: w.total,
-                    min: w.min,
-                    max: w.max,
-                    mean: w.mean,
-                    stddev: w.stddev(),
+                    count: t.count,
+                    total: t.total,
                 })
                 .collect(),
             counters: state
@@ -274,7 +238,7 @@ impl Drop for Span<'_> {
     }
 }
 
-/// Per-label timing statistics of one rank.
+/// A label's span samples on one rank: how many, and their sum.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SpanStat {
     /// Slash-separated span path.
@@ -283,14 +247,6 @@ pub struct SpanStat {
     pub count: u64,
     /// Sum of samples, seconds.
     pub total: f64,
-    /// Smallest sample.
-    pub min: f64,
-    /// Largest sample.
-    pub max: f64,
-    /// Mean sample.
-    pub mean: f64,
-    /// Population standard deviation over samples.
-    pub stddev: f64,
 }
 
 /// Per-label counter totals of one rank.
@@ -365,10 +321,6 @@ mod tests {
         assert_eq!(s.spans.len(), 1);
         assert_eq!(s.spans[0].count, 2);
         assert_eq!(s.spans[0].total, 4.0);
-        assert_eq!(s.spans[0].min, 1.0);
-        assert_eq!(s.spans[0].max, 3.0);
-        assert_eq!(s.spans[0].mean, 2.0);
-        assert_eq!(s.spans[0].stddev, 1.0);
         assert_eq!(
             s.counters,
             vec![CounterStat {

@@ -50,7 +50,7 @@ fn normalize(v: [f64; 3]) -> [f64; 3] {
 
 impl Camera {
     /// An orthographic camera covering the rectangle `[x0,x1]×[y0,y1]`.
-    pub fn ortho(x0: f64, x1: f64, y0: f64, y1: f64) -> Self {
+    pub(crate) fn ortho(x0: f64, x1: f64, y0: f64, y1: f64) -> Self {
         assert!(x1 > x0 && y1 > y0, "degenerate ortho window");
         Camera::Ortho {
             x: [x0, x1],
@@ -72,7 +72,12 @@ impl Camera {
     /// Project a world point (2D slices pass z as the slice-normal
     /// coordinate, used only for depth). Returns `(px, py, depth)` in
     /// continuous pixel coordinates, or `None` behind the camera.
-    pub fn project(&self, p: [f64; 3], width: usize, height: usize) -> Option<(f64, f64, f32)> {
+    pub(crate) fn project(
+        &self,
+        p: [f64; 3],
+        width: usize,
+        height: usize,
+    ) -> Option<(f64, f64, f32)> {
         match self {
             Camera::Ortho { x, y } => {
                 let u = (p[0] - x[0]) / (x[1] - x[0]);

@@ -105,7 +105,7 @@ impl Colormap {
 
     /// Map a raw value given a data range (degenerate ranges map to the
     /// midpoint).
-    pub fn map_range(&self, v: f64, min: f64, max: f64) -> Color {
+    pub(crate) fn map_range(&self, v: f64, min: f64, max: f64) -> Color {
         if max > min {
             self.map((v - min) / (max - min))
         } else {

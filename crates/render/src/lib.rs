@@ -15,6 +15,8 @@
 //! * [`slice`] — axis-aligned slice extraction from structured grids;
 //! * [`isosurface`] — marching-tetrahedra isosurfacing of structured
 //!   fields;
+//! * `cut` — the plane cut of a tetrahedral mesh (PHASTA's slice
+//!   through the wing), a plot of a [`scene`];
 //! * [`composite`] — parallel image compositing over `minimpi`, with the
 //!   two algorithm families the infrastructures use (**binary swap** and
 //!   **direct-send tree**);
@@ -26,13 +28,16 @@
 //!   spend it on every rank instead ([`png::PngEncoder`]: the same
 //!   file, deflated in bands where the composited rows already are);
 //! * [`scene`] — one in situ frame from those pieces, which both
-//!   infrastructure crates configure instead of assembling their own.
+//!   infrastructure crates configure instead of assembling their own,
+//!   and the one way to an image: the science proxies' renders (PHASTA's
+//!   cut among them) are scenes too.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod camera;
 pub mod color;
 pub mod composite;
+mod cut;
 pub mod deflate;
 pub mod framebuffer;
 pub mod isosurface;

@@ -40,7 +40,7 @@ pub(crate) fn triangle_box([v0, v1, v2]: [Vertex; 3], width: usize, height: usiz
 
 /// Rasterize a filled triangle with barycentric interpolation of depth
 /// and color, into the pixels `fb` holds.
-pub fn fill_triangle(fb: &mut Framebuffer, v0: Vertex, v1: Vertex, v2: Vertex) {
+pub(crate) fn fill_triangle(fb: &mut Framebuffer, v0: Vertex, v1: Vertex, v2: Vertex) {
     let Some(bbox) = triangle_box([v0, v1, v2], fb.width(), fb.height()) else {
         return; // off the image, or degenerate
     };

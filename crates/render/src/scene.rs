@@ -1,4 +1,6 @@
-//! One in situ frame, as `catalyst` and `libsim` configure it: one
+//! One in situ frame, as `catalyst` and `libsim` configure it, and as
+//! the science proxies' figures do (PHASTA's cut through a tetrahedral
+//! mesh is a [`Plot::Cut`] of a [`Leaf::Unstructured`]): one
 //! [`global_range`] a step, kept in the caller's range cell for the
 //! step's later frames, each plot prepared and composited over it and
 //! depth-merged where its rows lie, one collective [`PngEncoder`] file.
@@ -30,12 +32,13 @@
 use std::cell::Cell;
 use std::path::PathBuf;
 
-use datamodel::Structured;
+use datamodel::{Structured, UnstructuredGrid};
 use minimpi::Comm;
 
 use crate::camera::Camera;
 use crate::color::{Color, Colormap};
 use crate::composite::{merge, Compositor};
+use crate::cut::cut_layer;
 use crate::framebuffer::Framebuffer;
 use crate::pipeline::{
     global_range, isosurface_layer, slice_layer, IsosurfaceRender, Layer, SliceRender,
@@ -55,6 +58,24 @@ pub enum Plot {
     /// Shaded isosurfaces at `levels`, fractions of the range, seen from
     /// outside the domain.
     Isosurface { levels: Vec<f64>, cmap: Colormap },
+    /// The plane `axis = at`, in world coordinates, through a
+    /// tetrahedral mesh, seen face on over the mesh's bounds.
+    Cut {
+        axis: usize,
+        at: f64,
+        cmap: Colormap,
+    },
+}
+
+/// A rank's leaf of the field a [`Scene`] draws: a structured block,
+/// which slices and isosurfaces draw, or a tetrahedral mesh, which a cut
+/// draws.
+#[derive(Clone, Copy, Debug)]
+pub enum Leaf<'a> {
+    /// A block of a structured grid.
+    Structured(Structured<'a>),
+    /// A piece of an unstructured mesh.
+    Unstructured(&'a UnstructuredGrid),
 }
 
 /// A frame's configuration.
@@ -88,7 +109,7 @@ impl Scene {
         }
     }
 
-    /// One frame of `field` — this rank's block and its point values, or
+    /// One frame of `field` — this rank's leaf and its point values, or
     /// `None` — coloured over `range`, the field's range this step: the
     /// one a frame of this step already took, or else taken here (one
     /// pair reduction) and kept in it. Collective, so every rank passes
@@ -98,7 +119,7 @@ impl Scene {
         &self,
         comm: &Comm,
         step: u64,
-        field: Option<(Structured<'_>, &[f64])>,
+        field: Option<(Leaf<'_>, &[f64])>,
         range: &Cell<Option<(f64, f64)>>,
     ) -> Option<(Vec<u8>, Result<(), String>)> {
         let probe = comm.probe();
@@ -126,7 +147,7 @@ impl Scene {
             };
             let draw = probe.span("per-step/render/draw");
             let layer = match (plot, field) {
-                (Plot::Slice { axis, index, cmap }, Some((grid, values))) => {
+                (Plot::Slice { axis, index, cmap }, Some((Leaf::Structured(grid), values))) => {
                     let (local, global) = (&grid.extent, &grid.global_extent);
                     let slice = SliceRender {
                         axis: *axis,
@@ -138,7 +159,7 @@ impl Scene {
                     };
                     slice_layer(comm, local, global, values, &slice, (lo, hi))
                 }
-                (Plot::Isosurface { levels, cmap }, Some((grid, values))) => {
+                (Plot::Isosurface { levels, cmap }, Some((Leaf::Structured(grid), values))) => {
                     let cfg = IsosurfaceRender {
                         isovalues: levels.iter().map(|f| lo + f * (hi - lo)).collect(),
                         camera: overview(&grid),
@@ -151,7 +172,14 @@ impl Scene {
                     };
                     isosurface_layer(&grid.extent, values, &cfg, (lo, hi))
                 }
-                (_, None) => Layer::Empty,
+                (Plot::Cut { axis, at, cmap }, field) => {
+                    let mesh = match field {
+                        Some((Leaf::Unstructured(grid), values)) => Some((grid, values)),
+                        _ => None,
+                    };
+                    cut_layer(comm, mesh, (*axis, *at), cmap, (lo, hi), self.image)
+                }
+                _ => Layer::Empty,
             };
             drop(draw);
             let _composite = probe.span("per-step/render/composite");
@@ -236,7 +264,8 @@ mod tests {
             (0..2)
                 .map(|step| {
                     let range = Cell::new(None);
-                    let png = scene.frame(comm, step, Some((grid, &values)), &range);
+                    let png =
+                        scene.frame(comm, step, Some((Leaf::Structured(grid), &values)), &range);
                     (Framebuffer::spare_at(comm), png.map(|(png, _)| png))
                 })
                 .collect::<Vec<_>>()
@@ -317,7 +346,12 @@ mod tests {
             };
             let scene = Scene::new("kept", (w, h), which, Color::BLACK, vec![plot]);
             for step in 0..2 {
-                scene.frame(comm, step, Some((grid, &values)), &Cell::new(None));
+                scene.frame(
+                    comm,
+                    step,
+                    Some((Leaf::Structured(grid), &values)),
+                    &Cell::new(None),
+                );
             }
             let frame = comm.spare::<Framebuffer>().map_or(0, |fb| fb.pixel_bytes());
             let [tables, spec] = comm.spare::<PngEncoder>().map_or([0; 2], |e| e.held());
@@ -405,7 +439,7 @@ mod tests {
             };
             let scene = Scene::new("oracle", (w, h), which, background, plots.clone());
             let range = Cell::new(None);
-            let png = scene.frame(comm, 0, Some((grid, &values)), &range);
+            let png = scene.frame(comm, 0, Some((Leaf::Structured(grid), &values)), &range);
             let (lo, hi) = range.get().expect("the frame took the range");
             let mut image: Option<Framebuffer> = None;
             for plot in &plots {
@@ -422,6 +456,7 @@ mod tests {
                         let (field, colour) = ((&extent, &values[..]), (cmap, (lo, hi)));
                         draw_surfaces(&mut fb, field, isos, colour, &overview(&grid));
                     }
+                    Plot::Cut { .. } => unreachable!("a cut draws a tetrahedral mesh"),
                 }
                 let composited = composite(comm, fb, which);
                 match (&mut image, composited) {
@@ -615,7 +650,7 @@ mod tests {
                 let scene = Scene::new("tie", (w, h), which, Color::BLACK, vec![plot]);
                 let range = Cell::new(None);
                 scene
-                    .frame(comm, 0, Some((grid, &values)), &range)
+                    .frame(comm, 0, Some((Leaf::Structured(grid), &values)), &range)
                     .map(|(png, _)| png)
             });
             let png = files[0].clone().expect("rank 0's file");

@@ -568,22 +568,37 @@ mod tests {
     }
 
     #[test]
-    fn slice_cut_through_tail_produces_geometry() {
-        World::run(1, |comm| {
+    fn a_cut_through_the_tail_covers_the_domain() {
+        // The plane y = 0.5 spans the whole x–z face of the domain on
+        // both slabs (2 × 1): its frame over the mesh's bounds is drawn
+        // at every pixel, none left at the background.
+        use render::composite::Compositor::BinarySwap;
+        use render::scene::{Leaf, Plot, Scene};
+        use render::{Color, Colormap};
+        use sensei::analysis::leaf_views;
+        use std::cell::Cell;
+        let files = World::run(2, |comm| {
             let sim = Phasta::new(comm, small());
-            let adaptor = PhastaAdaptor::new(&sim);
-            let mesh = adaptor.full_mesh();
+            let mesh = PhastaAdaptor::new(&sim).full_mesh();
+            let views = leaf_views(&mesh, Association::Point, "velmag").unwrap();
             let DataSet::Unstructured(g) = &mesh else {
-                unreachable!()
+                panic!("unstructured mesh")
             };
-            let tris = catalyst::cutter::cut_tets(g, "velmag", [0.0, 1.0, 0.0], 0.5);
-            assert!(!tris.is_empty(), "mid-plane cut intersects the mesh");
-            // Cut area ≈ the x–z plane area of the domain.
-            let area = catalyst::cutter::cut_area(&tris);
-            assert!(
-                (area - 2.0).abs() < 0.1,
-                "cut area {area} ≈ 2.0 (2×1 plane)"
-            );
+            let plot = Plot::Cut {
+                axis: 1,
+                at: 0.5,
+                cmap: Colormap::cool_warm(),
+            };
+            let (swap, magenta) = (BinarySwap, Color::rgb(255, 0, 255));
+            let scene = Scene::new("cut", (64, 32), swap, magenta, vec![plot]);
+            let leaf = (Leaf::Unstructured(g), &views[0].values[..]);
+            let png = scene.frame(comm, 0, Some(leaf), &Cell::new(None));
+            png.map(|(png, _)| png)
         });
+        let png = files[0].clone().expect("rank 0's file");
+        let (w, h, rgb) = render::png::decode_rgb(&png).expect("a file");
+        assert_eq!((w, h), (64, 32));
+        let background = rgb.chunks(3).filter(|c| *c == [255, 0, 255]).count();
+        assert_eq!(background, 0, "the cut covers the 2 × 1 face");
     }
 }

@@ -7,15 +7,16 @@
 //! cargo run --release --example phasta_tail
 //! ```
 
+use std::cell::Cell;
+
+use datamodel::DataSet;
 use minimpi::World;
-use render::camera::Camera;
 use render::color::{Color, Colormap};
-use render::deflate::Mode;
-use render::framebuffer::Framebuffer;
-use render::png::encode_framebuffer;
-use render::raster::{fill_triangle, Vertex};
+use render::composite::Compositor::BinarySwap;
+use render::scene::{Leaf, Plot, Scene};
 use science::{Phasta, PhastaAdaptor, PhastaConfig};
-use sensei::DataAdaptor as _;
+use sensei::analysis::leaf_views;
+use sensei::{Association, DataAdaptor as _};
 
 const STEPS: u64 = 30;
 
@@ -32,6 +33,14 @@ fn main() {
         } else {
             sim.total_tets(comm); // collective
         }
+        // A Catalyst-style slice through the wing: the cut z = 0.3.
+        let plot = Plot::Cut {
+            axis: 2,
+            at: 0.3,
+            cmap: Colormap::cool_warm(),
+        };
+        let mut scene = Scene::new("phasta", (400, 200), BinarySwap, Color::WHITE, vec![plot]);
+        scene.output = Some("results".into());
 
         for step in 0..STEPS {
             sim.step(comm);
@@ -46,45 +55,21 @@ fn main() {
             if step % 2 != 0 {
                 continue;
             }
-            // SENSEI → Catalyst-style slice cut + render.
             let adaptor = PhastaAdaptor::new(&sim);
             let mesh = adaptor.full_mesh();
-            let datamodel::DataSet::Unstructured(grid) = &mesh else {
-                unreachable!()
+            let views = leaf_views(&mesh, Association::Point, "velmag").expect("velmag");
+            let DataSet::Unstructured(grid) = &mesh else {
+                unreachable!("PHASTA's mesh is unstructured")
             };
-            let tris = catalyst::cutter::cut_tets(grid, "velmag", [0.0, 0.0, 1.0], 0.3);
-            let cam = Camera::ortho(0.0, 2.0, 0.0, 1.0);
-            let cmap = Colormap::cool_warm();
-            let (w, h) = (400usize, 200usize);
-            let mut fb = Framebuffer::new(w, h);
-            let local_max = tris.iter().flat_map(|t| t.scalars).fold(0.0f64, f64::max);
-            let vmax = comm.allreduce_scalar(local_max, f64::max).max(1e-9);
-            for t in &tris {
-                let vs: Vec<Vertex> = t
-                    .points
-                    .iter()
-                    .zip(&t.scalars)
-                    .map(|(p, s)| {
-                        let (x, y, z) = cam.project(*p, w, h).expect("ortho");
-                        Vertex {
-                            x,
-                            y,
-                            z,
-                            color: cmap.map_range(*s, 0.0, vmax),
-                        }
-                    })
-                    .collect();
-                fill_triangle(&mut fb, vs[0], vs[1], vs[2]);
-            }
-            if let Some(final_fb) =
-                render::composite::composite(comm, fb, render::composite::Compositor::BinarySwap)
-            {
-                let png = encode_framebuffer(&final_fb, Color::WHITE, Mode::Fixed);
-                let path = format!("results/phasta_{step:03}.png");
-                std::fs::write(&path, png).expect("write png");
+            let leaf = (Leaf::Unstructured(grid), &views[0].values[..]);
+            let range = Cell::new(None);
+            let frame = scene.frame(comm, adaptor.step(), Some(leaf), &range);
+            if let Some((_, written)) = frame {
+                written.expect("write png");
+                let vmax = range.get().map_or(0.0, |(_, hi)| hi);
+                let (done, crossflow) = (adaptor.step(), sim.max_crossflow());
                 println!(
-                    "step {step}: |v|max {vmax:.3}, crossflow {:.3} → {path}",
-                    sim.max_crossflow()
+                    "step {done}: |v|max {vmax:.3}, crossflow {crossflow:.3} → results/phasta_{done:05}.png"
                 );
             }
         }

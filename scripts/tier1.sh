@@ -25,7 +25,6 @@ echo "==> every pub item has an outside user"
 exposed="
 adios FlexpathReader Role
 adios FlexpathWriter Role
-catalyst CutTriangle cut_tets
 datamodel PublishGuard publish_dataset
 datamodel SpaceGuard enter_space
 iosim PosthocReport posthoc_analysis
@@ -354,6 +353,25 @@ for f in crates/{catalyst,libsim}/src/*.rs; do
         exit 1
     fi
 done
+
+echo "==> one way to an image"
+# Every in situ picture, the science proxies' among them (PHASTA's cut
+# through the wing is render::scene::Plot::Cut), is a Scene::frame:
+# range, draw, composite and encode, collectively. Outside render, the
+# tests and the benchmark, a product source or an example that names a
+# raster, gathered-pipeline, composite or serial-encode piece is drawing
+# a frame by hand beside the scene. (The PNG ablation's
+# render::png::encode_rgb in bench::realruns times the codec alone.)
+if { for f in $(find crates/*/src src -name '*.rs' -not -path 'crates/render/src/*'); do
+        awk '/^#\[cfg\(test\)\]/{exit} {sub(/\/\/.*/, ""); print FILENAME ":" FNR ": " $0}' "$f"
+    done
+    for f in examples/*.rs; do
+        awk '{sub(/\/\/.*/, ""); print FILENAME ":" FNR ": " $0}' "$f"
+    done; } |
+    grep -E '\bfill_triangle\b|composite::(composite\b|\{[^}]*\bcomposite\b)|\bencode_framebuffer\b|Framebuffer::new\b|\bpseudocolor_slice\b|\bshaded_isosurface\b'; then
+    echo "tier1: a product source or example outside render draws a frame by hand; make it a render::scene::Scene" >&2
+    exit 1
+fi
 
 echo "==> one frame buffer per rank"
 # Catalyst and Libsim draw into the rank's one spare framebuffer

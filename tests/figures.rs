@@ -14,9 +14,14 @@
 //! After the cells, each prose claim the paper makes about a figure is a
 //! `shape` line: the quantity, its value and the claim. The claims, and
 //! the fitted errors of 0, are checked here whatever the file says, so a
-//! regeneration cannot hide a broken one. When a change moves a cell on
-//! purpose, regenerate with `scripts/regen_goldens.sh` (equivalently
-//! `GOLDEN_REGEN=1 cargo test --test figures`) and commit its diff.
+//! regeneration cannot hide a broken one. Last, each range the paper
+//! prints is a `range` line: the quantity, its value, the range, and in
+//! the error column the value's signed distance outside the range,
+//! relative to the nearer bound (0 inside it). A range line is compared
+//! with the rest of the file and never fails on its value. When a change
+//! moves a cell on purpose, regenerate with `scripts/regen_goldens.sh`
+//! (equivalently `GOLDEN_REGEN=1 cargo test --test figures`) and commit
+//! its diff.
 
 use std::fmt::Write as _;
 
@@ -221,6 +226,23 @@ fn shapes(c: &[Cell]) -> Vec<(&'static str, &'static str, f64, Claim)> {
     ]
 }
 
+/// The ranges the paper prints: figure, quantity, its value, the range.
+/// A value outside its range is a deviation the golden states, not a
+/// failure.
+#[rustfmt::skip]
+fn ranges(c: &[Cell]) -> Vec<(&'static str, &'static str, f64, (f64, f64))> {
+    let all = |_: &str| true;
+    let total = |fig, row| one(c, fig, row, "total");
+    vec![
+        ("fig11", "post hoc histogram total at 4544 readers / Fig. 12 in situ at 45440",
+            total("fig11", "histogram 4544") / total("fig12", "Histogram 45440"), (5.0, 10.0)),
+        ("fig15", "max in situ amortized/step (s)",
+            max(values(c, "fig15", "insitu amortized/step", all)), (1.0, 1.5)),
+        ("fig16", "volume write / render step",
+            one(c, "fig16", "ratio write / render step", "sensei cost"), (3.0, 4.0)),
+    ]
+}
+
 /// `v` to four significant digits.
 fn sig4(v: f64) -> String {
     let decimals = (3.0 - v.abs().log10().floor()).clamp(0.0, 15.0) as usize;
@@ -281,6 +303,17 @@ fn every_paper_number_matches_the_golden_table() {
             "shape",
             "holds",
         ]);
+    }
+    for (figure, quantity, value, (lo, hi)) in ranges(&cells) {
+        let value = sig4(value);
+        let v: f64 = value.parse().unwrap();
+        let err = match v {
+            v if v < lo => format!("{:+.2}%", 100.0 * (v - lo) / lo),
+            v if v > hi => format!("{:+.2}%", 100.0 * (v - hi) / hi),
+            _ => "0".into(),
+        };
+        let range = format!("in [{lo}, {hi}]");
+        put([figure, "range", quantity, &value, &range, "range", &err]);
     }
     assert!(
         broken.is_empty(),
