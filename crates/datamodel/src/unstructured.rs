@@ -1,7 +1,11 @@
 //! Unstructured grids (`vtkUnstructuredGrid`): explicit points plus a
 //! connectivity/offsets cell description. PHASTA's finite-element meshes
 //! map here; the paper notes nodal coordinates and fields map zero-copy
-//! while connectivity is a full copy — both paths are expressible.
+//! while connectivity is a full copy — both paths are expressible. The
+//! cell arrays never change between steps, so they are shared by `Arc`:
+//! a producer copies them once and every later mesh is a view of them.
+
+use std::sync::Arc;
 
 use crate::array::DataArray;
 use crate::attributes::Attributes;
@@ -34,18 +38,19 @@ impl CellType {
 }
 
 /// An unstructured mesh: points (3-component array, possibly zero-copy),
-/// flat connectivity with per-cell offsets, and per-cell types.
+/// flat connectivity with per-cell offsets, and per-cell types, each
+/// shareable between meshes.
 #[derive(Clone, Debug)]
 pub struct UnstructuredGrid {
     /// Point coordinates, 3 components per tuple.
     pub points: DataArray,
     /// Flat point-index list for all cells.
-    pub connectivity: Vec<i64>,
+    pub connectivity: Arc<Vec<i64>>,
     /// `offsets[c]..offsets[c+1]` indexes `connectivity` for cell `c`;
     /// length = num_cells + 1, starts at 0.
-    pub offsets: Vec<usize>,
+    pub offsets: Arc<Vec<usize>>,
     /// Shape of each cell; length = num_cells.
-    pub cell_types: Vec<CellType>,
+    pub cell_types: Arc<Vec<CellType>>,
     /// Arrays defined on points.
     pub point_data: Attributes,
     /// Arrays defined on cells.
@@ -94,9 +99,9 @@ impl UnstructuredGrid {
         );
         UnstructuredGrid {
             points,
-            connectivity,
-            offsets,
-            cell_types,
+            connectivity: Arc::new(connectivity),
+            offsets: Arc::new(offsets),
+            cell_types: Arc::new(cell_types),
             point_data: Attributes::new(),
             cell_data: Attributes::new(),
         }
@@ -140,11 +145,14 @@ impl UnstructuredGrid {
 }
 
 impl MemoryFootprint for UnstructuredGrid {
+    /// The cell arrays count as shared storage, like a
+    /// [`crate::Buffer::Shared`] view.
     fn heap_bytes(&self, count_shared: bool) -> usize {
-        self.points.heap_bytes(count_shared)
-            + self.connectivity.capacity() * 8
+        let cells = self.connectivity.capacity() * 8
             + self.offsets.capacity() * std::mem::size_of::<usize>()
-            + self.cell_types.capacity()
+            + self.cell_types.capacity();
+        self.points.heap_bytes(count_shared)
+            + if count_shared { cells } else { 0 }
             + self.point_data.heap_bytes(count_shared)
             + self.cell_data.heap_bytes(count_shared)
     }
@@ -153,7 +161,6 @@ impl MemoryFootprint for UnstructuredGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     fn two_tets() -> UnstructuredGrid {
         // 5 points, 2 tetrahedra sharing a face.

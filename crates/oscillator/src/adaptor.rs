@@ -50,7 +50,35 @@ impl OscillatorAdaptor {
             .get_or_init(|| duplicate_point_ghosts(&self.local, &self.global).map(Arc::new))
             .as_ref()
     }
+
+    /// The point arrays this block lists: the field, then the flags
+    /// where the block has a ghost.
+    fn listed(&self) -> &'static [&'static str] {
+        &POINT_ARRAYS[..1 + usize::from(self.ghosts().is_some())]
+    }
+
+    /// The named point array, a view of the step's field or of the run's
+    /// flags; none for a name this block does not list.
+    fn point_array(&self, name: &str) -> Option<DataArray> {
+        // Neighbouring blocks share a point plane (partition_extent
+        // splits cells); the flags mark the duplicated planes so point
+        // analyses stay decomposition-invariant. Inserting them is also
+        // what arms the sanitizer's ghost-write checks on the sibling
+        // zero-copy arrays.
+        let array = match name {
+            "data" => DataArray::shared("data", 1, Arc::clone(&self.field)),
+            GHOST_ARRAY_NAME => DataArray::shared(GHOST_ARRAY_NAME, 1, Arc::clone(self.ghosts()?)),
+            _ => return None,
+        };
+        // The simulation's field lives in host RAM, and the flags beside
+        // it; declare the residency so space-checked consumers know
+        // where the zero-copy borrow is valid.
+        Some(array.with_space(datamodel::MemorySpace::Host))
+    }
 }
+
+/// The point arrays an oscillator block can list.
+const POINT_ARRAYS: [&str; 2] = ["data", GHOST_ARRAY_NAME];
 
 impl DataAdaptor for OscillatorAdaptor {
     fn time(&self) -> f64 {
@@ -67,10 +95,7 @@ impl DataAdaptor for OscillatorAdaptor {
 
     fn array_names(&self, assoc: Association) -> Vec<String> {
         match assoc {
-            Association::Point => std::iter::once("data")
-                .chain(self.ghosts().map(|_| GHOST_ARRAY_NAME))
-                .map(str::to_string)
-                .collect(),
+            Association::Point => self.listed().iter().map(|n| n.to_string()).collect(),
             Association::Cell => Vec::new(),
         }
     }
@@ -81,49 +106,13 @@ impl DataAdaptor for OscillatorAdaptor {
         assoc: Association,
         name: &str,
     ) -> Result<(), AdaptorError> {
-        // A block with no ghost has no flags to attach.
-        let flags = (name == GHOST_ARRAY_NAME).then(|| self.ghosts()).flatten();
-        if name != "data" && flags.is_none() {
-            return Err(AdaptorError::UnknownArray {
-                name: name.to_string(),
-                assoc,
-            });
-        }
-        if assoc != Association::Point {
-            return Err(AdaptorError::WrongAssociation {
-                name: name.to_string(),
-                requested: assoc,
-                available: Association::Point,
-            });
-        }
-        let DataSet::Image(g) = mesh else {
-            return Err(AdaptorError::LayoutUnsupported {
-                name: name.to_string(),
-                detail: "oscillator produces a single structured grid".to_string(),
-            });
+        let advertised = |a| a == Association::Point && self.listed().contains(&name);
+        let layout = "oscillator produces a single structured grid";
+        let refused = || AdaptorError::classify(name, assoc, advertised, layout);
+        let (Association::Point, DataSet::Image(g)) = (assoc, mesh) else {
+            return Err(refused());
         };
-        if let Some(flags) = flags {
-            // Neighbouring blocks share a point plane (partition_extent
-            // splits cells); mark the duplicated planes so point
-            // analyses stay decomposition-invariant. The extents never
-            // change, so the flags are computed once per simulation and
-            // every step's array is a view of them, host-resident like
-            // the field. Inserting them is also what arms the
-            // sanitizer's ghost-write checks on the sibling zero-copy
-            // arrays.
-            g.add_point_array(
-                DataArray::shared(GHOST_ARRAY_NAME, 1, Arc::clone(flags))
-                    .with_space(datamodel::MemorySpace::Host),
-            );
-        } else {
-            // The simulation's field lives in host RAM; declare the
-            // residency so space-checked consumers know where the
-            // zero-copy borrow is valid.
-            g.add_point_array(
-                DataArray::shared("data", 1, Arc::clone(&self.field))
-                    .with_space(datamodel::MemorySpace::Host),
-            );
-        }
+        g.add_point_array(self.point_array(name).ok_or_else(refused)?);
         Ok(())
     }
 }
@@ -255,25 +244,6 @@ mod tests {
             if comm.rank() == 0 {
                 assert_eq!(*direct_res.lock(), *bridged_res.lock());
             }
-        });
-    }
-
-    #[test]
-    fn wrong_array_requests_refused() {
-        World::run(1, |comm| {
-            let sim = run_sim(comm, 4);
-            let a = OscillatorAdaptor::new(&sim);
-            let mut mesh = a.mesh();
-            let wrong = a.add_array(&mut mesh, Association::Cell, "data");
-            assert!(matches!(
-                wrong,
-                Err(sensei::AdaptorError::WrongAssociation { .. })
-            ));
-            let unknown = a.add_array(&mut mesh, Association::Point, "velocity");
-            assert!(matches!(
-                unknown,
-                Err(sensei::AdaptorError::UnknownArray { .. })
-            ));
         });
     }
 }

@@ -13,7 +13,7 @@
 //! (so every rank has two neighbors), x is periodic in-stencil, and y
 //! uses one-sided differences at the free-stream boundaries.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use datamodel::{DataArray, DataSet, Extent, ImageData, GHOST_ARRAY_NAME};
 use minimpi::Comm;
@@ -71,6 +71,9 @@ pub struct Leslie {
     u: Arc<Vec<f64>>,
     v: Arc<Vec<f64>>,
     w: Arc<Vec<f64>>,
+    /// The ghost flags every step's adaptor shares, built on the first
+    /// request: the ghost planes never move.
+    ghosts: Arc<OnceLock<Arc<Vec<u8>>>>,
     step: u64,
 }
 
@@ -129,6 +132,7 @@ impl Leslie {
             u: Arc::new(u),
             v: Arc::new(v),
             w: Arc::new(w),
+            ghosts: Arc::default(),
             step: 0,
         }
     }
@@ -277,26 +281,29 @@ impl Leslie {
 }
 
 /// SENSEI data adaptor for the TML: exposes the velocity components
-/// zero-copy over the **ghosted** grid, computes vorticity magnitude on
-/// demand, and marks ghost planes via the `vtkGhostType` convention so
+/// zero-copy over the **ghosted** grid, computes vorticity magnitude once
+/// a step, and marks ghost planes via the `vtkGhostType` convention so
 /// analyses blank them.
 pub struct LeslieAdaptor {
     u: Arc<Vec<f64>>,
     v: Arc<Vec<f64>>,
     w: Arc<Vec<f64>>,
-    vorticity: Vec<f64>,
+    vorticity: Arc<Vec<f64>>,
     ghosted_extent: Extent,
     global_extent: Extent,
-    ghosts: Vec<u8>,
+    ghosts: Arc<OnceLock<Arc<Vec<u8>>>>,
     spacing: [f64; 3],
     step: u64,
     dt: f64,
 }
 
+/// The point arrays a LESLIE block lists.
+const POINT_ARRAYS: [&str; 5] = ["u", "v", "w", "vorticity", GHOST_ARRAY_NAME];
+
 impl LeslieAdaptor {
     /// Snapshot the solver state. Velocity views are zero-copy; the
     /// derived vorticity costs one stencil pass (the <0.5 s adaptor
-    /// floor of Fig. 16).
+    /// floor of Fig. 16), shared by every attach of the step.
     pub fn new(sim: &Leslie) -> Self {
         let [nx, ny, nzg] = sim.ghosted_dims;
         let gz = sim.config.grid[2];
@@ -308,22 +315,48 @@ impl LeslieAdaptor {
             [nx as i64 - 1, ny as i64 - 1, lo_z + nzg as i64 - 1],
         );
         let global_extent = Extent::new([0, 0, -1], [nx as i64 - 1, ny as i64 - 1, gz as i64]);
-        let plane = nx * ny;
-        let mut ghosts = vec![0u8; nx * ny * nzg];
-        ghosts[..plane].fill(1);
-        ghosts[(nzg - 1) * plane..].fill(1);
         LeslieAdaptor {
             u: sim.u.clone(),
             v: sim.v.clone(),
             w: sim.w.clone(),
-            vorticity: sim.vorticity_magnitude(),
+            vorticity: Arc::new(sim.vorticity_magnitude()),
             ghosted_extent,
             global_extent,
-            ghosts,
+            ghosts: Arc::clone(&sim.ghosts),
             spacing: sim.spacing,
             step: sim.step,
             dt: sim.config.dt,
         }
+    }
+
+    /// The ghost flags, built by the first request of the run: the
+    /// bottom and top z-planes are ghosts.
+    fn ghosts(&self) -> &Arc<Vec<u8>> {
+        self.ghosts.get_or_init(|| {
+            let [nx, ny, _] = self.ghosted_extent.point_dims();
+            let (n, plane) = (self.ghosted_extent.num_points(), nx * ny);
+            let mut ghosts = vec![0u8; n];
+            ghosts[..plane].fill(1);
+            ghosts[n - plane..].fill(1);
+            Arc::new(ghosts)
+        })
+    }
+
+    /// The named point array, a view of the step's buffer or the run's
+    /// flags; none for a name not in [`POINT_ARRAYS`].
+    fn point_array(&self, name: &str) -> Option<DataArray> {
+        let array = match name {
+            "u" => DataArray::shared("u", 1, Arc::clone(&self.u)),
+            "v" => DataArray::shared("v", 1, Arc::clone(&self.v)),
+            "w" => DataArray::shared("w", 1, Arc::clone(&self.w)),
+            "vorticity" => DataArray::shared("vorticity", 1, Arc::clone(&self.vorticity)),
+            GHOST_ARRAY_NAME => DataArray::shared(GHOST_ARRAY_NAME, 1, Arc::clone(self.ghosts())),
+            _ => return None,
+        };
+        // Every LESLIE field is host-resident; declaring the space at
+        // the publish boundary is what lets device-side consumers be
+        // forced through an explicit transfer.
+        Some(array.with_space(datamodel::MemorySpace::Host))
     }
 }
 
@@ -345,13 +378,7 @@ impl DataAdaptor for LeslieAdaptor {
 
     fn array_names(&self, assoc: Association) -> Vec<String> {
         match assoc {
-            Association::Point => vec![
-                "u".into(),
-                "v".into(),
-                "w".into(),
-                "vorticity".into(),
-                GHOST_ARRAY_NAME.into(),
-            ],
+            Association::Point => POINT_ARRAYS.map(String::from).into(),
             Association::Cell => Vec::new(),
         }
     }
@@ -362,32 +389,13 @@ impl DataAdaptor for LeslieAdaptor {
         assoc: Association,
         name: &str,
     ) -> Result<(), AdaptorError> {
-        let names = ["u", "v", "w", "vorticity", GHOST_ARRAY_NAME];
-        let err =
-            || crate::point_array_error(&names, assoc, name, "LESLIE produces a structured grid");
-        if assoc != Association::Point {
-            return Err(err());
-        }
-        let DataSet::Image(g) = mesh else {
-            return Err(err());
+        let advertised = |a| a == Association::Point && POINT_ARRAYS.contains(&name);
+        let layout = "LESLIE produces a structured grid";
+        let refused = || AdaptorError::classify(name, assoc, advertised, layout);
+        let (Association::Point, DataSet::Image(g)) = (assoc, mesh) else {
+            return Err(refused());
         };
-        // Every LESLIE field is host-resident; declaring the space at
-        // the publish boundary is what lets device-side consumers be
-        // forced through an explicit transfer.
-        let host = datamodel::MemorySpace::Host;
-        let array = match name {
-            "u" => DataArray::shared("u", 1, Arc::clone(&self.u)).with_space(host),
-            "v" => DataArray::shared("v", 1, Arc::clone(&self.v)).with_space(host),
-            "w" => DataArray::shared("w", 1, Arc::clone(&self.w)).with_space(host),
-            "vorticity" => {
-                DataArray::owned("vorticity", 1, self.vorticity.clone()).with_space(host)
-            }
-            GHOST_ARRAY_NAME => {
-                DataArray::owned(GHOST_ARRAY_NAME, 1, self.ghosts.clone()).with_space(host)
-            }
-            _ => return Err(err()),
-        };
-        g.add_point_array(array);
+        g.add_point_array(self.point_array(name).ok_or_else(refused)?);
         Ok(())
     }
 }

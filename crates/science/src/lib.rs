@@ -7,9 +7,9 @@
 //!
 //! * [`phasta`] — an unstructured tetrahedral flow proxy (vertical tail
 //!   with a tunable synthetic jet): nodal coordinates and fields map
-//!   **zero-copy**, connectivity is a **full copy** — exactly the
-//!   adaptor copy semantics §4.2.1 describes — and Catalyst renders
-//!   slice cuts through the mesh;
+//!   **zero-copy**, connectivity is a **full copy**, made once on first
+//!   use — exactly the adaptor copy semantics §4.2.1 describes — and
+//!   its cut through the mesh is a `render::scene` plot;
 //! * [`leslie`] — a Cartesian temporally-evolving mixing layer
 //!   (AVF-LESLIE's TML problem): the adaptor derives vorticity
 //!   magnitude and blanks ghost planes; Libsim renders 3 isosurfaces +
@@ -32,35 +32,3 @@ pub mod phasta;
 pub use leslie::{Leslie, LeslieAdaptor, LeslieConfig};
 pub use nyx::{Nyx, NyxAdaptor, NyxConfig};
 pub use phasta::{Phasta, PhastaAdaptor, PhastaConfig};
-
-/// Classify a failed point-array attachment for the proxies' adaptors:
-/// an unadvertised name is [`UnknownArray`](sensei::AdaptorError::UnknownArray),
-/// a known name requested under the wrong association is
-/// [`WrongAssociation`](sensei::AdaptorError::WrongAssociation), and a
-/// known point request that still failed means the target mesh had the
-/// wrong layout.
-pub(crate) fn point_array_error(
-    names: &[&str],
-    assoc: sensei::Association,
-    name: &str,
-    layout: &str,
-) -> sensei::AdaptorError {
-    use sensei::AdaptorError;
-    if !names.contains(&name) {
-        AdaptorError::UnknownArray {
-            name: name.to_string(),
-            assoc,
-        }
-    } else if assoc != sensei::Association::Point {
-        AdaptorError::WrongAssociation {
-            name: name.to_string(),
-            requested: assoc,
-            available: sensei::Association::Point,
-        }
-    } else {
-        AdaptorError::LayoutUnsupported {
-            name: name.to_string(),
-            detail: layout.to_string(),
-        }
-    }
-}

@@ -10,7 +10,7 @@
 //! cell layer, blanked for analyses via the `vtkGhostType` convention —
 //! exactly the adaptor strategy §4.2.3 describes.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use datamodel::{
     dims_create, partition_extent, DataArray, DataSet, Extent, RectilinearGrid, GHOST_ARRAY_NAME,
@@ -92,6 +92,9 @@ pub struct Nyx {
     density: Arc<Vec<f64>>,
     /// Ghosted cell extent.
     ghosted: Extent,
+    /// The ghost flags every step's adaptor shares, built on the first
+    /// request: the box and its ghost layer never move.
+    ghosts: Arc<OnceLock<Arc<Vec<u8>>>>,
     step: u64,
 }
 
@@ -139,6 +142,7 @@ impl Nyx {
             particles,
             density: Arc::new(vec![0.0; ghosted.num_points()]),
             ghosted,
+            ghosts: Arc::default(),
             step: 0,
         };
         sim.deposit(comm);
@@ -297,28 +301,57 @@ fn block_of(n: usize, dims: usize, cell: usize) -> usize {
 /// SENSEI data adaptor for Nyx: a rectilinear box per rank with the
 /// density field shared zero-copy and ghost cells blanked via a
 /// `vtkGhostType` byte array (~1 byte per ghosted cell — the ~2 MB/rank
-/// overhead §4.2.3 measures).
+/// overhead §4.2.3 measures), built once a run.
 pub struct NyxAdaptor {
     density: Arc<Vec<f64>>,
     ghosted: Extent,
     cells: Extent,
     global_cells: Extent,
+    ghosts: Arc<OnceLock<Arc<Vec<u8>>>>,
     dx: [f64; 3],
     step: u64,
     time: f64,
 }
 
+/// The point arrays a Nyx box lists.
+const POINT_ARRAYS: [&str; 2] = ["density", GHOST_ARRAY_NAME];
+
 impl NyxAdaptor {
-    /// Snapshot the simulation (O(ghost array) construction).
+    /// Snapshot the simulation (O(1): the ghost flags are the run's).
     pub fn new(sim: &Nyx) -> Self {
         NyxAdaptor {
             density: Arc::clone(&sim.density),
             ghosted: sim.ghosted,
             cells: sim.cells,
             global_cells: sim.global_cells,
+            ghosts: Arc::clone(&sim.ghosts),
             dx: sim.dx,
             step: sim.step,
             time: sim.step as f64 * sim.config.dt,
+        }
+    }
+
+    /// The named point array, a view of the step's density or the run's
+    /// flags; none for a name not in [`POINT_ARRAYS`].
+    fn point_array(&self, name: &str) -> Option<DataArray> {
+        match name {
+            // Host-resident zero-copy borrow of the AMR field; stating
+            // the space makes device access an explicit transfer rather
+            // than a silent cross-space read.
+            "density" => Some(
+                DataArray::shared("density", 1, Arc::clone(&self.density))
+                    .with_space(datamodel::MemorySpace::Host),
+            ),
+            GHOST_ARRAY_NAME => {
+                let flags = self.ghosts.get_or_init(|| {
+                    let mut flags = Vec::with_capacity(self.ghosted.num_points());
+                    let ghosted = self.ghosted.iter_points();
+                    flags.extend(ghosted.map(|p| u8::from(!self.cells.contains(p))));
+                    Arc::new(flags)
+                });
+                Some(DataArray::shared(GHOST_ARRAY_NAME, 1, Arc::clone(flags)))
+            }
+            _ => None,
         }
     }
 }
@@ -350,7 +383,7 @@ impl DataAdaptor for NyxAdaptor {
 
     fn array_names(&self, assoc: Association) -> Vec<String> {
         match assoc {
-            Association::Point => vec!["density".into(), GHOST_ARRAY_NAME.into()],
+            Association::Point => POINT_ARRAYS.map(String::from).into(),
             Association::Cell => Vec::new(),
         }
     }
@@ -361,37 +394,14 @@ impl DataAdaptor for NyxAdaptor {
         assoc: Association,
         name: &str,
     ) -> Result<(), AdaptorError> {
-        let names = ["density", GHOST_ARRAY_NAME];
-        let err =
-            || crate::point_array_error(&names, assoc, name, "Nyx produces a rectilinear grid");
-        if assoc != Association::Point {
-            return Err(err());
-        }
-        let DataSet::Rectilinear(g) = mesh else {
-            return Err(err());
+        let advertised = |a| a == Association::Point && POINT_ARRAYS.contains(&name);
+        let layout = "Nyx produces a rectilinear grid";
+        let refused = || AdaptorError::classify(name, assoc, advertised, layout);
+        let (Association::Point, DataSet::Rectilinear(g)) = (assoc, mesh) else {
+            return Err(refused());
         };
-        match name {
-            "density" => {
-                // Host-resident zero-copy borrow of the AMR field;
-                // stating the space makes device access an explicit
-                // transfer rather than a silent cross-space read.
-                g.add_point_array(
-                    DataArray::shared("density", 1, Arc::clone(&self.density))
-                        .with_space(datamodel::MemorySpace::Host),
-                );
-                Ok(())
-            }
-            GHOST_ARRAY_NAME => {
-                let flags: Vec<u8> = self
-                    .ghosted
-                    .iter_points()
-                    .map(|p| u8::from(!self.cells.contains(p)))
-                    .collect();
-                g.add_point_array(DataArray::owned(GHOST_ARRAY_NAME, 1, flags));
-                Ok(())
-            }
-            _ => Err(err()),
-        }
+        g.add_point_array(self.point_array(name).ok_or_else(refused)?);
+        Ok(())
     }
 }
 

@@ -10,11 +10,12 @@
 //!
 //! The SENSEI adaptor reproduces the paper's copy semantics exactly:
 //! nodal coordinates and fields map **zero-copy** (shared buffers);
-//! the VTK connectivity is a **full copy** built on first use.
+//! the VTK connectivity is a **full copy** made once, on the first mesh
+//! request of the run, and shared by every later mesh.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use datamodel::{CellType, DataArray, DataSet, UnstructuredGrid};
+use datamodel::{Attributes, Buffer, CellType, DataArray, DataSet, UnstructuredGrid};
 use minimpi::Comm;
 use sensei::{AdaptorError, Association, DataAdaptor};
 
@@ -70,8 +71,11 @@ pub struct Phasta {
     coords: [Arc<Vec<f64>>; 3],
     /// Velocity components (SoA, zero-copy shareable).
     velocity: [Arc<Vec<f64>>; 3],
-    /// Tet connectivity (local node indices).
-    connectivity: Vec<i64>,
+    /// Tet connectivity (local node indices), the solver's own.
+    connectivity: Arc<Vec<i64>>,
+    /// The slab's VTK cells, which every step's adaptor shares: see
+    /// [`PhastaAdaptor::grid`].
+    cells: Arc<OnceLock<UnstructuredGrid>>,
     /// Nodes flagged inside the tail (no-slip).
     solid: Vec<bool>,
     /// Node-to-node adjacency (from tets), for the relaxation stencil.
@@ -173,7 +177,8 @@ impl Phasta {
             config,
             coords: [Arc::new(xs), Arc::new(ys), Arc::new(zs)],
             velocity: [Arc::new(u), Arc::new(v), Arc::new(w)],
-            connectivity,
+            connectivity: Arc::new(connectivity),
+            cells: Arc::default(),
             solid,
             neighbors,
             local_nodes,
@@ -310,46 +315,80 @@ impl Phasta {
 }
 
 /// SENSEI data adaptor for PHASTA: coordinates and velocity are
-/// zero-copy SoA views; connectivity is a full copy built lazily on the
-/// first mesh request (and counted so tests can verify the §4.2.1 copy
-/// semantics).
+/// zero-copy SoA views, velocity magnitude is derived on demand, and the
+/// VTK cells are the run's one copy of the solver's connectivity.
 pub struct PhastaAdaptor {
     coords: [Arc<Vec<f64>>; 3],
     velocity: [Arc<Vec<f64>>; 3],
-    connectivity: Vec<i64>,
+    connectivity: Arc<Vec<i64>>,
+    cells: Arc<OnceLock<UnstructuredGrid>>,
     step: u64,
     dt: f64,
 }
 
+/// The point arrays a PHASTA slab lists.
+const POINT_ARRAYS: [&str; 2] = ["velocity", "velmag"];
+
+/// Three SoA components as views of the solver's buffers.
+fn views(xyz: &[Arc<Vec<f64>>; 3]) -> Vec<Buffer<f64>> {
+    Vec::from(xyz.each_ref().map(|c| Buffer::Shared(Arc::clone(c))))
+}
+
 impl PhastaAdaptor {
-    /// Snapshot the solver state. The connectivity copy happens here —
-    /// the one real copy in the PHASTA coupling.
+    /// Snapshot the solver state (O(1): every buffer is shared).
     pub fn new(sim: &Phasta) -> Self {
         PhastaAdaptor {
             coords: sim.coords.each_ref().map(Arc::clone),
             velocity: sim.velocity.each_ref().map(Arc::clone),
-            connectivity: sim.connectivity.clone(),
+            connectivity: Arc::clone(&sim.connectivity),
+            cells: Arc::clone(&sim.cells),
             step: sim.step,
             dt: sim.config.dt,
         }
     }
 
+    /// The mesh: the nodal coordinates in place, and the slab's VTK
+    /// cells. Those are the one real copy in the PHASTA coupling
+    /// (§4.2.1): the solver's connectivity, copied and checked as VTK
+    /// cells by the run's first mesh request, which the simulation keeps
+    /// so that every later mesh shares its connectivity, offsets and
+    /// cell types.
     fn grid(&self) -> UnstructuredGrid {
-        let n_tets = self.connectivity.len() / 4;
-        let points = DataArray::soa(
-            "points",
-            vec![
-                datamodel::Buffer::Shared(Arc::clone(&self.coords[0])),
-                datamodel::Buffer::Shared(Arc::clone(&self.coords[1])),
-                datamodel::Buffer::Shared(Arc::clone(&self.coords[2])),
-            ],
-        );
-        UnstructuredGrid::new(
-            points,
-            self.connectivity.clone(),
-            (0..=n_tets).map(|c| c * 4).collect(),
-            vec![CellType::Tetra; n_tets],
-        )
+        let points = || DataArray::soa("points", views(&self.coords));
+        let cells = self.cells.get_or_init(|| {
+            let n_tets = self.connectivity.len() / 4;
+            let offsets = (0..=n_tets).map(|c| c * 4).collect();
+            let types = vec![CellType::Tetra; n_tets];
+            UnstructuredGrid::new(points(), self.connectivity.to_vec(), offsets, types)
+        });
+        UnstructuredGrid {
+            points: points(),
+            connectivity: Arc::clone(&cells.connectivity),
+            offsets: Arc::clone(&cells.offsets),
+            cell_types: Arc::clone(&cells.cell_types),
+            point_data: Attributes::new(),
+            cell_data: Attributes::new(),
+        }
+    }
+
+    /// The named point array: the velocity in place, or its magnitude,
+    /// derived here; none for a name not in [`POINT_ARRAYS`].
+    fn point_array(&self, name: &str) -> Option<DataArray> {
+        let [u, v, w] = &self.velocity;
+        match name {
+            // Zero-copy SoA borrow of the solver's host buffers; the
+            // explicit space keeps device consumers honest.
+            "velocity" => {
+                let array = DataArray::soa("velocity", views(&self.velocity));
+                Some(array.with_space(datamodel::MemorySpace::Host))
+            }
+            "velmag" => {
+                let speed = |i: usize| (u[i] * u[i] + v[i] * v[i] + w[i] * w[i]).sqrt();
+                let mags = (0..u.len()).map(speed).collect();
+                Some(DataArray::owned("velmag", 1, mags))
+            }
+            _ => None,
+        }
     }
 }
 
@@ -368,7 +407,7 @@ impl DataAdaptor for PhastaAdaptor {
 
     fn array_names(&self, assoc: Association) -> Vec<String> {
         match assoc {
-            Association::Point => vec!["velocity".into(), "velmag".into()],
+            Association::Point => POINT_ARRAYS.map(String::from).into(),
             Association::Cell => Vec::new(),
         }
     }
@@ -379,50 +418,14 @@ impl DataAdaptor for PhastaAdaptor {
         assoc: Association,
         name: &str,
     ) -> Result<(), AdaptorError> {
-        let names = ["velocity", "velmag"];
-        let err = || {
-            crate::point_array_error(&names, assoc, name, "PHASTA produces an unstructured mesh")
+        let advertised = |a| a == Association::Point && POINT_ARRAYS.contains(&name);
+        let layout = "PHASTA produces an unstructured mesh";
+        let refused = || AdaptorError::classify(name, assoc, advertised, layout);
+        let (Association::Point, DataSet::Unstructured(g)) = (assoc, mesh) else {
+            return Err(refused());
         };
-        if assoc != Association::Point {
-            return Err(err());
-        }
-        let DataSet::Unstructured(g) = mesh else {
-            return Err(err());
-        };
-        match name {
-            "velocity" => {
-                // Zero-copy SoA borrow of the solver's host buffers;
-                // the explicit space keeps device consumers honest.
-                g.add_point_array(
-                    DataArray::soa(
-                        "velocity",
-                        vec![
-                            datamodel::Buffer::Shared(Arc::clone(&self.velocity[0])),
-                            datamodel::Buffer::Shared(Arc::clone(&self.velocity[1])),
-                            datamodel::Buffer::Shared(Arc::clone(&self.velocity[2])),
-                        ],
-                    )
-                    .with_space(datamodel::MemorySpace::Host),
-                );
-                Ok(())
-            }
-            "velmag" => {
-                let n = self.velocity[0].len();
-                let mags: Vec<f64> = (0..n)
-                    .map(|i| {
-                        let (u, v, w) = (
-                            self.velocity[0][i],
-                            self.velocity[1][i],
-                            self.velocity[2][i],
-                        );
-                        (u * u + v * v + w * w).sqrt()
-                    })
-                    .collect();
-                g.add_point_array(DataArray::owned("velmag", 1, mags));
-                Ok(())
-            }
-            _ => Err(err()),
-        }
+        g.add_point_array(self.point_array(name).ok_or_else(refused)?);
+        Ok(())
     }
 }
 
@@ -519,7 +522,7 @@ mod tests {
     #[test]
     fn adaptor_copy_semantics_match_paper() {
         World::run(1, |comm| {
-            let sim = Phasta::new(comm, small());
+            let mut sim = Phasta::new(comm, small());
             let adaptor = PhastaAdaptor::new(&sim);
             let mesh = adaptor.full_mesh();
             let DataSet::Unstructured(g) = &mesh else {
@@ -538,6 +541,25 @@ mod tests {
                 sim.connectivity.as_ptr(),
                 "connectivity is a full copy"
             );
+            // Made once: a second mesh, and a later step's adaptor's,
+            // share the first one's cells.
+            let cells = |mesh: DataSet| match mesh {
+                DataSet::Unstructured(g) => [
+                    g.connectivity.as_ptr() as usize,
+                    g.offsets.as_ptr() as usize,
+                    g.cell_types.as_ptr() as usize,
+                ],
+                _ => panic!("unstructured mesh"),
+            };
+            let first = cells(mesh.clone());
+            assert_eq!(cells(adaptor.mesh()), first, "a second mesh() call");
+            sim.step(comm);
+            assert_eq!(
+                cells(PhastaAdaptor::new(&sim).mesh()),
+                first,
+                "a later step"
+            );
+            assert_ne!(first[0], sim.connectivity.as_ptr() as usize);
         });
     }
 

@@ -21,6 +21,14 @@ impl Association {
             Association::Cell => Association::Point,
         }
     }
+
+    /// `leaf`'s arrays under this association; none for a multiblock.
+    pub(crate) fn of(self, leaf: &DataSet) -> Option<&datamodel::Attributes> {
+        match self {
+            Association::Point => leaf.point_data(),
+            Association::Cell => leaf.cell_data(),
+        }
+    }
 }
 
 impl std::fmt::Display for Association {
@@ -79,6 +87,39 @@ pub enum AdaptorError {
         /// Space the accessing code executes in.
         want: String,
     },
+}
+
+impl AdaptorError {
+    /// Why `name` could not be attached under `assoc`, the one
+    /// classifier every producer's [`DataAdaptor::add_array`] returns:
+    /// a name `advertised` under neither association is
+    /// [`AdaptorError::UnknownArray`], one advertised only under the
+    /// other is [`AdaptorError::WrongAssociation`], and one advertised
+    /// under `assoc` that still did not attach, because the target
+    /// mesh is not the producer's kind, is
+    /// [`AdaptorError::LayoutUnsupported`] with `layout` as its detail.
+    /// `advertised(a)` is whether the producer lists `name` under `a`.
+    pub fn classify(
+        name: &str,
+        assoc: Association,
+        advertised: impl Fn(Association) -> bool,
+        layout: &str,
+    ) -> Self {
+        let name = name.to_string();
+        if advertised(assoc) {
+            let detail = layout.to_string();
+            AdaptorError::LayoutUnsupported { name, detail }
+        } else if advertised(assoc.other()) {
+            let (requested, available) = (assoc, assoc.other());
+            AdaptorError::WrongAssociation {
+                name,
+                requested,
+                available,
+            }
+        } else {
+            AdaptorError::UnknownArray { name, assoc }
+        }
+    }
 }
 
 impl From<datamodel::AccessError> for AdaptorError {
@@ -155,7 +196,16 @@ impl<T: DataAdaptor> AsDyn for T {
 /// returns structure only; arrays are attached when an analysis asks for
 /// them via [`DataAdaptor::add_array`]. When no analysis is enabled the
 /// bridge never calls either, so instrumentation overhead is near zero
-/// (the paper's §3.2 design point).
+/// (the paper's §3.2 design point). Every producer keeps one rule:
+/// - what never changes between steps (ghost flags, an unstructured
+///   mesh's cells) is built once per simulation, on first use, and
+///   shared by `Arc`, so a later step's mesh or array is a view of it;
+/// - an array the simulation holds is attached as a view of its buffer,
+///   never a copy, and one the adaptor derives is derived at most once a
+///   step, then shared by each attach;
+/// - one list names the arrays, read by both [`DataAdaptor::array_names`]
+///   and [`DataAdaptor::add_array`], and a failed attach is typed by the
+///   one classifier, [`AdaptorError::classify`].
 #[allow(private_bounds)]
 pub trait DataAdaptor: AsDyn {
     /// Simulated physical time of the current step.
@@ -229,23 +279,6 @@ impl InMemoryAdaptor {
     pub fn new(data: DataSet, time: f64, step: u64) -> Self {
         InMemoryAdaptor { data, time, step }
     }
-
-    /// Classify a lookup miss: does the array live under the other
-    /// association, or not at all?
-    fn missing(&self, assoc: Association, name: &str) -> AdaptorError {
-        if self.array_names(assoc.other()).iter().any(|n| n == name) {
-            AdaptorError::WrongAssociation {
-                name: name.to_string(),
-                requested: assoc,
-                available: assoc.other(),
-            }
-        } else {
-            AdaptorError::UnknownArray {
-                name: name.to_string(),
-                assoc,
-            }
-        }
-    }
 }
 
 impl DataAdaptor for InMemoryAdaptor {
@@ -302,11 +335,7 @@ impl DataAdaptor for InMemoryAdaptor {
         // several mesh pieces) advertises every array any leaf holds.
         let mut names: Vec<String> = Vec::new();
         for leaf in self.data.leaves() {
-            let attrs = match assoc {
-                Association::Point => leaf.point_data(),
-                Association::Cell => leaf.cell_data(),
-            };
-            for n in attrs.map(|a| a.names()).unwrap_or_default() {
+            for n in assoc.of(leaf).map(|a| a.names()).unwrap_or_default() {
                 if !names.iter().any(|x| x == n) {
                     names.push(n.to_string());
                 }
@@ -323,67 +352,49 @@ impl DataAdaptor for InMemoryAdaptor {
     ) -> Result<(), AdaptorError> {
         // Clone is cheap for shared (zero-copy) buffers: it bumps a
         // refcount per buffer rather than copying elements.
-        fn attach(
-            leaf: &mut DataSet,
-            assoc: Association,
-            name: &str,
-            array: datamodel::DataArray,
-        ) -> Result<(), AdaptorError> {
-            match (leaf, assoc) {
-                (DataSet::Image(g), Association::Point) => g.point_data.insert(array),
-                (DataSet::Image(g), Association::Cell) => g.cell_data.insert(array),
-                (DataSet::Rectilinear(g), Association::Point) => g.point_data.insert(array),
-                (DataSet::Rectilinear(g), Association::Cell) => g.cell_data.insert(array),
-                (DataSet::Unstructured(g), Association::Point) => g.point_data.insert(array),
-                (DataSet::Unstructured(g), Association::Cell) => g.cell_data.insert(array),
-                (DataSet::Multi(_), _) => {
-                    return Err(AdaptorError::LayoutUnsupported {
-                        name: name.to_string(),
-                        detail: "target leaf is a multiblock, not a grid".to_string(),
-                    })
-                }
-            }
-            Ok(())
-        }
-        let lookup = |leaf: &DataSet| {
-            let attrs = match assoc {
-                Association::Point => leaf.point_data(),
-                Association::Cell => leaf.cell_data(),
+        let lookup = |leaf: &DataSet| assoc.of(leaf)?.get(name).cloned();
+        let attach = |leaf: &mut DataSet, array: datamodel::DataArray| {
+            let attrs = match (leaf, assoc) {
+                (DataSet::Image(g), Association::Point) => &mut g.point_data,
+                (DataSet::Image(g), Association::Cell) => &mut g.cell_data,
+                (DataSet::Rectilinear(g), Association::Point) => &mut g.point_data,
+                (DataSet::Rectilinear(g), Association::Cell) => &mut g.cell_data,
+                (DataSet::Unstructured(g), Association::Point) => &mut g.point_data,
+                (DataSet::Unstructured(g), Association::Cell) => &mut g.cell_data,
+                (DataSet::Multi(_), _) => return false,
             };
-            attrs.and_then(|a| a.get(name)).cloned()
+            attrs.insert(array);
+            true
         };
-        match (&self.data, mesh) {
+        let attached = match (&self.data, mesh) {
             // Multiblock: attach slot-by-slot so each leaf of the target
-            // receives its own leaf's array, never a sibling's.
+            // receives its own leaf's array, never a sibling's. A
+            // partially-present array (some leaves hold it) is attached
+            // wherever it exists, matching multiblock semantics where
+            // blocks differ.
             (DataSet::Multi(src), DataSet::Multi(dst)) => {
-                let mut attached = 0usize;
-                let mut first_err = None;
+                let mut attached = false;
                 for i in 0..src.num_slots() {
                     if let (Some(s), Some(d)) = (src.block(i), dst.block_mut(i)) {
                         if let Some(array) = lookup(s) {
-                            match attach(d, assoc, name, array) {
-                                Ok(()) => attached += 1,
-                                Err(e) => first_err = first_err.or(Some(e)),
-                            }
+                            attached |= attach(d, array);
                         }
                     }
                 }
-                if attached > 0 {
-                    // A partially-present array (some leaves hold it) is
-                    // attached wherever it exists, matching multiblock
-                    // semantics where blocks differ.
-                    Ok(())
-                } else if let Some(e) = first_err {
-                    Err(e)
-                } else {
-                    Err(self.missing(assoc, name))
-                }
+                attached
             }
-            (src, dst) => match lookup(src) {
-                Some(array) => attach(dst, assoc, name, array),
-                None => Err(self.missing(assoc, name)),
-            },
+            (DataSet::Multi(_), _) => false,
+            (src, dst) => lookup(src).is_some_and(|array| attach(dst, array)),
+        };
+        if attached {
+            return Ok(());
         }
+        let held = |a: Association| {
+            let mut leaves = self.data.leaves();
+            leaves.any(|leaf| a.of(leaf).is_some_and(|x| x.get(name).is_some()))
+        };
+        let layout = "the target mesh is not laid out as the adaptor's data";
+        Err(AdaptorError::classify(name, assoc, held, layout))
     }
 }
 

@@ -167,11 +167,7 @@ pub fn leaf_views<'a>(
     let exec = datamodel::current_space();
     let mut out = Vec::new();
     for leaf in mesh.leaves() {
-        let attrs = match assoc {
-            Association::Point => leaf.point_data(),
-            Association::Cell => leaf.cell_data(),
-        };
-        let Some((attrs, arr)) = attrs.and_then(|a| Some((a, a.get(array)?))) else {
+        let Some((attrs, arr)) = assoc.of(leaf).and_then(|a| Some((a, a.get(array)?))) else {
             continue;
         };
         let ghosts = match attrs.ghosts() {

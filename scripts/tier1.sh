@@ -373,6 +373,24 @@ if { for f in $(find crates/*/src src -name '*.rs' -not -path 'crates/render/src
     exit 1
 fi
 
+echo "==> one attach classifier"
+# Every producer types a failed attach through one function,
+# sensei::AdaptorError::classify: a name listed under no association is
+# UnknownArray, one listed only under the other WrongAssociation, one
+# listed but not attachable to that mesh LayoutUnsupported. Outside
+# crates/sensei/src, a product source or an example that builds one of
+# those three variants is a second classifier beside it.
+if { for f in $(find crates/*/src src -name '*.rs' -not -path 'crates/sensei/src/*'); do
+        awk '/^#\[cfg\(test\)\]/{exit} {sub(/\/\/.*/, ""); print FILENAME ":" FNR ": " $0}' "$f"
+    done
+    for f in examples/*.rs; do
+        awk '{sub(/\/\/.*/, ""); print FILENAME ":" FNR ": " $0}' "$f"
+    done; } |
+    grep -E 'AdaptorError::(UnknownArray|WrongAssociation|LayoutUnsupported)\b'; then
+    echo "tier1: a producer types a failed attach itself; return sensei::AdaptorError::classify" >&2
+    exit 1
+fi
+
 echo "==> one frame buffer per rank"
 # Catalyst and Libsim draw into the rank's one spare framebuffer
 # (Framebuffer::take from the comm's pool, parked again after the

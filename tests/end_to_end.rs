@@ -694,6 +694,121 @@ fn science_proxies_through_one_bridge_api() {
     });
 }
 
+/// Every producer keeps one attach contract, whatever mesh it makes:
+/// each name it lists attaches, its full mesh carries exactly what it
+/// lists, and a failed attach is typed by the one classifier: a name
+/// listed under no association is `UnknownArray`, a point name asked
+/// for as cell data `WrongAssociation`, and a listed name asked for on a
+/// mesh of another kind `LayoutUnsupported`. The oscillator's rank 1
+/// lists its ghost flags and rank 0 does not; the in-memory adaptor
+/// holds a multiblock, whose other kind is a single leaf.
+#[test]
+fn every_producer_keeps_one_attach_contract() {
+    use datamodel::{DataArray, DataSet, ImageData, MultiBlock};
+    use sensei::{AdaptorError, Association, DataAdaptor};
+    World::run(2, |comm| {
+        let mut oscillator = simulation(comm, 8);
+        oscillator.step(comm);
+        let leslie = science::Leslie::new(
+            comm,
+            science::LeslieConfig {
+                grid: [12, 13, 4],
+                ..science::LeslieConfig::default()
+            },
+        );
+        let nyx_config = science::NyxConfig {
+            grid: [8, 8, 8],
+            ..science::NyxConfig::default()
+        };
+        let nyx = science::Nyx::new(comm, nyx_config);
+        let phasta = science::Phasta::new(
+            comm,
+            science::PhastaConfig {
+                lattice: [9, 7, 7],
+                ..science::PhastaConfig::default()
+            },
+        );
+        let extent = Extent::whole([3, 3, 3]);
+        let leaf = || {
+            let mut g = ImageData::new(extent, extent);
+            g.add_point_array(DataArray::owned("data", 1, vec![1.0f64; 27]));
+            g.add_cell_array(DataArray::owned("rho", 1, vec![2.0f64; 8]));
+            DataSet::Image(g)
+        };
+        let mut blocks = MultiBlock::new();
+        blocks.push(leaf());
+        let multi = || DataSet::Multi(MultiBlock::new());
+        let producers: [(&str, Box<dyn DataAdaptor>, DataSet); 5] = [
+            (
+                "oscillator",
+                Box::new(OscillatorAdaptor::new(&oscillator)),
+                multi(),
+            ),
+            (
+                "leslie",
+                Box::new(science::LeslieAdaptor::new(&leslie)),
+                multi(),
+            ),
+            ("nyx", Box::new(science::NyxAdaptor::new(&nyx)), multi()),
+            (
+                "phasta",
+                Box::new(science::PhastaAdaptor::new(&phasta)),
+                multi(),
+            ),
+            (
+                "in-memory",
+                Box::new(sensei::InMemoryAdaptor::new(DataSet::Multi(blocks), 0.0, 0)),
+                leaf(),
+            ),
+        ];
+        for (producer, data, other_kind) in producers {
+            let listed = [Association::Point, Association::Cell].map(|a| data.array_names(a));
+            let ghosts = listed[0].iter().any(|n| n == datamodel::GHOST_ARRAY_NAME);
+            if producer == "oscillator" {
+                assert_eq!(ghosts, comm.rank() == 1, "the flags where a ghost is");
+            }
+            let full = data.full_mesh();
+            for (assoc, names) in [Association::Point, Association::Cell].iter().zip(&listed) {
+                for name in names {
+                    let mut mesh = data.mesh();
+                    let attached = data.add_array(&mut mesh, *assoc, name);
+                    assert_eq!(attached, Ok(()), "{producer} attaches its {assoc} {name}");
+                }
+                let leaf = full.leaves().next().expect("one leaf");
+                let attrs = match assoc {
+                    Association::Point => leaf.point_data(),
+                    Association::Cell => leaf.cell_data(),
+                };
+                let carried = attrs.expect("a grid").names();
+                assert_eq!(carried, *names, "{producer}'s full mesh, {assoc} data");
+            }
+            let refused = |assoc, name: &str, mesh: &mut DataSet| {
+                data.add_array(mesh, assoc, name).unwrap_err()
+            };
+            let unknown = refused(Association::Point, "no-such-array", &mut data.mesh());
+            let want = AdaptorError::UnknownArray {
+                name: "no-such-array".into(),
+                assoc: Association::Point,
+            };
+            assert_eq!(unknown, want, "{producer}");
+            let point = &listed[0][0];
+            let wrong = refused(Association::Cell, point, &mut data.mesh());
+            let want = AdaptorError::WrongAssociation {
+                name: point.clone(),
+                requested: Association::Cell,
+                available: Association::Point,
+            };
+            assert_eq!(wrong, want, "{producer}");
+            let mut other_kind = other_kind;
+            let layout = refused(Association::Point, point, &mut other_kind);
+            assert!(
+                matches!(&layout, AdaptorError::LayoutUnsupported { name, .. } if name == point),
+                "{producer}: {layout:?}"
+            );
+        }
+    });
+}
+
 /// One step of `array` drawn by Catalyst and Libsim as a 64×48 slice
 /// through z = 4: the analyses that report a failure on this rank, each
 /// that it has nothing to draw, and on rank 0 each file's pixels that
@@ -980,4 +1095,5 @@ counted! {
     steady_state_staging_step_allocates_no_payload: "staging-64";
     staged_step_bytes_are_the_model_at_1_2_4_writers: "staging-16";
     steady_state_stats_step_heap_calls: "stats-32";
+    a_producer_step_copies_nothing_built_once: "producers";
 }

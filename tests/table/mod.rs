@@ -40,7 +40,7 @@ use sensei::{AnalysisAdaptor, Association, Bridge, DataAdaptor as _, Steering};
 type Scenario = fn(&mut Rows);
 
 /// The table's scenarios in its order, each with what measures its rows.
-const SCENARIOS: [(&str, Scenario); 13] = [
+const SCENARIOS: [(&str, Scenario); 14] = [
     ("render-1rank-64", first_frames),
     ("png-16x16", one_shot_encode),
     ("render-64", render_64),
@@ -54,6 +54,7 @@ const SCENARIOS: [(&str, Scenario); 13] = [
     ("staging-64", staging_64),
     ("staging-16", staged_bytes),
     ("stats-32", stats),
+    ("producers", producers),
 ];
 
 /// Measures `scenarios` and compares their rows with the table's rows of
@@ -1511,5 +1512,112 @@ fn stats(t: &mut Rows) {
             t.put(&format!("{name}.rise"), rise);
             t.put(&format!("{name}.calls"), calls);
         }
+    }
+}
+
+/// Each step's window of a one-rank bridge running the histogram (64
+/// bins) over `array`, the step's adaptor from `next`.
+fn bridged<A>(comm: &Comm, array: &str, mut next: impl FnMut() -> A) -> Vec<Cost>
+where
+    A: sensei::DataAdaptor,
+{
+    let (histogram, costs) = meter(HistogramAnalysis::new(array, 64));
+    let mut bridge = Bridge::new();
+    bridge.register(histogram);
+    for _ in 0..WARM_UP + 2 {
+        assert!(bridge.execute(&next(), comm).should_continue());
+    }
+    assert!(bridge.failure_reports().is_empty());
+    let costs = costs.lock().clone();
+    costs
+}
+
+/// A science proxy's bridged histogram step (each proxy at its default
+/// size, one rank: PHASTA's `velmag`, LESLIE's `vorticity`, Nyx's
+/// `density`) copies nothing the simulation holds and builds nothing
+/// that never changes: what is built once (PHASTA's VTK cells, LESLIE's
+/// and Nyx's ghost flags) is built by the first step's request, kept by
+/// the simulation and shared by every later step, and `step 0` less
+/// `warm` is exactly it. A warm step makes, site by site:
+/// - the mesh: PHASTA's points, their buffer list and name (2 calls);
+///   Nyx's three coordinate lists, 8 B a point of each axis (3);
+///   LESLIE's image nothing;
+/// - the field's view, its name and buffer list (2), and the point-data
+///   slot it opens, four arrays (1); PHASTA's `velmag` is derived here,
+///   8 B a point (1), the one term that grows with the field;
+/// - the field's name, kept with it (1);
+/// - the mesh the kept tuples are read from, the flags asked for first:
+///   for LESLIE and Nyx a fresh mesh with the flags' view (2), its slot
+///   (1) and the field's view again (2); PHASTA lists no flags, so its
+///   fresh mesh (2) and the refusal's name (1) are freed before the
+///   peak;
+/// - `leaf_views`' leaf iterator, freed before the peak, and its list of
+///   four views (2);
+/// - the histogram's count vector (1).
+///
+/// The first step also makes PHASTA's cells, the run's one copy of the
+/// solver's connectivity (8 B a node of each tet), their offsets (8 B a
+/// tet and one more) and cell types (1 B a tet), each behind an `Arc`,
+/// beside the first mesh's points that the simulation keeps with them
+/// (8 calls); and LESLIE's and Nyx's flags, 1 B a point, behind an `Arc`
+/// (2).
+fn producers(t: &mut Rows) {
+    use datamodel::{Buffer, DataArray, GHOST_ARRAY_NAME};
+    use science::{LeslieConfig, NyxConfig, PhastaConfig};
+    let [phasta, leslie, nyx] = World::run(1, |comm| {
+        let mut phasta = science::Phasta::new(comm, PhastaConfig::default());
+        let mut leslie = science::Leslie::new(comm, LeslieConfig::default());
+        let mut nyx = science::Nyx::new(comm, NyxConfig::default());
+        [
+            bridged(comm, "velmag", || {
+                phasta.step(comm);
+                science::PhastaAdaptor::new(&phasta)
+            }),
+            bridged(comm, "vorticity", || {
+                leslie.step(comm);
+                science::LeslieAdaptor::new(&leslie)
+            }),
+            bridged(comm, "density", || {
+                nyx.step(comm);
+                science::NyxAdaptor::new(&nyx)
+            }),
+        ]
+    })
+    .remove(0);
+    let [lx, ly, lz] = PhastaConfig::default().lattice;
+    let (nodes, tets) = (lx * ly * lz, (lx - 1) * (ly - 1) * (lz - 1) * 6);
+    let [nx, ny, nz] = LeslieConfig::default().grid;
+    let planes = nx * ny * (nz + 2);
+    let cells = NyxConfig::default().grid;
+    let view = |name: &str| name.len() + size_of::<Buffer<f64>>();
+    let slot = 4 * size_of::<DataArray>();
+    let flags = view(GHOST_ARRAY_NAME) + slot;
+    let tail = 4 * size_of::<sensei::analysis::LeafView>() + 64 * size_of::<u64>();
+    let arc = 2 * size_of::<usize>() + size_of::<Vec<u8>>();
+    let points = 3 * size_of::<Buffer<f64>>() + "points".len();
+    let coords = 8 * cells.iter().sum::<usize>();
+    let field = |name: &str| view(name) + slot + name.len();
+    let warm = [
+        points + 8 * nodes + field("velmag") + tail,
+        field("vorticity") + flags + view("vorticity") + tail,
+        coords + field("density") + coords + flags + view("density") + tail,
+    ];
+    let once = [
+        points + 8 * 4 * tets + 8 * (tets + 1) + tets + 3 * arc,
+        planes + arc,
+        cells.iter().product::<usize>() + arc,
+    ];
+    t.scenario("producers");
+    let runs = [("phasta", phasta), ("leslie", leslie), ("nyx", nyx)];
+    for (k, (name, costs)) in runs.into_iter().enumerate() {
+        let (rise, calls) = warm_heap(name, &costs[WARM_UP..]);
+        t.eq((rise, calls), (warm[k], [13, 12, 18][k]));
+        let first = (costs[0].rise - rise, costs[0].calls - calls);
+        t.eq(first, (once[k], [8, 2, 2][k]));
+        t.on("step 0", 0)
+            .put(&format!("{name}.rise"), costs[0].rise);
+        t.put(&format!("{name}.calls"), costs[0].calls);
+        t.on("warm", 0).put(&format!("{name}.rise"), rise);
+        t.put(&format!("{name}.calls"), calls);
     }
 }
