@@ -145,14 +145,14 @@ impl UnstructuredGrid {
 }
 
 impl MemoryFootprint for UnstructuredGrid {
-    /// The cell arrays count as shared storage, like a
-    /// [`crate::Buffer::Shared`] view.
+    /// The cell arrays count as owned, however many meshes share them:
+    /// they are the in situ side's copy of the cells, never a view of
+    /// the solver's buffers (§4.2.1), so each mesh reports that copy.
     fn heap_bytes(&self, count_shared: bool) -> usize {
-        let cells = self.connectivity.capacity() * 8
-            + self.offsets.capacity() * std::mem::size_of::<usize>()
-            + self.cell_types.capacity();
         self.points.heap_bytes(count_shared)
-            + if count_shared { cells } else { 0 }
+            + self.connectivity.capacity() * 8
+            + self.offsets.capacity() * std::mem::size_of::<usize>()
+            + self.cell_types.capacity()
             + self.point_data.heap_bytes(count_shared)
             + self.cell_data.heap_bytes(count_shared)
     }

@@ -106,9 +106,8 @@ impl DataAdaptor for OscillatorAdaptor {
         assoc: Association,
         name: &str,
     ) -> Result<(), AdaptorError> {
-        let advertised = |a| a == Association::Point && self.listed().contains(&name);
         let layout = "oscillator produces a single structured grid";
-        let refused = || AdaptorError::classify(name, assoc, advertised, layout);
+        let refused = || AdaptorError::classify(name, assoc, [self.listed(), &[]], layout);
         let (Association::Point, DataSet::Image(g)) = (assoc, mesh) else {
             return Err(refused());
         };
@@ -244,6 +243,25 @@ mod tests {
             if comm.rank() == 0 {
                 assert_eq!(*direct_res.lock(), *bridged_res.lock());
             }
+        });
+    }
+
+    #[test]
+    fn wrong_array_requests_refused() {
+        World::run(1, |comm| {
+            let sim = run_sim(comm, 4);
+            let a = OscillatorAdaptor::new(&sim);
+            let mut mesh = a.mesh();
+            let wrong = a.add_array(&mut mesh, Association::Cell, "data");
+            assert!(matches!(
+                wrong,
+                Err(sensei::AdaptorError::WrongAssociation { .. })
+            ));
+            let unknown = a.add_array(&mut mesh, Association::Point, "velocity");
+            assert!(matches!(
+                unknown,
+                Err(sensei::AdaptorError::UnknownArray { .. })
+            ));
         });
     }
 }

@@ -389,9 +389,8 @@ impl DataAdaptor for LeslieAdaptor {
         assoc: Association,
         name: &str,
     ) -> Result<(), AdaptorError> {
-        let advertised = |a| a == Association::Point && POINT_ARRAYS.contains(&name);
         let layout = "LESLIE produces a structured grid";
-        let refused = || AdaptorError::classify(name, assoc, advertised, layout);
+        let refused = || AdaptorError::classify(name, assoc, [&POINT_ARRAYS, &[]], layout);
         let (Association::Point, DataSet::Image(g)) = (assoc, mesh) else {
             return Err(refused());
         };

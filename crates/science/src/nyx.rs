@@ -394,9 +394,8 @@ impl DataAdaptor for NyxAdaptor {
         assoc: Association,
         name: &str,
     ) -> Result<(), AdaptorError> {
-        let advertised = |a| a == Association::Point && POINT_ARRAYS.contains(&name);
         let layout = "Nyx produces a rectilinear grid";
-        let refused = || AdaptorError::classify(name, assoc, advertised, layout);
+        let refused = || AdaptorError::classify(name, assoc, [&POINT_ARRAYS, &[]], layout);
         let (Association::Point, DataSet::Rectilinear(g)) = (assoc, mesh) else {
             return Err(refused());
         };

@@ -15,7 +15,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use datamodel::{Attributes, Buffer, CellType, DataArray, DataSet, UnstructuredGrid};
+use datamodel::{Buffer, CellType, DataArray, DataSet, UnstructuredGrid};
 use minimpi::Comm;
 use sensei::{AdaptorError, Association, DataAdaptor};
 
@@ -350,25 +350,19 @@ impl PhastaAdaptor {
     /// The mesh: the nodal coordinates in place, and the slab's VTK
     /// cells. Those are the one real copy in the PHASTA coupling
     /// (§4.2.1): the solver's connectivity, copied and checked as VTK
-    /// cells by the run's first mesh request, which the simulation keeps
-    /// so that every later mesh shares its connectivity, offsets and
+    /// cells by the run's first mesh request. The simulation keeps that
+    /// first mesh (the coordinates never move), so every later mesh is
+    /// a clone of it that shares its points, connectivity, offsets and
     /// cell types.
     fn grid(&self) -> UnstructuredGrid {
-        let points = || DataArray::soa("points", views(&self.coords));
         let cells = self.cells.get_or_init(|| {
+            let points = DataArray::soa("points", views(&self.coords));
             let n_tets = self.connectivity.len() / 4;
             let offsets = (0..=n_tets).map(|c| c * 4).collect();
             let types = vec![CellType::Tetra; n_tets];
-            UnstructuredGrid::new(points(), self.connectivity.to_vec(), offsets, types)
+            UnstructuredGrid::new(points, self.connectivity.to_vec(), offsets, types)
         });
-        UnstructuredGrid {
-            points: points(),
-            connectivity: Arc::clone(&cells.connectivity),
-            offsets: Arc::clone(&cells.offsets),
-            cell_types: Arc::clone(&cells.cell_types),
-            point_data: Attributes::new(),
-            cell_data: Attributes::new(),
-        }
+        cells.clone()
     }
 
     /// The named point array: the velocity in place, or its magnitude,
@@ -418,9 +412,8 @@ impl DataAdaptor for PhastaAdaptor {
         assoc: Association,
         name: &str,
     ) -> Result<(), AdaptorError> {
-        let advertised = |a| a == Association::Point && POINT_ARRAYS.contains(&name);
         let layout = "PHASTA produces an unstructured mesh";
-        let refused = || AdaptorError::classify(name, assoc, advertised, layout);
+        let refused = || AdaptorError::classify(name, assoc, [&POINT_ARRAYS, &[]], layout);
         let (Association::Point, DataSet::Unstructured(g)) = (assoc, mesh) else {
             return Err(refused());
         };
@@ -432,6 +425,7 @@ impl DataAdaptor for PhastaAdaptor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datamodel::MemoryFootprint;
     use minimpi::World;
 
     fn small() -> PhastaConfig {
@@ -541,6 +535,21 @@ mod tests {
                 sim.connectivity.as_ptr(),
                 "connectivity is a full copy"
             );
+            // The memory gauges' split: the solver's coordinates and
+            // velocity are the shared bytes; the cells, the derived
+            // `velmag` and the names are owned, the cells counted in
+            // full by every mesh that shares the one copy.
+            let bytes = |c: &Arc<Vec<f64>>| c.capacity() * 8;
+            let shared: usize = sim.coords.iter().chain(&sim.velocity).map(bytes).sum();
+            let cells = g.connectivity.capacity() * 8
+                + g.offsets.capacity() * std::mem::size_of::<usize>()
+                + g.cell_types.capacity();
+            let velmag = g.point_data.get("velmag").unwrap().num_tuples() * 8;
+            let names: usize = ["points", "velocity", "velmag"].map(str::len).iter().sum();
+            let owned = mesh.heap_bytes(false);
+            assert_eq!(mesh.heap_bytes(true) - owned, shared, "shared bytes");
+            assert_eq!(owned, cells + velmag + names, "owned bytes");
+            assert_eq!(adaptor.mesh().heap_bytes(false), cells + "points".len());
             // Made once: a second mesh, and a later step's adaptor's,
             // share the first one's cells.
             let cells = |mesh: DataSet| match mesh {

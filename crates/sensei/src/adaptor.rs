@@ -91,25 +91,21 @@ pub enum AdaptorError {
 
 impl AdaptorError {
     /// Why `name` could not be attached under `assoc`, the one
-    /// classifier every producer's [`DataAdaptor::add_array`] returns:
-    /// a name `advertised` under neither association is
-    /// [`AdaptorError::UnknownArray`], one advertised only under the
-    /// other is [`AdaptorError::WrongAssociation`], and one advertised
-    /// under `assoc` that still did not attach, because the target
+    /// classifier every producer's [`DataAdaptor::add_array`] returns.
+    /// `listed` is the producer's point list, then its cell list, as
+    /// [`DataAdaptor::array_names`] reads them: a name in neither list
+    /// is [`AdaptorError::UnknownArray`], one only in the other
+    /// association's list is [`AdaptorError::WrongAssociation`], and one
+    /// in `assoc`'s list that still did not attach, because the target
     /// mesh is not the producer's kind, is
     /// [`AdaptorError::LayoutUnsupported`] with `layout` as its detail.
-    /// `advertised(a)` is whether the producer lists `name` under `a`.
-    pub fn classify(
-        name: &str,
-        assoc: Association,
-        advertised: impl Fn(Association) -> bool,
-        layout: &str,
-    ) -> Self {
+    pub fn classify(name: &str, assoc: Association, listed: [&[&str]; 2], layout: &str) -> Self {
+        let under = |a| listed[usize::from(a == Association::Cell)].contains(&name);
         let name = name.to_string();
-        if advertised(assoc) {
+        if under(assoc) {
             let detail = layout.to_string();
             AdaptorError::LayoutUnsupported { name, detail }
-        } else if advertised(assoc.other()) {
+        } else if under(assoc.other()) {
             let (requested, available) = (assoc, assoc.other());
             AdaptorError::WrongAssociation {
                 name,
@@ -389,12 +385,20 @@ impl DataAdaptor for InMemoryAdaptor {
         if attached {
             return Ok(());
         }
-        let held = |a: Association| {
+        // `name` is all of each list the classifier reads: the data
+        // lists it under an association where some leaf holds it.
+        let listed = |a: Association| {
             let mut leaves = self.data.leaves();
-            leaves.any(|leaf| a.of(leaf).is_some_and(|x| x.get(name).is_some()))
+            let held = leaves.any(|leaf| a.of(leaf).is_some_and(|x| x.get(name).is_some()));
+            if held {
+                std::slice::from_ref(&name)
+            } else {
+                &[]
+            }
         };
         let layout = "the target mesh is not laid out as the adaptor's data";
-        Err(AdaptorError::classify(name, assoc, held, layout))
+        let listed = [listed(Association::Point), listed(Association::Cell)];
+        Err(AdaptorError::classify(name, assoc, listed, layout))
     }
 }
 
